@@ -347,6 +347,7 @@ func BenchmarkModelSensitivity(b *testing.B) {
 // throughput (simulator events per second of host time).
 func BenchmarkSimulatorEventRate(b *testing.B) {
 	const msgsPerRun = 20000
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := sim.New(sim.Config{
 			Procs: 8, Latency: 10 * sim.Microsecond, NanosPerByte: 30,
@@ -364,6 +365,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(msgsPerRun*2), "events/run")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*msgsPerRun*2), "ns/event")
 }
 
 // BenchmarkSection8PushVsPull compares §8's producer-push boundary

@@ -266,8 +266,10 @@ func TestFleetTelemetry(t *testing.T) {
 	if snap.RecordsDone != int64(len(specs)) || snap.RecordsTotal != int64(len(specs)) {
 		t.Errorf("snapshot records %d/%d, want %d/%d", snap.RecordsDone, snap.RecordsTotal, len(specs), len(specs))
 	}
-	if snap.RangesDone != snap.RangesTotal || snap.RangesTotal != 4 {
-		t.Errorf("snapshot ranges %d/%d, want 4/4", snap.RangesDone, snap.RangesTotal)
+	// RangeSize 2 over the grid makes four ranges; adaptive sizing may
+	// legally split a grant when one worker's throughput looks low.
+	if snap.RangesDone != snap.RangesTotal || snap.RangesTotal < 4 {
+		t.Errorf("snapshot ranges %d/%d, want all done of at least 4", snap.RangesDone, snap.RangesTotal)
 	}
 	if len(snap.Workers) != 2 {
 		t.Fatalf("snapshot has %d workers, want 2", len(snap.Workers))

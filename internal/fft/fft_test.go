@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +172,36 @@ func BenchmarkTransform128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward(x)
+	}
+}
+
+// TestConcurrentTransforms runs first-use transforms of many sizes from
+// several goroutines at once, as the sweep engine's workers do: the
+// shared twiddle cache must be safe to fill concurrently (run with
+// -race) and every goroutine must get the same spectrum.
+func TestConcurrentTransforms(t *testing.T) {
+	const workers = 4
+	out := make([][]complex128, workers)
+	var wg sync.WaitGroup
+	for w := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1 << 12; n <= 1<<16; n <<= 1 {
+				x := make([]complex128, n)
+				x[1] = 1
+				Forward(x)
+				Inverse(x)
+				out[w] = append(out[w], x[1], x[n-1])
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i := range out[0] {
+			if out[w][i] != out[0][i] {
+				t.Fatalf("worker %d result %d = %v, worker 0 got %v", w, i, out[w][i], out[0][i])
+			}
+		}
 	}
 }

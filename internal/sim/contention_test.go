@@ -279,6 +279,58 @@ func TestContentionMessageConservation(t *testing.T) {
 	}
 }
 
+// contentionStress runs the seeded randomized send pattern of the stress
+// tests at n procs and the given backplane width: skewed ring exchanges,
+// an all-to-all burst every third round, a barrier per round.
+func contentionStress(t *testing.T, n, ways int) (end Time, msgs int64, host HostStats) {
+	t.Helper()
+	c := New(contendedConfig(n, ways))
+	rng := rand.New(rand.NewSource(int64(1000*n + ways)))
+	const rounds = 12
+	// Pre-draw all random choices so every proc's behavior is a
+	// pure function of (proc, round) and repeated runs match.
+	skew := make([][]Time, n)
+	size := make([][]int, n)
+	for i := 0; i < n; i++ {
+		skew[i] = make([]Time, rounds)
+		size[i] = make([]int, rounds)
+		for r := 0; r < rounds; r++ {
+			skew[i][r] = Time(rng.Intn(2000)) * Microsecond
+			size[i][r] = rng.Intn(8192)
+		}
+	}
+	if err := c.Run(func(p *Proc) {
+		for r := 0; r < rounds; r++ {
+			p.Advance(skew[p.ID()][r])
+			// Ring exchange: send to the next proc, receive
+			// from the previous; deadlock-free by construction.
+			next := (p.ID() + 1) % n
+			prev := (p.ID() + n - 1) % n
+			p.Send(next, 30+r, nil, size[p.ID()][r], stats.KindData)
+			p.Recv(prev, 30+r)
+			// All-to-all burst every third round: the storm
+			// pattern that exercises deep link queues.
+			if r%3 == 0 {
+				for d := 0; d < n; d++ {
+					if d != p.ID() {
+						p.Send(d, 60+r, nil, size[d][r], stats.KindData)
+					}
+				}
+				for i := 0; i < n-1; i++ {
+					p.Recv(AnySrc, 60+r)
+				}
+			}
+			barrierVia(p, 100+2*r)
+		}
+		if p.ID() == 0 {
+			end = p.Now()
+		}
+	}); err != nil {
+		t.Fatalf("n=%d ways=%d: %v", n, ways, err)
+	}
+	return end, c.Stats().TotalMsgs(), c.HostStats()
+}
+
 // TestContentionDeadlockFreeStress drives randomized (seeded) send
 // patterns at 2-8 procs under every contention configuration and
 // demands that each run completes — delivery times that depend on queue
@@ -287,58 +339,10 @@ func TestContentionMessageConservation(t *testing.T) {
 func TestContentionDeadlockFreeStress(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		for _, ways := range []int{0, 1, 4} {
-			run := func() (Time, int64) {
-				c := New(contendedConfig(n, ways))
-				rng := rand.New(rand.NewSource(int64(1000*n + ways)))
-				const rounds = 12
-				// Pre-draw all random choices so every proc's behavior is a
-				// pure function of (proc, round) and the two runs match.
-				skew := make([][]Time, n)
-				size := make([][]int, n)
-				for i := 0; i < n; i++ {
-					skew[i] = make([]Time, rounds)
-					size[i] = make([]int, rounds)
-					for r := 0; r < rounds; r++ {
-						skew[i][r] = Time(rng.Intn(2000)) * Microsecond
-						size[i][r] = rng.Intn(8192)
-					}
-				}
-				var end Time
-				if err := c.Run(func(p *Proc) {
-					for r := 0; r < rounds; r++ {
-						p.Advance(skew[p.ID()][r])
-						// Ring exchange: send to the next proc, receive
-						// from the previous; deadlock-free by construction.
-						next := (p.ID() + 1) % n
-						prev := (p.ID() + n - 1) % n
-						p.Send(next, 30+r, nil, size[p.ID()][r], stats.KindData)
-						p.Recv(prev, 30+r)
-						// All-to-all burst every third round: the storm
-						// pattern that exercises deep link queues.
-						if r%3 == 0 {
-							for d := 0; d < n; d++ {
-								if d != p.ID() {
-									p.Send(d, 60+r, nil, size[d][r], stats.KindData)
-								}
-							}
-							for i := 0; i < n-1; i++ {
-								p.Recv(AnySrc, 60+r)
-							}
-						}
-						barrierVia(p, 100+2*r)
-					}
-					if p.ID() == 0 {
-						end = p.Now()
-					}
-				}); err != nil {
-					t.Fatalf("n=%d ways=%d: %v", n, ways, err)
-				}
-				return end, c.Stats().TotalMsgs()
-			}
-			e1, m1 := run()
-			e2, m2 := run()
-			if e1 != e2 || m1 != m2 {
-				t.Errorf("n=%d ways=%d nondeterministic: (%v,%d) vs (%v,%d)", n, ways, e1, m1, e2, m2)
+			e1, m1, h1 := contentionStress(t, n, ways)
+			e2, m2, h2 := contentionStress(t, n, ways)
+			if e1 != e2 || m1 != m2 || h1 != h2 {
+				t.Errorf("n=%d ways=%d nondeterministic: (%v,%d,%+v) vs (%v,%d,%+v)", n, ways, e1, m1, h1, e2, m2, h2)
 			}
 		}
 	}

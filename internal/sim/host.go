@@ -9,8 +9,8 @@ import "sync/atomic"
 // time, message contents or ordering — a run with nobody reading them
 // is bit-identical to one scraped continuously.
 type HostStats struct {
-	// Dispatches counts scheduler handoffs: each time the Run loop
-	// resumed a process goroutine.
+	// Dispatches counts scheduler hand-offs: each time the Run loop
+	// resumed a process coroutine.
 	Dispatches int64
 	// Delivered counts messages consumed by Recv.
 	Delivered int64
@@ -21,9 +21,9 @@ type HostStats struct {
 
 // Process-wide totals, folded in once per completed Cluster.Run. The
 // per-cluster counters themselves are plain ints — exactly one process
-// executes at a time (the same channel-handoff argument that makes
-// c.seq safe) — so the hot path pays no atomic traffic; only the
-// once-per-run fold does.
+// executes at a time (processes are coroutines resumed by the one Run
+// loop, which is also what makes c.seq safe) — so the hot path pays no
+// atomic traffic; only the once-per-run fold does.
 var (
 	hostDispatches atomic.Int64
 	hostDelivered  atomic.Int64

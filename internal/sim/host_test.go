@@ -65,3 +65,34 @@ func TestHostStats(t *testing.T) {
 		t.Errorf("virtual end times differ: %v vs %v", end1, end2)
 	}
 }
+
+// TestSchedulePinned pins the schedule itself, not only its results: the
+// number of dispatches and deliveries of two fixed programs. A scheduler
+// change that keeps every virtual time and checksum but hands control
+// over more or less often — a different horizon, a different tie-break —
+// moves these counts.
+func TestSchedulePinned(t *testing.T) {
+	// The 8-process ring of BenchmarkSimulatorEventRate, 250 rounds.
+	ring := New(Config{
+		Procs: 8, Latency: 10 * Microsecond, NanosPerByte: 30,
+		SendOverhead: 5 * Microsecond, RecvOverhead: 5 * Microsecond,
+	})
+	if err := ring.Run(func(p *Proc) {
+		for k := 0; k < 250; k++ {
+			p.Send((p.ID()+1)%8, 1, nil, 64, stats.KindData)
+			p.Recv((p.ID()+7)%8, 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ring.HostStats(), (HostStats{Dispatches: 5258, Delivered: 2000, PeakQueue: 8}); got != want {
+		t.Errorf("ring: %+v, want %+v", got, want)
+	}
+
+	// The seeded contention stress program: serial NICs, horizon
+	// tightening on send, deep inboxes.
+	_, _, got := contentionStress(t, 8, 1)
+	if want := (HostStats{Dispatches: 766, Delivered: 488, PeakQueue: 38}); got != want {
+		t.Errorf("contention stress: %+v, want %+v", got, want)
+	}
+}

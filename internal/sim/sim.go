@@ -1,5 +1,7 @@
+//go:build go1.23
+
 // Package sim implements a deterministic, conservative discrete-event
-// simulator whose processes are ordinary goroutines with virtual clocks.
+// simulator whose processes are coroutines with virtual clocks.
 //
 // The simulator stands in for the paper's 8-node IBM SP/2 (see DESIGN.md,
 // substitution table). Each simulated processor runs real Go code on real
@@ -10,11 +12,18 @@
 //
 // # Determinism
 //
-// Exactly one process executes at a time: the one with the minimum
-// "effective" virtual time (ties broken by process id). A process blocked
-// in Recv has effective time max(clock, earliest matching delivery); a
-// ready process has its clock. Because the global minimum effective time
-// is nondecreasing, any message consumed by a Recv is guaranteed to be the
+// Each process body is an iter.Pull coroutine, and Cluster.Run is the one
+// loop that resumes them: it picks a process, calls its next function and
+// gets control back when the process yields or finishes. So exactly one
+// process executes at a time by construction, on the thread of Run's
+// caller and without entering the Go scheduler, and a process's
+// unsynchronized access to cluster state is ordered with every other's.
+//
+// The process resumed is the one with the minimum "effective" virtual
+// time (ties broken by process id). A process blocked in Recv has
+// effective time max(clock, earliest matching delivery); a ready process
+// has its clock. Because the global minimum effective time is
+// nondecreasing, any message consumed by a Recv is guaranteed to be the
 // earliest-delivered match that will ever exist, so runs are
 // bit-reproducible: identical virtual times, identical message orders,
 // identical floating-point results.
@@ -49,6 +58,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -192,7 +202,7 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. All methods must be called only from the
-// goroutine running the process body.
+// process body.
 type Proc struct {
 	id      int
 	c       *Cluster
@@ -202,15 +212,19 @@ type Proc struct {
 	inbox   []*Message
 	waitSrc int
 	waitTag int
-	resume  chan Time
-	err     any // recovered panic, if the body panicked
+
+	// The coroutine running the body: Run resumes it with next and ends
+	// it early with stop; the body suspends itself with yield, passing
+	// the state it waits in.
+	next  func() (procState, bool)
+	stop  func()
+	yield func(procState) bool
 }
 
 // Cluster is a set of simulated processes plus the scheduler state.
 type Cluster struct {
 	cfg   Config
 	procs []*Proc
-	yield chan int
 	seq   uint64
 	stats *stats.Stats
 
@@ -247,11 +261,7 @@ func New(cfg Config) *Cluster {
 	if cfg.Nodes < 0 || cfg.BackplaneWays < 0 {
 		panic("sim: negative Config.Nodes or Config.BackplaneWays")
 	}
-	c := &Cluster{
-		cfg:   cfg,
-		yield: make(chan int),
-		stats: st,
-	}
+	c := &Cluster{cfg: cfg, stats: st}
 	if cfg.Nodes > 0 {
 		c.outFree = make([]Time, cfg.Nodes)
 		c.inFree = make([]Time, cfg.Nodes)
@@ -264,7 +274,6 @@ func New(cfg Config) *Cluster {
 		c.procs[i] = &Proc{
 			id:      i,
 			c:       c,
-			resume:  make(chan Time),
 			waitSrc: AnySrc,
 			waitTag: AnyTag,
 		}
@@ -304,31 +313,33 @@ func (e *DeadlockError) Error() string {
 	return "sim: deadlock: no runnable process\n  " + strings.Join(e.States, "\n  ")
 }
 
+// stopped is the panic value that unwinds a suspended process body when
+// Run stops it early.
+type stopped struct{}
+
 // Run starts every process executing body and drives the scheduler until
 // all processes finish. It returns a *DeadlockError if the processes
-// deadlock. If a process body panics, Run re-panics with the same value
-// after shutting down cleanly, so tests see the original failure.
+// deadlock. If a process body panics, Run panics with the same value, so
+// tests see the original failure. On either path the unfinished processes
+// are stopped first — their bodies unwind, running their deferred calls —
+// so no coroutine outlives Run.
 func (c *Cluster) Run(body func(p *Proc)) error {
 	defer c.foldHost()
 	for _, p := range c.procs {
-		go func(p *Proc) {
+		p.next, p.stop = iter.Pull(func(yield func(procState) bool) {
 			defer func() {
-				if r := recover(); r != nil {
-					p.err = r
+				if r := recover(); r != nil && r != (stopped{}) {
+					panic(r)
 				}
-				p.state = stateDone
-				c.yield <- p.id
 			}()
-			p.horizon = <-p.resume
-			p.state = stateRunning
+			p.yield = yield
 			body(p)
-		}(p)
+		})
+		defer p.stop()
 	}
-	remaining := len(c.procs)
-	for remaining > 0 {
-		p := c.pick()
+	for remaining := len(c.procs); remaining > 0; {
+		p, horizon := c.pick()
 		if p == nil {
-			// Unblock every goroutine so they do not leak, then report.
 			states := make([]string, len(c.procs))
 			for i, q := range c.procs {
 				states[i] = fmt.Sprintf("proc %d: %s clock=%v wait=(src=%d,tag=%d) inbox=%d",
@@ -337,14 +348,11 @@ func (c *Cluster) Run(body func(p *Proc)) error {
 			return &DeadlockError{States: states}
 		}
 		c.host.Dispatches++
-		p.resume <- c.horizonFor(p)
-		id := <-c.yield
-		if c.procs[id].state == stateDone {
+		p.horizon, p.state = horizon, stateRunning
+		var ok bool
+		if p.state, ok = p.next(); !ok {
+			p.state = stateDone
 			remaining--
-			if c.procs[id].err != nil {
-				// Drain remaining procs is impossible mid-panic; report.
-				panic(c.procs[id].err)
-			}
 		}
 	}
 	return nil
@@ -370,44 +378,29 @@ func (c *Cluster) effective(p *Proc) Time {
 	}
 }
 
-// pick chooses the runnable process with minimum (effective, id).
-func (c *Cluster) pick() *Proc {
-	var best *Proc
+// pick chooses the runnable process with minimum (effective, id), or nil
+// if none can run, and computes its horizon: the minimum effective time
+// of the others, up to which the chosen process may run freely.
+func (c *Cluster) pick() (best *Proc, horizon Time) {
 	bestT := Forever
+	horizon = Forever
 	for _, p := range c.procs {
-		t := c.effective(p)
-		if t == Forever {
-			continue
-		}
-		if best == nil || t < bestT {
-			best, bestT = p, t
+		switch t := c.effective(p); {
+		case t < bestT:
+			best, bestT, horizon = p, t, bestT
+		case t < horizon:
+			horizon = t
 		}
 	}
-	return best
-}
-
-// horizonFor computes the second-best effective time: the chosen process
-// may run freely while its clock does not exceed this value.
-func (c *Cluster) horizonFor(chosen *Proc) Time {
-	h := Forever
-	for _, p := range c.procs {
-		if p == chosen {
-			continue
-		}
-		if t := c.effective(p); t < h {
-			h = t
-		}
-	}
-	return h
+	return best, horizon
 }
 
 // yieldTo hands control back to the scheduler with the given state and
 // waits to be rescheduled.
 func (p *Proc) yieldTo(s procState) {
-	p.state = s
-	p.c.yield <- p.id
-	p.horizon = <-p.resume
-	p.state = stateRunning
+	if !p.yield(s) {
+		panic(stopped{})
+	}
 }
 
 // ID returns the process id in [0, Config.Procs).

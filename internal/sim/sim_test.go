@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,57 @@ func TestPanicPropagates(t *testing.T) {
 		}
 		p.Recv(AnySrc, AnyTag)
 	})
+}
+
+// TestRunStopsUnfinishedProcesses checks that no process outlives Run
+// when it ends early: after a deadlock and after a panic — in a process
+// dispatched last, so the others are suspended, and in one dispatched
+// first, so the others never started — every unfinished body has been
+// unwound (its deferred calls ran) and its coroutine is gone.
+func TestRunStopsUnfinishedProcesses(t *testing.T) {
+	const n = 4
+	// The previous test's goroutine may still be exiting, so the count
+	// can fall below the baseline; a leak only raises it, by about n.
+	base := runtime.NumGoroutine()
+	unwound := 0
+	waitForever := func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Recv(AnySrc, AnyTag)
+	}
+
+	err := New(testConfig(n)).Run(waitForever)
+	if _, ok := err.(*DeadlockError); !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if unwound != n {
+		t.Errorf("deadlock: %d bodies unwound, want %d", unwound, n)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("deadlock: %d goroutines after Run, %d before", got, base)
+	}
+
+	for _, bad := range []int{n - 1, 0} {
+		unwound = 0
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("proc %d panics: recovered %v, want boom", bad, r)
+				}
+			}()
+			_ = New(testConfig(n)).Run(func(p *Proc) {
+				if p.ID() == bad {
+					panic("boom")
+				}
+				waitForever(p)
+			})
+		}()
+		if unwound != bad {
+			t.Errorf("proc %d panics: %d bodies unwound, want %d", bad, unwound, bad)
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Errorf("proc %d panics: %d goroutines after Run, %d before", bad, got, base)
+		}
+	}
 }
 
 func TestTransferTime(t *testing.T) {

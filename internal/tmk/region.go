@@ -44,6 +44,7 @@ type Region[T Elem] struct {
 	npages   int
 	data     []T
 	twins    [][]T // per local page; nil = no twin
+	spare    [][]T // dropped twins, reused by makeTwin; at most npages
 }
 
 // regionHandle is the untyped view the node keeps for protocol work.
@@ -201,7 +202,11 @@ func (r *Region[T]) validate(lo, hi int, write, aggregated bool) {
 func (r *Region[T]) makeTwin(lp int32) {
 	tw := r.twins[lp]
 	if tw == nil {
-		tw = make([]T, r.epp)
+		if n := len(r.spare); n > 0 {
+			tw, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			tw = make([]T, r.epp)
+		}
 		r.twins[lp] = tw
 	}
 	copy(tw, r.data[int(lp)*r.epp:(int(lp)+1)*r.epp])
@@ -233,6 +238,7 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 		copy(tw, page) // refresh: subsequent writes diff against this state
 	} else {
 		r.twins[lp] = nil
+		r.spare = append(r.spare, tw)
 	}
 	bytes := proto.DiffRecHdr
 	for _, s := range segs {

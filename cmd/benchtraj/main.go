@@ -43,7 +43,8 @@
 // gate's comparisons see no difference — except host_ns, which is 0
 // for served runs (it is informational and never compared). The store
 // reads as empty under a build with a different record schema version,
-// so a schema change always re-executes.
+// so a schema change always re-executes. Written records are fsynced at
+// the end of each sweep and at exit, not one by one (see dsmrun -store).
 package main
 
 import (

@@ -74,10 +74,16 @@
 // transparently recomputed. Concurrent access is safe within a process
 // and across processes (advisory file lock); fabric workers pass the
 // same flag to consult their local store before executing a leased
-// range. -store-max-bytes bounds the directory, evicting
+// range. A written record is visible to every process at once and
+// survives this one being killed; it is fsynced at the next commit
+// point — the end of the sweep or lease, exit, or 64 ms after the
+// previous fsync, whichever comes first — so a power loss costs at most
+// the records since then, which the next sweep recomputes.
+// -store-max-bytes bounds the directory, evicting
 // least-recently-used records first (0: unbounded). With -metrics-addr
 // or -metrics-dump the dsm_store_* families report hits, misses, puts,
-// evictions, corrupt frames and resident bytes.
+// evictions, corrupt frames, resident bytes, and fsyncs with their
+// latency distribution.
 //
 // Host telemetry:
 //
@@ -244,8 +250,12 @@ func main() {
 
 	// The persistent result store is shared by every mode that executes
 	// runs: sweeps serve records straight from it, single runs and
-	// fabric workers warm it. Every Put is synced frame by frame, so no
-	// explicit flush is needed on the fatal-exit paths.
+	// fabric workers warm it. The engine syncs it at the end of every
+	// sweep and lease, ahead of the "N records failed" exit, and Close
+	// syncs a single run's record; the other fatal-exit paths skip both,
+	// which is safe: a Put is in the page cache once it returns, so the
+	// process dying loses nothing, and a power loss costs only frames
+	// that are recomputed and never served torn (see package store).
 	var st *store.Store
 	if *storeDir != "" {
 		var err error

@@ -60,8 +60,9 @@
 // tables — or running further experiments over the same grid — costs
 // only the disk reads. Tables are byte-identical served or executed;
 // the store reads as empty under a build whose record schema version
-// differs. -store-max-bytes bounds the directory (LRU eviction; 0:
-// unbounded).
+// differs. Written records are fsynced at the end of each sweep and at
+// exit, not one by one (see dsmrun -store). -store-max-bytes bounds the
+// directory (LRU eviction; 0: unbounded).
 package main
 
 import (

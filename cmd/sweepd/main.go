@@ -25,16 +25,18 @@
 // -store DIR backs the worker with the persistent result store (see
 // dsmrun -store): leased specs whose record is already on disk stream
 // back without executing, and executed records are written back, so a
-// warm worker answers a repeated sweep from disk. -store-max-bytes
+// warm worker answers a repeated sweep from disk. Written records are
+// fsynced at the end of each lease, not one by one. -store-max-bytes
 // bounds the directory (LRU eviction; 0: unbounded).
 //
 // Shutdown: on SIGINT or SIGTERM the daemon drains — new leases (and
 // health checks) answer 503 so the coordinator reassigns around it,
-// the in-flight lease streams to completion, and the store is flushed
+// the in-flight lease streams to completion, and the store is synced
 // and closed — then exits 0. A second signal, or a drain exceeding
-// -drain-timeout, exits immediately (the store is durable frame by
-// frame, so at worst the interrupted lease's tail is recomputed next
-// time).
+// -drain-timeout, exits immediately: every finished lease was synced
+// when it ended and the interrupted lease's appends are already in the
+// page cache, so the exit itself loses nothing, and after a power loss
+// at worst that lease's tail is recomputed next time.
 //
 // Fault injection (CI only):
 //

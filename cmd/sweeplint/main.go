@@ -48,7 +48,9 @@
 // join fields — the exact invariants the engine enforces before
 // serving), and its key checked against the record's spec. Dead bytes
 // from corrupt or superseded frames and schema-mismatched entries are
-// reported; any corrupt frame or invalid value exits 1. A store that
+// reported; any corrupt frame or invalid value exits 1. Segment and
+// temp files a crashed compaction left beside the live segment are
+// removed by opening the store and reported, not failed. A store that
 // healed itself (corruption detected, entry recomputed and compacted
 // away) lints clean.
 //
@@ -188,8 +190,8 @@ func lintStore(dir string, expected int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweeplint: store %s: %d records, %d bytes, %d corrupt frames, %d schema-mismatched, %d invalid values\n",
-		dir, rep.Entries, rep.Bytes, rep.CorruptFrames, rep.SchemaSkips, rep.BadValues)
+	fmt.Printf("sweeplint: store %s: %d records, %d bytes, %d corrupt frames, %d schema-mismatched, %d invalid values, %d orphan files removed\n",
+		dir, rep.Entries, rep.Bytes, rep.CorruptFrames, rep.SchemaSkips, rep.BadValues, st.Stats().Orphans)
 	if rep.CorruptFrames > 0 || rep.BadValues > 0 {
 		return fmt.Errorf("store has %d corrupt frames and %d invalid values", rep.CorruptFrames, rep.BadValues)
 	}

@@ -87,6 +87,10 @@ type Engine struct {
 	recMu    sync.Mutex
 	recCache map[string]*recEntry
 
+	// syncMu/syncSeen: the store counters observeSyncs last reported.
+	syncMu   sync.Mutex
+	syncSeen store.Stats
+
 	host          hostStats
 	telemetryOnce sync.Once
 }
@@ -209,6 +213,19 @@ func (e *Engine) writeBack(s Spec, res core.Result, err error) {
 		return
 	}
 	st.Put(e.storeKey(s), b) //nolint:errcheck // best-effort persistence
+	e.observeSyncs()
+}
+
+// syncStore is the engine's commit point: one fsync covering every
+// record written back since the last one (none on a warm pass). Put
+// defers durability to here, so each sweep and each fabric lease ends
+// with its records safe against power loss before the caller reports
+// on it.
+func (e *Engine) syncStore() {
+	if st := e.Store; st != nil {
+		st.Sync() //nolint:errcheck // best-effort persistence, as in writeBack
+		e.observeSyncs()
+	}
 }
 
 // recordFor returns the record for one spec, single-flighted per key:
@@ -305,9 +322,11 @@ func (e *Engine) workers() int {
 // prefetch warms the cache for every spec using the worker pool,
 // resolving each through run (nil means Engine.Run; the record paths
 // pass recordFor so store hits skip the simulation). It returns when
-// all specs have completed (or failed). A non-nil cancel flag stops
-// new runs from starting (in-flight runs still finish).
+// all specs have completed (or failed) and their write-backs are
+// synced to the store. A non-nil cancel flag stops new runs from
+// starting (in-flight runs still finish).
 func (e *Engine) prefetch(specs []Spec, cancel *atomic.Bool, run func(Spec)) {
+	defer e.syncStore()
 	if run == nil {
 		run = func(s Spec) { e.Run(s) } //nolint:errcheck // errors surface on the ordered pass
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/store"
 )
@@ -227,5 +228,55 @@ func TestProgressStoreHits(t *testing.T) {
 	}
 	if !strings.Contains(lines.String(), "disk") {
 		t.Errorf("progress line lacks the mem/disk hit split:\n%s", lines.String())
+	}
+}
+
+// TestSweepCommitsItsWriteBacks: a sweep ends with every record it
+// wrote back fsynced (nothing left for a later Sync or Close to do), a
+// warm sweep issues no fsync at all, and the registry reports each
+// fsync once, in the counter and in the latency histogram.
+func TestSweepCommitsItsWriteBacks(t *testing.T) {
+	specs := testGrid()
+	dir := t.TempDir()
+	st := openStoreT(t, dir)
+	cold := New()
+	cold.Workers = 2
+	cold.Store = st
+	cold.Metrics = metrics.NewRegistry()
+	streamT(t, cold, specs)
+	after := st.Stats()
+	if after.Puts != int64(len(specs)) || after.Syncs == 0 {
+		t.Fatalf("cold sweep: stats = %+v, want %d puts and at least one fsync", after, len(specs))
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Syncs; got != after.Syncs {
+		t.Fatalf("Sync after the sweep issued an fsync: the sweep left frames pending")
+	}
+	var counted float64
+	var observed uint64
+	for _, fam := range cold.Metrics.Snapshot().Families {
+		for _, ser := range fam.Series {
+			switch fam.Name {
+			case "dsm_store_syncs_total":
+				counted += ser.Value
+			case "dsm_store_sync_seconds":
+				observed += ser.Hist.Count
+			}
+		}
+	}
+	if counted != float64(after.Syncs) || observed != uint64(after.Syncs) {
+		t.Errorf("registry reports %v fsyncs and %d latencies, store counted %d", counted, observed, after.Syncs)
+	}
+
+	warm := New()
+	warm.Store = st
+	streamT(t, warm, specs)
+	if hs := warm.HostStats(); hs.RunsStarted != 0 {
+		t.Fatalf("warm sweep executed %d runs", hs.RunsStarted)
+	}
+	if got := st.Stats().Syncs; got != after.Syncs {
+		t.Errorf("warm sweep issued %d fsyncs, want none", got-after.Syncs)
 	}
 }

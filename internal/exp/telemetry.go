@@ -88,6 +88,9 @@ const (
 	mStoreBytes     = "dsm_store_bytes"
 	mStoreEntries   = "dsm_store_entries"
 	mStoreOpenErrs  = "dsm_store_open_errors_total"
+	mStoreSyncs     = "dsm_store_syncs_total"
+	mStoreSyncSecs  = "dsm_store_sync_seconds"
+	helpSyncSecs    = "Host wall time of one persistent-store fsync."
 )
 
 // Histogram bounds: run host time from 100µs to ~13s, alloc volume
@@ -96,6 +99,8 @@ const (
 var (
 	runSecondsBuckets = metrics.ExpBuckets(0.0001, 2, 18)
 	allocBuckets      = metrics.ExpBuckets(65536, 4, 10)
+	// fsync latency from 25µs to ~0.8s.
+	syncSecondsBuckets = metrics.ExpBuckets(0.000025, 2, 16)
 )
 
 // telemetryInit registers the engine's metric families on e.Metrics,
@@ -150,8 +155,38 @@ func (e *Engine) telemetryInit() {
 				func() float64 { return float64(st.Len()) })
 			r.CounterFunc(mStoreOpenErrs, "Failed persistent-store opens, process-wide.",
 				func() float64 { return float64(store.OpenErrors()) })
+			r.CounterFunc(mStoreSyncs, "Persistent-store segment fsyncs (commit points and compactions).",
+				func() float64 { return float64(st.Stats().Syncs) })
+			r.DeclareHistogram(mStoreSyncSecs, helpSyncSecs, syncSecondsBuckets)
 		}
 	})
+}
+
+// observeSyncs feeds the store's fsyncs since the last call into the
+// sync-latency histogram, which like the dsm_store_* counters covers
+// the store handle's lifetime. The engine calls it after each of its
+// own Put and Sync calls, so nearly every call sees zero or one new
+// fsync and observes its exact duration; several at once (concurrent
+// writers, a compaction next to a window sync) are each recorded at
+// their mean.
+func (e *Engine) observeSyncs() {
+	r, st := e.Metrics, e.Store
+	if r == nil || st == nil {
+		return
+	}
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
+	now := st.Stats()
+	n := now.Syncs - e.syncSeen.Syncs
+	if n <= 0 {
+		return
+	}
+	mean := float64(now.SyncNanos-e.syncSeen.SyncNanos) / float64(n) / 1e9
+	h := r.Histogram(mStoreSyncSecs, helpSyncSecs, syncSecondsBuckets)
+	for ; n > 0; n-- {
+		h.Observe(mean)
+	}
+	e.syncSeen = now
 }
 
 // observeRun records one executed run into the registry histograms.

@@ -99,6 +99,14 @@ func TestWorkerStoreWarmRerun(t *testing.T) {
 	if snap := cold.Progress.Snapshot(); snap.Executed != len(specs) || snap.DiskHits != 0 {
 		t.Errorf("cold worker executed/disk = %d/%d, want %d/0", snap.Executed, snap.DiskHits, len(specs))
 	}
+	// Every lease ends committed: nothing is left for a later Sync.
+	committed := cold.Store.Stats().Syncs
+	if err := cold.Store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.Store.Stats().Syncs; committed == 0 || got != committed {
+		t.Errorf("cold worker: %d fsyncs by the end of its leases, %d after a further Sync; want equal and nonzero", committed, got)
+	}
 
 	warm, warmURL := storeWorker(t, dir)
 	runFleet(t, &Coordinator{Workers: []string{warmURL}, RangeSize: 3}, specs, false)
@@ -108,6 +116,9 @@ func TestWorkerStoreWarmRerun(t *testing.T) {
 	}
 	if snap.DiskHits != len(specs) {
 		t.Errorf("warm worker served %d specs from the store, want %d", snap.DiskHits, len(specs))
+	}
+	if got := warm.Store.Stats().Syncs; got != 0 {
+		t.Errorf("warm worker issued %d fsyncs serving from disk, want 0", got)
 	}
 }
 

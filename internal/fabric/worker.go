@@ -237,6 +237,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	w.Progress.AddTotal(exp.UniqueRuns(specs, rr.Speedup))
 	w.logf("fabric worker: lease %s: %d specs (%s .. %s)", rr.Lease, len(specs), rr.Keys[0], rr.Keys[len(rr.Keys)-1])
 
+	// StreamWith returns with the lease's write-backs synced to the
+	// store: the lease end is the worker's commit point.
 	eng := w.engine(engineKey{speedup: rr.Speedup, observe: rr.Observe})
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	out := &flushWriter{w: rw}
@@ -262,11 +264,11 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 
 // Drain shuts the worker down gracefully: new leases (and health
 // checks) answer 503 immediately, in-flight leases run to completion,
-// and the local store — if any — is flushed and closed so every record
+// and the local store — if any — is synced and closed so every record
 // streamed so far survives on disk. It returns an error if the
 // in-flight leases do not finish within timeout (the store is still
-// closed: appends are durable frame by frame, so at worst the store
-// misses the interrupted lease's tail).
+// closed, and Close syncs every frame appended so far, so at worst the
+// store misses the interrupted lease's tail).
 func (w *Worker) Drain(timeout time.Duration) error {
 	w.activeMu.Lock()
 	w.draining.Store(true)

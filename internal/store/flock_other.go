@@ -10,3 +10,6 @@ import "os"
 func flockEx(*os.File) error { return nil }
 
 func flockUn(*os.File) error { return nil }
+
+// unlinked cannot tell here, so every refresh re-reads CURRENT.
+func unlinked(os.FileInfo) bool { return true }

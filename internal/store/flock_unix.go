@@ -23,3 +23,10 @@ func flockEx(f *os.File) error {
 func flockUn(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }
+
+// unlinked reports whether the open file behind fi has no directory
+// entry left.
+func unlinked(fi os.FileInfo) bool {
+	st, ok := fi.Sys().(*syscall.Stat_t)
+	return !ok || st.Nlink == 0
+}

@@ -21,21 +21,41 @@
 //	    keyLen u32, key bytes
 //	    valLen u32, val bytes
 //
+// Durability is lazy, in the manner of the release consistency the
+// simulated protocols use: the work is aggregated and paid at commit
+// points. Put appends its frame under the lock and returns: the frame
+// is visible to every handle and process at once and survives the
+// death of this process (kill -9 included), because it sits in the
+// kernel's page cache. Sync makes every frame appended so far survive a
+// power loss or kernel crash with one fsync, and none when nothing is
+// pending; Close calls it, compaction implies it, the sweep engine calls
+// it at the end of every sweep and lease, and Put calls it itself when
+// the last one is older than syncWindow, so a run of Puts each slower
+// than the window is synced frame by frame and only a burst shares an
+// fsync. A power loss can therefore cost the frames appended since the
+// last commit point and nothing else: every value is recomputable, and
+// whatever the file system left of those frames — missing bytes, zero
+// pages, a partial frame — fails the frame checks below and is never
+// served.
+//
 // Crash safety: a torn append leaves an incomplete frame at the tail;
 // readers stop scanning there (never serving it) and the next writer —
 // which holds the exclusive lock, so nothing can be mid-append —
 // truncates the garbage before appending. In-place corruption (bad
-// CRC, mangled lengths) is skipped by resynchronizing on the magic and
-// counted, and the next write compacts the segment to drop the dead
-// bytes. Get re-verifies the CRC on every read, so a frame corrupted
-// after indexing is still never served.
+// CRC, mangled lengths, a zero-filled hole) is skipped by
+// resynchronizing on the magic and counted, and the next write compacts
+// the segment to drop the dead bytes. Get re-verifies the CRC on every
+// read, so a frame corrupted after indexing is still never served. Open
+// removes the segment and temp files a crashed compaction left behind.
 //
 // Concurrency: one *Store is safe for any number of goroutines, and
 // any number of OS processes may share a directory. Writers serialize
-// on an exclusive flock of DIR/LOCK and re-read CURRENT plus the
-// segment tail before every append, so each process sees all committed
-// entries; readers are lock-free against their open segment handle
-// (a concurrent compaction unlinks it, which POSIX keeps readable).
+// on an exclusive flock of DIR/LOCK and fstat their open segment before
+// every append — its tail carries other processes' frames, and a link
+// count of zero means a compactor swapped CURRENT, which is re-read
+// only then — so each process sees all appended entries; readers are
+// lock-free against their open segment handle (a concurrent compaction
+// unlinks it, which POSIX keeps readable).
 //
 // Eviction is least-recently-used by this process's access order
 // (falling back to append order for entries it never touched) and
@@ -58,6 +78,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 const (
@@ -67,6 +88,12 @@ const (
 	maxValLen   = 1 << 24
 	currentName = "CURRENT"
 	lockName    = "LOCK"
+
+	// syncWindow is the longest a Put lets the previous fsync age before
+	// paying one itself. Runs whose records arrive further apart than
+	// this (mid and paper scale) are synced frame by frame; only bursts
+	// of millisecond runs share an fsync.
+	syncWindow = 64 * time.Millisecond
 )
 
 // openErrors counts failed Open calls process-wide, for the
@@ -99,6 +126,9 @@ type Stats struct {
 	CorruptFrames int64 // frames skipped for bad CRC or mangled framing
 	SchemaSkips   int64 // frames skipped for a schema-version mismatch
 	Compactions   int64 // segment rewrites
+	Syncs         int64 // segment fsyncs (commit points and compactions)
+	SyncNanos     int64 // host time spent in those fsyncs
+	Orphans       int64 // stray segment and temp files removed by Open
 }
 
 // entry is one live key in the in-memory index.
@@ -128,6 +158,12 @@ type Store struct {
 	// compacting away on the next write.
 	segDirty bool
 	closed   bool
+	// unsynced is true while the segment holds frames appended since the
+	// last fsync; lastSync is when that fsync (or Open) happened, read
+	// through now so tests can drive the window.
+	unsynced bool
+	lastSync time.Time
+	now      func() time.Time
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -136,6 +172,9 @@ type Store struct {
 	corrupt     atomic.Int64
 	schemaSkips atomic.Int64
 	compactions atomic.Int64
+	syncs       atomic.Int64
+	syncNanos   atomic.Int64
+	orphans     atomic.Int64
 }
 
 // Open opens (creating if needed) the store rooted at dir.
@@ -161,14 +200,19 @@ func open(dir string, opt Options) (*Store, error) {
 		lockFile: lf,
 		index:    map[string]*entry{},
 		lru:      list.New(),
+		lastSync: time.Now(),
+		now:      time.Now,
 	}
 	// Exclusive init: first opener creates CURRENT and the empty
-	// segment; everyone else just scans.
+	// segment; everyone else just scans. Nothing can be mid-compaction
+	// under the lock, so any other segment or temp file is an orphan.
 	if err := flockEx(lf); err != nil {
 		lf.Close()
 		return nil, fmt.Errorf("store: lock %s: %w", dir, err)
 	}
-	err = s.refreshLocked(true)
+	if err = s.refreshLocked(true); err == nil {
+		err = s.removeOrphansLocked()
+	}
 	if uerr := flockUn(lf); uerr != nil && err == nil {
 		err = uerr
 	}
@@ -179,9 +223,19 @@ func open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Close releases the store's file handles. The store is unusable
-// afterwards; on-disk state needs no shutdown beyond what every write
-// already fsynced.
+// Sync makes every frame appended so far durable with one fsync. On a
+// store with nothing pending it makes no system call.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	return s.syncLocked()
+}
+
+// Close syncs pending frames and releases the store's file handles.
+// The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,11 +243,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.seg != nil {
-		err = s.seg.Close()
-		s.seg = nil
+	err := s.syncLocked()
+	if cerr := s.seg.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
+	s.seg = nil
 	if cerr := s.lockFile.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -210,6 +264,9 @@ func (s *Store) Stats() Stats {
 		CorruptFrames: s.corrupt.Load(),
 		SchemaSkips:   s.schemaSkips.Load(),
 		Compactions:   s.compactions.Load(),
+		Syncs:         s.syncs.Load(),
+		SyncNanos:     s.syncNanos.Load(),
+		Orphans:       s.orphans.Load(),
 	}
 }
 
@@ -251,7 +308,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 
 // Put stores value under key. Writes go through the exclusive
 // directory lock: refresh, truncate any torn tail, compact if the
-// segment is dirty or over budget, append, fsync. Re-putting an
+// segment is dirty or over budget, append — and fsync only when the
+// last one is older than syncWindow (see Sync). Re-putting an
 // identical value is a no-op; a different value supersedes the old
 // frame (determinism makes that unexpected, but the newest write
 // wins).
@@ -291,16 +349,19 @@ func (s *Store) Put(key string, value []byte) error {
 	if _, err := s.seg.WriteAt(frame, s.size); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if err := s.seg.Sync(); err != nil {
-		return fmt.Errorf("store: sync: %w", err)
-	}
 	en := &entry{key: key, off: s.size, frameLen: int64(len(frame))}
 	en.elem = s.lru.PushBack(en)
 	s.index[key] = en
 	s.size += int64(len(frame))
 	s.puts.Add(1)
+	s.unsynced = true
 	if s.opt.MaxBytes > 0 && s.size > s.opt.MaxBytes {
-		return s.evictLocked(s.opt.MaxBytes)
+		if err := s.evictLocked(s.opt.MaxBytes); err != nil {
+			return err
+		}
+	}
+	if s.now().Sub(s.lastSync) >= syncWindow {
+		return s.syncLocked()
 	}
 	return nil
 }
@@ -398,7 +459,7 @@ func (s *Store) Verify(check func(key string, value []byte) error) (VerifyReport
 	}
 	// Force a from-scratch scan so the report reflects the segment as
 	// it is now, not counters accumulated across compactions.
-	s.segName = ""
+	s.resetIndexLocked()
 	corrupt0, schema0 := s.corrupt.Load(), s.schemaSkips.Load()
 	if err := s.refreshLocked(false); err != nil {
 		return rep, err
@@ -434,41 +495,105 @@ func (s *Store) Verify(check func(key string, value []byte) error) (VerifyReport
 // --- internals (all require s.mu) ---
 
 // refreshLocked brings the index up to date with the directory: it
-// re-reads CURRENT (rebuilding the index when the segment generation
-// changed) and scans any bytes appended since the last scan. With
-// writer=true the caller holds the exclusive flock, so an unparseable
-// tail cannot be an in-flight append and is truncated away; readers
-// leave it for the next writer.
+// fstats the open segment, re-reads CURRENT when that segment has been
+// unlinked (a compactor removes the old segment under the flock, after
+// the swap; the index is rebuilt for the new one) and scans any bytes
+// appended since the last scan. With writer=true the caller holds the
+// exclusive flock, so an unparseable tail cannot be an in-flight append
+// and is truncated away; readers leave it for the next writer.
 func (s *Store) refreshLocked(writer bool) error {
-	name, gen, err := s.readCurrentLocked(writer)
-	if err != nil {
-		return err
-	}
-	if name != s.segName {
-		seg, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
+	var st os.FileInfo
+	if s.seg != nil {
+		var err error
+		if st, err = s.seg.Stat(); err != nil {
 			return fmt.Errorf("store: segment: %w", err)
 		}
-		if s.seg != nil {
-			s.seg.Close()
-		}
-		s.seg = seg
-		s.segName = name
-		s.gen = gen
-		s.size = 0
-		s.segDirty = false
-		s.index = map[string]*entry{}
-		s.lru.Init()
 	}
-	st, err := s.seg.Stat()
-	if err != nil {
-		return fmt.Errorf("store: segment: %w", err)
+	if s.seg == nil || unlinked(st) {
+		name, gen, err := s.readCurrentLocked(writer)
+		if err != nil {
+			return err
+		}
+		if name != s.segName {
+			seg, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_RDWR, 0o644)
+			if err != nil {
+				return fmt.Errorf("store: segment: %w", err)
+			}
+			if s.seg != nil {
+				s.seg.Close()
+			}
+			s.seg = seg
+			s.segName = name
+			s.gen = gen
+			s.resetIndexLocked()
+		}
+		if st, err = s.seg.Stat(); err != nil {
+			return fmt.Errorf("store: segment: %w", err)
+		}
 	}
 	if st.Size() > s.size {
 		if err := s.scanTailLocked(st.Size(), writer); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// resetIndexLocked forgets everything scanned, so the next refresh
+// indexes the open segment from its first byte.
+func (s *Store) resetIndexLocked() {
+	s.size = 0
+	s.segDirty = false
+	s.index = map[string]*entry{}
+	s.lru.Init()
+}
+
+// removeOrphansLocked deletes every segment and temp file other than
+// the live segment: what a compaction leaves when it dies between the
+// CURRENT swap and the unlink of the old segment, or earlier. Left in
+// place they would escape the MaxBytes cap and keep a stale handle
+// appending to a segment nobody reads. Caller holds the exclusive
+// flock.
+func (s *Store) removeOrphansLocked() error {
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, de := range ents {
+		name := de.Name()
+		segment := strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log")
+		if name == s.segName || !segment && !strings.HasSuffix(name, ".tmp") {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
+			return fmt.Errorf("store: orphan: %w", err)
+		}
+		s.orphans.Add(1)
+	}
+	return nil
+}
+
+// syncLocked fsyncs the segment if frames were appended since the last
+// fsync, and restarts the sync window.
+func (s *Store) syncLocked() error {
+	if !s.unsynced {
+		return nil
+	}
+	if err := s.fsync(s.seg); err != nil {
+		return err
+	}
+	s.unsynced, s.lastSync = false, s.now()
+	return nil
+}
+
+// fsync syncs f, counting and timing the call.
+func (s *Store) fsync(f *os.File) error {
+	start := time.Now()
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("store: sync: %w", err)
+	}
+	s.syncNanos.Add(time.Since(start).Nanoseconds())
+	s.syncs.Add(1)
 	return nil
 }
 
@@ -713,10 +838,10 @@ func (s *Store) compactLocked() error {
 		out = append(out, placed{en: en, off: off, frameLen: int64(len(frame))})
 		off += int64(len(frame))
 	}
-	if err := f.Sync(); err != nil {
+	if err := s.fsync(f); err != nil {
 		f.Close()
 		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
+		return err
 	}
 	if err := os.Rename(tmpPath, filepath.Join(s.dir, newName)); err != nil {
 		f.Close()
@@ -740,6 +865,7 @@ func (s *Store) compactLocked() error {
 	s.gen = newGen
 	s.size = off
 	s.segDirty = false
+	s.unsynced, s.lastSync = false, s.now() // every live frame was just synced
 	// Re-point live entries at their new frames; dropped (corrupt)
 	// ones leave the index.
 	kept := map[string]*entry{}

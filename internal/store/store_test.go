@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string, opt Options) *Store {
@@ -392,5 +393,323 @@ func TestStoreHelperProcess(t *testing.T) {
 		if err := s.Put(key, []byte("from child "+key)); err != nil {
 			t.Fatalf("child Put(%s): %v", key, err)
 		}
+	}
+}
+
+// swapSegment makes s rewrite its live entries into a new segment and
+// swap CURRENT to it, by superseding a key.
+func swapSegment(t *testing.T, s *Store, dir string) {
+	t.Helper()
+	before := segPath(t, dir)
+	mustPut(t, s, "superseded", "v1")
+	mustPut(t, s, "superseded", "v2")
+	if after := segPath(t, dir); after == before {
+		t.Fatalf("CURRENT still names %s after a compaction", before)
+	}
+}
+
+// TestStoreSwapSeenByLiveHandle: a handle opened before another handle
+// swaps the segment must follow CURRENT on its next miss and its next
+// append, or its writes land in an unlinked file nobody reads.
+func TestStoreSwapSeenByLiveHandle(t *testing.T) {
+	swaps := map[string]func(t *testing.T, b *Store, dir string){
+		"compact": swapSegment,
+		"evict": func(t *testing.T, b *Store, dir string) {
+			before := segPath(t, dir)
+			mustPut(t, b, "b0", "dropped by the eviction")
+			if n, err := b.Evict(1); err != nil || n == 0 {
+				t.Fatalf("Evict = %d, %v, want entries dropped", n, err)
+			}
+			if after := segPath(t, dir); after == before {
+				t.Fatalf("CURRENT still names %s after an eviction", before)
+			}
+		},
+	}
+	for name, swap := range swaps {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			a := openT(t, dir, Options{SchemaVersion: 1})
+			mustPut(t, a, "a0", "before the swap")
+			b := openT(t, dir, Options{SchemaVersion: 1})
+			swap(t, b, dir)
+			mustPut(t, b, "b1", "after the swap")
+			mustGet(t, a, "b1", "after the swap")
+			mustPut(t, a, "a1", "through the old handle")
+			mustGet(t, b, "a1", "through the old handle")
+			mustGet(t, a, "a1", "through the old handle")
+			c := openT(t, dir, Options{SchemaVersion: 1})
+			mustGet(t, c, "a1", "through the old handle")
+			mustGet(t, c, "b1", "after the swap")
+			if a.Len() != c.Len() || b.Len() != c.Len() {
+				t.Fatalf("Len: a %d, b %d, fresh handle %d", a.Len(), b.Len(), c.Len())
+			}
+			if st := c.Stats(); st.Orphans != 0 || st.CorruptFrames != 0 {
+				t.Fatalf("fresh handle stats = %+v, want no orphans and no corrupt frames", st)
+			}
+		})
+	}
+}
+
+// TestStoreOpenRemovesOrphans: a compaction that dies after the CURRENT
+// swap leaves the old segment behind, an earlier death a temp file or
+// an unreferenced new segment; the next Open removes them all.
+func TestStoreOpenRemovesOrphans(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{SchemaVersion: 1})
+	mustPut(t, s, "k", "v")
+	old, err := os.ReadFile(segPath(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapSegment(t, s, dir)
+	s.Close()
+	orphans := []string{"seg-1.log", "seg-9.log", "seg-3.log.tmp", "CURRENT.tmp"}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := openT(t, dir, Options{SchemaVersion: 1})
+	if got := s2.Stats().Orphans; got != int64(len(orphans)) {
+		t.Fatalf("Orphans = %d, want %d", got, len(orphans))
+	}
+	mustGet(t, s2, "k", "v")
+	mustGet(t, s2, "superseded", "v2")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 3 {
+		t.Fatalf("directory holds %d files after Open, want LOCK, CURRENT and one segment", len(ents))
+	}
+	s2.Close()
+	if got := openT(t, dir, Options{SchemaVersion: 1}).Stats().Orphans; got != 0 {
+		t.Fatalf("second Open removed %d more orphans", got)
+	}
+}
+
+// fakeClock is the injected clock of the sync-window tests.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) now() time.Time { return c.t }
+
+func openWithClock(t *testing.T, dir string) (*Store, *fakeClock) {
+	t.Helper()
+	s := openT(t, dir, Options{SchemaVersion: 1})
+	c := &fakeClock{t: time.Unix(1, 0)}
+	s.now, s.lastSync = c.now, c.t
+	return s, c
+}
+
+func TestStoreSyncsAtCommitPoints(t *testing.T) {
+	t.Run("burst shares one fsync", func(t *testing.T) {
+		s, _ := openWithClock(t, t.TempDir())
+		for i := 0; i < 2048; i++ {
+			mustPut(t, s, fmt.Sprintf("key-%04d", i), "value")
+		}
+		if got := s.Stats().Syncs; got > 1 {
+			t.Fatalf("2048 back-to-back Puts issued %d fsyncs", got)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Syncs; got < 1 || got > 2 {
+			t.Fatalf("2048 Puts and Close issued %d fsyncs, want 1 or 2", got)
+		}
+	})
+	t.Run("spaced Puts sync one each", func(t *testing.T) {
+		s, c := openWithClock(t, t.TempDir())
+		for i := 1; i <= 8; i++ {
+			c.t = c.t.Add(syncWindow)
+			mustPut(t, s, fmt.Sprintf("key-%d", i), "value")
+			if got := s.Stats().Syncs; got != int64(i) {
+				t.Fatalf("after %d spaced Puts: %d fsyncs", i, got)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Syncs; got != 8 {
+			t.Fatalf("Close of a synced store raised fsyncs to %d", got)
+		}
+	})
+	t.Run("Sync is free on a clean store", func(t *testing.T) {
+		s, _ := openWithClock(t, t.TempDir())
+		for i := 0; i < 2; i++ {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.Stats().Syncs; got != 0 {
+			t.Fatalf("Sync on a clean store issued %d fsyncs", got)
+		}
+		mustPut(t, s, "k", "v")
+		for i := 0; i < 2; i++ {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.Stats(); st.Syncs != 1 || st.SyncNanos <= 0 {
+			t.Fatalf("one Put and two Syncs: stats = %+v, want exactly one timed fsync", st)
+		}
+	})
+	t.Run("compaction commits what it rewrote", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openWithClock(t, dir)
+		mustPut(t, s, "k", "v")
+		swapSegment(t, s, dir)
+		if got := s.Stats().Syncs; got != 1 {
+			t.Fatalf("compaction issued %d fsyncs, want 1", got)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// Only the frame appended after the rewrite was still pending.
+		if got := s.Stats().Syncs; got != 2 {
+			t.Fatalf("Sync after compaction and one append: %d fsyncs, want 2", got)
+		}
+	})
+}
+
+// storeFromSegment lays out a store directory around the given segment
+// bytes: what a machine finds after a power loss.
+func storeFromSegment(t *testing.T, seg []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte("seg-1.log\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-1.log"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestStorePowerLossInUnsyncedRun damages the frames appended since the
+// last fsync in every way a file system may: cut short at any byte,
+// zero pages in place of the tail, zero pages in the middle. Every
+// frame left whole must be served, nothing else, and the next Put must
+// leave a segment that scans clean.
+func TestStorePowerLossInUnsyncedRun(t *testing.T) {
+	const frames = 5
+	val := func(i int) string { return fmt.Sprintf("value-%d-%s", i, strings.Repeat("x", 20+i)) }
+	src := t.TempDir()
+	s, _ := openWithClock(t, src)
+	ends := make([]int, frames) // ends[i]: segment size once frame i is appended
+	for i := 0; i < frames; i++ {
+		mustPut(t, s, fmt.Sprintf("key-%d", i), val(i))
+		if i == 0 {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ends[i] = int(s.SizeBytes())
+	}
+	if got := s.Stats().Syncs; got != 1 {
+		t.Fatalf("%d fsyncs while building, want frames 1..%d unsynced", got, frames-1)
+	}
+	full, err := os.ReadFile(segPath(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// check reopens seg and requires exactly the frames in whole to be
+	// served, then heals with one Put and requires a clean rescan.
+	check := func(t *testing.T, seg []byte, whole map[int]bool) {
+		t.Helper()
+		dir := storeFromSegment(t, seg)
+		s := openT(t, dir, Options{SchemaVersion: 1})
+		for i := 0; i < frames; i++ {
+			got, ok := s.Get(fmt.Sprintf("key-%d", i))
+			if ok != whole[i] || ok && string(got) != val(i) {
+				t.Fatalf("key-%d: served=%v value %q, want served=%v", i, ok, got, whole[i])
+			}
+		}
+		mustPut(t, s, "healer", "appended after the damage")
+		s.Close()
+		s2 := openT(t, dir, Options{SchemaVersion: 1})
+		if st := s2.Stats(); st.CorruptFrames != 0 {
+			t.Fatalf("healed segment still scans %d corrupt frames", st.CorruptFrames)
+		}
+		if n := s2.Len(); n != len(whole)+1 {
+			t.Fatalf("healed store holds %d entries, want %d", n, len(whole)+1)
+		}
+		mustGet(t, s2, "healer", "appended after the damage")
+		for i := range whole {
+			mustGet(t, s2, fmt.Sprintf("key-%d", i), val(i))
+		}
+	}
+	wholeUpTo := func(cut int) map[int]bool {
+		whole := map[int]bool{}
+		for i, end := range ends {
+			if end <= cut {
+				whole[i] = true
+			}
+		}
+		return whole
+	}
+
+	t.Run("truncated at every offset", func(t *testing.T) {
+		for cut := ends[0]; cut < len(full); cut++ {
+			check(t, full[:cut], wholeUpTo(cut))
+		}
+	})
+	t.Run("zero tail", func(t *testing.T) {
+		for _, cut := range []int{ends[0], ends[1] + 7, ends[2]} {
+			seg := append(append([]byte{}, full[:cut]...), make([]byte, len(full)-cut)...)
+			check(t, seg, wholeUpTo(cut))
+		}
+	})
+	t.Run("zero hole mid-segment", func(t *testing.T) {
+		// Frames 1 and 2 never reached the disk, frames 3 and 4 did.
+		seg := append([]byte{}, full...)
+		for i := ends[0]; i < ends[2]; i++ {
+			seg[i] = 0
+		}
+		check(t, seg, map[int]bool{0: true, 3: true, 4: true})
+		// The hole swallows the first half of frame 3 as well.
+		for i := ends[2]; i < (ends[2]+ends[3])/2; i++ {
+			seg[i] = 0
+		}
+		check(t, seg, map[int]bool{0: true, 4: true})
+	})
+}
+
+// BenchmarkPut times appends of record-sized values, Close included,
+// and reports how many fsyncs each one cost.
+func BenchmarkPut(b *testing.B) {
+	val := []byte(strings.Repeat("r", 450))
+	for _, writers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{SchemaVersion: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys := make([]string, b.N)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%08d", i)
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < b.N; i += writers {
+						if err := s.Put(keys[i], val); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.Stats().Syncs)/float64(b.N), "fsyncs/op")
+		})
 	}
 }

@@ -286,5 +286,21 @@ func Sum64(xs []float32) float64 {
 	return s
 }
 
+// EdgesOne sets the four edges of the n×n grid g to one. g must be all
+// zero on entry, as a fresh allocation or a fresh shared region is; the
+// interior then stays zero, which is the Jacobi/RB-SOR initial
+// condition. It does not clear g itself: every simulated process
+// initializes whole grids, and a second pass over memory the allocator
+// just zeroed is measurable host time.
+func EdgesOne(g []float32, n int) {
+	top, bottom := g[:n], g[(n-1)*n:n*n]
+	for j := range top {
+		top[j], bottom[j] = 1, 1
+	}
+	for i := 0; i < n; i++ {
+		g[i*n], g[i*n+n-1] = 1, 1
+	}
+}
+
 // Cost multiplies an element count by a per-element cost.
 func Cost(n int, per sim.Time) sim.Time { return sim.Time(n) * per }

@@ -17,6 +17,7 @@ package igrid
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
@@ -49,36 +50,49 @@ func (app) Versions() []core.Version {
 }
 
 func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
+	return run(v, cfg, buildMap(cfg.N1))
+}
+
+// run executes one version against idx, the run's indirection map. The
+// map is a pure function of the grid size and is only ever read, so it
+// is built once per run, outside the simulated processes (a builder
+// charges no virtual time), and every process reads the same table: a
+// run's processes are coroutines, resumed one at a time, and no table
+// outlives its run.
+func run(v core.Version, cfg core.Config, idx []int32) (core.Result, error) {
 	switch v {
 	case core.Seq:
-		return runSeq(cfg)
+		return runSeq(cfg, idx)
 	case core.Tmk:
-		return runTmk(cfg)
+		return runTmk(cfg, idx)
 	case core.SPF:
-		return runSPF(cfg)
+		return runSPF(cfg, idx)
 	case core.XHPF:
-		return runXHPF(cfg)
+		return runXHPF(cfg, idx)
 	case core.PVMe:
-		return runPVM(cfg)
+		return runPVM(cfg, idx)
 	}
 	return core.Result{}, fmt.Errorf("igrid: unsupported version %q", v)
 }
+
+// mapBuilds counts buildMap calls, for the package's tests.
+var mapBuilds atomic.Int64
 
 // buildMap constructs the run-time indirection array: for every interior
 // cell, the indices of its nine neighbors (including itself). The
 // compiler sees only idx[9*c+k]; the locality is invisible statically.
 func buildMap(n int) []int32 {
+	mapBuilds.Add(1)
 	idx := make([]int32, 9*n*n)
 	for i := 1; i < n-1; i++ {
-		for j := 1; j < n-1; j++ {
-			c := i*n + j
-			k := 0
-			for di := -1; di <= 1; di++ {
-				for dj := -1; dj <= 1; dj++ {
-					idx[9*c+k] = int32((i+di)*n + (j + dj))
-					k++
-				}
-			}
+		row := idx[9*(i*n+1) : 9*(i*n+n-1)]
+		up, mid, down := int32((i-1)*n), int32(i*n), int32((i+1)*n)
+		for j := 0; j < n-2; j++ { // column j+1; its left neighbor is column j
+			q := (*[9]int32)(row[9*j:])
+			l := int32(j)
+			q[0], q[1], q[2] = up+l, up+l+1, up+l+2
+			q[3], q[4], q[5] = mid+l, mid+l+1, mid+l+2
+			q[6], q[7], q[8] = down+l, down+l+1, down+l+2
 		}
 	}
 	return idx
@@ -92,16 +106,32 @@ func initOld(g []float32, n int) {
 	g[(n-n/8)*n+(n-n/8)] += 300 // lower-right spike
 }
 
-// relaxRows applies one relaxation step to interior rows [rlo,rhi).
+// relaxRows applies one relaxation step to interior rows [rlo,rhi). The
+// nine neighbors are summed in map order from zero, in float32
+// (unrolled: the counted loop measured 1.6 times slower); the only
+// bounds checks left per point are the nine indirect loads.
 func relaxRows(dst, src []float32, idx []int32, n, rlo, rhi int) {
+	w := n - 2
+	if w <= 0 {
+		return
+	}
 	for i := rlo; i < rhi; i++ {
-		for j := 1; j < n-1; j++ {
-			c := i*n + j
+		c := i*n + 1
+		out := dst[c:][:w]
+		row := idx[9*c:][:9*w]
+		for j := range out {
+			q := (*[9]int32)(row[9*j:])
 			var s float32
-			for k := 0; k < 9; k++ {
-				s += src[idx[9*c+k]]
-			}
-			dst[c] = s / 9
+			s += src[q[0]]
+			s += src[q[1]]
+			s += src[q[2]]
+			s += src[q[3]]
+			s += src[q[4]]
+			s += src[q[5]]
+			s += src[q[6]]
+			s += src[q[7]]
+			s += src[q[8]]
+			out[j] = s / 9
 		}
 	}
 }
@@ -146,13 +176,12 @@ func sealed(mx, mn float32) float64 {
 	return float64(mx)*1e3 + float64(mn)
 }
 
-func runSeq(cfg core.Config) (core.Result, error) {
+func runSeq(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
 	return apputil.RunSeq("IGrid", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
 		old := make([]float32, n*n)
 		cur := make([]float32, n*n)
-		idx := buildMap(n)
 		initOld(old, n)
 		copy(cur, old)
 		var redSum float64
@@ -176,7 +205,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	})
 }
 
-func runTmk(cfg core.Config) (core.Result, error) {
+func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
 	return apputil.RunTmk("IGrid", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
@@ -188,7 +217,6 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		// not lock-grant order (which varies with the coherence
 		// protocol's timing — cross-protocol equivalence relies on this).
 		red := tmk.Alloc[float64](tm, "red", 2+nprocs)
-		idx := buildMap(n) // private: the map is read-only
 		rlo, rhi := apputil.BlockOf(me, nprocs, n-2)
 		rlo, rhi = rlo+1, rhi+1
 		if me == 0 {
@@ -250,14 +278,13 @@ func runTmk(cfg core.Config) (core.Result, error) {
 // loop that copies the new array back into the old one — doubling the
 // per-iteration fork-joins and the write-notice traffic (the paper's
 // SPF IGrid shows ~3x the hand-coded Tmk message count).
-func runSPF(cfg core.Config) (core.Result, error) {
+func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
 	return apputil.RunSPF("IGrid", core.SPF, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
 		tm := rt.Tmk()
 		oldArr := tmk.Alloc[float32](tm, "old", n*n)
 		newArr := tmk.Alloc[float32](tm, "new", n*n)
-		idx := buildMap(n)
 		maxRed := spf.NewReduction(rt, "max", func(x, y float64) float64 { return max(x, y) })
 		minRed := spf.NewReduction(rt, "min", func(x, y float64) float64 { return min(x, y) })
 		sumRed := spf.NewReduction(rt, "sum", func(x, y float64) float64 { return x + y })
@@ -316,13 +343,12 @@ func runSPF(cfg core.Config) (core.Result, error) {
 	})
 }
 
-func runXHPF(cfg core.Config) (core.Result, error) {
+func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
 	return apputil.RunXHPF("IGrid", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
 		old := make([]float32, n*n)
 		cur := make([]float32, n*n)
-		idx := buildMap(n)
 		initOld(old, n)
 		copy(cur, old)
 		me := x.ID()
@@ -361,13 +387,12 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	})
 }
 
-func runPVM(cfg core.Config) (core.Result, error) {
+func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
 	return apputil.RunPVM("IGrid", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
 		old := make([]float32, n*n)
 		cur := make([]float32, n*n)
-		idx := buildMap(n)
 		initOld(old, n)
 		copy(cur, old)
 		me, nprocs := pv.ID(), pv.NProcs()

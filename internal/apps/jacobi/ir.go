@@ -5,7 +5,7 @@ import (
 	"repro/internal/loopc"
 )
 
-// edgesOne is initGrid in IR form: edges one, interior zero.
+// edgesOne is apputil.EdgesOne in IR form: edges one, interior zero.
 func edgesOne(i, j, n int) float32 {
 	if i == 0 || j == 0 || i == n-1 || j == n-1 {
 		return 1

@@ -80,28 +80,26 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	return core.Result{}, fmt.Errorf("jacobi: unsupported version %q", v)
 }
 
-// initGrid sets edges to one and the interior to zero.
-func initGrid(g []float32, n int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == 0 || j == 0 || i == n-1 || j == n-1 {
-				g[i*n+j] = 1
-			} else {
-				g[i*n+j] = 0
-			}
-		}
-	}
-}
-
 // stencilRows computes the 4-point stencil for rows [rlo,rhi) of src
 // into dst (interior columns only). dstOff is subtracted from the row
 // index when storing (for private scratch arrays that hold only a band).
+//
+// The five row slices have one length, so the inner loop carries no
+// bounds checks. The expression — 0.25*(((up+down)+left)+right), all
+// float32 — is the one the IR encodes and every version must reproduce
+// bit for bit: do not reassociate it.
 func stencilRows(dst, src []float32, n, rlo, rhi, dstOff int) {
+	w := n - 2
+	if w <= 0 {
+		return
+	}
 	for i := rlo; i < rhi; i++ {
-		d := (i - dstOff) * n
-		s := i * n
-		for j := 1; j < n-1; j++ {
-			dst[d+j] = 0.25 * (src[s-n+j] + src[s+n+j] + src[s+j-1] + src[s+j+1])
+		s := i*n + 1
+		out := dst[(i-dstOff)*n+1:][:w]
+		up, down := src[s-n:][:w], src[s+n:][:w]
+		left, right := src[s-1:][:w], src[s+1:][:w]
+		for j := range out {
+			out[j] = 0.25 * (up[j] + down[j] + left[j] + right[j])
 		}
 	}
 }
@@ -121,8 +119,8 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	return apputil.RunSeq("Jacobi", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
 		data := make([]float32, n*n)
 		scratch := make([]float32, n*n)
-		initGrid(data, n)
-		initGrid(scratch, n)
+		apputil.EdgesOne(data, n)
+		apputil.EdgesOne(scratch, n)
 		interior := (n - 2) * (n - 2)
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
@@ -157,7 +155,7 @@ func runTmk(cfg core.Config, push bool) (core.Result, error) {
 		scratch := make([]float32, max(rows, 0)*n)
 		if tm.ID() == 0 {
 			w := data.Write(0, n*n)
-			initGrid(w[:n*n], n)
+			apputil.EdgesOne(w, n)
 		}
 		if push && rows > 0 {
 			me, last := tm.ID(), tm.NProcs()-1
@@ -246,9 +244,9 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 
 		if rt.IsMaster() {
 			w := data.Write(0, n*n)
-			initGrid(w[:n*n], n)
+			apputil.EdgesOne(w, n)
 			ws := scratch.Write(0, n*n)
-			initGrid(ws[:n*n], n)
+			apputil.EdgesOne(ws, n)
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(k int) {
@@ -271,8 +269,8 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	return apputil.RunXHPF("Jacobi", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
 		data := make([]float32, n*n)
 		scratch := make([]float32, n*n)
-		initGrid(data, n)
-		initGrid(scratch, n)
+		apputil.EdgesOne(data, n)
+		apputil.EdgesOne(scratch, n)
 		elo, ehi := x.Block(n * n) // element-block = row-block (n | n*n/procs)
 		rlo, rhi := elo/n, ehi/n
 		// Owner-computes interior rows.
@@ -310,8 +308,8 @@ func runPVM(cfg core.Config) (core.Result, error) {
 	return apputil.RunPVM("Jacobi", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
 		data := make([]float32, n*n)
 		scratch := make([]float32, n*n)
-		initGrid(data, n)
-		initGrid(scratch, n)
+		apputil.EdgesOne(data, n)
+		apputil.EdgesOne(scratch, n)
 		elo, ehi := apputil.BlockOf(pv.ID(), pv.NProcs(), n*n)
 		rlo, rhi := elo/n, ehi/n
 		clo, chi := max(rlo, 1), min(rhi, n-1)

@@ -94,8 +94,11 @@ func initMatrix(m []float32, n int) {
 	}
 }
 
-// dot64 is the deterministic float64 inner product every version uses.
+// dot64 is the deterministic float64 inner product every version uses:
+// products accumulated in index order. The operands are cut to one
+// length here and in orthoRow so the loops carry no bounds checks.
 func dot64(a, b []float32) float64 {
+	b = b[:len(a)]
 	var s float64
 	for k := range a {
 		s += float64(a[k]) * float64(b[k])
@@ -114,6 +117,7 @@ func normalizeRow(row []float32) {
 // orthoRow removes row's component along unit.
 func orthoRow(row, unit []float32) {
 	r := float32(dot64(unit, row))
+	unit = unit[:len(row)]
 	for k := range row {
 		row[k] -= r * unit[k]
 	}

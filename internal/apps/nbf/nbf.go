@@ -21,6 +21,7 @@ package nbf
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/apps/apputil"
 	"repro/internal/core"
@@ -55,17 +56,27 @@ func (app) Versions() []core.Version {
 }
 
 func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
+	return run(v, cfg, buildPartners(cfg.N1, cfg.N2, cfg.N3))
+}
+
+// run executes one version against lists, the run's partner lists. They
+// are a pure function of (N1, N2, N3) and are only ever read, so they
+// are built once per run, outside the simulated processes (a builder
+// charges no virtual time), and every process walks the same lists: a
+// run's processes are coroutines, resumed one at a time, and no list
+// outlives its run.
+func run(v core.Version, cfg core.Config, lists [][]int32) (core.Result, error) {
 	switch v {
 	case core.Seq:
-		return runSeq(cfg)
+		return runSeq(cfg, lists)
 	case core.Tmk:
-		return runTmk(cfg)
+		return runTmk(cfg, lists)
 	case core.SPF:
-		return runSPF(cfg)
+		return runSPF(cfg, lists)
 	case core.XHPF:
-		return runXHPF(cfg)
+		return runXHPF(cfg, lists)
 	case core.PVMe:
-		return runPVM(cfg)
+		return runPVM(cfg, lists)
 	}
 	return core.Result{}, fmt.Errorf("nbf: unsupported version %q", v)
 }
@@ -85,34 +96,41 @@ func hash32(x uint32) uint32 {
 // per iteration) while staying a "small subsection of the array" (§6.2).
 const farEvery = 176
 
+// partnerBuilds counts buildPartners calls, for the package's tests.
+var partnerBuilds atomic.Int64
+
 // buildPartners generates each molecule's partner list: N3 partners
 // drawn deterministically from the window [i-N2, i), plus the sparse far
 // tail. Pairs are stored on the higher-indexed molecule so each pair is
-// processed exactly once.
+// processed exactly once. Every list is a window of one backing array;
+// drawn[j] == i+1 marks j as already on molecule i's list.
 func buildPartners(m, window, per int) [][]int32 {
+	partnerBuilds.Add(1)
 	lists := make([][]int32, m)
+	all := make([]int32, 0, m*(min(per, window)+1))
+	drawn := make([]int32, m)
 	for i := 0; i < m; i++ {
 		span := min(i, window)
 		if span == 0 {
 			continue
 		}
 		count := min(per, span)
-		seen := make(map[int32]bool, count)
-		list := make([]int32, 0, count+1)
-		for k := 0; len(list) < count; k++ {
+		mark := int32(i + 1)
+		start := len(all)
+		for k := 0; len(all)-start < count; k++ {
 			j := int32(i - 1 - int(hash32(uint32(i*1009+k))%uint32(span)))
-			if !seen[j] {
-				seen[j] = true
-				list = append(list, j)
+			if drawn[j] != mark {
+				drawn[j] = mark
+				all = append(all, j)
 			}
 		}
 		if i%farEvery == farEvery-1 {
 			far := int32(hash32(uint32(i*31+7)) % uint32(i))
-			if !seen[far] {
-				list = append(list, far)
+			if drawn[far] != mark {
+				all = append(all, far)
 			}
 		}
-		lists[i] = list
+		lists[i] = all[start:len(all):len(all)]
 	}
 	return lists
 }
@@ -133,16 +151,23 @@ func pairForce(xi, yi, zi, xj, yj, zj float32) float32 {
 }
 
 // forceBlock accumulates pair forces for molecules [lo,hi) into buf.
-// Returns the number of pairs processed (for cost charging).
+// Returns the number of pairs processed (for cost charging). The four
+// arrays are cut to one length so one bounds check per partner covers
+// them all. Partners always have lower indices (j < i), so molecule
+// i's own running sum can stay in a local: the float32 additions are
+// the same ones in the same order.
 func forceBlock(buf, x, y, z []float32, lists [][]int32, lo, hi int) int {
+	x, y, z = x[:len(buf)], y[:len(buf)], z[:len(buf)]
 	pairs := 0
 	for i := lo; i < hi; i++ {
+		xi, yi, zi, bi := x[i], y[i], z[i], buf[i]
 		for _, j := range lists[i] {
-			g := pairForce(x[i], y[i], z[i], x[j], y[j], z[j])
-			buf[i] += g
+			g := pairForce(xi, yi, zi, x[j], y[j], z[j])
+			bi += g
 			buf[j] -= g
-			pairs++
 		}
+		buf[i] = bi
+		pairs += len(lists[i])
 	}
 	return pairs
 }
@@ -178,36 +203,43 @@ func forceBlockDSM(buf, x, y, z *tmk.Region[float32], lists [][]int32, lo, hi, w
 			}
 		}
 	}
-	rx := x.Read(wlo, hi)
-	ry := y.Read(wlo, hi)
-	rz := z.Read(wlo, hi)
+	// Read and Write return the region's one backing array, so the far
+	// path below validates for the side effect alone and the four views
+	// stay loop-invariant and of one length (one bounds check per
+	// partner). A far fault yields to other processes, so the running
+	// sum stays in bw[i], not in a local. Coordinates are not written
+	// between the barriers around the force phase, and a fault never
+	// touches an already valid page, so molecule i's can be read once.
+	rx := x.Read(wlo, hi)[:len(bw)]
+	ry := y.Read(wlo, hi)[:len(bw)]
+	rz := z.Read(wlo, hi)[:len(bw)]
 	pairs := 0
 	for i := lo; i < hi; i++ {
+		xi, yi, zi := rx[i], ry[i], rz[i]
 		for _, j := range lists[i] {
 			jj := int(j)
 			if jj < wlo {
-				rx = x.Read(jj, jj+1)
-				ry = y.Read(jj, jj+1)
-				rz = z.Read(jj, jj+1)
-				bw = buf.Write(jj, jj+1)
+				x.Read(jj, jj+1)
+				y.Read(jj, jj+1)
+				z.Read(jj, jj+1)
+				buf.Write(jj, jj+1)
 			}
-			g := pairForce(rx[i], ry[i], rz[i], rx[jj], ry[jj], rz[jj])
+			g := pairForce(xi, yi, zi, rx[jj], ry[jj], rz[jj])
 			bw[i] += g
 			bw[jj] -= g
-			pairs++
 		}
+		pairs += len(lists[i])
 	}
 	return pairs
 }
 
-func runSeq(cfg core.Config) (core.Result, error) {
+func runSeq(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
 	return apputil.RunSeq("NBF", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
 		x := make([]float32, m)
 		y := make([]float32, m)
 		z := make([]float32, m)
 		f := make([]float32, m)
-		lists := buildPartners(m, cfg.N2, cfg.N3)
 		initCoords(x, y, z)
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
@@ -224,7 +256,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	})
 }
 
-func runTmk(cfg core.Config) (core.Result, error) {
+func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
 	return apputil.RunTmk("NBF", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
 		me, nprocs := tm.ID(), tm.NProcs()
@@ -235,7 +267,6 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		for p := 0; p < nprocs; p++ {
 			bufs[p] = tmk.Alloc[float32](tm, fmt.Sprintf("buf%d", p), m)
 		}
-		lists := buildPartners(m, cfg.N2, cfg.N3)
 		lo, hi := apputil.BlockOf(me, nprocs, m)
 		wlo := max(0, lo-cfg.N2) // my contribution window
 		f := make([]float32, m)  // private summed force (own block only)
@@ -278,7 +309,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 	})
 }
 
-func runSPF(cfg core.Config) (core.Result, error) {
+func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
 	return apputil.RunSPF("NBF", core.SPF, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
 		tm := rt.Tmk()
@@ -291,7 +322,6 @@ func runSPF(cfg core.Config) (core.Result, error) {
 		for p := 0; p < nprocs; p++ {
 			bufs[p] = tmk.Alloc[float32](tm, fmt.Sprintf("buf%d", p), m)
 		}
-		lists := buildPartners(m, cfg.N2, cfg.N3)
 
 		forceLoop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
@@ -339,14 +369,13 @@ func runSPF(cfg core.Config) (core.Result, error) {
 	})
 }
 
-func runXHPF(cfg core.Config) (core.Result, error) {
+func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
 	return apputil.RunXHPF("NBF", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
 		xs := make([]float32, m)
 		ys := make([]float32, m)
 		zs := make([]float32, m)
 		buf := make([]float32, m)
-		lists := buildPartners(m, cfg.N2, cfg.N3)
 		initCoords(xs, ys, zs)
 		me := x.ID()
 		lo, hi := x.Block(m)
@@ -404,14 +433,13 @@ func orderedAccumulate(x *xhpf.XHPF, buf []float32) {
 	}
 }
 
-func runPVM(cfg core.Config) (core.Result, error) {
+func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
 	return apputil.RunPVM("NBF", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
 		xs := make([]float32, m)
 		ys := make([]float32, m)
 		zs := make([]float32, m)
 		buf := make([]float32, m)
-		lists := buildPartners(m, cfg.N2, cfg.N3)
 		initCoords(xs, ys, zs)
 		me, nprocs := pv.ID(), pv.NProcs()
 		lo, hi := apputil.BlockOf(me, nprocs, m)

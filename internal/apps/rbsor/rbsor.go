@@ -78,34 +78,32 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	return core.Result{}, fmt.Errorf("rbsor: unsupported version %q", v)
 }
 
-// initGrid sets edges to one and the interior to zero.
-func initGrid(g []float32, n int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == 0 || j == 0 || i == n-1 || j == n-1 {
-				g[i*n+j] = 1
-			} else {
-				g[i*n+j] = 0
-			}
-		}
-	}
-}
-
 // sweepRows relaxes the points of one color ((i+j) mod 2 == color) in
 // interior columns of rows [rlo,rhi), in place, and returns the number
 // of points updated. The expression shape — cSelf*self +
-// cStencil*(((up+down)+left)+right) — is the one the IR encodes.
+// cStencil*(((up+down)+left)+right) — is the one the IR encodes; do not
+// reassociate it.
+//
+// Each row is walked with stride 2 from its first point of the color,
+// through five equal-length views of the grid (self, up, down, left,
+// right) so the inner loop carries no bounds checks. A point's four
+// neighbors are all of the other color, which this sweep never writes,
+// so the order within a sweep cannot matter.
 func sweepRows(u []float32, n, rlo, rhi, color int) int {
+	if n < 3 {
+		return 0
+	}
 	cnt := 0
 	for i := rlo; i < rhi; i++ {
-		s := i * n
-		for j := 1; j < n-1; j++ {
-			if (i+j)&1 != color {
-				continue
-			}
-			u[s+j] = cSelf*u[s+j] + cStencil*(u[s-n+j]+u[s+n+j]+u[s+j-1]+u[s+j+1])
-			cnt++
+		s := i*n + 1 + (i+1+color)&1 // first interior point of this color
+		self := u[s : i*n+n-1]
+		w := len(self)
+		up, down := u[s-n:][:w], u[s+n:][:w]
+		left, right := u[s-1:][:w], u[s+1:][:w]
+		for j := 0; j < w; j += 2 {
+			self[j] = cSelf*self[j] + cStencil*(up[j]+down[j]+left[j]+right[j])
 		}
+		cnt += (w + 1) / 2
 	}
 	return cnt
 }
@@ -114,7 +112,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunSeq("RB-SOR", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
 		u := make([]float32, n*n)
-		initGrid(u, n)
+		apputil.EdgesOne(u, n)
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
@@ -139,7 +137,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		rows := hi - lo
 		if tm.ID() == 0 {
 			w := u.Write(0, n*n)
-			initGrid(w[:n*n], n)
+			apputil.EdgesOne(w, n)
 		}
 		tm.Barrier()
 		return apputil.TmkProgram{
@@ -186,7 +184,7 @@ func runSPF(cfg core.Config) (core.Result, error) {
 		}
 		if rt.IsMaster() {
 			w := u.Write(0, n*n)
-			initGrid(w[:n*n], n)
+			apputil.EdgesOne(w, n)
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(k int) {
@@ -210,7 +208,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunXHPF("RB-SOR", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
 		u := make([]float32, n*n)
-		initGrid(u, n)
+		apputil.EdgesOne(u, n)
 		elo, ehi := x.Block(n * n)
 		rlo, rhi := elo/n, ehi/n
 		clo, chi := max(rlo, 1), min(rhi, n-1)
@@ -243,7 +241,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunPVM("RB-SOR", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
 		u := make([]float32, n*n)
-		initGrid(u, n)
+		apputil.EdgesOne(u, n)
 		elo, ehi := apputil.BlockOf(pv.ID(), pv.NProcs(), n*n)
 		rlo, rhi := elo/n, ehi/n
 		clo, chi := max(rlo, 1), min(rhi, n-1)

@@ -3,6 +3,7 @@ package rbsor
 import (
 	"testing"
 
+	"repro/internal/apps/apputil"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -46,7 +47,7 @@ func TestVersionsAgree(t *testing.T) {
 func TestSweepColors(t *testing.T) {
 	const n = 16
 	u := make([]float32, n*n)
-	initGrid(u, n)
+	apputil.EdgesOne(u, n)
 	red := sweepRows(u, n, 1, n-1, 0)
 	black := sweepRows(u, n, 1, n-1, 1)
 	if red+black != (n-2)*(n-2) {

@@ -97,40 +97,64 @@ type state struct {
 	cu, cv, z, h     []float32
 }
 
-// fields enumerates the arrays for allocation order and wraps.
+// init sets the initial velocities from a smooth stream function;
+// deterministic across all versions. Row i's angle a and column j's
+// angle b come from one formula, so one sine and one cosine table of n
+// entries replace four libm calls per point; each point's products are
+// the same float64 operations in the same order.
 func (s *state) init() {
 	n := s.n
-	// Initial velocities from a smooth stream function; deterministic
-	// across all versions.
+	sin, cos := make([]float64, n), make([]float64, n)
+	for k := range sin {
+		a := 2 * math.Pi * float64(k) / float64(n-1)
+		sin[k], cos[k] = math.Sin(a), math.Cos(a)
+	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c := i*n + j
-			a := 2 * math.Pi * float64(i) / float64(n-1)
-			b := 2 * math.Pi * float64(j) / float64(n-1)
-			s.u[c] = float32(math.Sin(a) * math.Cos(b) * 10)
-			s.v[c] = float32(-math.Cos(a) * math.Sin(b) * 10)
-			s.p[c] = float32(50000 + 1000*math.Cos(a)*math.Cos(b))
-			s.uold[c], s.vold[c], s.pold[c] = s.u[c], s.v[c], s.p[c]
+		sa, ca := sin[i], cos[i]
+		u, v, p := s.u[i*n:][:n], s.v[i*n:][:n], s.p[i*n:][:n]
+		for j := range u {
+			u[j] = float32(sa * cos[j] * 10)
+			v[j] = float32(-ca * sin[j] * 10)
+			p[j] = float32(50000 + 1000*ca*cos[j])
 		}
 	}
+	copy(s.uold[:n*n], s.u)
+	copy(s.vold[:n*n], s.v)
+	copy(s.pold[:n*n], s.p)
 }
+
+// The three loops below read and write each row through sub-slices of
+// one length (suffix 0: the point itself, 1: its right neighbor, n: the
+// point below, n1: below right), so their inner loops carry no bounds
+// checks, and load each input once per point (suffixes r, d, dr) rather
+// than after every store. The expressions are the NCAR benchmark's, in
+// float32, and every version must reproduce them bit for bit: do not
+// reassociate.
 
 // loop100 computes cu, cv, z, h for rows [rlo,rhi) (rows run 0..n-2);
 // reads rows i and i+1 of p, u, v.
 func (s *state) loop100(rlo, rhi int) int {
 	n := s.n
+	w := n - 1
 	pts := 0
 	for i := rlo; i < rhi; i++ {
-		for j := 0; j < n-1; j++ {
-			c := i*n + j
-			s.cu[c] = 0.5 * (s.p[c+n] + s.p[c]) * s.u[c+n]
-			s.cv[c] = 0.5 * (s.p[c+1] + s.p[c]) * s.v[c+1]
-			s.z[c] = (fsdx*(s.v[c+n+1]-s.v[c+1]) - fsdy*(s.u[c+n+1]-s.u[c+n])) /
-				(s.p[c] + s.p[c+n] + s.p[c+n+1] + s.p[c+1])
-			s.h[c] = s.p[c] + 0.25*(s.u[c+n]*s.u[c+n]+s.u[c]*s.u[c]+
-				s.v[c+1]*s.v[c+1]+s.v[c]*s.v[c])
-			pts++
+		c := i * n
+		cu, cv, z, h := s.cu[c:][:w], s.cv[c:][:w], s.z[c:][:w], s.h[c:][:w]
+		p0, p1, pn, pn1 := s.p[c:][:w], s.p[c+1:][:w], s.p[c+n:][:w], s.p[c+n+1:][:w]
+		u0, un, un1 := s.u[c:][:w], s.u[c+n:][:w], s.u[c+n+1:][:w]
+		v0, v1, vn1 := s.v[c:][:w], s.v[c+1:][:w], s.v[c+n+1:][:w]
+		for j := range cu {
+			p, pr, pd, pdr := p0[j], p1[j], pn[j], pn1[j]
+			u, ud, udr := u0[j], un[j], un1[j]
+			v, vr, vdr := v0[j], v1[j], vn1[j]
+			cu[j] = 0.5 * (pd + p) * ud
+			cv[j] = 0.5 * (pr + p) * vr
+			z[j] = (fsdx*(vdr-vr) - fsdy*(udr-ud)) /
+				(p + pd + pdr + pr)
+			h[j] = p + 0.25*(ud*ud+u*u+
+				vr*vr+v*v)
 		}
+		pts += w
 	}
 	return pts
 }
@@ -139,36 +163,49 @@ func (s *state) loop100(rlo, rhi int) int {
 // i+1 of cu, cv, z, h plus row i of the old arrays.
 func (s *state) loop200(rlo, rhi int) int {
 	n := s.n
+	w := n - 1
 	pts := 0
 	for i := rlo; i < rhi; i++ {
-		for j := 0; j < n-1; j++ {
-			c := i*n + j
-			s.unew[c] = s.uold[c] + tdts8*(s.z[c+1]+s.z[c])*
-				(s.cv[c+n+1]+s.cv[c+1]+s.cv[c]+s.cv[c+n]) - tdtsdx*(s.h[c+n]-s.h[c])
-			s.vnew[c] = s.vold[c] - tdts8*(s.z[c+n]+s.z[c])*
-				(s.cu[c+n+1]+s.cu[c+1]+s.cu[c]+s.cu[c+n]) - tdtsdy*(s.h[c+1]-s.h[c])
-			s.pnew[c] = s.pold[c] - tdtsdx*(s.cu[c+n]-s.cu[c]) - tdtsdy*(s.cv[c+1]-s.cv[c])
-			pts++
+		c := i * n
+		unew, vnew, pnew := s.unew[c:][:w], s.vnew[c:][:w], s.pnew[c:][:w]
+		uold, vold, pold := s.uold[c:][:w], s.vold[c:][:w], s.pold[c:][:w]
+		z0, z1, zn := s.z[c:][:w], s.z[c+1:][:w], s.z[c+n:][:w]
+		h0, h1, hn := s.h[c:][:w], s.h[c+1:][:w], s.h[c+n:][:w]
+		cu0, cu1, cun, cun1 := s.cu[c:][:w], s.cu[c+1:][:w], s.cu[c+n:][:w], s.cu[c+n+1:][:w]
+		cv0, cv1, cvn, cvn1 := s.cv[c:][:w], s.cv[c+1:][:w], s.cv[c+n:][:w], s.cv[c+n+1:][:w]
+		for j := range unew {
+			z, zr, zd := z0[j], z1[j], zn[j]
+			h, hr, hd := h0[j], h1[j], hn[j]
+			cu, cur, cud, cudr := cu0[j], cu1[j], cun[j], cun1[j]
+			cv, cvr, cvd, cvdr := cv0[j], cv1[j], cvn[j], cvn1[j]
+			unew[j] = uold[j] + tdts8*(zr+z)*
+				(cvdr+cvr+cv+cvd) - tdtsdx*(hd-h)
+			vnew[j] = vold[j] - tdts8*(zd+z)*
+				(cudr+cur+cu+cud) - tdtsdy*(hr-h)
+			pnew[j] = pold[j] - tdtsdx*(cud-cu) - tdtsdy*(cvr-cv)
 		}
+		pts += w
 	}
 	return pts
 }
 
-// loop300 applies time smoothing to rows [rlo,rhi) — pointwise, no halo.
+// loop300 applies time smoothing to rows [rlo,rhi) — pointwise, no
+// halo, so the rows are one contiguous run.
 func (s *state) loop300(rlo, rhi int) int {
-	n := s.n
-	pts := 0
-	for i := rlo; i < rhi; i++ {
-		for j := 0; j < n; j++ {
-			c := i*n + j
-			s.uold[c] = s.u[c] + alpha*(s.unew[c]-2*s.u[c]+s.uold[c])
-			s.vold[c] = s.v[c] + alpha*(s.vnew[c]-2*s.v[c]+s.vold[c])
-			s.pold[c] = s.p[c] + alpha*(s.pnew[c]-2*s.p[c]+s.pold[c])
-			s.u[c] = s.unew[c]
-			s.v[c] = s.vnew[c]
-			s.p[c] = s.pnew[c]
-			pts++
-		}
+	if rhi <= rlo {
+		return 0
+	}
+	lo, pts := rlo*s.n, (rhi-rlo)*s.n
+	u, v, p := s.u[lo:][:pts], s.v[lo:][:pts], s.p[lo:][:pts]
+	uold, vold, pold := s.uold[lo:][:pts], s.vold[lo:][:pts], s.pold[lo:][:pts]
+	unew, vnew, pnew := s.unew[lo:][:pts], s.vnew[lo:][:pts], s.pnew[lo:][:pts]
+	for c := range u {
+		uold[c] = u[c] + alpha*(unew[c]-2*u[c]+uold[c])
+		vold[c] = v[c] + alpha*(vnew[c]-2*v[c]+vold[c])
+		pold[c] = p[c] + alpha*(pnew[c]-2*p[c]+pold[c])
+		u[c] = unew[c]
+		v[c] = vnew[c]
+		p[c] = pnew[c]
 	}
 	return pts
 }

@@ -62,16 +62,35 @@ func Transform(x []complex128, inverse bool) {
 		}
 	}
 	tw := twiddles(n, inverse)
+	// A stage is step blocks of half butterflies, all independent; run
+	// the longer dimension innermost. Early stages (many short blocks)
+	// fix the twiddle and stride over the blocks; late stages walk each
+	// block's two halves as equal-length views, free of bounds checks.
+	// Either order performs the same butterflies on the same operands.
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
-		for base := 0; base < n; base += size {
-			k := 0
+		if half < step {
 			for off := 0; off < half; off++ {
-				u := x[base+off]
-				v := x[base+off+half] * tw[k]
-				x[base+off] = u + v
-				x[base+off+half] = u - v
+				w := tw[off*step]
+				for base := off; base+half < n; base += size {
+					u := x[base]
+					v := x[base+half] * w
+					x[base] = u + v
+					x[base+half] = u - v
+				}
+			}
+			continue
+		}
+		for base := 0; base < n; base += size {
+			lo := x[base:][:half]
+			hi := x[base+half:][:half]
+			k := 0
+			for off := range lo {
+				u := lo[off]
+				v := hi[off] * tw[k]
+				lo[off] = u + v
+				hi[off] = u - v
 				k += step
 			}
 		}

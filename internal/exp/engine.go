@@ -159,7 +159,7 @@ func (e *Engine) Run(s Spec) (core.Result, error) {
 		e.host.runsCompleted.Add(1)
 		e.observeRun(s, en.hostNS, allocDelta)
 		close(en.done)
-		e.writeBack(s, en.res, en.err)
+		e.writeBack(key, s, en.res, en.err)
 		if f := e.OnRunDone; f != nil {
 			f(s, en.hostNS, en.err)
 		}
@@ -201,9 +201,9 @@ func (e *Engine) HostRunNanos(s Spec) int64 {
 // are never stored: a deterministic failure re-executes (and fails
 // identically) on every run, so storing it buys nothing and a
 // transient failure must not become permanent. Store errors are
-// deliberately swallowed — the store is an accelerator, never a
-// correctness dependency; its counters record the failure.
-func (e *Engine) writeBack(s Spec, res core.Result, err error) {
+// swallowed — the store is an accelerator, never a correctness
+// dependency; its counters record the failure. key is s.Key().
+func (e *Engine) writeBack(key string, s Spec, res core.Result, err error) {
 	st := e.Store
 	if st == nil || err != nil {
 		return
@@ -212,7 +212,7 @@ func (e *Engine) writeBack(s Spec, res core.Result, err error) {
 	if merr != nil {
 		return
 	}
-	st.Put(e.storeKey(s), b) //nolint:errcheck // best-effort persistence
+	st.Put(storeKey(key, e.Observe), b) //nolint:errcheck // best-effort persistence
 	e.observeSyncs()
 }
 
@@ -244,7 +244,7 @@ func (e *Engine) recordFor(s Spec) Record {
 		en = &recEntry{done: make(chan struct{})}
 		e.recCache[key] = en
 		e.recMu.Unlock()
-		en.rec = e.computeRecord(s)
+		en.rec = e.computeRecord(s, key)
 		close(en.done)
 		return en.rec
 	}
@@ -256,10 +256,10 @@ func (e *Engine) recordFor(s Spec) Record {
 // computeRecord resolves one record: persistent store first, then a
 // real run. A stored entry that fails validation (corrupt, tampered,
 // schema drift) is treated as a miss and recomputed; the write-back
-// then heals the store.
-func (e *Engine) computeRecord(s Spec) Record {
+// then heals the store. key is s.Key().
+func (e *Engine) computeRecord(s Spec, key string) Record {
 	if st := e.Store; st != nil {
-		if b, ok := st.Get(e.storeKey(s)); ok {
+		if b, ok := st.Get(storeKey(key, e.Observe)); ok {
 			if rec, err := decodeStored(b, s); err == nil {
 				e.host.storeHits.Add(1)
 				if f := e.OnStoreHit; f != nil {
@@ -331,14 +331,7 @@ func (e *Engine) prefetch(specs []Spec, cancel *atomic.Bool, run func(Spec)) {
 		run = func(s Spec) { e.Run(s) } //nolint:errcheck // errors surface on the ordered pass
 	}
 	canceled := func() bool { return cancel != nil && cancel.Load() }
-	unique := make([]Spec, 0, len(specs))
-	seen := map[string]bool{}
-	for _, s := range specs {
-		if k := s.Key(); !seen[k] {
-			seen[k] = true
-			unique = append(unique, s)
-		}
-	}
+	unique := uniqueSpecs(specs)
 	w := e.workers()
 	if w > len(unique) {
 		w = len(unique)
@@ -378,6 +371,34 @@ func (e *Engine) prefetch(specs []Spec, cancel *atomic.Bool, run func(Spec)) {
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// uniqueSpecs drops every spec whose key an earlier one has: the runs
+// a spec list costs, in first-occurrence order.
+func uniqueSpecs(specs []Spec) []Spec {
+	unique := make([]Spec, 0, len(specs))
+	seen := make(map[string]struct{}, len(specs))
+	for _, s := range specs {
+		k := s.Key()
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			unique = append(unique, s)
+		}
+	}
+	return unique
+}
+
+// withBaselines appends the sequential baseline of every non-seq spec:
+// the list a JoinSpeedup sweep runs.
+func withBaselines(specs []Spec) []Spec {
+	run := make([]Spec, 0, 2*len(specs))
+	run = append(run, specs...)
+	for _, s := range specs {
+		if s.Version != core.Seq {
+			run = append(run, SeqSpecOf(s))
+		}
+	}
+	return run
 }
 
 // Sweep executes every spec across the worker pool and returns results
@@ -442,13 +463,7 @@ func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
 	run := specs
 	if e.JoinSpeedup {
-		run = make([]Spec, 0, 2*len(specs))
-		run = append(run, specs...)
-		for _, s := range specs {
-			if s.Version != core.Seq {
-				run = append(run, SeqSpecOf(s))
-			}
-		}
+		run = withBaselines(specs)
 	}
 	var cancel atomic.Bool
 	done := make(chan struct{})

@@ -1,0 +1,225 @@
+package exp
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/proto"
+	"repro/internal/sim"
+)
+
+// refKey is Spec.Key as it stood through PR 14, frozen here: every
+// store on disk and every cached stream is keyed by these strings, so
+// the append-built Key must return them byte for byte.
+func refKey(s Spec) string {
+	fifo := 0
+	if s.FIFO {
+		fifo = 1
+	}
+	key := fmt.Sprintf("app=%s|version=%s|procs=%d|scale=%s|protocol=%s|contention=%d|fifo=%d",
+		s.App, s.Version, s.Procs, s.Scale, s.Protocol, s.Contention, fifo)
+	if s.HomePolicy != "" {
+		key += fmt.Sprintf("|homepolicy=%s", s.HomePolicy)
+	}
+	return key
+}
+
+// keyTable crosses every version, scale, protocol, home policy,
+// contention mode and delivery order, and draws the application
+// (registry and generated names), the processor count and the backplane
+// bound at random.
+func keyTable() []Spec {
+	rng := rand.New(rand.NewSource(15))
+	apps := append(AppNames(), "gen-0", "gen-7", "gen-60", "gen-9223372036854775807")
+	versions := []core.Version{core.Seq, core.SPF, core.Tmk, core.XHPF, core.PVMe, core.SPFOpt,
+		core.TmkOpt, core.SPFOld, core.TmkPush, core.SPFGen, core.XHPFGen}
+	var specs []Spec
+	for _, v := range versions {
+		for _, sc := range []core.Scale{"", core.SmallScale, core.MidScale, core.PaperScale} {
+			for _, p := range append([]proto.Name{""}, proto.Names()...) {
+				for _, hp := range append([]proto.PolicyName{""}, proto.PolicyNames()...) {
+					for _, c := range []int{-1, 0, 1 + rng.Intn(1<<20)} {
+						for _, fifo := range []bool{false, true} {
+							specs = append(specs, Spec{
+								App: apps[rng.Intn(len(apps))], Version: v, Procs: 1 + rng.Intn(4096),
+								Scale: sc, Protocol: p, Contention: c, FIFO: fifo, HomePolicy: hp,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	// Values no sweep produces but Key must still print as %d did.
+	return append(specs,
+		Spec{},
+		Spec{App: "Jacobi", Version: core.Tmk, Procs: -3, Contention: -7},
+		Spec{App: strings.Repeat("x", 300), Version: core.Tmk, Procs: 1 << 40},
+	)
+}
+
+func TestSpecKeyMatchesFrozenReference(t *testing.T) {
+	for _, s := range keyTable() {
+		key := s.Key()
+		if want := refKey(s); key != want {
+			t.Fatalf("Key() = %q, want %q", key, want)
+		}
+		if s.String() != key {
+			t.Fatalf("String() = %q, want the key %q", s.String(), key)
+		}
+		back, err := ParseKey(key)
+		if err != nil {
+			t.Fatalf("ParseKey(%q): %v", key, err)
+		}
+		if back != s {
+			t.Fatalf("ParseKey(%q) = %+v, want %+v", key, back, s)
+		}
+	}
+	s := Spec{App: "3-D FFT", Version: core.SPFOpt, Procs: 8, Scale: core.PaperScale,
+		Protocol: proto.HomeLRC, Contention: -1, FIFO: true, HomePolicy: proto.AdaptivePolicy}
+	if n := testing.AllocsPerRun(100, func() { s.Key() }); n != 1 {
+		t.Errorf("Key allocates %v times, want 1 (the returned string)", n)
+	}
+}
+
+// frozenKeys reads testdata/keys_pr14.txt: Key() output written by the
+// PR 14 build over every version × protocol × contention mode.
+func frozenKeys(t *testing.T) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "keys_pr14.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSpace(string(b)), "\n")
+}
+
+// TestStoreWrittenUnderFrozenKeysIsServed: a store whose entries sit
+// under the parent build's key strings is served in full — every spec
+// a hit, nothing executed. The specs come from ParseKey, not from Key,
+// so a drifted Key misses the store and runs.
+func TestStoreWrittenUnderFrozenKeysIsServed(t *testing.T) {
+	keys := frozenKeys(t)
+	specs := make([]Spec, len(keys))
+	lines := make([][]byte, len(keys))
+	var want bytes.Buffer
+	for i, key := range keys {
+		s, err := ParseKey(key)
+		if err != nil {
+			t.Fatalf("ParseKey(%q): %v", key, err)
+		}
+		specs[i] = s
+		res := core.Result{Time: sim.Time(i+1) * 1000, Checksum: float64(i) + 0.5}
+		if lines[i], err = json.Marshal(RecordOf(s, res, nil)); err != nil {
+			t.Fatal(err)
+		}
+		want.Write(lines[i])
+		want.WriteByte('\n')
+	}
+	for _, observe := range []bool{false, true} {
+		st := openStoreT(t, t.TempDir())
+		for i, key := range keys {
+			if observe {
+				key += StoreObserveSuffix
+			}
+			if err := st.Put(key, lines[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := New()
+		e.Observe = observe
+		e.Store = st
+		if got := streamT(t, e, specs); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("observe=%v: served stream differs from the stored lines", observe)
+		}
+		hs := e.HostStats()
+		if hs.RunsStarted != 0 || hs.StoreHits != int64(len(keys)) {
+			t.Errorf("observe=%v: %d runs started, %d store hits; want 0 and %d",
+				observe, hs.RunsStarted, hs.StoreHits, len(keys))
+		}
+	}
+}
+
+// recordLine runs one spec and returns its record line.
+func recordLine(tb testing.TB, s Spec) []byte {
+	tb.Helper()
+	rec := New().Record(s)
+	if rec.Error != "" {
+		tb.Fatal(rec.Error)
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return line
+}
+
+// genSpec is a generated program's spec: the records whose validation
+// used to build the program.
+var genSpec = Spec{App: "gen-7", Version: core.SPFGen, Procs: 4, Scale: core.SmallScale}
+
+// TestValidateLineBuildsNoProgram: validating a gen-<seed> record
+// checks the name only. Decoding the line costs a dozen allocations;
+// generating and compiling the program added nearly three hundred.
+func TestValidateLineBuildsNoProgram(t *testing.T) {
+	line := recordLine(t, genSpec)
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := ValidateLine(line); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 30 {
+		t.Errorf("ValidateLine of a gen record allocates %v times, want the decode's dozen", n)
+	}
+}
+
+func TestValidateChecksApplicationName(t *testing.T) {
+	good := RecordOf(genSpec, core.Result{Time: 1e6, Checksum: 1}, nil)
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid gen record rejected: %v", err)
+	}
+	for _, app := range []string{"NoSuchApp", "jacobi", "gen-007", "gen-+7", "gen--7", "gen-", "Gen-7",
+		"gen-9223372036854775808"} {
+		rec := good
+		rec.App = app
+		err := rec.Validate()
+		if err == nil || !strings.Contains(err.Error(), "unknown application") {
+			t.Errorf("Validate accepted application %q (err = %v)", app, err)
+		}
+		// The name check and the registry agree on every name.
+		if _, lerr := AppByName(app); lerr == nil {
+			t.Errorf("AppByName resolves %q", app)
+		}
+		line, _ := json.Marshal(rec)
+		if _, err := ValidateLine(line); err == nil {
+			t.Errorf("ValidateLine accepted application %q", app)
+		}
+	}
+	for _, name := range AppNames() {
+		rec := good
+		rec.App, rec.Version = name, core.Tmk
+		if err := rec.Validate(); err != nil {
+			t.Errorf("registry application %q rejected: %v", name, err)
+		}
+	}
+}
+
+// TestUniqueRunsCountsWhatPrefetchRuns: the progress total and the
+// engine's run count come from one dedup and cannot diverge.
+func TestUniqueRunsCountsWhatPrefetchRuns(t *testing.T) {
+	specs := append(testGrid(), testGrid()[:3]...)
+	for _, join := range []bool{false, true} {
+		e := New()
+		e.JoinSpeedup = join
+		streamT(t, e, specs)
+		if got, want := e.HostStats().RunsStarted, int64(UniqueRuns(specs, join)); got != want {
+			t.Errorf("join=%v: engine started %d runs, UniqueRuns says %d", join, got, want)
+		}
+	}
+}

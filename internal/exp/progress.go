@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Progress aggregates Engine.OnRunDone callbacks into a live sweep
@@ -48,21 +46,10 @@ func NewProgress(total int, out io.Writer, eng *Engine) *Progress {
 // sequential baseline when joinSpeedup is set. This is the Total a
 // Progress should be built with.
 func UniqueRuns(specs []Spec, joinSpeedup bool) int {
-	seen := map[string]bool{}
-	n := 0
-	add := func(s Spec) {
-		if k := s.Key(); !seen[k] {
-			seen[k] = true
-			n++
-		}
+	if joinSpeedup {
+		specs = withBaselines(specs)
 	}
-	for _, s := range specs {
-		add(s)
-		if joinSpeedup && s.Version != core.Seq {
-			add(SeqSpecOf(s))
-		}
-	}
-	return n
+	return len(uniqueSpecs(specs))
 }
 
 // AddTotal grows the expected-run count by n. A fabric worker learns

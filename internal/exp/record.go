@@ -217,7 +217,7 @@ func (r Record) Validate() error {
 	}
 	var kindSum int64
 	for k, n := range r.QueueKindNanos {
-		if _, ok := kindByName(k); !ok {
+		if !kindNames[k] {
 			return fmt.Errorf("exp: unknown traffic kind %q in record %s", k, r.Key())
 		}
 		kindSum += n
@@ -270,24 +270,18 @@ func (r Record) Validate() error {
 	if r.HostNanos < 0 {
 		return fmt.Errorf("exp: negative host_ns in record %s", r.Key())
 	}
-	if _, err := AppByName(r.App); err != nil {
-		return err
-	}
-	if _, err := proto.Parse(string(r.Protocol)); err != nil {
-		return err
-	}
-	return nil
+	return checkAppName(r.App)
 }
 
-// kindByName resolves a traffic-category name.
-func kindByName(name string) (stats.Kind, bool) {
+// kindNames is the set of traffic-category names a queue_kind_ns key
+// may be.
+var kindNames = func() map[string]bool {
+	m := map[string]bool{}
 	for _, k := range stats.AllKinds() {
-		if k.String() == name {
-			return k, true
-		}
+		m[k.String()] = true
 	}
-	return 0, false
-}
+	return m
+}()
 
 // ValidateLine parses one JSON-lines record strictly (unknown fields
 // rejected) and validates it. It is the schema check the CI sweep

@@ -14,19 +14,19 @@ import (
 	"repro/internal/loopc/gen"
 )
 
-// PaperApps returns the six applications in the paper's order.
-func PaperApps() []core.App {
-	return []core.App{
-		jacobi.New(), shallow.New(), mgs.New(), fft3d.New(),
-		igrid.New(), nbf.New(),
-	}
+// registry holds every application once: the paper's six in the
+// paper's order, then the kernels added through the internal/loopc
+// compiler front end. The values are stateless, so callers share them.
+var registry = []core.App{
+	jacobi.New(), shallow.New(), mgs.New(), fft3d.New(), igrid.New(), nbf.New(),
+	rbsor.New(),
 }
 
-// Apps returns every application: the paper's six plus the kernels
-// added through the internal/loopc compiler front end.
-func Apps() []core.App {
-	return append(PaperApps(), rbsor.New())
-}
+// PaperApps returns the six applications in the paper's order.
+func PaperApps() []core.App { return append([]core.App(nil), registry[:6]...) }
+
+// Apps returns every application: the paper's six plus the added kernels.
+func Apps() []core.App { return append([]core.App(nil), registry...) }
 
 // AppByName finds an application (including the non-paper kernels).
 // Names of the form "gen-<seed>" resolve to generated loopc programs
@@ -37,7 +37,7 @@ func AppByName(name string) (core.App, error) {
 	if seed, ok := gen.ParseSeed(name); ok {
 		return gen.AppForSeed(seed), nil
 	}
-	for _, a := range Apps() {
+	for _, a := range registry {
 		if a.Name() == name {
 			return a, nil
 		}
@@ -45,11 +45,23 @@ func AppByName(name string) (core.App, error) {
 	return nil, fmt.Errorf("exp: unknown application %q", name)
 }
 
+// checkAppName is AppByName's verdict without the application: record
+// validation checks a name per line and must not generate and compile
+// a gen-<seed> program to do it. AppForSeed cannot fail, so the accept
+// set is AppByName's exactly.
+func checkAppName(name string) error {
+	if _, ok := gen.ParseSeed(name); ok {
+		return nil
+	}
+	_, err := AppByName(name)
+	return err
+}
+
 // AppNames lists every application name in registry order.
 func AppNames() []string {
-	var out []string
-	for _, a := range Apps() {
-		out = append(out, a.Name())
+	out := make([]string, len(registry))
+	for i, a := range registry {
+		out[i] = a.Name()
 	}
 	return out
 }

@@ -72,17 +72,32 @@ func (s Spec) Normalize() Spec {
 
 // Key encodes the spec as a canonical, order-stable string: the cache
 // key and the determinism anchor of sweep output. ParseKey inverts it.
+// A warm sweep does little but take keys, so the key is appended into a
+// stack buffer: the returned string is the only allocation.
 func (s Spec) Key() string {
-	fifo := 0
+	var buf [128]byte
+	b := append(buf[:0], "app="...)
+	b = append(b, s.App...)
+	b = append(b, "|version="...)
+	b = append(b, s.Version...)
+	b = append(b, "|procs="...)
+	b = strconv.AppendInt(b, int64(s.Procs), 10)
+	b = append(b, "|scale="...)
+	b = append(b, s.Scale...)
+	b = append(b, "|protocol="...)
+	b = append(b, s.Protocol...)
+	b = append(b, "|contention="...)
+	b = strconv.AppendInt(b, int64(s.Contention), 10)
 	if s.FIFO {
-		fifo = 1
+		b = append(b, "|fifo=1"...)
+	} else {
+		b = append(b, "|fifo=0"...)
 	}
-	key := fmt.Sprintf("app=%s|version=%s|procs=%d|scale=%s|protocol=%s|contention=%d|fifo=%d",
-		s.App, s.Version, s.Procs, s.Scale, s.Protocol, s.Contention, fifo)
 	if s.HomePolicy != "" {
-		key += fmt.Sprintf("|homepolicy=%s", s.HomePolicy)
+		b = append(b, "|homepolicy="...)
+		b = append(b, s.HomePolicy...)
 	}
-	return key
+	return string(b)
 }
 
 // ParseKey decodes a Key back into a Spec. It round-trips exactly:

@@ -16,10 +16,15 @@ const StoreObserveSuffix = "|obs=1"
 // observe marker. The schema version is not part of the key — the
 // store frames carry it and treat a mismatch as a miss.
 func StoreKey(s Spec, observed bool) string {
+	return storeKey(s.Key(), observed)
+}
+
+// storeKey is StoreKey from a spec key the caller already holds.
+func storeKey(key string, observed bool) string {
 	if observed {
-		return s.Key() + StoreObserveSuffix
+		return key + StoreObserveSuffix
 	}
-	return s.Key()
+	return key
 }
 
 // StoreOptions is the store configuration every CLI opens its `-store`
@@ -28,11 +33,6 @@ func StoreKey(s Spec, observed bool) string {
 // rather than serving stale bytes.
 func StoreOptions(maxBytes int64) store.Options {
 	return store.Options{MaxBytes: maxBytes, SchemaVersion: SchemaVersion}
-}
-
-// storeKey resolves the engine's store key for a spec.
-func (e *Engine) storeKey(s Spec) string {
-	return StoreKey(s, e.Observe)
 }
 
 // decodeStored turns stored bytes back into a servable record for s.

@@ -2,7 +2,7 @@ package gen
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -42,15 +42,22 @@ func AppForSeed(seed int64) *App {
 
 // ParseSeed recognizes the "gen-<seed>" application-name form used on
 // the experiment surface (dsmrun -app gen-42, spec keys) and returns
-// the seed.
+// the seed. Only the canonical decimal form is a name: a sign, a
+// leading zero or a value past int64 is rejected, so one program never
+// has two names. Record validation calls this per line, so it does not
+// allocate.
 func ParseSeed(name string) (int64, bool) {
-	rest, ok := strings.CutPrefix(name, "gen-")
-	if !ok {
+	digits, ok := strings.CutPrefix(name, "gen-")
+	if !ok || digits == "" || (digits[0] == '0' && len(digits) > 1) {
 		return 0, false
 	}
-	seed, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil || seed < 0 || name != fmt.Sprintf("gen-%d", seed) {
-		return 0, false
+	var seed int64
+	for i := 0; i < len(digits); i++ {
+		d := int64(digits[i]) - '0'
+		if d < 0 || d > 9 || seed > (math.MaxInt64-d)/10 {
+			return 0, false
+		}
+		seed = seed*10 + d
 	}
 	return seed, true
 }

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -117,19 +119,44 @@ func TestParseSeed(t *testing.T) {
 		ok   bool
 	}{
 		{"gen-0", 0, true},
+		{"gen-7", 7, true},
 		{"gen-42", 42, true},
 		{"gen-123456789", 123456789, true},
+		{"gen-9223372036854775807", math.MaxInt64, true},
+		{"gen-9223372036854775808", 0, false},
+		{"gen-99999999999999999999", 0, false},
 		{"gen--1", 0, false},
+		{"gen-+5", 0, false},
 		{"gen-xx", 0, false},
+		{"gen-4x", 0, false},
+		{"gen-4 ", 0, false},
 		{"gen-007", 0, false},
+		{"gen-00", 0, false},
+		{"Gen-1", 0, false},
 		{"jacobi", 0, false},
 		{"gen-", 0, false},
+		{"gen", 0, false},
+		{"", 0, false},
 	}
 	for _, c := range cases {
 		seed, ok := ParseSeed(c.name)
 		if ok != c.ok || seed != c.seed {
 			t.Errorf("ParseSeed(%q) = (%d, %v), want (%d, %v)", c.name, seed, ok, c.seed, c.ok)
 		}
+		// The accept set is exactly the names Sprintf would print.
+		if ok && c.name != fmt.Sprintf("gen-%d", seed) {
+			t.Errorf("ParseSeed accepted non-canonical %q", c.name)
+		}
+	}
+	// The committed corpus is seeds 1..40 (difftest.CorpusSeeds).
+	for k := int64(1); k <= 40; k++ {
+		name := Generate(k).Name
+		if seed, ok := ParseSeed(name); !ok || seed != k {
+			t.Errorf("ParseSeed(Generate(%d).Name = %q) = (%d, %v)", k, name, seed, ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseSeed("gen-123456789") }); n != 0 {
+		t.Errorf("ParseSeed allocates %v times per call, want 0", n)
 	}
 }
 

@@ -45,6 +45,14 @@
 // reads as empty under a build with a different record schema version,
 // so a schema change always re-executes. Written records are fsynced at
 // the end of each sweep and at exit, not one by one (see dsmrun -store).
+//
+//	benchtraj -host BENCH_host.json -result bench/out/result.json -label "PR 17" -commit abc1234
+//
+// -host appends one row to the *host* trajectory — the medians of the
+// host benchmark's end-to-end metrics per workload, distilled from a
+// result file of `bash bench/run.sh` — and exits 1 when the row is
+// worse than the previous one beyond the bounds in BENCHMARK.json (see
+// host.go).
 package main
 
 import (
@@ -133,7 +141,27 @@ func main() {
 	fabricAddrs := flag.String("fabric", "", "comma-separated fabric worker addresses: run the -gate golden set through the distributed fabric")
 	storeDir := flag.String("store", "", "persistent result store directory: golden runs already on disk are served without executing")
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
+	host := flag.String("host", "", "append one row to this host trajectory file (BENCH_host.json) from -result")
+	result := flag.String("result", "bench/out/result.json", "-host: the bench/run.sh result file to distill")
+	label := flag.String("label", "", "-host: the row's label (e.g. \"PR 17\")")
+	commit := flag.String("commit", "", "-host: the commit the result was measured at")
+	bounds := flag.String("bounds", "BENCHMARK.json", "-host: where the end-to-end metrics' regression bounds are declared")
 	flag.Parse()
+
+	if *host != "" {
+		worse, err := hostAppend(*host, *result, *label, *commit, *bounds)
+		if err != nil {
+			fatal(err)
+		}
+		for _, w := range worse {
+			fmt.Fprintln(os.Stderr, "benchtraj: host regression:", w)
+		}
+		if len(worse) > 0 {
+			os.Exit(1)
+		}
+		fmt.Printf("benchtraj: row %q appended to %s\n", *label, *host)
+		return
+	}
 
 	var st *store.Store
 	if *storeDir != "" {
@@ -171,7 +199,7 @@ func main() {
 		}
 		fmt.Println("benchtraj: trajectories agree")
 	default:
-		fmt.Fprintln(os.Stderr, "usage: benchtraj -out FILE | benchtraj -gate FILE [-tol F] | benchtraj [-tol F] OLD NEW")
+		fmt.Fprintln(os.Stderr, "usage: benchtraj -out FILE | benchtraj -gate FILE [-tol F] | benchtraj [-tol F] OLD NEW | benchtraj -host FILE -result FILE -label L -commit C")
 		os.Exit(2)
 	}
 }

@@ -276,12 +276,17 @@ func RunXHPF(app string, v core.Version, cfg core.Config, setup func(x *xhpf.XHP
 // distribution (shared by all application partitionings).
 func BlockOf(p, nprocs, n int) (lo, hi int) { return xhpf.BlockOf(p, nprocs, n) }
 
-// Sum64 accumulates a float32 slice in index order into a float64, the
-// checksum convention every version shares.
-func Sum64(xs []float32) float64 {
+// Sum64 accumulates float32 values in index order into a float64, the
+// checksum convention every version shares. Given several blocks it
+// folds them one after another into the same accumulator, which is
+// bitwise the sum of their concatenation: a gathered result
+// (pvm.GatherUntracked) is summed without assembling it.
+func Sum64(blocks ...[]float32) float64 {
 	var s float64
-	for _, v := range xs {
-		s += float64(v)
+	for _, xs := range blocks {
+		for _, v := range xs {
+			s += float64(v)
+		}
 	}
 	return s
 }
@@ -290,15 +295,21 @@ func Sum64(xs []float32) float64 {
 // zero on entry, as a fresh allocation or a fresh shared region is; the
 // interior then stays zero, which is the Jacobi/RB-SOR initial
 // condition. It does not clear g itself: every simulated process
-// initializes whole grids, and a second pass over memory the allocator
+// initializes its grids, and a second pass over memory the allocator
 // just zeroed is measurable host time.
-func EdgesOne(g []float32, n int) {
-	top, bottom := g[:n], g[(n-1)*n:n*n]
-	for j := range top {
-		top[j], bottom[j] = 1, 1
-	}
-	for i := 0; i < n; i++ {
-		g[i*n], g[i*n+n-1] = 1, 1
+func EdgesOne(g []float32, n int) { EdgesOneRows(g, n, 0, n) }
+
+// EdgesOneRows is EdgesOne for a band: g holds rows [rlo,rhi) of the
+// n×n grid (a message-passing processor's block and halo).
+func EdgesOneRows(g []float32, n, rlo, rhi int) {
+	for i := rlo; i < rhi; i++ {
+		row := g[(i-rlo)*n:][:n]
+		if i == 0 || i == n-1 {
+			for j := range row {
+				row[j] = 1
+			}
+		}
+		row[0], row[n-1] = 1, 1
 	}
 }
 

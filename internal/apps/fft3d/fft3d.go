@@ -485,7 +485,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 					}
 					return secs
 				}
-				xhpf.SectionAllToAll(x, kn.n1, 16, sectionsFor, placeFor)
+				xhpf.SectionAllToAll(x, kn.n1, sectionsFor, placeFor)
 				// Local part of the transpose.
 				for i3 := p3lo; i3 < p3hi; i3++ {
 					for i2 := b2lo; i2 < b2hi; i2++ {

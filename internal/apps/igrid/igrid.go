@@ -365,7 +365,7 @@ func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 				xhpf.BroadcastBlocks(x, cur, func(q int) (int, int) {
 					qlo, qhi := apputil.BlockOf(q, x.NProcs(), n-2)
 					return (qlo + 1) * n, (qhi + 1) * n
-				}, 4)
+				})
 				x.LoopSync()
 				old, cur = cur, old
 				if k == total-1 {

@@ -81,20 +81,22 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 }
 
 // stencilRows computes the 4-point stencil for rows [rlo,rhi) of src
-// into dst (interior columns only). dstOff is subtracted from the row
-// index when storing (for private scratch arrays that hold only a band).
+// into dst (interior columns only). rlo and rhi are global rows; dstOff
+// and srcOff are the global rows dst and src begin at (arrays that hold
+// only a band: a private scratch array, a message-passing processor's
+// block and halo).
 //
 // The five row slices have one length, so the inner loop carries no
 // bounds checks. The expression — 0.25*(((up+down)+left)+right), all
 // float32 — is the one the IR encodes and every version must reproduce
 // bit for bit: do not reassociate it.
-func stencilRows(dst, src []float32, n, rlo, rhi, dstOff int) {
+func stencilRows(dst, src []float32, n, rlo, rhi, dstOff, srcOff int) {
 	w := n - 2
 	if w <= 0 {
 		return
 	}
 	for i := rlo; i < rhi; i++ {
-		s := i*n + 1
+		s := (i-srcOff)*n + 1
 		out := dst[(i-dstOff)*n+1:][:w]
 		up, down := src[s-n:][:w], src[s+n:][:w]
 		left, right := src[s-1:][:w], src[s+1:][:w]
@@ -104,11 +106,11 @@ func stencilRows(dst, src []float32, n, rlo, rhi, dstOff int) {
 	}
 }
 
-// copyRows copies interior columns of rows [rlo,rhi) from src (offset by
-// srcOff rows) into dst.
-func copyRows(dst, src []float32, n, rlo, rhi, srcOff int) {
+// copyRows copies interior columns of global rows [rlo,rhi) from src
+// into dst, which begin at global rows srcOff and dstOff.
+func copyRows(dst, src []float32, n, rlo, rhi, dstOff, srcOff int) {
 	for i := rlo; i < rhi; i++ {
-		d := i * n
+		d := (i - dstOff) * n
 		s := (i - srcOff) * n
 		copy(dst[d+1:d+n-1], src[s+1:s+n-1])
 	}
@@ -124,9 +126,9 @@ func runSeq(cfg core.Config) (core.Result, error) {
 		interior := (n - 2) * (n - 2)
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
-				stencilRows(scratch, data, n, 1, n-1, 0)
+				stencilRows(scratch, data, n, 1, n-1, 0, 0)
 				tm.Advance(apputil.Cost(interior, cfg.App.JacobiUpdate))
-				copyRows(data, scratch, n, 1, n-1, 0)
+				copyRows(data, scratch, n, 1, n-1, 0, 0)
 				tm.Advance(apputil.Cost(interior, cfg.App.JacobiCopy))
 			},
 			Checksum: func() float64 { return apputil.Sum64(data) },
@@ -173,13 +175,13 @@ func runTmk(cfg core.Config, push bool) (core.Result, error) {
 			Iterate: func(k int) {
 				if rows > 0 {
 					rd := data.Read((lo-1)*n, (hi+1)*n)
-					stencilRows(scratch, rd, n, lo, hi, lo)
+					stencilRows(scratch, rd, n, lo, hi, lo, 0)
 					tm.Advance(apputil.Cost(rows*(n-2), cfg.App.JacobiUpdate))
 				}
 				tm.Barrier()
 				if rows > 0 {
 					w := data.Write(lo*n, hi*n)
-					copyRows(w, scratch, n, lo, hi, lo)
+					copyRows(w, scratch, n, lo, hi, 0, lo)
 					tm.Advance(apputil.Cost(rows*(n-2), cfg.App.JacobiCopy))
 				}
 				tm.Barrier()
@@ -223,7 +225,7 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 				rd = data.Read((lo-1)*n, (hi+1)*n)
 				w = scratch.Write(lo*n, hi*n)
 			}
-			stencilRows(w, rd, n, lo, hi, 0)
+			stencilRows(w, rd, n, lo, hi, 0, 0)
 			rt.Advance(apputil.Cost((hi-lo)*(n-2), cfg.App.JacobiUpdate))
 		})
 		phase2 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -238,7 +240,7 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 				rd = scratch.Read(lo*n, hi*n)
 				w = data.Write(lo*n, hi*n)
 			}
-			copyRows(w, rd, n, lo, hi, 0)
+			copyRows(w, rd, n, lo, hi, 0, 0)
 			rt.Advance(apputil.Cost((hi-lo)*(n-2), cfg.App.JacobiCopy))
 		})
 
@@ -261,40 +263,55 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 	})
 }
 
+// band is a message-passing processor's storage: BLOCK distribution by
+// whole rows, the grid with a one-row halo and edges at one, the scratch
+// array with no halo at all. clo and chi bound the owned interior rows;
+// dOff and sOff are the row bases the kernels take.
+type band struct {
+	data, scratch *xhpf.Local[float32]
+	clo, chi      int
+	dOff, sOff    int
+}
+
+func newBand(me, nprocs, n int) band {
+	bounds := xhpf.BlockBounds(nprocs, n)
+	b := band{
+		data:    xhpf.NewLocal[float32]("data", me, bounds, n, 1),
+		scratch: xhpf.NewLocal[float32]("scratch", me, bounds, n, 0),
+	}
+	rlo, rhi := b.data.Block()
+	b.clo, b.chi = max(rlo, 1), min(rhi, n-1)
+	b.sOff, _ = b.scratch.Stored()
+	var dHi int
+	b.dOff, dHi = b.data.Stored()
+	apputil.EdgesOneRows(b.data.Data(), n, b.dOff, dHi)
+	return b
+}
+
 // runXHPF is the compiler-generated message-passing version: BLOCK
 // row distribution, halo exchange generated for the analyzable stencil,
 // and runtime synchronization at each parallel-loop boundary.
 func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunXHPF("Jacobi", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
-		data := make([]float32, n*n)
-		scratch := make([]float32, n*n)
-		apputil.EdgesOne(data, n)
-		apputil.EdgesOne(scratch, n)
-		elo, ehi := x.Block(n * n) // element-block = row-block (n | n*n/procs)
-		rlo, rhi := elo/n, ehi/n
-		// Owner-computes interior rows.
-		clo, chi := max(rlo, 1), min(rhi, n-1)
+		b := newBand(x.ID(), x.NProcs(), n)
+		data, scratch := b.data.Data(), b.scratch.Data()
 		return apputil.XHPFProgram{
 			Iterate: func(k int) {
-				xhpf.ExchangeHalo(x, data, n*n, n)
-				if chi > clo {
-					stencilRows(scratch, data, n, clo, chi, 0)
-					x.Advance(apputil.Cost((chi-clo)*(n-2), cfg.App.JacobiUpdate))
+				xhpf.ExchangeHalo(x, b.data, 1)
+				if b.chi > b.clo {
+					stencilRows(scratch, data, n, b.clo, b.chi, b.sOff, b.dOff)
+					x.Advance(apputil.Cost((b.chi-b.clo)*(n-2), cfg.App.JacobiUpdate))
 				}
 				x.LoopSync()
-				if chi > clo {
-					copyRows(data, scratch, n, clo, chi, 0)
-					x.Advance(apputil.Cost((chi-clo)*(n-2), cfg.App.JacobiCopy))
+				if b.chi > b.clo {
+					copyRows(data, scratch, n, b.clo, b.chi, b.dOff, b.sOff)
+					x.Advance(apputil.Cost((b.chi-b.clo)*(n-2), cfg.App.JacobiCopy))
 				}
 				x.LoopSync()
 			},
 			Checksum: func() float64 {
-				gatherRows(x.PVM(), data, n, rlo, rhi)
-				if x.ID() != 0 {
-					return 0
-				}
-				return apputil.Sum64(data)
+				return apputil.Sum64(pvm.GatherUntracked(x.PVM(), 90, b.data.Owned())...)
 			},
 		}
 	})
@@ -306,56 +323,35 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunPVM("Jacobi", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
-		data := make([]float32, n*n)
-		scratch := make([]float32, n*n)
-		apputil.EdgesOne(data, n)
-		apputil.EdgesOne(scratch, n)
-		elo, ehi := apputil.BlockOf(pv.ID(), pv.NProcs(), n*n)
-		rlo, rhi := elo/n, ehi/n
-		clo, chi := max(rlo, 1), min(rhi, n-1)
-		me := pv.ID()
-		last := pv.NProcs() - 1
+		me, last := pv.ID(), pv.NProcs()-1
+		b := newBand(me, pv.NProcs(), n)
+		data, scratch := b.data.Data(), b.scratch.Data()
+		rlo, rhi := b.data.Block()
 		return apputil.PVMProgram{
 			Iterate: func(k int) {
 				// Boundary-row exchange: send up, send down, receive.
 				if me > 0 {
-					pvm.Send(pv, me-1, 70, data[rlo*n:(rlo+1)*n])
+					pvm.Send(pv, me-1, 70, b.data.Rows(rlo, rlo+1))
 				}
 				if me < last {
-					pvm.Send(pv, me+1, 71, data[(rhi-1)*n:rhi*n])
+					pvm.Send(pv, me+1, 71, b.data.Rows(rhi-1, rhi))
 				}
 				if me > 0 {
-					pvm.Recv(pv, me-1, 71, data[(rlo-1)*n:rlo*n])
+					pvm.Recv(pv, me-1, 71, b.data.Rows(rlo-1, rlo))
 				}
 				if me < last {
-					pvm.Recv(pv, me+1, 70, data[rhi*n:(rhi+1)*n])
+					pvm.Recv(pv, me+1, 70, b.data.Rows(rhi, rhi+1))
 				}
-				if chi > clo {
-					stencilRows(scratch, data, n, clo, chi, 0)
-					pv.Advance(apputil.Cost((chi-clo)*(n-2), cfg.App.JacobiUpdate))
-					copyRows(data, scratch, n, clo, chi, 0)
-					pv.Advance(apputil.Cost((chi-clo)*(n-2), cfg.App.JacobiCopy))
+				if b.chi > b.clo {
+					stencilRows(scratch, data, n, b.clo, b.chi, b.sOff, b.dOff)
+					pv.Advance(apputil.Cost((b.chi-b.clo)*(n-2), cfg.App.JacobiUpdate))
+					copyRows(data, scratch, n, b.clo, b.chi, b.dOff, b.sOff)
+					pv.Advance(apputil.Cost((b.chi-b.clo)*(n-2), cfg.App.JacobiCopy))
 				}
 			},
 			Checksum: func() float64 {
-				gatherRows(pv, data, n, rlo, rhi)
-				if pv.ID() != 0 {
-					return 0
-				}
-				return apputil.Sum64(data)
+				return apputil.Sum64(pvm.GatherUntracked(pv, 90, b.data.Owned())...)
 			},
 		}
 	})
-}
-
-// gatherRows collects every task's row block on task 0, untracked.
-func gatherRows(pv *pvm.PVM, data []float32, n, rlo, rhi int) {
-	if pv.ID() == 0 {
-		for q := 1; q < pv.NProcs(); q++ {
-			qlo, qhi := apputil.BlockOf(q, pv.NProcs(), n*n)
-			pvm.RecvUntracked(pv, q, 90+q, data[qlo:qhi])
-		}
-		return
-	}
-	pvm.SendUntracked(pv, 0, 90+pv.ID(), data[rlo*n:rhi*n])
 }

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -36,10 +37,11 @@ func TestAllVersionsMatchSequential(t *testing.T) {
 }
 
 func TestRaggedPartition(t *testing.T) {
-	// 3 procs on a 64-grid: 62 interior rows split 21/21/20.
+	// 3 procs on a 64-grid: 62 interior rows split 21/21/20 on the DSM,
+	// 64 rows split 22/22/20 under message passing.
 	cfg := cfgSmall(3)
 	seq, _ := New().Run(core.Seq, cfg)
-	for _, v := range []core.Version{core.Tmk, core.SPF} {
+	for _, v := range []core.Version{core.Tmk, core.SPF, core.XHPF, core.PVMe} {
 		r, err := New().Run(v, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
@@ -47,6 +49,30 @@ func TestRaggedPartition(t *testing.T) {
 		if r.Checksum != seq.Checksum {
 			t.Errorf("%s ragged checksum = %v, want %v", v, r.Checksum, seq.Checksum)
 		}
+	}
+}
+
+// TestMessagePassingAllocatesWhatItOwns: a message-passing processor
+// holds its block of rows and a halo, so the bytes a run allocates must
+// not grow with the processor count the way per-processor whole grids
+// did (eight grids at eight processors). The slack covers message
+// payloads and the simulator's own state.
+func TestMessagePassingAllocatesWhatItOwns(t *testing.T) {
+	allocated := func(procs int) uint64 {
+		cfg := New().Config(core.MidScale, procs)
+		cfg.Costs, cfg.App = model.SP2(), model.DefaultAppCosts()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := New().Run(core.XHPF, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, eight := allocated(1), allocated(8)
+	if 2*eight > 3*one {
+		t.Errorf("Jacobi xhpf at mid scale allocates %d bytes on 8 processors, %d on 1: more than 1.5x — a full grid per processor is back",
+			eight, one)
 	}
 }
 

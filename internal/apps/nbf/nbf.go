@@ -379,6 +379,15 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 		initCoords(xs, ys, zs)
 		me := x.ID()
 		lo, hi := x.Block(m)
+		// parts[q] receives processor q's force buffer each iteration;
+		// this processor's own entry is buf itself.
+		parts := make([][]float32, x.NProcs())
+		for q := range parts {
+			parts[q] = buf
+			if q != me {
+				parts[q] = make([]float32, m)
+			}
+		}
 		return apputil.XHPFProgram{
 			Iterate: func(k int) {
 				for i := range buf {
@@ -389,14 +398,14 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// The compiler cannot tell which buffer entries were
 				// touched through the partner lists: broadcast the whole
 				// local force buffer and sum (paper §6.2).
-				orderedAccumulate(x, buf)
+				orderedAccumulate(x, parts)
 				x.LoopSync()
 				moveBlock(xs, ys, zs, buf, lo, hi)
 				x.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				// Coordinates also defeat analysis: broadcast partitions.
-				xhpf.BroadcastPartition(x, xs, m, 4)
-				xhpf.BroadcastPartition(x, ys, m, 4)
-				xhpf.BroadcastPartition(x, zs, m, 4)
+				xhpf.BroadcastPartition(x, xs, m)
+				xhpf.BroadcastPartition(x, ys, m)
+				xhpf.BroadcastPartition(x, zs, m)
 				x.LoopSync()
 			},
 			Checksum: func() float64 {
@@ -409,25 +418,18 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 	})
 }
 
-// orderedAccumulate sums every processor's full contribution buffer in
-// processor order (so all parallel versions produce bitwise-identical
-// forces).
-func orderedAccumulate(x *xhpf.XHPF, buf []float32) {
-	parts := make([][]float32, x.NProcs())
-	for q := range parts {
-		if q == x.ID() {
-			mine := make([]float32, len(buf))
-			copy(mine, buf)
-			parts[q] = mine
-		} else {
-			parts[q] = make([]float32, len(buf))
-		}
-	}
+// orderedAccumulate exchanges every processor's full contribution
+// buffer (parts[x.ID()], see BroadcastGather) and sums them into it in
+// processor order, so all parallel versions produce bitwise-identical
+// forces. Entry i of the sum reads only entry i of each part, so
+// summing into this processor's own part in place is safe.
+func orderedAccumulate(x *xhpf.XHPF, parts [][]float32) {
 	xhpf.BroadcastGather(x, parts)
+	buf := parts[x.ID()]
 	for i := range buf {
 		var s float32
-		for q := 0; q < x.NProcs(); q++ {
-			s += parts[q][i]
+		for _, part := range parts {
+			s += part[i]
 		}
 		buf[i] = s
 	}
@@ -444,6 +446,16 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 		me, nprocs := pv.ID(), pv.NProcs()
 		lo, hi := apputil.BlockOf(me, nprocs, m)
 		w := cfg.N2
+		// Task 0 receives every task's force buffer into parts each
+		// iteration (its own entry is buf itself).
+		var parts [][]float32
+		if me == 0 {
+			parts = make([][]float32, nprocs)
+			parts[0] = buf
+			for q := 1; q < nprocs; q++ {
+				parts[q] = make([]float32, m)
+			}
+		}
 		return apputil.PVMProgram{
 			Iterate: func(k int) {
 				for i := range buf {
@@ -454,8 +466,7 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// Hand-coded: sum the full force buffers through task 0 in
 				// task order, rebroadcast (paper's PVMe data volume comes
 				// from exactly this full-buffer reduction).
-				total := orderedReduce(pv, buf)
-				copy(buf, total)
+				orderedReduce(pv, buf, parts)
 				moveBlock(xs, ys, zs, buf, lo, hi)
 				pv.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				// Partners reach at most N2 below my block: send my lower
@@ -473,30 +484,26 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 	})
 }
 
-// orderedReduce gathers every task's buffer on task 0, sums in task
-// order, and broadcasts the total.
-func orderedReduce(pv *pvm.PVM, buf []float32) []float32 {
-	nprocs := pv.NProcs()
-	total := make([]float32, len(buf))
+// orderedReduce gathers every task's buffer on task 0 (into parts, nil
+// elsewhere), sums in task order into buf, and broadcasts the total, so
+// buf holds it on every task. As in orderedAccumulate the in-place sum
+// is elementwise.
+func orderedReduce(pv *pvm.PVM, buf []float32, parts [][]float32) {
 	if pv.ID() == 0 {
-		parts := make([][]float32, nprocs)
-		parts[0] = buf
-		for q := 1; q < nprocs; q++ {
-			parts[q] = make([]float32, len(buf))
+		for q := 1; q < len(parts); q++ {
 			pvm.Recv(pv, q, 500, parts[q])
 		}
-		for i := range total {
+		for i := range buf {
 			var s float32
-			for q := 0; q < nprocs; q++ {
-				s += parts[q][i]
+			for _, part := range parts {
+				s += part[i]
 			}
-			total[i] = s
+			buf[i] = s
 		}
 	} else {
 		pvm.Send(pv, 0, 500, buf)
 	}
-	pvm.Bcast(pv, 0, 502, total)
-	return total
+	pvm.Bcast(pv, 0, 502, buf)
 }
 
 // exchangeCoordWindows ships updated boundary coordinate windows to the

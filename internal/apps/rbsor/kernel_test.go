@@ -27,20 +27,24 @@ func sweepRowsRef(u []float32, n, rlo, rhi, color int) int {
 
 // TestSweepRowsBitwise compares the kernel with its reference for both
 // colors over tiny, even and odd grids, empty bands and single first
-// and last interior rows (whose first point of a color differs).
+// and last interior rows (whose first point of a color differs), on the
+// whole grid and on a copy that holds only the band and its one-row
+// halo (parity must still follow the global row).
 func TestSweepRowsBitwise(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 64, 65} {
 		for _, b := range kerneltest.Bands(n) {
 			for color := 0; color < 2; color++ {
-				got := kerneltest.Noise(uint32(n), n*n)
-				want := slices.Clone(got)
-				gc := sweepRows(got, n, b[0], b[1], color)
-				wc := sweepRowsRef(want, n, b[0], b[1], color)
-				what := fmt.Sprintf("n=%d rows [%d,%d) color %d", n, b[0], b[1], color)
-				if gc != wc {
-					t.Errorf("%s: %d points, want %d", what, gc, wc)
+				for _, off := range []int{0, b[0] - 1} {
+					want := kerneltest.Noise(uint32(n), n*n)
+					got := slices.Clone(want[off*n : min(b[1]+1, n)*n])
+					gc := sweepRows(got, n, b[0], b[1], color, off)
+					wc := sweepRowsRef(want, n, b[0], b[1], color)
+					what := fmt.Sprintf("n=%d rows [%d,%d) color %d off %d", n, b[0], b[1], color, off)
+					if gc != wc {
+						t.Errorf("%s: %d points, want %d", what, gc, wc)
+					}
+					kerneltest.SameBits(t, what, got, want[off*n:min(b[1]+1, n)*n])
 				}
-				kerneltest.SameBits(t, what, got, want)
 			}
 		}
 	}
@@ -54,7 +58,7 @@ func BenchmarkSweepRows(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweepRows(u, n, 1, n-1, i&1)
+		sweepRows(u, n, 1, n-1, i&1, 0)
 	}
 	kerneltest.ReportPer(b, "point", (n-2)*(n-2)/2)
 }

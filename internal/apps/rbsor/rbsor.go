@@ -79,8 +79,9 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 }
 
 // sweepRows relaxes the points of one color ((i+j) mod 2 == color) in
-// interior columns of rows [rlo,rhi), in place, and returns the number
-// of points updated. The expression shape — cSelf*self +
+// interior columns of global rows [rlo,rhi), in place, and returns the
+// number of points updated. u begins at global row off (nonzero for a
+// message-passing processor's block and halo). The expression shape — cSelf*self +
 // cStencil*(((up+down)+left)+right) — is the one the IR encodes; do not
 // reassociate it.
 //
@@ -89,14 +90,15 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 // right) so the inner loop carries no bounds checks. A point's four
 // neighbors are all of the other color, which this sweep never writes,
 // so the order within a sweep cannot matter.
-func sweepRows(u []float32, n, rlo, rhi, color int) int {
+func sweepRows(u []float32, n, rlo, rhi, color, off int) int {
 	if n < 3 {
 		return 0
 	}
 	cnt := 0
 	for i := rlo; i < rhi; i++ {
-		s := i*n + 1 + (i+1+color)&1 // first interior point of this color
-		self := u[s : i*n+n-1]
+		row := (i - off) * n
+		s := row + 1 + (i+1+color)&1 // first interior point of this color
+		self := u[s : row+n-1]
 		w := len(self)
 		up, down := u[s-n:][:w], u[s+n:][:w]
 		left, right := u[s-1:][:w], u[s+1:][:w]
@@ -116,7 +118,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
-					cnt := sweepRows(u, n, 1, n-1, color)
+					cnt := sweepRows(u, n, 1, n-1, color, 0)
 					tm.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 				}
 			},
@@ -146,7 +148,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 					if rows > 0 {
 						u.Read((lo-1)*n, (hi+1)*n)
 						w := u.Write(lo*n, hi*n)
-						cnt := sweepRows(w, n, lo, hi, color)
+						cnt := sweepRows(w, n, lo, hi, color, 0)
 						tm.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 					}
 					tm.Barrier()
@@ -178,7 +180,7 @@ func runSPF(cfg core.Config) (core.Result, error) {
 				}
 				u.Read((lo-1)*n, (hi+1)*n)
 				w := u.Write(lo*n, hi*n)
-				cnt := sweepRows(w, n, lo, hi, color)
+				cnt := sweepRows(w, n, lo, hi, color, 0)
 				rt.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 			})
 		}
@@ -199,6 +201,17 @@ func runSPF(cfg core.Config) (core.Result, error) {
 	})
 }
 
+// newBand allocates a message-passing processor's storage — its BLOCK
+// of whole rows and a one-row halo, edges at one — and returns it with
+// the owned interior rows [clo,chi).
+func newBand(me, nprocs, n int) (u *xhpf.Local[float32], clo, chi int) {
+	u = xhpf.NewLocal[float32]("u", me, xhpf.BlockBounds(nprocs, n), n, 1)
+	slo, shi := u.Stored()
+	apputil.EdgesOneRows(u.Data(), n, slo, shi)
+	rlo, rhi := u.Block()
+	return u, max(rlo, 1), min(rhi, n-1)
+}
+
 // runXHPF is the hand-written rendition of the XHPF output: BLOCK row
 // distribution, a halo exchange before each color sweep (the stencil
 // reads the neighbor's boundary rows, freshly updated by the previous
@@ -207,28 +220,21 @@ func runSPF(cfg core.Config) (core.Result, error) {
 func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunXHPF("RB-SOR", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
-		u := make([]float32, n*n)
-		apputil.EdgesOne(u, n)
-		elo, ehi := x.Block(n * n)
-		rlo, rhi := elo/n, ehi/n
-		clo, chi := max(rlo, 1), min(rhi, n-1)
+		u, clo, chi := newBand(x.ID(), x.NProcs(), n)
+		off, _ := u.Stored()
 		return apputil.XHPFProgram{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
-					xhpf.ExchangeHalo(x, u, n*n, n)
+					xhpf.ExchangeHalo(x, u, 1)
 					if chi > clo {
-						cnt := sweepRows(u, n, clo, chi, color)
+						cnt := sweepRows(u.Data(), n, clo, chi, color, off)
 						x.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 					}
 					x.LoopSync()
 				}
 			},
 			Checksum: func() float64 {
-				gatherRows(x.PVM(), u, n, rlo, rhi)
-				if x.ID() != 0 {
-					return 0
-				}
-				return apputil.Sum64(u)
+				return apputil.Sum64(pvm.GatherUntracked(x.PVM(), 90, u.Owned())...)
 			},
 		}
 	})
@@ -240,54 +246,35 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunPVM("RB-SOR", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
-		u := make([]float32, n*n)
-		apputil.EdgesOne(u, n)
-		elo, ehi := apputil.BlockOf(pv.ID(), pv.NProcs(), n*n)
-		rlo, rhi := elo/n, ehi/n
-		clo, chi := max(rlo, 1), min(rhi, n-1)
-		me := pv.ID()
-		last := pv.NProcs() - 1
+		me, last := pv.ID(), pv.NProcs()-1
+		u, clo, chi := newBand(me, pv.NProcs(), n)
+		off, _ := u.Stored()
+		rlo, rhi := u.Block()
 		return apputil.PVMProgram{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					up, down := 70+2*color, 71+2*color
 					if me > 0 {
-						pvm.Send(pv, me-1, up, u[rlo*n:(rlo+1)*n])
+						pvm.Send(pv, me-1, up, u.Rows(rlo, rlo+1))
 					}
 					if me < last {
-						pvm.Send(pv, me+1, down, u[(rhi-1)*n:rhi*n])
+						pvm.Send(pv, me+1, down, u.Rows(rhi-1, rhi))
 					}
 					if me > 0 {
-						pvm.Recv(pv, me-1, down, u[(rlo-1)*n:rlo*n])
+						pvm.Recv(pv, me-1, down, u.Rows(rlo-1, rlo))
 					}
 					if me < last {
-						pvm.Recv(pv, me+1, up, u[rhi*n:(rhi+1)*n])
+						pvm.Recv(pv, me+1, up, u.Rows(rhi, rhi+1))
 					}
 					if chi > clo {
-						cnt := sweepRows(u, n, clo, chi, color)
+						cnt := sweepRows(u.Data(), n, clo, chi, color, off)
 						pv.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 					}
 				}
 			},
 			Checksum: func() float64 {
-				gatherRows(pv, u, n, rlo, rhi)
-				if pv.ID() != 0 {
-					return 0
-				}
-				return apputil.Sum64(u)
+				return apputil.Sum64(pvm.GatherUntracked(pv, 90, u.Owned())...)
 			},
 		}
 	})
-}
-
-// gatherRows collects every task's row block on task 0, untracked.
-func gatherRows(pv *pvm.PVM, data []float32, n, rlo, rhi int) {
-	if pv.ID() == 0 {
-		for q := 1; q < pv.NProcs(); q++ {
-			qlo, qhi := apputil.BlockOf(q, pv.NProcs(), n*n)
-			pvm.RecvUntracked(pv, q, 90+q, data[qlo:qhi])
-		}
-		return
-	}
-	pvm.SendUntracked(pv, 0, 90+pv.ID(), data[rlo*n:rhi*n])
 }

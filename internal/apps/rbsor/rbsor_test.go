@@ -48,8 +48,8 @@ func TestSweepColors(t *testing.T) {
 	const n = 16
 	u := make([]float32, n*n)
 	apputil.EdgesOne(u, n)
-	red := sweepRows(u, n, 1, n-1, 0)
-	black := sweepRows(u, n, 1, n-1, 1)
+	red := sweepRows(u, n, 1, n-1, 0, 0)
+	black := sweepRows(u, n, 1, n-1, 1, 0)
 	if red+black != (n-2)*(n-2) {
 		t.Errorf("red %d + black %d points, want %d", red, black, (n-2)*(n-2))
 	}

@@ -112,7 +112,7 @@ func sameState(t *testing.T, what string, got, want *state) {
 func TestInitBitwise(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 64, 65} {
 		got, want := newLocalState(n), newLocalState(n)
-		got.init()
+		got.init(0, n)
 		want.initRef()
 		sameState(t, fmt.Sprintf("init n=%d", n), got, want)
 	}
@@ -153,7 +153,7 @@ func TestLoopsBitwise(t *testing.T) {
 func benchLoop(b *testing.B, which int) {
 	n := New().Config(core.MidScale, 1).N1
 	s := newLocalState(n)
-	s.init()
+	s.init(0, n)
 	phases := []func() int{
 		func() int { return s.loop100(0, n-1) },
 		func() int { return s.loop200(0, n-1) },
@@ -189,7 +189,7 @@ func BenchmarkInit(b *testing.B) {
 	n := New().Config(core.MidScale, 1).N1
 	s := newLocalState(n)
 	for i := 0; i < b.N; i++ {
-		s.init()
+		s.init(0, n)
 	}
 	kerneltest.ReportPer(b, "point", n*n)
 }

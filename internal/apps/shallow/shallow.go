@@ -88,39 +88,43 @@ const (
 	tdtsdy = dtc / dxc * 2
 )
 
-// state bundles the 13 arrays so all versions share the kernels.
+// state bundles the 13 arrays so all versions share the kernels. The
+// kernels take global rows; r0 is the global row the arrays begin at —
+// zero for whole arrays, the first stored row of a message-passing
+// processor's bands.
 type state struct {
-	n                int
+	n, r0            int
 	u, v, p          []float32
 	uold, vold, pold []float32
 	unew, vnew, pnew []float32
 	cu, cv, z, h     []float32
 }
 
-// init sets the initial velocities from a smooth stream function;
-// deterministic across all versions. Row i's angle a and column j's
-// angle b come from one formula, so one sine and one cosine table of n
-// entries replace four libm calls per point; each point's products are
-// the same float64 operations in the same order.
-func (s *state) init() {
+// init sets the initial velocities of rows [rlo,rhi) from a smooth
+// stream function; deterministic across all versions. Row i's angle a
+// and column j's angle b come from one formula, so one sine and one
+// cosine table of n entries replace four libm calls per point; each
+// point's products are the same float64 operations in the same order.
+func (s *state) init(rlo, rhi int) {
 	n := s.n
 	sin, cos := make([]float64, n), make([]float64, n)
 	for k := range sin {
 		a := 2 * math.Pi * float64(k) / float64(n-1)
 		sin[k], cos[k] = math.Sin(a), math.Cos(a)
 	}
-	for i := 0; i < n; i++ {
+	for i := rlo; i < rhi; i++ {
 		sa, ca := sin[i], cos[i]
-		u, v, p := s.u[i*n:][:n], s.v[i*n:][:n], s.p[i*n:][:n]
+		c := (i - s.r0) * n
+		u, v, p := s.u[c:][:n], s.v[c:][:n], s.p[c:][:n]
 		for j := range u {
 			u[j] = float32(sa * cos[j] * 10)
 			v[j] = float32(-ca * sin[j] * 10)
 			p[j] = float32(50000 + 1000*ca*cos[j])
 		}
+		copy(s.uold[c:][:n], u)
+		copy(s.vold[c:][:n], v)
+		copy(s.pold[c:][:n], p)
 	}
-	copy(s.uold[:n*n], s.u)
-	copy(s.vold[:n*n], s.v)
-	copy(s.pold[:n*n], s.p)
 }
 
 // The three loops below read and write each row through sub-slices of
@@ -138,7 +142,7 @@ func (s *state) loop100(rlo, rhi int) int {
 	w := n - 1
 	pts := 0
 	for i := rlo; i < rhi; i++ {
-		c := i * n
+		c := (i - s.r0) * n
 		cu, cv, z, h := s.cu[c:][:w], s.cv[c:][:w], s.z[c:][:w], s.h[c:][:w]
 		p0, p1, pn, pn1 := s.p[c:][:w], s.p[c+1:][:w], s.p[c+n:][:w], s.p[c+n+1:][:w]
 		u0, un, un1 := s.u[c:][:w], s.u[c+n:][:w], s.u[c+n+1:][:w]
@@ -166,7 +170,7 @@ func (s *state) loop200(rlo, rhi int) int {
 	w := n - 1
 	pts := 0
 	for i := rlo; i < rhi; i++ {
-		c := i * n
+		c := (i - s.r0) * n
 		unew, vnew, pnew := s.unew[c:][:w], s.vnew[c:][:w], s.pnew[c:][:w]
 		uold, vold, pold := s.uold[c:][:w], s.vold[c:][:w], s.pold[c:][:w]
 		z0, z1, zn := s.z[c:][:w], s.z[c+1:][:w], s.z[c+n:][:w]
@@ -195,7 +199,7 @@ func (s *state) loop300(rlo, rhi int) int {
 	if rhi <= rlo {
 		return 0
 	}
-	lo, pts := rlo*s.n, (rhi-rlo)*s.n
+	lo, pts := (rlo-s.r0)*s.n, (rhi-rlo)*s.n
 	u, v, p := s.u[lo:][:pts], s.v[lo:][:pts], s.p[lo:][:pts]
 	uold, vold, pold := s.uold[lo:][:pts], s.vold[lo:][:pts], s.pold[lo:][:pts]
 	unew, vnew, pnew := s.unew[lo:][:pts], s.vnew[lo:][:pts], s.pnew[lo:][:pts]
@@ -212,7 +216,7 @@ func (s *state) loop300(rlo, rhi int) int {
 
 // wrapCols wraps the strided edge (column n-1 ← column 0) for rows
 // [rlo,rhi) of the given arrays — the parallelized half of the
-// wrap-around copying.
+// wrap-around copying. The rows count from the arrays' first row.
 func wrapCols(arrs [][]float32, n, rlo, rhi int) int {
 	pts := 0
 	for _, a := range arrs {
@@ -243,7 +247,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunSeq("Shallow", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
 		s := newLocalState(n)
-		s.init()
+		s.init(0, n)
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
 				pts := s.loop100(0, n-1)
@@ -266,10 +270,18 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	})
 }
 
+// arrayNames names the 13 arrays in the order of slots.
+var arrayNames = []string{"u", "v", "p", "uold", "vold", "pold", "unew", "vnew", "pnew", "cu", "cv", "z", "h"}
+
+// slots returns the 13 array fields, for the constructors to fill.
+func (s *state) slots() []*[]float32 {
+	return []*[]float32{&s.u, &s.v, &s.p, &s.uold, &s.vold, &s.pold,
+		&s.unew, &s.vnew, &s.pnew, &s.cu, &s.cv, &s.z, &s.h}
+}
+
 func newLocalState(n int) *state {
 	s := &state{n: n}
-	for _, f := range []*[]float32{&s.u, &s.v, &s.p, &s.uold, &s.vold, &s.pold,
-		&s.unew, &s.vnew, &s.pnew, &s.cu, &s.cv, &s.z, &s.h} {
+	for _, f := range s.slots() {
 		*f = make([]float32, n*n)
 	}
 	return s
@@ -285,13 +297,10 @@ type sharedState struct {
 func newSharedState(tm *tmk.Tmk, n int) *sharedState {
 	s := &state{n: n}
 	ss := &sharedState{state: s, regs: map[string]*tmk.Region[float32]{}}
-	names := []string{"u", "v", "p", "uold", "vold", "pold", "unew", "vnew", "pnew", "cu", "cv", "z", "h"}
-	ptrs := []*[]float32{&s.u, &s.v, &s.p, &s.uold, &s.vold, &s.pold,
-		&s.unew, &s.vnew, &s.pnew, &s.cu, &s.cv, &s.z, &s.h}
-	for i, name := range names {
-		r := tmk.Alloc[float32](tm, "shallow."+name, n*n)
-		ss.regs[name] = r
-		*ptrs[i] = r.Data()
+	for i, f := range s.slots() {
+		r := tmk.Alloc[float32](tm, "shallow."+arrayNames[i], n*n)
+		ss.regs[arrayNames[i]] = r
+		*f = r.Data()
 	}
 	return ss
 }
@@ -384,7 +393,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 			for _, name := range []string{"u", "v", "p", "uold", "vold", "pold"} {
 				ss.reg(name).Write(0, n*n)
 			}
-			ss.init()
+			ss.init(0, n)
 		}
 		tm.Barrier()
 		adv := func(d sim.Time) { tm.Advance(d) }
@@ -507,7 +516,7 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 			for _, name := range []string{"u", "v", "p", "uold", "vold", "pold"} {
 				ss.reg(name).Write(0, n*n)
 			}
-			ss.init()
+			ss.init(0, n)
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(k int) {
@@ -537,179 +546,138 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 	})
 }
 
+// bandState is a message-passing processor's storage behind the same
+// kernels: of each of the 13 arrays, its BLOCK of the n-1 computed rows
+// — the last processor's extended by the wrap row n-1 — and a one-row
+// halo (the forward stencils read row i+1).
+type bandState struct {
+	*state
+	puv, grpA, grpB []*xhpf.Local[float32] // the arrays that communicate: p, u, v and the two wrap groups
+	rlo, rhi        int                    // computed rows
+	isLast          bool
+}
+
+func newBandState(me, nprocs, n int) *bandState {
+	bounds := xhpf.BlockBounds(nprocs, n-1)
+	bounds[nprocs] = n
+	bs := &bandState{state: &state{n: n}, isLast: me == nprocs-1}
+	loc := map[string]*xhpf.Local[float32]{}
+	for i, f := range bs.slots() {
+		l := xhpf.NewLocal[float32]("shallow."+arrayNames[i], me, bounds, n, 1)
+		loc[arrayNames[i]] = l
+		*f = l.Data()
+	}
+	pick := func(names ...string) []*xhpf.Local[float32] {
+		out := make([]*xhpf.Local[float32], len(names))
+		for i, name := range names {
+			out[i] = loc[name]
+		}
+		return out
+	}
+	bs.puv, bs.grpA, bs.grpB = pick("p", "u", "v"), pick(groupANames...), pick(groupBNames...)
+	bs.r0, _ = bs.puv[0].Stored()
+	bs.init(bs.puv[0].Block())
+	bs.rlo, bs.rhi = apputil.BlockOf(me, nprocs, n-1)
+	return bs
+}
+
+// haloDown fills row rhi of each array from the next processor, which
+// owns it (under XHPF, generated from the analyzable forward stencil).
+func (bs *bandState) haloDown(pv *pvm.PVM, tag int, arrs []*xhpf.Local[float32]) {
+	me, last := pv.ID(), pv.NProcs()-1
+	if bs.rhi <= bs.rlo {
+		return
+	}
+	for t, a := range arrs {
+		if me > 0 {
+			pvm.Send(pv, me-1, tag+t, a.Rows(bs.rlo, bs.rlo+1))
+		}
+		if me < last {
+			pvm.Recv(pv, me+1, tag+t, a.Rows(bs.rhi, bs.rhi+1))
+		}
+	}
+}
+
+// wrapRowComm is the contiguous edge copy (row n-1 ← row 0) across
+// processors: processor 0 sends row 0 to the owner of row n-1, which
+// installs it. It returns the elements this processor copied.
+func (bs *bandState) wrapRowComm(pv *pvm.PVM, tag int, arrs []*xhpf.Local[float32]) int {
+	n, last := bs.n, pv.NProcs()-1
+	w := 0
+	for t, a := range arrs {
+		switch {
+		case last == 0:
+			copy(a.Rows(n-1, n), a.Rows(0, 1))
+		case pv.ID() == 0:
+			pvm.Send(pv, last, tag+t, a.Rows(0, 1))
+		case bs.isLast:
+			pvm.Recv(pv, 0, tag+t, a.Rows(n-1, n))
+		}
+		if bs.isLast {
+			w += n
+		}
+	}
+	return w
+}
+
+// step is one message-passing iteration. tag is the version's message
+// tag base; sync is the loop-boundary synchronization the XHPF compiler
+// generates and the hand-coded PVMe program does without (its data
+// messages carry it).
+func (bs *bandState) step(pv *pvm.PVM, cfg core.Config, tag int, sync func()) {
+	n, rlo, rhi := bs.n, bs.rlo, bs.rhi
+	bs.haloDown(pv, tag, bs.puv)
+	if rhi > rlo {
+		pts := bs.loop100(rlo, rhi)
+		w := wrapCols(bs.groupA(), n, rlo-bs.r0, rhi-bs.r0)
+		pv.Advance(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
+	}
+	pv.Advance(apputil.Cost(bs.wrapRowComm(pv, tag+20, bs.grpA), cfg.App.ShallowCopy))
+	sync()
+	bs.haloDown(pv, tag, bs.grpA)
+	if rhi > rlo {
+		pts := bs.loop200(rlo, rhi)
+		w := wrapCols(bs.groupB(), n, rlo-bs.r0, rhi-bs.r0)
+		pv.Advance(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
+	}
+	pv.Advance(apputil.Cost(bs.wrapRowComm(pv, tag+20, bs.grpB), cfg.App.ShallowCopy))
+	sync()
+	hi3 := rhi
+	if bs.isLast {
+		hi3 = n // smoothing covers the wrap row too
+	}
+	if hi3 > rlo {
+		pts := bs.loop300(rlo, hi3)
+		pv.Advance(apputil.Cost(pts*6, cfg.App.ShallowCopy))
+	}
+	sync()
+}
+
+// gatherChecksum is state.checksum over the owned row blocks, gathered
+// untracked on task 0 (zero elsewhere).
+func (bs *bandState) gatherChecksum(pv *pvm.PVM) float64 {
+	sum := func(a *xhpf.Local[float32]) float64 {
+		return apputil.Sum64(pvm.GatherUntracked(pv, 780, a.Owned())...)
+	}
+	return sum(bs.puv[0]) + 2*sum(bs.puv[1]) + 4*sum(bs.puv[2])
+}
+
 func runXHPF(cfg core.Config) (core.Result, error) {
-	n := cfg.N1
 	return apputil.RunXHPF("Shallow", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
-		me, nprocs := x.ID(), x.NProcs()
-		s := newLocalState(n)
-		s.init()
-		rlo, rhi := apputil.BlockOf(me, nprocs, n-1)
-		isLast := me == nprocs-1
-		last := nprocs - 1
-		// haloDown receives row rhi from the next processor (which owns
-		// it); generated from the analyzable forward stencil.
-		haloDown := func(arrs ...[]float32) {
-			for t, a := range arrs {
-				if me > 0 && rlo < rhi {
-					pvm.Send(x.PVM(), me-1, 700+t, a[rlo*n:(rlo+1)*n])
-				}
-				if me < last && rhi > rlo {
-					pvm.Recv(x.PVM(), me+1, 700+t, a[rhi*n:(rhi+1)*n])
-				}
-			}
-		}
-		// wrapRowComm: processor 0 sends row 0 to the owner of row n-1.
-		wrapRowComm := func(arrs ...[]float32) int {
-			w := 0
-			for t, a := range arrs {
-				if me == 0 && last != 0 {
-					pvm.Send(x.PVM(), last, 720+t, a[0:n])
-				}
-				if isLast {
-					if last != 0 {
-						pvm.Recv(x.PVM(), 0, 720+t, a[0:n])
-					}
-					w += wrapRow(a, n)
-				}
-			}
-			return w
-		}
-		adv := func(d sim.Time) { x.Advance(d) }
+		bs := newBandState(x.ID(), x.NProcs(), cfg.N1)
 		return apputil.XHPFProgram{
-			Iterate: func(k int) {
-				haloDown(s.p, s.u, s.v)
-				if rhi > rlo {
-					pts := s.loop100(rlo, rhi)
-					w := wrapCols(s.groupA(), n, rlo, rhi)
-					adv(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-				}
-				adv(apputil.Cost(wrapRowComm(s.groupA()...), cfg.App.ShallowCopy))
-				x.LoopSync()
-				haloDown(s.cu, s.cv, s.z, s.h)
-				if rhi > rlo {
-					pts := s.loop200(rlo, rhi)
-					w := wrapCols(s.groupB(), n, rlo, rhi)
-					adv(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-				}
-				adv(apputil.Cost(wrapRowComm(s.groupB()...), cfg.App.ShallowCopy))
-				x.LoopSync()
-				hi3 := rhi
-				if isLast {
-					hi3 = n
-				}
-				if hi3 > rlo {
-					pts := s.loop300(rlo, hi3)
-					adv(apputil.Cost(pts*6, cfg.App.ShallowCopy))
-				}
-				x.LoopSync()
-			},
-			Checksum: func() float64 {
-				for _, a := range [][]float32{s.p, s.u, s.v} {
-					gatherRows(x.PVM(), a, n, rlo, rhi, isLast)
-				}
-				if me != 0 {
-					return 0
-				}
-				return s.checksum()
-			},
+			Iterate:  func(k int) { bs.step(x.PVM(), cfg, 700, x.LoopSync) },
+			Checksum: func() float64 { return bs.gatherChecksum(x.PVM()) },
 		}
 	})
 }
 
 func runPVM(cfg core.Config) (core.Result, error) {
-	n := cfg.N1
 	return apputil.RunPVM("Shallow", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
-		me, nprocs := pv.ID(), pv.NProcs()
-		s := newLocalState(n)
-		s.init()
-		rlo, rhi := apputil.BlockOf(me, nprocs, n-1)
-		isLast := me == nprocs-1
-		last := nprocs - 1
-		haloDown := func(arrs ...[]float32) {
-			for t, a := range arrs {
-				if me > 0 && rlo < rhi {
-					pvm.Send(pv, me-1, 740+t, a[rlo*n:(rlo+1)*n])
-				}
-				if me < last && rhi > rlo {
-					pvm.Recv(pv, me+1, 740+t, a[rhi*n:(rhi+1)*n])
-				}
-			}
-		}
-		wrapRowComm := func(arrs ...[]float32) int {
-			w := 0
-			for t, a := range arrs {
-				if me == 0 && last != 0 {
-					pvm.Send(pv, last, 760+t, a[0:n])
-				}
-				if isLast {
-					if last != 0 {
-						pvm.Recv(pv, 0, 760+t, a[0:n])
-					}
-					w += wrapRow(a, n)
-				}
-			}
-			return w
-		}
-		adv := func(d sim.Time) { pv.Advance(d) }
+		bs := newBandState(pv.ID(), pv.NProcs(), cfg.N1)
 		return apputil.PVMProgram{
-			Iterate: func(k int) {
-				haloDown(s.p, s.u, s.v)
-				if rhi > rlo {
-					pts := s.loop100(rlo, rhi)
-					w := wrapCols(s.groupA(), n, rlo, rhi)
-					adv(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-				}
-				adv(apputil.Cost(wrapRowComm(s.groupA()...), cfg.App.ShallowCopy))
-				haloDown(s.cu, s.cv, s.z, s.h)
-				if rhi > rlo {
-					pts := s.loop200(rlo, rhi)
-					w := wrapCols(s.groupB(), n, rlo, rhi)
-					adv(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-				}
-				adv(apputil.Cost(wrapRowComm(s.groupB()...), cfg.App.ShallowCopy))
-				hi3 := rhi
-				if isLast {
-					hi3 = n
-				}
-				if hi3 > rlo {
-					pts := s.loop300(rlo, hi3)
-					adv(apputil.Cost(pts*6, cfg.App.ShallowCopy))
-				}
-			},
-			Checksum: func() float64 {
-				for _, a := range [][]float32{s.p, s.u, s.v} {
-					gatherRows(pv, a, n, rlo, rhi, isLast)
-				}
-				if me != 0 {
-					return 0
-				}
-				return s.checksum()
-			},
+			Iterate:  func(k int) { bs.step(pv, cfg, 740, func() {}) },
+			Checksum: func() float64 { return bs.gatherChecksum(pv) },
 		}
 	})
-}
-
-// gatherRows collects row blocks (plus the wrap row from the last
-// processor) on task 0, untracked.
-func gatherRows(pv *pvm.PVM, a []float32, n, rlo, rhi int, isLast bool) {
-	me, nprocs := pv.ID(), pv.NProcs()
-	if me == 0 {
-		for q := 1; q < nprocs; q++ {
-			qlo, qhi := apputil.BlockOf(q, nprocs, n-1)
-			if q == nprocs-1 {
-				qhi = n
-			}
-			if qhi > qlo {
-				pvm.RecvUntracked(pv, q, 780, a[qlo*n:qhi*n])
-			}
-		}
-		return
-	}
-	hi := rhi
-	if isLast {
-		hi = n
-	}
-	if hi > rlo {
-		pvm.SendUntracked(pv, 0, 780, a[rlo*n:hi*n])
-	}
 }

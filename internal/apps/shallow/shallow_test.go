@@ -55,7 +55,7 @@ func TestRaggedPartition(t *testing.T) {
 func TestEnergyStaysBounded(t *testing.T) {
 	const n = 32
 	s := newLocalState(n)
-	s.init()
+	s.init(0, n)
 	for k := 0; k < 20; k++ {
 		s.loop100(0, n-1)
 		wrapCols(s.groupA(), n, 0, n-1)

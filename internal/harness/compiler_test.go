@@ -2,25 +2,35 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/loopc"
 	"repro/internal/loopc/gen"
 	"repro/internal/proto"
 )
 
+// compiledProcCounts is the node-count sweep of the hand-vs-generated
+// gates: the protocol experiment's counts plus the ones that do not
+// divide the 64-row test grids, where a decomposition that is not
+// row-aligned goes wrong (the hand-coded message-passing Jacobi and
+// RB-SOR once did, silently, and these tests only ran 1, 2, 4, 8).
+var compiledProcCounts = []int{1, 2, 3, 4, 5, 7, 8}
+
 // TestCompiledEquivalence is the acceptance gate of the loopc front
 // end: for every kernel with an IR description (Jacobi and red-black
 // SOR), the generated spf-gen and xhpf-gen versions must produce
-// checksums bit-identical to their hand-coded counterparts at 1, 2, 4
-// and 8 nodes under both coherence protocols, and a repeated run must
-// reproduce the message and byte counts exactly.
+// checksums bit-identical to their hand-coded counterparts at every
+// node count, ragged ones included, under both coherence protocols,
+// and a repeated run must reproduce the message and byte counts
+// exactly.
 func TestCompiledEquivalence(t *testing.T) {
 	for _, a := range CompiledApps() {
 		for _, pair := range CompiledPairs() {
 			hand, gen := pair[0], pair[1]
-			for _, procs := range ProtocolProcCounts {
+			for _, procs := range compiledProcCounts {
 				for _, p := range proto.Names() {
 					t.Run(fmt.Sprintf("%s/%s/p%d/%s", a.Name(), gen, procs, p), func(t *testing.T) {
 						r := NewRunner(procs, SmallScale)
@@ -59,26 +69,60 @@ func TestCompiledEquivalence(t *testing.T) {
 // lowering achieves on these kernels: the generated versions reproduce
 // the hand-coded versions' virtual time and traffic exactly, not just
 // their numerics — the compiler emits the same access ranges and the
-// same communication sequence.
+// same communication sequence, over the same whole-row decomposition,
+// so this holds at ragged node counts too.
 func TestCompiledTrafficMatchesHand(t *testing.T) {
 	for _, a := range CompiledApps() {
 		for _, pair := range CompiledPairs() {
-			r := NewRunner(8, SmallScale)
-			hand, err := r.Run(a, pair[0])
-			if err != nil {
-				t.Fatal(err)
+			for _, procs := range compiledProcCounts {
+				r := NewRunner(procs, SmallScale)
+				hand, err := r.Run(a, pair[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen, err := r.Run(a, pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gen.Stats.TotalMsgs() != hand.Stats.TotalMsgs() || gen.Stats.TotalBytes() != hand.Stats.TotalBytes() {
+					t.Errorf("%s/%s p%d traffic (msgs %d, bytes %d) != %s (msgs %d, bytes %d)",
+						a.Name(), pair[1], procs, gen.Stats.TotalMsgs(), gen.Stats.TotalBytes(),
+						pair[0], hand.Stats.TotalMsgs(), hand.Stats.TotalBytes())
+				}
+				if gen.Time != hand.Time {
+					t.Errorf("%s/%s p%d time %v != %s time %v", a.Name(), pair[1], procs, gen.Time, pair[0], hand.Time)
+				}
 			}
-			gen, err := r.Run(a, pair[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gen.Stats.TotalMsgs() != hand.Stats.TotalMsgs() || gen.Stats.TotalBytes() != hand.Stats.TotalBytes() {
-				t.Errorf("%s/%s traffic (msgs %d, bytes %d) != %s (msgs %d, bytes %d)",
-					a.Name(), pair[1], gen.Stats.TotalMsgs(), gen.Stats.TotalBytes(),
-					pair[0], hand.Stats.TotalMsgs(), hand.Stats.TotalBytes())
-			}
-			if gen.Time != hand.Time {
-				t.Errorf("%s/%s time %v != %s time %v", a.Name(), pair[1], gen.Time, pair[0], hand.Time)
+		}
+	}
+}
+
+// TestMessagePassingMatchesSequential holds every application's xhpf
+// and pvme version to the sequential checksum at every node count from
+// 1 to 8, most of which do not divide the small grids: bitwise for the
+// six applications whose checksum is an index-order float32 fold, and
+// to 1e-9 for 3-D FFT, whose transform legitimately differs in the last
+// ulp with the slab count.
+func TestMessagePassingMatchesSequential(t *testing.T) {
+	for _, a := range AllApps() {
+		seq, err := NewRunner(1, SmallScale).Run(a, core.Seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []core.Version{core.XHPF, core.PVMe} {
+			for procs := 1; procs <= 8; procs++ {
+				res, err := NewRunner(procs, SmallScale).Run(a, v)
+				if err != nil {
+					t.Errorf("%s/%s p%d: %v", a.Name(), v, procs, err)
+					continue
+				}
+				same := res.Checksum == seq.Checksum
+				if a.Name() == "3-D FFT" {
+					same = math.Abs(res.Checksum-seq.Checksum) <= 1e-9*math.Abs(seq.Checksum)
+				}
+				if !same {
+					t.Errorf("%s/%s p%d: checksum %v, sequential %v", a.Name(), v, procs, res.Checksum, seq.Checksum)
+				}
 			}
 		}
 	}
@@ -101,12 +145,30 @@ func corpusSampleSeeds(t *testing.T) []int64 {
 // against the partition-aware oracle instead (plus repeatability),
 // under both protocols for the DSM backend.
 func TestCompiledEquivalenceCorpus(t *testing.T) {
+	// The message-passing back end stores an array in one of two ways
+	// (loopc.RunXHPF): replicated when a serial nest uses it or a
+	// parallel nest reads it through a non-row index, block and halo
+	// otherwise. The sample must reach both.
+	var replicating, allBanded int
 	for _, seed := range corpusSampleSeeds(t) {
 		a, err := AppByName(fmt.Sprintf("gen-%d", seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ga := a.(*gen.App)
+		steps, err := loopc.Plan(ga.Program())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicates := false
+		for _, st := range steps {
+			replicates = replicates || !st.Parallel || len(st.FullRead) > 0
+		}
+		if replicates {
+			replicating++
+		} else {
+			allBanded++
+		}
 		for _, procs := range ProtocolProcCounts {
 			for _, v := range []core.Version{core.SPFGen, core.XHPFGen} {
 				protocols := proto.Names()
@@ -144,6 +206,10 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 				}
 			}
 		}
+	}
+	if replicating == 0 || allBanded == 0 {
+		t.Errorf("corpus sample has %d programs with replicated arrays and %d with none: need both storage paths of xhpf-gen",
+			replicating, allBanded)
 	}
 }
 

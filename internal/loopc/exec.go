@@ -7,9 +7,9 @@ import (
 )
 
 // frame is the execution context a compiled nest runs against: the
-// current point, the size parameter, the array storage (absolute n*n
-// row-major indexing, whatever backs it — tmk region slices on the DSM,
-// replicated slices under message passing) and the scalar accumulators.
+// current point, the size parameter, the array storage (whatever backs
+// it — tmk region slices on the DSM, sequential copies, a processor's
+// block and halo under message passing) and the scalar accumulators.
 type frame struct {
 	n    int
 	i, j int
@@ -23,17 +23,23 @@ type valueFn func(fr *frame) float32
 // indexFn resolves a flattened element index at the current point.
 type indexFn func(fr *frame) int
 
-// compiler carries the name resolution for one nest.
+// compiler carries the name resolution for one nest. Programs index
+// absolutely (row*n + col); off[slot] is the absolute index of the
+// first element a slot's backing holds — zero for whole arrays, the
+// first stored row's under message passing — and is folded into every
+// compiled index.
 type compiler struct {
 	rowVar, colVar string
 	arrays         map[string]int
 	scalars        map[string]int
+	off            []int
 }
 
 func (c *compiler) index(a Access) indexFn {
 	row := c.axis(a.Row)
 	col := c.axis(a.Col)
-	return func(fr *frame) int { return row(fr)*fr.n + col(fr) }
+	off := c.off[c.arrays[a.Array]]
+	return func(fr *frame) int { return row(fr)*fr.n + col(fr) - off }
 }
 
 func (c *compiler) axis(ix Index) func(fr *frame) int {
@@ -89,13 +95,19 @@ type execNest struct {
 	stmts []execStmt
 }
 
-// compileNest compiles a nest against a program's name space.
-func compileNest(p *Program, nst *Nest) *execNest {
+// compileNest compiles a nest against a program's name space. off
+// gives, per array slot, the absolute index of the backing's first
+// element; nil means whole arrays.
+func compileNest(p *Program, nst *Nest, off []int) *execNest {
+	if off == nil {
+		off = make([]int, len(p.Arrays))
+	}
 	c := &compiler{
 		rowVar:  nst.Row.Var,
 		colVar:  nst.Col.Var,
 		arrays:  p.arrayIndex(),
 		scalars: p.scalarIndex(),
+		off:     off,
 	}
 	en := &execNest{nst: nst}
 	for _, s := range nst.Stmts {
@@ -193,13 +205,13 @@ func resetScalars(p *Program, scal []float64) {
 }
 
 // checksum is the shared checksum convention of compiled programs: the
-// float64 index-order sum of the result array plus the final scalar
-// values in declaration order. Programs without scalars reduce to
-// apputil.Sum64 of the result array — the same convention every
-// hand-coded version uses, which is what makes hand-vs-generated
-// checksums directly comparable.
-func checksum(p *Program, result []float32, n int, scal []float64) float64 {
-	s := apputil.Sum64(result[:n*n])
+// float64 index-order sum of the result array (whole, or as the row
+// blocks of a gather) plus the final scalar values in declaration
+// order. Programs without scalars reduce to apputil.Sum64 of the result
+// array — the same convention every hand-coded version uses, which is
+// what makes hand-vs-generated checksums directly comparable.
+func checksum(scal []float64, result ...[]float32) float64 {
+	s := apputil.Sum64(result...)
 	for _, v := range scal {
 		s += v
 	}
@@ -213,18 +225,12 @@ func Reference(p *Program, n, iters int) (arrays [][]float32, scalars []float64,
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	arrays = make([][]float32, len(p.Arrays))
-	for k, a := range p.Arrays {
-		arrays[k] = make([]float32, n*n)
-		if a.Init != nil {
-			fillInit(arrays[k], a.Init, n)
-		}
-	}
+	arrays = newArrays(p, n)
 	scalars = make([]float64, len(p.Scalars))
 	fr := &frame{n: n, arr: arrays, scal: scalars}
 	ens := make([]*execNest, len(p.Nests))
 	for k, nst := range p.Nests {
-		ens[k] = compileNest(p, nst)
+		ens[k] = compileNest(p, nst, nil)
 	}
 	for it := 0; it < iters; it++ {
 		resetScalars(p, scalars)
@@ -233,14 +239,28 @@ func Reference(p *Program, n, iters int) (arrays [][]float32, scalars []float64,
 		}
 	}
 	res := arrays[p.arrayIndex()[p.Result]]
-	return arrays, scalars, checksum(p, res, n, scalars)
+	return arrays, scalars, checksum(scalars, res)
 }
 
-// fillInit fills an n×n array from an element initializer.
-func fillInit(dst []float32, init func(i, j, n int) float32, n int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dst[i*n+j] = init(i, j, n)
+// newArrays allocates whole, initialized copies of a program's arrays.
+func newArrays(p *Program, n int) [][]float32 {
+	arrays := make([][]float32, len(p.Arrays))
+	for k, a := range p.Arrays {
+		arrays[k] = make([]float32, n*n)
+		if a.Init != nil {
+			fillInit(arrays[k], a.Init, n, 0, n)
+		}
+	}
+	return arrays
+}
+
+// fillInit fills rows [rlo,rhi) of an n×n array from an element
+// initializer; dst begins at row rlo.
+func fillInit(dst []float32, init func(i, j, n int) float32, n, rlo, rhi int) {
+	for i := rlo; i < rhi; i++ {
+		row := dst[(i-rlo)*n:][:n]
+		for j := range row {
+			row[j] = init(i, j, n)
 		}
 	}
 }

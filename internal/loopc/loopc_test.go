@@ -330,3 +330,31 @@ func TestBackendsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestXHPFStorage pins what a message-passing processor allocates per
+// array: block and halo where every use is a parallel nest's row-offset
+// access, the whole array (halo n) where a serial nest uses it or a
+// parallel nest reads it through a non-row index.
+func TestXHPFStorage(t *testing.T) {
+	const n = 32
+	cases := []struct {
+		prog *Program
+		want []int
+	}{
+		{stencilIR(), []int{1, 0}},   // data: one-row stencil halo; scratch: own rows only
+		{redBlackIR(true), []int{1}}, // in-place sweeps read the neighbors' boundary rows
+		{reductionIR(), []int{0}},    // pointwise
+		{serialIR(), []int{n}},       // replicated execution needs every row
+		{coeffReadIR(), []int{0, n}}, // b is read through a constant row
+	}
+	for _, c := range cases {
+		steps, err := Plan(c.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := xhpfHalos(c.prog, steps, n)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: halos %v, want %v", c.prog.Name, got, c.want)
+		}
+	}
+}

@@ -103,13 +103,7 @@ func Oracle(p *Program, n, iters, procs int, part RowPartition) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	arrays := make([][]float32, len(p.Arrays))
-	for k, a := range p.Arrays {
-		arrays[k] = make([]float32, n*n)
-		if a.Init != nil {
-			fillInit(arrays[k], a.Init, n)
-		}
-	}
+	arrays := newArrays(p, n)
 	scal := make([]float64, len(p.Scalars))
 	fr := &frame{n: n, arr: arrays, scal: scal}
 
@@ -120,7 +114,7 @@ func Oracle(p *Program, n, iters, procs int, part RowPartition) (float64, error)
 	}
 	plans := make([]*plan, len(steps))
 	for k, st := range steps {
-		pl := &plan{en: compileNest(p, st.Info.Nest), step: st}
+		pl := &plan{en: compileNest(p, st.Info.Nest, nil), step: st}
 		_, _, pl.redSlots = lowerUses(p, st)
 		plans[k] = pl
 	}
@@ -166,5 +160,5 @@ func Oracle(p *Program, n, iters, procs int, part RowPartition) (float64, error)
 			}
 		}
 	}
-	return checksum(p, arrays[resSlot], n, scal), nil
+	return checksum(scal, arrays[resSlot]), nil
 }

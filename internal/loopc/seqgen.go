@@ -18,18 +18,12 @@ func RunSeq(app string, cfg core.Config, p *Program) (core.Result, error) {
 	}
 	n := cfg.N1
 	return apputil.RunSeq(app, cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
-		arrays := make([][]float32, len(p.Arrays))
-		for k, a := range p.Arrays {
-			arrays[k] = make([]float32, n*n)
-			if a.Init != nil {
-				fillInit(arrays[k], a.Init, n)
-			}
-		}
+		arrays := newArrays(p, n)
 		scal := make([]float64, len(p.Scalars))
 		fr := &frame{n: n, arr: arrays, scal: scal}
 		ens := make([]*execNest, len(p.Nests))
 		for k, nst := range p.Nests {
-			ens[k] = compileNest(p, nst)
+			ens[k] = compileNest(p, nst, nil)
 		}
 		resSlot := p.arrayIndex()[p.Result]
 		return apputil.SeqProgram{
@@ -40,7 +34,7 @@ func RunSeq(app string, cfg core.Config, p *Program) (core.Result, error) {
 					tm.Advance(apputil.Cost(cnt, en.nst.PointCost))
 				}
 			},
-			Checksum: func() float64 { return checksum(p, arrays[resSlot], n, scal) },
+			Checksum: func() float64 { return checksum(scal, arrays[resSlot]) },
 		}
 	})
 }

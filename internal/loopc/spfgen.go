@@ -109,7 +109,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 
 		plans := make([]*spfPlan, len(steps))
 		for k, st := range steps {
-			pl := &spfPlan{step: st, en: compileNest(p, st.Info.Nest), loop: -1}
+			pl := &spfPlan{step: st, en: compileNest(p, st.Info.Nest, nil), loop: -1}
 			pl.reads, pl.writes, pl.redSlots = lowerUses(p, st)
 			plans[k] = pl
 			if !st.Parallel {
@@ -137,7 +137,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 					continue
 				}
 				w := regs[k].Write(0, n*n)
-				fillInit(w[:n*n], a.Init, n)
+				fillInit(w, a.Init, n, 0, n)
 			}
 		}
 
@@ -177,7 +177,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 				for k := range reds {
 					finals[k] = reds[k].Value()
 				}
-				return checksum(p, g, n, finals)
+				return checksum(finals, g[:n*n])
 			},
 		}
 	})

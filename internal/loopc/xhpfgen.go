@@ -12,55 +12,80 @@ type xhpfPlan struct {
 	step     *Step
 	en       *execNest
 	redSlots []int
+	bases    []float64 // per redSlot: the running scalar while the nest's partial accumulates
+}
+
+// xhpfHalos decides what every processor stores of each array (by
+// declaration slot): the halo, in rows, around its BLOCK of rows. An
+// array any serial nest uses, or any parallel nest reads through a
+// non-row index (FullRead), is replicated — halo n keeps every row —
+// because the generated program really does hold it everywhere. Every
+// other array is only ever touched within its largest halo-exchange
+// width of the owned rows, so that is all a processor allocates.
+func xhpfHalos(p *Program, steps []*Step, n int) []int {
+	idx := p.arrayIndex()
+	halo := make([]int, len(p.Arrays))
+	for _, st := range steps {
+		for name := range st.Info.Uses {
+			if !st.Parallel || st.FullRead[name] {
+				halo[idx[name]] = n
+			}
+		}
+		for _, h := range st.Halo {
+			halo[idx[h.Array]] = max(halo[idx[h.Array]], h.Width)
+		}
+	}
+	return halo
 }
 
 // RunXHPF compiles the program for the XHPF message-passing runtime —
 // the "xhpf-gen" application version. The lowering follows the
-// compiler model of package xhpf: replicated arrays with BLOCK
-// owner-computes distribution of each parallel loop, exact-section halo
-// exchanges whose widths come from the dependence distances, runtime
-// synchronization (LoopSync) at every parallel-loop boundary,
-// recognized reductions as all-reduces so the replicated sequential
-// code has the result everywhere, and whole-partition broadcasts ahead
-// of serial (replicated) nests that read distributed data.
+// compiler model of package xhpf: BLOCK owner-computes distribution of
+// each parallel loop over whole rows (block-and-halo storage, see
+// xhpfHalos), exact-section halo exchanges whose widths come from the
+// dependence distances, runtime synchronization (LoopSync) at every
+// parallel-loop boundary, recognized reductions as all-reduces so the
+// replicated sequential code has the result everywhere, and
+// whole-partition broadcasts ahead of serial (replicated) nests that
+// read distributed data.
 func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Result, error) {
 	steps, err := Plan(p)
 	if err != nil {
 		return core.Result{}, err
 	}
 	n := cfg.N1
+	halos := xhpfHalos(p, steps, n)
 	return apputil.RunXHPF(app, v, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
-		arrays := make([][]float32, len(p.Arrays))
+		// BLOCK distribution over whole rows, as the hand-coded versions
+		// do it: the communication is byte-identical to theirs.
+		bounds := xhpf.BlockBounds(x.NProcs(), n)
+		rowBlock := func(q int) (lo, hi int) { return bounds[q] * n, bounds[q+1] * n }
+		rlo, rhi := bounds[x.ID()], bounds[x.ID()+1]
+
+		arrays := make([]*xhpf.Local[float32], len(p.Arrays))
+		fr := &frame{n: n, arr: make([][]float32, len(p.Arrays)), scal: make([]float64, len(p.Scalars))}
+		offs := make([]int, len(p.Arrays))
 		for k, a := range p.Arrays {
-			arrays[k] = make([]float32, n*n)
+			l := xhpf.NewLocal[float32](a.Name, x.ID(), bounds, n, halos[k])
+			slo, shi := l.Stored()
 			if a.Init != nil {
-				fillInit(arrays[k], a.Init, n)
+				fillInit(l.Data(), a.Init, n, slo, shi)
 			}
+			arrays[k], fr.arr[k], offs[k] = l, l.Data(), slo*n
 		}
-		fr := &frame{n: n, arr: arrays, scal: make([]float64, len(p.Scalars))}
 		idents := make([]float64, len(p.Scalars))
 		ops := make([]ReduceOp, len(p.Scalars))
 		for k := range p.Scalars {
 			idents[k] = identity(p, k)
 			ops[k] = scalarOp(p, k)
 		}
-		// BLOCK distribution over whole rows. When the flat element
-		// blocks of the hand-coded convention are row-aligned (every
-		// hand-vs-generated comparison configuration), this is the same
-		// decomposition and the communication is byte-identical; unlike
-		// the flat blocks it stays correct when rows do not divide
-		// evenly across processors.
-		rowBlock := func(q int) (lo, hi int) {
-			qlo, qhi := xhpf.BlockOf(q, x.NProcs(), n)
-			return qlo * n, qhi * n
-		}
-		rlo, rhi := xhpf.BlockOf(x.ID(), x.NProcs(), n)
 		arrIdx := p.arrayIndex()
 
 		plans := make([]*xhpfPlan, len(steps))
 		for k, st := range steps {
-			pl := &xhpfPlan{step: st, en: compileNest(p, st.Info.Nest)}
+			pl := &xhpfPlan{step: st, en: compileNest(p, st.Info.Nest, offs)}
 			_, _, pl.redSlots = lowerUses(p, st)
+			pl.bases = make([]float64, len(pl.redSlots))
 			plans[k] = pl
 		}
 
@@ -73,14 +98,13 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 					rowLo, rowHi := nst.Row.Lo.Eval(n), nst.Row.Hi.Eval(n)
 					if pl.step.Parallel {
 						for _, h := range pl.step.Halo {
-							xhpf.ExchangeHaloBlocks(x, arrays[arrIdx[h.Array]], n*n, h.Width*n, rowBlock)
+							xhpf.ExchangeHalo(x, arrays[arrIdx[h.Array]], h.Width)
 						}
 						// Owner-computes intersection of the owned rows with
 						// the nest's iteration space.
 						clo, chi := max(rlo, rowLo), min(rhi, rowHi)
-						bases := make([]float64, len(pl.redSlots))
 						for bi, slot := range pl.redSlots {
-							bases[bi] = fr.scal[slot]
+							pl.bases[bi] = fr.scal[slot]
 							fr.scal[slot] = idents[slot]
 						}
 						if chi > clo {
@@ -91,7 +115,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 							op := ops[slot]
 							folded := xhpf.AllReduceWith(x, []float64{fr.scal[slot]},
 								func(a, b float64) float64 { return combine(op, a, b) })
-							fr.scal[slot] = combine(op, bases[bi], folded[0])
+							fr.scal[slot] = combine(op, pl.bases[bi], folded[0])
 						}
 						x.LoopSync()
 						continue
@@ -99,7 +123,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 					// Serial nest: replicated execution after making the
 					// replicated copies current.
 					for _, name := range pl.step.Bcast {
-						xhpf.BroadcastBlocks(x, arrays[arrIdx[name]], rowBlock, 4)
+						xhpf.BroadcastBlocks(x, arrays[arrIdx[name]].Rows(0, n), rowBlock)
 					}
 					cnt := pl.en.runRows(fr, rowLo, rowHi)
 					x.Advance(apputil.Cost(cnt, nst.PointCost))
@@ -107,27 +131,9 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 				}
 			},
 			Checksum: func() float64 {
-				res := arrays[resSlot]
-				gatherBlocks(x.PVM(), res, rowBlock)
-				if x.ID() != 0 {
-					return 0
-				}
-				return checksum(p, res, n, fr.scal)
+				// Measurement postlude, as the hand-coded versions do it.
+				return checksum(fr.scal, pvm.GatherUntracked(x.PVM(), 90, arrays[resSlot].Owned())...)
 			},
 		}
 	})
-}
-
-// gatherBlocks collects every task's owned block on task 0, untracked
-// (measurement postlude, as the hand-coded versions do it).
-func gatherBlocks(pv *pvm.PVM, data []float32, blockOf func(q int) (lo, hi int)) {
-	if pv.ID() == 0 {
-		for q := 1; q < pv.NProcs(); q++ {
-			qlo, qhi := blockOf(q)
-			pvm.RecvUntracked(pv, q, 90+q, data[qlo:qhi])
-		}
-		return
-	}
-	lo, hi := blockOf(pv.ID())
-	pvm.SendUntracked(pv, 0, 90+pv.ID(), data[lo:hi])
 }

@@ -60,8 +60,9 @@ func (hl *homeless) Name() Name { return HomelessLRC }
 
 func (hl *homeless) AddPages(npages int) {
 	hl.addPages(npages)
+	slab := make([]int32, npages*hl.nprocs)
 	for i := 0; i < npages; i++ {
-		hl.meta = append(hl.meta, homelessPage{appliedSeq: make([]int32, hl.nprocs)})
+		hl.meta = append(hl.meta, homelessPage{appliedSeq: carve(slab, i, hl.nprocs)})
 	}
 }
 

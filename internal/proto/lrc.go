@@ -97,14 +97,23 @@ func (lc *lrcCore) init(h Host) {
 	lc.log = make([][]IntervalRec, lc.nprocs)
 }
 
+// addPages registers npages fresh pages. Their per-process vectors are
+// carved out of one slab per call — a node registers thousands of pages
+// per region, and one allocation per vector was a quarter of a DSM
+// run's mallocs.
 func (lc *lrcCore) addPages(npages int) {
+	slab := make([]int32, 2*npages*lc.nprocs)
 	for i := 0; i < npages; i++ {
 		lc.pages = append(lc.pages, pageCommon{
-			notice:  make([]int32, lc.nprocs),
-			applied: make([]int32, lc.nprocs),
+			notice:  carve(slab, 2*i, lc.nprocs),
+			applied: carve(slab, 2*i+1, lc.nprocs),
 		})
 	}
 }
+
+// carve returns the k-th length-n vector of slab, its capacity clipped
+// so that nothing can append into the next one.
+func carve(slab []int32, k, n int) []int32 { return slab[k*n : (k+1)*n : (k+1)*n] }
 
 // writeTouch performs the write-access bookkeeping for page gp: twin the
 // page on the first write of an interval (the mprotect write-trap

@@ -19,7 +19,10 @@ type Scalar interface {
 	~float32 | ~float64 | ~int32 | ~int64 | ~complex64 | ~complex128
 }
 
-func sizeOf[T Scalar]() int {
+// SizeOf returns the wire size in bytes of one element of type T — what
+// Send charges and counts per element, so layers above that bill or
+// chunk by bytes derive the size from the type instead of being told.
+func SizeOf[T Scalar]() int {
 	var z T
 	switch any(z).(type) {
 	case float32, int32:
@@ -95,7 +98,7 @@ func (pv *PVM) Now() sim.Time { return pv.p.Now() }
 func Send[T Scalar](pv *PVM, dst, tag int, vals []T) {
 	buf := make([]T, len(vals))
 	copy(buf, vals)
-	bytes := len(vals) * sizeOf[T]()
+	bytes := len(vals) * SizeOf[T]()
 	pv.p.Advance(pv.sys.costs.PackCost(bytes))
 	pv.p.Send(dst, tagBase+tag, buf, bytes, stats.KindData)
 }
@@ -106,7 +109,7 @@ func Recv[T Scalar](pv *PVM, src, tag int, dst []T) int {
 	m := pv.p.Recv(src, tagBase+tag)
 	vals := m.Payload.([]T)
 	n := copy(dst, vals)
-	pv.p.Advance(pv.sys.costs.UnpackCost(n * sizeOf[T]()))
+	pv.p.Advance(pv.sys.costs.UnpackCost(n * SizeOf[T]()))
 	return n
 }
 
@@ -121,7 +124,7 @@ func Bcast[T Scalar](pv *PVM, root, tag int, vals []T) {
 	if pv.ID() == root {
 		buf := make([]T, len(vals))
 		copy(buf, vals)
-		bytes := len(vals) * sizeOf[T]()
+		bytes := len(vals) * SizeOf[T]()
 		pv.p.Advance(pv.sys.costs.PackCost(bytes))
 		for q := 0; q < pv.sys.nprocs; q++ {
 			if q != root {
@@ -155,7 +158,7 @@ func gatherContribs[T Scalar](pv *PVM, tag, width int) [][]T {
 		if len(vals) > width {
 			vals = vals[:width]
 		}
-		pv.p.Advance(pv.sys.costs.UnpackCost(len(vals) * sizeOf[T]()))
+		pv.p.Advance(pv.sys.costs.UnpackCost(len(vals) * SizeOf[T]()))
 		out[m.Src] = vals
 	}
 	return out
@@ -240,13 +243,33 @@ func (pv *PVM) BarrierSilent(tag int) {
 func SendUntracked[T Scalar](pv *PVM, dst, tag int, vals []T) {
 	buf := make([]T, len(vals))
 	copy(buf, vals)
-	pv.p.Send(dst, tagBase+tag, buf, len(vals)*sizeOf[T](), stats.KindShutdown)
+	pv.p.Send(dst, tagBase+tag, buf, len(vals)*SizeOf[T](), stats.KindShutdown)
 }
 
 // RecvUntracked receives a message sent with SendUntracked.
 func RecvUntracked[T Scalar](pv *PVM, src, tag int, dst []T) int {
 	m := pv.p.Recv(src, tagBase+tag)
 	return copy(dst, m.Payload.([]T))
+}
+
+// GatherUntracked is the harness's result gather after measurement:
+// every other task ships mine to task 0, untracked like SendUntracked,
+// and task 0 returns the blocks indexed by task — its own, then one
+// from each of tasks 1, 2, ... received in that order. A checksum that
+// folds the blocks in task order never needs the assembled array. The
+// blocks are the senders' own storage, not snapshots: the gather is the
+// last thing a run does with it. Every other task returns nil.
+func GatherUntracked[T Scalar](pv *PVM, tag int, mine []T) [][]T {
+	if pv.ID() != 0 {
+		pv.p.Send(0, tagBase+tag, mine, len(mine)*SizeOf[T](), stats.KindShutdown)
+		return nil
+	}
+	blocks := make([][]T, pv.sys.nprocs)
+	blocks[0] = mine
+	for q := 1; q < pv.sys.nprocs; q++ {
+		blocks[q] = pv.p.Recv(q, tagBase+tag).Payload.([]T)
+	}
+	return blocks
 }
 
 // Barrier synchronizes all tasks through task 0 (gather + release).

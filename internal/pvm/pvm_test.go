@@ -243,6 +243,43 @@ func TestUntrackedTransfer(t *testing.T) {
 	}
 }
 
+// TestGatherUntracked: task 0 gets every task's block in task order —
+// ragged and empty ones included — nobody else gets anything, and none
+// of it counts as traffic.
+func TestGatherUntracked(t *testing.T) {
+	const n = 5
+	sys := newSys(n)
+	if err := sys.Run(func(pv *PVM) {
+		mine := make([]int32, pv.ID()%3) // lengths 0,1,2,0,1
+		for i := range mine {
+			mine[i] = int32(10*pv.ID() + i)
+		}
+		blocks := GatherUntracked(pv, 60, mine)
+		if pv.ID() != 0 {
+			if blocks != nil {
+				t.Errorf("task %d: got %d blocks", pv.ID(), len(blocks))
+			}
+			return
+		}
+		if len(blocks) != n {
+			t.Fatalf("task 0: %d blocks, want %d", len(blocks), n)
+		}
+		for q, b := range blocks {
+			if len(b) != q%3 || (len(b) > 0 && b[len(b)-1] != int32(10*q+len(b)-1)) {
+				t.Errorf("block %d = %v", q, b)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Stats().TotalMsgs(); got != 0 {
+		t.Errorf("untracked gather counted %d messages", got)
+	}
+	if got := sys.Stats().MsgsOf(stats.KindShutdown); got != n-1 {
+		t.Errorf("untracked msgs = %d, want %d", got, n-1)
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	sys := newSys(3)
 	if sys.NProcs() != 3 {

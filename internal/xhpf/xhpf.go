@@ -136,11 +136,6 @@ func (x *XHPF) LoopSync() {
 	x.pv.Barrier(1<<12 + x.seq)
 }
 
-// BroadcastPartition is the unknown-pattern fallback: every processor
-// broadcasts the owned section [lo,hi) of arr to every other processor,
-// and installs the sections it receives. n*(n-1) messages carrying the
-// entire array (n-1) times — the communication blow-up Table 3 shows for
-// the irregular applications under XHPF.
 // XHPF stages transfers through fixed-size runtime buffers; large
 // sections go out in chunks of this many bytes.
 const chunkBytes = 4096
@@ -164,12 +159,18 @@ const chunkTagStride = 1 << 20
 // the same deterministic loop order — or the transfer deadlocks.
 func chunkTag(base, idx int) int { return base + idx*chunkTagStride }
 
-func BroadcastPartition[T pvm.Scalar](x *XHPF, arr []T, extent, elemSize int) {
+// BroadcastBlocks is the unknown-pattern fallback: every processor
+// broadcasts the block [lo,hi) of arr it owns under blockOf to every
+// other processor, and installs the blocks it receives. n*(n-1)
+// messages carrying the entire array (n-1) times — the communication
+// blow-up Table 3 shows for the irregular applications under XHPF.
+func BroadcastBlocks[T pvm.Scalar](x *XHPF, arr []T, blockOf func(q int) (lo, hi int)) {
 	defer x.collective(obs.CollPartition, stats.KindData)()
 	x.seq += 2
 	tag := 1<<13 + x.seq
+	elemSize := pvm.SizeOf[T]()
 	chunk := chunkBytes / elemSize
-	mylo, myhi := x.Block(extent)
+	mylo, myhi := blockOf(x.ID())
 	if myhi > mylo {
 		x.chargeSection((myhi - mylo) * elemSize * (x.n - 1))
 	}
@@ -185,12 +186,18 @@ func BroadcastPartition[T pvm.Scalar](x *XHPF, arr []T, extent, elemSize int) {
 		if q == x.ID() {
 			continue
 		}
-		qlo, qhi := BlockOf(q, x.n, extent)
+		qlo, qhi := blockOf(q)
 		x.chargeSection((qhi - qlo) * elemSize)
 		for off := qlo; off < qhi; off += chunk {
 			pvm.Recv(x.pv, q, chunkTag(tag, (off-qlo)/chunk), arr[off:min(off+chunk, qhi)])
 		}
 	}
+}
+
+// BroadcastPartition is BroadcastBlocks over the flat BLOCK
+// distribution of arr's extent elements.
+func BroadcastPartition[T pvm.Scalar](x *XHPF, arr []T, extent int) {
+	BroadcastBlocks(x, arr, func(q int) (int, int) { return BlockOf(q, x.n, extent) })
 }
 
 // BroadcastGather is the unknown-pattern fallback for reduction
@@ -203,9 +210,10 @@ func BroadcastGather[T pvm.Scalar](x *XHPF, parts [][]T) {
 	defer x.collective(obs.CollGather, stats.KindData)()
 	x.seq += 2
 	tag := 1<<13 + x.seq
-	chunk := chunkBytes / 4
+	size := pvm.SizeOf[T]()
+	chunk := chunkBytes / size
 	mine := parts[x.ID()]
-	x.chargeSection(len(mine) * 4 * (x.n - 1))
+	x.chargeSection(len(mine) * size * (x.n - 1))
 	for q := 0; q < x.n; q++ {
 		if q == x.ID() {
 			continue
@@ -219,58 +227,10 @@ func BroadcastGather[T pvm.Scalar](x *XHPF, parts [][]T) {
 			continue
 		}
 		buf := parts[q]
-		x.chargeSection(len(buf) * 4)
+		x.chargeSection(len(buf) * size)
 		for off := 0; off < len(buf); off += chunk {
 			pvm.Recv(x.pv, q, chunkTag(tag, off/chunk), buf[off:min(off+chunk, len(buf))])
 		}
-	}
-}
-
-// ExchangeHalo performs the known-pattern nearest-neighbor exchange: the
-// owned block's first and last `width` elements go to the lower and
-// upper neighbor respectively, filling this processor's halo copies.
-// Column-distributed 2-D arrays pass width = column height.
-func ExchangeHalo[T pvm.Scalar](x *XHPF, arr []T, extent, width int) {
-	ExchangeHaloBlocks(x, arr, extent, width, func(q int) (int, int) {
-		return BlockOf(q, x.n, extent)
-	})
-}
-
-// ExchangeHaloBlocks is ExchangeHalo with a caller-supplied contiguous
-// block decomposition (lo, hi per processor, covering [0, extent) with
-// any empty blocks trailing): the owned block's first and last `width`
-// elements go to the lower and upper neighbor. The compiler back end
-// (internal/loopc) uses it with whole-row blocks; when those coincide
-// with the flat element blocks of ExchangeHalo, the messages are
-// byte-identical.
-func ExchangeHaloBlocks[T pvm.Scalar](x *XHPF, arr []T, extent, width int, blockOf func(q int) (lo, hi int)) {
-	defer x.collective(obs.CollHalo, stats.KindData)()
-	x.seq += 2
-	tag := 1<<13 + x.seq
-	me := x.ID()
-	lo, hi := blockOf(me)
-	if lo >= hi {
-		return
-	}
-	nonempty := func(q int) bool {
-		qlo, qhi := blockOf(q)
-		return qhi > qlo
-	}
-	down := me > 0 && nonempty(me-1)
-	up := me < x.n-1 && nonempty(me+1)
-	if down {
-		x.chargeSection((min(lo+width, hi) - lo) * 4)
-		pvm.Send(x.pv, me-1, tag, arr[lo:min(lo+width, hi)])
-	}
-	if up {
-		x.chargeSection((hi - max(hi-width, lo)) * 4)
-		pvm.Send(x.pv, me+1, tag, arr[max(hi-width, lo):hi])
-	}
-	if down {
-		pvm.Recv(x.pv, me-1, tag, arr[max(lo-width, 0):lo])
-	}
-	if up {
-		pvm.Recv(x.pv, me+1, tag, arr[hi:min(hi+width, extent)])
 	}
 }
 
@@ -279,12 +239,13 @@ func ExchangeHaloBlocks[T pvm.Scalar](x *XHPF, arr []T, extent, width int, block
 // in the unaggregated per-section form XHPF generates for transposes:
 // each (source, destination) pair exchanges its intersection in chunks
 // of sectionLen elements, one message per chunk.
-func SectionAllToAll[T pvm.Scalar](x *XHPF, sectionLen, elemSize int,
+func SectionAllToAll[T pvm.Scalar](x *XHPF, sectionLen int,
 	sectionsFor func(dst int) [][]T, placeFor func(src int) [][]T) {
 	defer x.collective(obs.CollAllToAll, stats.KindData)()
 	x.seq += 2
 	tag := 1<<13 + x.seq
 	me := x.ID()
+	elemSize := pvm.SizeOf[T]()
 	for q := 0; q < x.n; q++ {
 		if q == me {
 			continue
@@ -323,7 +284,7 @@ func SectionAllToAll[T pvm.Scalar](x *XHPF, sectionLen, elemSize int,
 func Bcast[T pvm.Scalar](x *XHPF, root int, vals []T) {
 	defer x.collective(obs.CollBcast, stats.KindData)()
 	x.seq += 2
-	x.chargeSection(len(vals) * 4)
+	x.chargeSection(len(vals) * pvm.SizeOf[T]())
 	pvm.Bcast(x.pv, root, 1<<13+x.seq, vals)
 }
 
@@ -350,36 +311,4 @@ func AllReduceWith[T pvm.Scalar](x *XHPF, vals []T, op func(a, b T) T) []T {
 	defer x.collective(obs.CollReduce, stats.KindData)()
 	x.seq += 4
 	return pvm.AllReduce(x.pv, 1<<13+x.seq, vals, op)
-}
-
-// BroadcastBlocks is BroadcastPartition with a caller-supplied block
-// decomposition, for distributions that do not coincide with a flat
-// element block (e.g. whole-row blocks over a ragged row count).
-func BroadcastBlocks[T pvm.Scalar](x *XHPF, arr []T, blockOf func(q int) (lo, hi int), elemSize int) {
-	defer x.collective(obs.CollPartition, stats.KindData)()
-	x.seq += 2
-	tag := 1<<13 + x.seq
-	chunk := chunkBytes / elemSize
-	mylo, myhi := blockOf(x.ID())
-	if myhi > mylo {
-		x.chargeSection((myhi - mylo) * elemSize * (x.n - 1))
-	}
-	for q := 0; q < x.n; q++ {
-		if q == x.ID() {
-			continue
-		}
-		for off := mylo; off < myhi; off += chunk {
-			pvm.Send(x.pv, q, chunkTag(tag, (off-mylo)/chunk), arr[off:min(off+chunk, myhi)])
-		}
-	}
-	for q := 0; q < x.n; q++ {
-		if q == x.ID() {
-			continue
-		}
-		qlo, qhi := blockOf(q)
-		x.chargeSection((qhi - qlo) * elemSize)
-		for off := qlo; off < qhi; off += chunk {
-			pvm.Recv(x.pv, q, chunkTag(tag, (off-qlo)/chunk), arr[off:min(off+chunk, qhi)])
-		}
-	}
 }

@@ -48,7 +48,7 @@ func TestBroadcastPartition(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			arr[i] = float32(100*x.ID() + i)
 		}
-		BroadcastPartition(x, arr, size, 4)
+		BroadcastPartition(x, arr, size)
 		for i := 0; i < size; i++ {
 			want := float32(100*OwnerOf(i, n, size) + i)
 			if arr[i] != want {
@@ -74,20 +74,21 @@ func TestExchangeHalo(t *testing.T) {
 	const n, size = 4, 64
 	sys := newSys(n)
 	if err := sys.Run(func(x *XHPF) {
-		arr := make([]float32, size)
-		lo, hi := x.Block(size)
+		// A one-dimensional array is a Local of one-element rows.
+		l := NewLocal[float32]("arr", x.ID(), BlockBounds(n, size), 1, 2)
+		lo, hi := l.Block()
 		for i := lo; i < hi; i++ {
-			arr[i] = float32(i)
+			l.Rows(i, i+1)[0] = float32(i)
 		}
-		ExchangeHalo(x, arr, size, 2)
+		ExchangeHalo(x, l, 2)
 		if lo >= 2 {
-			if arr[lo-1] != float32(lo-1) || arr[lo-2] != float32(lo-2) {
-				t.Errorf("proc %d: lower halo wrong: %v %v", x.ID(), arr[lo-2], arr[lo-1])
+			if got := l.Rows(lo-2, lo); got[0] != float32(lo-2) || got[1] != float32(lo-1) {
+				t.Errorf("proc %d: lower halo wrong: %v", x.ID(), got)
 			}
 		}
 		if hi+2 <= size {
-			if arr[hi] != float32(hi) || arr[hi+1] != float32(hi+1) {
-				t.Errorf("proc %d: upper halo wrong", x.ID())
+			if got := l.Rows(hi, hi+2); got[0] != float32(hi) || got[1] != float32(hi+1) {
+				t.Errorf("proc %d: upper halo wrong: %v", x.ID(), got)
 			}
 		}
 	}); err != nil {
@@ -163,7 +164,7 @@ func TestSectionAllToAllTransposesBlocks(t *testing.T) {
 		}
 		_ = placeFor
 		// Simpler check: count messages with 2-element sections.
-		SectionAllToAll(x, 2, 8, sectionsFor, sectionsFor)
+		SectionAllToAll(x, 2, sectionsFor, sectionsFor)
 		_ = tr
 	}); err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestBroadcastBlocksRaggedRows(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			arr[i] = float32(i)
 		}
-		BroadcastBlocks(x, arr, blockOf, 4)
+		BroadcastBlocks(x, arr, blockOf)
 		for i := 0; i < rows*width; i++ {
 			if arr[i] != float32(i) {
 				t.Errorf("proc %d: arr[%d] = %v", x.ID(), i, arr[i])
@@ -302,7 +303,7 @@ func TestBroadcastChunkTailNoOvertake(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			arr[i] = float32(1000*x.ID() + i)
 		}
-		BroadcastBlocks(x, arr, func(q int) (int, int) { return q * per, (q + 1) * per }, 4)
+		BroadcastBlocks(x, arr, func(q int) (int, int) { return q * per, (q + 1) * per })
 		for q := 0; q < n; q++ {
 			for i := q * per; i < (q+1)*per; i++ {
 				if arr[i] != float32(1000*q+i) {
@@ -328,7 +329,7 @@ func TestBroadcastPartitionRaggedTail(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			arr[i] = float32(7*x.ID() + i)
 		}
-		BroadcastPartition(x, arr, extent, 4)
+		BroadcastPartition(x, arr, extent)
 		for q := 0; q < x.NProcs(); q++ {
 			qlo, qhi := BlockOf(q, x.NProcs(), extent)
 			for i := qlo; i < qhi; i++ {
@@ -378,7 +379,7 @@ func TestSectionAllToAllUnevenSections(t *testing.T) {
 			out[q] = mk(me, q)
 			in[q] = [][]float32{make([]float32, long), make([]float32, short)}
 		}
-		SectionAllToAll(x, 1024, 4,
+		SectionAllToAll(x, 1024,
 			func(dst int) [][]float32 { return out[dst] },
 			func(src int) [][]float32 { return in[src] })
 		for q := 0; q < n; q++ {

@@ -28,12 +28,13 @@ func main() {
 		// (SPMD), like a Fortran common block.
 		vec := tmk.Alloc[float64](tm, "vec", n)
 
-		// Fill my block.
+		// Fill my block. Write validates elements [lo, lo+chunk) and
+		// returns a view of exactly those: w[k] is element lo+k.
 		chunk := n / tm.NProcs()
 		lo := tm.ID() * chunk
 		w := vec.Write(lo, lo+chunk)
-		for i := lo; i < lo+chunk; i++ {
-			w[i] = float64(i)
+		for k := range w {
+			w[k] = float64(lo + k)
 		}
 
 		// Publish the writes (release consistency: the barrier carries
@@ -41,10 +42,9 @@ func main() {
 		tm.Barrier()
 
 		if tm.ID() == 0 {
-			g := vec.Read(0, n) // faults in everyone else's blocks
 			var sum float64
-			for i := 0; i < n; i++ {
-				sum += g[i]
+			for _, v := range vec.Read(0, n) { // faults in everyone else's blocks
+				sum += v
 			}
 			fmt.Printf("sum(0..%d) = %.0f (expect %.0f)\n", n-1, sum, float64(n-1)*float64(n)/2)
 			fmt.Printf("virtual time on proc 0: %v\n", tm.Now())

@@ -107,16 +107,19 @@ func RunTmk(app string, v core.Version, cfg core.Config, setup func(tm *tmk.Tmk)
 		res.SyncTime += pr.Barrier + pr.Lock
 		res.WriteTime += pr.Write
 	}
-	addPolicyActivity(&res, sys)
+	addSystemCounters(&res, sys)
 	core.AttachObs(&res, cfg.Costs.Trace, reg, cfg.Procs)
 	return res, nil
 }
 
-// addPolicyActivity records the home-policy identity and whole-run
-// migration activity of a DSM run into the result. The homeless
-// protocol has no homes: a configured policy was never consulted and
-// must not be reported as part of the measurement.
-func addPolicyActivity(res *core.Result, sys *tmk.System) {
+// addSystemCounters records what the DSM system counted over the whole
+// run into the result: the host storage behind its regions, and the
+// home-policy identity and migration activity. The homeless protocol has
+// no homes: a configured policy was never consulted and must not be
+// reported as part of the measurement.
+func addSystemCounters(res *core.Result, sys *tmk.System) {
+	fc := sys.FrameCounters()
+	res.FramedPages, res.FrameJoins, res.AbandonedBytes = fc.Pages, fc.Joins, fc.AbandonedBytes
 	if sys.Protocol() != proto.HomeLRC {
 		return
 	}
@@ -169,7 +172,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, opts spf.Options,
 		App: app, Version: v, Procs: cfg.Procs, Protocol: sys.Protocol(),
 		Time: reg.Elapsed(), Stats: reg.Traffic(), Checksum: sum,
 	}
-	addPolicyActivity(&res, sys)
+	addSystemCounters(&res, sys)
 	core.AttachObs(&res, cfg.Costs.Trace, reg, cfg.Procs)
 	return res, nil
 }

@@ -123,24 +123,30 @@ func newKernel(cfg core.Config) *kernel {
 	return &kernel{cfg: cfg, n1: cfg.N1, n2: cfg.N2, n3: cfg.N3, scratch: make([]complex128, m)}
 }
 
+// The kernels below work on planes [p3lo,p3hi) of x or i2 rows
+// [b2lo,b2hi) of xt, global numbers both. The slice they are handed
+// begins at plane (row) off: zero for a whole array, the first plane
+// (row) of a DSM view.
+
 // initPlanes fills planes [p3lo,p3hi) of x for iteration iter.
-func (kn *kernel) initPlanes(x []complex128, p3lo, p3hi, iter int) int {
-	base := p3lo * kn.n2 * kn.n1
-	end := p3hi * kn.n2 * kn.n1
-	for i := base; i < end; i++ {
-		x[i] = initValue(i, iter)
+func (kn *kernel) initPlanes(x []complex128, p3lo, p3hi, off, iter int) int {
+	plane := kn.n2 * kn.n1
+	base := p3lo * plane
+	out := x[(p3lo-off)*plane : (p3hi-off)*plane]
+	for k := range out {
+		out[k] = initValue(base+k, iter)
 	}
-	return end - base
+	return len(out)
 }
 
 // fft1Planes performs n1-point inverse FFTs on every (i3,i2) pencil of
 // planes [p3lo,p3hi). Returns butterfly count.
-func (kn *kernel) fft1Planes(x []complex128, p3lo, p3hi int) int {
+func (kn *kernel) fft1Planes(x []complex128, p3lo, p3hi, off int) int {
 	b := 0
 	for i3 := p3lo; i3 < p3hi; i3++ {
 		for i2 := 0; i2 < kn.n2; i2++ {
-			off := (i3*kn.n2 + i2) * kn.n1
-			fft.Inverse(x[off : off+kn.n1])
+			at := ((i3-off)*kn.n2 + i2) * kn.n1
+			fft.Inverse(x[at : at+kn.n1])
 			b += fft.Butterflies(kn.n1)
 		}
 	}
@@ -149,11 +155,11 @@ func (kn *kernel) fft1Planes(x []complex128, p3lo, p3hi int) int {
 
 // fft2Planes performs n2-point inverse FFTs along i2 (stride n1) for
 // planes [p3lo,p3hi).
-func (kn *kernel) fft2Planes(x []complex128, p3lo, p3hi int) int {
+func (kn *kernel) fft2Planes(x []complex128, p3lo, p3hi, off int) int {
 	b := 0
 	s := kn.scratch[:kn.n2]
 	for i3 := p3lo; i3 < p3hi; i3++ {
-		plane := i3 * kn.n2 * kn.n1
+		plane := (i3 - off) * kn.n2 * kn.n1
 		for i1 := 0; i1 < kn.n1; i1++ {
 			for i2 := 0; i2 < kn.n2; i2++ {
 				s[i2] = x[plane+i2*kn.n1+i1]
@@ -169,14 +175,16 @@ func (kn *kernel) fft2Planes(x []complex128, p3lo, p3hi int) int {
 }
 
 // transposeRows copies x into xt layout for i2 rows [b2lo,b2hi): element
-// x[(i3*n2+i2)*n1+i1] → xt[(i2*n3+i3)*n1+i1]. Returns elements moved.
-func (kn *kernel) transposeRows(xt, x []complex128, b2lo, b2hi int) int {
+// x[(i3*n2+i2)*n1+i1] → xt[(i2*n3+i3)*n1+i1]. secs[i3] holds rows
+// [b2lo,b2hi) of plane i3 of x — all a partition-B owner reads of it.
+// Returns elements moved.
+func (kn *kernel) transposeRows(xt []complex128, secs [][]complex128, b2lo, b2hi, off int) int {
 	moved := 0
 	for i2 := b2lo; i2 < b2hi; i2++ {
-		for i3 := 0; i3 < kn.n3; i3++ {
-			src := (i3*kn.n2 + i2) * kn.n1
-			dst := (i2*kn.n3 + i3) * kn.n1
-			copy(xt[dst:dst+kn.n1], x[src:src+kn.n1])
+		src := (i2 - b2lo) * kn.n1
+		for i3, sec := range secs {
+			dst := ((i2-off)*kn.n3 + i3) * kn.n1
+			copy(xt[dst:dst+kn.n1], sec[src:src+kn.n1])
 			moved += kn.n1
 		}
 	}
@@ -185,11 +193,11 @@ func (kn *kernel) transposeRows(xt, x []complex128, b2lo, b2hi int) int {
 
 // fft3Rows performs n3-point inverse FFTs (stride n1 in xt) for i2 rows
 // [b2lo,b2hi).
-func (kn *kernel) fft3Rows(xt []complex128, b2lo, b2hi int) int {
+func (kn *kernel) fft3Rows(xt []complex128, b2lo, b2hi, off int) int {
 	b := 0
 	s := kn.scratch[:kn.n3]
 	for i2 := b2lo; i2 < b2hi; i2++ {
-		row := i2 * kn.n3 * kn.n1
+		row := (i2 - off) * kn.n3 * kn.n1
 		for i1 := 0; i1 < kn.n1; i1++ {
 			for i3 := 0; i3 < kn.n3; i3++ {
 				s[i3] = xt[row+i3*kn.n1+i1]
@@ -205,25 +213,25 @@ func (kn *kernel) fft3Rows(xt []complex128, b2lo, b2hi int) int {
 }
 
 // normalizeRows scales xt rows [b2lo,b2hi) by 1/(n1*n2*n3).
-func (kn *kernel) normalizeRows(xt []complex128, b2lo, b2hi int) int {
+func (kn *kernel) normalizeRows(xt []complex128, b2lo, b2hi, off int) int {
 	inv := complex(1/float64(kn.n1*kn.n2*kn.n3), 0)
-	lo := b2lo * kn.n3 * kn.n1
-	hi := b2hi * kn.n3 * kn.n1
-	for i := lo; i < hi; i++ {
-		xt[i] *= inv
+	rows := xt[(b2lo-off)*kn.n3*kn.n1 : (b2hi-off)*kn.n3*kn.n1]
+	for i := range rows {
+		rows[i] *= inv
 	}
-	return hi - lo
+	return len(rows)
 }
 
 // checksumRows sums the sampled elements owned by rows [b2lo,b2hi).
-func (kn *kernel) checksumRows(xt []complex128, idx []int, b2lo, b2hi int) (complex128, int) {
+func (kn *kernel) checksumRows(xt []complex128, idx []int, b2lo, b2hi, off int) (complex128, int) {
 	lo := b2lo * kn.n3 * kn.n1
 	hi := b2hi * kn.n3 * kn.n1
+	base := off * kn.n3 * kn.n1
 	var s complex128
 	touched := 0
 	for _, i := range idx {
 		if i >= lo && i < hi {
-			s += xt[i]
+			s += xt[i-base]
 			touched++
 		}
 	}
@@ -244,16 +252,20 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	return apputil.RunSeq("3-D FFT", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
 		x := make([]complex128, total)
 		xt := make([]complex128, total)
+		planes := make([][]complex128, kn.n3)
+		for i3 := range planes {
+			planes[i3] = x[i3*kn.n2*kn.n1 : (i3+1)*kn.n2*kn.n1]
+		}
 		var sum complex128
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
-				touches := kn.initPlanes(x, 0, kn.n3, k)
-				b := kn.fft1Planes(x, 0, kn.n3)
-				b += kn.fft2Planes(x, 0, kn.n3)
-				touches += kn.transposeRows(xt, x, 0, kn.n2)
-				b += kn.fft3Rows(xt, 0, kn.n2)
-				touches += kn.normalizeRows(xt, 0, kn.n2)
-				s, t := kn.checksumRows(xt, idx, 0, kn.n2)
+				touches := kn.initPlanes(x, 0, kn.n3, 0, k)
+				b := kn.fft1Planes(x, 0, kn.n3, 0)
+				b += kn.fft2Planes(x, 0, kn.n3, 0)
+				touches += kn.transposeRows(xt, planes, 0, kn.n2, 0)
+				b += kn.fft3Rows(xt, 0, kn.n2, 0)
+				touches += kn.normalizeRows(xt, 0, kn.n2, 0)
+				s, t := kn.checksumRows(xt, idx, 0, kn.n2, 0)
 				sum = s
 				touches += t
 				chargeFFT(tm.Advance, cfg, b, touches)
@@ -284,6 +296,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		partial := tmk.Alloc[float64](tm, "csum", 2*nprocs)
 		p3lo, p3hi := apputil.BlockOf(me, nprocs, kn.n3)
 		b2lo, b2hi := apputil.BlockOf(me, nprocs, kn.n2)
+		secs := make([][]complex128, kn.n3)
 		var sum complex128
 		return apputil.TmkProgram{
 			Iterate: func(k int) {
@@ -291,29 +304,25 @@ func runTmk(cfg core.Config) (core.Result, error) {
 					// Reset the checksum slots; the previous iteration's
 					// writes are ordered before this one by the
 					// end-of-iteration barrier.
-					w := partial.Write(0, 2*nprocs)
-					for q := 0; q < 2*nprocs; q++ {
-						w[q] = 0
-					}
+					clear(partial.Write(0, 2*nprocs))
 				}
 				wx := x.Write(p3lo*kn.n2*kn.n1, p3hi*kn.n2*kn.n1)
-				touches := kn.initPlanes(wx, p3lo, p3hi, k)
-				b := kn.fft1Planes(wx, p3lo, p3hi)
-				b += kn.fft2Planes(wx, p3lo, p3hi)
+				touches := kn.initPlanes(wx, p3lo, p3hi, p3lo, k)
+				b := kn.fft1Planes(wx, p3lo, p3hi, p3lo)
+				b += kn.fft2Planes(wx, p3lo, p3hi, p3lo)
 				tm.Barrier() // partition A done; partition B may read
 				// Implicit transpose: fault the needed x sections page by
-				// page while copying into the local xt rows.
-				rx := readTransposeSections(x, kn, b2lo, b2hi, false)
+				// page, then copy them into the local xt rows.
+				readTransposeSections(secs, x, kn, b2lo, b2hi, false)
 				wxt := xt.Write(b2lo*kn.n3*kn.n1, b2hi*kn.n3*kn.n1)
-				touches += kn.transposeRows(wxt, rx, b2lo, b2hi)
-				b += kn.fft3Rows(wxt, b2lo, b2hi)
-				touches += kn.normalizeRows(wxt, b2lo, b2hi)
-				s, t := kn.checksumRows(wxt, idx, b2lo, b2hi)
+				touches += kn.transposeRows(wxt, secs, b2lo, b2hi, b2lo)
+				b += kn.fft3Rows(wxt, b2lo, b2hi, b2lo)
+				touches += kn.normalizeRows(wxt, b2lo, b2hi, b2lo)
+				s, t := kn.checksumRows(wxt, idx, b2lo, b2hi, b2lo)
 				touches += t
 				tm.AcquireLock(3)
 				w := partial.Write(2*me, 2*me+2)
-				w[2*me] = real(s)
-				w[2*me+1] = imag(s)
+				w[0], w[1] = real(s), imag(s)
 				tm.ReleaseLock(3)
 				chargeFFT(tm.Advance, cfg, b, touches)
 				tm.Barrier() // end of iteration, after the checksum
@@ -331,25 +340,26 @@ func runTmk(cfg core.Config) (core.Result, error) {
 }
 
 // readTransposeSections validates (and thereby fetches) the x sections a
-// partition-B owner reads: for every plane, the i2 rows [b2lo,b2hi).
-// aggregated selects the §5.4 enhanced-interface optimization.
-func readTransposeSections(x *tmk.Region[complex128], kn *kernel, b2lo, b2hi int, aggregated bool) []complex128 {
+// partition-B owner reads — for every plane, the i2 rows [b2lo,b2hi) —
+// and then points secs[i3] at a view of plane i3's. aggregated selects
+// the §5.4 enhanced-interface optimization.
+func readTransposeSections(secs [][]complex128, x *tmk.Region[complex128], kn *kernel, b2lo, b2hi int, aggregated bool) {
+	ranges := make([][2]int, kn.n3)
+	for i3 := range ranges {
+		ranges[i3] = [2]int{(i3*kn.n2 + b2lo) * kn.n1, (i3*kn.n2 + b2hi) * kn.n1}
+	}
 	if aggregated {
-		ranges := make([][2]int, 0, kn.n3)
-		for i3 := 0; i3 < kn.n3; i3++ {
-			lo := (i3*kn.n2 + b2lo) * kn.n1
-			hi := (i3*kn.n2 + b2hi) * kn.n1
-			ranges = append(ranges, [2]int{lo, hi})
+		x.ReadAggregatedRanges(ranges)
+	} else {
+		for _, rg := range ranges {
+			x.Read(rg[0], rg[1])
 		}
-		return x.ReadAggregatedRanges(ranges)
 	}
-	var out []complex128
-	for i3 := 0; i3 < kn.n3; i3++ {
-		lo := (i3*kn.n2 + b2lo) * kn.n1
-		hi := (i3*kn.n2 + b2hi) * kn.n1
-		out = x.Read(lo, hi)
+	// Views last: every page is valid now, so these Reads cost nothing
+	// and none of them can move a page under an earlier one's view.
+	for i3, rg := range ranges {
+		secs[i3] = x.Read(rg[0], rg[1])
 	}
-	return out
 }
 
 // runSPF is the compiler-generated version: six parallel loops per
@@ -371,13 +381,14 @@ func runSPF(cfg core.Config, aggregated bool) (core.Result, error) {
 		add := func(a, b float64) float64 { return a + b }
 		reSum := spf.NewReduction(rt, "re", add)
 		imSum := spf.NewReduction(rt, "im", add)
+		secs := make([][]complex128, kn.n3)
 
 		initLoop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
 				return
 			}
 			w := x.Write(lo*kn.n2*kn.n1, hi*kn.n2*kn.n1)
-			t := kn.initPlanes(w, lo, hi, int(args[0]))
+			t := kn.initPlanes(w, lo, hi, lo, int(args[0]))
 			chargeFFT(rt.Advance, cfg, 0, t)
 		})
 		fft1Loop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -385,37 +396,37 @@ func runSPF(cfg core.Config, aggregated bool) (core.Result, error) {
 				return
 			}
 			w := x.Write(lo*kn.n2*kn.n1, hi*kn.n2*kn.n1)
-			chargeFFT(rt.Advance, cfg, kn.fft1Planes(w, lo, hi), 0)
+			chargeFFT(rt.Advance, cfg, kn.fft1Planes(w, lo, hi, lo), 0)
 		})
 		fft2Loop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
 				return
 			}
 			w := x.Write(lo*kn.n2*kn.n1, hi*kn.n2*kn.n1)
-			chargeFFT(rt.Advance, cfg, kn.fft2Planes(w, lo, hi), 0)
+			chargeFFT(rt.Advance, cfg, kn.fft2Planes(w, lo, hi, lo), 0)
 		})
 		fft3Loop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
 				return
 			}
-			rx := readTransposeSections(x, kn, lo, hi, aggregated)
+			readTransposeSections(secs, x, kn, lo, hi, aggregated)
 			w := xt.Write(lo*kn.n3*kn.n1, hi*kn.n3*kn.n1)
-			t := kn.transposeRows(w, rx, lo, hi)
-			chargeFFT(rt.Advance, cfg, kn.fft3Rows(w, lo, hi), t)
+			t := kn.transposeRows(w, secs, lo, hi, lo)
+			chargeFFT(rt.Advance, cfg, kn.fft3Rows(w, lo, hi, lo), t)
 		})
 		normLoop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
 				return
 			}
 			w := xt.Write(lo*kn.n3*kn.n1, hi*kn.n3*kn.n1)
-			chargeFFT(rt.Advance, cfg, 0, kn.normalizeRows(w, lo, hi))
+			chargeFFT(rt.Advance, cfg, 0, kn.normalizeRows(w, lo, hi, lo))
 		})
 		csumLoop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
 				return
 			}
 			g := xt.Read(lo*kn.n3*kn.n1, hi*kn.n3*kn.n1)
-			s, t := kn.checksumRows(g, idx, lo, hi)
+			s, t := kn.checksumRows(g, idx, lo, hi, lo)
 			chargeFFT(rt.Advance, cfg, 0, t)
 			reSum.Combine(rt, real(s))
 			imSum.Combine(rt, imag(s))
@@ -455,11 +466,11 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 		var sum complex128
 		return apputil.XHPFProgram{
 			Iterate: func(k int) {
-				touches := kn.initPlanes(xs, p3lo, p3hi, k)
+				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
 				x.LoopSync()
-				b := kn.fft1Planes(xs, p3lo, p3hi)
+				b := kn.fft1Planes(xs, p3lo, p3hi, 0)
 				x.LoopSync()
-				b += kn.fft2Planes(xs, p3lo, p3hi)
+				b += kn.fft2Planes(xs, p3lo, p3hi, 0)
 				x.LoopSync()
 				// Generated transpose: per-destination per-plane per-row
 				// sections.
@@ -495,11 +506,11 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 						touches += kn.n1
 					}
 				}
-				b += kn.fft3Rows(xt, b2lo, b2hi)
+				b += kn.fft3Rows(xt, b2lo, b2hi, 0)
 				x.LoopSync()
-				touches += kn.normalizeRows(xt, b2lo, b2hi)
+				touches += kn.normalizeRows(xt, b2lo, b2hi, 0)
 				x.LoopSync()
-				s, t := kn.checksumRows(xt, idx, b2lo, b2hi)
+				s, t := kn.checksumRows(xt, idx, b2lo, b2hi, 0)
 				touches += t
 				parts := xhpf.AllReduceSum(x, []float64{real(s), imag(s)})
 				sum = complex(parts[0], parts[1])
@@ -531,9 +542,9 @@ func runPVM(cfg core.Config) (core.Result, error) {
 		var sum complex128
 		return apputil.PVMProgram{
 			Iterate: func(k int) {
-				touches := kn.initPlanes(xs, p3lo, p3hi, k)
-				b := kn.fft1Planes(xs, p3lo, p3hi)
-				b += kn.fft2Planes(xs, p3lo, p3hi)
+				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
+				b := kn.fft1Planes(xs, p3lo, p3hi, 0)
+				b += kn.fft2Planes(xs, p3lo, p3hi, 0)
 				// Aggregated all-to-all: one packed message per peer.
 				for q := 0; q < nprocs; q++ {
 					if q == me {
@@ -574,9 +585,9 @@ func runPVM(cfg core.Config) (core.Result, error) {
 						touches += kn.n1
 					}
 				}
-				b += kn.fft3Rows(xt, b2lo, b2hi)
-				touches += kn.normalizeRows(xt, b2lo, b2hi)
-				s, t := kn.checksumRows(xt, idx, b2lo, b2hi)
+				b += kn.fft3Rows(xt, b2lo, b2hi, 0)
+				touches += kn.normalizeRows(xt, b2lo, b2hi, 0)
+				s, t := kn.checksumRows(xt, idx, b2lo, b2hi, 0)
 				touches += t
 				parts := pvm.ReduceSum(pv, 0, 610, []float64{real(s), imag(s)})
 				if me == 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps/kerneltest"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -153,3 +154,6 @@ func TestSpeedupOrdering(t *testing.T) {
 		t.Errorf("aggregated SPF=%.2f should beat plain Tmk=%.2f", sp[core.SPFOpt], sp[core.Tmk])
 	}
 }
+
+// TestDSMAllocatesWhatItTouches: see kerneltest.
+func TestDSMAllocatesWhatItTouches(t *testing.T) { kerneltest.DSMAllocatesWhatItTouches(t, New()) }

@@ -109,28 +109,31 @@ func initOld(g []float32, n int) {
 // relaxRows applies one relaxation step to interior rows [rlo,rhi). The
 // nine neighbors are summed in map order from zero, in float32
 // (unrolled: the counted loop measured 1.6 times slower); the only
-// bounds checks left per point are the nine indirect loads.
-func relaxRows(dst, src []float32, idx []int32, n, rlo, rhi int) {
+// bounds checks left per point are the nine indirect loads. rlo and rhi
+// are global rows, and so is what idx holds; dstOff and srcOff are the
+// global rows dst and src begin at (a DSM view of a band and its halo).
+func relaxRows(dst, src []float32, idx []int32, n, rlo, rhi, dstOff, srcOff int) {
 	w := n - 2
 	if w <= 0 {
 		return
 	}
+	sb := int32(srcOff * n)
 	for i := rlo; i < rhi; i++ {
 		c := i*n + 1
-		out := dst[c:][:w]
+		out := dst[c-dstOff*n:][:w]
 		row := idx[9*c:][:9*w]
 		for j := range out {
 			q := (*[9]int32)(row[9*j:])
 			var s float32
-			s += src[q[0]]
-			s += src[q[1]]
-			s += src[q[2]]
-			s += src[q[3]]
-			s += src[q[4]]
-			s += src[q[5]]
-			s += src[q[6]]
-			s += src[q[7]]
-			s += src[q[8]]
+			s += src[q[0]-sb]
+			s += src[q[1]-sb]
+			s += src[q[2]-sb]
+			s += src[q[3]-sb]
+			s += src[q[4]-sb]
+			s += src[q[5]-sb]
+			s += src[q[6]-sb]
+			s += src[q[7]-sb]
+			s += src[q[8]-sb]
 			out[j] = s / 9
 		}
 	}
@@ -148,13 +151,13 @@ func center(n int) (lo, hi int) {
 }
 
 // reduceRows accumulates max/min/sum over the center square rows
-// [rlo,rhi) ∩ [clo,chi).
-func reduceRows(g []float32, n, rlo, rhi int) (mx, mn float32, sum float64, cells int) {
+// [rlo,rhi) ∩ [clo,chi) of g, which begins at global row off.
+func reduceRows(g []float32, n, rlo, rhi, off int) (mx, mn float32, sum float64, cells int) {
 	clo, chi := center(n)
 	mx, mn = -1e30, 1e30
 	for i := max(rlo, clo); i < min(rhi, chi); i++ {
 		for j := clo; j < chi; j++ {
-			v := g[i*n+j]
+			v := g[(i-off)*n+j]
 			if v > mx {
 				mx = v
 			}
@@ -187,17 +190,17 @@ func runSeq(cfg core.Config, idx []int32) (core.Result, error) {
 		var redSum float64
 		return apputil.SeqProgram{
 			Iterate: func(k int) {
-				relaxRows(cur, old, idx, n, 1, n-1)
+				relaxRows(cur, old, idx, n, 1, n-1, 0, 0)
 				tm.Advance(apputil.Cost((n-2)*(n-2), cfg.App.IGridUpdate))
 				old, cur = cur, old
 				if k == total-1 {
-					_, _, s, cells := reduceRows(old, n, 0, n)
+					_, _, s, cells := reduceRows(old, n, 0, n, 0)
 					redSum = s
 					tm.Advance(apputil.Cost(cells, cfg.App.IGridReduce))
 				}
 			},
 			Checksum: func() float64 {
-				mx, mn, _, _ := reduceRows(old, n, 0, n)
+				mx, mn, _, _ := reduceRows(old, n, 0, n, 0)
 				_ = redSum
 				return sealed(mx, mn) + apputil.Sum64(old)
 			},
@@ -222,8 +225,7 @@ func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 		if me == 0 {
 			w := a.Write(0, n*n)
 			initOld(w, n)
-			wb := b.Write(0, n*n)
-			copy(wb[:n*n], w[:n*n])
+			copy(b.Write(0, n*n), w)
 			r := red.Write(0, 2+nprocs)
 			r[0], r[1] = -1e30, 1e30
 			for q := 0; q < nprocs; q++ {
@@ -239,14 +241,14 @@ func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 					// pages are fetched.
 					src := old.Read((rlo-1)*n, (rhi+1)*n)
 					dst := cur.Write(rlo*n, rhi*n)
-					relaxRows(dst, src, idx, n, rlo, rhi)
+					relaxRows(dst, src, idx, n, rlo, rhi, rlo, rlo-1)
 					tm.Advance(apputil.Cost((rhi-rlo)*(n-2), cfg.App.IGridUpdate))
 				}
 				tm.Barrier()
 				old, cur = cur, old
 				if k == total-1 {
 					g := old.Read(rlo*n, rhi*n)
-					mx, mn, s, cells := reduceRows(g, n, rlo, rhi)
+					mx, mn, s, cells := reduceRows(g, n, rlo, rhi, rlo)
 					tm.Advance(apputil.Cost(cells, cfg.App.IGridReduce))
 					if cells > 0 {
 						tm.AcquireLock(7)
@@ -266,7 +268,7 @@ func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 			Checksum: func() float64 {
 				r := red.Read(0, 3)
 				g := old.Read(0, n*n)
-				return float64(float32(r[0]))*1e3 + float64(float32(r[1])) + apputil.Sum64(g[:n*n])
+				return float64(float32(r[0]))*1e3 + float64(float32(r[1])) + apputil.Sum64(g)
 			},
 		}
 	})
@@ -294,7 +296,7 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 			}
 			src := oldArr.Read((lo-1)*n, (hi+1)*n)
 			dst := newArr.Write(lo*n, hi*n)
-			relaxRows(dst, src, idx, n, lo, hi)
+			relaxRows(dst, src, idx, n, lo, hi, lo, lo-1)
 			rt.Advance(apputil.Cost((hi-lo)*(n-2), cfg.App.IGridUpdate))
 		})
 		copyBack := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -303,12 +305,12 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 			}
 			src := newArr.Read(lo*n, hi*n)
 			dst := oldArr.Write(lo*n, hi*n)
-			copy(dst[lo*n:hi*n], src[lo*n:hi*n])
+			copy(dst, src)
 			rt.Advance(apputil.Cost((hi-lo)*n, cfg.App.IGridReduce))
 		})
 		reduce := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			g := oldArr.Read(lo*n, hi*n)
-			mx, mn, s, cells := reduceRows(g, n, lo, hi)
+			mx, mn, s, cells := reduceRows(g, n, lo, hi, lo)
 			rt.Advance(apputil.Cost(cells, cfg.App.IGridReduce))
 			if cells > 0 {
 				maxRed.Combine(rt, float64(mx))
@@ -319,8 +321,7 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 		if rt.IsMaster() {
 			w := oldArr.Write(0, n*n)
 			initOld(w, n)
-			wb := newArr.Write(0, n*n)
-			copy(wb[:n*n], w[:n*n])
+			copy(newArr.Write(0, n*n), w)
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(k int) {
@@ -337,7 +338,7 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 				g := oldArr.Read(0, n*n)
 				return float64(float32(maxRed.Value()))*1e3 +
 					float64(float32(minRed.Value())) +
-					apputil.Sum64(g[:n*n])
+					apputil.Sum64(g)
 			},
 		}
 	})
@@ -358,7 +359,7 @@ func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 		return apputil.XHPFProgram{
 			Iterate: func(k int) {
 				if rhi > rlo {
-					relaxRows(cur, old, idx, n, rlo, rhi)
+					relaxRows(cur, old, idx, n, rlo, rhi, 0, 0)
 					x.Advance(apputil.Cost((rhi-rlo)*(n-2), cfg.App.IGridUpdate))
 				}
 				// Unknown access pattern: broadcast the whole block.
@@ -369,7 +370,7 @@ func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 				x.LoopSync()
 				old, cur = cur, old
 				if k == total-1 {
-					mx, mn, s, cells := reduceRows(old, n, rlo, rhi)
+					mx, mn, s, cells := reduceRows(old, n, rlo, rhi, 0)
 					x.Advance(apputil.Cost(cells, cfg.App.IGridReduce))
 					sums := xhpf.AllReduceSum(x, []float64{s})
 					maxs := xhpf.AllReduceWith(x, []float64{float64(mx)}, func(a, b float64) float64 { return max(a, b) })
@@ -416,12 +417,12 @@ func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 					pvm.Recv(pv, me+1, 80, old[rhi*n:(rhi+1)*n])
 				}
 				if rhi > rlo {
-					relaxRows(cur, old, idx, n, rlo, rhi)
+					relaxRows(cur, old, idx, n, rlo, rhi, 0, 0)
 					pv.Advance(apputil.Cost((rhi-rlo)*(n-2), cfg.App.IGridUpdate))
 				}
 				old, cur = cur, old
 				if k == total-1 {
-					mx, mn, s, cells := reduceRows(old, n, rlo, rhi)
+					mx, mn, s, cells := reduceRows(old, n, rlo, rhi, 0)
 					pv.Advance(apputil.Cost(cells, cfg.App.IGridReduce))
 					sums := pvm.ReduceSum(pv, 0, 85, []float64{s})
 					maxs := pvm.Reduce(pv, 0, 87, []float64{float64(mx)}, func(a, b float64) float64 { return max(a, b) })

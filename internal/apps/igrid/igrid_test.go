@@ -38,7 +38,7 @@ func TestSpikesPropagate(t *testing.T) {
 	cur := make([]float32, n*n)
 	idx := buildMap(n)
 	initOld(old, n)
-	relaxRows(cur, old, idx, n, 1, n-1)
+	relaxRows(cur, old, idx, n, 1, n-1, 0, 0)
 	// The middle spike's neighbors must have risen above the background.
 	c := (n/2)*n + n/2
 	if cur[c-1] <= 1 || cur[c+n] <= 1 {

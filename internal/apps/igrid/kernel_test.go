@@ -51,16 +51,22 @@ func TestBuildMapMatchesReference(t *testing.T) {
 }
 
 // TestRelaxRowsBitwise compares the kernel with its reference over tiny
-// and odd grids, empty bands and single first and last interior rows.
+// and odd grids, empty bands and single first and last interior rows,
+// on whole arrays and on the views a DSM node holds: a destination of
+// the band alone, a source of the band and its halo rows.
 func TestRelaxRowsBitwise(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 64, 65} {
 		src, idx := kerneltest.Noise(uint32(n), n*n), buildMapRef(n)
 		for _, b := range kerneltest.Bands(n) {
-			got := kerneltest.Noise(7, n*n)
-			want := slices.Clone(got)
-			relaxRows(got, src, idx, n, b[0], b[1])
-			relaxRowsRef(want, src, idx, n, b[0], b[1])
-			kerneltest.SameBits(t, fmt.Sprintf("n=%d rows [%d,%d)", n, b[0], b[1]), got, want)
+			rlo, rhi := b[0], b[1]
+			want := kerneltest.Noise(7, n*n)
+			relaxRowsRef(want, src, idx, n, rlo, rhi)
+			for _, off := range [][2]int{{0, 0}, {rlo, rlo - 1}} {
+				dstOff, srcOff := off[0], off[1]
+				got := kerneltest.Noise(7, n*n)
+				relaxRows(got[dstOff*n:], src[srcOff*n:(rhi+1)*n], idx, n, rlo, rhi, dstOff, srcOff)
+				kerneltest.SameBits(t, fmt.Sprintf("n=%d rows [%d,%d) dstOff=%d srcOff=%d", n, rlo, rhi, dstOff, srcOff), got, want)
+			}
 		}
 	}
 }
@@ -107,7 +113,7 @@ func BenchmarkRelaxRows(b *testing.B) {
 	src, dst, idx := kerneltest.Noise(1, n*n), make([]float32, n*n), buildMap(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		relaxRows(dst, src, idx, n, 1, n-1)
+		relaxRows(dst, src, idx, n, 1, n-1, 0, 0)
 	}
 	kerneltest.ReportPer(b, "point", (n-2)*(n-2))
 }

@@ -83,8 +83,8 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 // stencilRows computes the 4-point stencil for rows [rlo,rhi) of src
 // into dst (interior columns only). rlo and rhi are global rows; dstOff
 // and srcOff are the global rows dst and src begin at (arrays that hold
-// only a band: a private scratch array, a message-passing processor's
-// block and halo).
+// only a band: a private scratch array, a DSM view, a message-passing
+// processor's block and halo).
 //
 // The five row slices have one length, so the inner loop carries no
 // bounds checks. The expression — 0.25*(((up+down)+left)+right), all
@@ -175,20 +175,19 @@ func runTmk(cfg core.Config, push bool) (core.Result, error) {
 			Iterate: func(k int) {
 				if rows > 0 {
 					rd := data.Read((lo-1)*n, (hi+1)*n)
-					stencilRows(scratch, rd, n, lo, hi, lo, 0)
+					stencilRows(scratch, rd, n, lo, hi, lo, lo-1)
 					tm.Advance(apputil.Cost(rows*(n-2), cfg.App.JacobiUpdate))
 				}
 				tm.Barrier()
 				if rows > 0 {
 					w := data.Write(lo*n, hi*n)
-					copyRows(w, scratch, n, lo, hi, 0, lo)
+					copyRows(w, scratch, n, lo, hi, lo, lo)
 					tm.Advance(apputil.Cost(rows*(n-2), cfg.App.JacobiCopy))
 				}
 				tm.Barrier()
 			},
 			Checksum: func() float64 {
-				g := data.Read(0, n*n)
-				return apputil.Sum64(g[:n*n])
+				return apputil.Sum64(data.Read(0, n*n))
 			},
 		}
 	})
@@ -225,7 +224,7 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 				rd = data.Read((lo-1)*n, (hi+1)*n)
 				w = scratch.Write(lo*n, hi*n)
 			}
-			stencilRows(w, rd, n, lo, hi, 0, 0)
+			stencilRows(w, rd, n, lo, hi, lo, lo-1)
 			rt.Advance(apputil.Cost((hi-lo)*(n-2), cfg.App.JacobiUpdate))
 		})
 		phase2 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -240,7 +239,7 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 				rd = scratch.Read(lo*n, hi*n)
 				w = data.Write(lo*n, hi*n)
 			}
-			copyRows(w, rd, n, lo, hi, 0, 0)
+			copyRows(w, rd, n, lo, hi, lo, lo)
 			rt.Advance(apputil.Cost((hi-lo)*(n-2), cfg.App.JacobiCopy))
 		})
 
@@ -256,8 +255,7 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 				rt.ParallelDo(phase2, 1, n-1, spf.Block)
 			},
 			Checksum: func() float64 {
-				g := data.Read(0, n*n)
-				return apputil.Sum64(g[:n*n])
+				return apputil.Sum64(data.Read(0, n*n))
 			},
 		}
 	})

@@ -1,9 +1,9 @@
 package jacobi
 
 import (
-	"runtime"
 	"testing"
 
+	"repro/internal/apps/kerneltest"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -58,23 +58,16 @@ func TestRaggedPartition(t *testing.T) {
 // did (eight grids at eight processors). The slack covers message
 // payloads and the simulator's own state.
 func TestMessagePassingAllocatesWhatItOwns(t *testing.T) {
-	allocated := func(procs int) uint64 {
-		cfg := New().Config(core.MidScale, procs)
-		cfg.Costs, cfg.App = model.SP2(), model.DefaultAppCosts()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := New().Run(core.XHPF, cfg); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	one, eight := allocated(1), allocated(8)
+	_, one := kerneltest.Allocated(t, New(), core.XHPF, 1)
+	_, eight := kerneltest.Allocated(t, New(), core.XHPF, 8)
 	if 2*eight > 3*one {
 		t.Errorf("Jacobi xhpf at mid scale allocates %d bytes on 8 processors, %d on 1: more than 1.5x — a full grid per processor is back",
 			eight, one)
 	}
 }
+
+// TestDSMAllocatesWhatItTouches: see kerneltest.
+func TestDSMAllocatesWhatItTouches(t *testing.T) { kerneltest.DSMAllocatesWhatItTouches(t, New()) }
 
 // TestPVMeMessageFormula: the hand-coded message-passing version sends
 // exactly 2*(procs-1) boundary rows per iteration and nothing else

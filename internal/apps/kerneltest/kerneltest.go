@@ -1,17 +1,20 @@
 // Package kerneltest holds what the applications' kernel tests share:
 // deterministic inputs, awkward row bands, a bit-for-bit comparison, the
-// per-point benchmark metric and the two-concurrent-runs check. The applications' numeric kernels are written for
-// host speed; their tests keep the straightforward originals as
-// references and hold the fast ones to identical bits.
+// per-point benchmark metric, the two-concurrent-runs check and the
+// memory-proportionality checks. The applications' numeric kernels are
+// written for host speed; their tests keep the straightforward originals
+// as references and hold the fast ones to identical bits.
 package kerneltest
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // Noise returns n deterministic float32 values in (-2, 2) with full
@@ -81,5 +84,42 @@ func ConcurrentRuns(t *testing.T, app core.App, cfg core.Config) {
 	wg.Wait()
 	if !slices.Equal(sums[0], sums[1]) {
 		t.Errorf("concurrent runs disagree: %v vs %v", sums[0], sums[1])
+	}
+}
+
+// Allocated runs one version of app at mid scale on procs processors
+// and returns its result with the bytes the run allocated on the host.
+func Allocated(t *testing.T, app core.App, v core.Version, procs int) (core.Result, uint64) {
+	t.Helper()
+	cfg := app.Config(core.MidScale, procs)
+	cfg.Costs, cfg.App = model.SP2(), model.DefaultAppCosts()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := app.Run(v, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return res, after.TotalAlloc - before.TotalAlloc
+}
+
+// DSMAllocatesWhatItTouches: a DSM node frames the pages it validates
+// or receives, so neither the bytes the hand-coded TreadMarks version
+// allocates nor the pages it frames may grow with the processor count
+// the way a full copy of every shared array per node did (eight copies
+// at eight processors). Processor 0 still holds whole arrays — it
+// initializes them or reads them back — and every node its twins, diffs
+// and halo pages: that is the slack.
+func DSMAllocatesWhatItTouches(t *testing.T, app core.App) {
+	t.Helper()
+	one, bytes1 := Allocated(t, app, core.Tmk, 1)
+	eight, bytes8 := Allocated(t, app, core.Tmk, 8)
+	t.Logf("%s tmk at mid scale: 1 processor %d bytes, %d pages framed; 8 processors %d bytes, %d pages framed, %d joins abandoning %d bytes",
+		app.Name(), bytes1, one.FramedPages, bytes8, eight.FramedPages, eight.FrameJoins, eight.AbandonedBytes)
+	if bytes8 > 3*bytes1 {
+		t.Errorf("%s tmk allocates %d bytes on 8 processors, %d on 1: more than 3x — a full copy per node is back", app.Name(), bytes8, bytes1)
+	}
+	if eight.FramedPages > 3*one.FramedPages {
+		t.Errorf("%s tmk frames %d pages on 8 processors, %d on 1: more than 3x", app.Name(), eight.FramedPages, one.FramedPages)
 	}
 }

@@ -154,16 +154,14 @@ func runTmk(cfg core.Config, broadcast bool) (core.Result, error) {
 		m := tmk.Alloc[float32](tm, "m", n*n)
 		me, nprocs := tm.ID(), tm.NProcs()
 		if me == 0 {
-			w := m.Write(0, n*n)
-			initMatrix(w, n)
+			initMatrix(m.Write(0, n*n), n)
 		}
 		tm.Barrier()
 		return apputil.TmkProgram{
 			Iterate: func(i int) {
 				owner := i % nprocs
 				if owner == me {
-					w := m.Write(i*n, (i+1)*n)
-					normalizeRow(w[i*n : (i+1)*n])
+					normalizeRow(m.Write(i*n, (i+1)*n))
 					tm.Advance(apputil.Cost(n, cfg.App.MGSNormalize))
 				}
 				if broadcast {
@@ -173,19 +171,15 @@ func runTmk(cfg core.Config, broadcast bool) (core.Result, error) {
 				} else {
 					tm.Barrier()
 				}
-				unit := m.Read(i*n, (i+1)*n)
+				m.Read(i*n, (i+1)*n) // fault the unit vector in once, up front
 				var mine int
 				for j := i + 1 + ((me-i-1)%nprocs+nprocs)%nprocs; j < n; j += nprocs {
-					w := m.Write(j*n, (j+1)*n)
-					orthoRow(w[j*n:(j+1)*n], unit[i*n:(i+1)*n])
+					orthoRow(rowAndUnit(m, n, j, i))
 					mine++
 				}
 				tm.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 			},
-			Checksum: func() float64 {
-				g := m.Read(0, n*n)
-				return apputil.Sum64(g[:n*n])
-			},
+			Checksum: func() float64 { return apputil.Sum64(m.Read(0, n*n)) },
 		}
 	})
 }
@@ -201,33 +195,37 @@ func runSPF(cfg core.Config) (core.Result, error) {
 		m := tmk.Alloc[float32](tm, "m", n*n)
 		ortho := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			i := int(args[0])
-			unit := m.Read(i*n, (i+1)*n)
+			m.Read(i*n, (i+1)*n) // fault the unit vector in once, up front
 			var mine int
 			for j := lo; j < hi; j += stride {
-				w := m.Write(j*n, (j+1)*n)
-				orthoRow(w[j*n:(j+1)*n], unit[i*n:(i+1)*n])
+				orthoRow(rowAndUnit(m, n, j, i))
 				mine++
 			}
 			rt.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 		})
 		if rt.IsMaster() {
-			w := m.Write(0, n*n)
-			initMatrix(w, n)
+			initMatrix(m.Write(0, n*n), n)
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(i int) {
 				// Sequential section: normalize on the master.
-				w := m.Write(i*n, (i+1)*n)
-				normalizeRow(w[i*n : (i+1)*n])
+				normalizeRow(m.Write(i*n, (i+1)*n))
 				rt.Advance(apputil.Cost(n, cfg.App.MGSNormalize))
 				rt.ParallelDo(ortho, i+1, n, spf.Cyclic, int64(i))
 			},
-			Checksum: func() float64 {
-				g := m.Read(0, n*n)
-				return apputil.Sum64(g[:n*n])
-			},
+			Checksum: func() float64 { return apputil.Sum64(m.Read(0, n*n)) },
 		}
 	})
+}
+
+// rowAndUnit validates row j of m for writing and returns its view with
+// that of the unit vector, row i, which the caller has validated (so
+// this Read is a lookup). The unit's view is taken after the row's:
+// where vectors do not end on page boundaries, validating one can move
+// the page it shares with the other.
+func rowAndUnit(m *tmk.Region[float32], n, j, i int) (row, unit []float32) {
+	row = m.Write(j*n, (j+1)*n)
+	return row, m.Read(i*n, (i+1)*n)
 }
 
 // runXHPF is the compiler-generated message-passing version: the owner

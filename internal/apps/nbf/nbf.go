@@ -172,9 +172,11 @@ func forceBlock(buf, x, y, z []float32, lists [][]int32, lo, hi int) int {
 	return pairs
 }
 
-// moveBlock applies summed forces to coordinates for [lo,hi).
-func moveBlock(x, y, z, f []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// moveBlock applies summed forces to the coordinates of a block: four
+// slices of one length, entry k of each belonging to one molecule.
+func moveBlock(x, y, z, f []float32) {
+	y, z, f = y[:len(x)], z[:len(x)], f[:len(x)]
+	for i := range x {
 		x[i] += f[i] * 0.01
 		y[i] += f[i] * 0.005
 		z[i] += f[i] * 0.0025
@@ -192,41 +194,42 @@ func coordSum(x, y, z []float32) float64 {
 // previous iteration are re-zeroed first.
 func forceBlockDSM(buf, x, y, z *tmk.Region[float32], lists [][]int32, lo, hi, wlo int) int {
 	bw := buf.Write(wlo, hi)
-	for i := wlo; i < hi; i++ {
-		bw[i] = 0
-	}
+	clear(bw)
 	for i := lo; i < hi; i++ {
 		for _, j := range lists[i] {
 			if int(j) < wlo {
-				bw = buf.Write(int(j), int(j)+1)
-				bw[j] = 0
+				buf.Write(int(j), int(j)+1)[0] = 0
 			}
 		}
 	}
-	// Read and Write return the region's one backing array, so the far
-	// path below validates for the side effect alone and the four views
-	// stay loop-invariant and of one length (one bounds check per
-	// partner). A far fault yields to other processes, so the running
-	// sum stays in bw[i], not in a local. Coordinates are not written
-	// between the barriers around the force phase, and a fault never
-	// touches an already valid page, so molecule i's can be read once.
+	// Four views of the window [wlo,hi), of one length (one bounds check
+	// per near partner). A far partner is reached through the
+	// one-element views its validation returns; one element lies in one
+	// page, so that validation frames the page or finds it framed and
+	// never moves the window's. A far fault yields to other processes,
+	// so the running sum stays in the buffer, not in a local.
+	// Coordinates are not written between the barriers around the force
+	// phase, and a fault never touches an already valid page, so
+	// molecule i's can be read once.
 	rx := x.Read(wlo, hi)[:len(bw)]
 	ry := y.Read(wlo, hi)[:len(bw)]
 	rz := z.Read(wlo, hi)[:len(bw)]
 	pairs := 0
 	for i := lo; i < hi; i++ {
-		xi, yi, zi := rx[i], ry[i], rz[i]
+		xi, yi, zi := rx[i-wlo], ry[i-wlo], rz[i-wlo]
 		for _, j := range lists[i] {
 			jj := int(j)
 			if jj < wlo {
-				x.Read(jj, jj+1)
-				y.Read(jj, jj+1)
-				z.Read(jj, jj+1)
-				buf.Write(jj, jj+1)
+				xj, yj, zj := x.Read(jj, jj+1), y.Read(jj, jj+1), z.Read(jj, jj+1)
+				far := buf.Write(jj, jj+1)
+				g := pairForce(xi, yi, zi, xj[0], yj[0], zj[0])
+				bw[i-wlo] += g
+				far[0] -= g
+				continue
 			}
-			g := pairForce(xi, yi, zi, rx[jj], ry[jj], rz[jj])
-			bw[i] += g
-			bw[jj] -= g
+			g := pairForce(xi, yi, zi, rx[jj-wlo], ry[jj-wlo], rz[jj-wlo])
+			bw[i-wlo] += g
+			bw[jj-wlo] -= g
 		}
 		pairs += len(lists[i])
 	}
@@ -248,7 +251,7 @@ func runSeq(cfg core.Config, lists [][]int32) (core.Result, error) {
 				}
 				pairs := forceBlock(f, x, y, z, lists, 0, m)
 				tm.Advance(apputil.Cost(pairs, cfg.App.NBFPair))
-				moveBlock(x, y, z, f, 0, m)
+				moveBlock(x, y, z, f)
 				tm.Advance(apputil.Cost(m, cfg.App.NBFUpdate))
 			},
 			Checksum: func() float64 { return coordSum(x, y, z) },
@@ -268,11 +271,10 @@ func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 			bufs[p] = tmk.Alloc[float32](tm, fmt.Sprintf("buf%d", p), m)
 		}
 		lo, hi := apputil.BlockOf(me, nprocs, m)
-		wlo := max(0, lo-cfg.N2) // my contribution window
-		f := make([]float32, m)  // private summed force (own block only)
+		wlo := max(0, lo-cfg.N2)    // my contribution window
+		f := make([]float32, hi-lo) // private summed force of my block
 		if me == 0 {
-			wx, wy, wz := x.Write(0, m), y.Write(0, m), z.Write(0, m)
-			initCoords(wx[:m], wy[:m], wz[:m])
+			initCoords(x.Write(0, m), y.Write(0, m), z.Write(0, m))
 		}
 		tm.Barrier()
 		return apputil.TmkProgram{
@@ -285,25 +287,18 @@ func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// Combine: sum every processor's contributions over my
 				// block (faults fetch only the buffer pages that were
 				// actually written near boundaries), then move my block.
-				for i := lo; i < hi; i++ {
-					f[i] = 0
-				}
+				clear(f)
 				for p := 0; p < nprocs; p++ {
-					rb := bufs[p].Read(lo, hi)
-					for i := lo; i < hi; i++ {
-						f[i] += rb[i]
+					for k, v := range bufs[p].Read(lo, hi) {
+						f[k] += v
 					}
 				}
-				wx := x.Write(lo, hi)
-				wy := y.Write(lo, hi)
-				wz := z.Write(lo, hi)
-				moveBlock(wx, wy, wz, f, lo, hi)
+				moveBlock(x.Write(lo, hi), y.Write(lo, hi), z.Write(lo, hi), f)
 				tm.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				tm.Barrier()
 			},
 			Checksum: func() float64 {
-				gx, gy, gz := x.Read(0, m), y.Read(0, m), z.Read(0, m)
-				return coordSum(gx[:m], gy[:m], gz[:m])
+				return coordSum(x.Read(0, m), y.Read(0, m), z.Read(0, m))
 			},
 		}
 	})
@@ -336,25 +331,18 @@ func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				return
 			}
 			w := force.Write(lo, hi)
-			for i := lo; i < hi; i++ {
-				w[i] = 0
-			}
+			clear(w)
 			for p := 0; p < nprocs; p++ {
-				rb := bufs[p].Read(lo, hi)
-				for i := lo; i < hi; i++ {
-					w[i] += rb[i]
+				for k, v := range bufs[p].Read(lo, hi) {
+					w[k] += v
 				}
 			}
-			wx := x.Write(lo, hi)
-			wy := y.Write(lo, hi)
-			wz := z.Write(lo, hi)
-			moveBlock(wx, wy, wz, w, lo, hi)
+			moveBlock(x.Write(lo, hi), y.Write(lo, hi), z.Write(lo, hi), w)
 			rt.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 		})
 
 		if rt.IsMaster() {
-			wx, wy, wz := x.Write(0, m), y.Write(0, m), z.Write(0, m)
-			initCoords(wx[:m], wy[:m], wz[:m])
+			initCoords(x.Write(0, m), y.Write(0, m), z.Write(0, m))
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(k int) {
@@ -362,8 +350,7 @@ func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				rt.ParallelDo(moveLoop, 0, m, spf.Block)
 			},
 			Checksum: func() float64 {
-				gx, gy, gz := x.Read(0, m), y.Read(0, m), z.Read(0, m)
-				return coordSum(gx[:m], gy[:m], gz[:m])
+				return coordSum(x.Read(0, m), y.Read(0, m), z.Read(0, m))
 			},
 		}
 	})
@@ -400,7 +387,7 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// local force buffer and sum (paper §6.2).
 				orderedAccumulate(x, parts)
 				x.LoopSync()
-				moveBlock(xs, ys, zs, buf, lo, hi)
+				moveBlock(xs[lo:hi], ys[lo:hi], zs[lo:hi], buf[lo:hi])
 				x.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				// Coordinates also defeat analysis: broadcast partitions.
 				xhpf.BroadcastPartition(x, xs, m)
@@ -467,7 +454,7 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// task order, rebroadcast (paper's PVMe data volume comes
 				// from exactly this full-buffer reduction).
 				orderedReduce(pv, buf, parts)
-				moveBlock(xs, ys, zs, buf, lo, hi)
+				moveBlock(xs[lo:hi], ys[lo:hi], zs[lo:hi], buf[lo:hi])
 				pv.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				// Partners reach at most N2 below my block: send my lower
 				// boundary window up, my upper boundary window down.

@@ -81,7 +81,8 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 // sweepRows relaxes the points of one color ((i+j) mod 2 == color) in
 // interior columns of global rows [rlo,rhi), in place, and returns the
 // number of points updated. u begins at global row off (nonzero for a
-// message-passing processor's block and halo). The expression shape — cSelf*self +
+// DSM view of a band and its halo rows, and for a message-passing
+// processor's block and halo). The expression shape — cSelf*self +
 // cStencil*(((up+down)+left)+right) — is the one the IR encodes; do not
 // reassociate it.
 //
@@ -146,17 +147,18 @@ func runTmk(cfg core.Config) (core.Result, error) {
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					if rows > 0 {
-						u.Read((lo-1)*n, (hi+1)*n)
-						w := u.Write(lo*n, hi*n)
-						cnt := sweepRows(w, n, lo, hi, color, 0)
+						// One view of the band and its halo rows; Write
+						// twins the rows relaxed through it.
+						v := u.Read((lo-1)*n, (hi+1)*n)
+						u.Write(lo*n, hi*n)
+						cnt := sweepRows(v, n, lo, hi, color, lo-1)
 						tm.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 					}
 					tm.Barrier()
 				}
 			},
 			Checksum: func() float64 {
-				g := u.Read(0, n*n)
-				return apputil.Sum64(g[:n*n])
+				return apputil.Sum64(u.Read(0, n*n))
 			},
 		}
 	})
@@ -178,9 +180,9 @@ func runSPF(cfg core.Config) (core.Result, error) {
 				if lo >= hi {
 					return
 				}
-				u.Read((lo-1)*n, (hi+1)*n)
-				w := u.Write(lo*n, hi*n)
-				cnt := sweepRows(w, n, lo, hi, color, 0)
+				v := u.Read((lo-1)*n, (hi+1)*n)
+				u.Write(lo*n, hi*n)
+				cnt := sweepRows(v, n, lo, hi, color, lo-1)
 				rt.Advance(apputil.Cost(cnt, cfg.App.SORUpdate))
 			})
 		}
@@ -194,8 +196,7 @@ func runSPF(cfg core.Config) (core.Result, error) {
 				rt.ParallelDo(sweeps[1], 1, n-1, spf.Block)
 			},
 			Checksum: func() float64 {
-				g := u.Read(0, n*n)
-				return apputil.Sum64(g[:n*n])
+				return apputil.Sum64(u.Read(0, n*n))
 			},
 		}
 	})

@@ -91,7 +91,7 @@ const (
 // state bundles the 13 arrays so all versions share the kernels. The
 // kernels take global rows; r0 is the global row the arrays begin at —
 // zero for whole arrays, the first stored row of a message-passing
-// processor's bands.
+// processor's bands, the first row of the views a DSM phase validated.
 type state struct {
 	n, r0            int
 	u, v, p          []float32
@@ -288,79 +288,74 @@ func newLocalState(n int) *state {
 }
 
 // sharedState allocates the 13 arrays as shared regions and exposes the
-// same kernels through a state whose slices are the region backings.
+// same kernels through a state whose slices are views of them: each
+// phase's validation points the slices of the arrays it touches at the
+// rows it validated, all beginning at one row, which becomes r0.
 type sharedState struct {
 	*state
-	regs map[string]*tmk.Region[float32]
+	arrs map[string]sharedArray
+}
+
+// sharedArray is one array's region and the state slice its views go to.
+type sharedArray struct {
+	reg  *tmk.Region[float32]
+	view *[]float32
 }
 
 func newSharedState(tm *tmk.Tmk, n int) *sharedState {
-	s := &state{n: n}
-	ss := &sharedState{state: s, regs: map[string]*tmk.Region[float32]{}}
-	for i, f := range s.slots() {
-		r := tmk.Alloc[float32](tm, "shallow."+arrayNames[i], n*n)
-		ss.regs[arrayNames[i]] = r
-		*f = r.Data()
+	ss := &sharedState{state: &state{n: n}, arrs: map[string]sharedArray{}}
+	for i, f := range ss.slots() {
+		ss.arrs[arrayNames[i]] = sharedArray{tmk.Alloc[float32](tm, "shallow."+arrayNames[i], n*n), f}
 	}
 	return ss
 }
 
-func (ss *sharedState) reg(name string) *tmk.Region[float32] { return ss.regs[name] }
+// read validates rows [rlo,rhi) of the named arrays for reading (agg:
+// through the enhanced interface) and points their slices at the views.
+func (ss *sharedState) read(names []string, rlo, rhi int, agg bool) {
+	n := ss.n
+	for _, name := range names {
+		a := ss.arrs[name]
+		if agg {
+			*a.view = a.reg.ReadAggregated(rlo*n, rhi*n)
+		} else {
+			*a.view = a.reg.Read(rlo*n, rhi*n)
+		}
+	}
+}
+
+// write is read for writing.
+func (ss *sharedState) write(names []string, rlo, rhi int) {
+	n := ss.n
+	for _, name := range names {
+		a := ss.arrs[name]
+		*a.view = a.reg.Write(rlo*n, rhi*n)
+	}
+}
 
 // validatePhase1 performs the access checks for loop100 over rows
 // [rlo,rhi): read p,u,v rows [rlo,rhi+1), write cu,cv,z,h rows [rlo,rhi).
 func (ss *sharedState) validatePhase1(rlo, rhi int, agg bool) {
-	n := ss.n
-	for _, in := range []string{"p", "u", "v"} {
-		if agg {
-			ss.reg(in).ReadAggregated(rlo*n, (rhi+1)*n)
-		} else {
-			ss.reg(in).Read(rlo*n, (rhi+1)*n)
-		}
-	}
-	for _, out := range []string{"cu", "cv", "z", "h"} {
-		ss.reg(out).Write(rlo*n, rhi*n)
-	}
+	ss.r0 = rlo
+	ss.read(puvNames, rlo, rhi+1, agg)
+	ss.write(groupANames, rlo, rhi)
 }
 
 // validatePhase2: read cu,cv,z,h rows [rlo,rhi+1) and old rows [rlo,rhi);
 // write new rows [rlo,rhi).
 func (ss *sharedState) validatePhase2(rlo, rhi int, agg bool) {
-	n := ss.n
-	for _, in := range []string{"cu", "cv", "z", "h"} {
-		if agg {
-			ss.reg(in).ReadAggregated(rlo*n, (rhi+1)*n)
-		} else {
-			ss.reg(in).Read(rlo*n, (rhi+1)*n)
-		}
-	}
-	for _, in := range []string{"uold", "vold", "pold"} {
-		ss.reg(in).Read(rlo*n, rhi*n)
-	}
-	for _, out := range []string{"unew", "vnew", "pnew"} {
-		ss.reg(out).Write(rlo*n, rhi*n)
-	}
+	ss.r0 = rlo
+	ss.read(groupANames, rlo, rhi+1, agg)
+	ss.read(oldNames, rlo, rhi, false)
+	ss.write(groupBNames, rlo, rhi)
 }
 
 // validatePhase3: pointwise over rows [rlo,rhi): read new, read+write
 // u,v,p and old.
 func (ss *sharedState) validatePhase3(rlo, rhi int) {
-	n := ss.n
-	for _, in := range []string{"unew", "vnew", "pnew"} {
-		ss.reg(in).Read(rlo*n, rhi*n)
-	}
-	for _, io := range []string{"u", "v", "p", "uold", "vold", "pold"} {
-		ss.reg(io).Write(rlo*n, rhi*n)
-	}
-}
-
-// validateWrapCols write-validates column n-1 in rows [rlo,rhi) (the
-// rows are typically already writable from the producing loop).
-func (ss *sharedState) validateWrapCols(names []string, rlo, rhi int) {
-	n := ss.n
-	for _, name := range names {
-		ss.reg(name).Write(rlo*n, rhi*n)
-	}
+	ss.r0 = rlo
+	ss.read(groupBNames, rlo, rhi, false)
+	ss.write(stateNames, rlo, rhi)
 }
 
 // wrapRowShared performs the contiguous edge copy through the DSM: read
@@ -370,17 +365,39 @@ func (ss *sharedState) wrapRowShared(names []string) int {
 	n := ss.n
 	w := 0
 	for _, name := range names {
-		r := ss.reg(name)
+		r := ss.arrs[name].reg
 		r.Read(0, n)
 		dst := r.Write((n-1)*n, n*n)
-		copy(dst[(n-1)*n:n*n], dst[0:n])
+		// Row 0's view after both validations: in a region of a few
+		// pages the Write can move the pages holding row 0.
+		copy(dst, r.Read(0, n))
 		w += n
 	}
 	return w
 }
 
-var groupANames = []string{"cu", "cv", "z", "h"}
-var groupBNames = []string{"unew", "vnew", "pnew"}
+// initShared is processor 0's initialization of the whole grid.
+func (ss *sharedState) initShared() {
+	ss.r0 = 0
+	ss.write(stateNames, 0, ss.n)
+	ss.init(0, ss.n)
+}
+
+// checksumShared reads all of p, u, v (on processor 0, after the run).
+func (ss *sharedState) checksumShared() float64 {
+	ss.read(puvNames, 0, ss.n, false)
+	return ss.checksum()
+}
+
+// The arrays the phases validate, in the order they validate them.
+// groupA and groupB are also what is wrapped after loops 100 and 200.
+var (
+	puvNames    = []string{"p", "u", "v"}
+	oldNames    = []string{"uold", "vold", "pold"}
+	stateNames  = []string{"u", "v", "p", "uold", "vold", "pold"}
+	groupANames = []string{"cu", "cv", "z", "h"}
+	groupBNames = []string{"unew", "vnew", "pnew"}
+)
 
 func runTmk(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
@@ -390,10 +407,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		rlo, rhi := apputil.BlockOf(me, nprocs, n-1)
 		isLast := me == nprocs-1
 		if me == 0 {
-			for _, name := range []string{"u", "v", "p", "uold", "vold", "pold"} {
-				ss.reg(name).Write(0, n*n)
-			}
-			ss.init(0, n)
+			ss.initShared()
 		}
 		tm.Barrier()
 		adv := func(d sim.Time) { tm.Advance(d) }
@@ -401,12 +415,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 			Iterate: func(k int) {
 				stepTmk(ss, adv, cfg, rlo, rhi, isLast, tm.Barrier)
 			},
-			Checksum: func() float64 {
-				ss.reg("p").Read(0, n*n)
-				ss.reg("u").Read(0, n*n)
-				ss.reg("v").Read(0, n*n)
-				return ss.checksum()
-			},
+			Checksum: ss.checksumShared,
 		}
 	})
 }
@@ -421,7 +430,7 @@ func stepTmk(ss *sharedState, adv func(sim.Time), cfg core.Config, rlo, rhi int,
 	if rhi > rlo {
 		ss.validatePhase1(rlo, rhi, false)
 		pts := ss.loop100(rlo, rhi)
-		w := wrapCols(ss.groupA(), n, rlo, rhi)
+		w := wrapCols(ss.groupA(), n, 0, rhi-rlo)
 		adv(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
 	}
 	barrier()
@@ -432,7 +441,7 @@ func stepTmk(ss *sharedState, adv func(sim.Time), cfg core.Config, rlo, rhi int,
 	if rhi > rlo {
 		ss.validatePhase2(rlo, rhi, false)
 		pts := ss.loop200(rlo, rhi)
-		w := wrapCols(ss.groupB(), n, rlo, rhi)
+		w := wrapCols(ss.groupB(), n, 0, rhi-rlo)
 		adv(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
 	}
 	barrier()
@@ -469,8 +478,8 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 			pts := ss.loop100(lo, hi)
 			adv(apputil.Cost(pts*4, cfg.App.ShallowUpdate))
 			if merged { // §5.2: the wrap loop is merged into the main loop
-				ss.validateWrapCols(groupANames, lo, hi)
-				w := wrapCols(ss.groupA(), n, lo, hi)
+				ss.write(groupANames, lo, hi) // typically writable already, from the producing loop
+				w := wrapCols(ss.groupA(), n, 0, hi-lo)
 				adv(apputil.Cost(w, cfg.App.ShallowCopy))
 			}
 		})
@@ -478,8 +487,8 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 			if hi <= lo {
 				return
 			}
-			ss.validateWrapCols(groupANames, lo, hi)
-			w := wrapCols(ss.groupA(), n, lo, hi)
+			ss.write(groupANames, lo, hi) // typically writable already, from the producing loop
+			w := wrapCols(ss.groupA(), n, 0, hi-lo)
 			adv(apputil.Cost(w, cfg.App.ShallowCopy))
 		})
 		phase2 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -490,8 +499,8 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 			pts := ss.loop200(lo, hi)
 			adv(apputil.Cost(pts*3, cfg.App.ShallowUpdate))
 			if merged {
-				ss.validateWrapCols(groupBNames, lo, hi)
-				w := wrapCols(ss.groupB(), n, lo, hi)
+				ss.write(groupBNames, lo, hi) // typically writable already, from the producing loop
+				w := wrapCols(ss.groupB(), n, 0, hi-lo)
 				adv(apputil.Cost(w, cfg.App.ShallowCopy))
 			}
 		})
@@ -499,8 +508,8 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 			if hi <= lo {
 				return
 			}
-			ss.validateWrapCols(groupBNames, lo, hi)
-			w := wrapCols(ss.groupB(), n, lo, hi)
+			ss.write(groupBNames, lo, hi) // typically writable already, from the producing loop
+			w := wrapCols(ss.groupB(), n, 0, hi-lo)
 			adv(apputil.Cost(w, cfg.App.ShallowCopy))
 		})
 		phase3 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -513,10 +522,7 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 		})
 
 		if rt.IsMaster() {
-			for _, name := range []string{"u", "v", "p", "uold", "vold", "pold"} {
-				ss.reg(name).Write(0, n*n)
-			}
-			ss.init(0, n)
+			ss.initShared()
 		}
 		return apputil.SPFProgram{
 			IterateMaster: func(k int) {
@@ -536,12 +542,7 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 				adv(apputil.Cost(w, cfg.App.ShallowCopy))
 				rt.ParallelDo(phase3, 0, n, spf.Block)
 			},
-			Checksum: func() float64 {
-				ss.reg("p").Read(0, n*n)
-				ss.reg("u").Read(0, n*n)
-				ss.reg("v").Read(0, n*n)
-				return ss.checksum()
-			},
+			Checksum: ss.checksumShared,
 		}
 	})
 }

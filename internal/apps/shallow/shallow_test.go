@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/apps/kerneltest"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -162,3 +163,6 @@ func TestSpeedupOrdering(t *testing.T) {
 		t.Errorf("XHPF=%.2f should beat Tmk=%.2f on a regular app", sp[core.XHPF], sp[core.Tmk])
 	}
 }
+
+// TestDSMAllocatesWhatItTouches: see kerneltest.
+func TestDSMAllocatesWhatItTouches(t *testing.T) { kerneltest.DSMAllocatesWhatItTouches(t, New()) }

@@ -128,6 +128,13 @@ type Result struct {
 	RedirectedFlushBytes int64
 	StaleForwards        int64
 
+	// Host storage behind the run's shared regions, whole-run sums over
+	// nodes (DSM versions only): pages given a frame, validations that
+	// had to move framed pages, and the bytes of storage those moves
+	// abandoned. Facts about the host, for tests and profiles: they are
+	// no part of a record.
+	FramedPages, FrameJoins, AbandonedBytes int64
+
 	// Breakdown is the per-node virtual-time attribution of the timed
 	// region (observability runs only — nil when the run's cost model
 	// carried no trace). Each node's components sum exactly to its timed

@@ -8,7 +8,7 @@ import (
 
 // frame is the execution context a compiled nest runs against: the
 // current point, the size parameter, the array storage (whatever backs
-// it — tmk region slices on the DSM, sequential copies, a processor's
+// it — views of tmk regions on the DSM, sequential copies, a processor's
 // block and halo under message passing) and the scalar accumulators.
 type frame struct {
 	n    int
@@ -26,8 +26,8 @@ type indexFn func(fr *frame) int
 // compiler carries the name resolution for one nest. Programs index
 // absolutely (row*n + col); off[slot] is the absolute index of the
 // first element a slot's backing holds — zero for whole arrays, the
-// first stored row's under message passing — and is folded into every
-// compiled index.
+// first stored row's under message passing, the first row's of a DSM
+// slice's view — and is folded into every compiled index.
 type compiler struct {
 	rowVar, colVar string
 	arrays         map[string]int

@@ -75,6 +75,18 @@ func redBlackIR(guarded bool) *Program {
 	}
 }
 
+// oneSidedIR is a guarded in-place sweep that reads only the row below
+// the point it writes: a slice [lo,hi) reads rows [lo+1,hi+1) of u and
+// writes rows [lo,hi), so neither span contains the other.
+func oneSidedIR() *Program {
+	p := redBlackIR(true)
+	p.Name = "onesided"
+	for _, nst := range p.Nests {
+		nst.Stmts[0].RHS = Add(Mul(Lit(0.5), Ref(At("u", "i", 1, "j", 0))), Lit(0.25))
+	}
+	return p
+}
+
 // reductionIR increments an integer-valued grid, then reduces its sum
 // and max — exact in floating point, so every combining order agrees.
 func reductionIR() *Program {
@@ -308,6 +320,9 @@ func TestBackendsMatchReference(t *testing.T) {
 	}{
 		{"stencil", stencilIR, n},
 		{"redblack", func() *Program { return redBlackIR(true) }, n},
+		// Rows of a page each: the DSM view must come to span the read
+		// and the written rows although they are validated apart.
+		{"onesided", oneSidedIR, 1024},
 		{"reduction", reductionIR, n},
 		{"serial", serialIR, n},
 		// Large enough that the coefficient array spans several DSM

@@ -16,14 +16,39 @@ type readSpan struct {
 	full     bool
 }
 
-// spfPlan is one nest lowered for the fork-join runtime.
+// rows returns the span's rows for the slice [lo,hi) of an n-row array.
+func (rs readSpan) rows(lo, hi, n int) (int, int) {
+	if rs.full {
+		return 0, n
+	}
+	return clampRow(lo+rs.min, n), clampRow(hi+rs.max, n)
+}
+
+// spfPlan is one nest lowered for the fork-join runtime. A parallel
+// nest runs against views of the rows its slice validated, so it is
+// compiled when the slice is known: en holds it compiled for a slice
+// beginning at row enLo (BLOCK scheduling hands a processor the same
+// slice every time). Serial nests run on whole arrays.
 type spfPlan struct {
 	step     *Step
 	en       *execNest
+	enLo     int
 	loop     int // registered subroutine index (parallel nests)
 	reads    []readSpan
 	writes   []int // written slots, declaration order
 	redSlots []int // scalar slots the nest reduces into
+}
+
+// readRows returns the rows the nest reads of an array slot for the
+// slice [lo,hi), and whether it reads the array at all.
+func (pl *spfPlan) readRows(slot, lo, hi, n int) (rlo, rhi int, ok bool) {
+	for _, rs := range pl.reads {
+		if rs.slot == slot {
+			rlo, rhi = rs.rows(lo, hi, n)
+			return rlo, rhi, true
+		}
+	}
+	return 0, 0, false
 }
 
 // lowerUses computes the declaration-order read spans, write slots and
@@ -92,39 +117,56 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 		fr := &frame{n: n, arr: make([][]float32, len(p.Arrays)), scal: make([]float64, len(p.Scalars))}
 
 		// bind validates a slice's pages (reads first, then writes, in
-		// declaration order — the order a hand coder writes) and points
-		// the frame at the region backing.
-		bind := func(pl *spfPlan, lo, hi int) {
+		// declaration order — the order a hand coder writes), points the
+		// frame at one view per array and returns the nest compiled for
+		// the rows those views begin at. An array the nest both reads
+		// and writes keeps its read view, which holds the written rows
+		// too; should it not, the Write may have moved the pages under
+		// that view, and one more Read over both spans (and any rows
+		// between them) replaces it.
+		offs := make([]int, len(p.Arrays))
+		bind := func(pl *spfPlan, lo, hi int) *execNest {
 			for _, rs := range pl.reads {
-				if rs.full {
-					fr.arr[rs.slot] = regs[rs.slot].Read(0, n*n)
-					continue
-				}
-				fr.arr[rs.slot] = regs[rs.slot].Read(clampRow(lo+rs.min, n)*n, clampRow(hi+rs.max, n)*n)
+				rlo, rhi := rs.rows(lo, hi, n)
+				fr.arr[rs.slot], offs[rs.slot] = regs[rs.slot].Read(rlo*n, rhi*n), rlo*n
 			}
 			for _, slot := range pl.writes {
-				fr.arr[slot] = regs[slot].Write(lo*n, hi*n)
+				w := regs[slot].Write(lo*n, hi*n)
+				rlo, rhi, read := pl.readRows(slot, lo, hi, n)
+				switch {
+				case !read:
+					fr.arr[slot], offs[slot] = w, lo*n
+				case rlo <= lo && hi <= rhi: // within the read view
+				default:
+					rlo = min(rlo, lo)
+					fr.arr[slot], offs[slot] = regs[slot].Read(rlo*n, max(rhi, hi)*n), rlo*n
+				}
 			}
+			if pl.en == nil || pl.enLo != lo {
+				pl.en, pl.enLo = compileNest(p, pl.step.Info.Nest, offs), lo
+			}
+			return pl.en
 		}
 
 		plans := make([]*spfPlan, len(steps))
 		for k, st := range steps {
-			pl := &spfPlan{step: st, en: compileNest(p, st.Info.Nest, nil), loop: -1}
+			pl := &spfPlan{step: st, loop: -1}
 			pl.reads, pl.writes, pl.redSlots = lowerUses(p, st)
 			plans[k] = pl
 			if !st.Parallel {
+				pl.en = compileNest(p, st.Info.Nest, nil)
 				continue
 			}
 			pl.loop = rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 				if lo >= hi {
 					return
 				}
-				bind(pl, lo, hi)
+				en := bind(pl, lo, hi)
 				for _, slot := range pl.redSlots {
 					fr.scal[slot] = idents[slot]
 				}
-				cnt := pl.en.runRows(fr, lo, hi)
-				rt.Advance(apputil.Cost(cnt, pl.en.nst.PointCost))
+				cnt := en.runRows(fr, lo, hi)
+				rt.Advance(apputil.Cost(cnt, en.nst.PointCost))
 				for _, slot := range pl.redSlots {
 					reds[slot].Combine(rt, fr.scal[slot])
 				}
@@ -136,8 +178,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 				if a.Init == nil {
 					continue
 				}
-				w := regs[k].Write(0, n*n)
-				fillInit(w, a.Init, n, 0, n)
+				fillInit(regs[k].Write(0, n*n), a.Init, n, 0, n)
 			}
 		}
 
@@ -148,7 +189,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 					reds[k].Reset(idents[k])
 				}
 				for _, pl := range plans {
-					nst := pl.en.nst
+					nst := pl.step.Info.Nest
 					if pl.step.Parallel {
 						rt.ParallelDo(pl.loop, nst.Row.Lo.Eval(n), nst.Row.Hi.Eval(n), spf.Block)
 						continue
@@ -177,7 +218,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 				for k := range reds {
 					finals[k] = reds[k].Value()
 				}
-				return checksum(finals, g[:n*n])
+				return checksum(finals, g)
 			},
 		}
 	})

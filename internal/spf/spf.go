@@ -336,8 +336,8 @@ func NewReduction(rt *Runtime, name string, op func(a, b float64) float64) *Redu
 func (r *Reduction) Combine(rt *Runtime, partial float64) {
 	me := rt.tm.ID()
 	rt.tm.AcquireLock(r.lock)
-	w := r.shared.Write(me, me+1)
-	w[me] = r.op(w[me], partial)
+	w := r.shared.Write(me, me+1) // a view of this processor's slot alone
+	w[0] = r.op(w[0], partial)
 	rt.tm.ReleaseLock(r.lock)
 }
 
@@ -346,8 +346,8 @@ func (r *Reduction) Combine(rt *Runtime, partial float64) {
 func (r *Reduction) Value() float64 {
 	g := r.shared.Read(0, r.nprocs)
 	v := g[0]
-	for q := 1; q < r.nprocs; q++ {
-		v = r.op(v, g[q])
+	for _, x := range g[1:] {
+		v = r.op(v, x)
 	}
 	return v
 }
@@ -356,7 +356,7 @@ func (r *Reduction) Value() float64 {
 // loop).
 func (r *Reduction) Reset(v float64) {
 	w := r.shared.Write(0, r.nprocs)
-	for q := 0; q < r.nprocs; q++ {
+	for q := range w {
 		w[q] = v
 	}
 }

@@ -24,13 +24,13 @@ func runProgram(t *testing.T, n int, opts Options) (*tmk.System, float64) {
 		fill := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			w := a.Write(lo, hi)
 			for i := lo; i < hi; i += stride {
-				w[i] = float32(int64(i) * args[0])
+				w[i-lo] = float32(int64(i) * args[0])
 			}
 		})
 		double := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			w := a.Write(lo, hi)
 			for i := lo; i < hi; i += stride {
-				w[i] *= 2
+				w[i-lo] *= 2
 			}
 		})
 		if rt.IsMaster() {
@@ -228,7 +228,7 @@ func TestDynamicScheduleCorrect(t *testing.T) {
 		bump := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			w := a.Write(lo, hi)
 			for i := lo; i < hi; i += stride {
-				w[i]++
+				w[i-lo]++
 			}
 		})
 		if rt.IsMaster() {

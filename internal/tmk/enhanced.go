@@ -29,6 +29,7 @@ func PushOnBarrier[T Elem](tm *Tmk, r *Region[T], lo, hi, dest int) {
 	if dest == tm.nd.id {
 		panic("tmk: push to self")
 	}
+	r.checkRange(lo, hi)
 	first := int32(r.PageOf(lo))
 	last := int32(r.PageOf(hi - 1))
 	tm.nd.pushes = append(tm.nd.pushes, &proto.PushDirective{
@@ -67,6 +68,7 @@ func (nd *node) firePushes(seq int, kind stats.Kind) {
 // so the subsequent write notices for them cause no page faults.
 // Collective: every process must call it with the same arguments.
 func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
+	r.checkRange(lo, hi)
 	nd := tm.nd
 	p := tm.p
 	n := nd.sys.nprocs
@@ -86,7 +88,7 @@ func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
 	}
 	m := p.Recv(root, tagBcast+seq)
 	bm := m.Payload.(bcastMsg)
-	r.install(lo, hi, bm.payload)
+	r.install(lo, hi, bm.payload.([]T))
 	// Mark fully covered pages as applied up to the root's release.
 	firstFull := (lo + r.epp - 1) / r.epp
 	lastFull := hi/r.epp - 1

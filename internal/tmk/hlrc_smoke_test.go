@@ -25,7 +25,7 @@ func TestHLRCSmoke(t *testing.T) {
 			for k := 0; k < 4; k++ {
 				w := r.Write(lo, lo+chunk)
 				for i := lo; i < lo+chunk; i++ {
-					w[i] = float32(k*10 + tm.ID())
+					w[i-lo] = float32(k*10 + tm.ID())
 				}
 				tm.Barrier()
 				g := r.Read(0, 4096)

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/proto"
@@ -33,7 +34,11 @@ type seg[T Elem] struct {
 }
 
 // Region is a shared array of T, padded to page boundaries as the SPF
-// compiler pads shared arrays (§2.1).
+// compiler pads shared arrays (§2.1). A node stores only the pages it
+// has touched: frames maps each local page to the piece holding it, nil
+// for a page never validated or written here, which is all zeros as
+// every page is at allocation (DESIGN.md "Shared regions: views and
+// frames").
 type Region[T Elem] struct {
 	nd       *node
 	name     string
@@ -42,9 +47,19 @@ type Region[T Elem] struct {
 	epp      int // elements per page
 	basePage int
 	npages   int
-	data     []T
-	twins    [][]T // per local page; nil = no twin
-	spare    [][]T // dropped twins, reused by makeTwin; at most npages
+	frames   []*piece[T] // per local page; nil = no frame, reads as zeros
+	twins    [][]T       // per local page; nil = no twin
+	spare    [][]T       // dropped twins, reused by makeTwin; at most npages
+}
+
+// piece is one contiguous run of framed pages: local pages [p0, p0+np)
+// are data[:np*epp]. Anything data holds beyond that is zeroed reserve
+// no view can reach, kept by a piece that has been growing upwards so
+// that the next extension costs no copy (see join).
+type piece[T Elem] struct {
+	p0, np int
+	data   []T
+	joined bool // made by a join rather than by a first validation
 }
 
 // regionHandle is the untyped view the node keeps for protocol work.
@@ -57,10 +72,6 @@ type regionHandle interface {
 	apply(lp int32, payload any)
 	// makeTwin snapshots local page lp.
 	makeTwin(lp int32)
-	// snapshot returns the raw values of elements [lo,hi) with wire size.
-	snapshot(lo, hi int) (payload any, bytes int)
-	// install overwrites elements [lo,hi) from a snapshot payload.
-	install(lo, hi int, payload any)
 	// snapshotPage returns the full contents of local page lp.
 	snapshotPage(lp int32) (payload any, bytes int)
 	// installPage overwrites local page lp from a snapshot payload.
@@ -71,7 +82,7 @@ type regionHandle interface {
 
 // Alloc creates a shared region of n elements of type T, identically on
 // every process. It must be called in the same order with the same
-// arguments on all processes.
+// arguments on all processes. No page gets storage until it is touched.
 func Alloc[T Elem](tm *Tmk, name string, n int) *Region[T] {
 	nd := tm.nd
 	es := sizeOfElem[T]()
@@ -84,7 +95,7 @@ func Alloc[T Elem](tm *Tmk, name string, n int) *Region[T] {
 		elemSize: es,
 		epp:      epp,
 		npages:   npages,
-		data:     make([]T, npages*epp),
+		frames:   make([]*piece[T], npages),
 		twins:    make([][]T, npages),
 	}
 	rid := len(nd.regions)
@@ -106,50 +117,53 @@ func (r *Region[T]) Pages() int { return r.npages }
 // ElemsPerPage returns the page capacity in elements.
 func (r *Region[T]) ElemsPerPage() int { return r.epp }
 
-// Read validates the pages covering [lo,hi) for reading and returns the
-// backing slice. Index the result with the same [lo,hi) element indices.
+// Read validates the pages covering [lo,hi) for reading and returns a
+// view of exactly those elements: v[i-lo] is element i, and
+// len(v) == cap(v) == hi-lo. The view aliases the node's storage — it
+// sees later protocol updates of its pages — until a later validation
+// of this region covers some of its pages together with pages outside
+// the piece holding them; that join moves the pages and poisons the old
+// storage. Take views after the validations of a phase, not before.
 func (r *Region[T]) Read(lo, hi int) []T {
-	r.validate(lo, hi, false, false)
-	return r.data
+	return r.validate(lo, hi, false, false)
 }
 
-// Write validates the pages covering [lo,hi) for writing (twinning them
-// for the multiple-writer protocol) and returns the backing slice.
+// Write is Read for writing: the pages are twinned for the
+// multiple-writer protocol and the view may be stored through.
 func (r *Region[T]) Write(lo, hi int) []T {
-	r.validate(lo, hi, true, false)
-	return r.data
+	return r.validate(lo, hi, true, false)
 }
 
 // ReadAggregated is Read through the enhanced interface (§5): all pages
 // in the range are fetched with one request per remote writer instead of
 // one request per page per writer.
 func (r *Region[T]) ReadAggregated(lo, hi int) []T {
-	r.validate(lo, hi, false, true)
-	return r.data
+	return r.validate(lo, hi, false, true)
 }
 
 // WriteAggregated is Write with aggregated fetching.
 func (r *Region[T]) WriteAggregated(lo, hi int) []T {
-	r.validate(lo, hi, true, true)
-	return r.data
+	return r.validate(lo, hi, true, true)
 }
 
 // ReadAggregatedRanges validates a set of element ranges for reading
 // with a single request per remote peer across all of them — the
 // enhanced interface's strided-region aggregation, used by the §5.4
-// transpose optimization. Each range is [lo, hi).
-func (r *Region[T]) ReadAggregatedRanges(ranges [][2]int) []T {
+// transpose optimization. Each range is [lo, hi). It returns nothing:
+// follow it with a Read of each range, which finds the pages valid.
+func (r *Region[T]) ReadAggregatedRanges(ranges [][2]int) {
 	start := r.nd.tm.p.Now()
 	defer func() { r.nd.FaultTime += r.nd.tm.p.Now() - start }()
 	var gps []int32
 	last := int32(-1)
 	for _, rg := range ranges {
-		if rg[1] <= rg[0] {
+		r.checkRange(rg[0], rg[1])
+		if rg[1] == rg[0] {
 			continue
 		}
-		first := r.basePage + rg[0]/r.epp
-		end := r.basePage + (rg[1]-1)/r.epp
-		for gp := first; gp <= end; gp++ {
+		first, end := rg[0]/r.epp, (rg[1]-1)/r.epp
+		r.span(first, end) // one piece per range, before its diffs arrive
+		for gp := r.basePage + first; gp <= r.basePage+end; gp++ {
 			if int32(gp) != last {
 				gps = append(gps, int32(gp))
 				last = int32(gp)
@@ -157,22 +171,27 @@ func (r *Region[T]) ReadAggregatedRanges(ranges [][2]int) []T {
 		}
 	}
 	r.nd.prot.FetchAggregated(gps)
-	return r.data
 }
 
-// Data returns the raw backing slice without any validation. Only for
-// sequential (1-process) use and tests.
-func (r *Region[T]) Data() []T { return r.data }
-
-func (r *Region[T]) validate(lo, hi int, write, aggregated bool) {
+// checkRange panics unless elements [lo,hi) lie within the region's
+// pages: beyond them PageOf names pages of the next region.
+func (r *Region[T]) checkRange(lo, hi int) {
 	if lo < 0 || hi > r.npages*r.epp || lo > hi {
 		panic(fmt.Sprintf("tmk: %s: bad range [%d,%d)", r.name, lo, hi))
 	}
+}
+
+func (r *Region[T]) validate(lo, hi int, write, aggregated bool) []T {
+	r.checkRange(lo, hi)
 	if hi == lo {
-		return
+		return nil
 	}
 	first := lo / r.epp
 	last := (hi - 1) / r.epp
+	// Frame the range before the protocol repairs it, so incoming diffs
+	// and pages land in the piece the view is cut from. Only validations
+	// move pages, so pc stays current while the protocol runs.
+	pc := r.span(first, last)
 	start := r.nd.tm.p.Now()
 	if aggregated {
 		gps := make([]int32, 0, last-first+1)
@@ -195,9 +214,139 @@ func (r *Region[T]) validate(lo, hi int, write, aggregated bool) {
 		}
 		r.nd.WriteTime += r.nd.tm.p.Now() - start
 	}
+	return r.elems(pc, lo, hi)
 }
 
-// --- regionHandle implementation ---
+// --- storage ---
+
+// elems returns elements [lo,hi) of the region, all held by pc, with
+// the capacity clipped so that nothing beyond them can be reached.
+func (r *Region[T]) elems(pc *piece[T], lo, hi int) []T {
+	base := pc.p0 * r.epp
+	return pc.data[lo-base : hi-base : hi-base]
+}
+
+// page returns the storage of local page lp, nil if it has no frame.
+func (r *Region[T]) page(lp int32) []T {
+	pc := r.frames[lp]
+	if pc == nil {
+		return nil
+	}
+	o := (int(lp) - pc.p0) * r.epp
+	return pc.data[o : o+r.epp]
+}
+
+// framed returns the storage of local page lp, framing that one page
+// first if it has none: a protocol write (an incoming diff or page, a
+// twin) to a page the application has not validated here.
+func (r *Region[T]) framed(lp int32) []T {
+	if r.frames[lp] == nil {
+		r.frames[lp] = &piece[T]{p0: int(lp), np: 1, data: make([]T, r.epp)}
+		r.nd.frames.Pages++
+	}
+	return r.page(lp)
+}
+
+// span returns the one piece holding local pages [first,last], making
+// it so if need be.
+func (r *Region[T]) span(first, last int) *piece[T] {
+	if pc := r.frames[first]; pc != nil && pc == r.frames[last] {
+		return pc
+	}
+	return r.join(first, last)
+}
+
+// join puts local pages [first,last] — unframed, or spread over several
+// pieces — into one piece. That piece covers the range and, whole,
+// every piece the range touches: their contents are copied over, the
+// page table re-pointed and the abandoned storage poisoned, so a view
+// taken before the join reads NaN (the minimum integer) instead of
+// going quietly stale. The largest piece touched stays where it is when
+// the hull fits its reserve, and its views stay good.
+//
+// A piece that only ever grows upwards — rows validated one by one in
+// ascending order, each sharing a page with the last — would be copied
+// at every step. From its second join on it is therefore allocated at
+// twice the pages it needs (within the region), which bounds the bytes
+// copied by such a sweep to those of the region; a first join, and one
+// that extends a piece downwards (a halo added on both sides), is sized
+// exactly.
+func (r *Region[T]) join(first, last int) *piece[T] {
+	lo, hi := first, last+1
+	var big *piece[T]
+	for lp := first; lp <= last; {
+		pc := r.frames[lp]
+		if pc == nil {
+			lp++
+			continue
+		}
+		lo, hi = min(lo, pc.p0), max(hi, pc.p0+pc.np)
+		if big == nil || pc.np > big.np {
+			big = pc
+		}
+		lp = pc.p0 + pc.np
+	}
+	dst := big
+	if big == nil {
+		dst = &piece[T]{p0: lo, data: make([]T, (hi-lo)*r.epp)}
+	} else {
+		r.nd.frames.Joins++
+		if lo < big.p0 || (hi-big.p0)*r.epp > len(big.data) {
+			np := hi - lo
+			if big.joined && lo == big.p0 {
+				np = min(max(np, 2*big.np), r.npages-lo)
+			}
+			dst = &piece[T]{p0: lo, data: make([]T, np*r.epp), joined: true}
+		}
+	}
+	poison := poisonOf[T]()
+	for lp := lo; lp < hi; {
+		pc := r.frames[lp]
+		if pc == nil {
+			r.frames[lp] = dst
+			r.nd.frames.Pages++
+			lp++
+			continue
+		}
+		lp = pc.p0 + pc.np
+		if pc == dst {
+			continue
+		}
+		old := pc.data[:pc.np*r.epp]
+		copy(dst.data[(pc.p0-dst.p0)*r.epp:], old)
+		for k := pc.p0; k < lp; k++ {
+			r.frames[k] = dst
+		}
+		for i := range old {
+			old[i] = poison
+		}
+		r.nd.frames.AbandonedBytes += int64(len(pc.data) * r.elemSize)
+	}
+	dst.np = hi - dst.p0
+	return dst
+}
+
+// poisonOf is the value join leaves in storage it abandons.
+func poisonOf[T Elem]() T {
+	var z T
+	switch p := any(&z).(type) {
+	case *float32:
+		*p = float32(math.NaN())
+	case *float64:
+		*p = math.NaN()
+	case *complex64:
+		*p = complex64(complex(math.NaN(), math.NaN()))
+	case *complex128:
+		*p = complex(math.NaN(), math.NaN())
+	case *int32:
+		*p = math.MinInt32
+	case *int64:
+		*p = math.MinInt64
+	}
+	return z
+}
+
+// --- regionHandle implementation, and BroadcastRegion's range copies ---
 
 func (r *Region[T]) makeTwin(lp int32) {
 	tw := r.twins[lp]
@@ -209,7 +358,7 @@ func (r *Region[T]) makeTwin(lp int32) {
 		}
 		r.twins[lp] = tw
 	}
-	copy(tw, r.data[int(lp)*r.epp:(int(lp)+1)*r.epp])
+	copy(tw, r.framed(lp))
 }
 
 func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
@@ -217,22 +366,48 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 	if tw == nil {
 		panic("tmk: extract without twin")
 	}
-	page := r.data[int(lp)*r.epp : (int(lp)+1)*r.epp]
-	var segs []seg[T]
-	i := 0
-	for i < len(page) {
+	page := r.page(lp)[:len(tw)] // twinned, so framed
+	// Count the changed runs and their elements, then carve every run's
+	// values out of one slab beside an exactly sized segment list. The
+	// count notes where the first few runs lie — most pages have no more
+	// — so that only the runs beyond them are found by comparing again.
+	var noted [8][2]int
+	nseg, nval := 0, 0
+	for i := 0; i < len(page); {
 		if page[i] == tw[i] {
 			i++
 			continue
 		}
-		j := i
+		j := i + 1
 		for j < len(page) && page[j] != tw[j] {
 			j++
 		}
-		vals := make([]T, j-i)
-		copy(vals, page[i:j])
-		segs = append(segs, seg[T]{off: int32(i), vals: vals})
+		if nseg < len(noted) {
+			noted[nseg] = [2]int{i, j}
+		}
+		nseg++
+		nval += j - i
 		i = j
+	}
+	var segs []seg[T]
+	if nseg > 0 {
+		segs = make([]seg[T], 0, nseg)
+		slab := make([]T, nval)
+		for _, run := range noted[:min(nseg, len(noted))] {
+			segs, slab = carveSeg(segs, slab, page, run[0], run[1])
+		}
+		for i := noted[len(noted)-1][1]; len(segs) < nseg; {
+			if page[i] == tw[i] {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(page) && page[j] != tw[j] {
+				j++
+			}
+			segs, slab = carveSeg(segs, slab, page, i, j)
+			i = j
+		}
 	}
 	if keepTwin {
 		copy(tw, page) // refresh: subsequent writes diff against this state
@@ -240,18 +415,21 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 		r.twins[lp] = nil
 		r.spare = append(r.spare, tw)
 	}
-	bytes := proto.DiffRecHdr
-	for _, s := range segs {
-		bytes += proto.DiffSegHdr + len(s.vals)*r.elemSize
-	}
-	return segs, bytes
+	return segs, proto.DiffRecHdr + nseg*proto.DiffSegHdr + nval*r.elemSize
+}
+
+// carveSeg appends the run page[i:j] to segs, its values copied to the
+// front of slab with the capacity clipped, and returns the rest of slab.
+func carveSeg[T Elem](segs []seg[T], slab, page []T, i, j int) ([]seg[T], []T) {
+	n := copy(slab, page[i:j])
+	return append(segs, seg[T]{off: int32(i), vals: slab[:n:n]}), slab[n:]
 }
 
 func (r *Region[T]) apply(lp int32, payload any) {
 	segs := payload.([]seg[T])
-	base := int(lp) * r.epp
+	page := r.framed(lp)
 	for _, s := range segs {
-		copy(r.data[base+int(s.off):base+int(s.off)+len(s.vals)], s.vals)
+		copy(page[int(s.off):int(s.off)+len(s.vals)], s.vals)
 	}
 	// An incoming diff must land in the live twin too (as in TreadMarks),
 	// keeping the invariant that page-vs-twin shows only *this* node's
@@ -266,22 +444,39 @@ func (r *Region[T]) apply(lp int32, payload any) {
 	}
 }
 
-func (r *Region[T]) snapshot(lo, hi int) (any, int) {
+// snapshot returns the raw values of elements [lo,hi) with their wire
+// size. Pages without a frame read as zeros and stay unframed.
+func (r *Region[T]) snapshot(lo, hi int) ([]T, int) {
 	vals := make([]T, hi-lo)
-	copy(vals, r.data[lo:hi])
+	for at := lo; at < hi; {
+		lp := at / r.epp
+		end := min(hi, (lp+1)*r.epp)
+		if page := r.page(int32(lp)); page != nil {
+			copy(vals[at-lo:], page[at-lp*r.epp:end-lp*r.epp])
+		}
+		at = end
+	}
 	return vals, len(vals) * r.elemSize
 }
 
-func (r *Region[T]) install(lo, hi int, payload any) {
-	copy(r.data[lo:hi], payload.([]T))
+// install overwrites elements [lo,hi) from a snapshot. Like a
+// validation it frames the range as one piece: the receivers of a
+// broadcast go on to read exactly this range.
+func (r *Region[T]) install(lo, hi int, vals []T) {
+	if hi == lo {
+		return
+	}
+	copy(r.elems(r.span(lo/r.epp, (hi-1)/r.epp), lo, hi), vals)
 }
 
 func (r *Region[T]) snapshotPage(lp int32) (any, int) {
-	return r.snapshot(int(lp)*r.epp, (int(lp)+1)*r.epp)
+	vals := make([]T, r.epp)
+	copy(vals, r.page(lp))
+	return vals, len(vals) * r.elemSize
 }
 
 func (r *Region[T]) installPage(lp int32, payload any) {
-	r.install(int(lp)*r.epp, (int(lp)+1)*r.epp, payload)
+	copy(r.framed(lp), payload.([]T))
 }
 
 func (r *Region[T]) mergeRecs(payloads []any) (any, int) {
@@ -297,27 +492,33 @@ func (r *Region[T]) mergeRecs(payloads []any) (any, int) {
 			}
 		}
 	}
+	nseg, nval := 0, 0
+	for i, in := range present {
+		if in {
+			nval++
+			if i == 0 || !present[i-1] {
+				nseg++
+			}
+		}
+	}
 	var segs []seg[T]
-	i := 0
-	for i < r.epp {
-		if !present[i] {
-			i++
-			continue
+	if nseg > 0 {
+		segs = make([]seg[T], 0, nseg)
+		slab := make([]T, nval)
+		for i := 0; len(segs) < nseg; {
+			if !present[i] {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < r.epp && present[j] {
+				j++
+			}
+			segs, slab = carveSeg(segs, slab, page, i, j)
+			i = j
 		}
-		j := i
-		for j < r.epp && present[j] {
-			j++
-		}
-		vals := make([]T, j-i)
-		copy(vals, page[i:j])
-		segs = append(segs, seg[T]{off: int32(i), vals: vals})
-		i = j
 	}
-	bytes := proto.DiffRecHdr
-	for _, s := range segs {
-		bytes += proto.DiffSegHdr + len(s.vals)*r.elemSize
-	}
-	return segs, bytes
+	return segs, proto.DiffRecHdr + nseg*proto.DiffSegHdr + nval*r.elemSize
 }
 
 var _ regionHandle = (*Region[float32])(nil)

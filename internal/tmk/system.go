@@ -114,6 +114,26 @@ func (s *System) ProtocolCounters() proto.Counters {
 	return out
 }
 
+// FrameCounters describe the host storage behind a system's regions.
+// They cost no virtual time and are not part of a run's results.
+type FrameCounters struct {
+	Pages          int64 // pages given a frame
+	Joins          int64 // validations that had to move or extend framed pages
+	AbandonedBytes int64 // storage those joins copied out of and poisoned
+}
+
+// FrameCounters returns the region storage counts summed over every
+// node. Valid after Run returns.
+func (s *System) FrameCounters() FrameCounters {
+	var out FrameCounters
+	for _, nd := range s.nodes {
+		out.Pages += nd.frames.Pages
+		out.Joins += nd.frames.Joins
+		out.AbandonedBytes += nd.frames.AbandonedBytes
+	}
+	return out
+}
+
 // Run executes body on every node's application process and returns when
 // all have finished. Region allocation must be performed inside body,
 // identically on every process (SPMD style), exactly as Fortran common
@@ -167,6 +187,7 @@ type node struct {
 	nextPage   int
 	allocSeq   int
 	barrierSeq int
+	frames     FrameCounters // this node's share; regions count into it
 
 	// Synchronization bookkeeping.
 	lastReported int32     // own intervals reported to the barrier manager

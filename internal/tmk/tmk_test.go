@@ -103,7 +103,7 @@ func TestMultipleWriterFalseSharing(t *testing.T) {
 		lo := tm.ID() * half
 		w := r.Write(lo, lo+half)
 		for i := lo; i < lo+half; i++ {
-			w[i] = float32(100*tm.ID() + 1)
+			w[i-lo] = float32(100*tm.ID() + 1)
 		}
 		tm.Barrier()
 		g := r.Read(0, 1024)
@@ -272,16 +272,14 @@ func TestLockCarriesConsistency(t *testing.T) {
 		r := Alloc[float32](tm, "a", 1024)
 		if tm.ID() == 0 {
 			tm.AcquireLock(0)
-			w := r.Write(5, 6)
-			w[5] = 99
+			r.Write(5, 6)[0] = 99 // a view of element 5 alone
 			tm.ReleaseLock(0)
 			tm.Barrier()
 		} else {
 			tm.Barrier() // order the acquires: proc 0 first
 			tm.AcquireLock(0)
-			g := r.Read(5, 6)
-			if g[5] != 99 {
-				t.Errorf("a[5] = %v, want 99", g[5])
+			if g := r.Read(5, 6); g[0] != 99 {
+				t.Errorf("a[5] = %v, want 99", g[0])
 			}
 			tm.ReleaseLock(0)
 		}
@@ -346,7 +344,7 @@ func TestForkJoinPropagatesWrites(t *testing.T) {
 				lo := tm.ID() * chunk
 				w := r.Write(lo, lo+chunk)
 				for i := lo; i < lo+chunk; i++ {
-					w[i] = float32(k)
+					w[i-lo] = float32(k)
 				}
 				tm.Join()
 			}
@@ -497,11 +495,11 @@ func TestRunsAreDeterministic(t *testing.T) {
 				lo := tm.ID() * chunk
 				w := r.Write(lo, lo+chunk)
 				for i := lo; i < lo+chunk; i++ {
-					w[i] = float32(k*10 + tm.ID())
+					w[i-lo] = float32(k*10 + tm.ID())
 				}
 				tm.AcquireLock(0)
 				s := r.Write(4095, 4096)
-				s[4095]++
+				s[0]++
 				tm.ReleaseLock(0)
 				tm.Barrier()
 				r.Read(0, 4096)
@@ -738,7 +736,7 @@ func TestReadAggregatedRangesCorrectness(t *testing.T) {
 		lo, hi := tm.ID()*pages/4, (tm.ID()+1)*pages/4
 		w := r.Write(lo*1024, hi*1024)
 		for i := lo * 1024; i < hi*1024; i++ {
-			w[i] = float32(i)
+			w[i-lo*1024] = float32(i)
 		}
 		tm.Barrier()
 		if tm.ID() == 0 {
@@ -747,12 +745,17 @@ func TestReadAggregatedRangesCorrectness(t *testing.T) {
 			for pg := 0; pg < pages; pg += 4 {
 				ranges = append(ranges, [2]int{pg * 1024, (pg + 1) * 1024})
 			}
-			g := r.ReadAggregatedRanges(ranges)
-			for pg := 0; pg < pages; pg += 4 {
-				i := pg*1024 + 7
-				if g[i] != float32(i) {
-					t.Errorf("a[%d] = %v, want %v", i, g[i], float32(i))
+			r.ReadAggregatedRanges(ranges)
+			faults := tm.FaultCount()
+			for _, rg := range ranges {
+				g := r.Read(rg[0], rg[1]) // valid already: a view, no fault
+				i := rg[0] + 7
+				if g[i-rg[0]] != float32(i) {
+					t.Errorf("a[%d] = %v, want %v", i, g[i-rg[0]], float32(i))
 				}
+			}
+			if tm.FaultCount() != faults {
+				t.Errorf("Reads after ReadAggregatedRanges took %d faults", tm.FaultCount()-faults)
 			}
 		}
 		tm.Barrier()

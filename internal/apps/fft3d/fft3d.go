@@ -558,7 +558,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 							buf = append(buf, xs[off:off+kn.n1]...)
 						}
 					}
-					pvm.Send(pv, q, 600, buf)
+					pvm.Transmit(pv, q, 600, buf) // freshly packed, never written again
 				}
 				for q := 0; q < nprocs; q++ {
 					if q == me {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/apps/kerneltest"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/proto"
 	"repro/internal/stats"
 )
 
@@ -58,8 +59,8 @@ func TestRaggedPartition(t *testing.T) {
 // did (eight grids at eight processors). The slack covers message
 // payloads and the simulator's own state.
 func TestMessagePassingAllocatesWhatItOwns(t *testing.T) {
-	_, one := kerneltest.Allocated(t, New(), core.XHPF, 1)
-	_, eight := kerneltest.Allocated(t, New(), core.XHPF, 8)
+	_, one := kerneltest.Allocated(t, New(), core.XHPF, 1, "")
+	_, eight := kerneltest.Allocated(t, New(), core.XHPF, 8, "")
 	if 2*eight > 3*one {
 		t.Errorf("Jacobi xhpf at mid scale allocates %d bytes on 8 processors, %d on 1: more than 1.5x — a full grid per processor is back",
 			eight, one)
@@ -68,6 +69,20 @@ func TestMessagePassingAllocatesWhatItOwns(t *testing.T) {
 
 // TestDSMAllocatesWhatItTouches: see kerneltest.
 func TestDSMAllocatesWhatItTouches(t *testing.T) { kerneltest.DSMAllocatesWhatItTouches(t, New()) }
+
+// TestHomeBasedRepliesReuseTheirBuffers: under the home-based protocol
+// every fault is answered with a whole page, and a fresh 4 KB buffer per
+// reply put the 8-processor run at 3.15x the bytes of the 1-processor
+// run. Replies draw from and return to the region's page-buffer list
+// (tmk.TestPageBuffersAreRecycled counts the buffers), so the run is
+// held to the 3x the homeless protocol is held to.
+func TestHomeBasedRepliesReuseTheirBuffers(t *testing.T) {
+	_, one := kerneltest.Allocated(t, New(), core.Tmk, 1, proto.HomeLRC)
+	_, eight := kerneltest.Allocated(t, New(), core.Tmk, 8, proto.HomeLRC)
+	if eight > 3*one {
+		t.Errorf("Jacobi tmk under hlrc at mid scale allocates %d bytes on 8 processors, %d on 1: more than 3x", eight, one)
+	}
+}
 
 // TestPVMeMessageFormula: the hand-coded message-passing version sends
 // exactly 2*(procs-1) boundary rows per iteration and nothing else

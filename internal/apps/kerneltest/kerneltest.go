@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/proto"
 )
 
 // Noise returns n deterministic float32 values in (-2, 2) with full
@@ -88,11 +89,12 @@ func ConcurrentRuns(t *testing.T, app core.App, cfg core.Config) {
 }
 
 // Allocated runs one version of app at mid scale on procs processors
-// and returns its result with the bytes the run allocated on the host.
-func Allocated(t *testing.T, app core.App, v core.Version, procs int) (core.Result, uint64) {
+// (DSM versions under the given protocol, "" for the default) and
+// returns its result with the bytes the run allocated on the host.
+func Allocated(t *testing.T, app core.App, v core.Version, procs int, protocol proto.Name) (core.Result, uint64) {
 	t.Helper()
 	cfg := app.Config(core.MidScale, procs)
-	cfg.Costs, cfg.App = model.SP2(), model.DefaultAppCosts()
+	cfg.Costs, cfg.App, cfg.Protocol = model.SP2(), model.DefaultAppCosts(), protocol
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := app.Run(v, cfg)
@@ -112,8 +114,8 @@ func Allocated(t *testing.T, app core.App, v core.Version, procs int) (core.Resu
 // and halo pages: that is the slack.
 func DSMAllocatesWhatItTouches(t *testing.T, app core.App) {
 	t.Helper()
-	one, bytes1 := Allocated(t, app, core.Tmk, 1)
-	eight, bytes8 := Allocated(t, app, core.Tmk, 8)
+	one, bytes1 := Allocated(t, app, core.Tmk, 1, "")
+	eight, bytes8 := Allocated(t, app, core.Tmk, 8, "")
 	t.Logf("%s tmk at mid scale: 1 processor %d bytes, %d pages framed; 8 processors %d bytes, %d pages framed, %d joins abandoning %d bytes",
 		app.Name(), bytes1, one.FramedPages, bytes8, eight.FramedPages, eight.FrameJoins, eight.AbandonedBytes)
 	if bytes8 > 3*bytes1 {

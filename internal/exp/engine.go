@@ -208,7 +208,11 @@ func (e *Engine) writeBack(key string, s Spec, res core.Result, err error) {
 	if st == nil || err != nil {
 		return
 	}
-	b, merr := json.Marshal(RecordOf(s, res, nil))
+	rec := RecordOf(s, res, nil)
+	if rec.Error != "" {
+		return
+	}
+	b, merr := json.Marshal(rec)
 	if merr != nil {
 		return
 	}

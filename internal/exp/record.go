@@ -106,11 +106,17 @@ type Record struct {
 }
 
 // RecordOf renders a completed run as a record. On error the record
-// carries only the spec and the error string.
+// carries only the spec and the error string. A NaN or ±Inf checksum is
+// such an error: JSON cannot carry the value, and one wrong run must
+// fail like any other instead of aborting the stream it is part of.
 func RecordOf(s Spec, res core.Result, err error) Record {
 	rec := Record{Spec: s}
-	if err != nil {
+	switch {
+	case err != nil:
 		rec.Error = err.Error()
+		return rec
+	case math.IsNaN(res.Checksum) || math.IsInf(res.Checksum, 0):
+		rec.Error = "non-finite checksum"
 		return rec
 	}
 	rec.TimeNanos = int64(res.Time)

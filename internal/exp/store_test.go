@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -278,5 +279,65 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	}
 	if got := st.Stats().Syncs; got != after.Syncs {
 		t.Errorf("warm sweep issued %d fsyncs, want none", got-after.Syncs)
+	}
+}
+
+// nanApp is Jacobi with every run's checksum replaced by NaN.
+type nanApp struct{ core.App }
+
+func (a nanApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
+	res, err := a.App.Run(v, cfg)
+	res.Checksum = math.NaN()
+	return res, err
+}
+
+// TestNonFiniteChecksumIsAnErrorRecord: a run that returns NaN (or ±Inf)
+// for its checksum cannot be encoded as JSON. It must fail like any
+// other run — an error record in its place, counted in Failed, never
+// written back — and the specs around it must still stream.
+func TestNonFiniteChecksumIsAnErrorRecord(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if rec := RecordOf(Spec{}, core.Result{Checksum: bad}, nil); rec.Error != "non-finite checksum" {
+			t.Errorf("RecordOf(checksum %v).Error = %q", bad, rec.Error)
+		}
+	}
+	st := openStoreT(t, t.TempDir())
+	e := New()
+	e.Store = st
+	e.Lookup = func(name string) (core.App, error) {
+		a, err := AppByName(name)
+		if name == "Jacobi" {
+			a = nanApp{a}
+		}
+		return a, err
+	}
+	specs := []Spec{
+		{App: "RB-SOR", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
+		{App: "Jacobi", Version: core.XHPF, Procs: 2, Scale: core.SmallScale},
+		{App: "RB-SOR", Version: core.PVMe, Procs: 2, Scale: core.SmallScale},
+	}
+	var buf bytes.Buffer
+	stats, err := e.StreamWith(&buf, specs, nil)
+	if err == nil || !strings.Contains(err.Error(), "non-finite checksum") {
+		t.Errorf("StreamWith error = %v, want the non-finite checksum", err)
+	}
+	if stats != (StreamStats{Records: 3, Failed: 1}) {
+		t.Errorf("stats = %+v, want 3 records, 1 failed", stats)
+	}
+	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+	if len(lines) != 3 {
+		t.Fatalf("stream has %d lines, want 3", len(lines))
+	}
+	for i, line := range lines {
+		rec, err := ValidateLine(line)
+		if err != nil {
+			t.Errorf("line %d: %v", i, err)
+		}
+		if (rec.Error != "") != (i == 1) || rec.Spec != specs[i] {
+			t.Errorf("line %d: spec %+v error %q", i, rec.Spec, rec.Error)
+		}
+	}
+	if st.Len() != 2 {
+		t.Errorf("store holds %d records, want the 2 good ones", st.Len())
 	}
 }

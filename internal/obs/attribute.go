@@ -113,50 +113,52 @@ func (t *Trace) Attribute(windows [][2]int64) []NodeBreakdown {
 		}
 		return out
 	}
-	for _, e := range t.events {
-		if e.Type != EvWait || int(e.Proc) >= len(windows) || e.Proc < 0 {
-			continue
-		}
-		i := int(e.Proc)
-		if e.Dur < 0 {
-			panic(fmt.Sprintf("obs: negative wait duration %d on proc %d", e.Dur, i))
-		}
-		if e.T < lastEnd[i] {
-			panic(fmt.Sprintf("obs: wait events overlap on proc %d (start %d < previous end %d)", i, e.T, lastEnd[i]))
-		}
-		lastEnd[i] = e.T + e.Dur
-		lo, hi := e.T, e.T+e.Dur
-		if lo < windows[i][0] {
-			lo = windows[i][0]
-		}
-		if hi > windows[i][1] {
-			hi = windows[i][1]
-		}
-		if hi <= lo {
-			continue
-		}
-		d := hi - lo
-		q := e.Arg // contention-queueing part of the wait
-		if q < 0 {
-			q = 0
-		}
-		if q > d {
-			q = d
-		}
-		b := &out[i]
-		b.Queue += q
-		rest := d - q
-		switch CategoryOf(e.Kind) {
-		case CatFault:
-			b.Fault += rest
-		case CatBarrier:
-			b.Barrier += rest
-		case CatLock:
-			b.Lock += rest
-		case CatData:
-			b.Data += rest
-		default:
-			b.Other += rest
+	for _, chunk := range t.chunks {
+		for _, e := range chunk {
+			if e.Type != EvWait || int(e.Proc) >= len(windows) || e.Proc < 0 {
+				continue
+			}
+			i := int(e.Proc)
+			if e.Dur < 0 {
+				panic(fmt.Sprintf("obs: negative wait duration %d on proc %d", e.Dur, i))
+			}
+			if e.T < lastEnd[i] {
+				panic(fmt.Sprintf("obs: wait events overlap on proc %d (start %d < previous end %d)", i, e.T, lastEnd[i]))
+			}
+			lastEnd[i] = e.T + e.Dur
+			lo, hi := e.T, e.T+e.Dur
+			if lo < windows[i][0] {
+				lo = windows[i][0]
+			}
+			if hi > windows[i][1] {
+				hi = windows[i][1]
+			}
+			if hi <= lo {
+				continue
+			}
+			d := hi - lo
+			q := e.Arg // contention-queueing part of the wait
+			if q < 0 {
+				q = 0
+			}
+			if q > d {
+				q = d
+			}
+			b := &out[i]
+			b.Queue += q
+			rest := d - q
+			switch CategoryOf(e.Kind) {
+			case CatFault:
+				b.Fault += rest
+			case CatBarrier:
+				b.Barrier += rest
+			case CatLock:
+				b.Lock += rest
+			case CatData:
+				b.Data += rest
+			default:
+				b.Other += rest
+			}
 		}
 	}
 	for i := range out {

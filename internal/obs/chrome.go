@@ -40,8 +40,10 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"%s %d"}}`,
 				t.NodeOf(p), p, role, t.NodeOf(p)))
 		}
-		for _, e := range t.events {
-			emit(t.chromeLine(e))
+		for _, chunk := range t.chunks {
+			for _, e := range chunk {
+				emit(t.chromeLine(e))
+			}
 		}
 	}
 	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")

@@ -135,10 +135,17 @@ type Event struct {
 // state — the simulator's sequential scheduler serializes all access
 // during a run, and each engine run gets its own instance.
 type Trace struct {
-	procs  int
-	nodes  int
-	events []Event
+	procs int
+	nodes int
+	// chunks holds the events in emission order, every chunk but the
+	// last full: a trace allocates the events it holds to within one
+	// chunk and never copies them, where one growing slice allocates
+	// about three times what it ends up holding.
+	chunks [][]Event
 }
+
+// chunkEvents is the capacity of one storage chunk (40 bytes an event).
+const chunkEvents = 256
 
 // New creates an enabled, empty trace.
 func New() *Trace { return &Trace{} }
@@ -193,7 +200,12 @@ func (t *Trace) Span(typ Type, proc int, start, dur int64, kind stats.Kind, page
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == chunkEvents {
+		t.chunks = append(t.chunks, make([]Event, 0, chunkEvents))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], Event{
 		T: start, Dur: dur, Arg: arg,
 		Proc: int32(proc), Page: page, Type: typ, Kind: kind,
 	})
@@ -204,20 +216,11 @@ func (t *Trace) Instant(typ Type, proc int, at int64, kind stats.Kind, page int3
 	t.Span(typ, proc, at, 0, kind, page, arg)
 }
 
-// Events returns the collected events in emission order (which is
-// deterministic: the simulator runs one process at a time). The slice
-// is owned by the trace; callers must not mutate it.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
 // Len returns the number of collected events.
 func (t *Trace) Len() int {
-	if t == nil {
+	if t == nil || len(t.chunks) == 0 {
 		return 0
 	}
-	return len(t.events)
+	last := len(t.chunks) - 1
+	return last*chunkEvents + len(t.chunks[last])
 }

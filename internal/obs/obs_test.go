@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestNilTraceIsDisabled(t *testing.T) {
 	tr.SetTopology(8, 4)
 	tr.Span(EvWait, 0, 10, 5, stats.KindData, -1, 0)
 	tr.Instant(EvBarrierArrive, 0, 10, stats.KindBarrier, -1, 1)
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 {
 		t.Error("nil trace collected events")
 	}
 	if tr.Procs() != 0 || tr.Nodes() != 0 {
@@ -247,5 +248,57 @@ func TestTypeAndCollNames(t *testing.T) {
 	}
 	if CollName(CollHalo) != "halo" || CollName(99) != "coll(99)" {
 		t.Error("collective naming drifted")
+	}
+}
+
+// TestChunkedStorage: events live in fixed-size chunks. A trace of three
+// full chunks and one event more keeps its length, its emission order
+// (the Chrome document lists events in it), its attribution sums and the
+// exact Chrome bytes an event-by-event rendering gives.
+func TestChunkedStorage(t *testing.T) {
+	const n = 3*chunkEvents + 1
+	tr := New()
+	tr.SetTopology(2, 2)
+	var want bytes.Buffer
+	want.WriteString("{\"traceEvents\":[\n")
+	want.WriteString(`{"ph":"M","pid":0,"name":"process_name","args":{"name":"node 0"}}` + ",\n")
+	want.WriteString(`{"ph":"M","pid":1,"name":"process_name","args":{"name":"node 1"}}` + ",\n")
+	want.WriteString(`{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"app 0"}}` + ",\n")
+	want.WriteString(`{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"app 1"}}`)
+	var barrier, data, queue [2]int64
+	for i := 0; i < n; i++ {
+		proc, at := i%2, int64(100*i)
+		switch i % 3 {
+		case 0:
+			tr.Span(EvWait, proc, at, 40, stats.KindBarrier, -1, 0)
+			barrier[proc] += 40
+			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"X","dur":0.040,"name":"wait:barrier","cat":"wait","args":{"kind":"barrier","queued_ns":0}}`, proc, proc, usec(at))
+		case 1:
+			tr.Span(EvWait, proc, at, 30, stats.KindData, -1, 10)
+			data[proc] += 20
+			queue[proc] += 10
+			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"X","dur":0.030,"name":"wait:data","cat":"wait","args":{"kind":"data","queued_ns":10}}`, proc, proc, usec(at))
+		default:
+			tr.Instant(EvPageFetch, proc, at, stats.KindPage, int32(i), 0)
+			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"i","s":"t","name":"page-fetch","cat":"protocol","args":{"page":%d}}`, proc, proc, usec(at), i)
+		}
+	}
+	want.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
+
+	if tr.Len() != n || len(tr.chunks) != 4 || len(tr.chunks[3]) != 1 {
+		t.Fatalf("Len = %d in %d chunks, want %d in 4", tr.Len(), len(tr.chunks), n)
+	}
+	end := int64(100 * n)
+	for proc, b := range tr.Attribute([][2]int64{{0, end}, {0, end}}) {
+		if b.Barrier != barrier[proc] || b.Data != data[proc] || b.Queue != queue[proc] || b.Compute != end-b.WaitSum() {
+			t.Errorf("node %d: %+v, want barrier %d data %d queue %d", proc, b, barrier[proc], data[proc], queue[proc])
+		}
+	}
+	var got bytes.Buffer
+	if err := tr.WriteChrome(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("Chrome document differs from the event-by-event rendering (%d bytes, want %d)", got.Len(), want.Len())
 	}
 }

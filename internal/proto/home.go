@@ -466,7 +466,7 @@ func (hb *home) FirePushes(p *sim.Proc, seq int, kind stats.Kind, pushes []*Push
 
 // HandleServer services home-side traffic: eager flushes, whole-page
 // fetch requests, and migration pulls.
-func (hb *home) HandleServer(p *sim.Proc, m *sim.Message) bool {
+func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 	c := hb.h.Costs()
 	switch m.Tag {
 	case tagFlush:

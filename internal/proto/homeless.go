@@ -371,7 +371,7 @@ func (hl *homeless) FirePushes(p *sim.Proc, seq int, kind stats.Kind, pushes []*
 }
 
 // HandleServer services a diff request on the server process.
-func (hl *homeless) HandleServer(p *sim.Proc, m *sim.Message) bool {
+func (hl *homeless) HandleServer(p *sim.Proc, m sim.Message) bool {
 	if m.Tag != tagDiffReq {
 		return false
 	}

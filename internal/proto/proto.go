@@ -89,7 +89,8 @@ type Host interface {
 	MergeDiffs(gp int32, payloads []any) (payload any, bytes int)
 	// SnapshotPage returns the full contents of page gp with wire size.
 	SnapshotPage(gp int32) (payload any, bytes int)
-	// InstallPage overwrites page gp from a snapshot payload.
+	// InstallPage overwrites page gp from a SnapshotPage payload and
+	// consumes it: the host may reuse the buffer for a later snapshot.
 	InstallPage(gp int32, payload any)
 }
 
@@ -203,7 +204,7 @@ type Protocol interface {
 
 	// HandleServer dispatches one protocol message on the request-server
 	// process. It reports whether the message belonged to the protocol.
-	HandleServer(p *sim.Proc, m *sim.Message) bool
+	HandleServer(p *sim.Proc, m sim.Message) bool
 
 	// Counters returns the node's protocol event counts.
 	Counters() *Counters

@@ -96,11 +96,30 @@ func (pv *PVM) Now() sim.Time { return pv.p.Now() }
 // Send packs and transmits vals to task dst under tag. The values are
 // snapshotted (as pvm_pack does), so the caller may reuse the buffer.
 func Send[T Scalar](pv *PVM, dst, tag int, vals []T) {
+	Transmit(pv, dst, tag, Pack(vals))
+}
+
+// Pack is the snapshot half of Send: a fresh transmit buffer holding
+// vals. A sender with several destinations for the same values packs
+// once and Transmits sub-slices of the buffer.
+func Pack[T Scalar](vals []T) []T {
 	buf := make([]T, len(vals))
 	copy(buf, vals)
-	bytes := len(vals) * SizeOf[T]()
-	pv.p.Advance(pv.sys.costs.PackCost(bytes))
-	pv.p.Send(dst, tagBase+tag, buf, bytes, stats.KindData)
+	return buf
+}
+
+// Transmit is the charged half of Send: it bills the pack cost of buf
+// and sends buf itself, which the receiver may read at any later time —
+// the caller must not write to it again.
+func Transmit[T Scalar](pv *PVM, dst, tag int, buf []T) {
+	pv.p.Advance(pv.sys.costs.PackCost(len(buf) * SizeOf[T]()))
+	transmit(pv, dst, tag, buf, stats.KindData)
+}
+
+// transmit puts buf on the wire as is, at no CPU cost beyond the send
+// overhead.
+func transmit[T Scalar](pv *PVM, dst, tag int, buf []T, kind stats.Kind) {
+	pv.p.Send(dst, tagBase+tag, buf, len(buf)*SizeOf[T](), kind)
 }
 
 // Recv blocks for a message from src (AnySrc for a wildcard) under tag
@@ -122,13 +141,11 @@ const AnySrc = sim.AnySrc
 // receive into vals.
 func Bcast[T Scalar](pv *PVM, root, tag int, vals []T) {
 	if pv.ID() == root {
-		buf := make([]T, len(vals))
-		copy(buf, vals)
-		bytes := len(vals) * SizeOf[T]()
-		pv.p.Advance(pv.sys.costs.PackCost(bytes))
+		buf := Pack(vals)
+		pv.p.Advance(pv.sys.costs.PackCost(len(buf) * SizeOf[T]()))
 		for q := 0; q < pv.sys.nprocs; q++ {
 			if q != root {
-				pv.p.Send(q, tagBase+tag, buf, bytes, stats.KindData)
+				transmit(pv, q, tag, buf, stats.KindData)
 			}
 		}
 		return
@@ -241,9 +258,7 @@ func (pv *PVM) BarrierSilent(tag int) {
 // SendUntracked transmits vals without traffic accounting or pack cost.
 // The harness uses it to gather results (checksums) after measurement.
 func SendUntracked[T Scalar](pv *PVM, dst, tag int, vals []T) {
-	buf := make([]T, len(vals))
-	copy(buf, vals)
-	pv.p.Send(dst, tagBase+tag, buf, len(vals)*SizeOf[T](), stats.KindShutdown)
+	transmit(pv, dst, tag, Pack(vals), stats.KindShutdown)
 }
 
 // RecvUntracked receives a message sent with SendUntracked.
@@ -261,7 +276,7 @@ func RecvUntracked[T Scalar](pv *PVM, src, tag int, dst []T) int {
 // last thing a run does with it. Every other task returns nil.
 func GatherUntracked[T Scalar](pv *PVM, tag int, mine []T) [][]T {
 	if pv.ID() != 0 {
-		pv.p.Send(0, tagBase+tag, mine, len(mine)*SizeOf[T](), stats.KindShutdown)
+		transmit(pv, 0, tag, mine, stats.KindShutdown)
 		return nil
 	}
 	blocks := make([][]T, pv.sys.nprocs)

@@ -284,7 +284,7 @@ func TestContentionMessageConservation(t *testing.T) {
 // an all-to-all burst every third round, a barrier per round.
 func contentionStress(t *testing.T, n, ways int) (end Time, msgs int64, host HostStats) {
 	t.Helper()
-	c := New(contendedConfig(n, ways))
+	c := checkedCluster(t, contendedConfig(n, ways))
 	rng := rand.New(rand.NewSource(int64(1000*n + ways)))
 	const rounds = 12
 	// Pre-draw all random choices so every proc's behavior is a

@@ -23,7 +23,7 @@ func sendBigThenSmall(t *testing.T, cfg Config) (bigDeliver, smallDeliver Time, 
 		m := p.Recv(AnySrc, AnyTag)
 		firstTag = m.Tag
 		m2 := p.Recv(AnySrc, AnyTag)
-		for _, mm := range []*Message{m, m2} {
+		for _, mm := range []Message{m, m2} {
 			if mm.Tag == 1 {
 				bigDeliver = mm.Deliver
 			} else {

@@ -209,9 +209,16 @@ type Proc struct {
 	clock   Time
 	horizon Time
 	state   procState
-	inbox   []*Message
+	inbox   []Message
 	waitSrc int
 	waitTag int
+
+	// eff caches effective(p) while p is not running: Run sets it when
+	// the process yields, and Send lowers it when a new message matches
+	// what a blocked p waits for. Nothing else can change it — only the
+	// running process's clock moves and only it removes from its own
+	// inbox — so pick compares cached times instead of rescanning inboxes.
+	eff Time
 
 	// The coroutine running the body: Run resumes it with next and ends
 	// it early with stop; the body suspends itself with yield, passing
@@ -247,6 +254,9 @@ type Cluster struct {
 	// depth feeding host.PeakQueue.
 	host        HostStats
 	hostPending int64
+
+	// onPick, when set (tests only), runs at the start of every pick.
+	onPick func()
 }
 
 // New creates a cluster with the given configuration.
@@ -354,6 +364,7 @@ func (c *Cluster) Run(body func(p *Proc)) error {
 			p.state = stateDone
 			remaining--
 		}
+		p.eff = c.effective(p)
 	}
 	return nil
 }
@@ -366,11 +377,7 @@ func (c *Cluster) effective(p *Proc) Time {
 		return p.clock
 	case stateBlocked:
 		if m := p.minMatch(p.waitSrc, p.waitTag); m >= 0 {
-			d := p.inbox[m].Deliver
-			if d < p.clock {
-				return p.clock
-			}
-			return d
+			return max(p.clock, p.inbox[m].Deliver)
 		}
 		return Forever
 	default:
@@ -382,10 +389,13 @@ func (c *Cluster) effective(p *Proc) Time {
 // if none can run, and computes its horizon: the minimum effective time
 // of the others, up to which the chosen process may run freely.
 func (c *Cluster) pick() (best *Proc, horizon Time) {
+	if c.onPick != nil {
+		c.onPick()
+	}
 	bestT := Forever
 	horizon = Forever
 	for _, p := range c.procs {
-		switch t := c.effective(p); {
+		switch t := p.eff; {
 		case t < bestT:
 			best, bestT, horizon = p, t, bestT
 		case t < horizon:
@@ -463,7 +473,8 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 		c.pairLast[pair] = deliver
 	}
 	c.seq++
-	m := &Message{
+	d := c.procs[dst]
+	d.inbox = append(d.inbox, Message{
 		Src:      p.id,
 		Dst:      dst,
 		Tag:      tag,
@@ -474,8 +485,10 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 		Deliver:  deliver,
 		Queued:   queued,
 		seq:      c.seq,
+	})
+	if d.state == stateBlocked && matches(d.waitSrc, d.waitTag, p.id, tag) {
+		d.eff = min(d.eff, max(d.clock, deliver))
 	}
-	c.procs[dst].inbox = append(c.procs[dst].inbox, m)
 	c.hostPending++
 	if c.hostPending > c.host.PeakQueue {
 		c.host.PeakQueue = c.hostPending
@@ -486,7 +499,7 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 		c.cfg.Trace.Span(obs.EvQueue, p.id, int64(p.clock), int64(queued), kind, -1, int64(binder))
 	}
 	// Keep the horizon honest under contention: this send may let dst
-	// act as early as m.Deliver, but the horizon handed to this process
+	// act as early as deliver, but the horizon handed to this process
 	// predates the send. Without tightening it, the sender could keep
 	// executing past that time and admit *later* sends to the links
 	// first, breaking the nondecreasing-send-time order the link
@@ -495,8 +508,8 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 	// same-virtual-time interleavings (runtimes share per-node state
 	// between application and server processes), and the zero-value
 	// configuration must reproduce the historical schedule bit for bit.
-	if (c.cfg.Nodes > 0 || c.cfg.BackplaneWays > 0) && m.Deliver < p.horizon {
-		p.horizon = m.Deliver
+	if (c.cfg.Nodes > 0 || c.cfg.BackplaneWays > 0) && deliver < p.horizon {
+		p.horizon = deliver
 	}
 }
 
@@ -554,15 +567,20 @@ func (c *Cluster) admit(src, dst int, wireT Time) (start, queued Time, binder st
 	return start, start - c.procs[src].clock, binder
 }
 
+// matches reports whether a message from src under tag satisfies a Recv
+// for (wantSrc, wantTag).
+func matches(wantSrc, wantTag, src, tag int) bool {
+	return (wantSrc == AnySrc || wantSrc == src) && (wantTag == AnyTag || wantTag == tag)
+}
+
 // minMatch returns the index of the earliest-delivered message matching
-// (src, tag), or -1. Ties are broken by send sequence number.
+// (src, tag), or -1. Ties are broken by send sequence number, never by
+// position, so Recv may fill a consumed slot with the last message.
 func (p *Proc) minMatch(src, tag int) int {
 	best := -1
-	for i, m := range p.inbox {
-		if src != AnySrc && m.Src != src {
-			continue
-		}
-		if tag != AnyTag && m.Tag != tag {
+	for i := range p.inbox {
+		m := &p.inbox[i]
+		if !matches(src, tag, m.Src, m.Tag) {
 			continue
 		}
 		if best < 0 || m.Deliver < p.inbox[best].Deliver ||
@@ -576,38 +594,35 @@ func (p *Proc) minMatch(src, tag int) int {
 // Recv blocks until a message matching (src, tag) is available and safe to
 // consume, removes it from the inbox, charges RecvOverhead, and returns
 // it. Use AnySrc / AnyTag as wildcards.
-func (p *Proc) Recv(src, tag int) *Message {
+func (p *Proc) Recv(src, tag int) Message {
 	for {
-		if i := p.minMatch(src, tag); i >= 0 {
+		// Safe to consume only if no other process could still send an
+		// earlier-delivered match. All other processes sit at effective
+		// time >= horizon, and any message they send will deliver strictly
+		// after that, so a match delivered at or before the horizon is
+		// final.
+		if i := p.minMatch(src, tag); i >= 0 && p.inbox[i].Deliver <= p.horizon {
 			m := p.inbox[i]
-			// Safe to consume only if no other process could still send
-			// an earlier-delivered match. All other processes sit at
-			// effective time >= horizon, and any message they send will
-			// deliver strictly after that, so a match delivered at or
-			// before the horizon is final.
-			if m.Deliver <= p.horizon {
-				p.inbox = append(p.inbox[:i], p.inbox[i+1:]...)
-				p.c.hostPending--
-				p.c.host.Delivered++
-				if m.Deliver > p.clock {
-					// The clock jump is the process's idle wait for this
-					// message: the fundamental stall the per-node time
-					// attribution is built from. The contention-queueing
-					// share rides along (clamped: delivery pipelining can
-					// hide part of the queueing behind the wait).
-					if tr := p.c.cfg.Trace; tr != nil {
-						wait := int64(m.Deliver - p.clock)
-						q := int64(m.Queued)
-						if q > wait {
-							q = wait
-						}
-						tr.Span(obs.EvWait, p.id, int64(p.clock), wait, m.Kind, -1, q)
-					}
-					p.clock = m.Deliver
+			last := len(p.inbox) - 1
+			p.inbox[i] = p.inbox[last]
+			p.inbox[last] = Message{} // drop the payload reference
+			p.inbox = p.inbox[:last]
+			p.c.hostPending--
+			p.c.host.Delivered++
+			if m.Deliver > p.clock {
+				// The clock jump is the process's idle wait for this
+				// message: the fundamental stall the per-node time
+				// attribution is built from. The contention-queueing
+				// share rides along (clamped: delivery pipelining can
+				// hide part of the queueing behind the wait).
+				if tr := p.c.cfg.Trace; tr != nil {
+					wait := int64(m.Deliver - p.clock)
+					tr.Span(obs.EvWait, p.id, int64(p.clock), wait, m.Kind, -1, min(int64(m.Queued), wait))
 				}
-				p.Advance(p.c.cfg.RecvOverhead)
-				return m
+				p.clock = m.Deliver
 			}
+			p.Advance(p.c.cfg.RecvOverhead)
+			return m
 		}
 		p.waitSrc, p.waitTag = src, tag
 		p.yieldTo(stateBlocked)

@@ -49,7 +49,7 @@ type Region[T Elem] struct {
 	npages   int
 	frames   []*piece[T] // per local page; nil = no frame, reads as zeros
 	twins    [][]T       // per local page; nil = no twin
-	spare    [][]T       // dropped twins, reused by makeTwin; at most npages
+	bufs     *[][]T      // free page buffers, shared by every node's copy of the region
 }
 
 // piece is one contiguous run of framed pages: local pages [p0, p0+np)
@@ -74,7 +74,8 @@ type regionHandle interface {
 	makeTwin(lp int32)
 	// snapshotPage returns the full contents of local page lp.
 	snapshotPage(lp int32) (payload any, bytes int)
-	// installPage overwrites local page lp from a snapshot payload.
+	// installPage overwrites local page lp from a snapshotPage payload,
+	// which it consumes.
 	installPage(lp int32, payload any)
 	// mergeRecs combines several diff payloads into one (GC squash).
 	mergeRecs(payloads []any) (payload any, bytes int)
@@ -100,6 +101,10 @@ func Alloc[T Elem](tm *Tmk, name string, n int) *Region[T] {
 	}
 	rid := len(nd.regions)
 	nd.regions = append(nd.regions, r)
+	if rid == len(nd.sys.pageBufs) {
+		nd.sys.pageBufs = append(nd.sys.pageBufs, new([][]T))
+	}
+	r.bufs = nd.sys.pageBufs[rid].(*[][]T)
 	r.basePage = nd.addPages(rid, npages)
 	nd.allocSeq++
 	return r
@@ -348,14 +353,24 @@ func poisonOf[T Elem]() T {
 
 // --- regionHandle implementation, and BroadcastRegion's range copies ---
 
+// pageBuf takes a page-sized buffer, contents arbitrary, off the region's
+// free list: a twin dropped or a page reply installed by any node of the
+// system (they all run on one host thread). freeBuf puts one back.
+func (r *Region[T]) pageBuf() []T {
+	free := *r.bufs
+	if n := len(free); n > 0 {
+		*r.bufs = free[:n-1]
+		return free[n-1]
+	}
+	return make([]T, r.epp)
+}
+
+func (r *Region[T]) freeBuf(buf []T) { *r.bufs = append(*r.bufs, buf) }
+
 func (r *Region[T]) makeTwin(lp int32) {
 	tw := r.twins[lp]
 	if tw == nil {
-		if n := len(r.spare); n > 0 {
-			tw, r.spare = r.spare[n-1], r.spare[:n-1]
-		} else {
-			tw = make([]T, r.epp)
-		}
+		tw = r.pageBuf()
 		r.twins[lp] = tw
 	}
 	copy(tw, r.framed(lp))
@@ -413,7 +428,7 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 		copy(tw, page) // refresh: subsequent writes diff against this state
 	} else {
 		r.twins[lp] = nil
-		r.spare = append(r.spare, tw)
+		r.freeBuf(tw)
 	}
 	return segs, proto.DiffRecHdr + nseg*proto.DiffSegHdr + nval*r.elemSize
 }
@@ -470,13 +485,20 @@ func (r *Region[T]) install(lo, hi int, vals []T) {
 }
 
 func (r *Region[T]) snapshotPage(lp int32) (any, int) {
-	vals := make([]T, r.epp)
-	copy(vals, r.page(lp))
+	vals := r.pageBuf()
+	if page := r.page(lp); page != nil {
+		copy(vals, page)
+	} else {
+		clear(vals)
+	}
 	return vals, len(vals) * r.elemSize
 }
 
+// installPage consumes payload: the buffer goes back on the free list.
 func (r *Region[T]) installPage(lp int32, payload any) {
-	copy(r.framed(lp), payload.([]T))
+	vals := payload.([]T)
+	copy(r.framed(lp), vals)
+	r.freeBuf(vals)
 }
 
 func (r *Region[T]) mergeRecs(payloads []any) (any, int) {

@@ -26,7 +26,7 @@ func (validProt) FetchAggregated([]int32) {}
 // storageTmk returns the handle of a node that has no system around it:
 // enough for Alloc and for validations under validProt.
 func storageTmk() *Tmk {
-	nd := &node{prot: validProt{}}
+	nd := &node{prot: validProt{}, sys: &System{}}
 	nd.tm = &Tmk{p: new(sim.Proc), nd: nd}
 	return nd.tm
 }
@@ -199,6 +199,15 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 	}
 	stamp := 0
 	var recs []any // diff payloads extracted or merged so far
+	// scribble overwrites a payload the region is done with: apply and
+	// installPage copy out of their argument, and a buffer on the free
+	// list is reused whatever it holds.
+	scribble := func(vals []T) {
+		for i := range vals {
+			stamp++
+			vals[i] = elemOf[T](stamp)
+		}
+	}
 
 	for step := 0; len(ops) > 0; step++ {
 		op := next() % 9
@@ -245,14 +254,18 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 			lp, rec := next()%npages, recs[next()%len(recs)]
 			r.apply(int32(lp), rec)
 			d.apply(lp, rec.([]seg[T]))
+			for _, sg := range rec.([]seg[T]) {
+				scribble(sg.vals)
+			}
 		case 5: // a whole page travels: snapshotPage there, installPage here
 			src, dst := next()%npages, next()%npages
 			got, gotBytes := r.snapshotPage(int32(src))
 			if !slices.Equal(got.([]T), d.page(src)) || gotBytes != epp*r.elemSize {
 				t.Fatalf("step %d: snapshotPage(%d) differs from the model", step, src)
 			}
-			r.installPage(int32(dst), got)
 			copy(d.page(dst), got.([]T))
+			r.installPage(int32(dst), got) // consumes got
+			scribble(got.([]T))
 		case 6: // a broadcast arrives
 			lo, hi := span()
 			vals := make([]T, hi-lo)
@@ -289,9 +302,19 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 		if all, _ := r.snapshot(0, total); !slices.Equal(all, d.data) {
 			t.Fatalf("step %d (op %d): region differs from the model", step, op)
 		}
-		r.snapshotPage(int32(step % npages))
+		pg, _ := r.snapshotPage(int32(step % npages))
+		if !slices.Equal(pg.([]T), d.page(step%npages)) {
+			t.Fatalf("step %d (op %d): snapshotPage(%d) differs from the model", step, op, step%npages)
+		}
 		if tm.nd.frames != framed {
 			t.Fatalf("step %d: a snapshot framed pages: %+v, then %+v", step, framed, tm.nd.frames)
+		}
+		scribble(pg.([]T))
+		r.freeBuf(pg.([]T))
+		// Buffers are made only when the list is empty, so it never holds
+		// more than were ever out at once: a twin per page and one reply.
+		if n := len(*r.bufs); n > npages+1 {
+			t.Fatalf("step %d: %d buffers on the free list of a %d-page region", step, n, npages)
 		}
 		for lp, tw := range d.twins {
 			if !slices.Equal(r.twins[lp], tw) {
@@ -490,5 +513,57 @@ func TestFrameCountersSumOverNodes(t *testing.T) {
 	want := FrameCounters{Pages: 3*4 + 16, Joins: 1, AbandonedBytes: 4 * model.PageSize}
 	if got := sys.FrameCounters(); got != want {
 		t.Errorf("FrameCounters = %+v, want %+v", got, want)
+	}
+}
+
+// TestPageBuffersAreRecycled: under the home-based protocol every fault
+// is answered with a whole page. The reply's buffer comes off the
+// region's free list at the home and goes back on it at the requester,
+// so a run makes as many buffers as were ever out at once — twins and
+// replies in flight — not one per fetch, and the list stays within
+// nodes × region pages.
+func TestPageBuffersAreRecycled(t *testing.T) {
+	const nodes, pages, epp, rounds = 8, 32, 1024, 12
+	sys := NewSystem(nodes, model.SP2(), WithProtocol(proto.HomeLRC))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := sys.Run(func(tm *Tmk) {
+		r := Alloc[float32](tm, "grid", pages*epp)
+		lo := tm.ID() * (pages / nodes) * epp
+		hi := lo + (pages/nodes)*epp
+		for k := 1; k <= rounds; k++ {
+			w := r.Write(lo, hi)
+			for i := range w {
+				w[i] = float32(k*nodes + tm.ID())
+			}
+			tm.Barrier()
+			all := r.Read(0, pages*epp) // every other node's pages, refetched each round
+			for q := 0; q < nodes; q++ {
+				if got, want := all[q*(pages/nodes)*epp+7], float32(k*nodes+q); got != want {
+					t.Errorf("round %d: node %d reads %v from node %d's block, want %v", k, tm.ID(), got, q, want)
+				}
+			}
+			tm.Barrier()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fetches := sys.ProtocolCounters().PageFetches
+	if want := int64(rounds * nodes * (pages - pages/nodes)); fetches < want {
+		t.Fatalf("%d page fetches, want at least %d: the program does not exercise the reply path", fetches, want)
+	}
+	free := len(*sys.pageBufs[0].(*[][]float32))
+	if free > nodes*pages {
+		t.Errorf("%d buffers on the free list, more than nodes × pages = %d", free, nodes*pages)
+	}
+	if int64(free)*8 > fetches {
+		t.Errorf("%d page buffers made for %d fetches: replies are not recycled", free, fetches)
+	}
+	// The host bytes say the same: a buffer per fetch alone would be
+	// fetches × 4 KB.
+	if got, perFetch := after.TotalAlloc-before.TotalAlloc, uint64(fetches)*model.PageSize; got > perFetch/2 {
+		t.Errorf("run allocated %d bytes; a buffer per fetch alone is %d", got, perFetch)
 	}
 }

@@ -39,6 +39,10 @@ type System struct {
 	protocol proto.Name
 	policy   proto.PolicyName
 	nodes    []*node
+	// pageBufs holds, per region in allocation order, the *[][]T free list
+	// of page buffers (dropped twins, installed page replies) that every
+	// node's Region of that id draws from and returns to.
+	pageBufs []any
 }
 
 // Option configures a System.
@@ -143,7 +147,7 @@ func (s *System) Run(body func(tm *Tmk)) error {
 	for i := range nodes {
 		nodes[i] = newNode(i, s)
 	}
-	s.nodes = nodes
+	s.nodes, s.pageBufs = nodes, nil
 	return s.cluster.Run(func(p *sim.Proc) {
 		if p.ID() < s.nprocs {
 			tm := &Tmk{p: p, nd: nodes[p.ID()], sys: s}

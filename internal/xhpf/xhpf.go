@@ -159,6 +159,27 @@ const chunkTagStride = 1 << 20
 // the same deterministic loop order — or the transfer deadlocks.
 func chunkTag(base, idx int) int { return base + idx*chunkTagStride }
 
+// sendChunks ships block to every other processor in messages of chunk
+// elements, destination-major. The block is packed once and every
+// message is a sub-slice of that one buffer: a snapshot is still needed,
+// because a slower processor may unpack after this one has gone on to
+// overwrite the block, but not one per destination. Each message is
+// billed its own pack cost, as the runtime's staging buffers charge it.
+func sendChunks[T pvm.Scalar](x *XHPF, tag, chunk int, block []T) {
+	if x.n == 1 {
+		return
+	}
+	buf := pvm.Pack(block)
+	for q := 0; q < x.n; q++ {
+		if q == x.ID() {
+			continue
+		}
+		for off := 0; off < len(buf); off += chunk {
+			pvm.Transmit(x.pv, q, chunkTag(tag, off/chunk), buf[off:min(off+chunk, len(buf))])
+		}
+	}
+}
+
 // BroadcastBlocks is the unknown-pattern fallback: every processor
 // broadcasts the block [lo,hi) of arr it owns under blockOf to every
 // other processor, and installs the blocks it receives. n*(n-1)
@@ -173,14 +194,7 @@ func BroadcastBlocks[T pvm.Scalar](x *XHPF, arr []T, blockOf func(q int) (lo, hi
 	mylo, myhi := blockOf(x.ID())
 	if myhi > mylo {
 		x.chargeSection((myhi - mylo) * elemSize * (x.n - 1))
-	}
-	for q := 0; q < x.n; q++ {
-		if q == x.ID() {
-			continue
-		}
-		for off := mylo; off < myhi; off += chunk {
-			pvm.Send(x.pv, q, chunkTag(tag, (off-mylo)/chunk), arr[off:min(off+chunk, myhi)])
-		}
+		sendChunks(x, tag, chunk, arr[mylo:myhi])
 	}
 	for q := 0; q < x.n; q++ {
 		if q == x.ID() {
@@ -214,14 +228,7 @@ func BroadcastGather[T pvm.Scalar](x *XHPF, parts [][]T) {
 	chunk := chunkBytes / size
 	mine := parts[x.ID()]
 	x.chargeSection(len(mine) * size * (x.n - 1))
-	for q := 0; q < x.n; q++ {
-		if q == x.ID() {
-			continue
-		}
-		for off := 0; off < len(mine); off += chunk {
-			pvm.Send(x.pv, q, chunkTag(tag, off/chunk), mine[off:min(off+chunk, len(mine))])
-		}
-	}
+	sendChunks(x, tag, chunk, mine)
 	for q := 0; q < x.n; q++ {
 		if q == x.ID() {
 			continue

@@ -58,7 +58,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -227,15 +226,20 @@ func build(path string, workers int, st *store.Store) error {
 	e := engine(workers, st)
 	specs := goldenSpecs()
 	e.Sweep(specs) //nolint:errcheck // failures surface as error records below
-	enc := json.NewEncoder(f)
 	var errs []error
+	var line []byte
 	for _, s := range specs {
 		rec := e.Record(s)
 		rec.HostNanos = e.HostRunNanos(s)
 		if rec.Error != "" {
 			errs = append(errs, errors.New(rec.Error))
 		}
-		if werr := enc.Encode(rec); werr != nil {
+		var werr error
+		if line, werr = exp.AppendRecord(line[:0], &rec); werr == nil {
+			line = append(line, '\n')
+			_, werr = f.Write(line)
+		}
+		if werr != nil {
 			f.Close()
 			return werr
 		}

@@ -491,7 +491,11 @@ func printJSON(s exp.Spec, res, seq core.Result, haveSeq bool) {
 	if haveSeq {
 		rec.JoinSeq(seq)
 	}
-	if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
+	line, err := exp.AppendRecord(nil, &rec)
+	if err == nil {
+		_, err = os.Stdout.Write(append(line, '\n'))
+	}
+	if err != nil {
 		fatal(err)
 	}
 }

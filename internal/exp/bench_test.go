@@ -46,10 +46,9 @@ func BenchmarkValidateLine(b *testing.B) {
 	}
 }
 
-// BenchmarkServeWarm is one warm StreamWith pass — observed, joined,
-// two workers, a fresh engine, as a CLI pays it — over a store holding
-// two applications and eight generated programs. Nothing may execute.
-func BenchmarkServeWarm(b *testing.B) {
+// serveWarmSpecs is the list the warm-path benchmark and allocation
+// floor serve: two applications and eight generated programs.
+func serveWarmSpecs() []Spec {
 	specs := Axes{
 		Apps:      []string{"Jacobi", "RB-SOR"},
 		Versions:  []core.Version{core.Tmk, core.XHPF},
@@ -61,6 +60,14 @@ func BenchmarkServeWarm(b *testing.B) {
 			specs = append(specs, Spec{App: fmt.Sprintf("gen-%d", seed), Version: v, Procs: 4, Scale: core.SmallScale})
 		}
 	}
+	return specs
+}
+
+// BenchmarkServeWarm is one warm StreamWith pass — observed, joined,
+// two workers, a fresh engine, as a CLI pays it — over a store holding
+// serveWarmSpecs. Nothing may execute.
+func BenchmarkServeWarm(b *testing.B) {
+	specs := serveWarmSpecs()
 	st, err := store.Open(b.TempDir(), StoreOptions(0))
 	if err != nil {
 		b.Fatal(err)

@@ -1,0 +1,390 @@
+package exp
+
+import (
+	"encoding/json"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+// This file is the one place that knows how a Record looks as bytes.
+// AppendRecord writes what json.Marshal writes; parseCanonical reads
+// back the lines AppendRecord can have written (and a few more) without
+// encoding/json's reflection. Everything else — escaped strings,
+// whitespace, nulls, duplicate keys — is not canonical and goes to the
+// reference decoder behind ValidateLine, so "valid" stays defined by
+// encoding/json and the codec is only ever a faster way to the same
+// Record.
+
+// field is one Record field on the wire.
+type field struct {
+	key  string // JSON object key
+	omit bool   // omitempty: the zero value is not written
+	// ptr points at the field in the record at hand: *string (the named
+	// string types converted — a pointer conversion, not a copy), *int,
+	// *int64, *float64, *bool or *map[string]int64. The codec switches
+	// on the pointer's type.
+	ptr any
+}
+
+// numFields is the number of Record fields, the embedded Spec's
+// included; parseCanonical keeps its seen-set in one word.
+const numFields = 39
+
+var _ [64 - numFields]struct{}
+
+// fields lists r's fields in wire order: encoding/json's order for the
+// struct, the embedded Spec first. The array lives on the caller's
+// stack and r does not escape through it.
+func (r *Record) fields() [numFields]field {
+	return [numFields]field{
+		{"app", false, &r.App},
+		{"version", false, (*string)(&r.Version)},
+		{"procs", false, &r.Procs},
+		{"scale", false, (*string)(&r.Scale)},
+		{"protocol", true, (*string)(&r.Protocol)},
+		{"contention", true, &r.Contention},
+		{"fifo", true, &r.FIFO},
+		{"homepolicy", true, (*string)(&r.HomePolicy)},
+		{"schema_version", true, &r.SchemaVersion},
+		{"time_ns", false, &r.TimeNanos},
+		{"time_seconds", false, &r.TimeSeconds},
+		{"msgs", false, &r.Msgs},
+		{"bytes", false, &r.Bytes},
+		{"checksum", false, &r.Checksum},
+		{"fault_ns", true, &r.FaultNanos},
+		{"sync_ns", true, &r.SyncNanos},
+		{"write_ns", true, &r.WriteNanos},
+		{"queue_ns", true, &r.QueueNanos},
+		{"queued_msgs", true, &r.QueuedMsgs},
+		{"queue_out_ns", true, &r.QueueOutNanos},
+		{"queue_in_ns", true, &r.QueueInNanos},
+		{"queue_backplane_ns", true, &r.QueueBackplaneNanos},
+		{"queue_kind_ns", true, &r.QueueKindNanos},
+		{"bd_total_ns", true, &r.BDTotalNanos},
+		{"bd_compute_ns", true, &r.BDComputeNanos},
+		{"bd_fault_ns", true, &r.BDFaultNanos},
+		{"bd_barrier_ns", true, &r.BDBarrierNanos},
+		{"bd_lock_ns", true, &r.BDLockNanos},
+		{"bd_data_ns", true, &r.BDDataNanos},
+		{"bd_queue_ns", true, &r.BDQueueNanos},
+		{"bd_other_ns", true, &r.BDOtherNanos},
+		{"migrations", true, &r.Migrations},
+		{"redirected_flush_bytes", true, &r.RedirectedFlushBytes},
+		{"stale_forwards", true, &r.StaleForwards},
+		{"seq_ns", true, &r.SeqNanos},
+		{"seq_seconds", true, &r.SeqSeconds},
+		{"speedup", true, &r.Speedup},
+		{"host_ns", true, &r.HostNanos},
+		{"error", true, &r.Error},
+	}
+}
+
+// AppendRecord appends r as one JSON object, byte for byte what
+// json.Marshal(r) returns (no trailing newline), and returns the
+// extended buffer. Like json.Marshal it fails on a NaN or infinite
+// float, with json's error; dst then comes back at its original
+// length.
+func AppendRecord(dst []byte, r *Record) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '{')
+	fs := r.fields()
+	for i := range fs {
+		f := &fs[i]
+		var err error
+		switch p := f.ptr.(type) {
+		case *string:
+			if *p != "" || !f.omit {
+				dst = appendString(appendKey(dst, f.key), *p)
+			}
+		case *int:
+			if *p != 0 || !f.omit {
+				dst = strconv.AppendInt(appendKey(dst, f.key), int64(*p), 10)
+			}
+		case *int64:
+			if *p != 0 || !f.omit {
+				dst = strconv.AppendInt(appendKey(dst, f.key), *p, 10)
+			}
+		case *float64:
+			if *p != 0 || !f.omit { // -0 is empty, as reflect's IsZero has it
+				dst, err = appendFloat(appendKey(dst, f.key), *p)
+			}
+		case *bool:
+			if *p || !f.omit {
+				dst = strconv.AppendBool(appendKey(dst, f.key), *p)
+			}
+		case *map[string]int64:
+			if len(*p) != 0 || !f.omit {
+				dst = appendKindMap(appendKey(dst, f.key), *p)
+			}
+		}
+		if err != nil {
+			return dst[:start], err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// appendComma separates an object's members: a comma unless dst ends
+// with the brace that opened the object.
+func appendComma(dst []byte) []byte {
+	if dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
+	}
+	return dst
+}
+
+func appendKey(dst []byte, key string) []byte {
+	dst = append(appendComma(dst), '"')
+	dst = append(dst, key...)
+	return append(dst, '"', ':')
+}
+
+// appendString appends s as a JSON string. Printable ASCII without
+// json's escaped characters is copied between quotes; anything else —
+// control bytes, quotes, backslashes, the HTML characters, non-ASCII
+// and invalid UTF-8 — is json.Marshal's to render.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendFloat appends f the way encoding/json formats a float64: the
+// shortest decimal that round-trips, in %f form unless the exponent is
+// below -6 or at least 21, then in %e form with a one-digit negative
+// exponent unpadded (e-9, not e-09).
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f) // json's own UnsupportedValueError
+		return dst, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// appendKindMap appends the queue_kind_ns object, keys sorted as
+// encoding/json sorts them.
+func appendKindMap(dst []byte, m map[string]int64) []byte {
+	var buf [16]string // more than there are traffic kinds
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for _, k := range keys {
+		dst = append(appendString(appendComma(dst), k), ':')
+		dst = strconv.AppendInt(dst, m[k], 10)
+	}
+	return append(dst, '}')
+}
+
+// parseCanonical fills r from line and reports whether line is in
+// canonical form: exactly one JSON object with nothing before, after or
+// between its tokens; each key one of the Record's, spelled exactly, at
+// most once, in any order; integers as plain digit strings that fit the
+// field; floats by JSON's number grammar and in float64 range; strings
+// of ASCII without escapes; true or false; queue_kind_ns an object of
+// such strings to such integers. That covers every line AppendRecord
+// writes for a record whose strings need no escaping. On a canonical
+// line r equals what encoding/json decodes from it; otherwise r is
+// left partly written and the caller must not use it.
+func parseCanonical(line []byte, r *Record) bool {
+	if len(line) < 2 || line[0] != '{' {
+		return false
+	}
+	// The one allocation of a parse: every string field of r is a
+	// substring of s.
+	s := string(line)
+	*r = Record{}
+	fs := r.fields()
+	var seen uint64
+	i, next := 1, 0
+	for {
+		key, j, ok := scanString(s, i)
+		if !ok || j >= len(s) || s[j] != ':' {
+			return false
+		}
+		i = j + 1
+		// Lines mostly come in wire order: look for the key from where
+		// the previous one was found.
+		k, tried := next, 0
+		for fs[k].key != key {
+			if tried++; tried == numFields {
+				return false // not a Record key
+			}
+			if k++; k == numFields {
+				k = 0
+			}
+		}
+		if seen&(1<<k) != 0 {
+			return false // duplicate key
+		}
+		seen |= 1 << k
+		if next = k + 1; next == numFields {
+			next = 0
+		}
+		switch p := fs[k].ptr.(type) {
+		case *string:
+			*p, i, ok = scanString(s, i)
+		case *int:
+			var n int64
+			n, i, ok = parseInt(s, i)
+			*p = int(n)
+			ok = ok && int64(*p) == n
+		case *int64:
+			*p, i, ok = parseInt(s, i)
+		case *float64:
+			*p, i, ok = parseFloat(s, i)
+		case *bool:
+			switch {
+			case strings.HasPrefix(s[i:], "true"):
+				*p, i = true, i+4
+			case strings.HasPrefix(s[i:], "false"):
+				i += 5
+			default:
+				ok = false
+			}
+		case *map[string]int64:
+			*p, i, ok = parseKindMap(s, i)
+		}
+		if !ok || i >= len(s) {
+			return false
+		}
+		switch s[i] {
+		case ',':
+			i++
+		case '}':
+			return i+1 == len(s) // nothing may follow the object
+		default:
+			return false
+		}
+	}
+}
+
+// scanString reads the JSON string starting at s[i] and returns its
+// content and the index after the closing quote. Only strings that are
+// their own content qualify: ASCII, no control bytes, no escapes.
+func scanString(s string, i int) (string, int, bool) {
+	if i >= len(s) || s[i] != '"' {
+		return "", i, false
+	}
+	for j := i + 1; j < len(s); j++ {
+		switch c := s[j]; {
+		case c == '"':
+			return s[i+1 : j], j + 1, true
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return "", i, false
+		}
+	}
+	return "", i, false
+}
+
+// scanNumber returns the end of the JSON number literal that starts at
+// s[i] (i itself if there is none) and whether it is a plain integer:
+// -?(0|[1-9][0-9]*) with an optional fraction and exponent, so no
+// leading zeros, no bare '.', no '+'.
+func scanNumber(s string, i int) (end int, integer bool) {
+	digits := func(j int) int {
+		for j < len(s) && '0' <= s[j] && s[j] <= '9' {
+			j++
+		}
+		return j
+	}
+	j := i
+	if j < len(s) && s[j] == '-' {
+		j++
+	}
+	switch d := digits(j); {
+	case d == j, s[j] == '0' && d > j+1:
+		return i, false
+	default:
+		j = d
+	}
+	integer = true
+	if j < len(s) && s[j] == '.' {
+		d := digits(j + 1)
+		if d == j+1 {
+			return i, false
+		}
+		j, integer = d, false
+	}
+	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+		k := j + 1
+		if k < len(s) && (s[k] == '+' || s[k] == '-') {
+			k++
+		}
+		d := digits(k)
+		if d == k {
+			return i, false
+		}
+		j, integer = d, false
+	}
+	return j, integer
+}
+
+func parseInt(s string, i int) (int64, int, bool) {
+	end, integer := scanNumber(s, i)
+	if !integer {
+		return 0, i, false
+	}
+	n, err := strconv.ParseInt(s[i:end], 10, 64)
+	return n, end, err == nil // out of int64 range: json's error to report
+}
+
+func parseFloat(s string, i int) (float64, int, bool) {
+	end, _ := scanNumber(s, i)
+	if end == i {
+		return 0, i, false
+	}
+	f, err := strconv.ParseFloat(s[i:end], 64) // as encoding/json converts it
+	return f, end, err == nil
+}
+
+// parseKindMap reads the queue_kind_ns object. Like encoding/json it
+// returns a non-nil map for an empty object.
+func parseKindMap(s string, i int) (map[string]int64, int, bool) {
+	if i >= len(s) || s[i] != '{' {
+		return nil, i, false
+	}
+	i++
+	m := map[string]int64{}
+	if i < len(s) && s[i] == '}' {
+		return m, i + 1, true
+	}
+	for {
+		k, j, ok := scanString(s, i)
+		if _, dup := m[k]; !ok || dup || j >= len(s) || s[j] != ':' {
+			return nil, i, false
+		}
+		n, j, ok := parseInt(s, j+1)
+		if !ok || j >= len(s) {
+			return nil, i, false
+		}
+		m[k] = n
+		switch s[j] {
+		case ',':
+			i = j + 1
+		case '}':
+			return m, j + 1, true
+		default:
+			return nil, i, false
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -137,33 +136,39 @@ func (e *Engine) Config(a core.App, s Spec) core.Config {
 // requests: the first caller for a key runs the simulation, everyone
 // else waits for (or immediately receives) its result.
 func (e *Engine) Run(s Spec) (core.Result, error) {
+	en := e.run(keyOf(s))
+	return en.res, en.err
+}
+
+// run is Run for a spec whose key the caller holds. It returns the
+// cache entry, final, rather than a copy of its core.Result (3 KB).
+func (e *Engine) run(k keyed) *entry {
 	e.telemetryInit()
-	key := s.Key()
 	e.mu.Lock()
 	if e.cache == nil {
 		e.cache = map[string]*entry{}
 	}
-	en, ok := e.cache[key]
+	en, ok := e.cache[k.key]
 	if !ok {
 		en = &entry{done: make(chan struct{})}
-		e.cache[key] = en
+		e.cache[k.key] = en
 		e.mu.Unlock()
 		e.host.runsStarted.Add(1)
 		e.host.inflight.Add(1)
 		alloc0 := heapAllocBytes()
 		start := time.Now()
-		en.res, en.err = e.execute(s)
+		en.res, en.err = e.execute(k.Spec)
 		en.hostNS = time.Since(start).Nanoseconds()
 		allocDelta := heapAllocBytes() - alloc0
 		e.host.inflight.Add(-1)
 		e.host.runsCompleted.Add(1)
-		e.observeRun(s, en.hostNS, allocDelta)
+		e.observeRun(k.Spec, en.hostNS, allocDelta)
 		close(en.done)
-		e.writeBack(key, s, en.res, en.err)
+		e.writeBack(k, en.res, en.err)
 		if f := e.OnRunDone; f != nil {
-			f(s, en.hostNS, en.err)
+			f(k.Spec, en.hostNS, en.err)
 		}
-		return en.res, en.err
+		return en
 	}
 	e.mu.Unlock()
 	// Classify the duplicate: a closed done channel is a plain cache
@@ -175,7 +180,7 @@ func (e *Engine) Run(s Spec) (core.Result, error) {
 		e.host.cacheWaits.Add(1)
 		<-en.done
 	}
-	return en.res, en.err
+	return en
 }
 
 // HostRunNanos returns the host wall time of the spec's execution, or
@@ -202,21 +207,21 @@ func (e *Engine) HostRunNanos(s Spec) int64 {
 // identically) on every run, so storing it buys nothing and a
 // transient failure must not become permanent. Store errors are
 // swallowed — the store is an accelerator, never a correctness
-// dependency; its counters record the failure. key is s.Key().
-func (e *Engine) writeBack(key string, s Spec, res core.Result, err error) {
+// dependency; its counters record the failure.
+func (e *Engine) writeBack(k keyed, res core.Result, err error) {
 	st := e.Store
 	if st == nil || err != nil {
 		return
 	}
-	rec := RecordOf(s, res, nil)
+	rec := RecordOf(k.Spec, res, nil)
 	if rec.Error != "" {
 		return
 	}
-	b, merr := json.Marshal(rec)
+	b, merr := AppendRecord(make([]byte, 0, 512), &rec)
 	if merr != nil {
 		return
 	}
-	st.Put(storeKey(key, e.Observe), b) //nolint:errcheck // best-effort persistence
+	st.Put(storeKey(k.key, e.Observe), b) //nolint:errcheck // best-effort persistence
 	e.observeSyncs()
 }
 
@@ -235,20 +240,19 @@ func (e *Engine) syncStore() {
 // recordFor returns the record for one spec, single-flighted per key:
 // served from the persistent store when possible, executed (and
 // written back) otherwise. It never joins the sequential baseline —
-// Record layers that on top.
-func (e *Engine) recordFor(s Spec) Record {
+// joined layers that on top.
+func (e *Engine) recordFor(k keyed) Record {
 	e.telemetryInit()
-	key := s.Key()
 	e.recMu.Lock()
 	if e.recCache == nil {
 		e.recCache = map[string]*recEntry{}
 	}
-	en, ok := e.recCache[key]
+	en, ok := e.recCache[k.key]
 	if !ok {
 		en = &recEntry{done: make(chan struct{})}
-		e.recCache[key] = en
+		e.recCache[k.key] = en
 		e.recMu.Unlock()
-		en.rec = e.computeRecord(s, key)
+		en.rec = e.computeRecord(k)
 		close(en.done)
 		return en.rec
 	}
@@ -260,21 +264,21 @@ func (e *Engine) recordFor(s Spec) Record {
 // computeRecord resolves one record: persistent store first, then a
 // real run. A stored entry that fails validation (corrupt, tampered,
 // schema drift) is treated as a miss and recomputed; the write-back
-// then heals the store. key is s.Key().
-func (e *Engine) computeRecord(s Spec, key string) Record {
+// then heals the store.
+func (e *Engine) computeRecord(k keyed) Record {
 	if st := e.Store; st != nil {
-		if b, ok := st.Get(storeKey(key, e.Observe)); ok {
-			if rec, err := decodeStored(b, s); err == nil {
+		if b, ok := st.Get(storeKey(k.key, e.Observe)); ok {
+			if rec, err := decodeStored(b, k.Spec); err == nil {
 				e.host.storeHits.Add(1)
 				if f := e.OnStoreHit; f != nil {
-					f(s)
+					f(k.Spec)
 				}
 				return rec
 			}
 		}
 	}
-	res, err := e.Run(s)
-	return RecordOf(s, res, err)
+	en := e.run(k)
+	return RecordOf(k.Spec, en.res, en.err)
 }
 
 // execute performs the simulation for one spec (no caching).
@@ -323,46 +327,43 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefetch warms the cache for every spec using the worker pool,
-// resolving each through run (nil means Engine.Run; the record paths
-// pass recordFor so store hits skip the simulation). It returns when
-// all specs have completed (or failed) and their write-backs are
-// synced to the store. A non-nil cancel flag stops new runs from
-// starting (in-flight runs still finish).
-func (e *Engine) prefetch(specs []Spec, cancel *atomic.Bool, run func(Spec)) {
+// prefetch warms the cache for every spec of runs (a plan's: each key
+// once) using the worker pool, resolving each through resolve —
+// Engine.run for the Result paths, recordFor for the record paths, so
+// store hits skip the simulation. It returns when all specs have
+// completed (or failed) and their write-backs are synced to the store.
+// A non-nil cancel flag stops new runs from starting (in-flight runs
+// still finish).
+func (e *Engine) prefetch(runs []keyed, cancel *atomic.Bool, resolve func(keyed)) {
 	defer e.syncStore()
-	if run == nil {
-		run = func(s Spec) { e.Run(s) } //nolint:errcheck // errors surface on the ordered pass
-	}
 	canceled := func() bool { return cancel != nil && cancel.Load() }
-	unique := uniqueSpecs(specs)
 	w := e.workers()
-	if w > len(unique) {
-		w = len(unique)
+	if w > len(runs) {
+		w = len(runs)
 	}
 	if w <= 1 {
-		for _, s := range unique {
+		for _, k := range runs {
 			if canceled() {
 				return
 			}
 			busy := time.Now()
-			run(s)
+			resolve(k)
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
 		return
 	}
-	jobs := make(chan Spec)
+	jobs := make(chan keyed)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			idle := time.Now()
-			for s := range jobs {
+			for k := range jobs {
 				e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 				busy := time.Now()
 				if !canceled() { // else drain without running
-					run(s)
+					resolve(k)
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 				idle = time.Now()
@@ -370,55 +371,80 @@ func (e *Engine) prefetch(specs []Spec, cancel *atomic.Bool, run func(Spec)) {
 			e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 		}()
 	}
-	for _, s := range unique {
-		jobs <- s
+	for _, k := range runs {
+		jobs <- k
 	}
 	close(jobs)
 	wg.Wait()
 }
 
-// uniqueSpecs drops every spec whose key an earlier one has: the runs
-// a spec list costs, in first-occurrence order.
-func uniqueSpecs(specs []Spec) []Spec {
-	unique := make([]Spec, 0, len(specs))
-	seen := make(map[string]struct{}, len(specs))
-	for _, s := range specs {
-		k := s.Key()
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			unique = append(unique, s)
+// keyed is a spec with its Key. A stream or sweep takes each spec's key
+// once, when it starts, and hands it down — to the dedup, both caches,
+// the store key and the error set — instead of rebuilding the string
+// at every one of them.
+type keyed struct {
+	Spec
+	key string
+}
+
+func keyOf(s Spec) keyed { return keyed{s, s.Key()} }
+
+// plan is a spec list with every key taken: the specs in order and
+// beside each its sequential baseline, the zero keyed where there is
+// no join to make.
+type plan struct {
+	specs, seqs []keyed
+}
+
+func newPlan(specs []Spec, join bool) plan {
+	p := plan{specs: make([]keyed, len(specs)), seqs: make([]keyed, len(specs))}
+	for i, s := range specs {
+		p.specs[i], p.seqs[i] = keyOf(s), baselineOf(s, join)
+	}
+	return p
+}
+
+// baselineOf is the sequential baseline a record of s is joined with,
+// or the zero keyed (no spec has an empty key) when join is off or s is
+// itself sequential.
+func baselineOf(s Spec, join bool) keyed {
+	if !join || s.Version == core.Seq {
+		return keyed{}
+	}
+	return keyOf(SeqSpecOf(s))
+}
+
+// runs lists the runs the plan costs: the specs, then the baselines,
+// each key once, in first-occurrence order.
+func (p plan) runs() []keyed {
+	unique := make([]keyed, 0, 2*len(p.specs))
+	seen := make(map[string]struct{}, 2*len(p.specs))
+	for _, list := range [][]keyed{p.specs, p.seqs} {
+		for _, k := range list {
+			if _, dup := seen[k.key]; !dup && k.key != "" {
+				seen[k.key] = struct{}{}
+				unique = append(unique, k)
+			}
 		}
 	}
 	return unique
-}
-
-// withBaselines appends the sequential baseline of every non-seq spec:
-// the list a JoinSpeedup sweep runs.
-func withBaselines(specs []Spec) []Spec {
-	run := make([]Spec, 0, 2*len(specs))
-	run = append(run, specs...)
-	for _, s := range specs {
-		if s.Version != core.Seq {
-			run = append(run, SeqSpecOf(s))
-		}
-	}
-	return run
 }
 
 // Sweep executes every spec across the worker pool and returns results
 // in spec order. The returned error joins every distinct run failure
 // (in spec order); results at failed positions are zero.
 func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
-	e.prefetch(specs, nil, nil)
+	p := newPlan(specs, false)
+	e.prefetch(p.runs(), nil, func(k keyed) { e.run(k) }) // errors surface on the ordered pass
 	out := make([]core.Result, len(specs))
 	var errs []error
 	seenErr := map[string]bool{}
-	for i, s := range specs {
-		res, err := e.Run(s) // cache hit: prefetch completed every key
-		out[i] = res
-		if err != nil && !seenErr[s.Key()] {
-			seenErr[s.Key()] = true
-			errs = append(errs, err)
+	for i, k := range p.specs {
+		en := e.run(k) // cache hit: prefetch completed every key
+		out[i] = en.res
+		if en.err != nil && !seenErr[k.key] {
+			seenErr[k.key] = true
+			errs = append(errs, en.err)
 		}
 	}
 	return out, errors.Join(errs...)
@@ -429,10 +455,16 @@ func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
 // failure surfaces on the record's own error field only if the run
 // itself failed; an unjoinable baseline leaves the join fields absent.
 func (e *Engine) Record(s Spec) Record {
-	rec := e.recordFor(s)
-	if e.JoinSpeedup && rec.Error == "" && s.Version != core.Seq {
-		if seq := e.recordFor(SeqSpecOf(s)); seq.Error == "" {
-			rec.JoinSeqNanos(seq.TimeNanos)
+	return e.joined(keyOf(s), baselineOf(s, e.JoinSpeedup))
+}
+
+// joined is the record for k, joined with its baseline seq's when there
+// is one and both ran.
+func (e *Engine) joined(k, seq keyed) Record {
+	rec := e.recordFor(k)
+	if seq.key != "" && rec.Error == "" {
+		if base := e.recordFor(seq); base.Error == "" {
+			rec.JoinSeqNanos(base.TimeNanos)
 		}
 	}
 	return rec
@@ -465,33 +497,44 @@ func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 // count emitted and failed records. The hook must not change spec
 // identity fields — the record's bytes are the sweep's contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
-	run := specs
-	if e.JoinSpeedup {
-		run = withBaselines(specs)
-	}
+	p := newPlan(specs, e.JoinSpeedup)
 	var cancel atomic.Bool
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.prefetch(run, &cancel, func(s Spec) { e.recordFor(s) })
+		e.prefetch(p.runs(), &cancel, func(k keyed) { e.recordFor(k) })
 	}()
-	enc := json.NewEncoder(w)
-	var stats StreamStats
-	var errs []error
-	seenErr := map[string]bool{}
-	for _, s := range specs {
-		rec := e.Record(s) // blocks until this spec's result is final
+	var (
+		stats   StreamStats
+		errs    []error
+		seenErr = map[string]bool{}
+		// One Record and one line buffer for the whole stream: decorate
+		// takes the record's address, which puts it on the heap — once,
+		// not once per line.
+		rec  Record
+		line []byte
+	)
+	for i, k := range p.specs {
+		rec = e.joined(k, p.seqs[i]) // blocks until this spec's result is final
 		if rec.Error != "" {
 			stats.Failed++
-			if !seenErr[s.Key()] {
-				seenErr[s.Key()] = true
+			if !seenErr[k.key] {
+				seenErr[k.key] = true
 				errs = append(errs, errors.New(rec.Error))
 			}
 		}
 		if decorate != nil {
 			decorate(&rec)
 		}
-		if werr := enc.Encode(rec); werr != nil {
+		var werr error
+		if line, werr = AppendRecord(line[:0], &rec); werr == nil {
+			// The record and its newline in one Write: a writer that
+			// flushes per Write flushes per record, and a stream cut
+			// short ends on a record boundary.
+			line = append(line, '\n')
+			_, werr = w.Write(line)
+		}
+		if werr != nil {
 			cancel.Store(true)
 			<-done
 			return stats, werr

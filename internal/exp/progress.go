@@ -46,10 +46,7 @@ func NewProgress(total int, out io.Writer, eng *Engine) *Progress {
 // sequential baseline when joinSpeedup is set. This is the Total a
 // Progress should be built with.
 func UniqueRuns(specs []Spec, joinSpeedup bool) int {
-	if joinSpeedup {
-		specs = withBaselines(specs)
-	}
-	return len(uniqueSpecs(specs))
+	return len(newPlan(specs, joinSpeedup).runs())
 }
 
 // AddTotal grows the expected-run count by n. A fabric worker learns

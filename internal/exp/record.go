@@ -23,10 +23,12 @@ const SchemaVersion = 1
 
 // Record is one JSON-lines measurement: the spec that identifies the
 // run plus the timed-region observables. Field order is the wire
-// order; encoding/json renders structs deterministically (and sorts
-// the queue_kind_ns map keys), so a record's bytes depend only on its
-// values — the foundation of the sweep engine's byte-identical output
-// guarantee.
+// order. A record's bytes are defined in AppendRecord (codec.go) as
+// what encoding/json renders for the struct — fields in order, the
+// queue_kind_ns map keys sorted — so they depend only on its values:
+// the foundation of the sweep engine's byte-identical output
+// guarantee. A new field needs a line in the codec's field table;
+// TestFieldTableMatchesStruct fails until it has one.
 type Record struct {
 	Spec
 
@@ -291,16 +293,35 @@ var kindNames = func() map[string]bool {
 
 // ValidateLine parses one JSON-lines record strictly (unknown fields
 // rejected) and validates it. It is the schema check the CI sweep
-// smoke job and cmd/sweeplint apply to engine output.
+// smoke job and cmd/sweeplint apply to engine output, and the decode
+// of every stored and every merged record. A line in canonical form —
+// what AppendRecord writes, see parseCanonical — is parsed in place;
+// any other line is decodeReference's. The line's own bytes choose,
+// and both ways end in the same Validate.
 func ValidateLine(line []byte) (Record, error) {
+	var rec Record
+	if !parseCanonical(line, &rec) {
+		var err error
+		if rec, err = decodeReference(line); err != nil {
+			return Record{}, err
+		}
+	}
+	if err := rec.Validate(); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// decodeReference is encoding/json's reading of a record line: the
+// definition of what decodes, and to what. It decodes into its own
+// Record — Decode takes the address as an interface, which moves it to
+// the heap — so that ValidateLine's stays on the stack.
+func decodeReference(line []byte) (Record, error) {
 	var rec Record
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
 		return Record{}, fmt.Errorf("exp: malformed record: %v", err)
-	}
-	if err := rec.Validate(); err != nil {
-		return Record{}, err
 	}
 	return rec, nil
 }

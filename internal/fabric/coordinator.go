@@ -260,17 +260,18 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	// Merge: emit ranges strictly in spec order as their records land.
 	// The walk is by position, not index — adaptive sizing can split
 	// ranges (growing the slice) while the merge runs.
-	enc := json.NewEncoder(out)
 	var stats exp.StreamStats
 	var errs []error
 	seenErr := map[string]bool{}
+	var line []byte // reused; a record and its newline go out in one Write
 	for pos := 0; pos < len(specs); {
 		recs, next, ok := tbl.waitDoneAt(pos)
 		if !ok {
 			break // canceled — only the write-failure path below does that
 		}
 		pos = next
-		for _, rec := range recs {
+		for i := range recs {
+			rec := &recs[i]
 			if rec.Error != "" {
 				stats.Failed++
 				c.recordsFailed.Add(1)
@@ -279,7 +280,12 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 					errs = append(errs, errors.New(rec.Error))
 				}
 			}
-			if werr := enc.Encode(rec); werr != nil {
+			var werr error
+			if line, werr = exp.AppendRecord(line[:0], rec); werr == nil {
+				line = append(line, '\n')
+				_, werr = out.Write(line)
+			}
+			if werr != nil {
 				tbl.cancel()
 				cancel()
 				wg.Wait()
@@ -469,7 +475,10 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, s
 
 	recs := make([]exp.Record, 0, len(specs))
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	// A lease streams a few lines of a few hundred bytes: the scanner
+	// starts at its default 4 KiB and grows on demand to the 1 MiB a
+	// line may be, so a lease's buffer is proportional to its lines.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -1,0 +1,171 @@
+package fabric
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/sim"
+)
+
+// stubWorker is a worker that simulates nothing: it answers /run with
+// the stamped lines it was given, by spec key, so a coordinator run
+// against it costs the fabric's own work only.
+func stubWorker(t *testing.T, lines map[string][]byte) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc(HealthPath, func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(Hello{OK: true, SchemaVersion: exp.SchemaVersion}) //nolint:errcheck // test server
+	})
+	mux.HandleFunc(RunPath, func(w http.ResponseWriter, r *http.Request) {
+		var rr RunRequest
+		if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		for _, key := range rr.Keys {
+			w.Write(lines[key]) //nolint:errcheck // test server
+		}
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// rendered builds a record for each spec without running anything and
+// returns the wire lines a worker would stream (stamped, by spec key)
+// and the stream a local sweep would write (unstamped, in order).
+// errText, when set, makes the first record a failed run's.
+func rendered(t *testing.T, specs []exp.Spec, errText string) (wire map[string][]byte, merged []byte) {
+	t.Helper()
+	wire = map[string][]byte{}
+	for i, s := range specs {
+		rec := exp.RecordOf(s, core.Result{Time: sim.Time(i+1) * 1000, Checksum: float64(i) + 0.5}, nil)
+		if i == 0 && errText != "" {
+			rec = exp.Record{Spec: s, Error: errText}
+		}
+		line, err := exp.AppendRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = append(append(merged, line...), '\n')
+		rec.SchemaVersion = exp.SchemaVersion
+		if line, err = exp.AppendRecord(nil, &rec); err != nil {
+			t.Fatal(err)
+		}
+		wire[s.Key()] = append(line, '\n')
+	}
+	return wire, merged
+}
+
+// jacobiAt lists n distinct specs no test ever runs: their records come
+// from rendered.
+func jacobiAt(n int) []exp.Spec {
+	specs := make([]exp.Spec, n)
+	for i := range specs {
+		specs[i] = exp.Spec{App: "Jacobi", Version: core.Tmk, Procs: i + 2, Scale: core.SmallScale}
+	}
+	return specs
+}
+
+// TestLeaseBuffersProportionalToLines: a lease of two 150-byte lines
+// must not cost a megabyte. The scanner buffer was 1 MiB, allocated and
+// zeroed per lease; the whole run — both ends of 128 HTTP exchanges,
+// the decode, the merge — now fits in a sixteenth of that per lease.
+func TestLeaseBuffersProportionalToLines(t *testing.T) {
+	specs := jacobiAt(256)
+	wire, want := rendered(t, specs, "")
+	c := &Coordinator{Workers: []string{stubWorker(t, wire), stubWorker(t, wire)}, RangeSize: 2}
+	var got bytes.Buffer
+	got.Grow(len(want))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats, err := c.Run(&got, specs)
+	runtime.ReadMemStats(&after)
+	if err != nil || stats.Records != len(specs) || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("run: stats %+v, err %v, stream identical: %v", stats, err, bytes.Equal(got.Bytes(), want))
+	}
+	snap := c.Snapshot()
+	var leases int64
+	for _, ws := range snap.Workers {
+		leases += ws.Leases
+	}
+	if leases < 100 || snap.LocalRecords != 0 {
+		t.Fatalf("%d leases, %d local records; want at least 100 leases and nothing run locally", leases, snap.LocalRecords)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(leases); per >= 64<<10 {
+		t.Errorf("the run allocated %d bytes per lease, want under 64 KiB", per)
+	}
+}
+
+// TestLongLineStillMerges: the scanner grows to the line it meets. A
+// failed run whose error text is 200 KiB merges byte-identically.
+func TestLongLineStillMerges(t *testing.T) {
+	specs := jacobiAt(5)
+	wire, want := rendered(t, specs, strings.Repeat("long error ", 200<<10/11))
+	c := &Coordinator{Workers: []string{stubWorker(t, wire)}, RangeSize: 2, Logf: t.Logf}
+	var got bytes.Buffer
+	stats, err := c.Run(&got, specs)
+	if err == nil || stats.Records != len(specs) || stats.Failed != 1 {
+		t.Fatalf("run: stats %+v, err %.40v; want 5 records, the first failed", stats, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("merged stream differs from the rendered one")
+	}
+	if n := c.Snapshot().LocalRecords; n != 0 {
+		t.Errorf("%d records ran locally: the long line failed its lease", n)
+	}
+}
+
+// TestOverLongLineFailsLease: a line over the scanner's 1 MiB maximum
+// fails its lease with the scanner's error, like any malformed stream:
+// the range is retried, the worker retired, and the sweep finished
+// locally — byte-identically.
+func TestOverLongLineFailsLease(t *testing.T) {
+	specs := testGrid(t)
+	overLong := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != RunPath {
+				next.ServeHTTP(w, r)
+				return
+			}
+			w.Write(bytes.Repeat([]byte("x"), 1<<20+1)) //nolint:errcheck // test server
+			w.Write([]byte("\n"))                       //nolint:errcheck // test server
+		})
+	}
+	var mu sync.Mutex
+	var log strings.Builder
+	c := runFleet(t, &Coordinator{
+		Workers:   []string{faultServer(t, overLong)},
+		RangeSize: 3,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			log.WriteString(strings.TrimSpace(format) + "\n")
+			for _, a := range args {
+				if err, ok := a.(error); ok {
+					log.WriteString(err.Error() + "\n")
+				}
+			}
+		},
+	}, specs, false)
+	snap := c.Snapshot()
+	if len(snap.Workers) != 1 || !snap.Workers[0].Retired || snap.Workers[0].Failures < 3 {
+		t.Errorf("worker row %+v; want three failed leases and a retirement", snap.Workers)
+	}
+	if snap.LocalRecords != int64(len(specs)) {
+		t.Errorf("%d records ran locally, want all %d", snap.LocalRecords, len(specs))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(log.String(), "token too long") {
+		t.Errorf("no lease failed with the scanner's error:\n%s", log.String())
+	}
+}

@@ -649,9 +649,10 @@ func (s *Store) scanTailLocked(end int64, writer bool) error {
 	}
 	pos := 0
 	for pos < len(data) {
-		frameLen, key, ok := parseFrame(data[pos:], s.opt.SchemaVersion)
+		frameLen, k, ok := parseFrame(data[pos:], s.opt.SchemaVersion)
 		if ok {
-			if key != "" { // schema match
+			if len(k) != 0 { // schema match
+				key := string(k) // the index's own copy: data is scratch
 				if old := s.index[key]; old != nil {
 					s.dropLocked(old)
 					s.segDirty = true
@@ -688,40 +689,41 @@ func (s *Store) scanTailLocked(end int64, writer bool) error {
 }
 
 // parseFrame parses one frame at the head of data. ok reports an
-// intact frame of length frameLen; key is empty when the frame's
-// schema version does not match want.
-func parseFrame(data []byte, want uint32) (frameLen int, key string, ok bool) {
+// intact frame of length frameLen; key is the frame's key, in place in
+// data — a warm Get compares it and copies nothing — and empty when the
+// frame's schema version does not match want.
+func parseFrame(data []byte, want uint32) (frameLen int, key []byte, ok bool) {
 	if len(data) < headerSize {
-		return 0, "", false
+		return 0, nil, false
 	}
 	if binary.LittleEndian.Uint32(data[0:4]) != magic {
-		return 0, "", false
+		return 0, nil, false
 	}
 	payLen := binary.LittleEndian.Uint32(data[4:8])
 	if payLen < 12 || payLen > maxKeyLen+maxValLen+12 {
-		return 0, "", false
+		return 0, nil, false
 	}
 	if len(data) < headerSize+int(payLen) {
-		return 0, "", false
+		return 0, nil, false
 	}
 	pay := data[headerSize : headerSize+int(payLen)]
 	if crc32.ChecksumIEEE(pay) != binary.LittleEndian.Uint32(data[8:12]) {
-		return 0, "", false
+		return 0, nil, false
 	}
 	schema := binary.LittleEndian.Uint32(pay[0:4])
 	keyLen := binary.LittleEndian.Uint32(pay[4:8])
 	if keyLen == 0 || keyLen > maxKeyLen || 8+keyLen+4 > payLen {
-		return 0, "", false
+		return 0, nil, false
 	}
 	valLen := binary.LittleEndian.Uint32(pay[8+keyLen : 12+keyLen])
 	if uint64(12)+uint64(keyLen)+uint64(valLen) != uint64(payLen) {
-		return 0, "", false
+		return 0, nil, false
 	}
 	frameLen = headerSize + int(payLen)
 	if schema != want {
-		return frameLen, "", true
+		return frameLen, nil, true
 	}
-	return frameLen, string(pay[8 : 8+keyLen]), true
+	return frameLen, pay[8 : 8+keyLen], true
 }
 
 // resync finds the offset of the next intact frame in data, or -1.
@@ -761,7 +763,7 @@ func (s *Store) readEntryLocked(en *entry) ([]byte, error) {
 		return nil, fmt.Errorf("store: read frame: %w", err)
 	}
 	frameLen, key, ok := parseFrame(data, s.opt.SchemaVersion)
-	if !ok || int64(frameLen) != en.frameLen || key != en.key {
+	if !ok || int64(frameLen) != en.frameLen || string(key) != en.key {
 		return nil, errors.New("store: frame failed verification")
 	}
 	pay := data[headerSize:]

@@ -76,6 +76,24 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 	}
 }
 
+// TestStoreWarmGetAllocatesTheFrameOnly: a hit costs one allocation,
+// the buffer the frame is read into and the value is a slice of. The
+// frame's key is compared where it lies, not copied into a string.
+func TestStoreWarmGetAllocatesTheFrameOnly(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{SchemaVersion: 1})
+	key := "app=Jacobi|version=tmk|procs=4|scale=small|protocol=lrc|contention=0|fifo=0|obs=1"
+	mustPut(t, s, key, strings.Repeat("v", 300))
+	mustGet(t, s, key, strings.Repeat("v", 300))
+	n := testing.AllocsPerRun(100, func() {
+		if _, ok := s.Get(key); !ok {
+			t.Fatal("warm Get missed")
+		}
+	})
+	if n != 1 {
+		t.Errorf("a warm Get allocates %v times, want 1 (the frame buffer)", n)
+	}
+}
+
 func TestStorePutDedupAndOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{SchemaVersion: 1})

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/proto"
 	"repro/internal/stats"
 )
 
@@ -29,6 +30,40 @@ func TestAllVersionsMatchSequential(t *testing.T) {
 		}
 		if r.Checksum != seq.Checksum {
 			t.Errorf("%s checksum = %v, want %v (bitwise)", v, r.Checksum, seq.Checksum)
+		}
+	}
+}
+
+// TestTmkOptMatchesSequentialAtMidScale: at mid scale (the paper's
+// size) a vector is exactly one page, so the broadcast covers pages
+// whole and settles their write notices without a fault. It must settle
+// every writer's — process 0 initialized the matrix — or the homeless
+// protocol repairs the page with the initialization diff, over the
+// broadcast vector (checksum 432.9 at 4 processes, NaN at 8).
+func TestTmkOptMatchesSequentialAtMidScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mid scale: about a second a run")
+	}
+	cfgMid := func(procs int, p proto.Name) core.Config {
+		c := New().Config(core.MidScale, procs)
+		c.Costs = model.SP2()
+		c.App = model.DefaultAppCosts()
+		c.Protocol = p
+		return c
+	}
+	seq, err := New().Run(core.Seq, cfgMid(1, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range proto.Names() {
+		for _, procs := range []int{2, 4, 8} {
+			r, err := New().Run(core.TmkOpt, cfgMid(procs, p))
+			if err != nil {
+				t.Fatalf("%s procs=%d: %v", p, procs, err)
+			}
+			if r.Checksum != seq.Checksum {
+				t.Errorf("%s procs=%d: checksum = %v, want %v (bitwise)", p, procs, r.Checksum, seq.Checksum)
+			}
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,6 +26,12 @@ import (
 // no mutable state with other runs, so host-level parallelism cannot
 // perturb results: a sweep's output is bit-identical at any worker
 // count.
+//
+// A run's identity is its spec's canonical form (Spec.Canonical): the
+// cache, the single-flight and every count of runs go by it, and the
+// canonical spec is what executes. Specs that differ in labels only
+// share one run; what the engine hands back for each — record, store
+// entry — carries the spec that was asked for.
 type Engine struct {
 	// Costs is the interconnect/protocol calibration. Its contention
 	// and FIFO knobs are overridden per spec (Spec.Contention,
@@ -58,19 +66,22 @@ type Engine struct {
 	// identical with or without it.
 	Metrics *metrics.Registry
 	// OnRunDone, when non-nil, is called once per executed run (cache
-	// misses only, after the result is final) with the spec, the host
-	// wall time, and the run error. Called from worker goroutines; the
-	// callback must be concurrency-safe. Progress.RunDone fits here.
+	// misses only, after the result is final) with the spec that ran
+	// (canonical), the host wall time, and the run error. Called from
+	// worker goroutines; the callback must be concurrency-safe.
+	// Progress.RunDone fits here.
 	OnRunDone func(s Spec, hostNS int64, err error)
 
 	// Store, when non-nil, is the persistent record cache underneath
 	// the in-memory result cache: the record paths (Record, Stream,
 	// StreamWith) serve a stored spec byte-identically without running
-	// the simulation, and every successful execution writes its record
-	// back. The Result paths (Run, Sweep) always execute — a Record
-	// does not carry enough to rebuild a core.Result — but still write
-	// back, so harness runs warm the store too. Set it before the first
-	// run and do not change it after.
+	// the simulation, and every successful request writes its record
+	// back under its own key — once per requested key, whether the
+	// request executed the run or shared one; a key nobody asked for is
+	// never written. The Result paths (Run, Sweep) always execute — a
+	// Record does not carry enough to rebuild a core.Result — but still
+	// write back, so harness runs warm the store too. Set it before the
+	// first run and do not change it after.
 	Store *store.Store
 	// OnStoreHit, when non-nil, is called once per spec served from
 	// Store (record paths only). Called from worker goroutines; must be
@@ -95,12 +106,14 @@ type Engine struct {
 }
 
 // entry is one cached (possibly in-flight) run. done closes when res,
-// err and hostNS are final.
+// err and hostNS are final. stored lists the requested keys written
+// back from it (guarded by Engine.mu; a run has a handful of labels).
 type entry struct {
 	done   chan struct{}
 	res    core.Result
 	err    error
 	hostNS int64
+	stored []string
 }
 
 // recEntry is one cached (possibly in-flight) record. done closes when
@@ -144,42 +157,43 @@ func (e *Engine) Run(s Spec) (core.Result, error) {
 // cache entry, final, rather than a copy of its core.Result (3 KB).
 func (e *Engine) run(k keyed) *entry {
 	e.telemetryInit()
+	ran := k.canonical()
 	e.mu.Lock()
 	if e.cache == nil {
 		e.cache = map[string]*entry{}
 	}
-	en, ok := e.cache[k.key]
+	en, ok := e.cache[ran.key]
 	if !ok {
 		en = &entry{done: make(chan struct{})}
-		e.cache[k.key] = en
+		e.cache[ran.key] = en
 		e.mu.Unlock()
 		e.host.runsStarted.Add(1)
 		e.host.inflight.Add(1)
 		alloc0 := heapAllocBytes()
 		start := time.Now()
-		en.res, en.err = e.execute(k.Spec)
+		en.res, en.err = e.execute(ran.Spec)
 		en.hostNS = time.Since(start).Nanoseconds()
 		allocDelta := heapAllocBytes() - alloc0
 		e.host.inflight.Add(-1)
 		e.host.runsCompleted.Add(1)
-		e.observeRun(k.Spec, en.hostNS, allocDelta)
+		e.observeRun(ran.Spec, en.hostNS, allocDelta)
 		close(en.done)
-		e.writeBack(k, en.res, en.err)
 		if f := e.OnRunDone; f != nil {
-			f(k.Spec, en.hostNS, en.err)
+			f(ran.Spec, en.hostNS, en.err)
 		}
-		return en
+	} else {
+		e.mu.Unlock()
+		// Classify the duplicate: a closed done channel is a plain cache
+		// hit; an open one means we latched onto an in-flight run.
+		select {
+		case <-en.done:
+			e.host.cacheHits.Add(1)
+		default:
+			e.host.cacheWaits.Add(1)
+			<-en.done
+		}
 	}
-	e.mu.Unlock()
-	// Classify the duplicate: a closed done channel is a plain cache
-	// hit; an open one means we latched onto an in-flight run.
-	select {
-	case <-en.done:
-		e.host.cacheHits.Add(1)
-	default:
-		e.host.cacheWaits.Add(1)
-		<-en.done
-	}
+	e.writeBack(k, en)
 	return en
 }
 
@@ -189,7 +203,7 @@ func (e *Engine) run(k keyed) *entry {
 // result field.
 func (e *Engine) HostRunNanos(s Spec) int64 {
 	e.mu.Lock()
-	en := e.cache[s.Key()]
+	en := e.cache[s.Canonical().Key()]
 	e.mu.Unlock()
 	if en == nil {
 		return 0
@@ -202,21 +216,29 @@ func (e *Engine) HostRunNanos(s Spec) int64 {
 	}
 }
 
-// writeBack persists one successful execution's record. Error records
-// are never stored: a deterministic failure re-executes (and fails
-// identically) on every run, so storing it buys nothing and a
-// transient failure must not become permanent. Store errors are
-// swallowed — the store is an accelerator, never a correctness
-// dependency; its counters record the failure.
-func (e *Engine) writeBack(k keyed, res core.Result, err error) {
+// writeBack persists the record of one successful request under the
+// requested key, the first time that key is asked of the run: a stored
+// value is its own key's exact bytes, so every label of a run has its
+// own. Error records are never stored: a deterministic failure
+// re-executes (and fails identically) on every run, so storing it buys
+// nothing and a transient failure must not become permanent. Store
+// errors are swallowed — the store is an accelerator, never a
+// correctness dependency; its counters record the failure.
+func (e *Engine) writeBack(k keyed, en *entry) {
 	st := e.Store
-	if st == nil || err != nil {
+	if st == nil || en.err != nil {
 		return
 	}
-	rec := RecordOf(k.Spec, res, nil)
-	if rec.Error != "" {
+	e.mu.Lock()
+	dup := slices.Contains(en.stored, k.key)
+	if !dup {
+		en.stored = append(en.stored, k.key)
+	}
+	e.mu.Unlock()
+	if dup {
 		return
 	}
+	rec := RecordOf(k.Spec, en.res, nil)
 	b, merr := AppendRecord(make([]byte, 0, 512), &rec)
 	if merr != nil {
 		return
@@ -229,7 +251,8 @@ func (e *Engine) writeBack(k keyed, res core.Result, err error) {
 // record written back since the last one (none on a warm pass). Put
 // defers durability to here, so each sweep and each fabric lease ends
 // with its records safe against power loss before the caller reports
-// on it.
+// on it. Sweep and StreamWith defer it past their ordered pass, which
+// writes back the labels that shared a prefetched run.
 func (e *Engine) syncStore() {
 	if st := e.Store; st != nil {
 		st.Sync() //nolint:errcheck // best-effort persistence, as in writeBack
@@ -281,7 +304,9 @@ func (e *Engine) computeRecord(k keyed) Record {
 	return RecordOf(k.Spec, en.res, en.err)
 }
 
-// execute performs the simulation for one spec (no caching).
+// execute performs the simulation for one spec (no caching). A result
+// that is not a number is a failed run, here and so everywhere: JSON
+// cannot carry the value, and no table may divide by it.
 func (e *Engine) execute(s Spec) (core.Result, error) {
 	if err := s.Validate(); err != nil {
 		return core.Result{}, err
@@ -304,10 +329,14 @@ func (e *Engine) execute(s Spec) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, fmt.Errorf("%s/%s: %w", s.App, s.Version, err)
 	}
+	if math.IsNaN(res.Checksum) || math.IsInf(res.Checksum, 0) {
+		return core.Result{}, fmt.Errorf("%s/%s: non-finite checksum", s.App, s.Version)
+	}
 	return res, nil
 }
 
-// CachedKeys lists completed or in-flight run keys in sorted order.
+// CachedKeys lists completed or in-flight run keys — canonical, one per
+// execution — in sorted order.
 func (e *Engine) CachedKeys() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -327,15 +356,13 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefetch warms the cache for every spec of runs (a plan's: each key
+// prefetch warms the cache for every spec of runs (a plan's: each run
 // once) using the worker pool, resolving each through resolve —
 // Engine.run for the Result paths, recordFor for the record paths, so
 // store hits skip the simulation. It returns when all specs have
-// completed (or failed) and their write-backs are synced to the store.
-// A non-nil cancel flag stops new runs from starting (in-flight runs
-// still finish).
+// completed (or failed). A non-nil cancel flag stops new runs from
+// starting (in-flight runs still finish).
 func (e *Engine) prefetch(runs []keyed, cancel *atomic.Bool, resolve func(keyed)) {
-	defer e.syncStore()
 	canceled := func() bool { return cancel != nil && cancel.Load() }
 	w := e.workers()
 	if w > len(runs) {
@@ -379,15 +406,25 @@ func (e *Engine) prefetch(runs []keyed, cancel *atomic.Bool, resolve func(keyed)
 }
 
 // keyed is a spec with its Key. A stream or sweep takes each spec's key
-// once, when it starts, and hands it down — to the dedup, both caches,
-// the store key and the error set — instead of rebuilding the string
-// at every one of them.
+// once, when it starts, and hands it down — to the record cache, the
+// store key and the error set — instead of rebuilding the string at
+// every one of them.
 type keyed struct {
 	Spec
 	key string
 }
 
 func keyOf(s Spec) keyed { return keyed{s, s.Key()} }
+
+// canonical is the run k's spec shares with every spec that differs
+// from it in labels only: what the run cache and the dedup go by, and
+// what executes. Only a spec that carries labels builds a second key.
+func (k keyed) canonical() keyed {
+	if c := k.Canonical(); c != k.Spec {
+		return keyOf(c)
+	}
+	return k
+}
 
 // plan is a spec list with every key taken: the specs in order and
 // beside each its sequential baseline, the zero keyed where there is
@@ -415,14 +452,20 @@ func baselineOf(s Spec, join bool) keyed {
 }
 
 // runs lists the runs the plan costs: the specs, then the baselines,
-// each key once, in first-occurrence order.
+// each execution once — under the first label that asks for it — in
+// first-occurrence order. The labels that share it find it cached on
+// the ordered pass.
 func (p plan) runs() []keyed {
 	unique := make([]keyed, 0, 2*len(p.specs))
 	seen := make(map[string]struct{}, 2*len(p.specs))
 	for _, list := range [][]keyed{p.specs, p.seqs} {
 		for _, k := range list {
-			if _, dup := seen[k.key]; !dup && k.key != "" {
-				seen[k.key] = struct{}{}
+			if k.key == "" {
+				continue
+			}
+			run := k.canonical().key
+			if _, dup := seen[run]; !dup {
+				seen[run] = struct{}{}
 				unique = append(unique, k)
 			}
 		}
@@ -435,6 +478,7 @@ func (p plan) runs() []keyed {
 // (in spec order); results at failed positions are zero.
 func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
 	p := newPlan(specs, false)
+	defer e.syncStore()
 	e.prefetch(p.runs(), nil, func(k keyed) { e.run(k) }) // errors surface on the ordered pass
 	out := make([]core.Result, len(specs))
 	var errs []error
@@ -498,6 +542,7 @@ func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 // identity fields — the record's bytes are the sweep's contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
 	p := newPlan(specs, e.JoinSpeedup)
+	defer e.syncStore() // after every return below has waited for the prefetch
 	var cancel atomic.Bool
 	done := make(chan struct{})
 	go func() {

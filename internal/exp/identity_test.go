@@ -1,0 +1,281 @@
+package exp
+
+import (
+	"bytes"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/loopc/gen"
+	"repro/internal/metrics"
+	"repro/internal/proto"
+)
+
+// TestEveryVersionHasAClass: the class table names every version any
+// registered application or generated program lists, so no version is
+// left to the safe default by oversight; a version it does not name
+// reads every axis.
+func TestEveryVersionHasAClass(t *testing.T) {
+	apps := append(Apps(), gen.AppForSeed(1))
+	for _, a := range apps {
+		for _, v := range a.Versions() {
+			if classOf(v) == 0 {
+				t.Errorf("%s lists version %q, which the class table does not name", a.Name(), v)
+			}
+		}
+	}
+	odd := Spec{App: "Jacobi", Version: "tmk-next", Procs: 4, Scale: core.SmallScale,
+		Protocol: proto.HomelessLRC, HomePolicy: proto.AdaptivePolicy, Contention: 2, FIFO: true}
+	if got := odd.Canonical(); got != odd {
+		t.Errorf("unnamed version canonicalizes to %+v, want itself", got)
+	}
+}
+
+// everyLabel sets each axis the class of v does not read to a value a
+// default spec does not have.
+func everyLabel(s Spec) []Spec {
+	switch classOf(s.Version) {
+	case sequential:
+		s.Procs, s.Contention, s.FIFO = 4, 2, true
+		s.Protocol, s.HomePolicy = proto.HomeLRC, proto.AdaptivePolicy
+		return []Spec{s}
+	case messagePassing:
+		s.Protocol, s.HomePolicy = proto.HomeLRC, proto.FirstTouchPolicy
+		return []Spec{s}
+	}
+	var out []Spec
+	for _, p := range []proto.Name{"", proto.HomelessLRC} {
+		for _, hp := range proto.PolicyNames() {
+			s.Protocol, s.HomePolicy = p, hp
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestCanonicalRunIsTheLabelledRun is the oracle behind the run
+// identity: the labelled spec executed directly, no cache and no rule in
+// the way, gives the result of its canonical form — the whole
+// core.Result, so time, traffic by kind, queue counters, checksum,
+// attribution and breakdown — and so the same record bytes under one
+// label. Every application, every version whose class has labels: seq
+// and the message-passing versions, and the DSM front ends under the
+// homeless protocol with every home policy.
+func TestCanonicalRunIsTheLabelledRun(t *testing.T) {
+	e := New()
+	e.Observe = true
+	direct := func(s Spec) core.Result {
+		t.Helper()
+		res, err := e.execute(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Key(), err)
+		}
+		res.Trace = nil // per-run state; the breakdown is what it attributes
+		return res
+	}
+	apps := append(Apps(), gen.AppForSeed(3))
+	for _, a := range apps {
+		for _, v := range a.Versions() {
+			if c := classOf(v); c == dsm && v != core.Tmk && v != core.SPF {
+				continue
+			}
+			for _, contention := range []int{0, 2} {
+				base := Spec{App: a.Name(), Version: v, Procs: 4, Scale: core.SmallScale, Contention: contention}
+				for _, labelled := range everyLabel(base) {
+					canon := labelled.Canonical()
+					if canon == labelled {
+						t.Fatalf("%s carries no label", labelled.Key())
+					}
+					got, want := direct(canon), direct(labelled)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s\n ran as %s and differs:\n got %+v\nwant %+v", labelled.Key(), canon.Key(), got, want)
+					}
+					gotRec, wantRec := RecordOf(labelled, got, nil), RecordOf(labelled, want, nil)
+					gotLine, _ := AppendRecord(nil, &gotRec)
+					wantLine, _ := AppendRecord(nil, &wantRec)
+					if !bytes.Equal(gotLine, wantLine) || len(gotLine) == 0 {
+						t.Errorf("%s: record bytes differ:\n%s\n%s", labelled.Key(), gotLine, wantLine)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCanonical: the canonical form of any spec is a fixed point, is a
+// valid spec whenever the spec is, keeps what Normalize does, and
+// round-trips through Key and ParseKey like any spec.
+func FuzzCanonical(f *testing.F) {
+	for _, s := range append(labelHeavySpecs(),
+		Spec{App: "gen-7", Version: core.XHPFGen, Procs: 3, Scale: core.MidScale, Protocol: "hlrc", HomePolicy: "static", Contention: -1, FIFO: true},
+		Spec{App: "NBF", Version: "tmk-next", Procs: 8, Protocol: "lrc", HomePolicy: "adaptive"},
+		Spec{App: "Jacobi", Version: core.Seq, Procs: 0, Scale: "huge", Protocol: "zzz", Contention: -7},
+	) {
+		f.Add(s.App, string(s.Version), s.Procs, string(s.Scale), string(s.Protocol), s.Contention, s.FIFO, string(s.HomePolicy))
+	}
+	f.Fuzz(func(t *testing.T, app, version string, procs int, scale, protocol string, contention int, fifo bool, policy string) {
+		s := Spec{App: app, Version: core.Version(version), Procs: procs, Scale: core.Scale(scale),
+			Protocol: proto.Name(protocol), Contention: contention, FIFO: fifo, HomePolicy: proto.PolicyName(policy)}
+		c := s.Canonical()
+		if again := c.Canonical(); again != c {
+			t.Fatalf("not idempotent: %+v -> %+v -> %+v", s, c, again)
+		}
+		if c.Normalize() != c || s.Normalize().Canonical() != c {
+			t.Fatalf("canonical form %+v of %+v disagrees with Normalize", c, s)
+		}
+		if c.App != s.App || c.Version != s.Version || c.Scale != s.Scale {
+			t.Fatalf("canonical form %+v changed what every run reads of %+v", c, s)
+		}
+		if s.Validate() == nil {
+			if err := c.Validate(); err != nil {
+				t.Fatalf("valid %+v has invalid canonical form %+v: %v", s, c, err)
+			}
+		}
+		if !strings.ContainsAny(app+version+scale+protocol+policy, "|=") {
+			if back, err := ParseKey(c.Key()); err != nil || back != c {
+				t.Fatalf("ParseKey(%q) = %+v, %v; want %+v", c.Key(), back, err, c)
+			}
+		}
+	})
+}
+
+// labelHeavySpecs is a sweep most of whose specs are labels of a run
+// another spec already names: 32 specs, 11 executions.
+func labelHeavySpecs() []Spec {
+	axes := Axes{
+		Versions:     []core.Version{core.Seq, core.XHPF, core.PVMe, core.Tmk},
+		Protocols:    proto.Names(),
+		HomePolicies: []proto.PolicyName{proto.StaticPolicy, proto.FirstTouchPolicy},
+		Contentions:  []int{0, 2},
+	}
+	specs := axes.Specs(Spec{App: "Jacobi", Procs: 2, Scale: core.SmallScale})
+	for i := range specs {
+		specs[i] = specs[i].Normalize()
+	}
+	return specs
+}
+
+// TestLabelOnlyRepeatsShareARun: over a label-heavy list every count of
+// runs — UniqueRuns, RunsStarted, the cached keys, the per-version
+// histograms, OnRunDone, a Progress that ends N/N — is the number of
+// executions, the rest of the requests are cache hits, and the stream
+// is the one an engine gives that is asked for one spec at a time.
+func TestLabelOnlyRepeatsShareARun(t *testing.T) {
+	specs := labelHeavySpecs()
+	const runs = 11 // seq 1; xhpf, pvme one per contention; tmk lrc 2, hlrc 4
+	if got := UniqueRuns(specs, false); got != runs || UniqueRuns(specs, true) != runs {
+		t.Fatalf("UniqueRuns = %d (joined %d), want %d", got, UniqueRuns(specs, true), runs)
+	}
+	var want bytes.Buffer
+	for _, s := range specs {
+		one := New()
+		one.JoinSpeedup = true
+		if err := one.Stream(&want, []Spec{s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		e := New()
+		e.Workers = workers
+		e.JoinSpeedup = true
+		e.Metrics = metrics.NewRegistry()
+		p := NewProgress(UniqueRuns(specs, true), nil, e)
+		e.OnRunDone = p.RunDone
+		if got := streamT(t, e, specs); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("workers=%d: the sweep's stream differs from its specs' own:\n%s\nwant\n%s", workers, got, want.Bytes())
+		}
+		hs := e.HostStats()
+		if hs.RunsStarted != runs || len(e.CachedKeys()) != runs {
+			t.Errorf("workers=%d: %d runs started, %d keys cached, want %d", workers, hs.RunsStarted, len(e.CachedKeys()), runs)
+		}
+		for _, key := range e.CachedKeys() {
+			if s, err := ParseKey(key); err != nil || s.Canonical() != s {
+				t.Errorf("workers=%d: cached key %q is not a canonical spec's", workers, key)
+			}
+		}
+		if hs.CacheHits+hs.CacheWaits == 0 {
+			t.Errorf("workers=%d: no request counted as a cache hit or wait", workers)
+		}
+		if snap := p.Snapshot(); snap.Done != runs || snap.Executed != runs || snap.Total != runs {
+			t.Errorf("workers=%d: progress %+v, want %d/%d", workers, snap, runs, runs)
+		}
+		var observed uint64
+		for _, fam := range e.Metrics.Snapshot().Families {
+			if fam.Name == mRunSeconds {
+				for _, ser := range fam.Series {
+					observed += ser.Hist.Count
+				}
+			}
+		}
+		if observed != runs {
+			t.Errorf("workers=%d: run-time histograms hold %d runs, want %d", workers, observed, runs)
+		}
+	}
+}
+
+// TestStoreHoldsExactlyTheRequestedKeys: a cold sweep over a label-heavy
+// list writes every key it was asked for — each spec's and each
+// baseline's, whether the request ran the simulation or shared one — and
+// no other. A second engine then serves the list from the store alone:
+// no run, the same bytes, at 1, 2 and 8 workers, its progress N/N.
+func TestStoreHoldsExactlyTheRequestedKeys(t *testing.T) {
+	specs := labelHeavySpecs()
+	var asked []string
+	for _, s := range specs {
+		asked = append(asked, StoreKey(s, false))
+		if s.Version != core.Seq {
+			asked = append(asked, StoreKey(SeqSpecOf(s), false))
+		}
+	}
+	slices.Sort(asked)
+	asked = slices.Compact(asked)
+
+	build := func(workers int, dir string) *Engine {
+		e := New()
+		e.Workers = workers
+		e.JoinSpeedup = true
+		if dir != "" {
+			e.Store = openStoreT(t, dir)
+		}
+		return e
+	}
+	want := streamT(t, build(2, ""), specs)
+	dir := t.TempDir()
+	cold := build(2, dir)
+	if got := streamT(t, cold, specs); !bytes.Equal(got, want) {
+		t.Fatalf("cold store changed the sweep bytes")
+	}
+	if got, runs := cold.HostStats().RunsStarted, int64(UniqueRuns(specs, true)); got != runs {
+		t.Errorf("cold sweep started %d runs, want %d", got, runs)
+	}
+	keys := cold.Store.Keys()
+	slices.Sort(keys)
+	if !slices.Equal(keys, asked) {
+		t.Errorf("store holds\n%s\nwant exactly the requested keys\n%s", strings.Join(keys, "\n"), strings.Join(asked, "\n"))
+	}
+	if puts := cold.Store.Stats().Puts; puts != int64(len(asked)) {
+		t.Errorf("%d puts for %d requested keys: a key was written twice", puts, len(asked))
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		warm := build(workers, dir)
+		p := NewProgress(UniqueRuns(specs, true), nil, warm)
+		warm.OnRunDone, warm.OnStoreHit = p.RunDone, p.StoreHit
+		if got := streamT(t, warm, specs); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: warm store changed the sweep bytes", workers)
+		}
+		hs := warm.HostStats()
+		if hs.RunsStarted != 0 || hs.StoreHits != int64(len(asked)) {
+			t.Errorf("workers=%d: warm pass started %d runs with %d store hits, want 0 and %d",
+				workers, hs.RunsStarted, hs.StoreHits, len(asked))
+		}
+		if snap := p.Snapshot(); snap.Done != snap.Total || snap.DiskHits != len(asked) {
+			t.Errorf("workers=%d: warm progress %+v, want %d/%d from %d disk hits", workers, snap, snap.Total, snap.Total, len(asked))
+		}
+		if got := warm.Store.Stats().Puts; got != 0 {
+			t.Errorf("workers=%d: warm pass wrote %d records", workers, got)
+		}
+	}
+}

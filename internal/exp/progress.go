@@ -29,6 +29,11 @@ type Progress struct {
 	start    time.Time
 	executed int // runs actually simulated (RunDone)
 	diskHits int // specs served from the persistent store (StoreHit)
+	// done holds the canonical key of every run counted complete. The
+	// labels of one run are each served from the store, or one is and
+	// the next executes: the run completes once, so the count ends at
+	// Total.
+	done     map[string]struct{}
 	errs     int
 	hostNS   int64
 	lastLine time.Time
@@ -42,7 +47,8 @@ func NewProgress(total int, out io.Writer, eng *Engine) *Progress {
 }
 
 // UniqueRuns returns the number of distinct engine executions a sweep
-// over specs will perform: unique keys, plus each non-seq spec's
+// over specs will perform: unique canonical specs (Spec.Canonical) —
+// label-only repeats share a run — counting each non-seq spec's
 // sequential baseline when joinSpeedup is set. This is the Total a
 // Progress should be built with.
 func UniqueRuns(specs []Spec, joinSpeedup bool) int {
@@ -68,13 +74,14 @@ func (p *Progress) RunDone(s Spec, hostNS int64, err error) {
 	if p == nil {
 		return
 	}
+	run := s.Canonical().Key()
 	p.mu.Lock()
 	p.executed++
 	p.hostNS += hostNS
 	if err != nil {
 		p.errs++
 	}
-	p.advanceLocked()
+	p.advanceLocked(run)
 }
 
 // StoreHit records one spec served from the persistent store. It
@@ -85,14 +92,20 @@ func (p *Progress) StoreHit(s Spec) {
 	if p == nil {
 		return
 	}
+	run := s.Canonical().Key()
 	p.mu.Lock()
 	p.diskHits++
-	p.advanceLocked()
+	p.advanceLocked(run)
 }
 
-// advanceLocked finishes a completion event: starts the clock, emits a
+// advanceLocked finishes a completion event for the run of that
+// canonical key: counts the run complete, starts the clock, emits a
 // throttled line, and releases p.mu.
-func (p *Progress) advanceLocked() {
+func (p *Progress) advanceLocked(run string) {
+	if p.done == nil {
+		p.done = map[string]struct{}{}
+	}
+	p.done[run] = struct{}{}
 	now := time.Now()
 	if p.start.IsZero() {
 		p.start = now
@@ -102,7 +115,7 @@ func (p *Progress) advanceLocked() {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	if p.Out != nil && (p.executed+p.diskHits == p.Total || now.Sub(p.lastLine) >= interval) {
+	if p.Out != nil && (len(p.done) == p.Total || now.Sub(p.lastLine) >= interval) {
 		p.lastLine = now
 		line = p.lineLocked(now)
 	}
@@ -115,7 +128,7 @@ func (p *Progress) advanceLocked() {
 // lineLocked renders the stderr progress line. Caller holds p.mu.
 func (p *Progress) lineLocked(now time.Time) string {
 	elapsed := now.Sub(p.start)
-	completed := p.executed + p.diskHits
+	completed := len(p.done)
 	line := fmt.Sprintf("sweep: %d/%d runs", completed, p.Total)
 	if p.errs > 0 {
 		line += fmt.Sprintf(", %d failed", p.errs)
@@ -140,8 +153,9 @@ func (p *Progress) lineLocked(now time.Time) string {
 }
 
 // ProgressSnapshot is the JSON shape served at /progress. Done counts
-// every completed spec (executed plus store hits); Executed and
-// DiskHits split it.
+// completed runs, however they completed; Executed counts simulations
+// and DiskHits specs served from the store (several labels of one run
+// each count).
 type ProgressSnapshot struct {
 	Done           int     `json:"done"`
 	Executed       int     `json:"executed"`
@@ -164,7 +178,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 	p.mu.Lock()
 	snap := ProgressSnapshot{
-		Done:           p.executed + p.diskHits,
+		Done:           len(p.done),
 		Executed:       p.executed,
 		DiskHits:       p.diskHits,
 		Total:          p.Total,

@@ -107,18 +107,14 @@ type Record struct {
 	Error string `json:"error,omitempty"`
 }
 
-// RecordOf renders a completed run as a record. On error the record
-// carries only the spec and the error string. A NaN or ±Inf checksum is
-// such an error: JSON cannot carry the value, and one wrong run must
-// fail like any other instead of aborting the stream it is part of.
+// RecordOf renders a completed run as a record labelled s — the spec
+// that was asked for, which need not be the one that ran
+// (Spec.Canonical). On error the record carries only the spec and the
+// error string.
 func RecordOf(s Spec, res core.Result, err error) Record {
 	rec := Record{Spec: s}
-	switch {
-	case err != nil:
+	if err != nil {
 		rec.Error = err.Error()
-		return rec
-	case math.IsNaN(res.Checksum) || math.IsInf(res.Checksum, 0):
-		rec.Error = "non-finite checksum"
 		return rec
 	}
 	rec.TimeNanos = int64(res.Time)
@@ -180,15 +176,12 @@ func (r *Record) JoinSeqNanos(seqNS int64) {
 }
 
 // SeqSpecOf returns the sequential-baseline spec a record of s joins
-// with: the same application, scale and machine knobs at one
-// processor. The home policy is dropped — at one node every page is
-// self-homed and the policies are byte-identical (pinned by
-// TestSingleNodeNeverMigrates), so one cached baseline serves a whole
-// policy axis.
+// with: the application's sequential version at s's scale, in canonical
+// form, so one baseline serves every processor count, protocol, home
+// policy and machine knob of a sweep.
 func SeqSpecOf(s Spec) Spec {
 	s.Version = core.Seq
-	s.HomePolicy = ""
-	return s.Normalize()
+	return s.Canonical()
 }
 
 // Validate checks a record against the JSON-lines schema: a coherent

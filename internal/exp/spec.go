@@ -25,7 +25,9 @@ import (
 
 // Spec fully identifies one simulated run. Two runs with equal specs
 // (under one engine calibration) produce bit-identical results, which
-// is what makes the spec a sound cache key.
+// is what makes the spec a sound cache key. Unequal specs may still
+// name one run — not every version reads every axis — and the engine
+// caches by what executes: see Canonical.
 type Spec struct {
 	// App is the application name as the paper uses it (see Apps).
 	App string `json:"app"`
@@ -38,8 +40,9 @@ type Spec struct {
 	// core.PaperScale.
 	Scale core.Scale `json:"scale"`
 	// Protocol selects the DSM coherence protocol (empty: the homeless
-	// TreadMarks LRC). Message-passing versions ignore it but keep it
-	// in the identity so DSM/MP sweeps stay uniform.
+	// TreadMarks LRC). Message-passing versions ignore it: on their
+	// specs it is a label (see Canonical), kept so DSM/MP sweeps stay
+	// uniform.
 	Protocol proto.Name `json:"protocol,omitempty"`
 	// Contention is the shared contention encoding of
 	// model.Costs.WithContention: 0 off, -1 serial NICs over an ideal
@@ -49,10 +52,10 @@ type Spec struct {
 	// (sim.Config.FIFOPairs).
 	FIFO bool `json:"fifo,omitempty"`
 	// HomePolicy selects the home-placement policy of the home-based
-	// protocol (empty: static homes). Non-hlrc runs ignore it but keep
-	// it in the identity so policy sweeps stay uniform. The field is
-	// default-empty and omitted from keys when empty, so pre-policy
-	// spec keys and cached streams stay valid.
+	// protocol (empty: static homes). Non-hlrc runs ignore it: on their
+	// specs it is a label (see Canonical), kept so policy sweeps stay
+	// uniform. The field is default-empty and omitted from keys when
+	// empty, so pre-policy spec keys and cached streams stay valid.
 	HomePolicy proto.PolicyName `json:"homepolicy,omitempty"`
 }
 
@@ -66,6 +69,58 @@ func (s Spec) Normalize() Spec {
 	}
 	if s.HomePolicy == proto.StaticPolicy {
 		s.HomePolicy = ""
+	}
+	return s
+}
+
+// versionClass says which spec axes a version's execution reads beyond
+// the application, the version and the scale.
+type versionClass int
+
+const (
+	// sequential programs run on one processor and send nothing: they
+	// read none of procs, protocol, home policy, contention and FIFO.
+	sequential versionClass = iota + 1
+	// messagePassing programs have no TreadMarks underneath: they read
+	// neither the protocol nor the home policy.
+	messagePassing
+	// dsm programs read every axis, except that the homeless protocol
+	// has no homes (proto.New): under it they do not read the home
+	// policy.
+	dsm
+)
+
+// classOf is the table: it names every version an application lists. A
+// version it does not name (0) reads every axis.
+func classOf(v core.Version) versionClass {
+	switch v {
+	case core.Seq:
+		return sequential
+	case core.XHPF, core.PVMe, core.XHPFGen:
+		return messagePassing
+	case core.Tmk, core.TmkOpt, core.TmkPush, core.SPF, core.SPFOpt, core.SPFOld, core.SPFGen:
+		return dsm
+	}
+	return 0
+}
+
+// Canonical returns the spec whose execution produces s's result: s
+// normalized, with every axis its version does not read at its zero
+// value. Specs with one canonical form differ in labels only — their
+// records are equal but for the spec fields — so the engine simulates
+// the canonical spec once and labels each record with the spec that was
+// asked for. This is the one place that knows which axes are labels.
+func (s Spec) Canonical() Spec {
+	s = s.Normalize()
+	switch classOf(s.Version) {
+	case sequential:
+		return Spec{App: s.App, Version: s.Version, Procs: 1, Scale: s.Scale}
+	case messagePassing:
+		s.Protocol, s.HomePolicy = "", ""
+	case dsm:
+		if s.Protocol == "" || s.Protocol == proto.HomelessLRC {
+			s.HomePolicy = ""
+		}
 	}
 	return s
 }

@@ -37,7 +37,8 @@ func streamT(t *testing.T, e *Engine, specs []Spec) []byte {
 // TestStoreKeepsSweepBytes is the tentpole invariant: sweep output is
 // byte-identical with the store disabled, cold, and warm — at 1, 2 and
 // 8 workers, with speedup joins on, and with observation on — and a
-// warm run executes zero simulations.
+// warm run executes zero simulations: every requested key, the labels
+// of a shared run each under their own, is a store hit.
 func TestStoreKeepsSweepBytes(t *testing.T) {
 	for _, mode := range []struct {
 		name          string
@@ -78,7 +79,11 @@ func TestStoreKeepsSweepBytes(t *testing.T) {
 				if hs.RunsStarted != 0 {
 					t.Errorf("workers=%d: warm run executed %d simulations, want 0", workers, hs.RunsStarted)
 				}
-				if want := int64(UniqueRuns(specs, mode.join)); hs.StoreHits != want {
+				want := int64(len(specs)) // no spec of the grid repeats
+				if mode.join {
+					want += 2 // one baseline per application
+				}
+				if hs.StoreHits != want {
 					t.Errorf("workers=%d: %d store hits, want %d", workers, hs.StoreHits, want)
 				}
 			}
@@ -233,9 +238,11 @@ func TestProgressStoreHits(t *testing.T) {
 }
 
 // TestSweepCommitsItsWriteBacks: a sweep ends with every record it
-// wrote back fsynced (nothing left for a later Sync or Close to do), a
-// warm sweep issues no fsync at all, and the registry reports each
-// fsync once, in the counter and in the latency histogram.
+// wrote back fsynced (nothing left for a later Sync or Close to do) —
+// the labels that shared a run, written back on the ordered pass after
+// the prefetch, included — a warm sweep issues no fsync at all, and the
+// registry reports each fsync once, in the counter and in the latency
+// histogram.
 func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	specs := testGrid()
 	dir := t.TempDir()
@@ -246,8 +253,9 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	cold.Metrics = metrics.NewRegistry()
 	streamT(t, cold, specs)
 	after := st.Stats()
-	if after.Puts != int64(len(specs)) || after.Syncs == 0 {
-		t.Fatalf("cold sweep: stats = %+v, want %d puts and at least one fsync", after, len(specs))
+	// 16 specs, 12 runs: the xhpf cells run once for both protocol labels.
+	if runs := cold.HostStats().RunsStarted; runs != 12 || after.Puts != int64(len(specs)) || after.Syncs == 0 {
+		t.Fatalf("cold sweep: %d runs, stats = %+v, want 12 runs, %d puts and at least one fsync", runs, after, len(specs))
 	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
@@ -282,32 +290,54 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	}
 }
 
-// nanApp is Jacobi with every run's checksum replaced by NaN.
-type nanApp struct{ core.App }
+// badSumApp is an application with every run's checksum replaced.
+type badSumApp struct {
+	core.App
+	sum float64
+}
 
-func (a nanApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
+func (a badSumApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	res, err := a.App.Run(v, cfg)
-	res.Checksum = math.NaN()
+	res.Checksum = a.sum
 	return res, err
 }
 
-// TestNonFiniteChecksumIsAnErrorRecord: a run that returns NaN (or ±Inf)
-// for its checksum cannot be encoded as JSON. It must fail like any
-// other run — an error record in its place, counted in Failed, never
-// written back — and the specs around it must still stream.
-func TestNonFiniteChecksumIsAnErrorRecord(t *testing.T) {
+// TestNonFiniteChecksumIsARunError: a run that returns NaN (or ±Inf) for
+// its checksum has failed, and fails in execute, so everywhere alike:
+// Run, Sweep and the record report one error. JSON could not carry the
+// value, and no speedup may be computed from it.
+func TestNonFiniteChecksumIsARunError(t *testing.T) {
+	s := Spec{App: "Jacobi", Version: core.XHPF, Procs: 2, Scale: core.SmallScale}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if rec := RecordOf(Spec{}, core.Result{Checksum: bad}, nil); rec.Error != "non-finite checksum" {
-			t.Errorf("RecordOf(checksum %v).Error = %q", bad, rec.Error)
+		e := New()
+		e.Lookup = func(name string) (core.App, error) {
+			a, err := AppByName(name)
+			return badSumApp{a, bad}, err
+		}
+		const want = "Jacobi/xhpf: non-finite checksum"
+		if _, err := e.Run(s); err == nil || err.Error() != want {
+			t.Errorf("checksum %v: Run error = %v, want %q", bad, err, want)
+		}
+		if _, err := e.Sweep([]Spec{s}); err == nil || err.Error() != want {
+			t.Errorf("checksum %v: Sweep error = %v, want %q", bad, err, want)
+		}
+		if rec := e.Record(s); rec.Error != want || rec.Checksum != 0 || rec.TimeNanos != 0 {
+			t.Errorf("checksum %v: record = %+v, want the error record %q", bad, rec, want)
 		}
 	}
+}
+
+// TestNonFiniteChecksumIsAnErrorRecord: in a stream the failed run is an
+// error record in its place, counted in Failed, never written back —
+// and the specs around it still stream.
+func TestNonFiniteChecksumIsAnErrorRecord(t *testing.T) {
 	st := openStoreT(t, t.TempDir())
 	e := New()
 	e.Store = st
 	e.Lookup = func(name string) (core.App, error) {
 		a, err := AppByName(name)
 		if name == "Jacobi" {
-			a = nanApp{a}
+			a = badSumApp{a, math.NaN()}
 		}
 		return a, err
 	}

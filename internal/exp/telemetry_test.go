@@ -42,8 +42,10 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 			t.Errorf("workers=%d: telemetry changed the sweep bytes:\nbare:\n%s\ninstrumented:\n%s",
 				workers, bare.String(), out.String())
 		}
-		if snap := p.Snapshot(); snap.Done != snap.Total || snap.Done == 0 {
-			t.Errorf("workers=%d: progress %d/%d after a completed sweep", workers, snap.Done, snap.Total)
+		// 16 specs and 4 baselines: 12 and 2 runs, the xhpf cells and
+		// the baselines each running once for both protocol labels.
+		if snap := p.Snapshot(); snap.Done != 14 || snap.Total != 14 || snap.Executed != 14 {
+			t.Errorf("workers=%d: progress %+v after a completed sweep, want 14/14 runs", workers, snap)
 		}
 	}
 }
@@ -111,6 +113,7 @@ func TestProgressSnapshot(t *testing.T) {
 	if mid.Done != 1 || mid.Total != 2 || mid.EtaSeconds <= 0 {
 		t.Errorf("mid snapshot %+v, want done=1 total=2 eta>0", mid)
 	}
+	s.Procs = 4 // another run: one run completes once
 	p.RunDone(s, 7e6, errTest)
 	snap := p.Snapshot()
 	if snap.Done != 2 || snap.Errors != 1 || snap.EtaSeconds != 0 {
@@ -141,8 +144,7 @@ type errInstance struct{}
 func (errInstance) Error() string { return "test failure" }
 
 // TestUniqueRuns pins the progress denominator: duplicates collapse,
-// and the speedup join adds one seq baseline per distinct non-seq
-// configuration.
+// and the speedup join adds one seq baseline per application and scale.
 func TestUniqueRuns(t *testing.T) {
 	mk := func(v core.Version, procs int) Spec {
 		s := Spec{App: "Jacobi", Version: v, Procs: procs, Scale: core.SmallScale, Protocol: proto.HomelessLRC}

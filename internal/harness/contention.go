@@ -68,21 +68,23 @@ func (r *Runner) ContentionRun(a core.App, v core.Version, procs int, p proto.Na
 	return r.Engine().Run(r.ContentionSpec(a, v, procs, p, ways))
 }
 
-// contentionColumns are the per-row runs of the contention table.
-func contentionColumns(v core.Version) []struct {
+// contentionColumn is one per-row run of the contention table.
+type contentionColumn struct {
 	col  string
 	ver  core.Version
 	prot proto.Name
-} {
-	return []struct {
-		col  string
-		ver  core.Version
-		prot proto.Name
-	}{
+}
+
+// contentionColumns are the per-row runs of the contention table. The
+// message-passing columns carry the runner's protocol like any other
+// spec of its tables: they do not read it, and the engine runs them
+// once whatever it says (exp.Spec.Canonical).
+func (r *Runner) contentionColumns(v core.Version) []contentionColumn {
+	return []contentionColumn{
 		{"tmk/lrc", v, proto.HomelessLRC},
 		{"tmk/hlrc", v, proto.HomeLRC},
-		{"xhpf", core.XHPF, ""},
-		{"pvme", core.PVMe, ""},
+		{"xhpf", core.XHPF, r.Protocol},
+		{"pvme", core.PVMe, r.Protocol},
 	}
 }
 
@@ -103,7 +105,7 @@ func Contention(w io.Writer, r *Runner) error {
 		v := DSMVersionOf(a)
 		for _, procs := range ContentionProcCounts {
 			for _, ways := range ContentionSweep {
-				for _, c := range contentionColumns(v) {
+				for _, c := range r.contentionColumns(v) {
 					specs = append(specs, r.ContentionSpec(a, c.ver, procs, c.prot, ways))
 				}
 			}
@@ -114,9 +116,8 @@ func Contention(w io.Writer, r *Runner) error {
 	}
 	fmt.Fprintf(w, "Network contention: serial NICs + backplane sweep%s\n", scaleNote(r.Scale))
 	fmt.Fprintf(w, "%-7s %5s %-8s |", "App", "procs", "switch")
-	cols := []string{"tmk/lrc", "tmk/hlrc", "xhpf", "pvme"}
-	for _, c := range cols {
-		fmt.Fprintf(w, " %10s(t) %8s(qd) |", c, c)
+	for _, c := range r.contentionColumns("") {
+		fmt.Fprintf(w, " %10s(t) %8s(qd) |", c.col, c.col)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "--------------------------------------------------------------------------------------------------------------------")
@@ -130,7 +131,7 @@ func Contention(w io.Writer, r *Runner) error {
 			baseline := map[string]float64{}
 			for _, ways := range ContentionSweep {
 				fmt.Fprintf(w, "%-7s %5d %-8s |", name, procs, contentionLabel(ways))
-				for _, c := range contentionColumns(v) {
+				for _, c := range r.contentionColumns(v) {
 					res, err := r.ContentionRun(a, c.ver, procs, c.prot, ways)
 					if err != nil {
 						return fmt.Errorf("%s/%s procs=%d %s: %w", name, c.ver, procs, contentionLabel(ways), err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -81,6 +82,46 @@ func TestAllExperimentsSmall(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("experiment output missing %q", name)
 		}
+	}
+}
+
+// nanApp is an application one of whose versions returns a NaN checksum.
+type nanApp struct {
+	core.App
+	bad core.Version
+}
+
+func (a nanApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
+	res, err := a.App.Run(v, cfg)
+	if v == a.bad {
+		res.Checksum = math.NaN()
+	}
+	return res, err
+}
+
+// TestTablesRefuseANonFiniteResult: a run whose checksum is not a number
+// is the engine's run error, so the table it belongs to returns that
+// error and renders nothing — it used to print a speedup from the run's
+// time — while a table that does not need the run still renders.
+func TestTablesRefuseANonFiniteResult(t *testing.T) {
+	r := NewRunner(4, SmallScale)
+	r.Engine().Lookup = func(name string) (core.App, error) {
+		a, err := AppByName(name)
+		if name == "MGS" {
+			a = nanApp{a, core.TmkOpt}
+		}
+		return a, err
+	}
+	var sb strings.Builder
+	err := HandOpt(&sb, r)
+	if err == nil || err.Error() != "MGS/tmk-opt: non-finite checksum" {
+		t.Errorf("HandOpt error = %v, want the run's non-finite checksum", err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("HandOpt rendered from a failed run:\n%s", sb.String())
+	}
+	if err := Figure1(&sb, r); err != nil || !strings.Contains(sb.String(), "MGS") {
+		t.Errorf("Figure 1, which has no tmk-opt cell, failed: %v\n%s", err, sb.String())
 	}
 }
 

@@ -366,11 +366,7 @@ func (hb *home) installPage(p *sim.Proc, pg pageCopy, local map[int32]any) {
 	hb.h.InstallPage(pg.page, pg.data)
 	hb.ctr.PageFetches++
 	c.Trace.Instant(obs.EvPageFetch, p.ID(), int64(p.Now()), stats.KindPage, pg.page, 0)
-	for q := 0; q < hb.nprocs; q++ {
-		if q != hb.id && pg.applied[q] > pc.applied[q] {
-			pc.applied[q] = pg.applied[q]
-		}
-	}
+	hb.MarkApplied(pg.page, pg.applied)
 	p.Advance(c.PageCopy)
 	if payload, ok := local[pg.page]; ok {
 		hb.h.MakeTwin(pg.page) // twin = home image: next diff is ours alone
@@ -584,12 +580,8 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 // copyOf snapshots a page and its applied vector for a reply. The copy
 // carries every released write of this node itself.
 func (hb *home) copyOf(gp int32) pageCopy {
-	pc := &hb.pages[gp]
 	data, sz := hb.h.SnapshotPage(gp)
-	applied := make([]int32, hb.nprocs)
-	copy(applied, pc.applied)
-	applied[hb.id] = hb.vc[hb.id]
-	return pageCopy{page: gp, data: data, bytes: sz, applied: applied}
+	return pageCopy{page: gp, data: data, bytes: sz, applied: hb.Applied(gp)}
 }
 
 // sortedHomes returns a map's home-node keys in ascending order (the

@@ -68,6 +68,28 @@ func (hl *homeless) AddPages(npages int) {
 
 func (hl *homeless) WriteTouch(gp int32) { hl.writeTouch(gp, true) }
 
+// Applied appends to the shared vector the record-chain positions
+// behind it — appliedSeq, this node's own entry at the end of its chain
+// — so that a node installing the copy later asks each writer for the
+// records the copy lacks, not for the chain from its start.
+func (hl *homeless) Applied(gp int32) []int32 {
+	mp := &hl.meta[gp]
+	v := append(hl.lrcCore.Applied(gp), mp.appliedSeq...)
+	v[hl.nprocs+hl.id] = mp.recSeq
+	return v
+}
+
+// MarkApplied raises both halves of what Applied returned.
+func (hl *homeless) MarkApplied(gp int32, applied []int32) {
+	hl.lrcCore.MarkApplied(gp, applied[:hl.nprocs])
+	mp := &hl.meta[gp]
+	for q, seq := range applied[hl.nprocs:] {
+		if q != hl.id && seq > mp.appliedSeq[q] {
+			mp.appliedSeq[q] = seq
+		}
+	}
+}
+
 // Release is a pure local operation under the homeless protocol: diffs
 // stay here until requested.
 func (hl *homeless) Release(stats.Kind) { hl.closeInterval() }

@@ -251,11 +251,24 @@ func (lc *lrcCore) ApplyBatches(bs []NoticeBatch) {
 // VC returns the node's live vector clock. Callers must not mutate it.
 func (lc *lrcCore) VC() []int32 { return lc.vc }
 
-// MarkApplied records externally installed data (broadcast optimization).
-func (lc *lrcCore) MarkApplied(gp int32, writer int, upto int32) {
+// Applied returns what this node's copy of gp holds: a copy of the
+// page's applied vector with the node's own entry at its last released
+// interval (its own released writes are always in its copy).
+func (lc *lrcCore) Applied(gp int32) []int32 {
+	applied := append([]int32(nil), lc.pages[gp].applied...)
+	applied[lc.id] = lc.vc[lc.id]
+	return applied
+}
+
+// MarkApplied raises gp's applied vector to applied, the vector of the
+// copy just installed over the page. The node's own entry never moves:
+// its notices are never pending here.
+func (lc *lrcCore) MarkApplied(gp int32, applied []int32) {
 	pc := &lc.pages[gp]
-	if upto > pc.applied[writer] {
-		pc.applied[writer] = upto
+	for q, upto := range applied {
+		if q != lc.id && upto > pc.applied[q] {
+			pc.applied[q] = upto
+		}
 	}
 }
 

@@ -179,10 +179,16 @@ type Protocol interface {
 	// ApplyBatches incorporates received write notices (an RC acquire).
 	ApplyBatches(bs []NoticeBatch)
 
-	// MarkApplied records that writer's modifications to gp through
-	// interval upto are already installed (used by the broadcast
+	// Applied describes this node's copy of gp for a node that installs
+	// it: per writer, the highest interval whose modifications the copy
+	// holds (the node's own entry at its last release), then whatever
+	// else the protocol tracks per writer. Only MarkApplied reads it.
+	Applied(gp int32) []int32
+
+	// MarkApplied records that a copy of gp, described by its holder's
+	// Applied, was installed over the page (used by the broadcast
 	// optimization, which ships data outside the protocol).
-	MarkApplied(gp int32, writer int, upto int32)
+	MarkApplied(gp int32, applied []int32)
 
 	// Rebalance closes a barrier epoch and returns the node's proposed
 	// home-directory updates for arbitration at the barrier (home

@@ -11,10 +11,11 @@ import (
 // instead of the default request-response, and barrier-merged reductions
 // (BarrierReduceSum in barrier.go).
 
-// bcastMsg carries a broadcast snapshot of a region range.
+// bcastMsg carries a broadcast snapshot of a region range and, for each
+// page the range covers whole, the applied vector of the root's copy.
 type bcastMsg struct {
 	payload any
-	upto    int32 // the root's last released interval covered by the data
+	applied [][]int32
 }
 
 // PushOnBarrier registers a persistent push: at every subsequent barrier
@@ -75,10 +76,15 @@ func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
 	c := nd.sys.costs
 	seq := nd.bcastSeq % barrierSeqSpace
 	nd.bcastSeq++
+	firstFull := r.basePage + (lo+r.epp-1)/r.epp
+	lastFull := r.basePage + hi/r.epp - 1
 	if nd.id == root {
 		nd.prot.Release(stats.KindPage)
 		payload, bytes := r.snapshot(lo, hi)
-		msg := bcastMsg{payload: payload, upto: nd.prot.VC()[nd.id]}
+		msg := bcastMsg{payload: payload}
+		for gp := firstFull; gp <= lastFull; gp++ {
+			msg.applied = append(msg.applied, nd.prot.Applied(int32(gp)))
+		}
 		for q := 0; q < n; q++ {
 			if q != root {
 				p.Send(q, tagBcast+seq, msg, bcastHdr+bytes, stats.KindPage)
@@ -89,11 +95,12 @@ func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
 	m := p.Recv(root, tagBcast+seq)
 	bm := m.Payload.(bcastMsg)
 	r.install(lo, hi, bm.payload.([]T))
-	// Mark fully covered pages as applied up to the root's release.
-	firstFull := (lo + r.epp - 1) / r.epp
-	lastFull := hi/r.epp - 1
-	for pg := firstFull; pg <= lastFull; pg++ {
-		nd.prot.MarkApplied(int32(r.basePage+pg), root, bm.upto)
+	// A fully covered page is now the root's copy: whatever the root had
+	// applied, from any writer, is applied here. Settling the root's own
+	// intervals alone would leave an older writer's notice pending, and
+	// the next fault would lay that writer's diff over the newer data.
+	for i, applied := range bm.applied {
+		nd.prot.MarkApplied(int32(firstFull+i), applied)
 	}
 	p.Advance(c.DiffApplyCost((hi - lo) * r.elemSize))
 }

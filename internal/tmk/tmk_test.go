@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/proto"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -419,6 +420,78 @@ func TestBroadcastRegion(t *testing.T) {
 	}
 	if got := s.MsgsOf(stats.KindPage); got != 3 {
 		t.Errorf("broadcast msgs = %d, want n-1 = 3", got)
+	}
+}
+
+// TestBroadcastSettlesEveryWriterOfThePage: a page two processes wrote
+// is broadcast whole by the second. A receiver then holds the root's
+// copy, the first writer's data included, so the first writer's notice
+// must cause no fault — whether the receiver heard it before the
+// broadcast (a barrier: MGS's initialization) or hears it afterwards (the
+// write reached the root alone, through a lock). Settling the root's
+// intervals only, the homeless protocol answers that notice with the
+// first writer's diff and lays it over the root's newer half; the read
+// that follows fails here, not at an end checksum. When the first
+// writer then writes the page again, the receiver must fetch that write
+// alone, not the writer's chain from the start.
+func TestBroadcastSettlesEveryWriterOfThePage(t *testing.T) {
+	const elems = model.PageSize / 4
+	for _, prot := range proto.Names() {
+		for _, hears := range []string{"before", "after"} {
+			sys := NewSystem(3, model.SP2(), WithProtocol(prot))
+			err := sys.Run(func(tm *Tmk) {
+				r := Alloc[float32](tm, "v", elems)
+				fill := func(w []float32, v float32) {
+					for i := range w {
+						w[i] = v
+					}
+				}
+				check := func(when string, last float32) {
+					g := r.Read(0, elems)
+					if g[0] != 2 || g[elems-1] != last {
+						t.Errorf("%s, notice heard %s the broadcast: proc %d reads v[0]=%v v[%d]=%v %s, want 2 and %v",
+							prot, hears, tm.ID(), g[0], elems-1, g[elems-1], when, last)
+					}
+				}
+				if hears == "before" {
+					if tm.ID() == 0 {
+						fill(r.Write(0, elems), 1)
+					}
+					tm.Barrier()
+					if tm.ID() == 1 {
+						fill(r.Write(0, elems/2), 2)
+					}
+				} else {
+					switch tm.ID() {
+					case 0:
+						tm.AcquireLock(0)
+						fill(r.Write(0, elems), 1)
+						tm.ReleaseLock(0)
+					case 1:
+						tm.Advance(sim.Millisecond) // after process 0's release
+						tm.AcquireLock(0)
+						fill(r.Write(0, elems/2), 2)
+						tm.ReleaseLock(0)
+					}
+				}
+				BroadcastRegion(tm, r, 0, elems, 1)
+				check("after the broadcast", 1)
+				tm.Barrier()
+				check("after the next barrier", 1)
+				if tm.ID() == 2 && tm.FaultCount() != 0 {
+					t.Errorf("%s, notice heard %s the broadcast: the receiver took %d faults on a page it was sent whole",
+						prot, hears, tm.FaultCount())
+				}
+				if tm.ID() == 0 {
+					fill(r.Write(elems/2, elems), 3)
+				}
+				tm.Barrier()
+				check("after the first writer's second write", 3)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -104,6 +104,10 @@ func classOf(v core.Version) versionClass {
 	return 0
 }
 
+// RunsOnDSM reports whether version v runs on TreadMarks, and so under
+// a coherence protocol and a home policy: the table's dsm class.
+func RunsOnDSM(v core.Version) bool { return classOf(v) == dsm }
+
 // Canonical returns the spec whose execution produces s's result: s
 // normalized, with every axis its version does not read at its zero
 // value. Specs with one canonical form differ in labels only — their

@@ -31,15 +31,14 @@ func DSMVersionOf(a core.App) core.Version {
 }
 
 // DSMVersions filters an application's versions to those that run on
-// the DSM and therefore under a coherence protocol — including the
-// optimized and legacy-interface variants, whose push/broadcast/
-// aggregation paths interact with the protocol differently than the
-// base versions do.
+// the DSM and therefore under a coherence protocol (exp.RunsOnDSM) —
+// including the optimized and legacy-interface variants, whose push/
+// broadcast/aggregation paths interact with the protocol differently
+// than the base versions do.
 func DSMVersions(a core.App) []core.Version {
 	var out []core.Version
 	for _, v := range a.Versions() {
-		switch v {
-		case core.Tmk, core.TmkOpt, core.TmkPush, core.SPF, core.SPFOpt, core.SPFOld, core.SPFGen:
+		if exp.RunsOnDSM(v) {
 			out = append(out, v)
 		}
 	}

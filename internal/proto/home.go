@@ -144,7 +144,22 @@ func (hb *home) Release(kind stats.Kind) {
 		flushKind = stats.KindShutdown
 	}
 
-	perHome := map[int][]flushPage{}
+	// flushed holds the diffs grouped by home, homes ascending and pages
+	// in dirty order within one: home hm's are flushed[end[hm-1]:end[hm]]
+	// (from 0 for home 0). The diffs are lent by the host — every home
+	// copies what it applies, a mid-pull stash keeps its own copy — so
+	// each buffer goes back once the last ack, NACK re-sends included,
+	// is in.
+	end := make([]int, hb.nprocs+1)
+	for _, gp := range hb.dirty {
+		if hm := hb.homeOf(gp); hm != hb.id {
+			end[hm+1]++
+		}
+	}
+	for hm := 1; hm <= hb.nprocs; hm++ {
+		end[hm] += end[hm-1]
+	}
+	flushed := make([]flushPage, end[hb.nprocs])
 	for _, gp := range hb.dirty {
 		hm := hb.homeOf(gp)
 		if hm == hb.id {
@@ -154,10 +169,11 @@ func (hb *home) Release(kind stats.Kind) {
 		if !pc.hasTwin {
 			panic("proto: dirty remote-homed page without twin")
 		}
-		payload, bytes := hb.h.ExtractDiff(gp, false)
+		payload, bytes := hb.h.LendDiff(gp)
 		pc.hasTwin = false
 		hb.ctr.DiffsMade++
-		perHome[hm] = append(perHome[hm], flushPage{page: gp, payload: payload, bytes: bytes})
+		flushed[end[hm]] = flushPage{page: gp, payload: payload, bytes: bytes}
+		end[hm]++
 		p.Advance(c.DiffCreateCost(diffChangedBytes(bytes)))
 	}
 	interval := hb.curInterval
@@ -172,10 +188,13 @@ func (hb *home) Release(kind stats.Kind) {
 		}
 		p.Send(hb.h.ServerOf(hm), tagFlush, msg, bytes, flushKind)
 	}
-	ackFrom := make([]int, 0, len(perHome))
-	for _, hm := range sortedHomes(perHome) {
-		sendFlush(hm, perHome[hm], false)
-		ackFrom = append(ackFrom, hm)
+	var ackFrom []int
+	for hm, lo := 0, 0; hm < hb.nprocs; hm++ {
+		if hi := end[hm]; hi > lo {
+			sendFlush(hm, flushed[lo:hi:hi], false)
+			ackFrom = append(ackFrom, hm)
+			lo = hi
+		}
 	}
 	hb.closeInterval()
 	// sent indexes every flushed page for NACK re-sends; built lazily
@@ -197,11 +216,9 @@ func (hb *home) Release(kind stats.Kind) {
 			hb.pol.Apply(ack.rejected) // learn the newer directory
 		}
 		if sent == nil {
-			sent = map[int32]flushPage{}
-			for _, pages := range perHome {
-				for _, fp := range pages {
-					sent[fp.page] = fp
-				}
+			sent = make(map[int32]flushPage, len(flushed))
+			for _, fp := range flushed {
+				sent[fp.page] = fp
 			}
 		}
 		re := map[int][]flushPage{}
@@ -213,6 +230,9 @@ func (hb *home) Release(kind stats.Kind) {
 			sendFlush(nh, re[nh], true)
 			ackFrom = append(ackFrom, nh)
 		}
+	}
+	for _, fp := range flushed {
+		hb.h.ReturnDiff(fp.page, fp.payload)
 	}
 }
 
@@ -336,13 +356,14 @@ func (hb *home) FetchAggregated(gps []int32) {
 
 // extractLocal preserves this node's unreleased writes to gp before the
 // page is overwritten by the home's copy (the multiple-writer case). It
-// returns the diff payload to re-apply after installation, if any.
+// returns the diff payload to re-apply after installation, if any: a
+// lent one, which installPage hands back.
 func (hb *home) extractLocal(gp int32, p *sim.Proc) (any, bool) {
 	pc := &hb.pages[gp]
 	if !pc.hasTwin {
 		return nil, false
 	}
-	payload, bytes := hb.h.ExtractDiff(gp, false)
+	payload, bytes := hb.h.LendDiff(gp)
 	pc.hasTwin = false
 	hb.ctr.DiffsMade++
 	p.Advance(hb.h.Costs().DiffCreateCost(diffChangedBytes(bytes)))
@@ -373,6 +394,7 @@ func (hb *home) installPage(p *sim.Proc, pg pageCopy, local map[int32]any) {
 		pc.hasTwin = true
 		pc.twinWrite = hb.curInterval
 		hb.h.ApplyDiff(pg.page, payload)
+		hb.h.ReturnDiff(pg.page, payload)
 		hb.ctr.DiffsApplied++
 		p.Advance(c.DiffApply)
 	}
@@ -495,7 +517,9 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 			}
 			hb.pol.NoteFlush(fp.page, fm.writer, fp.bytes)
 			if ps := hb.pulls[fp.page]; ps != nil {
-				ps.stash = append(ps.stash, fp.payload)
+				// The writer takes its buffer back at the ack: keep a copy.
+				keep, _ := hb.h.MergeDiffs(fp.page, []any{fp.payload})
+				ps.stash = append(ps.stash, keep)
 			}
 			p.Advance(c.DiffApplyCost(diffChangedBytes(fp.bytes)))
 		}

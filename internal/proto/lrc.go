@@ -1,6 +1,9 @@
 package proto
 
 import (
+	"fmt"
+	"sort"
+
 	"repro/internal/sim"
 )
 
@@ -82,7 +85,7 @@ type lrcCore struct {
 	vc          []int32         // vc[q] = latest interval of q incorporated
 	curInterval int32           // my open (unreleased) interval
 	dirty       []int32         // pages write-noticed in the open interval
-	log         [][]IntervalRec // released intervals per process
+	log         [][]IntervalRec // the run's released intervals per process (Host.IntervalLog)
 	orders      []int64         // orders[k-1]: causal sort key of own interval k
 	pages       []pageCommon
 	ctr         Counters
@@ -94,7 +97,7 @@ func (lc *lrcCore) init(h Host) {
 	lc.nprocs = h.NProcs()
 	lc.vc = make([]int32, lc.nprocs)
 	lc.curInterval = 1
-	lc.log = make([][]IntervalRec, lc.nprocs)
+	lc.log = h.IntervalLog()
 }
 
 // addPages registers npages fresh pages. Their per-process vectors are
@@ -153,7 +156,8 @@ func (lc *lrcCore) writeTouch(gp int32, needTwin bool) {
 }
 
 // closeInterval closes the open interval: every dirtied page gets a
-// write notice, the interval is logged, the interval's causal order key
+// write notice, the interval is logged in the run's shared log (only
+// this node appends to its own entry), the interval's causal order key
 // is recorded, and the vector clock advances. Called at lock release and
 // barrier arrival (an RC release operation). The caller (the protocol's
 // Release) performs any data movement first.
@@ -188,26 +192,37 @@ func (lc *lrcCore) orderEstimate() int64 {
 	return s
 }
 
-// noticesSince collects the interval records of process q with interval
-// numbers in (from, to].
+// noticesSince returns the interval records of process q with interval
+// numbers in (from, to]: a window of the shared log, found by binary
+// search. Its capacity is clipped, so the writer's later appends never
+// show through it, and records are immutable once logged, so it is
+// shared with every receiver rather than copied.
 func (lc *lrcCore) noticesSince(q int, from, to int32) []IntervalRec {
-	var out []IntervalRec
-	for _, ir := range lc.log[q] {
-		if ir.Interval > from && ir.Interval <= to {
-			out = append(out, ir)
-		}
-	}
-	return out
+	log := lc.log[q]
+	i := logIndex(log, from)
+	j := i + logIndex(log[i:], to)
+	return log[i:j:j]
+}
+
+// logIndex returns the position of the first record of log (ascending
+// interval numbers) with an interval later than after.
+func logIndex(log []IntervalRec, after int32) int {
+	return sort.Search(len(log), func(k int) bool { return log[k].Interval > after })
 }
 
 // BatchSince builds the notice batches for a receiver whose vector clock
 // is rvc, based on everything this node knows.
 func (lc *lrcCore) BatchSince(rvc []int32) []NoticeBatch {
-	var out []NoticeBatch
-	for q := 0; q < lc.nprocs; q++ {
-		if lc.vc[q] > rvc[q] {
-			ivs := lc.noticesSince(q, rvc[q], lc.vc[q])
-			out = append(out, NoticeBatch{Proc: q, Intervals: ivs})
+	n := 0
+	for q, v := range lc.vc {
+		if v > rvc[q] {
+			n++
+		}
+	}
+	out := make([]NoticeBatch, 0, n)
+	for q, v := range lc.vc {
+		if v > rvc[q] {
+			out = append(out, NoticeBatch{Proc: q, Intervals: lc.noticesSince(q, rvc[q], v)})
 		}
 	}
 	return out
@@ -222,28 +237,42 @@ func (lc *lrcCore) OwnBatch(since int32) []NoticeBatch {
 	return []NoticeBatch{{Proc: lc.id, Intervals: ivs}}
 }
 
-// ApplyBatches incorporates received notices: log them, register page
-// invalidations, and advance the vector clock. Batches always carry the
-// contiguous interval range (receiver.vc, sender.vc] per process (see the
-// invariant comment in tmk's barrier.go), so advancing vc to the batch
-// maximum never skips intervals.
+// ApplyBatches incorporates received notices: register page
+// invalidations and advance the vector clock. The records themselves
+// stay in the shared log, where their writer put them. Batches carry
+// the contiguous interval range (receiver.vc, sender.vc] per process
+// (see the invariant comment in tmk's barrier.go), so what a node has
+// incorporated of q is always a prefix of q's log. That is checked, not
+// assumed: every new interval must be the log's next record after what
+// this node already holds, or the receiver would skip write notices.
 func (lc *lrcCore) ApplyBatches(bs []NoticeBatch) {
 	for _, b := range bs {
-		if b.Proc == lc.id {
+		q := b.Proc
+		if q == lc.id {
 			continue // never accept notices about our own intervals
 		}
+		log := lc.log[q]
+		next := logIndex(log, lc.vc[q])
 		for _, iv := range b.Intervals {
-			if iv.Interval <= lc.vc[b.Proc] {
+			if iv.Interval <= lc.vc[q] {
 				continue // already known
 			}
-			lc.log[b.Proc] = append(lc.log[b.Proc], iv)
+			if next >= len(log) || log[next].Interval != iv.Interval {
+				want := "nothing"
+				if next < len(log) {
+					want = fmt.Sprintf("interval %d", log[next].Interval)
+				}
+				panic(fmt.Sprintf("proto: node %d: notices of writer %d skip intervals: holds through %d, "+
+					"batch brings interval %d, writer's log has %s next", lc.id, q, lc.vc[q], iv.Interval, want))
+			}
+			next++
 			for _, pg := range iv.Pages {
 				pc := &lc.pages[pg]
-				if iv.Interval > pc.notice[b.Proc] {
-					pc.notice[b.Proc] = iv.Interval
+				if iv.Interval > pc.notice[q] {
+					pc.notice[q] = iv.Interval
 				}
 			}
-			lc.vc[b.Proc] = iv.Interval
+			lc.vc[q] = iv.Interval
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package proto
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestAddPagesVectorsAreDisjoint: the per-page vectors share one slab
 // per addPages call, so each must be exactly nprocs long with no spare
@@ -33,4 +36,35 @@ func TestAddPagesVectorsAreDisjoint(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestApplyBatchesRefusesAGap: what a node has incorporated of a
+// writer's intervals is a prefix of the writer's log, because every
+// batch continues from the receiver's vector clock. A batch that skips
+// the log's next record would leave the receiver without write notices
+// it believes it has; ApplyBatches names the writer and the intervals.
+func TestApplyBatchesRefusesAGap(t *testing.T) {
+	nodes := newTestNodes(2, 3, StaticPolicy)
+	log := nodes[0].log
+	for k := int32(1); k <= 3; k++ {
+		log[0] = append(log[0], IntervalRec{Interval: k, Pages: []int32{k - 1}})
+	}
+	recv := nodes[1].prot
+	recv.ApplyBatches([]NoticeBatch{{Proc: 0, Intervals: log[0][:1]}})
+	recv.ApplyBatches([]NoticeBatch{{Proc: 0, Intervals: log[0][:2]}}) // overlap: interval 1 is known
+	if got := recv.VC()[0]; got != 2 {
+		t.Fatalf("vc[0] = %d after intervals 1 and 2, want 2", got)
+	}
+	log[0] = append(log[0], IntervalRec{Interval: 4, Pages: []int32{0}})
+	defer func() {
+		msg, _ := recover().(string)
+		want := "notices of writer 0 skip intervals: holds through 2, batch brings interval 4, writer's log has interval 3 next"
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want it to contain %q", msg, want)
+		}
+		if got := recv.VC()[0]; got != 2 {
+			t.Errorf("vc[0] = %d after the refused batch, want 2", got)
+		}
+	}()
+	recv.ApplyBatches([]NoticeBatch{{Proc: 0, Intervals: log[0][3:]}})
 }

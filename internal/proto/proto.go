@@ -77,15 +77,28 @@ type Host interface {
 	// Costs returns the machine cost model.
 	Costs() model.Costs
 
+	// IntervalLog returns the run's interval log, shared by every node:
+	// entry q holds writer q's released intervals in ascending order.
+	// Only q's protocol instance appends to entry q, and a logged record
+	// is never modified.
+	IntervalLog() [][]IntervalRec
+
 	// MakeTwin snapshots page gp for write detection.
 	MakeTwin(gp int32)
 	// ExtractDiff encodes the diff of gp against its twin and refreshes
 	// (keepTwin) or drops the twin. Returns the payload and its modeled
-	// wire size.
+	// wire size. The payload is the caller's to keep.
 	ExtractDiff(gp int32, keepTwin bool) (payload any, bytes int)
+	// LendDiff is ExtractDiff dropping the twin, with the payload's
+	// values in a buffer lent by the host: the caller hands it back with
+	// ReturnDiff once nothing reads the payload any more.
+	LendDiff(gp int32) (payload any, bytes int)
+	// ReturnDiff takes back a LendDiff payload of gp for reuse.
+	ReturnDiff(gp int32, payload any)
 	// ApplyDiff writes a diff payload into page gp.
 	ApplyDiff(gp int32, payload any)
-	// MergeDiffs combines several diff payloads for gp into one.
+	// MergeDiffs combines several diff payloads for gp into one, which
+	// shares no storage with them.
 	MergeDiffs(gp int32, payloads []any) (payload any, bytes int)
 	// SnapshotPage returns the full contents of page gp with wire size.
 	SnapshotPage(gp int32) (payload any, bytes int)

@@ -68,6 +68,10 @@ type regionHandle interface {
 	// refreshes or drops the twin, and returns the typed payload with its
 	// modeled wire size. keepTwin keeps accumulating (page still dirty).
 	extract(lp int32, keepTwin bool) (payload any, bytes int)
+	// lend is extract dropping the twin, with the payload's values in a
+	// page buffer off the free list; giveBack returns that buffer.
+	lend(lp int32) (payload any, bytes int)
+	giveBack(payload any)
 	// apply writes a diff payload into local page lp.
 	apply(lp int32, payload any)
 	// makeTwin snapshots local page lp.
@@ -354,8 +358,9 @@ func poisonOf[T Elem]() T {
 // --- regionHandle implementation, and BroadcastRegion's range copies ---
 
 // pageBuf takes a page-sized buffer, contents arbitrary, off the region's
-// free list: a twin dropped or a page reply installed by any node of the
-// system (they all run on one host thread). freeBuf puts one back.
+// free list: a twin dropped, a page reply installed or a lent diff given
+// back by any node of the system (they all run on one host thread).
+// freeBuf puts one back.
 func (r *Region[T]) pageBuf() []T {
 	free := *r.bufs
 	if n := len(free); n > 0 {
@@ -377,6 +382,23 @@ func (r *Region[T]) makeTwin(lp int32) {
 }
 
 func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
+	return r.diff(lp, keepTwin, false)
+}
+
+// lend's payload keeps the whole buffer behind its first run as that
+// run's capacity, which is how giveBack finds it. An empty diff takes
+// no buffer.
+func (r *Region[T]) lend(lp int32) (any, int) { return r.diff(lp, false, true) }
+
+func (r *Region[T]) giveBack(payload any) {
+	if segs := payload.([]seg[T]); len(segs) > 0 {
+		r.freeBuf(segs[0].vals[:r.epp])
+	}
+}
+
+// diff encodes local page lp against its twin, for extract (lent false)
+// and lend.
+func (r *Region[T]) diff(lp int32, keepTwin, lent bool) (any, int) {
 	tw := r.twins[lp]
 	if tw == nil {
 		panic("tmk: extract without twin")
@@ -407,7 +429,13 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 	var segs []seg[T]
 	if nseg > 0 {
 		segs = make([]seg[T], 0, nseg)
-		slab := make([]T, nval)
+		var buf, slab []T
+		if lent {
+			buf = r.pageBuf()
+			slab = buf[:nval]
+		} else {
+			slab = make([]T, nval)
+		}
 		for _, run := range noted[:min(nseg, len(noted))] {
 			segs, slab = carveSeg(segs, slab, page, run[0], run[1])
 		}
@@ -422,6 +450,9 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 			}
 			segs, slab = carveSeg(segs, slab, page, i, j)
 			i = j
+		}
+		if lent {
+			segs[0].vals = buf[:len(segs[0].vals)]
 		}
 	}
 	if keepTwin {

@@ -199,6 +199,15 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 	}
 	stamp := 0
 	var recs []any // diff payloads extracted or merged so far
+	// lent holds the diffs lent and not yet given back, each beside the
+	// model's copy of what it held when lent: nothing may write to a
+	// lent buffer while it is out.
+	type loan struct {
+		payload any
+		want    []seg[T]
+	}
+	var lent []loan
+	const maxLent = 4
 	// scribble overwrites a payload the region is done with: apply and
 	// installPage copy out of their argument, and a buffer on the free
 	// list is reused whatever it holds.
@@ -210,7 +219,7 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 	}
 
 	for step := 0; len(ops) > 0; step++ {
-		op := next() % 9
+		op := next() % 11
 		switch op {
 		case 0, 1: // Read or Write a range; a Write stores through the view
 			lo, hi := span()
@@ -295,6 +304,38 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 				t.Fatalf("step %d: mergeRecs = %v, %d bytes; model %v, %d bytes", step, got, gotBytes, want, wantBytes)
 			}
 			recs = append(recs, got)
+		case 9: // a flush diff is lent: extract dropping the twin
+			lp := next() % npages
+			if d.twins[lp] == nil || len(lent) == maxLent {
+				continue
+			}
+			got, gotBytes := r.lend(int32(lp))
+			want, wantBytes := d.extract(lp, false)
+			if !sameSegs(got.([]seg[T]), want) || gotBytes != wantBytes {
+				t.Fatalf("step %d: lend(%d) = %v, %d bytes; model %v, %d bytes", step, lp, got, gotBytes, want, wantBytes)
+			}
+			dst := next() % npages // where a home applies it
+			r.apply(int32(dst), got)
+			d.apply(dst, want)
+			lent = append(lent, loan{got, want})
+		case 10: // the last ack is in: the loan goes back
+			if len(lent) == 0 {
+				continue
+			}
+			k := next() % len(lent)
+			ln := lent[k]
+			lent = append(lent[:k], lent[k+1:]...)
+			segs := ln.payload.([]seg[T])
+			if !sameSegs(segs, ln.want) {
+				t.Fatalf("step %d: a lent diff changed while out: %v, lent as %v", step, segs, ln.want)
+			}
+			r.giveBack(ln.payload)
+			if len(segs) > 0 {
+				if buf := r.pageBuf(); &buf[0] != &segs[0].vals[0] || len(buf) != epp {
+					t.Fatalf("step %d: the returned buffer is not the next one pageBuf hands out", step)
+				}
+				r.freeBuf(segs[0].vals[:epp])
+			}
 		}
 		// Every element, twins included, after every step. The snapshots
 		// read unframed pages as zeros and frame nothing.
@@ -312,8 +353,9 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 		scribble(pg.([]T))
 		r.freeBuf(pg.([]T))
 		// Buffers are made only when the list is empty, so it never holds
-		// more than were ever out at once: a twin per page and one reply.
-		if n := len(*r.bufs); n > npages+1 {
+		// more than were ever out at once: a twin per page, one reply and
+		// the loans.
+		if n := len(*r.bufs); n > npages+1+maxLent {
 			t.Fatalf("step %d: %d buffers on the free list of a %d-page region", step, n, npages)
 		}
 		for lp, tw := range d.twins {
@@ -347,9 +389,9 @@ func TestRegionStorageDifferential(t *testing.T) {
 // FuzzRegionStorage is the same driver from the byte side. The seeds
 // under testdata/fuzz/FuzzRegionStorage (unaligned rows validated in
 // ascending and in descending order, pages framed by diffs and page
-// installs and then joined, twin/extract/apply/merge chains) run in
-// every plain `go test`; CI's fuzz-smoke job mutates them for ten
-// seconds.
+// installs and then joined, twin/extract/apply/merge chains, diffs lent,
+// applied and given back) run in every plain `go test`; CI's fuzz-smoke
+// job mutates them for ten seconds.
 func FuzzRegionStorage(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, ops []byte) { driveAll(t, ops) })

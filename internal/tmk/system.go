@@ -40,9 +40,13 @@ type System struct {
 	policy   proto.PolicyName
 	nodes    []*node
 	// pageBufs holds, per region in allocation order, the *[][]T free list
-	// of page buffers (dropped twins, installed page replies) that every
-	// node's Region of that id draws from and returns to.
+	// of page buffers (dropped twins, installed page replies, returned
+	// flush diffs) that every node's Region of that id draws from and
+	// returns to.
 	pageBufs []any
+	// log is the run's interval log (proto.Host.IntervalLog): per
+	// writer, its released intervals, shared by every node's protocol.
+	log [][]proto.IntervalRec
 }
 
 // Option configures a System.
@@ -143,11 +147,12 @@ func (s *System) FrameCounters() FrameCounters {
 // identically on every process (SPMD style), exactly as Fortran common
 // blocks give every TreadMarks process the same shared layout.
 func (s *System) Run(body func(tm *Tmk)) error {
+	s.pageBufs, s.log = nil, make([][]proto.IntervalRec, s.nprocs)
 	nodes := make([]*node, s.nprocs)
 	for i := range nodes {
 		nodes[i] = newNode(i, s)
 	}
-	s.nodes, s.pageBufs = nodes, nil
+	s.nodes = nodes
 	return s.cluster.Run(func(p *sim.Proc) {
 		if p.ID() < s.nprocs {
 			tm := &Tmk{p: p, nd: nodes[p.ID()], sys: s}
@@ -270,6 +275,8 @@ func (h *nodeHost) AppProc() *sim.Proc    { return h.tm.p }
 func (h *nodeHost) ServerOf(node int) int { return h.sys.serverOf(node) }
 func (h *nodeHost) Costs() model.Costs    { return h.sys.costs }
 
+func (h *nodeHost) IntervalLog() [][]proto.IntervalRec { return h.sys.log }
+
 func (h *nodeHost) MakeTwin(gp int32) {
 	loc := h.pageLocs[gp]
 	h.regions[loc.region].makeTwin(loc.local)
@@ -278,6 +285,15 @@ func (h *nodeHost) MakeTwin(gp int32) {
 func (h *nodeHost) ExtractDiff(gp int32, keepTwin bool) (any, int) {
 	loc := h.pageLocs[gp]
 	return h.regions[loc.region].extract(loc.local, keepTwin)
+}
+
+func (h *nodeHost) LendDiff(gp int32) (any, int) {
+	loc := h.pageLocs[gp]
+	return h.regions[loc.region].lend(loc.local)
+}
+
+func (h *nodeHost) ReturnDiff(gp int32, payload any) {
+	h.regions[h.pageLocs[gp].region].giveBack(payload)
 }
 
 func (h *nodeHost) ApplyDiff(gp int32, payload any) {

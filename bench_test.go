@@ -11,9 +11,8 @@ package repro
 //
 // Benchmarks run at mid scale by default (page-granularity-preserving
 // reduced sizes; see harness.MidScale) so `go test -bench=.` finishes in
-// minutes. Set -tags papersize via benchScale below... rather: use
-// REPRO_BENCH_SCALE=paper in the environment to run the full Table 1
-// data sets.
+// minutes. REPRO_BENCH_SCALE=paper in the environment runs the full
+// Table 1 data sets.
 
 import (
 	"fmt"
@@ -124,23 +123,13 @@ func BenchmarkTable3IrregularTraffic(b *testing.B) {
 // BenchmarkSection5HandOptimizations regenerates the §5 hand-optimized
 // variants next to their baselines.
 func BenchmarkSection5HandOptimizations(b *testing.B) {
-	cases := []struct {
-		app      string
-		baseline core.Version
-		opt      core.Version
-	}{
-		{"Jacobi", core.SPF, core.SPFOpt},
-		{"Shallow", core.SPF, core.SPFOpt},
-		{"MGS", core.Tmk, core.TmkOpt},
-		{"3-D FFT", core.SPF, core.SPFOpt},
-	}
-	for _, c := range cases {
-		a, err := harness.AppByName(c.app)
+	for _, c := range harness.HandOptCases {
+		a, err := harness.AppByName(c.App)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.app+"/baseline", func(b *testing.B) { reportRun(b, a, c.baseline) })
-		b.Run(c.app+"/optimized", func(b *testing.B) { reportRun(b, a, c.opt) })
+		b.Run(c.App+"/baseline", func(b *testing.B) { reportRun(b, a, core.Describe(c.Opt).Varies) })
+		b.Run(c.App+"/optimized", func(b *testing.B) { reportRun(b, a, c.Opt) })
 	}
 }
 
@@ -207,8 +196,10 @@ func BenchmarkCompiledVsHand(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, v := range []core.Version{core.SPF, core.SPFGen, core.XHPF, core.XHPFGen} {
-		b.Run(string(v), func(b *testing.B) { reportRun(b, a, v) })
+	for _, pair := range harness.CompiledPairs() {
+		for _, v := range pair {
+			b.Run(string(v), func(b *testing.B) { reportRun(b, a, v) })
+		}
 	}
 }
 

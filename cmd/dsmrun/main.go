@@ -8,13 +8,11 @@
 //
 //	dsmrun -app Jacobi -version tmk [-procs 8] [-scale mid] [-protocol lrc|hlrc] [-homepolicy static|firsttouch|adaptive] [-contention N] [-fifo] [-json]
 //
-// Versions: seq, spf, tmk, xhpf, pvme, spf-opt, tmk-opt, spf-old,
-// spf-gen, xhpf-gen (availability varies by application; see -list).
-// The -protocol flag selects the DSM coherence protocol for the
-// shared-memory versions: lrc (homeless TreadMarks LRC, the paper's
-// protocol and the default) or hlrc (home-based LRC). The spf-gen and
-// xhpf-gen versions are compiled from the kernel's loop-nest IR by the
-// internal/loopc front end instead of being hand-written.
+// -list prints every application with the versions it runs; what each
+// version is — its runtime, the version it varies — is one row of
+// core.VersionTable. The -protocol flag selects the DSM coherence
+// protocol for the shared-memory versions: lrc (homeless TreadMarks
+// LRC, the paper's protocol and the default) or hlrc (home-based LRC).
 //
 // -homepolicy selects hlrc's home-placement policy: static (block-wise
 // fixed homes, the default), firsttouch (a page's home moves to its

@@ -38,7 +38,7 @@ func main() {
 		fmt.Printf("%s (sequential %v)\n", name, seq.Time)
 		fmt.Printf("  %-8s | %8s | %8s | %12s\n", "version", "speedup", "msgs", "data (KB)")
 		var dsmKB, xhpfKB int64
-		for _, v := range []core.Version{core.SPF, core.Tmk, core.XHPF, core.PVMe} {
+		for _, v := range harness.FigureVersions {
 			res, err := r.Run(app, v)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)

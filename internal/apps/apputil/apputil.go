@@ -1,7 +1,11 @@
-// Package apputil carries the measurement protocol shared by all six
-// applications: warm-up exclusion, timed-region traffic snapshots, and
-// the per-flavor run scaffolding (sequential, TreadMarks, SPF fork-join,
-// XHPF SPMD, PVMe). See core.Region for the boundary protocol.
+// Package apputil carries the measurement protocol shared by every
+// version of every application — the paper's rule (§3): the warm-up
+// iteration is excluded, and only timed-region traffic counts — and the
+// helpers the applications share. The protocol is written once, in
+// measure; each runtime's runner (RunSeq, RunTmk, RunSPF, RunXHPF,
+// RunPVM) adds only how it starts its system, its boundary
+// synchronization and its extras. See core.Region for why the
+// boundaries separate warm-up from timed traffic.
 package apputil
 
 import (
@@ -10,269 +14,193 @@ import (
 	"repro/internal/pvm"
 	"repro/internal/sim"
 	"repro/internal/spf"
+	"repro/internal/stats"
 	"repro/internal/tmk"
 	"repro/internal/xhpf"
 )
 
-// SeqProgram is a sequential run: iterate is called Warmup+Iters times;
-// checksum is evaluated at the end.
-type SeqProgram struct {
+// Program is one version's measured loop as one process runs it:
+// Iterate runs iteration k (the warm-up iterations first, then the timed
+// ones), and Checksum is the untimed postlude. Under the SPF fork-join
+// runtime it is the master's main program. Under message passing every
+// process evaluates Checksum, which gathers; process 0's value is the
+// result. A nil Checksum gives 0.
+type Program struct {
 	Iterate  func(k int)
 	Checksum func() float64
+}
+
+// process is one simulated process as the protocol sees it.
+type process interface {
+	ID() int
+	Now() sim.Time
+}
+
+// measurement is one run's shared state: the timed region, the system
+// whose traffic it snapshots, and what the processes report.
+type measurement struct {
+	cfg core.Config
+	sys interface{ Stats() *stats.Stats }
+	reg *core.Region
+	// dsm, when set, is the TreadMarks system whose whole-run counters
+	// the result reports.
+	dsm *tmk.System
+	// sum is process 0's checksum; fault, sync and write sum the
+	// TreadMarks profile of the timed windows.
+	sum                float64
+	fault, sync, write sim.Time
+}
+
+// unsynced is the boundary of a run whose one timed process has nobody
+// to wait for.
+func unsynced(int) {}
+
+// measure is the protocol, run by every timed process:
+//
+//	warm-up iterations
+//	boundary 0;  process 0: baseline traffic
+//	boundary 1;  start
+//	timed iterations
+//	end;  boundary 2;  process 0: final traffic
+//	checksum
+//
+// boundary is the runtime's synchronization, given the boundary's
+// number. gather makes every process evaluate the checksum, not process
+// 0 alone.
+func (m *measurement) measure(pr process, p Program, boundary func(step int), gather bool) {
+	id := pr.ID()
+	for k := 0; k < m.cfg.Warmup; k++ {
+		p.Iterate(k)
+	}
+	boundary(0)
+	if id == 0 {
+		m.reg.Baseline(m.sys.Stats())
+	}
+	boundary(1)
+	m.reg.Start(id, pr.Now())
+	for k := 0; k < m.cfg.Iters; k++ {
+		p.Iterate(m.cfg.Warmup + k)
+	}
+	m.reg.End(id, pr.Now())
+	boundary(2)
+	if id == 0 {
+		m.reg.Final(m.sys.Stats())
+	}
+	if p.Checksum != nil && (id == 0 || gather) {
+		if sum := p.Checksum(); id == 0 {
+			m.sum = sum
+		}
+	}
+}
+
+// finish returns the result of a run over procs nodes that ended with
+// err. An observed run carries its trace and each node's breakdown of
+// its timed window. The homeless protocol has no homes: a configured
+// policy was never consulted and is not reported.
+func (m *measurement) finish(app string, v core.Version, procs int, err error) (core.Result, error) {
+	if err != nil {
+		return core.Result{}, err
+	}
+	res := core.Result{App: app, Version: v, Procs: procs, Time: m.reg.Elapsed(), Stats: m.reg.Traffic(),
+		Checksum: m.sum, FaultTime: m.fault, SyncTime: m.sync, WriteTime: m.write}
+	if tr := m.cfg.Costs.Trace; tr.Enabled() {
+		res.Trace, res.Breakdown = tr, tr.Attribute(m.reg.Windows(procs))
+	}
+	if m.dsm != nil {
+		res.Protocol = m.dsm.Protocol()
+		fc := m.dsm.FrameCounters()
+		res.FramedPages, res.FrameJoins, res.AbandonedBytes = fc.Pages, fc.Joins, fc.AbandonedBytes
+		if res.Protocol == proto.HomeLRC {
+			ctr := m.dsm.ProtocolCounters()
+			res.HomePolicy = m.dsm.HomePolicy()
+			res.Migrations = ctr.Migrations
+			res.RedirectedFlushBytes = ctr.RedirectedFlushBytes
+			res.StaleForwards = ctr.StaleForwards
+		}
+	}
+	return res, nil
+}
+
+func newDSM(procs int, cfg core.Config) *tmk.System {
+	return tmk.NewSystem(procs, cfg.Costs, tmk.WithProtocol(cfg.Protocol), tmk.WithHomePolicy(cfg.HomePolicy))
 }
 
 // RunSeq measures a sequential program on a 1-process TreadMarks system
 // (synchronization removed, per paper §3) charging only compute costs.
-func RunSeq(app string, cfg core.Config, setup func(tm *tmk.Tmk) SeqProgram) (core.Result, error) {
-	sys := tmk.NewSystem(1, cfg.Costs, tmk.WithProtocol(cfg.Protocol), tmk.WithHomePolicy(cfg.HomePolicy))
-	reg := core.NewRegion(1)
-	var sum float64
+func RunSeq(app string, cfg core.Config, setup func(tm *tmk.Tmk) Program) (core.Result, error) {
+	sys := newDSM(1, cfg)
+	m := &measurement{cfg: cfg, sys: sys, reg: core.NewRegion(1)}
+	err := sys.Run(func(tm *tmk.Tmk) { m.measure(tm, setup(tm), unsynced, false) })
+	return m.finish(app, core.Seq, 1, err)
+}
+
+// RunTmk measures a hand-coded TreadMarks program. Its boundaries are
+// silent barriers, its checksum runs on process 0 alone (its page faults
+// are not counted), and the TreadMarks profile of each process's timed
+// window — from the end of boundary 1 to the start of boundary 2 —
+// becomes the result's fault, sync and write times.
+func RunTmk(app string, v core.Version, cfg core.Config, setup func(tm *tmk.Tmk) Program) (core.Result, error) {
+	sys := newDSM(cfg.Procs, cfg)
+	m := &measurement{cfg: cfg, sys: sys, reg: core.NewRegion(cfg.Procs), dsm: sys}
 	err := sys.Run(func(tm *tmk.Tmk) {
-		p := setup(tm)
-		for k := 0; k < cfg.Warmup; k++ {
-			p.Iterate(k)
-		}
-		reg.Baseline(sys.Stats())
-		reg.Start(0, tm.Now())
-		for k := 0; k < cfg.Iters; k++ {
-			p.Iterate(cfg.Warmup + k)
-		}
-		reg.End(0, tm.Now())
-		reg.Final(sys.Stats())
-		sum = p.Checksum()
+		var base tmk.Profile
+		m.measure(tm, setup(tm), func(step int) {
+			if step == 2 {
+				end := tm.Profile()
+				m.fault += end.Fault - base.Fault
+				m.sync += end.Barrier - base.Barrier + end.Lock - base.Lock
+				m.write += end.Write - base.Write
+			}
+			tm.BarrierSilent()
+			if step == 1 {
+				base = tm.Profile()
+			}
+		}, false)
 	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	res := core.Result{
-		App: app, Version: core.Seq, Procs: 1,
-		Time: reg.Elapsed(), Stats: reg.Traffic(), Checksum: sum,
-	}
-	core.AttachObs(&res, cfg.Costs.Trace, reg, 1)
-	return res, nil
+	return m.finish(app, v, cfg.Procs, err)
 }
 
-// TmkProgram is a hand-coded TreadMarks program. Iterate runs on every
-// process; Checksum runs on process 0 after measurement (its page faults
-// are not counted).
-type TmkProgram struct {
-	Iterate  func(k int)
-	Checksum func() float64
-}
-
-// RunTmk measures a TreadMarks program.
-func RunTmk(app string, v core.Version, cfg core.Config, setup func(tm *tmk.Tmk) TmkProgram) (core.Result, error) {
-	sys := tmk.NewSystem(cfg.Procs, cfg.Costs, tmk.WithProtocol(cfg.Protocol), tmk.WithHomePolicy(cfg.HomePolicy))
-	reg := core.NewRegion(cfg.Procs)
-	var sum float64
-	profiles := make([]tmk.Profile, cfg.Procs)
-	err := sys.Run(func(tm *tmk.Tmk) {
-		p := setup(tm)
-		for k := 0; k < cfg.Warmup; k++ {
-			p.Iterate(k)
-		}
-		tm.BarrierSilent()
-		if tm.ID() == 0 {
-			reg.Baseline(sys.Stats())
-		}
-		tm.BarrierSilent()
-		base := tm.Profile()
-		reg.Start(tm.ID(), tm.Now())
-		for k := 0; k < cfg.Iters; k++ {
-			p.Iterate(cfg.Warmup + k)
-		}
-		reg.End(tm.ID(), tm.Now())
-		end := tm.Profile()
-		profiles[tm.ID()] = tmk.Profile{
-			Fault:   end.Fault - base.Fault,
-			Barrier: end.Barrier - base.Barrier,
-			Lock:    end.Lock - base.Lock,
-			Write:   end.Write - base.Write,
-		}
-		tm.BarrierSilent()
-		if tm.ID() == 0 {
-			reg.Final(sys.Stats())
-			sum = p.Checksum()
-		}
-	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	res := core.Result{
-		App: app, Version: v, Procs: cfg.Procs, Protocol: sys.Protocol(),
-		Time: reg.Elapsed(), Stats: reg.Traffic(), Checksum: sum,
-	}
-	for _, pr := range profiles {
-		res.FaultTime += pr.Fault
-		res.SyncTime += pr.Barrier + pr.Lock
-		res.WriteTime += pr.Write
-	}
-	addSystemCounters(&res, sys)
-	core.AttachObs(&res, cfg.Costs.Trace, reg, cfg.Procs)
-	return res, nil
-}
-
-// addSystemCounters records what the DSM system counted over the whole
-// run into the result: the host storage behind its regions, and the
-// home-policy identity and migration activity. The homeless protocol has
-// no homes: a configured policy was never consulted and must not be
-// reported as part of the measurement.
-func addSystemCounters(res *core.Result, sys *tmk.System) {
-	fc := sys.FrameCounters()
-	res.FramedPages, res.FrameJoins, res.AbandonedBytes = fc.Pages, fc.Joins, fc.AbandonedBytes
-	if sys.Protocol() != proto.HomeLRC {
-		return
-	}
-	res.HomePolicy = sys.HomePolicy()
-	ctr := sys.ProtocolCounters()
-	res.Migrations = ctr.Migrations
-	res.RedirectedFlushBytes = ctr.RedirectedFlushBytes
-	res.StaleForwards = ctr.StaleForwards
-}
-
-// SPFProgram is a compiler-generated program: IterateMaster is the
-// master's per-iteration main program (built from ParallelDo calls and
-// sequential sections); Checksum runs on the master at the end.
-type SPFProgram struct {
-	IterateMaster func(k int)
-	Checksum      func() float64
-}
-
-// RunSPF measures a fork-join SPF program. Workers sit in the dispatch
-// loop; between a join and the next fork they are blocked, so the
-// master's snapshots cleanly separate warm-up from timed traffic.
-func RunSPF(app string, v core.Version, cfg core.Config, opts spf.Options,
-	setup func(rt *spf.Runtime) SPFProgram) (core.Result, error) {
-	sys := tmk.NewSystem(cfg.Procs, cfg.Costs, tmk.WithProtocol(cfg.Protocol), tmk.WithHomePolicy(cfg.HomePolicy))
-	reg := core.NewRegion(1)
-	var sum float64
-	err := spf.Run(sys, opts, func(rt *spf.Runtime) {
+// RunSPF measures a fork-join SPF program under the fork-join interface
+// the version's table row names. Only the master is timed: workers sit
+// in the dispatch loop, and between a join and the next fork they are
+// blocked, so the master's snapshots cleanly separate warm-up from timed
+// traffic. Its one window is every node's (core.Region.Windows).
+func RunSPF(app string, v core.Version, cfg core.Config, setup func(rt *spf.Runtime) Program) (core.Result, error) {
+	sys := newDSM(cfg.Procs, cfg)
+	m := &measurement{cfg: cfg, sys: sys, reg: core.NewRegion(1), dsm: sys}
+	err := spf.Run(sys, spf.Options{Old: core.Describe(v).OldInterface}, func(rt *spf.Runtime) {
 		p := setup(rt)
 		if !rt.IsMaster() {
 			rt.Serve()
 			return
 		}
-		for k := 0; k < cfg.Warmup; k++ {
-			p.IterateMaster(k)
-		}
-		reg.Baseline(sys.Stats())
-		reg.Start(0, rt.Now())
-		for k := 0; k < cfg.Iters; k++ {
-			p.IterateMaster(cfg.Warmup + k)
-		}
-		reg.End(0, rt.Now())
-		reg.Final(sys.Stats())
-		sum = p.Checksum()
+		m.measure(rt, p, unsynced, false)
 		rt.Done()
 	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	res := core.Result{
-		App: app, Version: v, Procs: cfg.Procs, Protocol: sys.Protocol(),
-		Time: reg.Elapsed(), Stats: reg.Traffic(), Checksum: sum,
-	}
-	addSystemCounters(&res, sys)
-	core.AttachObs(&res, cfg.Costs.Trace, reg, cfg.Procs)
-	return res, nil
+	return m.finish(app, v, cfg.Procs, err)
 }
 
-// PVMProgram is a hand-coded message-passing program.
-type PVMProgram struct {
-	Iterate  func(k int)
-	Checksum func() float64 // evaluated on task 0; gather untracked data first
-}
-
-// RunPVM measures a PVMe program. Timed-region boundaries use untracked
-// barriers (measurement infrastructure, excluded from Table 2/3 counts).
-func RunPVM(app string, v core.Version, cfg core.Config, setup func(pv *pvm.PVM) PVMProgram) (core.Result, error) {
-	sys := pvm.NewSystem(cfg.Procs, cfg.Costs)
-	reg := core.NewRegion(cfg.Procs)
-	var sum float64
-	err := sys.Run(func(pv *pvm.PVM) {
-		p := setup(pv)
-		for k := 0; k < cfg.Warmup; k++ {
-			p.Iterate(k)
-		}
-		pv.BarrierSilent(1 << 12)
-		if pv.ID() == 0 {
-			reg.Baseline(sys.Stats())
-		}
-		pv.BarrierSilent(1<<12 + 2)
-		reg.Start(pv.ID(), pv.Now())
-		for k := 0; k < cfg.Iters; k++ {
-			p.Iterate(cfg.Warmup + k)
-		}
-		reg.End(pv.ID(), pv.Now())
-		pv.BarrierSilent(1<<12 + 4)
-		if pv.ID() == 0 {
-			reg.Final(sys.Stats())
-		}
-		if p.Checksum != nil {
-			s := p.Checksum()
-			if pv.ID() == 0 {
-				sum = s
-			}
-		}
-	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	res := core.Result{
-		App: app, Version: v, Procs: cfg.Procs,
-		Time: reg.Elapsed(), Stats: reg.Traffic(), Checksum: sum,
-	}
-	core.AttachObs(&res, cfg.Costs.Trace, reg, cfg.Procs)
-	return res, nil
-}
-
-// XHPFProgram is a compiler-generated SPMD message-passing program.
-type XHPFProgram struct {
-	Iterate  func(k int)
-	Checksum func() float64
-}
-
-// RunXHPF measures an XHPF program. v distinguishes the hand-written
-// compiler model (core.XHPF) from the loopc-generated one (core.XHPFGen).
-func RunXHPF(app string, v core.Version, cfg core.Config, setup func(x *xhpf.XHPF) XHPFProgram) (core.Result, error) {
+// RunXHPF measures a compiler-generated SPMD message-passing program. v
+// distinguishes the hand-written compiler model (core.XHPF) from the
+// loopc-generated one (core.XHPFGen).
+func RunXHPF(app string, v core.Version, cfg core.Config, setup func(x *xhpf.XHPF) Program) (core.Result, error) {
 	sys := xhpf.NewSystem(cfg.Procs, cfg.Costs)
-	reg := core.NewRegion(cfg.Procs)
-	var sum float64
+	m := &measurement{cfg: cfg, sys: sys, reg: core.NewRegion(cfg.Procs)}
 	err := sys.Run(func(x *xhpf.XHPF) {
-		p := setup(x)
-		for k := 0; k < cfg.Warmup; k++ {
-			p.Iterate(k)
-		}
-		x.BoundarySync()
-		if x.ID() == 0 {
-			reg.Baseline(sys.Stats())
-		}
-		x.BoundarySync()
-		reg.Start(x.ID(), x.Now())
-		for k := 0; k < cfg.Iters; k++ {
-			p.Iterate(cfg.Warmup + k)
-		}
-		reg.End(x.ID(), x.Now())
-		x.BoundarySync()
-		if x.ID() == 0 {
-			reg.Final(sys.Stats())
-		}
-		if p.Checksum != nil {
-			s := p.Checksum()
-			if x.ID() == 0 {
-				sum = s
-			}
-		}
+		m.measure(x, setup(x), func(int) { x.BoundarySync() }, true)
 	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	res := core.Result{
-		App: app, Version: v, Procs: cfg.Procs,
-		Time: reg.Elapsed(), Stats: reg.Traffic(), Checksum: sum,
-	}
-	core.AttachObs(&res, cfg.Costs.Trace, reg, cfg.Procs)
-	return res, nil
+	return m.finish(app, v, cfg.Procs, err)
+}
+
+// RunPVM measures a hand-coded PVMe program. Its boundaries are untracked
+// barriers (measurement infrastructure, excluded from Table 2/3 counts).
+func RunPVM(app string, v core.Version, cfg core.Config, setup func(pv *pvm.PVM) Program) (core.Result, error) {
+	sys := pvm.NewSystem(cfg.Procs, cfg.Costs)
+	m := &measurement{cfg: cfg, sys: sys, reg: core.NewRegion(cfg.Procs)}
+	err := sys.Run(func(pv *pvm.PVM) {
+		m.measure(pv, setup(pv), func(step int) { pv.BarrierSilent(1<<12 + 2*step) }, true)
+	})
+	return m.finish(app, v, cfg.Procs, err)
 }
 
 // BlockOf returns processor p's block [lo,hi) of extent n under BLOCK

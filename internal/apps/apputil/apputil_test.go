@@ -1,12 +1,17 @@
 package apputil
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/pvm"
 	"repro/internal/sim"
+	"repro/internal/spf"
 	"repro/internal/tmk"
+	"repro/internal/xhpf"
 )
 
 func TestSum64(t *testing.T) {
@@ -42,44 +47,126 @@ func TestBlockOfCoversRange(t *testing.T) {
 	}
 }
 
-// TestRunTmkMeasurementProtocol verifies the region protocol end to end:
-// warm-up traffic excluded, timed traffic counted, checksum faults not
-// counted.
-func TestRunTmkMeasurementProtocol(t *testing.T) {
-	cfg := core.Config{Procs: 2, Iters: 3, Warmup: 2, Costs: model.SP2(), App: model.DefaultAppCosts()}
-	res, err := RunTmk("probe", core.Tmk, cfg, func(tm *tmk.Tmk) TmkProgram {
-		r := tmk.Alloc[float32](tm, "a", 1024)
-		return TmkProgram{
-			Iterate: func(k int) {
-				if tm.ID() == 0 {
-					w := r.Write(0, 1024)
-					w[k] = float32(k + 1)
+// exchange sends one tracked message from process from to process to.
+func exchange(pv *pvm.PVM, from, to int) {
+	buf := []float32{1}
+	switch pv.ID() {
+	case from:
+		pvm.Send(pv, to, 5, buf)
+	case to:
+		pvm.Recv(pv, from, 5, buf)
+	}
+}
+
+// probeRuns are the five runtimes (and the spf-old interface) measuring
+// probe programs at two processes. Every warm-up iteration sends what a
+// timed one does, perIter messages, and every checksum sends more: only
+// Iters × perIter may be counted.
+var probeRuns = []struct {
+	name    string
+	perIter int64
+	run     func(cfg core.Config) (core.Result, error)
+}{
+	{"seq", 0, func(cfg core.Config) (core.Result, error) {
+		return RunSeq("probe", cfg, func(tm *tmk.Tmk) Program {
+			return Program{
+				Iterate:  func(k int) { tm.Advance(7 * sim.Millisecond) },
+				Checksum: func() float64 { return 42 },
+			}
+		})
+	}},
+	// Two barriers of two messages, and one fault of two.
+	{"tmk", 2*2 + 2, func(cfg core.Config) (core.Result, error) {
+		return RunTmk("probe", core.Tmk, cfg, func(tm *tmk.Tmk) Program {
+			r := tmk.Alloc[float32](tm, "a", 1024)
+			return Program{
+				Iterate: func(k int) {
+					if tm.ID() == 0 {
+						w := r.Write(0, 1024)
+						w[k] = float32(k + 1)
+					}
+					tm.Barrier()
+					if tm.ID() == 1 {
+						r.Read(0, 1024)
+					}
+					tm.Barrier()
+				},
+				Checksum: func() float64 {
+					// Process 1 wrote last: this faults.
+					r.Read(0, 1024)
+					return 42
+				},
+			}
+		})
+	}},
+	// One fork and one join per loop; the original interface's 8(n-1).
+	{"spf", 2, probeSPF(core.SPF)},
+	{"spf-old", 8, probeSPF(core.SPFOld)},
+	// One message per iteration; the checksum sends the other way, and
+	// hangs unless process 1 takes part.
+	{"xhpf", 1, func(cfg core.Config) (core.Result, error) {
+		return RunXHPF("probe", core.XHPF, cfg, func(x *xhpf.XHPF) Program {
+			return Program{
+				Iterate:  func(k int) { exchange(x.PVM(), 0, 1) },
+				Checksum: func() float64 { exchange(x.PVM(), 1, 0); return 42 },
+			}
+		})
+	}},
+	{"pvme", 1, func(cfg core.Config) (core.Result, error) {
+		return RunPVM("probe", core.PVMe, cfg, func(pv *pvm.PVM) Program {
+			return Program{
+				Iterate:  func(k int) { exchange(pv, 0, 1) },
+				Checksum: func() float64 { exchange(pv, 1, 0); return 42 },
+			}
+		})
+	}},
+}
+
+// probeSPF measures a master program of one empty parallel loop per
+// iteration, whose checksum runs one more.
+func probeSPF(v core.Version) func(cfg core.Config) (core.Result, error) {
+	return func(cfg core.Config) (core.Result, error) {
+		return RunSPF("probe", v, cfg, func(rt *spf.Runtime) Program {
+			loop := rt.RegisterLoop(func(lo, hi, stride int, args []int64) { rt.Advance(sim.Millisecond) })
+			return Program{
+				Iterate:  func(k int) { rt.ParallelDo(loop, 0, 2, spf.Block) },
+				Checksum: func() float64 { rt.ParallelDo(loop, 0, 2, spf.Block); return 42 },
+			}
+		})
+	}
+}
+
+// TestMeasurementProtocol holds every runtime to the protocol: warm-up
+// traffic, checksum and gather traffic and the boundary synchronization
+// are not counted, the checksum is process 0's, the breakdown covers
+// every node, and SPF's one master window is every node's.
+func TestMeasurementProtocol(t *testing.T) {
+	for _, pr := range probeRuns {
+		t.Run(pr.name, func(t *testing.T) {
+			cfg := core.Config{Procs: 2, Iters: 3, Warmup: 2, Costs: model.SP2(), App: model.DefaultAppCosts()}
+			cfg.Costs.Trace = obs.New()
+			res, err := pr.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Stats.TotalMsgs(), int64(cfg.Iters)*pr.perIter; got != want {
+				t.Errorf("timed msgs = %d, want %d: %d iterations of %d", got, want, cfg.Iters, pr.perIter)
+			}
+			if res.Checksum != 42 {
+				t.Errorf("checksum = %v, want 42", res.Checksum)
+			}
+			if res.Time <= 0 {
+				t.Error("no elapsed time measured")
+			}
+			if len(res.Breakdown) != res.Procs {
+				t.Fatalf("%d node breakdowns for %d nodes", len(res.Breakdown), res.Procs)
+			}
+			for _, b := range res.Breakdown {
+				if strings.HasPrefix(pr.name, "spf") && b.Total != int64(res.Time) {
+					t.Errorf("node %d's window is %d ns, want the master's %d", b.Node, b.Total, res.Time)
 				}
-				tm.Barrier()
-				if tm.ID() == 1 {
-					r.Read(0, 1024) // one fault per iteration
-				}
-				tm.Barrier()
-			},
-			Checksum: func() float64 {
-				g := r.Read(0, 1024)
-				return Sum64(g[:1024])
-			},
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Timed region: Iters iterations x (2 barriers x 2 msgs + 1 fault x 2 msgs).
-	want := int64(cfg.Iters * (2*2 + 2))
-	if got := res.Stats.TotalMsgs(); got != want {
-		t.Errorf("timed msgs = %d, want %d (warmup and checksum must be excluded)", got, want)
-	}
-	if res.Checksum == 0 {
-		t.Error("checksum not evaluated")
-	}
-	if res.Time <= 0 {
-		t.Error("no elapsed time measured")
+			}
+		})
 	}
 }
 
@@ -87,8 +174,8 @@ func TestRunTmkMeasurementProtocol(t *testing.T) {
 // elapsed time equals the charged compute.
 func TestRunSeqChargesOnlyCompute(t *testing.T) {
 	cfg := core.Config{Procs: 1, Iters: 4, Warmup: 1, Costs: model.SP2(), App: model.DefaultAppCosts()}
-	res, err := RunSeq("probe", cfg, func(tm *tmk.Tmk) SeqProgram {
-		return SeqProgram{
+	res, err := RunSeq("probe", cfg, func(tm *tmk.Tmk) Program {
+		return Program{
 			Iterate:  func(k int) { tm.Advance(7 * sim.Millisecond) },
 			Checksum: func() float64 { return 42 },
 		}

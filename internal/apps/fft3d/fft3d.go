@@ -64,10 +64,8 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 		return runSeq(cfg)
 	case core.Tmk:
 		return runTmk(cfg)
-	case core.SPF:
-		return runSPF(cfg, false)
-	case core.SPFOpt:
-		return runSPF(cfg, true)
+	case core.SPF, core.SPFOpt:
+		return runSPF(cfg, v)
 	case core.XHPF:
 		return runXHPF(cfg)
 	case core.PVMe:
@@ -249,7 +247,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3
 	idx := checksumIndices(total)
-	return apputil.RunSeq("3-D FFT", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("3-D FFT", cfg, func(tm *tmk.Tmk) apputil.Program {
 		x := make([]complex128, total)
 		xt := make([]complex128, total)
 		planes := make([][]complex128, kn.n3)
@@ -257,7 +255,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 			planes[i3] = x[i3*kn.n2*kn.n1 : (i3+1)*kn.n2*kn.n1]
 		}
 		var sum complex128
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				touches := kn.initPlanes(x, 0, kn.n3, 0, k)
 				b := kn.fft1Planes(x, 0, kn.n3, 0)
@@ -283,7 +281,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3
 	idx := checksumIndices(total)
-	return apputil.RunTmk("3-D FFT", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	return apputil.RunTmk("3-D FFT", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.Program {
 		me, nprocs := tm.ID(), tm.NProcs()
 		x := tmk.Alloc[complex128](tm, "x", total)
 		xt := tmk.Alloc[complex128](tm, "xt", total)
@@ -298,7 +296,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		b2lo, b2hi := apputil.BlockOf(me, nprocs, kn.n2)
 		secs := make([][]complex128, kn.n3)
 		var sum complex128
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				if me == 0 {
 					// Reset the checksum slots; the previous iteration's
@@ -365,16 +363,13 @@ func readTransposeSections(secs [][]complex128, x *tmk.Region[complex128], kn *k
 // runSPF is the compiler-generated version: six parallel loops per
 // iteration (init, three FFT dimensions, normalize, checksum), each a
 // fork-join dispatch; the checksum is a lock-based reduction pair.
-// aggregated selects the §5.4 hand optimization.
-func runSPF(cfg core.Config, aggregated bool) (core.Result, error) {
+// spf-opt is the §5.4 hand optimization, data aggregation.
+func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3
 	idx := checksumIndices(total)
-	v := core.SPF
-	if aggregated {
-		v = core.SPFOpt
-	}
-	return apputil.RunSPF("3-D FFT", v, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	aggregated := v == core.SPFOpt
+	return apputil.RunSPF("3-D FFT", v, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		x := tmk.Alloc[complex128](tm, "x", total)
 		xt := tmk.Alloc[complex128](tm, "xt", total)
@@ -431,8 +426,8 @@ func runSPF(cfg core.Config, aggregated bool) (core.Result, error) {
 			reSum.Combine(rt, real(s))
 			imSum.Combine(rt, imag(s))
 		})
-		return apputil.SPFProgram{
-			IterateMaster: func(k int) {
+		return apputil.Program{
+			Iterate: func(k int) {
 				rt.ParallelDo(initLoop, 0, kn.n3, spf.Block, int64(k))
 				rt.ParallelDo(fft1Loop, 0, kn.n3, spf.Block)
 				rt.ParallelDo(fft2Loop, 0, kn.n3, spf.Block)
@@ -457,14 +452,14 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3
 	idx := checksumIndices(total)
-	return apputil.RunXHPF("3-D FFT", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("3-D FFT", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		me, nprocs := x.ID(), x.NProcs()
 		xs := make([]complex128, total)
 		xt := make([]complex128, total)
 		p3lo, p3hi := apputil.BlockOf(me, nprocs, kn.n3)
 		b2lo, b2hi := apputil.BlockOf(me, nprocs, kn.n2)
 		var sum complex128
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
 				x.LoopSync()
@@ -533,14 +528,14 @@ func runPVM(cfg core.Config) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3
 	idx := checksumIndices(total)
-	return apputil.RunPVM("3-D FFT", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("3-D FFT", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		me, nprocs := pv.ID(), pv.NProcs()
 		xs := make([]complex128, total)
 		xt := make([]complex128, total)
 		p3lo, p3hi := apputil.BlockOf(me, nprocs, kn.n3)
 		b2lo, b2hi := apputil.BlockOf(me, nprocs, kn.n2)
 		var sum complex128
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
 				b := kn.fft1Planes(xs, p3lo, p3hi, 0)

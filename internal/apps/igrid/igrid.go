@@ -182,13 +182,13 @@ func sealed(mx, mn float32) float64 {
 func runSeq(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
-	return apputil.RunSeq("IGrid", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("IGrid", cfg, func(tm *tmk.Tmk) apputil.Program {
 		old := make([]float32, n*n)
 		cur := make([]float32, n*n)
 		initOld(old, n)
 		copy(cur, old)
 		var redSum float64
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				relaxRows(cur, old, idx, n, 1, n-1, 0, 0)
 				tm.Advance(apputil.Cost((n-2)*(n-2), cfg.App.IGridUpdate))
@@ -211,7 +211,7 @@ func runSeq(cfg core.Config, idx []int32) (core.Result, error) {
 func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
-	return apputil.RunTmk("IGrid", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	return apputil.RunTmk("IGrid", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.Program {
 		a := tmk.Alloc[float32](tm, "a", n*n)
 		b := tmk.Alloc[float32](tm, "b", n*n)
 		me, nprocs := tm.ID(), tm.NProcs()
@@ -234,7 +234,7 @@ func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 		}
 		tm.Barrier()
 		old, cur := a, b
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				if rhi > rlo {
 					// Demand paging over the touched range: only invalid
@@ -283,7 +283,7 @@ func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
-	return apputil.RunSPF("IGrid", core.SPF, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	return apputil.RunSPF("IGrid", core.SPF, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		oldArr := tmk.Alloc[float32](tm, "old", n*n)
 		newArr := tmk.Alloc[float32](tm, "new", n*n)
@@ -323,8 +323,8 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 			initOld(w, n)
 			copy(newArr.Write(0, n*n), w)
 		}
-		return apputil.SPFProgram{
-			IterateMaster: func(k int) {
+		return apputil.Program{
+			Iterate: func(k int) {
 				rt.ParallelDo(relax, 1, n-1, spf.Block)
 				rt.ParallelDo(copyBack, 1, n-1, spf.Block)
 				if k == total-1 {
@@ -347,7 +347,7 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
-	return apputil.RunXHPF("IGrid", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("IGrid", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		old := make([]float32, n*n)
 		cur := make([]float32, n*n)
 		initOld(old, n)
@@ -356,7 +356,7 @@ func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 		rlo, rhi := apputil.BlockOf(me, x.NProcs(), n-2)
 		rlo, rhi = rlo+1, rhi+1
 		var redVals []float64
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				if rhi > rlo {
 					relaxRows(cur, old, idx, n, rlo, rhi, 0, 0)
@@ -391,7 +391,7 @@ func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
-	return apputil.RunPVM("IGrid", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("IGrid", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		old := make([]float32, n*n)
 		cur := make([]float32, n*n)
 		initOld(old, n)
@@ -400,7 +400,7 @@ func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 		rlo, rhi := apputil.BlockOf(me, nprocs, n-2)
 		rlo, rhi = rlo+1, rhi+1
 		var redVals []float64
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				// The hand coder inspected the map once at setup and knows
 				// only boundary rows cross processors.

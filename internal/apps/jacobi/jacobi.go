@@ -58,16 +58,10 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	switch v {
 	case core.Seq:
 		return runSeq(cfg)
-	case core.Tmk:
-		return runTmk(cfg, false)
-	case core.TmkPush:
-		return runTmk(cfg, true)
-	case core.SPF:
-		return runSPF(cfg, spf.Options{}, false)
-	case core.SPFOld:
-		return runSPF(cfg, spf.Options{Old: true}, false)
-	case core.SPFOpt:
-		return runSPF(cfg, spf.Options{}, true)
+	case core.Tmk, core.TmkPush:
+		return runTmk(cfg, v)
+	case core.SPF, core.SPFOld, core.SPFOpt:
+		return runSPF(cfg, v)
 	case core.XHPF:
 		return runXHPF(cfg)
 	case core.PVMe:
@@ -118,13 +112,13 @@ func copyRows(dst, src []float32, n, rlo, rhi, dstOff, srcOff int) {
 
 func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunSeq("Jacobi", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("Jacobi", cfg, func(tm *tmk.Tmk) apputil.Program {
 		data := make([]float32, n*n)
 		scratch := make([]float32, n*n)
 		apputil.EdgesOne(data, n)
 		apputil.EdgesOne(scratch, n)
 		interior := (n - 2) * (n - 2)
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				stencilRows(scratch, data, n, 1, n-1, 0, 0)
 				tm.Advance(apputil.Cost(interior, cfg.App.JacobiUpdate))
@@ -139,17 +133,14 @@ func runSeq(cfg core.Config) (core.Result, error) {
 // runTmk is the hand-coded TreadMarks version: the grid is shared, the
 // scratch array is private (the hand coder knows it never crosses
 // processors — the 2% SPF gap of §5.1 comes from SPF sharing it).
-// push selects the §8 optimization: boundary-row diffs travel with the
+// tmk-push is the §8 optimization: boundary-row diffs travel with the
 // barrier (producer push) instead of being page-faulted in afterwards
 // (consumer pull), halving the message count and hiding the fetch
 // round trips.
-func runTmk(cfg core.Config, push bool) (core.Result, error) {
+func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 	n := cfg.N1
-	v := core.Tmk
-	if push {
-		v = core.TmkPush
-	}
-	return apputil.RunTmk("Jacobi", v, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	push := v == core.TmkPush
+	return apputil.RunTmk("Jacobi", v, cfg, func(tm *tmk.Tmk) apputil.Program {
 		data := tmk.Alloc[float32](tm, "data", n*n)
 		lo, hi := apputil.BlockOf(tm.ID(), tm.NProcs(), n-2)
 		lo, hi = lo+1, hi+1 // interior rows
@@ -171,7 +162,7 @@ func runTmk(cfg core.Config, push bool) (core.Result, error) {
 			}
 		}
 		tm.Barrier()
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				if rows > 0 {
 					rd := data.Read((lo-1)*n, (hi+1)*n)
@@ -196,18 +187,14 @@ func runTmk(cfg core.Config, push bool) (core.Result, error) {
 // runSPF is the compiler-generated shared-memory version: both arrays
 // live in shared memory (the SPF compiler shares every array touched by
 // a parallel loop), and each phase is an encapsulated parallel loop
-// dispatched through the fork-join interface. aggregated selects the §5.1
-// hand optimization (data aggregation through the enhanced interface).
-func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, error) {
+// dispatched through the fork-join interface (spf-old: the original
+// one, which apputil.RunSPF reads from the version table). spf-opt is
+// the §5.1 hand optimization: data aggregation through the enhanced
+// interface.
+func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 	n := cfg.N1
-	v := core.SPF
-	if opts.Old {
-		v = core.SPFOld
-	}
-	if aggregated {
-		v = core.SPFOpt
-	}
-	return apputil.RunSPF("Jacobi", v, cfg, opts, func(rt *spf.Runtime) apputil.SPFProgram {
+	aggregated := v == core.SPFOpt
+	return apputil.RunSPF("Jacobi", v, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		data := tmk.Alloc[float32](tm, "data", n*n)
 		scratch := tmk.Alloc[float32](tm, "scratch", n*n)
@@ -249,8 +236,8 @@ func runSPF(cfg core.Config, opts spf.Options, aggregated bool) (core.Result, er
 			ws := scratch.Write(0, n*n)
 			apputil.EdgesOne(ws, n)
 		}
-		return apputil.SPFProgram{
-			IterateMaster: func(k int) {
+		return apputil.Program{
+			Iterate: func(k int) {
 				rt.ParallelDo(phase1, 1, n-1, spf.Block)
 				rt.ParallelDo(phase2, 1, n-1, spf.Block)
 			},
@@ -291,10 +278,10 @@ func newBand(me, nprocs, n int) band {
 // and runtime synchronization at each parallel-loop boundary.
 func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunXHPF("Jacobi", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("Jacobi", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		b := newBand(x.ID(), x.NProcs(), n)
 		data, scratch := b.data.Data(), b.scratch.Data()
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				xhpf.ExchangeHalo(x, b.data, 1)
 				if b.chi > b.clo {
@@ -320,12 +307,12 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 // synchronization, and no communication at all separates the two phases.
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunPVM("Jacobi", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("Jacobi", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		me, last := pv.ID(), pv.NProcs()-1
 		b := newBand(me, pv.NProcs(), n)
 		data, scratch := b.data.Data(), b.scratch.Data()
 		rlo, rhi := b.data.Block()
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				// Boundary-row exchange: send up, send down, receive.
 				if me > 0 {

@@ -64,10 +64,8 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	switch v {
 	case core.Seq:
 		return runSeq(cfg)
-	case core.Tmk:
-		return runTmk(cfg, false)
-	case core.TmkOpt:
-		return runTmk(cfg, true)
+	case core.Tmk, core.TmkOpt:
+		return runTmk(cfg, v)
 	case core.SPF:
 		return runSPF(cfg)
 	case core.XHPF:
@@ -125,10 +123,10 @@ func orthoRow(row, unit []float32) {
 
 func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunSeq("MGS", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("MGS", cfg, func(tm *tmk.Tmk) apputil.Program {
 		m := make([]float32, n*n)
 		initMatrix(m, n)
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(i int) {
 				normalizeRow(m[i*n : (i+1)*n])
 				tm.Advance(apputil.Cost(n, cfg.App.MGSNormalize))
@@ -142,22 +140,19 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	})
 }
 
-// runTmk is the hand-coded TreadMarks version (broadcast=false) and the
-// §5.3 hand-optimized version (broadcast=true).
-func runTmk(cfg core.Config, broadcast bool) (core.Result, error) {
+// runTmk is the hand-coded TreadMarks version and, as tmk-opt, the §5.3
+// hand-optimized version, which broadcasts.
+func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 	n := cfg.N1
-	v := core.Tmk
-	if broadcast {
-		v = core.TmkOpt
-	}
-	return apputil.RunTmk("MGS", v, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	broadcast := v == core.TmkOpt
+	return apputil.RunTmk("MGS", v, cfg, func(tm *tmk.Tmk) apputil.Program {
 		m := tmk.Alloc[float32](tm, "m", n*n)
 		me, nprocs := tm.ID(), tm.NProcs()
 		if me == 0 {
 			initMatrix(m.Write(0, n*n), n)
 		}
 		tm.Barrier()
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
 				if owner == me {
@@ -190,7 +185,7 @@ func runTmk(cfg core.Config, broadcast bool) (core.Result, error) {
 // penalty), and the orthogonalization loop is dispatched cyclically.
 func runSPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunSPF("MGS", core.SPF, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	return apputil.RunSPF("MGS", core.SPF, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		m := tmk.Alloc[float32](tm, "m", n*n)
 		ortho := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -206,8 +201,8 @@ func runSPF(cfg core.Config) (core.Result, error) {
 		if rt.IsMaster() {
 			initMatrix(m.Write(0, n*n), n)
 		}
-		return apputil.SPFProgram{
-			IterateMaster: func(i int) {
+		return apputil.Program{
+			Iterate: func(i int) {
 				// Sequential section: normalize on the master.
 				normalizeRow(m.Write(i*n, (i+1)*n))
 				rt.Advance(apputil.Cost(n, cfg.App.MGSNormalize))
@@ -234,11 +229,11 @@ func rowAndUnit(m *tmk.Region[float32], n, j, i int) (row, unit []float32) {
 // XHPF penalty), and the cyclic owner-computes loop updates local rows.
 func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunXHPF("MGS", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("MGS", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		m := make([]float32, n*n)
 		initMatrix(m, n)
 		me, nprocs := x.ID(), x.NProcs()
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
 				row := m[i*n : (i+1)*n]
@@ -271,11 +266,11 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 // is both the data movement and the synchronization.
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunPVM("MGS", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("MGS", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		m := make([]float32, n*n)
 		initMatrix(m, n)
 		me, nprocs := pv.ID(), pv.NProcs()
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
 				row := m[i*n : (i+1)*n]

@@ -238,13 +238,13 @@ func forceBlockDSM(buf, x, y, z *tmk.Region[float32], lists [][]int32, lo, hi, w
 
 func runSeq(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
-	return apputil.RunSeq("NBF", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("NBF", cfg, func(tm *tmk.Tmk) apputil.Program {
 		x := make([]float32, m)
 		y := make([]float32, m)
 		z := make([]float32, m)
 		f := make([]float32, m)
 		initCoords(x, y, z)
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for i := range f {
 					f[i] = 0
@@ -261,7 +261,7 @@ func runSeq(cfg core.Config, lists [][]int32) (core.Result, error) {
 
 func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
-	return apputil.RunTmk("NBF", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	return apputil.RunTmk("NBF", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.Program {
 		me, nprocs := tm.ID(), tm.NProcs()
 		x := tmk.Alloc[float32](tm, "x", m)
 		y := tmk.Alloc[float32](tm, "y", m)
@@ -277,7 +277,7 @@ func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 			initCoords(x.Write(0, m), y.Write(0, m), z.Write(0, m))
 		}
 		tm.Barrier()
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				// Force phase: window range-validated, far partners
 				// demand-faulted, accumulation into my shared buffer.
@@ -306,7 +306,7 @@ func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 
 func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
-	return apputil.RunSPF("NBF", core.SPF, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	return apputil.RunSPF("NBF", core.SPF, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		nprocs := rt.NProcs()
 		x := tmk.Alloc[float32](tm, "x", m)
@@ -344,8 +344,8 @@ func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 		if rt.IsMaster() {
 			initCoords(x.Write(0, m), y.Write(0, m), z.Write(0, m))
 		}
-		return apputil.SPFProgram{
-			IterateMaster: func(k int) {
+		return apputil.Program{
+			Iterate: func(k int) {
 				rt.ParallelDo(forceLoop, 0, m, spf.Block)
 				rt.ParallelDo(moveLoop, 0, m, spf.Block)
 			},
@@ -358,7 +358,7 @@ func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 
 func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
-	return apputil.RunXHPF("NBF", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("NBF", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		xs := make([]float32, m)
 		ys := make([]float32, m)
 		zs := make([]float32, m)
@@ -375,7 +375,7 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				parts[q] = make([]float32, m)
 			}
 		}
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for i := range buf {
 					buf[i] = 0
@@ -424,7 +424,7 @@ func orderedAccumulate(x *xhpf.XHPF, parts [][]float32) {
 
 func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 	m := cfg.N1
-	return apputil.RunPVM("NBF", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("NBF", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		xs := make([]float32, m)
 		ys := make([]float32, m)
 		zs := make([]float32, m)
@@ -443,7 +443,7 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 				parts[q] = make([]float32, m)
 			}
 		}
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for i := range buf {
 					buf[i] = 0

@@ -113,10 +113,10 @@ func sweepRows(u []float32, n, rlo, rhi, color, off int) int {
 
 func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunSeq("RB-SOR", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("RB-SOR", cfg, func(tm *tmk.Tmk) apputil.Program {
 		u := make([]float32, n*n)
 		apputil.EdgesOne(u, n)
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					cnt := sweepRows(u, n, 1, n-1, color, 0)
@@ -133,7 +133,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 // the color sweeps (black reads red's boundary updates).
 func runTmk(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunTmk("RB-SOR", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	return apputil.RunTmk("RB-SOR", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.Program {
 		u := tmk.Alloc[float32](tm, "u", n*n)
 		lo, hi := apputil.BlockOf(tm.ID(), tm.NProcs(), n-2)
 		lo, hi = lo+1, hi+1 // interior rows
@@ -143,7 +143,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 			apputil.EdgesOne(w, n)
 		}
 		tm.Barrier()
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					if rows > 0 {
@@ -170,7 +170,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 // reference the generated spf-gen version must match bit for bit.
 func runSPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunSPF("RB-SOR", core.SPF, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	return apputil.RunSPF("RB-SOR", core.SPF, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		u := tmk.Alloc[float32](tm, "u", n*n)
 		sweeps := make([]int, 2)
@@ -190,8 +190,8 @@ func runSPF(cfg core.Config) (core.Result, error) {
 			w := u.Write(0, n*n)
 			apputil.EdgesOne(w, n)
 		}
-		return apputil.SPFProgram{
-			IterateMaster: func(k int) {
+		return apputil.Program{
+			Iterate: func(k int) {
 				rt.ParallelDo(sweeps[0], 1, n-1, spf.Block)
 				rt.ParallelDo(sweeps[1], 1, n-1, spf.Block)
 			},
@@ -220,10 +220,10 @@ func newBand(me, nprocs, n int) (u *xhpf.Local[float32], clo, chi int) {
 // generated xhpf-gen version must match it bit for bit.
 func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunXHPF("RB-SOR", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("RB-SOR", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		u, clo, chi := newBand(x.ID(), x.NProcs(), n)
 		off, _ := u.Stored()
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					xhpf.ExchangeHalo(x, u, 1)
@@ -246,12 +246,12 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 // the message doubles as the synchronization.
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunPVM("RB-SOR", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("RB-SOR", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		me, last := pv.ID(), pv.NProcs()-1
 		u, clo, chi := newBand(me, pv.NProcs(), n)
 		off, _ := u.Stored()
 		rlo, rhi := u.Block()
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					up, down := 70+2*color, 71+2*color

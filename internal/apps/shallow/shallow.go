@@ -64,10 +64,8 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 		return runSeq(cfg)
 	case core.Tmk:
 		return runTmk(cfg)
-	case core.SPF:
-		return runSPF(cfg, false)
-	case core.SPFOpt:
-		return runSPF(cfg, true)
+	case core.SPF, core.SPFOpt:
+		return runSPF(cfg, v)
 	case core.XHPF:
 		return runXHPF(cfg)
 	case core.PVMe:
@@ -245,10 +243,10 @@ func (s *state) groupB() [][]float32 { return [][]float32{s.unew, s.vnew, s.pnew
 
 func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunSeq("Shallow", cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq("Shallow", cfg, func(tm *tmk.Tmk) apputil.Program {
 		s := newLocalState(n)
 		s.init(0, n)
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				pts := s.loop100(0, n-1)
 				w := wrapCols(s.groupA(), n, 0, n-1)
@@ -401,7 +399,7 @@ var (
 
 func runTmk(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
-	return apputil.RunTmk("Shallow", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.TmkProgram {
+	return apputil.RunTmk("Shallow", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.Program {
 		me, nprocs := tm.ID(), tm.NProcs()
 		ss := newSharedState(tm, n)
 		rlo, rhi := apputil.BlockOf(me, nprocs, n-1)
@@ -411,7 +409,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		}
 		tm.Barrier()
 		adv := func(d sim.Time) { tm.Advance(d) }
-		return apputil.TmkProgram{
+		return apputil.Program{
 			Iterate: func(k int) {
 				stepTmk(ss, adv, cfg, rlo, rhi, isLast, tm.Barrier)
 			},
@@ -459,13 +457,10 @@ func stepTmk(ss *sharedState, adv func(sim.Time), cfg core.Config, rlo, rhi int,
 	barrier()
 }
 
-func runSPF(cfg core.Config, merged bool) (core.Result, error) {
+func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 	n := cfg.N1
-	v := core.SPF
-	if merged {
-		v = core.SPFOpt
-	}
-	return apputil.RunSPF("Shallow", v, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	merged := v == core.SPFOpt
+	return apputil.RunSPF("Shallow", v, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		ss := newSharedState(tm, n)
 		adv := func(d sim.Time) { rt.Advance(d) }
@@ -524,8 +519,8 @@ func runSPF(cfg core.Config, merged bool) (core.Result, error) {
 		if rt.IsMaster() {
 			ss.initShared()
 		}
-		return apputil.SPFProgram{
-			IterateMaster: func(k int) {
+		return apputil.Program{
+			Iterate: func(k int) {
 				rt.ParallelDo(phase1, 0, n-1, spf.Block)
 				if !merged {
 					rt.ParallelDo(wrapA, 0, n-1, spf.Block)
@@ -664,9 +659,9 @@ func (bs *bandState) gatherChecksum(pv *pvm.PVM) float64 {
 }
 
 func runXHPF(cfg core.Config) (core.Result, error) {
-	return apputil.RunXHPF("Shallow", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF("Shallow", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		bs := newBandState(x.ID(), x.NProcs(), cfg.N1)
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate:  func(k int) { bs.step(x.PVM(), cfg, 700, x.LoopSync) },
 			Checksum: func() float64 { return bs.gatherChecksum(x.PVM()) },
 		}
@@ -674,9 +669,9 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 }
 
 func runPVM(cfg core.Config) (core.Result, error) {
-	return apputil.RunPVM("Shallow", core.PVMe, cfg, func(pv *pvm.PVM) apputil.PVMProgram {
+	return apputil.RunPVM("Shallow", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		bs := newBandState(pv.ID(), pv.NProcs(), cfg.N1)
-		return apputil.PVMProgram{
+		return apputil.Program{
 			Iterate:  func(k int) { bs.step(pv, cfg, 740, func() {}) },
 			Checksum: func() float64 { return bs.gatherChecksum(pv) },
 		}

@@ -8,9 +8,10 @@
 //	PVMe  hand-coded message passing
 //
 // plus the hand-optimized variants of §5. This package defines the
-// version vocabulary, run configuration, results, and the timed-region
-// bookkeeping shared by all application implementations (the paper
-// excludes the first iteration from measurement; so do we).
+// version vocabulary and its one table of facts (VersionTable), run
+// configuration, results, and the timed-region bookkeeping shared by
+// all application implementations (the paper excludes the first
+// iteration from measurement; so do we).
 package core
 
 import (
@@ -23,7 +24,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Version names one implementation strategy of an application.
+// Version names one implementation strategy of an application; what it
+// is, whichever application runs it, is its row of VersionTable.
 type Version string
 
 const (
@@ -38,27 +40,90 @@ const (
 	XHPF Version = "xhpf"
 	// PVMe is hand-coded message passing.
 	PVMe Version = "pvme"
-	// SPFOpt is the hand-optimized SPF version of §5 (aggregation,
-	// merged loops — whichever optimization the paper applied).
+	// SPFOpt and TmkOpt are §5's hand optimizations, where the paper
+	// reports one: aggregation or merged loops, MGS's merged broadcast.
 	SPFOpt Version = "spf-opt"
-	// TmkOpt is the hand-optimized TreadMarks version where the paper
-	// reports one (MGS's merged broadcast).
 	TmkOpt Version = "tmk-opt"
-	// SPFOld is SPF under the original §2.3 compiler-runtime interface
-	// (8(n-1) messages per loop); used by the interface ablation.
+	// SPFOld is SPF under §2.3's original interface (8(n-1) messages per
+	// loop), for the interface ablation.
 	SPFOld Version = "spf-old"
-	// TmkPush replaces the default request-response page fetching with
-	// §8's push: producers ship boundary diffs with the barrier, so
-	// consumers never fault.
+	// TmkPush is §8's push: producers ship boundary diffs with the
+	// barrier, so consumers never fault.
 	TmkPush Version = "tmk-push"
-	// SPFGen is the internal/loopc-compiled fork-join DSM version: the
-	// same runtime as SPF, but the code is derived from the kernel's
-	// loop-nest IR instead of written by hand. Bit-identical to SPF.
-	SPFGen Version = "spf-gen"
-	// XHPFGen is the internal/loopc-compiled message-passing version,
-	// derived from the same IR. Bit-identical to XHPF.
+	// SPFGen and XHPFGen are compiled by internal/loopc from the kernel's
+	// loop-nest IR; they are bit-identical to SPF and XHPF.
+	SPFGen  Version = "spf-gen"
 	XHPFGen Version = "xhpf-gen"
 )
+
+// Runtime names the system a version runs on: seq (one TreadMarks
+// process with synchronization removed), tmk (TreadMarks by hand), spf
+// (the SPF fork-join runtime over TreadMarks), xhpf (XHPF SPMD message
+// passing) or pvm (PVMe message passing).
+type Runtime string
+
+// The runtimes.
+const (
+	SeqRuntime  Runtime = "seq"
+	TmkRuntime  Runtime = "tmk"
+	SPFRuntime  Runtime = "spf"
+	XHPFRuntime Runtime = "xhpf"
+	PVMRuntime  Runtime = "pvm"
+)
+
+// OnDSM reports whether the runtime's programs share memory through
+// TreadMarks, and so run under a coherence protocol and a home policy.
+// The sequential runtime is one TreadMarks process that shares nothing.
+func (r Runtime) OnDSM() bool { return r == TmkRuntime || r == SPFRuntime }
+
+// VersionInfo is one row of the version table: what a version is,
+// whichever application runs it. Which applications list a version, and
+// the paper's numbers for it, stay with the applications and the harness.
+type VersionInfo struct {
+	Version Version
+	Runtime Runtime
+	// Varies names the version this one is a variant of: the §5 hand
+	// optimization's baseline, the §2.3/§8 variants' base, the version a
+	// generated row reproduces. Empty for a base version.
+	Varies Version
+	// Generated marks the rows internal/loopc compiles from a kernel's
+	// loop-nest IR.
+	Generated bool
+	// OldInterface runs the version under §2.3's original fork-join
+	// interface (spf.Options.Old).
+	OldInterface bool
+}
+
+// versionTable has one row per Version constant: the sequential
+// baseline, the four base versions in the order of the paper's figures,
+// then the variants.
+var versionTable = [...]VersionInfo{
+	{Version: Seq, Runtime: SeqRuntime},
+	{Version: SPF, Runtime: SPFRuntime},
+	{Version: Tmk, Runtime: TmkRuntime},
+	{Version: XHPF, Runtime: XHPFRuntime},
+	{Version: PVMe, Runtime: PVMRuntime},
+	{Version: SPFOpt, Runtime: SPFRuntime, Varies: SPF},
+	{Version: TmkOpt, Runtime: TmkRuntime, Varies: Tmk},
+	{Version: SPFOld, Runtime: SPFRuntime, Varies: SPF, OldInterface: true},
+	{Version: TmkPush, Runtime: TmkRuntime, Varies: Tmk},
+	{Version: SPFGen, Runtime: SPFRuntime, Varies: SPF, Generated: true},
+	{Version: XHPFGen, Runtime: XHPFRuntime, Varies: XHPF, Generated: true},
+}
+
+// VersionTable returns the version table's rows in order.
+func VersionTable() []VersionInfo { return append([]VersionInfo(nil), versionTable[:]...) }
+
+// Describe returns v's row of the version table: the zero row, whose
+// Version is empty, for a version the table does not name.
+func Describe(v Version) VersionInfo {
+	for _, row := range versionTable {
+		if row.Version == v {
+			return row
+		}
+	}
+	return VersionInfo{}
+}
 
 // Scale selects a problem-size regime. Sizing lives with the
 // application: every app package maps (scale, procs) to a concrete
@@ -191,24 +256,12 @@ type App interface {
 	Run(v Version, cfg Config) (Result, error)
 }
 
-// Region tracks the timed region of a parallel run: per-process start
-// and end clocks plus a baseline traffic snapshot. The measurement
-// protocol (all versions):
-//
-//	warmup iterations
-//	barrier                      ← all warm-up work quiesced
-//	proc 0: reg.Baseline(stats)  ← nothing timed can have run yet
-//	barrier                      ← nobody starts until baseline is taken
-//	per proc: reg.Start(id, now)
-//	timed iterations
-//	final barrier
-//	per proc: reg.End(id, now)
-//	proc 0: reg.Final(stats)
-//
-// Because the simulator executes one process at a time in virtual-time
-// order, and a process can pass the second barrier only after process 0
-// (the barrier manager) has taken the baseline, the snapshot cleanly
-// separates warm-up traffic from timed traffic.
+// Region tracks the timed region of a run: per-process start and end
+// clocks plus baseline and final traffic snapshots, taken by the one
+// measurement protocol (apputil). Because the simulator executes one
+// process at a time in virtual-time order, and a process can pass the
+// boundary after the baseline only once process 0 has taken it, the
+// snapshot cleanly separates warm-up traffic from timed traffic.
 type Region struct {
 	start, end []sim.Time
 	base, last stats.Stats
@@ -269,34 +322,16 @@ func (r *Region) Traffic() stats.Stats {
 	return out
 }
 
-// NProcs returns the number of processes the region tracks.
-func (r *Region) NProcs() int { return len(r.start) }
-
-// Window returns process id's timed window as [start, end] virtual
-// nanoseconds, for obs.(*Trace).Attribute.
-func (r *Region) Window(id int) [2]int64 {
-	return [2]int64{int64(r.start[id]), int64(r.end[id])}
-}
-
-// AttachObs fills a result's observability fields from a run's trace and
-// timed region: the trace rides along for export, and the region's
-// per-process windows become per-node breakdowns. A single-process
-// region under a multi-node run (the SPF master-only window) is
-// replicated to every node: the fork-join versions time only the master,
-// but every node's activity spans the same window. A nil trace attaches
-// nothing.
-func AttachObs(res *Result, tr *obs.Trace, reg *Region, nodes int) {
-	if !tr.Enabled() {
-		return
-	}
+// Windows returns each of nodes nodes' timed window as [start, end]
+// virtual nanoseconds, for obs.(*Trace).Attribute. A region of one
+// process under a run of several (the SPF master's) is every node's
+// window: the fork-join versions time only the master, but every node's
+// activity spans the same window.
+func (r *Region) Windows(nodes int) [][2]int64 {
 	windows := make([][2]int64, nodes)
 	for i := range windows {
-		if reg.NProcs() == 1 {
-			windows[i] = reg.Window(0)
-		} else {
-			windows[i] = reg.Window(i)
-		}
+		p := i % len(r.start)
+		windows[i] = [2]int64{int64(r.start[p]), int64(r.end[p])}
 	}
-	res.Trace = tr
-	res.Breakdown = tr.Attribute(windows)
+	return windows
 }

@@ -70,6 +70,42 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
+// TestVersionTable: one row per version, each variant varies a base row
+// on its own runtime, and only a variant carries a variant's facts.
+func TestVersionTable(t *testing.T) {
+	rows := VersionTable()
+	if len(rows) != 11 {
+		t.Fatalf("%d rows, want one per Version constant (11)", len(rows))
+	}
+	seen := map[Version]bool{}
+	for _, row := range rows {
+		if seen[row.Version] {
+			t.Errorf("%s has two rows", row.Version)
+		}
+		seen[row.Version] = true
+		if got := Describe(row.Version); got != row {
+			t.Errorf("Describe(%s) = %+v, want its row", row.Version, got)
+		}
+		if row.Varies == "" {
+			if row.Generated || row.OldInterface {
+				t.Errorf("base version %s carries a variant's facts", row.Version)
+			}
+			continue
+		}
+		base := Describe(row.Varies)
+		if base.Version == "" || base.Varies != "" || base.Runtime != row.Runtime {
+			t.Errorf("%s varies %s, which is not a base version on runtime %s", row.Version, row.Varies, row.Runtime)
+		}
+	}
+	if Describe("tmk-next") != (VersionInfo{}) {
+		t.Error("Describe names a version the table lacks")
+	}
+	rows[0].Runtime = PVMRuntime
+	if VersionTable()[0].Runtime != SeqRuntime {
+		t.Error("VersionTable hands out the table itself")
+	}
+}
+
 func TestResultString(t *testing.T) {
 	r := Result{App: "Jacobi", Version: Tmk, Procs: 8, Time: sim.Second}
 	s := r.String()

@@ -13,16 +13,16 @@ import (
 	"repro/internal/proto"
 )
 
-// TestEveryVersionHasAClass: the class table names every version any
-// registered application or generated program lists, so no version is
-// left to the safe default by oversight; a version it does not name
-// reads every axis.
+// TestEveryVersionHasAClass: core's version table has a row for every
+// version any registered application or generated program lists, so no
+// version is left to the safe default by oversight; a version it does
+// not name reads every axis.
 func TestEveryVersionHasAClass(t *testing.T) {
 	apps := append(Apps(), gen.AppForSeed(1))
 	for _, a := range apps {
 		for _, v := range a.Versions() {
-			if classOf(v) == 0 {
-				t.Errorf("%s lists version %q, which the class table does not name", a.Name(), v)
+			if core.Describe(v).Version == "" {
+				t.Errorf("%s lists version %q, which the version table does not name", a.Name(), v)
 			}
 		}
 	}
@@ -33,15 +33,15 @@ func TestEveryVersionHasAClass(t *testing.T) {
 	}
 }
 
-// everyLabel sets each axis the class of v does not read to a value a
-// default spec does not have.
+// everyLabel sets each axis the runtime of s's version does not read to
+// a value a default spec does not have.
 func everyLabel(s Spec) []Spec {
-	switch classOf(s.Version) {
-	case sequential:
+	switch rt := core.Describe(s.Version).Runtime; {
+	case rt == core.SeqRuntime:
 		s.Procs, s.Contention, s.FIFO = 4, 2, true
 		s.Protocol, s.HomePolicy = proto.HomeLRC, proto.AdaptivePolicy
 		return []Spec{s}
-	case messagePassing:
+	case !rt.OnDSM():
 		s.Protocol, s.HomePolicy = proto.HomeLRC, proto.FirstTouchPolicy
 		return []Spec{s}
 	}
@@ -78,7 +78,7 @@ func TestCanonicalRunIsTheLabelledRun(t *testing.T) {
 	apps := append(Apps(), gen.AppForSeed(3))
 	for _, a := range apps {
 		for _, v := range a.Versions() {
-			if c := classOf(v); c == dsm && v != core.Tmk && v != core.SPF {
+			if info := core.Describe(v); info.Runtime.OnDSM() && info.Varies != "" {
 				continue
 			}
 			for _, contention := range []int{0, 2} {

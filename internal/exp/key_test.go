@@ -38,10 +38,9 @@ func refKey(s Spec) string {
 func keyTable() []Spec {
 	rng := rand.New(rand.NewSource(15))
 	apps := append(AppNames(), "gen-0", "gen-7", "gen-60", "gen-9223372036854775807")
-	versions := []core.Version{core.Seq, core.SPF, core.Tmk, core.XHPF, core.PVMe, core.SPFOpt,
-		core.TmkOpt, core.SPFOld, core.TmkPush, core.SPFGen, core.XHPFGen}
 	var specs []Spec
-	for _, v := range versions {
+	for _, row := range core.VersionTable() {
+		v := row.Version
 		for _, sc := range []core.Scale{"", core.SmallScale, core.MidScale, core.PaperScale} {
 			for _, p := range append([]proto.Name{""}, proto.Names()...) {
 				for _, hp := range append([]proto.PolicyName{""}, proto.PolicyNames()...) {

@@ -73,58 +73,29 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
-// versionClass says which spec axes a version's execution reads beyond
-// the application, the version and the scale.
-type versionClass int
-
-const (
-	// sequential programs run on one processor and send nothing: they
-	// read none of procs, protocol, home policy, contention and FIFO.
-	sequential versionClass = iota + 1
-	// messagePassing programs have no TreadMarks underneath: they read
-	// neither the protocol nor the home policy.
-	messagePassing
-	// dsm programs read every axis, except that the homeless protocol
-	// has no homes (proto.New): under it they do not read the home
-	// policy.
-	dsm
-)
-
-// classOf is the table: it names every version an application lists. A
-// version it does not name (0) reads every axis.
-func classOf(v core.Version) versionClass {
-	switch v {
-	case core.Seq:
-		return sequential
-	case core.XHPF, core.PVMe, core.XHPFGen:
-		return messagePassing
-	case core.Tmk, core.TmkOpt, core.TmkPush, core.SPF, core.SPFOpt, core.SPFOld, core.SPFGen:
-		return dsm
-	}
-	return 0
-}
-
-// RunsOnDSM reports whether version v runs on TreadMarks, and so under
-// a coherence protocol and a home policy: the table's dsm class.
-func RunsOnDSM(v core.Version) bool { return classOf(v) == dsm }
-
 // Canonical returns the spec whose execution produces s's result: s
 // normalized, with every axis its version does not read at its zero
 // value. Specs with one canonical form differ in labels only — their
 // records are equal but for the spec fields — so the engine simulates
 // the canonical spec once and labels each record with the spec that was
 // asked for. This is the one place that knows which axes are labels.
+//
+// The version's runtime (core.Describe) decides: seq reads none of
+// procs, protocol, home policy, contention and FIFO; message passing
+// reads neither the protocol nor the home policy; a DSM version reads
+// every axis but the home policy under the homeless protocol, which has
+// no homes. A version the table does not name is its own run.
 func (s Spec) Canonical() Spec {
 	s = s.Normalize()
-	switch classOf(s.Version) {
-	case sequential:
+	info := core.Describe(s.Version)
+	switch {
+	case info.Version == "":
+	case info.Runtime == core.SeqRuntime:
 		return Spec{App: s.App, Version: s.Version, Procs: 1, Scale: s.Scale}
-	case messagePassing:
+	case !info.Runtime.OnDSM():
 		s.Protocol, s.HomePolicy = "", ""
-	case dsm:
-		if s.Protocol == "" || s.Protocol == proto.HomelessLRC {
-			s.HomePolicy = ""
-		}
+	case s.Protocol == "" || s.Protocol == proto.HomelessLRC:
+		s.HomePolicy = ""
 	}
 	return s
 }

@@ -24,12 +24,15 @@ func CompiledApps() []core.App {
 	return []core.App{jacobi.New(), rbsor.New()}
 }
 
-// CompiledPairs lists the hand-vs-generated version pairs.
-func CompiledPairs() [][2]core.Version {
-	return [][2]core.Version{
-		{core.SPF, core.SPFGen},
-		{core.XHPF, core.XHPFGen},
+// CompiledPairs lists the hand-vs-generated version pairs: each
+// generated row of the version table after the version it reproduces.
+func CompiledPairs() (out [][2]core.Version) {
+	for _, row := range core.VersionTable() {
+		if row.Generated {
+			out = append(out, [2]core.Version{row.Varies, row.Version})
+		}
 	}
+	return out
 }
 
 // Compiler prints the compiled-vs-hand comparison and verifies the

@@ -97,19 +97,22 @@ func TestCompiledTrafficMatchesHand(t *testing.T) {
 	}
 }
 
-// TestMessagePassingMatchesSequential holds every application's xhpf
-// and pvme version to the sequential checksum at every node count from
-// 1 to 8, most of which do not divide the small grids: bitwise for the
-// six applications whose checksum is an index-order float32 fold, and
-// to 1e-9 for 3-D FFT, whose transform legitimately differs in the last
-// ulp with the slab count.
+// TestMessagePassingMatchesSequential holds every application's
+// message-passing versions (xhpf, pvme, xhpf-gen) to the sequential
+// checksum at every node count from 1 to 8, most of which do not divide
+// the small grids: bitwise for the six applications whose checksum is
+// an index-order float32 fold, and to 1e-9 for 3-D FFT, whose transform
+// legitimately differs in the last ulp with the slab count.
 func TestMessagePassingMatchesSequential(t *testing.T) {
 	for _, a := range AllApps() {
 		seq, err := NewRunner(1, SmallScale).Run(a, core.Seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range []core.Version{core.XHPF, core.PVMe} {
+		for _, v := range a.Versions() {
+			if rt := core.Describe(v).Runtime; rt == core.SeqRuntime || rt.OnDSM() {
+				continue
+			}
 			for procs := 1; procs <= 8; procs++ {
 				res, err := NewRunner(procs, SmallScale).Run(a, v)
 				if err != nil {
@@ -170,9 +173,13 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 			allBanded++
 		}
 		for _, procs := range ProtocolProcCounts {
-			for _, v := range []core.Version{core.SPFGen, core.XHPFGen} {
+			for _, v := range ga.Versions() {
+				info := core.Describe(v)
+				if !info.Generated {
+					continue
+				}
 				protocols := proto.Names()
-				if v == core.XHPFGen {
+				if !info.Runtime.OnDSM() {
 					protocols = []proto.Name{""} // message passing: no DSM protocol
 				}
 				for _, p := range protocols {

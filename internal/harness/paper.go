@@ -69,5 +69,13 @@ var PaperDataSet = map[string]string{
 var RegularApps = []string{"Jacobi", "Shallow", "MGS", "3-D FFT"}
 var IrregularApps = []string{"IGrid", "NBF"}
 
-// FigureVersions orders the bars of Figures 1 and 2.
-var FigureVersions = []core.Version{core.SPF, core.Tmk, core.XHPF, core.PVMe}
+// FigureVersions orders the bars of Figures 1 and 2: the base versions
+// other than seq, in version-table order.
+var FigureVersions = func() (out []core.Version) {
+	for _, row := range core.VersionTable() {
+		if row.Varies == "" && row.Runtime != core.SeqRuntime {
+			out = append(out, row.Version)
+		}
+	}
+	return out
+}()

@@ -31,14 +31,14 @@ func DSMVersionOf(a core.App) core.Version {
 }
 
 // DSMVersions filters an application's versions to those that run on
-// the DSM and therefore under a coherence protocol (exp.RunsOnDSM) —
-// including the optimized and legacy-interface variants, whose push/
+// the DSM and therefore under a coherence protocol (core.Runtime.OnDSM)
+// — including the optimized and legacy-interface variants, whose push/
 // broadcast/aggregation paths interact with the protocol differently
 // than the base versions do.
 func DSMVersions(a core.App) []core.Version {
 	var out []core.Version
 	for _, v := range a.Versions() {
-		if exp.RunsOnDSM(v) {
+		if core.Describe(v).Runtime.OnDSM() {
 			out = append(out, v)
 		}
 	}

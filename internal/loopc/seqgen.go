@@ -17,7 +17,7 @@ func RunSeq(app string, cfg core.Config, p *Program) (core.Result, error) {
 		return core.Result{}, err
 	}
 	n := cfg.N1
-	return apputil.RunSeq(app, cfg, func(tm *tmk.Tmk) apputil.SeqProgram {
+	return apputil.RunSeq(app, cfg, func(tm *tmk.Tmk) apputil.Program {
 		arrays := newArrays(p, n)
 		scal := make([]float64, len(p.Scalars))
 		fr := &frame{n: n, arr: arrays, scal: scal}
@@ -26,7 +26,7 @@ func RunSeq(app string, cfg core.Config, p *Program) (core.Result, error) {
 			ens[k] = compileNest(p, nst, nil)
 		}
 		resSlot := p.arrayIndex()[p.Result]
-		return apputil.SeqProgram{
+		return apputil.Program{
 			Iterate: func(int) {
 				resetScalars(p, scal)
 				for _, en := range ens {

@@ -101,7 +101,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 		return core.Result{}, err
 	}
 	n := cfg.N1
-	return apputil.RunSPF(app, v, cfg, spf.Options{}, func(rt *spf.Runtime) apputil.SPFProgram {
+	return apputil.RunSPF(app, v, cfg, func(rt *spf.Runtime) apputil.Program {
 		tm := rt.Tmk()
 		regs := make([]*tmk.Region[float32], len(p.Arrays))
 		for k, a := range p.Arrays {
@@ -183,8 +183,8 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 		}
 
 		resSlot := p.arrayIndex()[p.Result]
-		return apputil.SPFProgram{
-			IterateMaster: func(it int) {
+		return apputil.Program{
+			Iterate: func(it int) {
 				for k := range reds {
 					reds[k].Reset(idents[k])
 				}

@@ -55,7 +55,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 	}
 	n := cfg.N1
 	halos := xhpfHalos(p, steps, n)
-	return apputil.RunXHPF(app, v, cfg, func(x *xhpf.XHPF) apputil.XHPFProgram {
+	return apputil.RunXHPF(app, v, cfg, func(x *xhpf.XHPF) apputil.Program {
 		// BLOCK distribution over whole rows, as the hand-coded versions
 		// do it: the communication is byte-identical to theirs.
 		bounds := xhpf.BlockBounds(x.NProcs(), n)
@@ -90,7 +90,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 		}
 
 		resSlot := arrIdx[p.Result]
-		return apputil.XHPFProgram{
+		return apputil.Program{
 			Iterate: func(it int) {
 				copy(fr.scal, idents)
 				for _, pl := range plans {

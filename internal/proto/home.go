@@ -291,7 +291,7 @@ func (hb *home) FetchAggregated(gps []int32) {
 	local := map[int32]any{}
 	perHome := map[int][]int32{}
 	for _, gp := range gps {
-		if !hb.pages[gp].invalid() {
+		if !hb.Invalid(gp) {
 			continue
 		}
 		hm := hb.homeOf(gp)
@@ -372,9 +372,8 @@ func (hb *home) extractLocal(gp int32, p *sim.Proc) (any, bool) {
 
 // needOf snapshots the page's pending notice vector for a request.
 func (hb *home) needOf(gp int32) pageNeed {
-	need := make([]int32, hb.nprocs)
-	copy(need, hb.pages[gp].notice)
-	return pageNeed{page: gp, need: need}
+	notice, _ := hb.vectors(gp)
+	return pageNeed{page: gp, need: append([]int32(nil), notice...)}
 }
 
 // installPage installs a fetched page copy: overwrite the local page,
@@ -383,7 +382,6 @@ func (hb *home) needOf(gp int32) pageNeed {
 // diffs against the home image).
 func (hb *home) installPage(p *sim.Proc, pg pageCopy, local map[int32]any) {
 	c := hb.h.Costs()
-	pc := &hb.pages[pg.page]
 	hb.h.InstallPage(pg.page, pg.data)
 	hb.ctr.PageFetches++
 	c.Trace.Instant(obs.EvPageFetch, p.ID(), int64(p.Now()), stats.KindPage, pg.page, 0)
@@ -391,6 +389,7 @@ func (hb *home) installPage(p *sim.Proc, pg pageCopy, local map[int32]any) {
 	p.Advance(c.PageCopy)
 	if payload, ok := local[pg.page]; ok {
 		hb.h.MakeTwin(pg.page) // twin = home image: next diff is ours alone
+		pc := &hb.pages[pg.page]
 		pc.hasTwin = true
 		pc.twinWrite = hb.curInterval
 		hb.h.ApplyDiff(pg.page, payload)
@@ -433,7 +432,7 @@ func (hb *home) ApplyDirectory(us []DirUpdate, kind stats.Kind) {
 		if tr.Enabled() {
 			tr.Instant(obs.EvHomeMove, hb.h.AppProc().ID(), int64(hb.h.AppProc().Now()), kind, u.Page, int64(olds[i]))
 		}
-		if hb.pages[u.Page].invalid() {
+		if hb.Invalid(u.Page) {
 			perOld[olds[i]] = append(perOld[olds[i]], u.Page)
 			hb.pulls[u.Page] = &pullState{}
 		}
@@ -509,11 +508,10 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 				rejected = append(rejected, DirUpdate{Page: fp.page, Home: int32(hb.id)})
 				continue
 			}
-			pc := &hb.pages[fp.page]
 			hb.h.ApplyDiff(fp.page, fp.payload)
 			hb.ctr.DiffsApplied++
-			if fm.interval > pc.applied[fm.writer] {
-				pc.applied[fm.writer] = fm.interval
+			if _, applied := hb.vectors(fp.page); fm.interval > applied[fm.writer] {
+				applied[fm.writer] = fm.interval
 			}
 			hb.pol.NoteFlush(fp.page, fm.writer, fp.bytes)
 			if ps := hb.pulls[fp.page]; ps != nil {
@@ -549,16 +547,16 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 				resp.rejected = append(resp.rejected, DirUpdate{Page: pn.page, Home: int32(hb.id)})
 				continue
 			}
-			pc := &hb.pages[pn.page]
+			_, applied := hb.vectors(pn.page)
 			for q := 0; q < hb.nprocs; q++ {
 				if q == hb.id {
 					continue // own writes are in the live copy by definition
 				}
-				if pn.need[q] > pc.applied[q] {
+				if pn.need[q] > applied[q] {
 					panic(fmt.Sprintf(
 						"proto: home %d behind on page %d: need interval %d of writer %d, have %d "+
 							"(flush-before-release invariant broken)",
-						hb.id, pn.page, pn.need[q], q, pc.applied[q]))
+						hb.id, pn.page, pn.need[q], q, applied[q]))
 				}
 			}
 			resp.pages = append(resp.pages, hb.copyOf(pn.page))
@@ -577,15 +575,15 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 			// page's home when the update was decided, and our retained
 			// copy is current through every release the new home can
 			// have heard of.
-			pc := &hb.pages[pn.page]
+			_, applied := hb.vectors(pn.page)
 			for q := 0; q < hb.nprocs; q++ {
 				if q == hb.id {
 					continue
 				}
-				if pn.need[q] > pc.applied[q] {
+				if pn.need[q] > applied[q] {
 					panic(fmt.Sprintf(
 						"proto: old home %d behind on migrating page %d: need interval %d of writer %d, have %d",
-						hb.id, pn.page, pn.need[q], q, pc.applied[q]))
+						hb.id, pn.page, pn.need[q], q, applied[q]))
 				}
 			}
 			resp.pages = append(resp.pages, hb.copyOf(pn.page))

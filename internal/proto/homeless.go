@@ -38,16 +38,15 @@ type diffRec struct {
 	bytes   int
 }
 
-// homelessPage is the homeless protocol's extra per-page state.
-type homelessPage struct {
-	appliedSeq []int32 // appliedSeq[q]: highest record seq of q applied here
-	recSeq     int32   // this node's record chain position for the page
-}
-
+// homeless adds two per-page tables to lrcCore's, under the same rules
+// (see lrcCore).
 type homeless struct {
 	lrcCore
-	meta []homelessPage
-	recs map[int32][]*diffRec
+	// seqs holds every page's appliedSeq vector: appliedSeq[q], the
+	// highest record seq of q applied here, is seqs[nprocs·gp+q].
+	seqs   []int32
+	recSeq []int32 // recSeq[gp]: this node's record chain position for gp
+	recs   map[int32][]*diffRec
 }
 
 func newHomeless(h Host) *homeless {
@@ -60,10 +59,16 @@ func (hl *homeless) Name() Name { return HomelessLRC }
 
 func (hl *homeless) AddPages(npages int) {
 	hl.addPages(npages)
-	slab := make([]int32, npages*hl.nprocs)
-	for i := 0; i < npages; i++ {
-		hl.meta = append(hl.meta, homelessPage{appliedSeq: carve(slab, i, hl.nprocs)})
-	}
+	hl.seqs = grow(hl.seqs, npages*hl.nprocs)
+	hl.recSeq = grow(hl.recSeq, npages)
+}
+
+// appliedSeq returns page gp's appliedSeq vector, a view into seqs like
+// lrcCore.vectors'.
+func (hl *homeless) appliedSeq(gp int32) []int32 {
+	n := hl.nprocs
+	o := n * int(gp)
+	return hl.seqs[o : o+n : o+n]
 }
 
 func (hl *homeless) WriteTouch(gp int32) { hl.writeTouch(gp, true) }
@@ -73,19 +78,18 @@ func (hl *homeless) WriteTouch(gp int32) { hl.writeTouch(gp, true) }
 // — so that a node installing the copy later asks each writer for the
 // records the copy lacks, not for the chain from its start.
 func (hl *homeless) Applied(gp int32) []int32 {
-	mp := &hl.meta[gp]
-	v := append(hl.lrcCore.Applied(gp), mp.appliedSeq...)
-	v[hl.nprocs+hl.id] = mp.recSeq
+	v := append(hl.lrcCore.Applied(gp), hl.appliedSeq(gp)...)
+	v[hl.nprocs+hl.id] = hl.recSeq[gp]
 	return v
 }
 
 // MarkApplied raises both halves of what Applied returned.
 func (hl *homeless) MarkApplied(gp int32, applied []int32) {
 	hl.lrcCore.MarkApplied(gp, applied[:hl.nprocs])
-	mp := &hl.meta[gp]
+	have := hl.appliedSeq(gp)
 	for q, seq := range applied[hl.nprocs:] {
-		if q != hl.id && seq > mp.appliedSeq[q] {
-			mp.appliedSeq[q] = seq
+		if q != hl.id && seq > have[q] {
+			have[q] = seq
 		}
 	}
 }
@@ -145,14 +149,13 @@ func (hl *homeless) extractPending(gp int32, p *sim.Proc) {
 		upto = hl.curInterval - 1
 		order = hl.orderEstimate()
 	}
-	mp := &hl.meta[gp]
-	mp.recSeq++
+	hl.recSeq[gp]++
 	rec := &diffRec{
-		page: gp, seq: mp.recSeq, upto: upto, order: order,
+		page: gp, seq: hl.recSeq[gp], upto: upto, order: order,
 		payload: payload, bytes: bytes,
 	}
 	hl.recs[gp] = append(hl.recs[gp], rec)
-	gc := len(hl.recs[gp]) > GCThreshold && hl.soleWriter(pc)
+	gc := len(hl.recs[gp]) > GCThreshold && hl.soleWriter(gp)
 	if gc {
 		hl.gcPage(gp)
 	}
@@ -162,10 +165,11 @@ func (hl *homeless) extractPending(gp int32, p *sim.Proc) {
 	}
 }
 
-// soleWriter reports whether no other node has ever write-noticed pc.
-func (hl *homeless) soleWriter(pc *pageCommon) bool {
-	for q := range pc.notice {
-		if q != hl.id && pc.notice[q] != 0 {
+// soleWriter reports whether no other node has ever write-noticed gp.
+func (hl *homeless) soleWriter(gp int32) bool {
+	notice, _ := hl.vectors(gp)
+	for q := range notice {
+		if q != hl.id && notice[q] != 0 {
 			return false
 		}
 	}
@@ -190,10 +194,9 @@ func (hl *homeless) gcPage(gp int32) {
 		}
 	}
 	payload, bytes := hl.h.MergeDiffs(gp, payloads)
-	mp := &hl.meta[gp]
-	mp.recSeq++
+	hl.recSeq[gp]++
 	hl.recs[gp] = []*diffRec{{
-		page: gp, seq: mp.recSeq, upto: maxUpto, order: maxOrder,
+		page: gp, seq: hl.recSeq[gp], upto: maxUpto, order: maxOrder,
 		payload: payload, bytes: bytes,
 	}}
 }
@@ -229,14 +232,13 @@ func (hl *homeless) Fault(gp int32) {
 	hl.ctr.Faults++
 	hl.extractPending(gp, p)
 
-	pc := &hl.pages[gp]
-	mp := &hl.meta[gp]
 	for q := 0; q < hl.nprocs; q++ {
-		if q == hl.id || pc.notice[q] <= pc.applied[q] {
+		notice, applied := hl.vectors(gp) // again after every Send
+		if q == hl.id || notice[q] <= applied[q] {
 			continue
 		}
 		writers = append(writers, q)
-		req := diffRequest{pages: []pageAsk{{page: gp, fromSeq: mp.appliedSeq[q]}}}
+		req := diffRequest{pages: []pageAsk{{page: gp, fromSeq: hl.appliedSeq(gp)[q]}}}
 		p.Send(hl.h.ServerOf(q), tagDiffReq, req, diffReqHdr+diffReqPerPage, stats.KindDiffReq)
 		c.Trace.Instant(obs.EvDiffReq, p.ID(), int64(p.Now()), stats.KindDiffReq, gp, int64(q))
 	}
@@ -253,17 +255,18 @@ func (hl *homeless) FetchAggregated(gps []int32) {
 	perWriter := make(map[int][]pageAsk)
 	var pages []int32
 	for _, gp := range gps {
-		pc := &hl.pages[gp]
-		if !pc.invalid() {
+		if !hl.Invalid(gp) {
 			continue
 		}
 		hl.extractPending(gp, p)
 		pages = append(pages, gp)
+		notice, applied := hl.vectors(gp) // after extractPending's Advance
+		seqs := hl.appliedSeq(gp)
 		for q := 0; q < hl.nprocs; q++ {
-			if q == hl.id || pc.notice[q] <= pc.applied[q] {
+			if q == hl.id || notice[q] <= applied[q] {
 				continue
 			}
-			perWriter[q] = append(perWriter[q], pageAsk{page: gp, fromSeq: hl.meta[gp].appliedSeq[q]})
+			perWriter[q] = append(perWriter[q], pageAsk{page: gp, fromSeq: seqs[q]})
 		}
 	}
 	if len(perWriter) == 0 {
@@ -319,28 +322,33 @@ func (hl *homeless) collectAndApply(writers []int, pages []int32) {
 		return all[i].writer < all[j].writer
 	})
 	for _, rf := range all {
-		pc := &hl.pages[rf.rec.page]
-		mp := &hl.meta[rf.rec.page]
-		hl.h.ApplyDiff(rf.rec.page, rf.rec.payload)
-		hl.ctr.DiffsApplied++
-		if rf.rec.upto > pc.applied[rf.writer] {
-			pc.applied[rf.writer] = rf.rec.upto
-		}
-		if rf.rec.seq > mp.appliedSeq[rf.writer] {
-			mp.appliedSeq[rf.writer] = rf.rec.seq
-		}
+		hl.applyRec(rf.rec, rf.writer)
 		p.Advance(c.DiffApplyCost(diffChangedBytes(rf.rec.bytes)))
 	}
 	// The writers have, by construction, answered with their complete
 	// chains: every pending notice from them on the asked pages is
 	// satisfied even when the matching diff was empty.
 	for _, gp := range pages {
-		pc := &hl.pages[gp]
+		notice, applied := hl.vectors(gp)
 		for _, q := range writers {
-			if pc.notice[q] > pc.applied[q] {
-				pc.applied[q] = pc.notice[q]
+			if notice[q] > applied[q] {
+				applied[q] = notice[q]
 			}
 		}
+	}
+}
+
+// applyRec applies writer's diff record r and raises the page's applied
+// and appliedSeq entries for writer to what r covers. Pure mutation: the
+// caller charges the CPU cost afterwards.
+func (hl *homeless) applyRec(r *diffRec, writer int) {
+	hl.h.ApplyDiff(r.page, r.payload)
+	hl.ctr.DiffsApplied++
+	if _, applied := hl.vectors(r.page); r.upto > applied[writer] {
+		applied[writer] = r.upto
+	}
+	if seqs := hl.appliedSeq(r.page); r.seq > seqs[writer] {
+		seqs[writer] = r.seq
 	}
 }
 
@@ -377,16 +385,7 @@ func (hl *homeless) FirePushes(p *sim.Proc, seq int, kind stats.Kind, pushes []*
 		m := p.Recv(src, tagPush+seq)
 		pm := m.Payload.(pushMsg)
 		for _, r := range pm.recs {
-			pc := &hl.pages[r.page]
-			mp := &hl.meta[r.page]
-			hl.h.ApplyDiff(r.page, r.payload)
-			hl.ctr.DiffsApplied++
-			if r.upto > pc.applied[pm.proc] {
-				pc.applied[pm.proc] = r.upto
-			}
-			if r.seq > mp.appliedSeq[pm.proc] {
-				mp.appliedSeq[pm.proc] = r.seq
-			}
+			hl.applyRec(r, pm.proc)
 			p.Advance(c.DiffApplyCost(diffChangedBytes(r.bytes)))
 		}
 	}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -56,27 +57,27 @@ func PageRuns(pages []int32) int {
 	return runs
 }
 
-// pageCommon is the protocol metadata both protocols keep for one page.
+// pageCommon is the per-page protocol metadata both protocols keep
+// besides the per-writer vectors, which live in lrcCore.vecs.
 type pageCommon struct {
 	hasTwin   bool
-	twinWrite int32   // interval of the most recent write fault
-	notice    []int32 // notice[q]: highest pending interval of writer q
-	applied   []int32 // applied[q]: highest interval of q applied here
-	lastSelf  int32   // last interval in which this node noticed the page
-}
-
-// invalid reports whether the page has unapplied remote write notices.
-func (pc *pageCommon) invalid() bool {
-	for q := range pc.notice {
-		if pc.notice[q] > pc.applied[q] {
-			return true
-		}
-	}
-	return false
+	twinWrite int32 // interval of the most recent write fault
+	lastSelf  int32 // last interval in which this node noticed the page
 }
 
 // lrcCore is the consistency state shared by both protocol
 // implementations.
+//
+// Per-page state lives in flat tables with one entry (or one nprocs-long
+// vector) per registered page: pages, vecs, and the protocol's and its
+// home policy's own tables beside them. Each grows by exactly a region's
+// pages when the region registers (AddPages, on the application
+// process), reallocating at most once (grow), so a table can move
+// whenever a later region registers. A view into one (vectors,
+// homeless.appliedSeq) or a &pages[gp] pointer must therefore not be
+// used after a yield point (Advance, Send, Recv), during which the
+// application process may register a region, nor after AddPages: take
+// it again.
 type lrcCore struct {
 	h      Host
 	id     int
@@ -88,7 +89,12 @@ type lrcCore struct {
 	log         [][]IntervalRec // the run's released intervals per process (Host.IntervalLog)
 	orders      []int64         // orders[k-1]: causal sort key of own interval k
 	pages       []pageCommon
-	ctr         Counters
+	// vecs holds every page's notice vector then its applied vector:
+	// notice[q], the highest pending interval of writer q, is
+	// vecs[2·nprocs·gp+q]; applied[q], the highest interval of q applied
+	// here, follows at +nprocs.
+	vecs []int32
+	ctr  Counters
 }
 
 func (lc *lrcCore) init(h Host) {
@@ -100,23 +106,27 @@ func (lc *lrcCore) init(h Host) {
 	lc.log = h.IntervalLog()
 }
 
-// addPages registers npages fresh pages. Their per-process vectors are
-// carved out of one slab per call — a node registers thousands of pages
-// per region, and one allocation per vector was a quarter of a DSM
-// run's mallocs.
+// addPages registers npages fresh pages.
 func (lc *lrcCore) addPages(npages int) {
-	slab := make([]int32, 2*npages*lc.nprocs)
-	for i := 0; i < npages; i++ {
-		lc.pages = append(lc.pages, pageCommon{
-			notice:  carve(slab, 2*i, lc.nprocs),
-			applied: carve(slab, 2*i+1, lc.nprocs),
-		})
-	}
+	lc.pages = grow(lc.pages, npages)
+	lc.vecs = grow(lc.vecs, 2*npages*lc.nprocs)
 }
 
-// carve returns the k-th length-n vector of slab, its capacity clipped
-// so that nothing can append into the next one.
-func carve(slab []int32, k, n int) []int32 { return slab[k*n : (k+1)*n : (k+1)*n] }
+// grow returns s extended by exactly n zero elements: a table registers
+// a region's pages at once, never one element at a time. slices.Grow
+// reallocates at most once, with append's spare capacity, so that the
+// small regions registered after a large one (SPF's control words and
+// reductions) mostly fit without another copy of the table.
+func grow[T any](s []T, n int) []T { return append(slices.Grow(s, n), make([]T, n)...) }
+
+// vectors returns page gp's notice and applied vectors: views into
+// vecs, nprocs long with their capacity clipped (see lrcCore for how
+// long a view may be kept).
+func (lc *lrcCore) vectors(gp int32) (notice, applied []int32) {
+	n := lc.nprocs
+	o := 2 * n * int(gp)
+	return lc.vecs[o : o+n : o+n], lc.vecs[o+n : o+2*n : o+2*n]
+}
 
 // writeTouch performs the write-access bookkeeping for page gp: twin the
 // page on the first write of an interval (the mprotect write-trap
@@ -267,9 +277,8 @@ func (lc *lrcCore) ApplyBatches(bs []NoticeBatch) {
 			}
 			next++
 			for _, pg := range iv.Pages {
-				pc := &lc.pages[pg]
-				if iv.Interval > pc.notice[q] {
-					pc.notice[q] = iv.Interval
+				if notice, _ := lc.vectors(pg); iv.Interval > notice[q] {
+					notice[q] = iv.Interval
 				}
 			}
 			lc.vc[q] = iv.Interval
@@ -284,25 +293,34 @@ func (lc *lrcCore) VC() []int32 { return lc.vc }
 // page's applied vector with the node's own entry at its last released
 // interval (its own released writes are always in its copy).
 func (lc *lrcCore) Applied(gp int32) []int32 {
-	applied := append([]int32(nil), lc.pages[gp].applied...)
-	applied[lc.id] = lc.vc[lc.id]
-	return applied
+	_, applied := lc.vectors(gp)
+	out := append([]int32(nil), applied...)
+	out[lc.id] = lc.vc[lc.id]
+	return out
 }
 
 // MarkApplied raises gp's applied vector to applied, the vector of the
 // copy just installed over the page. The node's own entry never moves:
 // its notices are never pending here.
 func (lc *lrcCore) MarkApplied(gp int32, applied []int32) {
-	pc := &lc.pages[gp]
+	_, have := lc.vectors(gp)
 	for q, upto := range applied {
-		if q != lc.id && upto > pc.applied[q] {
-			pc.applied[q] = upto
+		if q != lc.id && upto > have[q] {
+			have[q] = upto
 		}
 	}
 }
 
 // Invalid reports whether gp has unapplied remote write notices.
-func (lc *lrcCore) Invalid(gp int32) bool { return lc.pages[gp].invalid() }
+func (lc *lrcCore) Invalid(gp int32) bool {
+	notice, applied := lc.vectors(gp)
+	for q := range notice {
+		if notice[q] > applied[q] {
+			return true
+		}
+	}
+	return false
+}
 
 // Counters returns the node's protocol event counts.
 func (lc *lrcCore) Counters() *Counters { return &lc.ctr }

@@ -151,8 +151,10 @@ type directory struct {
 }
 
 func (d *directory) AddPages(npages int) {
-	for i := 0; i < npages; i++ {
-		d.homes = append(d.homes, int32(i*d.nprocs/npages))
+	base := len(d.homes)
+	d.homes = grow(d.homes, npages)
+	for i := range npages {
+		d.homes[base+i] = int32(i * d.nprocs / npages)
 	}
 }
 
@@ -188,8 +190,8 @@ func (*firstTouch) Name() PolicyName { return FirstTouchPolicy }
 
 func (ft *firstTouch) AddPages(npages int) {
 	ft.directory.AddPages(npages)
-	ft.claimed = append(ft.claimed, make([]bool, npages)...)
-	ft.mine = append(ft.mine, make([]bool, npages)...)
+	ft.claimed = grow(ft.claimed, npages)
+	ft.mine = grow(ft.mine, npages)
 }
 
 func (ft *firstTouch) NoteWrite(gp int32) {

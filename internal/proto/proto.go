@@ -233,11 +233,21 @@ type Protocol interface {
 // home-placement policy of the home-based protocol (empty: static); the
 // homeless protocol has no homes and ignores it.
 func New(name Name, policy PolicyName, h Host) Protocol {
+	var p Protocol
 	switch name {
 	case "", HomelessLRC:
-		return newHomeless(h)
+		p = newHomeless(h)
 	case HomeLRC:
-		return newHome(h, policy)
+		p = newHome(h, policy)
+	default:
+		panic(fmt.Sprintf("proto: unknown protocol %q", name))
 	}
-	panic(fmt.Sprintf("proto: unknown protocol %q", name))
+	if created != nil {
+		created(p)
+	}
+	return p
 }
+
+// created, when set (tests only), sees every instance New makes: the
+// invariant tests walk a whole run's nodes after it ends.
+var created func(Protocol)

@@ -25,6 +25,8 @@
 package tmk
 
 import (
+	"slices"
+
 	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -193,7 +195,6 @@ type node struct {
 	// all nodes, so global page ids agree everywhere.
 	regions    []regionHandle
 	pageLocs   []pageLoc
-	nextPage   int
 	allocSeq   int
 	barrierSeq int
 	frames     FrameCounters // this node's share; regions count into it
@@ -253,13 +254,14 @@ func (nd *node) setWorkerVC(w int, vc []int32) {
 func (nd *node) workerVCAt(w int) []int32 { return nd.workerVC[w] }
 
 // addPages registers npages fresh global pages belonging to region rid,
-// both in the layout map and with the protocol.
+// both in the layout map and with the protocol, and returns the first.
+// Like the protocol's tables, the map grows by a whole region at once.
 func (nd *node) addPages(rid, npages int) int {
-	base := nd.nextPage
-	for i := 0; i < npages; i++ {
+	base := len(nd.pageLocs)
+	nd.pageLocs = slices.Grow(nd.pageLocs, npages)
+	for i := range npages {
 		nd.pageLocs = append(nd.pageLocs, pageLoc{region: int16(rid), local: int32(i)})
 	}
-	nd.nextPage += npages
 	nd.prot.AddPages(npages)
 	return base
 }

@@ -921,6 +921,82 @@ func TestManyRegionsIndependent(t *testing.T) {
 	}
 }
 
+// TestLateRegistrationKeepsPageState: a region allocated mid-program,
+// after others have been written and synchronized (as spf.NewReduction
+// does), grows every per-page protocol table past its capacity, so the
+// tables move. What the earlier region's pages held must move with
+// them: write notices heard before the registration still fault, the
+// multiple writers' diffs and applied vectors still settle. The run must
+// match one that allocates the late region first, in checksum and in
+// every protocol counter, under both protocols.
+func TestLateRegistrationKeepsPageState(t *testing.T) {
+	const n, apages, bpages = 3, 6, 48 // b is far larger than a's tables' spare room
+	const epp, stripe = model.PageSize / 4, model.PageSize / 4 / n
+	for _, prot := range proto.Names() {
+		run := func(late bool) (float64, proto.Counters) {
+			sys := NewSystem(n, model.SP2(), WithProtocol(prot))
+			var sum float64
+			err := sys.Run(func(tm *Tmk) {
+				var b *Region[float64]
+				allocB := func() { b = Alloc[float64](tm, "b", bpages*model.PageSize/8) }
+				if !late {
+					allocB()
+				}
+				a := Alloc[float32](tm, "a", apages*epp)
+				// Every node writes its stripe of every page of a: each
+				// page has n writers.
+				write := func(v func(pg int) float32) {
+					for pg := 0; pg < apages; pg++ {
+						lo := pg*epp + tm.ID()*stripe
+						w := a.Write(lo, lo+stripe)
+						for i := range w {
+							w[i] = v(pg) + float32(i)
+						}
+					}
+				}
+				write(func(pg int) float32 { return float32(10*pg + tm.ID()) })
+				tm.Barrier() // every node now holds notices for every page of a
+				if late {
+					allocB()
+				}
+				g := a.Read(0, apages*epp) // faults on every page
+				next := (tm.ID() + 1) % n
+				neighbor := make([]float32, apages)
+				for pg := range neighbor {
+					neighbor[pg] = g[pg*epp+next*stripe]
+				}
+				write(func(pg int) float32 { return 100 + neighbor[pg] })
+				tm.Barrier()
+				b.Write(tm.ID(), tm.ID()+1)[0] = float64(tm.ID() + 1)
+				tm.Barrier()
+				if tm.ID() == 0 {
+					for _, v := range a.Read(0, apages*epp) {
+						sum += float64(v)
+					}
+					for _, v := range b.Read(0, n) {
+						sum += v
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s, late=%v: %v", prot, late, err)
+			}
+			return sum, sys.ProtocolCounters()
+		}
+		earlySum, earlyCtr := run(false)
+		lateSum, lateCtr := run(true)
+		if lateSum != earlySum {
+			t.Errorf("%s: checksum %v with the late region, %v with it allocated first", prot, lateSum, earlySum)
+		}
+		if lateCtr != earlyCtr {
+			t.Errorf("%s: counters %+v with the late region, %+v with it allocated first", prot, lateCtr, earlyCtr)
+		}
+		if earlyCtr.Faults == 0 || earlyCtr.DiffsApplied == 0 {
+			t.Errorf("%s: counters %+v: the run took no faults or applied no diffs", prot, earlyCtr)
+		}
+	}
+}
+
 // TestWriteValidationPanicsOutOfRange guards the access-check API.
 func TestWriteValidationPanicsOutOfRange(t *testing.T) {
 	sys := newTestSystem(1)

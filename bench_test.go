@@ -10,7 +10,7 @@ package repro
 //	seq-sec    sequential virtual time in seconds (Table 1)
 //
 // Benchmarks run at mid scale by default (page-granularity-preserving
-// reduced sizes; see harness.MidScale) so `go test -bench=.` finishes in
+// reduced sizes; see core.MidScale) so `go test -bench=.` finishes in
 // minutes. REPRO_BENCH_SCALE=paper in the environment runs the full
 // Table 1 data sets.
 
@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/proto"
@@ -30,11 +31,11 @@ import (
 
 const benchProcs = 8
 
-func benchScale() harness.Scale {
+func benchScale() core.Scale {
 	if os.Getenv("REPRO_BENCH_SCALE") == "paper" {
-		return harness.PaperScale
+		return core.PaperScale
 	}
-	return harness.MidScale
+	return core.MidScale
 }
 
 // benchRunner serves reportRun the sequential baseline every speedup
@@ -70,7 +71,7 @@ func reportRun(b *testing.B, app core.App, v core.Version) {
 // so host-ms is the host time of one sequential run: the floor under
 // every cell of the paper's tables.
 func BenchmarkTable1SequentialTimes(b *testing.B) {
-	for _, a := range harness.Apps() {
+	for _, a := range exp.PaperApps() {
 		b.Run(a.Name(), func(b *testing.B) {
 			var seq core.Result
 			var err error
@@ -88,7 +89,7 @@ func BenchmarkTable1SequentialTimes(b *testing.B) {
 
 func benchFigure(b *testing.B, apps []string) {
 	for _, name := range apps {
-		a, err := harness.AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func BenchmarkTable3IrregularTraffic(b *testing.B) {
 // variants next to their baselines.
 func BenchmarkSection5HandOptimizations(b *testing.B) {
 	for _, c := range harness.HandOptCases {
-		a, err := harness.AppByName(c.App)
+		a, err := exp.AppByName(c.App)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkSection5HandOptimizations(b *testing.B) {
 // comparison: the original 8(n-1)-message fork-join scheme against the
 // improved 2(n-1) interface, on Jacobi.
 func BenchmarkSection23InterfaceAblation(b *testing.B) {
-	a, err := harness.AppByName("Jacobi")
+	a, err := exp.AppByName("Jacobi")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func BenchmarkSection8BarrierReduce(b *testing.B) {
 // communication sequence a careful hand coder writes, which is the
 // point of the compiler experiment.
 func BenchmarkCompiledVsHand(b *testing.B) {
-	a, err := harness.AppByName("Jacobi")
+	a, err := exp.AppByName("Jacobi")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func BenchmarkCompiledVsHand(b *testing.B) {
 // bit-identical across protocols (asserted by the equivalence tests in
 // internal/harness); these metrics are the part that differs.
 func BenchmarkProtocolComparison(b *testing.B) {
-	for _, a := range harness.Apps() {
+	for _, a := range exp.PaperApps() {
 		v := harness.DSMVersionOf(a)
 		for _, procs := range harness.ProtocolProcCounts {
 			for _, p := range proto.Names() {
@@ -243,7 +244,7 @@ func BenchmarkProtocolComparison(b *testing.B) {
 // match the static homes, and a good policy leaves them alone.
 func BenchmarkHomePolicy(b *testing.B) {
 	for _, name := range harness.MigrationApps {
-		a, err := harness.AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func BenchmarkContention(b *testing.B) {
 		ways int
 	}{{"ideal", 0}, {"nic", -1}, {"nic+bp1", 1}}
 	for _, name := range []string{"Jacobi", "IGrid", "NBF"} {
-		a, err := harness.AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,7 +312,7 @@ func BenchmarkContention(b *testing.B) {
 // and doubled interconnect latency, demonstrating that the version
 // ranking (the paper's shape) is insensitive to the calibration.
 func BenchmarkModelSensitivity(b *testing.B) {
-	app, err := harness.AppByName("Jacobi")
+	app, err := exp.AppByName("Jacobi")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 // BenchmarkSection8PushVsPull compares §8's producer-push boundary
 // propagation against the default request-response pull on Jacobi.
 func BenchmarkSection8PushVsPull(b *testing.B) {
-	a, err := harness.AppByName("Jacobi")
+	a, err := exp.AppByName("Jacobi")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func BenchmarkSection8PushVsPull(b *testing.B) {
 // broadcast fallback on the irregular application degrades with scale.
 func BenchmarkScalability(b *testing.B) {
 	for _, name := range []string{"Jacobi", "IGrid"} {
-		a, err := harness.AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}

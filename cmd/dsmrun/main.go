@@ -70,7 +70,7 @@
 // shape reads as empty rather than serving stale bytes; torn or
 // corrupted entries are detected (per-frame CRC), skipped and
 // transparently recomputed. Concurrent access is safe within a process
-// and across processes (advisory file lock); fabric workers pass the
+// and across processes (advisory file lock); sweepd workers take the
 // same flag to consult their local store before executing a leased
 // range. A written record is visible to every process at once and
 // survives this one being killed; it is fsynced at the next commit
@@ -136,15 +136,14 @@
 //
 // Distributed sweeps (the sweep fabric):
 //
-//	dsmrun -worker-listen :9190                 # serve as a fabric worker
+//	sweepd -listen :9190                        # on each worker host
 //	dsmrun -sweep "..." -fabric host1:9190,host2:9190 [-fabric-range N] [-fabric-lease 2m]
 //
-// -fabric shards the sweep across worker daemons (dsmrun
-// -worker-listen or sweepd) listed as comma-separated addresses: the
-// coordinator splits the spec list into leased ranges, assigns them
-// over HTTP, validates and re-merges the streamed records into spec
-// order — the stdout bytes are identical to a local -sweep at any
-// worker count. Leases have deadlines (-fabric-lease); expired,
+// -fabric shards the sweep across sweepd worker daemons listed as
+// comma-separated addresses: the coordinator splits the spec list into
+// leased ranges, assigns them over HTTP, validates and re-merges the
+// streamed records into spec order — the stdout bytes are identical to
+// a local -sweep at any worker count. Leases have deadlines (-fabric-lease); expired,
 // crashed, or malformed leases are retried and reassigned, stragglers
 // are re-issued to idle workers (first valid result wins), and ranges
 // the fleet cannot finish fall back to local execution, so an empty or
@@ -194,7 +193,6 @@ func main() {
 	fabricAddrs := flag.String("fabric", "", "comma-separated fabric worker addresses: shard -sweep across them (merged output stays byte-identical)")
 	fabricRange := flag.Int("fabric-range", 0, "specs per fabric lease (0: 4)")
 	fabricLease := flag.Duration("fabric-lease", 0, "fabric lease deadline before reassignment (0: 2m)")
-	workerListen := flag.String("worker-listen", "", "serve as a fabric worker on this address (e.g. :9190) instead of running anything")
 	trace := flag.String("trace", "", "write the run's event trace as Chrome trace_event JSON to this file (single run)")
 	breakdown := flag.Bool("breakdown", false, "print the per-node time attribution (single run) or add bd_* fields (sweep)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
@@ -247,13 +245,13 @@ func main() {
 	}
 
 	// The persistent result store is shared by every mode that executes
-	// runs: sweeps serve records straight from it, single runs and
-	// fabric workers warm it. The engine syncs it at the end of every
-	// sweep and lease, ahead of the "N records failed" exit, and Close
-	// syncs a single run's record; the other fatal-exit paths skip both,
-	// which is safe: a Put is in the page cache once it returns, so the
-	// process dying loses nothing, and a power loss costs only frames
-	// that are recomputed and never served torn (see package store).
+	// runs: sweeps serve records straight from it, single runs warm it.
+	// The engine syncs it at the end of every sweep, ahead of the "N
+	// records failed" exit, and Close syncs a single run's record; the
+	// other fatal-exit paths skip both, which is safe: a Put is in the
+	// page cache once it returns, so the process dying loses nothing,
+	// and a power loss costs only frames that are recomputed and never
+	// served torn (see package store).
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
@@ -263,10 +261,6 @@ func main() {
 		defer st.Close()
 	}
 
-	if *workerListen != "" {
-		runWorker(*workerListen, *workers, st)
-		return
-	}
 	if *genSpec != "" || *genFile != "" {
 		if err := runGenDiff(*genSpec, *genFile); err != nil {
 			fatal(err)
@@ -464,10 +458,6 @@ func main() {
 			res.QueueTime(), res.Stats.TotalQueuedMsgs(),
 			res.QueueTimeBy(stats.QueueOut), res.QueueTimeBy(stats.QueueIn), res.QueueTimeBy(stats.QueueBackplane))
 	}
-	if res.FaultTime+res.SyncTime+res.WriteTime > 0 {
-		fmt.Printf("overheads = fault %v, sync %v, write-detect %v (summed over %d procs)\n",
-			res.FaultTime, res.SyncTime, res.WriteTime, res.Procs)
-	}
 	if res.Migrations+res.StaleForwards+res.RedirectedFlushBytes > 0 {
 		fmt.Printf("migration = %d home moves, %d stale-home NACKs, %d redirected flush bytes (whole run)\n",
 			res.Migrations, res.StaleForwards, res.RedirectedFlushBytes)
@@ -496,27 +486,6 @@ func printJSON(s exp.Spec, res, seq core.Result, haveSeq bool) {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// runWorker is the -worker-listen mode: serve as a fabric worker until
-// killed, with the full telemetry surface (/metrics, /debug/pprof/*)
-// next to the fabric endpoints. cmd/sweepd is the same daemon plus
-// CI's fault injection.
-func runWorker(listen string, workers int, st *store.Store) {
-	reg := metrics.NewRegistry()
-	w := fabric.NewWorker(reg)
-	w.Workers = workers
-	w.Store = st
-	w.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dsmrun: "+format+"\n", args...)
-	}
-	mux := metrics.NewMux(reg, w.Routes())
-	_, addr, err := metrics.StartServer(listen, mux)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "dsmrun: fabric worker serving /healthz, /run, /progress and /metrics on http://%s\n", addr)
-	select {} // serve until killed
 }
 
 // runGenDiff is the -gen/-genfile mode: run generated programs through

@@ -72,6 +72,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -103,7 +104,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	r := harness.NewRunner(*procs, harness.Scale(*scale))
+	r := harness.NewRunner(*procs, core.Scale(*scale))
 	r.Protocol = pname
 	if polname != proto.StaticPolicy {
 		r.HomePolicy = polname

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/harness"
 )
 
@@ -23,9 +24,9 @@ func main() {
 	procs := flag.Int("procs", 8, "processors")
 	flag.Parse()
 
-	r := harness.NewRunner(*procs, harness.MidScale)
+	r := harness.NewRunner(*procs, core.MidScale)
 	for _, name := range harness.IrregularApps {
-		app, err := harness.AppByName(name)
+		app, err := exp.AppByName(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -27,7 +27,7 @@ func main() {
 	flag.Parse()
 
 	app := jacobi.New()
-	r := harness.NewRunner(*procs, harness.MidScale)
+	r := harness.NewRunner(*procs, core.MidScale)
 	cfg := r.Config(app, *procs)
 	cfg.N1, cfg.Iters = *n, *iters
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	procs := flag.Int("procs", 8, "processors")
 	flag.Parse()
 
-	r := harness.NewRunner(*procs, harness.MidScale)
+	r := harness.NewRunner(*procs, core.MidScale)
 	if err := harness.HandOpt(os.Stdout, r); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -45,10 +45,7 @@ type measurement struct {
 	// dsm, when set, is the TreadMarks system whose whole-run counters
 	// the result reports.
 	dsm *tmk.System
-	// sum is process 0's checksum; fault, sync and write sum the
-	// TreadMarks profile of the timed windows.
-	sum                float64
-	fault, sync, write sim.Time
+	sum float64 // process 0's checksum
 }
 
 // unsynced is the boundary of a run whose one timed process has nobody
@@ -102,7 +99,7 @@ func (m *measurement) finish(app string, v core.Version, procs int, err error) (
 		return core.Result{}, err
 	}
 	res := core.Result{App: app, Version: v, Procs: procs, Time: m.reg.Elapsed(), Stats: m.reg.Traffic(),
-		Checksum: m.sum, FaultTime: m.fault, SyncTime: m.sync, WriteTime: m.write}
+		Checksum: m.sum}
 	if tr := m.cfg.Costs.Trace; tr.Enabled() {
 		res.Trace, res.Breakdown = tr, tr.Attribute(m.reg.Windows(procs))
 	}
@@ -135,27 +132,13 @@ func RunSeq(app string, cfg core.Config, setup func(tm *tmk.Tmk) Program) (core.
 }
 
 // RunTmk measures a hand-coded TreadMarks program. Its boundaries are
-// silent barriers, its checksum runs on process 0 alone (its page faults
-// are not counted), and the TreadMarks profile of each process's timed
-// window — from the end of boundary 1 to the start of boundary 2 —
-// becomes the result's fault, sync and write times.
+// silent barriers and its checksum runs on process 0 alone (its page
+// faults are not counted).
 func RunTmk(app string, v core.Version, cfg core.Config, setup func(tm *tmk.Tmk) Program) (core.Result, error) {
 	sys := newDSM(cfg.Procs, cfg)
 	m := &measurement{cfg: cfg, sys: sys, reg: core.NewRegion(cfg.Procs), dsm: sys}
 	err := sys.Run(func(tm *tmk.Tmk) {
-		var base tmk.Profile
-		m.measure(tm, setup(tm), func(step int) {
-			if step == 2 {
-				end := tm.Profile()
-				m.fault += end.Fault - base.Fault
-				m.sync += end.Barrier - base.Barrier + end.Lock - base.Lock
-				m.write += end.Write - base.Write
-			}
-			tm.BarrierSilent()
-			if step == 1 {
-				base = tm.Profile()
-			}
-		}, false)
+		m.measure(tm, setup(tm), func(int) { tm.BarrierSilent() }, false)
 	})
 	return m.finish(app, v, cfg.Procs, err)
 }

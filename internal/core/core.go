@@ -176,11 +176,6 @@ type Result struct {
 	Stats    stats.Stats
 	Checksum float64
 
-	// Overhead attribution summed over application processes (DSM
-	// versions only): time in page repair, synchronization and write
-	// detection — the decomposition of the paper's §5/§6 analysis.
-	FaultTime, SyncTime, WriteTime sim.Time
-
 	// HomePolicy is the home-placement policy the run used (home-based
 	// protocol only). The activity counters below are whole-run sums
 	// over nodes (warm-up included — migrations concentrate in the
@@ -211,13 +206,12 @@ type Result struct {
 }
 
 // QueueTime returns the contention queueing delay accumulated over the
-// timed region, summed over nodes. Zero when the run's cost model left
+// timed region. Zero when the run's cost model left
 // contention off (Config.Costs.SerialNIC / BackplaneWays unset).
 func (r Result) QueueTime() sim.Time { return sim.Time(r.Stats.TotalQueueNanos()) }
 
 // QueueTimeBy returns the part of the queueing delay bound by one
-// contention resource (out link, in link, or backplane), summed over
-// nodes.
+// contention resource (out link, in link, or backplane).
 func (r Result) QueueTimeBy(res stats.QueueResource) sim.Time {
 	return sim.Time(r.Stats.QueueResNanosOf(res))
 }

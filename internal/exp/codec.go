@@ -30,7 +30,7 @@ type field struct {
 
 // numFields is the number of Record fields, the embedded Spec's
 // included; parseCanonical keeps its seen-set in one word.
-const numFields = 39
+const numFields = 36
 
 var _ [64 - numFields]struct{}
 
@@ -53,9 +53,6 @@ func (r *Record) fields() [numFields]field {
 		{"msgs", false, &r.Msgs},
 		{"bytes", false, &r.Bytes},
 		{"checksum", false, &r.Checksum},
-		{"fault_ns", true, &r.FaultNanos},
-		{"sync_ns", true, &r.SyncNanos},
-		{"write_ns", true, &r.WriteNanos},
 		{"queue_ns", true, &r.QueueNanos},
 		{"queued_msgs", true, &r.QueuedMsgs},
 		{"queue_out_ns", true, &r.QueueOutNanos},

@@ -156,7 +156,7 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 	for _, n := range randomInts {
 		r := base
 		r.Procs, r.Contention, r.SchemaVersion = int(n), int(n), int(n)
-		r.TimeNanos, r.Msgs, r.Bytes, r.FaultNanos, r.BDOtherNanos, r.HostNanos = n, n, n, n, n, n
+		r.TimeNanos, r.Msgs, r.Bytes, r.QueueNanos, r.BDOtherNanos, r.HostNanos = n, n, n, n, n, n
 		checkAgainstMarshal(t, r)
 	}
 	for _, s := range randomStrings {

@@ -164,6 +164,11 @@ func TestRecordValidateRejectsCorruption(t *testing.T) {
 	if _, err := ValidateLine([]byte(`{"app":"Jacobi","version":"tmk","procs":2,"scale":"small","wat":1}`)); err == nil {
 		t.Error("unknown JSON field accepted")
 	}
+	schema1 := `{"app":"Jacobi","version":"tmk","procs":2,"scale":"small","protocol":"lrc","schema_version":1,` +
+		`"time_ns":1000,"time_seconds":0.000001,"msgs":4,"bytes":64,"checksum":1,"fault_ns":10,"sync_ns":20,"write_ns":3}`
+	if _, err := ValidateLine([]byte(schema1)); err == nil {
+		t.Error("schema-1 line with the retired fault_ns/sync_ns/write_ns accepted")
+	}
 	if _, err := ValidateLine([]byte(`not json`)); err == nil {
 		t.Error("malformed line accepted")
 	}

@@ -19,7 +19,7 @@ import (
 // a worker built before a schema change must not silently merge its
 // records into a newer coordinator's stream, or vice versa. Bump it
 // whenever a Record field is added, removed, or changes meaning.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Record is one JSON-lines measurement: the spec that identifies the
 // run plus the timed-region observables. Field order is the wire
@@ -48,12 +48,6 @@ type Record struct {
 	Bytes int64 `json:"bytes"`
 	// Checksum is the run's numerical result.
 	Checksum float64 `json:"checksum"`
-
-	// Overhead attribution (DSM versions only), in virtual nanoseconds
-	// summed over application processes.
-	FaultNanos int64 `json:"fault_ns,omitempty"`
-	SyncNanos  int64 `json:"sync_ns,omitempty"`
-	WriteNanos int64 `json:"write_ns,omitempty"`
 
 	// Contention queueing delay, total and split by the binding
 	// resource; zero (omitted) when the contention model is off.
@@ -122,9 +116,6 @@ func RecordOf(s Spec, res core.Result, err error) Record {
 	rec.Msgs = res.Stats.TotalMsgs()
 	rec.Bytes = res.Stats.TotalBytes()
 	rec.Checksum = res.Checksum
-	rec.FaultNanos = int64(res.FaultTime)
-	rec.SyncNanos = int64(res.SyncTime)
-	rec.WriteNanos = int64(res.WriteTime)
 	rec.QueueNanos = res.Stats.TotalQueueNanos()
 	rec.QueuedMsgs = res.Stats.TotalQueuedMsgs()
 	rec.QueueOutNanos = res.Stats.QueueResNanosOf(stats.QueueOut)
@@ -206,9 +197,6 @@ func (r Record) Validate() error {
 	}
 	if math.IsNaN(r.Checksum) || math.IsInf(r.Checksum, 0) {
 		return fmt.Errorf("exp: non-finite checksum in record %s", r.Key())
-	}
-	if r.FaultNanos < 0 || r.SyncNanos < 0 || r.WriteNanos < 0 {
-		return fmt.Errorf("exp: negative overhead attribution in record %s", r.Key())
 	}
 	if r.QueueNanos < 0 || r.QueuedMsgs < 0 {
 		return fmt.Errorf("exp: negative queue totals in record %s", r.Key())

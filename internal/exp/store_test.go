@@ -127,6 +127,38 @@ func TestStoreObservedAndPlainRecordsAreDisjoint(t *testing.T) {
 	}
 }
 
+// TestStoreOfAnOldSchemaReadsEmpty: a store an older build wrote — its
+// frames stamped schema 1, its records carrying the retired
+// fault_ns/sync_ns/write_ns fields — serves nothing under this build's
+// schema. The spec re-executes and streams in the current shape.
+func TestStoreOfAnOldSchemaReadsEmpty(t *testing.T) {
+	s := Spec{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale, Protocol: proto.HomelessLRC}.Normalize()
+	want := streamT(t, New(), []Spec{s})
+	old := bytes.Replace(bytes.TrimSpace(want), []byte("}"), []byte(`,"fault_ns":1,"sync_ns":2,"write_ns":3}`), 1)
+
+	dir := t.TempDir()
+	v1, err := store.Open(dir, store.Options{SchemaVersion: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v1.Put(StoreKey(s, false), old); err != nil {
+		t.Fatal(err)
+	}
+	v1.Close()
+
+	e := New()
+	e.Store = openStoreT(t, dir)
+	if got := streamT(t, e, []Spec{s}); !bytes.Equal(got, want) {
+		t.Fatalf("sweep over a schema-1 store:\n%s\nwant:\n%s", got, want)
+	}
+	if hs := e.HostStats(); hs.StoreHits != 0 || hs.RunsStarted != 1 {
+		t.Errorf("schema-1 store: %d hits, %d runs; want 0 hits and a re-execution", hs.StoreHits, hs.RunsStarted)
+	}
+	if st := e.Store.Stats(); st.SchemaSkips == 0 {
+		t.Errorf("stats = %+v, want the schema-1 frame skipped", st)
+	}
+}
+
 // TestStoreCorruptEntryRecomputed corrupts one stored frame in place:
 // the engine must detect it, re-execute that spec, emit identical
 // bytes, and heal the store so the next run is all hits again.

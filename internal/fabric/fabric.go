@@ -1,11 +1,11 @@
 // Package fabric distributes a sweep's spec list across worker
 // processes: a Coordinator splits the list into contiguous leased
-// ranges, assigns them over HTTP to Workers (cmd/sweepd daemons or
-// dsmrun -worker-listen), and merges the workers' JSON-lines record
-// streams back into spec order. The merged output is byte-identical to
-// a single-process sweep of the same specs at any worker count — the
-// same invariant internal/exp proves for in-process workers, carried
-// across process and machine boundaries.
+// ranges, assigns them over HTTP to Workers (cmd/sweepd daemons), and
+// merges the workers' JSON-lines record streams back into spec order.
+// The merged output is byte-identical to a single-process sweep of the
+// same specs at any worker count — the same invariant internal/exp
+// proves for in-process workers, carried across process and machine
+// boundaries.
 //
 // Robustness is the design center, not an afterthought:
 //

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -276,7 +277,7 @@ func TestUnstampedStreamFailsLease(t *testing.T) {
 			}
 			rec := httptest.NewRecorder()
 			next.ServeHTTP(rec, r)
-			body := strings.ReplaceAll(rec.Body.String(), `"schema_version":1,`, "")
+			body := strings.ReplaceAll(rec.Body.String(), `"schema_version":`+strconv.Itoa(exp.SchemaVersion)+`,`, "")
 			io.WriteString(w, body)
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/loopc"
 	"repro/internal/loopc/gen"
 	"repro/internal/proto"
@@ -33,7 +34,7 @@ func TestCompiledEquivalence(t *testing.T) {
 			for _, procs := range compiledProcCounts {
 				for _, p := range proto.Names() {
 					t.Run(fmt.Sprintf("%s/%s/p%d/%s", a.Name(), gen, procs, p), func(t *testing.T) {
-						r := NewRunner(procs, SmallScale)
+						r := NewRunner(procs, core.SmallScale)
 						r.Protocol = p
 						h, err := r.Run(a, hand)
 						if err != nil {
@@ -46,7 +47,7 @@ func TestCompiledEquivalence(t *testing.T) {
 						if g.Checksum != h.Checksum {
 							t.Errorf("%s checksum = %v, want %v (as %s)", gen, g.Checksum, h.Checksum, hand)
 						}
-						again := NewRunner(procs, SmallScale)
+						again := NewRunner(procs, core.SmallScale)
 						again.Protocol = p
 						g2, err := again.Run(a, gen)
 						if err != nil {
@@ -75,7 +76,7 @@ func TestCompiledTrafficMatchesHand(t *testing.T) {
 	for _, a := range CompiledApps() {
 		for _, pair := range CompiledPairs() {
 			for _, procs := range compiledProcCounts {
-				r := NewRunner(procs, SmallScale)
+				r := NewRunner(procs, core.SmallScale)
 				hand, err := r.Run(a, pair[0])
 				if err != nil {
 					t.Fatal(err)
@@ -104,8 +105,8 @@ func TestCompiledTrafficMatchesHand(t *testing.T) {
 // an index-order float32 fold, and to 1e-9 for 3-D FFT, whose transform
 // legitimately differs in the last ulp with the slab count.
 func TestMessagePassingMatchesSequential(t *testing.T) {
-	for _, a := range AllApps() {
-		seq, err := NewRunner(1, SmallScale).Run(a, core.Seq)
+	for _, a := range exp.Apps() {
+		seq, err := NewRunner(1, core.SmallScale).Run(a, core.Seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestMessagePassingMatchesSequential(t *testing.T) {
 				continue
 			}
 			for procs := 1; procs <= 8; procs++ {
-				res, err := NewRunner(procs, SmallScale).Run(a, v)
+				res, err := NewRunner(procs, core.SmallScale).Run(a, v)
 				if err != nil {
 					t.Errorf("%s/%s p%d: %v", a.Name(), v, procs, err)
 					continue
@@ -154,7 +155,7 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 	// otherwise. The sample must reach both.
 	var replicating, allBanded int
 	for _, seed := range corpusSampleSeeds(t) {
-		a, err := AppByName(fmt.Sprintf("gen-%d", seed))
+		a, err := exp.AppByName(fmt.Sprintf("gen-%d", seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						r := NewRunner(procs, SmallScale)
+						r := NewRunner(procs, core.SmallScale)
 						r.Protocol = p
 						res, err := r.Run(a, v)
 						if err != nil {
@@ -197,7 +198,7 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 						if res.Checksum != want {
 							t.Errorf("%s checksum = %x, oracle %x", v, res.Checksum, want)
 						}
-						again := NewRunner(procs, SmallScale)
+						again := NewRunner(procs, core.SmallScale)
 						again.Protocol = p
 						res2, err := again.Run(a, v)
 						if err != nil {
@@ -222,7 +223,7 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 
 // TestCompilerExperimentOutput drives the printed experiment.
 func TestCompilerExperimentOutput(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	var sb strings.Builder
 	if err := Compiler(&sb, r); err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func (r *Runner) contentionColumns(v core.Version) []contentionColumn {
 func Contention(w io.Writer, r *Runner) error {
 	var specs []exp.Spec
 	for _, name := range ContentionApps {
-		a, err := AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			return err
 		}
@@ -122,7 +122,7 @@ func Contention(w io.Writer, r *Runner) error {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "--------------------------------------------------------------------------------------------------------------------")
 	for _, name := range ContentionApps {
-		a, err := AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			return err
 		}

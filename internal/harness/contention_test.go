@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/proto"
 )
 
@@ -12,7 +13,7 @@ import (
 // model disabled must reproduce the plain runner's results bit for bit
 // — time, traffic and checksum — with no queueing delay recorded.
 func TestContentionOffMatchesBaseline(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	cases := []struct {
 		app  string
 		v    core.Version
@@ -24,7 +25,7 @@ func TestContentionOffMatchesBaseline(t *testing.T) {
 		{"NBF", core.PVMe, ""},
 	}
 	for _, c := range cases {
-		a, err := AppByName(c.app)
+		a, err := exp.AppByName(c.app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +58,10 @@ func TestContentionOffMatchesBaseline(t *testing.T) {
 // n-1 copies through one adapter), while the regular application's
 // pairwise halo exchanges — spread over disjoint links — barely queue.
 func TestContentionSuperLinearOnIrregularBroadcasts(t *testing.T) {
-	r := NewRunner(8, SmallScale)
+	r := NewRunner(8, core.SmallScale)
 	const nicOnly = -1
 	qd := func(app string, v core.Version, procs int) (float64, float64) {
-		a, err := AppByName(app)
+		a, err := exp.AppByName(app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestContentionExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is not a -short test")
 	}
-	r := NewRunner(8, SmallScale)
+	r := NewRunner(8, core.SmallScale)
 	if err := Contention(io.Discard, r); err != nil {
 		t.Fatal(err)
 	}

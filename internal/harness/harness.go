@@ -12,38 +12,13 @@ import (
 	"repro/internal/store"
 )
 
-// Apps returns the six applications in the paper's order.
-func Apps() []core.App { return exp.PaperApps() }
-
-// AllApps returns every application: the paper's six plus the kernels
-// added through the internal/loopc compiler front end (the paper
-// tables iterate Apps; version-level experiments iterate these).
-func AllApps() []core.App { return exp.Apps() }
-
-// AppByName finds an application (including the non-paper kernels).
-func AppByName(name string) (core.App, error) { return exp.AppByName(name) }
-
-// Scale selects the problem sizes. It is core.Scale: sizing lives with
-// the applications (core.App.Config), not in a harness table.
-type Scale = core.Scale
-
-const (
-	// PaperScale runs Table 1's data sets.
-	PaperScale = core.PaperScale
-	// MidScale runs reduced sizes that preserve the page-granularity
-	// regime (rows/vectors of at least a page) at a fraction of the time.
-	MidScale = core.MidScale
-	// SmallScale runs the tiny test sizes.
-	SmallScale = core.SmallScale
-)
-
 // Runner is a thin client of the internal/exp engine: it pins the
 // default processor count, scale, calibration and protocol, renders
 // specs for the experiments below, and shares one concurrency-safe
 // result cache across every table and sub-runner.
 type Runner struct {
 	Procs    int
-	Scale    Scale
+	Scale    core.Scale
 	Costs    model.Costs
 	App      model.AppCosts
 	Protocol proto.Name // DSM coherence protocol (empty: homeless LRC)
@@ -70,7 +45,7 @@ type Runner struct {
 }
 
 // NewRunner builds a Runner with the calibrated SP/2 model.
-func NewRunner(procs int, scale Scale) *Runner {
+func NewRunner(procs int, scale core.Scale) *Runner {
 	return &Runner{
 		Procs: procs,
 		Scale: scale,
@@ -157,8 +132,8 @@ func (r *Runner) Speedup(app core.App, v core.Version) (float64, error) {
 // CachedKeys lists completed runs (for progress reporting).
 func (r *Runner) CachedKeys() []string { return r.Engine().CachedKeys() }
 
-func scaleNote(s Scale) string {
-	if s == PaperScale {
+func scaleNote(s core.Scale) string {
+	if s == core.PaperScale {
 		return ""
 	}
 	return fmt.Sprintf(" [%s scale: absolute counts are not comparable to the paper's; rankings are]", s)
@@ -167,7 +142,7 @@ func scaleNote(s Scale) string {
 // Table1 prints data-set sizes and sequential times (paper Table 1).
 func Table1(w io.Writer, r *Runner) error {
 	var specs []exp.Spec
-	for _, a := range Apps() {
+	for _, a := range exp.PaperApps() {
 		specs = append(specs, r.Spec(a.Name(), core.Seq))
 	}
 	res, err := r.results(specs)
@@ -177,7 +152,7 @@ func Table1(w io.Writer, r *Runner) error {
 	fmt.Fprintf(w, "Table 1: Data Set Sizes and Sequential Execution Time%s\n", scaleNote(r.Scale))
 	fmt.Fprintf(w, "%-9s | %-28s | %10s | %10s\n", "App", "Problem Size", "paper (s)", "meas (s)")
 	fmt.Fprintln(w, "----------------------------------------------------------------------")
-	for _, a := range Apps() {
+	for _, a := range exp.PaperApps() {
 		seq := res[r.Spec(a.Name(), core.Seq).Key()]
 		note := ""
 		if SeqEstimated[a.Name()] {
@@ -349,14 +324,6 @@ func Interface(w io.Writer, r *Runner) error {
 	fmt.Fprintf(w, "%-20s | %10d | %10.2f | %8.2f\n", "original (8(n-1))", old.Stats.TotalMsgs(), old.Time.Seconds(), old.Speedup(seq.Time))
 	fmt.Fprintf(w, "%-20s | %10d | %10.2f | %8.2f\n", "improved (2(n-1))", improved.Stats.TotalMsgs(), improved.Time.Seconds(), improved.Speedup(seq.Time))
 	fmt.Fprintf(w, "paper: the improvement cuts fork-join messages 4x and \"has a significant effect on execution time\"\n")
-	return nil
-}
-
-// BarrierReduction prints the §8 barrier-merged reduction ablation on
-// IGrid-style reductions (extension feature).
-func BarrierReduction(w io.Writer, r *Runner) error {
-	fmt.Fprintf(w, "Section 8 extension: reductions through barriers vs locks%s\n", scaleNote(r.Scale))
-	fmt.Fprintln(w, "(see BenchmarkSection8BarrierReduce in bench_test.go for the microbenchmark)")
 	return nil
 }
 

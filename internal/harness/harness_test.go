@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 )
 
 func TestAppsComplete(t *testing.T) {
-	apps := Apps()
+	apps := exp.PaperApps()
 	if len(apps) != 6 {
 		t.Fatalf("have %d applications, want 6", len(apps))
 	}
@@ -40,18 +41,9 @@ func TestPaperTablesCoverEveryAppAndVersion(t *testing.T) {
 	}
 }
 
-func TestAppByName(t *testing.T) {
-	if _, err := AppByName("Jacobi"); err != nil {
-		t.Error(err)
-	}
-	if _, err := AppByName("NoSuchApp"); err == nil {
-		t.Error("expected error for unknown app")
-	}
-}
-
 func TestRunnerCaches(t *testing.T) {
-	r := NewRunner(2, SmallScale)
-	a, _ := AppByName("Jacobi")
+	r := NewRunner(2, core.SmallScale)
+	a, _ := exp.AppByName("Jacobi")
 	r1, err := r.Run(a, core.Seq)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +63,7 @@ func TestRunnerCaches(t *testing.T) {
 // TestAllExperimentsSmall drives every experiment end to end at the
 // small scale, checking the output mentions each application.
 func TestAllExperimentsSmall(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	var sb strings.Builder
 	if err := All(&sb, r); err != nil {
 		t.Fatal(err)
@@ -104,9 +96,9 @@ func (a nanApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
 // error and renders nothing — it used to print a speedup from the run's
 // time — while a table that does not need the run still renders.
 func TestTablesRefuseANonFiniteResult(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	r.Engine().Lookup = func(name string) (core.App, error) {
-		a, err := AppByName(name)
+		a, err := exp.AppByName(name)
 		if name == "MGS" {
 			a = nanApp{a, core.TmkOpt}
 		}
@@ -132,9 +124,9 @@ func TestMidScaleRankingsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid scale takes tens of seconds")
 	}
-	r := NewRunner(8, MidScale)
+	r := NewRunner(8, core.MidScale)
 	for _, name := range RegularApps {
-		a, _ := AppByName(name)
+		a, _ := exp.AppByName(name)
 		spf, err := r.Speedup(a, core.SPF)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +140,7 @@ func TestMidScaleRankingsHold(t *testing.T) {
 		}
 	}
 	for _, name := range IrregularApps {
-		a, _ := AppByName(name)
+		a, _ := exp.AppByName(name)
 		spf, err := r.Speedup(a, core.SPF)
 		if err != nil {
 			t.Fatal(err)

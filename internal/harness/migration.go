@@ -40,7 +40,7 @@ var MigrationProcCounts = []int{1, 2, 4, 8}
 func (r *Runner) MigrationSpecs() []exp.Spec {
 	var specs []exp.Spec
 	for _, name := range MigrationApps {
-		a, err := AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			continue
 		}
@@ -74,7 +74,7 @@ func Migration(w io.Writer, r *Runner) error {
 	fmt.Fprintf(w, " %9s\n", "adpt/stat")
 	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------------------------------------")
 	for _, name := range MigrationApps {
-		a, err := AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/proto"
 	"repro/internal/stats"
 )
@@ -38,9 +39,9 @@ var policyTrafficGolden = []struct {
 // policy, and checks the static rows against the main golden table: the
 // policy API must leave the pre-policy protocol untouched.
 func TestGoldenTrafficHomePolicies(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	for _, g := range policyTrafficGolden {
-		a, err := AppByName(g.app)
+		a, err := exp.AppByName(g.app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,12 +72,12 @@ func TestGoldenTrafficHomePolicies(t *testing.T) {
 // migration activity.
 func TestSingleNodeNeverMigrates(t *testing.T) {
 	for _, name := range MigrationApps {
-		a, err := AppByName(name)
+		a, err := exp.AppByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := DSMVersionOf(a)
-		r := NewRunner(1, SmallScale)
+		r := NewRunner(1, core.SmallScale)
 		static, err := r.policySub(1, proto.StaticPolicy).Run(a, v)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +108,7 @@ func TestSingleNodeNeverMigrates(t *testing.T) {
 // row, so this is the cheap whole-grid regression.
 func TestMigrationExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRunner(8, SmallScale)
+	r := NewRunner(8, core.SmallScale)
 	if err := Migration(&buf, r); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestAdaptiveReducesMGSFlushTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid-scale MGS comparison in -short mode")
 	}
-	a, err := AppByName("MGS")
+	a, err := exp.AppByName("MGS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(8, MidScale)
+	r := NewRunner(8, core.MidScale)
 	static, err := r.policySub(8, proto.StaticPolicy).Run(a, core.Tmk)
 	if err != nil {
 		t.Fatal(err)

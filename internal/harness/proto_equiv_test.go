@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/proto"
 )
 
@@ -20,12 +21,12 @@ import (
 // reproduce the per-protocol message and byte counts exactly (the
 // simulator is deterministic, so any drift is a protocol-state leak).
 func TestProtocolEquivalence(t *testing.T) {
-	for _, a := range Apps() {
+	for _, a := range exp.PaperApps() {
 		rep := DSMVersionOf(a)
 		for _, v := range DSMVersions(a) {
 			for _, procs := range ProtocolProcCounts {
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name(), v, procs), func(t *testing.T) {
-					base := NewRunner(procs, SmallScale)
+					base := NewRunner(procs, core.SmallScale)
 					first, err := base.RunProtocols(a, v, procs)
 					if err != nil {
 						t.Fatal(err)
@@ -83,13 +84,13 @@ func TestProtocolEquivalence(t *testing.T) {
 // difftest.TestTwinApplyRegression).
 func TestProtocolEquivalenceCorpus(t *testing.T) {
 	for _, seed := range corpusSampleSeeds(t) {
-		a, err := AppByName(fmt.Sprintf("gen-%d", seed))
+		a, err := exp.AppByName(fmt.Sprintf("gen-%d", seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, procs := range ProtocolProcCounts {
 			t.Run(fmt.Sprintf("%s/p%d", a.Name(), procs), func(t *testing.T) {
-				base := NewRunner(procs, SmallScale)
+				base := NewRunner(procs, core.SmallScale)
 				first, err := base.RunProtocols(a, core.SPFGen, procs)
 				if err != nil {
 					t.Fatal(err)

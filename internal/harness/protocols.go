@@ -91,7 +91,7 @@ func (r *Runner) RunProtocols(a core.App, v core.Version, procs int) ([]core.Res
 // is swept through the engine up front, saturating host cores.
 func Protocols(w io.Writer, r *Runner) error {
 	var specs []exp.Spec
-	for _, a := range Apps() {
+	for _, a := range exp.PaperApps() {
 		for _, procs := range ProtocolProcCounts {
 			specs = append(specs, r.ProtocolSpecs(a, DSMVersionOf(a), procs)...)
 		}
@@ -106,7 +106,7 @@ func Protocols(w io.Writer, r *Runner) error {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "--------------------------------------------------------------------------------------------------")
-	for _, a := range Apps() {
+	for _, a := range exp.PaperApps() {
 		v := DSMVersionOf(a)
 		for _, procs := range ProtocolProcCounts {
 			results, err := r.RunProtocols(a, v, procs)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/proto"
 )
 
@@ -103,7 +104,7 @@ func TestGoldenTrafficCoversEveryVersion(t *testing.T) {
 	for _, g := range trafficGolden {
 		have[trafficGold{app: g.app, version: g.version, protocol: g.protocol}] = true
 	}
-	for _, a := range AllApps() {
+	for _, a := range exp.Apps() {
 		dsm := map[core.Version]bool{}
 		for _, v := range DSMVersions(a) {
 			dsm[v] = true
@@ -127,9 +128,9 @@ func TestGoldenTrafficCoversEveryVersion(t *testing.T) {
 
 // TestGoldenTraffic pins the exact msgs/bytes of every combination.
 func TestGoldenTraffic(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	for _, g := range trafficGolden {
-		a, err := AppByName(g.app)
+		a, err := exp.AppByName(g.app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestGoldenTraffic(t *testing.T) {
 		if res.Stats.TotalMsgs() != g.msgs || res.Stats.TotalBytes() != g.bytes {
 			t.Errorf("%s/%s/%s traffic drifted: got %d msgs / %d bytes, golden %d / %d\n"+
 				"(if the change is deliberate, regenerate: run each combination at 4 procs, "+
-				"SmallScale, and copy TotalMsgs/TotalBytes into trafficGolden)",
+				"core.SmallScale, and copy TotalMsgs/TotalBytes into trafficGolden)",
 				g.app, g.version, g.protocol,
 				res.Stats.TotalMsgs(), res.Stats.TotalBytes(), g.msgs, g.bytes)
 		}
@@ -157,14 +158,14 @@ func TestGoldenTraffic(t *testing.T) {
 // answer must still be bit-identical to the uncontended run, and the
 // traffic may drift only marginally from golden.
 func TestGoldenTrafficContentionInvariant(t *testing.T) {
-	r := NewRunner(4, SmallScale)
+	r := NewRunner(4, core.SmallScale)
 	for _, g := range trafficGolden {
 		switch g.app {
 		case "Jacobi", "IGrid", "NBF":
 		default:
 			continue
 		}
-		a, err := AppByName(g.app)
+		a, err := exp.AppByName(g.app)
 		if err != nil {
 			t.Fatal(err)
 		}

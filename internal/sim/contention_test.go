@@ -127,8 +127,8 @@ func TestContentionFIFOPerLink(t *testing.T) {
 	if got := c.Stats().TotalQueueNanos(); got != int64(wantQ[1]+wantQ[2]) {
 		t.Errorf("TotalQueueNanos = %d, want %d", got, int64(wantQ[1]+wantQ[2]))
 	}
-	if got := c.Stats().QueueNanosOf(0); got != int64(wantQ[1]+wantQ[2]) {
-		t.Errorf("node 0 queue delay = %d, want %d (delay charged to the sender's node)", got, int64(wantQ[1]+wantQ[2]))
+	if got := c.Stats().TotalQueuedMsgs(); got != 2 {
+		t.Errorf("TotalQueuedMsgs = %d, want 2 (messages 1 and 2 waited)", got)
 	}
 }
 

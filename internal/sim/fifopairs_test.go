@@ -154,9 +154,6 @@ func TestQueueAttributionByResourceAndKind(t *testing.T) {
 	if got := st.QueueKindNanosOf(stats.KindBarrier); got != total {
 		t.Errorf("kind split: barrier delay = %d, want %d (the queued message was the barrier one)", got, total)
 	}
-	if got := st.NodeQueueResNanos(0, stats.QueueOut); got != total {
-		t.Errorf("node 0 out-link delay = %d, want %d", got, total)
-	}
 
 	// In-link: two senders to one root at the same virtual time; the
 	// second binds on the root's incoming link.

@@ -305,15 +305,6 @@ func (c *Cluster) TransferTime(payloadBytes int) Time {
 	return c.cfg.Latency + Time(float64(wire)*c.cfg.NanosPerByte)
 }
 
-// NodeOf maps a process id to its physical node under the contention
-// model. Without one (Config.Nodes == 0) every process is its own node.
-func (c *Cluster) NodeOf(proc int) int {
-	if c.cfg.Nodes > 0 {
-		return proc % c.cfg.Nodes
-	}
-	return proc
-}
-
 // DeadlockError reports that no process could make progress.
 type DeadlockError struct {
 	States []string
@@ -495,7 +486,7 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 	}
 	c.stats.Record(kind, wire)
 	if queued > 0 {
-		c.stats.RecordQueue(c.NodeOf(p.id), int64(queued), binder, kind)
+		c.stats.RecordQueue(int64(queued), binder, kind)
 		c.cfg.Trace.Span(obs.EvQueue, p.id, int64(p.clock), int64(queued), kind, -1, int64(binder))
 	}
 	// Keep the horizon honest under contention: this send may let dst

@@ -58,11 +58,6 @@ func (k Kind) String() string {
 // Table 2/3 totals.
 func (k Kind) Counted() bool { return k != KindShutdown }
 
-// MaxNodes bounds the per-node queueing-delay accounting of the
-// contention model. Nodes beyond the bound accumulate into the last
-// slot (the simulator never runs that wide today).
-const MaxNodes = 64
-
 // QueueResource identifies the contention resource that bound a queued
 // message: the resource whose busy-until time set the transfer's start.
 type QueueResource uint8
@@ -100,26 +95,26 @@ func AllQueueResources() []QueueResource {
 }
 
 // Stats holds per-kind message counts and byte totals, plus the
-// contention model's per-node queueing-delay accounting. The zero value
-// is ready to use. It is safe for single-threaded use only; the
-// simulator's scheduler serializes all access during a run.
+// contention model's queueing-delay totals. It counts what the network
+// carried; where each node's time went is package obs's attribution.
+// The zero value is ready to use. It is safe for single-threaded use
+// only; the simulator's scheduler serializes all access during a run.
 type Stats struct {
 	Msgs  [numKinds]int64
 	Bytes [numKinds]int64
 
 	// QueueNanos is the virtual time messages spent waiting for a busy
-	// NIC link or backplane before transmission, accumulated per
-	// sending node. All zero when contention modeling is off.
-	QueueNanos [MaxNodes]int64
-	// QueuedMsgs counts the messages per sending node that waited at
-	// all.
-	QueuedMsgs [MaxNodes]int64
-	// QueueResNanos splits each sending node's queueing delay by the
-	// binding resource — the one whose busy-until time the transfer
-	// actually waited on. A broadcast storm shows up on the sender's
-	// out link; a gather's root congestion shows up on in links; an
-	// undersized switch shows up on the backplane.
-	QueueResNanos [MaxNodes][numQueueResources]int64
+	// NIC link or backplane before transmission. Zero when contention
+	// modeling is off.
+	QueueNanos int64
+	// QueuedMsgs counts the messages that waited at all.
+	QueuedMsgs int64
+	// QueueResNanos splits the queueing delay by the binding resource —
+	// the one whose busy-until time the transfer actually waited on. A
+	// broadcast storm shows up on the sender's out link; a gather's root
+	// congestion shows up on in links; an undersized switch shows up on
+	// the backplane.
+	QueueResNanos [numQueueResources]int64
 	// QueueKindNanos splits the total queueing delay by the message's
 	// traffic category, locating which protocol activity queued.
 	QueueKindNanos [numKinds]int64
@@ -132,73 +127,28 @@ func (s *Stats) Record(k Kind, bytes int) {
 	s.Bytes[k] += int64(bytes)
 }
 
-// RecordQueue adds contention queueing delay for one message of kind k
-// sent by the given node, attributed to the binding resource res.
-func (s *Stats) RecordQueue(node int, nanos int64, res QueueResource, k Kind) {
-	if node < 0 {
-		return
-	}
-	if node >= MaxNodes {
-		node = MaxNodes - 1
-	}
-	s.QueueNanos[node] += nanos
-	s.QueuedMsgs[node]++
-	if res < numQueueResources {
-		s.QueueResNanos[node][res] += nanos
-	}
-	if k < numKinds {
-		s.QueueKindNanos[k] += nanos
-	}
+// RecordQueue adds contention queueing delay for one message of kind k,
+// attributed to the binding resource res.
+func (s *Stats) RecordQueue(nanos int64, res QueueResource, k Kind) {
+	s.QueueNanos += nanos
+	s.QueuedMsgs++
+	s.QueueResNanos[res] += nanos
+	s.QueueKindNanos[k] += nanos
 }
 
-// QueueNanosOf returns the accumulated queueing delay of one node's
-// outgoing traffic.
-func (s *Stats) QueueNanosOf(node int) int64 {
-	if node < 0 || node >= MaxNodes {
-		return 0
-	}
-	return s.QueueNanos[node]
-}
-
-// TotalQueueNanos returns the queueing delay summed over all nodes.
-func (s *Stats) TotalQueueNanos() int64 {
-	var t int64
-	for _, v := range s.QueueNanos {
-		t += v
-	}
-	return t
-}
+// TotalQueueNanos returns the queueing delay.
+func (s *Stats) TotalQueueNanos() int64 { return s.QueueNanos }
 
 // TotalQueuedMsgs returns the number of messages that waited for a busy
-// link, summed over all nodes.
-func (s *Stats) TotalQueuedMsgs() int64 {
-	var t int64
-	for _, v := range s.QueuedMsgs {
-		t += v
-	}
-	return t
-}
+// link.
+func (s *Stats) TotalQueuedMsgs() int64 { return s.QueuedMsgs }
 
-// QueueResNanosOf returns the queueing delay bound by one resource,
-// summed over all sending nodes.
+// QueueResNanosOf returns the queueing delay bound by one resource.
 func (s *Stats) QueueResNanosOf(res QueueResource) int64 {
 	if res >= numQueueResources {
 		return 0
 	}
-	var t int64
-	for n := 0; n < MaxNodes; n++ {
-		t += s.QueueResNanos[n][res]
-	}
-	return t
-}
-
-// NodeQueueResNanos returns one node's queueing delay bound by one
-// resource.
-func (s *Stats) NodeQueueResNanos(node int, res QueueResource) int64 {
-	if node < 0 || node >= MaxNodes || res >= numQueueResources {
-		return 0
-	}
-	return s.QueueResNanos[node][res]
+	return s.QueueResNanos[res]
 }
 
 // QueueKindNanosOf returns the queueing delay accumulated by messages
@@ -254,16 +204,12 @@ func (s *Stats) Add(o *Stats) {
 	for k := Kind(0); k < numKinds; k++ {
 		s.Msgs[k] += o.Msgs[k]
 		s.Bytes[k] += o.Bytes[k]
-	}
-	for n := 0; n < MaxNodes; n++ {
-		s.QueueNanos[n] += o.QueueNanos[n]
-		s.QueuedMsgs[n] += o.QueuedMsgs[n]
-		for r := QueueResource(0); r < numQueueResources; r++ {
-			s.QueueResNanos[n][r] += o.QueueResNanos[n][r]
-		}
-	}
-	for k := Kind(0); k < numKinds; k++ {
 		s.QueueKindNanos[k] += o.QueueKindNanos[k]
+	}
+	s.QueueNanos += o.QueueNanos
+	s.QueuedMsgs += o.QueuedMsgs
+	for r := QueueResource(0); r < numQueueResources; r++ {
+		s.QueueResNanos[r] += o.QueueResNanos[r]
 	}
 }
 
@@ -273,16 +219,12 @@ func (s *Stats) Sub(o *Stats) {
 	for k := Kind(0); k < numKinds; k++ {
 		s.Msgs[k] -= o.Msgs[k]
 		s.Bytes[k] -= o.Bytes[k]
-	}
-	for n := 0; n < MaxNodes; n++ {
-		s.QueueNanos[n] -= o.QueueNanos[n]
-		s.QueuedMsgs[n] -= o.QueuedMsgs[n]
-		for r := QueueResource(0); r < numQueueResources; r++ {
-			s.QueueResNanos[n][r] -= o.QueueResNanos[n][r]
-		}
-	}
-	for k := Kind(0); k < numKinds; k++ {
 		s.QueueKindNanos[k] -= o.QueueKindNanos[k]
+	}
+	s.QueueNanos -= o.QueueNanos
+	s.QueuedMsgs -= o.QueuedMsgs
+	for r := QueueResource(0); r < numQueueResources; r++ {
+		s.QueueResNanos[r] -= o.QueueResNanos[r]
 	}
 }
 

@@ -120,9 +120,9 @@ func TestTotalsConsistentProperty(t *testing.T) {
 
 func TestRecordQueueSplit(t *testing.T) {
 	var s Stats
-	s.RecordQueue(1, 100, QueueOut, KindData)
-	s.RecordQueue(1, 40, QueueIn, KindDiff)
-	s.RecordQueue(2, 60, QueueBackplane, KindData)
+	s.RecordQueue(100, QueueOut, KindData)
+	s.RecordQueue(40, QueueIn, KindDiff)
+	s.RecordQueue(60, QueueBackplane, KindData)
 	if got := s.TotalQueueNanos(); got != 200 {
 		t.Errorf("TotalQueueNanos = %d, want 200", got)
 	}
@@ -137,9 +137,6 @@ func TestRecordQueueSplit(t *testing.T) {
 	}
 	if got := s.QueueResNanosOf(QueueBackplane); got != 60 {
 		t.Errorf("QueueBackplane = %d, want 60", got)
-	}
-	if got := s.NodeQueueResNanos(1, QueueIn); got != 40 {
-		t.Errorf("node 1 QueueIn = %d, want 40", got)
 	}
 	if got := s.QueueKindNanosOf(KindData); got != 160 {
 		t.Errorf("KindData queue = %d, want 160", got)
@@ -161,7 +158,7 @@ func TestRecordQueueSplit(t *testing.T) {
 
 	// Add then Sub round-trips every new counter back to the original.
 	var o Stats
-	o.RecordQueue(1, 7, QueueOut, KindLock)
+	o.RecordQueue(7, QueueOut, KindLock)
 	snap := s
 	s.Add(&o)
 	s.Sub(&o)

@@ -61,8 +61,6 @@ func (tm *Tmk) BarrierReduceSum(vals []float64) []float64 {
 func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 	nd := tm.nd
 	p := tm.p
-	startT := p.Now()
-	defer func() { nd.BarrierTime += p.Now() - startT }()
 	n := nd.sys.nprocs
 	c := nd.sys.costs
 
@@ -169,8 +167,6 @@ func (tm *Tmk) Fork(ctrl any, ctrlBytes int) {
 	nd := tm.nd
 	p := tm.p
 	n := nd.sys.nprocs
-	startT := p.Now()
-	defer func() { nd.BarrierTime += p.Now() - startT }()
 	if nd.id != 0 {
 		panic("tmk: Fork must be called on the master")
 	}
@@ -202,8 +198,6 @@ func (tm *Tmk) Fork(ctrl any, ctrlBytes int) {
 func (tm *Tmk) WaitFork() any {
 	nd := tm.nd
 	p := tm.p
-	startT := p.Now()
-	defer func() { nd.BarrierTime += p.Now() - startT }()
 	if nd.id == 0 {
 		panic("tmk: WaitFork must be called on a worker")
 	}
@@ -223,8 +217,6 @@ func (tm *Tmk) WaitFork() any {
 func (tm *Tmk) Join() {
 	nd := tm.nd
 	p := tm.p
-	startT := p.Now()
-	defer func() { nd.BarrierTime += p.Now() - startT }()
 	if nd.id == 0 {
 		panic("tmk: Join must be called on a worker")
 	}
@@ -247,8 +239,6 @@ func (tm *Tmk) Collect() {
 	nd := tm.nd
 	p := tm.p
 	n := nd.sys.nprocs
-	startT := p.Now()
-	defer func() { nd.BarrierTime += p.Now() - startT }()
 	if nd.id != 0 {
 		panic("tmk: Collect must be called on the master")
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/proto"
@@ -55,11 +56,11 @@ func TestHLRCSmoke(t *testing.T) {
 // sweeps.
 func TestHLRCSmokeAllApps(t *testing.T) {
 	const procs = 2
-	for _, a := range harness.AllApps() {
+	for _, a := range exp.Apps() {
 		for _, v := range harness.DSMVersions(a) {
 			run := func(p proto.Name) core.Result {
 				t.Helper()
-				r := harness.NewRunner(procs, harness.SmallScale)
+				r := harness.NewRunner(procs, core.SmallScale)
 				r.Protocol = p
 				res, err := r.Run(a, v)
 				if err != nil {

@@ -66,8 +66,6 @@ func (tm *Tmk) AcquireLock(id int) {
 	p := tm.p
 	c := nd.sys.costs
 	mgr := id % nd.sys.nprocs
-	startT := p.Now()
-	defer func() { nd.LockTime += p.Now() - startT }()
 	if tr := c.Trace; tr.Enabled() {
 		tr.Instant(obs.EvLockRequest, p.ID(), int64(p.Now()), stats.KindLock, -1, int64(id))
 		defer func() {

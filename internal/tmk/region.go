@@ -161,8 +161,6 @@ func (r *Region[T]) WriteAggregated(lo, hi int) []T {
 // transpose optimization. Each range is [lo, hi). It returns nothing:
 // follow it with a Read of each range, which finds the pages valid.
 func (r *Region[T]) ReadAggregatedRanges(ranges [][2]int) {
-	start := r.nd.tm.p.Now()
-	defer func() { r.nd.FaultTime += r.nd.tm.p.Now() - start }()
 	var gps []int32
 	last := int32(-1)
 	for _, rg := range ranges {
@@ -201,7 +199,6 @@ func (r *Region[T]) validate(lo, hi int, write, aggregated bool) []T {
 	// and pages land in the piece the view is cut from. Only validations
 	// move pages, so pc stays current while the protocol runs.
 	pc := r.span(first, last)
-	start := r.nd.tm.p.Now()
 	if aggregated {
 		gps := make([]int32, 0, last-first+1)
 		for pg := first; pg <= last; pg++ {
@@ -215,13 +212,10 @@ func (r *Region[T]) validate(lo, hi int, write, aggregated bool) []T {
 			r.nd.prot.Fault(gp)
 		}
 	}
-	r.nd.FaultTime += r.nd.tm.p.Now() - start
 	if write {
-		start = r.nd.tm.p.Now()
 		for pg := first; pg <= last; pg++ {
 			r.nd.prot.WriteTouch(int32(r.basePage + pg))
 		}
-		r.nd.WriteTime += r.nd.tm.p.Now() - start
 	}
 	return r.elems(pc, lo, hi)
 }

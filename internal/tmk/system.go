@@ -217,13 +217,6 @@ type node struct {
 	pushes   []*proto.PushDirective
 	expects  []int
 	bcastSeq int
-
-	// Overhead attribution for the application process (the paper's
-	// §5/§6 analysis decomposes exactly these): virtual time spent
-	// repairing pages (faults, fetching and applying diffs), waiting at
-	// and processing barriers, waiting for locks, and write-detection
-	// (twins + write faults).
-	FaultTime, BarrierTime, LockTime, WriteTime sim.Time
 }
 
 func newNode(id int, s *System) *node {

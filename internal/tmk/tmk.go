@@ -49,28 +49,6 @@ func (tm *Tmk) DiffCounts() (made, applied int64) {
 // Protocol returns the coherence protocol this system runs.
 func (tm *Tmk) Protocol() proto.Name { return tm.sys.protocol }
 
-// Profile is the overhead attribution of one application process — the
-// decomposition the paper's §5/§6 analysis reasons with.
-type Profile struct {
-	Fault   sim.Time // page repair: faults, diff fetches, applies
-	Barrier sim.Time // barrier/fork-join wait and processing
-	Lock    sim.Time // lock acquisition wait
-	Write   sim.Time // write detection: write faults and twinning
-}
-
-// Total returns the summed overhead.
-func (p Profile) Total() sim.Time { return p.Fault + p.Barrier + p.Lock + p.Write }
-
-// Profile returns this process's accumulated overhead attribution.
-func (tm *Tmk) Profile() Profile {
-	return Profile{
-		Fault:   tm.nd.FaultTime,
-		Barrier: tm.nd.BarrierTime,
-		Lock:    tm.nd.LockTime,
-		Write:   tm.nd.WriteTime,
-	}
-}
-
 // BarrierSilent is a full barrier whose messages are recorded under the
 // untracked (shutdown) category. The measurement harness uses it for
 // timed-region boundaries so that Table 2/3 traffic totals contain only

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -1031,12 +1032,16 @@ func TestPageRunsEncoding(t *testing.T) {
 	}
 }
 
-// TestProfileAttribution: the overhead breakdown must attribute time to
-// the categories actually exercised.
-func TestProfileAttribution(t *testing.T) {
-	sys := newTestSystem(2)
-	profiles := make([]Profile, 2)
+// TestBreakdownAttribution: a traced run's per-node breakdown
+// (obs.Attribute over each process's window) charges the waits each
+// node actually took to the matching category.
+func TestBreakdownAttribution(t *testing.T) {
+	costs := model.SP2()
+	costs.Trace = obs.New()
+	sys := NewSystem(2, costs)
+	windows := make([][2]int64, 2)
 	err := sys.Run(func(tm *Tmk) {
+		windows[tm.ID()][0] = int64(tm.Now())
 		r := Alloc[float32](tm, "a", 2048)
 		if tm.ID() == 0 {
 			w := r.Write(0, 2048)
@@ -1051,27 +1056,22 @@ func TestProfileAttribution(t *testing.T) {
 			r.Read(0, 2048)
 		}
 		tm.Barrier()
-		profiles[tm.ID()] = tm.Profile()
+		windows[tm.ID()][1] = int64(tm.Now())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if profiles[0].Write <= 0 {
-		t.Error("writer has no write-detection time")
-	}
-	if profiles[1].Fault <= 0 {
+	bds := costs.Trace.Attribute(windows)
+	if bds[1].Fault <= 0 {
 		t.Error("reader has no fault time")
 	}
-	for i, p := range profiles {
-		if p.Barrier <= 0 {
-			t.Errorf("proc %d has no barrier time", i)
-		}
-		if p.Total() != p.Fault+p.Barrier+p.Lock+p.Write {
-			t.Errorf("proc %d: Total() inconsistent", i)
+	for _, b := range bds {
+		if b.Barrier <= 0 {
+			t.Errorf("node %d has no barrier time", b.Node)
 		}
 	}
-	// Proc 1 acquires lock 0 remotely (manager is node 0).
-	if profiles[1].Lock <= 0 {
+	// Node 1 acquires lock 0 remotely (manager is node 0).
+	if bds[1].Lock <= 0 {
 		t.Error("remote acquirer has no lock time")
 	}
 }

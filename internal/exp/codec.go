@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
+
+	"repro/internal/core"
+	"repro/internal/proto"
+	"repro/internal/stats"
 )
 
 // This file is the one place that knows how a Record looks as bytes.
@@ -202,27 +206,29 @@ func appendKindMap(dst []byte, m map[string]int64) []byte {
 // writes for a record whose strings need no escaping. On a canonical
 // line r equals what encoding/json decodes from it; otherwise r is
 // left partly written and the caller must not use it.
+//
+// The line is read where it lies and r keeps none of its bytes: a string
+// that spells a name the package holds is that name (knownNames), any
+// other is copied, so a line of registry names parses without
+// allocating.
 func parseCanonical(line []byte, r *Record) bool {
 	if len(line) < 2 || line[0] != '{' {
 		return false
 	}
-	// The one allocation of a parse: every string field of r is a
-	// substring of s.
-	s := string(line)
 	*r = Record{}
 	fs := r.fields()
 	var seen uint64
 	i, next := 1, 0
 	for {
-		key, j, ok := scanString(s, i)
-		if !ok || j >= len(s) || s[j] != ':' {
+		key, j, ok := scanString(line, i)
+		if !ok || j >= len(line) || line[j] != ':' {
 			return false
 		}
 		i = j + 1
 		// Lines mostly come in wire order: look for the key from where
 		// the previous one was found.
 		k, tried := next, 0
-		for fs[k].key != key {
+		for fs[k].key != string(key) {
 			if tried++; tried == numFields {
 				return false // not a Record key
 			}
@@ -239,92 +245,132 @@ func parseCanonical(line []byte, r *Record) bool {
 		}
 		switch p := fs[k].ptr.(type) {
 		case *string:
-			*p, i, ok = scanString(s, i)
+			var b []byte
+			b, i, ok = scanString(line, i)
+			*p = stringOf(b)
 		case *int:
 			var n int64
-			n, i, ok = parseInt(s, i)
+			n, i, ok = parseInt(line, i)
 			*p = int(n)
 			ok = ok && int64(*p) == n
 		case *int64:
-			*p, i, ok = parseInt(s, i)
+			*p, i, ok = parseInt(line, i)
 		case *float64:
-			*p, i, ok = parseFloat(s, i)
+			*p, i, ok = parseFloat(line, i)
 		case *bool:
 			switch {
-			case strings.HasPrefix(s[i:], "true"):
+			case bytes.HasPrefix(line[i:], []byte("true")):
 				*p, i = true, i+4
-			case strings.HasPrefix(s[i:], "false"):
+			case bytes.HasPrefix(line[i:], []byte("false")):
 				i += 5
 			default:
 				ok = false
 			}
 		case *map[string]int64:
-			*p, i, ok = parseKindMap(s, i)
+			*p, i, ok = parseKindMap(line, i)
 		}
-		if !ok || i >= len(s) {
+		if !ok || i >= len(line) {
 			return false
 		}
-		switch s[i] {
+		switch line[i] {
 		case ',':
 			i++
 		case '}':
-			return i+1 == len(s) // nothing may follow the object
+			return i+1 == len(line) // nothing may follow the object
 		default:
 			return false
 		}
 	}
 }
 
-// scanString reads the JSON string starting at s[i] and returns its
-// content and the index after the closing quote. Only strings that are
-// their own content qualify: ASCII, no control bytes, no escapes.
-func scanString(s string, i int) (string, int, bool) {
-	if i >= len(s) || s[i] != '"' {
-		return "", i, false
+// knownNames maps each name a record's strings usually spell to the
+// string the package already holds for it: the registry's applications,
+// the version table's versions, the scales, the protocols, the home
+// policies and the traffic kinds.
+var knownNames = func() map[string]string {
+	m := map[string]string{}
+	add := func(s string) { m[s] = s }
+	for _, name := range AppNames() {
+		add(name)
 	}
-	for j := i + 1; j < len(s); j++ {
-		switch c := s[j]; {
+	for _, row := range core.VersionTable() {
+		add(string(row.Version))
+	}
+	for _, sc := range []core.Scale{core.PaperScale, core.MidScale, core.SmallScale} {
+		add(string(sc))
+	}
+	for _, p := range proto.Names() {
+		add(string(p))
+	}
+	for _, hp := range proto.PolicyNames() {
+		add(string(hp))
+	}
+	for _, k := range stats.AllKinds() {
+		add(k.String())
+	}
+	return m
+}()
+
+// stringOf returns b as a string that shares no memory with b: the
+// known name it spells, or a copy. The lookup does not allocate.
+func stringOf(b []byte) string {
+	if s, ok := knownNames[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
+// scanString reads the JSON string starting at b[i] and returns its
+// content, a subslice of b, and the index after the closing quote. Only
+// strings that are their own content qualify: ASCII, no control bytes,
+// no escapes.
+func scanString(b []byte, i int) ([]byte, int, bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, i, false
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
 		case c == '"':
-			return s[i+1 : j], j + 1, true
+			return b[i+1 : j], j + 1, true
 		case c < 0x20 || c >= 0x80 || c == '\\':
-			return "", i, false
+			return nil, i, false
 		}
 	}
-	return "", i, false
+	return nil, i, false
 }
 
 // scanNumber returns the end of the JSON number literal that starts at
-// s[i] (i itself if there is none) and whether it is a plain integer:
+// b[i] (i itself if there is none) and whether it is a plain integer:
 // -?(0|[1-9][0-9]*) with an optional fraction and exponent, so no
 // leading zeros, no bare '.', no '+'.
-func scanNumber(s string, i int) (end int, integer bool) {
+func scanNumber(b []byte, i int) (end int, integer bool) {
 	digits := func(j int) int {
-		for j < len(s) && '0' <= s[j] && s[j] <= '9' {
+		for j < len(b) && '0' <= b[j] && b[j] <= '9' {
 			j++
 		}
 		return j
 	}
 	j := i
-	if j < len(s) && s[j] == '-' {
+	if j < len(b) && b[j] == '-' {
 		j++
 	}
 	switch d := digits(j); {
-	case d == j, s[j] == '0' && d > j+1:
+	case d == j, b[j] == '0' && d > j+1:
 		return i, false
 	default:
 		j = d
 	}
 	integer = true
-	if j < len(s) && s[j] == '.' {
+	if j < len(b) && b[j] == '.' {
 		d := digits(j + 1)
 		if d == j+1 {
 			return i, false
 		}
 		j, integer = d, false
 	}
-	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
 		k := j + 1
-		if k < len(s) && (s[k] == '+' || s[k] == '-') {
+		if k < len(b) && (b[k] == '+' || b[k] == '-') {
 			k++
 		}
 		d := digits(k)
@@ -336,46 +382,49 @@ func scanNumber(s string, i int) (end int, integer bool) {
 	return j, integer
 }
 
-func parseInt(s string, i int) (int64, int, bool) {
-	end, integer := scanNumber(s, i)
+// parseInt and parseFloat hand strconv the literal as a string that
+// does not escape: up to 32 bytes — every number AppendRecord writes —
+// it is converted on the stack.
+func parseInt(b []byte, i int) (int64, int, bool) {
+	end, integer := scanNumber(b, i)
 	if !integer {
 		return 0, i, false
 	}
-	n, err := strconv.ParseInt(s[i:end], 10, 64)
+	n, err := strconv.ParseInt(string(b[i:end]), 10, 64)
 	return n, end, err == nil // out of int64 range: json's error to report
 }
 
-func parseFloat(s string, i int) (float64, int, bool) {
-	end, _ := scanNumber(s, i)
+func parseFloat(b []byte, i int) (float64, int, bool) {
+	end, _ := scanNumber(b, i)
 	if end == i {
 		return 0, i, false
 	}
-	f, err := strconv.ParseFloat(s[i:end], 64) // as encoding/json converts it
+	f, err := strconv.ParseFloat(string(b[i:end]), 64) // as encoding/json converts it
 	return f, end, err == nil
 }
 
 // parseKindMap reads the queue_kind_ns object. Like encoding/json it
 // returns a non-nil map for an empty object.
-func parseKindMap(s string, i int) (map[string]int64, int, bool) {
-	if i >= len(s) || s[i] != '{' {
+func parseKindMap(b []byte, i int) (map[string]int64, int, bool) {
+	if i >= len(b) || b[i] != '{' {
 		return nil, i, false
 	}
 	i++
 	m := map[string]int64{}
-	if i < len(s) && s[i] == '}' {
+	if i < len(b) && b[i] == '}' {
 		return m, i + 1, true
 	}
 	for {
-		k, j, ok := scanString(s, i)
-		if _, dup := m[k]; !ok || dup || j >= len(s) || s[j] != ':' {
+		k, j, ok := scanString(b, i)
+		if _, dup := m[string(k)]; !ok || dup || j >= len(b) || b[j] != ':' {
 			return nil, i, false
 		}
-		n, j, ok := parseInt(s, j+1)
-		if !ok || j >= len(s) {
+		n, j, ok := parseInt(b, j+1)
+		if !ok || j >= len(b) {
 			return nil, i, false
 		}
-		m[k] = n
-		switch s[j] {
+		m[stringOf(k)] = n
+		switch b[j] {
 		case ',':
 			i = j + 1
 		case '}':

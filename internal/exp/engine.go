@@ -116,11 +116,12 @@ type entry struct {
 	stored []string
 }
 
-// recEntry is one cached (possibly in-flight) record. done closes when
-// rec is final.
+// recEntry is one cached (possibly in-flight) record: rec is final once
+// wg is done. Waiters only block, never select, so the entry waits on a
+// WaitGroup inside its own allocation rather than on a channel.
 type recEntry struct {
-	done chan struct{}
-	rec  Record
+	wg  sync.WaitGroup
+	rec Record
 }
 
 // New builds an engine with the calibrated SP/2 model.
@@ -162,10 +163,10 @@ func (e *Engine) run(k keyed) *entry {
 	if e.cache == nil {
 		e.cache = map[string]*entry{}
 	}
-	en, ok := e.cache[ran.key]
+	en, ok := e.cache[ran.key()]
 	if !ok {
 		en = &entry{done: make(chan struct{})}
-		e.cache[ran.key] = en
+		e.cache[ran.key()] = en
 		e.mu.Unlock()
 		e.host.runsStarted.Add(1)
 		e.host.inflight.Add(1)
@@ -230,9 +231,9 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 		return
 	}
 	e.mu.Lock()
-	dup := slices.Contains(en.stored, k.key)
+	dup := slices.Contains(en.stored, k.key())
 	if !dup {
-		en.stored = append(en.stored, k.key)
+		en.stored = append(en.stored, k.key())
 	}
 	e.mu.Unlock()
 	if dup {
@@ -243,7 +244,7 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 	if merr != nil {
 		return
 	}
-	st.Put(storeKey(k.key, e.Observe), b) //nolint:errcheck // best-effort persistence
+	st.Put(k.storeKey(e.Observe), b) //nolint:errcheck // best-effort persistence
 	e.observeSyncs()
 }
 
@@ -270,17 +271,18 @@ func (e *Engine) recordFor(k keyed) Record {
 	if e.recCache == nil {
 		e.recCache = map[string]*recEntry{}
 	}
-	en, ok := e.recCache[k.key]
+	en, ok := e.recCache[k.key()]
 	if !ok {
-		en = &recEntry{done: make(chan struct{})}
-		e.recCache[k.key] = en
+		en = &recEntry{}
+		en.wg.Add(1)
+		e.recCache[k.key()] = en
 		e.recMu.Unlock()
 		en.rec = e.computeRecord(k)
-		close(en.done)
+		en.wg.Done()
 		return en.rec
 	}
 	e.recMu.Unlock()
-	<-en.done
+	en.wg.Wait()
 	return en.rec
 }
 
@@ -290,7 +292,7 @@ func (e *Engine) recordFor(k keyed) Record {
 // then heals the store.
 func (e *Engine) computeRecord(k keyed) Record {
 	if st := e.Store; st != nil {
-		if b, ok := st.Get(storeKey(k.key, e.Observe)); ok {
+		if b, ok := st.Get(k.storeKey(e.Observe)); ok {
 			if rec, err := decodeStored(b, k.Spec); err == nil {
 				e.host.storeHits.Add(1)
 				if f := e.OnStoreHit; f != nil {
@@ -356,41 +358,42 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefetch warms the cache for every spec of runs (a plan's: each run
-// once) using the worker pool, resolving each through resolve —
-// Engine.run for the Result paths, recordFor for the record paths, so
-// store hits skip the simulation. It returns when all specs have
-// completed (or failed). A non-nil cancel flag stops new runs from
-// starting (in-flight runs still finish).
-func (e *Engine) prefetch(runs []keyed, cancel *atomic.Bool, resolve func(keyed)) {
+// prefetch warms the cache for every run of p (plan.runs: each once)
+// using the worker pool, resolving each through resolve — Engine.run for
+// the Result paths, recordFor for the record paths, so store hits skip
+// the simulation. It returns when all runs have completed (or failed).
+// A non-nil cancel flag stops new runs from starting (in-flight runs
+// still finish).
+func (e *Engine) prefetch(p *plan, cancel *atomic.Bool, resolve func(keyed)) {
+	runs := p.runs()
 	canceled := func() bool { return cancel != nil && cancel.Load() }
 	w := e.workers()
 	if w > len(runs) {
 		w = len(runs)
 	}
 	if w <= 1 {
-		for _, k := range runs {
+		for _, pos := range runs {
 			if canceled() {
 				return
 			}
 			busy := time.Now()
-			resolve(k)
+			resolve(*p.at(pos))
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
 		return
 	}
-	jobs := make(chan keyed)
+	jobs := make(chan int32)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			idle := time.Now()
-			for k := range jobs {
+			for pos := range jobs {
 				e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 				busy := time.Now()
 				if !canceled() { // else drain without running
-					resolve(k)
+					resolve(*p.at(pos))
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 				idle = time.Now()
@@ -398,23 +401,38 @@ func (e *Engine) prefetch(runs []keyed, cancel *atomic.Bool, resolve func(keyed)
 			e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 		}()
 	}
-	for _, k := range runs {
-		jobs <- k
+	for _, pos := range runs {
+		jobs <- pos
 	}
 	close(jobs)
 	wg.Wait()
 }
 
-// keyed is a spec with its Key. A stream or sweep takes each spec's key
-// once, when it starts, and hands it down — to the record cache, the
-// store key and the error set — instead of rebuilding the string at
-// every one of them.
+// keyed is a spec with its key, taken once. A stream or sweep takes each
+// spec's key when it starts and hands it down — to the run and record
+// caches, the store and the error set — instead of rebuilding the string
+// at any of them. The store key of an observed record is built in the
+// same string: the key is its prefix.
 type keyed struct {
 	Spec
-	key string
+	obsKey string // Key() + StoreObserveSuffix
 }
 
-func keyOf(s Spec) keyed { return keyed{s, s.Key()} }
+func keyOf(s Spec) keyed {
+	var buf [128 + len(StoreObserveSuffix)]byte
+	return keyed{s, string(append(s.appendKey(buf[:0]), StoreObserveSuffix...))}
+}
+
+// key is the spec's Key.
+func (k keyed) key() string { return k.obsKey[:len(k.obsKey)-len(StoreObserveSuffix)] }
+
+// storeKey is StoreKey of the spec.
+func (k keyed) storeKey(observed bool) string {
+	if observed {
+		return k.obsKey
+	}
+	return k.key()
+}
 
 // canonical is the run k's spec shares with every spec that differs
 // from it in labels only: what the run cache and the dedup go by, and
@@ -426,48 +444,69 @@ func (k keyed) canonical() keyed {
 	return k
 }
 
-// plan is a spec list with every key taken: the specs in order and
-// beside each its sequential baseline, the zero keyed where there is
-// no join to make.
+// plan is a spec list with every key taken once: the specs in order;
+// the sequential baselines they join with, each distinct one once —
+// one per application and scale, however many specs share it; and for
+// each spec the index of its baseline in bases, -1 where there is no
+// join to make.
 type plan struct {
-	specs, seqs []keyed
+	specs []keyed
+	base  []int32
+	bases []keyed
 }
 
-func newPlan(specs []Spec, join bool) plan {
-	p := plan{specs: make([]keyed, len(specs)), seqs: make([]keyed, len(specs))}
+func newPlan(specs []Spec, join bool) *plan {
+	p := &plan{specs: make([]keyed, len(specs)), base: make([]int32, len(specs))}
+	var index map[Spec]int32 // a baseline's position in bases
 	for i, s := range specs {
-		p.specs[i], p.seqs[i] = keyOf(s), baselineOf(s, join)
+		p.specs[i], p.base[i] = keyOf(s), -1
+		if !join || s.Version == core.Seq {
+			continue
+		}
+		seq := SeqSpecOf(s)
+		b, ok := index[seq]
+		if !ok {
+			if index == nil {
+				index = map[Spec]int32{}
+			}
+			b = int32(len(p.bases))
+			index[seq] = b
+			p.bases = append(p.bases, keyOf(seq))
+		}
+		p.base[i] = b
 	}
 	return p
 }
 
-// baselineOf is the sequential baseline a record of s is joined with,
-// or the zero keyed (no spec has an empty key) when join is off or s is
-// itself sequential.
-func baselineOf(s Spec, join bool) keyed {
-	if !join || s.Version == core.Seq {
-		return keyed{}
+// baseOf is the baseline spec i joins with, nil for none.
+func (p *plan) baseOf(i int) *keyed {
+	if b := p.base[i]; b >= 0 {
+		return &p.bases[b]
 	}
-	return keyOf(SeqSpecOf(s))
+	return nil
 }
 
-// runs lists the runs the plan costs: the specs, then the baselines,
-// each execution once — under the first label that asks for it — in
-// first-occurrence order. The labels that share it find it cached on
-// the ordered pass.
-func (p plan) runs() []keyed {
-	unique := make([]keyed, 0, 2*len(p.specs))
-	seen := make(map[string]struct{}, 2*len(p.specs))
-	for _, list := range [][]keyed{p.specs, p.seqs} {
-		for _, k := range list {
-			if k.key == "" {
-				continue
-			}
-			run := k.canonical().key
-			if _, dup := seen[run]; !dup {
-				seen[run] = struct{}{}
-				unique = append(unique, k)
-			}
+// at resolves a position of runs: an index into specs, then into bases.
+func (p *plan) at(pos int32) *keyed {
+	if n := int32(len(p.specs)); pos >= n {
+		return &p.bases[pos-n]
+	}
+	return &p.specs[pos]
+}
+
+// runs lists the runs the plan costs, as positions (see at): the specs,
+// then the baselines, each execution once — under the first label that
+// asks for it — in first-occurrence order. The labels that share it
+// find it cached on the ordered pass.
+func (p *plan) runs() []int32 {
+	n := len(p.specs) + len(p.bases)
+	unique := make([]int32, 0, n)
+	seen := make(map[string]struct{}, n)
+	for pos := int32(0); int(pos) < n; pos++ {
+		run := p.at(pos).canonical().key()
+		if _, dup := seen[run]; !dup {
+			seen[run] = struct{}{}
+			unique = append(unique, pos)
 		}
 	}
 	return unique
@@ -475,20 +514,23 @@ func (p plan) runs() []keyed {
 
 // Sweep executes every spec across the worker pool and returns results
 // in spec order. The returned error joins every distinct run failure
-// (in spec order); results at failed positions are zero.
+// (in spec order), once per run however many labels name it; results
+// at failed positions are zero.
 func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
 	p := newPlan(specs, false)
 	defer e.syncStore()
-	e.prefetch(p.runs(), nil, func(k keyed) { e.run(k) }) // errors surface on the ordered pass
+	e.prefetch(p, nil, func(k keyed) { e.run(k) }) // errors surface on the ordered pass
 	out := make([]core.Result, len(specs))
 	var errs []error
 	seenErr := map[string]bool{}
 	for i, k := range p.specs {
 		en := e.run(k) // cache hit: prefetch completed every key
 		out[i] = en.res
-		if en.err != nil && !seenErr[k.key] {
-			seenErr[k.key] = true
-			errs = append(errs, en.err)
+		if en.err != nil {
+			if run := k.canonical().key(); !seenErr[run] {
+				seenErr[run] = true
+				errs = append(errs, en.err)
+			}
 		}
 	}
 	return out, errors.Join(errs...)
@@ -499,15 +541,16 @@ func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
 // failure surfaces on the record's own error field only if the run
 // itself failed; an unjoinable baseline leaves the join fields absent.
 func (e *Engine) Record(s Spec) Record {
-	return e.joined(keyOf(s), baselineOf(s, e.JoinSpeedup))
+	p := newPlan([]Spec{s}, e.JoinSpeedup)
+	return e.joined(p.specs[0], p.baseOf(0))
 }
 
 // joined is the record for k, joined with its baseline seq's when there
-// is one and both ran.
-func (e *Engine) joined(k, seq keyed) Record {
+// is one (nil: none) and both ran.
+func (e *Engine) joined(k keyed, seq *keyed) Record {
 	rec := e.recordFor(k)
-	if seq.key != "" && rec.Error == "" {
-		if base := e.recordFor(seq); base.Error == "" {
+	if seq != nil && rec.Error == "" {
+		if base := e.recordFor(*seq); base.Error == "" {
 			rec.JoinSeqNanos(base.TimeNanos)
 		}
 	}
@@ -528,8 +571,8 @@ type StreamStats struct {
 // as soon as it and all its predecessors have finished. With
 // JoinSpeedup set, every non-seq record is joined with its sequential
 // baseline (prefetched alongside the specs). Run failures become error
-// records (and are joined into the returned error); a write failure
-// aborts the stream, cancelling the runs not yet started.
+// records (and are joined into the returned error, once per run); a
+// write failure aborts the stream, cancelling the runs not yet started.
 func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 	_, err := e.StreamWith(w, specs, nil)
 	return err
@@ -547,7 +590,7 @@ func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.prefetch(p.runs(), &cancel, func(k keyed) { e.recordFor(k) })
+		e.prefetch(p, &cancel, func(k keyed) { e.recordFor(k) })
 	}()
 	var (
 		stats   StreamStats
@@ -560,11 +603,11 @@ func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (
 		line []byte
 	)
 	for i, k := range p.specs {
-		rec = e.joined(k, p.seqs[i]) // blocks until this spec's result is final
+		rec = e.joined(k, p.baseOf(i)) // blocks until this spec's result is final
 		if rec.Error != "" {
 			stats.Failed++
-			if !seenErr[k.key] {
-				seenErr[k.key] = true
+			if run := k.canonical().key(); !seenErr[run] {
+				seenErr[run] = true
 				errs = append(errs, errors.New(rec.Error))
 			}
 		}

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -277,5 +280,147 @@ func TestStoreHoldsExactlyTheRequestedKeys(t *testing.T) {
 		if got := warm.Store.Stats().Puts; got != 0 {
 			t.Errorf("workers=%d: warm pass wrote %d records", workers, got)
 		}
+	}
+}
+
+// ciLabelSpecs is the list of CI's label-heavy sweep smoke, as dsmrun
+// expands it: 128 specs, 42 executions joined.
+func ciLabelSpecs(t *testing.T) []Spec {
+	t.Helper()
+	axes, err := ParseAxes(strings.Fields("app=Jacobi,MGS version=seq,xhpf,pvme,tmk procs=2,4 protocol=lrc,hlrc homepolicy=static,firsttouch contention=0,2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := axes.Specs(Spec{Scale: core.SmallScale})
+	for i := range specs {
+		specs[i] = specs[i].Normalize()
+	}
+	return specs
+}
+
+// churnStyleSpecs is a many-small-runs list in a shuffled order: every
+// application under four versions, three machine sizes, both protocols,
+// with and without contention, generated programs under both back
+// ends, and a few sequential and mid-scale specs besides.
+func churnStyleSpecs() []Spec {
+	specs := Axes{
+		Apps:        AppNames(),
+		Versions:    []core.Version{core.Tmk, core.SPF, core.XHPF, core.PVMe},
+		Procs:       []int{2, 4, 8},
+		Protocols:   proto.Names(),
+		Contentions: []int{0, 2},
+	}.Specs(Spec{Scale: core.SmallScale})
+	for seed := 1; seed <= 20; seed++ {
+		for _, v := range []core.Version{core.SPFGen, core.XHPFGen} {
+			specs = append(specs, Spec{App: fmt.Sprintf("gen-%d", seed), Version: v, Procs: 4, Scale: core.SmallScale})
+		}
+	}
+	specs = append(specs,
+		Spec{App: "Jacobi", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
+		Spec{App: "gen-3", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
+		Spec{App: "Jacobi", Version: core.Tmk, Procs: 4, Scale: core.MidScale},
+		Spec{App: "RB-SOR", Version: core.XHPF, Procs: 2, Scale: core.MidScale, Protocol: proto.HomeLRC})
+	rand.New(rand.NewSource(61)).Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+	return specs
+}
+
+// refRun is one entry of refRuns.
+type refRun struct {
+	Spec
+	key string
+}
+
+// refRuns is plan.runs as it was while every spec carried its own copy
+// of its baseline: the specs, then each non-seq spec's baseline when
+// joining, keyed, and deduplicated by canonical key in first-occurrence
+// order.
+func refRuns(specs []Spec, join bool) []refRun {
+	var all []refRun
+	for _, s := range specs {
+		all = append(all, refRun{s, s.Key()})
+	}
+	for _, s := range specs {
+		if join && s.Version != core.Seq {
+			all = append(all, refRun{SeqSpecOf(s), SeqSpecOf(s).Key()})
+		}
+	}
+	var unique []refRun
+	seen := map[string]bool{}
+	for _, r := range all {
+		if run := r.Canonical().Key(); !seen[run] {
+			seen[run] = true
+			unique = append(unique, r)
+		}
+	}
+	return unique
+}
+
+// TestPlanMatchesItsReference: the plan's run positions resolve to the
+// reference's runs, spec and key, in its order; every spec keeps its own
+// key and joins the baseline SeqSpecOf names; and the plan holds one
+// baseline per (application, scale) the joined specs name.
+func TestPlanMatchesItsReference(t *testing.T) {
+	for name, specs := range map[string][]Spec{"ci labels": ciLabelSpecs(t), "churn": churnStyleSpecs()} {
+		for _, join := range []bool{false, true} {
+			p := newPlan(specs, join)
+			want := refRuns(specs, join)
+			got := p.runs()
+			if len(got) != len(want) {
+				t.Fatalf("%s, join=%v: %d runs, reference %d", name, join, len(got), len(want))
+			}
+			for i, pos := range got {
+				if k := p.at(pos); k.Spec != want[i].Spec || k.key() != want[i].key || k.storeKey(true) != want[i].key+StoreObserveSuffix {
+					t.Fatalf("%s, join=%v: run %d is %+v %q, reference %+v %q", name, join, i, k.Spec, k.obsKey, want[i].Spec, want[i].key)
+				}
+			}
+			pairs := map[[2]string]bool{}
+			for i, s := range specs {
+				if k := p.specs[i]; k.Spec != s || k.key() != s.Key() || k.storeKey(false) != s.Key() {
+					t.Fatalf("%s, join=%v: spec %d is %+v %q, want %+v", name, join, i, k.Spec, k.obsKey, s)
+				}
+				b := p.baseOf(i)
+				if joins := join && s.Version != core.Seq; (b != nil) != joins {
+					t.Fatalf("%s, join=%v: spec %d (%s) has baseline %v", name, join, i, s.Key(), b != nil)
+				}
+				if b != nil {
+					if seq := SeqSpecOf(s); b.Spec != seq || b.key() != seq.Key() {
+						t.Fatalf("%s: spec %s joins %s, want %s", name, s.Key(), b.key(), seq.Key())
+					}
+					pairs[[2]string{s.App, string(s.Scale)}] = true
+				}
+			}
+			if len(p.bases) != len(pairs) {
+				t.Errorf("%s, join=%v: %d baselines for %d (application, scale) pairs", name, join, len(p.bases), len(pairs))
+			}
+		}
+	}
+	if got := UniqueRuns(ciLabelSpecs(t), true); got != 42 {
+		t.Errorf("UniqueRuns of the CI list = %d, want 42", got)
+	}
+}
+
+// TestRunFailureReportedOncePerRun: an execution that fails under three
+// labels is one failure. Sweep's and StreamWith's joined errors carry it
+// once, in the same text, and the stream still counts each label's
+// record as failed.
+func TestRunFailureReportedOncePerRun(t *testing.T) {
+	var specs []Spec
+	for _, p := range []proto.Name{"", proto.HomelessLRC, proto.HomeLRC} {
+		specs = append(specs, Spec{App: "Nope", Version: core.XHPF, Procs: 2, Scale: core.SmallScale, Protocol: p})
+	}
+	failing := func() *Engine {
+		e := New()
+		e.Lookup = func(name string) (core.App, error) { return nil, fmt.Errorf("exp: unknown application %q", name) }
+		return e
+	}
+	_, sweepErr := failing().Sweep(specs)
+	stats, streamErr := failing().StreamWith(io.Discard, specs, nil)
+	for name, err := range map[string]error{"Sweep": sweepErr, "StreamWith": streamErr} {
+		if err == nil || err.Error() != `exp: unknown application "Nope"` {
+			t.Errorf("%s error = %v, want the failure once", name, err)
+		}
+	}
+	if stats.Records != 3 || stats.Failed != 3 {
+		t.Errorf("stream stats %+v, want 3 records, 3 failed", stats)
 	}
 }

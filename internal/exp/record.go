@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -205,11 +206,16 @@ func (r Record) Validate() error {
 		return fmt.Errorf("exp: queue resource split %d != total %d in record %s", sum, r.QueueNanos, r.Key())
 	}
 	var kindSum int64
+	var unknown []string
 	for k, n := range r.QueueKindNanos {
 		if !kindNames[k] {
-			return fmt.Errorf("exp: unknown traffic kind %q in record %s", k, r.Key())
+			unknown = append(unknown, k)
 		}
 		kindSum += n
+	}
+	if len(unknown) != 0 {
+		// The least one, so the message does not depend on map order.
+		return fmt.Errorf("exp: unknown traffic kind %q in record %s", slices.Min(unknown), r.Key())
 	}
 	if kindSum != r.QueueNanos {
 		return fmt.Errorf("exp: queue kind split %d != total %d in record %s", kindSum, r.QueueNanos, r.Key())

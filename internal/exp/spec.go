@@ -106,7 +106,12 @@ func (s Spec) Canonical() Spec {
 // stack buffer: the returned string is the only allocation.
 func (s Spec) Key() string {
 	var buf [128]byte
-	b := append(buf[:0], "app="...)
+	return string(s.appendKey(buf[:0]))
+}
+
+// appendKey appends the key to b.
+func (s Spec) appendKey(b []byte) []byte {
+	b = append(b, "app="...)
 	b = append(b, s.App...)
 	b = append(b, "|version="...)
 	b = append(b, s.Version...)
@@ -127,7 +132,7 @@ func (s Spec) Key() string {
 		b = append(b, "|homepolicy="...)
 		b = append(b, s.HomePolicy...)
 	}
-	return string(b)
+	return b
 }
 
 // ParseKey decodes a Key back into a Spec. It round-trips exactly:

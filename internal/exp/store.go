@@ -16,15 +16,7 @@ const StoreObserveSuffix = "|obs=1"
 // observe marker. The schema version is not part of the key — the
 // store frames carry it and treat a mismatch as a miss.
 func StoreKey(s Spec, observed bool) string {
-	return storeKey(s.Key(), observed)
-}
-
-// storeKey is StoreKey from a spec key the caller already holds.
-func storeKey(key string, observed bool) string {
-	if observed {
-		return key + StoreObserveSuffix
-	}
-	return key
+	return keyOf(s).storeKey(observed)
 }
 
 // StoreOptions is the store configuration every CLI opens its `-store`

@@ -275,8 +275,8 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 			if rec.Error != "" {
 				stats.Failed++
 				c.recordsFailed.Add(1)
-				if k := rec.Key(); !seenErr[k] {
-					seenErr[k] = true
+				if run := rec.Canonical().Key(); !seenErr[run] { // once per run, as StreamWith
+					seenErr[run] = true
 					errs = append(errs, errors.New(rec.Error))
 				}
 			}

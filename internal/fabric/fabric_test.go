@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,6 +162,30 @@ func TestRunFailureAccounting(t *testing.T) {
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Errorf("error records not byte-identical:\nlocal:\n%s\nfabric:\n%s", want.Bytes(), got.Bytes())
+	}
+}
+
+// TestRunFailureReportedOncePerRun: an execution that fails under three
+// labels — the registry's lookup refuses its application — is one line
+// of the coordinator's joined error, the local stream's text exactly,
+// whichever workers its labels land on; each label's record still
+// counts as failed.
+func TestRunFailureReportedOncePerRun(t *testing.T) {
+	var specs []exp.Spec
+	for _, p := range []proto.Name{"", proto.HomelessLRC, proto.HomeLRC} {
+		specs = append(specs, exp.Spec{App: "Nope", Version: core.XHPF, Procs: 2, Scale: core.SmallScale, Protocol: p})
+	}
+	_, localErr := exp.New().StreamWith(io.Discard, specs, nil)
+	if localErr == nil || strings.Contains(localErr.Error(), "\n") {
+		t.Fatalf("local stream error = %v, want one line", localErr)
+	}
+	c := &Coordinator{Workers: startWorkers(t, 2), RangeSize: 1, Logf: t.Logf}
+	stats, err := c.Run(io.Discard, specs)
+	if err == nil || err.Error() != localErr.Error() {
+		t.Errorf("fabric error = %v, want the local stream's %q", err, localErr)
+	}
+	if stats.Records != 3 || stats.Failed != 3 {
+		t.Errorf("stats = %+v, want 3 records / 3 failed", stats)
 	}
 }
 

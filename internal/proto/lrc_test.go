@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -121,14 +122,26 @@ func TestRegisteringPagesAllocatesOnce(t *testing.T) {
 	}
 	const nprocs, regions, npages = 8, 3, 1024
 	for _, c := range registrationCases {
-		p := New(c.name, c.policy, (*testHost)(&testNode{nprocs: nprocs}))
 		for r := range regions {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			p.AddPages(npages)
-			runtime.ReadMemStats(&after)
-			ts := tables(p)
-			bytes, mallocs, size := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs, capBytes(ts)
+			// The runtime's own work after a collection (the unique
+			// package's cleanup) now and then allocates beside the call,
+			// and that only ever adds: the fewest of three trials, each on
+			// a fresh instance, is the registration's own.
+			bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			var ts []any
+			for range 3 {
+				p := New(c.name, c.policy, (*testHost)(&testNode{nprocs: nprocs}))
+				for range r {
+					p.AddPages(npages)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				p.AddPages(npages)
+				runtime.ReadMemStats(&after)
+				bytes, mallocs = min(bytes, after.TotalAlloc-before.TotalAlloc), min(mallocs, after.Mallocs-before.Mallocs)
+				ts = tables(p)
+			}
+			size := capBytes(ts)
 			if mallocs > uint64(len(ts)) || 10*bytes > 11*size {
 				t.Errorf("%v, region %d: %d allocations of %d bytes for %d tables of %d bytes",
 					c, r, mallocs, bytes, len(ts), size)

@@ -140,9 +140,10 @@
 //	dsmrun -sweep "..." -fabric host1:9190,host2:9190 [-fabric-range N] [-fabric-lease 2m]
 //
 // -fabric shards the sweep across sweepd worker daemons listed as
-// comma-separated addresses: the coordinator splits the spec list into
-// leased ranges, assigns them over HTTP, validates and re-merges the
-// streamed records into spec order — the stdout bytes are identical to
+// comma-separated addresses: the coordinator splits the distinct runs
+// the spec list needs into leased ranges, assigns them over HTTP,
+// validates the streamed records and merges them into spec order,
+// relabelled and joined per spec — the stdout bytes are identical to
 // a local -sweep at any worker count. Leases have deadlines (-fabric-lease); expired,
 // crashed, or malformed leases are retried and reassigned, stragglers
 // are re-issued to idle workers (first valid result wins), and ranges
@@ -191,7 +192,7 @@ func main() {
 	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4,8 protocol=lrc,hlrc" (emits JSON-lines)`)
 	workers := flag.Int("workers", 0, "sweep worker pool size (0: all host cores)")
 	fabricAddrs := flag.String("fabric", "", "comma-separated fabric worker addresses: shard -sweep across them (merged output stays byte-identical)")
-	fabricRange := flag.Int("fabric-range", 0, "specs per fabric lease (0: 4)")
+	fabricRange := flag.Int("fabric-range", 0, "runs per fabric lease (0: 4)")
 	fabricLease := flag.Duration("fabric-lease", 0, "fabric lease deadline before reassignment (0: 2m)")
 	trace := flag.String("trace", "", "write the run's event trace as Chrome trace_event JSON to this file (single run)")
 	breakdown := flag.Bool("breakdown", false, "print the per-node time attribution (single run) or add bd_* fields (sweep)")

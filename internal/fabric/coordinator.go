@@ -13,19 +13,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 )
 
 // Coordinator distributes a spec list across HTTP workers and merges
 // their record streams into spec order, byte-identically to a local
-// sweep. Zero values get sane defaults; a Coordinator is good for one
-// Run at a time.
+// sweep. What it leases is runs, not specs: each distinct execution the
+// list needs (exp.Spec.Canonical, and under Speedup each sequential
+// baseline) once, so a label or a baseline is never simulated twice
+// across the fleet; the merge relabels and joins, as exp.Engine does.
+// Zero values get sane defaults; a Coordinator is good for one Run at a
+// time.
 type Coordinator struct {
 	// Workers are worker base addresses (host:port or full URLs). An
 	// empty or unreachable fleet degrades to local execution.
 	Workers []string
-	// RangeSize is the number of specs per lease; 0 means 4.
+	// RangeSize is the number of runs per lease; 0 means 4.
 	RangeSize int
 	// LeaseTimeout bounds one lease's wall time before the coordinator
 	// abandons it and reassigns the range; 0 means 2 minutes.
@@ -36,12 +41,15 @@ type Coordinator struct {
 	// MaxWorkerFailures retires a worker after that many consecutive
 	// failed leases; 0 means 3.
 	MaxWorkerFailures int
-	// Speedup and Observe mirror exp.Engine.JoinSpeedup / Observe on
-	// the workers and the local fallback engine.
+	// Speedup and Observe mirror exp.Engine.JoinSpeedup / Observe: the
+	// merged records carry the baseline join and the bd_* fields a local
+	// sweep's would.
 	Speedup bool
 	Observe bool
 	// Engine is the local fallback engine; nil builds exp.New(). Its
-	// JoinSpeedup/Observe are forced to match Speedup/Observe.
+	// Observe is forced to match Observe, and its JoinSpeedup to match
+	// Speedup when no worker registers (the sweep then runs locally) and
+	// to false while a fleet runs (the merge joins).
 	Engine *exp.Engine
 	// Client performs worker requests; nil uses a fresh http.Client
 	// (per-request contexts carry the deadlines).
@@ -84,24 +92,24 @@ type workerState struct {
 	retired  atomic.Bool
 
 	// ewmaNS is an exponentially weighted moving average of this
-	// worker's wall time per spec (successful leases only); 0 means no
+	// worker's wall time per run (successful leases only); 0 means no
 	// observation yet. Adaptive range sizing reads every worker's value
 	// to scale grants, so it is atomic; writes come only from the
 	// worker's own dispatch goroutine.
 	ewmaNS atomic.Int64
 
 	consecFail int   // touched only by the worker's own goroutine
-	grantSizes []int // spec counts granted, in order; same ownership
+	grantSizes []int // run counts granted, in order; same ownership
 }
 
-// observeLease folds one successful lease into the worker's per-spec
+// observeLease folds one successful lease into the worker's per-run
 // pace estimate (alpha = 0.4: responsive to a worker going slow,
 // stable against one noisy lease).
-func (ws *workerState) observeLease(nspecs int, d time.Duration) {
-	if nspecs <= 0 {
+func (ws *workerState) observeLease(nruns int, d time.Duration) {
+	if nruns <= 0 {
 		return
 	}
-	per := d.Nanoseconds() / int64(nspecs)
+	per := d.Nanoseconds() / int64(nruns)
 	if per <= 0 {
 		per = 1
 	}
@@ -139,14 +147,14 @@ func (c *Coordinator) maxWorkerFailures() int {
 	return 3
 }
 
-// grantSpecs sizes the next lease for ws: the configured RangeSize
+// grantRuns sizes the next lease for ws: the configured RangeSize
 // while the fleet is unmeasured or ws roughly keeps pace, scaled down
-// toward one spec once ws falls at least 2x behind the fastest live
-// worker (per-spec EWMA ratio — the hysteresis keeps ordinary timing
+// toward one run once ws falls at least 2x behind the fastest live
+// worker (per-run EWMA ratio — the hysteresis keeps ordinary timing
 // jitter from fragmenting leases). Sizing only repartitions leases —
 // the merge reassembles spec order whatever the granularity, so output
 // bytes never depend on it.
-func (c *Coordinator) grantSpecs(ws *workerState) int {
+func (c *Coordinator) grantRuns(ws *workerState) int {
 	base := c.rangeSize()
 	mine := ws.ewmaNS.Load()
 	if mine <= 0 {
@@ -187,14 +195,14 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // localEngine resolves the fallback engine with the coordinator's
-// options applied.
-func (c *Coordinator) localEngine() *exp.Engine {
+// options applied; join is its JoinSpeedup.
+func (c *Coordinator) localEngine(join bool) *exp.Engine {
 	e := c.Engine
 	if e == nil {
 		e = exp.New()
 		c.Engine = e
 	}
-	e.JoinSpeedup = c.Speedup
+	e.JoinSpeedup = join
 	e.Observe = c.Observe
 	if e.Metrics == nil {
 		e.Metrics = c.Metrics
@@ -205,11 +213,10 @@ func (c *Coordinator) localEngine() *exp.Engine {
 // Run executes specs across the fleet and writes one JSON-lines record
 // per spec to out, in spec order. The stats and joined error follow
 // the same failure accounting as exp.Engine.StreamWith: run failures
-// are error records counted in stats.Failed and joined into err, and a
-// write failure aborts the merge. The bytes written are identical to a
-// local sweep of the same specs, whatever the fleet does.
+// are error records counted in stats.Failed and joined into err, once
+// per run, and a write failure aborts the merge. The bytes written are
+// identical to a local sweep of the same specs, whatever the fleet does.
 func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, error) {
-	eng := c.localEngine()
 	if len(specs) == 0 {
 		return exp.StreamStats{}, nil
 	}
@@ -224,7 +231,7 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	c.registerMetrics()
 	if len(live) == 0 {
 		c.logf("fabric: no workers registered; running the sweep locally")
-		stats, err := eng.StreamWith(out, specs, func(rec *exp.Record) {
+		stats, err := c.localEngine(c.Speedup).StreamWith(out, specs, func(rec *exp.Record) {
 			c.recordsDone.Add(1)
 			c.localRecords.Add(1)
 			if rec.Error != "" {
@@ -235,7 +242,10 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 		return stats, err
 	}
 
-	tbl := newLeaseTable(len(specs), c.rangeSize(), c.maxAttempts(), len(live))
+	// The fallback executes runs as leased, unjoined: the merge joins.
+	eng := c.localEngine(false)
+	rl := newRunList(specs, c.Speedup)
+	tbl := newLeaseTable(len(rl.runs), c.rangeSize(), c.maxAttempts(), len(live))
 	c.mu.Lock()
 	c.rangesTotal = len(tbl.ranges)
 	c.tbl = tbl
@@ -246,7 +256,7 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 		wg.Add(1)
 		go func(ws *workerState) {
 			defer wg.Done()
-			c.serveWorker(ctx, ws, tbl, specs)
+			c.serveWorker(ctx, ws, tbl, rl)
 		}(ws)
 	}
 	// The local executor picks up ranges the fleet cannot finish:
@@ -254,50 +264,99 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.serveLocal(eng, tbl, specs)
+		c.serveLocal(eng, tbl, rl.runs)
 	}()
 
-	// Merge: emit ranges strictly in spec order as their records land.
-	// The walk is by position, not index — adaptive sizing can split
-	// ranges (growing the slice) while the merge runs.
-	var stats exp.StreamStats
-	var errs []error
-	seenErr := map[string]bool{}
-	var line []byte // reused; a record and its newline go out in one Write
-	for pos := 0; pos < len(specs); {
-		recs, next, ok := tbl.waitDoneAt(pos)
-		if !ok {
-			break // canceled — only the write-failure path below does that
+	// Merge: walk the requested specs in order, taking ranges of runs
+	// in run order as they land. The run list is in first-need order, so
+	// a spec waits for no range past the one holding its own run or
+	// baseline. Each record is its run's, relabelled with the spec asked
+	// for and joined with its baseline when both ran — what exp.Engine
+	// does per label.
+	var (
+		stats   exp.StreamStats
+		errs    []error
+		seenErr = map[string]bool{}
+		ran     = make([]*exp.Record, 0, len(rl.runs)) // each run's validated record, once its range is done
+		rec     exp.Record
+		line    []byte // reused; a record and its newline go out in one Write
+	)
+	for i, s := range specs {
+		for need := max(rl.run[i], rl.base[i]); int32(len(ran)) <= need; {
+			recs, ok := tbl.waitDoneAt(len(ran))
+			if !ok {
+				wg.Wait() // canceled — only the write-failure path below does that
+				return stats, errors.Join(errs...)
+			}
+			for j := range recs {
+				ran = append(ran, &recs[j])
+			}
 		}
-		pos = next
-		for i := range recs {
-			rec := &recs[i]
-			if rec.Error != "" {
-				stats.Failed++
-				c.recordsFailed.Add(1)
-				if run := rec.Canonical().Key(); !seenErr[run] { // once per run, as StreamWith
-					seenErr[run] = true
-					errs = append(errs, errors.New(rec.Error))
-				}
-			}
-			var werr error
-			if line, werr = exp.AppendRecord(line[:0], rec); werr == nil {
-				line = append(line, '\n')
-				_, werr = out.Write(line)
-			}
-			if werr != nil {
-				tbl.cancel()
-				cancel()
-				wg.Wait()
-				return stats, werr
-			}
-			stats.Records++
-			c.recordsDone.Add(1)
-			c.progressLine()
+		rec = *ran[rl.run[i]]
+		rec.Spec = s
+		if b := rl.base[i]; b >= 0 && rec.Error == "" && ran[b].Error == "" {
+			rec.JoinSeqNanos(ran[b].TimeNanos)
 		}
+		if rec.Error != "" {
+			stats.Failed++
+			c.recordsFailed.Add(1)
+			if run := rl.keys[rl.run[i]]; !seenErr[run] { // once per run, as StreamWith
+				seenErr[run] = true
+				errs = append(errs, errors.New(rec.Error))
+			}
+		}
+		var werr error
+		if line, werr = exp.AppendRecord(line[:0], &rec); werr == nil {
+			line = append(line, '\n')
+			_, werr = out.Write(line)
+		}
+		if werr != nil {
+			tbl.cancel()
+			cancel()
+			wg.Wait()
+			return stats, werr
+		}
+		stats.Records++
+		c.recordsDone.Add(1)
+		c.progressLine()
 	}
 	wg.Wait()
 	return stats, errors.Join(errs...)
+}
+
+// runList is what a fleet leases for a spec list: each distinct run the
+// list needs once — every spec's canonical run and, under the baseline
+// join, its sequential baseline — in first-need order, with each
+// requested spec's positions in it. Its length is
+// exp.UniqueRuns(specs, join).
+type runList struct {
+	runs []exp.Spec // canonical specs, the leased unit
+	keys []string   // their keys: the lease's wire form and the error set's
+	run  []int32    // per requested spec, its run's position
+	base []int32    // per requested spec, its baseline's position; -1 for no join
+}
+
+func newRunList(specs []exp.Spec, join bool) *runList {
+	l := &runList{run: make([]int32, len(specs)), base: make([]int32, len(specs))}
+	index := map[exp.Spec]int32{}
+	add := func(s exp.Spec) int32 {
+		pos, ok := index[s]
+		if !ok {
+			pos = int32(len(l.runs))
+			index[s] = pos
+			l.runs = append(l.runs, s)
+			l.keys = append(l.keys, s.Key())
+		}
+		return pos
+	}
+	for i, s := range specs {
+		l.base[i] = -1
+		if join && s.Version != core.Seq {
+			l.base[i] = add(exp.SeqSpecOf(s))
+		}
+		l.run[i] = add(s.Canonical())
+	}
+	return l
 }
 
 // handshake probes every configured worker address and registers the
@@ -353,9 +412,9 @@ func (c *Coordinator) probe(ctx context.Context, base string) (Hello, error) {
 // serveWorker is one registered worker's dispatch loop: lease, run,
 // deliver; on failure back off, and retire after too many consecutive
 // failed leases.
-func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *leaseTable, specs []exp.Spec) {
+func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *leaseTable, rl *runList) {
 	for {
-		g, ok := tbl.next(false, c.grantSpecs(ws))
+		g, ok := tbl.next(false, c.grantRuns(ws))
 		if !ok {
 			return
 		}
@@ -364,7 +423,7 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 		ws.leases.Add(1)
 		ws.inflight.Add(1)
 		leaseStart := time.Now()
-		recs, err := c.runRemote(ctx, ws, g, specs[r.lo:r.hi])
+		recs, err := c.runRemote(ctx, ws, g, rl.runs[r.lo:r.hi], rl.keys[r.lo:r.hi])
 		ws.inflight.Add(-1)
 		if err != nil {
 			expired := errors.Is(err, context.DeadlineExceeded)
@@ -404,7 +463,7 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 	}
 }
 
-// leaseID names one grant for logs and the wire: spec bounds plus the
+// leaseID names one grant for logs and the wire: run bounds plus the
 // attempt ordinal. Bounds are frozen while leased, so the ID is
 // stable.
 func leaseID(g grant) string {
@@ -414,16 +473,16 @@ func leaseID(g grant) string {
 // serveLocal is the fallback executor: it runs attempt-exhausted
 // ranges (and, once no live workers remain, everything unfinished)
 // through the local engine.
-func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, specs []exp.Spec) {
+func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, runs []exp.Spec) {
 	for {
 		g, ok := tbl.next(true, 0)
 		if !ok {
 			return
 		}
 		r := g.r
-		c.logf("fabric: running range r%d-%d (%d specs) locally", r.lo, r.hi, r.hi-r.lo)
+		c.logf("fabric: running range r%d-%d (%d runs) locally", r.lo, r.hi, r.hi-r.lo)
 		recs := make([]exp.Record, 0, r.hi-r.lo)
-		for _, s := range specs[r.lo:r.hi] {
+		for _, s := range runs[r.lo:r.hi] {
 			recs = append(recs, eng.Record(s))
 		}
 		c.localRecords.Add(int64(len(recs)))
@@ -433,20 +492,15 @@ func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, specs []exp.S
 	}
 }
 
-// runRemote executes one lease against one worker: POST the range,
-// validate the streamed records (strict schema, matching stamp, lease
-// order), and strip the wire stamp so merged bytes equal local bytes.
-// Short, over-long, misordered and malformed streams all fail the
-// lease the same way.
-func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, specs []exp.Spec) ([]exp.Record, error) {
-	keys := make([]string, len(specs))
-	for i, s := range specs {
-		keys[i] = s.Key()
-	}
+// runRemote executes one lease against one worker: POST the range's
+// run keys, unjoined, validate the streamed records (strict schema,
+// matching stamp, lease order), and strip the wire stamp so merged
+// bytes equal local bytes. Short, over-long, misordered and malformed
+// streams all fail the lease the same way.
+func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, specs []exp.Spec, keys []string) ([]exp.Record, error) {
 	body, err := json.Marshal(RunRequest{
 		SchemaVersion: exp.SchemaVersion,
 		Lease:         leaseID(g),
-		Speedup:       c.Speedup,
 		Observe:       c.Observe,
 		Keys:          keys,
 	})
@@ -493,12 +547,12 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, s
 				len(recs)+1, rec.SchemaVersion, exp.SchemaVersion)
 		}
 		if len(recs) >= len(specs) {
-			return nil, fmt.Errorf("worker streamed more records than the %d leased specs", len(specs))
+			return nil, fmt.Errorf("worker streamed more records than the %d leased runs", len(specs))
 		}
 		rec.SchemaVersion = 0 // strip the wire stamp: merged bytes == local bytes
 		if rec.Spec != specs[len(recs)] {
 			return nil, fmt.Errorf("record %d is %s, want lease order %s",
-				len(recs)+1, rec.Key(), specs[len(recs)].Key())
+				len(recs)+1, rec.Key(), keys[len(recs)])
 		}
 		recs = append(recs, rec)
 	}

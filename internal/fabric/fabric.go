@@ -1,11 +1,14 @@
-// Package fabric distributes a sweep's spec list across worker
-// processes: a Coordinator splits the list into contiguous leased
-// ranges, assigns them over HTTP to Workers (cmd/sweepd daemons), and
-// merges the workers' JSON-lines record streams back into spec order.
-// The merged output is byte-identical to a single-process sweep of the
-// same specs at any worker count — the same invariant internal/exp
-// proves for in-process workers, carried across process and machine
-// boundaries.
+// Package fabric distributes a sweep across worker processes: a
+// Coordinator lists the distinct runs its spec list needs (each
+// canonical execution, and under the baseline join each sequential
+// baseline, once), splits that list into contiguous leased ranges,
+// assigns them over HTTP to Workers (cmd/sweepd daemons), and merges the
+// workers' JSON-lines record streams back into spec order, relabelling
+// each run's record with the spec that asked for it and joining its
+// baseline. The merged output is byte-identical to a single-process
+// sweep of the same specs at any worker count — the same invariant
+// internal/exp proves for in-process workers, carried across process
+// and machine boundaries.
 //
 // Robustness is the design center, not an afterthought:
 //
@@ -14,8 +17,8 @@
 //     range returns to the pending queue for reassignment.
 //   - Idle workers re-run straggling in-flight ranges (at most one
 //     duplicate attempt per range); the first valid result wins and
-//     late duplicates are deduplicated by spec key — harmless, because
-//     the simulator is deterministic and both copies are bit-equal.
+//     late duplicates are dropped — harmless, because the simulator is
+//     deterministic and both copies are bit-equal.
 //   - Workers that fail repeatedly are retired; ranges that exhaust
 //     their remote attempts fall back to local execution, and a
 //     coordinator with no registered workers at all degrades to a plain
@@ -29,18 +32,21 @@
 //	GET /healthz
 //	  -> {"ok":true,"schema_version":N}
 //
-//	POST /run   {"schema_version":N,"lease":"r3.1","speedup":true,
-//	             "observe":false,"keys":["app=Jacobi|version=tmk|..."]}
+//	POST /run   {"schema_version":N,"lease":"r0-4.1","observe":true,
+//	             "keys":["app=Jacobi|version=seq|procs=1|...",
+//	                     "app=Jacobi|version=xhpf|procs=2|..."]}
 //	  -> one exp.Record JSON line per key, in key order, each stamped
 //	     with schema_version; the stream ends after exactly len(keys)
 //	     records. Fewer records mean the worker died mid-range; the
 //	     coordinator treats short, over-long, misordered and malformed
 //	     streams identically — the lease failed.
 //
-// Spec ranges travel as canonical spec keys (exp.Spec.Key round-trips
-// exactly through exp.ParseKey), and run failures travel as ordinary
-// error records, so a distributed sweep fails with the same accounting
-// as a local one.
+// A lease's keys are canonical runs (exp.Spec.Canonical; exp.Spec.Key
+// round-trips exactly through exp.ParseKey), asked for unjoined: the
+// coordinator joins at the merge. A worker still honours "speedup":true
+// and label keys, which is what older coordinators send. Run failures
+// travel as ordinary error records, so a distributed sweep fails with
+// the same accounting as a local one.
 package fabric
 
 import "strings"
@@ -58,15 +64,18 @@ type Hello struct {
 	SchemaVersion int  `json:"schema_version"`
 }
 
-// RunRequest leases one spec range to a worker. Keys are canonical
-// spec keys in range order; the worker must answer with exactly one
-// stamped record per key, in the same order.
+// RunRequest leases one range of runs to a worker. Keys are spec keys
+// in range order; the worker must answer with exactly one stamped
+// record per key, in the same order, labelled with that key's spec.
 type RunRequest struct {
 	SchemaVersion int    `json:"schema_version"`
 	Lease         string `json:"lease"`
-	// Speedup and Observe mirror the coordinator's engine options so
-	// the worker's records carry the same fields a local sweep would
-	// (seq-baseline join, bd_* time attribution).
+	// Speedup asks the worker to join each non-seq record with its
+	// sequential baseline, as exp.Engine.JoinSpeedup does. A coordinator
+	// leases the baselines as runs of their own and joins at the merge,
+	// so it leaves this false; the worker honours it for older
+	// coordinators, which sent it set. Observe attaches the bd_* time
+	// attribution a local sweep with Observe carries.
 	Speedup bool     `json:"speedup,omitempty"`
 	Observe bool     `json:"observe,omitempty"`
 	Keys    []string `json:"keys"`

@@ -35,6 +35,37 @@ func testGrid(t *testing.T) []exp.Spec {
 	return specs
 }
 
+// labelList is CI's label-heavy sweep: the sequential and
+// message-passing versions read neither the protocol nor the home
+// policy, and the homeless protocol has no homes, so its 128 specs are
+// labels of 42 runs under the baseline join (DESIGN.md "Run identity").
+const labelList = "app=Jacobi,MGS version=seq,xhpf,pvme,tmk procs=2,4 protocol=lrc,hlrc homepolicy=static,firsttouch contention=0,2"
+
+// labelGrid expands labelList at small scale, as dsmrun -sweep does.
+func labelGrid(t *testing.T) []exp.Spec {
+	t.Helper()
+	axes, err := exp.ParseAxes(strings.Fields(labelList))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := axes.Specs(exp.Spec{Scale: core.SmallScale})
+	for i := range specs {
+		specs[i] = specs[i].Normalize()
+	}
+	return specs
+}
+
+// executedRuns is what a fleet simulated for one Run: every record a
+// worker streamed or the local fallback ran, less the straggler copies
+// the merge dropped.
+func executedRuns(snap FleetSnapshot) int64 {
+	n := snap.LocalRecords - snap.DuplicateRecords
+	for _, ws := range snap.Workers {
+		n += ws.Records
+	}
+	return n
+}
+
 // localBytes renders the single-process reference output for specs.
 func localBytes(t *testing.T, specs []exp.Spec, speedup, observe bool) []byte {
 	t.Helper()
@@ -111,6 +142,35 @@ func TestMergeByteIdenticalWithJoins(t *testing.T) {
 	}
 	if !bytes.Equal(want, got.Bytes()) {
 		t.Errorf("merged output with joins differs from local sweep:\nlocal:\n%s\nfabric:\n%s", want, got.Bytes())
+	}
+}
+
+// TestFleetExecutesEachRunOnce: a fleet leases runs, not specs, so a
+// label or a baseline that lands on a second worker is not simulated
+// again. Through 1, 2 and 4 workers the label-heavy list, joined and
+// observed, merges to the local stream's bytes from exactly
+// exp.UniqueRuns executions (leasing the requested specs took 128).
+func TestFleetExecutesEachRunOnce(t *testing.T) {
+	specs := labelGrid(t)
+	runs := exp.UniqueRuns(specs, true)
+	if len(specs) != 128 || runs != 42 {
+		t.Fatalf("label list is %d specs of %d runs, want 128 of 42", len(specs), runs)
+	}
+	want := localBytes(t, specs, true, true)
+	for _, workers := range []int{1, 2, 4} {
+		c := &Coordinator{Workers: startWorkers(t, workers), Speedup: true, Observe: true, Logf: t.Logf}
+		var got bytes.Buffer
+		stats, err := c.Run(&got, specs)
+		if err != nil || stats.Records != len(specs) || stats.Failed != 0 {
+			t.Fatalf("workers=%d: stats %+v, err %v", workers, stats, err)
+		}
+		if !bytes.Equal(want, got.Bytes()) {
+			t.Errorf("workers=%d: merged output differs from local sweep:\nlocal:\n%s\nfabric:\n%s",
+				workers, want, got.Bytes())
+		}
+		if n := executedRuns(c.Snapshot()); n != int64(runs) {
+			t.Errorf("workers=%d: the fleet executed %d runs, want %d", workers, n, runs)
+		}
 	}
 }
 
@@ -274,6 +334,50 @@ func TestWireRecordsCarrySchemaVersion(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("mismatched run request got status %s, want 400", resp2.Status)
+	}
+}
+
+// TestLabelLeaseFromOlderCoordinator pins mixed fleets: a coordinator
+// that predates run leasing sends a worker the requested specs' own
+// keys, labels included, with "speedup":true. The worker's stamped
+// lines must still decode to the local stream's records.
+func TestLabelLeaseFromOlderCoordinator(t *testing.T) {
+	addr := startWorkers(t, 1)[0]
+	specs := labelGrid(t)
+	keys := make([]string, len(specs))
+	for i, s := range specs {
+		keys[i] = s.Key()
+	}
+	body, _ := json.Marshal(RunRequest{SchemaVersion: exp.SchemaVersion, Lease: "r0-128.1", Speedup: true, Observe: true, Keys: keys})
+	resp, err := http.Post(addr+RunPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run status %s", resp.Status)
+	}
+	var wire bytes.Buffer
+	if _, err := wire.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for i, line := range bytes.Split(bytes.TrimSpace(wire.Bytes()), []byte("\n")) {
+		rec, err := exp.ValidateLine(line)
+		if err != nil {
+			t.Fatalf("wire record %d: %v", i, err)
+		}
+		if rec.SchemaVersion != exp.SchemaVersion {
+			t.Fatalf("wire record %d: schema_version %d, want %d", i, rec.SchemaVersion, exp.SchemaVersion)
+		}
+		rec.SchemaVersion = 0
+		if got, err = exp.AppendRecord(got, &rec); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, '\n')
+	}
+	if want := localBytes(t, specs, true, true); !bytes.Equal(want, got) {
+		t.Errorf("an older coordinator's lease decodes to other records than the local stream's:\nlocal:\n%s\nwire:\n%s", want, got)
 	}
 }
 

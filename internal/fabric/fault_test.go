@@ -26,8 +26,9 @@ func faultServer(t *testing.T, mw func(http.Handler) http.Handler) string {
 }
 
 // runFleet drives one coordinator run and asserts byte identity
-// against the local reference, returning the coordinator for
-// telemetry assertions.
+// against the local reference, and that a fleet that registered
+// executed each distinct run once, whatever failed on the way. It
+// returns the coordinator for telemetry assertions.
 func runFleet(t *testing.T, c *Coordinator, specs []exp.Spec, wantErr bool) *Coordinator {
 	t.Helper()
 	want := localBytes(t, specs, c.Speedup, c.Observe)
@@ -45,15 +46,21 @@ func runFleet(t *testing.T, c *Coordinator, specs []exp.Spec, wantErr bool) *Coo
 	if !bytes.Equal(want, got.Bytes()) {
 		t.Errorf("merged output differs from local sweep under fault:\nlocal:\n%s\nfabric:\n%s", want, got.Bytes())
 	}
+	if snap := c.Snapshot(); len(snap.Workers) > 0 {
+		if n, runs := executedRuns(snap), exp.UniqueRuns(specs, c.Speedup); n != int64(runs) {
+			t.Errorf("the fleet executed %d runs, want %d", n, runs)
+		}
+	}
 	return c
 }
 
 // TestWorkerKilledMidRange injects a crash after two streamed records:
 // the dying worker aborts its connection mid-stream and 503s forever
 // after, so the coordinator must detect the truncated range, fail the
-// lease, and finish through the surviving worker — byte-identically.
+// lease, and finish through the surviving worker — byte-identically,
+// relabelled and joined, on the label-heavy list.
 func TestWorkerKilledMidRange(t *testing.T) {
-	specs := testGrid(t)
+	specs := labelGrid(t)
 	dying := NewWorker(nil)
 	dying.Workers = 2
 	dying.KillAfterRecords = 2
@@ -63,6 +70,7 @@ func TestWorkerKilledMidRange(t *testing.T) {
 	c := runFleet(t, &Coordinator{
 		Workers:   []string{dyingSrv.URL, startWorkers(t, 1)[0]},
 		RangeSize: 3,
+		Speedup:   true,
 	}, specs, false)
 
 	snap := c.Snapshot()
@@ -82,9 +90,10 @@ func TestWorkerKilledMidRange(t *testing.T) {
 
 // TestAllWorkersDieFallsBackLocal kills the entire fleet mid-sweep;
 // the coordinator retires both workers and the local executor finishes
-// every remaining range, still byte-identical.
+// every remaining range unjoined, and the merge relabels and joins its
+// runs like the workers' — still byte-identical on the label-heavy list.
 func TestAllWorkersDieFallsBackLocal(t *testing.T) {
-	specs := testGrid(t)
+	specs := labelGrid(t)
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		w := NewWorker(nil)
@@ -99,6 +108,7 @@ func TestAllWorkersDieFallsBackLocal(t *testing.T) {
 		RangeSize:         2,
 		MaxAttempts:       2,
 		MaxWorkerFailures: 2,
+		Speedup:           true,
 	}, specs, false)
 	if n := c.Snapshot().LocalRecords; n == 0 {
 		t.Error("local fallback executed no records after fleet death")
@@ -112,9 +122,10 @@ func TestAllWorkersDieFallsBackLocal(t *testing.T) {
 
 // TestLeaseExpiryReassigned hangs one worker's /run forever. Its lease
 // must expire at LeaseTimeout and the range reassign to the healthy
-// worker; identity holds and the hang shows up as a lease expiry.
+// worker; identity holds on the label-heavy list, joined, and the hang
+// shows up as a lease expiry.
 func TestLeaseExpiryReassigned(t *testing.T) {
-	specs := testGrid(t)
+	specs := labelGrid(t)
 	hang := make(chan struct{})
 	defer close(hang)
 	hanging := faultServer(t, func(next http.Handler) http.Handler {
@@ -130,6 +141,7 @@ func TestLeaseExpiryReassigned(t *testing.T) {
 		Workers:      []string{hanging, startWorkers(t, 1)[0]},
 		RangeSize:    3,
 		LeaseTimeout: 200 * time.Millisecond,
+		Speedup:      true,
 	}, specs, false)
 
 	var expiries int64

@@ -30,9 +30,10 @@ const (
 // original lease plus one straggler duplicate.
 const maxInflightPerRange = 2
 
-// specRange is one leased unit: the half-open slice specs[lo:hi] plus
-// its lease state and, once done, its validated records.
-type specRange struct {
+// runRange is one leased unit: the half-open slice runs[lo:hi] of the
+// coordinator's run list plus its lease state and, once done, its
+// validated records.
+type runRange struct {
 	lo, hi    int
 	status    rangeStatus
 	inflight  int       // outstanding lease attempts
@@ -51,20 +52,20 @@ type specRange struct {
 // ranges stays sorted by lo and contiguous over [0, n): adaptive
 // sizing may split a pending range into a granted head and a pending
 // remainder, growing the slice, but never changes a leased or done
-// range's bounds — so the merge can walk spec positions and every
+// range's bounds — so the merge can walk run positions and every
 // grant's slice is stable for its whole lease.
 type leaseTable struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	ranges      []*specRange
+	ranges      []*runRange
 	done        int
 	liveWorkers int
 	maxAttempts int
 	canceled    bool
 }
 
-// newLeaseTable splits n specs into ranges of size (the last may be
+// newLeaseTable splits n runs into ranges of size (the last may be
 // ragged) for liveWorkers registered workers.
 func newLeaseTable(n, size, maxAttempts, liveWorkers int) *leaseTable {
 	t := &leaseTable{liveWorkers: liveWorkers, maxAttempts: maxAttempts}
@@ -74,7 +75,7 @@ func newLeaseTable(n, size, maxAttempts, liveWorkers int) *leaseTable {
 		if hi > n {
 			hi = n
 		}
-		t.ranges = append(t.ranges, &specRange{lo: lo, hi: hi})
+		t.ranges = append(t.ranges, &runRange{lo: lo, hi: hi})
 	}
 	return t
 }
@@ -83,7 +84,7 @@ func newLeaseTable(n, size, maxAttempts, liveWorkers int) *leaseTable {
 // frozen while leased) and the attempt ordinal (1-based, for lease IDs
 // and logs). Splits shift slice indices, so grants hold the pointer.
 type grant struct {
-	r       *specRange
+	r       *runRange
 	attempt int
 }
 
@@ -98,12 +99,12 @@ type grant struct {
 // — or any unfinished range once no live workers remain — and never
 // duplicate in-flight work.
 //
-// maxSpecs > 0 caps the grant for remote callers (adaptive range
-// sizing): a larger pending range is split at maxSpecs and only the
+// maxRuns > 0 caps the grant for remote callers (adaptive range
+// sizing): a larger pending range is split at maxRuns and only the
 // head granted, leaving the remainder pending for faster hands.
 // Straggler duplicates are never split — the original attempt's bounds
 // are already fixed.
-func (t *leaseTable) next(local bool, maxSpecs int) (grant, bool) {
+func (t *leaseTable) next(local bool, maxRuns int) (grant, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
@@ -112,8 +113,8 @@ func (t *leaseTable) next(local bool, maxSpecs int) (grant, bool) {
 		}
 		if idx, ok := t.pickLocked(local); ok {
 			r := t.ranges[idx]
-			if !local && maxSpecs > 0 && r.status == rangePending && r.hi-r.lo > maxSpecs {
-				t.splitLocked(idx, maxSpecs)
+			if !local && maxRuns > 0 && r.status == rangePending && r.hi-r.lo > maxRuns {
+				t.splitLocked(idx, maxRuns)
 				r = t.ranges[idx]
 			}
 			r.status = rangeLeased
@@ -133,7 +134,7 @@ func (t *leaseTable) next(local bool, maxSpecs int) (grant, bool) {
 // pending work wakes anything blocked in next. Caller holds t.mu.
 func (t *leaseTable) splitLocked(idx, keep int) {
 	r := t.ranges[idx]
-	rest := &specRange{lo: r.lo + keep, hi: r.hi}
+	rest := &runRange{lo: r.lo + keep, hi: r.hi}
 	r.hi = r.lo + keep
 	t.ranges = append(t.ranges, nil)
 	copy(t.ranges[idx+2:], t.ranges[idx+1:])
@@ -231,21 +232,21 @@ func (t *leaseTable) cancel() {
 	t.cond.Broadcast()
 }
 
-// waitDoneAt blocks until the range starting at spec position lo is
-// done, returning its records and the next position; ok=false means
+// waitDoneAt blocks until the range starting at run position lo is
+// done, returning its records (positions lo onward); ok=false means
 // the table was canceled first. Splits only touch pending ranges, so
 // the range at lo may gain a smaller hi while still pending, but once
-// done its bounds are final — the emitter walks positions, immune to
-// the slice growing under it.
-func (t *leaseTable) waitDoneAt(lo int) ([]exp.Record, int, bool) {
+// done its bounds are final — the merge walks positions, immune to the
+// slice growing under it.
+func (t *leaseTable) waitDoneAt(lo int) ([]exp.Record, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
 		if r := t.rangeAtLocked(lo); r != nil && r.status == rangeDone {
-			return r.records, r.hi, true
+			return r.records, true
 		}
 		if t.canceled {
-			return nil, 0, false
+			return nil, false
 		}
 		t.cond.Wait()
 	}
@@ -253,7 +254,7 @@ func (t *leaseTable) waitDoneAt(lo int) ([]exp.Record, int, bool) {
 
 // rangeAtLocked finds the range whose lo matches, by binary search
 // (ranges stay sorted and contiguous). Caller holds t.mu.
-func (t *leaseTable) rangeAtLocked(lo int) *specRange {
+func (t *leaseTable) rangeAtLocked(lo int) *runRange {
 	i := sort.Search(len(t.ranges), func(i int) bool { return t.ranges[i].lo >= lo })
 	if i < len(t.ranges) && t.ranges[i].lo == lo {
 		return t.ranges[i]

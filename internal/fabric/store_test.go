@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/proto"
 	"repro/internal/store"
 )
 
@@ -46,10 +48,17 @@ func storeWorker(t *testing.T, dir string) (*Worker, string) {
 // splitting pending ranges, which grows the range count — while the
 // merged bytes stay identical to a local sweep.
 func TestAdaptiveRangeSizingSlowWorker(t *testing.T) {
-	base := testGrid(t)
-	var specs []exp.Spec
-	for i := 0; i < 8; i++ {
-		specs = append(specs, base...) // 64 positions; dedup keeps runs cheap
+	// 64 distinct runs: a fleet leases runs, so repeats would not do.
+	axes := exp.Axes{
+		Apps:        []string{"Jacobi", "MGS"},
+		Versions:    []core.Version{core.Tmk},
+		Procs:       []int{1, 2, 3, 4, 5, 6, 7, 8},
+		Protocols:   []proto.Name{proto.HomelessLRC, proto.HomeLRC},
+		Contentions: []int{0, 2},
+	}
+	specs := axes.Specs(exp.Spec{Scale: core.SmallScale})
+	if runs := exp.UniqueRuns(specs, false); runs != 64 {
+		t.Fatalf("grid is %d runs, want 64", runs)
 	}
 	_, fastURL := stalledWorker(t, 20*time.Millisecond)
 	_, slowURL := stalledWorker(t, 80*time.Millisecond)

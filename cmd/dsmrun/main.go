@@ -144,10 +144,10 @@
 // the spec list needs into leased ranges, assigns them over HTTP,
 // validates the streamed records and merges them into spec order,
 // relabelled and joined per spec — the stdout bytes are identical to
-// a local -sweep at any worker count. Leases have deadlines (-fabric-lease); expired,
-// crashed, or malformed leases are retried and reassigned, stragglers
-// are re-issued to idle workers (first valid result wins), and ranges
-// the fleet cannot finish fall back to local execution, so an empty or
+// a local -sweep at any worker count. A range has one holder at a time
+// and a deadline (-fabric-lease); expired, crashed, or malformed leases
+// are retried and reassigned, and ranges the fleet cannot finish fall
+// back to local execution, so an empty or
 // fully-dead fleet degrades to a plain local sweep. Workers whose
 // build has a different record schema version are rejected at
 // registration. With -metrics-addr the /progress endpoint serves the

@@ -35,12 +35,6 @@ type Coordinator struct {
 	// LeaseTimeout bounds one lease's wall time before the coordinator
 	// abandons it and reassigns the range; 0 means 2 minutes.
 	LeaseTimeout time.Duration
-	// MaxAttempts caps remote attempts per range before it falls back
-	// to local execution; 0 means 3.
-	MaxAttempts int
-	// MaxWorkerFailures retires a worker after that many consecutive
-	// failed leases; 0 means 3.
-	MaxWorkerFailures int
 	// Speedup and Observe mirror exp.Engine.JoinSpeedup / Observe: the
 	// merged records carry the baseline join and the bd_* fields a local
 	// sweep's would.
@@ -73,12 +67,20 @@ type Coordinator struct {
 
 	recordsDone   atomic.Int64
 	recordsFailed atomic.Int64
-	duplicates    atomic.Int64
 	localRecords  atomic.Int64
 
 	metricsOnce sync.Once
 	tbl         *leaseTable
 }
+
+const (
+	// maxAttempts caps remote attempts per range before it falls back to
+	// local execution.
+	maxAttempts = 3
+	// maxWorkerFailures retires a worker after that many consecutive
+	// failed leases.
+	maxWorkerFailures = 3
+)
 
 // workerState is one registered worker's live accounting.
 type workerState struct {
@@ -91,32 +93,7 @@ type workerState struct {
 	inflight atomic.Int64
 	retired  atomic.Bool
 
-	// ewmaNS is an exponentially weighted moving average of this
-	// worker's wall time per run (successful leases only); 0 means no
-	// observation yet. Adaptive range sizing reads every worker's value
-	// to scale grants, so it is atomic; writes come only from the
-	// worker's own dispatch goroutine.
-	ewmaNS atomic.Int64
-
-	consecFail int   // touched only by the worker's own goroutine
-	grantSizes []int // run counts granted, in order; same ownership
-}
-
-// observeLease folds one successful lease into the worker's per-run
-// pace estimate (alpha = 0.4: responsive to a worker going slow,
-// stable against one noisy lease).
-func (ws *workerState) observeLease(nruns int, d time.Duration) {
-	if nruns <= 0 {
-		return
-	}
-	per := d.Nanoseconds() / int64(nruns)
-	if per <= 0 {
-		per = 1
-	}
-	if old := ws.ewmaNS.Load(); old > 0 {
-		per = (2*per + 3*old) / 5
-	}
-	ws.ewmaNS.Store(per)
+	consecFail int // touched only by the worker's own goroutine
 }
 
 func (c *Coordinator) rangeSize() int {
@@ -131,54 +108,6 @@ func (c *Coordinator) leaseTimeout() time.Duration {
 		return c.LeaseTimeout
 	}
 	return 2 * time.Minute
-}
-
-func (c *Coordinator) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 3
-}
-
-func (c *Coordinator) maxWorkerFailures() int {
-	if c.MaxWorkerFailures > 0 {
-		return c.MaxWorkerFailures
-	}
-	return 3
-}
-
-// grantRuns sizes the next lease for ws: the configured RangeSize
-// while the fleet is unmeasured or ws roughly keeps pace, scaled down
-// toward one run once ws falls at least 2x behind the fastest live
-// worker (per-run EWMA ratio — the hysteresis keeps ordinary timing
-// jitter from fragmenting leases). Sizing only repartitions leases —
-// the merge reassembles spec order whatever the granularity, so output
-// bytes never depend on it.
-func (c *Coordinator) grantRuns(ws *workerState) int {
-	base := c.rangeSize()
-	mine := ws.ewmaNS.Load()
-	if mine <= 0 {
-		return base
-	}
-	fastest := int64(0)
-	c.mu.Lock()
-	for _, o := range c.workers {
-		if o.retired.Load() {
-			continue
-		}
-		if v := o.ewmaNS.Load(); v > 0 && (fastest == 0 || v < fastest) {
-			fastest = v
-		}
-	}
-	c.mu.Unlock()
-	if fastest <= 0 || mine < 2*fastest {
-		return base
-	}
-	size := int(float64(base) * float64(fastest) / float64(mine))
-	if size < 1 {
-		size = 1
-	}
-	return size
 }
 
 func (c *Coordinator) client() *http.Client {
@@ -245,7 +174,7 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	// The fallback executes runs as leased, unjoined: the merge joins.
 	eng := c.localEngine(false)
 	rl := newRunList(specs, c.Speedup)
-	tbl := newLeaseTable(len(rl.runs), c.rangeSize(), c.maxAttempts(), len(live))
+	tbl := newLeaseTable(len(rl.runs), c.rangeSize(), len(live))
 	c.mu.Lock()
 	c.rangesTotal = len(tbl.ranges)
 	c.tbl = tbl
@@ -360,14 +289,22 @@ func newRunList(specs []exp.Spec, join bool) *runList {
 }
 
 // handshake probes every configured worker address and registers the
-// ones that answer /healthz with a matching schema version.
+// ones that answer /healthz with a matching schema version. An address
+// listed twice (in any spelling NormalizeAddr equates) is one worker:
+// its per-worker metric series exist once.
 func (c *Coordinator) handshake(ctx context.Context) []*workerState {
 	var live []*workerState
+	seen := map[string]bool{}
 	for _, addr := range c.Workers {
 		base := NormalizeAddr(addr)
 		if base == "" {
 			continue
 		}
+		if seen[base] {
+			c.logf("fabric: worker %s listed more than once; registering it once", base)
+			continue
+		}
+		seen[base] = true
 		hello, err := c.probe(ctx, base)
 		switch {
 		case err != nil:
@@ -414,15 +351,13 @@ func (c *Coordinator) probe(ctx context.Context, base string) (Hello, error) {
 // failed leases.
 func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *leaseTable, rl *runList) {
 	for {
-		g, ok := tbl.next(false, c.grantRuns(ws))
+		g, ok := tbl.next(false)
 		if !ok {
 			return
 		}
 		r := g.r
-		ws.grantSizes = append(ws.grantSizes, r.hi-r.lo)
 		ws.leases.Add(1)
 		ws.inflight.Add(1)
-		leaseStart := time.Now()
 		recs, err := c.runRemote(ctx, ws, g, rl.runs[r.lo:r.hi], rl.keys[r.lo:r.hi])
 		ws.inflight.Add(-1)
 		if err != nil {
@@ -436,7 +371,7 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 			ws.consecFail++
 			c.logf("fabric: worker %s lease %s failed (expired=%v, consecutive %d): %v",
 				ws.addr, leaseID(g), expired, ws.consecFail, err)
-			if ws.consecFail >= c.maxWorkerFailures() {
+			if ws.consecFail >= maxWorkerFailures {
 				ws.retired.Store(true)
 				tbl.retireWorker()
 				c.logf("fabric: worker %s retired after %d consecutive failures", ws.addr, ws.consecFail)
@@ -455,17 +390,13 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 			continue
 		}
 		ws.consecFail = 0
-		ws.observeLease(len(recs), time.Since(leaseStart))
 		ws.records.Add(int64(len(recs)))
-		if !tbl.deliver(g, recs) {
-			c.duplicates.Add(int64(len(recs)))
-		}
+		tbl.deliver(g, recs)
 	}
 }
 
 // leaseID names one grant for logs and the wire: run bounds plus the
-// attempt ordinal. Bounds are frozen while leased, so the ID is
-// stable.
+// attempt ordinal.
 func leaseID(g grant) string {
 	return fmt.Sprintf("r%d-%d.%d", g.r.lo, g.r.hi, g.attempt)
 }
@@ -475,7 +406,7 @@ func leaseID(g grant) string {
 // through the local engine.
 func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, runs []exp.Spec) {
 	for {
-		g, ok := tbl.next(true, 0)
+		g, ok := tbl.next(true)
 		if !ok {
 			return
 		}
@@ -486,9 +417,7 @@ func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, runs []exp.Sp
 			recs = append(recs, eng.Record(s))
 		}
 		c.localRecords.Add(int64(len(recs)))
-		if !tbl.deliver(g, recs) {
-			c.duplicates.Add(int64(len(recs)))
-		}
+		tbl.deliver(g, recs)
 	}
 }
 

@@ -12,13 +12,10 @@
 //
 // Robustness is the design center, not an afterthought:
 //
-//   - Every lease has a deadline. A worker that crashes, hangs past the
-//     deadline, or streams malformed records loses the lease, and the
-//     range returns to the pending queue for reassignment.
-//   - Idle workers re-run straggling in-flight ranges (at most one
-//     duplicate attempt per range); the first valid result wins and
-//     late duplicates are dropped — harmless, because the simulator is
-//     deterministic and both copies are bit-equal.
+//   - A range has one holder at a time, and every lease has a deadline.
+//     A worker that crashes, hangs past the deadline, or streams
+//     malformed records loses the lease, and the range returns to the
+//     pending queue for reassignment.
 //   - Workers that fail repeatedly are retired; ranges that exhaust
 //     their remote attempts fall back to local execution, and a
 //     coordinator with no registered workers at all degrades to a plain

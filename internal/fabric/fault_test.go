@@ -104,11 +104,9 @@ func TestAllWorkersDieFallsBackLocal(t *testing.T) {
 		addrs = append(addrs, srv.URL)
 	}
 	c := runFleet(t, &Coordinator{
-		Workers:           addrs,
-		RangeSize:         2,
-		MaxAttempts:       2,
-		MaxWorkerFailures: 2,
-		Speedup:           true,
+		Workers:   addrs,
+		RangeSize: 2,
+		Speedup:   true,
 	}, specs, false)
 	if n := c.Snapshot().LocalRecords; n == 0 {
 		t.Error("local fallback executed no records after fleet death")
@@ -153,14 +151,14 @@ func TestLeaseExpiryReassigned(t *testing.T) {
 	}
 }
 
-// TestDuplicateResultsDeduped forces a straggler duplicate: one range
-// covering the whole grid, two workers — the idle worker re-leases the
-// in-flight range, both deliver, and first-result-wins drops one full
-// copy without disturbing the output bytes.
-func TestDuplicateResultsDeduped(t *testing.T) {
+// TestIdleWorkerDoesNotDuplicate: a range has one holder. With one
+// range covering the whole grid and two workers, the worker that did
+// not get it stays idle while the holder's first /run is held back, and
+// no run is executed twice.
+func TestIdleWorkerDoesNotDuplicate(t *testing.T) {
 	specs := testGrid(t)
-	// Delay the first /run just long enough that the second worker
-	// grabs the straggler duplicate before either delivers.
+	// Delay the first /run long enough that an idle worker would have
+	// time to lease the in-flight range if anything let it.
 	var calls atomic.Int64
 	slowOnce := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -172,10 +170,18 @@ func TestDuplicateResultsDeduped(t *testing.T) {
 	}
 	c := runFleet(t, &Coordinator{
 		Workers:   []string{faultServer(t, slowOnce), faultServer(t, slowOnce)},
-		RangeSize: len(specs), // a single range: the only lease to duplicate
+		RangeSize: len(specs), // a single range
 	}, specs, false)
-	if n := c.Snapshot().DuplicateRecords; n != int64(len(specs)) {
-		t.Errorf("deduped %d duplicate records, want %d (one full straggler copy)", n, len(specs))
+	snap := c.Snapshot()
+	if snap.DuplicateRecords != 0 {
+		t.Errorf("%d duplicate records, want 0", snap.DuplicateRecords)
+	}
+	var leases []int64
+	for _, ws := range snap.Workers {
+		leases = append(leases, ws.Leases)
+	}
+	if len(leases) != 2 || leases[0]+leases[1] != 1 {
+		t.Errorf("leases by worker %v, want one lease in all and the idle worker at 0", leases)
 	}
 }
 

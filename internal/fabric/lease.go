@@ -1,9 +1,7 @@
 package fabric
 
 import (
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/exp"
 )
@@ -12,12 +10,11 @@ import (
 //
 //	pending --grant--> leased --deliver--> done
 //	   ^                  |
-//	   +------fail--------+   (attempts exhausted => localOnly)
+//	   +------fail--------+   (maxAttempts remote attempts => localOnly)
 //
-// A leased range may hold up to two concurrent attempts (the original
-// plus one straggler duplicate); it returns to pending only when every
-// outstanding attempt has failed. done is terminal — late duplicate
-// deliveries are dropped.
+// A range has one holder at a time: it is granted only while pending,
+// so no run is ever executed by two holders at once, and done is
+// terminal.
 type rangeStatus int
 
 const (
@@ -26,20 +23,14 @@ const (
 	rangeDone
 )
 
-// maxInflightPerRange bounds concurrent attempts on one range: the
-// original lease plus one straggler duplicate.
-const maxInflightPerRange = 2
-
 // runRange is one leased unit: the half-open slice runs[lo:hi] of the
 // coordinator's run list plus its lease state and, once done, its
 // validated records.
 type runRange struct {
 	lo, hi    int
 	status    rangeStatus
-	inflight  int       // outstanding lease attempts
-	attempts  int       // attempts granted so far (success or not)
-	localOnly bool      // remote attempts exhausted; only local may run it
-	started   time.Time // start of the oldest outstanding attempt
+	attempts  int  // attempts granted so far (success or not)
+	localOnly bool // remote attempts exhausted; only local may run it
 	records   []exp.Record
 }
 
@@ -49,40 +40,34 @@ type runRange struct {
 // serialize it; grants, deliveries, failures and retirements all
 // broadcast so blocked workers and the in-order emitter re-evaluate.
 //
-// ranges stays sorted by lo and contiguous over [0, n): adaptive
-// sizing may split a pending range into a granted head and a pending
-// remainder, growing the slice, but never changes a leased or done
-// range's bounds — so the merge can walk run positions and every
-// grant's slice is stable for its whole lease.
+// The ranges are fixed when the table is built — contiguous runs of
+// size over [0, n), the last possibly ragged — so the range starting at
+// run position lo is ranges[lo/size].
 type leaseTable struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	ranges      []*runRange
+	ranges      []runRange
+	size        int
 	done        int
 	liveWorkers int
-	maxAttempts int
 	canceled    bool
 }
 
 // newLeaseTable splits n runs into ranges of size (the last may be
 // ragged) for liveWorkers registered workers.
-func newLeaseTable(n, size, maxAttempts, liveWorkers int) *leaseTable {
-	t := &leaseTable{liveWorkers: liveWorkers, maxAttempts: maxAttempts}
+func newLeaseTable(n, size, liveWorkers int) *leaseTable {
+	t := &leaseTable{size: size, liveWorkers: liveWorkers}
 	t.cond = sync.NewCond(&t.mu)
 	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		t.ranges = append(t.ranges, &runRange{lo: lo, hi: hi})
+		t.ranges = append(t.ranges, runRange{lo: lo, hi: min(lo+size, n)})
 	}
 	return t
 }
 
-// grant is one lease assignment: the granted range (its bounds are
-// frozen while leased) and the attempt ordinal (1-based, for lease IDs
-// and logs). Splits shift slice indices, so grants hold the pointer.
+// grant is one lease assignment: the granted range and the attempt
+// ordinal (1-based, for lease IDs and logs), copied at grant time so
+// the holder never reads the range's counters unlocked.
 type grant struct {
 	r       *runRange
 	attempt int
@@ -90,128 +75,52 @@ type grant struct {
 
 // next blocks until work is available and returns the next grant, or
 // ok=false when every range is done (or the table was canceled) and
-// the caller should exit.
-//
-// Remote callers (local=false) get the first pending non-localOnly
-// range; with nothing pending they duplicate the longest-running
-// in-flight range that has capacity (straggler re-issue). Local
-// callers (local=true) get ranges whose remote attempts are exhausted
-// — or any unfinished range once no live workers remain — and never
-// duplicate in-flight work.
-//
-// maxRuns > 0 caps the grant for remote callers (adaptive range
-// sizing): a larger pending range is split at maxRuns and only the
-// head granted, leaving the remainder pending for faster hands.
-// Straggler duplicates are never split — the original attempt's bounds
-// are already fixed.
-func (t *leaseTable) next(local bool, maxRuns int) (grant, bool) {
+// the caller should exit. Remote callers (local=false) get the first
+// pending range with remote attempts left; the local caller gets
+// pending ranges whose remote attempts are exhausted — or any pending
+// range once no live workers remain.
+func (t *leaseTable) next(local bool) (grant, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
 		if t.canceled || t.done == len(t.ranges) {
 			return grant{}, false
 		}
-		if idx, ok := t.pickLocked(local); ok {
-			r := t.ranges[idx]
-			if !local && maxRuns > 0 && r.status == rangePending && r.hi-r.lo > maxRuns {
-				t.splitLocked(idx, maxRuns)
-				r = t.ranges[idx]
+		for i := range t.ranges {
+			r := &t.ranges[i]
+			if r.status != rangePending {
+				continue
 			}
-			r.status = rangeLeased
-			if r.inflight == 0 {
-				r.started = time.Now()
+			if local && (r.localOnly || t.liveWorkers == 0) || !local && !r.localOnly {
+				r.status = rangeLeased
+				r.attempts++
+				return grant{r: r, attempt: r.attempts}, true
 			}
-			r.inflight++
-			r.attempts++
-			return grant{r: r, attempt: r.attempts}, true
 		}
 		t.cond.Wait()
 	}
 }
 
-// splitLocked splits the pending range at idx into [lo, lo+keep) and a
-// pending remainder [lo+keep, hi), inserted right after it. The new
-// pending work wakes anything blocked in next. Caller holds t.mu.
-func (t *leaseTable) splitLocked(idx, keep int) {
-	r := t.ranges[idx]
-	rest := &runRange{lo: r.lo + keep, hi: r.hi}
-	r.hi = r.lo + keep
-	t.ranges = append(t.ranges, nil)
-	copy(t.ranges[idx+2:], t.ranges[idx+1:])
-	t.ranges[idx+1] = rest
+// deliver completes the range's attempt with validated records.
+func (t *leaseTable) deliver(g grant, recs []exp.Record) {
+	t.mu.Lock()
+	g.r.status = rangeDone
+	g.r.records = recs
+	t.done++
+	t.mu.Unlock()
 	t.cond.Broadcast()
 }
 
-// pickLocked chooses a range for a grant. Caller holds t.mu.
-func (t *leaseTable) pickLocked(local bool) (int, bool) {
-	if local {
-		for i, r := range t.ranges {
-			if r.status == rangeDone || r.inflight > 0 {
-				continue
-			}
-			if r.localOnly || t.liveWorkers == 0 {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	for i, r := range t.ranges {
-		if r.status == rangePending && !r.localOnly {
-			return i, true
-		}
-	}
-	// Straggler re-issue: duplicate the oldest outstanding lease.
-	best, found := 0, false
-	for i, r := range t.ranges {
-		if r.status != rangeLeased || r.localOnly || r.inflight >= maxInflightPerRange {
-			continue
-		}
-		if !found || r.started.Before(t.ranges[best].started) {
-			best, found = i, true
-		}
-	}
-	return best, found
-}
-
-// deliver completes one attempt with validated records. The first
-// delivery wins and returns true; late duplicates return false and are
-// dropped (both copies are bit-equal anyway — the simulator is
-// deterministic).
-func (t *leaseTable) deliver(g grant, recs []exp.Record) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := g.r
-	if r.inflight > 0 {
-		r.inflight--
-	}
-	defer t.cond.Broadcast()
-	if r.status == rangeDone {
-		return false
-	}
-	r.status = rangeDone
-	r.records = recs
-	t.done++
-	return true
-}
-
-// fail aborts one attempt. With no other attempt outstanding the range
-// returns to pending; once its attempts reach maxAttempts it is marked
-// localOnly so only the local executor will touch it again.
+// fail aborts the range's attempt: it returns to pending, and once its
+// attempts reach maxAttempts it is marked localOnly so only the local
+// executor will touch it again.
 func (t *leaseTable) fail(g grant) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := g.r
-	if r.inflight > 0 {
-		r.inflight--
+	g.r.status = rangePending
+	if g.r.attempts >= maxAttempts {
+		g.r.localOnly = true
 	}
-	if r.status != rangeDone {
-		if r.inflight == 0 {
-			r.status = rangePending
-		}
-		if r.attempts >= t.maxAttempts {
-			r.localOnly = true
-		}
-	}
+	t.mu.Unlock()
 	t.cond.Broadcast()
 }
 
@@ -234,32 +143,18 @@ func (t *leaseTable) cancel() {
 
 // waitDoneAt blocks until the range starting at run position lo is
 // done, returning its records (positions lo onward); ok=false means
-// the table was canceled first. Splits only touch pending ranges, so
-// the range at lo may gain a smaller hi while still pending, but once
-// done its bounds are final — the merge walks positions, immune to the
-// slice growing under it.
+// the table was canceled first.
 func (t *leaseTable) waitDoneAt(lo int) ([]exp.Record, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for {
-		if r := t.rangeAtLocked(lo); r != nil && r.status == rangeDone {
-			return r.records, true
-		}
+	r := &t.ranges[lo/t.size]
+	for r.status != rangeDone {
 		if t.canceled {
 			return nil, false
 		}
 		t.cond.Wait()
 	}
-}
-
-// rangeAtLocked finds the range whose lo matches, by binary search
-// (ranges stay sorted and contiguous). Caller holds t.mu.
-func (t *leaseTable) rangeAtLocked(lo int) *runRange {
-	i := sort.Search(len(t.ranges), func(i int) bool { return t.ranges[i].lo >= lo })
-	if i < len(t.ranges) && t.ranges[i].lo == lo {
-		return t.ranges[i]
-	}
-	return nil
+	return r.records, true
 }
 
 // doneRanges returns how many ranges have completed (for progress).
@@ -267,11 +162,4 @@ func (t *leaseTable) doneRanges() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.done
-}
-
-// totalRanges returns the current range count; splits grow it.
-func (t *leaseTable) totalRanges() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ranges)
 }

@@ -16,7 +16,6 @@ const (
 	mRangesDone     = "dsm_fabric_ranges_done"
 	mRecordsMerged  = "dsm_fabric_records_merged_total"
 	mRecordsFailed  = "dsm_fabric_record_failures_total"
-	mDuplicates     = "dsm_fabric_duplicate_records_total"
 	mLocalRecords   = "dsm_fabric_local_records_total"
 	mWorkersLive    = "dsm_fabric_workers_live"
 	mLeasesGranted  = "dsm_fabric_leases_granted_total"
@@ -35,14 +34,10 @@ func (c *Coordinator) registerMetrics() {
 		return
 	}
 	c.metricsOnce.Do(func() {
-		r.GaugeFunc(mRangesTotal, "Leased ranges in the current sweep (splits grow it).", func() float64 {
+		r.GaugeFunc(mRangesTotal, "Leased ranges in the current sweep.", func() float64 {
 			c.mu.Lock()
-			tbl, total := c.tbl, c.rangesTotal
-			c.mu.Unlock()
-			if tbl != nil {
-				return float64(tbl.totalRanges())
-			}
-			return float64(total)
+			defer c.mu.Unlock()
+			return float64(c.rangesTotal)
 		})
 		r.GaugeFunc(mRangesDone, "Leased ranges completed.", func() float64 {
 			c.mu.Lock()
@@ -57,8 +52,6 @@ func (c *Coordinator) registerMetrics() {
 			func() float64 { return float64(c.recordsDone.Load()) })
 		r.CounterFunc(mRecordsFailed, "Merged records that carried a run failure.",
 			func() float64 { return float64(c.recordsFailed.Load()) })
-		r.CounterFunc(mDuplicates, "Duplicate straggler records dropped by first-result-wins dedup.",
-			func() float64 { return float64(c.duplicates.Load()) })
 		r.CounterFunc(mLocalRecords, "Records executed by the coordinator's local fallback engine.",
 			func() float64 { return float64(c.localRecords.Load()) })
 		r.GaugeFunc(mWorkersLive, "Registered workers not yet retired.", func() float64 {
@@ -106,11 +99,13 @@ type WorkerSnapshot struct {
 // FleetSnapshot is the JSON shape the coordinator serves at /progress:
 // aggregated merge progress with a fleet ETA plus per-worker rows.
 type FleetSnapshot struct {
-	RecordsDone      int64            `json:"records_done"`
-	RecordsTotal     int64            `json:"records_total"`
-	RecordsFailed    int64            `json:"records_failed,omitempty"`
-	RangesDone       int              `json:"ranges_done"`
-	RangesTotal      int              `json:"ranges_total"`
+	RecordsDone   int64 `json:"records_done"`
+	RecordsTotal  int64 `json:"records_total"`
+	RecordsFailed int64 `json:"records_failed,omitempty"`
+	RangesDone    int   `json:"ranges_done"`
+	RangesTotal   int   `json:"ranges_total"`
+	// DuplicateRecords is always 0: a range has one holder, so no run is
+	// executed twice. It stays while the host benchmark reads it.
 	DuplicateRecords int64            `json:"duplicate_records,omitempty"`
 	LocalRecords     int64            `json:"local_records,omitempty"`
 	ElapsedSeconds   float64          `json:"elapsed_seconds"`
@@ -133,11 +128,9 @@ func (c *Coordinator) Snapshot() FleetSnapshot {
 	c.mu.Unlock()
 	if tbl != nil {
 		snap.RangesDone = tbl.doneRanges()
-		snap.RangesTotal = tbl.totalRanges()
 	}
 	snap.RecordsDone = c.recordsDone.Load()
 	snap.RecordsFailed = c.recordsFailed.Load()
-	snap.DuplicateRecords = c.duplicates.Load()
 	snap.LocalRecords = c.localRecords.Load()
 	if snap.RecordsDone > 0 && snap.RecordsDone < snap.RecordsTotal {
 		snap.EtaSeconds = snap.ElapsedSeconds / float64(snap.RecordsDone) * float64(snap.RecordsTotal-snap.RecordsDone)
@@ -183,9 +176,8 @@ func (c *Coordinator) progressLine() {
 	rangesTotal := c.rangesTotal
 	var rangesDone int
 	if c.tbl != nil {
-		// done/totalRanges take the table lock, never the coordinator's.
+		// doneRanges takes the table lock, never the coordinator's.
 		rangesDone = c.tbl.doneRanges()
-		rangesTotal = c.tbl.totalRanges()
 	}
 	live := 0
 	for _, ws := range c.workers {

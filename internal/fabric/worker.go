@@ -16,8 +16,9 @@ import (
 // Worker executes leased spec ranges through exp engines and streams
 // stamped records back. One Worker serves any number of concurrent
 // leases: ranges run through a shared engine per (speedup, observe)
-// option combination, so the spec-keyed single-flight cache keeps
-// duplicate and overlapping leases cheap.
+// option combination, so the spec-keyed single-flight cache serves a
+// range leased again after an abandoned attempt, and leases from
+// several coordinators that overlap, without re-running them.
 type Worker struct {
 	// Workers bounds each engine's host worker pool; 0 means all cores.
 	Workers int
@@ -35,8 +36,7 @@ type Worker struct {
 	// (engines capture it at creation).
 	Store *store.Store
 	// StallPerRecord, when > 0, sleeps that long per streamed record —
-	// a test hook that makes this worker deliberately slow, so adaptive
-	// range sizing has something to adapt to.
+	// a test hook that makes this worker deliberately slow.
 	StallPerRecord time.Duration
 
 	// KillAfterRecords > 0 injects a fault: after streaming that many

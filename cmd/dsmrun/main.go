@@ -63,11 +63,12 @@
 //
 // -store DIR opens (creating if needed) a disk-backed record store
 // shared across runs, processes and the sweep fabric: sweep specs whose
-// exact record is already on disk are served without executing — the
-// output bytes are identical to a cold run — and every executed record
-// is written back. Entries are keyed by the spec key plus the record
-// schema version, so a store written by a build with a different record
-// shape reads as empty rather than serving stale bytes; torn or
+// run's record is already on disk are served without executing — the
+// output bytes are identical to a cold run — and every executed run is
+// written back, once, however many specs label it. Entries are keyed by
+// the run's spec key plus the record schema version, so a store written
+// by a build with a different record shape reads as empty rather than
+// serving stale bytes; torn or
 // corrupted entries are detected (per-frame CRC), skipped and
 // transparently recomputed. Concurrent access is safe within a process
 // and across processes (advisory file lock); sweepd workers take the

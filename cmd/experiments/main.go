@@ -87,12 +87,54 @@ func main() {
 	homepolicy := flag.String("homepolicy", "", "hlrc home-placement policy: static (default), firsttouch, or adaptive")
 	contention := flag.Int("contention", 0, "network contention: 0 off, -1 serial NICs only, N>0 serial NICs + N-way backplane")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0: all host cores)")
-	only := flag.String("only", "", "comma-separated experiments (table1,figure1,table2,figure2,table3,handopt,interface,protocols,compiler,contention,migration,gendiff,breakdown)")
+	only := flag.String("only", "", "comma-separated experiments (table1,figure1,table2,figure2,table3,handopt,interface,scalability,protocols,compiler,contention,migration,gendiff,breakdown)")
 	storeDir := flag.String("store", "", "persistent result store directory: table records are served from disk across runs (and written back)")
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
 	metricsAddr := flag.String("metrics-addr", "", "serve host-side telemetry (/metrics, /debug/pprof/*) on this address while the experiments run")
 	metricsDump := flag.String("metrics-dump", "", "write a final JSON snapshot of the metrics registry to this file")
 	flag.Parse()
+
+	table := map[string]func(w *os.File, r *harness.Runner) error{
+		"table1":    func(w *os.File, r *harness.Runner) error { return harness.Table1(w, r) },
+		"figure1":   func(w *os.File, r *harness.Runner) error { return harness.Figure1(w, r) },
+		"table2":    func(w *os.File, r *harness.Runner) error { return harness.Table2(w, r) },
+		"figure2":   func(w *os.File, r *harness.Runner) error { return harness.Figure2(w, r) },
+		"table3":    func(w *os.File, r *harness.Runner) error { return harness.Table3(w, r) },
+		"handopt":   func(w *os.File, r *harness.Runner) error { return harness.HandOpt(w, r) },
+		"interface": func(w *os.File, r *harness.Runner) error { return harness.Interface(w, r) },
+		"scalability": func(w *os.File, r *harness.Runner) error {
+			return harness.Scalability(w, r, "Jacobi", []int{2, 4, 8})
+		},
+		"protocols":  func(w *os.File, r *harness.Runner) error { return harness.Protocols(w, r) },
+		"compiler":   func(w *os.File, r *harness.Runner) error { return harness.Compiler(w, r) },
+		"contention": func(w *os.File, r *harness.Runner) error { return harness.Contention(w, r) },
+		"migration":  func(w *os.File, r *harness.Runner) error { return harness.Migration(w, r) },
+		"gendiff":    func(w *os.File, r *harness.Runner) error { return harness.GenDiff(w, r) },
+		"breakdown": func(w *os.File, r *harness.Runner) error {
+			// A separate observing runner: traces are per-run state the
+			// shared cache must not carry for the other experiments. Its
+			// Metrics stays nil — the registry's func-backed families
+			// already belong to the main runner's engine.
+			or := harness.NewRunner(r.Procs, r.Scale)
+			or.Protocol, or.HomePolicy = r.Protocol, r.HomePolicy
+			or.Costs, or.App, or.Workers = r.Costs, r.App, r.Workers
+			or.Observe = true
+			return harness.Breakdown(w, or)
+		},
+	}
+	order := []string{"table1", "figure1", "table2", "figure2", "table3", "handopt", "interface"}
+	want := order
+	if *only != "" {
+		want = strings.Split(*only, ",")
+	}
+	// Every name is checked before anything opens or runs: a typo late
+	// in the list must not cost the experiments before it.
+	for _, name := range want {
+		if _, ok := table[strings.TrimSpace(name)]; !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s, scalability, protocols, compiler, contention, migration, gendiff, breakdown)\n", name, strings.Join(order, ", "))
+			os.Exit(2)
+		}
+	}
 
 	pname, err := proto.Parse(*protocol)
 	if err != nil {
@@ -161,45 +203,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	table := map[string]func(w *os.File, r *harness.Runner) error{
-		"table1":    func(w *os.File, r *harness.Runner) error { return harness.Table1(w, r) },
-		"figure1":   func(w *os.File, r *harness.Runner) error { return harness.Figure1(w, r) },
-		"table2":    func(w *os.File, r *harness.Runner) error { return harness.Table2(w, r) },
-		"figure2":   func(w *os.File, r *harness.Runner) error { return harness.Figure2(w, r) },
-		"table3":    func(w *os.File, r *harness.Runner) error { return harness.Table3(w, r) },
-		"handopt":   func(w *os.File, r *harness.Runner) error { return harness.HandOpt(w, r) },
-		"interface": func(w *os.File, r *harness.Runner) error { return harness.Interface(w, r) },
-		"scalability": func(w *os.File, r *harness.Runner) error {
-			return harness.Scalability(w, r, "Jacobi", []int{2, 4, 8})
-		},
-		"protocols":  func(w *os.File, r *harness.Runner) error { return harness.Protocols(w, r) },
-		"compiler":   func(w *os.File, r *harness.Runner) error { return harness.Compiler(w, r) },
-		"contention": func(w *os.File, r *harness.Runner) error { return harness.Contention(w, r) },
-		"migration":  func(w *os.File, r *harness.Runner) error { return harness.Migration(w, r) },
-		"gendiff":    func(w *os.File, r *harness.Runner) error { return harness.GenDiff(w, r) },
-		"breakdown": func(w *os.File, r *harness.Runner) error {
-			// A separate observing runner: traces are per-run state the
-			// shared cache must not carry for the other experiments. Its
-			// Metrics stays nil — the registry's func-backed families
-			// already belong to the main runner's engine.
-			or := harness.NewRunner(r.Procs, r.Scale)
-			or.Protocol, or.HomePolicy = r.Protocol, r.HomePolicy
-			or.Costs, or.App, or.Workers = r.Costs, r.App, r.Workers
-			or.Observe = true
-			return harness.Breakdown(w, or)
-		},
-	}
-	order := []string{"table1", "figure1", "table2", "figure2", "table3", "handopt", "interface"}
-	want := order
-	if *only != "" {
-		want = strings.Split(*only, ",")
-	}
 	for _, name := range want {
-		f, ok := table[strings.TrimSpace(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s, scalability, protocols, compiler, contention, migration, gendiff, breakdown)\n", name, strings.Join(order, ", "))
-			os.Exit(2)
-		}
-		run(name, f)
+		run(name, table[strings.TrimSpace(name)])
 	}
 }

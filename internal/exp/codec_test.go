@@ -543,16 +543,16 @@ func TestRecordLinesRoundTrip(t *testing.T) {
 }
 
 // TestWarmStreamAllocations: a warm pass decodes, checks, joins and
-// re-encodes a record and runs nothing. What a record allocates is the
+// re-encodes a record and runs nothing. What a run allocates is the
 // store's frame buffer, its record-cache entry, its key (one string,
 // the observed store key included) and a copy of any string that is not
-// a name the package holds (a gen-<seed> application); its baseline,
-// shared by every record of its application, the same once. The
-// engine's fixed cost — the plan, its dedup map, the caches' maps, the
-// worker goroutines — and the test's own output buffer are inside the
-// numbers: 6.4 objects and about 2 030 bytes a record, against 9.9 and
-// 2 870 when every spec carried its baseline's key and waited on a
-// channel.
+// a name the package holds (a gen-<seed> application); a label or a
+// baseline shared by several records costs it once. The engine's fixed
+// cost — the run list, its index map, the caches' maps, the worker
+// goroutines — and the test's own output buffer are inside the numbers:
+// 5.5 objects and about 1 940 bytes a record, against 6.4 and 2 030
+// when the store held one record per requested key, and 9.9 and 2 870
+// when every spec carried its baseline's key and waited on a channel.
 func TestWarmStreamAllocations(t *testing.T) {
 	specs := serveWarmSpecs()
 	st := openStoreT(t, t.TempDir())

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,10 +27,10 @@ import (
 // count.
 //
 // A run's identity is its spec's canonical form (Spec.Canonical): the
-// cache, the single-flight and every count of runs go by it, and the
-// canonical spec is what executes. Specs that differ in labels only
-// share one run; what the engine hands back for each — record, store
-// entry — carries the spec that was asked for.
+// caches, the store, the single-flight and every count of runs go by
+// it, and the canonical spec is what executes. Specs that differ in
+// labels only share one run; the record the engine hands back for each
+// carries the spec that was asked for (Labelled).
 type Engine struct {
 	// Costs is the interconnect/protocol calibration. Its contention
 	// and FIFO knobs are overridden per spec (Spec.Contention,
@@ -73,19 +72,19 @@ type Engine struct {
 	OnRunDone func(s Spec, hostNS int64, err error)
 
 	// Store, when non-nil, is the persistent record cache underneath
-	// the in-memory result cache: the record paths (Record, Stream,
-	// StreamWith) serve a stored spec byte-identically without running
-	// the simulation, and every successful request writes its record
-	// back under its own key — once per requested key, whether the
-	// request executed the run or shared one; a key nobody asked for is
-	// never written. The Result paths (Run, Sweep) always execute — a
-	// Record does not carry enough to rebuild a core.Result — but still
-	// write back, so harness runs warm the store too. Set it before the
-	// first run and do not change it after.
+	// the in-memory result cache, one entry per run: the record paths
+	// (Record, Stream, StreamWith) serve a stored run byte-identically
+	// without simulating it, and every run that executes and succeeds is
+	// written back once, under the run's own key — the labels that share
+	// it go back on as its records leave. The Result paths (Run, Sweep)
+	// always execute — a Record does not carry enough to rebuild a
+	// core.Result — but still write back, so harness runs warm the store
+	// too. Set it before the first run and do not change it after.
 	Store *store.Store
-	// OnStoreHit, when non-nil, is called once per spec served from
-	// Store (record paths only). Called from worker goroutines; must be
-	// concurrency-safe. Progress.StoreHit fits here.
+	// OnStoreHit, when non-nil, is called once per run served from
+	// Store (record paths only), with the run's canonical spec. Called
+	// from worker goroutines; must be concurrency-safe. Progress.StoreHit
+	// fits here.
 	OnStoreHit func(s Spec)
 
 	mu    sync.Mutex
@@ -93,7 +92,7 @@ type Engine struct {
 
 	// recMu/recCache single-flight the record paths the way mu/cache
 	// single-flight Run: at most one store lookup (and, on a miss, one
-	// run + write-back) per key, everyone else waits for its record.
+	// run + write-back) per run, everyone else waits for its record.
 	recMu    sync.Mutex
 	recCache map[string]*recEntry
 
@@ -106,14 +105,12 @@ type Engine struct {
 }
 
 // entry is one cached (possibly in-flight) run. done closes when res,
-// err and hostNS are final. stored lists the requested keys written
-// back from it (guarded by Engine.mu; a run has a handful of labels).
+// err and hostNS are final.
 type entry struct {
 	done   chan struct{}
 	res    core.Result
 	err    error
 	hostNS int64
-	stored []string
 }
 
 // recEntry is one cached (possibly in-flight) record: rec is final once
@@ -147,40 +144,41 @@ func (e *Engine) Config(a core.App, s Spec) core.Config {
 }
 
 // Run executes one spec, deduplicating concurrent and repeated
-// requests: the first caller for a key runs the simulation, everyone
+// requests: the first caller for a run runs the simulation, everyone
 // else waits for (or immediately receives) its result.
 func (e *Engine) Run(s Spec) (core.Result, error) {
-	en := e.run(keyOf(s))
+	en := e.run(keyOf(s.Canonical()))
 	return en.res, en.err
 }
 
-// run is Run for a spec whose key the caller holds. It returns the
-// cache entry, final, rather than a copy of its core.Result (3 KB).
+// run is Run for a canonical spec whose key the caller holds. It
+// returns the cache entry, final, rather than a copy of its core.Result
+// (3 KB). The request that executes the run writes it back.
 func (e *Engine) run(k keyed) *entry {
 	e.telemetryInit()
-	ran := k.canonical()
 	e.mu.Lock()
 	if e.cache == nil {
 		e.cache = map[string]*entry{}
 	}
-	en, ok := e.cache[ran.key()]
+	en, ok := e.cache[k.key()]
 	if !ok {
 		en = &entry{done: make(chan struct{})}
-		e.cache[ran.key()] = en
+		e.cache[k.key()] = en
 		e.mu.Unlock()
 		e.host.runsStarted.Add(1)
 		e.host.inflight.Add(1)
 		alloc0 := heapAllocBytes()
 		start := time.Now()
-		en.res, en.err = e.execute(ran.Spec)
+		en.res, en.err = e.execute(k.Spec)
 		en.hostNS = time.Since(start).Nanoseconds()
 		allocDelta := heapAllocBytes() - alloc0
 		e.host.inflight.Add(-1)
 		e.host.runsCompleted.Add(1)
-		e.observeRun(ran.Spec, en.hostNS, allocDelta)
+		e.observeRun(k.Spec, en.hostNS, allocDelta)
 		close(en.done)
+		e.writeBack(k, en)
 		if f := e.OnRunDone; f != nil {
-			f(ran.Spec, en.hostNS, en.err)
+			f(k.Spec, en.hostNS, en.err)
 		}
 	} else {
 		e.mu.Unlock()
@@ -194,7 +192,6 @@ func (e *Engine) run(k keyed) *entry {
 			<-en.done
 		}
 	}
-	e.writeBack(k, en)
 	return en
 }
 
@@ -217,10 +214,9 @@ func (e *Engine) HostRunNanos(s Spec) int64 {
 	}
 }
 
-// writeBack persists the record of one successful request under the
-// requested key, the first time that key is asked of the run: a stored
-// value is its own key's exact bytes, so every label of a run has its
-// own. Error records are never stored: a deterministic failure
+// writeBack persists the record of one executed run under the run's
+// store key: a stored value is its key's exact bytes, and the key is
+// the run's. Error records are never stored: a deterministic failure
 // re-executes (and fails identically) on every run, so storing it buys
 // nothing and a transient failure must not become permanent. Store
 // errors are swallowed — the store is an accelerator, never a
@@ -228,15 +224,6 @@ func (e *Engine) HostRunNanos(s Spec) int64 {
 func (e *Engine) writeBack(k keyed, en *entry) {
 	st := e.Store
 	if st == nil || en.err != nil {
-		return
-	}
-	e.mu.Lock()
-	dup := slices.Contains(en.stored, k.key())
-	if !dup {
-		en.stored = append(en.stored, k.key())
-	}
-	e.mu.Unlock()
-	if dup {
 		return
 	}
 	rec := RecordOf(k.Spec, en.res, nil)
@@ -252,8 +239,8 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 // record written back since the last one (none on a warm pass). Put
 // defers durability to here, so each sweep and each fabric lease ends
 // with its records safe against power loss before the caller reports
-// on it. Sweep and StreamWith defer it past their ordered pass, which
-// writes back the labels that shared a prefetched run.
+// on it. Sweep and StreamWith defer it past their prefetch, whose runs
+// write back.
 func (e *Engine) syncStore() {
 	if st := e.Store; st != nil {
 		st.Sync() //nolint:errcheck // best-effort persistence, as in writeBack
@@ -261,10 +248,10 @@ func (e *Engine) syncStore() {
 	}
 }
 
-// recordFor returns the record for one spec, single-flighted per key:
-// served from the persistent store when possible, executed (and
-// written back) otherwise. It never joins the sequential baseline —
-// joined layers that on top.
+// recordFor returns the record of one canonical run, single-flighted
+// per run: served from the persistent store when possible, executed
+// (and written back) otherwise. It never relabels or joins — Labelled
+// does that on the way out.
 func (e *Engine) recordFor(k keyed) Record {
 	e.telemetryInit()
 	e.recMu.Lock()
@@ -286,10 +273,10 @@ func (e *Engine) recordFor(k keyed) Record {
 	return en.rec
 }
 
-// computeRecord resolves one record: persistent store first, then a
-// real run. A stored entry that fails validation (corrupt, tampered,
-// schema drift) is treated as a miss and recomputed; the write-back
-// then heals the store.
+// computeRecord resolves one run's record: persistent store first,
+// then a real run. A stored entry that fails validation (corrupt,
+// tampered, schema drift) is treated as a miss and recomputed; the
+// write-back then heals the store.
 func (e *Engine) computeRecord(k keyed) Record {
 	if st := e.Store; st != nil {
 		if b, ok := st.Get(k.storeKey(e.Observe)); ok {
@@ -358,31 +345,26 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefetch warms the cache for every run of p (plan.runs: each once)
-// using the worker pool, resolving each through resolve — Engine.run for
-// the Result paths, recordFor for the record paths, so store hits skip
-// the simulation. It returns when all runs have completed (or failed).
-// A non-nil cancel flag stops new runs from starting (in-flight runs
-// still finish).
-func (e *Engine) prefetch(p *plan, cancel *atomic.Bool, resolve func(keyed)) {
-	runs := p.runs()
+// prefetch resolves every run of p, each once, using the worker pool —
+// through Engine.run for the Result paths, recordFor for the record
+// paths, so store hits skip the simulation. It returns when all runs
+// have completed (or failed). A non-nil cancel flag stops new runs from
+// starting (in-flight runs still finish).
+func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool, resolve func(keyed)) {
 	canceled := func() bool { return cancel != nil && cancel.Load() }
-	w := e.workers()
-	if w > len(runs) {
-		w = len(runs)
-	}
+	w := min(e.workers(), p.Len())
 	if w <= 1 {
-		for _, pos := range runs {
+		for _, k := range p.runs {
 			if canceled() {
 				return
 			}
 			busy := time.Now()
-			resolve(*p.at(pos))
+			resolve(k)
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
 		return
 	}
-	jobs := make(chan int32)
+	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
@@ -393,7 +375,7 @@ func (e *Engine) prefetch(p *plan, cancel *atomic.Bool, resolve func(keyed)) {
 				e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 				busy := time.Now()
 				if !canceled() { // else drain without running
-					resolve(*p.at(pos))
+					resolve(p.runs[pos])
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 				idle = time.Now()
@@ -401,18 +383,17 @@ func (e *Engine) prefetch(p *plan, cancel *atomic.Bool, resolve func(keyed)) {
 			e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 		}()
 	}
-	for _, pos := range runs {
+	for pos := range p.runs {
 		jobs <- pos
 	}
 	close(jobs)
 	wg.Wait()
 }
 
-// keyed is a spec with its key, taken once. A stream or sweep takes each
-// spec's key when it starts and hands it down — to the run and record
-// caches, the store and the error set — instead of rebuilding the string
-// at any of them. The store key of an observed record is built in the
-// same string: the key is its prefix.
+// keyed is a spec with its key, taken once. PlanRuns takes each run's
+// key and hands it down — to the run and record caches and the store —
+// instead of rebuilding the string at any of them. The store key of an
+// observed record is built in the same string: the key is its prefix.
 type keyed struct {
 	Spec
 	obsKey string // Key() + StoreObserveSuffix
@@ -434,103 +415,74 @@ func (k keyed) storeKey(observed bool) string {
 	return k.key()
 }
 
-// canonical is the run k's spec shares with every spec that differs
-// from it in labels only: what the run cache and the dedup go by, and
-// what executes. Only a spec that carries labels builds a second key.
-func (k keyed) canonical() keyed {
-	if c := k.Canonical(); c != k.Spec {
-		return keyOf(c)
+// Runs is what a spec list costs: each distinct run it needs — every
+// spec's Canonical() and, under the baseline join, each non-seq spec's
+// SeqSpecOf baseline — once, in first-need order (a spec's baseline,
+// then its run), with every requested spec's positions in it. The
+// engine's prefetch and the fabric coordinator's leases walk the runs;
+// each requested spec's record is its run's, relabelled (Labelled).
+type Runs struct {
+	Run  []int32 // per requested spec, its run's position
+	Base []int32 // per requested spec, its baseline's position; -1 for no join
+	runs []keyed
+}
+
+// PlanRuns resolves specs to their runs, joining each non-seq spec with
+// its sequential baseline when join is set.
+func PlanRuns(specs []Spec, join bool) *Runs {
+	r := &Runs{
+		Run:  make([]int32, len(specs)),
+		Base: make([]int32, len(specs)),
+		runs: make([]keyed, 0, len(specs)),
 	}
-	return k
-}
-
-// plan is a spec list with every key taken once: the specs in order;
-// the sequential baselines they join with, each distinct one once —
-// one per application and scale, however many specs share it; and for
-// each spec the index of its baseline in bases, -1 where there is no
-// join to make.
-type plan struct {
-	specs []keyed
-	base  []int32
-	bases []keyed
-}
-
-func newPlan(specs []Spec, join bool) *plan {
-	p := &plan{specs: make([]keyed, len(specs)), base: make([]int32, len(specs))}
-	var index map[Spec]int32 // a baseline's position in bases
+	index := make(map[string]int32, len(specs)) // a run's position by key
+	add := func(s Spec) int32 {
+		var buf [128]byte
+		if pos, ok := index[string(s.appendKey(buf[:0]))]; ok {
+			return pos // a repeat builds no key string
+		}
+		k := keyOf(s)
+		pos := int32(len(r.runs))
+		index[k.key()] = pos
+		r.runs = append(r.runs, k)
+		return pos
+	}
 	for i, s := range specs {
-		p.specs[i], p.base[i] = keyOf(s), -1
-		if !join || s.Version == core.Seq {
-			continue
+		r.Base[i] = -1
+		if join && s.Version != core.Seq {
+			r.Base[i] = add(SeqSpecOf(s))
 		}
-		seq := SeqSpecOf(s)
-		b, ok := index[seq]
-		if !ok {
-			if index == nil {
-				index = map[Spec]int32{}
-			}
-			b = int32(len(p.bases))
-			index[seq] = b
-			p.bases = append(p.bases, keyOf(seq))
-		}
-		p.base[i] = b
+		r.Run[i] = add(s.Canonical())
 	}
-	return p
+	return r
 }
 
-// baseOf is the baseline spec i joins with, nil for none.
-func (p *plan) baseOf(i int) *keyed {
-	if b := p.base[i]; b >= 0 {
-		return &p.bases[b]
-	}
-	return nil
-}
+// Len is the number of runs.
+func (r *Runs) Len() int { return len(r.runs) }
 
-// at resolves a position of runs: an index into specs, then into bases.
-func (p *plan) at(pos int32) *keyed {
-	if n := int32(len(p.specs)); pos >= n {
-		return &p.bases[pos-n]
-	}
-	return &p.specs[pos]
-}
+// Spec is the canonical spec of the run at pos.
+func (r *Runs) Spec(pos int) Spec { return r.runs[pos].Spec }
 
-// runs lists the runs the plan costs, as positions (see at): the specs,
-// then the baselines, each execution once — under the first label that
-// asks for it — in first-occurrence order. The labels that share it
-// find it cached on the ordered pass.
-func (p *plan) runs() []int32 {
-	n := len(p.specs) + len(p.bases)
-	unique := make([]int32, 0, n)
-	seen := make(map[string]struct{}, n)
-	for pos := int32(0); int(pos) < n; pos++ {
-		run := p.at(pos).canonical().key()
-		if _, dup := seen[run]; !dup {
-			seen[run] = struct{}{}
-			unique = append(unique, pos)
-		}
-	}
-	return unique
-}
+// Key is the key of the run at pos.
+func (r *Runs) Key(pos int) string { return r.runs[pos].key() }
 
 // Sweep executes every spec across the worker pool and returns results
 // in spec order. The returned error joins every distinct run failure
 // (in spec order), once per run however many labels name it; results
 // at failed positions are zero.
 func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
-	p := newPlan(specs, false)
+	p := PlanRuns(specs, false)
 	defer e.syncStore()
 	e.prefetch(p, nil, func(k keyed) { e.run(k) }) // errors surface on the ordered pass
 	out := make([]core.Result, len(specs))
 	var errs []error
-	seenErr := map[string]bool{}
-	for i, k := range p.specs {
-		en := e.run(k) // cache hit: prefetch completed every key
+	failed := make([]bool, p.Len()) // per run: its error is in errs
+	for i, pos := range p.Run {
+		en := e.run(p.runs[pos]) // cache hit: prefetch completed every run
 		out[i] = en.res
-		if en.err != nil {
-			if run := k.canonical().key(); !seenErr[run] {
-				seenErr[run] = true
-				errs = append(errs, en.err)
-			}
+		if en.err != nil && !failed[pos] {
+			failed[pos] = true
+			errs = append(errs, en.err)
 		}
 	}
 	return out, errors.Join(errs...)
@@ -541,20 +493,18 @@ func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
 // failure surfaces on the record's own error field only if the run
 // itself failed; an unjoinable baseline leaves the join fields absent.
 func (e *Engine) Record(s Spec) Record {
-	p := newPlan([]Spec{s}, e.JoinSpeedup)
-	return e.joined(p.specs[0], p.baseOf(0))
+	return e.labelled(PlanRuns([]Spec{s}, e.JoinSpeedup), 0, s)
 }
 
-// joined is the record for k, joined with its baseline seq's when there
-// is one (nil: none) and both ran.
-func (e *Engine) joined(k keyed, seq *keyed) Record {
-	rec := e.recordFor(k)
-	if seq != nil && rec.Error == "" {
-		if base := e.recordFor(*seq); base.Error == "" {
-			rec.JoinSeqNanos(base.TimeNanos)
-		}
+// labelled is the record of p's requested spec i, s: its run's record,
+// relabelled and joined with its baseline's when the run succeeded.
+func (e *Engine) labelled(p *Runs, i int, s Spec) Record {
+	rec := e.recordFor(p.runs[p.Run[i]])
+	if b := p.Base[i]; b >= 0 && rec.Error == "" {
+		seq := e.recordFor(p.runs[b])
+		return Labelled(s, rec, &seq)
 	}
-	return rec
+	return Labelled(s, rec, nil)
 }
 
 // StreamStats is the failure accounting of one streamed spec list: how
@@ -584,7 +534,7 @@ func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 // count emitted and failed records. The hook must not change spec
 // identity fields — the record's bytes are the sweep's contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
-	p := newPlan(specs, e.JoinSpeedup)
+	p := PlanRuns(specs, e.JoinSpeedup)
 	defer e.syncStore() // after every return below has waited for the prefetch
 	var cancel atomic.Bool
 	done := make(chan struct{})
@@ -593,21 +543,21 @@ func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (
 		e.prefetch(p, &cancel, func(k keyed) { e.recordFor(k) })
 	}()
 	var (
-		stats   StreamStats
-		errs    []error
-		seenErr = map[string]bool{}
+		stats  StreamStats
+		errs   []error
+		failed = make([]bool, p.Len()) // per run: its error is in errs
 		// One Record and one line buffer for the whole stream: decorate
 		// takes the record's address, which puts it on the heap — once,
 		// not once per line.
 		rec  Record
 		line []byte
 	)
-	for i, k := range p.specs {
-		rec = e.joined(k, p.baseOf(i)) // blocks until this spec's result is final
+	for i, s := range specs {
+		rec = e.labelled(p, i, s) // blocks until this spec's runs are final
 		if rec.Error != "" {
 			stats.Failed++
-			if run := k.canonical().key(); !seenErr[run] {
-				seenErr[run] = true
+			if pos := p.Run[i]; !failed[pos] {
+				failed[pos] = true
 				errs = append(errs, errors.New(rec.Error))
 			}
 		}

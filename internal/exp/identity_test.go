@@ -163,8 +163,9 @@ func labelHeavySpecs() []Spec {
 // TestLabelOnlyRepeatsShareARun: over a label-heavy list every count of
 // runs — UniqueRuns, RunsStarted, the cached keys, the per-version
 // histograms, OnRunDone, a Progress that ends N/N — is the number of
-// executions, the rest of the requests are cache hits, and the stream
-// is the one an engine gives that is asked for one spec at a time.
+// executions; the labels never reach the run cache, since the stream
+// resolves each run once and relabels its record; and the stream is the
+// one an engine gives that is asked for one spec at a time.
 func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 	specs := labelHeavySpecs()
 	const runs = 11 // seq 1; xhpf, pvme one per contention; tmk lrc 2, hlrc 4
@@ -198,8 +199,9 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 				t.Errorf("workers=%d: cached key %q is not a canonical spec's", workers, key)
 			}
 		}
-		if hs.CacheHits+hs.CacheWaits == 0 {
-			t.Errorf("workers=%d: no request counted as a cache hit or wait", workers)
+		if hs.CacheHits+hs.CacheWaits != 0 {
+			t.Errorf("workers=%d: %d cache hits and %d waits, want none: a label asked the run cache again",
+				workers, hs.CacheHits, hs.CacheWaits)
 		}
 		if snap := p.Snapshot(); snap.Done != runs || snap.Executed != runs || snap.Total != runs {
 			t.Errorf("workers=%d: progress %+v, want %d/%d", workers, snap, runs, runs)
@@ -218,27 +220,30 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 	}
 }
 
-// TestStoreHoldsExactlyTheRequestedKeys: a cold sweep over a label-heavy
-// list writes every key it was asked for — each spec's and each
-// baseline's, whether the request ran the simulation or shared one — and
-// no other. A second engine then serves the list from the store alone:
-// no run, the same bytes, at 1, 2 and 8 workers, its progress N/N.
-func TestStoreHoldsExactlyTheRequestedKeys(t *testing.T) {
-	specs := labelHeavySpecs()
-	var asked []string
+// TestStoreHoldsOneRecordPerRun: a cold joined, observed sweep over
+// CI's label list writes one record per run — each run's store key, the
+// baselines' included, once — and no label's. A second engine then
+// serves the list from the store alone: no run, one hit per run, the
+// same bytes, at 1, 2 and 8 workers, its progress N/N.
+func TestStoreHoldsOneRecordPerRun(t *testing.T) {
+	specs := ciLabelSpecs(t)
+	var runs []string
 	for _, s := range specs {
-		asked = append(asked, StoreKey(s, false))
 		if s.Version != core.Seq {
-			asked = append(asked, StoreKey(SeqSpecOf(s), false))
+			runs = append(runs, StoreKey(SeqSpecOf(s), true))
 		}
+		runs = append(runs, StoreKey(s.Canonical(), true))
 	}
-	slices.Sort(asked)
-	asked = slices.Compact(asked)
+	slices.Sort(runs)
+	runs = slices.Compact(runs)
+	if len(runs) != 42 {
+		t.Fatalf("the CI list has %d runs, want 42", len(runs))
+	}
 
 	build := func(workers int, dir string) *Engine {
 		e := New()
 		e.Workers = workers
-		e.JoinSpeedup = true
+		e.JoinSpeedup, e.Observe = true, true
 		if dir != "" {
 			e.Store = openStoreT(t, dir)
 		}
@@ -250,16 +255,15 @@ func TestStoreHoldsExactlyTheRequestedKeys(t *testing.T) {
 	if got := streamT(t, cold, specs); !bytes.Equal(got, want) {
 		t.Fatalf("cold store changed the sweep bytes")
 	}
-	if got, runs := cold.HostStats().RunsStarted, int64(UniqueRuns(specs, true)); got != runs {
-		t.Errorf("cold sweep started %d runs, want %d", got, runs)
+	if got := cold.HostStats().RunsStarted; got != int64(len(runs)) {
+		t.Errorf("cold sweep started %d runs, want %d", got, len(runs))
 	}
 	keys := cold.Store.Keys()
-	slices.Sort(keys)
-	if !slices.Equal(keys, asked) {
-		t.Errorf("store holds\n%s\nwant exactly the requested keys\n%s", strings.Join(keys, "\n"), strings.Join(asked, "\n"))
+	if !slices.Equal(keys, runs) {
+		t.Errorf("store holds\n%s\nwant exactly the runs' keys\n%s", strings.Join(keys, "\n"), strings.Join(runs, "\n"))
 	}
-	if puts := cold.Store.Stats().Puts; puts != int64(len(asked)) {
-		t.Errorf("%d puts for %d requested keys: a key was written twice", puts, len(asked))
+	if puts := cold.Store.Stats().Puts; puts != int64(len(runs)) {
+		t.Errorf("%d puts for %d runs, want one each", puts, len(runs))
 	}
 
 	for _, workers := range []int{1, 2, 8} {
@@ -270,15 +274,79 @@ func TestStoreHoldsExactlyTheRequestedKeys(t *testing.T) {
 			t.Errorf("workers=%d: warm store changed the sweep bytes", workers)
 		}
 		hs := warm.HostStats()
-		if hs.RunsStarted != 0 || hs.StoreHits != int64(len(asked)) {
+		if hs.RunsStarted != 0 || hs.StoreHits != int64(len(runs)) {
 			t.Errorf("workers=%d: warm pass started %d runs with %d store hits, want 0 and %d",
-				workers, hs.RunsStarted, hs.StoreHits, len(asked))
+				workers, hs.RunsStarted, hs.StoreHits, len(runs))
 		}
-		if snap := p.Snapshot(); snap.Done != snap.Total || snap.DiskHits != len(asked) {
-			t.Errorf("workers=%d: warm progress %+v, want %d/%d from %d disk hits", workers, snap, snap.Total, snap.Total, len(asked))
+		if snap := p.Snapshot(); snap.Done != len(runs) || snap.Total != len(runs) || snap.DiskHits != len(runs) {
+			t.Errorf("workers=%d: warm progress %+v, want %d/%d from %d disk hits", workers, snap, len(runs), len(runs), len(runs))
 		}
 		if got := warm.Store.Stats().Puts; got != 0 {
 			t.Errorf("workers=%d: warm pass wrote %d records", workers, got)
+		}
+	}
+}
+
+// TestStoreOfRequestedKeysIsServed: a store written the way builds
+// before the run-keyed store wrote it — every requested spec's record,
+// labels included, under its own key — serves a joined sweep
+// byte-identically. Only the runs whose canonical key no spec asked for
+// execute, once each, and are written back under that key.
+func TestStoreOfRequestedKeysIsServed(t *testing.T) {
+	specs := labelHeavySpecs()
+	plain := New()
+	plain.JoinSpeedup = true
+	want := streamT(t, plain, specs)
+
+	st := openStoreT(t, t.TempDir())
+	ref := New()
+	asked := map[string]bool{}
+	put := func(s Spec) {
+		res, err := ref.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := RecordOf(s, res, nil)
+		line, err := AppendRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(StoreKey(s, false), line); err != nil {
+			t.Fatal(err)
+		}
+		asked[s.Key()] = true
+	}
+	for _, s := range specs {
+		put(s)
+		if s.Version != core.Seq {
+			put(SeqSpecOf(s))
+		}
+	}
+	p := PlanRuns(specs, true)
+	var missing []string
+	for pos := 0; pos < p.Len(); pos++ {
+		if !asked[p.Key(pos)] {
+			missing = append(missing, StoreKey(p.Spec(pos), false))
+		}
+	}
+	if len(missing) == 0 || len(missing) == p.Len() {
+		t.Fatalf("%d of %d runs missing: the list must mix stored and label-only runs", len(missing), p.Len())
+	}
+
+	e := New()
+	e.JoinSpeedup = true
+	e.Store = st
+	if got := streamT(t, e, specs); !bytes.Equal(got, want) {
+		t.Fatalf("a store of requested keys changed the sweep bytes:\n%s\nwant\n%s", got, want)
+	}
+	hs := e.HostStats()
+	if hs.RunsStarted != int64(len(missing)) || hs.StoreHits != int64(p.Len()-len(missing)) {
+		t.Errorf("%d runs started, %d store hits; want %d and %d", hs.RunsStarted, hs.StoreHits, len(missing), p.Len()-len(missing))
+	}
+	keys := st.Keys()
+	for _, k := range missing {
+		if _, ok := slices.BinarySearch(keys, k); !ok {
+			t.Errorf("executed run %s was not written back under its own key", k)
 		}
 	}
 }
@@ -324,73 +392,53 @@ func churnStyleSpecs() []Spec {
 	return specs
 }
 
-// refRun is one entry of refRuns.
-type refRun struct {
-	Spec
-	key string
-}
-
-// refRuns is plan.runs as it was while every spec carried its own copy
-// of its baseline: the specs, then each non-seq spec's baseline when
-// joining, keyed, and deduplicated by canonical key in first-occurrence
-// order.
-func refRuns(specs []Spec, join bool) []refRun {
-	var all []refRun
-	for _, s := range specs {
-		all = append(all, refRun{s, s.Key()})
+// refRuns is the run list by its definition: per spec in order, its
+// baseline when joining a non-seq spec, then its canonical run, each
+// distinct one once.
+func refRuns(specs []Spec, join bool) []Spec {
+	var runs []Spec
+	add := func(s Spec) {
+		if !slices.Contains(runs, s) {
+			runs = append(runs, s)
+		}
 	}
 	for _, s := range specs {
 		if join && s.Version != core.Seq {
-			all = append(all, refRun{SeqSpecOf(s), SeqSpecOf(s).Key()})
+			add(SeqSpecOf(s))
 		}
+		add(s.Canonical())
 	}
-	var unique []refRun
-	seen := map[string]bool{}
-	for _, r := range all {
-		if run := r.Canonical().Key(); !seen[run] {
-			seen[run] = true
-			unique = append(unique, r)
-		}
-	}
-	return unique
+	return runs
 }
 
-// TestPlanMatchesItsReference: the plan's run positions resolve to the
-// reference's runs, spec and key, in its order; every spec keeps its own
-// key and joins the baseline SeqSpecOf names; and the plan holds one
-// baseline per (application, scale) the joined specs name.
+// TestPlanMatchesItsReference: PlanRuns lists the reference's runs, in
+// its order, each with its key and store keys; every spec's positions
+// resolve to its canonical run and to the baseline SeqSpecOf names (-1
+// for none); and the CI list costs 42 runs.
 func TestPlanMatchesItsReference(t *testing.T) {
 	for name, specs := range map[string][]Spec{"ci labels": ciLabelSpecs(t), "churn": churnStyleSpecs()} {
 		for _, join := range []bool{false, true} {
-			p := newPlan(specs, join)
+			p := PlanRuns(specs, join)
 			want := refRuns(specs, join)
-			got := p.runs()
-			if len(got) != len(want) {
-				t.Fatalf("%s, join=%v: %d runs, reference %d", name, join, len(got), len(want))
+			if p.Len() != len(want) {
+				t.Fatalf("%s, join=%v: %d runs, reference %d", name, join, p.Len(), len(want))
 			}
-			for i, pos := range got {
-				if k := p.at(pos); k.Spec != want[i].Spec || k.key() != want[i].key || k.storeKey(true) != want[i].key+StoreObserveSuffix {
-					t.Fatalf("%s, join=%v: run %d is %+v %q, reference %+v %q", name, join, i, k.Spec, k.obsKey, want[i].Spec, want[i].key)
+			for pos, w := range want {
+				if k := p.runs[pos]; p.Spec(pos) != w || p.Key(pos) != w.Key() || k.storeKey(true) != StoreKey(w, true) {
+					t.Fatalf("%s, join=%v: run %d is %+v %q, reference %+v", name, join, pos, p.Spec(pos), k.obsKey, w)
 				}
 			}
-			pairs := map[[2]string]bool{}
 			for i, s := range specs {
-				if k := p.specs[i]; k.Spec != s || k.key() != s.Key() || k.storeKey(false) != s.Key() {
-					t.Fatalf("%s, join=%v: spec %d is %+v %q, want %+v", name, join, i, k.Spec, k.obsKey, s)
+				if got := p.Spec(int(p.Run[i])); got != s.Canonical() {
+					t.Fatalf("%s, join=%v: spec %d (%s) resolves to run %s", name, join, i, s.Key(), got.Key())
 				}
-				b := p.baseOf(i)
-				if joins := join && s.Version != core.Seq; (b != nil) != joins {
-					t.Fatalf("%s, join=%v: spec %d (%s) has baseline %v", name, join, i, s.Key(), b != nil)
+				b := p.Base[i]
+				if joins := join && s.Version != core.Seq; (b >= 0) != joins {
+					t.Fatalf("%s, join=%v: spec %d (%s) has baseline position %d", name, join, i, s.Key(), b)
 				}
-				if b != nil {
-					if seq := SeqSpecOf(s); b.Spec != seq || b.key() != seq.Key() {
-						t.Fatalf("%s: spec %s joins %s, want %s", name, s.Key(), b.key(), seq.Key())
-					}
-					pairs[[2]string{s.App, string(s.Scale)}] = true
+				if b >= 0 && p.Spec(int(b)) != SeqSpecOf(s) {
+					t.Fatalf("%s: spec %s joins %s, want %s", name, s.Key(), p.Key(int(b)), SeqSpecOf(s).Key())
 				}
-			}
-			if len(p.bases) != len(pairs) {
-				t.Errorf("%s, join=%v: %d baselines for %d (application, scale) pairs", name, join, len(p.bases), len(pairs))
 			}
 		}
 	}

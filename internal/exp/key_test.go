@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,26 +101,36 @@ func frozenKeys(t *testing.T) []string {
 }
 
 // TestStoreWrittenUnderFrozenKeysIsServed: a store whose entries sit
-// under the parent build's key strings is served in full — every spec
-// a hit, nothing executed. The specs come from ParseKey, not from Key,
-// so a drifted Key misses the store and runs.
+// under the parent build's key strings serves every canonical spec among
+// them — a hit each, nothing executed. The specs come from ParseKey, not
+// from Key, so a drifted Key misses the store and runs. A label-only
+// key's entry is not its run's: the run executes once, is written back
+// under its own key, and streams the bytes a store-less engine gives.
 func TestStoreWrittenUnderFrozenKeysIsServed(t *testing.T) {
 	keys := frozenKeys(t)
-	specs := make([]Spec, len(keys))
 	lines := make([][]byte, len(keys))
+	var canonical, labelled []Spec
 	var want bytes.Buffer
 	for i, key := range keys {
 		s, err := ParseKey(key)
 		if err != nil {
 			t.Fatalf("ParseKey(%q): %v", key, err)
 		}
-		specs[i] = s
 		res := core.Result{Time: sim.Time(i+1) * 1000, Checksum: float64(i) + 0.5}
 		if lines[i], err = json.Marshal(RecordOf(s, res, nil)); err != nil {
 			t.Fatal(err)
 		}
-		want.Write(lines[i])
-		want.WriteByte('\n')
+		switch {
+		case s.Canonical() == s:
+			canonical = append(canonical, s)
+			want.Write(lines[i])
+			want.WriteByte('\n')
+		case s.Scale == core.SmallScale && runnable(s):
+			labelled = append(labelled, s) // cheap enough to run
+		}
+	}
+	if len(canonical) == 0 || len(labelled) == 0 {
+		t.Fatalf("%d canonical and %d small labelled frozen keys, want some of each", len(canonical), len(labelled))
 	}
 	for _, observe := range []bool{false, true} {
 		st := openStoreT(t, t.TempDir())
@@ -134,15 +145,35 @@ func TestStoreWrittenUnderFrozenKeysIsServed(t *testing.T) {
 		e := New()
 		e.Observe = observe
 		e.Store = st
-		if got := streamT(t, e, specs); !bytes.Equal(got, want.Bytes()) {
+		if got := streamT(t, e, canonical); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("observe=%v: served stream differs from the stored lines", observe)
 		}
 		hs := e.HostStats()
-		if hs.RunsStarted != 0 || hs.StoreHits != int64(len(keys)) {
+		if hs.RunsStarted != 0 || hs.StoreHits != int64(len(canonical)) {
 			t.Errorf("observe=%v: %d runs started, %d store hits; want 0 and %d",
-				observe, hs.RunsStarted, hs.StoreHits, len(keys))
+				observe, hs.RunsStarted, hs.StoreHits, len(canonical))
+		}
+
+		fresh := New()
+		fresh.Observe = observe
+		if got, ran := streamT(t, e, labelled), streamT(t, fresh, labelled); !bytes.Equal(got, ran) {
+			t.Errorf("observe=%v: label-only keys streamed\n%s\nwant\n%s", observe, got, ran)
+		}
+		if got := e.HostStats().RunsStarted; got != int64(len(labelled)) {
+			t.Errorf("observe=%v: %d label-only keys started %d runs, want one each", observe, len(labelled), got)
+		}
+		for _, s := range labelled {
+			if _, ok := st.Get(StoreKey(s.Canonical(), observe)); !ok {
+				t.Errorf("observe=%v: the run of %s was not written back under %s", observe, s.Key(), StoreKey(s.Canonical(), observe))
+			}
 		}
 	}
+}
+
+// runnable reports whether s's application has s's version.
+func runnable(s Spec) bool {
+	a, err := AppByName(s.App)
+	return err == nil && slices.Contains(a.Versions(), s.Version)
 }
 
 // recordLine runs one spec and returns its record line.

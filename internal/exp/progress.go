@@ -28,12 +28,10 @@ type Progress struct {
 	mu       sync.Mutex
 	start    time.Time
 	executed int // runs actually simulated (RunDone)
-	diskHits int // specs served from the persistent store (StoreHit)
-	// done holds the canonical key of every run counted complete. The
-	// labels of one run are each served from the store, or one is and
-	// the next executes: the run completes once, so the count ends at
-	// Total.
-	done     map[string]struct{}
+	diskHits int // runs served from the persistent store (StoreHit)
+	// done counts runs complete. An engine reports each run once, by
+	// RunDone or StoreHit, so the count ends at Total.
+	done     int
 	errs     int
 	hostNS   int64
 	lastLine time.Time
@@ -52,7 +50,7 @@ func NewProgress(total int, out io.Writer, eng *Engine) *Progress {
 // sequential baseline when joinSpeedup is set. This is the Total a
 // Progress should be built with.
 func UniqueRuns(specs []Spec, joinSpeedup bool) int {
-	return len(newPlan(specs, joinSpeedup).runs())
+	return PlanRuns(specs, joinSpeedup).Len()
 }
 
 // AddTotal grows the expected-run count by n. A fabric worker learns
@@ -70,42 +68,36 @@ func (p *Progress) AddTotal(n int) {
 // RunDone records one completed run. It matches the Engine.OnRunDone
 // signature and is safe for concurrent use; on a nil Progress it is a
 // no-op.
-func (p *Progress) RunDone(s Spec, hostNS int64, err error) {
+func (p *Progress) RunDone(_ Spec, hostNS int64, err error) {
 	if p == nil {
 		return
 	}
-	run := s.Canonical().Key()
 	p.mu.Lock()
 	p.executed++
 	p.hostNS += hostNS
 	if err != nil {
 		p.errs++
 	}
-	p.advanceLocked(run)
+	p.advanceLocked()
 }
 
-// StoreHit records one spec served from the persistent store. It
+// StoreHit records one run served from the persistent store. It
 // matches the Engine.OnStoreHit signature; store hits advance the
 // completion count but are excluded from the ETA estimate — a disk
 // read says nothing about how long the remaining simulations take.
-func (p *Progress) StoreHit(s Spec) {
+func (p *Progress) StoreHit(Spec) {
 	if p == nil {
 		return
 	}
-	run := s.Canonical().Key()
 	p.mu.Lock()
 	p.diskHits++
-	p.advanceLocked(run)
+	p.advanceLocked()
 }
 
-// advanceLocked finishes a completion event for the run of that
-// canonical key: counts the run complete, starts the clock, emits a
-// throttled line, and releases p.mu.
-func (p *Progress) advanceLocked(run string) {
-	if p.done == nil {
-		p.done = map[string]struct{}{}
-	}
-	p.done[run] = struct{}{}
+// advanceLocked finishes a completion event: counts the run complete,
+// starts the clock, emits a throttled line, and releases p.mu.
+func (p *Progress) advanceLocked() {
+	p.done++
 	now := time.Now()
 	if p.start.IsZero() {
 		p.start = now
@@ -115,7 +107,7 @@ func (p *Progress) advanceLocked(run string) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	if p.Out != nil && (len(p.done) == p.Total || now.Sub(p.lastLine) >= interval) {
+	if p.Out != nil && (p.done == p.Total || now.Sub(p.lastLine) >= interval) {
 		p.lastLine = now
 		line = p.lineLocked(now)
 	}
@@ -128,7 +120,7 @@ func (p *Progress) advanceLocked(run string) {
 // lineLocked renders the stderr progress line. Caller holds p.mu.
 func (p *Progress) lineLocked(now time.Time) string {
 	elapsed := now.Sub(p.start)
-	completed := len(p.done)
+	completed := p.done
 	line := fmt.Sprintf("sweep: %d/%d runs", completed, p.Total)
 	if p.errs > 0 {
 		line += fmt.Sprintf(", %d failed", p.errs)
@@ -154,8 +146,7 @@ func (p *Progress) lineLocked(now time.Time) string {
 
 // ProgressSnapshot is the JSON shape served at /progress. Done counts
 // completed runs, however they completed; Executed counts simulations
-// and DiskHits specs served from the store (several labels of one run
-// each count).
+// and DiskHits runs served from the store.
 type ProgressSnapshot struct {
 	Done           int     `json:"done"`
 	Executed       int     `json:"executed"`
@@ -178,7 +169,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	}
 	p.mu.Lock()
 	snap := ProgressSnapshot{
-		Done:           len(p.done),
+		Done:           p.done,
 		Executed:       p.executed,
 		DiskHits:       p.diskHits,
 		Total:          p.Total,

@@ -167,6 +167,19 @@ func (r *Record) JoinSeqNanos(seqNS int64) {
 	r.Speedup = float64(seqNS) / float64(r.TimeNanos)
 }
 
+// Labelled is the record a request for s gets from its run's record:
+// the run's measurements under s's spec fields, joined with base's
+// duration when base is non-nil and neither record failed. It is the
+// one way out of a run for the engine and the fabric coordinator's
+// merge alike, and byte-identical to RecordOf(s, …) of the run's result.
+func Labelled(s Spec, run Record, base *Record) Record {
+	run.Spec = s
+	if base != nil && base.Error == "" {
+		run.JoinSeqNanos(base.TimeNanos)
+	}
+	return run
+}
+
 // SeqSpecOf returns the sequential-baseline spec a record of s joins
 // with: the application's sequential version at s's scale, in canonical
 // form, so one baseline serves every processor count, protocol, home

@@ -37,8 +37,8 @@ func streamT(t *testing.T, e *Engine, specs []Spec) []byte {
 // TestStoreKeepsSweepBytes is the tentpole invariant: sweep output is
 // byte-identical with the store disabled, cold, and warm — at 1, 2 and
 // 8 workers, with speedup joins on, and with observation on — and a
-// warm run executes zero simulations: every requested key, the labels
-// of a shared run each under their own, is a store hit.
+// warm run executes zero simulations: every run, however many labels
+// name it, is one store hit.
 func TestStoreKeepsSweepBytes(t *testing.T) {
 	for _, mode := range []struct {
 		name          string
@@ -79,11 +79,13 @@ func TestStoreKeepsSweepBytes(t *testing.T) {
 				if hs.RunsStarted != 0 {
 					t.Errorf("workers=%d: warm run executed %d simulations, want 0", workers, hs.RunsStarted)
 				}
-				want := int64(len(specs)) // no spec of the grid repeats
+				// The grid's 16 specs are 12 runs: each xhpf cell is named
+				// under both protocols.
+				want := int64(12)
 				if mode.join {
 					want += 2 // one baseline per application
 				}
-				if hs.StoreHits != want {
+				if hs.StoreHits != want || want != int64(UniqueRuns(specs, mode.join)) {
 					t.Errorf("workers=%d: %d store hits, want %d", workers, hs.StoreHits, want)
 				}
 			}
@@ -269,10 +271,9 @@ func TestProgressStoreHits(t *testing.T) {
 	}
 }
 
-// TestSweepCommitsItsWriteBacks: a sweep ends with every record it
-// wrote back fsynced (nothing left for a later Sync or Close to do) —
-// the labels that shared a run, written back on the ordered pass after
-// the prefetch, included — a warm sweep issues no fsync at all, and the
+// TestSweepCommitsItsWriteBacks: a sweep writes back each run once and
+// ends with every record it wrote back fsynced (nothing left for a later
+// Sync or Close to do), a warm sweep issues no fsync at all, and the
 // registry reports each fsync once, in the counter and in the latency
 // histogram.
 func TestSweepCommitsItsWriteBacks(t *testing.T) {
@@ -286,8 +287,8 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	streamT(t, cold, specs)
 	after := st.Stats()
 	// 16 specs, 12 runs: the xhpf cells run once for both protocol labels.
-	if runs := cold.HostStats().RunsStarted; runs != 12 || after.Puts != int64(len(specs)) || after.Syncs == 0 {
-		t.Fatalf("cold sweep: %d runs, stats = %+v, want 12 runs, %d puts and at least one fsync", runs, after, len(specs))
+	if runs := cold.HostStats().RunsStarted; runs != 12 || after.Puts != runs || after.Syncs == 0 {
+		t.Fatalf("cold sweep: %d runs, stats = %+v, want 12 runs, a put each and at least one fsync", runs, after)
 	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
@@ -314,8 +315,8 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	warm := New()
 	warm.Store = st
 	streamT(t, warm, specs)
-	if hs := warm.HostStats(); hs.RunsStarted != 0 {
-		t.Fatalf("warm sweep executed %d runs", hs.RunsStarted)
+	if hs := warm.HostStats(); hs.RunsStarted != 0 || hs.StoreHits != 12 {
+		t.Fatalf("warm sweep executed %d runs with %d store hits, want 0 and 12", hs.RunsStarted, hs.StoreHits)
 	}
 	if got := st.Stats().Syncs; got != after.Syncs {
 		t.Errorf("warm sweep issued %d fsyncs, want none", got-after.Syncs)

@@ -19,8 +19,10 @@ type HostStats struct {
 	// engine actually executed (started may briefly exceed completed).
 	RunsStarted   int64
 	RunsCompleted int64
-	// CacheHits counts Run calls answered by a finished cache entry;
-	// CacheWaits counts calls that latched onto an in-flight run.
+	// CacheHits counts run-cache lookups answered by a finished entry;
+	// CacheWaits counts lookups that latched onto an in-flight run. The
+	// record paths ask the run cache once per run, so labels of a run
+	// count in neither.
 	CacheHits  int64
 	CacheWaits int64
 	// Inflight is the number of simulations executing right now.
@@ -29,7 +31,7 @@ type HostStats struct {
 	// between running simulations and waiting for work.
 	WorkerBusyNS int64
 	WorkerIdleNS int64
-	// StoreHits counts specs served from the persistent store (record
+	// StoreHits counts runs served from the persistent store (record
 	// paths; each skipped an entire simulation).
 	StoreHits int64
 }

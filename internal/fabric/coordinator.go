@@ -13,17 +13,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 )
 
 // Coordinator distributes a spec list across HTTP workers and merges
 // their record streams into spec order, byte-identically to a local
-// sweep. What it leases is runs, not specs: each distinct execution the
-// list needs (exp.Spec.Canonical, and under Speedup each sequential
-// baseline) once, so a label or a baseline is never simulated twice
-// across the fleet; the merge relabels and joins, as exp.Engine does.
+// sweep. What it leases is runs, not specs: the list's exp.PlanRuns,
+// each distinct execution once, so a label or a baseline is never
+// simulated twice across the fleet; the merge relabels and joins
+// through exp.Labelled, as exp.Engine does.
 // Zero values get sane defaults; a Coordinator is good for one Run at a
 // time.
 type Coordinator struct {
@@ -173,8 +172,8 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 
 	// The fallback executes runs as leased, unjoined: the merge joins.
 	eng := c.localEngine(false)
-	rl := newRunList(specs, c.Speedup)
-	tbl := newLeaseTable(len(rl.runs), c.rangeSize(), len(live))
+	rl := exp.PlanRuns(specs, c.Speedup)
+	tbl := newLeaseTable(rl.Len(), c.rangeSize(), len(live))
 	c.mu.Lock()
 	c.rangesTotal = len(tbl.ranges)
 	c.tbl = tbl
@@ -193,25 +192,24 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.serveLocal(eng, tbl, rl.runs)
+		c.serveLocal(eng, tbl, rl)
 	}()
 
 	// Merge: walk the requested specs in order, taking ranges of runs
 	// in run order as they land. The run list is in first-need order, so
 	// a spec waits for no range past the one holding its own run or
-	// baseline. Each record is its run's, relabelled with the spec asked
-	// for and joined with its baseline when both ran — what exp.Engine
-	// does per label.
+	// baseline. Each record is its run's, through exp.Labelled, as in
+	// exp.Engine.
 	var (
-		stats   exp.StreamStats
-		errs    []error
-		seenErr = map[string]bool{}
-		ran     = make([]*exp.Record, 0, len(rl.runs)) // each run's validated record, once its range is done
-		rec     exp.Record
-		line    []byte // reused; a record and its newline go out in one Write
+		stats  exp.StreamStats
+		errs   []error
+		failed = make([]bool, rl.Len())           // per run: its error is in errs, as StreamWith
+		ran    = make([]*exp.Record, 0, rl.Len()) // each run's validated record, once its range is done
+		rec    exp.Record
+		line   []byte // reused; a record and its newline go out in one Write
 	)
 	for i, s := range specs {
-		for need := max(rl.run[i], rl.base[i]); int32(len(ran)) <= need; {
+		for need := max(rl.Run[i], rl.Base[i]); int32(len(ran)) <= need; {
 			recs, ok := tbl.waitDoneAt(len(ran))
 			if !ok {
 				wg.Wait() // canceled — only the write-failure path below does that
@@ -221,16 +219,16 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 				ran = append(ran, &recs[j])
 			}
 		}
-		rec = *ran[rl.run[i]]
-		rec.Spec = s
-		if b := rl.base[i]; b >= 0 && rec.Error == "" && ran[b].Error == "" {
-			rec.JoinSeqNanos(ran[b].TimeNanos)
+		var base *exp.Record
+		if b := rl.Base[i]; b >= 0 {
+			base = ran[b]
 		}
+		rec = exp.Labelled(s, *ran[rl.Run[i]], base)
 		if rec.Error != "" {
 			stats.Failed++
 			c.recordsFailed.Add(1)
-			if run := rl.keys[rl.run[i]]; !seenErr[run] { // once per run, as StreamWith
-				seenErr[run] = true
+			if pos := rl.Run[i]; !failed[pos] {
+				failed[pos] = true
 				errs = append(errs, errors.New(rec.Error))
 			}
 		}
@@ -251,41 +249,6 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	}
 	wg.Wait()
 	return stats, errors.Join(errs...)
-}
-
-// runList is what a fleet leases for a spec list: each distinct run the
-// list needs once — every spec's canonical run and, under the baseline
-// join, its sequential baseline — in first-need order, with each
-// requested spec's positions in it. Its length is
-// exp.UniqueRuns(specs, join).
-type runList struct {
-	runs []exp.Spec // canonical specs, the leased unit
-	keys []string   // their keys: the lease's wire form and the error set's
-	run  []int32    // per requested spec, its run's position
-	base []int32    // per requested spec, its baseline's position; -1 for no join
-}
-
-func newRunList(specs []exp.Spec, join bool) *runList {
-	l := &runList{run: make([]int32, len(specs)), base: make([]int32, len(specs))}
-	index := map[exp.Spec]int32{}
-	add := func(s exp.Spec) int32 {
-		pos, ok := index[s]
-		if !ok {
-			pos = int32(len(l.runs))
-			index[s] = pos
-			l.runs = append(l.runs, s)
-			l.keys = append(l.keys, s.Key())
-		}
-		return pos
-	}
-	for i, s := range specs {
-		l.base[i] = -1
-		if join && s.Version != core.Seq {
-			l.base[i] = add(exp.SeqSpecOf(s))
-		}
-		l.run[i] = add(s.Canonical())
-	}
-	return l
 }
 
 // handshake probes every configured worker address and registers the
@@ -349,7 +312,7 @@ func (c *Coordinator) probe(ctx context.Context, base string) (Hello, error) {
 // serveWorker is one registered worker's dispatch loop: lease, run,
 // deliver; on failure back off, and retire after too many consecutive
 // failed leases.
-func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *leaseTable, rl *runList) {
+func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *leaseTable, rl *exp.Runs) {
 	for {
 		g, ok := tbl.next(false)
 		if !ok {
@@ -358,7 +321,7 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 		r := g.r
 		ws.leases.Add(1)
 		ws.inflight.Add(1)
-		recs, err := c.runRemote(ctx, ws, g, rl.runs[r.lo:r.hi], rl.keys[r.lo:r.hi])
+		recs, err := c.runRemote(ctx, ws, g, rl, r.lo, r.hi)
 		ws.inflight.Add(-1)
 		if err != nil {
 			expired := errors.Is(err, context.DeadlineExceeded)
@@ -404,7 +367,7 @@ func leaseID(g grant) string {
 // serveLocal is the fallback executor: it runs attempt-exhausted
 // ranges (and, once no live workers remain, everything unfinished)
 // through the local engine.
-func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, runs []exp.Spec) {
+func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, rl *exp.Runs) {
 	for {
 		g, ok := tbl.next(true)
 		if !ok {
@@ -413,20 +376,24 @@ func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, runs []exp.Sp
 		r := g.r
 		c.logf("fabric: running range r%d-%d (%d runs) locally", r.lo, r.hi, r.hi-r.lo)
 		recs := make([]exp.Record, 0, r.hi-r.lo)
-		for _, s := range runs[r.lo:r.hi] {
-			recs = append(recs, eng.Record(s))
+		for pos := r.lo; pos < r.hi; pos++ {
+			recs = append(recs, eng.Record(rl.Spec(pos)))
 		}
 		c.localRecords.Add(int64(len(recs)))
 		tbl.deliver(g, recs)
 	}
 }
 
-// runRemote executes one lease against one worker: POST the range's
-// run keys, unjoined, validate the streamed records (strict schema,
-// matching stamp, lease order), and strip the wire stamp so merged
-// bytes equal local bytes. Short, over-long, misordered and malformed
+// runRemote executes one lease against one worker: POST the keys of
+// runs [lo, hi) of rl, unjoined, validate the streamed records (strict
+// schema, matching stamp, lease order), and strip the wire stamp so
+// merged bytes equal local bytes. Short, over-long, misordered and malformed
 // streams all fail the lease the same way.
-func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, specs []exp.Spec, keys []string) ([]exp.Record, error) {
+func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, rl *exp.Runs, lo, hi int) ([]exp.Record, error) {
+	keys := make([]string, 0, hi-lo)
+	for pos := lo; pos < hi; pos++ {
+		keys = append(keys, rl.Key(pos))
+	}
 	body, err := json.Marshal(RunRequest{
 		SchemaVersion: exp.SchemaVersion,
 		Lease:         leaseID(g),
@@ -456,7 +423,7 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, s
 		return nil, fmt.Errorf("run status %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 
-	recs := make([]exp.Record, 0, len(specs))
+	recs := make([]exp.Record, 0, len(keys))
 	sc := bufio.NewScanner(resp.Body)
 	// A lease streams a few lines of a few hundred bytes: the scanner
 	// starts at its default 4 KiB and grows on demand to the 1 MiB a
@@ -475,11 +442,11 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, s
 			return nil, fmt.Errorf("record %d: missing or mismatched schema_version %d (want %d)",
 				len(recs)+1, rec.SchemaVersion, exp.SchemaVersion)
 		}
-		if len(recs) >= len(specs) {
-			return nil, fmt.Errorf("worker streamed more records than the %d leased runs", len(specs))
+		if len(recs) >= len(keys) {
+			return nil, fmt.Errorf("worker streamed more records than the %d leased runs", len(keys))
 		}
 		rec.SchemaVersion = 0 // strip the wire stamp: merged bytes == local bytes
-		if rec.Spec != specs[len(recs)] {
+		if rec.Spec != rl.Spec(lo+len(recs)) {
 			return nil, fmt.Errorf("record %d is %s, want lease order %s",
 				len(recs)+1, rec.Key(), keys[len(recs)])
 		}
@@ -489,10 +456,10 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, s
 		if rctx.Err() != nil {
 			err = fmt.Errorf("%w: %v", context.DeadlineExceeded, err)
 		}
-		return nil, fmt.Errorf("after %d of %d records: %v", len(recs), len(specs), err)
+		return nil, fmt.Errorf("after %d of %d records: %v", len(recs), len(keys), err)
 	}
-	if len(recs) != len(specs) {
-		err := fmt.Errorf("stream truncated at %d of %d records", len(recs), len(specs))
+	if len(recs) != len(keys) {
+		err := fmt.Errorf("stream truncated at %d of %d records", len(recs), len(keys))
 		if rctx.Err() != nil {
 			err = fmt.Errorf("%w: %v", context.DeadlineExceeded, err)
 		}

@@ -16,7 +16,7 @@ import (
 // Worker executes leased spec ranges through exp engines and streams
 // stamped records back. One Worker serves any number of concurrent
 // leases: ranges run through a shared engine per (speedup, observe)
-// option combination, so the spec-keyed single-flight cache serves a
+// option combination, so the run-keyed single-flight cache serves a
 // range leased again after an abandoned attempt, and leases from
 // several coordinators that overlap, without re-running them.
 type Worker struct {

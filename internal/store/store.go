@@ -122,7 +122,7 @@ type Stats struct {
 	Hits          int64 // Get calls served from disk
 	Misses        int64 // Get calls that found no entry
 	Puts          int64 // frames appended (deduplicated Puts excluded)
-	Evictions     int64 // entries dropped by the size cap or Evict
+	Evictions     int64 // entries dropped by the MaxBytes cap
 	CorruptFrames int64 // frames skipped for bad CRC or mangled framing
 	SchemaSkips   int64 // frames skipped for a schema-version mismatch
 	Compactions   int64 // segment rewrites
@@ -403,29 +403,6 @@ func (s *Store) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Evict drops least-recently-used entries until the segment fits in
-// targetBytes, compacting the segment. It returns the number of
-// entries dropped.
-func (s *Store) Evict(targetBytes int64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errors.New("store: closed")
-	}
-	if err := flockEx(s.lockFile); err != nil {
-		return 0, fmt.Errorf("store: lock: %w", err)
-	}
-	defer flockUn(s.lockFile) //nolint:errcheck // advisory unlock
-	if err := s.refreshLocked(true); err != nil {
-		return 0, err
-	}
-	before := len(s.index)
-	if err := s.evictLocked(targetBytes); err != nil {
-		return before - len(s.index), err
-	}
-	return before - len(s.index), nil
 }
 
 // VerifyReport summarizes a Verify pass.

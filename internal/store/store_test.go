@@ -264,18 +264,19 @@ func TestStoreEvictionRespectsCapAndLRU(t *testing.T) {
 			t.Fatal("LRU order inverted: untouched key survived, touched key evicted")
 		}
 	}
-	// Explicit Evict down to two frames.
-	if _, err := s.Evict(2 * frame); err != nil {
-		t.Fatalf("Evict: %v", err)
-	}
-	if got := s.SizeBytes(); got > 2*frame {
-		t.Fatalf("after Evict segment is %d bytes, want <= %d", got, 2*frame)
-	}
 	s.Close()
-	s2 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: cap})
-	if n := s2.Len(); n == 0 || n > 2 {
+	// A handle with a tighter cap evicts down to it on its next Put.
+	s2 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 2 * frame})
+	mustPut(t, s2, "key-12", val)
+	if got := s2.SizeBytes(); got > 2*frame {
+		t.Fatalf("after eviction segment is %d bytes, want <= %d", got, 2*frame)
+	}
+	s2.Close()
+	s3 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: cap})
+	if n := s3.Len(); n == 0 || n > 2 {
 		t.Fatalf("after eviction Len = %d, want 1..2", n)
 	}
+	mustGet(t, s3, "key-12", val)
 }
 
 func TestStoreVerify(t *testing.T) {
@@ -432,11 +433,14 @@ func swapSegment(t *testing.T, s *Store, dir string) {
 func TestStoreSwapSeenByLiveHandle(t *testing.T) {
 	swaps := map[string]func(t *testing.T, b *Store, dir string){
 		"compact": swapSegment,
-		"evict": func(t *testing.T, b *Store, dir string) {
+		"evict": func(t *testing.T, _ *Store, dir string) {
+			// A capped handle on the same directory: its first Put
+			// evicts everything older to fit the cap of one frame.
 			before := segPath(t, dir)
-			mustPut(t, b, "b0", "dropped by the eviction")
-			if n, err := b.Evict(1); err != nil || n == 0 {
-				t.Fatalf("Evict = %d, %v, want entries dropped", n, err)
+			capped := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 1})
+			mustPut(t, capped, "b0", "evicts the rest")
+			if st := capped.Stats(); st.Evictions == 0 {
+				t.Fatalf("stats = %+v, want entries evicted", st)
 			}
 			if after := segPath(t, dir); after == before {
 				t.Fatalf("CURRENT still names %s after an eviction", before)

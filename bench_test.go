@@ -38,24 +38,29 @@ func benchScale() core.Scale {
 	return core.MidScale
 }
 
-// benchRunner serves reportRun the sequential baseline every speedup
+// benchSpec is one run at the benchmark scale.
+func benchSpec(app core.App, v core.Version, procs int) exp.Spec {
+	return exp.Spec{App: app.Name(), Version: v, Procs: procs, Scale: benchScale()}.Normalize()
+}
+
+// benchEngine serves reportRun the sequential baseline every speedup
 // divides by: each application's runs once, then hits the cache.
-var benchRunner = harness.NewRunner(benchProcs, benchScale())
+var benchEngine = exp.New()
 
 // reportRun measures one cell of a figure or traffic table. The version
-// under test runs on a fresh Runner every iteration — a cold engine,
-// never the single-flight cache — so host-ms is the host time of one
-// run of that cell; the baseline is not part of it.
+// under test runs on a fresh engine every iteration — never the
+// single-flight cache — so host-ms is the host time of one run of that
+// cell; the baseline is not part of it.
 func reportRun(b *testing.B, app core.App, v core.Version) {
 	b.Helper()
-	seq, err := benchRunner.Run(app, core.Seq)
+	seq, err := benchEngine.Run(benchSpec(app, core.Seq, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = harness.NewRunner(benchProcs, benchScale()).Run(app, v)
+		res, err = exp.New().Run(benchSpec(app, v, benchProcs))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +72,7 @@ func reportRun(b *testing.B, app core.App, v core.Version) {
 }
 
 // BenchmarkTable1SequentialTimes regenerates Table 1. Every iteration
-// runs on a fresh Runner — a cold engine, no single-flight cache hit —
+// runs on a fresh engine — no single-flight cache hit —
 // so host-ms is the host time of one sequential run: the floor under
 // every cell of the paper's tables.
 func BenchmarkTable1SequentialTimes(b *testing.B) {
@@ -76,7 +81,7 @@ func BenchmarkTable1SequentialTimes(b *testing.B) {
 			var seq core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				seq, err = harness.NewRunner(benchProcs, benchScale()).Run(a, core.Seq)
+				seq, err = exp.New().Run(benchSpec(a, core.Seq, 1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -216,12 +221,12 @@ func BenchmarkProtocolComparison(b *testing.B) {
 		for _, procs := range harness.ProtocolProcCounts {
 			for _, p := range proto.Names() {
 				b.Run(fmt.Sprintf("%s/%s/p%d/%s", a.Name(), v, procs, p), func(b *testing.B) {
-					r := harness.NewRunner(procs, benchScale())
-					r.Protocol = p
+					e, s := exp.New(), benchSpec(a, v, procs)
+					s.Protocol = p
 					var res core.Result
 					var err error
 					for i := 0; i < b.N; i++ {
-						res, err = r.Run(a, v)
+						res, err = e.Run(s)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -251,13 +256,12 @@ func BenchmarkHomePolicy(b *testing.B) {
 		v := harness.DSMVersionOf(a)
 		for _, pol := range proto.PolicyNames() {
 			b.Run(fmt.Sprintf("%s/%s/%s", name, v, pol), func(b *testing.B) {
-				r := harness.NewRunner(benchProcs, benchScale())
-				r.Protocol = proto.HomeLRC
-				r.HomePolicy = pol
+				e, s := exp.New(), benchSpec(a, v, benchProcs)
+				s.Protocol, s.HomePolicy = proto.HomeLRC, pol
 				var res core.Result
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = r.Run(a, v)
+					res, err = e.Run(s)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -290,11 +294,12 @@ func BenchmarkContention(b *testing.B) {
 		for _, v := range []core.Version{core.Tmk, core.XHPF, core.PVMe} {
 			for _, sw := range sweep {
 				b.Run(fmt.Sprintf("%s/%s/%s", name, v, sw.name), func(b *testing.B) {
-					r := harness.NewRunner(benchProcs, benchScale())
+					e, s := exp.New(), benchSpec(a, v, benchProcs)
+					s.Contention = sw.ways
 					var res core.Result
 					var err error
 					for i := 0; i < b.N; i++ {
-						res, err = r.ContentionRun(a, v, benchProcs, r.Protocol, sw.ways)
+						res, err = e.Run(s)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -321,18 +326,22 @@ func BenchmarkModelSensitivity(b *testing.B) {
 		scale float64
 	}{{"half-latency", 0.5}, {"double-latency", 2.0}} {
 		b.Run(f.name, func(b *testing.B) {
-			r := harness.NewRunner(benchProcs, benchScale())
-			r.Costs.Latency = sim.Time(float64(r.Costs.Latency) * f.scale)
+			e := exp.New()
+			e.Costs.Latency = sim.Time(float64(e.Costs.Latency) * f.scale)
+			speedup := func(v core.Version) float64 {
+				seq, err := e.Run(benchSpec(app, core.Seq, 1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := e.Run(benchSpec(app, v, benchProcs))
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res.Speedup(seq.Time)
+			}
 			var spfS, pvmeS float64
 			for i := 0; i < b.N; i++ {
-				spfS, err = r.Speedup(app, core.SPF)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pvmeS, err = r.Speedup(app, core.PVMe)
-				if err != nil {
-					b.Fatal(err)
-				}
+				spfS, pvmeS = speedup(core.SPF), speedup(core.PVMe)
 			}
 			if pvmeS <= spfS {
 				b.Errorf("ranking flipped under %s: PVMe %.2f <= SPF %.2f", f.name, pvmeS, spfS)
@@ -390,14 +399,14 @@ func BenchmarkScalability(b *testing.B) {
 		}
 		for _, procs := range []int{2, 4, 8} {
 			b.Run(name+"/"+string(rune('0'+procs))+"procs", func(b *testing.B) {
-				r := harness.NewRunner(procs, benchScale())
+				e := exp.New()
 				var seq, res core.Result
 				for i := 0; i < b.N; i++ {
-					seq, err = r.Run(a, core.Seq)
+					seq, err = e.Run(benchSpec(a, core.Seq, 1))
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err = r.Run(a, core.Tmk)
+					res, err = e.Run(benchSpec(a, core.Tmk, procs))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -170,10 +170,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fabric"
-	"repro/internal/harness"
 	"repro/internal/loopc/difftest"
 	"repro/internal/loopc/gen"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -469,8 +469,30 @@ func main() {
 	}
 	if *breakdown {
 		fmt.Println()
-		harness.BreakdownTable(os.Stdout, res)
+		printBreakdown(os.Stdout, res)
 	}
+}
+
+// printBreakdown renders one result's per-node time attribution (plus
+// the all-node sum) as a fixed-width table.
+func printBreakdown(w io.Writer, res core.Result) {
+	if res.Breakdown == nil {
+		fmt.Fprintln(w, "(no breakdown: run without observability)")
+		return
+	}
+	fmt.Fprintf(w, "%-5s | %12s | %12s %12s %12s %12s %12s %12s %12s\n",
+		"node", "total ms", "compute", "fault", "barrier", "lock", "data", "queue", "other")
+	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------------------------------------")
+	row := func(label string, b obs.NodeBreakdown) {
+		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+		fmt.Fprintf(w, "%-5s | %12.3f | %12.3f %12.3f %12.3f %12.3f %12.3f %12.3f %12.3f\n",
+			label, ms(b.Total), ms(b.Compute), ms(b.Fault), ms(b.Barrier),
+			ms(b.Lock), ms(b.Data), ms(b.Queue), ms(b.Other))
+	}
+	for _, b := range res.Breakdown {
+		row(fmt.Sprintf("%d", b.Node), b)
+	}
+	row("sum", obs.Sum(res.Breakdown))
 }
 
 // printJSON emits the single-run record, joined with the sequential

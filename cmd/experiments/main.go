@@ -1,15 +1,15 @@
-// Command experiments regenerates the paper's tables and figures. It
-// is a thin rendering client of the internal/exp sweep engine: each
-// experiment declares its (application × version × procs × protocol)
-// grid as a spec list, the engine executes the grid concurrently
-// across host cores (bounded by -workers) behind a shared result
-// cache, and the tables are formatted from the engine's output.
+// Command experiments regenerates the paper's tables and figures. Each
+// table (internal/harness) is a spec list derived from one base spec —
+// the -procs, -scale, -protocol, -homepolicy and -contention flags —
+// plus a render over the records of those specs, which the
+// internal/exp engine reads concurrently across host cores (bounded by
+// -workers), each distinct run once.
 //
 // Usage:
 //
 //	experiments [-procs 8] [-scale paper|mid|small] [-protocol lrc|hlrc] [-workers N] [-only table1,figure1,...]
 //
-// With no -only flag every experiment runs (Table 1, Figures 1-2,
+// With no -only flag the paper's tables print (Table 1, Figures 1-2,
 // Tables 2-3, the §5 hand optimizations, and the §2.3 interface
 // ablation). Paper scale matches Table 1's data sets and takes a few
 // minutes; mid scale preserves the page-granularity regime at a fraction
@@ -19,6 +19,8 @@
 // other experiments run under (default: lrc, the paper's). The compiler
 // experiment (-only compiler) runs the internal/loopc-generated
 // spf-gen/xhpf-gen versions next to their hand-coded counterparts.
+// Tables that vary what a checksum must not depend on (protocols,
+// contention, migration, compiler) refuse to print when it differs.
 //
 // The migration experiment (-only migration) sweeps the home-based
 // protocol's home-placement policies (static, firsttouch, adaptive) at
@@ -32,13 +34,12 @@
 // the partition-aware oracle and for repeat determinism. Any divergence
 // fails the experiment; dsmrun -gen <seed> replays and minimizes it.
 //
-// The breakdown experiment (-only breakdown) runs every figure version
-// of every application with observability on and prints the per-node
-// virtual-time attribution — compute vs page-fault stall vs barrier,
-// lock and message waits vs contention queueing — the event-trace
-// counterpart of the paper's §5/§6 overhead analysis. It runs on its
-// own observing engine, so the other experiments' cache stays
-// trace-free.
+// The breakdown experiment (-only breakdown) prints the per-node
+// virtual-time attribution of every figure version of every application
+// — compute vs page-fault stall vs barrier, lock and message waits vs
+// contention queueing — the event-trace counterpart of the paper's
+// §5/§6 overhead analysis. It reads observed records from a second,
+// observing engine over the same store and registry.
 //
 // The contention experiment (-only contention) sweeps the serial-NIC /
 // backplane contention model at 1-8 nodes for Jacobi, IGrid and NBF
@@ -48,19 +49,20 @@
 // N = -1 serializes the NICs over an ideal backplane, 0 (default) keeps
 // the infinite-capacity interconnect.
 //
-// -metrics-addr serves the shared engine's host-side telemetry
-// (/metrics in Prometheus text format, /debug/pprof/*) over HTTP while
-// the experiments run, and -metrics-dump writes a final JSON snapshot
-// of the registry; see cmd/dsmrun for the metric families. Telemetry
+// -metrics-addr serves the engines' host-side telemetry (/metrics in
+// Prometheus text format, /debug/pprof/*) over HTTP while the
+// experiments run, and -metrics-dump writes a final JSON snapshot of
+// the registry; see cmd/dsmrun for the metric families. Telemetry
 // never changes experiment output.
 //
-// -store DIR backs the shared engine with the persistent result store
-// (see dsmrun -store): grid points already on disk render without
-// re-simulating, and fresh runs are written back, so re-rendering
-// tables — or running further experiments over the same grid — costs
-// only the disk reads. Tables are byte-identical served or executed;
-// the store reads as empty under a build whose record schema version
-// differs. Written records are fsynced at the end of each sweep and at
+// -store DIR backs the engines with the persistent result store (see
+// dsmrun -store): fresh runs are written back, and a table whose runs
+// are all on disk prints without simulating, byte-identical to a cold
+// pass. The exception is migration: its flush column is
+// Stats.BytesOf(KindDiff), which no record carries, so it sweeps its
+// grid through the engine's Result path, which always simulates. The
+// store reads as empty under a build whose record schema version
+// differs. Written records are fsynced at the end of each table and at
 // exit, not one by one (see dsmrun -store). -store-max-bytes bounds the
 // directory (LRU eviction; 0: unbounded).
 package main
@@ -81,58 +83,42 @@ import (
 )
 
 func main() {
+	var names []string
+	named := map[string]harness.Table{}
+	for _, t := range harness.Tables {
+		names = append(names, t.Name)
+		named[t.Name] = t
+	}
 	procs := flag.Int("procs", 8, "number of simulated processors")
 	scale := flag.String("scale", "paper", "problem scale: paper, mid, or small")
 	protocol := flag.String("protocol", "", "DSM coherence protocol: lrc (default) or hlrc")
 	homepolicy := flag.String("homepolicy", "", "hlrc home-placement policy: static (default), firsttouch, or adaptive")
 	contention := flag.Int("contention", 0, "network contention: 0 off, -1 serial NICs only, N>0 serial NICs + N-way backplane")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0: all host cores)")
-	only := flag.String("only", "", "comma-separated experiments (table1,figure1,table2,figure2,table3,handopt,interface,scalability,protocols,compiler,contention,migration,gendiff,breakdown)")
+	only := flag.String("only", "", "comma-separated experiments ("+strings.Join(names, ",")+")")
 	storeDir := flag.String("store", "", "persistent result store directory: table records are served from disk across runs (and written back)")
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
 	metricsAddr := flag.String("metrics-addr", "", "serve host-side telemetry (/metrics, /debug/pprof/*) on this address while the experiments run")
 	metricsDump := flag.String("metrics-dump", "", "write a final JSON snapshot of the metrics registry to this file")
 	flag.Parse()
 
-	table := map[string]func(w *os.File, r *harness.Runner) error{
-		"table1":    func(w *os.File, r *harness.Runner) error { return harness.Table1(w, r) },
-		"figure1":   func(w *os.File, r *harness.Runner) error { return harness.Figure1(w, r) },
-		"table2":    func(w *os.File, r *harness.Runner) error { return harness.Table2(w, r) },
-		"figure2":   func(w *os.File, r *harness.Runner) error { return harness.Figure2(w, r) },
-		"table3":    func(w *os.File, r *harness.Runner) error { return harness.Table3(w, r) },
-		"handopt":   func(w *os.File, r *harness.Runner) error { return harness.HandOpt(w, r) },
-		"interface": func(w *os.File, r *harness.Runner) error { return harness.Interface(w, r) },
-		"scalability": func(w *os.File, r *harness.Runner) error {
-			return harness.Scalability(w, r, "Jacobi", []int{2, 4, 8})
-		},
-		"protocols":  func(w *os.File, r *harness.Runner) error { return harness.Protocols(w, r) },
-		"compiler":   func(w *os.File, r *harness.Runner) error { return harness.Compiler(w, r) },
-		"contention": func(w *os.File, r *harness.Runner) error { return harness.Contention(w, r) },
-		"migration":  func(w *os.File, r *harness.Runner) error { return harness.Migration(w, r) },
-		"gendiff":    func(w *os.File, r *harness.Runner) error { return harness.GenDiff(w, r) },
-		"breakdown": func(w *os.File, r *harness.Runner) error {
-			// A separate observing runner: traces are per-run state the
-			// shared cache must not carry for the other experiments. Its
-			// Metrics stays nil — the registry's func-backed families
-			// already belong to the main runner's engine.
-			or := harness.NewRunner(r.Procs, r.Scale)
-			or.Protocol, or.HomePolicy = r.Protocol, r.HomePolicy
-			or.Costs, or.App, or.Workers = r.Costs, r.App, r.Workers
-			or.Observe = true
-			return harness.Breakdown(w, or)
-		},
-	}
-	order := []string{"table1", "figure1", "table2", "figure2", "table3", "handopt", "interface"}
-	want := order
-	if *only != "" {
-		want = strings.Split(*only, ",")
-	}
-	// Every name is checked before anything opens or runs: a typo late
-	// in the list must not cost the experiments before it.
-	for _, name := range want {
-		if _, ok := table[strings.TrimSpace(name)]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s, scalability, protocols, compiler, contention, migration, gendiff, breakdown)\n", name, strings.Join(order, ", "))
-			os.Exit(2)
+	var want []harness.Table
+	if *only == "" {
+		for _, t := range harness.Tables {
+			if t.Paper {
+				want = append(want, t)
+			}
+		}
+	} else {
+		// Every name is checked before anything opens or runs: a typo
+		// late in the list must not cost the experiments before it.
+		for _, name := range strings.Split(*only, ",") {
+			t, ok := named[strings.TrimSpace(name)]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", name, strings.Join(names, ", "))
+				os.Exit(2)
+			}
+			want = append(want, t)
 		}
 	}
 
@@ -146,31 +132,36 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	r := harness.NewRunner(*procs, core.Scale(*scale))
-	r.Protocol = pname
-	if polname != proto.StaticPolicy {
-		r.HomePolicy = polname
-	}
-	r.Workers = *workers
 	if *contention < -1 {
 		fmt.Fprintf(os.Stderr, "experiments: invalid -contention %d (want 0, -1, or a positive backplane bound)\n", *contention)
 		os.Exit(2)
 	}
-	r.Costs = r.Costs.WithContention(*contention)
+	base := exp.Spec{Procs: *procs, Scale: core.Scale(*scale), Protocol: pname, HomePolicy: polname, Contention: *contention}
+
+	// Two engines over one store and one registry: the observing one
+	// serves the tables that read the time attribution, whose runs
+	// carry traces the others' need not. Observed records are stored
+	// under their own keys.
+	eng, observed := exp.New(), exp.New()
+	observed.Observe = true
+	var reg *metrics.Registry
 	if *metricsAddr != "" || *metricsDump != "" {
-		r.Metrics = metrics.NewRegistry()
+		reg = metrics.NewRegistry()
 	}
+	var st *store.Store
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, exp.StoreOptions(*storeMax))
+		st, err = store.Open(*storeDir, exp.StoreOptions(*storeMax))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		defer st.Close()
-		r.Store = st
+	}
+	for _, e := range []*exp.Engine{eng, observed} {
+		e.Workers, e.Metrics, e.Store = *workers, reg, st
 	}
 	if *metricsAddr != "" {
-		_, addr, err := metrics.StartServer(*metricsAddr, metrics.NewMux(r.Metrics, nil))
+		_, addr, err := metrics.StartServer(*metricsAddr, metrics.NewMux(reg, nil))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -186,7 +177,7 @@ func main() {
 			}
 			enc := json.NewEncoder(f)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(r.Metrics.Snapshot()); err != nil {
+			if err := enc.Encode(reg.Snapshot()); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -196,14 +187,15 @@ func main() {
 			}
 		}()
 	}
-	run := func(name string, f func(w *os.File, r *harness.Runner) error) {
-		if err := f(os.Stdout, r); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	for _, t := range want {
+		e := eng
+		if t.Observe {
+			e = observed
+		}
+		if err := t.Print(os.Stdout, e, base); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", t.Name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-	for _, name := range want {
-		run(name, table[strings.TrimSpace(name)])
 	}
 }

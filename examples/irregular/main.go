@@ -24,14 +24,12 @@ func main() {
 	procs := flag.Int("procs", 8, "processors")
 	flag.Parse()
 
-	r := harness.NewRunner(*procs, core.MidScale)
+	e := exp.New()
 	for _, name := range harness.IrregularApps {
-		app, err := exp.AppByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		at := func(v core.Version) exp.Spec {
+			return exp.Spec{App: name, Version: v, Procs: *procs, Scale: core.MidScale}.Normalize()
 		}
-		seq, err := r.Run(app, core.Seq)
+		seq, err := e.Run(at(core.Seq))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -40,7 +38,7 @@ func main() {
 		fmt.Printf("  %-8s | %8s | %8s | %12s\n", "version", "speedup", "msgs", "data (KB)")
 		var dsmKB, xhpfKB int64
 		for _, v := range harness.FigureVersions {
-			res, err := r.Run(app, v)
+			res, err := e.Run(at(v))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

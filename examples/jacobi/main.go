@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/apps/jacobi"
 	"repro/internal/core"
-	"repro/internal/harness"
+	"repro/internal/exp"
 )
 
 func main() {
@@ -27,8 +27,7 @@ func main() {
 	flag.Parse()
 
 	app := jacobi.New()
-	r := harness.NewRunner(*procs, core.MidScale)
-	cfg := r.Config(app, *procs)
+	cfg := exp.New().Config(app, exp.Spec{Procs: *procs, Scale: core.MidScale})
 	cfg.N1, cfg.Iters = *n, *iters
 
 	seqCfg := cfg

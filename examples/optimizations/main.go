@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/harness"
 )
 
@@ -33,14 +34,15 @@ func main() {
 	procs := flag.Int("procs", 8, "processors")
 	flag.Parse()
 
-	r := harness.NewRunner(*procs, core.MidScale)
-	if err := harness.HandOpt(os.Stdout, r); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println()
-	if err := harness.Interface(os.Stdout, r); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	e := exp.New()
+	base := exp.Spec{Procs: *procs, Scale: core.MidScale}
+	for i, t := range []harness.Table{harness.HandOpt, harness.Interface} {
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := t.Print(os.Stdout, e, base); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 }

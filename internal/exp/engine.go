@@ -58,11 +58,12 @@ type Engine struct {
 	// Metrics, when non-nil, exposes the engine's host-side telemetry
 	// on that registry: func-backed counters/gauges over the always-on
 	// HostStats atomics plus per-(app, version) host-time and
-	// alloc-volume histograms (see telemetry.go). One registry serves
-	// one engine — a second engine registering on the same registry
-	// panics on the duplicate func families. Telemetry is strictly
-	// host-side: virtual times, traffic and sweep output bytes are
-	// identical with or without it.
+	// alloc-volume histograms (see telemetry.go). Engines sharing a
+	// registry report their sums; they must share one Store too (the
+	// store families report the first engine's), and an engine on a
+	// registry stays reachable from it for the life of the process.
+	// Telemetry is strictly host-side: virtual times, traffic and sweep
+	// output bytes are identical with or without it.
 	Metrics *metrics.Registry
 	// OnRunDone, when non-nil, is called once per executed run (cache
 	// misses only, after the result is final) with the spec that ran
@@ -96,12 +97,9 @@ type Engine struct {
 	recMu    sync.Mutex
 	recCache map[string]*recEntry
 
-	// syncMu/syncSeen: the store counters observeSyncs last reported.
-	syncMu   sync.Mutex
-	syncSeen store.Stats
-
 	host          hostStats
 	telemetryOnce sync.Once
+	rep           *reporting // the engines reporting on Metrics, this one included
 }
 
 // entry is one cached (possibly in-flight) run. done closes when res,

@@ -2,6 +2,7 @@ package exp
 
 import (
 	rtmetrics "runtime/metrics"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -105,42 +106,86 @@ var (
 	syncSecondsBuckets = metrics.ExpBuckets(0.000025, 2, 16)
 )
 
-// telemetryInit registers the engine's metric families on e.Metrics,
-// once. Func-backed families close over this engine's atomics, so one
-// registry serves exactly one engine (a second registration of the
-// same func family panics by design). The sim totals are process-wide.
+// reporters holds, per registry, the engines reporting on it: the
+// func-backed engine families sum over all of them, so one process's
+// engines — cmd/experiments keeps a plain and an observing one over one
+// store — report in one registry. The store families read the first of
+// them to have a store.
+var reporters sync.Map // *metrics.Registry → *reporting
+
+// reporting is the engines of one registry.
+type reporting struct {
+	mu       sync.Mutex
+	engines  []*Engine
+	store    *store.Store
+	syncSeen store.Stats // the store counters observeSyncs last reported
+}
+
+// total sums one host counter over the registry's engines, divided by
+// unit.
+func (g *reporting) total(counter func(*hostStats) *atomic.Int64, unit float64) func() float64 {
+	return func() float64 {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		var n int64
+		for _, e := range g.engines {
+			n += counter(&e.host).Load()
+		}
+		return float64(n) / unit
+	}
+}
+
+// telemetryInit joins the engine to e.Metrics's reporters, once, and
+// registers the metric families the registry does not have yet: the
+// engine families with its first engine, the store families with its
+// first engine that has a store. The sim totals are process-wide.
 func (e *Engine) telemetryInit() {
 	r := e.Metrics
 	if r == nil {
 		return
 	}
 	e.telemetryOnce.Do(func() {
-		iv := func(a *atomic.Int64) func() float64 {
-			return func() float64 { return float64(a.Load()) }
+		v, joined := reporters.LoadOrStore(r, &reporting{})
+		g := v.(*reporting)
+		g.mu.Lock()
+		g.engines = append(g.engines, e)
+		st := e.Store
+		if g.store != nil {
+			st = nil // already reported
+		} else {
+			g.store = st
 		}
-		secs := func(a *atomic.Int64) func() float64 {
-			return func() float64 { return float64(a.Load()) / 1e9 }
+		g.mu.Unlock()
+		e.rep = g
+		if !joined {
+			r.CounterFunc(mRunsStarted, "Simulated runs started (cache misses).",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.runsStarted }, 1))
+			r.CounterFunc(mRunsCompleted, "Simulated runs completed.",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.runsCompleted }, 1))
+			r.CounterFunc(mCacheHits, "Run requests answered from the finished-result cache.",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.cacheHits }, 1))
+			r.CounterFunc(mCacheWaits, "Run requests that waited on an in-flight duplicate.",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.cacheWaits }, 1))
+			r.GaugeFunc(mInflight, "Simulated runs executing right now.",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.inflight }, 1))
+			r.GaugeFunc(mWorkers, "Resolved sweep worker-pool width.",
+				func() float64 { return float64(e.workers()) })
+			r.CounterFunc(mWorkerBusy, "Sweep-pool worker time spent running simulations.",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.workerBusyNS }, 1e9))
+			r.CounterFunc(mWorkerIdle, "Sweep-pool worker time spent waiting for work.",
+				g.total(func(h *hostStats) *atomic.Int64 { return &h.workerIdleNS }, 1e9))
+			r.CounterFunc(mSimDispatches, "Simulator scheduler dispatches, process-wide.",
+				func() float64 { return float64(sim.HostTotals().Dispatches) })
+			r.CounterFunc(mSimDelivered, "Simulated messages delivered, process-wide.",
+				func() float64 { return float64(sim.HostTotals().Delivered) })
+			r.GaugeFunc(mSimPeakQueue, "Peak simulated-message queue depth over any run, process-wide.",
+				func() float64 { return float64(sim.HostTotals().PeakQueue) })
+			// Declare the histogram families eagerly so a scrape before the
+			// first run already shows them (with no series yet).
+			r.DeclareHistogram(mRunSeconds, helpRunSeconds, runSecondsBuckets)
+			r.DeclareHistogram(mAllocBytes, helpAllocBytes, allocBuckets)
 		}
-		r.CounterFunc(mRunsStarted, "Simulated runs started (cache misses).", iv(&e.host.runsStarted))
-		r.CounterFunc(mRunsCompleted, "Simulated runs completed.", iv(&e.host.runsCompleted))
-		r.CounterFunc(mCacheHits, "Run requests answered from the finished-result cache.", iv(&e.host.cacheHits))
-		r.CounterFunc(mCacheWaits, "Run requests that waited on an in-flight duplicate.", iv(&e.host.cacheWaits))
-		r.GaugeFunc(mInflight, "Simulated runs executing right now.", iv(&e.host.inflight))
-		r.GaugeFunc(mWorkers, "Resolved sweep worker-pool width.",
-			func() float64 { return float64(e.workers()) })
-		r.CounterFunc(mWorkerBusy, "Sweep-pool worker time spent running simulations.", secs(&e.host.workerBusyNS))
-		r.CounterFunc(mWorkerIdle, "Sweep-pool worker time spent waiting for work.", secs(&e.host.workerIdleNS))
-		r.CounterFunc(mSimDispatches, "Simulator scheduler dispatches, process-wide.",
-			func() float64 { return float64(sim.HostTotals().Dispatches) })
-		r.CounterFunc(mSimDelivered, "Simulated messages delivered, process-wide.",
-			func() float64 { return float64(sim.HostTotals().Delivered) })
-		r.GaugeFunc(mSimPeakQueue, "Peak simulated-message queue depth over any run, process-wide.",
-			func() float64 { return float64(sim.HostTotals().PeakQueue) })
-		// Declare the histogram families eagerly so a scrape before the
-		// first run already shows them (with no series yet).
-		r.DeclareHistogram(mRunSeconds, helpRunSeconds, runSecondsBuckets)
-		r.DeclareHistogram(mAllocBytes, helpAllocBytes, allocBuckets)
-		if st := e.Store; st != nil {
+		if st != nil {
 			r.CounterFunc(mStoreHits, "Persistent-store reads served from disk.",
 				func() float64 { return float64(st.Stats().Hits) })
 			r.CounterFunc(mStoreMisses, "Persistent-store reads that found no entry.",
@@ -164,31 +209,35 @@ func (e *Engine) telemetryInit() {
 	})
 }
 
-// observeSyncs feeds the store's fsyncs since the last call into the
-// sync-latency histogram, which like the dsm_store_* counters covers
-// the store handle's lifetime. The engine calls it after each of its
-// own Put and Sync calls, so nearly every call sees zero or one new
-// fsync and observes its exact duration; several at once (concurrent
-// writers, a compaction next to a window sync) are each recorded at
-// their mean.
+// observeSyncs feeds the reported store's fsyncs since the last call
+// into the sync-latency histogram, which like the dsm_store_* counters
+// covers the store handle's lifetime. The engines call it after each of
+// their own Put and Sync calls, so nearly every call sees zero or one
+// new fsync and observes its exact duration; several at once
+// (concurrent writers, a compaction next to a window sync) are each
+// recorded at their mean.
 func (e *Engine) observeSyncs() {
-	r, st := e.Metrics, e.Store
-	if r == nil || st == nil {
+	e.telemetryInit()
+	g := e.rep
+	if g == nil {
 		return
 	}
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	now := st.Stats()
-	n := now.Syncs - e.syncSeen.Syncs
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.store == nil {
+		return
+	}
+	now := g.store.Stats()
+	n := now.Syncs - g.syncSeen.Syncs
 	if n <= 0 {
 		return
 	}
-	mean := float64(now.SyncNanos-e.syncSeen.SyncNanos) / float64(n) / 1e9
-	h := r.Histogram(mStoreSyncSecs, helpSyncSecs, syncSecondsBuckets)
+	mean := float64(now.SyncNanos-g.syncSeen.SyncNanos) / float64(n) / 1e9
+	h := e.Metrics.Histogram(mStoreSyncSecs, helpSyncSecs, syncSecondsBuckets)
 	for ; n > 0; n-- {
 		h.Observe(mean)
 	}
-	e.syncSeen = now
+	g.syncSeen = now
 }
 
 // observeRun records one executed run into the registry histograms.

@@ -101,6 +101,37 @@ func TestEngineHostStats(t *testing.T) {
 	}
 }
 
+// TestEnginesShareARegistry: engines reporting on one registry — a
+// plain and an observing one over one store, as the experiments command
+// keeps — report their summed counters, and the store's once.
+func TestEnginesShareARegistry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	st := openStoreT(t, t.TempDir())
+	plain, observed := New(), New()
+	observed.Observe = true
+	for _, e := range []*Engine{plain, observed} {
+		e.Metrics, e.Store = reg, st
+	}
+	specs := testGrid()[:3]
+	for _, e := range []*Engine{plain, observed} {
+		if _, err := e.StreamWith(io.Discard, specs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"dsm_engine_runs_started_total 6\n",
+		"dsm_store_puts_total 6\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestProgressSnapshot drives the hook directly and checks the JSON
 // shape /progress serves, including the stderr line path.
 func TestProgressSnapshot(t *testing.T) {

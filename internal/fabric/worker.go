@@ -104,9 +104,8 @@ func NewWorker(r *metrics.Registry) *Worker {
 }
 
 // engine resolves the engine for one option combination, creating it
-// on first use. The first engine created attaches the worker's
-// registry (engine host telemetry is one-registry-one-engine, so later
-// combinations run without it).
+// on first use. Every engine reports on the worker's registry, which
+// sums their host telemetry.
 func (w *Worker) engine(k engineKey) *exp.Engine {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -117,9 +116,7 @@ func (w *Worker) engine(k engineKey) *exp.Engine {
 	e.Workers = w.Workers
 	e.JoinSpeedup = k.speedup
 	e.Observe = k.observe
-	if len(w.engines) == 0 {
-		e.Metrics = w.Metrics
-	}
+	e.Metrics = w.Metrics
 	e.Store = w.Store
 	e.OnRunDone = w.Progress.RunDone
 	e.OnStoreHit = w.Progress.StoreHit

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/obs"
 )
 
 // Breakdown prints the per-node virtual-time attribution of every
@@ -17,71 +15,30 @@ import (
 // the components sum to the window), so the table is the reproduction's
 // counterpart of the paper's §5/§6 "where does the time go" analysis —
 // but measured from the event trace rather than from per-subsystem
-// timers. Requires an observing runner (Runner.Observe).
-func Breakdown(w io.Writer, r *Runner) error {
-	if !r.Engine().Observe {
-		return fmt.Errorf("harness: Breakdown needs an observing runner (set Runner.Observe before first use)")
-	}
-	apps := append(append([]string{}, RegularApps...), IrregularApps...)
-	res, err := r.results(r.figureSpecs(apps))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Time attribution: percent of summed node time by category%s\n", scaleNote(r.Scale))
+// timers. It reads observed records (bd_* fields), so it needs an
+// observing engine.
+var Breakdown = Table{Name: "breakdown", Observe: true, Specs: figureSpecs(breakdownApps), Render: renderBreakdown}
+
+// breakdownApps are the paper's applications in its order.
+var breakdownApps = append(append([]string{}, RegularApps...), IrregularApps...)
+
+func renderBreakdown(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	res := index(recs)
+	fmt.Fprintf(w, "Time attribution: percent of summed node time by category%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-9s %-6s | %8s | %7s %7s %7s %7s %7s %7s %7s\n",
 		"App", "ver", "time (s)", "compute", "fault", "barrier", "lock", "data", "queue", "other")
 	fmt.Fprintln(w, "--------------------------------------------------------------------------------------------")
-	for _, name := range apps {
+	for _, name := range breakdownApps {
 		for _, v := range FigureVersions {
-			rr := res[r.Spec(name, v).Key()]
-			if rr.Breakdown == nil {
-				continue
+			rec := res.of(at(base, name, v))
+			if rec.BDTotalNanos == 0 {
+				continue // not observed
 			}
-			bd := obs.Sum(rr.Breakdown)
-			pct := func(part int64) float64 {
-				if bd.Total == 0 {
-					return 0
-				}
-				return 100 * float64(part) / float64(bd.Total)
-			}
+			pct := func(part int64) float64 { return 100 * float64(part) / float64(rec.BDTotalNanos) }
 			fmt.Fprintf(w, "%-9s %-6s | %8.2f | %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",
-				name, v, rr.Time.Seconds(), pct(bd.Compute), pct(bd.Fault), pct(bd.Barrier),
-				pct(bd.Lock), pct(bd.Data), pct(bd.Queue), pct(bd.Other))
+				name, v, rec.TimeSeconds, pct(rec.BDComputeNanos), pct(rec.BDFaultNanos), pct(rec.BDBarrierNanos),
+				pct(rec.BDLockNanos), pct(rec.BDDataNanos), pct(rec.BDQueueNanos), pct(rec.BDOtherNanos))
 		}
 	}
 	return nil
-}
-
-// BreakdownTable renders one result's per-node breakdown (plus the
-// all-node sum) as a fixed-width table; the dsmrun -breakdown flag and
-// the experiments CLI share it.
-func BreakdownTable(w io.Writer, res core.Result) {
-	if res.Breakdown == nil {
-		fmt.Fprintln(w, "(no breakdown: run without observability)")
-		return
-	}
-	fmt.Fprintf(w, "%-5s | %12s | %12s %12s %12s %12s %12s %12s %12s\n",
-		"node", "total ms", "compute", "fault", "barrier", "lock", "data", "queue", "other")
-	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------------------------------------")
-	row := func(label string, b obs.NodeBreakdown) {
-		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-		fmt.Fprintf(w, "%-5s | %12.3f | %12.3f %12.3f %12.3f %12.3f %12.3f %12.3f %12.3f\n",
-			label, ms(b.Total), ms(b.Compute), ms(b.Fault), ms(b.Barrier),
-			ms(b.Lock), ms(b.Data), ms(b.Queue), ms(b.Other))
-	}
-	for _, b := range res.Breakdown {
-		row(fmt.Sprintf("%d", b.Node), b)
-	}
-	row("sum", obs.Sum(res.Breakdown))
-}
-
-// ObservedRun executes one spec on a throwaway observing engine sharing
-// the runner's calibration, leaving the runner's own cache (whose
-// results have no traces) untouched. Single-run tooling — dsmrun's
-// -trace/-breakdown path — uses it.
-func ObservedRun(r *Runner, s exp.Spec) (core.Result, error) {
-	eng := exp.NewEngine(r.Costs, r.App)
-	eng.Workers = 1
-	eng.Observe = true
-	return eng.Run(s)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/rbsor"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/sim"
 )
 
 // The compiler experiment: for every kernel expressed in the
@@ -35,38 +36,36 @@ func CompiledPairs() (out [][2]core.Version) {
 	return out
 }
 
-// Compiler prints the compiled-vs-hand comparison and verifies the
-// result equivalence as it goes: a checksum divergence is an error,
-// not a table entry. The hand/generated grid sweeps through the engine
-// up front.
-func Compiler(w io.Writer, r *Runner) error {
-	var specs []exp.Spec
+// Compiler prints the compiled-vs-hand comparison, each hand-coded
+// version's record followed by its generated one. A generated checksum
+// that differs from the hand-coded one refuses the table.
+var Compiler = Table{Name: "compiler", Specs: compilerSpecs, Render: renderCompiler}
+
+func compilerSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range CompiledApps() {
 		for _, pair := range CompiledPairs() {
-			specs = append(specs, r.Spec(a.Name(), pair[0]), r.Spec(a.Name(), pair[1]))
+			specs = append(specs, at(base, a.Name(), pair[0]), at(base, a.Name(), pair[1]))
 		}
 	}
-	res, err := r.results(specs)
-	if err != nil {
-		return err
+	return specs
+}
+
+func renderCompiler(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	for i := 0; i < len(recs); i += 2 {
+		if err := agree(recs[i:i+2], func(gen, hand exp.Record) error {
+			return fmt.Errorf("compiler divergence: %s: %s checksum %g != %s checksum %g",
+				gen.App, gen.Version, gen.Checksum, hand.Version, hand.Checksum)
+		}); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(w, "Compiler front end: hand-coded vs loopc-generated versions (%d procs)%s\n",
-		r.Procs, scaleNote(r.Scale))
+		base.Procs, scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-9s %-9s | %13s | %9s | %8s | %s\n", "App", "version", "time", "msgs", "KB", "checksum")
 	fmt.Fprintln(w, "-------------------------------------------------------------------------")
-	for _, a := range CompiledApps() {
-		for _, pair := range CompiledPairs() {
-			hand := res[r.Spec(a.Name(), pair[0]).Key()]
-			gen := res[r.Spec(a.Name(), pair[1]).Key()]
-			if gen.Checksum != hand.Checksum {
-				return fmt.Errorf("compiler divergence: %s: %s checksum %g != %s checksum %g",
-					a.Name(), pair[1], gen.Checksum, pair[0], hand.Checksum)
-			}
-			for _, re := range []core.Result{hand, gen} {
-				fmt.Fprintf(w, "%-9s %-9s | %13v | %9d | %8d | %g\n",
-					a.Name(), re.Version, re.Time, re.Stats.TotalMsgs(), re.Stats.TotalKB(), re.Checksum)
-			}
-		}
+	for _, rec := range recs {
+		fmt.Fprintf(w, "%-9s %-9s | %13v | %9d | %8d | %g\n",
+			rec.App, rec.Version, sim.Time(rec.TimeNanos), rec.Msgs, rec.Bytes/1024, rec.Checksum)
 	}
 	fmt.Fprintln(w, "(generated checksums verified bit-identical to the hand-coded versions)")
 	return nil

@@ -34,22 +34,19 @@ func TestCompiledEquivalence(t *testing.T) {
 			for _, procs := range compiledProcCounts {
 				for _, p := range proto.Names() {
 					t.Run(fmt.Sprintf("%s/%s/p%d/%s", a.Name(), gen, procs, p), func(t *testing.T) {
-						r := NewRunner(procs, core.SmallScale)
-						r.Protocol = p
-						h, err := r.Run(a, hand)
+						e := exp.New()
+						h, err := e.Run(small(a.Name(), hand, procs, p))
 						if err != nil {
 							t.Fatal(err)
 						}
-						g, err := r.Run(a, gen)
+						g, err := e.Run(small(a.Name(), gen, procs, p))
 						if err != nil {
 							t.Fatal(err)
 						}
 						if g.Checksum != h.Checksum {
 							t.Errorf("%s checksum = %v, want %v (as %s)", gen, g.Checksum, h.Checksum, hand)
 						}
-						again := NewRunner(procs, core.SmallScale)
-						again.Protocol = p
-						g2, err := again.Run(a, gen)
+						g2, err := exp.New().Run(small(a.Name(), gen, procs, p))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -76,12 +73,12 @@ func TestCompiledTrafficMatchesHand(t *testing.T) {
 	for _, a := range CompiledApps() {
 		for _, pair := range CompiledPairs() {
 			for _, procs := range compiledProcCounts {
-				r := NewRunner(procs, core.SmallScale)
-				hand, err := r.Run(a, pair[0])
+				e := exp.New()
+				hand, err := e.Run(small(a.Name(), pair[0], procs, ""))
 				if err != nil {
 					t.Fatal(err)
 				}
-				gen, err := r.Run(a, pair[1])
+				gen, err := e.Run(small(a.Name(), pair[1], procs, ""))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +103,7 @@ func TestCompiledTrafficMatchesHand(t *testing.T) {
 // legitimately differs in the last ulp with the slab count.
 func TestMessagePassingMatchesSequential(t *testing.T) {
 	for _, a := range exp.Apps() {
-		seq, err := NewRunner(1, core.SmallScale).Run(a, core.Seq)
+		seq, err := exp.New().Run(small(a.Name(), core.Seq, 1, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +112,7 @@ func TestMessagePassingMatchesSequential(t *testing.T) {
 				continue
 			}
 			for procs := 1; procs <= 8; procs++ {
-				res, err := NewRunner(procs, core.SmallScale).Run(a, v)
+				res, err := exp.New().Run(small(a.Name(), v, procs, ""))
 				if err != nil {
 					t.Errorf("%s/%s p%d: %v", a.Name(), v, procs, err)
 					continue
@@ -189,18 +186,14 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						r := NewRunner(procs, core.SmallScale)
-						r.Protocol = p
-						res, err := r.Run(a, v)
+						res, err := exp.New().Run(small(a.Name(), v, procs, p))
 						if err != nil {
 							t.Fatal(err)
 						}
 						if res.Checksum != want {
 							t.Errorf("%s checksum = %x, oracle %x", v, res.Checksum, want)
 						}
-						again := NewRunner(procs, core.SmallScale)
-						again.Protocol = p
-						res2, err := again.Run(a, v)
+						res2, err := exp.New().Run(small(a.Name(), v, procs, p))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -223,9 +216,8 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 
 // TestCompilerExperimentOutput drives the printed experiment.
 func TestCompilerExperimentOutput(t *testing.T) {
-	r := NewRunner(4, core.SmallScale)
 	var sb strings.Builder
-	if err := Compiler(&sb, r); err != nil {
+	if err := Compiler.Print(&sb, exp.New(), smallBase); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Jacobi", "RB-SOR", string(core.SPFGen), string(core.XHPFGen)} {

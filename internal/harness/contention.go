@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
 
 // The contention experiment: the paper attributes XHPF's collapse on
@@ -47,27 +48,6 @@ func contentionLabel(ways int) string {
 	}
 }
 
-// contendedSub derives a runner at the given node count, protocol and
-// contention point, overriding whatever contention setting the parent
-// runner carries while keeping its other calibrations (and its engine).
-func (r *Runner) contendedSub(procs int, p proto.Name, ways int) *Runner {
-	nr := r.sub(procs, p)
-	nr.Costs = nr.Costs.WithContention(ways)
-	return nr
-}
-
-// ContentionSpec renders one (app, version, procs, protocol, sweep
-// point) run.
-func (r *Runner) ContentionSpec(a core.App, v core.Version, procs int, p proto.Name, ways int) exp.Spec {
-	return r.contendedSub(procs, p, ways).Spec(a.Name(), v)
-}
-
-// ContentionRun executes one (app, version, procs, protocol, sweep
-// point) run.
-func (r *Runner) ContentionRun(a core.App, v core.Version, procs int, p proto.Name, ways int) (core.Result, error) {
-	return r.Engine().Run(r.ContentionSpec(a, v, procs, p, ways))
-}
-
 // contentionColumn is one per-row run of the contention table.
 type contentionColumn struct {
 	col  string
@@ -76,15 +56,15 @@ type contentionColumn struct {
 }
 
 // contentionColumns are the per-row runs of the contention table. The
-// message-passing columns carry the runner's protocol like any other
-// spec of its tables: they do not read it, and the engine runs them
-// once whatever it says (exp.Spec.Canonical).
-func (r *Runner) contentionColumns(v core.Version) []contentionColumn {
+// message-passing columns carry the base protocol like any other spec
+// of its tables: they do not read it, and the engine runs them once
+// whatever it says (exp.Spec.Canonical).
+func contentionColumns(v core.Version, p proto.Name) []contentionColumn {
 	return []contentionColumn{
 		{"tmk/lrc", v, proto.HomelessLRC},
 		{"tmk/hlrc", v, proto.HomeLRC},
-		{"xhpf", core.XHPF, r.Protocol},
-		{"pvme", core.PVMe, r.Protocol},
+		{"xhpf", core.XHPF, p},
+		{"pvme", core.PVMe, p},
 	}
 }
 
@@ -92,61 +72,57 @@ func (r *Runner) contentionColumns(v core.Version) []contentionColumn {
 // point) it reports virtual time and total queueing delay for the
 // hand-coded TreadMarks version under both protocols, XHPF, and PVMe.
 // Checksums must not depend on the contention point — queueing delays
-// messages but never reorders matching ones — so any divergence from
-// the ideal-interconnect run is an error, not a table entry. The full
-// grid sweeps through the engine up front.
-func Contention(w io.Writer, r *Runner) error {
-	var specs []exp.Spec
+// messages but never reorders matching ones — so a column whose
+// checksum differs from its ideal-interconnect run refuses the table.
+var Contention = Table{Name: "contention", Specs: contentionSpecs, Render: renderContention}
+
+func contentionSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, name := range ContentionApps {
-		a, err := exp.AppByName(name)
-		if err != nil {
-			return err
-		}
-		v := DSMVersionOf(a)
+		v := DSMVersionOf(mustApp(name))
 		for _, procs := range ContentionProcCounts {
 			for _, ways := range ContentionSweep {
-				for _, c := range r.contentionColumns(v) {
-					specs = append(specs, r.ContentionSpec(a, c.ver, procs, c.prot, ways))
+				for _, c := range contentionColumns(v, base.Protocol) {
+					s := base
+					s.Protocol, s.Contention = c.prot, ways
+					specs = append(specs, atProcs(s, name, c.ver, procs))
 				}
 			}
 		}
 	}
-	if _, err := r.Sweep(specs); err != nil {
-		return err
+	return specs
+}
+
+func renderContention(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	cols := len(contentionColumns("", "")) // each row's records, consecutive
+	block := len(ContentionSweep) * cols   // each (app, procs)'s rows
+	for b := 0; b < len(recs); b += block {
+		for c := 0; c < cols; c++ {
+			var sweep []exp.Record // one column down the sweep, ideal first
+			for row := b; row < b+block; row += cols {
+				sweep = append(sweep, recs[row+c])
+			}
+			if err := agree(sweep, func(got, ideal exp.Record) error {
+				return fmt.Errorf("contention changed the answer: %s/%s procs=%d %s checksum %g != ideal %g",
+					got.App, got.Version, got.Procs, contentionLabel(got.Contention), got.Checksum, ideal.Checksum)
+			}); err != nil {
+				return err
+			}
+		}
 	}
-	fmt.Fprintf(w, "Network contention: serial NICs + backplane sweep%s\n", scaleNote(r.Scale))
+	fmt.Fprintf(w, "Network contention: serial NICs + backplane sweep%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-7s %5s %-8s |", "App", "procs", "switch")
-	for _, c := range r.contentionColumns("") {
+	for _, c := range contentionColumns("", "") {
 		fmt.Fprintf(w, " %10s(t) %8s(qd) |", c.col, c.col)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "--------------------------------------------------------------------------------------------------------------------")
-	for _, name := range ContentionApps {
-		a, err := exp.AppByName(name)
-		if err != nil {
-			return err
+	for row := 0; row < len(recs); row += cols {
+		first := recs[row]
+		fmt.Fprintf(w, "%-7s %5d %-8s |", first.App, first.Procs, contentionLabel(first.Contention))
+		for _, rec := range recs[row : row+cols] {
+			fmt.Fprintf(w, " %13v %12v |", sim.Time(rec.TimeNanos), sim.Time(rec.QueueNanos))
 		}
-		v := DSMVersionOf(a)
-		for _, procs := range ContentionProcCounts {
-			baseline := map[string]float64{}
-			for _, ways := range ContentionSweep {
-				fmt.Fprintf(w, "%-7s %5d %-8s |", name, procs, contentionLabel(ways))
-				for _, c := range r.contentionColumns(v) {
-					res, err := r.ContentionRun(a, c.ver, procs, c.prot, ways)
-					if err != nil {
-						return fmt.Errorf("%s/%s procs=%d %s: %w", name, c.ver, procs, contentionLabel(ways), err)
-					}
-					if base, ok := baseline[c.col]; !ok {
-						baseline[c.col] = res.Checksum
-					} else if res.Checksum != base {
-						return fmt.Errorf("contention changed the answer: %s/%s procs=%d %s checksum %g != ideal %g",
-							name, c.ver, procs, contentionLabel(ways), res.Checksum, base)
-					}
-					fmt.Fprintf(w, " %13v %12v |", res.Time, res.QueueTime())
-				}
-				fmt.Fprintln(w)
-			}
-		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "(qd = queueing delay summed over nodes; checksums verified identical across the sweep for every column)")
 	return nil

@@ -9,11 +9,16 @@ import (
 	"repro/internal/proto"
 )
 
+// contended is s at contention point ways (see ContentionSweep).
+func contended(s exp.Spec, ways int) exp.Spec {
+	s.Contention = ways
+	return s
+}
+
 // TestContentionOffMatchesBaseline: a sweep point with the contention
 // model disabled must reproduce the plain runner's results bit for bit
 // — time, traffic and checksum — with no queueing delay recorded.
 func TestContentionOffMatchesBaseline(t *testing.T) {
-	r := NewRunner(4, core.SmallScale)
 	cases := []struct {
 		app  string
 		v    core.Version
@@ -25,15 +30,11 @@ func TestContentionOffMatchesBaseline(t *testing.T) {
 		{"NBF", core.PVMe, ""},
 	}
 	for _, c := range cases {
-		a, err := exp.AppByName(c.app)
+		base, err := exp.New().Run(small(c.app, c.v, 4, c.prot))
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := r.sub(4, c.prot).Run(a, c.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := r.ContentionRun(a, c.v, 4, c.prot, 0)
+		off, err := exp.New().Run(contended(small(c.app, c.v, 4, c.prot), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,14 +59,10 @@ func TestContentionOffMatchesBaseline(t *testing.T) {
 // n-1 copies through one adapter), while the regular application's
 // pairwise halo exchanges — spread over disjoint links — barely queue.
 func TestContentionSuperLinearOnIrregularBroadcasts(t *testing.T) {
-	r := NewRunner(8, core.SmallScale)
+	e := exp.New()
 	const nicOnly = -1
 	qd := func(app string, v core.Version, procs int) (float64, float64) {
-		a, err := exp.AppByName(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.ContentionRun(a, v, procs, "", nicOnly)
+		res, err := e.Run(contended(small(app, v, procs, ""), nicOnly))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +96,9 @@ func TestContentionExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is not a -short test")
 	}
-	r := NewRunner(8, core.SmallScale)
-	if err := Contention(io.Discard, r); err != nil {
+	base := smallBase
+	base.Procs = 8
+	if err := Contention.Print(io.Discard, exp.New(), base); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/exp"
 	"repro/internal/loopc/difftest"
 	"repro/internal/loopc/gen"
 )
@@ -32,9 +33,14 @@ var GenDiffSeeds = func() []int64 {
 var GenDiffProcs = []int{2, 4, 8}
 
 // GenDiff runs the differential lattice over GenDiffSeeds and reports
-// one line per program. Any divergence fails the experiment.
-func GenDiff(w io.Writer, r *Runner) error {
-	opts := difftest.Options{Procs: GenDiffProcs, Repeats: 2, Costs: &r.Costs, App: &r.App}
+// one line per program. Any divergence fails the experiment. It checks
+// generated programs against their oracle and uses no engine, so it is
+// not a render over records: it reads only the engine's calibration.
+var GenDiff = Table{Name: "gendiff", Run: runGenDiff}
+
+func runGenDiff(w io.Writer, e *exp.Engine, base exp.Spec) error {
+	costs, app := e.Costs.WithContention(base.Contention), e.App
+	opts := difftest.Options{Procs: GenDiffProcs, Repeats: 2, Costs: &costs, App: &app}
 	fmt.Fprintf(w, "Generator differential: seq vs spf-gen (lrc, hlrc x policies) vs xhpf-gen vs oracle, procs=%v\n", GenDiffProcs)
 	fmt.Fprintf(w, "%-8s %4s %6s %6s  %s\n", "program", "n", "nests", "iters", "status")
 	fmt.Fprintln(w, "----------------------------------------")

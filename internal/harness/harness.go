@@ -6,131 +6,119 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/proto"
-	"repro/internal/store"
 )
 
-// Runner is a thin client of the internal/exp engine: it pins the
-// default processor count, scale, calibration and protocol, renders
-// specs for the experiments below, and shares one concurrency-safe
-// result cache across every table and sub-runner.
-type Runner struct {
-	Procs    int
-	Scale    core.Scale
-	Costs    model.Costs
-	App      model.AppCosts
-	Protocol proto.Name // DSM coherence protocol (empty: homeless LRC)
-	// HomePolicy selects the home-placement policy of the home-based
-	// protocol (empty: static homes).
-	HomePolicy proto.PolicyName
-	// Workers bounds the engine's worker pool (0: all host cores).
-	Workers int
-	// Observe enables per-run observability (see exp.Engine.Observe):
-	// every result carries its event trace and per-node time breakdown.
+// A Table is one experiment of the evaluation: the runs it reads, as a
+// spec list derived from a base spec, and a render over their records.
+// The base spec carries what the experiments command's flags set — the
+// processor count, scale, protocol, home policy and contention — and a
+// table may vary any of it (the protocols table sweeps processors and
+// protocols). A table reads records, not results, so a store that holds
+// its runs serves it without simulating.
+type Table struct {
+	Name string
+	// Paper marks the paper's own tables and figures: the ones the
+	// experiments command prints when none is named.
+	Paper bool
+	// Observe marks a table that reads the time attribution (the bd_*
+	// fields): its records come from an observing engine.
 	Observe bool
-	// Metrics, when non-nil, exposes the engine's host-side telemetry
-	// on that registry (see exp.Engine.Metrics). One registry serves
-	// one engine: side-runners sharing a process must keep their own
-	// Metrics nil.
-	Metrics *metrics.Registry
-	// Store, when non-nil, backs the engine with the persistent result
-	// store (see exp.Engine.Store): record-serving experiments are
-	// byte-identical whether served from disk or executed. Set before
-	// the first run.
-	Store *store.Store
-
-	eng *exp.Engine
+	// Specs lists the table's runs under base.
+	Specs func(base exp.Spec) []exp.Spec
+	// Render prints the table from recs, the records of Specs(base) in
+	// order. Records that break the table's invariant are refused: it
+	// returns the error and prints nothing.
+	Render func(w io.Writer, base exp.Spec, recs []exp.Record) error
+	// Run, set instead of Specs and Render, prints an experiment that is
+	// not a render over records (Migration, GenDiff).
+	Run func(w io.Writer, e *exp.Engine, base exp.Spec) error
 }
 
-// NewRunner builds a Runner with the calibrated SP/2 model.
-func NewRunner(procs int, scale core.Scale) *Runner {
-	return &Runner{
-		Procs: procs,
-		Scale: scale,
-		Costs: model.SP2(),
-		App:   model.DefaultAppCosts(),
+// Print prints the table under base, reading its records through e.
+func (t Table) Print(w io.Writer, e *exp.Engine, base exp.Spec) error {
+	if t.Observe && !e.Observe {
+		return fmt.Errorf("harness: %s needs an observing engine", t.Name)
 	}
-}
-
-// Engine returns the runner's sweep engine, building it from the
-// runner's calibration on first use. Set Costs, App and Workers before
-// the first run; afterwards the calibration is frozen (the cache is
-// keyed by spec alone).
-func (r *Runner) Engine() *exp.Engine {
-	if r.eng == nil {
-		r.eng = exp.NewEngine(r.Costs, r.App)
-		r.eng.Workers = r.Workers
-		r.eng.Observe = r.Observe
-		r.eng.Metrics = r.Metrics
-		r.eng.Store = r.Store
+	if t.Run != nil {
+		return t.Run(w, e, base)
 	}
-	return r.eng
-}
-
-// Spec renders the runner's identity for one (application, version)
-// at the runner's processor count.
-func (r *Runner) Spec(appName string, v core.Version) exp.Spec {
-	return r.SpecAt(appName, v, r.Procs)
-}
-
-// SpecAt renders the runner's identity at an explicit processor count.
-func (r *Runner) SpecAt(appName string, v core.Version, procs int) exp.Spec {
-	s := exp.Spec{
-		App: appName, Version: v, Procs: procs, Scale: r.Scale,
-		Protocol: r.Protocol, Contention: r.Costs.Contention(),
-		FIFO: r.Costs.FIFOPairs, HomePolicy: r.HomePolicy,
-	}
-	return s.Normalize()
-}
-
-// Config resolves the run configuration for an application (exposed
-// for programs that drive app.Run directly, e.g. the examples).
-func (r *Runner) Config(app core.App, procs int) core.Config {
-	return r.Engine().Config(app, r.SpecAt(app.Name(), "", procs))
-}
-
-// Run executes (and caches) one version of an application.
-func (r *Runner) Run(app core.App, v core.Version) (core.Result, error) {
-	return r.Engine().Run(r.Spec(app.Name(), v))
-}
-
-// Sweep executes every spec across the worker pool, returning results
-// in spec order (see exp.Engine.Sweep). Experiments use it to fan a
-// whole table's grid out over host cores before rendering.
-func (r *Runner) Sweep(specs []exp.Spec) ([]core.Result, error) {
-	return r.Engine().Sweep(specs)
-}
-
-// results sweeps the specs and indexes the outcome by spec key.
-func (r *Runner) results(specs []exp.Spec) (map[string]core.Result, error) {
-	out, err := r.Sweep(specs)
+	recs, err := records(e, t.Specs(base))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := make(map[string]core.Result, len(specs))
-	for i, s := range specs {
-		m[s.Key()] = out[i]
-	}
-	return m, nil
+	return t.Render(w, base, recs)
 }
 
-// Speedup runs the version and its sequential baseline.
-func (r *Runner) Speedup(app core.App, v core.Version) (float64, error) {
-	seq, err := r.Run(app, core.Seq)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.Run(app, v)
-	if err != nil {
-		return 0, err
-	}
-	return res.Speedup(seq.Time), nil
+// records reads the records of specs in order through e's stream, so a
+// table reads exactly what the stream would write: each distinct run
+// once, from the store when it holds it, each failure reported once.
+func records(e *exp.Engine, specs []exp.Spec) ([]exp.Record, error) {
+	recs := make([]exp.Record, 0, len(specs))
+	_, err := e.StreamWith(io.Discard, specs, func(r *exp.Record) { recs = append(recs, *r) })
+	return recs, err
 }
 
-// CachedKeys lists completed runs (for progress reporting).
-func (r *Runner) CachedKeys() []string { return r.Engine().CachedKeys() }
+// Tables lists every experiment, in the experiments command's order.
+var Tables = []Table{
+	Table1, Figure1, Table2, Figure2, Table3, HandOpt, Interface,
+	Scalability, Protocols, Compiler, Contention, Migration, GenDiff, Breakdown,
+}
+
+// at is base's spec of one application version.
+func at(base exp.Spec, app string, v core.Version) exp.Spec {
+	base.App, base.Version = app, v
+	return base.Normalize()
+}
+
+// atProcs is base's spec of one application version at procs.
+func atProcs(base exp.Spec, app string, v core.Version, procs int) exp.Spec {
+	base.Procs = procs
+	return at(base, app, v)
+}
+
+// byKey indexes a table's records by their spec's key, so a render looks
+// each cell up by the spec its Specs built for it.
+type byKey map[string]exp.Record
+
+func index(recs []exp.Record) byKey {
+	m := make(byKey, len(recs))
+	for _, rec := range recs {
+		m[rec.Key()] = rec
+	}
+	return m
+}
+
+func (m byKey) of(s exp.Spec) exp.Record { return m[s.Key()] }
+
+// speedup is rec's speedup over the sequential run seq.
+func speedup(rec, seq exp.Record) float64 {
+	if rec.TimeNanos == 0 {
+		return 0
+	}
+	return float64(seq.TimeNanos) / float64(rec.TimeNanos)
+}
+
+// agree is the check of the tables that vary what a result must not
+// depend on — protocol, contention, home policy, hand or generated
+// code: every record of runs carries runs[0]'s checksum. The first that
+// does not is refused with diverged's error.
+func agree(runs []exp.Record, diverged func(got, want exp.Record) error) error {
+	for _, got := range runs[1:] {
+		if got.Checksum != runs[0].Checksum {
+			return diverged(got, runs[0])
+		}
+	}
+	return nil
+}
+
+// mustApp is a registered application the tables name.
+func mustApp(name string) core.App {
+	a, err := exp.AppByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 func scaleNote(s core.Scale) string {
 	if s == core.PaperScale {
@@ -140,26 +128,26 @@ func scaleNote(s core.Scale) string {
 }
 
 // Table1 prints data-set sizes and sequential times (paper Table 1).
-func Table1(w io.Writer, r *Runner) error {
-	var specs []exp.Spec
+var Table1 = Table{Name: "table1", Paper: true, Specs: table1Specs, Render: renderTable1}
+
+func table1Specs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range exp.PaperApps() {
-		specs = append(specs, r.Spec(a.Name(), core.Seq))
+		specs = append(specs, at(base, a.Name(), core.Seq))
 	}
-	res, err := r.results(specs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Table 1: Data Set Sizes and Sequential Execution Time%s\n", scaleNote(r.Scale))
+	return specs
+}
+
+func renderTable1(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	fmt.Fprintf(w, "Table 1: Data Set Sizes and Sequential Execution Time%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-9s | %-28s | %10s | %10s\n", "App", "Problem Size", "paper (s)", "meas (s)")
 	fmt.Fprintln(w, "----------------------------------------------------------------------")
-	for _, a := range exp.PaperApps() {
-		seq := res[r.Spec(a.Name(), core.Seq).Key()]
+	for _, seq := range recs {
 		note := ""
-		if SeqEstimated[a.Name()] {
+		if SeqEstimated[seq.App] {
 			note = "*"
 		}
 		fmt.Fprintf(w, "%-9s | %-28s | %9.1f%1s | %10.1f\n",
-			a.Name(), PaperDataSet[a.Name()], PaperSeqSeconds[a.Name()], note, seq.Time.Seconds())
+			seq.App, PaperDataSet[seq.App], PaperSeqSeconds[seq.App], note, seq.TimeSeconds)
 	}
 	fmt.Fprintln(w, "(*) illegible in our source text of the paper; estimated (DESIGN.md)")
 	return nil
@@ -168,95 +156,89 @@ func Table1(w io.Writer, r *Runner) error {
 // figureSpecs is the grid behind Figures 1/2 and Tables 2/3: every
 // figure version of every listed application, plus the sequential
 // baselines the speedups divide by.
-func (r *Runner) figureSpecs(apps []string) []exp.Spec {
-	axes := exp.Axes{Apps: apps, Versions: FigureVersions}
-	specs := axes.Specs(r.Spec("", ""))
-	for i := range specs {
-		specs[i] = specs[i].Normalize()
+func figureSpecs(apps []string) func(exp.Spec) []exp.Spec {
+	return func(base exp.Spec) []exp.Spec {
+		axes := exp.Axes{Apps: apps, Versions: FigureVersions}
+		specs := axes.Specs(at(base, "", ""))
+		for i := range specs {
+			specs[i] = specs[i].Normalize()
+		}
+		for _, name := range apps {
+			specs = append(specs, at(base, name, core.Seq))
+		}
+		return specs
 	}
-	for _, name := range apps {
-		specs = append(specs, r.Spec(name, core.Seq))
-	}
-	return specs
 }
 
-func figure(w io.Writer, r *Runner, title string, apps []string) error {
-	res, err := r.results(r.figureSpecs(apps))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s%s\n", title, scaleNote(r.Scale))
-	fmt.Fprintf(w, "%-9s |", "App")
-	for _, v := range FigureVersions {
-		fmt.Fprintf(w, " %6s(p) %6s(m) |", v, v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------------")
-	for _, name := range apps {
-		seq := res[r.Spec(name, core.Seq).Key()]
-		fmt.Fprintf(w, "%-9s |", name)
+func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record) error {
+	return func(w io.Writer, base exp.Spec, recs []exp.Record) error {
+		res := index(recs)
+		fmt.Fprintf(w, "%s%s\n", title, scaleNote(base.Scale))
+		fmt.Fprintf(w, "%-9s |", "App")
 		for _, v := range FigureVersions {
-			sp := res[r.Spec(name, v).Key()].Speedup(seq.Time)
-			paper := PaperSpeedup[name][v]
-			if paper == 0 {
-				fmt.Fprintf(w, " %9s %6.2f    |", "-", sp)
-			} else {
-				fmt.Fprintf(w, " %9.2f %6.2f    |", paper, sp)
-			}
+			fmt.Fprintf(w, " %6s(p) %6s(m) |", v, v)
 		}
 		fmt.Fprintln(w)
+		fmt.Fprintln(w, "---------------------------------------------------------------------------------------------------")
+		for _, name := range apps {
+			seq := res.of(at(base, name, core.Seq))
+			fmt.Fprintf(w, "%-9s |", name)
+			for _, v := range FigureVersions {
+				sp := speedup(res.of(at(base, name, v)), seq)
+				paper := PaperSpeedup[name][v]
+				if paper == 0 {
+					fmt.Fprintf(w, " %9s %6.2f    |", "-", sp)
+				} else {
+					fmt.Fprintf(w, " %9.2f %6.2f    |", paper, sp)
+				}
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
 	}
-	return nil
 }
 
 // Figure1 prints 8-processor speedups for the regular applications.
-func Figure1(w io.Writer, r *Runner) error {
-	return figure(w, r, "Figure 1: Speedups, regular applications (paper vs measured)", RegularApps)
-}
+var Figure1 = Table{Name: "figure1", Paper: true, Specs: figureSpecs(RegularApps),
+	Render: figure("Figure 1: Speedups, regular applications (paper vs measured)", RegularApps)}
 
 // Figure2 prints 8-processor speedups for the irregular applications.
-func Figure2(w io.Writer, r *Runner) error {
-	return figure(w, r, "Figure 2: Speedups, irregular applications (paper vs measured)", IrregularApps)
-}
+var Figure2 = Table{Name: "figure2", Paper: true, Specs: figureSpecs(IrregularApps),
+	Render: figure("Figure 2: Speedups, irregular applications (paper vs measured)", IrregularApps)}
 
-func traffic(w io.Writer, r *Runner, title string, apps []string) error {
-	res, err := r.results(r.figureSpecs(apps))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s%s\n", title, scaleNote(r.Scale))
-	fmt.Fprintf(w, "%-9s %-5s |", "App", "")
-	for _, v := range FigureVersions {
-		fmt.Fprintf(w, " %8s(p) %8s(m) |", v, v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "-----------------------------------------------------------------------------------------------------------")
-	for _, name := range apps {
-		fmt.Fprintf(w, "%-9s %-5s |", name, "msgs")
+func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record) error {
+	return func(w io.Writer, base exp.Spec, recs []exp.Record) error {
+		res := index(recs)
+		fmt.Fprintf(w, "%s%s\n", title, scaleNote(base.Scale))
+		fmt.Fprintf(w, "%-9s %-5s |", "App", "")
 		for _, v := range FigureVersions {
-			rr := res[r.Spec(name, v).Key()]
-			fmt.Fprintf(w, " %11d %11d |", PaperMsgs[name][v], rr.Stats.TotalMsgs())
+			fmt.Fprintf(w, " %8s(p) %8s(m) |", v, v)
 		}
 		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-9s %-5s |", "", "KB")
-		for _, v := range FigureVersions {
-			rr := res[r.Spec(name, v).Key()]
-			fmt.Fprintf(w, " %11d %11d |", PaperKB[name][v], rr.Stats.TotalKB())
+		fmt.Fprintln(w, "-----------------------------------------------------------------------------------------------------------")
+		for _, name := range apps {
+			fmt.Fprintf(w, "%-9s %-5s |", name, "msgs")
+			for _, v := range FigureVersions {
+				fmt.Fprintf(w, " %11d %11d |", PaperMsgs[name][v], res.of(at(base, name, v)).Msgs)
+			}
+			fmt.Fprintln(w)
+			fmt.Fprintf(w, "%-9s %-5s |", "", "KB")
+			for _, v := range FigureVersions {
+				fmt.Fprintf(w, " %11d %11d |", PaperKB[name][v], res.of(at(base, name, v)).Bytes/1024)
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
+		return nil
 	}
-	return nil
 }
 
 // Table2 prints message and data totals for the regular applications.
-func Table2(w io.Writer, r *Runner) error {
-	return traffic(w, r, "Table 2: Message totals and data totals (KB), regular applications", RegularApps)
-}
+var Table2 = Table{Name: "table2", Paper: true, Specs: figureSpecs(RegularApps),
+	Render: traffic("Table 2: Message totals and data totals (KB), regular applications", RegularApps)}
 
 // Table3 prints message and data totals for the irregular applications.
-func Table3(w io.Writer, r *Runner) error {
-	return traffic(w, r, "Table 3: Message totals and data totals (KB), irregular applications", IrregularApps)
-}
+var Table3 = Table{Name: "table3", Paper: true, Specs: figureSpecs(IrregularApps),
+	Render: traffic("Table 3: Message totals and data totals (KB), irregular applications", IrregularApps)}
 
 // HandOptCase is one §5 hand-optimization experiment: an application's
 // hand-optimized version, measured against the version it varies
@@ -276,28 +258,30 @@ var HandOptCases = []HandOptCase{
 }
 
 // HandOpt prints the §5 hand-optimization results.
-func HandOpt(w io.Writer, r *Runner) error {
-	var specs []exp.Spec
+var HandOpt = Table{Name: "handopt", Paper: true, Specs: handOptSpecs, Render: renderHandOpt}
+
+func handOptSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, c := range HandOptCases {
 		specs = append(specs,
-			r.Spec(c.App, core.Seq),
-			r.Spec(c.App, core.Describe(c.Opt).Varies),
-			r.Spec(c.App, c.Opt))
+			at(base, c.App, core.Seq),
+			at(base, c.App, core.Describe(c.Opt).Varies),
+			at(base, c.App, c.Opt))
 	}
-	res, err := r.results(specs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Section 5 hand optimizations (paper vs measured speedup)%s\n", scaleNote(r.Scale))
+	return specs
+}
+
+func renderHandOpt(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	res := index(recs)
+	fmt.Fprintf(w, "Section 5 hand optimizations (paper vs measured speedup)%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-9s | %-34s | %19s | %19s\n", "App", "Optimization", "before (p)    (m)", "after (p)    (m)")
 	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------")
 	for _, c := range HandOptCases {
-		seq := res[r.Spec(c.App, core.Seq).Key()]
-		base := core.Describe(c.Opt).Varies
-		before := res[r.Spec(c.App, base).Key()].Speedup(seq.Time)
-		after := res[r.Spec(c.App, c.Opt).Key()].Speedup(seq.Time)
+		seq := res.of(at(base, c.App, core.Seq))
+		v := core.Describe(c.Opt).Varies
+		before := speedup(res.of(at(base, c.App, v)), seq)
+		after := speedup(res.of(at(base, c.App, c.Opt)), seq)
 		fmt.Fprintf(w, "%-9s | %-34s | %8.2f %9.2f | %8.2f %9.2f\n",
-			c.App, c.Note, PaperSpeedup[c.App][base], before, PaperSpeedup[c.App][c.Opt], after)
+			c.App, c.Note, PaperSpeedup[c.App][v], before, PaperSpeedup[c.App][c.Opt], after)
 	}
 	return nil
 }
@@ -305,72 +289,58 @@ func HandOpt(w io.Writer, r *Runner) error {
 // Interface prints the §2.3 compiler-interface ablation: the improved
 // fork-join interface (2(n-1) messages per loop) against the original
 // (8(n-1)), measured on Jacobi.
-func Interface(w io.Writer, r *Runner) error {
-	specs := []exp.Spec{
-		r.Spec("Jacobi", core.Seq),
-		r.Spec("Jacobi", core.SPFOld),
-		r.Spec("Jacobi", core.SPF),
-	}
-	res, err := r.results(specs)
-	if err != nil {
-		return err
-	}
-	seq := res[specs[0].Key()]
-	old := res[specs[1].Key()]
-	improved := res[specs[2].Key()]
-	fmt.Fprintf(w, "Section 2.3 interface ablation (Jacobi)%s\n", scaleNote(r.Scale))
+var Interface = Table{Name: "interface", Paper: true, Specs: interfaceSpecs, Render: renderInterface}
+
+func interfaceSpecs(base exp.Spec) []exp.Spec {
+	return []exp.Spec{at(base, "Jacobi", core.Seq), at(base, "Jacobi", core.SPFOld), at(base, "Jacobi", core.SPF)}
+}
+
+func renderInterface(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	seq, old, improved := recs[0], recs[1], recs[2]
+	fmt.Fprintf(w, "Section 2.3 interface ablation (Jacobi)%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-20s | %10s | %10s | %8s\n", "Interface", "msgs", "time (s)", "speedup")
 	fmt.Fprintln(w, "--------------------------------------------------------")
-	fmt.Fprintf(w, "%-20s | %10d | %10.2f | %8.2f\n", "original (8(n-1))", old.Stats.TotalMsgs(), old.Time.Seconds(), old.Speedup(seq.Time))
-	fmt.Fprintf(w, "%-20s | %10d | %10.2f | %8.2f\n", "improved (2(n-1))", improved.Stats.TotalMsgs(), improved.Time.Seconds(), improved.Speedup(seq.Time))
+	fmt.Fprintf(w, "%-20s | %10d | %10.2f | %8.2f\n", "original (8(n-1))", old.Msgs, old.TimeSeconds, speedup(old, seq))
+	fmt.Fprintf(w, "%-20s | %10d | %10.2f | %8.2f\n", "improved (2(n-1))", improved.Msgs, improved.TimeSeconds, speedup(improved, seq))
 	fmt.Fprintf(w, "paper: the improvement cuts fork-join messages 4x and \"has a significant effect on execution time\"\n")
 	return nil
 }
 
-// All runs every experiment in paper order.
-func All(w io.Writer, r *Runner) error {
-	steps := []func(io.Writer, *Runner) error{
-		Table1, Figure1, Table2, Figure2, Table3, HandOpt, Interface,
-	}
-	for i, f := range steps {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := f(w, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// The scalability sweep: one application at these processor counts.
+const scalabilityApp = "Jacobi"
+
+var scalabilityProcCounts = []int{2, 4, 8}
 
 // Scalability sweeps the processor count for one application and prints
 // the speedup curve of every version — the paper's §8 closes by
 // anticipating behaviour "when scaling to a large number of processors";
 // this experiment extends the evaluation in that direction.
-func Scalability(w io.Writer, r *Runner, appName string, procCounts []int) error {
-	var specs []exp.Spec
-	specs = append(specs, r.Spec(appName, core.Seq))
-	for _, p := range procCounts {
+var Scalability = Table{Name: "scalability", Specs: scalabilitySpecs, Render: renderScalability}
+
+func scalabilitySpecs(base exp.Spec) []exp.Spec {
+	specs := []exp.Spec{at(base, scalabilityApp, core.Seq)}
+	for _, p := range scalabilityProcCounts {
 		for _, v := range FigureVersions {
-			specs = append(specs, r.SpecAt(appName, v, p))
+			specs = append(specs, atProcs(base, scalabilityApp, v, p))
 		}
 	}
-	res, err := r.results(specs)
-	if err != nil {
-		return err
-	}
-	seq := res[r.Spec(appName, core.Seq).Key()]
-	fmt.Fprintf(w, "Scalability: %s speedups by processor count%s\n", appName, scaleNote(r.Scale))
+	return specs
+}
+
+func renderScalability(w io.Writer, base exp.Spec, recs []exp.Record) error {
+	res := index(recs)
+	seq := recs[0]
+	fmt.Fprintf(w, "Scalability: %s speedups by processor count%s\n", scalabilityApp, scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-6s |", "procs")
 	for _, v := range FigureVersions {
 		fmt.Fprintf(w, " %8s |", v)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "--------------------------------------------------")
-	for _, p := range procCounts {
+	for _, p := range scalabilityProcCounts {
 		fmt.Fprintf(w, "%-6d |", p)
 		for _, v := range FigureVersions {
-			fmt.Fprintf(w, " %8.2f |", res[r.SpecAt(appName, v, p).Key()].Speedup(seq.Time))
+			fmt.Fprintf(w, " %8.2f |", speedup(res.of(atProcs(base, scalabilityApp, v, p)), seq))
 		}
 		fmt.Fprintln(w)
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/proto"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -35,80 +35,89 @@ var MigrationApps = []string{"MGS", "Jacobi", "Shallow"}
 // MigrationProcCounts is the node-count sweep.
 var MigrationProcCounts = []int{1, 2, 4, 8}
 
-// MigrationSpecs renders the full (app × procs × policy) grid of the
-// experiment under the home-based protocol.
-func (r *Runner) MigrationSpecs() []exp.Spec {
-	var specs []exp.Spec
+// Migration prints the home-policy sweep. It is the one table that is
+// not a render over records alone: its flKB column is the eager
+// diff-flush traffic, Stats.BytesOf(KindDiff), which no record field
+// carries, so it sweeps its grid through the engine's Result path —
+// which always simulates, store or no store — and renders the records
+// of those results beside their flush bytes.
+var Migration = Table{Name: "migration", Run: runMigration}
+
+func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
+	base.Protocol = proto.HomeLRC // the only protocol with homes
 	for _, name := range MigrationApps {
-		a, err := exp.AppByName(name)
-		if err != nil {
-			continue
-		}
-		v := DSMVersionOf(a)
+		v := DSMVersionOf(mustApp(name))
 		for _, procs := range MigrationProcCounts {
 			for _, pol := range proto.PolicyNames() {
-				specs = append(specs, r.policySub(procs, pol).Spec(a.Name(), v))
+				s := base
+				s.HomePolicy = pol
+				specs = append(specs, atProcs(s, name, v, procs))
 			}
 		}
 	}
 	return specs
 }
 
-// flushBytes is the traffic component home placement moves: the eager
-// diff flushes of the home-based protocol.
-func flushBytes(res core.Result) int64 { return res.Stats.BytesOf(stats.KindDiff) }
-
-// Migration prints the home-policy sweep. Checksums must be
-// bit-identical across policies — placement may change only time and
-// traffic — so a divergence is an error, not a table entry; single-node
-// runs must never migrate.
-func Migration(w io.Writer, r *Runner) error {
-	if _, err := r.Sweep(r.MigrationSpecs()); err != nil {
+func runMigration(w io.Writer, e *exp.Engine, base exp.Spec) error {
+	specs := migrationSpecs(base)
+	res, err := e.Sweep(specs)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Home-policy migration under hlrc: static vs firsttouch vs adaptive%s\n", scaleNote(r.Scale))
+	recs := make([]exp.Record, len(specs))
+	flush := make([]int64, len(specs))
+	for i, r := range res {
+		recs[i] = exp.RecordOf(specs[i], r, nil)
+		flush[i] = r.Stats.BytesOf(stats.KindDiff)
+	}
+	return renderMigration(w, base, recs, flush)
+}
+
+// renderMigration prints the sweep from its records and their flush
+// bytes, both in migrationSpecs order. Checksums must be bit-identical
+// across policies — placement may change only time and traffic — and
+// single-node runs must never migrate; a row that breaks either refuses
+// the table.
+func renderMigration(w io.Writer, base exp.Spec, recs []exp.Record, flush []int64) error {
+	pols := proto.PolicyNames()
+	n := len(pols) // each row's records, consecutive, static first
+	for row := 0; row < len(recs); row += n {
+		if err := agree(recs[row:row+n], func(got, static exp.Record) error {
+			return fmt.Errorf("home policy changed the answer: %s/%s procs=%d %s checksum %g != static %g",
+				got.App, got.Version, got.Procs, got.HomePolicy, got.Checksum, static.Checksum)
+		}); err != nil {
+			return err
+		}
+		for i, rec := range recs[row : row+n] {
+			if rec.Procs == 1 && rec.Migrations != 0 {
+				return fmt.Errorf("single-node run migrated pages: %s/%s %s", rec.App, rec.Version, pols[i])
+			}
+		}
+	}
+	fmt.Fprintf(w, "Home-policy migration under hlrc: static vs firsttouch vs adaptive%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-8s %5s |", "App", "procs")
-	for _, pol := range proto.PolicyNames() {
+	for _, pol := range pols {
 		fmt.Fprintf(w, " %11s(t) %7s(flKB) %4s(mig) |", pol, pol, pol)
 	}
 	fmt.Fprintf(w, " %9s\n", "adpt/stat")
 	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------------------------------------")
-	for _, name := range MigrationApps {
-		a, err := exp.AppByName(name)
-		if err != nil {
-			return err
-		}
-		v := DSMVersionOf(a)
-		for _, procs := range MigrationProcCounts {
-			var static, adaptive core.Result
-			var base float64
-			fmt.Fprintf(w, "%-8s %5d |", name, procs)
-			for i, pol := range proto.PolicyNames() {
-				res, err := r.policySub(procs, pol).Run(a, v)
-				if err != nil {
-					return fmt.Errorf("%s/%s procs=%d %s: %w", name, v, procs, pol, err)
-				}
-				if i == 0 {
-					base = res.Checksum
-					static = res
-				} else if res.Checksum != base {
-					return fmt.Errorf("home policy changed the answer: %s/%s procs=%d %s checksum %g != static %g",
-						name, v, procs, pol, res.Checksum, base)
-				}
-				if procs == 1 && res.Migrations != 0 {
-					return fmt.Errorf("single-node run migrated pages: %s/%s %s", name, v, pol)
-				}
-				if pol == proto.AdaptivePolicy {
-					adaptive = res
-				}
-				fmt.Fprintf(w, " %14v %13d %9d |", res.Time, flushBytes(res)/1024, res.Migrations)
+	for row := 0; row < len(recs); row += n {
+		fmt.Fprintf(w, "%-8s %5d |", recs[row].App, recs[row].Procs)
+		var static, adaptive int64
+		for i, rec := range recs[row : row+n] {
+			switch pols[i] {
+			case proto.StaticPolicy:
+				static = flush[row+i]
+			case proto.AdaptivePolicy:
+				adaptive = flush[row+i]
 			}
-			delta := "-"
-			if fb := flushBytes(static); fb > 0 {
-				delta = fmt.Sprintf("%+.1f%%", 100*float64(flushBytes(adaptive)-fb)/float64(fb))
-			}
-			fmt.Fprintf(w, " %9s\n", delta)
+			fmt.Fprintf(w, " %14v %13d %9d |", sim.Time(rec.TimeNanos), flush[row+i]/1024, rec.Migrations)
 		}
+		delta := "-"
+		if static > 0 {
+			delta = fmt.Sprintf("%+.1f%%", 100*float64(adaptive-static)/float64(static))
+		}
+		fmt.Fprintf(w, " %9s\n", delta)
 	}
 	fmt.Fprintln(w, "(flKB = eager diff-flush traffic; mig = whole-run home migrations; adpt/stat = adaptive flush bytes vs static;")
 	fmt.Fprintln(w, " checksums verified bit-identical across policies for every row)")

@@ -39,13 +39,9 @@ var policyTrafficGolden = []struct {
 // policy, and checks the static rows against the main golden table: the
 // policy API must leave the pre-policy protocol untouched.
 func TestGoldenTrafficHomePolicies(t *testing.T) {
-	r := NewRunner(4, core.SmallScale)
+	e := exp.New()
 	for _, g := range policyTrafficGolden {
-		a, err := exp.AppByName(g.app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.policySub(4, g.policy).Run(a, g.version)
+		res, err := e.Run(underPolicy(small(g.app, g.version, 4, ""), g.policy))
 		if err != nil {
 			t.Fatalf("%s/%s/%s: %v", g.app, g.version, g.policy, err)
 		}
@@ -77,13 +73,13 @@ func TestSingleNodeNeverMigrates(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := DSMVersionOf(a)
-		r := NewRunner(1, core.SmallScale)
-		static, err := r.policySub(1, proto.StaticPolicy).Run(a, v)
+		e, s := exp.New(), small(name, v, 1, "")
+		static, err := e.Run(underPolicy(s, proto.StaticPolicy))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pol := range []proto.PolicyName{proto.FirstTouchPolicy, proto.AdaptivePolicy} {
-			res, err := r.policySub(1, pol).Run(a, v)
+			res, err := e.Run(underPolicy(s, pol))
 			if err != nil {
 				t.Fatalf("%s/%s %s: %v", name, v, pol, err)
 			}
@@ -108,8 +104,7 @@ func TestSingleNodeNeverMigrates(t *testing.T) {
 // row, so this is the cheap whole-grid regression.
 func TestMigrationExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRunner(8, core.SmallScale)
-	if err := Migration(&buf, r); err != nil {
+	if err := Migration.Print(&buf, exp.New(), smallBase); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -129,16 +124,12 @@ func TestAdaptiveReducesMGSFlushTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid-scale MGS comparison in -short mode")
 	}
-	a, err := exp.AppByName("MGS")
+	e, s := exp.New(), exp.Spec{App: "MGS", Version: core.Tmk, Procs: 8, Scale: core.MidScale}
+	static, err := e.Run(underPolicy(s, proto.StaticPolicy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(8, core.MidScale)
-	static, err := r.policySub(8, proto.StaticPolicy).Run(a, core.Tmk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := r.policySub(8, proto.AdaptivePolicy).Run(a, core.Tmk)
+	adaptive, err := e.Run(underPolicy(s, proto.AdaptivePolicy))
 	if err != nil {
 		t.Fatal(err)
 	}

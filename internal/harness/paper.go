@@ -2,9 +2,10 @@
 // evaluation: Table 1 (data sets and sequential times), Figures 1 and 2
 // (8-processor speedups for the regular and irregular applications),
 // Tables 2 and 3 (message and data totals), the §5 hand-optimization
-// results, and the §2.3 compiler-interface ablation. Each experiment
-// prints measured values next to the paper's, so the shape comparison is
-// visible at a glance. EXPERIMENTS.md records a full run.
+// results, and the §2.3 compiler-interface ablation. Each table is a
+// spec list plus a render over the records of those specs (Table), and
+// prints measured values next to the paper's, so the shape comparison
+// is visible at a glance. EXPERIMENTS.md records a full run.
 package harness
 
 import "repro/internal/core"

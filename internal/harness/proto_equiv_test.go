@@ -9,6 +9,16 @@ import (
 	"repro/internal/proto"
 )
 
+// runProtocols runs one (application, version, procs) under every
+// protocol, in proto.Names() order.
+func runProtocols(e *exp.Engine, app string, v core.Version, procs int) ([]core.Result, error) {
+	var specs []exp.Spec
+	for _, p := range proto.Names() {
+		specs = append(specs, small(app, v, procs, p))
+	}
+	return e.Sweep(specs)
+}
+
 // TestProtocolEquivalence is the cross-protocol equivalence table: every
 // DSM version of every application — including the optimized variants,
 // whose push, broadcast and aggregation paths interact with the
@@ -26,8 +36,8 @@ func TestProtocolEquivalence(t *testing.T) {
 		for _, v := range DSMVersions(a) {
 			for _, procs := range ProtocolProcCounts {
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name(), v, procs), func(t *testing.T) {
-					base := NewRunner(procs, core.SmallScale)
-					first, err := base.RunProtocols(a, v, procs)
+					e := exp.New()
+					first, err := runProtocols(e, a.Name(), v, procs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -41,7 +51,7 @@ func TestProtocolEquivalence(t *testing.T) {
 						return
 					}
 					for _, pol := range proto.PolicyNames() {
-						res, err := base.policySub(procs, pol).Run(a, v)
+						res, err := e.Run(underPolicy(small(a.Name(), v, procs, ""), pol))
 						if err != nil {
 							t.Fatalf("hlrc/%s: %v", pol, err)
 						}
@@ -52,7 +62,7 @@ func TestProtocolEquivalence(t *testing.T) {
 							t.Errorf("single-node run under hlrc/%s migrated %d pages", pol, res.Migrations)
 						}
 					}
-					again, err := base.RunProtocols(a, v, procs)
+					again, err := runProtocols(e, a.Name(), v, procs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,8 +100,8 @@ func TestProtocolEquivalenceCorpus(t *testing.T) {
 		}
 		for _, procs := range ProtocolProcCounts {
 			t.Run(fmt.Sprintf("%s/p%d", a.Name(), procs), func(t *testing.T) {
-				base := NewRunner(procs, core.SmallScale)
-				first, err := base.RunProtocols(a, core.SPFGen, procs)
+				e := exp.New()
+				first, err := runProtocols(e, a.Name(), core.SPFGen, procs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +112,7 @@ func TestProtocolEquivalenceCorpus(t *testing.T) {
 					}
 				}
 				for _, pol := range proto.PolicyNames() {
-					res, err := base.policySub(procs, pol).Run(a, core.SPFGen)
+					res, err := e.Run(underPolicy(small(a.Name(), core.SPFGen, procs, ""), pol))
 					if err != nil {
 						t.Fatalf("hlrc/%s: %v", pol, err)
 					}

@@ -4,12 +4,11 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/exp"
 )
 
 func TestProtocolsQuick(t *testing.T) {
-	r := NewRunner(4, core.SmallScale)
-	if err := Protocols(io.Discard, r); err != nil {
+	if err := Protocols.Print(io.Discard, exp.New(), smallBase); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -128,13 +128,9 @@ func TestGoldenTrafficCoversEveryVersion(t *testing.T) {
 
 // TestGoldenTraffic pins the exact msgs/bytes of every combination.
 func TestGoldenTraffic(t *testing.T) {
-	r := NewRunner(4, core.SmallScale)
+	e := exp.New()
 	for _, g := range trafficGolden {
-		a, err := exp.AppByName(g.app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.sub(4, g.protocol).Run(a, g.version)
+		res, err := e.Run(small(g.app, g.version, 4, g.protocol))
 		if err != nil {
 			t.Fatalf("%s/%s/%s: %v", g.app, g.version, g.protocol, err)
 		}
@@ -158,22 +154,19 @@ func TestGoldenTraffic(t *testing.T) {
 // answer must still be bit-identical to the uncontended run, and the
 // traffic may drift only marginally from golden.
 func TestGoldenTrafficContentionInvariant(t *testing.T) {
-	r := NewRunner(4, core.SmallScale)
+	e := exp.New()
 	for _, g := range trafficGolden {
 		switch g.app {
 		case "Jacobi", "IGrid", "NBF":
 		default:
 			continue
 		}
-		a, err := exp.AppByName(g.app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.ContentionRun(a, g.version, 4, g.protocol, 1)
+		s := small(g.app, g.version, 4, g.protocol)
+		res, err := e.Run(contended(s, 1))
 		if err != nil {
 			t.Fatalf("%s/%s/%s: %v", g.app, g.version, g.protocol, err)
 		}
-		base, err := r.sub(4, g.protocol).Run(a, g.version)
+		base, err := e.Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}

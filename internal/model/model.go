@@ -137,19 +137,6 @@ func (c Costs) WithContention(ways int) Costs {
 	return c
 }
 
-// Contention reads back the shared contention encoding WithContention
-// applies: 0 when contention is off, -1 for serial NICs over an ideal
-// backplane, N > 0 for serial NICs plus an N-way backplane bound.
-func (c Costs) Contention() int {
-	if !c.SerialNIC {
-		return 0
-	}
-	if c.BackplaneWays > 0 {
-		return c.BackplaneWays
-	}
-	return -1
-}
-
 // WithFIFOPairs returns the calibration with non-overtaking
 // (src, dst)-pair delivery switched on or off.
 func (c Costs) WithFIFOPairs(on bool) Costs {

@@ -1,6 +1,6 @@
 // The home-based LRC smoke tests live in an external test package so
-// they can drive the full application suite through internal/harness
-// (which imports the apps, which import tmk).
+// they can drive the full application suite through internal/exp and
+// internal/harness (which import the apps, which import tmk).
 package tmk_test
 
 import (
@@ -60,9 +60,8 @@ func TestHLRCSmokeAllApps(t *testing.T) {
 		for _, v := range harness.DSMVersions(a) {
 			run := func(p proto.Name) core.Result {
 				t.Helper()
-				r := harness.NewRunner(procs, core.SmallScale)
-				r.Protocol = p
-				res, err := r.Run(a, v)
+				s := exp.Spec{App: a.Name(), Version: v, Procs: procs, Scale: core.SmallScale, Protocol: p}
+				res, err := exp.New().Run(s)
 				if err != nil {
 					t.Fatalf("%s/%s under %s: %v", a.Name(), v, p, err)
 				}

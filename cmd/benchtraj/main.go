@@ -139,7 +139,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0: all host cores)")
 	fabricAddrs := flag.String("fabric", "", "comma-separated fabric worker addresses: run the -gate golden set through the distributed fabric")
 	storeDir := flag.String("store", "", "persistent result store directory: golden runs already on disk are served without executing")
-	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
 	host := flag.String("host", "", "append one row to this host trajectory file (BENCH_host.json) from -result")
 	result := flag.String("result", "bench/out/result.json", "-host: the bench/run.sh result file to distill")
 	label := flag.String("label", "", "-host: the row's label (e.g. \"PR 17\")")
@@ -165,7 +164,7 @@ func main() {
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
-		if st, err = store.Open(*storeDir, exp.StoreOptions(*storeMax)); err != nil {
+		if st, err = store.Open(*storeDir, exp.StoreOptions(0)); err != nil {
 			fatal(err)
 		}
 		defer st.Close()
@@ -216,38 +215,19 @@ func engine(workers int, st *store.Store) *exp.Engine {
 
 // build runs the golden set and writes the trajectory file, attaching
 // the informational host_ns to every record (the one writer that sets
-// it; the engine's Stream path never does, keeping sweep output
-// byte-identical across hosts).
+// it; a sweep never does, keeping its output byte-identical across
+// hosts). A run served from the store has no host time: its host_ns
+// is 0.
 func build(path string, workers int, st *store.Store) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	e := engine(workers, st)
-	specs := goldenSpecs()
-	e.Sweep(specs) //nolint:errcheck // failures surface as error records below
-	var errs []error
-	var line []byte
-	for _, s := range specs {
-		rec := e.Record(s)
-		rec.HostNanos = e.HostRunNanos(s)
-		if rec.Error != "" {
-			errs = append(errs, errors.New(rec.Error))
-		}
-		var werr error
-		if line, werr = exp.AppendRecord(line[:0], &rec); werr == nil {
-			line = append(line, '\n')
-			_, werr = f.Write(line)
-		}
-		if werr != nil {
-			f.Close()
-			return werr
-		}
-	}
-	if err := f.Close(); err != nil {
+	line, _, err := golden(e, "", func(rec *exp.Record) { rec.HostNanos = e.HostRunNanos(rec.Spec) })
+	if line == nil {
 		return err
 	}
-	return errors.Join(errs...)
+	if werr := os.WriteFile(path, line, 0o644); werr != nil {
+		return werr
+	}
+	return err // the failed runs, written as error records
 }
 
 // load reads a trajectory file into records indexed by spec key,
@@ -287,13 +267,12 @@ func gateRun(path string, tol float64, workers int, fabricAddrs string, st *stor
 	if err != nil {
 		return 0, err
 	}
-	specs := goldenSpecs()
-	fresh, err := freshRecords(specs, workers, fabricAddrs, st)
-	if err != nil {
+	_, fresh, err := golden(engine(workers, st), fabricAddrs, nil)
+	if fresh == nil {
 		return 0, err
 	}
 	drift := 0
-	for i, s := range specs {
+	for i, s := range goldenSpecs() {
 		got := fresh[i]
 		if got.Error != "" {
 			drift++
@@ -311,49 +290,43 @@ func gateRun(path string, tol float64, workers int, fabricAddrs string, st *stor
 	return drift, nil
 }
 
-// freshRecords re-runs the golden set, in spec order. With fabric
-// worker addresses the set runs through a fabric.Coordinator — the
-// merged stream is byte-compatible with a local sweep, so the records
-// parse identically; run failures travel as error records and drift
-// the gate rather than aborting it.
-func freshRecords(specs []exp.Spec, workers int, fabricAddrs string, st *store.Store) ([]exp.Record, error) {
-	if fabricAddrs == "" {
-		e := engine(workers, st)
-		recs := make([]exp.Record, len(specs))
-		for i, s := range specs {
-			recs[i] = e.Record(s)
-		}
-		return recs, nil
-	}
-	c := &fabric.Coordinator{
-		Workers: strings.Split(fabricAddrs, ","),
-		Speedup: true,
-		Observe: true,
-		Engine:  engine(workers, st),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "benchtraj: "+format+"\n", args...)
-		},
-	}
+// golden streams the golden set through e — or, given fabric worker
+// addresses, through a fabric.Coordinator, whose merged stream is a
+// local sweep's bytes — and returns the stream and its records, parsed
+// back by ValidateLine, in spec order. decorate is StreamWith's hook
+// (local streams only). Run failures are error records: the stream
+// and records come back with the failures joined into err. Anything
+// else is an abort, with nil stream and records.
+func golden(e *exp.Engine, fabricAddrs string, decorate func(*exp.Record)) ([]byte, []exp.Record, error) {
+	specs := goldenSpecs()
 	var buf bytes.Buffer
-	if _, err := c.Run(&buf, specs); err != nil {
-		// Joined run failures are already error records in the stream;
-		// they drift the gate below. Anything else is a real abort.
-		if buf.Len() == 0 {
-			return nil, err
+	var err error
+	if fabricAddrs == "" {
+		_, err = e.StreamWith(&buf, specs, decorate)
+	} else {
+		c := &fabric.Coordinator{
+			Workers: strings.Split(fabricAddrs, ","),
+			Speedup: true,
+			Observe: true,
+			Engine:  e,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "benchtraj: "+format+"\n", args...)
+			},
 		}
+		_, err = c.Run(&buf, specs)
 	}
 	var recs []exp.Record
 	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
-		rec, err := exp.ValidateLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("fabric stream: %v", err)
+		rec, verr := exp.ValidateLine(line)
+		if verr != nil {
+			return nil, nil, errors.Join(err, fmt.Errorf("golden stream: %v", verr))
 		}
 		recs = append(recs, rec)
 	}
 	if len(recs) != len(specs) {
-		return nil, fmt.Errorf("fabric stream has %d records for %d golden specs", len(recs), len(specs))
+		return nil, nil, errors.Join(err, fmt.Errorf("golden stream has %d records for %d golden specs", len(recs), len(specs)))
 	}
-	return recs, nil
+	return buf.Bytes(), recs, err
 }
 
 // diffFiles compares two trajectory files over the keys of the old one.

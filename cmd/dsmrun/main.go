@@ -2,11 +2,11 @@
 // engine. It executes a single (application, version, processors) run —
 // or a whole declarative sweep — and reports timed-region metrics:
 // virtual time, speedup over the sequential baseline, message count,
-// and data volume.
+// and data volume. It also prints the paper's tables (-tables).
 //
 // Single run:
 //
-//	dsmrun -app Jacobi -version tmk [-procs 8] [-scale mid] [-protocol lrc|hlrc] [-homepolicy static|firsttouch|adaptive] [-contention N] [-fifo] [-json]
+//	dsmrun -app Jacobi -version tmk [-procs 8] [-scale mid] [-protocol lrc|hlrc] [-homepolicy static|firsttouch|adaptive] [-contention N] [-json]
 //
 // -list prints every application with the versions it runs; what each
 // version is — its runtime, the version it varies — is one row of
@@ -26,8 +26,7 @@
 // 0 (default) keeps the infinite-capacity interconnect. Contended runs
 // additionally report the queueing delay messages spent waiting for
 // busy links, split by the binding resource (out link / in link /
-// backplane). -fifo opts in to non-overtaking delivery within each
-// (src, dst) pair, as the real PVMe/MPL transports guaranteed.
+// backplane).
 //
 // With -json the result is emitted as a single JSON object (time,
 // speedup, messages, bytes, checksum, queueing delay) for scripted
@@ -125,7 +124,7 @@
 //	dsmrun -scale small -sweep "app=MGS procs=2,4,8 protocol=hlrc homepolicy=static,adaptive" -speedup
 //
 // -sweep expands the cross-product of axis values (axes: app, version,
-// procs, scale, protocol, contention, fifo, homepolicy; remaining
+// procs, scale, protocol, contention, homepolicy; remaining
 // command-line arguments are parsed as additional axes) over the base
 // flags, runs every point concurrently across host cores, and streams
 // one JSON-lines record per point to stdout — in cross-product order,
@@ -134,6 +133,23 @@
 // fields), so plots need no post-join. Run failures become records
 // with an "error" field, a stderr summary ("sweep: N of M records
 // failed") and a non-zero exit status.
+//
+// Tables:
+//
+//	dsmrun -tables paper -scale small            # the paper's tables and figures
+//	dsmrun -tables protocols,migration -procs 4  # named tables, in the order given
+//
+// -tables prints the named tables of internal/harness.Tables, in the
+// order given, each followed by a blank line; "paper" names the paper's
+// own seven. A table is a spec list derived from one base spec (-procs,
+// -scale, -protocol, -homepolicy, -contention) plus a render over those
+// specs' records, read with -workers, -store and -metrics-* as a sweep
+// reads them; a table whose records break its invariant prints nothing
+// and exits 1. The default mid scale keeps the page-granularity regime
+// at a fraction of the time; at paper scale Shallow's checksum is not
+// finite, so the tables that read it fail. -speedup and -breakdown do
+// not apply; the flags of other modes (-sweep and axes, -fabric,
+// -trace, -json, -gen, -genfile) exit 2 before anything opens.
 //
 // Distributed sweeps (the sweep fabric):
 //
@@ -170,6 +186,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fabric"
+	"repro/internal/harness"
 	"repro/internal/loopc/difftest"
 	"repro/internal/loopc/gen"
 	"repro/internal/metrics"
@@ -187,7 +204,6 @@ func main() {
 	protocol := flag.String("protocol", "", "DSM coherence protocol: lrc (default) or hlrc")
 	homepolicy := flag.String("homepolicy", "", "hlrc home-placement policy: static (default), firsttouch, or adaptive")
 	contention := flag.Int("contention", 0, "network contention: 0 off, -1 serial NICs only, N>0 serial NICs + N-way backplane")
-	fifo := flag.Bool("fifo", false, "non-overtaking delivery within each (src, dst) pair")
 	asJSON := flag.Bool("json", false, "emit the run result as one JSON object")
 	speedup := flag.Bool("speedup", false, "join sweep records with their sequential baselines (seq_ns/speedup fields)")
 	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4,8 protocol=lrc,hlrc" (emits JSON-lines)`)
@@ -209,7 +225,23 @@ func main() {
 	genSpec := flag.String("gen", "", `differential-test generated programs: "seed" or "seed:count"`)
 	genFile := flag.String("genfile", "", "differential-test one program spec read from this JSON file")
 	list := flag.Bool("list", false, "list applications and versions")
+	tablesList := flag.String("tables", "", `print these tables, comma-separated, or "paper" for the paper's (an unknown name lists them all)`)
 	flag.Parse()
+
+	// -tables is a mode of its own; its names and its refusal of the
+	// other modes' flags are checked before anything opens.
+	var tables []harness.Table
+	if *tablesList != "" {
+		if *sweep != "" || flag.NArg() > 0 || *fabricAddrs != "" || *trace != "" || *asJSON || *genSpec != "" || *genFile != "" {
+			fmt.Fprintln(os.Stderr, "dsmrun: -tables takes none of -sweep (or axes), -fabric, -trace, -json, -gen, -genfile")
+			os.Exit(2)
+		}
+		var err error
+		if tables, err = harness.Select(*tablesList); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -308,13 +340,10 @@ func main() {
 		// through exp.ParseAxes.
 		Protocol:   pname,
 		Contention: *contention,
-		FIFO:       *fifo,
 		HomePolicy: polname,
 	}
 	eng := exp.New()
 	eng.Workers = *workers
-	eng.JoinSpeedup = *speedup
-	eng.Observe = *trace != "" || *breakdown
 	eng.Store = st
 	if *metricsAddr != "" || *metricsDump != "" {
 		eng.Metrics = metrics.NewRegistry()
@@ -354,6 +383,31 @@ func main() {
 			fatal(err)
 		}
 	}
+
+	if tables != nil {
+		// Two engines over one store and one registry: eng, plain, and an
+		// observing one for the tables that read the time attribution.
+		// Neither joins speedups.
+		observed := exp.New()
+		observed.Workers, observed.Store, observed.Metrics, observed.Observe = eng.Workers, st, eng.Metrics, true
+		serveTelemetry(nil)
+		base.App, base.Version = "", ""
+		for _, t := range tables {
+			e := eng
+			if t.Observe {
+				e = observed
+			}
+			if err := t.Print(os.Stdout, e, base); err != nil {
+				dumpMetrics()
+				fatal(fmt.Errorf("%s: %w", t.Name, err))
+			}
+			fmt.Println()
+		}
+		dumpMetrics()
+		return
+	}
+	eng.JoinSpeedup = *speedup
+	eng.Observe = *trace != "" || *breakdown
 
 	if *sweep != "" || flag.NArg() > 0 {
 		if *trace != "" {

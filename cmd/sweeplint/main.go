@@ -42,7 +42,7 @@
 //	sweeplint -store results/
 //
 // -store DIR audits a persistent result store (the directory dsmrun,
-// sweepd, experiments and benchtraj take as -store) instead of stdin:
+// sweepd and benchtraj take as -store) instead of stdin:
 // every live entry's frame CRC is re-verified, its value re-validated
 // against the record schema (no wire stamp, no host time, no error, no
 // join fields — the exact invariants the engine enforces before

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"slices"
@@ -27,14 +26,14 @@ type field struct {
 	omit bool   // omitempty: the zero value is not written
 	// ptr points at the field in the record at hand: *string (the named
 	// string types converted — a pointer conversion, not a copy), *int,
-	// *int64, *float64, *bool or *map[string]int64. The codec switches
+	// *int64, *float64 or *map[string]int64. The codec switches
 	// on the pointer's type.
 	ptr any
 }
 
 // numFields is the number of Record fields, the embedded Spec's
 // included; parseCanonical keeps its seen-set in one word.
-const numFields = 36
+const numFields = 35
 
 var _ [64 - numFields]struct{}
 
@@ -49,7 +48,6 @@ func (r *Record) fields() [numFields]field {
 		{"scale", false, (*string)(&r.Scale)},
 		{"protocol", true, (*string)(&r.Protocol)},
 		{"contention", true, &r.Contention},
-		{"fifo", true, &r.FIFO},
 		{"homepolicy", true, (*string)(&r.HomePolicy)},
 		{"schema_version", true, &r.SchemaVersion},
 		{"time_ns", false, &r.TimeNanos},
@@ -110,10 +108,6 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 		case *float64:
 			if *p != 0 || !f.omit { // -0 is empty, as reflect's IsZero has it
 				dst, err = appendFloat(appendKey(dst, f.key), *p)
-			}
-		case *bool:
-			if *p || !f.omit {
-				dst = strconv.AppendBool(appendKey(dst, f.key), *p)
 			}
 		case *map[string]int64:
 			if len(*p) != 0 || !f.omit {
@@ -257,15 +251,6 @@ func parseCanonical(line []byte, r *Record) bool {
 			*p, i, ok = parseInt(line, i)
 		case *float64:
 			*p, i, ok = parseFloat(line, i)
-		case *bool:
-			switch {
-			case bytes.HasPrefix(line[i:], []byte("true")):
-				*p, i = true, i+4
-			case bytes.HasPrefix(line[i:], []byte("false")):
-				i += 5
-			default:
-				ok = false
-			}
 		case *map[string]int64:
 			*p, i, ok = parseKindMap(line, i)
 		}

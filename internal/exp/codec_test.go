@@ -255,7 +255,7 @@ func sweepLines(tb testing.TB) [][]byte {
 	failing.Version = "bogus"
 	specs := []Spec{jacobi, contended, migrating, failing,
 		{App: "Jacobi", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
-		{App: "RB-SOR", Version: core.XHPF, Procs: 2, Scale: core.SmallScale, Contention: -1, FIFO: true},
+		{App: "RB-SOR", Version: core.XHPF, Procs: 2, Scale: core.SmallScale, Contention: -1},
 		genSpec}
 	var out bytes.Buffer
 	for _, observe := range []bool{false, true} {
@@ -314,7 +314,7 @@ var nonCanonical = map[string]string{
 	"leading zero":        `{"procs":01}`,
 	"fraction in an int":  `{"procs":2.0}`,
 	"exponent in an int":  `{"time_ns":1e3}`,
-	"number for a bool":   `{"fifo":1}`,
+	"retired fifo key":    `{"app":"Jacobi","version":"tmk","procs":2,"scale":"small","fifo":true,"time_ns":1000,"time_seconds":0.000001,"msgs":0,"bytes":0,"checksum":1}`,
 	"string for a number": `{"procs":"2"}`,
 	"plus sign":           `{"checksum":+1}`,
 	"bare fraction":       `{"checksum":.5}`,
@@ -614,7 +614,7 @@ var sinkLine []byte
 func BenchmarkAppendRecord(b *testing.B) {
 	e := New()
 	e.Observe, e.JoinSpeedup = true, true
-	rec := e.Record(Spec{App: "Jacobi", Version: core.Tmk, Procs: 4, Scale: core.SmallScale})
+	rec := recordT(b, e, Spec{App: "Jacobi", Version: core.Tmk, Procs: 4, Scale: core.SmallScale})
 	if rec.Error != "" {
 		b.Fatal(rec.Error)
 	}

@@ -33,8 +33,8 @@ import (
 // carries the spec that was asked for (Labelled).
 type Engine struct {
 	// Costs is the interconnect/protocol calibration. Its contention
-	// and FIFO knobs are overridden per spec (Spec.Contention,
-	// Spec.FIFO), so the identity of a run is the spec alone.
+	// knobs are overridden per spec (Spec.Contention), so the identity
+	// of a run is the spec alone.
 	Costs model.Costs
 	// App is the per-application compute calibration.
 	App model.AppCosts
@@ -74,7 +74,7 @@ type Engine struct {
 
 	// Store, when non-nil, is the persistent record cache underneath
 	// the in-memory result cache, one entry per run: the record paths
-	// (Record, Stream, StreamWith) serve a stored run byte-identically
+	// (Stream, StreamWith) serve a stored run byte-identically
 	// without simulating it, and every run that executes and succeeds is
 	// written back once, under the run's own key — the labels that share
 	// it go back on as its records leave. The Result paths (Run, Sweep)
@@ -131,10 +131,10 @@ func NewEngine(costs model.Costs, app model.AppCosts) *Engine {
 
 // Config resolves the concrete run configuration for a spec: the
 // application's sizing for (scale, procs) plus the engine calibration
-// with the spec's contention and delivery-order knobs applied.
+// with the spec's contention knobs applied.
 func (e *Engine) Config(a core.App, s Spec) core.Config {
 	cfg := a.Config(s.Scale, s.Procs)
-	cfg.Costs = e.Costs.WithContention(s.Contention).WithFIFOPairs(s.FIFO)
+	cfg.Costs = e.Costs.WithContention(s.Contention)
 	cfg.App = e.App
 	cfg.Protocol = s.Protocol
 	cfg.HomePolicy = s.HomePolicy
@@ -484,14 +484,6 @@ func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
 		}
 	}
 	return out, errors.Join(errs...)
-}
-
-// Record executes one spec and renders it as a JSON-lines record,
-// joining the sequential baseline when JoinSpeedup is set. A baseline
-// failure surfaces on the record's own error field only if the run
-// itself failed; an unjoinable baseline leaves the join fields absent.
-func (e *Engine) Record(s Spec) Record {
-	return e.labelled(PlanRuns([]Spec{s}, e.JoinSpeedup), 0, s)
 }
 
 // labelled is the record of p's requested spec i, s: its run's record,

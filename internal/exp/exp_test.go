@@ -25,7 +25,7 @@ func testGrid() []Spec {
 
 func TestSpecKeyRoundTrip(t *testing.T) {
 	specs := append(testGrid(),
-		Spec{App: "3-D FFT", Version: core.SPFOpt, Procs: 8, Scale: core.PaperScale, Protocol: proto.HomeLRC, Contention: -1, FIFO: true},
+		Spec{App: "3-D FFT", Version: core.SPFOpt, Procs: 8, Scale: core.PaperScale, Protocol: proto.HomeLRC, Contention: -1},
 		Spec{App: "NBF", Version: core.Seq, Procs: 1, Scale: core.MidScale, Contention: 4},
 	)
 	seen := map[string]bool{}
@@ -69,7 +69,7 @@ func TestAxesCrossProductOrder(t *testing.T) {
 }
 
 func TestParseAxes(t *testing.T) {
-	a, err := ParseAxes([]string{"procs=1,2,4,8", "protocol=lrc,hlrc", "fifo=true"})
+	a, err := ParseAxes([]string{"procs=1,2,4,8", "protocol=lrc,hlrc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,7 @@ func TestParseAxes(t *testing.T) {
 	if !reflect.DeepEqual(a.Protocols, []proto.Name{proto.HomelessLRC, proto.HomeLRC}) {
 		t.Errorf("protocols = %v", a.Protocols)
 	}
-	if !reflect.DeepEqual(a.FIFOs, []bool{true}) {
-		t.Errorf("fifos = %v", a.FIFOs)
-	}
-	for _, bad := range []string{"procs", "procs=0", "scale=huge", "protocol=zzz", "contention=-2", "nope=1", "fifo=maybe", "procs="} {
+	for _, bad := range []string{"procs", "procs=0", "scale=huge", "protocol=zzz", "contention=-2", "nope=1", "fifo=true", "fifo=0", "procs="} {
 		if _, err := ParseAxes([]string{bad}); err == nil {
 			t.Errorf("ParseAxes accepted %q", bad)
 		}

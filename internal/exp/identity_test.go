@@ -30,7 +30,7 @@ func TestEveryVersionHasAClass(t *testing.T) {
 		}
 	}
 	odd := Spec{App: "Jacobi", Version: "tmk-next", Procs: 4, Scale: core.SmallScale,
-		Protocol: proto.HomelessLRC, HomePolicy: proto.AdaptivePolicy, Contention: 2, FIFO: true}
+		Protocol: proto.HomelessLRC, HomePolicy: proto.AdaptivePolicy, Contention: 2}
 	if got := odd.Canonical(); got != odd {
 		t.Errorf("unnamed version canonicalizes to %+v, want itself", got)
 	}
@@ -41,7 +41,7 @@ func TestEveryVersionHasAClass(t *testing.T) {
 func everyLabel(s Spec) []Spec {
 	switch rt := core.Describe(s.Version).Runtime; {
 	case rt == core.SeqRuntime:
-		s.Procs, s.Contention, s.FIFO = 4, 2, true
+		s.Procs, s.Contention = 4, 2
 		s.Protocol, s.HomePolicy = proto.HomeLRC, proto.AdaptivePolicy
 		return []Spec{s}
 	case !rt.OnDSM():
@@ -112,15 +112,15 @@ func TestCanonicalRunIsTheLabelledRun(t *testing.T) {
 // round-trips through Key and ParseKey like any spec.
 func FuzzCanonical(f *testing.F) {
 	for _, s := range append(labelHeavySpecs(),
-		Spec{App: "gen-7", Version: core.XHPFGen, Procs: 3, Scale: core.MidScale, Protocol: "hlrc", HomePolicy: "static", Contention: -1, FIFO: true},
+		Spec{App: "gen-7", Version: core.XHPFGen, Procs: 3, Scale: core.MidScale, Protocol: "hlrc", HomePolicy: "static", Contention: -1},
 		Spec{App: "NBF", Version: "tmk-next", Procs: 8, Protocol: "lrc", HomePolicy: "adaptive"},
 		Spec{App: "Jacobi", Version: core.Seq, Procs: 0, Scale: "huge", Protocol: "zzz", Contention: -7},
 	) {
-		f.Add(s.App, string(s.Version), s.Procs, string(s.Scale), string(s.Protocol), s.Contention, s.FIFO, string(s.HomePolicy))
+		f.Add(s.App, string(s.Version), s.Procs, string(s.Scale), string(s.Protocol), s.Contention, string(s.HomePolicy))
 	}
-	f.Fuzz(func(t *testing.T, app, version string, procs int, scale, protocol string, contention int, fifo bool, policy string) {
+	f.Fuzz(func(t *testing.T, app, version string, procs int, scale, protocol string, contention int, policy string) {
 		s := Spec{App: app, Version: core.Version(version), Procs: procs, Scale: core.Scale(scale),
-			Protocol: proto.Name(protocol), Contention: contention, FIFO: fifo, HomePolicy: proto.PolicyName(policy)}
+			Protocol: proto.Name(protocol), Contention: contention, HomePolicy: proto.PolicyName(policy)}
 		c := s.Canonical()
 		if again := c.Canonical(); again != c {
 			t.Fatalf("not idempotent: %+v -> %+v -> %+v", s, c, again)

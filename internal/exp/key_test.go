@@ -18,22 +18,19 @@ import (
 
 // refKey is Spec.Key as it stood through PR 14, frozen here: every
 // store on disk and every cached stream is keyed by these strings, so
-// the append-built Key must return them byte for byte.
+// the append-built Key must return them byte for byte. The fifo field
+// is retired at its default, 0.
 func refKey(s Spec) string {
-	fifo := 0
-	if s.FIFO {
-		fifo = 1
-	}
-	key := fmt.Sprintf("app=%s|version=%s|procs=%d|scale=%s|protocol=%s|contention=%d|fifo=%d",
-		s.App, s.Version, s.Procs, s.Scale, s.Protocol, s.Contention, fifo)
+	key := fmt.Sprintf("app=%s|version=%s|procs=%d|scale=%s|protocol=%s|contention=%d|fifo=0",
+		s.App, s.Version, s.Procs, s.Scale, s.Protocol, s.Contention)
 	if s.HomePolicy != "" {
 		key += fmt.Sprintf("|homepolicy=%s", s.HomePolicy)
 	}
 	return key
 }
 
-// keyTable crosses every version, scale, protocol, home policy,
-// contention mode and delivery order, and draws the application
+// keyTable crosses every version, scale, protocol, home policy and
+// contention mode, and draws the application
 // (registry and generated names), the processor count and the backplane
 // bound at random.
 func keyTable() []Spec {
@@ -46,12 +43,10 @@ func keyTable() []Spec {
 			for _, p := range append([]proto.Name{""}, proto.Names()...) {
 				for _, hp := range append([]proto.PolicyName{""}, proto.PolicyNames()...) {
 					for _, c := range []int{-1, 0, 1 + rng.Intn(1<<20)} {
-						for _, fifo := range []bool{false, true} {
-							specs = append(specs, Spec{
-								App: apps[rng.Intn(len(apps))], Version: v, Procs: 1 + rng.Intn(4096),
-								Scale: sc, Protocol: p, Contention: c, FIFO: fifo, HomePolicy: hp,
-							})
-						}
+						specs = append(specs, Spec{
+							App: apps[rng.Intn(len(apps))], Version: v, Procs: 1 + rng.Intn(4096),
+							Scale: sc, Protocol: p, Contention: c, HomePolicy: hp,
+						})
 					}
 				}
 			}
@@ -83,14 +78,14 @@ func TestSpecKeyMatchesFrozenReference(t *testing.T) {
 		}
 	}
 	s := Spec{App: "3-D FFT", Version: core.SPFOpt, Procs: 8, Scale: core.PaperScale,
-		Protocol: proto.HomeLRC, Contention: -1, FIFO: true, HomePolicy: proto.AdaptivePolicy}
+		Protocol: proto.HomeLRC, Contention: -1, HomePolicy: proto.AdaptivePolicy}
 	if n := testing.AllocsPerRun(100, func() { s.Key() }); n != 1 {
 		t.Errorf("Key allocates %v times, want 1 (the returned string)", n)
 	}
 }
 
 // frozenKeys reads testdata/keys_pr14.txt: Key() output written by the
-// PR 14 build over every version × protocol × contention mode.
+// PR 14 build over every version × protocol × contention mode × fifo.
 func frozenKeys(t *testing.T) []string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "keys_pr14.txt"))
@@ -100,6 +95,32 @@ func frozenKeys(t *testing.T) []string {
 	return strings.Split(strings.TrimSpace(string(b)), "\n")
 }
 
+// TestFrozenKeysRoundTrip: every frozen key parses back to a spec whose
+// Key is the same bytes — except those that ask for fifo=1, the retired
+// non-overtaking delivery, which ParseKey refuses.
+func TestFrozenKeysRoundTrip(t *testing.T) {
+	refused := 0
+	for _, key := range frozenKeys(t) {
+		s, err := ParseKey(key)
+		if strings.Contains(key, "|fifo=1") {
+			refused++
+			if err == nil {
+				t.Errorf("ParseKey(%q) = %+v, want it refused", key, s)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("ParseKey(%q): %v", key, err)
+		}
+		if s.Key() != key {
+			t.Errorf("ParseKey(%q).Key() = %q", key, s.Key())
+		}
+	}
+	if refused == 0 {
+		t.Error("no frozen key carries fifo=1")
+	}
+}
+
 // TestStoreWrittenUnderFrozenKeysIsServed: a store whose entries sit
 // under the parent build's key strings serves every canonical spec among
 // them — a hit each, nothing executed. The specs come from ParseKey, not
@@ -107,7 +128,12 @@ func frozenKeys(t *testing.T) []string {
 // key's entry is not its run's: the run executes once, is written back
 // under its own key, and streams the bytes a store-less engine gives.
 func TestStoreWrittenUnderFrozenKeysIsServed(t *testing.T) {
-	keys := frozenKeys(t)
+	var keys []string
+	for _, key := range frozenKeys(t) {
+		if !strings.Contains(key, "|fifo=1") { // refused: TestFrozenKeysRoundTrip
+			keys = append(keys, key)
+		}
+	}
 	lines := make([][]byte, len(keys))
 	var canonical, labelled []Spec
 	var want bytes.Buffer
@@ -179,7 +205,7 @@ func runnable(s Spec) bool {
 // recordLine runs one spec and returns its record line.
 func recordLine(tb testing.TB, s Spec) []byte {
 	tb.Helper()
-	rec := New().Record(s)
+	rec := recordT(tb, New(), s)
 	if rec.Error != "" {
 		tb.Fatal(rec.Error)
 	}

@@ -14,8 +14,7 @@ import (
 // this build's SchemaVersion validates, and any other stamp is
 // rejected — mismatched builds must fail validation, never merge.
 func TestRecordSchemaVersion(t *testing.T) {
-	e := New()
-	rec := e.Record(Spec{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale})
+	rec := recordT(t, New(), Spec{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale})
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("unstamped record: %v", err)
 	}

@@ -48,9 +48,6 @@ type Spec struct {
 	// model.Costs.WithContention: 0 off, -1 serial NICs over an ideal
 	// backplane, N > 0 serial NICs plus an N-way backplane bound.
 	Contention int `json:"contention,omitempty"`
-	// FIFO opts in to non-overtaking (src, dst)-pair delivery
-	// (sim.Config.FIFOPairs).
-	FIFO bool `json:"fifo,omitempty"`
 	// HomePolicy selects the home-placement policy of the home-based
 	// protocol (empty: static homes). Non-hlrc runs ignore it: on their
 	// specs it is a label (see Canonical), kept so policy sweeps stay
@@ -81,7 +78,7 @@ func (s Spec) Normalize() Spec {
 // asked for. This is the one place that knows which axes are labels.
 //
 // The version's runtime (core.Describe) decides: seq reads none of
-// procs, protocol, home policy, contention and FIFO; message passing
+// procs, protocol, home policy and contention; message passing
 // reads neither the protocol nor the home policy; a DSM version reads
 // every axis but the home policy under the homeless protocol, which has
 // no homes. A version the table does not name is its own run.
@@ -123,11 +120,9 @@ func (s Spec) appendKey(b []byte) []byte {
 	b = append(b, s.Protocol...)
 	b = append(b, "|contention="...)
 	b = strconv.AppendInt(b, int64(s.Contention), 10)
-	if s.FIFO {
-		b = append(b, "|fifo=1"...)
-	} else {
-		b = append(b, "|fifo=0"...)
-	}
+	// A retired axis: every key still carries its one value, so stored
+	// records and pinned keys keep their bytes.
+	b = append(b, "|fifo=0"...)
 	if s.HomePolicy != "" {
 		b = append(b, "|homepolicy="...)
 		b = append(b, s.HomePolicy...)
@@ -137,7 +132,8 @@ func (s Spec) appendKey(b []byte) []byte {
 
 // ParseKey decodes a Key back into a Spec. It round-trips exactly:
 // ParseKey(s.Key()) == s for every spec whose fields contain no '|' or
-// '=' (no application or version name does).
+// '=' (no application or version name does). A key that asks for
+// non-overtaking pair delivery (fifo=1), a retired axis, is refused.
 func ParseKey(key string) (Spec, error) {
 	var s Spec
 	for _, field := range strings.Split(key, "|") {
@@ -156,18 +152,19 @@ func ParseKey(key string) (Spec, error) {
 			s.Protocol = proto.Name(v)
 		case "homepolicy":
 			s.HomePolicy = proto.PolicyName(v)
-		case "procs", "contention", "fifo":
+		case "fifo":
+			if v != "0" {
+				return Spec{}, fmt.Errorf("exp: key %q asks for fifo=%s; non-overtaking delivery is retired", key, v)
+			}
+		case "procs", "contention":
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return Spec{}, fmt.Errorf("exp: bad %s in key %q: %v", k, key, err)
 			}
-			switch k {
-			case "procs":
+			if k == "procs" {
 				s.Procs = n
-			case "contention":
+			} else {
 				s.Contention = n
-			case "fifo":
-				s.FIFO = n != 0
 			}
 		default:
 			return Spec{}, fmt.Errorf("exp: unknown key field %q in %q", k, key)

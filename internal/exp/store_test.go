@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,6 +33,15 @@ func streamT(t *testing.T, e *Engine, specs []Spec) []byte {
 		t.Fatalf("Stream: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// recordT streams one spec through e and returns its record; a failed
+// run is an error record.
+func recordT(tb testing.TB, e *Engine, s Spec) Record {
+	tb.Helper()
+	var rec Record
+	e.StreamWith(io.Discard, []Spec{s}, func(r *Record) { rec = *r }) //nolint:errcheck // the error is rec.Error
+	return rec
 }
 
 // TestStoreKeepsSweepBytes is the tentpole invariant: sweep output is
@@ -354,7 +364,7 @@ func TestNonFiniteChecksumIsARunError(t *testing.T) {
 		if _, err := e.Sweep([]Spec{s}); err == nil || err.Error() != want {
 			t.Errorf("checksum %v: Sweep error = %v, want %q", bad, err, want)
 		}
-		if rec := e.Record(s); rec.Error != want || rec.Checksum != 0 || rec.TimeNanos != 0 {
+		if rec := recordT(t, e, s); rec.Error != want || rec.Checksum != 0 || rec.TimeNanos != 0 {
 			t.Errorf("checksum %v: record = %+v, want the error record %q", bad, rec, want)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // Axes describes a sweep as per-axis value lists. Specs expands the
 // cross-product in fixed nested order — app outermost, then version,
-// procs, scale, protocol, contention, fifo, homepolicy innermost —
+// procs, scale, protocol, contention, homepolicy innermost —
 // which defines the canonical output order of every sweep. An empty
 // axis is pinned to the base spec's value for that field.
 type Axes struct {
@@ -21,7 +21,6 @@ type Axes struct {
 	Scales       []core.Scale
 	Protocols    []proto.Name
 	Contentions  []int
-	FIFOs        []bool
 	HomePolicies []proto.PolicyName
 }
 
@@ -53,10 +52,6 @@ func (a Axes) Specs(base Spec) []Spec {
 	if len(contentions) == 0 {
 		contentions = []int{base.Contention}
 	}
-	fifos := a.FIFOs
-	if len(fifos) == 0 {
-		fifos = []bool{base.FIFO}
-	}
 	policies := a.HomePolicies
 	if len(policies) == 0 {
 		policies = []proto.PolicyName{base.HomePolicy}
@@ -68,14 +63,11 @@ func (a Axes) Specs(base Spec) []Spec {
 				for _, sc := range scales {
 					for _, pr := range protocols {
 						for _, ct := range contentions {
-							for _, ff := range fifos {
-								for _, hp := range policies {
-									out = append(out, Spec{
-										App: app, Version: v, Procs: p, Scale: sc,
-										Protocol: pr, Contention: ct, FIFO: ff,
-										HomePolicy: hp,
-									})
-								}
+							for _, hp := range policies {
+								out = append(out, Spec{
+									App: app, Version: v, Procs: p, Scale: sc,
+									Protocol: pr, Contention: ct, HomePolicy: hp,
+								})
 							}
 						}
 					}
@@ -88,11 +80,10 @@ func (a Axes) Specs(base Spec) []Spec {
 
 // ParseAxes builds Axes from `key=v1,v2,...` tokens — the CLI sweep
 // syntax (e.g. "procs=1,2,4,8 protocol=lrc,hlrc" split into tokens).
-// Keys: app, version, procs, scale, protocol, contention, fifo,
-// homepolicy. Blank
-// tokens are ignored; repeated keys append. A token without '=' is a
-// continuation of the previous token's value list, rejoined with a
-// space — application names contain spaces ("3-D FFT"), and shells
+// Keys: app, version, procs, scale, protocol, contention, homepolicy.
+// Blank tokens are ignored; repeated keys append. A token without '='
+// is a continuation of the previous token's value list, rejoined with
+// a space — application names contain spaces ("3-D FFT"), and shells
 // split them into separate tokens (`-sweep "app=Jacobi,3-D FFT"`).
 func ParseAxes(tokens []string) (Axes, error) {
 	var joined []string
@@ -154,14 +145,8 @@ func ParseAxes(tokens []string) (Axes, error) {
 					return Axes{}, fmt.Errorf("exp: bad contention %q in sweep (want 0, -1, or a positive backplane bound)", v)
 				}
 				a.Contentions = append(a.Contentions, n)
-			case "fifo":
-				b, err := strconv.ParseBool(v)
-				if err != nil {
-					return Axes{}, fmt.Errorf("exp: bad fifo %q in sweep", v)
-				}
-				a.FIFOs = append(a.FIFOs, b)
 			default:
-				return Axes{}, fmt.Errorf("exp: unknown sweep axis %q (have app, version, procs, scale, protocol, contention, fifo, homepolicy)", key)
+				return Axes{}, fmt.Errorf("exp: unknown sweep axis %q (have app, version, procs, scale, protocol, contention, homepolicy)", key)
 			}
 		}
 	}

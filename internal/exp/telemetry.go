@@ -108,7 +108,7 @@ var (
 
 // reporters holds, per registry, the engines reporting on it: the
 // func-backed engine families sum over all of them, so one process's
-// engines — cmd/experiments keeps a plain and an observing one over one
+// engines — dsmrun -tables keeps a plain and an observing one over one
 // store — report in one registry. The store families read the first of
 // them to have a store.
 var reporters sync.Map // *metrics.Registry → *reporting

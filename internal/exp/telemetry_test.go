@@ -102,8 +102,8 @@ func TestEngineHostStats(t *testing.T) {
 }
 
 // TestEnginesShareARegistry: engines reporting on one registry — a
-// plain and an observing one over one store, as the experiments command
-// keeps — report their summed counters, and the store's once.
+// plain and an observing one over one store, as dsmrun -tables keeps —
+// report their summed counters, and the store's once.
 func TestEnginesShareARegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	st := openStoreT(t, t.TempDir())

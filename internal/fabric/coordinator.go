@@ -364,9 +364,9 @@ func leaseID(g grant) string {
 	return fmt.Sprintf("r%d-%d.%d", g.r.lo, g.r.hi, g.attempt)
 }
 
-// serveLocal is the fallback executor: it runs attempt-exhausted
+// serveLocal is the fallback executor: it streams attempt-exhausted
 // ranges (and, once no live workers remain, everything unfinished)
-// through the local engine.
+// through the local engine, as a worker streams a lease.
 func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, rl *exp.Runs) {
 	for {
 		g, ok := tbl.next(true)
@@ -375,10 +375,13 @@ func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, rl *exp.Runs)
 		}
 		r := g.r
 		c.logf("fabric: running range r%d-%d (%d runs) locally", r.lo, r.hi, r.hi-r.lo)
-		recs := make([]exp.Record, 0, r.hi-r.lo)
+		specs := make([]exp.Spec, 0, r.hi-r.lo)
 		for pos := r.lo; pos < r.hi; pos++ {
-			recs = append(recs, eng.Record(rl.Spec(pos)))
+			specs = append(specs, rl.Spec(pos))
 		}
+		recs := make([]exp.Record, 0, len(specs))
+		// Run failures are error records; the merge reports them.
+		eng.StreamWith(io.Discard, specs, func(rec *exp.Record) { recs = append(recs, *rec) }) //nolint:errcheck
 		c.localRecords.Add(int64(len(recs)))
 		tbl.deliver(g, recs)
 	}

@@ -74,6 +74,8 @@ func contentionColumns(v core.Version, p proto.Name) []contentionColumn {
 // Checksums must not depend on the contention point — queueing delays
 // messages but never reorders matching ones — so a column whose
 // checksum differs from its ideal-interconnect run refuses the table.
+// The base contention (dsmrun -contention) is separate: it puts every
+// other table on the contended SP/2.
 var Contention = Table{Name: "contention", Specs: contentionSpecs, Render: renderContention}
 
 func contentionSpecs(base exp.Spec) (specs []exp.Spec) {

@@ -33,7 +33,8 @@ var GenDiffSeeds = func() []int64 {
 var GenDiffProcs = []int{2, 4, 8}
 
 // GenDiff runs the differential lattice over GenDiffSeeds and reports
-// one line per program. Any divergence fails the experiment. It checks
+// one line per program. Any divergence fails the experiment; dsmrun
+// -gen <seed> replays and minimizes it. It checks
 // generated programs against their oracle and uses no engine, so it is
 // not a render over records: it reads only the engine's calibration.
 var GenDiff = Table{Name: "gendiff", Run: runGenDiff}

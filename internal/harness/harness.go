@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -10,15 +11,15 @@ import (
 
 // A Table is one experiment of the evaluation: the runs it reads, as a
 // spec list derived from a base spec, and a render over their records.
-// The base spec carries what the experiments command's flags set — the
-// processor count, scale, protocol, home policy and contention — and a
-// table may vary any of it (the protocols table sweeps processors and
-// protocols). A table reads records, not results, so a store that holds
-// its runs serves it without simulating.
+// The base spec carries what dsmrun's flags set — the processor count,
+// scale, protocol, home policy and contention — and a table may vary
+// any of it (the protocols table sweeps processors and protocols). A
+// table reads records, not results, so a store that holds its runs
+// serves it without simulating.
 type Table struct {
 	Name string
 	// Paper marks the paper's own tables and figures: the ones the
-	// experiments command prints when none is named.
+	// name "paper" selects.
 	Paper bool
 	// Observe marks a table that reads the time attribution (the bd_*
 	// fields): its records come from an observing engine.
@@ -58,10 +59,35 @@ func records(e *exp.Engine, specs []exp.Spec) ([]exp.Record, error) {
 	return recs, err
 }
 
-// Tables lists every experiment, in the experiments command's order.
+// Tables lists every experiment; "paper" selects the Paper ones in this
+// order.
 var Tables = []Table{
 	Table1, Figure1, Table2, Figure2, Table3, HandOpt, Interface,
 	Scalability, Protocols, Compiler, Contention, Migration, GenDiff, Breakdown,
+}
+
+// Select resolves a comma-separated list of table names to the tables,
+// in the order named. The name "paper" stands for the Paper tables, in
+// Tables order. Every name is checked before any table runs: a typo
+// late in the list must not cost the tables before it.
+func Select(list string) ([]Table, error) {
+	var out []Table
+	for _, name := range strings.Split(list, ",") {
+		n, want := len(out), strings.TrimSpace(name)
+		for _, t := range Tables {
+			if t.Name == want || (want == "paper" && t.Paper) {
+				out = append(out, t)
+			}
+		}
+		if len(out) == n {
+			names := make([]string, len(Tables))
+			for i, t := range Tables {
+				names[i] = t.Name
+			}
+			return nil, fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+		}
+	}
+	return out, nil
 }
 
 // at is base's spec of one application version.

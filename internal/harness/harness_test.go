@@ -57,7 +57,7 @@ func underPolicy(s exp.Spec, pol proto.PolicyName) exp.Spec {
 	return s.Normalize()
 }
 
-// smallBase is the experiments command's base spec at -scale small
+// smallBase is the base spec of dsmrun -tables at -scale small
 // -procs 4.
 var smallBase = exp.Spec{Procs: 4, Scale: core.SmallScale, Protocol: proto.HomelessLRC}
 
@@ -83,7 +83,7 @@ func TestAllExperimentsSmall(t *testing.T) {
 	}
 }
 
-// printTables prints every table the way the experiments command does —
+// printTables prints every table the way dsmrun -tables does —
 // each followed by a blank line, the time-attribution table through an
 // observing engine — and counts the runs each table started.
 func printTables(t *testing.T, st *store.Store) (string, map[string]int64) {
@@ -109,7 +109,7 @@ func printTables(t *testing.T, st *store.Store) (string, map[string]int64) {
 }
 
 // TestTablesMatchGolden pins every table's bytes: the output of
-// `experiments -scale small -procs 4 -only <every table>`, kept in
+// `dsmrun -tables <every table> -scale small -procs 4`, kept in
 // testdata/experiments-small.txt. The tables render it from a cold
 // engine and again from the store that cold pass wrote, where every
 // table but migration — whose flush column no record carries — starts
@@ -139,6 +139,39 @@ func TestTablesMatchGolden(t *testing.T) {
 			if n := started[tab.Name]; (n != 0) != (tab.Name == "migration") {
 				t.Errorf("warm %s started %d runs", tab.Name, n)
 			}
+		}
+	}
+}
+
+// TestSelect: "paper" stands for the Paper tables in Tables order,
+// other names keep the order given, and an unknown name is refused
+// with the list of every name.
+func TestSelect(t *testing.T) {
+	every := "table1, figure1, table2, figure2, table3, handopt, interface, scalability, protocols, compiler, contention, migration, gendiff, breakdown"
+	for _, c := range []struct {
+		list string
+		want string // the selected names, or the error
+	}{
+		{"paper", "table1 figure1 table2 figure2 table3 handopt interface"},
+		{"breakdown,table1,protocols", "breakdown table1 protocols"},
+		{"gendiff, paper,gendiff", "gendiff table1 figure1 table2 figure2 table3 handopt interface gendiff"},
+		{"nope", `unknown experiment "nope" (have ` + every + ")"},
+		{"scalability,nope", `unknown experiment "nope" (have ` + every + ")"},
+		{"", `unknown experiment "" (have ` + every + ")"},
+	} {
+		tabs, err := Select(c.list)
+		var got string
+		if err != nil {
+			got = err.Error()
+		} else {
+			names := make([]string, len(tabs))
+			for i, tab := range tabs {
+				names[i] = tab.Name
+			}
+			got = strings.Join(names, " ")
+		}
+		if got != c.want {
+			t.Errorf("Select(%q) = %s, want %s", c.list, got, c.want)
 		}
 	}
 }

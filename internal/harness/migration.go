@@ -40,7 +40,9 @@ var MigrationProcCounts = []int{1, 2, 4, 8}
 // diff-flush traffic, Stats.BytesOf(KindDiff), which no record field
 // carries, so it sweeps its grid through the engine's Result path —
 // which always simulates, store or no store — and renders the records
-// of those results beside their flush bytes.
+// of those results beside their flush bytes. The base home policy
+// (dsmrun -homepolicy, with -protocol hlrc) is the one every other
+// table runs under.
 var Migration = Table{Name: "migration", Run: runMigration}
 
 func migrationSpecs(base exp.Spec) (specs []exp.Spec) {

@@ -49,7 +49,9 @@ func DSMVersions(a core.App) []core.Version {
 // Protocols prints the protocol-comparison experiment: every paper
 // application's representative DSM version at each node count under
 // every protocol, in proto.Names() order. A checksum that differs
-// across protocols refuses the table.
+// across protocols refuses the table. The base protocol (dsmrun
+// -protocol; lrc, the paper's, by default) is the one every other
+// table runs under.
 var Protocols = Table{Name: "protocols", Specs: protocolSpecs, Render: renderProtocols}
 
 func protocolSpecs(base exp.Spec) (specs []exp.Spec) {

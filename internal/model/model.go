@@ -54,13 +54,6 @@ type Costs struct {
 	// is single-run state).
 	Trace *obs.Trace
 
-	// FIFOPairs opts in to non-overtaking delivery within each
-	// (src, dst) process pair, as the real PVMe/MPL transports
-	// guaranteed. Off by default: the infinite-capacity interconnect
-	// historically let a small message overtake a larger one in the
-	// same pair, and the golden virtual times pin that default.
-	FIFOPairs bool
-
 	// Message-passing library (PVMe/XHPF) data handling: packing data
 	// into and out of transmit buffers costs CPU per byte. PVM-family
 	// libraries were notorious for this; it is what keeps the large
@@ -137,13 +130,6 @@ func (c Costs) WithContention(ways int) Costs {
 	return c
 }
 
-// WithFIFOPairs returns the calibration with non-overtaking
-// (src, dst)-pair delivery switched on or off.
-func (c Costs) WithFIFOPairs(on bool) Costs {
-	c.FIFOPairs = on
-	return c
-}
-
 // SimConfig renders the interconnect part of the cost model as a
 // simulator configuration for n processes, each on its own node.
 func (c Costs) SimConfig(procs int) sim.Config {
@@ -164,7 +150,6 @@ func (c Costs) SimConfigNodes(procs, nodes int) sim.Config {
 		RecvOverhead:  c.RecvOverhead,
 		HeaderBytes:   c.HeaderBytes,
 		BackplaneWays: c.BackplaneWays,
-		FIFOPairs:     c.FIFOPairs,
 		Trace:         c.Trace,
 	}
 	if c.SerialNIC {

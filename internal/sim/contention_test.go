@@ -391,3 +391,86 @@ func TestContentionDelaysAreMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueAttributionByResourceAndKind pins the contention model's
+// split queueing accounting: an out-link storm binds on QueueOut, a
+// gather binds the root's incoming link on QueueIn, a disjoint-pair
+// transfer under a 1-way backplane binds on QueueBackplane — and every
+// delay is simultaneously attributed to the message's traffic category.
+func TestQueueAttributionByResourceAndKind(t *testing.T) {
+	// Out-link: one sender, two back-to-back data messages to distinct
+	// nodes queue on the sender's outgoing link.
+	c := New(contendedConfig(3, 0))
+	if err := c.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			p.Send(1, 1, nil, 968, stats.KindData)
+			p.Send(2, 1, nil, 968, stats.KindBarrier)
+		default:
+			p.Recv(0, 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	total := st.TotalQueueNanos()
+	if total == 0 {
+		t.Fatal("expected out-link queueing")
+	}
+	if got := st.QueueResNanosOf(stats.QueueOut); got != total {
+		t.Errorf("out-link delay = %d, want all of %d", got, total)
+	}
+	if got := st.QueueKindNanosOf(stats.KindBarrier); got != total {
+		t.Errorf("kind split: barrier delay = %d, want %d (the queued message was the barrier one)", got, total)
+	}
+
+	// In-link: two senders to one root at the same virtual time; the
+	// second binds on the root's incoming link.
+	c = New(contendedConfig(3, 0))
+	if err := c.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0, 1:
+			p.Send(2, 1, nil, 968, stats.KindData)
+		case 2:
+			p.Recv(AnySrc, 1)
+			p.Recv(AnySrc, 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st = c.Stats()
+	if st.TotalQueueNanos() == 0 || st.QueueResNanosOf(stats.QueueIn) != st.TotalQueueNanos() {
+		t.Errorf("gather delay: in-link = %d, want all of %d", st.QueueResNanosOf(stats.QueueIn), st.TotalQueueNanos())
+	}
+
+	// Backplane: disjoint pairs under a 1-way backplane; the second
+	// transfer binds on the backplane (its own NICs are idle).
+	c = New(contendedConfig(4, 1))
+	if err := c.Run(func(p *Proc) {
+		switch p.ID() {
+		case 0:
+			p.Send(1, 1, nil, 968, stats.KindData)
+		case 2:
+			p.Send(3, 1, nil, 968, stats.KindData)
+		case 1:
+			p.Recv(0, 1)
+		case 3:
+			p.Recv(2, 1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st = c.Stats()
+	if st.TotalQueueNanos() == 0 || st.QueueResNanosOf(stats.QueueBackplane) != st.TotalQueueNanos() {
+		t.Errorf("backplane delay = %d, want all of %d", st.QueueResNanosOf(stats.QueueBackplane), st.TotalQueueNanos())
+	}
+
+	// The per-resource split always sums to the per-node totals.
+	var resSum int64
+	for _, r := range stats.AllQueueResources() {
+		resSum += st.QueueResNanosOf(r)
+	}
+	if resSum != st.TotalQueueNanos() {
+		t.Errorf("resource split sums to %d, want %d", resSum, st.TotalQueueNanos())
+	}
+}

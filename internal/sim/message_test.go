@@ -143,31 +143,68 @@ func TestEffectiveCacheMatchesRecompute(t *testing.T) {
 	}
 }
 
+// sendBigThenSmall has proc 0 send a large message and then a tiny one
+// to proc 1 back-to-back, and returns the delivery times observed by
+// the receiver in *send* order plus the source order in which the
+// receiver's wildcard Recv consumed them.
+func sendBigThenSmall(t *testing.T, cfg Config) (bigDeliver, smallDeliver Time, firstTag int) {
+	t.Helper()
+	const big, small = 8192, 0
+	c := New(cfg)
+	if err := c.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			p.Send(1, 1, nil, big, stats.KindData)
+			p.Send(1, 2, nil, small, stats.KindData)
+			return
+		}
+		m := p.Recv(AnySrc, AnyTag)
+		firstTag = m.Tag
+		m2 := p.Recv(AnySrc, AnyTag)
+		for _, mm := range []Message{m, m2} {
+			if mm.Tag == 1 {
+				bigDeliver = mm.Deliver
+			} else {
+				smallDeliver = mm.Deliver
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return bigDeliver, smallDeliver, firstTag
+}
+
+// TestPairOvertakingDefault documents that delivery within a (src, dst)
+// pair is not FIFO: on the infinite-capacity interconnect, a small
+// message sent immediately after a large one to the same destination
+// overtakes it (its serialization time is shorter than the gap the
+// sender's SendOverhead leaves). Runtimes match messages by tag, never
+// by arrival order.
+func TestPairOvertakingDefault(t *testing.T) {
+	big, small, firstTag := sendBigThenSmall(t, testConfig(2))
+	if small >= big {
+		t.Fatalf("expected overtaking on the default config: small deliver %v, big deliver %v", small, big)
+	}
+	if firstTag != 2 {
+		t.Errorf("wildcard Recv consumed tag %d first, want the overtaking small message (tag 2)", firstTag)
+	}
+}
+
 // TestDeepInboxReceivesInDeliveryOrder: Recv fills a consumed slot with
 // the inbox's last message, so positions are scrambled by the first
 // receive from the middle. Order must not depend on them: successive
 // receives under one filter come out in strictly increasing
-// (Deliver, seq), whichever filter and however deep the inbox. With
-// FIFOPairs the small messages behind a large one are clamped to its
-// delivery time — ties that only seq can break; without, they overtake
-// it and delivery order differs from send order.
+// (Deliver, seq), whichever filter and however deep the inbox. The
+// small messages behind a large one overtake it, so delivery order
+// differs from send order.
 func TestDeepInboxReceivesInDeliveryOrder(t *testing.T) {
-	for _, fifo := range []bool{true, false} {
-		deepInboxOrder(t, fifo)
-	}
-}
-
-func deepInboxOrder(t *testing.T, fifo bool) {
 	const depth, tags = 512, 4
-	cfg := testConfig(2)
-	cfg.FIFOPairs = fifo
 	var counts [tags]int
-	if err := checkedCluster(t, cfg).Run(func(p *Proc) {
+	if err := checkedCluster(t, testConfig(2)).Run(func(p *Proc) {
 		if p.ID() == 0 {
 			for i := 0; i < depth; i++ {
 				size := 16
 				if i%37 == 0 {
-					size = 64 << 10 // under FIFOPairs the next 36 tie with its delivery
+					size = 64 << 10 // the small messages after it overtake it
 				}
 				p.Send(1, i%tags, nil, size, stats.KindData)
 			}
@@ -185,11 +222,6 @@ func deepInboxOrder(t *testing.T, fifo bool) {
 				if i > 0 && (m.Deliver < prev.Deliver || (m.Deliver == prev.Deliver && m.seq <= prev.seq)) {
 					t.Fatalf("recv(%d,%d) #%d: (deliver %v, seq %d) after (deliver %v, seq %d)",
 						src, tag, i, m.Deliver, m.seq, prev.Deliver, prev.seq)
-				}
-				// Non-overtaking pairs deliver in send order, so every
-				// filter sees each tag's messages first sent, first out.
-				if fifo && m.seq != uint64(1+m.Tag+tags*counts[m.Tag]) {
-					t.Fatalf("recv(%d,%d) #%d: tag %d seq %d, want that tag's message %d", src, tag, i, m.Tag, m.seq, counts[m.Tag])
 				}
 				counts[m.Tag]++
 				prev = m

@@ -156,16 +156,6 @@ type Config struct {
 	// Zero models an ideal non-blocking crossbar.
 	BackplaneWays int
 
-	// FIFOPairs, when set, guarantees non-overtaking delivery within
-	// each (src, dst) process pair, as the real PVMe/MPL transports did:
-	// a message's delivery time is clamped to at least the delivery time
-	// of the pair's previous message, so a small message sent after a
-	// large one can no longer arrive first on the infinite-capacity
-	// interconnect. Ties preserve send order (the receiver breaks equal
-	// delivery times by send sequence). The default (off) reproduces the
-	// historical schedule bit for bit.
-	FIFOPairs bool
-
 	// Stats receives per-message accounting. Optional.
 	Stats *stats.Stats
 
@@ -243,11 +233,6 @@ type Cluster struct {
 	inFree  []Time
 	bpFree  Time
 
-	// FIFO-per-pair state (FIFOPairs): the delivery time of the last
-	// message accepted for each (src, dst) pair, indexed src*Procs+dst.
-	// Monotone per pair by construction.
-	pairLast []Time
-
 	// Host-side counters (see host.go). Plain ints: updates happen
 	// either in the scheduler loop or in the single running process,
 	// never concurrently. hostPending tracks the current total inbox
@@ -275,9 +260,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Nodes > 0 {
 		c.outFree = make([]Time, cfg.Nodes)
 		c.inFree = make([]Time, cfg.Nodes)
-	}
-	if cfg.FIFOPairs {
-		c.pairLast = make([]Time, cfg.Procs*cfg.Procs)
 	}
 	c.procs = make([]*Proc, cfg.Procs)
 	for i := range c.procs {
@@ -451,18 +433,6 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 	wireT := Time(float64(wire) * c.cfg.NanosPerByte)
 	start, queued, binder := c.admit(p.id, dst, wireT)
 	deliver := start + c.cfg.Latency + wireT
-	if c.cfg.FIFOPairs {
-		// Non-overtaking within the (src, dst) pair: never deliver
-		// before the pair's previous message. Only this process's own
-		// earlier sends touch the pair slot, so the clamp is
-		// deterministic without any extra scheduling constraint, and
-		// delivery times stay monotone per pair.
-		pair := p.id*len(c.procs) + dst
-		if c.pairLast[pair] > deliver {
-			deliver = c.pairLast[pair]
-		}
-		c.pairLast[pair] = deliver
-	}
 	c.seq++
 	d := c.procs[dst]
 	d.inbox = append(d.inbox, Message{

@@ -145,11 +145,13 @@
 // -scale, -protocol, -homepolicy, -contention) plus a render over those
 // specs' records, read with -workers, -store and -metrics-* as a sweep
 // reads them; a table whose records break its invariant prints nothing
-// and exits 1. The default mid scale keeps the page-granularity regime
-// at a fraction of the time; at paper scale Shallow's checksum is not
-// finite, so the tables that read it fail. -speedup and -breakdown do
-// not apply; the flags of other modes (-sweep and axes, -fabric,
-// -trace, -json, -gen, -genfile) exit 2 before anything opens.
+// and exits 1. Every table reads records only, so a second pass over a
+// warm -store starts no run. The default mid scale keeps the
+// page-granularity regime at a fraction of the time; at paper scale
+// Shallow's checksum is not finite, so the tables that read it fail.
+// The flags of other modes (-sweep and axes, -fabric, -trace, -json,
+// -speedup, -breakdown, -progress, -gen, -genfile) exit 2 before
+// anything opens.
 //
 // Distributed sweeps (the sweep fabric):
 //
@@ -232,8 +234,8 @@ func main() {
 	// other modes' flags are checked before anything opens.
 	var tables []harness.Table
 	if *tablesList != "" {
-		if *sweep != "" || flag.NArg() > 0 || *fabricAddrs != "" || *trace != "" || *asJSON || *genSpec != "" || *genFile != "" {
-			fmt.Fprintln(os.Stderr, "dsmrun: -tables takes none of -sweep (or axes), -fabric, -trace, -json, -gen, -genfile")
+		if *sweep != "" || flag.NArg() > 0 || *fabricAddrs != "" || *trace != "" || *asJSON || *speedup || *breakdown || *progress || *genSpec != "" || *genFile != "" {
+			fmt.Fprintln(os.Stderr, "dsmrun: -tables takes none of -sweep (or axes), -fabric, -trace, -json, -speedup, -breakdown, -progress, -gen, -genfile")
 			os.Exit(2)
 		}
 		var err error

@@ -33,7 +33,7 @@ type field struct {
 
 // numFields is the number of Record fields, the embedded Spec's
 // included; parseCanonical keeps its seen-set in one word.
-const numFields = 35
+const numFields = 36
 
 var _ [64 - numFields]struct{}
 
@@ -54,6 +54,7 @@ func (r *Record) fields() [numFields]field {
 		{"time_seconds", false, &r.TimeSeconds},
 		{"msgs", false, &r.Msgs},
 		{"bytes", false, &r.Bytes},
+		{"diff_bytes", true, &r.DiffBytes},
 		{"checksum", false, &r.Checksum},
 		{"queue_ns", true, &r.QueueNanos},
 		{"queued_msgs", true, &r.QueuedMsgs},

@@ -455,6 +455,9 @@ func FuzzValidateLine(f *testing.F) {
 	for _, line := range ownedLines(f) {
 		f.Add(line)
 	}
+	// diff_bytes is a part of bytes: a line within it, and one past it.
+	f.Add([]byte(`{"app":"MGS","version":"tmk","procs":2,"scale":"small","protocol":"hlrc","time_ns":1000,"time_seconds":0.000001,"msgs":4,"bytes":4096,"diff_bytes":1024,"checksum":1}`))
+	f.Add([]byte(`{"app":"MGS","version":"tmk","procs":2,"scale":"small","protocol":"hlrc","time_ns":1000,"time_seconds":0.000001,"msgs":4,"bytes":4096,"diff_bytes":8192,"checksum":1}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		sameVerdict(t, line)
 		// Canonical form is a subset of JSON: whatever the fast parser

@@ -77,10 +77,10 @@ type Engine struct {
 	// (Stream, StreamWith) serve a stored run byte-identically
 	// without simulating it, and every run that executes and succeeds is
 	// written back once, under the run's own key — the labels that share
-	// it go back on as its records leave. The Result paths (Run, Sweep)
-	// always execute — a Record does not carry enough to rebuild a
-	// core.Result — but still write back, so harness runs warm the store
-	// too. Set it before the first run and do not change it after.
+	// it go back on as its records leave. The Result path (Run) always
+	// executes — a Record does not carry enough to rebuild a
+	// core.Result — but still writes back, so a single run warms the
+	// store too. Set it before the first run and do not change it after.
 	Store *store.Store
 	// OnStoreHit, when non-nil, is called once per run served from
 	// Store (record paths only), with the run's canonical spec. Called
@@ -237,8 +237,8 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 // record written back since the last one (none on a warm pass). Put
 // defers durability to here, so each sweep and each fabric lease ends
 // with its records safe against power loss before the caller reports
-// on it. Sweep and StreamWith defer it past their prefetch, whose runs
-// write back.
+// on it. StreamWith defers it past its prefetch, whose runs write
+// back.
 func (e *Engine) syncStore() {
 	if st := e.Store; st != nil {
 		st.Sync() //nolint:errcheck // best-effort persistence, as in writeBack
@@ -344,20 +344,18 @@ func (e *Engine) workers() int {
 }
 
 // prefetch resolves every run of p, each once, using the worker pool —
-// through Engine.run for the Result paths, recordFor for the record
-// paths, so store hits skip the simulation. It returns when all runs
-// have completed (or failed). A non-nil cancel flag stops new runs from
-// starting (in-flight runs still finish).
-func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool, resolve func(keyed)) {
-	canceled := func() bool { return cancel != nil && cancel.Load() }
+// through recordFor, so store hits skip the simulation. It returns when
+// all runs have completed (or failed). Once cancel is set no new run
+// starts (in-flight runs still finish).
+func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 	w := min(e.workers(), p.Len())
 	if w <= 1 {
 		for _, k := range p.runs {
-			if canceled() {
+			if cancel.Load() {
 				return
 			}
 			busy := time.Now()
-			resolve(k)
+			e.recordFor(k)
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
 		return
@@ -372,8 +370,8 @@ func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool, resolve func(keyed)) {
 			for pos := range jobs {
 				e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 				busy := time.Now()
-				if !canceled() { // else drain without running
-					resolve(p.runs[pos])
+				if !cancel.Load() { // else drain without running
+					e.recordFor(p.runs[pos])
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 				idle = time.Now()
@@ -464,28 +462,6 @@ func (r *Runs) Spec(pos int) Spec { return r.runs[pos].Spec }
 // Key is the key of the run at pos.
 func (r *Runs) Key(pos int) string { return r.runs[pos].key() }
 
-// Sweep executes every spec across the worker pool and returns results
-// in spec order. The returned error joins every distinct run failure
-// (in spec order), once per run however many labels name it; results
-// at failed positions are zero.
-func (e *Engine) Sweep(specs []Spec) ([]core.Result, error) {
-	p := PlanRuns(specs, false)
-	defer e.syncStore()
-	e.prefetch(p, nil, func(k keyed) { e.run(k) }) // errors surface on the ordered pass
-	out := make([]core.Result, len(specs))
-	var errs []error
-	failed := make([]bool, p.Len()) // per run: its error is in errs
-	for i, pos := range p.Run {
-		en := e.run(p.runs[pos]) // cache hit: prefetch completed every run
-		out[i] = en.res
-		if en.err != nil && !failed[pos] {
-			failed[pos] = true
-			errs = append(errs, en.err)
-		}
-	}
-	return out, errors.Join(errs...)
-}
-
 // labelled is the record of p's requested spec i, s: its run's record,
 // relabelled and joined with its baseline's when the run succeeded.
 func (e *Engine) labelled(p *Runs, i int, s Spec) Record {
@@ -530,7 +506,7 @@ func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.prefetch(p, &cancel, func(k keyed) { e.recordFor(k) })
+		e.prefetch(p, &cancel)
 	}()
 	var (
 		stats  StreamStats

@@ -1,13 +1,16 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/stats"
 )
 
 // testGrid is the small cross-product the determinism and round-trip
@@ -153,17 +156,16 @@ func TestEngineCachesAndDeduplicates(t *testing.T) {
 
 	// A sweep with duplicate specs executes each unique key once.
 	executions = 0
-	specs := []Spec{s, s, s}
-	results, err := e.Sweep(specs)
-	if err != nil {
+	var recs []Record
+	if _, err := e.StreamWith(io.Discard, []Spec{s, s, s}, func(r *Record) { recs = append(recs, *r) }); err != nil {
 		t.Fatal(err)
 	}
 	if executions != 0 {
 		t.Errorf("sweep re-executed a cached spec %d times", executions)
 	}
-	for _, r := range results {
+	for _, r := range recs {
 		if r.Checksum != r1.Checksum {
-			t.Error("sweep result differs from cached run")
+			t.Error("sweep record differs from cached run")
 		}
 	}
 }
@@ -179,17 +181,14 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := e.Run(Spec{App: "Jacobi", Version: core.Tmk, Procs: 0, Scale: core.SmallScale}); err == nil {
 		t.Error("invalid procs did not error")
 	}
-	// Sweep surfaces run failures as a joined error and error records.
+	// A stream surfaces run failures as a joined error and error records.
 	specs := []Spec{
 		{App: "Jacobi", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
 		{App: "NoSuchApp", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
 	}
-	if _, err := e.Sweep(specs); err == nil || !strings.Contains(err.Error(), "NoSuchApp") {
-		t.Errorf("sweep error = %v, want mention of NoSuchApp", err)
-	}
 	var sb strings.Builder
-	if err := e.Stream(&sb, specs); err == nil {
-		t.Error("stream swallowed the run failure")
+	if err := e.Stream(&sb, specs); err == nil || !strings.Contains(err.Error(), "NoSuchApp") {
+		t.Errorf("stream error = %v, want mention of NoSuchApp", err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2 {
@@ -269,5 +268,36 @@ func TestNormalize(t *testing.T) {
 	s.Version = core.Tmk
 	if n := s.Normalize(); n.Procs != 8 {
 		t.Errorf("non-seq normalize changed procs to %d", n.Procs)
+	}
+}
+
+// TestRecordOfDiffBytes: a record's diff_bytes is its run's diff
+// traffic, Stats.BytesOf(KindDiff) — nonzero for a DSM version under
+// either protocol — and a message-passing run, which sends no diffs,
+// leaves the field out of its line.
+func TestRecordOfDiffBytes(t *testing.T) {
+	e := New()
+	for _, s := range []Spec{
+		{App: "MGS", Version: core.Tmk, Procs: 2, Scale: core.SmallScale, Protocol: proto.HomelessLRC},
+		{App: "MGS", Version: core.Tmk, Procs: 2, Scale: core.SmallScale, Protocol: proto.HomeLRC},
+		{App: "MGS", Version: core.PVMe, Procs: 2, Scale: core.SmallScale},
+	} {
+		s = s.Normalize()
+		res, err := e.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := RecordOf(s, res, nil)
+		want := res.Stats.BytesOf(stats.KindDiff)
+		if rec.DiffBytes != want {
+			t.Errorf("%s: diff_bytes %d, want BytesOf(KindDiff) %d", s.Key(), rec.DiffBytes, want)
+		}
+		line, err := AppendRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dsm := s.Version == core.Tmk; (want != 0) != dsm || bytes.Contains(line, []byte(`"diff_bytes"`)) != dsm {
+			t.Errorf("%s: diff_bytes %d in %s", s.Key(), want, line)
+		}
 	}
 }

@@ -448,9 +448,8 @@ func TestPlanMatchesItsReference(t *testing.T) {
 }
 
 // TestRunFailureReportedOncePerRun: an execution that fails under three
-// labels is one failure. Sweep's and StreamWith's joined errors carry it
-// once, in the same text, and the stream still counts each label's
-// record as failed.
+// labels is one failure. StreamWith's joined error carries it once, in
+// Run's text, and the stream still counts each label's record as failed.
 func TestRunFailureReportedOncePerRun(t *testing.T) {
 	var specs []Spec
 	for _, p := range []proto.Name{"", proto.HomelessLRC, proto.HomeLRC} {
@@ -461,9 +460,9 @@ func TestRunFailureReportedOncePerRun(t *testing.T) {
 		e.Lookup = func(name string) (core.App, error) { return nil, fmt.Errorf("exp: unknown application %q", name) }
 		return e
 	}
-	_, sweepErr := failing().Sweep(specs)
+	_, runErr := failing().Run(specs[0])
 	stats, streamErr := failing().StreamWith(io.Discard, specs, nil)
-	for name, err := range map[string]error{"Sweep": sweepErr, "StreamWith": streamErr} {
+	for name, err := range map[string]error{"Run": runErr, "StreamWith": streamErr} {
 		if err == nil || err.Error() != `exp: unknown application "Nope"` {
 			t.Errorf("%s error = %v, want the failure once", name, err)
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -134,9 +135,9 @@ func TestGoldenTraceBytes(t *testing.T) {
 		e := New()
 		e.Observe = true
 		e.Workers = workers
-		// Warm the cache through a sweep so the run executes under the
+		// Warm the cache through a stream so the run executes under the
 		// given parallelism, then fetch the cached result.
-		if _, err := e.Sweep([]Spec{s}); err != nil {
+		if err := e.Stream(io.Discard, []Spec{s}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run(s)

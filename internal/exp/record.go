@@ -20,7 +20,7 @@ import (
 // a worker built before a schema change must not silently merge its
 // records into a newer coordinator's stream, or vice versa. Bump it
 // whenever a Record field is added, removed, or changes meaning.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Record is one JSON-lines measurement: the spec that identifies the
 // run plus the timed-region observables. Field order is the wire
@@ -47,6 +47,10 @@ type Record struct {
 	// Msgs and Bytes are the Table 2/3 traffic totals.
 	Msgs  int64 `json:"msgs"`
 	Bytes int64 `json:"bytes"`
+	// DiffBytes is the part of Bytes that carried diffs
+	// (stats.KindDiff): the traffic home placement moves. Zero (omitted)
+	// for the versions that share no pages.
+	DiffBytes int64 `json:"diff_bytes,omitempty"`
 	// Checksum is the run's numerical result.
 	Checksum float64 `json:"checksum"`
 
@@ -116,6 +120,7 @@ func RecordOf(s Spec, res core.Result, err error) Record {
 	rec.TimeSeconds = res.Time.Seconds()
 	rec.Msgs = res.Stats.TotalMsgs()
 	rec.Bytes = res.Stats.TotalBytes()
+	rec.DiffBytes = res.Stats.BytesOf(stats.KindDiff)
 	rec.Checksum = res.Checksum
 	rec.QueueNanos = res.Stats.TotalQueueNanos()
 	rec.QueuedMsgs = res.Stats.TotalQueuedMsgs()
@@ -203,8 +208,11 @@ func (r Record) Validate() error {
 	if r.Error != "" {
 		return nil
 	}
-	if r.TimeNanos < 0 || r.Msgs < 0 || r.Bytes < 0 {
+	if r.TimeNanos < 0 || r.Msgs < 0 || r.Bytes < 0 || r.DiffBytes < 0 {
 		return fmt.Errorf("exp: negative measurement in record %s", r.Key())
+	}
+	if r.DiffBytes > r.Bytes {
+		return fmt.Errorf("exp: diff_bytes %d exceed bytes %d in record %s", r.DiffBytes, r.Bytes, r.Key())
 	}
 	if math.Abs(r.TimeSeconds-float64(r.TimeNanos)/1e9) > 1e-6 {
 		return fmt.Errorf("exp: time_seconds %g disagrees with time_ns %d", r.TimeSeconds, r.TimeNanos)

@@ -347,7 +347,7 @@ func (a badSumApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
 
 // TestNonFiniteChecksumIsARunError: a run that returns NaN (or ±Inf) for
 // its checksum has failed, and fails in execute, so everywhere alike:
-// Run, Sweep and the record report one error. JSON could not carry the
+// Run, a stream and the record report one error. JSON could not carry the
 // value, and no speedup may be computed from it.
 func TestNonFiniteChecksumIsARunError(t *testing.T) {
 	s := Spec{App: "Jacobi", Version: core.XHPF, Procs: 2, Scale: core.SmallScale}
@@ -361,8 +361,8 @@ func TestNonFiniteChecksumIsARunError(t *testing.T) {
 		if _, err := e.Run(s); err == nil || err.Error() != want {
 			t.Errorf("checksum %v: Run error = %v, want %q", bad, err, want)
 		}
-		if _, err := e.Sweep([]Spec{s}); err == nil || err.Error() != want {
-			t.Errorf("checksum %v: Sweep error = %v, want %q", bad, err, want)
+		if _, err := e.StreamWith(io.Discard, []Spec{s}, nil); err == nil || err.Error() != want {
+			t.Errorf("checksum %v: stream error = %v, want %q", bad, err, want)
 		}
 		if rec := recordT(t, e, s); rec.Error != want || rec.Checksum != 0 || rec.TimeNanos != 0 {
 			t.Errorf("checksum %v: record = %+v, want the error record %q", bad, rec, want)

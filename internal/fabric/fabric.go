@@ -40,10 +40,9 @@
 //
 // A lease's keys are canonical runs (exp.Spec.Canonical; exp.Spec.Key
 // round-trips exactly through exp.ParseKey), asked for unjoined: the
-// coordinator joins at the merge. A worker still honours "speedup":true
-// and label keys, which is what older coordinators send. Run failures
-// travel as ordinary error records, so a distributed sweep fails with
-// the same accounting as a local one.
+// coordinator joins at the merge. Run failures travel as ordinary error
+// records, so a distributed sweep fails with the same accounting as a
+// local one.
 package fabric
 
 import "strings"
@@ -67,13 +66,8 @@ type Hello struct {
 type RunRequest struct {
 	SchemaVersion int    `json:"schema_version"`
 	Lease         string `json:"lease"`
-	// Speedup asks the worker to join each non-seq record with its
-	// sequential baseline, as exp.Engine.JoinSpeedup does. A coordinator
-	// leases the baselines as runs of their own and joins at the merge,
-	// so it leaves this false; the worker honours it for older
-	// coordinators, which sent it set. Observe attaches the bd_* time
-	// attribution a local sweep with Observe carries.
-	Speedup bool     `json:"speedup,omitempty"`
+	// Observe attaches the bd_* time attribution a local sweep with
+	// Observe carries.
 	Observe bool     `json:"observe,omitempty"`
 	Keys    []string `json:"keys"`
 }

@@ -49,7 +49,7 @@ type Worker struct {
 	Kill             func()
 
 	mu      sync.Mutex
-	engines map[engineKey]*exp.Engine
+	engines map[bool]*exp.Engine // by Observe
 
 	streamed atomic.Int64
 	dead     atomic.Bool
@@ -69,14 +69,6 @@ type Worker struct {
 	recordsFailed *metrics.Counter
 }
 
-// engineKey identifies one engine option combination. Engine options
-// are fields, not per-call parameters, so concurrent leases with
-// different options get distinct engines (and distinct caches).
-type engineKey struct {
-	speedup bool
-	observe bool
-}
-
 // Worker-side metric family names.
 const (
 	mWorkerLeasesActive = "dsm_fabric_worker_leases_active"
@@ -92,7 +84,7 @@ func NewWorker(r *metrics.Registry) *Worker {
 	w := &Worker{
 		Metrics:  r,
 		Progress: exp.NewProgress(0, nil, nil),
-		engines:  map[engineKey]*exp.Engine{},
+		engines:  map[bool]*exp.Engine{},
 	}
 	w.activeIdle = sync.NewCond(&w.activeMu)
 	w.leasesActive = r.Gauge(mWorkerLeasesActive, "Fabric leases streaming right now.")
@@ -103,24 +95,25 @@ func NewWorker(r *metrics.Registry) *Worker {
 	return w
 }
 
-// engine resolves the engine for one option combination, creating it
-// on first use. Every engine reports on the worker's registry, which
-// sums their host telemetry.
-func (w *Worker) engine(k engineKey) *exp.Engine {
+// engine resolves the engine that observes or not, creating it on
+// first use. Engine options are fields, not per-call parameters, so
+// concurrent leases with different options get distinct engines (and
+// distinct caches). Every engine reports on the worker's registry,
+// which sums their host telemetry.
+func (w *Worker) engine(observe bool) *exp.Engine {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if e, ok := w.engines[k]; ok {
+	if e, ok := w.engines[observe]; ok {
 		return e
 	}
 	e := exp.New()
 	e.Workers = w.Workers
-	e.JoinSpeedup = k.speedup
-	e.Observe = k.observe
+	e.Observe = observe
 	e.Metrics = w.Metrics
 	e.Store = w.Store
 	e.OnRunDone = w.Progress.RunDone
 	e.OnStoreHit = w.Progress.StoreHit
-	w.engines[k] = e
+	w.engines[observe] = e
 	return e
 }
 
@@ -231,12 +224,12 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	w.leasesActive.Inc()
 	defer w.leasesActive.Dec()
 	w.leasesServed.Inc()
-	w.Progress.AddTotal(exp.UniqueRuns(specs, rr.Speedup))
+	w.Progress.AddTotal(exp.UniqueRuns(specs, false))
 	w.logf("fabric worker: lease %s: %d specs (%s .. %s)", rr.Lease, len(specs), rr.Keys[0], rr.Keys[len(rr.Keys)-1])
 
 	// StreamWith returns with the lease's write-backs synced to the
 	// store: the lease end is the worker's commit point.
-	eng := w.engine(engineKey{speedup: rr.Speedup, observe: rr.Observe})
+	eng := w.engine(rr.Observe)
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	out := &flushWriter{w: rw}
 	stats, err := eng.StreamWith(out, specs, func(rec *exp.Record) {

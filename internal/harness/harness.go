@@ -30,18 +30,12 @@ type Table struct {
 	// order. Records that break the table's invariant are refused: it
 	// returns the error and prints nothing.
 	Render func(w io.Writer, base exp.Spec, recs []exp.Record) error
-	// Run, set instead of Specs and Render, prints an experiment that is
-	// not a render over records (Migration, GenDiff).
-	Run func(w io.Writer, e *exp.Engine, base exp.Spec) error
 }
 
 // Print prints the table under base, reading its records through e.
 func (t Table) Print(w io.Writer, e *exp.Engine, base exp.Spec) error {
 	if t.Observe && !e.Observe {
 		return fmt.Errorf("harness: %s needs an observing engine", t.Name)
-	}
-	if t.Run != nil {
-		return t.Run(w, e, base)
 	}
 	recs, err := records(e, t.Specs(base))
 	if err != nil {
@@ -63,7 +57,7 @@ func records(e *exp.Engine, specs []exp.Spec) ([]exp.Record, error) {
 // order.
 var Tables = []Table{
 	Table1, Figure1, Table2, Figure2, Table3, HandOpt, Interface,
-	Scalability, Protocols, Compiler, Contention, Migration, GenDiff, Breakdown,
+	Scalability, Protocols, Compiler, Contention, Migration, Breakdown,
 }
 
 // Select resolves a comma-separated list of table names to the tables,

@@ -111,9 +111,8 @@ func printTables(t *testing.T, st *store.Store) (string, map[string]int64) {
 // TestTablesMatchGolden pins every table's bytes: the output of
 // `dsmrun -tables <every table> -scale small -procs 4`, kept in
 // testdata/experiments-small.txt. The tables render it from a cold
-// engine and again from the store that cold pass wrote, where every
-// table but migration — whose flush column no record carries — starts
-// no run at all.
+// engine and again from the store that cold pass wrote, where no table
+// starts a run.
 func TestTablesMatchGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/experiments-small.txt")
 	if err != nil {
@@ -136,7 +135,7 @@ func TestTablesMatchGolden(t *testing.T) {
 			continue
 		}
 		for _, tab := range Tables {
-			if n := started[tab.Name]; (n != 0) != (tab.Name == "migration") {
+			if n := started[tab.Name]; n != 0 {
 				t.Errorf("warm %s started %d runs", tab.Name, n)
 			}
 		}
@@ -147,14 +146,14 @@ func TestTablesMatchGolden(t *testing.T) {
 // other names keep the order given, and an unknown name is refused
 // with the list of every name.
 func TestSelect(t *testing.T) {
-	every := "table1, figure1, table2, figure2, table3, handopt, interface, scalability, protocols, compiler, contention, migration, gendiff, breakdown"
+	every := "table1, figure1, table2, figure2, table3, handopt, interface, scalability, protocols, compiler, contention, migration, breakdown"
 	for _, c := range []struct {
 		list string
 		want string // the selected names, or the error
 	}{
 		{"paper", "table1 figure1 table2 figure2 table3 handopt interface"},
 		{"breakdown,table1,protocols", "breakdown table1 protocols"},
-		{"gendiff, paper,gendiff", "gendiff table1 figure1 table2 figure2 table3 handopt interface gendiff"},
+		{"migration, paper,migration", "migration table1 figure1 table2 figure2 table3 handopt interface migration"},
 		{"nope", `unknown experiment "nope" (have ` + every + ")"},
 		{"scalability,nope", `unknown experiment "nope" (have ` + every + ")"},
 		{"", `unknown experiment "" (have ` + every + ")"},
@@ -226,9 +225,7 @@ func TestTablesRefuseADivergentChecksum(t *testing.T) {
 			"contention changed the answer: Jacobi/tmk procs=1 nic checksum "},
 		{compilerSpecs, renderCompiler, 1,
 			fmt.Sprintf("compiler divergence: Jacobi: %s checksum ", gen)},
-		{migrationSpecs, func(w io.Writer, base exp.Spec, recs []exp.Record) error {
-			return renderMigration(w, base, recs, make([]int64, len(recs)))
-		}, 1, "home policy changed the answer: MGS/tmk procs=1 firsttouch checksum "},
+		{migrationSpecs, renderMigration, 1, "home policy changed the answer: MGS/tmk procs=1 firsttouch checksum "},
 	}
 	for _, c := range cases {
 		recs, err := records(e, c.specs(smallBase))

@@ -7,7 +7,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/proto"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // The home-policy migration experiment: where a page's master copy
@@ -35,15 +34,11 @@ var MigrationApps = []string{"MGS", "Jacobi", "Shallow"}
 // MigrationProcCounts is the node-count sweep.
 var MigrationProcCounts = []int{1, 2, 4, 8}
 
-// Migration prints the home-policy sweep. It is the one table that is
-// not a render over records alone: its flKB column is the eager
-// diff-flush traffic, Stats.BytesOf(KindDiff), which no record field
-// carries, so it sweeps its grid through the engine's Result path —
-// which always simulates, store or no store — and renders the records
-// of those results beside their flush bytes. The base home policy
-// (dsmrun -homepolicy, with -protocol hlrc) is the one every other
-// table runs under.
-var Migration = Table{Name: "migration", Run: runMigration}
+// Migration prints the home-policy sweep. Its flKB column is each
+// run's diff traffic (diff_bytes), under the hlrc protocol the eager
+// diff flushes to the homes. The base home policy (dsmrun -homepolicy,
+// with -protocol hlrc) is the one every other table runs under.
+var Migration = Table{Name: "migration", Specs: migrationSpecs, Render: renderMigration}
 
 func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
 	base.Protocol = proto.HomeLRC // the only protocol with homes
@@ -60,27 +55,11 @@ func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
 	return specs
 }
 
-func runMigration(w io.Writer, e *exp.Engine, base exp.Spec) error {
-	specs := migrationSpecs(base)
-	res, err := e.Sweep(specs)
-	if err != nil {
-		return err
-	}
-	recs := make([]exp.Record, len(specs))
-	flush := make([]int64, len(specs))
-	for i, r := range res {
-		recs[i] = exp.RecordOf(specs[i], r, nil)
-		flush[i] = r.Stats.BytesOf(stats.KindDiff)
-	}
-	return renderMigration(w, base, recs, flush)
-}
-
-// renderMigration prints the sweep from its records and their flush
-// bytes, both in migrationSpecs order. Checksums must be bit-identical
-// across policies — placement may change only time and traffic — and
-// single-node runs must never migrate; a row that breaks either refuses
-// the table.
-func renderMigration(w io.Writer, base exp.Spec, recs []exp.Record, flush []int64) error {
+// renderMigration prints the sweep from its records, in migrationSpecs
+// order. Checksums must be bit-identical across policies — placement
+// may change only time and traffic — and single-node runs must never
+// migrate; a row that breaks either refuses the table.
+func renderMigration(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	pols := proto.PolicyNames()
 	n := len(pols) // each row's records, consecutive, static first
 	for row := 0; row < len(recs); row += n {
@@ -109,11 +88,11 @@ func renderMigration(w io.Writer, base exp.Spec, recs []exp.Record, flush []int6
 		for i, rec := range recs[row : row+n] {
 			switch pols[i] {
 			case proto.StaticPolicy:
-				static = flush[row+i]
+				static = rec.DiffBytes
 			case proto.AdaptivePolicy:
-				adaptive = flush[row+i]
+				adaptive = rec.DiffBytes
 			}
-			fmt.Fprintf(w, " %14v %13d %9d |", sim.Time(rec.TimeNanos), flush[row+i]/1024, rec.Migrations)
+			fmt.Fprintf(w, " %14v %13d %9d |", sim.Time(rec.TimeNanos), rec.DiffBytes/1024, rec.Migrations)
 		}
 		delta := "-"
 		if static > 0 {

@@ -12,11 +12,15 @@ import (
 // runProtocols runs one (application, version, procs) under every
 // protocol, in proto.Names() order.
 func runProtocols(e *exp.Engine, app string, v core.Version, procs int) ([]core.Result, error) {
-	var specs []exp.Spec
+	var out []core.Result
 	for _, p := range proto.Names() {
-		specs = append(specs, small(app, v, procs, p))
+		res, err := e.Run(small(app, v, procs, p))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
 	}
-	return e.Sweep(specs)
+	return out, nil
 }
 
 // TestProtocolEquivalence is the cross-protocol equivalence table: every

@@ -2,7 +2,7 @@ package proto
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -73,12 +73,30 @@ type home struct {
 	pol      HomePolicy
 	dirEpoch int32                // barrier epochs with directory updates installed
 	pulls    map[int32]*pullState // pages this node gained and is still pulling
+
+	// Per-process scratch (DESIGN.md "What a message costs the host",
+	// rule 6): Release's and a fault's, on the application process; a
+	// home reads flushes[hm] and reqs[hm] before it answers.
+	end     []int
+	flushed []flushPage
+	ackFrom []int
+	flushes []flushMsg
+	reqs    []pageReq
+	retry   [][]pageNeed
+	needs   []int32
+	locals  []flushPage
+	// replies[r] is the server process's answer to requester r, who
+	// reads it before asking again.
+	replies []pageResp
 }
 
 func newHome(h Host, policy PolicyName) *home {
 	hb := &home{pulls: map[int32]*pullState{}}
 	hb.init(h)
 	hb.pol = NewHomePolicy(policy, hb.nprocs, hb.id)
+	n := hb.nprocs
+	hb.end, hb.flushes, hb.reqs = make([]int, n+1), make([]flushMsg, n), make([]pageReq, n)
+	hb.retry, hb.replies = make([][]pageNeed, n), make([]pageResp, n)
 	return hb
 }
 
@@ -150,7 +168,8 @@ func (hb *home) Release(kind stats.Kind) {
 	// copies what it applies, a mid-pull stash keeps its own copy — so
 	// each buffer goes back once the last ack, NACK re-sends included,
 	// is in.
-	end := make([]int, hb.nprocs+1)
+	end := hb.end
+	clear(end)
 	for _, gp := range hb.dirty {
 		if hm := hb.homeOf(gp); hm != hb.id {
 			end[hm+1]++
@@ -159,7 +178,8 @@ func (hb *home) Release(kind stats.Kind) {
 	for hm := 1; hm <= hb.nprocs; hm++ {
 		end[hm] += end[hm-1]
 	}
-	flushed := make([]flushPage, end[hb.nprocs])
+	flushed := slices.Grow(hb.flushed[:0], end[hb.nprocs])[:end[hb.nprocs]]
+	hb.flushed = flushed
 	for _, gp := range hb.dirty {
 		hm := hb.homeOf(gp)
 		if hm == hb.id {
@@ -178,7 +198,11 @@ func (hb *home) Release(kind stats.Kind) {
 	}
 	interval := hb.curInterval
 	sendFlush := func(hm int, pages []flushPage, resend bool) {
-		msg := flushMsg{writer: hb.id, interval: interval, epoch: hb.dirEpoch, shutdown: shutdown, pages: pages}
+		msg := &hb.flushes[hm]
+		if resend {
+			msg = new(flushMsg) // hm may not have read the first flush yet
+		}
+		*msg = flushMsg{writer: hb.id, interval: interval, epoch: hb.dirEpoch, shutdown: shutdown, pages: pages}
 		bytes := flushHdr
 		for _, fp := range pages {
 			bytes += fp.bytes
@@ -188,11 +212,11 @@ func (hb *home) Release(kind stats.Kind) {
 		}
 		p.Send(hb.h.ServerOf(hm), tagFlush, msg, bytes, flushKind)
 	}
-	var ackFrom []int
+	hb.ackFrom = hb.ackFrom[:0]
 	for hm, lo := 0, 0; hm < hb.nprocs; hm++ {
 		if hi := end[hm]; hi > lo {
 			sendFlush(hm, flushed[lo:hi:hi], false)
-			ackFrom = append(ackFrom, hm)
+			hb.ackFrom = append(hb.ackFrom, hm)
 			lo = hi
 		}
 	}
@@ -201,12 +225,11 @@ func (hb *home) Release(kind stats.Kind) {
 	// on the first rejection so the common settled path (always, under
 	// the static policy) pays nothing for it.
 	var sent map[int32]flushPage
-	for round := 0; len(ackFrom) > 0; round++ {
+	for round := 0; round < len(hb.ackFrom); round++ {
 		if round > staleRetryLimit {
 			panic("proto: home flush never settled (directory did not converge)")
 		}
-		hm := ackFrom[0]
-		ackFrom = ackFrom[1:]
+		hm := hb.ackFrom[round]
 		m := p.Recv(hb.h.ServerOf(hm), tagFlushAck)
 		ack, _ := m.Payload.(flushAck)
 		if len(ack.rejected) == 0 {
@@ -221,14 +244,16 @@ func (hb *home) Release(kind stats.Kind) {
 				sent[fp.page] = fp
 			}
 		}
-		re := map[int][]flushPage{}
+		re := make([][]flushPage, hb.nprocs)
 		for _, u := range ack.rejected {
 			nh := hb.homeOf(u.Page)
 			re[nh] = append(re[nh], sent[u.Page])
 		}
-		for _, nh := range sortedHomes(re) {
-			sendFlush(nh, re[nh], true)
-			ackFrom = append(ackFrom, nh)
+		for nh, pages := range re {
+			if len(pages) > 0 {
+				sendFlush(nh, pages, true)
+				hb.ackFrom = append(hb.ackFrom, nh)
+			}
 		}
 	}
 	for _, fp := range flushed {
@@ -245,6 +270,7 @@ type pageNeed struct {
 }
 
 type pageReq struct {
+	from  int   // the requester's node id
 	epoch int32 // the requester's installed directory epoch
 	pages []pageNeed
 }
@@ -267,6 +293,7 @@ type pageResp struct {
 	epoch    int32
 	pages    []pageCopy
 	rejected []DirUpdate
+	vecs     []int32 // storage of the pages' applied vectors
 }
 
 // migReq is a new home's migration pull: after a directory update moved
@@ -287,9 +314,8 @@ func (hb *home) Fault(gp int32) { hb.FetchAggregated([]int32{gp}) }
 func (hb *home) FetchAggregated(gps []int32) {
 	p := hb.h.AppProc()
 	c := hb.h.Costs()
-	needs := map[int32]pageNeed{}
-	local := map[int32]any{}
-	perHome := map[int][]int32{}
+	// The reqs are empty: every fault's last round leaves them so.
+	hb.needs, hb.locals = hb.needs[:0], hb.locals[:0]
 	for _, gp := range gps {
 		if !hb.Invalid(gp) {
 			continue
@@ -299,45 +325,39 @@ func (hb *home) FetchAggregated(gps []int32) {
 			panic("proto: home node faulted on its own page (flush invariant broken)")
 		}
 		if payload, ok := hb.extractLocal(gp, p); ok {
-			local[gp] = payload
+			hb.locals = append(hb.locals, flushPage{page: gp, payload: payload})
 		}
-		needs[gp] = hb.needOf(gp)
-		perHome[hm] = append(perHome[hm], gp)
+		hb.reqs[hm].pages = append(hb.reqs[hm].pages, hb.needOf(gp))
 	}
-	if len(perHome) == 0 {
+	first := slices.IndexFunc(hb.reqs, func(r pageReq) bool { return len(r.pages) > 0 })
+	if first < 0 {
 		return
 	}
-	peers := 0
-	if tr := c.Trace; tr.Enabled() {
-		start := int64(p.Now())
-		first := perHome[sortedHomes(perHome)[0]][0]
-		defer func() {
-			tr.Span(obs.EvFault, p.ID(), start, int64(p.Now())-start, stats.KindPage, first, int64(peers))
-		}()
-	}
+	firstPage, start, peers := hb.reqs[first].pages[0].page, int64(p.Now()), 0
 	p.Advance(c.ReadFault) // one access miss covers the whole range
 	hb.ctr.Faults++
-	for round := 0; len(perHome) > 0; round++ {
+	for round, asked := 0, true; asked; round++ {
 		if round > staleRetryLimit {
 			panic("proto: page fetch never settled (directory did not converge)")
 		}
-		homes := sortedHomes(perHome)
-		for _, hm := range homes {
-			req := pageReq{epoch: hb.dirEpoch}
-			for _, gp := range perHome[hm] {
-				req.pages = append(req.pages, needs[gp])
+		for hm := range hb.reqs {
+			req := &hb.reqs[hm]
+			if len(req.pages) == 0 {
+				continue
 			}
+			req.from, req.epoch = hb.id, hb.dirEpoch
 			bytes := pageReqHdr + len(req.pages)*(pageReqPerPage+pageRespPerVC*hb.nprocs)
 			p.Send(hb.h.ServerOf(hm), tagPageReq, req, bytes, stats.KindPageReq)
 			peers++
-			c.Trace.Instant(obs.EvPageReq, p.ID(), int64(p.Now()), stats.KindPageReq, perHome[hm][0], int64(hm))
+			c.Trace.Instant(obs.EvPageReq, p.ID(), int64(p.Now()), stats.KindPageReq, req.pages[0].page, int64(hm))
 		}
-		next := map[int][]int32{}
-		for _, hm := range homes {
-			m := p.Recv(hb.h.ServerOf(hm), tagPageResp)
-			resp := m.Payload.(pageResp)
+		for hm := range hb.reqs {
+			if len(hb.reqs[hm].pages) == 0 {
+				continue
+			}
+			resp := p.Recv(hb.h.ServerOf(hm), tagPageResp).Payload.(*pageResp)
 			for _, pg := range resp.pages {
-				hb.installPage(p, pg, local)
+				hb.installPage(p, pg, hb.locals)
 			}
 			if len(resp.rejected) == 0 {
 				continue
@@ -346,12 +366,18 @@ func (hb *home) FetchAggregated(gps []int32) {
 				hb.pol.Apply(resp.rejected)
 			}
 			for _, u := range resp.rejected {
+				i := slices.IndexFunc(hb.reqs[hm].pages, func(pn pageNeed) bool { return pn.page == u.Page })
 				nh := hb.homeOf(u.Page)
-				next[nh] = append(next[nh], u.Page)
+				hb.retry[nh] = append(hb.retry[nh], hb.reqs[hm].pages[i])
 			}
 		}
-		perHome = next
+		asked = false
+		for hm := range hb.reqs {
+			hb.reqs[hm].pages, hb.retry[hm] = hb.retry[hm], hb.reqs[hm].pages[:0]
+			asked = asked || len(hb.reqs[hm].pages) > 0
+		}
 	}
+	c.Trace.Span(obs.EvFault, p.ID(), start, int64(p.Now())-start, stats.KindPage, firstPage, int64(peers))
 }
 
 // extractLocal preserves this node's unreleased writes to gp before the
@@ -370,30 +396,32 @@ func (hb *home) extractLocal(gp int32, p *sim.Proc) (any, bool) {
 	return payload, true
 }
 
-// needOf snapshots the page's pending notice vector for a request.
+// needOf snapshots the page's pending notice vector for a request into
+// hb.needs, which the caller emptied (application process).
 func (hb *home) needOf(gp int32) pageNeed {
 	notice, _ := hb.vectors(gp)
-	return pageNeed{page: gp, need: append([]int32(nil), notice...)}
+	hb.needs = append(hb.needs, notice...)
+	return pageNeed{page: gp, need: hb.needs[len(hb.needs)-hb.nprocs:]}
 }
 
 // installPage installs a fetched page copy: overwrite the local page,
 // settle the notice table from the home's applied vector, and re-apply
-// any preserved local writes on a refreshed twin (so the next flush
-// diffs against the home image).
-func (hb *home) installPage(p *sim.Proc, pg pageCopy, local map[int32]any) {
+// any preserved local writes (locals) on a refreshed twin (so the next
+// flush diffs against the home image).
+func (hb *home) installPage(p *sim.Proc, pg pageCopy, locals []flushPage) {
 	c := hb.h.Costs()
 	hb.h.InstallPage(pg.page, pg.data)
 	hb.ctr.PageFetches++
 	c.Trace.Instant(obs.EvPageFetch, p.ID(), int64(p.Now()), stats.KindPage, pg.page, 0)
 	hb.MarkApplied(pg.page, pg.applied)
 	p.Advance(c.PageCopy)
-	if payload, ok := local[pg.page]; ok {
+	if i := slices.IndexFunc(locals, func(l flushPage) bool { return l.page == pg.page }); i >= 0 {
 		hb.h.MakeTwin(pg.page) // twin = home image: next diff is ours alone
 		pc := &hb.pages[pg.page]
 		pc.hasTwin = true
 		pc.twinWrite = hb.curInterval
-		hb.h.ApplyDiff(pg.page, payload)
-		hb.h.ReturnDiff(pg.page, payload)
+		hb.h.ApplyDiff(pg.page, locals[i].payload)
+		hb.h.ReturnDiff(pg.page, locals[i].payload)
 		hb.ctr.DiffsApplied++
 		p.Advance(c.DiffApply)
 	}
@@ -423,7 +451,7 @@ func (hb *home) ApplyDirectory(us []DirUpdate, kind stats.Kind) {
 		// One epoch marker per directory decision, on the manager node.
 		tr.Instant(obs.EvMigrationEpoch, hb.h.AppProc().ID(), int64(hb.h.AppProc().Now()), kind, -1, int64(len(us)))
 	}
-	perOld := map[int][]int32{}
+	perOld, pulling := make([][]int32, hb.nprocs), false
 	for i, u := range us {
 		if int(u.Home) != hb.id || olds[i] == hb.id {
 			continue
@@ -434,10 +462,10 @@ func (hb *home) ApplyDirectory(us []DirUpdate, kind stats.Kind) {
 		}
 		if hb.Invalid(u.Page) {
 			perOld[olds[i]] = append(perOld[olds[i]], u.Page)
-			hb.pulls[u.Page] = &pullState{}
+			hb.pulls[u.Page], pulling = &pullState{}, true
 		}
 	}
-	if len(perOld) == 0 {
+	if !pulling {
 		return
 	}
 	p := hb.h.AppProc()
@@ -447,18 +475,24 @@ func (hb *home) ApplyDirectory(us []DirUpdate, kind stats.Kind) {
 	if shutdown {
 		reqKind = stats.KindShutdown
 	}
-	homes := sortedHomes(perOld)
-	for _, hm := range homes {
+	hb.needs = hb.needs[:0]
+	for hm, gps := range perOld {
+		if len(gps) == 0 {
+			continue
+		}
 		req := migReq{shutdown: shutdown}
-		for _, gp := range perOld[hm] {
+		for _, gp := range gps {
 			req.pages = append(req.pages, hb.needOf(gp))
 		}
 		bytes := pageReqHdr + len(req.pages)*(pageReqPerPage+pageRespPerVC*hb.nprocs)
 		p.Send(hb.h.ServerOf(hm), tagMigReq, req, bytes, reqKind)
 	}
-	for _, hm := range homes {
+	for hm, gps := range perOld {
+		if len(gps) == 0 {
+			continue
+		}
 		m := p.Recv(hb.h.ServerOf(hm), tagMigResp)
-		for _, pg := range m.Payload.(pageResp).pages {
+		for _, pg := range m.Payload.(*pageResp).pages {
 			hb.installPage(p, pg, nil)
 			ps := hb.pulls[pg.page]
 			for _, payload := range ps.stash {
@@ -488,7 +522,7 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 	switch m.Tag {
 	case tagFlush:
 		p.Advance(c.HandlerWake)
-		fm := m.Payload.(flushMsg)
+		fm := m.Payload.(*flushMsg)
 		var rejected []DirUpdate
 		for _, fp := range fm.pages {
 			hm := hb.homeOf(fp.page)
@@ -525,13 +559,17 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 		if fm.shutdown {
 			ackKind = stats.KindShutdown
 		}
-		ack := flushAck{epoch: hb.dirEpoch, rejected: rejected}
+		var ack any // nil: every page accepted, and the writer reads nothing else
+		if len(rejected) > 0 {
+			ack = flushAck{epoch: hb.dirEpoch, rejected: rejected}
+		}
 		p.Send(m.Src, tagFlushAck, ack, flushAckBytes+DirUpdateBytes(rejected), ackKind)
 		return true
 	case tagPageReq:
 		p.Advance(c.HandlerWake)
-		req := m.Payload.(pageReq)
-		resp := pageResp{epoch: hb.dirEpoch}
+		req := m.Payload.(*pageReq)
+		resp := &hb.replies[req.from]
+		*resp = pageResp{epoch: hb.dirEpoch, pages: resp.pages[:0], rejected: resp.rejected[:0], vecs: resp.vecs[:0]}
 		bytes := pageRespHdr
 		for _, pn := range req.pages {
 			hm := hb.homeOf(pn.page)
@@ -559,8 +597,7 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 						hb.id, pn.page, pn.need[q], q, applied[q]))
 				}
 			}
-			resp.pages = append(resp.pages, hb.copyOf(pn.page))
-			bytes += resp.pages[len(resp.pages)-1].bytes + pageRespPerVC*hb.nprocs
+			bytes += hb.copyOf(resp, pn.page)
 		}
 		bytes += DirUpdateBytes(resp.rejected)
 		p.Send(m.Src, tagPageResp, resp, bytes, stats.KindPage)
@@ -568,7 +605,7 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 	case tagMigReq:
 		p.Advance(c.HandlerWake)
 		req := m.Payload.(migReq)
-		var resp pageResp
+		resp := new(pageResp)
 		bytes := pageRespHdr
 		for _, pn := range req.pages {
 			// Served regardless of our directory state: we were the
@@ -586,8 +623,7 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 						hb.id, pn.page, pn.need[q], q, applied[q]))
 				}
 			}
-			resp.pages = append(resp.pages, hb.copyOf(pn.page))
-			bytes += resp.pages[len(resp.pages)-1].bytes + pageRespPerVC*hb.nprocs
+			bytes += hb.copyOf(resp, pn.page)
 		}
 		respKind := stats.KindPage
 		if req.shutdown {
@@ -599,20 +635,12 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 	return false
 }
 
-// copyOf snapshots a page and its applied vector for a reply. The copy
-// carries every released write of this node itself.
-func (hb *home) copyOf(gp int32) pageCopy {
+// copyOf adds a snapshot of a page and its applied vector to a reply
+// and returns the bytes they add to it. The copy carries every released
+// write of this node itself.
+func (hb *home) copyOf(r *pageResp, gp int32) int {
 	data, sz := hb.h.SnapshotPage(gp)
-	return pageCopy{page: gp, data: data, bytes: sz, applied: hb.Applied(gp)}
-}
-
-// sortedHomes returns a map's home-node keys in ascending order (the
-// deterministic send order every multi-home operation uses).
-func sortedHomes[T any](m map[int][]T) []int {
-	out := make([]int, 0, len(m))
-	for hm := range m {
-		out = append(out, hm)
-	}
-	sort.Ints(out)
-	return out
+	r.vecs = hb.appendApplied(r.vecs, gp)
+	r.pages = append(r.pages, pageCopy{page: gp, data: data, bytes: sz, applied: r.vecs[len(r.vecs)-hb.nprocs:]})
+	return sz + pageRespPerVC*hb.nprocs
 }

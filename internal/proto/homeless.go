@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -47,11 +49,22 @@ type homeless struct {
 	seqs   []int32
 	recSeq []int32 // recSeq[gp]: this node's record chain position for gp
 	recs   map[int32][]*diffRec
+
+	// Per-process scratch (DESIGN.md "What a message costs the host",
+	// rule 6). The application process alone writes reqs (reqs[q] is
+	// its request to writer q, which q's server reads before replying),
+	// writers and recv; the server process alone writes replies
+	// (replies[r] answers requester r, who reads it before asking again).
+	reqs    []diffRequest
+	writers []int
+	recv    []recFrom
+	replies []diffResponse
 }
 
 func newHomeless(h Host) *homeless {
 	hl := &homeless{recs: map[int32][]*diffRec{}}
 	hl.init(h)
+	hl.reqs, hl.replies = make([]diffRequest, hl.nprocs), make([]diffResponse, hl.nprocs)
 	return hl
 }
 
@@ -78,7 +91,7 @@ func (hl *homeless) WriteTouch(gp int32) { hl.writeTouch(gp, true) }
 // — so that a node installing the copy later asks each writer for the
 // records the copy lacks, not for the chain from its start.
 func (hl *homeless) Applied(gp int32) []int32 {
-	v := append(hl.lrcCore.Applied(gp), hl.appliedSeq(gp)...)
+	v := append(hl.appendApplied(make([]int32, 0, 2*hl.nprocs), gp), hl.appliedSeq(gp)...)
 	v[hl.nprocs+hl.id] = hl.recSeq[gp]
 	return v
 }
@@ -105,6 +118,7 @@ func (hl *homeless) ApplyDirectory([]DirUpdate, stats.Kind) {}
 
 // diffRequest asks a writer for the diffs of a set of pages.
 type diffRequest struct {
+	from  int // the requester's node id
 	pages []pageAsk
 }
 
@@ -116,6 +130,12 @@ type pageAsk struct {
 // diffResponse carries the records satisfying one request.
 type diffResponse struct {
 	recs []*diffRec
+}
+
+// recFrom is a received record and the writer it came from.
+type recFrom struct {
+	writer int
+	rec    *diffRec
 }
 
 // extractPending encodes the pending diff for gp (if any), appending it
@@ -195,22 +215,22 @@ func (hl *homeless) gcPage(gp int32) {
 	}
 	payload, bytes := hl.h.MergeDiffs(gp, payloads)
 	hl.recSeq[gp]++
-	hl.recs[gp] = []*diffRec{{
+	// A new chain, never the old one's array, which a reply may hold; with
+	// room for the records up to the next squash, so it grows no more.
+	hl.recs[gp] = append(make([]*diffRec, 0, GCThreshold+1), &diffRec{
 		page: gp, seq: hl.recSeq[gp], upto: maxUpto, order: maxOrder,
 		payload: payload, bytes: bytes,
-	}}
+	})
 }
 
-// recsSinceSeq returns the records for page gp with seq > fromSeq, in
-// chain order.
-func (hl *homeless) recsSinceSeq(gp, fromSeq int32) []*diffRec {
-	var out []*diffRec
-	for _, r := range hl.recs[gp] {
-		if r.seq > fromSeq {
-			out = append(out, r)
-		}
-	}
-	return out
+// recsSince returns the records for page gp with seq > fromSeq, in
+// chain order: the chain's tail (seqs ascend along a chain), capacity
+// clipped, so that a reply can carry it uncopied (DESIGN.md "Who owns
+// consistency data on the host").
+func (hl *homeless) recsSince(gp, fromSeq int32) []*diffRec {
+	chain := hl.recs[gp]
+	i, n := sort.Search(len(chain), func(k int) bool { return chain[k].seq > fromSeq }), len(chain)
+	return chain[i:n:n]
 }
 
 // Fault repairs an invalid page on the application process: extract any
@@ -221,28 +241,25 @@ func (hl *homeless) recsSinceSeq(gp, fromSeq int32) []*diffRec {
 func (hl *homeless) Fault(gp int32) {
 	p := hl.h.AppProc()
 	c := hl.h.Costs()
-	var writers []int
-	if tr := c.Trace; tr.Enabled() {
-		start := int64(p.Now())
-		defer func() {
-			tr.Span(obs.EvFault, p.ID(), start, int64(p.Now())-start, stats.KindPage, gp, int64(len(writers)))
-		}()
-	}
+	start := int64(p.Now())
 	p.Advance(c.ReadFault)
 	hl.ctr.Faults++
 	hl.extractPending(gp, p)
 
+	hl.writers = hl.writers[:0]
 	for q := 0; q < hl.nprocs; q++ {
 		notice, applied := hl.vectors(gp) // again after every Send
 		if q == hl.id || notice[q] <= applied[q] {
 			continue
 		}
-		writers = append(writers, q)
-		req := diffRequest{pages: []pageAsk{{page: gp, fromSeq: hl.appliedSeq(gp)[q]}}}
+		hl.writers = append(hl.writers, q)
+		req := &hl.reqs[q]
+		req.from, req.pages = hl.id, append(req.pages, pageAsk{page: gp, fromSeq: hl.appliedSeq(gp)[q]})
 		p.Send(hl.h.ServerOf(q), tagDiffReq, req, diffReqHdr+diffReqPerPage, stats.KindDiffReq)
 		c.Trace.Instant(obs.EvDiffReq, p.ID(), int64(p.Now()), stats.KindDiffReq, gp, int64(q))
 	}
-	hl.collectAndApply(writers, []int32{gp})
+	hl.collectAndApply()
+	c.Trace.Span(obs.EvFault, p.ID(), start, int64(p.Now())-start, stats.KindPage, gp, int64(len(hl.writers)))
 }
 
 // FetchAggregated repairs all invalid pages of gps with a single request
@@ -252,89 +269,83 @@ func (hl *homeless) Fault(gp int32) {
 func (hl *homeless) FetchAggregated(gps []int32) {
 	p := hl.h.AppProc()
 	c := hl.h.Costs()
-	perWriter := make(map[int][]pageAsk)
-	var pages []int32
+	first := int32(-1)
 	for _, gp := range gps {
 		if !hl.Invalid(gp) {
 			continue
 		}
 		hl.extractPending(gp, p)
-		pages = append(pages, gp)
+		if first < 0 {
+			first = gp
+		}
 		notice, applied := hl.vectors(gp) // after extractPending's Advance
 		seqs := hl.appliedSeq(gp)
 		for q := 0; q < hl.nprocs; q++ {
 			if q == hl.id || notice[q] <= applied[q] {
 				continue
 			}
-			perWriter[q] = append(perWriter[q], pageAsk{page: gp, fromSeq: seqs[q]})
+			hl.reqs[q].pages = append(hl.reqs[q].pages, pageAsk{page: gp, fromSeq: seqs[q]})
 		}
 	}
-	if len(perWriter) == 0 {
+	hl.writers = hl.writers[:0]
+	for q := range hl.reqs {
+		if len(hl.reqs[q].pages) > 0 {
+			hl.writers = append(hl.writers, q)
+		}
+	}
+	if len(hl.writers) == 0 {
 		return
 	}
-	writers := make([]int, 0, len(perWriter))
-	if tr := c.Trace; tr.Enabled() {
-		start := int64(p.Now())
-		defer func() {
-			tr.Span(obs.EvFault, p.ID(), start, int64(p.Now())-start, stats.KindPage, pages[0], int64(len(writers)))
-		}()
-	}
+	start := int64(p.Now())
 	p.Advance(c.ReadFault) // one access miss covers the whole range
 	hl.ctr.Faults++
-	for q := range perWriter {
-		writers = append(writers, q)
-	}
-	sort.Ints(writers)
-	for _, q := range writers {
-		req := diffRequest{pages: perWriter[q]}
+	for _, q := range hl.writers {
+		req := &hl.reqs[q]
+		req.from = hl.id
 		bytes := diffReqHdr + len(req.pages)*diffReqPerPage
 		p.Send(hl.h.ServerOf(q), tagDiffReq, req, bytes, stats.KindDiffReq)
 		c.Trace.Instant(obs.EvDiffReq, p.ID(), int64(p.Now()), stats.KindDiffReq, -1, int64(q))
 	}
-	hl.collectAndApply(writers, pages)
+	hl.collectAndApply()
+	c.Trace.Span(obs.EvFault, p.ID(), start, int64(p.Now())-start, stats.KindPage, first, int64(len(hl.writers)))
 }
 
-// collectAndApply receives one diffResponse per writer and applies all
-// received records in causal order: ascending release-order label, which
-// is strictly increasing along happens-before, with writer id breaking
-// ties among concurrent records (whose byte ranges are disjoint in
-// race-free programs). Finally the repaired pages' notice tables are
-// settled: everything noticed from the queried writers is now applied.
-func (hl *homeless) collectAndApply(writers []int, pages []int32) {
+// collectAndApply receives one diffResponse from each of hl.writers
+// and applies all received records in causal order: ascending
+// release-order label, which is strictly increasing along
+// happens-before, with writer id breaking ties among concurrent records
+// (whose byte ranges are disjoint in race-free programs). Finally the
+// asked pages' notice tables are settled: everything noticed from the
+// queried writers is now applied.
+func (hl *homeless) collectAndApply() {
 	p := hl.h.AppProc()
 	c := hl.h.Costs()
-	type recFrom struct {
-		writer int
-		rec    *diffRec
-	}
-	var all []recFrom
-	for _, q := range writers {
+	hl.recv = hl.recv[:0]
+	for _, q := range hl.writers {
 		m := p.Recv(hl.h.ServerOf(q), tagDiffResp)
 		c.Trace.Instant(obs.EvDiffReply, p.ID(), int64(p.Now()), stats.KindDiff, -1, int64(q))
-		for _, r := range m.Payload.(diffResponse).recs {
-			all = append(all, recFrom{writer: q, rec: r})
+		for _, r := range m.Payload.(*diffResponse).recs {
+			hl.recv = append(hl.recv, recFrom{writer: q, rec: r})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].rec.order != all[j].rec.order {
-			return all[i].rec.order < all[j].rec.order
-		}
-		return all[i].writer < all[j].writer
+	slices.SortStableFunc(hl.recv, func(a, b recFrom) int {
+		return cmp.Or(cmp.Compare(a.rec.order, b.rec.order), cmp.Compare(a.writer, b.writer))
 	})
-	for _, rf := range all {
+	for _, rf := range hl.recv {
 		hl.applyRec(rf.rec, rf.writer)
 		p.Advance(c.DiffApplyCost(diffChangedBytes(rf.rec.bytes)))
 	}
 	// The writers have, by construction, answered with their complete
 	// chains: every pending notice from them on the asked pages is
-	// satisfied even when the matching diff was empty.
-	for _, gp := range pages {
-		notice, applied := hl.vectors(gp)
-		for _, q := range writers {
-			if notice[q] > applied[q] {
+	// satisfied even when the matching diff was empty. The requests are
+	// done with: between faults, every reqs[q] is empty.
+	for _, q := range hl.writers {
+		for _, ask := range hl.reqs[q].pages {
+			if notice, applied := hl.vectors(ask.page); notice[q] > applied[q] {
 				applied[q] = notice[q]
 			}
 		}
+		hl.reqs[q].pages = hl.reqs[q].pages[:0]
 	}
 }
 
@@ -367,12 +378,11 @@ func (hl *homeless) FirePushes(p *sim.Proc, seq int, kind stats.Kind, pushes []*
 		bytes := pushHdr
 		for gp := d.First; gp <= d.Last; gp++ {
 			hl.extractPending(gp, p)
-			for _, r := range hl.recsSinceSeq(gp, d.SentSeq[gp-d.First]) {
-				recs = append(recs, r)
+			tail := hl.recsSince(gp, d.SentSeq[gp-d.First])
+			recs = append(recs, tail...)
+			for _, r := range tail {
 				bytes += r.bytes
-				if r.seq > d.SentSeq[gp-d.First] {
-					d.SentSeq[gp-d.First] = r.seq
-				}
+				d.SentSeq[gp-d.First] = r.seq
 			}
 		}
 		k := stats.KindDiff
@@ -397,13 +407,20 @@ func (hl *homeless) HandleServer(p *sim.Proc, m sim.Message) bool {
 		return false
 	}
 	p.Advance(hl.h.Costs().HandlerWake)
-	req := m.Payload.(diffRequest)
-	var resp diffResponse
+	req := m.Payload.(*diffRequest)
+	resp := &hl.replies[req.from]
 	bytes := 8
-	for _, ask := range req.pages {
+	// Extract, then cut, one ask at a time: extractPending can yield,
+	// and the application process can meanwhile append to a chain.
+	for i, ask := range req.pages {
 		hl.extractPending(ask.page, p)
-		for _, r := range hl.recsSinceSeq(ask.page, ask.fromSeq) {
-			resp.recs = append(resp.recs, r)
+		tail := hl.recsSince(ask.page, ask.fromSeq)
+		if i == 0 {
+			resp.recs = tail
+		} else {
+			resp.recs = append(resp.recs, tail...)
+		}
+		for _, r := range tail {
 			bytes += r.bytes
 		}
 	}

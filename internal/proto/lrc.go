@@ -220,31 +220,27 @@ func logIndex(log []IntervalRec, after int32) int {
 	return sort.Search(len(log), func(k int) bool { return log[k].Interval > after })
 }
 
-// BatchSince builds the notice batches for a receiver whose vector clock
-// is rvc, based on everything this node knows.
-func (lc *lrcCore) BatchSince(rvc []int32) []NoticeBatch {
+// BatchSince appends to dst the notice batches for a receiver whose
+// vector clock is rvc, based on everything this node knows.
+func (lc *lrcCore) BatchSince(dst []NoticeBatch, rvc []int32) []NoticeBatch {
 	n := 0
 	for q, v := range lc.vc {
 		if v > rvc[q] {
 			n++
 		}
 	}
-	out := make([]NoticeBatch, 0, n)
+	dst = slices.Grow(dst, n)
 	for q, v := range lc.vc {
 		if v > rvc[q] {
-			out = append(out, NoticeBatch{Proc: q, Intervals: lc.noticesSince(q, rvc[q], v)})
+			dst = append(dst, NoticeBatch{Proc: q, Intervals: lc.noticesSince(q, rvc[q], v)})
 		}
 	}
-	return out
+	return dst
 }
 
 // OwnBatch collects this node's own released intervals later than since.
-func (lc *lrcCore) OwnBatch(since int32) []NoticeBatch {
-	ivs := lc.noticesSince(lc.id, since, lc.vc[lc.id])
-	if len(ivs) == 0 {
-		return nil
-	}
-	return []NoticeBatch{{Proc: lc.id, Intervals: ivs}}
+func (lc *lrcCore) OwnBatch(since int32) NoticeBatch {
+	return NoticeBatch{Proc: lc.id, Intervals: lc.noticesSince(lc.id, since, lc.vc[lc.id])}
 }
 
 // ApplyBatches incorporates received notices: register page
@@ -292,11 +288,14 @@ func (lc *lrcCore) VC() []int32 { return lc.vc }
 // Applied returns what this node's copy of gp holds: a copy of the
 // page's applied vector with the node's own entry at its last released
 // interval (its own released writes are always in its copy).
-func (lc *lrcCore) Applied(gp int32) []int32 {
+func (lc *lrcCore) Applied(gp int32) []int32 { return lc.appendApplied(nil, gp) }
+
+// appendApplied appends Applied(gp) to dst.
+func (lc *lrcCore) appendApplied(dst []int32, gp int32) []int32 {
 	_, applied := lc.vectors(gp)
-	out := append([]int32(nil), applied...)
-	out[lc.id] = lc.vc[lc.id]
-	return out
+	dst = append(dst, applied...)
+	dst[len(dst)-lc.nprocs+lc.id] = lc.vc[lc.id]
+	return dst
 }
 
 // MarkApplied raises gp's applied vector to applied, the vector of the

@@ -187,7 +187,7 @@ func BenchmarkAddPages(b *testing.B) {
 // the log's next record would leave the receiver without write notices
 // it believes it has; ApplyBatches names the writer and the intervals.
 func TestApplyBatchesRefusesAGap(t *testing.T) {
-	nodes := newTestNodes(2, 3, StaticPolicy)
+	nodes := newTestNodes(HomeLRC, 2, 3, StaticPolicy)
 	log := nodes[0].log
 	for k := int32(1); k <= 3; k++ {
 		log[0] = append(log[0], IntervalRec{Interval: k, Pages: []int32{k - 1}})

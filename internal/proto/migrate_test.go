@@ -24,7 +24,7 @@ const (
 	testExitTag   = 1
 )
 
-// testNode is one simulated DSM node for the white-box tests: a home
+// testNode is one simulated DSM node for the white-box tests: a
 // protocol instance over simple byte-array pages.
 type testNode struct {
 	id     int
@@ -37,8 +37,9 @@ type testNode struct {
 	trail  *[]string // every node's diff applications and returns, in host order
 }
 
-// newTestNodes makes n nodes over one shared interval log, as a run has.
-func newTestNodes(n, npages int, policy PolicyName) []*testNode {
+// newTestNodes makes n nodes of protocol name over one shared interval
+// log, as a run has.
+func newTestNodes(name Name, n, npages int, policy PolicyName) []*testNode {
 	log, trail := make([][]IntervalRec, n), new([]string)
 	nodes := make([]*testNode, n)
 	for id := range nodes {
@@ -46,7 +47,7 @@ func newTestNodes(n, npages int, policy PolicyName) []*testNode {
 		for i := 0; i < npages; i++ {
 			nd.pages = append(nd.pages, make([]byte, testPageBytes))
 		}
-		nd.prot = New(HomeLRC, policy, (*testHost)(nd))
+		nd.prot = New(name, policy, (*testHost)(nd))
 		nd.prot.AddPages(npages)
 		nodes[id] = nd
 	}
@@ -149,7 +150,7 @@ func runTestCluster(t *testing.T, nodes []*testNode, bodies []func(p *sim.Proc))
 // completes with the new home holding the data.
 func TestFlushRedirectAfterMigration(t *testing.T) {
 	const n, npages = 3, 3
-	nodes := newTestNodes(n, npages, StaticPolicy)
+	nodes := newTestNodes(HomeLRC, n, npages, StaticPolicy)
 	// Page 1 (initially homed at node 1) moves to node 2. Nodes 1 and 2
 	// install the update; writer node 0 does not — the in-flight window
 	// the barrier piggyback normally closes.
@@ -213,7 +214,7 @@ func checkTrail(t *testing.T, nodes []*testNode, want ...string) {
 // same home until the epoch catches up.
 func TestFlushRetryWhileHomeLags(t *testing.T) {
 	const n, npages = 3, 3
-	nodes := newTestNodes(n, npages, StaticPolicy)
+	nodes := newTestNodes(HomeLRC, n, npages, StaticPolicy)
 	move := []DirUpdate{{Page: 1, Home: 2}}
 	// Only the writer (and the old home) installed the update; the new
 	// home (node 2) lags and applies mid-run.
@@ -271,7 +272,7 @@ func TestFlushRetryWhileHomeLags(t *testing.T) {
 func TestStashedFlushOutlivesTheWritersBuffer(t *testing.T) {
 	const n, npages = 3, 3
 	const doneTag = 2
-	nodes := newTestNodes(n, npages, StaticPolicy)
+	nodes := newTestNodes(HomeLRC, n, npages, StaticPolicy)
 	move := []DirUpdate{{Page: 1, Home: 2}} // away from its static home, node 1
 	pullAt := 2 * sim.Millisecond
 	var first []NoticeBatch // node 0's first interval, as a barrier would carry it
@@ -281,7 +282,7 @@ func TestStashedFlushOutlivesTheWritersBuffer(t *testing.T) {
 			nodes[0].pages[1][0] = 0x11
 			hb.WriteTouch(1)
 			hb.Release(stats.KindBarrier) // to node 1
-			first = hb.OwnBatch(0)
+			first = []NoticeBatch{hb.OwnBatch(0)}
 			// The second release flushes to the new home just after its
 			// pull has started, and the ack returns before the pull's
 			// reply can.

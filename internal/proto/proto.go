@@ -181,13 +181,13 @@ type Protocol interface {
 	// VC returns the node's live vector clock (read-only).
 	VC() []int32
 
-	// BatchSince builds the notice batches a receiver with vector clock
-	// rvc lacks, based on everything this node knows.
-	BatchSince(rvc []int32) []NoticeBatch
+	// BatchSince appends to dst the notice batches a receiver with
+	// vector clock rvc lacks, based on everything this node knows.
+	BatchSince(dst []NoticeBatch, rvc []int32) []NoticeBatch
 
 	// OwnBatch collects this node's own released intervals later than
-	// since.
-	OwnBatch(since int32) []NoticeBatch
+	// since, as one batch (without intervals if there are none).
+	OwnBatch(since int32) NoticeBatch
 
 	// ApplyBatches incorporates received write notices (an RC acquire).
 	ApplyBatches(bs []NoticeBatch)

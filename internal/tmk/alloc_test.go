@@ -1,0 +1,100 @@
+package tmk
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/proto"
+)
+
+// roundsProgram runs rounds of one step per node: with fault set, every
+// node writes one word of its own page, all meet at a barrier, and
+// every node reads its right neighbour's page, a read fault that one
+// writer serves; without it, the round is the barrier alone.
+func roundsProgram(rounds int, fault bool) func(tm *Tmk) {
+	return func(tm *Tmk) {
+		r := Alloc[float64](tm, "x", tm.NProcs()*model.PageSize/8)
+		epp := r.ElemsPerPage()
+		own, next := tm.ID()*epp, (tm.ID()+1)%tm.NProcs()*epp
+		for k := 0; k < rounds; k++ {
+			if fault {
+				r.Write(own, own+1)[0] = float64(k + 1)
+			}
+			tm.Barrier()
+			if fault && r.Read(next, next+1)[0] != float64(k+1) {
+				panic(fmt.Sprintf("round %d: neighbour's write not seen", k))
+			}
+		}
+	}
+}
+
+// objectsPerRound is the heap objects one node allocates per round of
+// roundsProgram on a 4-node system: a long run's count minus a short
+// one's, so the set-up (regions, tables, processes) cancels out.
+func objectsPerRound(t testing.TB, p proto.Name, fault bool) float64 {
+	const nprocs = 4
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := NewSystem(nprocs, model.SP2(), WithProtocol(p)).Run(roundsProgram(rounds, fault)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const short, long = 40, 200
+	return (allocs(long) - allocs(short)) / float64((long-short)*nprocs)
+}
+
+// TestSteadyStateProtocolAllocations holds what a node allocates per
+// barrier, and per round of one write, one barrier, one read fault and
+// one diff or page request served, to what outlives them (DESIGN.md
+// "What a message costs the host", rule 6): the interval log's record,
+// the writer's diff record and its payload, the messages that carry
+// data. Per-request scratch would add objects per round.
+func TestSteadyStateProtocolAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		p     proto.Name
+		fault bool
+		max   float64
+	}{
+		// A barrier: each worker's arrival and the vector clock it
+		// carries; the manager's departures and their batches, two for
+		// all of them.
+		{proto.HomelessLRC, false, 2.05},
+		{proto.HomeLRC, false, 2.05},
+		// Beside the barrier and the interval log's record: under lrc
+		// the writer's diff record, its payload (segments, values, the
+		// interface box) and its chain's growth; under hlrc the box of
+		// the page reply's buffer, which goes round.
+		{proto.HomelessLRC, true, 7.3},
+		{proto.HomeLRC, true, 4.05},
+	} {
+		got := objectsPerRound(t, tc.p, tc.fault)
+		t.Logf("%s fault=%v: %.2f objects per node and round", tc.p, tc.fault, got)
+		if got > tc.max {
+			t.Errorf("%s fault=%v: %.2f objects per node and round, want <= %.2f", tc.p, tc.fault, got, tc.max)
+		}
+	}
+}
+
+// BenchmarkFaultRepair runs b.N rounds of roundsProgram on 4 nodes: one
+// op is a round, in which every node writes its page, meets the others
+// at a barrier, and repairs a read fault on its neighbour's page.
+func BenchmarkFaultRepair(b *testing.B) {
+	for _, p := range proto.Names() {
+		b.Run(string(p), func(b *testing.B) {
+			b.ReportAllocs()
+			if err := NewSystem(4, model.SP2(), WithProtocol(p)).Run(roundsProgram(b.N, true)); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkBarrier8 runs b.N barriers on 8 nodes that write nothing.
+func BenchmarkBarrier8(b *testing.B) {
+	b.ReportAllocs()
+	if err := NewSystem(8, model.SP2()).Run(roundsProgram(b.N, false)); err != nil {
+		b.Fatal(err)
+	}
+}

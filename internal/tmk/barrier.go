@@ -20,17 +20,17 @@ import (
 // (receiver.vc[q], sender.vc[q]], so logs never develop gaps and any node
 // can serve consistency information for any older vector clock.
 
-// arrivalMsg is a process's barrier-arrival payload.
+// arrivalMsg is a process's barrier-arrival payload, sent by pointer.
 type arrivalMsg struct {
-	vc      []int32 // the arriver's vector clock (tells the manager what it lacks)
-	batches []proto.NoticeBatch
-	reduce  []float64 // optional barrier-merged reduction contribution (§8)
+	vc     []int32              // the arriver's vector clock (tells the manager what it lacks)
+	own    [1]proto.NoticeBatch // the arriver's newly released intervals
+	reduce []float64            // optional barrier-merged reduction contribution (§8)
 	// dir carries the home policy's directory proposals of the closing
 	// epoch (home migration / first-touch claims) for arbitration.
 	dir []proto.DirUpdate
 }
 
-// departMsg is the manager's barrier-departure payload.
+// departMsg is the manager's barrier-departure payload, sent by pointer.
 type departMsg struct {
 	batches []proto.NoticeBatch
 	payload any // loop-control data under the improved interface (§2.3)
@@ -97,13 +97,13 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 		// Contributions are folded in node order, not arrival order:
 		// arrival order varies with protocol timing and floating-point
 		// summation must not (cross-protocol equivalence).
-		contribs := make([][]float64, n)
+		contribs := nd.contribs
 		contribs[0] = reduce
 		nd.dirPending[0] = props
 		for i := 1; i < n; i++ {
 			m := p.Recv(sim.AnySrc, tagBarrierArrive+seq)
-			arr := m.Payload.(arrivalMsg)
-			nd.prot.ApplyBatches(arr.batches)
+			arr := m.Payload.(*arrivalMsg)
+			nd.prot.ApplyBatches(arr.own[:])
 			nd.setWorkerVC(m.Src, arr.vc)
 			contribs[m.Src] = arr.reduce
 			nd.dirPending[m.Src] = arr.dir
@@ -124,10 +124,11 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 				acc[k] += v
 			}
 		}
+		deps := nd.departures()
 		for w := 1; w < n; w++ {
-			batches := nd.prot.BatchSince(nd.workerVCAt(w))
-			bytes := 16 + proto.BatchBytes(batches) + len(acc)*8 + proto.DirUpdateBytes(updates)
-			dep := departMsg{batches: batches, reduce: acc, dir: updates}
+			dep := &deps[w-1]
+			dep.reduce, dep.dir = acc, updates
+			bytes := 16 + proto.BatchBytes(dep.batches) + len(acc)*8 + proto.DirUpdateBytes(updates)
 			p.Send(w, tagBarrierDepart+seq, dep, bytes, kind)
 		}
 		nd.prot.ApplyDirectory(updates, kind)
@@ -135,12 +136,11 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 			copy(reduceOut, acc)
 		}
 	} else {
-		batches := nd.prot.OwnBatch(reported)
-		bytes := n*vcBytes + proto.BatchBytes(batches) + len(reduce)*8 + proto.DirUpdateBytes(props)
-		arr := arrivalMsg{vc: vcCopy(nd.prot.VC()), batches: batches, reduce: reduce, dir: props}
+		arr := &arrivalMsg{vc: vcCopy(nd.prot.VC()), own: [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)}, reduce: reduce, dir: props}
+		bytes := n*vcBytes + proto.BatchBytes(arr.own[:]) + len(reduce)*8 + proto.DirUpdateBytes(props)
 		p.Send(0, tagBarrierArrive+seq, arr, bytes, kind)
 		m := p.Recv(0, tagBarrierDepart+seq)
-		dep := m.Payload.(departMsg)
+		dep := m.Payload.(*departMsg)
 		nd.prot.ApplyBatches(dep.batches)
 		p.Advance(c.BarrierWork)
 		nd.prot.ApplyDirectory(dep.dir, kind)
@@ -182,10 +182,11 @@ func (tm *Tmk) Fork(ctrl any, ctrlBytes int) {
 	}
 	seq := nd.barrierSeq % barrierSeqSpace
 	nd.barrierSeq++
+	deps := nd.departures()
 	for w := 1; w < n; w++ {
-		batches := nd.prot.BatchSince(nd.workerVCAt(w))
-		bytes := 16 + proto.BatchBytes(batches) + ctrlBytes + proto.DirUpdateBytes(updates)
-		dep := departMsg{batches: batches, payload: ctrl, dir: updates}
+		dep := &deps[w-1]
+		dep.payload, dep.dir = ctrl, updates
+		bytes := 16 + proto.BatchBytes(dep.batches) + ctrlBytes + proto.DirUpdateBytes(updates)
 		p.Send(w, tagBarrierDepart+seq, dep, bytes, stats.KindBarrier)
 	}
 	nd.prot.ApplyDirectory(updates, stats.KindBarrier)
@@ -204,7 +205,7 @@ func (tm *Tmk) WaitFork() any {
 	seq := nd.barrierSeq % barrierSeqSpace
 	nd.barrierSeq++
 	m := p.Recv(0, tagBarrierDepart+seq)
-	dep := m.Payload.(departMsg)
+	dep := m.Payload.(*departMsg)
 	nd.prot.ApplyBatches(dep.batches)
 	p.Advance(nd.sys.costs.BarrierWork)
 	nd.prot.ApplyDirectory(dep.dir, stats.KindBarrier)
@@ -226,9 +227,8 @@ func (tm *Tmk) Join() {
 	props := nd.prot.Rebalance()
 	seq := nd.barrierSeq % barrierSeqSpace
 	nd.barrierSeq++
-	batches := nd.prot.OwnBatch(reported)
-	bytes := nd.sys.nprocs*vcBytes + proto.BatchBytes(batches) + proto.DirUpdateBytes(props)
-	arr := arrivalMsg{vc: vcCopy(nd.prot.VC()), batches: batches, dir: props}
+	arr := &arrivalMsg{vc: vcCopy(nd.prot.VC()), own: [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)}, dir: props}
+	bytes := nd.sys.nprocs*vcBytes + proto.BatchBytes(arr.own[:]) + proto.DirUpdateBytes(props)
 	p.Send(0, tagBarrierArrive+seq, arr, bytes, stats.KindBarrier)
 	nd.sys.costs.Trace.Instant(obs.EvBarrierArrive, p.ID(), int64(p.Now()), stats.KindBarrier, -1, int64(seq))
 }
@@ -247,12 +247,38 @@ func (tm *Tmk) Collect() {
 	nd.sys.costs.Trace.Instant(obs.EvBarrierArrive, p.ID(), int64(p.Now()), stats.KindBarrier, -1, int64(seq))
 	for i := 1; i < n; i++ {
 		m := p.Recv(sim.AnySrc, tagBarrierArrive+seq)
-		arr := m.Payload.(arrivalMsg)
-		nd.prot.ApplyBatches(arr.batches)
+		arr := m.Payload.(*arrivalMsg)
+		nd.prot.ApplyBatches(arr.own[:])
 		nd.setWorkerVC(m.Src, arr.vc)
 		nd.dirPending[m.Src] = arr.dir
 		p.Advance(nd.sys.costs.BarrierWork)
 	}
+}
+
+// departures builds the manager's departures, worker w's at w-1, each
+// carrying the notices w lacks, in two allocations: the departures, and
+// all their batches (counted first), which each worker reads in place.
+// Building them all before the first send gives what building each
+// before its own send gave: only the manager's application process,
+// which is sending, moves its vector clock, where every batch's window
+// of the log ends.
+func (nd *node) departures() []departMsg {
+	n, vc := nd.sys.nprocs, nd.prot.VC()
+	lack := 0
+	for w := 1; w < n; w++ {
+		for q, v := range vc {
+			if v > nd.workerVCAt(w)[q] {
+				lack++
+			}
+		}
+	}
+	deps, batches := make([]departMsg, n-1), make([]proto.NoticeBatch, 0, lack)
+	for w := 1; w < n; w++ {
+		o := len(batches)
+		batches = nd.prot.BatchSince(batches, nd.workerVCAt(w))
+		deps[w-1].batches = batches[o:len(batches):len(batches)]
+	}
+	return deps
 }
 
 // drainDirProposals arbitrates the gathered directory proposals of one

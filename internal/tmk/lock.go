@@ -127,7 +127,7 @@ func (tm *Tmk) ReleaseLock(id int) {
 // requester's application process. Callable from either the application
 // process (at release) or the server process (token already free).
 func (nd *node) sendGrant(p *sim.Proc, req *lockReqMsg) {
-	batches := nd.prot.BatchSince(req.vc)
+	batches := nd.prot.BatchSince(nil, req.vc)
 	bytes := grantHdr + proto.BatchBytes(batches)
 	grant := lockGrantMsg{batches: batches}
 	p.Send(req.requester, tagLockGrant+req.lock, grant, bytes, stats.KindLock)

@@ -200,8 +200,9 @@ type node struct {
 	frames     FrameCounters // this node's share; regions count into it
 
 	// Synchronization bookkeeping.
-	lastReported int32     // own intervals reported to the barrier manager
-	workerVC     [][]int32 // manager only: last-known vc per worker
+	lastReported int32       // own intervals reported to the barrier manager
+	workerVC     [][]int32   // manager only: last-known vc per worker
+	contribs     [][]float64 // manager only: a barrier's reduction contributions by node
 	// dirPending gathers the home-policy directory proposals of one
 	// barrier epoch, indexed by proposing node (manager only). Full
 	// barriers consume them in place; the fork-join interface fills
@@ -233,6 +234,7 @@ func newNode(id int, s *System) *node {
 			nd.workerVC[w] = make([]int32, s.nprocs)
 		}
 		nd.dirPending = make([][]proto.DirUpdate, s.nprocs)
+		nd.contribs = make([][]float64, s.nprocs)
 	}
 	return nd
 }

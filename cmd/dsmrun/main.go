@@ -79,25 +79,26 @@
 // the records since then, which the next sweep recomputes.
 // -store-max-bytes bounds the directory, evicting
 // least-recently-used records first (0: unbounded). With -metrics-addr
-// or -metrics-dump the dsm_store_* families report hits, misses, puts,
-// evictions, corrupt frames, resident bytes, and fsyncs with their
-// latency distribution.
+// or -metrics-dump the "store" section reports hits, misses, puts,
+// evictions, corrupt frames, resident bytes and fsyncs, and
+// "store_sync_seconds" their latency distribution.
 //
 // Host telemetry:
 //
 //	dsmrun -scale mid -sweep "app=Jacobi procs=1,2,4,8" -metrics-addr :9090 -progress
 //
 // -metrics-addr serves live host-side telemetry over HTTP for the
-// duration of the process: /metrics (Prometheus text format 0.0.4 —
-// engine cache hit/miss/wait counters, in-flight and completed run
-// gauges, worker busy/idle time, per-(app, version) host wall-time and
-// allocation histograms, simulator dispatch/delivery totals),
-// /debug/pprof/* (live profiling), and /progress (a JSON sweep
-// progress snapshot). -progress prints a throttled progress line
-// (done/total runs, cache hits, elapsed, ETA) to stderr. -metrics-dump
-// FILE writes a final JSON snapshot of the registry at exit. All of it
-// is host-side observability: virtual times, traffic, checksums and
-// the sweep's JSON-lines bytes are identical with or without it.
+// duration of the process: /metrics (one JSON document, a section per
+// layer — "engine": runs started and completed, cache hits and waits,
+// in-flight runs, worker busy/idle time; "sim": dispatch and delivery
+// totals; "store", "fabric"; and per-"app/version" host wall-time and
+// allocation histograms), /debug/pprof/* (live profiling), and
+// /progress (a JSON sweep progress snapshot). -progress prints a
+// throttled progress line (done/total runs, cache hits, elapsed, ETA)
+// to stderr. -metrics-dump FILE writes the same document at exit, and
+// sweeplint -metrics validates either. All of it is host-side
+// observability: virtual times, traffic, checksums and the sweep's
+// JSON-lines bytes are identical with or without it.
 //
 // Differential testing:
 //
@@ -171,11 +172,11 @@
 // build has a different record schema version are rejected at
 // registration. With -metrics-addr the /progress endpoint serves the
 // aggregated fleet snapshot (per-worker leases, expiries, inflight,
-// ETA) and /metrics adds the dsm_fabric_* families.
+// ETA) and /metrics adds it as the "fabric" section.
 package main
 
 import (
-	"encoding/json"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -223,7 +224,7 @@ func main() {
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/pprof/* and /progress on this address (e.g. :9090)")
 	progress := flag.Bool("progress", false, "print a throttled sweep progress line to stderr")
-	metricsDump := flag.String("metrics-dump", "", "write a final JSON snapshot of the metrics registry to this file")
+	metricsDump := flag.String("metrics-dump", "", "write the final telemetry JSON document (what /metrics serves) to this file")
 	genSpec := flag.String("gen", "", `differential-test generated programs: "seed" or "seed:count"`)
 	genFile := flag.String("genfile", "", "differential-test one program spec read from this JSON file")
 	list := flag.Bool("list", false, "list applications and versions")
@@ -348,7 +349,7 @@ func main() {
 	eng.Workers = *workers
 	eng.Store = st
 	if *metricsAddr != "" || *metricsDump != "" {
-		eng.Metrics = metrics.NewRegistry()
+		eng.Metrics = new(expvar.Map)
 	}
 	// serveTelemetry starts the HTTP endpoint (if asked for) once the
 	// progress aggregator exists; dumpMetrics writes the final JSON
@@ -376,9 +377,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(eng.Metrics.Snapshot()); err != nil {
+		if err := metrics.WriteJSON(f, eng.Metrics); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -387,9 +386,9 @@ func main() {
 	}
 
 	if tables != nil {
-		// Two engines over one store and one registry: eng, plain, and an
-		// observing one for the tables that read the time attribution.
-		// Neither joins speedups.
+		// Two engines over one store and one telemetry map: eng, plain,
+		// and an observing one for the tables that read the time
+		// attribution. Neither joins speedups.
 		observed := exp.New()
 		observed.Workers, observed.Store, observed.Metrics, observed.Observe = eng.Workers, st, eng.Metrics, true
 		serveTelemetry(nil)

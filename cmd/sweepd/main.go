@@ -16,8 +16,8 @@
 //	                  order, as NDJSON. Malformed requests get 400.
 //	/progress       — JSON snapshot of the worker's run progress (totals
 //	                  grow lease by lease).
-//	/metrics        — Prometheus text: dsm_fabric_worker_* lease/record
-//	                  counters plus the first engine's host telemetry.
+//	/metrics        — JSON telemetry: the fabric_worker lease/record
+//	                  counters plus the engines' host telemetry.
 //	/debug/pprof/*  — live profiling of the worker process.
 //
 // -workers bounds the engine's host worker pool (0: all cores).
@@ -48,6 +48,7 @@
 package main
 
 import (
+	"expvar"
 	"flag"
 	"fmt"
 	"os"
@@ -70,8 +71,8 @@ func main() {
 	killAfter := flag.Int64("kill-after", 0, "fault injection: exit(3) after streaming this many records (0: never)")
 	flag.Parse()
 
-	reg := metrics.NewRegistry()
-	w := fabric.NewWorker(reg)
+	m := new(expvar.Map)
+	w := fabric.NewWorker(m)
 	w.Workers = *workers
 	w.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "sweepd: "+format+"\n", args...)
@@ -91,7 +92,7 @@ func main() {
 		w.Kill = func() { os.Exit(3) }
 	}
 
-	mux := metrics.NewMux(reg, w.Routes())
+	mux := metrics.NewMux(m, w.Routes())
 	_, addr, err := metrics.StartServer(*listen, mux)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)

@@ -58,13 +58,13 @@
 //
 //	curl -s http://localhost:9090/metrics | sweeplint -metrics
 //
-// -metrics validates a Prometheus text-format (0.0.4) document instead
-// (the output of `dsmrun -metrics-addr`'s /metrics endpoint): every
-// sample must belong to a family declared by a preceding # TYPE line,
-// series must be unique, counters non-negative, and histograms must
-// carry ascending cumulative buckets ending at le="+Inf" with a
-// matching _sum and _count. CI's sweep smoke job scrapes a live sweep
-// and pipes the scrape through it. -n checks the sample count.
+// -metrics validates a telemetry JSON document instead (what
+// `dsmrun -metrics-addr`'s /metrics serves and -metrics-dump writes):
+// it must decode strictly into the known sections (engine, sim, store,
+// fabric, fabric_worker and the histograms), with no unknown section or
+// field, and every histogram's bounds must ascend and its bucket counts
+// sum to its count. CI's telemetry smoke scrapes a live sweep and pipes
+// the scrape through it. -n checks the section count.
 package main
 
 import (
@@ -76,7 +76,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -86,7 +85,7 @@ func main() {
 	speedup := flag.Bool("speedup", false, "require the seq-baseline join fields on every non-seq record")
 	requireSchema := flag.Bool("require-schema", false, "require this build's schema_version stamp on every record (fabric wire streams)")
 	trace := flag.Bool("trace", false, "validate a Chrome trace_event JSON document instead of sweep records")
-	metricsText := flag.Bool("metrics", false, "validate a Prometheus text-format scrape instead of sweep records")
+	metricsText := flag.Bool("metrics", false, "validate a telemetry JSON document (a /metrics scrape or -metrics-dump file) instead of sweep records")
 	storeDir := flag.String("store", "", "audit this persistent result store directory instead of reading stdin")
 	flag.Parse()
 
@@ -99,14 +98,14 @@ func main() {
 	}
 
 	if *metricsText {
-		samples, err := metrics.ValidateText(os.Stdin)
+		sections, err := validateMetrics(os.Stdin)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweeplint: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("sweeplint: valid metrics scrape, %d samples\n", samples)
-		if *expected >= 0 && samples != *expected {
-			fmt.Fprintf(os.Stderr, "sweeplint: got %d samples, want %d\n", samples, *expected)
+		fmt.Printf("sweeplint: valid metrics document, %d sections\n", sections)
+		if *expected >= 0 && sections != *expected {
+			fmt.Fprintf(os.Stderr, "sweeplint: got %d sections, want %d\n", sections, *expected)
 			os.Exit(1)
 		}
 		return

@@ -1,0 +1,87 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+
+	"repro/internal/exp"
+	"repro/internal/fabric"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+)
+
+// telemetryDoc is every section a telemetry map may carry: the typed
+// snapshot each layer sets, and the histograms beside them.
+type telemetryDoc struct {
+	Engine           exp.HostStats                        `json:"engine"`
+	Sim              sim.HostStats                        `json:"sim"`
+	Store            exp.StoreTelemetry                   `json:"store"`
+	RunHostSeconds   map[string]metrics.HistogramSnapshot `json:"run_host_seconds"`
+	RunAllocBytes    map[string]metrics.HistogramSnapshot `json:"run_alloc_bytes"`
+	StoreSyncSeconds *metrics.HistogramSnapshot           `json:"store_sync_seconds"` // nil when absent
+	Fabric           fabric.FleetSnapshot                 `json:"fabric"`
+	FabricWorker     fabric.WorkerCounters                `json:"fabric_worker"`
+}
+
+// validateMetrics checks one telemetry document (a /metrics scrape or
+// a -metrics-dump file): a strict decode that rejects an unknown
+// section or field, then every histogram's shape — ascending bounds,
+// one count per bucket plus the overflow, and counts summing to its
+// count. It returns the number of sections.
+func validateMetrics(r io.Reader) (int, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(b, &sections); err != nil {
+		return 0, fmt.Errorf("metrics document: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var doc telemetryDoc
+	if err := dec.Decode(&doc); err != nil {
+		return 0, fmt.Errorf("metrics document: %v", err)
+	}
+	hists := map[string]metrics.HistogramSnapshot{}
+	for key, h := range doc.RunHostSeconds {
+		hists["run_host_seconds "+key] = h
+	}
+	for key, h := range doc.RunAllocBytes {
+		hists["run_alloc_bytes "+key] = h
+	}
+	if doc.StoreSyncSeconds != nil {
+		hists["store_sync_seconds"] = *doc.StoreSyncSeconds
+	}
+	for name, h := range hists {
+		if err := checkHistogram(h); err != nil {
+			return 0, fmt.Errorf("histogram %s: %v", name, err)
+		}
+	}
+	return len(sections), nil
+}
+
+// checkHistogram checks one histogram snapshot's shape.
+func checkHistogram(h metrics.HistogramSnapshot) error {
+	if len(h.Bounds) == 0 {
+		return fmt.Errorf("no buckets")
+	}
+	if len(h.Counts) != len(h.Bounds)+1 {
+		return fmt.Errorf("%d counts for %d bounds, want one more (the overflow bucket)", len(h.Counts), len(h.Bounds))
+	}
+	for i := 1; i < len(h.Bounds); i++ {
+		if !(h.Bounds[i-1] < h.Bounds[i]) {
+			return fmt.Errorf("bounds do not ascend at %d: %g then %g", i, h.Bounds[i-1], h.Bounds[i])
+		}
+	}
+	var n uint64
+	for _, c := range h.Counts {
+		n += c
+	}
+	if n != h.Count {
+		return fmt.Errorf("count %d, buckets sum to %d", h.Count, n)
+	}
+	return nil
+}

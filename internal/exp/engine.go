@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -55,16 +55,15 @@ type Engine struct {
 	// registry (AppByName).
 	Lookup func(name string) (core.App, error)
 
-	// Metrics, when non-nil, exposes the engine's host-side telemetry
-	// on that registry: func-backed counters/gauges over the always-on
-	// HostStats atomics plus per-(app, version) host-time and
-	// alloc-volume histograms (see telemetry.go). Engines sharing a
-	// registry report their sums; they must share one Store too (the
-	// store families report the first engine's), and an engine on a
-	// registry stays reachable from it for the life of the process.
-	// Telemetry is strictly host-side: virtual times, traffic and sweep
-	// output bytes are identical with or without it.
-	Metrics *metrics.Registry
+	// Metrics, when non-nil, is the telemetry map the engine reports
+	// on: the "engine" section sums the HostStats of every engine on
+	// the map, and per-(app, version) host-time and alloc-volume
+	// histograms sit beside it (see telemetry.go). Engines sharing a map
+	// must share one Store too (the "store" section reports the first
+	// engine's), and an engine stays reachable from its map. Telemetry
+	// is strictly host-side: virtual times, traffic and sweep output
+	// bytes are identical with or without it.
+	Metrics *expvar.Map
 	// OnRunDone, when non-nil, is called once per executed run (cache
 	// misses only, after the result is final) with the spec that ran
 	// (canonical), the host wall time, and the run error. Called from
@@ -99,7 +98,7 @@ type Engine struct {
 
 	host          hostStats
 	telemetryOnce sync.Once
-	rep           *reporting // the engines reporting on Metrics, this one included
+	rep           *reporting // Metrics's engine section, this engine included
 }
 
 // entry is one cached (possibly in-flight) run. done closes when res,
@@ -165,14 +164,18 @@ func (e *Engine) run(k keyed) *entry {
 		e.mu.Unlock()
 		e.host.runsStarted.Add(1)
 		e.host.inflight.Add(1)
-		alloc0 := heapAllocBytes()
+		var alloc0 uint64
+		if e.rep != nil {
+			alloc0 = heapAllocBytes()
+		}
 		start := time.Now()
 		en.res, en.err = e.execute(k.Spec)
 		en.hostNS = time.Since(start).Nanoseconds()
-		allocDelta := heapAllocBytes() - alloc0
 		e.host.inflight.Add(-1)
 		e.host.runsCompleted.Add(1)
-		e.observeRun(k.Spec, en.hostNS, allocDelta)
+		if e.rep != nil {
+			e.observeRun(k.Spec, en.hostNS, heapAllocBytes()-alloc0)
+		}
 		close(en.done)
 		e.writeBack(k, en)
 		if f := e.OnRunDone; f != nil {

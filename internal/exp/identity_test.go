@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"expvar"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/loopc/gen"
-	"repro/internal/metrics"
 	"repro/internal/proto"
 )
 
@@ -184,7 +184,7 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 		e := New()
 		e.Workers = workers
 		e.JoinSpeedup = true
-		e.Metrics = metrics.NewRegistry()
+		e.Metrics = new(expvar.Map)
 		p := NewProgress(UniqueRuns(specs, true), nil, e)
 		e.OnRunDone = p.RunDone
 		if got := streamT(t, e, specs); !bytes.Equal(got, want.Bytes()) {
@@ -207,12 +207,8 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 			t.Errorf("workers=%d: progress %+v, want %d/%d", workers, snap, runs, runs)
 		}
 		var observed uint64
-		for _, fam := range e.Metrics.Snapshot().Families {
-			if fam.Name == mRunSeconds {
-				for _, ser := range fam.Series {
-					observed += ser.Hist.Count
-				}
-			}
+		for _, h := range readTelemetry(t, e.Metrics).RunHostSeconds {
+			observed += h.Count
 		}
 		if observed != runs {
 			t.Errorf("workers=%d: run-time histograms hold %d runs, want %d", workers, observed, runs)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"expvar"
 	"io"
 	"math"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/store"
 )
@@ -284,7 +284,7 @@ func TestProgressStoreHits(t *testing.T) {
 // TestSweepCommitsItsWriteBacks: a sweep writes back each run once and
 // ends with every record it wrote back fsynced (nothing left for a later
 // Sync or Close to do), a warm sweep issues no fsync at all, and the
-// registry reports each fsync once, in the counter and in the latency
+// telemetry map reports each fsync once, in the counter and in the latency
 // histogram.
 func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	specs := testGrid()
@@ -293,7 +293,7 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	cold := New()
 	cold.Workers = 2
 	cold.Store = st
-	cold.Metrics = metrics.NewRegistry()
+	cold.Metrics = new(expvar.Map)
 	streamT(t, cold, specs)
 	after := st.Stats()
 	// 16 specs, 12 runs: the xhpf cells run once for both protocol labels.
@@ -306,20 +306,9 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	if got := st.Stats().Syncs; got != after.Syncs {
 		t.Fatalf("Sync after the sweep issued an fsync: the sweep left frames pending")
 	}
-	var counted float64
-	var observed uint64
-	for _, fam := range cold.Metrics.Snapshot().Families {
-		for _, ser := range fam.Series {
-			switch fam.Name {
-			case "dsm_store_syncs_total":
-				counted += ser.Value
-			case "dsm_store_sync_seconds":
-				observed += ser.Hist.Count
-			}
-		}
-	}
-	if counted != float64(after.Syncs) || observed != uint64(after.Syncs) {
-		t.Errorf("registry reports %v fsyncs and %d latencies, store counted %d", counted, observed, after.Syncs)
+	doc := readTelemetry(t, cold.Metrics)
+	if counted, observed := doc.Store.Syncs, doc.StoreSyncSeconds.Count; counted != after.Syncs || observed != uint64(after.Syncs) {
+		t.Errorf("map reports %d fsyncs and %d latencies, store counted %d", counted, observed, after.Syncs)
 	}
 
 	warm := New()

@@ -3,17 +3,43 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
 
-// TestTelemetryKeepsSweepBytes is the PR's central guarantee: a sweep
-// with a live metrics registry, an OnRunDone progress hook and the
+// telemetryDoc is an engine telemetry map's JSON document.
+type telemetryDoc struct {
+	Engine           HostStats                            `json:"engine"`
+	Sim              sim.HostStats                        `json:"sim"`
+	Store            StoreTelemetry                       `json:"store"`
+	RunHostSeconds   map[string]metrics.HistogramSnapshot `json:"run_host_seconds"`
+	RunAllocBytes    map[string]metrics.HistogramSnapshot `json:"run_alloc_bytes"`
+	StoreSyncSeconds metrics.HistogramSnapshot            `json:"store_sync_seconds"`
+}
+
+// readTelemetry decodes m's document strictly: a section or field the
+// document type does not know fails the test.
+func readTelemetry(t *testing.T, m *expvar.Map) telemetryDoc {
+	t.Helper()
+	var doc telemetryDoc
+	dec := json.NewDecoder(strings.NewReader(m.String()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("telemetry document %s: %v", m.String(), err)
+	}
+	return doc
+}
+
+// TestTelemetryKeepsSweepBytes is telemetry's central guarantee: a
+// sweep with a live telemetry map, an OnRunDone progress hook and the
 // speedup join enabled produces JSON-lines byte-identical to a bare
 // engine's, at every worker count.
 func TestTelemetryKeepsSweepBytes(t *testing.T) {
@@ -32,7 +58,7 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 		e := New()
 		e.Workers = workers
 		e.JoinSpeedup = true
-		e.Metrics = metrics.NewRegistry()
+		e.Metrics = new(expvar.Map)
 		p := NewProgress(UniqueRuns(specs, true), io.Discard, e)
 		e.OnRunDone = p.RunDone
 		if err := e.Stream(&out, specs); err != nil {
@@ -51,11 +77,11 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 }
 
 // TestEngineHostStats checks the cache-outcome classification: every
-// unique spec executes once, repeats count as hits, and the registry's
-// counter families agree with HostStats.
+// unique spec executes once, repeats count as hits, and the map's
+// engine section agrees with HostStats.
 func TestEngineHostStats(t *testing.T) {
 	e := New()
-	e.Metrics = metrics.NewRegistry()
+	e.Metrics = new(expvar.Map)
 	s := Spec{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale, Protocol: proto.HomelessLRC}
 	s = s.Normalize()
 	for i := 0; i < 3; i++ {
@@ -80,32 +106,27 @@ func TestEngineHostStats(t *testing.T) {
 		t.Errorf("HostRunNanos of never-run spec = %d, want 0", got)
 	}
 
-	var buf bytes.Buffer
-	if err := e.Metrics.WriteText(&buf); err != nil {
-		t.Fatal(err)
+	doc := readTelemetry(t, e.Metrics)
+	if doc.Engine != hs {
+		t.Errorf("engine section %+v, HostStats %+v", doc.Engine, hs)
 	}
-	text := buf.String()
-	for _, want := range []string{
-		"dsm_engine_cache_hits_total 2",
-		"dsm_engine_runs_completed_total 1",
-		`dsm_engine_run_host_seconds_bucket{app="Jacobi",version="tmk",le="+Inf"} 1`,
-		`dsm_engine_run_alloc_bytes_count{app="Jacobi",version="tmk"} 1`,
-		"dsm_sim_dispatches_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
+	if n := doc.RunHostSeconds["Jacobi/tmk"].Count; n != 1 {
+		t.Errorf("Jacobi/tmk host-time histogram holds %d runs, want 1", n)
 	}
-	if _, err := metrics.ValidateText(strings.NewReader(text)); err != nil {
-		t.Errorf("engine exposition invalid: %v", err)
+	if n := doc.RunAllocBytes["Jacobi/tmk"].Count; n != 1 {
+		t.Errorf("Jacobi/tmk alloc histogram holds %d runs, want 1", n)
+	}
+	if doc.Sim.Dispatches == 0 {
+		t.Error("sim section reports no dispatches after a run")
 	}
 }
 
-// TestEnginesShareARegistry: engines reporting on one registry — a
-// plain and an observing one over one store, as dsmrun -tables keeps —
-// report their summed counters, and the store's once.
+// TestEnginesShareARegistry: engines reporting on one map — a plain
+// and an observing one over one store, as dsmrun -tables keeps —
+// report their summed counters, and the store's once. The engines join
+// and run concurrently while the map is read, as a live scrape does.
 func TestEnginesShareARegistry(t *testing.T) {
-	reg := metrics.NewRegistry()
+	reg := new(expvar.Map)
 	st := openStoreT(t, t.TempDir())
 	plain, observed := New(), New()
 	observed.Observe = true
@@ -113,22 +134,34 @@ func TestEnginesShareARegistry(t *testing.T) {
 		e.Metrics, e.Store = reg, st
 	}
 	specs := testGrid()[:3]
+	var wg sync.WaitGroup
 	for _, e := range []*Engine{plain, observed} {
-		if _, err := e.StreamWith(io.Discard, specs, nil); err != nil {
-			t.Fatal(err)
+		wg.Add(1)
+		go func(e *Engine) {
+			defer wg.Done()
+			if _, err := e.StreamWith(io.Discard, specs, nil); err != nil {
+				t.Error(err)
+			}
+		}(e)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if doc := reg.String(); !json.Valid([]byte(doc)) {
+			t.Fatalf("a scrape during the sweeps is not JSON: %s", doc)
 		}
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"dsm_engine_runs_started_total 6\n",
-		"dsm_store_puts_total 6\n",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, buf.String())
-		}
+	doc := readTelemetry(t, reg)
+	if doc.Engine.RunsStarted != 6 || doc.Store.Puts != 6 {
+		t.Errorf("engine section %+v, store section %+v: want 6 runs started and 6 puts", doc.Engine, doc.Store)
 	}
 }
 

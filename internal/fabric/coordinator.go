@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/metrics"
 )
 
 // Coordinator distributes a spec list across HTTP workers and merges
@@ -24,7 +24,7 @@ import (
 // simulated twice across the fleet; the merge relabels and joins
 // through exp.Labelled, as exp.Engine does.
 // Zero values get sane defaults; a Coordinator is good for one Run at a
-// time.
+// time, and each Run starts its accounting afresh.
 type Coordinator struct {
 	// Workers are worker base addresses (host:port or full URLs). An
 	// empty or unreachable fleet degrades to local execution.
@@ -47,9 +47,10 @@ type Coordinator struct {
 	// Client performs worker requests; nil uses a fresh http.Client
 	// (per-request contexts carry the deadlines).
 	Client *http.Client
-	// Metrics, when non-nil, carries the coordinator's fleet counters
-	// (and the local engine's host telemetry).
-	Metrics *metrics.Registry
+	// Metrics, when non-nil, is the telemetry map the coordinator sets
+	// its "fabric" section (Snapshot) on; the local engine reports on it
+	// too unless it has a map of its own.
+	Metrics *expvar.Map
 	// Out, when non-nil, receives a throttled fleet progress line.
 	Out io.Writer
 	// Logf, when non-nil, receives one line per fleet event (worker
@@ -68,8 +69,7 @@ type Coordinator struct {
 	recordsFailed atomic.Int64
 	localRecords  atomic.Int64
 
-	metricsOnce sync.Once
-	tbl         *leaseTable
+	tbl *leaseTable
 }
 
 const (
@@ -145,18 +145,26 @@ func (c *Coordinator) localEngine(join bool) *exp.Engine {
 // per run, and a write failure aborts the merge. The bytes written are
 // identical to a local sweep of the same specs, whatever the fleet does.
 func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, error) {
+	// Nothing of an earlier Run carries over: its merge counters, its
+	// lease table and its fleet.
+	c.mu.Lock()
+	c.start, c.lastLine = time.Now(), time.Time{}
+	c.recordsTotal = int64(len(specs))
+	c.rangesTotal, c.tbl, c.workers = 0, nil, nil
+	c.recordsDone.Store(0)
+	c.recordsFailed.Store(0)
+	c.localRecords.Store(0)
+	c.mu.Unlock()
+	if c.Metrics != nil {
+		c.Metrics.Set("fabric", expvar.Func(func() any { return c.Snapshot() }))
+	}
 	if len(specs) == 0 {
 		return exp.StreamStats{}, nil
 	}
-	c.mu.Lock()
-	c.start = time.Now()
-	c.recordsTotal = int64(len(specs))
-	c.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	live := c.handshake(ctx)
-	c.registerMetrics()
 	if len(live) == 0 {
 		c.logf("fabric: no workers registered; running the sweep locally")
 		stats, err := c.localEngine(c.Speedup).StreamWith(out, specs, func(rec *exp.Record) {
@@ -254,7 +262,7 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 // handshake probes every configured worker address and registers the
 // ones that answer /healthz with a matching schema version. An address
 // listed twice (in any spelling NormalizeAddr equates) is one worker:
-// its per-worker metric series exist once.
+// it has one row in Snapshot.
 func (c *Coordinator) handshake(ctx context.Context) []*workerState {
 	var live []*workerState
 	seen := map[string]bool{}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/metrics"
 	"repro/internal/proto"
 )
 
@@ -342,17 +342,29 @@ func TestWireRecordsCarrySchemaVersion(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetry checks the metrics registry and /progress
-// snapshot carry the fleet accounting after a distributed run.
+// fabricSection decodes the "fabric" section of a telemetry map.
+func fabricSection(t *testing.T, m *expvar.Map) FleetSnapshot {
+	t.Helper()
+	var doc struct {
+		Fabric *FleetSnapshot `json:"fabric"`
+	}
+	if err := json.Unmarshal([]byte(m.String()), &doc); err != nil || doc.Fabric == nil {
+		t.Fatalf("telemetry document %s: no fabric section (%v)", m.String(), err)
+	}
+	return *doc.Fabric
+}
+
+// TestFleetTelemetry checks the telemetry map's fabric section and the
+// /progress snapshot carry the fleet accounting after a distributed run.
 func TestFleetTelemetry(t *testing.T) {
 	specs := testGrid(t)
-	reg := metrics.NewRegistry()
-	c := &Coordinator{Workers: startWorkers(t, 2), RangeSize: 2, Metrics: reg, Logf: t.Logf}
+	m := new(expvar.Map)
+	c := &Coordinator{Workers: startWorkers(t, 2), RangeSize: 2, Metrics: m, Logf: t.Logf}
 	var got bytes.Buffer
 	if _, err := c.Run(&got, specs); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap := fabricSection(t, m)
 	if snap.RecordsDone != int64(len(specs)) || snap.RecordsTotal != int64(len(specs)) {
 		t.Errorf("snapshot records %d/%d, want %d/%d", snap.RecordsDone, snap.RecordsTotal, len(specs), len(specs))
 	}
@@ -375,17 +387,8 @@ func TestFleetTelemetry(t *testing.T) {
 	if leased != int64(ranges) {
 		t.Errorf("fleet granted %d leases for %d ranges", leased, ranges)
 	}
-	var text bytes.Buffer
-	if err := reg.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := metrics.ValidateText(bytes.NewReader(text.Bytes())); err != nil {
-		t.Errorf("fleet metrics scrape invalid: %v\n%s", err, text.String())
-	}
-	for _, want := range []string{mRecordsMerged, mLeasesGranted, mWorkersLive} {
-		if !strings.Contains(text.String(), want) {
-			t.Errorf("scrape missing family %s", want)
-		}
+	if executedRuns(snap) != int64(exp.UniqueRuns(specs, false)) {
+		t.Errorf("fleet executed %d runs, want %d", executedRuns(snap), exp.UniqueRuns(specs, false))
 	}
 	// The snapshot serves as JSON.
 	rr := httptest.NewRecorder()
@@ -399,27 +402,102 @@ func TestFleetTelemetry(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRunsTwice: a second Run on one coordinator counts its
+// own records, ranges and fleet only, and prints its final progress
+// line, whether the first ran on a fleet or locally.
+func TestCoordinatorRunsTwice(t *testing.T) {
+	specs := testGrid(t)
+	n := int64(len(specs))
+	m := new(expvar.Map)
+	var lines bytes.Buffer
+	c := &Coordinator{RangeSize: 2, Metrics: m, Out: &lines, Logf: t.Logf}
+	for i, fleet := range [][]string{startWorkers(t, 2), nil, startWorkers(t, 1)} {
+		c.Workers = fleet
+		lines.Reset()
+		if _, err := c.Run(io.Discard, specs); err != nil {
+			t.Fatal(err)
+		}
+		snap := fabricSection(t, m)
+		if snap.RecordsDone != n || snap.RecordsTotal != n || snap.RecordsFailed != 0 {
+			t.Errorf("run %d: records %d/%d (%d failed), want %d/%d", i, snap.RecordsDone, snap.RecordsTotal, snap.RecordsFailed, n, n)
+		}
+		if len(snap.Workers) != len(fleet) {
+			t.Errorf("run %d: %d worker rows for a fleet of %d: %+v", i, len(snap.Workers), len(fleet), snap.Workers)
+		}
+		for j, ws := range snap.Workers {
+			if ws.Addr != NormalizeAddr(fleet[j]) {
+				t.Errorf("run %d: worker row %s, want %s", i, ws.Addr, NormalizeAddr(fleet[j]))
+			}
+		}
+		if fleet == nil {
+			if snap.LocalRecords != n || snap.RangesTotal != 0 {
+				t.Errorf("run %d: local run reports %d local records and %d ranges, want %d and 0", i, snap.LocalRecords, snap.RangesTotal, n)
+			}
+		} else if runs := int64(exp.UniqueRuns(specs, false)); executedRuns(snap) != runs || snap.RangesDone != snap.RangesTotal {
+			t.Errorf("run %d: fleet executed %d runs in %d/%d ranges, want %d runs", i, executedRuns(snap), snap.RangesDone, snap.RangesTotal, runs)
+		}
+		if want := fmt.Sprintf("fabric: %d/%d records", n, n); !strings.Contains(lines.String(), want) {
+			t.Errorf("run %d: no final progress line %q in:\n%s", i, want, lines.String())
+		}
+	}
+}
+
 // TestRepeatedWorkerAddressRegistersOnce: one worker listed under three
-// spellings of its address is one registered worker, so its per-worker
-// metric series are registered once (a second registration of a
-// func-backed series panics) and the sweep merges the local stream.
+// spellings of its address is one registered worker, with one row in
+// the fabric section, and the sweep merges the local stream.
 func TestRepeatedWorkerAddressRegistersOnce(t *testing.T) {
 	specs := testGrid(t)
 	u := startWorkers(t, 1)[0]
+	m := new(expvar.Map)
 	c := &Coordinator{
 		Workers: []string{u, u + "/", strings.TrimPrefix(u, "http://")},
-		Metrics: metrics.NewRegistry(),
+		Metrics: m,
 		Logf:    t.Logf,
 	}
 	var got bytes.Buffer
 	if _, err := c.Run(&got, specs); err != nil {
 		t.Fatal(err)
 	}
-	if rows := c.Snapshot().Workers; len(rows) != 1 {
+	if rows := fabricSection(t, m).Workers; len(rows) != 1 {
 		t.Errorf("%d snapshot rows for one worker: %+v", len(rows), rows)
 	}
 	if want := localBytes(t, specs, false, false); !bytes.Equal(want, got.Bytes()) {
 		t.Errorf("merged output differs from local sweep:\nlocal:\n%s\nfabric:\n%s", want, got.Bytes())
+	}
+}
+
+// TestWorkerCounters: a worker's fabric_worker section counts the
+// leases it streamed, their records and the leases it refused, and its
+// engine section the runs it executed.
+func TestWorkerCounters(t *testing.T) {
+	specs := testGrid(t)
+	m := new(expvar.Map)
+	w := NewWorker(m)
+	srv := httptest.NewServer(w.Handler())
+	t.Cleanup(srv.Close)
+	c := &Coordinator{Workers: []string{srv.URL}, RangeSize: 2, Logf: t.Logf}
+	if _, err := c.Run(io.Discard, specs); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+RunPath, "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var doc struct {
+		Engine       exp.HostStats  `json:"engine"`
+		FabricWorker WorkerCounters `json:"fabric_worker"`
+	}
+	if err := json.Unmarshal([]byte(m.String()), &doc); err != nil {
+		t.Fatalf("telemetry document %s: %v", m.String(), err)
+	}
+	runs := int64(exp.UniqueRuns(specs, false))
+	want := WorkerCounters{Leases: c.Snapshot().Workers[0].Leases, LeasesDenied: 1, Records: runs}
+	if doc.FabricWorker != want {
+		t.Errorf("fabric_worker section %+v, want %+v", doc.FabricWorker, want)
+	}
+	if doc.Engine.RunsStarted != runs {
+		t.Errorf("worker engine started %d runs, want %d", doc.Engine.RunsStarted, runs)
 	}
 }
 

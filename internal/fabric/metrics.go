@@ -5,85 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"repro/internal/metrics"
 )
-
-// Coordinator-side metric family names. Per-worker families carry a
-// worker="<addr>" label.
-const (
-	mRangesTotal    = "dsm_fabric_ranges_total"
-	mRangesDone     = "dsm_fabric_ranges_done"
-	mRecordsMerged  = "dsm_fabric_records_merged_total"
-	mRecordsFailed  = "dsm_fabric_record_failures_total"
-	mLocalRecords   = "dsm_fabric_local_records_total"
-	mWorkersLive    = "dsm_fabric_workers_live"
-	mLeasesGranted  = "dsm_fabric_leases_granted_total"
-	mLeaseExpiries  = "dsm_fabric_lease_expiries_total"
-	mLeaseFailures  = "dsm_fabric_lease_failures_total"
-	mWorkerMerged   = "dsm_fabric_worker_merged_records_total"
-	mWorkerInflight = "dsm_fabric_worker_leases_inflight"
-)
-
-// registerMetrics exposes the coordinator's fleet state on c.Metrics
-// as func-backed families over the live atomics. Called once per
-// coordinator, after the handshake fixed the worker set.
-func (c *Coordinator) registerMetrics() {
-	r := c.Metrics
-	if r == nil {
-		return
-	}
-	c.metricsOnce.Do(func() {
-		r.GaugeFunc(mRangesTotal, "Leased ranges in the current sweep.", func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.rangesTotal)
-		})
-		r.GaugeFunc(mRangesDone, "Leased ranges completed.", func() float64 {
-			c.mu.Lock()
-			tbl := c.tbl
-			c.mu.Unlock()
-			if tbl == nil {
-				return 0
-			}
-			return float64(tbl.doneRanges())
-		})
-		r.CounterFunc(mRecordsMerged, "Records merged into the ordered output stream.",
-			func() float64 { return float64(c.recordsDone.Load()) })
-		r.CounterFunc(mRecordsFailed, "Merged records that carried a run failure.",
-			func() float64 { return float64(c.recordsFailed.Load()) })
-		r.CounterFunc(mLocalRecords, "Records executed by the coordinator's local fallback engine.",
-			func() float64 { return float64(c.localRecords.Load()) })
-		r.GaugeFunc(mWorkersLive, "Registered workers not yet retired.", func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			n := 0
-			for _, ws := range c.workers {
-				if !ws.retired.Load() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-		c.mu.Lock()
-		workers := c.workers
-		c.mu.Unlock()
-		for _, ws := range workers {
-			ws := ws
-			l := metrics.L("worker", ws.addr)
-			r.CounterFunc(mLeasesGranted, "Leases granted, by worker.",
-				func() float64 { return float64(ws.leases.Load()) }, l)
-			r.CounterFunc(mLeaseExpiries, "Leases lost to the deadline, by worker.",
-				func() float64 { return float64(ws.expiries.Load()) }, l)
-			r.CounterFunc(mLeaseFailures, "Leases lost to errors or malformed streams, by worker.",
-				func() float64 { return float64(ws.failures.Load()) }, l)
-			r.CounterFunc(mWorkerMerged, "Validated records received, by worker.",
-				func() float64 { return float64(ws.records.Load()) }, l)
-			r.GaugeFunc(mWorkerInflight, "Leases outstanding right now, by worker.",
-				func() float64 { return float64(ws.inflight.Load()) }, l)
-		}
-	})
-}
 
 // WorkerSnapshot is one worker's row in the fleet /progress view.
 type WorkerSnapshot struct {
@@ -96,8 +18,10 @@ type WorkerSnapshot struct {
 	Retired  bool   `json:"retired,omitempty"`
 }
 
-// FleetSnapshot is the JSON shape the coordinator serves at /progress:
-// aggregated merge progress with a fleet ETA plus per-worker rows.
+// FleetSnapshot is the JSON shape the coordinator serves at /progress,
+// and its telemetry map's "fabric" section: aggregated merge progress
+// of the current Run with a fleet ETA, plus one row per worker it
+// registered.
 type FleetSnapshot struct {
 	RecordsDone   int64 `json:"records_done"`
 	RecordsTotal  int64 `json:"records_total"`

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"net/http"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -22,9 +22,9 @@ import (
 type Worker struct {
 	// Workers bounds each engine's host worker pool; 0 means all cores.
 	Workers int
-	// Metrics, when non-nil, carries the worker's fabric counters and
-	// the first engine's host telemetry.
-	Metrics *metrics.Registry
+	// Metrics, when non-nil, is the telemetry map carrying the worker's
+	// "fabric_worker" section (Counters) and its engines' sections.
+	Metrics *expvar.Map
 	// Progress aggregates lease workloads into the worker's /progress
 	// view (totals grow lease by lease; ETA is informational).
 	Progress *exp.Progress
@@ -51,7 +51,6 @@ type Worker struct {
 	mu      sync.Mutex
 	engines map[bool]*exp.Engine // by Observe
 
-	streamed atomic.Int64
 	dead     atomic.Bool
 	draining atomic.Bool
 
@@ -62,44 +61,59 @@ type Worker struct {
 	activeIdle *sync.Cond
 	activeN    int
 
-	leasesActive  *metrics.Gauge
-	leasesServed  *metrics.Counter
-	leasesDenied  *metrics.Counter
-	recordsOut    *metrics.Counter
-	recordsFailed *metrics.Counter
+	leasesActive  atomic.Int64
+	leasesServed  atomic.Int64
+	leasesDenied  atomic.Int64
+	recordsOut    atomic.Int64
+	recordsFailed atomic.Int64
 }
 
-// Worker-side metric family names.
-const (
-	mWorkerLeasesActive = "dsm_fabric_worker_leases_active"
-	mWorkerLeases       = "dsm_fabric_worker_leases_total"
-	mWorkerDenied       = "dsm_fabric_worker_leases_denied_total"
-	mWorkerRecords      = "dsm_fabric_worker_records_total"
-	mWorkerFailed       = "dsm_fabric_worker_record_failures_total"
-)
+// WorkerCounters is a worker's lease and record accounting, its
+// telemetry map's "fabric_worker" section.
+type WorkerCounters struct {
+	// LeasesActive counts the leases streaming right now.
+	LeasesActive int64 `json:"leases_active"`
+	// Leases counts leases accepted and streamed; LeasesDenied those
+	// rejected (schema mismatch, bad keys, a dead or draining worker).
+	Leases       int64 `json:"leases"`
+	LeasesDenied int64 `json:"leases_denied"`
+	// Records counts records streamed back to coordinators;
+	// RecordFailures those of them that carried a run failure.
+	Records        int64 `json:"records"`
+	RecordFailures int64 `json:"record_failures"`
+}
 
-// NewWorker builds a worker registering its fabric counters on r (nil
-// disables telemetry; the handles no-op).
-func NewWorker(r *metrics.Registry) *Worker {
+// NewWorker builds a worker that sets its "fabric_worker" section on m
+// (nil: no telemetry).
+func NewWorker(m *expvar.Map) *Worker {
 	w := &Worker{
-		Metrics:  r,
+		Metrics:  m,
 		Progress: exp.NewProgress(0, nil, nil),
 		engines:  map[bool]*exp.Engine{},
 	}
 	w.activeIdle = sync.NewCond(&w.activeMu)
-	w.leasesActive = r.Gauge(mWorkerLeasesActive, "Fabric leases streaming right now.")
-	w.leasesServed = r.Counter(mWorkerLeases, "Fabric leases accepted and streamed.")
-	w.leasesDenied = r.Counter(mWorkerDenied, "Fabric leases rejected (schema mismatch, bad keys, dead worker).")
-	w.recordsOut = r.Counter(mWorkerRecords, "Records streamed back to coordinators.")
-	w.recordsFailed = r.Counter(mWorkerFailed, "Streamed records that carried a run failure.")
+	if m != nil {
+		m.Set("fabric_worker", expvar.Func(func() any { return w.Counters() }))
+	}
 	return w
+}
+
+// Counters returns the worker's lease and record counters.
+func (w *Worker) Counters() WorkerCounters {
+	return WorkerCounters{
+		LeasesActive:   w.leasesActive.Load(),
+		Leases:         w.leasesServed.Load(),
+		LeasesDenied:   w.leasesDenied.Load(),
+		Records:        w.recordsOut.Load(),
+		RecordFailures: w.recordsFailed.Load(),
+	}
 }
 
 // engine resolves the engine that observes or not, creating it on
 // first use. Engine options are fields, not per-call parameters, so
 // concurrent leases with different options get distinct engines (and
-// distinct caches). Every engine reports on the worker's registry,
-// which sums their host telemetry.
+// distinct caches). Every engine reports on the worker's map, whose
+// engine section sums their host telemetry.
 func (w *Worker) engine(observe bool) *exp.Engine {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -176,12 +190,12 @@ func (w *Worker) endLease() {
 // handleRun leases one range: decode, validate, execute, stream.
 func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	if w.dead.Load() {
-		w.leasesDenied.Inc()
+		w.leasesDenied.Add(1)
 		http.Error(rw, "fabric: worker killed", http.StatusServiceUnavailable)
 		return
 	}
 	if !w.beginLease() {
-		w.leasesDenied.Inc()
+		w.leasesDenied.Add(1)
 		http.Error(rw, "fabric: worker draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -190,12 +204,12 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rr); err != nil {
-		w.leasesDenied.Inc()
+		w.leasesDenied.Add(1)
 		http.Error(rw, fmt.Sprintf("fabric: malformed run request: %v", err), http.StatusBadRequest)
 		return
 	}
 	if rr.SchemaVersion != exp.SchemaVersion {
-		w.leasesDenied.Inc()
+		w.leasesDenied.Add(1)
 		w.logf("fabric worker: lease %s rejected: coordinator schema_version %d, this build %d",
 			rr.Lease, rr.SchemaVersion, exp.SchemaVersion)
 		http.Error(rw, fmt.Sprintf("fabric: schema_version %d does not match this build's %d",
@@ -203,7 +217,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if len(rr.Keys) == 0 {
-		w.leasesDenied.Inc()
+		w.leasesDenied.Add(1)
 		http.Error(rw, "fabric: empty lease", http.StatusBadRequest)
 		return
 	}
@@ -214,16 +228,16 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 			err = s.Validate()
 		}
 		if err != nil {
-			w.leasesDenied.Inc()
+			w.leasesDenied.Add(1)
 			http.Error(rw, fmt.Sprintf("fabric: bad spec key %q: %v", key, err), http.StatusBadRequest)
 			return
 		}
 		specs[i] = s
 	}
 
-	w.leasesActive.Inc()
-	defer w.leasesActive.Dec()
-	w.leasesServed.Inc()
+	w.leasesActive.Add(1)
+	defer w.leasesActive.Add(-1)
+	w.leasesServed.Add(1)
 	w.Progress.AddTotal(exp.UniqueRuns(specs, false))
 	w.logf("fabric worker: lease %s: %d specs (%s .. %s)", rr.Lease, len(specs), rr.Keys[0], rr.Keys[len(rr.Keys)-1])
 
@@ -238,10 +252,9 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 		}
 		rec.SchemaVersion = exp.SchemaVersion
 		if rec.Error != "" {
-			w.recordsFailed.Inc()
+			w.recordsFailed.Add(1)
 		}
-		w.recordsOut.Inc()
-		if n := w.KillAfterRecords; n > 0 && w.streamed.Add(1) >= n {
+		if out := w.recordsOut.Add(1); w.KillAfterRecords > 0 && out >= w.KillAfterRecords {
 			w.die()
 		}
 	})
@@ -283,7 +296,7 @@ func (w *Worker) Drain(timeout time.Duration) error {
 			err = cerr
 		}
 	}
-	w.logf("fabric worker: drained (%d records streamed)", int64(w.recordsOut.Value()))
+	w.logf("fabric worker: drained (%d records streamed)", w.recordsOut.Load())
 	return err
 }
 
@@ -291,7 +304,7 @@ func (w *Worker) Drain(timeout time.Duration) error {
 // (503s from now on) and the current stream is aborted mid-record.
 func (w *Worker) die() {
 	w.dead.Store(true)
-	w.logf("fabric worker: injected kill after %d records", w.streamed.Load())
+	w.logf("fabric worker: injected kill after %d records", w.recordsOut.Load())
 	if w.Kill != nil {
 		w.Kill()
 		return

@@ -1,30 +1,30 @@
 package metrics
 
 import (
+	"expvar"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 )
 
-// ContentType is the Prometheus text exposition content type.
-const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// Handler serves the registry in the text exposition format. A nil
-// registry serves an empty document (still a valid scrape).
-func Handler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		r.WriteText(w) //nolint:errcheck // client went away; nothing to do
-	})
+// WriteJSON writes m's JSON document and a newline: the bytes /metrics
+// serves and -metrics-dump writes.
+func WriteJSON(w io.Writer, m *expvar.Map) error {
+	_, err := io.WriteString(w, m.String()+"\n")
+	return err
 }
 
-// NewMux builds the telemetry endpoint surface: /metrics (Prometheus
-// text) and /debug/pprof/* (the runtime profiles, mounted explicitly so
-// the process never depends on http.DefaultServeMux). Extra handlers
-// (e.g. a /progress JSON snapshot) are mounted at their given paths.
-func NewMux(r *Registry, extra map[string]http.Handler) *http.ServeMux {
+// NewMux builds the telemetry endpoint surface: /metrics (m as JSON)
+// and /debug/pprof/* (the runtime profiles, mounted explicitly so the
+// process never depends on http.DefaultServeMux). Extra handlers (e.g.
+// a /progress JSON snapshot) are mounted at their given paths.
+func NewMux(m *expvar.Map, extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(r))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		WriteJSON(w, m) //nolint:errcheck // client went away; nothing to do
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

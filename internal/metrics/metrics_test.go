@@ -3,253 +3,151 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"io"
 	"math"
 	"math/rand"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// TestConcurrentHammer drives counters, gauges and histograms from many
-// goroutines (the -race CI job runs this under the race detector) and
-// checks the final values are exact: every increment lands.
+// TestConcurrentHammer observes from many goroutines while others read
+// (the -race CI job runs this under the race detector): every read
+// agrees with itself, and the final count and sum are exact.
 func TestConcurrentHammer(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("hammer_total", "concurrent counter")
-	g := r.Gauge("hammer_gauge", "concurrent gauge")
-	peak := r.Gauge("hammer_peak", "concurrent high-water mark")
-	h := r.Histogram("hammer_seconds", "concurrent histogram", ExpBuckets(0.001, 10, 4))
-
+	h := NewHistogram(0.001, 10, 4)
 	const workers, per = 16, 2000
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := h.Snapshot()
+			var n uint64
+			for _, c := range s.Counts {
+				n += c
+			}
+			if n != s.Count {
+				t.Errorf("concurrent read: count %d, buckets sum to %d", s.Count, n)
+				return
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			// Labeled series resolved concurrently exercise the
-			// registry's get-or-create path too.
-			lc := r.Counter("hammer_labeled_total", "labeled counter", L("worker", "shared"))
 			for i := 0; i < per; i++ {
-				c.Inc()
-				lc.Add(2)
-				g.Add(1)
-				g.Dec()
-				peak.SetMax(float64(w*per + i))
-				h.Observe(rng.Float64() * 10)
+				// Quarter multiples sum exactly in any order.
+				h.Observe(float64(rng.Intn(40)) / 4)
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-readerDone
 
-	if got := c.Value(); got != workers*per {
-		t.Errorf("counter = %g, want %d", got, workers*per)
-	}
-	lc := r.Counter("hammer_labeled_total", "labeled counter", L("worker", "shared"))
-	if got := lc.Value(); got != 2*workers*per {
-		t.Errorf("labeled counter = %g, want %d", got, 2*workers*per)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %g, want 0 (adds and decs balance)", got)
-	}
-	if want := float64(workers*per - 1); peak.Value() != want {
-		t.Errorf("peak = %g, want %g", peak.Value(), want)
-	}
-	if got := h.Count(); got != workers*per {
-		t.Errorf("histogram count = %d, want %d", got, workers*per)
-	}
-	snap := r.Snapshot()
-	for _, f := range snap.Families {
-		if f.Name != "hammer_seconds" {
-			continue
+	var want float64
+	for w := 0; w < workers; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		for i := 0; i < per; i++ {
+			want += float64(rng.Intn(40)) / 4
 		}
-		hs := f.Series[0].Hist
-		if hs.Count != workers*per {
-			t.Errorf("snapshot count = %d, want %d", hs.Count, workers*per)
-		}
-		last := hs.Buckets[len(hs.Buckets)-1]
-		if last.LE != "+Inf" || last.Count != hs.Count {
-			t.Errorf("+Inf bucket %+v disagrees with count %d", last, hs.Count)
-		}
-		for i := 1; i < len(hs.Buckets); i++ {
-			if hs.Buckets[i-1].Count > hs.Buckets[i].Count {
-				t.Errorf("cumulative buckets decrease at %d", i)
-			}
-		}
+	}
+	s := h.Snapshot()
+	if s.Count != workers*per {
+		t.Errorf("count = %d, want %d", s.Count, workers*per)
+	}
+	if s.Sum != want {
+		t.Errorf("sum = %g, want %g", s.Sum, want)
+	}
+	if len(s.Counts) != len(s.Bounds)+1 {
+		t.Errorf("%d counts for %d bounds, want one overflow bucket more", len(s.Counts), len(s.Bounds))
 	}
 }
 
-// TestSnapshotDeterminism pins the registry's ordering guarantee: two
-// registries populated with the same values in different orders render
-// byte-identical text, and repeated renders of one registry are stable.
+// TestBucketSearch pins the bucket rule: a sample equal to an upper
+// bound lands in that bucket, one above every bound in the overflow.
+func TestBucketSearch(t *testing.T) {
+	h := NewHistogram(1, 2, 2) // bounds 1, 2
+	h.Observe(1)
+	h.Observe(1.5)
+	h.Observe(math.Inf(1) - 1e308) // finite huge -> overflow
+	s := h.Snapshot()
+	if want := []float64{1, 2}; !slices.Equal(s.Bounds, want) {
+		t.Fatalf("bounds %v, want %v", s.Bounds, want)
+	}
+	if s.Counts[0] != 1 || s.Counts[1] != 1 || s.Counts[2] != 1 || s.Count != 3 {
+		t.Errorf("bucket placement wrong: %+v", s)
+	}
+}
+
+// TestSnapshotDeterminism pins the ordering guarantee: two maps
+// populated with the same values in different orders serve identical
+// bytes, and repeated reads of one map are stable.
 func TestSnapshotDeterminism(t *testing.T) {
-	build := func(perm []int) *Registry {
-		r := NewRegistry()
+	build := func(perm []int) *expvar.Map {
+		m := new(expvar.Map)
+		jacobi, mgs := NewHistogram(0.1, 10, 2), NewHistogram(0.1, 10, 2)
 		ops := []func(){
-			func() { r.Counter("b_total", "second counter").Add(7) },
-			func() { r.Gauge("a_gauge", "a gauge", L("node", "1")).Set(2.5) },
-			func() { r.Gauge("a_gauge", "a gauge", L("node", "0")).Set(1.5) },
-			func() {
-				r.Histogram("c_seconds", "a histogram", []float64{0.1, 1}, L("app", "Jacobi")).Observe(0.05)
-			},
-			func() {
-				r.Histogram("c_seconds", "a histogram", []float64{0.1, 1}, L("app", "MGS")).Observe(3)
-			},
-			func() { r.Counter("a_total", "first counter").Inc() },
+			func() { m.Set("b", expvar.Func(func() any { return struct{ N int }{7} })) },
+			func() { m.Set("c_jacobi", jacobi) },
+			func() { m.Set("c_mgs", mgs) },
+			func() { jacobi.Observe(0.05) },
+			func() { mgs.Observe(3) },
+			func() { m.Set("a", expvar.Func(func() any { return []int{1, 2} })) },
 		}
 		for _, i := range perm {
 			ops[i]()
 		}
-		return r
+		return m
 	}
-	render := func(r *Registry) string {
-		var buf bytes.Buffer
-		if err := r.WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	golden := render(build([]int{0, 1, 2, 3, 4, 5}))
-	if golden == "" {
-		t.Fatal("empty exposition")
-	}
-	for _, perm := range [][]int{{5, 4, 3, 2, 1, 0}, {3, 1, 5, 0, 4, 2}} {
-		if got := render(build(perm)); got != golden {
-			t.Errorf("registration order changed the bytes:\nwant:\n%s\ngot:\n%s", golden, got)
+	golden := build([]int{0, 1, 2, 3, 4, 5}).String()
+	for _, perm := range [][]int{{5, 2, 1, 4, 3, 0}, {1, 3, 5, 0, 2, 4}} {
+		if got := build(perm).String(); got != golden {
+			t.Errorf("insertion order changed the bytes:\nwant: %s\ngot:  %s", golden, got)
 		}
 	}
-	r := build([]int{0, 1, 2, 3, 4, 5})
-	if render(r) != render(r) {
-		t.Error("repeated renders of one registry differ")
+	m := build([]int{0, 1, 2, 3, 4, 5})
+	if m.String() != m.String() {
+		t.Error("repeated reads of one map differ")
 	}
 }
 
-// TestExpositionGolden pins the exact text-format bytes of a small
-// registry: the encoder is the wire format CI curls and scrapers parse.
+// TestExpositionGolden pins the exact bytes of a small map: the
+// document /metrics serves and -metrics-dump writes.
 func TestExpositionGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("runs_total", "Completed runs.").Add(3)
-	r.Gauge("inflight", "In-flight runs.", L("pool", `a"b\c`)).Set(2)
-	r.Histogram("host_seconds", "Host wall time.", []float64{0.5, 2}).Observe(0.4)
-	r.Histogram("host_seconds", "Host wall time.", []float64{0.5, 2}).Observe(8)
-	want := strings.Join([]string{
-		`# HELP host_seconds Host wall time.`,
-		`# TYPE host_seconds histogram`,
-		`host_seconds_bucket{le="0.5"} 1`,
-		`host_seconds_bucket{le="2"} 1`,
-		`host_seconds_bucket{le="+Inf"} 2`,
-		`host_seconds_sum 8.4`,
-		`host_seconds_count 2`,
-		`# HELP inflight In-flight runs.`,
-		`# TYPE inflight gauge`,
-		`inflight{pool="a\"b\\c"} 2`,
-		`# HELP runs_total Completed runs.`,
-		`# TYPE runs_total counter`,
-		`runs_total 3`,
-		``,
-	}, "\n")
+	m := new(expvar.Map)
+	h := NewHistogram(0.5, 4, 2)
+	h.Observe(0.4)
+	h.Observe(8)
+	m.Set("host_seconds", h)
+	m.Set("engine", expvar.Func(func() any {
+		return struct {
+			Runs int64 `json:"runs"`
+		}{3}
+	}))
+	want := `{"engine": {"runs":3}, "host_seconds": {"bounds":[0.5,2],"counts":[1,0,1],"count":2,"sum":8.4}}` + "\n"
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := WriteJSON(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != want {
-		t.Errorf("exposition bytes:\nwant:\n%s\ngot:\n%s", want, buf.String())
+		t.Errorf("document bytes:\nwant: %s\ngot:  %s", want, buf.String())
 	}
 }
 
-// TestEncoderOutputValidates closes the loop: everything the encoder
-// can produce must pass the validator, including func-backed metrics,
-// declared-but-empty histogram families and escaped label values.
-func TestEncoderOutputValidates(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "counter").Add(4)
-	r.CounterFunc("b_total", "func counter", func() float64 { return 11 })
-	r.GaugeFunc("c_gauge", "func gauge", func() float64 { return -3.25 })
-	r.DeclareHistogram("empty_seconds", "declared, no series yet", []float64{1, 2})
-	h := r.Histogram("d_seconds", "histogram", ExpBuckets(0.001, 2, 10), L("app", "RB-SOR"), L("version", "tmk"))
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) * 0.01)
-	}
-	r.Gauge("e_gauge", "escapes", L("path", "a\\b\nc\"d")).Set(1)
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ValidateText(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("encoder output rejected: %v\n%s", err, buf.String())
-	}
-	// 1 counter + 1 func counter + 1 func gauge + 1 escaped gauge +
-	// histogram (10 buckets + +Inf + sum + count) = 17 samples.
-	if n != 17 {
-		t.Errorf("validator counted %d samples, want 17", n)
-	}
-}
-
-// TestValidateTextRejects feeds structurally broken documents to the
-// validator; each must fail.
-func TestValidateTextRejects(t *testing.T) {
-	cases := map[string]string{
-		"sample without TYPE": "orphan_total 1\n",
-		"unknown type":        "# TYPE x summary\nx 1\n",
-		"TYPE after samples":  "# TYPE a counter\na 1\n# TYPE a counter\n",
-		"negative counter":    "# TYPE a counter\na -1\n",
-		"duplicate series":    "# TYPE a gauge\na{x=\"1\"} 1\na{x=\"1\"} 2\n",
-		"bad label syntax":    "# TYPE a gauge\na{x=1} 1\n",
-		"bad value":           "# TYPE a gauge\na one\n",
-		"histogram no +Inf": "# TYPE h histogram\nh_bucket{le=\"1\"} 1\n" +
-			"h_sum 1\nh_count 1\n",
-		"histogram decreasing": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\n" +
-			"h_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n",
-		"histogram count mismatch": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\n" +
-			"h_sum 1\nh_count 4\n",
-		"histogram missing sum":   "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n",
-		"histogram bare sample":   "# TYPE h histogram\nh 3\n",
-		"unterminated labels":     "# TYPE a gauge\na{x=\"1\" 1\n",
-		"non-integer bucket":      "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1.5\nh_sum 1\nh_count 1.5\n",
-		"suffix on non-histogram": "# TYPE a counter\na 1\na_bucket{le=\"+Inf\"} 1\n",
-	}
-	for name, doc := range cases {
-		if _, err := ValidateText(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: accepted:\n%s", name, doc)
-		}
-	}
-}
-
-// TestNilSafety pins the nil-disabled convention: every operation on a
-// nil registry or nil handle is a no-op.
-func TestNilSafety(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x_total", "x")
-	g := r.Gauge("y", "y")
-	h := r.Histogram("z", "z", []float64{1})
-	r.CounterFunc("f", "f", func() float64 { return 1 })
-	r.GaugeFunc("g", "g", func() float64 { return 1 })
-	r.DeclareHistogram("d", "d", []float64{1})
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
-	g.Inc()
-	g.Dec()
-	g.SetMax(9)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Error("nil handles returned non-zero values")
-	}
-	if len(r.Snapshot().Families) != 0 {
-		t.Error("nil registry snapshot non-empty")
-	}
-	if err := r.WriteText(io.Discard); err != nil {
-		t.Errorf("nil registry WriteText: %v", err)
-	}
-}
-
-// TestRegistrationPanics pins the identity rules: mismatched
-// re-registration is a programming error, not a silent merge.
+// TestRegistrationPanics pins the constructor's rules: a bucket layout
+// that is empty or does not ascend is a programming error.
 func TestRegistrationPanics(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		defer func() {
@@ -259,54 +157,36 @@ func TestRegistrationPanics(t *testing.T) {
 		}()
 		f()
 	}
-	r := NewRegistry()
-	r.Counter("a_total", "help")
-	expectPanic("type mismatch", func() { r.Gauge("a_total", "help") })
-	expectPanic("help mismatch", func() { r.Counter("a_total", "other") })
-	expectPanic("bad name", func() { r.Counter("bad name", "h") })
-	expectPanic("bad label", func() { r.Counter("b_total", "h", L("le", "x")) })
-	expectPanic("negative add", func() { r.Counter("c_total", "h").Add(-1) })
-	r.Histogram("h_seconds", "h", []float64{1, 2})
-	expectPanic("bucket mismatch", func() { r.Histogram("h_seconds", "h", []float64{1, 3}) })
-	expectPanic("empty buckets", func() { r.Histogram("h2_seconds", "h", nil) })
-	expectPanic("unsorted buckets", func() { r.Histogram("h3_seconds", "h", []float64{2, 1}) })
-	r.CounterFunc("fn_total", "h", func() float64 { return 1 })
-	expectPanic("func re-registration", func() { r.CounterFunc("fn_total", "h", func() float64 { return 2 }) })
+	expectPanic("no buckets", func() { NewHistogram(1, 2, 0) })
+	expectPanic("zero start", func() { NewHistogram(0, 2, 3) })
+	expectPanic("flat factor", func() { NewHistogram(1, 1, 3) })
+	expectPanic("infinite start", func() { NewHistogram(math.Inf(1), 2, 3) })
 }
 
-// TestSnapshotJSONRoundTrip checks the -metrics-dump shape: the
-// snapshot marshals (no +Inf leaks into JSON numbers) and carries the
-// bucket bounds as exposition-formatted strings.
+// TestSnapshotJSONRoundTrip: a histogram's String decodes back into
+// its snapshot.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("h_seconds", "h", []float64{0.5}).Observe(99)
-	r.Counter("c_total", "c").Add(2)
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatalf("snapshot does not marshal: %v", err)
+	h := NewHistogram(0.5, 2, 3)
+	h.Observe(99)
+	h.Observe(0.25)
+	var back HistogramSnapshot
+	if err := json.Unmarshal([]byte(h.String()), &back); err != nil {
+		t.Fatalf("histogram JSON does not decode: %v", err)
 	}
-	var back Snapshot
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("snapshot does not round-trip: %v", err)
-	}
-	if len(back.Families) != 2 {
-		t.Fatalf("got %d families, want 2", len(back.Families))
-	}
-	hist := back.Families[1]
-	if hist.Name != "h_seconds" || hist.Series[0].Hist == nil {
-		t.Fatalf("unexpected family order/shape: %+v", back)
-	}
-	buckets := hist.Series[0].Hist.Buckets
-	if buckets[len(buckets)-1].LE != "+Inf" || buckets[len(buckets)-1].Count != 1 {
-		t.Errorf("bad +Inf bucket: %+v", buckets)
+	want := h.Snapshot()
+	if !slices.Equal(back.Bounds, want.Bounds) || back.Count != 2 || back.Sum != 99.25 ||
+		back.Counts[0] != 1 || back.Counts[len(back.Counts)-1] != 1 {
+		t.Errorf("round trip gave %+v, want %+v", back, want)
 	}
 }
 
-// TestHTTPHandler serves a scrape over HTTP and validates it.
+// TestHTTPHandler serves a map over HTTP and reads it back.
 func TestHTTPHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("http_total", "served").Add(1)
-	srv := httptest.NewServer(NewMux(r, nil))
+	m := new(expvar.Map)
+	h := NewHistogram(1, 2, 1)
+	h.Observe(1)
+	m.Set("served", h)
+	srv := httptest.NewServer(NewMux(m, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -316,18 +196,16 @@ func TestHTTPHandler(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentType {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type %q", ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateText(bytes.NewReader(body)); err != nil {
-		t.Errorf("scrape invalid: %v", err)
-	}
-	if !bytes.Contains(body, []byte("http_total 1")) {
-		t.Errorf("scrape missing sample:\n%s", body)
+	var doc struct{ Served HistogramSnapshot }
+	if err := json.Unmarshal(body, &doc); err != nil || doc.Served.Count != 1 {
+		t.Errorf("scrape %s decodes to %+v, %v", body, doc, err)
 	}
 	// pprof index must be mounted too.
 	pp, err := srv.Client().Get(srv.URL + "/debug/pprof/")
@@ -337,20 +215,5 @@ func TestHTTPHandler(t *testing.T) {
 	pp.Body.Close()
 	if pp.StatusCode != 200 {
 		t.Errorf("pprof index status %d", pp.StatusCode)
-	}
-}
-
-// TestBucketSearch pins le semantics: a sample equal to an upper bound
-// lands in that bucket (le is inclusive).
-func TestBucketSearch(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("b_seconds", "b", []float64{1, 2})
-	h.Observe(1) // le="1"
-	h.Observe(1.5)
-	h.Observe(math.Inf(1) - 1e308) // finite huge -> +Inf bucket
-	snap := r.Snapshot()
-	bk := snap.Families[0].Series[0].Hist.Buckets
-	if bk[0].Count != 1 || bk[1].Count != 2 || bk[2].Count != 3 {
-		t.Errorf("bucket placement wrong: %+v", bk)
 	}
 }

@@ -11,12 +11,12 @@ import "sync/atomic"
 type HostStats struct {
 	// Dispatches counts scheduler hand-offs: each time the Run loop
 	// resumed a process coroutine.
-	Dispatches int64
+	Dispatches int64 `json:"dispatches"`
 	// Delivered counts messages consumed by Recv.
-	Delivered int64
+	Delivered int64 `json:"delivered"`
 	// PeakQueue is the high-water mark of messages sent but not yet
 	// received, summed over all inboxes of the cluster.
-	PeakQueue int64
+	PeakQueue int64 `json:"peak_queue"`
 }
 
 // Process-wide totals, folded in once per completed Cluster.Run. The

@@ -96,8 +96,8 @@ const (
 	syncWindow = 64 * time.Millisecond
 )
 
-// openErrors counts failed Open calls process-wide, for the
-// dsm_store_open_errors_total metric family.
+// openErrors counts failed Open calls process-wide, for the telemetry
+// store section's open_errors.
 var openErrors atomic.Int64
 
 // OpenErrors returns the number of Open calls that failed in this
@@ -119,16 +119,16 @@ type Options struct {
 // Stats is a snapshot of the store's lifetime counters (this process,
 // this *Store).
 type Stats struct {
-	Hits          int64 // Get calls served from disk
-	Misses        int64 // Get calls that found no entry
-	Puts          int64 // frames appended (deduplicated Puts excluded)
-	Evictions     int64 // entries dropped by the MaxBytes cap
-	CorruptFrames int64 // frames skipped for bad CRC or mangled framing
-	SchemaSkips   int64 // frames skipped for a schema-version mismatch
-	Compactions   int64 // segment rewrites
-	Syncs         int64 // segment fsyncs (commit points and compactions)
-	SyncNanos     int64 // host time spent in those fsyncs
-	Orphans       int64 // stray segment and temp files removed by Open
+	Hits          int64 `json:"hits"`           // Get calls served from disk
+	Misses        int64 `json:"misses"`         // Get calls that found no entry
+	Puts          int64 `json:"puts"`           // frames appended (deduplicated Puts excluded)
+	Evictions     int64 `json:"evictions"`      // entries dropped by the MaxBytes cap
+	CorruptFrames int64 `json:"corrupt_frames"` // frames skipped for bad CRC or mangled framing
+	SchemaSkips   int64 `json:"schema_skips"`   // frames skipped for a schema-version mismatch
+	Compactions   int64 `json:"compactions"`    // segment rewrites
+	Syncs         int64 `json:"syncs"`          // segment fsyncs (commit points and compactions)
+	SyncNanos     int64 `json:"sync_ns"`        // host time spent in those fsyncs
+	Orphans       int64 `json:"orphans"`        // stray segment and temp files removed by Open
 }
 
 // entry is one live key in the in-memory index.

@@ -540,37 +540,42 @@ func runPVM(cfg core.Config) (core.Result, error) {
 				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
 				b := kn.fft1Planes(xs, p3lo, p3hi, 0)
 				b += kn.fft2Planes(xs, p3lo, p3hi, 0)
-				// Aggregated all-to-all: one packed message per peer.
+				// Aggregated all-to-all: one packed message per peer, packed
+				// straight into a transmit buffer, and one receive buffer at
+				// a time; both go round through the free list.
 				for q := 0; q < nprocs; q++ {
 					if q == me {
 						continue
 					}
 					qlo, qhi := apputil.BlockOf(q, nprocs, kn.n2)
-					buf := make([]complex128, 0, (p3hi-p3lo)*(qhi-qlo)*kn.n1)
+					buf := pvm.NewBuffer[complex128](pv, (p3hi-p3lo)*(qhi-qlo)*kn.n1)
+					vals, at := buf.Vals(), 0
 					for i3 := p3lo; i3 < p3hi; i3++ {
 						for i2 := qlo; i2 < qhi; i2++ {
 							off := (i3*kn.n2 + i2) * kn.n1
-							buf = append(buf, xs[off:off+kn.n1]...)
+							at += copy(vals[at:], xs[off:off+kn.n1])
 						}
 					}
-					pvm.Transmit(pv, q, 600, buf) // freshly packed, never written again
+					pvm.Transmit(pv, q, 600, buf, 0, len(vals))
+					buf.Release()
 				}
 				for q := 0; q < nprocs; q++ {
 					if q == me {
 						continue
 					}
 					qlo, qhi := apputil.BlockOf(q, nprocs, kn.n3)
-					buf := make([]complex128, (qhi-qlo)*(b2hi-b2lo)*kn.n1)
-					pvm.Recv(pv, q, 600, buf)
-					at := 0
+					buf := pvm.NewBuffer[complex128](pv, (qhi-qlo)*(b2hi-b2lo)*kn.n1)
+					vals, at := buf.Vals(), 0
+					pvm.Recv(pv, q, 600, vals)
 					for i3 := qlo; i3 < qhi; i3++ {
 						for i2 := b2lo; i2 < b2hi; i2++ {
 							dst := (i2*kn.n3 + i3) * kn.n1
-							copy(xt[dst:dst+kn.n1], buf[at:at+kn.n1])
+							copy(xt[dst:dst+kn.n1], vals[at:at+kn.n1])
 							at += kn.n1
 							touches += kn.n1
 						}
 					}
+					buf.Release()
 				}
 				for i3 := p3lo; i3 < p3hi; i3++ {
 					for i2 := b2lo; i2 < b2hi; i2++ {

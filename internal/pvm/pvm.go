@@ -8,6 +8,8 @@
 package pvm
 
 import (
+	"fmt"
+
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -42,6 +44,10 @@ type System struct {
 	nprocs  int
 	costs   model.Costs
 	cluster *sim.Cluster
+	// lists holds one *freeList[T] per element type sent so far: the
+	// transmit buffers every task packs into and every receiver gives
+	// back. No lock: the tasks run on one host thread.
+	lists []any
 }
 
 // NewSystem creates a message-passing machine with nprocs tasks.
@@ -93,41 +99,160 @@ func (pv *PVM) Advance(d sim.Time) { pv.p.Advance(d) }
 // Now returns the virtual clock.
 func (pv *PVM) Now() sim.Time { return pv.p.Now() }
 
+// A Buffer is a transmit buffer: what a pack copies into and what
+// messages carry. It comes off its System's free list held by the
+// sender (Pack, NewBuffer); every Transmit of a part of it adds a hold,
+// which the receiver drops once it has unpacked that part, and the
+// sender drops its own with Release. When the last hold goes, the
+// buffer goes back on the list, to be handed out again whatever it
+// holds.
+type Buffer[T Scalar] struct {
+	vals  []T
+	holds int
+	list  *freeList[T]
+}
+
+// Vals returns the buffer's elements, for the sender to fill.
+func (b *Buffer[T]) Vals() []T { return b.vals }
+
+// Release drops one hold on b: the sender's, once it transmits no more
+// of b. (A receiver drops a message's hold when it unpacks the part.)
+func (b *Buffer[T]) Release() {
+	b.holds--
+	switch {
+	case b.holds == 0:
+		b.list.bufs = append(b.list.bufs, b)
+	case b.holds < 0:
+		panic("pvm: transmit buffer released twice")
+	}
+}
+
+// A part is the payload of one message: a window of a Buffer, or of
+// the sender's own storage (GatherUntracked), in which case buf is
+// nil. A part of a Buffer goes round too, so a message names its
+// elements by pointer and boxing it in Message.Payload allocates
+// nothing.
+type part[T Scalar] struct {
+	buf  *Buffer[T]
+	vals []T
+}
+
+// done gives the part back once its receiver has read the elements,
+// and drops its hold on the buffer.
+func (p *part[T]) done() {
+	if b := p.buf; b != nil {
+		p.buf, p.vals = nil, nil
+		b.list.parts = append(b.list.parts, p)
+		b.Release()
+	}
+}
+
+// freeList is a System's transmit buffers and message parts of element
+// type T that nobody holds. Buffers are made only when the list is
+// empty, so a run makes as many as were ever out at once.
+type freeList[T Scalar] struct {
+	bufs  []*Buffer[T]
+	parts []*part[T]
+	made  int // buffers ever made
+}
+
+func listOf[T Scalar](s *System) *freeList[T] {
+	for _, l := range s.lists {
+		if fl, ok := l.(*freeList[T]); ok {
+			return fl
+		}
+	}
+	fl := new(freeList[T])
+	s.lists = append(s.lists, fl)
+	return fl
+}
+
+// buffer takes an n-element buffer off the list, held once; a recycled
+// one too small for n gets new storage.
+func (l *freeList[T]) buffer(n int) *Buffer[T] {
+	var b *Buffer[T]
+	if k := len(l.bufs); k > 0 {
+		b, l.bufs = l.bufs[k-1], l.bufs[:k-1]
+	} else {
+		b = &Buffer[T]{list: l}
+		l.made++
+	}
+	if cap(b.vals) < n {
+		b.vals = make([]T, n)
+	}
+	b.vals, b.holds = b.vals[:n], 1
+	return b
+}
+
+func (l *freeList[T]) part(buf *Buffer[T], vals []T) *part[T] {
+	var p *part[T]
+	if k := len(l.parts); k > 0 {
+		p, l.parts = l.parts[k-1], l.parts[:k-1]
+	} else {
+		p = new(part[T])
+	}
+	p.buf, p.vals = buf, vals
+	return p
+}
+
+// NewBuffer takes an n-element transmit buffer off the System's free
+// list, held by the caller, who fills Vals (its contents are whatever
+// it last held), Transmits parts of it and Releases it. A receiver may
+// also take one to unpack into, and Release it when it has read it.
+func NewBuffer[T Scalar](pv *PVM, n int) *Buffer[T] {
+	return listOf[T](pv.sys).buffer(n)
+}
+
+// Pack is the snapshot half of Send (pvm_pack's copy): a transmit
+// buffer holding vals. A sender with several destinations for the same
+// values packs once, Transmits parts of the buffer and Releases it.
+func Pack[T Scalar](pv *PVM, vals []T) *Buffer[T] {
+	b := NewBuffer[T](pv, len(vals))
+	copy(b.vals, vals)
+	return b
+}
+
 // Send packs and transmits vals to task dst under tag. The values are
 // snapshotted (as pvm_pack does), so the caller may reuse the buffer.
 func Send[T Scalar](pv *PVM, dst, tag int, vals []T) {
-	Transmit(pv, dst, tag, Pack(vals))
+	b := Pack(pv, vals)
+	Transmit(pv, dst, tag, b, 0, len(vals))
+	b.Release()
 }
 
-// Pack is the snapshot half of Send: a fresh transmit buffer holding
-// vals. A sender with several destinations for the same values packs
-// once and Transmits sub-slices of the buffer.
-func Pack[T Scalar](vals []T) []T {
-	buf := make([]T, len(vals))
-	copy(buf, vals)
-	return buf
+// Transmit is the charged half of Send: it bills the pack cost of
+// elements [lo,hi) of b and sends them to dst as one message, which the
+// receiver may read at any later time — nobody may write to b again.
+func Transmit[T Scalar](pv *PVM, dst, tag int, b *Buffer[T], lo, hi int) {
+	pv.p.Advance(pv.sys.costs.PackCost((hi - lo) * SizeOf[T]()))
+	transmit(pv, dst, tag, b, lo, hi, stats.KindData)
 }
 
-// Transmit is the charged half of Send: it bills the pack cost of buf
-// and sends buf itself, which the receiver may read at any later time —
-// the caller must not write to it again.
-func Transmit[T Scalar](pv *PVM, dst, tag int, buf []T) {
-	pv.p.Advance(pv.sys.costs.PackCost(len(buf) * SizeOf[T]()))
-	transmit(pv, dst, tag, buf, stats.KindData)
+// transmit puts elements [lo,hi) of b on the wire as they are, adding
+// the message's hold on b, at no CPU cost beyond the send overhead.
+func transmit[T Scalar](pv *PVM, dst, tag int, b *Buffer[T], lo, hi int, kind stats.Kind) {
+	b.holds++
+	pv.p.Send(dst, tagBase+tag, b.list.part(b, b.vals[lo:hi]), (hi-lo)*SizeOf[T](), kind)
 }
 
-// transmit puts buf on the wire as is, at no CPU cost beyond the send
-// overhead.
-func transmit[T Scalar](pv *PVM, dst, tag int, buf []T, kind stats.Kind) {
-	pv.p.Send(dst, tagBase+tag, buf, len(buf)*SizeOf[T](), kind)
+// unpack copies the message m, received under tag, into dst, which must
+// be exactly its length, and gives its part back.
+func unpack[T Scalar](m sim.Message, tag int, dst []T) int {
+	p := m.Payload.(*part[T])
+	if len(p.vals) != len(dst) {
+		panic(fmt.Sprintf("pvm: message from task %d under tag %d carries %d elements, receive buffer holds %d",
+			m.Src, tag, len(p.vals), len(dst)))
+	}
+	n := copy(dst, p.vals)
+	p.done()
+	return n
 }
 
 // Recv blocks for a message from src (AnySrc for a wildcard) under tag
-// and unpacks it into dst, returning the element count.
+// and unpacks it into dst, returning the element count. The message
+// must be exactly len(dst) elements.
 func Recv[T Scalar](pv *PVM, src, tag int, dst []T) int {
-	m := pv.p.Recv(src, tagBase+tag)
-	vals := m.Payload.([]T)
-	n := copy(dst, vals)
+	n := unpack(pv.p.Recv(src, tagBase+tag), tag, dst)
 	pv.p.Advance(pv.sys.costs.UnpackCost(n * SizeOf[T]()))
 	return n
 }
@@ -141,13 +266,14 @@ const AnySrc = sim.AnySrc
 // receive into vals.
 func Bcast[T Scalar](pv *PVM, root, tag int, vals []T) {
 	if pv.ID() == root {
-		buf := Pack(vals)
-		pv.p.Advance(pv.sys.costs.PackCost(len(buf) * SizeOf[T]()))
+		b := Pack(pv, vals)
+		pv.p.Advance(pv.sys.costs.PackCost(len(vals) * SizeOf[T]()))
 		for q := 0; q < pv.sys.nprocs; q++ {
 			if q != root {
-				transmit(pv, q, tag, buf, stats.KindData)
+				transmit(pv, q, tag, b, 0, len(vals), stats.KindData)
 			}
 		}
+		b.Release()
 		return
 	}
 	Recv(pv, root, tag, vals)
@@ -160,45 +286,15 @@ func Exchange[T Scalar](pv *PVM, partner, tag int, send, recv []T) {
 	Recv(pv, partner, tag, recv)
 }
 
-// gatherContribs receives one contribution from every other task,
-// charging the same per-message unpack costs as Recv, and returns them
-// indexed by sender. Reductions fold the gathered contributions in
-// task order, never in arrival order — the repo-wide reduction rule
-// (DESIGN.md): virtual-time perturbations such as network contention
-// legitimately reorder arrivals, and a floating-point sum's association
-// must not depend on them. Contributions are truncated to width.
-func gatherContribs[T Scalar](pv *PVM, tag, width int) [][]T {
-	out := make([][]T, pv.sys.nprocs)
-	for i := 0; i < pv.sys.nprocs-1; i++ {
-		m := pv.p.Recv(sim.AnySrc, tagBase+tag)
-		vals := m.Payload.([]T)
-		if len(vals) > width {
-			vals = vals[:width]
-		}
-		pv.p.Advance(pv.sys.costs.UnpackCost(len(vals) * SizeOf[T]()))
-		out[m.Src] = vals
-	}
-	return out
-}
-
 // ReduceSum performs a sum reduction of vals to root (every non-root
 // task sends its contribution; root accumulates in task order), then
 // returns the result on root. Non-root tasks return their own
 // contribution.
 func ReduceSum[T Scalar](pv *PVM, root, tag int, vals []T) []T {
-	out := make([]T, len(vals))
-	copy(out, vals)
-	if pv.ID() == root {
-		for _, c := range gatherContribs[T](pv, tag, len(out)) {
-			for k := range c {
-				out[k] += c[k]
-			}
-		}
-		return out
-	}
-	Send(pv, root, tag, vals)
-	return out
+	return Reduce(pv, root, tag, vals, add[T])
 }
+
+func add[T Scalar](a, b T) T { return a + b }
 
 // AllReduceSum is ReduceSum followed by a broadcast of the result.
 func AllReduceSum[T Scalar](pv *PVM, tag int, vals []T) []T {
@@ -208,20 +304,41 @@ func AllReduceSum[T Scalar](pv *PVM, tag int, vals []T) []T {
 }
 
 // Reduce folds every task's contribution into root element-wise with op
-// (max, min, ...), in task order. Concurrent reductions must use
-// distinct tags.
+// (max, min, ...), in task order, then returns the result on root.
+// Non-root tasks return their own contribution. Concurrent reductions
+// must use distinct tags.
+//
+// Root receives one contribution from every other task, charging the
+// same per-message unpack costs as Recv, and folds them in task order,
+// never in arrival order — the repo-wide reduction rule (DESIGN.md):
+// virtual-time perturbations such as network contention legitimately
+// reorder arrivals, and a floating-point sum's association must not
+// depend on them. So every contribution is held until the fold, and its
+// part goes back only after it. Contributions are truncated to
+// len(vals).
 func Reduce[T Scalar](pv *PVM, root, tag int, vals []T, op func(a, b T) T) []T {
 	out := make([]T, len(vals))
 	copy(out, vals)
-	if pv.ID() == root {
-		for _, c := range gatherContribs[T](pv, tag, len(out)) {
-			for k := range c {
-				out[k] = op(out[k], c[k])
-			}
-		}
+	if pv.ID() != root {
+		Send(pv, root, tag, vals)
 		return out
 	}
-	Send(pv, root, tag, vals)
+	contribs := make([]*part[T], pv.sys.nprocs)
+	for i := 0; i < pv.sys.nprocs-1; i++ {
+		m := pv.p.Recv(sim.AnySrc, tagBase+tag)
+		c := m.Payload.(*part[T])
+		pv.p.Advance(pv.sys.costs.UnpackCost(min(len(c.vals), len(out)) * SizeOf[T]()))
+		contribs[m.Src] = c
+	}
+	for _, c := range contribs {
+		if c == nil {
+			continue
+		}
+		for k, v := range c.vals[:min(len(c.vals), len(out))] {
+			out[k] = op(out[k], v)
+		}
+		c.done()
+	}
 	return out
 }
 
@@ -258,13 +375,15 @@ func (pv *PVM) BarrierSilent(tag int) {
 // SendUntracked transmits vals without traffic accounting or pack cost.
 // The harness uses it to gather results (checksums) after measurement.
 func SendUntracked[T Scalar](pv *PVM, dst, tag int, vals []T) {
-	transmit(pv, dst, tag, Pack(vals), stats.KindShutdown)
+	b := Pack(pv, vals)
+	transmit(pv, dst, tag, b, 0, len(vals), stats.KindShutdown)
+	b.Release()
 }
 
-// RecvUntracked receives a message sent with SendUntracked.
+// RecvUntracked receives a message sent with SendUntracked. The message
+// must be exactly len(dst) elements.
 func RecvUntracked[T Scalar](pv *PVM, src, tag int, dst []T) int {
-	m := pv.p.Recv(src, tagBase+tag)
-	return copy(dst, m.Payload.([]T))
+	return unpack(pv.p.Recv(src, tagBase+tag), tag, dst)
 }
 
 // GatherUntracked is the harness's result gather after measurement:
@@ -273,16 +392,19 @@ func RecvUntracked[T Scalar](pv *PVM, src, tag int, dst []T) int {
 // from each of tasks 1, 2, ... received in that order. A checksum that
 // folds the blocks in task order never needs the assembled array. The
 // blocks are the senders' own storage, not snapshots: the gather is the
-// last thing a run does with it. Every other task returns nil.
+// last thing a run does with it, and it never enters a free list. Every
+// other task returns nil.
 func GatherUntracked[T Scalar](pv *PVM, tag int, mine []T) [][]T {
 	if pv.ID() != 0 {
-		transmit(pv, 0, tag, mine, stats.KindShutdown)
+		pv.p.Send(0, tagBase+tag, &part[T]{vals: mine}, len(mine)*SizeOf[T](), stats.KindShutdown)
 		return nil
 	}
 	blocks := make([][]T, pv.sys.nprocs)
 	blocks[0] = mine
 	for q := 1; q < pv.sys.nprocs; q++ {
-		blocks[q] = pv.p.Recv(q, tagBase+tag).Payload.([]T)
+		p := pv.p.Recv(q, tagBase+tag).Payload.(*part[T])
+		blocks[q] = p.vals
+		p.done()
 	}
 	return blocks
 }

@@ -161,23 +161,26 @@ func chunkTag(base, idx int) int { return base + idx*chunkTagStride }
 
 // sendChunks ships block to every other processor in messages of chunk
 // elements, destination-major. The block is packed once and every
-// message is a sub-slice of that one buffer: a snapshot is still needed,
+// message is a part of that one buffer: a snapshot is still needed,
 // because a slower processor may unpack after this one has gone on to
-// overwrite the block, but not one per destination. Each message is
-// billed its own pack cost, as the runtime's staging buffers charge it.
+// overwrite the block, but not one per destination. The buffer goes
+// back on the free list when the last part has been received. Each
+// message is billed its own pack cost, as the runtime's staging
+// buffers charge it.
 func sendChunks[T pvm.Scalar](x *XHPF, tag, chunk int, block []T) {
 	if x.n == 1 {
 		return
 	}
-	buf := pvm.Pack(block)
+	buf := pvm.Pack(x.pv, block)
 	for q := 0; q < x.n; q++ {
 		if q == x.ID() {
 			continue
 		}
-		for off := 0; off < len(buf); off += chunk {
-			pvm.Transmit(x.pv, q, chunkTag(tag, off/chunk), buf[off:min(off+chunk, len(buf))])
+		for off := 0; off < len(block); off += chunk {
+			pvm.Transmit(x.pv, q, chunkTag(tag, off/chunk), buf, off, min(off+chunk, len(block)))
 		}
 	}
+	buf.Release()
 }
 
 // BroadcastBlocks is the unknown-pattern fallback: every processor

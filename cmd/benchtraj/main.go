@@ -34,7 +34,7 @@
 // fabric's cross-machine acceptance check: any worker whose simulation
 // differs from the coordinator's build — wrong binary, wrong
 // calibration, broken hardware — drifts the trajectory and fails the
-// gate.
+// gate. The other modes refuse -fabric (exit 2).
 //
 // -store DIR backs the gate's engine with the persistent result store
 // (see dsmrun -store): golden runs already on disk are compared
@@ -146,6 +146,10 @@ func main() {
 	bounds := flag.String("bounds", "BENCHMARK.json", "-host: where the end-to-end metrics' regression bounds are declared")
 	flag.Parse()
 
+	if *fabricAddrs != "" && *gate == "" {
+		fmt.Fprintln(os.Stderr, "benchtraj: -fabric takes -gate (the other modes run locally or not at all)")
+		os.Exit(2)
+	}
 	if *host != "" {
 		worse, err := hostAppend(*host, *result, *label, *commit, *bounds)
 		if err != nil {

@@ -89,13 +89,13 @@
 //
 // -metrics-addr serves live host-side telemetry over HTTP for the
 // duration of the process: /metrics (one JSON document, a section per
-// layer — "engine": runs started and completed, cache hits and waits,
-// in-flight runs, worker busy/idle time; "sim": dispatch and delivery
-// totals; "store", "fabric"; and per-"app/version" host wall-time and
-// allocation histograms), /debug/pprof/* (live profiling), and
-// /progress (a JSON sweep progress snapshot). -progress prints a
-// throttled progress line (done/total runs, cache hits, elapsed, ETA)
-// to stderr. -metrics-dump FILE writes the same document at exit, and
+// layer — "engine": runs planned, resolved, started, completed and
+// failed, cache hits and waits, worker busy/idle time; "sim", "store",
+// "fabric"; and per-"app/version" host wall-time and allocation
+// histograms) and /debug/pprof/*. -progress prints a sweep's progress
+// line (done/total runs, hits, elapsed, ETA: the engine section, or the
+// fabric section's records and ranges) to stderr once a second and when
+// it ends. -metrics-dump FILE writes the same document at exit, and
 // sweeplint -metrics validates either. All of it is host-side
 // observability: virtual times, traffic, checksums and the sweep's
 // JSON-lines bytes are identical with or without it.
@@ -170,9 +170,9 @@
 // back to local execution, so an empty or
 // fully-dead fleet degrades to a plain local sweep. Workers whose
 // build has a different record schema version are rejected at
-// registration. With -metrics-addr the /progress endpoint serves the
-// aggregated fleet snapshot (per-worker leases, expiries, inflight,
-// ETA) and /metrics adds it as the "fabric" section.
+// registration. The telemetry's "fabric" section is the fleet snapshot
+// (per-worker leases, expiries, inflight, ETA). -fabric and -progress
+// take a sweep, and -fabric-range and -fabric-lease take -fabric.
 package main
 
 import (
@@ -180,11 +180,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -222,8 +222,8 @@ func main() {
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file")
 	storeDir := flag.String("store", "", "persistent result store directory: records are served from disk across runs and processes (and written back)")
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/pprof/* and /progress on this address (e.g. :9090)")
-	progress := flag.Bool("progress", false, "print a throttled sweep progress line to stderr")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/* on this address (e.g. :9090)")
+	progress := flag.Bool("progress", false, "print the sweep's progress to stderr once a second")
 	metricsDump := flag.String("metrics-dump", "", "write the final telemetry JSON document (what /metrics serves) to this file")
 	genSpec := flag.String("gen", "", `differential-test generated programs: "seed" or "seed:count"`)
 	genFile := flag.String("genfile", "", "differential-test one program spec read from this JSON file")
@@ -244,6 +244,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+	}
+	// So are a sweep's flags outside a sweep, and the fabric's tuning
+	// without -fabric.
+	sweeping := *sweep != "" || flag.NArg() > 0
+	switch {
+	case !sweeping && (*fabricAddrs != "" || *progress):
+		fmt.Fprintln(os.Stderr, "dsmrun: -fabric and -progress take a sweep (-sweep or axes)")
+		os.Exit(2)
+	case *fabricAddrs == "" && (*fabricRange != 0 || *fabricLease != 0):
+		fmt.Fprintln(os.Stderr, "dsmrun: -fabric-range and -fabric-lease take -fabric")
+		os.Exit(2)
 	}
 
 	if *cpuprofile != "" {
@@ -351,23 +362,18 @@ func main() {
 	if *metricsAddr != "" || *metricsDump != "" {
 		eng.Metrics = new(expvar.Map)
 	}
-	// serveTelemetry starts the HTTP endpoint (if asked for) once the
-	// progress aggregator exists; dumpMetrics writes the final JSON
-	// snapshot (if asked for) and must run before exiting on error too.
-	serveTelemetry := func(prog http.Handler) {
+	// serveTelemetry starts the HTTP endpoint (if asked for);
+	// dumpMetrics writes the final JSON snapshot (if asked for) and must
+	// run before exiting on error too.
+	serveTelemetry := func() {
 		if *metricsAddr == "" {
 			return
 		}
-		extra := map[string]http.Handler{}
-		if prog != nil {
-			extra["/progress"] = prog
-		}
-		mux := metrics.NewMux(eng.Metrics, extra)
-		_, addr, err := metrics.StartServer(*metricsAddr, mux)
+		_, addr, err := metrics.StartServer(*metricsAddr, metrics.NewMux(eng.Metrics, nil))
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "dsmrun: serving /metrics, /progress and /debug/pprof/ on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "dsmrun: serving /metrics and /debug/pprof/ on http://%s\n", addr)
 	}
 	dumpMetrics := func() {
 		if *metricsDump == "" {
@@ -391,7 +397,7 @@ func main() {
 		// attribution. Neither joins speedups.
 		observed := exp.New()
 		observed.Workers, observed.Store, observed.Metrics, observed.Observe = eng.Workers, st, eng.Metrics, true
-		serveTelemetry(nil)
+		serveTelemetry()
 		base.App, base.Version = "", ""
 		for _, t := range tables {
 			e := eng
@@ -410,7 +416,7 @@ func main() {
 	eng.JoinSpeedup = *speedup
 	eng.Observe = *trace != "" || *breakdown
 
-	if *sweep != "" || flag.NArg() > 0 {
+	if sweeping {
 		if *trace != "" {
 			fmt.Fprintln(os.Stderr, "dsmrun: -trace is a single-run flag (a sweep has no single timeline)")
 			os.Exit(2)
@@ -424,15 +430,13 @@ func main() {
 		for i := range specs {
 			specs[i] = specs[i].Normalize()
 		}
-		var progOut io.Writer
-		if *progress {
-			progOut = os.Stderr
-		}
-		var stats exp.StreamStats
+		// With -fabric the fleet runs the sweep: the same stdout bytes
+		// and StreamStats, and a progress line from the coordinator's
+		// snapshot instead of the engine's counters.
+		start := time.Now()
+		run := func() (exp.StreamStats, error) { return eng.StreamWith(os.Stdout, specs, nil) }
+		line := func() string { return sweepLine(eng.HostStats(), time.Since(start)) }
 		if *fabricAddrs != "" {
-			// Distributed sweep: shard the spec list across the fleet.
-			// The merged stdout bytes are identical to the local path
-			// below; failure accounting is shared (StreamStats either way).
 			coord := &fabric.Coordinator{
 				Workers:      strings.Split(*fabricAddrs, ","),
 				RangeSize:    *fabricRange,
@@ -441,20 +445,20 @@ func main() {
 				Observe:      eng.Observe,
 				Engine:       eng,
 				Metrics:      eng.Metrics,
-				Out:          progOut,
 				Logf: func(format string, args ...any) {
 					fmt.Fprintf(os.Stderr, "dsmrun: "+format+"\n", args...)
 				},
 			}
-			serveTelemetry(coord)
-			stats, err = coord.Run(os.Stdout, specs)
-		} else {
-			prog := exp.NewProgress(exp.UniqueRuns(specs, *speedup), progOut, eng)
-			eng.OnRunDone = prog.RunDone
-			eng.OnStoreHit = prog.StoreHit
-			serveTelemetry(prog)
-			stats, err = eng.StreamWith(os.Stdout, specs, nil)
+			run = func() (exp.StreamStats, error) { return coord.Run(os.Stdout, specs) }
+			line = func() string { return fleetLine(coord.Snapshot()) }
 		}
+		serveTelemetry()
+		stopProgress := func() {}
+		if *progress {
+			stopProgress = reportProgress(line)
+		}
+		stats, err := run()
+		stopProgress()
 		dumpMetrics()
 		if stats.Failed > 0 {
 			fmt.Fprintf(os.Stderr, "dsmrun: sweep: %d of %d records failed\n", stats.Failed, stats.Records)
@@ -465,7 +469,7 @@ func main() {
 		return
 	}
 
-	serveTelemetry(nil)
+	serveTelemetry()
 	defer dumpMetrics()
 	res, err := eng.Run(base.Normalize())
 	if err != nil {
@@ -526,6 +530,65 @@ func main() {
 		fmt.Println()
 		printBreakdown(os.Stdout, res)
 	}
+}
+
+// reportProgress prints line() to stderr once a second until the
+// returned stop is called, which prints it a last time.
+func reportProgress(line func() string) (stop func()) {
+	tick, quit := time.NewTicker(time.Second), make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				fmt.Fprintln(os.Stderr, line())
+			}
+		}
+	}()
+	return func() {
+		quit <- struct{}{} // received between lines, never during one
+		tick.Stop()
+		fmt.Fprintln(os.Stderr, line())
+	}
+}
+
+// sweepLine renders a local sweep's progress. The ETA extrapolates from
+// executed runs only: averaging in the all-but-free store and cache
+// hits would collapse it toward zero on a half-warm sweep.
+func sweepLine(hs exp.HostStats, elapsed time.Duration) string {
+	line := fmt.Sprintf("sweep: %d/%d runs", hs.RunsResolved, hs.RunsPlanned)
+	if hs.RunsFailed > 0 {
+		line += fmt.Sprintf(", %d failed", hs.RunsFailed)
+	}
+	line += fmt.Sprintf(", hits %d mem/%d disk, elapsed %s", hs.CacheHits, hs.StoreHits, elapsed.Round(100*time.Millisecond))
+	if hs.RunsCompleted > 0 && hs.RunsResolved < hs.RunsPlanned {
+		eta := elapsed / time.Duration(hs.RunsCompleted) * time.Duration(hs.RunsPlanned-hs.RunsResolved)
+		line += fmt.Sprintf(", eta %s", eta.Round(100*time.Millisecond))
+	}
+	return line
+}
+
+// fleetLine renders a fabric sweep's progress.
+func fleetLine(snap fabric.FleetSnapshot) string {
+	live := 0
+	for _, ws := range snap.Workers {
+		if !ws.Retired {
+			live++
+		}
+	}
+	line := fmt.Sprintf("fabric: %d/%d records, %d/%d ranges, %d workers", snap.RecordsDone, snap.RecordsTotal, snap.RangesDone, snap.RangesTotal, live)
+	if snap.RecordsFailed > 0 {
+		line += fmt.Sprintf(", %d failed", snap.RecordsFailed)
+	}
+	if snap.LocalRecords > 0 {
+		line += fmt.Sprintf(", %d local", snap.LocalRecords)
+	}
+	line += fmt.Sprintf(", elapsed %s", time.Duration(snap.ElapsedSeconds*1e9).Round(100*time.Millisecond))
+	if snap.EtaSeconds > 0 {
+		line += fmt.Sprintf(", eta %s", time.Duration(snap.EtaSeconds*1e9).Round(100*time.Millisecond))
+	}
+	return line
 }
 
 // printBreakdown renders one result's per-node time attribution (plus

@@ -14,10 +14,10 @@
 //	POST /run       — one lease: {"schema_version":N,"lease":ID,"keys":[...]}
 //	                  answered with one stamped record per key, in key
 //	                  order, as NDJSON. Malformed requests get 400.
-//	/progress       — JSON snapshot of the worker's run progress (totals
-//	                  grow lease by lease).
 //	/metrics        — JSON telemetry: the fabric_worker lease/record
-//	                  counters plus the engines' host telemetry.
+//	                  counters plus the engines' host telemetry, whose
+//	                  runs_resolved of runs_planned is the worker's
+//	                  progress over every lease it has taken.
 //	/debug/pprof/*  — live profiling of the worker process.
 //
 // -workers bounds the engine's host worker pool (0: all cores).
@@ -98,7 +98,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "sweepd: serving /healthz, /run, /progress and /metrics on http://%s\n", addr)
+	fmt.Fprintf(os.Stderr, "sweepd: serving /healthz, /run and /metrics on http://%s\n", addr)
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

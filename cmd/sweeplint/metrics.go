@@ -27,9 +27,10 @@ type telemetryDoc struct {
 
 // validateMetrics checks one telemetry document (a /metrics scrape or
 // a -metrics-dump file): a strict decode that rejects an unknown
-// section or field, then every histogram's shape — ascending bounds,
-// one count per bucket plus the overflow, and counts summing to its
-// count. It returns the number of sections.
+// section or field, then that no count exceeds its bound (runs started
+// or planned, the fabric's totals), and every histogram's shape —
+// ascending bounds, one count per bucket plus the overflow, and counts
+// summing to its count. It returns the number of sections.
 func validateMetrics(r io.Reader) (int, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -44,6 +45,17 @@ func validateMetrics(r io.Reader) (int, error) {
 	var doc telemetryDoc
 	if err := dec.Decode(&doc); err != nil {
 		return 0, fmt.Errorf("metrics document: %v", err)
+	}
+	// The layers read a count before its bound: a live scrape holds too.
+	switch e, f := doc.Engine, doc.Fabric; {
+	case e.RunsCompleted > e.RunsStarted:
+		return 0, fmt.Errorf("engine.runs_completed %d exceeds runs_started %d", e.RunsCompleted, e.RunsStarted)
+	case e.RunsResolved > e.RunsPlanned:
+		return 0, fmt.Errorf("engine.runs_resolved %d exceeds runs_planned %d", e.RunsResolved, e.RunsPlanned)
+	case f.RecordsDone > f.RecordsTotal:
+		return 0, fmt.Errorf("fabric.records_done %d exceeds records_total %d", f.RecordsDone, f.RecordsTotal)
+	case f.RangesDone > f.RangesTotal:
+		return 0, fmt.Errorf("fabric.ranges_done %d exceeds ranges_total %d", f.RangesDone, f.RangesTotal)
 	}
 	hists := map[string]metrics.HistogramSnapshot{}
 	for key, h := range doc.RunHostSeconds {

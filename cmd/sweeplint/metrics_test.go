@@ -47,16 +47,23 @@ func TestValidateMetricsRejects(t *testing.T) {
 	if _, err := validateMetrics(strings.NewReader(good)); err != nil {
 		t.Fatalf("the unseeded document is rejected: %v", err)
 	}
+	fabric := func(section string) string {
+		return strings.Replace(good, `{"engine"`, `{"fabric": `+section+`, "engine"`, 1)
+	}
 	cases := map[string]string{
-		"count is not the buckets' sum": strings.Replace(good, `"count":2`, `"count":3`, 1),
-		"unknown section":               strings.Replace(good, `"engine"`, `"engines"`, 1),
-		"unknown field":                 strings.Replace(good, `"runs_started"`, `"runs_begun"`, 1),
-		"descending bounds":             strings.Replace(good, `[1,2]`, `[2,1]`, 1),
-		"no overflow bucket":            strings.Replace(good, `[1,0,1]`, `[1,1]`, 1),
-		"no buckets":                    `{"run_host_seconds": {"Jacobi/tmk": {"bounds":[],"counts":[0],"count":0,"sum":0}}}`,
-		"bad histogram in a family":     `{"run_alloc_bytes": {"Jacobi/tmk": {"bounds":[1],"counts":[1,1],"count":1,"sum":0}}}`,
-		"trailing data":                 good + `{}`,
-		"not an object":                 `[1]`,
+		"more runs completed than started": strings.Replace(good, `"runs_started":1`, `"runs_started":1,"runs_completed":2`, 1),
+		"more runs resolved than planned":  strings.Replace(good, `"runs_started":1`, `"runs_started":1,"runs_planned":2,"runs_resolved":3`, 1),
+		"more records done than total":     fabric(`{"records_done":3,"records_total":2,"workers":null}`),
+		"more ranges done than total":      fabric(`{"ranges_done":2,"ranges_total":1,"workers":null}`),
+		"count is not the buckets' sum":    strings.Replace(good, `"count":2`, `"count":3`, 1),
+		"unknown section":                  strings.Replace(good, `"engine"`, `"engines"`, 1),
+		"unknown field":                    strings.Replace(good, `"runs_started"`, `"runs_begun"`, 1),
+		"descending bounds":                strings.Replace(good, `[1,2]`, `[2,1]`, 1),
+		"no overflow bucket":               strings.Replace(good, `[1,0,1]`, `[1,1]`, 1),
+		"no buckets":                       `{"run_host_seconds": {"Jacobi/tmk": {"bounds":[],"counts":[0],"count":0,"sum":0}}}`,
+		"bad histogram in a family":        `{"run_alloc_bytes": {"Jacobi/tmk": {"bounds":[1],"counts":[1,1],"count":1,"sum":0}}}`,
+		"trailing data":                    good + `{}`,
+		"not an object":                    `[1]`,
 	}
 	for name, doc := range cases {
 		if _, err := validateMetrics(strings.NewReader(doc)); err == nil {

@@ -64,12 +64,6 @@ type Engine struct {
 	// is strictly host-side: virtual times, traffic and sweep output
 	// bytes are identical with or without it.
 	Metrics *expvar.Map
-	// OnRunDone, when non-nil, is called once per executed run (cache
-	// misses only, after the result is final) with the spec that ran
-	// (canonical), the host wall time, and the run error. Called from
-	// worker goroutines; the callback must be concurrency-safe.
-	// Progress.RunDone fits here.
-	OnRunDone func(s Spec, hostNS int64, err error)
 
 	// Store, when non-nil, is the persistent record cache underneath
 	// the in-memory result cache, one entry per run: the record paths
@@ -81,11 +75,6 @@ type Engine struct {
 	// core.Result — but still writes back, so a single run warms the
 	// store too. Set it before the first run and do not change it after.
 	Store *store.Store
-	// OnStoreHit, when non-nil, is called once per run served from
-	// Store (record paths only), with the run's canonical spec. Called
-	// from worker goroutines; must be concurrency-safe. Progress.StoreHit
-	// fits here.
-	OnStoreHit func(s Spec)
 
 	mu    sync.Mutex
 	cache map[string]*entry
@@ -172,15 +161,15 @@ func (e *Engine) run(k keyed) *entry {
 		en.res, en.err = e.execute(k.Spec)
 		en.hostNS = time.Since(start).Nanoseconds()
 		e.host.inflight.Add(-1)
+		if en.err != nil {
+			e.host.runsFailed.Add(1)
+		}
 		e.host.runsCompleted.Add(1)
 		if e.rep != nil {
 			e.observeRun(k.Spec, en.hostNS, heapAllocBytes()-alloc0)
 		}
 		close(en.done)
 		e.writeBack(k, en)
-		if f := e.OnRunDone; f != nil {
-			f(k.Spec, en.hostNS, en.err)
-		}
 	} else {
 		e.mu.Unlock()
 		// Classify the duplicate: a closed done channel is a plain cache
@@ -283,9 +272,6 @@ func (e *Engine) computeRecord(k keyed) Record {
 		if b, ok := st.Get(k.storeKey(e.Observe)); ok {
 			if rec, err := decodeStored(b, k.Spec); err == nil {
 				e.host.storeHits.Add(1)
-				if f := e.OnStoreHit; f != nil {
-					f(k.Spec)
-				}
 				return rec
 			}
 		}
@@ -347,9 +333,10 @@ func (e *Engine) workers() int {
 }
 
 // prefetch resolves every run of p, each once, using the worker pool —
-// through recordFor, so store hits skip the simulation. It returns when
-// all runs have completed (or failed). Once cancel is set no new run
-// starts (in-flight runs still finish).
+// through recordFor, so store hits skip the simulation — counting each
+// in RunsResolved. It returns when all runs have completed (or failed).
+// Once cancel is set no new run starts (in-flight runs still finish),
+// and the runs skipped stay unresolved.
 func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 	w := min(e.workers(), p.Len())
 	if w <= 1 {
@@ -359,6 +346,7 @@ func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 			}
 			busy := time.Now()
 			e.recordFor(k)
+			e.host.runsResolved.Add(1)
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
 		return
@@ -375,6 +363,7 @@ func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 				busy := time.Now()
 				if !cancel.Load() { // else drain without running
 					e.recordFor(p.runs[pos])
+					e.host.runsResolved.Add(1)
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 				idle = time.Now()
@@ -504,6 +493,7 @@ func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 // identity fields — the record's bytes are the sweep's contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
 	p := PlanRuns(specs, e.JoinSpeedup)
+	e.host.runsPlanned.Add(int64(p.Len()))
 	defer e.syncStore() // after every return below has waited for the prefetch
 	var cancel atomic.Bool
 	done := make(chan struct{})

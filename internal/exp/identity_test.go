@@ -161,16 +161,16 @@ func labelHeavySpecs() []Spec {
 }
 
 // TestLabelOnlyRepeatsShareARun: over a label-heavy list every count of
-// runs — UniqueRuns, RunsStarted, the cached keys, the per-version
-// histograms, OnRunDone, a Progress that ends N/N — is the number of
+// runs — the plan's length, RunsStarted, RunsPlanned and RunsResolved,
+// the cached keys, the per-version histograms — is the number of
 // executions; the labels never reach the run cache, since the stream
 // resolves each run once and relabels its record; and the stream is the
 // one an engine gives that is asked for one spec at a time.
 func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 	specs := labelHeavySpecs()
 	const runs = 11 // seq 1; xhpf, pvme one per contention; tmk lrc 2, hlrc 4
-	if got := UniqueRuns(specs, false); got != runs || UniqueRuns(specs, true) != runs {
-		t.Fatalf("UniqueRuns = %d (joined %d), want %d", got, UniqueRuns(specs, true), runs)
+	if got := PlanRuns(specs, false).Len(); got != runs || PlanRuns(specs, true).Len() != runs {
+		t.Fatalf("PlanRuns has %d runs (joined %d), want %d", got, PlanRuns(specs, true).Len(), runs)
 	}
 	var want bytes.Buffer
 	for _, s := range specs {
@@ -185,8 +185,6 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 		e.Workers = workers
 		e.JoinSpeedup = true
 		e.Metrics = new(expvar.Map)
-		p := NewProgress(UniqueRuns(specs, true), nil, e)
-		e.OnRunDone = p.RunDone
 		if got := streamT(t, e, specs); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("workers=%d: the sweep's stream differs from its specs' own:\n%s\nwant\n%s", workers, got, want.Bytes())
 		}
@@ -203,8 +201,8 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 			t.Errorf("workers=%d: %d cache hits and %d waits, want none: a label asked the run cache again",
 				workers, hs.CacheHits, hs.CacheWaits)
 		}
-		if snap := p.Snapshot(); snap.Done != runs || snap.Executed != runs || snap.Total != runs {
-			t.Errorf("workers=%d: progress %+v, want %d/%d", workers, snap, runs, runs)
+		if hs.RunsPlanned != runs || hs.RunsResolved != runs {
+			t.Errorf("workers=%d: %d of %d planned runs resolved, want %d of %d", workers, hs.RunsResolved, hs.RunsPlanned, runs, runs)
 		}
 		var observed uint64
 		for _, h := range readTelemetry(t, e.Metrics).RunHostSeconds {
@@ -220,7 +218,7 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 // CI's label list writes one record per run — each run's store key, the
 // baselines' included, once — and no label's. A second engine then
 // serves the list from the store alone: no run, one hit per run, the
-// same bytes, at 1, 2 and 8 workers, its progress N/N.
+// same bytes, at 1, 2 and 8 workers, every planned run resolved.
 func TestStoreHoldsOneRecordPerRun(t *testing.T) {
 	specs := ciLabelSpecs(t)
 	var runs []string
@@ -264,8 +262,6 @@ func TestStoreHoldsOneRecordPerRun(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		warm := build(workers, dir)
-		p := NewProgress(UniqueRuns(specs, true), nil, warm)
-		warm.OnRunDone, warm.OnStoreHit = p.RunDone, p.StoreHit
 		if got := streamT(t, warm, specs); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: warm store changed the sweep bytes", workers)
 		}
@@ -274,8 +270,8 @@ func TestStoreHoldsOneRecordPerRun(t *testing.T) {
 			t.Errorf("workers=%d: warm pass started %d runs with %d store hits, want 0 and %d",
 				workers, hs.RunsStarted, hs.StoreHits, len(runs))
 		}
-		if snap := p.Snapshot(); snap.Done != len(runs) || snap.Total != len(runs) || snap.DiskHits != len(runs) {
-			t.Errorf("workers=%d: warm progress %+v, want %d/%d from %d disk hits", workers, snap, len(runs), len(runs), len(runs))
+		if hs.RunsPlanned != int64(len(runs)) || hs.RunsResolved != hs.RunsPlanned {
+			t.Errorf("workers=%d: warm pass resolved %d of %d planned runs, want %d of %d", workers, hs.RunsResolved, hs.RunsPlanned, len(runs), len(runs))
 		}
 		if got := warm.Store.Stats().Puts; got != 0 {
 			t.Errorf("workers=%d: warm pass wrote %d records", workers, got)
@@ -438,8 +434,8 @@ func TestPlanMatchesItsReference(t *testing.T) {
 			}
 		}
 	}
-	if got := UniqueRuns(ciLabelSpecs(t), true); got != 42 {
-		t.Errorf("UniqueRuns of the CI list = %d, want 42", got)
+	if got := PlanRuns(ciLabelSpecs(t), true).Len(); got != 42 {
+		t.Errorf("the CI list plans %d runs, want 42", got)
 	}
 }
 
@@ -457,7 +453,8 @@ func TestRunFailureReportedOncePerRun(t *testing.T) {
 		return e
 	}
 	_, runErr := failing().Run(specs[0])
-	stats, streamErr := failing().StreamWith(io.Discard, specs, nil)
+	e := failing()
+	stats, streamErr := e.StreamWith(io.Discard, specs, nil)
 	for name, err := range map[string]error{"Run": runErr, "StreamWith": streamErr} {
 		if err == nil || err.Error() != `exp: unknown application "Nope"` {
 			t.Errorf("%s error = %v, want the failure once", name, err)
@@ -465,5 +462,8 @@ func TestRunFailureReportedOncePerRun(t *testing.T) {
 	}
 	if stats.Records != 3 || stats.Failed != 3 {
 		t.Errorf("stream stats %+v, want 3 records, 3 failed", stats)
+	}
+	if hs := e.HostStats(); hs.RunsFailed != 1 || hs.RunsPlanned != 1 || hs.RunsResolved != 1 {
+		t.Errorf("engine counters %+v, want the one run planned, resolved and failed", hs)
 	}
 }

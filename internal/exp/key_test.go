@@ -277,19 +277,19 @@ func TestValidateChecksApplicationName(t *testing.T) {
 	}
 }
 
-// TestUniqueRunsCountsWhatPrefetchRuns: the progress total and the
+// TestPlannedRunsAreWhatPrefetchRuns: the progress total and the
 // engine's run count come from one dedup and cannot diverge — and both
 // count executions: of the grid's 16 specs (3 of them repeated) the 8
 // xhpf ones are 4 runs under two protocol labels each, and its 4
 // protocol-labelled baselines are 2.
-func TestUniqueRunsCountsWhatPrefetchRuns(t *testing.T) {
+func TestPlannedRunsAreWhatPrefetchRuns(t *testing.T) {
 	specs := append(testGrid(), testGrid()[:3]...)
-	for join, want := range map[bool]int{false: 12, true: 14} {
+	for join, want := range map[bool]int64{false: 12, true: 14} {
 		e := New()
 		e.JoinSpeedup = join
 		streamT(t, e, specs)
-		if got, total := e.HostStats().RunsStarted, UniqueRuns(specs, join); got != int64(want) || total != want {
-			t.Errorf("join=%v: engine started %d runs, UniqueRuns says %d, want %d", join, got, total, want)
+		if hs := e.HostStats(); hs.RunsStarted != want || hs.RunsPlanned != want || hs.RunsResolved != want {
+			t.Errorf("join=%v: engine started %d runs, planned %d, resolved %d, want %d", join, hs.RunsStarted, hs.RunsPlanned, hs.RunsResolved, want)
 		}
 	}
 }

@@ -95,8 +95,11 @@ func TestStoreKeepsSweepBytes(t *testing.T) {
 				if mode.join {
 					want += 2 // one baseline per application
 				}
-				if hs.StoreHits != want || want != int64(UniqueRuns(specs, mode.join)) {
+				if hs.StoreHits != want || want != int64(PlanRuns(specs, mode.join).Len()) {
 					t.Errorf("workers=%d: %d store hits, want %d", workers, hs.StoreHits, want)
+				}
+				if hs.RunsPlanned != want || hs.RunsResolved != want {
+					t.Errorf("workers=%d: %d of %d planned runs resolved, want %d of %d", workers, hs.RunsResolved, hs.RunsPlanned, want, want)
 				}
 			}
 		})
@@ -207,7 +210,7 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	if hs.RunsStarted == 0 {
 		t.Error("corrupted entry was served instead of recomputed")
 	}
-	if hs.RunsStarted >= int64(UniqueRuns(specs, false)) {
+	if hs.RunsStarted >= int64(PlanRuns(specs, false).Len()) {
 		t.Errorf("corruption of one frame re-executed %d runs", hs.RunsStarted)
 	}
 
@@ -250,34 +253,24 @@ func TestStoreNeverStoresErrors(t *testing.T) {
 	}
 }
 
-// TestProgressSplitsHitsAndSkewsNoETA: store hits advance progress but
-// not the ETA sample, and the line carries the mem/disk split.
+// TestProgressStoreHits: a half-warm sweep resolves every planned run,
+// the stored ones from disk and the others by running them.
 func TestProgressStoreHits(t *testing.T) {
 	specs := testGrid()[:4]
 	dir := t.TempDir()
 	cold := New()
 	cold.Store = openStoreT(t, dir)
-	streamT(t, cold, specs)
+	streamT(t, cold, specs[:2])
 
 	warm := New()
 	warm.Store = openStoreT(t, dir)
-	var lines bytes.Buffer
-	p := NewProgress(UniqueRuns(specs, false), &lines, warm)
-	warm.OnRunDone = p.RunDone
-	warm.OnStoreHit = p.StoreHit
 	streamT(t, warm, specs)
-	snap := p.Snapshot()
-	if snap.Done != snap.Total || snap.Total != len(specs) {
-		t.Fatalf("progress %d/%d after a warm sweep of %d specs", snap.Done, snap.Total, len(specs))
+	hs := warm.HostStats()
+	if hs.RunsPlanned != int64(len(specs)) || hs.RunsResolved != hs.RunsPlanned {
+		t.Fatalf("%d of %d planned runs resolved after a sweep of %d specs", hs.RunsResolved, hs.RunsPlanned, len(specs))
 	}
-	if snap.Executed != 0 || snap.DiskHits != len(specs) {
-		t.Errorf("executed/disk = %d/%d, want 0/%d", snap.Executed, snap.DiskHits, len(specs))
-	}
-	if snap.EtaSeconds != 0 {
-		t.Errorf("warm sweep produced an ETA (%v) from zero executed runs", snap.EtaSeconds)
-	}
-	if !strings.Contains(lines.String(), "disk") {
-		t.Errorf("progress line lacks the mem/disk hit split:\n%s", lines.String())
+	if hs.StoreHits != 2 || hs.RunsStarted != 2 {
+		t.Errorf("store hits/runs started = %d/%d, want 2/2", hs.StoreHits, hs.RunsStarted)
 	}
 }
 

@@ -22,6 +22,14 @@ type HostStats struct {
 	// engine actually executed (started may briefly exceed completed).
 	RunsStarted   int64 `json:"runs_started"`
 	RunsCompleted int64 `json:"runs_completed"`
+	// RunsFailed counts the executed runs that returned an error.
+	RunsFailed int64 `json:"runs_failed"`
+	// RunsPlanned sums the streams' PlanRuns lengths; RunsResolved counts
+	// those runs as their records become final, executed, stored or
+	// cached. They are a sweep's progress, equal once a stream returns
+	// (unless a write failure cut it short).
+	RunsPlanned  int64 `json:"runs_planned"`
+	RunsResolved int64 `json:"runs_resolved"`
 	// CacheHits counts run-cache lookups answered by a finished entry;
 	// CacheWaits counts lookups that latched onto an in-flight run. The
 	// record paths ask the run cache once per run, so labels of a run
@@ -43,6 +51,9 @@ type HostStats struct {
 type hostStats struct {
 	runsStarted   atomic.Int64
 	runsCompleted atomic.Int64
+	runsFailed    atomic.Int64
+	runsPlanned   atomic.Int64
+	runsResolved  atomic.Int64
 	cacheHits     atomic.Int64
 	cacheWaits    atomic.Int64
 	inflight      atomic.Int64
@@ -51,11 +62,16 @@ type hostStats struct {
 	storeHits     atomic.Int64
 }
 
-// HostStats returns a snapshot of the engine's host-side counters.
+// HostStats returns a snapshot of the engine's host-side counters. The
+// loads run in the literal's order, a count before its bound, so no
+// snapshot shows more runs completed than started or resolved than planned.
 func (e *Engine) HostStats() HostStats {
 	return HostStats{
-		RunsStarted:   e.host.runsStarted.Load(),
+		RunsFailed:    e.host.runsFailed.Load(),
 		RunsCompleted: e.host.runsCompleted.Load(),
+		RunsStarted:   e.host.runsStarted.Load(),
+		RunsResolved:  e.host.runsResolved.Load(),
+		RunsPlanned:   e.host.runsPlanned.Load(),
 		CacheHits:     e.host.cacheHits.Load(),
 		CacheWaits:    e.host.cacheWaits.Load(),
 		Inflight:      e.host.inflight.Load(),
@@ -102,6 +118,9 @@ func (g *reporting) String() string {
 		h := e.HostStats()
 		sum.RunsStarted += h.RunsStarted
 		sum.RunsCompleted += h.RunsCompleted
+		sum.RunsFailed += h.RunsFailed
+		sum.RunsPlanned += h.RunsPlanned
+		sum.RunsResolved += h.RunsResolved
 		sum.CacheHits += h.CacheHits
 		sum.CacheWaits += h.CacheWaits
 		sum.Inflight += h.Inflight

@@ -39,9 +39,9 @@ func readTelemetry(t *testing.T, m *expvar.Map) telemetryDoc {
 }
 
 // TestTelemetryKeepsSweepBytes is telemetry's central guarantee: a
-// sweep with a live telemetry map, an OnRunDone progress hook and the
-// speedup join enabled produces JSON-lines byte-identical to a bare
-// engine's, at every worker count.
+// sweep with a live telemetry map and the speedup join enabled produces
+// JSON-lines byte-identical to a bare engine's, at every worker count,
+// and its engine section ends with every planned run resolved.
 func TestTelemetryKeepsSweepBytes(t *testing.T) {
 	specs := testGrid()
 
@@ -59,8 +59,6 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 		e.Workers = workers
 		e.JoinSpeedup = true
 		e.Metrics = new(expvar.Map)
-		p := NewProgress(UniqueRuns(specs, true), io.Discard, e)
-		e.OnRunDone = p.RunDone
 		if err := e.Stream(&out, specs); err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +68,8 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 		}
 		// 16 specs and 4 baselines: 12 and 2 runs, the xhpf cells and
 		// the baselines each running once for both protocol labels.
-		if snap := p.Snapshot(); snap.Done != 14 || snap.Total != 14 || snap.Executed != 14 {
-			t.Errorf("workers=%d: progress %+v after a completed sweep, want 14/14 runs", workers, snap)
+		if hs := readTelemetry(t, e.Metrics).Engine; hs.RunsPlanned != 14 || hs.RunsResolved != 14 || hs.RunsStarted != 14 {
+			t.Errorf("workers=%d: engine section %+v after a completed sweep, want 14 runs planned, resolved and started", workers, hs)
 		}
 	}
 }
@@ -165,69 +163,27 @@ func TestEnginesShareARegistry(t *testing.T) {
 	}
 }
 
-// TestProgressSnapshot drives the hook directly and checks the JSON
-// shape /progress serves, including the stderr line path.
-func TestProgressSnapshot(t *testing.T) {
-	var lines bytes.Buffer
-	p := NewProgress(2, &lines, nil)
-	p.Interval = -1 // fall back to the 1s default; only the final line prints
-	s := Spec{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale, Protocol: proto.HomelessLRC}
-	p.RunDone(s, 5e6, nil)
-	mid := p.Snapshot()
-	if mid.Done != 1 || mid.Total != 2 || mid.EtaSeconds <= 0 {
-		t.Errorf("mid snapshot %+v, want done=1 total=2 eta>0", mid)
-	}
-	s.Procs = 4 // another run: one run completes once
-	p.RunDone(s, 7e6, errTest)
-	snap := p.Snapshot()
-	if snap.Done != 2 || snap.Errors != 1 || snap.EtaSeconds != 0 {
-		t.Errorf("final snapshot %+v, want done=2 errors=1 eta=0", snap)
-	}
-	if want := 0.012; snap.RunHostSeconds != want {
-		t.Errorf("run host seconds = %g, want %g", snap.RunHostSeconds, want)
-	}
-	if b, err := json.Marshal(snap); err != nil || !bytes.Contains(b, []byte(`"done":2`)) {
-		t.Errorf("snapshot JSON = %s, err %v", b, err)
-	}
-	got := lines.String()
-	if !strings.Contains(got, "sweep: 2/2 runs") || !strings.Contains(got, "1 failed") {
-		t.Errorf("final progress line %q", got)
-	}
-	// Nil progress: the hook must be safely ignorable.
-	var np *Progress
-	np.RunDone(s, 1, nil)
-	if np.Snapshot().Total != 0 {
-		t.Error("nil progress snapshot non-zero")
-	}
-}
-
-var errTest = errInstance{}
-
-type errInstance struct{}
-
-func (errInstance) Error() string { return "test failure" }
-
-// TestUniqueRuns pins the progress denominator: duplicates collapse,
+// TestPlanRunsLen pins the progress denominator: duplicates collapse,
 // and the speedup join adds one seq baseline per application and scale.
-func TestUniqueRuns(t *testing.T) {
+func TestPlanRunsLen(t *testing.T) {
 	mk := func(v core.Version, procs int) Spec {
 		s := Spec{App: "Jacobi", Version: v, Procs: procs, Scale: core.SmallScale, Protocol: proto.HomelessLRC}
 		return s.Normalize()
 	}
 	specs := []Spec{mk(core.Tmk, 2), mk(core.Tmk, 2), mk(core.Tmk, 4), mk(core.Seq, 1)}
-	if got := UniqueRuns(specs, false); got != 3 {
-		t.Errorf("UniqueRuns(join=false) = %d, want 3", got)
+	if got := PlanRuns(specs, false).Len(); got != 3 {
+		t.Errorf("PlanRuns(join=false) = %d, want 3", got)
 	}
 	// Both non-seq specs share one seq baseline, and it is the same run
 	// as the explicit seq spec — the join adds nothing here.
-	if got := UniqueRuns(specs, true); got != 3 {
-		t.Errorf("UniqueRuns(join=true) = %d, want 3", got)
+	if got := PlanRuns(specs, true).Len(); got != 3 {
+		t.Errorf("PlanRuns(join=true) = %d, want 3", got)
 	}
 	// Without the explicit seq spec the join adds exactly one baseline.
-	if got := UniqueRuns(specs[:3], true); got != 3 {
-		t.Errorf("UniqueRuns(no explicit seq, join=true) = %d, want 3", got)
+	if got := PlanRuns(specs[:3], true).Len(); got != 3 {
+		t.Errorf("PlanRuns(no explicit seq, join=true) = %d, want 3", got)
 	}
-	if got := UniqueRuns(specs[:3], false); got != 2 {
-		t.Errorf("UniqueRuns(no explicit seq, join=false) = %d, want 2", got)
+	if got := PlanRuns(specs[:3], false).Len(); got != 2 {
+		t.Errorf("PlanRuns(no explicit seq, join=false) = %d, want 2", got)
 	}
 }

@@ -51,16 +51,13 @@ type Coordinator struct {
 	// its "fabric" section (Snapshot) on; the local engine reports on it
 	// too unless it has a map of its own.
 	Metrics *expvar.Map
-	// Out, when non-nil, receives a throttled fleet progress line.
-	Out io.Writer
 	// Logf, when non-nil, receives one line per fleet event (worker
 	// registered/rejected/retired, lease expiry, local fallback).
 	Logf func(format string, args ...any)
 
-	mu       sync.Mutex
-	start    time.Time
-	lastLine time.Time
-	workers  []*workerState
+	mu      sync.Mutex
+	start   time.Time
+	workers []*workerState
 
 	rangesTotal  int
 	recordsTotal int64
@@ -148,7 +145,7 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	// Nothing of an earlier Run carries over: its merge counters, its
 	// lease table and its fleet.
 	c.mu.Lock()
-	c.start, c.lastLine = time.Now(), time.Time{}
+	c.start = time.Now()
 	c.recordsTotal = int64(len(specs))
 	c.rangesTotal, c.tbl, c.workers = 0, nil, nil
 	c.recordsDone.Store(0)
@@ -173,7 +170,6 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 			if rec.Error != "" {
 				c.recordsFailed.Add(1)
 			}
-			c.progressLine()
 		})
 		return stats, err
 	}
@@ -253,7 +249,6 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 		}
 		stats.Records++
 		c.recordsDone.Add(1)
-		c.progressLine()
 	}
 	wg.Wait()
 	return stats, errors.Join(errs...)

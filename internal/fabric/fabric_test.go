@@ -149,10 +149,10 @@ func TestMergeByteIdenticalWithJoins(t *testing.T) {
 // label or a baseline that lands on a second worker is not simulated
 // again. Through 1, 2 and 4 workers the label-heavy list, joined and
 // observed, merges to the local stream's bytes from exactly
-// exp.UniqueRuns executions (leasing the requested specs took 128).
+// exp.PlanRuns executions (leasing the requested specs took 128).
 func TestFleetExecutesEachRunOnce(t *testing.T) {
 	specs := labelGrid(t)
-	runs := exp.UniqueRuns(specs, true)
+	runs := exp.PlanRuns(specs, true).Len()
 	if len(specs) != 128 || runs != 42 {
 		t.Fatalf("label list is %d specs of %d runs, want 128 of 42", len(specs), runs)
 	}
@@ -354,8 +354,8 @@ func fabricSection(t *testing.T, m *expvar.Map) FleetSnapshot {
 	return *doc.Fabric
 }
 
-// TestFleetTelemetry checks the telemetry map's fabric section and the
-// /progress snapshot carry the fleet accounting after a distributed run.
+// TestFleetTelemetry checks the telemetry map's fabric section carries
+// the fleet accounting after a distributed run.
 func TestFleetTelemetry(t *testing.T) {
 	specs := testGrid(t)
 	m := new(expvar.Map)
@@ -370,7 +370,8 @@ func TestFleetTelemetry(t *testing.T) {
 	}
 	// RangeSize 2 over the grid's runs fixes the range count, and a
 	// healthy fleet leases each range once.
-	ranges := (exp.UniqueRuns(specs, false) + 1) / 2
+	runs := exp.PlanRuns(specs, false).Len()
+	ranges := (runs + 1) / 2
 	if snap.RangesDone != ranges || snap.RangesTotal != ranges {
 		t.Errorf("snapshot ranges %d/%d, want %d/%d", snap.RangesDone, snap.RangesTotal, ranges, ranges)
 	}
@@ -387,33 +388,21 @@ func TestFleetTelemetry(t *testing.T) {
 	if leased != int64(ranges) {
 		t.Errorf("fleet granted %d leases for %d ranges", leased, ranges)
 	}
-	if executedRuns(snap) != int64(exp.UniqueRuns(specs, false)) {
-		t.Errorf("fleet executed %d runs, want %d", executedRuns(snap), exp.UniqueRuns(specs, false))
-	}
-	// The snapshot serves as JSON.
-	rr := httptest.NewRecorder()
-	c.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/progress", nil))
-	var decoded FleetSnapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("progress JSON: %v", err)
-	}
-	if decoded.RecordsDone != int64(len(specs)) {
-		t.Errorf("progress records_done = %d", decoded.RecordsDone)
+	if executedRuns(snap) != int64(runs) {
+		t.Errorf("fleet executed %d runs, want %d", executedRuns(snap), runs)
 	}
 }
 
 // TestCoordinatorRunsTwice: a second Run on one coordinator counts its
-// own records, ranges and fleet only, and prints its final progress
-// line, whether the first ran on a fleet or locally.
+// own records, ranges and fleet only, whether the first ran on a fleet
+// or locally.
 func TestCoordinatorRunsTwice(t *testing.T) {
 	specs := testGrid(t)
 	n := int64(len(specs))
 	m := new(expvar.Map)
-	var lines bytes.Buffer
-	c := &Coordinator{RangeSize: 2, Metrics: m, Out: &lines, Logf: t.Logf}
+	c := &Coordinator{RangeSize: 2, Metrics: m, Logf: t.Logf}
 	for i, fleet := range [][]string{startWorkers(t, 2), nil, startWorkers(t, 1)} {
 		c.Workers = fleet
-		lines.Reset()
 		if _, err := c.Run(io.Discard, specs); err != nil {
 			t.Fatal(err)
 		}
@@ -433,11 +422,8 @@ func TestCoordinatorRunsTwice(t *testing.T) {
 			if snap.LocalRecords != n || snap.RangesTotal != 0 {
 				t.Errorf("run %d: local run reports %d local records and %d ranges, want %d and 0", i, snap.LocalRecords, snap.RangesTotal, n)
 			}
-		} else if runs := int64(exp.UniqueRuns(specs, false)); executedRuns(snap) != runs || snap.RangesDone != snap.RangesTotal {
+		} else if runs := int64(exp.PlanRuns(specs, false).Len()); executedRuns(snap) != runs || snap.RangesDone != snap.RangesTotal {
 			t.Errorf("run %d: fleet executed %d runs in %d/%d ranges, want %d runs", i, executedRuns(snap), snap.RangesDone, snap.RangesTotal, runs)
-		}
-		if want := fmt.Sprintf("fabric: %d/%d records", n, n); !strings.Contains(lines.String(), want) {
-			t.Errorf("run %d: no final progress line %q in:\n%s", i, want, lines.String())
 		}
 	}
 }
@@ -491,13 +477,61 @@ func TestWorkerCounters(t *testing.T) {
 	if err := json.Unmarshal([]byte(m.String()), &doc); err != nil {
 		t.Fatalf("telemetry document %s: %v", m.String(), err)
 	}
-	runs := int64(exp.UniqueRuns(specs, false))
+	runs := int64(exp.PlanRuns(specs, false).Len())
 	want := WorkerCounters{Leases: c.Snapshot().Workers[0].Leases, LeasesDenied: 1, Records: runs}
 	if doc.FabricWorker != want {
 		t.Errorf("fabric_worker section %+v, want %+v", doc.FabricWorker, want)
 	}
 	if doc.Engine.RunsStarted != runs {
 		t.Errorf("worker engine started %d runs, want %d", doc.Engine.RunsStarted, runs)
+	}
+}
+
+// engineSection decodes the engine section of m's document.
+func engineSection(t *testing.T, m *expvar.Map) exp.HostStats {
+	t.Helper()
+	var doc struct {
+		Engine *exp.HostStats `json:"engine"`
+	}
+	if err := json.Unmarshal([]byte(m.String()), &doc); err != nil || doc.Engine == nil {
+		t.Fatalf("telemetry document %s: no engine section (%v)", m.String(), err)
+	}
+	return *doc.Engine
+}
+
+// TestWorkerResolvesEveryLeasedRun: a worker's engine section is its
+// progress over every lease it takes. One worker serves two Runs of the
+// same specs, the second answered from its record cache, then a Run of
+// other specs whose store already holds half of their runs. After each
+// Run every planned run is resolved and each distinct run was simulated
+// once.
+func TestWorkerResolvesEveryLeasedRun(t *testing.T) {
+	specs := testGrid(t)
+	first, second := specs[:4], specs[4:]
+	w, url := storeWorker(t, t.TempDir())
+	c := &Coordinator{Workers: []string{url}, RangeSize: 2}
+	check := func(run string, planned, started int64) {
+		t.Helper()
+		hs := engineSection(t, w.Metrics)
+		if hs.RunsPlanned != planned || hs.RunsResolved != planned || hs.RunsStarted != started {
+			t.Errorf("%s: %d of %d planned runs resolved, %d started; want %d of %d, %d started",
+				run, hs.RunsResolved, hs.RunsPlanned, hs.RunsStarted, planned, planned, started)
+		}
+	}
+	runFleet(t, c, first, false)
+	check("first run", 4, 4)
+	runFleet(t, c, first, false)
+	check("repeated run", 8, 4)
+
+	pre := exp.New()
+	pre.Store = w.Store
+	if _, err := pre.StreamWith(io.Discard, second[:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	runFleet(t, c, second, false)
+	check("half-stored run", 12, 6)
+	if hs := engineSection(t, w.Metrics); hs.StoreHits != 2 {
+		t.Errorf("half-stored run: %d store hits, want 2", hs.StoreHits)
 	}
 }
 

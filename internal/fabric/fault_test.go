@@ -47,7 +47,7 @@ func runFleet(t *testing.T, c *Coordinator, specs []exp.Spec, wantErr bool) *Coo
 		t.Errorf("merged output differs from local sweep under fault:\nlocal:\n%s\nfabric:\n%s", want, got.Bytes())
 	}
 	if snap := c.Snapshot(); len(snap.Workers) > 0 {
-		if n, runs := executedRuns(snap), exp.UniqueRuns(specs, c.Speedup); n != int64(runs) {
+		if n, runs := executedRuns(snap), exp.PlanRuns(specs, c.Speedup).Len(); n != int64(runs) {
 			t.Errorf("the fleet executed %d runs, want %d", n, runs)
 		}
 	}

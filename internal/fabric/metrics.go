@@ -1,13 +1,8 @@
 package fabric
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"time"
-)
+import "time"
 
-// WorkerSnapshot is one worker's row in the fleet /progress view.
+// WorkerSnapshot is one worker's row in the fleet snapshot.
 type WorkerSnapshot struct {
 	Addr     string `json:"addr"`
 	Leases   int64  `json:"leases"`
@@ -18,10 +13,9 @@ type WorkerSnapshot struct {
 	Retired  bool   `json:"retired,omitempty"`
 }
 
-// FleetSnapshot is the JSON shape the coordinator serves at /progress,
-// and its telemetry map's "fabric" section: aggregated merge progress
-// of the current Run with a fleet ETA, plus one row per worker it
-// registered.
+// FleetSnapshot is the coordinator's telemetry map's "fabric" section:
+// the current Run's merge progress with a fleet ETA, plus one row per
+// worker it registered.
 type FleetSnapshot struct {
 	RecordsDone   int64 `json:"records_done"`
 	RecordsTotal  int64 `json:"records_total"`
@@ -39,10 +33,15 @@ type FleetSnapshot struct {
 
 // Snapshot returns the fleet's current progress state.
 func (c *Coordinator) Snapshot() FleetSnapshot {
+	// The merge counters are read under the lock a Run resets them
+	// under, so they are never another Run's than the totals.
 	c.mu.Lock()
 	snap := FleetSnapshot{
-		RecordsTotal: c.recordsTotal,
-		RangesTotal:  c.rangesTotal,
+		RecordsDone:   c.recordsDone.Load(),
+		RecordsTotal:  c.recordsTotal,
+		RecordsFailed: c.recordsFailed.Load(),
+		LocalRecords:  c.localRecords.Load(),
+		RangesTotal:   c.rangesTotal,
 	}
 	if !c.start.IsZero() {
 		snap.ElapsedSeconds = time.Since(c.start).Seconds()
@@ -53,9 +52,6 @@ func (c *Coordinator) Snapshot() FleetSnapshot {
 	if tbl != nil {
 		snap.RangesDone = tbl.doneRanges()
 	}
-	snap.RecordsDone = c.recordsDone.Load()
-	snap.RecordsFailed = c.recordsFailed.Load()
-	snap.LocalRecords = c.localRecords.Load()
 	if snap.RecordsDone > 0 && snap.RecordsDone < snap.RecordsTotal {
 		snap.EtaSeconds = snap.ElapsedSeconds / float64(snap.RecordsDone) * float64(snap.RecordsTotal-snap.RecordsDone)
 	}
@@ -71,58 +67,4 @@ func (c *Coordinator) Snapshot() FleetSnapshot {
 		})
 	}
 	return snap
-}
-
-// ServeHTTP serves the fleet snapshot as JSON (the coordinator's
-// /progress endpoint under dsmrun -metrics-addr).
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(c.Snapshot()) //nolint:errcheck // client went away
-}
-
-// progressLine emits a throttled fleet progress line to c.Out.
-func (c *Coordinator) progressLine() {
-	if c.Out == nil {
-		return
-	}
-	c.mu.Lock()
-	now := time.Now()
-	done := c.recordsDone.Load()
-	final := done == c.recordsTotal
-	if !final && now.Sub(c.lastLine) < time.Second {
-		c.mu.Unlock()
-		return
-	}
-	c.lastLine = now
-	total := c.recordsTotal
-	rangesTotal := c.rangesTotal
-	var rangesDone int
-	if c.tbl != nil {
-		// doneRanges takes the table lock, never the coordinator's.
-		rangesDone = c.tbl.doneRanges()
-	}
-	live := 0
-	for _, ws := range c.workers {
-		if !ws.retired.Load() {
-			live++
-		}
-	}
-	elapsed := now.Sub(c.start)
-	c.mu.Unlock()
-
-	line := fmt.Sprintf("fabric: %d/%d records, %d/%d ranges, %d workers", done, total, rangesDone, rangesTotal, live)
-	if n := c.recordsFailed.Load(); n > 0 {
-		line += fmt.Sprintf(", %d failed", n)
-	}
-	if n := c.localRecords.Load(); n > 0 {
-		line += fmt.Sprintf(", %d local", n)
-	}
-	line += fmt.Sprintf(", elapsed %s", elapsed.Round(100*time.Millisecond))
-	if done > 0 && done < total {
-		eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
-		line += fmt.Sprintf(", eta %s", eta.Round(100*time.Millisecond))
-	}
-	fmt.Fprintln(c.Out, line)
 }

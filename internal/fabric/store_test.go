@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -26,7 +27,8 @@ func stalledWorker(t *testing.T, d time.Duration) (*Worker, string) {
 	return w, srv.URL
 }
 
-// storeWorker starts a worker backed by a persistent store in dir.
+// storeWorker starts a worker backed by a persistent store in dir,
+// reporting on a telemetry map of its own.
 func storeWorker(t *testing.T, dir string) (*Worker, string) {
 	t.Helper()
 	st, err := store.Open(dir, exp.StoreOptions(0))
@@ -34,7 +36,7 @@ func storeWorker(t *testing.T, dir string) (*Worker, string) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
-	w := NewWorker(nil)
+	w := NewWorker(new(expvar.Map))
 	w.Workers = 2
 	w.Store = st
 	srv := httptest.NewServer(w.Handler())
@@ -58,7 +60,7 @@ func TestSlowWorkerPullsFewerRanges(t *testing.T) {
 		Contentions: []int{0, 2},
 	}
 	specs := axes.Specs(exp.Spec{Scale: core.SmallScale})
-	if runs := exp.UniqueRuns(specs, false); runs != 64 {
+	if runs := exp.PlanRuns(specs, false).Len(); runs != 64 {
 		t.Fatalf("grid is %d runs, want 64", runs)
 	}
 	_, fastURL := stalledWorker(t, 20*time.Millisecond)
@@ -94,8 +96,8 @@ func TestWorkerStoreWarmRerun(t *testing.T) {
 
 	cold, coldURL := storeWorker(t, dir)
 	runFleet(t, &Coordinator{Workers: []string{coldURL}, RangeSize: 3}, specs, false)
-	if snap := cold.Progress.Snapshot(); snap.Executed != len(specs) || snap.DiskHits != 0 {
-		t.Errorf("cold worker executed/disk = %d/%d, want %d/0", snap.Executed, snap.DiskHits, len(specs))
+	if hs := engineSection(t, cold.Metrics); hs.RunsStarted != int64(len(specs)) || hs.StoreHits != 0 || hs.RunsResolved != hs.RunsPlanned {
+		t.Errorf("cold worker engine section %+v, want %d runs started, no store hits, every planned run resolved", hs, len(specs))
 	}
 	// Every lease ends committed: nothing is left for a later Sync.
 	committed := cold.Store.Stats().Syncs
@@ -108,12 +110,13 @@ func TestWorkerStoreWarmRerun(t *testing.T) {
 
 	warm, warmURL := storeWorker(t, dir)
 	runFleet(t, &Coordinator{Workers: []string{warmURL}, RangeSize: 3}, specs, false)
-	snap := warm.Progress.Snapshot()
-	if snap.Executed != 0 {
-		t.Errorf("warm worker executed %d simulations, want 0 (all leases should hit the store)", snap.Executed)
+	hs := engineSection(t, warm.Metrics)
+	if hs.RunsStarted != 0 {
+		t.Errorf("warm worker executed %d simulations, want 0 (all leases should hit the store)", hs.RunsStarted)
 	}
-	if snap.DiskHits != len(specs) {
-		t.Errorf("warm worker served %d specs from the store, want %d", snap.DiskHits, len(specs))
+	if hs.StoreHits != int64(len(specs)) || hs.RunsPlanned != int64(len(specs)) || hs.RunsResolved != hs.RunsPlanned {
+		t.Errorf("warm worker served %d specs from the store and resolved %d of %d planned runs, want %d of each",
+			hs.StoreHits, hs.RunsResolved, hs.RunsPlanned, len(specs))
 	}
 	if got := warm.Store.Stats().Syncs; got != 0 {
 		t.Errorf("warm worker issued %d fsyncs serving from disk, want 0", got)
@@ -147,9 +150,9 @@ func TestDrainFinishesInflightLease(t *testing.T) {
 		close(done)
 	}()
 
-	// Wait until the first lease is executing, then drain under it.
+	// Wait until the first lease is streaming, then drain under it.
 	deadline := time.Now().Add(10 * time.Second)
-	for w.Progress.Snapshot().Executed == 0 {
+	for w.Counters().LeasesActive == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no lease started within 10s")
 		}

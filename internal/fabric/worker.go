@@ -23,11 +23,10 @@ type Worker struct {
 	// Workers bounds each engine's host worker pool; 0 means all cores.
 	Workers int
 	// Metrics, when non-nil, is the telemetry map carrying the worker's
-	// "fabric_worker" section (Counters) and its engines' sections.
+	// "fabric_worker" section (Counters) and its engines' sections: the
+	// engine section's runs_resolved of runs_planned is the worker's
+	// progress over every lease it has taken.
 	Metrics *expvar.Map
-	// Progress aggregates lease workloads into the worker's /progress
-	// view (totals grow lease by lease; ETA is informational).
-	Progress *exp.Progress
 	// Logf, when non-nil, receives one line per lease served/rejected.
 	Logf func(format string, args ...any)
 	// Store, when non-nil, is the worker's local persistent result
@@ -87,9 +86,8 @@ type WorkerCounters struct {
 // (nil: no telemetry).
 func NewWorker(m *expvar.Map) *Worker {
 	w := &Worker{
-		Metrics:  m,
-		Progress: exp.NewProgress(0, nil, nil),
-		engines:  map[bool]*exp.Engine{},
+		Metrics: m,
+		engines: map[bool]*exp.Engine{},
 	}
 	w.activeIdle = sync.NewCond(&w.activeMu)
 	if m != nil {
@@ -125,8 +123,6 @@ func (w *Worker) engine(observe bool) *exp.Engine {
 	e.Observe = observe
 	e.Metrics = w.Metrics
 	e.Store = w.Store
-	e.OnRunDone = w.Progress.RunDone
-	e.OnStoreHit = w.Progress.StoreHit
 	w.engines[observe] = e
 	return e
 }
@@ -135,9 +131,8 @@ func (w *Worker) engine(observe bool) *exp.Engine {
 // mounting next to /metrics and /debug/pprof/* via metrics.NewMux.
 func (w *Worker) Routes() map[string]http.Handler {
 	return map[string]http.Handler{
-		HealthPath:  http.HandlerFunc(w.handleHealth),
-		RunPath:     http.HandlerFunc(w.handleRun),
-		"/progress": w.Progress,
+		HealthPath: http.HandlerFunc(w.handleHealth),
+		RunPath:    http.HandlerFunc(w.handleRun),
 	}
 }
 
@@ -238,7 +233,6 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	w.leasesActive.Add(1)
 	defer w.leasesActive.Add(-1)
 	w.leasesServed.Add(1)
-	w.Progress.AddTotal(exp.UniqueRuns(specs, false))
 	w.logf("fabric worker: lease %s: %d specs (%s .. %s)", rr.Lease, len(specs), rr.Keys[0], rr.Keys[len(rr.Keys)-1])
 
 	// StreamWith returns with the lease's write-backs synced to the

@@ -17,8 +17,8 @@ func WriteJSON(w io.Writer, m *expvar.Map) error {
 
 // NewMux builds the telemetry endpoint surface: /metrics (m as JSON)
 // and /debug/pprof/* (the runtime profiles, mounted explicitly so the
-// process never depends on http.DefaultServeMux). Extra handlers (e.g.
-// a /progress JSON snapshot) are mounted at their given paths.
+// process never depends on http.DefaultServeMux). Extra handlers (a
+// fabric worker's /healthz and /run) are mounted at their given paths.
 func NewMux(m *expvar.Map, extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -241,8 +241,9 @@ func (e *Engine) syncStore() {
 // recordFor returns the record of one canonical run, single-flighted
 // per run: served from the persistent store when possible, executed
 // (and written back) otherwise. It never relabels or joins — Labelled
-// does that on the way out.
-func (e *Engine) recordFor(k keyed) Record {
+// does that on the way out. buf is the caller's read buffer (see
+// computeRecord).
+func (e *Engine) recordFor(k keyed, buf *[]byte) Record {
 	e.telemetryInit()
 	e.recMu.Lock()
 	if e.recCache == nil {
@@ -254,7 +255,7 @@ func (e *Engine) recordFor(k keyed) Record {
 		en.wg.Add(1)
 		e.recCache[k.key()] = en
 		e.recMu.Unlock()
-		en.rec = e.computeRecord(k)
+		en.rec = e.computeRecord(k, buf)
 		en.wg.Done()
 		return en.rec
 	}
@@ -266,11 +267,14 @@ func (e *Engine) recordFor(k keyed) Record {
 // computeRecord resolves one run's record: persistent store first,
 // then a real run. A stored entry that fails validation (corrupt,
 // tampered, schema drift) is treated as a miss and recomputed; the
-// write-back then heals the store.
-func (e *Engine) computeRecord(k keyed) Record {
+// write-back then heals the store. A stored value is read into *buf,
+// which one goroutine owns and reuses from record to record: the
+// decoded Record copies every string out of it, so it keeps no byte.
+func (e *Engine) computeRecord(k keyed, buf *[]byte) Record {
 	if st := e.Store; st != nil {
-		if b, ok := st.Get(k.storeKey(e.Observe)); ok {
-			if rec, err := decodeStored(b, k.Spec); err == nil {
+		var ok bool
+		if *buf, ok = st.AppendGet((*buf)[:0], k.storeKey(e.Observe)); ok {
+			if rec, err := decodeStored(*buf, k.Spec); err == nil {
 				e.host.storeHits.Add(1)
 				return rec
 			}
@@ -340,12 +344,13 @@ func (e *Engine) workers() int {
 func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 	w := min(e.workers(), p.Len())
 	if w <= 1 {
+		var buf []byte
 		for _, k := range p.runs {
 			if cancel.Load() {
 				return
 			}
 			busy := time.Now()
-			e.recordFor(k)
+			e.recordFor(k, &buf)
 			e.host.runsResolved.Add(1)
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
@@ -357,12 +362,13 @@ func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte // this worker's store read buffer
 			idle := time.Now()
 			for pos := range jobs {
 				e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 				busy := time.Now()
 				if !cancel.Load() { // else drain without running
-					e.recordFor(p.runs[pos])
+					e.recordFor(p.runs[pos], &buf)
 					e.host.runsResolved.Add(1)
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
@@ -455,11 +461,13 @@ func (r *Runs) Spec(pos int) Spec { return r.runs[pos].Spec }
 func (r *Runs) Key(pos int) string { return r.runs[pos].key() }
 
 // labelled is the record of p's requested spec i, s: its run's record,
-// relabelled and joined with its baseline's when the run succeeded.
-func (e *Engine) labelled(p *Runs, i int, s Spec) Record {
-	rec := e.recordFor(p.runs[p.Run[i]])
+// relabelled and joined with its baseline's when the run succeeded. buf
+// is the caller's store read buffer, for a run the prefetch has not
+// reached.
+func (e *Engine) labelled(p *Runs, i int, s Spec, buf *[]byte) Record {
+	rec := e.recordFor(p.runs[p.Run[i]], buf)
 	if b := p.Base[i]; b >= 0 && rec.Error == "" {
-		seq := e.recordFor(p.runs[b])
+		seq := e.recordFor(p.runs[b], buf)
 		return Labelled(s, rec, &seq)
 	}
 	return Labelled(s, rec, nil)
@@ -507,12 +515,14 @@ func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (
 		failed = make([]bool, p.Len()) // per run: its error is in errs
 		// One Record and one line buffer for the whole stream: decorate
 		// takes the record's address, which puts it on the heap — once,
-		// not once per line.
+		// not once per line. The line buffer is also the emitter's store
+		// read buffer: a record owns its strings, so its line is encoded
+		// after the bytes it was decoded from are dead.
 		rec  Record
 		line []byte
 	)
 	for i, s := range specs {
-		rec = e.labelled(p, i, s) // blocks until this spec's runs are final
+		rec = e.labelled(p, i, s, &line) // blocks until this spec's runs are final
 		if rec.Error != "" {
 			stats.Failed++
 			if pos := p.Run[i]; !failed[pos] {

@@ -73,6 +73,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,6 +165,12 @@ type Store struct {
 	unsynced bool
 	lastSync time.Time
 	now      func() time.Time
+	// rbuf and wbuf are the frame buffers, reused from one call to the
+	// next: rbuf holds the frame readEntryLocked last read and verified,
+	// wbuf the frame Put last built. Neither leaves the lock — AppendGet
+	// copies a value out, and Verify's check sees one only during the
+	// call.
+	rbuf, wbuf []byte
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -270,16 +277,23 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Get returns the stored value for key, re-verifying its checksum. A
-// frame that fails verification is dropped from the index and reported
-// as a miss, so a corrupted entry is transparently recomputed by the
-// caller and healed by its write-back.
+// Get returns a copy of the stored value for key, re-verifying its
+// checksum. A frame that fails verification is dropped from the index
+// and reported as a miss, so a corrupted entry is transparently
+// recomputed by the caller and healed by its write-back.
 func (s *Store) Get(key string) ([]byte, bool) {
+	return s.AppendGet(nil, key)
+}
+
+// AppendGet is Get appending the verified value to dst: a caller that
+// reuses dst reads a warm entry without allocating. On a miss or a
+// failed check it returns dst unchanged.
+func (s *Store) AppendGet(dst []byte, key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		s.misses.Add(1)
-		return nil, false
+		return dst, false
 	}
 	en := s.index[key]
 	if en == nil {
@@ -291,19 +305,19 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	if en == nil {
 		s.misses.Add(1)
-		return nil, false
+		return dst, false
 	}
-	val, err := s.readEntryLocked(en)
+	_, val, err := s.readEntryLocked(en)
 	if err != nil {
 		s.dropLocked(en)
 		s.corrupt.Add(1)
 		s.segDirty = true
 		s.misses.Add(1)
-		return nil, false
+		return dst, false
 	}
 	s.touchLocked(en)
 	s.hits.Add(1)
-	return val, true
+	return append(dst, val...), true
 }
 
 // Put stores value under key. Writes go through the exclusive
@@ -333,7 +347,7 @@ func (s *Store) Put(key string, value []byte) error {
 		return err
 	}
 	if old := s.index[key]; old != nil {
-		if oldVal, err := s.readEntryLocked(old); err == nil && string(oldVal) == string(value) {
+		if _, oldVal, err := s.readEntryLocked(old); err == nil && string(oldVal) == string(value) {
 			s.touchLocked(old)
 			return nil
 		}
@@ -345,7 +359,8 @@ func (s *Store) Put(key string, value []byte) error {
 			return err
 		}
 	}
-	frame := encodeFrame(s.opt.SchemaVersion, key, value)
+	s.wbuf = appendFrame(s.wbuf[:0], s.opt.SchemaVersion, key, value)
+	frame := s.wbuf
 	if _, err := s.seg.WriteAt(frame, s.size); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
@@ -425,8 +440,9 @@ type VerifyReport struct {
 // Verify re-scans the segment from scratch and re-reads every live
 // entry, verifying checksums; check, when non-nil, is called with each
 // key and value (in sorted key order) and may reject the value. The
-// report counts everything found wrong; err is non-nil only when the
-// store itself cannot be read.
+// value is the store's read buffer, valid only during the call: a check
+// that keeps any of it copies it. The report counts everything found
+// wrong; err is non-nil only when the store itself cannot be read.
 func (s *Store) Verify(check func(key string, value []byte) error) (VerifyReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,7 +467,7 @@ func (s *Store) Verify(check func(key string, value []byte) error) (VerifyReport
 	sort.Strings(keys)
 	for _, k := range keys {
 		en := s.index[k]
-		val, err := s.readEntryLocked(en)
+		_, val, err := s.readEntryLocked(en)
 		if err != nil {
 			s.dropLocked(en)
 			s.corrupt.Add(1)
@@ -716,10 +732,13 @@ func resync(data []byte, want uint32) int {
 	return -1
 }
 
-// encodeFrame renders one frame.
-func encodeFrame(schema uint32, key string, value []byte) []byte {
+// appendFrame renders one frame onto dst. value must not alias dst's
+// spare capacity: the frame is written over it.
+func appendFrame(dst []byte, schema uint32, key string, value []byte) []byte {
 	payLen := 12 + len(key) + len(value)
-	buf := make([]byte, headerSize+payLen)
+	n := len(dst)
+	dst = slices.Grow(dst, headerSize+payLen)[:n+headerSize+payLen]
+	buf := dst[n:]
 	binary.LittleEndian.PutUint32(buf[0:4], magic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(payLen))
 	pay := buf[headerSize:]
@@ -729,22 +748,23 @@ func encodeFrame(schema uint32, key string, value []byte) []byte {
 	binary.LittleEndian.PutUint32(pay[8+len(key):12+len(key)], uint32(len(value)))
 	copy(pay[12+len(key):], value)
 	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(pay))
-	return buf
+	return dst
 }
 
-// readEntryLocked re-reads and re-verifies one live frame, returning
-// its value.
-func (s *Store) readEntryLocked(en *entry) ([]byte, error) {
-	data := make([]byte, en.frameLen)
-	if _, err := s.seg.ReadAt(data, en.off); err != nil {
-		return nil, fmt.Errorf("store: read frame: %w", err)
+// readEntryLocked re-reads and re-verifies one live frame into s.rbuf,
+// returning the frame and its value: views of s.rbuf, dead at the next
+// read.
+func (s *Store) readEntryLocked(en *entry) (frame, val []byte, err error) {
+	s.rbuf = slices.Grow(s.rbuf[:0], int(en.frameLen))[:en.frameLen]
+	frame = s.rbuf
+	if _, err := s.seg.ReadAt(frame, en.off); err != nil {
+		return nil, nil, fmt.Errorf("store: read frame: %w", err)
 	}
-	frameLen, key, ok := parseFrame(data, s.opt.SchemaVersion)
+	frameLen, key, ok := parseFrame(frame, s.opt.SchemaVersion)
 	if !ok || int64(frameLen) != en.frameLen || string(key) != en.key {
-		return nil, errors.New("store: frame failed verification")
+		return nil, nil, errors.New("store: frame failed verification")
 	}
-	pay := data[headerSize:]
-	return pay[12+len(key):], nil
+	return frame, frame[headerSize+12+len(key):], nil
 }
 
 // touchLocked moves an entry to the most-recently-used position.
@@ -803,12 +823,13 @@ func (s *Store) compactLocked() error {
 	off := int64(0)
 	for el := s.lru.Front(); el != nil; el = el.Next() {
 		en := el.Value.(*entry)
-		val, rerr := s.readEntryLocked(en)
+		// A verified frame is the frame appendFrame would build from its
+		// schema, key and value: it is copied as read.
+		frame, _, rerr := s.readEntryLocked(en)
 		if rerr != nil {
 			s.corrupt.Add(1)
 			continue
 		}
-		frame := encodeFrame(s.opt.SchemaVersion, en.key, val)
 		if _, err := f.Write(frame); err != nil {
 			f.Close()
 			os.Remove(tmpPath)

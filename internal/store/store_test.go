@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,12 @@ func mustGet(t *testing.T, s *Store, key, want string) {
 	if string(got) != want {
 		t.Fatalf("Get(%s) = %q, want %q", key, got, want)
 	}
+}
+
+// encodeFrame renders one frame on its own: what Put appends for
+// (schema, key, value).
+func encodeFrame(schema uint32, key string, value []byte) []byte {
+	return appendFrame(nil, schema, key, value)
 }
 
 func segPath(t *testing.T, dir string) string {
@@ -76,10 +83,11 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 	}
 }
 
-// TestStoreWarmGetAllocatesTheFrameOnly: a hit costs one allocation,
-// the buffer the frame is read into and the value is a slice of. The
-// frame's key is compared where it lies, not copied into a string.
-func TestStoreWarmGetAllocatesTheFrameOnly(t *testing.T) {
+// TestStoreWarmGetAllocatesTheValueOnly: a hit costs one allocation,
+// the caller's copy of the value. The frame is read into the store's
+// read buffer and its key compared where it lies, not copied into a
+// string.
+func TestStoreWarmGetAllocatesTheValueOnly(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{SchemaVersion: 1})
 	key := "app=Jacobi|version=tmk|procs=4|scale=small|protocol=lrc|contention=0|fifo=0|obs=1"
 	mustPut(t, s, key, strings.Repeat("v", 300))
@@ -90,7 +98,163 @@ func TestStoreWarmGetAllocatesTheFrameOnly(t *testing.T) {
 		}
 	})
 	if n != 1 {
-		t.Errorf("a warm Get allocates %v times, want 1 (the frame buffer)", n)
+		t.Errorf("a warm Get allocates %v times, want 1 (the value's copy)", n)
+	}
+}
+
+// TestStoreWarmAppendGetAllocatesNothing: a warm AppendGet into a dst
+// with room for the value allocates nothing: the pread, the CRC check
+// and the key compare work in the store's read buffer, and the value is
+// copied into dst.
+func TestStoreWarmAppendGetAllocatesNothing(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{SchemaVersion: 1})
+	key := "app=Jacobi|version=tmk|procs=4|scale=small|protocol=lrc|contention=0|fifo=0|obs=1"
+	val := strings.Repeat("v", 300)
+	mustPut(t, s, key, val)
+	dst := make([]byte, 0, 512)
+	n := testing.AllocsPerRun(100, func() {
+		got, ok := s.AppendGet(dst[:0], key)
+		if !ok || string(got) != val {
+			t.Fatalf("warm AppendGet = %q, %v", got, ok)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a warm AppendGet into a sized dst allocates %v times, want 0", n)
+	}
+}
+
+// TestStorePutAllocatesNoFrame: a Put of a new key builds its frame in
+// the store's write buffer, so it allocates only what outlives it — the
+// index entry and its LRU element — and the FileInfo of the fstat every
+// writer makes before appending. None of them is the size of the value.
+func TestStorePutAllocatesNoFrame(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{SchemaVersion: 1})
+	val := []byte(strings.Repeat("r", 64<<10))
+	const runs = 100
+	keys := make([]string, runs+2) // AllocsPerRun calls once more to warm up
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%03d", i)
+	}
+	if err := s.Put(keys[0], val); err != nil { // sizes the write buffer
+		t.Fatal(err)
+	}
+	next := 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := testing.AllocsPerRun(runs, func() {
+		if err := s.Put(keys[next], val); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	runtime.ReadMemStats(&after)
+	if n > 3 {
+		t.Errorf("a Put of a new key allocates %v objects, want at most 3 (entry, LRU element, segment FileInfo)", n)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); per > uint64(len(val))/8 {
+		t.Errorf("a Put of a %d-byte value allocates %d bytes: a frame per Put", len(val), per)
+	}
+	if got := s.Len(); got != len(keys) {
+		t.Fatalf("store holds %d keys, want %d", got, len(keys))
+	}
+	mustGet(t, s, keys[runs+1], string(val))
+}
+
+// TestStoreAppendGetLeavesDstOnMissAndCorruption: a miss and a frame
+// that fails its check return dst as it was passed — same bytes, same
+// length, same array — and a hit appends after what dst holds.
+func TestStoreAppendGetLeavesDstOnMissAndCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{SchemaVersion: 1})
+	mustPut(t, s, "k", strings.Repeat("x", 100))
+	dst := append(make([]byte, 0, 256), "prefix"...)
+	unchanged := func(what string, got []byte, ok bool) {
+		t.Helper()
+		if ok {
+			t.Fatalf("%s: AppendGet hit", what)
+		}
+		if string(got) != "prefix" || cap(got) != cap(dst) || &got[0] != &dst[0] {
+			t.Fatalf("%s: AppendGet returned %q (cap %d), want dst %q (cap %d) unchanged", what, got, cap(got), dst, cap(dst))
+		}
+	}
+	got, ok := s.AppendGet(dst, "missing")
+	unchanged("miss", got, ok)
+	corruptFrame(t, dir) // under the live handle: the re-read fails its CRC
+	got, ok = s.AppendGet(dst, "k")
+	unchanged("corrupted frame", got, ok)
+	if st := s.Stats(); st.CorruptFrames != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 corrupt frame and 2 misses", st)
+	}
+	mustPut(t, s, "k", "fresh")
+	if got, ok = s.AppendGet(dst, "k"); !ok || string(got) != "prefixfresh" {
+		t.Fatalf("AppendGet after the heal = %q, %v, want %q", got, ok, "prefixfresh")
+	}
+}
+
+// TestStoreGetsDoNotAlias: every Get returns bytes of its own, never a
+// view of the store's read buffer — a later Get of another key, or a
+// caller scribbling over an earlier value, changes no other value.
+func TestStoreGetsDoNotAlias(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{SchemaVersion: 1})
+	va, vb := strings.Repeat("a", 200), strings.Repeat("b", 200)
+	mustPut(t, s, "key-a", va)
+	mustPut(t, s, "key-b", vb)
+	a, okA := s.Get("key-a")
+	b, okB := s.Get("key-b")
+	if !okA || !okB {
+		t.Fatal("Get missed")
+	}
+	if string(a) != va || string(b) != vb {
+		t.Fatalf("Get(key-a) = %.8q…, Get(key-b) = %.8q…: the values alias", a, b)
+	}
+	for i := range b {
+		b[i] = '#'
+	}
+	if string(a) != va {
+		t.Fatal("scribbling over one Get's value changed another's")
+	}
+	mustGet(t, s, "key-b", vb)
+}
+
+// TestStoreCompactionServesEveryValue: compaction copies the frames it
+// reads through the read buffer while Puts build theirs in the write
+// buffer. After many reads, writes and compactions of values of many
+// sizes, every value is served byte for byte, by this handle and after
+// a reopen.
+func TestStoreCompactionServesEveryValue(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{SchemaVersion: 1})
+	const keys = 40
+	key := func(i int) string { return fmt.Sprintf("key-%02d", i) }
+	want := map[string]string{}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < keys; i++ {
+			// A superseded key dirties the segment, so the next Put
+			// compacts.
+			if round == 0 || i%3 == round {
+				want[key(i)] = fmt.Sprintf("%d/%d:", i, round) + strings.Repeat(string(rune('a'+i%26)), (i*37+round*11)%300)
+				mustPut(t, s, key(i), want[key(i)])
+			}
+			j := (i * 7) % keys
+			if v, ok := want[key(j)]; ok {
+				mustGet(t, s, key(j), v)
+			}
+		}
+	}
+	if st := s.Stats(); st.Compactions < 10 {
+		t.Fatalf("stats = %+v, want at least 10 compactions", st)
+	}
+	for k, v := range want {
+		mustGet(t, s, k, v)
+	}
+	s.Close()
+	s2 := openT(t, dir, Options{SchemaVersion: 1})
+	for k, v := range want {
+		mustGet(t, s2, k, v)
+	}
+	rep, err := s2.Verify(nil)
+	if err != nil || rep.Entries != keys || rep.CorruptFrames != 0 {
+		t.Fatalf("Verify = %+v, %v, want %d entries and 0 corrupt frames", rep, err, keys)
 	}
 }
 
@@ -696,6 +860,33 @@ func TestStorePowerLossInUnsyncedRun(t *testing.T) {
 		}
 		check(t, seg, map[int]bool{0: true, 4: true})
 	})
+}
+
+// BenchmarkGet times a warm AppendGet of a record-sized value into a
+// reused buffer: the pread, the CRC check and the copy out.
+func BenchmarkGet(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{SchemaVersion: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	val := []byte(strings.Repeat("r", 450))
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%08d", i)
+		if err := s.Put(keys[i], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var dst []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if dst, ok = s.AppendGet(dst[:0], keys[i%len(keys)]); !ok {
+			b.Fatal("warm AppendGet missed")
+		}
+	}
 }
 
 // BenchmarkPut times appends of record-sized values, Close included,

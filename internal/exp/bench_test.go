@@ -65,7 +65,8 @@ func serveWarmSpecs() []Spec {
 
 // BenchmarkServeWarm is one warm StreamWith pass — observed, joined,
 // two workers, a fresh engine, as a CLI pays it — over a store holding
-// serveWarmSpecs. Nothing may execute.
+// serveWarmSpecs. Nothing may execute. It reports allocs and bytes a
+// record beside -benchmem's per-pass numbers.
 func BenchmarkServeWarm(b *testing.B) {
 	specs := serveWarmSpecs()
 	st, err := store.Open(b.TempDir(), StoreOptions(0))
@@ -98,4 +99,5 @@ func BenchmarkServeWarm(b *testing.B) {
 	records := float64(b.N * len(specs))
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/records, "us/record")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
 }

@@ -546,19 +546,21 @@ func TestRecordLinesRoundTrip(t *testing.T) {
 }
 
 // TestWarmStreamAllocations: a warm pass decodes, checks, joins and
-// re-encodes a record and runs nothing. What a run allocates is its
-// record-cache entry, its key (one string, the observed store key
-// included) and a copy of any string that is not a name the package
-// holds (a gen-<seed> application); a label or a baseline shared by
-// several records costs it once. A stored value is read into a buffer
-// each prefetch worker and the emitter reuse. The engine's fixed cost
-// — the run list, its index map, the caches' maps, the worker
-// goroutines and their read buffers — and the test's own output buffer
-// are inside the numbers: 4.1 objects and about 1 530 bytes a record
-// (-race adds one object a pass), against 5.4 and 1 940 when every
-// warm Get read its frame into a buffer of its own, 6.4 and 2 030 when
-// the store held one record per requested key, and 9.9 and 2 870 when
-// every spec carried its baseline's key and waited on a channel.
+// re-encodes a record and runs nothing. What a run allocates is its key
+// (one string, the observed store key included) and a copy of any
+// string that is not a name the package holds (a gen-<seed>
+// application); a run that a later label still needs keeps its decoded
+// record until then, and a baseline shared by several records is read
+// once. A stored value is read into the emitter's line buffer when its
+// line is written; nothing caches it. The engine's fixed cost — the run
+// list, its index map, the stream's run slots, the worker goroutines —
+// and the test's own output buffer are inside the numbers: 2.81 objects
+// and about 1 060 bytes a record (-race adds one object a pass),
+// against 4.1 and 1 530 when the prefetch decoded every warm run into a
+// record-cache entry, 5.4 and 1 940 when every warm Get read its frame
+// into a buffer of its own, 6.4 and 2 030 when the store held one
+// record per requested key, and 9.9 and 2 870 when every spec carried
+// its baseline's key and waited on a channel.
 func TestWarmStreamAllocations(t *testing.T) {
 	specs := serveWarmSpecs()
 	st := openStoreT(t, t.TempDir())
@@ -591,12 +593,12 @@ func TestWarmStreamAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	records := float64(len(specs))
-	if per := n / records; per > 4.125 {
-		t.Errorf("a warm stream allocates %.3f objects a record, want at most 4.125", per)
+	if per := n / records; per > 2.844 {
+		t.Errorf("a warm stream allocates %.3f objects a record, want at most 2.844", per)
 	}
 	// The race detector's instrumentation allocates beside the stream.
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / (passes * records); per > 1775 && !raceEnabled() {
-		t.Errorf("a warm stream allocates %.0f bytes a record, want at most 1 775", per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / (passes * records); per > 1240 && !raceEnabled() {
+		t.Errorf("a warm stream allocates %.0f bytes a record, want at most 1 240", per)
 	}
 }
 

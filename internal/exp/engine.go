@@ -27,7 +27,7 @@ import (
 // count.
 //
 // A run's identity is its spec's canonical form (Spec.Canonical): the
-// caches, the store, the single-flight and every count of runs go by
+// cache, the store, the single-flight and every count of runs go by
 // it, and the canonical spec is what executes. Specs that differ in
 // labels only share one run; the record the engine hands back for each
 // carries the spec that was asked for (Labelled).
@@ -76,14 +76,12 @@ type Engine struct {
 	// store too. Set it before the first run and do not change it after.
 	Store *store.Store
 
+	// mu/cache single-flight executed runs: the first request for a run
+	// executes it, everyone else waits for (or receives) its entry. It
+	// is the engine's one cache; a stored run is read when its line is
+	// written, once per stream, and kept nowhere.
 	mu    sync.Mutex
 	cache map[string]*entry
-
-	// recMu/recCache single-flight the record paths the way mu/cache
-	// single-flight Run: at most one store lookup (and, on a miss, one
-	// run + write-back) per run, everyone else waits for its record.
-	recMu    sync.Mutex
-	recCache map[string]*recEntry
 
 	host          hostStats
 	telemetryOnce sync.Once
@@ -91,20 +89,14 @@ type Engine struct {
 }
 
 // entry is one cached (possibly in-flight) run. done closes when res,
-// err and hostNS are final.
+// err, rec and hostNS are final. rec is RecordOf the run's canonical
+// spec, built once: the write-back stores it and every stream writes it.
 type entry struct {
 	done   chan struct{}
 	res    core.Result
 	err    error
+	rec    Record
 	hostNS int64
-}
-
-// recEntry is one cached (possibly in-flight) record: rec is final once
-// wg is done. Waiters only block, never select, so the entry waits on a
-// WaitGroup inside its own allocation rather than on a channel.
-type recEntry struct {
-	wg  sync.WaitGroup
-	rec Record
 }
 
 // New builds an engine with the calibrated SP/2 model.
@@ -160,6 +152,7 @@ func (e *Engine) run(k keyed) *entry {
 		start := time.Now()
 		en.res, en.err = e.execute(k.Spec)
 		en.hostNS = time.Since(start).Nanoseconds()
+		en.rec = RecordOf(k.Spec, en.res, en.err)
 		e.host.inflight.Add(-1)
 		if en.err != nil {
 			e.host.runsFailed.Add(1)
@@ -216,8 +209,7 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 	if st == nil || en.err != nil {
 		return
 	}
-	rec := RecordOf(k.Spec, en.res, nil)
-	b, merr := AppendRecord(make([]byte, 0, 512), &rec)
+	b, merr := AppendRecord(make([]byte, 0, 512), &en.rec)
 	if merr != nil {
 		return
 	}
@@ -236,52 +228,6 @@ func (e *Engine) syncStore() {
 		st.Sync() //nolint:errcheck // best-effort persistence, as in writeBack
 		e.observeSyncs()
 	}
-}
-
-// recordFor returns the record of one canonical run, single-flighted
-// per run: served from the persistent store when possible, executed
-// (and written back) otherwise. It never relabels or joins — Labelled
-// does that on the way out. buf is the caller's read buffer (see
-// computeRecord).
-func (e *Engine) recordFor(k keyed, buf *[]byte) Record {
-	e.telemetryInit()
-	e.recMu.Lock()
-	if e.recCache == nil {
-		e.recCache = map[string]*recEntry{}
-	}
-	en, ok := e.recCache[k.key()]
-	if !ok {
-		en = &recEntry{}
-		en.wg.Add(1)
-		e.recCache[k.key()] = en
-		e.recMu.Unlock()
-		en.rec = e.computeRecord(k, buf)
-		en.wg.Done()
-		return en.rec
-	}
-	e.recMu.Unlock()
-	en.wg.Wait()
-	return en.rec
-}
-
-// computeRecord resolves one run's record: persistent store first,
-// then a real run. A stored entry that fails validation (corrupt,
-// tampered, schema drift) is treated as a miss and recomputed; the
-// write-back then heals the store. A stored value is read into *buf,
-// which one goroutine owns and reuses from record to record: the
-// decoded Record copies every string out of it, so it keeps no byte.
-func (e *Engine) computeRecord(k keyed, buf *[]byte) Record {
-	if st := e.Store; st != nil {
-		var ok bool
-		if *buf, ok = st.AppendGet((*buf)[:0], k.storeKey(e.Observe)); ok {
-			if rec, err := decodeStored(*buf, k.Spec); err == nil {
-				e.host.storeHits.Add(1)
-				return rec
-			}
-		}
-	}
-	en := e.run(k)
-	return RecordOf(k.Spec, en.res, en.err)
 }
 
 // execute performs the simulation for one spec (no caching). A result
@@ -336,22 +282,19 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prefetch resolves every run of p, each once, using the worker pool —
-// through recordFor, so store hits skip the simulation — counting each
-// in RunsResolved. It returns when all runs have completed (or failed).
-// Once cancel is set no new run starts (in-flight runs still finish),
-// and the runs skipped stay unresolved.
-func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
-	w := min(e.workers(), p.Len())
+// prefetch resolves every run of r, each once, using the worker pool,
+// and counts each in RunsResolved. It returns when all runs have
+// completed (or failed). Once cancel is set no new run starts
+// (in-flight runs still finish), and the runs skipped stay unresolved.
+func (e *Engine) prefetch(r *stream, cancel *atomic.Bool) {
+	w := min(e.workers(), r.Len())
 	if w <= 1 {
-		var buf []byte
-		for _, k := range p.runs {
+		for pos := range r.runs {
 			if cancel.Load() {
 				return
 			}
 			busy := time.Now()
-			e.recordFor(k, &buf)
-			e.host.runsResolved.Add(1)
+			e.resolve(r, pos)
 			e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 		}
 		return
@@ -362,14 +305,12 @@ func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []byte // this worker's store read buffer
 			idle := time.Now()
 			for pos := range jobs {
 				e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 				busy := time.Now()
 				if !cancel.Load() { // else drain without running
-					e.recordFor(p.runs[pos], &buf)
-					e.host.runsResolved.Add(1)
+					e.resolve(r, pos)
 				}
 				e.host.workerBusyNS.Add(time.Since(busy).Nanoseconds())
 				idle = time.Now()
@@ -377,15 +318,36 @@ func (e *Engine) prefetch(p *Runs, cancel *atomic.Bool) {
 			e.host.workerIdleNS.Add(time.Since(idle).Nanoseconds())
 		}()
 	}
-	for pos := range p.runs {
+	for pos := range r.runs {
 		jobs <- pos
 	}
 	close(jobs)
 	wg.Wait()
 }
 
+// resolve settles r's run at pos without reading its record, and
+// counts it: a run this engine has executed (or is executing) is its
+// cache entry, a run the store indexes is left for the emitter to read
+// (nil), and any other run executes.
+func (e *Engine) resolve(r *stream, pos int) {
+	k := r.runs[pos]
+	var en *entry
+	if st := e.Store; st == nil || e.ran(k) || !st.Has(k.storeKey(e.Observe)) {
+		en = e.run(k)
+	}
+	r.resolved(pos, en)
+	e.host.runsResolved.Add(1)
+}
+
+// ran reports whether this engine has executed, or is executing, run k.
+func (e *Engine) ran(k keyed) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.cache[k.key()] != nil
+}
+
 // keyed is a spec with its key, taken once. PlanRuns takes each run's
-// key and hands it down — to the run and record caches and the store —
+// key and hands it down — to the run cache and the store —
 // instead of rebuilding the string at any of them. The store key of an
 // observed record is built in the same string: the key is its prefix.
 type keyed struct {
@@ -460,17 +422,130 @@ func (r *Runs) Spec(pos int) Spec { return r.runs[pos].Spec }
 // Key is the key of the run at pos.
 func (r *Runs) Key(pos int) string { return r.runs[pos].key() }
 
-// labelled is the record of p's requested spec i, s: its run's record,
-// relabelled and joined with its baseline's when the run succeeded. buf
-// is the caller's store read buffer, for a run the prefetch has not
-// reached.
-func (e *Engine) labelled(p *Runs, i int, s Spec, buf *[]byte) Record {
-	rec := e.recordFor(p.runs[p.Run[i]], buf)
-	if b := p.Base[i]; b >= 0 && rec.Error == "" {
-		seq := e.recordFor(p.runs[b], buf)
-		return Labelled(s, rec, &seq)
+// stream is one StreamWith's state of its runs: the prefetch resolves
+// each run and the emitter, writing the lines in spec order, waits for
+// each run it needs.
+type stream struct {
+	*Runs
+	mu    sync.Mutex
+	cond  sync.Cond
+	slots []runSlot
+}
+
+// runSlot is one run in a stream. The prefetch sets resolved and en
+// under the stream's lock, once; the other fields are the emitter's.
+type runSlot struct {
+	resolved bool
+	read     bool    // the stored record was decoded; ns is its time_ns
+	uses     int32   // requested specs still to be written from the run's record
+	en       *entry  // the run's cache entry; nil for a run the store holds
+	ns       int64   // a stored run's time_ns, for the baseline join
+	rec      *Record // a stored run's record, while a later label needs it
+}
+
+func newStream(p *Runs) *stream {
+	r := &stream{Runs: p, slots: make([]runSlot, p.Len())}
+	r.cond.L = &r.mu
+	for _, pos := range p.Run {
+		r.slots[pos].uses++
 	}
-	return Labelled(s, rec, nil)
+	return r
+}
+
+// resolved records the prefetch's answer for the run at pos.
+func (r *stream) resolved(pos int, en *entry) {
+	r.mu.Lock()
+	r.slots[pos].en, r.slots[pos].resolved = en, true
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// wait blocks until the prefetch has resolved the run at pos.
+func (r *stream) wait(pos int32) *runSlot {
+	r.mu.Lock()
+	for !r.slots[pos].resolved {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+	return &r.slots[pos]
+}
+
+// record sets *rec to the record of the run at pos: an executed run's
+// from its cache entry, a stored run's read through buf and decoded
+// here (load).
+func (e *Engine) record(r *stream, pos int32, rec *Record, buf *[]byte) {
+	sl := r.wait(pos)
+	sl.uses--
+	switch {
+	case sl.en != nil:
+		*rec = sl.en.rec
+	case sl.rec != nil:
+		*rec = *sl.rec
+		if sl.uses == 0 {
+			sl.rec = nil
+		}
+	default:
+		e.load(r, pos, rec, buf)
+	}
+}
+
+// baseline is the time_ns of the baseline run at pos, and whether it
+// succeeded.
+func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) (int64, bool) {
+	sl := r.wait(pos)
+	if sl.en == nil && !sl.read {
+		var rec Record
+		e.load(r, pos, &rec, buf)
+	}
+	if sl.en != nil {
+		return sl.en.rec.TimeNanos, sl.en.err == nil
+	}
+	return sl.ns, true
+}
+
+// load sets *rec to the stored record of the run at pos, read once a
+// stream: a label still to come keeps the decoded record. A stored
+// record that fails its read or its checks is executed instead, and the
+// write-back heals the store.
+func (e *Engine) load(r *stream, pos int32, rec *Record, buf *[]byte) {
+	sl := &r.slots[pos]
+	if !e.readStored(r.runs[pos], sl, rec, buf) {
+		sl.en = e.run(r.runs[pos])
+		*rec = sl.en.rec
+	} else if sl.uses > 0 {
+		kept := *rec
+		sl.rec = &kept
+	}
+}
+
+// readStored reads run k's stored record into buf and decodes it into
+// *rec, counting a store hit; false if the read or a check fails.
+func (e *Engine) readStored(k keyed, sl *runSlot, rec *Record, buf *[]byte) bool {
+	var ok bool
+	if *buf, ok = e.Store.AppendGet((*buf)[:0], k.storeKey(e.Observe)); !ok {
+		return false
+	}
+	dec, err := decodeStored(*buf, k.Spec)
+	if err != nil {
+		return false
+	}
+	*rec = dec
+	sl.read, sl.ns = true, dec.TimeNanos
+	e.host.storeHits.Add(1)
+	return true
+}
+
+// labelled sets *rec to the record of r's requested spec i, s: its
+// run's record, relabelled and joined with its baseline's time when
+// both succeeded — Labelled, in place. buf is the emitter's read buffer.
+func (e *Engine) labelled(r *stream, i int, s Spec, rec *Record, buf *[]byte) {
+	e.record(r, r.Run[i], rec, buf)
+	rec.Spec = s
+	if b := r.Base[i]; b >= 0 && rec.Error == "" {
+		if ns, ok := e.baseline(r, b, buf); ok {
+			rec.JoinSeqNanos(ns)
+		}
+	}
 }
 
 // StreamStats is the failure accounting of one streamed spec list: how
@@ -500,7 +575,8 @@ func (e *Engine) Stream(w io.Writer, specs []Spec) error {
 // count emitted and failed records. The hook must not change spec
 // identity fields — the record's bytes are the sweep's contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
-	p := PlanRuns(specs, e.JoinSpeedup)
+	p := newStream(PlanRuns(specs, e.JoinSpeedup))
+	e.telemetryInit()
 	e.host.runsPlanned.Add(int64(p.Len()))
 	defer e.syncStore() // after every return below has waited for the prefetch
 	var cancel atomic.Bool
@@ -522,7 +598,7 @@ func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (
 		line []byte
 	)
 	for i, s := range specs {
-		rec = e.labelled(p, i, s, &line) // blocks until this spec's runs are final
+		e.labelled(p, i, s, &rec, &line) // blocks until this spec's runs are resolved
 		if rec.Error != "" {
 			stats.Failed++
 			if pos := p.Run[i]; !failed[pos] {

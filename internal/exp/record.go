@@ -175,8 +175,9 @@ func (r *Record) JoinSeqNanos(seqNS int64) {
 // Labelled is the record a request for s gets from its run's record:
 // the run's measurements under s's spec fields, joined with base's
 // duration when base is non-nil and neither record failed. It is the
-// one way out of a run for the engine and the fabric coordinator's
-// merge alike, and byte-identical to RecordOf(s, …) of the run's result.
+// way out of a run for the fabric coordinator's merge, and the engine's
+// emitter does the same in place from a baseline's time_ns alone; both
+// are byte-identical to RecordOf(s, …) of the run's result.
 func Labelled(s Spec, run Record, base *Record) Record {
 	run.Spec = s
 	if base != nil && base.Error == "" {

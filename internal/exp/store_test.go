@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"expvar"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -221,6 +222,86 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	}
 	if hs := healed.HostStats(); hs.RunsStarted != 0 {
 		t.Errorf("healed store still forced %d executions", hs.RunsStarted)
+	}
+}
+
+// TestStoreFrameCorruptedAfterOpen corrupts one frame's payload on
+// disk after the store has indexed it: the prefetch finds the key
+// indexed and leaves the run to the emitter, whose read fails its CRC.
+// The emitter must execute that run — once, though several specs need
+// it — emit the cold stream's bytes and heal the store, so the next
+// pass starts no run. The corrupted run is an application's baseline,
+// joined into eight records, or a run two protocol labels share.
+func TestStoreFrameCorruptedAfterOpen(t *testing.T) {
+	specs := testGrid()
+	jacobi := specs[0] // Jacobi tmk, 1 proc
+	for _, c := range []struct {
+		name string
+		run  Spec
+	}{
+		{"baseline", SeqSpecOf(jacobi)},
+		{"labelled", Spec{App: "Jacobi", Version: core.XHPF, Procs: 1, Scale: core.SmallScale}.Canonical()},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				build := func(st *store.Store) *Engine {
+					e := New()
+					e.Workers, e.JoinSpeedup, e.Store = workers, true, st
+					return e
+				}
+				dir := t.TempDir()
+				want := streamT(t, build(openStoreT(t, dir)), specs)
+
+				warm := build(openStoreT(t, dir)) // indexes every frame
+				corruptValueOf(t, dir, StoreKey(c.run, false))
+				if got := streamT(t, warm, specs); !bytes.Equal(got, want) {
+					t.Fatalf("stream over a frame corrupted after Open:\n%s\nwant:\n%s", got, want)
+				}
+				runs := int64(PlanRuns(specs, true).Len())
+				hs := warm.HostStats()
+				if hs.RunsStarted != 1 || hs.StoreHits != runs-1 || hs.RunsResolved != runs {
+					t.Errorf("%d runs started, %d store hits, %d of %d runs resolved; want 1, %d, %d of %d",
+						hs.RunsStarted, hs.StoreHits, hs.RunsResolved, hs.RunsPlanned, runs-1, runs, runs)
+				}
+				if keys := warm.CachedKeys(); len(keys) != 1 || keys[0] != c.run.Key() {
+					t.Errorf("executed %v, want the corrupted run %s alone", keys, c.run.Key())
+				}
+				if st := warm.Store.Stats(); st.CorruptFrames != 1 || st.Puts != 1 {
+					t.Errorf("store stats %+v, want one corrupt frame and its healing put", st)
+				}
+
+				healed := build(openStoreT(t, dir))
+				if got := streamT(t, healed, specs); !bytes.Equal(got, want) {
+					t.Fatal("stream over the healed store diverged")
+				}
+				if hs := healed.HostStats(); hs.RunsStarted != 0 || hs.StoreHits != runs {
+					t.Errorf("healed store: %d runs started, %d store hits; want 0 and %d", hs.RunsStarted, hs.StoreHits, runs)
+				}
+			})
+		}
+	}
+}
+
+// corruptValueOf flips one byte inside the value of key's frame in the
+// live segment, where the frame's CRC covers it.
+func corruptValueOf(t *testing.T, dir, key string) {
+	t.Helper()
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, strings.TrimSpace(string(cur)))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(b, []byte(key)); n != 1 {
+		t.Fatalf("segment holds %d frames of %s, want 1", n, key)
+	}
+	// The key, the value's 4-byte length, then the value.
+	b[bytes.Index(b, []byte(key))+len(key)+4+8] ^= 0xFF
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

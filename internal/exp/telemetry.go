@@ -25,9 +25,10 @@ type HostStats struct {
 	// RunsFailed counts the executed runs that returned an error.
 	RunsFailed int64 `json:"runs_failed"`
 	// RunsPlanned sums the streams' PlanRuns lengths; RunsResolved counts
-	// those runs as their records become final, executed, stored or
-	// cached. They are a sweep's progress, equal once a stream returns
-	// (unless a write failure cut it short).
+	// those runs as the prefetch settles them: executed, cached, or
+	// indexed by the store (and read when their line is written). They
+	// are a sweep's progress, equal once a stream returns (unless a
+	// write failure cut it short).
 	RunsPlanned  int64 `json:"runs_planned"`
 	RunsResolved int64 `json:"runs_resolved"`
 	// CacheHits counts run-cache lookups answered by a finished entry;
@@ -42,8 +43,8 @@ type HostStats struct {
 	// between running simulations and waiting for work.
 	WorkerBusyNS int64 `json:"worker_busy_ns"`
 	WorkerIdleNS int64 `json:"worker_idle_ns"`
-	// StoreHits counts runs served from the persistent store (record
-	// paths; each skipped an entire simulation).
+	// StoreHits counts runs served from the persistent store, once per
+	// run per stream (record paths; each skipped an entire simulation).
 	StoreHits int64 `json:"store_hits"`
 }
 

@@ -320,6 +320,21 @@ func (s *Store) AppendGet(dst []byte, key string) ([]byte, bool) {
 	return append(dst, val...), true
 }
 
+// Has reports whether key is indexed, refreshing once on a miss as
+// AppendGet does. It reads no value and counts neither a hit nor a
+// miss: an indexed frame can still fail its check when it is read.
+func (s *Store) Has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	if s.index[key] != nil {
+		return true
+	}
+	return s.refreshLocked(false) == nil && s.index[key] != nil
+}
+
 // Put stores value under key. Writes go through the exclusive
 // directory lock: refresh, truncate any torn tail, compact if the
 // segment is dirty or over budget, append — and fsync only when the

@@ -191,6 +191,47 @@ func TestStoreAppendGetLeavesDstOnMissAndCorruption(t *testing.T) {
 	}
 }
 
+// TestStoreHas: Has answers from the index — a key this handle wrote, a
+// key another handle committed after this one opened (one refresh on
+// the miss), no key, and nothing once closed — without reading a value:
+// a frame corrupted on disk still counts as indexed until a read checks
+// it, and no call moves a counter.
+func TestStoreHas(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{SchemaVersion: 1})
+	mustPut(t, s, "k", strings.Repeat("x", 100))
+	other := openT(t, dir, Options{SchemaVersion: 1})
+	mustPut(t, other, "late", "committed after s opened")
+	for _, c := range []struct {
+		key  string
+		want bool
+	}{{"k", true}, {"late", true}, {"missing", false}} {
+		if got := s.Has(c.key); got != c.want {
+			t.Errorf("Has(%q) = %v, want %v", c.key, got, c.want)
+		}
+	}
+	corruptFrame(t, dir)
+	if !s.Has("k") {
+		t.Error("Has read the corrupted frame: the key left the index")
+	}
+	if st := s.Stats(); st != (Stats{Puts: 1}) {
+		t.Errorf("stats = %+v, want only the Put: Has counts nothing", st)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Has("k") }); n != 0 {
+		t.Errorf("Has of an indexed key allocates %v times, want 0", n)
+	}
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("Get served the corrupted frame")
+	}
+	if s.Has("k") {
+		t.Error("Has still lists the frame Get dropped")
+	}
+	s.Close()
+	if s.Has("late") {
+		t.Error("Has answered on a closed store")
+	}
+}
+
 // TestStoreGetsDoNotAlias: every Get returns bytes of its own, never a
 // view of the store's read buffer — a later Get of another key, or a
 // caller scribbling over an earlier value, changes no other value.

@@ -98,75 +98,97 @@ func Sum(bds []NodeBreakdown) NodeBreakdown {
 //
 // A nil trace attributes every window entirely to compute.
 func (t *Trace) Attribute(windows [][2]int64) []NodeBreakdown {
-	out := make([]NodeBreakdown, len(windows))
-	lastEnd := make([]int64, len(windows))
+	a := newAttribution(windows)
+	if t != nil {
+		for _, c := range t.chunks {
+			for i := 0; i < len(c); i += int(c[i]) {
+				if Type(c[i+1]) == EvWait { // any other record is stepped over by its length
+					a.wait(decode(c, i))
+				}
+			}
+		}
+	}
+	return a.result()
+}
+
+// attribution is Attribute's fold: the breakdowns so far and, per
+// node, where its last wait ended.
+type attribution struct {
+	windows [][2]int64
+	out     []NodeBreakdown
+	lastEnd []int64
+}
+
+func newAttribution(windows [][2]int64) attribution {
+	a := attribution{windows: windows,
+		out: make([]NodeBreakdown, len(windows)), lastEnd: make([]int64, len(windows))}
 	for i, w := range windows {
 		if w[1] < w[0] {
 			panic(fmt.Sprintf("obs: window %d ends (%d) before it starts (%d)", i, w[1], w[0]))
 		}
-		out[i] = NodeBreakdown{Node: i, Total: w[1] - w[0]}
-		lastEnd[i] = math.MinInt64
+		a.out[i] = NodeBreakdown{Node: i, Total: w[1] - w[0]}
+		a.lastEnd[i] = math.MinInt64
 	}
-	if t == nil {
-		for i := range out {
-			out[i].Compute = out[i].Total
-		}
-		return out
+	return a
+}
+
+// wait charges wait event e, clipped to its node's window; a wait of a
+// process with no window counts nowhere.
+func (a *attribution) wait(e Event) {
+	if int(e.Proc) >= len(a.windows) || e.Proc < 0 {
+		return
 	}
-	for _, chunk := range t.chunks {
-		for _, e := range chunk {
-			if e.Type != EvWait || int(e.Proc) >= len(windows) || e.Proc < 0 {
-				continue
-			}
-			i := int(e.Proc)
-			if e.Dur < 0 {
-				panic(fmt.Sprintf("obs: negative wait duration %d on proc %d", e.Dur, i))
-			}
-			if e.T < lastEnd[i] {
-				panic(fmt.Sprintf("obs: wait events overlap on proc %d (start %d < previous end %d)", i, e.T, lastEnd[i]))
-			}
-			lastEnd[i] = e.T + e.Dur
-			lo, hi := e.T, e.T+e.Dur
-			if lo < windows[i][0] {
-				lo = windows[i][0]
-			}
-			if hi > windows[i][1] {
-				hi = windows[i][1]
-			}
-			if hi <= lo {
-				continue
-			}
-			d := hi - lo
-			q := e.Arg // contention-queueing part of the wait
-			if q < 0 {
-				q = 0
-			}
-			if q > d {
-				q = d
-			}
-			b := &out[i]
-			b.Queue += q
-			rest := d - q
-			switch CategoryOf(e.Kind) {
-			case CatFault:
-				b.Fault += rest
-			case CatBarrier:
-				b.Barrier += rest
-			case CatLock:
-				b.Lock += rest
-			case CatData:
-				b.Data += rest
-			default:
-				b.Other += rest
-			}
-		}
+	i := int(e.Proc)
+	if e.Dur < 0 {
+		panic(fmt.Sprintf("obs: negative wait duration %d on proc %d", e.Dur, i))
 	}
-	for i := range out {
-		b := &out[i]
+	if e.T < a.lastEnd[i] {
+		panic(fmt.Sprintf("obs: wait events overlap on proc %d (start %d < previous end %d)", i, e.T, a.lastEnd[i]))
+	}
+	a.lastEnd[i] = e.T + e.Dur
+	lo, hi := e.T, e.T+e.Dur
+	if lo < a.windows[i][0] {
+		lo = a.windows[i][0]
+	}
+	if hi > a.windows[i][1] {
+		hi = a.windows[i][1]
+	}
+	if hi <= lo {
+		return
+	}
+	d := hi - lo
+	q := e.Arg // contention-queueing part of the wait
+	if q < 0 {
+		q = 0
+	}
+	if q > d {
+		q = d
+	}
+	b := &a.out[i]
+	b.Queue += q
+	rest := d - q
+	switch CategoryOf(e.Kind) {
+	case CatFault:
+		b.Fault += rest
+	case CatBarrier:
+		b.Barrier += rest
+	case CatLock:
+		b.Lock += rest
+	case CatData:
+		b.Data += rest
+	default:
+		b.Other += rest
+	}
+}
+
+// result closes the fold: each window's remainder is compute.
+func (a *attribution) result() []NodeBreakdown {
+	for i := range a.out {
+		b := &a.out[i]
 		b.Compute = b.Total - b.WaitSum()
 		if b.Compute < 0 {
 			panic(fmt.Sprintf("obs: node %d waits (%d ns) exceed its window (%d ns)", i, b.WaitSum(), b.Total))
 		}
 	}
-	return out
+	return a.out
 }

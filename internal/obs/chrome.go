@@ -40,9 +40,9 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"%s %d"}}`,
 				t.NodeOf(p), p, role, t.NodeOf(p)))
 		}
-		for _, chunk := range t.chunks {
-			for _, e := range chunk {
-				emit(t.chromeLine(e))
+		for _, c := range t.chunks {
+			for i := 0; i < len(c); i += int(c[i]) {
+				emit(t.chromeLine(decode(c, i)))
 			}
 		}
 	}

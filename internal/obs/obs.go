@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/stats"
@@ -115,8 +116,9 @@ func CollName(op int64) string {
 	return fmt.Sprintf("coll(%d)", op)
 }
 
-// Event is one trace event. T and Dur are virtual nanoseconds; Dur is
-// zero for instants. Page is -1 when the event concerns no page. The
+// Event is one trace event, as Attribute and WriteChrome decode it
+// from its record (see Trace). T and Dur are virtual nanoseconds; Dur
+// is zero for instants. Page is -1 when the event concerns no page. The
 // meaning of Arg depends on Type (see the Type constants).
 type Event struct {
 	T    int64
@@ -134,18 +136,86 @@ type Event struct {
 // argument construction). A Trace is single-run, single-goroutine
 // state — the simulator's sequential scheduler serializes all access
 // during a run, and each engine run gets its own instance.
+//
+// An event is stored as a self-delimiting record of about 12 bytes,
+// where the Event struct takes 40: a length byte (the record's, itself
+// included), the type and kind bytes, then the proc's 32 bits as an
+// unsigned varint and T, Dur, Page and Arg as zigzag varints, in
+// encoding/binary's varint format. T is absolute, not a delta from an
+// earlier event, so a reader that wants only some types (Attribute
+// wants waits) steps over the other records by their length without
+// decoding them.
 type Trace struct {
 	procs int
 	nodes int
-	// chunks holds the events in emission order, every chunk but the
-	// last full: a trace allocates the events it holds to within one
-	// chunk and never copies them, where one growing slice allocates
-	// about three times what it ends up holding.
-	chunks [][]Event
+	n     int // events held
+	// chunks holds the records in emission order. A chunk is made with
+	// capacity chunkBytes and written only within it, so it is never
+	// grown or copied. A chunk with less than maxRecord bytes free is
+	// closed: no record straddles two chunks, and a trace allocates what
+	// it holds to within one chunk (and less than maxRecord bytes a
+	// chunk).
+	chunks [][]byte
 }
 
-// chunkEvents is the capacity of one storage chunk (40 bytes an event).
-const chunkEvents = 256
+const (
+	// chunkBytes is the capacity of one storage chunk. Most observed
+	// runs hold a few thousand events, so the last chunk's free tail is
+	// what a trace wastes: 2 KB chunks waste less of a small run than
+	// 8 KB ones and make fewer allocations than 1 KB ones.
+	chunkBytes = 2048
+	// maxRecord is the longest record: length, type and kind bytes, a
+	// 32-bit proc and page, and three 64-bit fields.
+	maxRecord = 3 + 2*binary.MaxVarintLen32 + 3*binary.MaxVarintLen64
+)
+
+// decode returns the event of the record at r[i:].
+func decode(r []byte, i int) Event {
+	typ, kind := Type(r[i+1]), stats.Kind(r[i+2])
+	proc, i := uvarint(r, i+3)
+	t, i := uvarint(r, i)
+	dur, i := uvarint(r, i)
+	page, i := uvarint(r, i)
+	arg, _ := uvarint(r, i)
+	return Event{T: unzigzag(t), Dur: unzigzag(dur), Arg: unzigzag(arg),
+		Proc: int32(proc), Page: int32(unzigzag(page)), Type: typ, Kind: kind}
+}
+
+// uvarint reads the varint at r[i:] and returns the index after it.
+func uvarint(r []byte, i int) (uint64, int) {
+	b := r[i]
+	if b < 0x80 {
+		return uint64(b), i + 1
+	}
+	x := uint64(b & 0x7f)
+	for s := 7; ; s += 7 {
+		i++
+		b = r[i]
+		x |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return x, i + 1
+		}
+	}
+}
+
+// put writes x as a varint at r[i:] and returns the index after it.
+// The record is an array, so the writes are checked against maxRecord
+// and not against the chunk.
+func put(r *[maxRecord]byte, i int, x uint64) int {
+	for x >= 0x80 {
+		r[i] = byte(x) | 0x80
+		x >>= 7
+		i++
+	}
+	r[i] = byte(x)
+	return i + 1
+}
+
+// zigzag is binary.PutVarint's zigzag encoding.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// unzigzag is binary.Varint's zigzag decoding.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // New creates an enabled, empty trace.
 func New() *Trace { return &Trace{} }
@@ -201,14 +271,21 @@ func (t *Trace) Span(typ Type, proc int, start, dur int64, kind stats.Kind, page
 		return
 	}
 	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == chunkEvents {
-		t.chunks = append(t.chunks, make([]Event, 0, chunkEvents))
+	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < maxRecord {
+		t.chunks = append(t.chunks, make([]byte, 0, chunkBytes))
 		last++
 	}
-	t.chunks[last] = append(t.chunks[last], Event{
-		T: start, Dur: dur, Arg: arg,
-		Proc: int32(proc), Page: page, Type: typ, Kind: kind,
-	})
+	c := t.chunks[last]
+	r := (*[maxRecord]byte)(c[len(c) : len(c)+maxRecord])
+	r[1], r[2] = byte(typ), byte(kind)
+	n := put(r, 3, uint64(uint32(proc)))
+	n = put(r, n, zigzag(start))
+	n = put(r, n, zigzag(dur))
+	n = put(r, n, zigzag(int64(page)))
+	n = put(r, n, zigzag(arg))
+	r[0] = byte(n)
+	t.chunks[last] = c[:len(c)+n]
+	t.n++
 }
 
 // Instant appends a zero-duration event.
@@ -218,9 +295,8 @@ func (t *Trace) Instant(typ Type, proc int, at int64, kind stats.Kind, page int3
 
 // Len returns the number of collected events.
 func (t *Trace) Len() int {
-	if t == nil || len(t.chunks) == 0 {
+	if t == nil {
 		return 0
 	}
-	last := len(t.chunks) - 1
-	return last*chunkEvents + len(t.chunks[last])
+	return t.n
 }

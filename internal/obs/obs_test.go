@@ -2,7 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,12 +256,12 @@ func TestTypeAndCollNames(t *testing.T) {
 	}
 }
 
-// TestChunkedStorage: events live in fixed-size chunks. A trace of three
-// full chunks and one event more keeps its length, its emission order
-// (the Chrome document lists events in it), its attribution sums and the
-// exact Chrome bytes an event-by-event rendering gives.
+// TestChunkedStorage: events live as records in fixed-size chunks. A
+// trace over four chunks keeps its length, its emission order (the
+// Chrome document lists events in it), its attribution sums and the
+// exact Chrome bytes an event-by-event rendering gives; no record
+// straddles two chunks, and no chunk is ever reallocated.
 func TestChunkedStorage(t *testing.T) {
-	const n = 3*chunkEvents + 1
 	tr := New()
 	tr.SetTopology(2, 2)
 	var want bytes.Buffer
@@ -266,27 +271,55 @@ func TestChunkedStorage(t *testing.T) {
 	want.WriteString(`{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"app 0"}}` + ",\n")
 	want.WriteString(`{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"app 1"}}`)
 	var barrier, data, queue [2]int64
-	for i := 0; i < n; i++ {
-		proc, at := i%2, int64(100*i)
-		switch i % 3 {
+	var emitted []Event
+	var bases []*byte // each chunk's backing array, as first made
+	n := 0
+	for ; len(tr.chunks) < 4; n++ {
+		proc, at := n%2, int64(100*n)
+		switch n % 3 {
 		case 0:
 			tr.Span(EvWait, proc, at, 40, stats.KindBarrier, -1, 0)
+			emitted = append(emitted, Event{T: at, Dur: 40, Proc: int32(proc), Page: -1, Type: EvWait, Kind: stats.KindBarrier})
 			barrier[proc] += 40
 			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"X","dur":0.040,"name":"wait:barrier","cat":"wait","args":{"kind":"barrier","queued_ns":0}}`, proc, proc, usec(at))
 		case 1:
 			tr.Span(EvWait, proc, at, 30, stats.KindData, -1, 10)
+			emitted = append(emitted, Event{T: at, Dur: 30, Arg: 10, Proc: int32(proc), Page: -1, Type: EvWait, Kind: stats.KindData})
 			data[proc] += 20
 			queue[proc] += 10
 			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"X","dur":0.030,"name":"wait:data","cat":"wait","args":{"kind":"data","queued_ns":10}}`, proc, proc, usec(at))
 		default:
-			tr.Instant(EvPageFetch, proc, at, stats.KindPage, int32(i), 0)
-			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"i","s":"t","name":"page-fetch","cat":"protocol","args":{"page":%d}}`, proc, proc, usec(at), i)
+			tr.Instant(EvPageFetch, proc, at, stats.KindPage, int32(n), 0)
+			emitted = append(emitted, Event{T: at, Proc: int32(proc), Page: int32(n), Type: EvPageFetch, Kind: stats.KindPage})
+			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"i","s":"t","name":"page-fetch","cat":"protocol","args":{"page":%d}}`, proc, proc, usec(at), n)
+		}
+		for k, c := range tr.chunks {
+			base := &c[:1][0]
+			if k == len(bases) {
+				bases = append(bases, base)
+			}
+			if base != bases[k] || cap(c) != chunkBytes {
+				t.Fatalf("event %d: chunk %d reallocated (cap %d, want %d)", n, k, cap(c), chunkBytes)
+			}
 		}
 	}
 	want.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
 
-	if tr.Len() != n || len(tr.chunks) != 4 || len(tr.chunks[3]) != 1 {
-		t.Fatalf("Len = %d in %d chunks, want %d in 4", tr.Len(), len(tr.chunks), n)
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+	for k, c := range tr.chunks {
+		for off := 0; off < len(c); off += int(c[off]) {
+			if c[off] < 3 || off+int(c[off]) > len(c) {
+				t.Fatalf("chunk %d: record at %d (%d bytes) straddles the chunk's end (%d)", k, off, c[off], len(c))
+			}
+		}
+		if k < len(tr.chunks)-1 && chunkBytes-len(c) >= maxRecord {
+			t.Errorf("chunk %d was left with %d bytes free, room for any record", k, chunkBytes-len(c))
+		}
+	}
+	if !slices.Equal(Events(tr), emitted) {
+		t.Error("decoded events differ from the emitted ones, or are out of emission order")
 	}
 	end := int64(100 * n)
 	for proc, b := range tr.Attribute([][2]int64{{0, end}, {0, end}}) {
@@ -294,11 +327,283 @@ func TestChunkedStorage(t *testing.T) {
 			t.Errorf("node %d: %+v, want barrier %d data %d queue %d", proc, b, barrier[proc], data[proc], queue[proc])
 		}
 	}
-	var got bytes.Buffer
-	if err := tr.WriteChrome(&got); err != nil {
+	var doc bytes.Buffer
+	if err := tr.WriteChrome(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("Chrome document differs from the event-by-event rendering (%d bytes, want %d)", got.Len(), want.Len())
+	if !bytes.Equal(doc.Bytes(), want.Bytes()) {
+		t.Errorf("Chrome document differs from the event-by-event rendering (%d bytes, want %d)", doc.Len(), want.Len())
 	}
+}
+
+// emit appends events to tr in order.
+func emit(tr *Trace, events []Event) {
+	for _, e := range events {
+		tr.Span(e.Type, int(e.Proc), e.T, e.Dur, e.Kind, e.Page, e.Arg)
+	}
+}
+
+// chromeOf is the Chrome document of events rendered one by one, under
+// tr's topology: WriteChrome's frame, with one chromeLine an event.
+func chromeOf(tr *Trace, events []Event) []byte {
+	var frame bytes.Buffer
+	(&Trace{procs: tr.procs, nodes: tr.nodes}).WriteChrome(&frame)
+	tail := "\n],\"displayTimeUnit\":\"ms\"}\n"
+	doc := bytes.Clone(frame.Bytes()[:frame.Len()-len(tail)])
+	sep := tr.nodes+tr.procs > 0
+	for _, e := range events {
+		if sep {
+			doc = append(doc, ",\n"...)
+		}
+		sep = true
+		doc = append(doc, tr.chromeLine(e)...)
+	}
+	return append(doc, tail...)
+}
+
+// attributed folds events through Attribute's own fold, or returns the
+// panic that stopped it.
+func attributed(windows [][2]int64, events []Event) (bds []NodeBreakdown, panicked any) {
+	defer func() { panicked = recover() }()
+	a := newAttribution(windows)
+	for _, e := range events {
+		if e.Type == EvWait {
+			a.wait(e)
+		}
+	}
+	return a.result(), nil
+}
+
+// attributeOf is tr.Attribute(windows), or the panic that stopped it.
+func attributeOf(tr *Trace, windows [][2]int64) (bds []NodeBreakdown, panicked any) {
+	defer func() { panicked = recover() }()
+	return tr.Attribute(windows), nil
+}
+
+// checkRoundTrip holds a trace built from events to the events
+// themselves: its records are the documented layout, it decodes to the
+// events in order, and its Chrome bytes and breakdowns (or the panic
+// Attribute raises) are those of the events taken one by one.
+func checkRoundTrip(t *testing.T, events []Event, windows [][2]int64) (panicked any) {
+	t.Helper()
+	tr := New()
+	tr.SetTopology(4, 2)
+	emit(tr, events)
+	if tr.Len() != len(events) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(events))
+	}
+	if got := Events(tr); !slices.Equal(got, events) {
+		for i := range got {
+			if got[i] != events[i] {
+				t.Fatalf("event %d decodes to %+v, want %+v", i, got[i], events[i])
+			}
+		}
+		t.Fatalf("%d events decoded, want %d", len(got), len(events))
+	}
+	var stored, layout []byte
+	for _, c := range tr.chunks {
+		stored = append(stored, c...)
+	}
+	for _, e := range events {
+		r := []byte{0, byte(e.Type), byte(e.Kind)}
+		r = binary.AppendUvarint(r, uint64(uint32(e.Proc)))
+		for _, v := range []int64{e.T, e.Dur, int64(e.Page), e.Arg} {
+			r = binary.AppendVarint(r, v)
+		}
+		r[0] = byte(len(r))
+		layout = append(layout, r...)
+	}
+	if !bytes.Equal(stored, layout) {
+		t.Fatal("stored records differ from the documented layout built with encoding/binary")
+	}
+	var doc bytes.Buffer
+	if err := tr.WriteChrome(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if want := chromeOf(tr, events); !bytes.Equal(doc.Bytes(), want) {
+		t.Errorf("Chrome document differs from the event-by-event rendering (%d bytes, want %d)", doc.Len(), len(want))
+	}
+	got, gotPanic := attributeOf(tr, windows)
+	want, wantPanic := attributed(windows, events)
+	if fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) || !slices.Equal(got, want) {
+		t.Errorf("Attribute = %+v (panic %v), want %+v (panic %v)", got, gotPanic, want, wantPanic)
+	}
+	return gotPanic
+}
+
+// TestRecordExtremes round-trips the extremes of every field, every
+// type and kind and procs 0-300 through the records.
+func TestRecordExtremes(t *testing.T) {
+	wait := func(proc int32, at, dur int64, kind stats.Kind, arg int64) Event {
+		return Event{T: at, Dur: dur, Arg: arg, Proc: proc, Page: -1, Type: EvWait, Kind: kind}
+	}
+	at := func(typ Type, proc int32, page int32, arg int64) Event {
+		return Event{T: 1000, Arg: arg, Proc: proc, Page: page, Type: typ, Kind: stats.KindPage}
+	}
+	var typesKinds, procs []Event
+	for typ := Type(0); typ <= numTypes; typ++ {
+		for k := 0; k <= stats.NumKinds(); k++ {
+			typesKinds = append(typesKinds, Event{T: int64(len(typesKinds)) * 10, Dur: 5, Arg: 2,
+				Proc: 1, Page: 7, Type: typ, Kind: stats.Kind(k)})
+		}
+	}
+	for p := int32(0); p <= 300; p++ {
+		procs = append(procs, wait(p, 100, int64(p), stats.KindLock, 0), at(EvLockGrant, p, -1, int64(p)))
+	}
+	windows := make([][2]int64, 301)
+	for i := range windows {
+		windows[i] = [2]int64{0, math.MaxInt64}
+	}
+	for _, c := range []struct {
+		name   string
+		events []Event
+		panics string
+	}{
+		{"T", []Event{wait(0, 0, 10, stats.KindData, 0), at(EvPageFetch, 0, 3, 0),
+			wait(0, math.MaxInt64, 0, stats.KindData, 0), {T: math.MaxInt64, Page: -1, Type: EvDiffReq, Kind: stats.KindDiffReq}}, ""},
+		{"Dur", []Event{wait(1, 0, 0, stats.KindBarrier, 0), wait(1, 10, 1<<33+1, stats.KindBarrier, 0),
+			{T: 1 << 40, Dur: math.MaxInt64 - 1<<40, Proc: 1, Page: 3, Type: EvFault, Kind: stats.KindPage}}, ""},
+		{"negative Dur", []Event{wait(2, 50, 0, stats.KindDiff, 0), wait(2, 100, -5, stats.KindDiff, 0)}, "negative wait"},
+		{"negative Dur, not a wait", []Event{{T: 7, Dur: math.MinInt64, Proc: 2, Page: -1, Type: EvQueue, Kind: stats.KindData}}, ""},
+		{"Page", []Event{at(EvPageFetch, 3, -1, 0), at(EvPageFetch, 3, math.MinInt32, 0), at(EvHomeMove, 3, math.MaxInt32, 2)}, ""},
+		{"Arg", []Event{wait(0, 0, 10, stats.KindData, math.MinInt64), wait(0, 20, 10, stats.KindData, math.MaxInt64),
+			at(EvCollective, 0, -1, math.MinInt64), at(EvMigrationEpoch, 0, -1, math.MaxInt64)}, ""},
+		{"types and kinds", typesKinds, ""},
+		{"procs 0-300", procs, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := checkRoundTrip(t, c.events, windows)
+			if msg := fmt.Sprint(p); (p == nil) != (c.panics == "") || !strings.Contains(msg, c.panics) {
+				t.Errorf("Attribute panicked with %v, want a panic mentioning %q", p, c.panics)
+			}
+		})
+	}
+}
+
+// FuzzTraceRoundTrip: byte-driven event lists, each event repeated up
+// to 256 times so that traces cross chunk boundaries, decode to
+// themselves and give the Chrome bytes and breakdowns (or Attribute's
+// panic) of the events taken one by one.
+func FuzzTraceRoundTrip(f *testing.F) {
+	seed := func(events ...Event) []byte {
+		var b []byte
+		for _, e := range events {
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.T))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.Dur))
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.Arg))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.Page))
+			b = binary.LittleEndian.AppendUint16(b, uint16(e.Proc))
+			b = append(b, byte(e.Type), byte(e.Kind), 40)
+		}
+		return b
+	}
+	f.Add(seed(Event{T: 100, Dur: 50, Page: -1, Type: EvWait, Kind: stats.KindDiff},
+		Event{T: 2000, Proc: 1, Page: 17, Arg: 2, Type: EvDiffReq, Kind: stats.KindDiffReq}))
+	f.Add(seed(Event{T: math.MaxInt64, Dur: -1, Arg: math.MinInt64, Page: math.MinInt32, Proc: -3, Type: EvWait}))
+	const eventBytes = 8 + 8 + 8 + 4 + 2 + 3
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var events []Event
+		for ; len(data) >= eventBytes && len(events) < 1<<14; data = data[eventBytes:] {
+			e := Event{
+				T:    int64(binary.LittleEndian.Uint64(data)),
+				Dur:  int64(binary.LittleEndian.Uint64(data[8:])),
+				Arg:  int64(binary.LittleEndian.Uint64(data[16:])),
+				Page: int32(binary.LittleEndian.Uint32(data[24:])),
+				Proc: int32(int16(binary.LittleEndian.Uint16(data[28:]))),
+				Type: Type(data[30]),
+				Kind: stats.Kind(data[31]),
+			}
+			for rep := 0; rep <= int(data[32]); rep++ {
+				events = append(events, e)
+				e.T += e.Dur // a repeated wait follows its last one
+			}
+		}
+		checkRoundTrip(t, events, [][2]int64{{0, 1 << 40}, {-1 << 20, 1 << 62}, {5, 5}})
+	})
+}
+
+// benchEvents is a trace's worth of events shaped like a small DSM
+// run's: eight processes, a wait or a protocol instant every few
+// hundred virtual nanoseconds, pages and arguments of a few bits.
+func benchEvents() []Event {
+	events := make([]Event, 4096)
+	var at int64
+	for i := range events {
+		at += int64(100 + i*37%900)
+		e := Event{T: at, Proc: int32(i % 8), Page: -1, Kind: stats.Kind(i % stats.NumKinds())}
+		switch i % 5 {
+		case 0, 1:
+			e.Type, e.Dur, e.Arg = EvWait, int64(i*53%5000), int64(i%3)
+		case 2:
+			e.Type, e.Dur, e.Page, e.Arg = EvFault, int64(i*91%20000), int32(i%512), 2
+		default:
+			e.Type, e.Page, e.Arg = EvDiffReq, int32(i%512), int64(i%8)
+		}
+		events[i] = e
+	}
+	return events
+}
+
+// reportPerEvent reports ns and bytes allocated per event over b.N
+// passes of events events each.
+func reportPerEvent(b *testing.B, events int, before runtime.MemStats) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	per := float64(b.N) * float64(events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/event")
+}
+
+// Sinks keep the benchmarks' results alive.
+var (
+	sinkTrace      *Trace
+	sinkBreakdowns []NodeBreakdown
+)
+
+func BenchmarkSpan(b *testing.B) {
+	events := benchEvents()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkTrace = New()
+		emit(sinkTrace, events)
+	}
+	b.StopTimer()
+	reportPerEvent(b, len(events), before)
+}
+
+func BenchmarkAttribute(b *testing.B) {
+	events := benchEvents()
+	tr := New()
+	emit(tr, events)
+	windows := make([][2]int64, 8)
+	for i := range windows {
+		windows[i] = [2]int64{0, math.MaxInt64}
+	}
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBreakdowns = tr.Attribute(windows)
+	}
+	b.StopTimer()
+	reportPerEvent(b, len(events), before)
+}
+
+func BenchmarkWriteChrome(b *testing.B) {
+	events := benchEvents()
+	tr := New()
+	tr.SetTopology(16, 8)
+	emit(tr, events)
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.WriteChrome(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportPerEvent(b, len(events), before)
 }

@@ -50,24 +50,24 @@ func objectsPerRound(t testing.TB, p proto.Name, fault bool) float64 {
 // one diff or page request served, to what outlives them (DESIGN.md
 // "What a message costs the host", rule 6): the interval log's record,
 // the writer's diff record and its payload, the messages that carry
-// data. Per-request scratch would add objects per round.
+// data. Per-request scratch, or a barrier message made anew, would add
+// objects per round.
 func TestSteadyStateProtocolAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		p     proto.Name
 		fault bool
 		max   float64
 	}{
-		// A barrier: each worker's arrival and the vector clock it
-		// carries; the manager's departures and their batches, two for
-		// all of them.
-		{proto.HomelessLRC, false, 2.05},
-		{proto.HomeLRC, false, 2.05},
-		// Beside the barrier and the interval log's record: under lrc
-		// the writer's diff record, its payload (segments, values, the
-		// interface box) and its chain's growth; under hlrc the box of
-		// the page reply's buffer, which goes round.
-		{proto.HomelessLRC, true, 7.3},
-		{proto.HomeLRC, true, 4.05},
+		// A barrier: nothing. Each worker refills its arrival, and the
+		// manager its departures and their batches, once read.
+		{proto.HomelessLRC, false, 0.05},
+		{proto.HomeLRC, false, 0.05},
+		// Beside the interval log's record: under lrc the writer's diff
+		// record, its payload (the delta and its values, the run table
+		// inline) and its chain's growth; under hlrc the box of the
+		// page reply's buffer, which goes round.
+		{proto.HomelessLRC, true, 4.5},
+		{proto.HomeLRC, true, 2.1},
 	} {
 		got := objectsPerRound(t, tc.p, tc.fault)
 		t.Logf("%s fault=%v: %.2f objects per node and round", tc.p, tc.fault, got)
@@ -96,5 +96,32 @@ func BenchmarkBarrier8(b *testing.B) {
 	b.ReportAllocs()
 	if err := NewSystem(8, model.SP2()).Run(roundsProgram(b.N, false)); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkExtract encodes one float64 page's diff against its twin per
+// op, the twin kept and refreshed: an unchanged page, one word changed,
+// every 32nd word (16 runs, past the inline run table) and every word.
+// B/op and allocs/op are a diff's.
+func BenchmarkExtract(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stride int
+	}{{"empty", 0}, {"sparse", 512}, {"strided", 32}, {"dense", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := Alloc[float64](storageTmk(), "page", model.PageSize/8)
+			page := r.Write(0, r.Len())
+			r.makeTwin(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				for i := 0; bc.stride > 0 && i < len(page); i += bc.stride {
+					page[i] = float64(k + 1)
+				}
+				if _, bytes := r.extract(0, true); bytes < proto.DiffRecHdr {
+					b.Fatalf("diff of %d bytes", bytes)
+				}
+			}
+		})
 	}
 }

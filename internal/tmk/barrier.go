@@ -21,16 +21,21 @@ import (
 // can serve consistency information for any older vector clock.
 
 // arrivalMsg is a process's barrier-arrival payload, sent by pointer.
+// Each worker node keeps one and refills it once the manager has
+// marked it read (DESIGN.md "What a message costs the host", rule 6).
 type arrivalMsg struct {
 	vc     []int32              // the arriver's vector clock (tells the manager what it lacks)
 	own    [1]proto.NoticeBatch // the arriver's newly released intervals
 	reduce []float64            // optional barrier-merged reduction contribution (§8)
 	// dir carries the home policy's directory proposals of the closing
 	// epoch (home migration / first-touch claims) for arbitration.
-	dir []proto.DirUpdate
+	dir  []proto.DirUpdate
+	read bool // the manager has taken what it needs
 }
 
 // departMsg is the manager's barrier-departure payload, sent by pointer.
+// The manager keeps one set of them, refilled once every worker has
+// marked its own read.
 type departMsg struct {
 	batches []proto.NoticeBatch
 	payload any // loop-control data under the improved interface (§2.3)
@@ -38,7 +43,8 @@ type departMsg struct {
 	// dir is the arbitrated home-directory update list of this epoch,
 	// identical in every departure: all nodes install the same homes
 	// before any post-barrier release can flush.
-	dir []proto.DirUpdate
+	dir  []proto.DirUpdate
+	read bool // the worker has taken what it needs
 }
 
 // Barrier performs a full TreadMarks barrier: an RC release followed by
@@ -107,6 +113,7 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 			nd.setWorkerVC(m.Src, arr.vc)
 			contribs[m.Src] = arr.reduce
 			nd.dirPending[m.Src] = arr.dir
+			arr.read = true
 			p.Advance(c.BarrierWork)
 		}
 		var updates []proto.DirUpdate
@@ -136,17 +143,19 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 			copy(reduceOut, acc)
 		}
 	} else {
-		arr := &arrivalMsg{vc: vcCopy(nd.prot.VC()), own: [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)}, reduce: reduce, dir: props}
+		arr := nd.arrival(reported, reduce, props)
 		bytes := n*vcBytes + proto.BatchBytes(arr.own[:]) + len(reduce)*8 + proto.DirUpdateBytes(props)
 		p.Send(0, tagBarrierArrive+seq, arr, bytes, kind)
 		m := p.Recv(0, tagBarrierDepart+seq)
 		dep := m.Payload.(*departMsg)
 		nd.prot.ApplyBatches(dep.batches)
-		p.Advance(c.BarrierWork)
-		nd.prot.ApplyDirectory(dep.dir, kind)
 		if reduceOut != nil {
 			copy(reduceOut, dep.reduce)
 		}
+		dir := dep.dir
+		dep.read = true
+		p.Advance(c.BarrierWork)
+		nd.prot.ApplyDirectory(dir, kind)
 	}
 	nd.firePushes(seq, kind)
 }
@@ -207,10 +216,12 @@ func (tm *Tmk) WaitFork() any {
 	m := p.Recv(0, tagBarrierDepart+seq)
 	dep := m.Payload.(*departMsg)
 	nd.prot.ApplyBatches(dep.batches)
+	dir, ctrl := dep.dir, dep.payload
+	dep.read = true
 	p.Advance(nd.sys.costs.BarrierWork)
-	nd.prot.ApplyDirectory(dep.dir, stats.KindBarrier)
+	nd.prot.ApplyDirectory(dir, stats.KindBarrier)
 	nd.sys.costs.Trace.Instant(obs.EvBarrierDepart, p.ID(), int64(p.Now()), stats.KindBarrier, -1, int64(seq))
-	return dep.payload
+	return ctrl
 }
 
 // Join is the worker-side barrier arrival after a parallel loop: an RC
@@ -227,7 +238,7 @@ func (tm *Tmk) Join() {
 	props := nd.prot.Rebalance()
 	seq := nd.barrierSeq % barrierSeqSpace
 	nd.barrierSeq++
-	arr := &arrivalMsg{vc: vcCopy(nd.prot.VC()), own: [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)}, dir: props}
+	arr := nd.arrival(reported, nil, props)
 	bytes := nd.sys.nprocs*vcBytes + proto.BatchBytes(arr.own[:]) + proto.DirUpdateBytes(props)
 	p.Send(0, tagBarrierArrive+seq, arr, bytes, stats.KindBarrier)
 	nd.sys.costs.Trace.Instant(obs.EvBarrierArrive, p.ID(), int64(p.Now()), stats.KindBarrier, -1, int64(seq))
@@ -251,13 +262,16 @@ func (tm *Tmk) Collect() {
 		nd.prot.ApplyBatches(arr.own[:])
 		nd.setWorkerVC(m.Src, arr.vc)
 		nd.dirPending[m.Src] = arr.dir
+		arr.read = true
 		p.Advance(nd.sys.costs.BarrierWork)
 	}
 }
 
-// departures builds the manager's departures, worker w's at w-1, each
-// carrying the notices w lacks, in two allocations: the departures, and
-// all their batches (counted first), which each worker reads in place.
+// departures fills the manager's departures, worker w's at w-1, each
+// carrying the notices w lacks, in the departure set and the one batch
+// array all their batches share (counted first), which each worker
+// reads in place. The set is refilled only once every worker has
+// marked its departure read; otherwise a fresh one is made and kept.
 // Building them all before the first send gives what building each
 // before its own send gave: only the manager's application process,
 // which is sending, moves its vector clock, where every batch's window
@@ -272,13 +286,46 @@ func (nd *node) departures() []departMsg {
 			}
 		}
 	}
-	deps, batches := make([]departMsg, n-1), make([]proto.NoticeBatch, 0, lack)
+	deps, batches := nd.deps, nd.depBatches[:0]
+	for i := range deps {
+		if !deps[i].read {
+			deps, batches = nil, nil
+			break
+		}
+	}
+	if deps == nil {
+		deps = make([]departMsg, n-1)
+	}
+	if cap(batches) < lack {
+		batches = make([]proto.NoticeBatch, 0, lack)
+	}
+	nd.deps, nd.depBatches = deps, batches
 	for w := 1; w < n; w++ {
 		o := len(batches)
 		batches = nd.prot.BatchSince(batches, nd.workerVCAt(w))
-		deps[w-1].batches = batches[o:len(batches):len(batches)]
+		deps[w-1] = departMsg{batches: batches[o:len(batches):len(batches)]}
 	}
 	return deps
+}
+
+// arrival fills the worker's arrival with its vector clock and the
+// notices of its intervals since reported. The manager marks an
+// arrival read once it has taken them; until then (a Join, which
+// waits for no departure, followed by another arrival) the worker
+// makes a fresh one and keeps that.
+func (nd *node) arrival(reported int32, reduce []float64, props []proto.DirUpdate) *arrivalMsg {
+	arr := nd.arr
+	if arr == nil || !arr.read {
+		arr = new(arrivalMsg)
+		nd.arr = arr
+	}
+	*arr = arrivalMsg{
+		vc:     append(arr.vc[:0], nd.prot.VC()...),
+		own:    [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)},
+		reduce: reduce,
+		dir:    props,
+	}
+	return arr
 }
 
 // drainDirProposals arbitrates the gathered directory proposals of one

@@ -27,10 +27,15 @@ func sizeOfElem[T Elem]() int {
 	panic("tmk: unsupported element type")
 }
 
-// seg is a run of consecutive changed elements within one page.
-type seg[T Elem] struct {
-	off  int32
-	vals []T
+// delta is a diff payload: the runs of consecutive changed elements of
+// one page, sent by pointer. vals holds every run's values back to
+// back, and runs each run's (offset, length), in page order; the
+// table lives in inline when two runs or fewer, as for most diffs. An
+// empty diff is a nil *delta.
+type delta[T Elem] struct {
+	vals   []T
+	runs   [][2]int32
+	inline [2][2]int32
 }
 
 // Region is a shared array of T, padded to page boundaries as the SPF
@@ -379,14 +384,14 @@ func (r *Region[T]) extract(lp int32, keepTwin bool) (any, int) {
 	return r.diff(lp, keepTwin, false)
 }
 
-// lend's payload keeps the whole buffer behind its first run as that
-// run's capacity, which is how giveBack finds it. An empty diff takes
-// no buffer.
+// lend's payload keeps the whole buffer behind its values as their
+// capacity, which is how giveBack finds it. An empty diff takes no
+// buffer.
 func (r *Region[T]) lend(lp int32) (any, int) { return r.diff(lp, false, true) }
 
 func (r *Region[T]) giveBack(payload any) {
-	if segs := payload.([]seg[T]); len(segs) > 0 {
-		r.freeBuf(segs[0].vals[:r.epp])
+	if d := payload.(*delta[T]); d != nil {
+		r.freeBuf(d.vals[:r.epp])
 	}
 }
 
@@ -398,12 +403,7 @@ func (r *Region[T]) diff(lp int32, keepTwin, lent bool) (any, int) {
 		panic("tmk: extract without twin")
 	}
 	page := r.page(lp)[:len(tw)] // twinned, so framed
-	// Count the changed runs and their elements, then carve every run's
-	// values out of one slab beside an exactly sized segment list. The
-	// count notes where the first few runs lie — most pages have no more
-	// — so that only the runs beyond them are found by comparing again.
-	var noted [8][2]int
-	nseg, nval := 0, 0
+	runs := r.nd.sys.diffRuns[:0]
 	for i := 0; i < len(page); {
 		if page[i] == tw[i] {
 			i++
@@ -413,64 +413,54 @@ func (r *Region[T]) diff(lp int32, keepTwin, lent bool) (any, int) {
 		for j < len(page) && page[j] != tw[j] {
 			j++
 		}
-		if nseg < len(noted) {
-			noted[nseg] = [2]int{i, j}
-		}
-		nseg++
-		nval += j - i
+		runs = append(runs, [2]int32{int32(i), int32(j - i)})
 		i = j
 	}
-	var segs []seg[T]
-	if nseg > 0 {
-		segs = make([]seg[T], 0, nseg)
-		var buf, slab []T
-		if lent {
-			buf = r.pageBuf()
-			slab = buf[:nval]
-		} else {
-			slab = make([]T, nval)
-		}
-		for _, run := range noted[:min(nseg, len(noted))] {
-			segs, slab = carveSeg(segs, slab, page, run[0], run[1])
-		}
-		for i := noted[len(noted)-1][1]; len(segs) < nseg; {
-			if page[i] == tw[i] {
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(page) && page[j] != tw[j] {
-				j++
-			}
-			segs, slab = carveSeg(segs, slab, page, i, j)
-			i = j
-		}
-		if lent {
-			segs[0].vals = buf[:len(segs[0].vals)]
-		}
-	}
+	d, bytes := r.pack(runs, page, lent)
 	if keepTwin {
 		copy(tw, page) // refresh: subsequent writes diff against this state
 	} else {
 		r.twins[lp] = nil
 		r.freeBuf(tw)
 	}
-	return segs, proto.DiffRecHdr + nseg*proto.DiffSegHdr + nval*r.elemSize
+	return d, bytes
 }
 
-// carveSeg appends the run page[i:j] to segs, its values copied to the
-// front of slab with the capacity clipped, and returns the rest of slab.
-func carveSeg[T Elem](segs []seg[T], slab, page []T, i, j int) ([]seg[T], []T) {
-	n := copy(slab, page[i:j])
-	return append(segs, seg[T]{off: int32(i), vals: slab[:n:n]}), slab[n:]
+// pack makes the payload of runs, their values copied from page into
+// an exactly sized slab or, lent, a page buffer, and returns it with its
+// modeled wire size. runs is the system's scratch, kept for the next
+// diff.
+func (r *Region[T]) pack(runs [][2]int32, page []T, lent bool) (*delta[T], int) {
+	r.nd.sys.diffRuns = runs
+	nval := 0
+	for _, rn := range runs {
+		nval += int(rn[1])
+	}
+	bytes := proto.DiffRecHdr + len(runs)*proto.DiffSegHdr + nval*r.elemSize
+	if len(runs) == 0 {
+		return nil, bytes
+	}
+	var vals []T
+	if lent {
+		vals = r.pageBuf()[:0]
+	} else {
+		vals = make([]T, 0, nval)
+	}
+	for _, rn := range runs {
+		vals = append(vals, page[rn[0]:rn[0]+rn[1]]...)
+	}
+	d := &delta[T]{vals: vals}
+	d.runs = append(d.inline[:0], runs...)
+	return d, bytes
 }
 
 func (r *Region[T]) apply(lp int32, payload any) {
-	segs := payload.([]seg[T])
+	d := payload.(*delta[T])
 	page := r.framed(lp)
-	for _, s := range segs {
-		copy(page[int(s.off):int(s.off)+len(s.vals)], s.vals)
+	if d == nil {
+		return
 	}
+	d.writeTo(page)
 	// An incoming diff must land in the live twin too (as in TreadMarks),
 	// keeping the invariant that page-vs-twin shows only *this* node's
 	// un-extracted writes. Otherwise a later local write that restores a
@@ -478,9 +468,16 @@ func (r *Region[T]) apply(lp int32, payload any) {
 	// diff, and remote bytes get re-shipped under this node's interval
 	// labels.
 	if tw := r.twins[lp]; tw != nil {
-		for _, s := range segs {
-			copy(tw[int(s.off):int(s.off)+len(s.vals)], s.vals)
-		}
+		d.writeTo(tw)
+	}
+}
+
+// writeTo copies every run of d into page, in page order.
+func (d *delta[T]) writeTo(page []T) {
+	at := int32(0)
+	for _, rn := range d.runs {
+		copy(page[rn[0]:rn[0]+rn[1]], d.vals[at:at+rn[1]])
+		at += rn[1]
 	}
 }
 
@@ -527,45 +524,36 @@ func (r *Region[T]) installPage(lp int32, payload any) {
 }
 
 func (r *Region[T]) mergeRecs(payloads []any) (any, int) {
-	// Replay segments in order into a dense page image with a presence
+	// Replay the diffs in order into a dense page image with a presence
 	// mask, then re-encode. Correct because diffs are value writes.
 	page := make([]T, r.epp)
 	present := make([]bool, r.epp)
 	for _, p := range payloads {
-		for _, s := range p.([]seg[T]) {
-			for k, v := range s.vals {
-				page[int(s.off)+k] = v
-				present[int(s.off)+k] = true
+		d := p.(*delta[T])
+		if d == nil {
+			continue
+		}
+		d.writeTo(page)
+		for _, rn := range d.runs {
+			for k := rn[0]; k < rn[0]+rn[1]; k++ {
+				present[k] = true
 			}
 		}
 	}
-	nseg, nval := 0, 0
-	for i, in := range present {
-		if in {
-			nval++
-			if i == 0 || !present[i-1] {
-				nseg++
-			}
+	runs := r.nd.sys.diffRuns[:0]
+	for i := 0; i < r.epp; {
+		if !present[i] {
+			i++
+			continue
 		}
-	}
-	var segs []seg[T]
-	if nseg > 0 {
-		segs = make([]seg[T], 0, nseg)
-		slab := make([]T, nval)
-		for i := 0; len(segs) < nseg; {
-			if !present[i] {
-				i++
-				continue
-			}
-			j := i + 1
-			for j < r.epp && present[j] {
-				j++
-			}
-			segs, slab = carveSeg(segs, slab, page, i, j)
-			i = j
+		j := i + 1
+		for j < r.epp && present[j] {
+			j++
 		}
+		runs = append(runs, [2]int32{int32(i), int32(j - i)})
+		i = j
 	}
-	return segs, proto.DiffRecHdr + nseg*proto.DiffSegHdr + nval*r.elemSize
+	return r.pack(runs, page, false)
 }
 
 var _ regionHandle = (*Region[float32])(nil)

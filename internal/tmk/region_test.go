@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -47,9 +48,46 @@ func elemOf[T Elem](k int) T {
 	return z
 }
 
+// run is a decoded diff run: its offset in the page and its values.
+type run[T Elem] struct {
+	off  int
+	vals []T
+}
+
+// runsOf decodes a diff payload into its runs, nil for an empty diff.
+// The values alias the payload's, so scribbling them scribbles it.
+func runsOf[T Elem](payload any) []run[T] {
+	d := payload.(*delta[T])
+	if d == nil {
+		return nil
+	}
+	runs, at := []run[T]{}, 0
+	for _, rn := range d.runs {
+		n := int(rn[1])
+		runs = append(runs, run[T]{off: int(rn[0]), vals: d.vals[at : at+n : at+n]})
+		at += n
+	}
+	if at != len(d.vals) {
+		panic(fmt.Sprintf("diff payload holds %d values, its runs %d", len(d.vals), at))
+	}
+	return runs
+}
+
+// deltaOf encodes runs as a diff payload.
+func deltaOf[T Elem](runs ...run[T]) *delta[T] {
+	d := new(delta[T])
+	d.runs = d.inline[:0]
+	for _, rn := range runs {
+		d.runs = append(d.runs, [2]int32{int32(rn.off), int32(len(rn.vals))})
+		d.vals = append(d.vals, rn.vals...)
+	}
+	return d
+}
+
 // dense is the storage Region had before frames: one backing array for
 // all of the region's pages, and the twin/diff code that went with it,
-// kept here verbatim as the model the framed storage must match.
+// kept here as the model the framed storage must match. Its diffs are
+// decoded runs, each with its own values.
 type dense[T Elem] struct {
 	epp, elemSize int
 	data          []T
@@ -60,9 +98,9 @@ func (d *dense[T]) page(lp int) []T { return d.data[lp*d.epp : (lp+1)*d.epp] }
 
 func (d *dense[T]) makeTwin(lp int) { d.twins[lp] = slices.Clone(d.page(lp)) }
 
-func (d *dense[T]) extract(lp int, keepTwin bool) ([]seg[T], int) {
+func (d *dense[T]) extract(lp int, keepTwin bool) ([]run[T], int) {
 	tw, page := d.twins[lp], d.page(lp)
-	var segs []seg[T]
+	var runs []run[T]
 	i := 0
 	for i < len(page) {
 		if page[i] == tw[i] {
@@ -75,7 +113,7 @@ func (d *dense[T]) extract(lp int, keepTwin bool) ([]seg[T], int) {
 		}
 		vals := make([]T, j-i)
 		copy(vals, page[i:j])
-		segs = append(segs, seg[T]{off: int32(i), vals: vals})
+		runs = append(runs, run[T]{off: i, vals: vals})
 		i = j
 	}
 	if keepTwin {
@@ -83,19 +121,19 @@ func (d *dense[T]) extract(lp int, keepTwin bool) ([]seg[T], int) {
 	} else {
 		d.twins[lp] = nil
 	}
-	return segs, d.wire(segs)
+	return runs, d.wire(runs)
 }
 
-func (d *dense[T]) wire(segs []seg[T]) int {
+func (d *dense[T]) wire(runs []run[T]) int {
 	bytes := proto.DiffRecHdr
-	for _, s := range segs {
+	for _, s := range runs {
 		bytes += proto.DiffSegHdr + len(s.vals)*d.elemSize
 	}
 	return bytes
 }
 
-func (d *dense[T]) apply(lp int, segs []seg[T]) {
-	for _, s := range segs {
+func (d *dense[T]) apply(lp int, runs []run[T]) {
+	for _, s := range runs {
 		copy(d.page(lp)[s.off:], s.vals)
 		if tw := d.twins[lp]; tw != nil {
 			copy(tw[s.off:], s.vals)
@@ -103,18 +141,18 @@ func (d *dense[T]) apply(lp int, segs []seg[T]) {
 	}
 }
 
-func (d *dense[T]) mergeRecs(payloads []any) ([]seg[T], int) {
+func (d *dense[T]) mergeRecs(payloads []any) ([]run[T], int) {
 	page := make([]T, d.epp)
 	present := make([]bool, d.epp)
 	for _, p := range payloads {
-		for _, s := range p.([]seg[T]) {
+		for _, s := range runsOf[T](p) {
 			for k, v := range s.vals {
-				page[int(s.off)+k] = v
-				present[int(s.off)+k] = true
+				page[s.off+k] = v
+				present[s.off+k] = true
 			}
 		}
 	}
-	var segs []seg[T]
+	var runs []run[T]
 	i := 0
 	for i < d.epp {
 		if !present[i] {
@@ -127,14 +165,14 @@ func (d *dense[T]) mergeRecs(payloads []any) ([]seg[T], int) {
 		}
 		vals := make([]T, j-i)
 		copy(vals, page[i:j])
-		segs = append(segs, seg[T]{off: int32(i), vals: vals})
+		runs = append(runs, run[T]{off: i, vals: vals})
 		i = j
 	}
-	return segs, d.wire(segs)
+	return runs, d.wire(runs)
 }
 
-func sameSegs[T Elem](a, b []seg[T]) bool {
-	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y seg[T]) bool {
+func sameRuns[T Elem](a, b []run[T]) bool {
+	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y run[T]) bool {
 		return x.off == y.off && slices.Equal(x.vals, y.vals)
 	})
 }
@@ -204,7 +242,7 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 	// lent buffer while it is out.
 	type loan struct {
 		payload any
-		want    []seg[T]
+		want    []run[T]
 	}
 	var lent []loan
 	const maxLent = 4
@@ -252,7 +290,7 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 			}
 			got, gotBytes := r.extract(int32(lp), keep)
 			want, wantBytes := d.extract(lp, keep)
-			if !sameSegs(got.([]seg[T]), want) || gotBytes != wantBytes {
+			if !sameRuns(runsOf[T](got), want) || gotBytes != wantBytes {
 				t.Fatalf("step %d: extract(%d, %v) = %v, %d bytes; model %v, %d bytes", step, lp, keep, got, gotBytes, want, wantBytes)
 			}
 			recs = append(recs, got)
@@ -262,9 +300,9 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 			}
 			lp, rec := next()%npages, recs[next()%len(recs)]
 			r.apply(int32(lp), rec)
-			d.apply(lp, rec.([]seg[T]))
-			for _, sg := range rec.([]seg[T]) {
-				scribble(sg.vals)
+			d.apply(lp, runsOf[T](rec))
+			for _, rn := range runsOf[T](rec) {
+				scribble(rn.vals)
 			}
 		case 5: // a whole page travels: snapshotPage there, installPage here
 			src, dst := next()%npages, next()%npages
@@ -300,7 +338,7 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 			}
 			got, gotBytes := r.mergeRecs(some)
 			want, wantBytes := d.mergeRecs(some)
-			if !sameSegs(got.([]seg[T]), want) || gotBytes != wantBytes {
+			if !sameRuns(runsOf[T](got), want) || gotBytes != wantBytes {
 				t.Fatalf("step %d: mergeRecs = %v, %d bytes; model %v, %d bytes", step, got, gotBytes, want, wantBytes)
 			}
 			recs = append(recs, got)
@@ -311,7 +349,7 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 			}
 			got, gotBytes := r.lend(int32(lp))
 			want, wantBytes := d.extract(lp, false)
-			if !sameSegs(got.([]seg[T]), want) || gotBytes != wantBytes {
+			if !sameRuns(runsOf[T](got), want) || gotBytes != wantBytes {
 				t.Fatalf("step %d: lend(%d) = %v, %d bytes; model %v, %d bytes", step, lp, got, gotBytes, want, wantBytes)
 			}
 			dst := next() % npages // where a home applies it
@@ -325,16 +363,15 @@ func driveStorage[T Elem](t testing.TB, ops []byte) {
 			k := next() % len(lent)
 			ln := lent[k]
 			lent = append(lent[:k], lent[k+1:]...)
-			segs := ln.payload.([]seg[T])
-			if !sameSegs(segs, ln.want) {
-				t.Fatalf("step %d: a lent diff changed while out: %v, lent as %v", step, segs, ln.want)
+			if runs := runsOf[T](ln.payload); !sameRuns(runs, ln.want) {
+				t.Fatalf("step %d: a lent diff changed while out: %v, lent as %v", step, runs, ln.want)
 			}
 			r.giveBack(ln.payload)
-			if len(segs) > 0 {
-				if buf := r.pageBuf(); &buf[0] != &segs[0].vals[0] || len(buf) != epp {
+			if d := ln.payload.(*delta[T]); d != nil {
+				if buf := r.pageBuf(); &buf[0] != &d.vals[0] || len(buf) != epp {
 					t.Fatalf("step %d: the returned buffer is not the next one pageBuf hands out", step)
 				}
-				r.freeBuf(segs[0].vals[:epp])
+				r.freeBuf(d.vals[:epp])
 			}
 		}
 		// Every element, twins included, after every step. The snapshots
@@ -405,8 +442,8 @@ func FuzzRegionStorage(f *testing.F) {
 func TestJoinPreservesContentsAndPoisonsOldViews(t *testing.T) {
 	tm := storageTmk()
 	r := Alloc[float32](tm, "a", 5*1024)
-	r.apply(1, []seg[float32]{{off: 7, vals: []float32{1, 2, 3}}})
-	r.apply(3, []seg[float32]{{off: 1000, vals: []float32{4, 5}}})
+	r.apply(1, deltaOf(run[float32]{off: 7, vals: []float32{1, 2, 3}}))
+	r.apply(3, deltaOf(run[float32]{off: 1000, vals: []float32{4, 5}}))
 	if got := tm.nd.frames; got != (FrameCounters{Pages: 2}) {
 		t.Fatalf("after two applies: %+v", got)
 	}
@@ -435,7 +472,7 @@ func TestJoinPreservesContentsAndPoisonsOldViews(t *testing.T) {
 		t.Errorf("counters %+v, want %+v", got, want8k)
 	}
 	// Protocol writes land in the new piece, and the view sees them.
-	r.apply(2, []seg[float32]{{off: 0, vals: []float32{9}}})
+	r.apply(2, deltaOf(run[float32]{off: 0, vals: []float32{9}}))
 	if v[1024] != 9 {
 		t.Error("a diff applied after the join is not visible through the view")
 	}

@@ -49,6 +49,9 @@ type System struct {
 	// log is the run's interval log (proto.Host.IntervalLog): per
 	// writer, its released intervals, shared by every node's protocol.
 	log [][]proto.IntervalRec
+	// diffRuns is scratch for the (offset, length) runs of the diff a
+	// region is encoding, on any node.
+	diffRuns [][2]int32
 }
 
 // Option configures a System.
@@ -203,6 +206,11 @@ type node struct {
 	lastReported int32       // own intervals reported to the barrier manager
 	workerVC     [][]int32   // manager only: last-known vc per worker
 	contribs     [][]float64 // manager only: a barrier's reduction contributions by node
+	// The barrier messages this node refills once they are read: a
+	// worker's arrival, the manager's departures and their batches.
+	arr        *arrivalMsg
+	deps       []departMsg
+	depBatches []proto.NoticeBatch
 	// dirPending gathers the home-policy directory proposals of one
 	// barrier epoch, indexed by proposing node (manager only). Full
 	// barriers consume them in place; the fork-join interface fills

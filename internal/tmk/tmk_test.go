@@ -892,6 +892,102 @@ func TestMixedBarrierAndForkJoin(t *testing.T) {
 	}
 }
 
+// TestBarrierMessagesReusedOnlyOnceRead drives every barrier form with
+// staggered compute, so that arrivals reach the manager in changing
+// orders. It has a worker follow a Join at once with another arrival —
+// a BarrierReduceSum each round, and the teardown barrier after the
+// last Join — before the master's Collect has read the first, and the
+// master send two Forks before any worker has read the first. A node
+// refills a barrier message only once its reader has marked it read;
+// one refilled any sooner loses the Join's write notices, a
+// contribution or a Fork payload. So every write must reach its
+// reader, every reduction must be exact and every Fork payload must
+// stay what it was sent as.
+func TestBarrierMessagesReusedOnlyOnceRead(t *testing.T) {
+	const nodes, rounds, epp = 5, 6, 512 // a block per node, a page each
+	for _, p := range proto.Names() {
+		t.Run(string(p), func(t *testing.T) {
+			err := NewSystem(nodes, model.SP2(), WithProtocol(p)).Run(func(tm *Tmk) {
+				id := tm.ID()
+				// The parallel loops write fj, the barrier phases bar, so
+				// that a node's next write to a block is ordered after
+				// every read of it.
+				fj := Alloc[float64](tm, "fj", nodes*epp)
+				bar := Alloc[float64](tm, "bar", nodes*epp)
+				stagger := func(k int) { tm.Advance(sim.Time((id*7+k*3)%nodes) * 50 * sim.Microsecond) }
+				write := func(r *Region[float64], v float64) {
+					w := r.Write(id*epp, (id+1)*epp)
+					for i := range w {
+						w[i] = v + float64(i)
+					}
+				}
+				check := func(r *Region[float64], k, q int, v float64) {
+					g := r.Read(q*epp, (q+1)*epp)
+					for i := range g {
+						if g[i] != v+float64(i) {
+							t.Errorf("round %d, %s: node %d reads %v at %d of node %d's block, want %v", k, r.name, id, g[i], i, q, v+float64(i))
+							return
+						}
+					}
+				}
+				// forkJoin is one parallel loop: every node writes its
+				// block, and the master reads them all after Collect.
+				var held []*int
+				forkJoin := func(k int) {
+					if id == 0 {
+						ctrl := k
+						tm.Fork(&ctrl, 8)
+						write(fj, float64(100*k))
+						tm.Advance(sim.Time(k%2+1) * sim.Millisecond) // the workers' next arrivals are sent first
+						tm.Collect()
+						for q := 0; q < nodes; q++ {
+							check(fj, k, q, float64(100*k))
+						}
+						return
+					}
+					ctrl := tm.WaitFork().(*int)
+					held = append(held, ctrl)
+					stagger(k)
+					write(fj, float64(100*k))
+					tm.Join()
+				}
+				if id == 0 {
+					first, second := -1, -2
+					tm.Fork(&first, 8)
+					tm.Fork(&second, 8)
+				} else {
+					tm.Advance(sim.Millisecond)
+					for _, want := range []int{-1, -2} {
+						if got := *tm.WaitFork().(*int); got != want {
+							t.Errorf("node %d: Fork payload %d, want %d", id, got, want)
+						}
+					}
+				}
+				for k := 1; k <= rounds; k++ {
+					forkJoin(k)
+					got := tm.BarrierReduceSum([]float64{float64(k * (id + 1)), 0.5})
+					if want := []float64{float64(k * nodes * (nodes + 1) / 2), 0.5 * nodes}; got[0] != want[0] || got[1] != want[1] {
+						t.Errorf("round %d: node %d reduces to %v, want %v", k, id, got, want)
+					}
+					stagger(k + 1)
+					write(bar, float64(-100*k))
+					tm.Barrier()
+					check(bar, k, (id+1)%nodes, float64(-100*k))
+				}
+				forkJoin(rounds + 1) // the teardown barrier follows the workers' Join
+				for i, c := range held {
+					if *c != i+1 {
+						t.Errorf("node %d: payload of fork %d reads %d", id, i+1, *c)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestManyRegionsIndependent: pages of different regions never alias.
 func TestManyRegionsIndependent(t *testing.T) {
 	sys := newTestSystem(2)

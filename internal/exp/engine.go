@@ -5,7 +5,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -43,7 +42,8 @@ type Engine struct {
 	// JoinSpeedup joins every non-seq record the engine emits with its
 	// sequential baseline (run and cached like any other spec), so the
 	// JSON-lines stream carries seq_ns/seq_seconds/speedup and plots
-	// need no post-join.
+	// need no post-join. A checksum that does not Agree with the
+	// baseline's makes the record that disagreement's error record.
 	JoinSpeedup bool
 	// Observe gives every run its own obs.Trace, attaching the per-node
 	// time breakdown (and the trace itself) to each core.Result and the
@@ -231,8 +231,9 @@ func (e *Engine) syncStore() {
 }
 
 // execute performs the simulation for one spec (no caching). A result
-// that is not a number is a failed run, here and so everywhere: JSON
-// cannot carry the value, and no table may divide by it.
+// that does not agree with itself — is not a number (Agree) — is a
+// failed run, here and so everywhere: JSON cannot carry the value, and
+// no table may divide by it.
 func (e *Engine) execute(s Spec) (core.Result, error) {
 	if err := s.Validate(); err != nil {
 		return core.Result{}, err
@@ -255,8 +256,9 @@ func (e *Engine) execute(s Spec) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, fmt.Errorf("%s/%s: %w", s.App, s.Version, err)
 	}
-	if math.IsNaN(res.Checksum) || math.IsInf(res.Checksum, 0) {
-		return core.Result{}, fmt.Errorf("%s/%s: non-finite checksum", s.App, s.Version)
+	rec := Record{Spec: s, Checksum: res.Checksum}
+	if err := Agree(rec, rec); err != nil {
+		return core.Result{}, err
 	}
 	return res, nil
 }
@@ -436,10 +438,11 @@ type stream struct {
 // under the stream's lock, once; the other fields are the emitter's.
 type runSlot struct {
 	resolved bool
-	read     bool    // the stored record was decoded; ns is its time_ns
+	read     bool    // the stored record was decoded; ns and sum are its own
 	uses     int32   // requested specs still to be written from the run's record
 	en       *entry  // the run's cache entry; nil for a run the store holds
 	ns       int64   // a stored run's time_ns, for the baseline join
+	sum      float64 // a stored run's checksum, for the baseline join
 	rec      *Record // a stored run's record, while a later label needs it
 }
 
@@ -489,18 +492,18 @@ func (e *Engine) record(r *stream, pos int32, rec *Record, buf *[]byte) {
 	}
 }
 
-// baseline is the time_ns of the baseline run at pos, and whether it
-// succeeded.
-func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) (int64, bool) {
+// baseline is the record of the baseline run at pos, as far as the
+// join reads it: spec, time_ns, checksum and error.
+func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) Record {
 	sl := r.wait(pos)
 	if sl.en == nil && !sl.read {
 		var rec Record
 		e.load(r, pos, &rec, buf)
 	}
 	if sl.en != nil {
-		return sl.en.rec.TimeNanos, sl.en.err == nil
+		return sl.en.rec
 	}
-	return sl.ns, true
+	return Record{Spec: r.runs[pos].Spec, TimeNanos: sl.ns, Checksum: sl.sum}
 }
 
 // load sets *rec to the stored record of the run at pos, read once a
@@ -530,21 +533,20 @@ func (e *Engine) readStored(k keyed, sl *runSlot, rec *Record, buf *[]byte) bool
 		return false
 	}
 	*rec = dec
-	sl.read, sl.ns = true, dec.TimeNanos
+	sl.read, sl.ns, sl.sum = true, dec.TimeNanos, dec.Checksum
 	e.host.storeHits.Add(1)
 	return true
 }
 
 // labelled sets *rec to the record of r's requested spec i, s: its
-// run's record, relabelled and joined with its baseline's time when
-// both succeeded — Labelled, in place. buf is the emitter's read buffer.
+// run's record, relabelled and joined with its baseline — Labelled, in
+// place. buf is the emitter's read buffer.
 func (e *Engine) labelled(r *stream, i int, s Spec, rec *Record, buf *[]byte) {
 	e.record(r, r.Run[i], rec, buf)
 	rec.Spec = s
 	if b := r.Base[i]; b >= 0 && rec.Error == "" {
-		if ns, ok := e.baseline(r, b, buf); ok {
-			rec.JoinSeqNanos(ns)
-		}
+		base := e.baseline(r, b, buf)
+		rec.join(&base)
 	}
 }
 

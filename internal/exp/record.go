@@ -172,18 +172,57 @@ func (r *Record) JoinSeqNanos(seqNS int64) {
 	r.Speedup = float64(seqNS) / float64(r.TimeNanos)
 }
 
+// Agree is the one rule by which two runs' results stand together: nil
+// when got's checksum agrees with want's. A non-finite checksum never
+// agrees, so a record agrees with itself exactly when it is a number.
+// Runs of one application, scale, version and processor count differ
+// only in what must not move the answer (protocol, home policy,
+// contention) and must be bitwise equal; any other pair must agree
+// within the application's declared relative tolerance.
+func Agree(got, want Record) error {
+	for _, r := range [2]*Record{&got, &want} {
+		if math.IsNaN(r.Checksum) || math.IsInf(r.Checksum, 0) {
+			return fmt.Errorf("%s/%s: non-finite checksum", r.App, r.Version)
+		}
+	}
+	tol := tolerance[got.App]
+	if got.App != want.App || got.Scale != want.Scale || got.Version == want.Version && got.Procs == want.Procs {
+		tol = 0
+	}
+	if d := math.Abs(got.Checksum - want.Checksum); d > tol*math.Abs(want.Checksum) {
+		return fmt.Errorf("%s: checksum %v disagrees with %v of %s (relative tolerance %g)",
+			got.Key(), got.Checksum, want.Checksum, want.Key(), tol)
+	}
+	return nil
+}
+
 // Labelled is the record a request for s gets from its run's record:
-// the run's measurements under s's spec fields, joined with base's
-// duration when base is non-nil and neither record failed. It is the
-// way out of a run for the fabric coordinator's merge, and the engine's
-// emitter does the same in place from a baseline's time_ns alone; both
-// are byte-identical to RecordOf(s, …) of the run's result.
+// the run's measurements under s's spec fields, joined with base (the
+// baseline's record) when base is non-nil and neither record failed. It
+// is the way out of a run for the fabric coordinator's merge, and the
+// engine's emitter does the same in place; both are byte-identical to
+// RecordOf(s, …) of the run's result.
 func Labelled(s Spec, run Record, base *Record) Record {
 	run.Spec = s
-	if base != nil && base.Error == "" {
-		run.JoinSeqNanos(base.TimeNanos)
+	if base != nil {
+		run.join(base)
 	}
 	return run
+}
+
+// join joins r with its sequential baseline's record: a checksum the
+// baseline's does not Agree with makes r that disagreement's error
+// record; any other takes the baseline's duration and the speedup over
+// it. No-op when either record failed.
+func (r *Record) join(base *Record) {
+	if r.Error != "" || base.Error != "" {
+		return
+	}
+	if err := Agree(*r, *base); err != nil {
+		*r = Record{Spec: r.Spec, Error: err.Error()}
+		return
+	}
+	r.JoinSeqNanos(base.TimeNanos)
 }
 
 // SeqSpecOf returns the sequential-baseline spec a record of s joins

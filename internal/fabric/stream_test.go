@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // stubWorker is a worker that simulates nothing: it answers /run with
@@ -167,5 +169,69 @@ func TestOverLongLineFailsLease(t *testing.T) {
 	defer mu.Unlock()
 	if !strings.Contains(log.String(), "token too long") {
 		t.Errorf("no lease failed with the scanner's error:\n%s", log.String())
+	}
+}
+
+// ulpApp is an application whose version bad answers one ulp above the
+// right checksum.
+type ulpApp struct {
+	core.App
+	bad core.Version
+}
+
+func (a ulpApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
+	res, err := a.App.Run(v, cfg)
+	if v == a.bad {
+		res.Checksum = math.Nextafter(res.Checksum, math.Inf(1))
+	}
+	return res, err
+}
+
+// TestDisagreementIsOneErrorRecord: a joined run whose checksum is one
+// ulp off its baseline's is exp.Agree's error record, failed and not
+// stored — the same bytes from a cold engine, from a warm store that
+// starts no run, and through the fabric's merge of a worker's records.
+func TestDisagreementIsOneErrorRecord(t *testing.T) {
+	lookup := func(name string) (core.App, error) {
+		a, err := exp.AppByName(name)
+		return ulpApp{a, core.XHPF}, err
+	}
+	specs := []exp.Spec{ // the first a label of its run, which reads no protocol
+		{App: "Jacobi", Version: core.XHPF, Procs: 2, Scale: core.SmallScale, Protocol: "hlrc"},
+		{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale, Protocol: "hlrc"},
+	}
+	st, err := store.Open(t.TempDir(), exp.StoreOptions(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	runs, wire := exp.PlanRuns(specs, true), map[string][]byte{}
+	for i := range runs.Len() {
+		e := exp.New()
+		e.Lookup = lookup
+		res, err := e.Run(runs.Spec(i))
+		rec := exp.RecordOf(runs.Spec(i), res, err)
+		rec.SchemaVersion = exp.SchemaVersion
+		line, _ := exp.AppendRecord(nil, &rec)
+		wire[runs.Key(i)] = append(line, '\n')
+	}
+	var outs [3]bytes.Buffer
+	for i := range outs {
+		var stats exp.StreamStats
+		if i < 2 {
+			e := exp.New()
+			e.JoinSpeedup, e.Lookup, e.Store = true, lookup, st
+			stats, err = e.StreamWith(&outs[i], specs, nil)
+			if i == 1 && e.HostStats().RunsStarted != 0 {
+				t.Errorf("the warm pass started %d runs", e.HostStats().RunsStarted)
+			}
+		} else {
+			c := &Coordinator{Workers: []string{stubWorker(t, wire)}, Speedup: true, Logf: t.Logf}
+			stats, err = c.Run(&outs[i], specs)
+		}
+		want := `{"app":"Jacobi","version":"xhpf","procs":2,"scale":"small","protocol":"hlrc","time_ns":0,"time_seconds":0,"msgs":0,"bytes":0,"checksum":0,"error":"app=Jacobi|version=xhpf|procs=2|scale=small|protocol=hlrc|contention=0|fifo=0: checksum 461.05468750000006 disagrees with 461.0546875 of app=Jacobi|version=seq|procs=1|scale=small|protocol=|contention=0|fifo=0 (relative tolerance 0)"}`
+		if got, _, _ := strings.Cut(outs[i].String(), "\n"); err == nil || stats.Failed != 1 || got != want || outs[i].String() != outs[0].String() {
+			t.Errorf("stream %d: stats %+v, err %v; want the first of\n%s\nto be\n%s\nand the cold stream's bytes", i, stats, err, outs[i].String(), want)
+		}
 	}
 }

@@ -73,7 +73,8 @@ func contentionColumns(v core.Version, p proto.Name) []contentionColumn {
 // hand-coded TreadMarks version under both protocols, XHPF, and PVMe.
 // Checksums must not depend on the contention point — queueing delays
 // messages but never reorders matching ones — so a column whose
-// checksum differs from its ideal-interconnect run refuses the table.
+// checksum differs from its ideal-interconnect run (exp.Agree) refuses
+// the table.
 // The base contention (dsmrun -contention) is separate: it puts every
 // other table on the contended SP/2.
 var Contention = Table{Name: "contention", Specs: contentionSpecs, Render: renderContention}
@@ -98,15 +99,8 @@ func renderContention(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	cols := len(contentionColumns("", "")) // each row's records, consecutive
 	block := len(ContentionSweep) * cols   // each (app, procs)'s rows
 	for b := 0; b < len(recs); b += block {
-		for c := 0; c < cols; c++ {
-			var sweep []exp.Record // one column down the sweep, ideal first
-			for row := b; row < b+block; row += cols {
-				sweep = append(sweep, recs[row+c])
-			}
-			if err := agree(sweep, func(got, ideal exp.Record) error {
-				return fmt.Errorf("contention changed the answer: %s/%s procs=%d %s checksum %g != ideal %g",
-					got.App, got.Version, got.Procs, contentionLabel(got.Contention), got.Checksum, ideal.Checksum)
-			}); err != nil {
+		for row := b + cols; row < b+block; row++ { // each column down the sweep, against its ideal run
+			if err := exp.Agree(recs[row], recs[b+(row-b)%cols]); err != nil {
 				return err
 			}
 		}

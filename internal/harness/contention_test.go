@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/proto"
 )
 
 // contended is s at contention point ways (see ContentionSweep).
@@ -16,38 +15,16 @@ func contended(s exp.Spec, ways int) exp.Spec {
 }
 
 // TestContentionOffMatchesBaseline: a sweep point with the contention
-// model disabled must reproduce the plain runner's results bit for bit
-// — time, traffic and checksum — with no queueing delay recorded.
+// model disabled is the plain run — one run identity, so one golden
+// record, time, traffic and checksum alike — and that record carries
+// no queueing delay.
 func TestContentionOffMatchesBaseline(t *testing.T) {
-	cases := []struct {
-		app  string
-		v    core.Version
-		prot proto.Name
-	}{
-		{"Jacobi", core.Tmk, proto.HomelessLRC},
-		{"Jacobi", core.Tmk, proto.HomeLRC},
-		{"IGrid", core.XHPF, ""},
-		{"NBF", core.PVMe, ""},
-	}
-	for _, c := range cases {
-		base, err := exp.New().Run(small(c.app, c.v, 4, c.prot))
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range everyVersion(4) {
+		if off := contended(s, 0); off.Canonical().Key() != s.Canonical().Key() {
+			t.Errorf("contention off is a run of its own: %s", off.Key())
 		}
-		off, err := exp.New().Run(contended(small(c.app, c.v, 4, c.prot), 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off.Time != base.Time || off.Checksum != base.Checksum ||
-			off.Stats.TotalMsgs() != base.Stats.TotalMsgs() ||
-			off.Stats.TotalBytes() != base.Stats.TotalBytes() {
-			t.Errorf("%s/%s/%s: contention-off run diverged: (%v,%g,%d,%d) vs baseline (%v,%g,%d,%d)",
-				c.app, c.v, c.prot,
-				off.Time, off.Checksum, off.Stats.TotalMsgs(), off.Stats.TotalBytes(),
-				base.Time, base.Checksum, base.Stats.TotalMsgs(), base.Stats.TotalBytes())
-		}
-		if off.QueueTime() != 0 {
-			t.Errorf("%s/%s: queueing delay %v recorded with contention off", c.app, c.v, off.QueueTime())
+		if rec := golden(t, s); rec.QueueNanos != 0 || rec.QueuedMsgs != 0 || rec.BDQueueNanos != 0 {
+			t.Errorf("%s: queueing delay recorded with contention off", s.Key())
 		}
 	}
 }

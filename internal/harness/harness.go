@@ -118,19 +118,6 @@ func speedup(rec, seq exp.Record) float64 {
 	return float64(seq.TimeNanos) / float64(rec.TimeNanos)
 }
 
-// agree is the check of the tables that vary what a result must not
-// depend on — protocol, contention, home policy, hand or generated
-// code: every record of runs carries runs[0]'s checksum. The first that
-// does not is refused with diverged's error.
-func agree(runs []exp.Record, diverged func(got, want exp.Record) error) error {
-	for _, got := range runs[1:] {
-		if got.Checksum != runs[0].Checksum {
-			return diverged(got, runs[0])
-		}
-	}
-	return nil
-}
-
 // mustApp is a registered application the tables name.
 func mustApp(name string) core.App {
 	a, err := exp.AppByName(name)

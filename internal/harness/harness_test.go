@@ -62,23 +62,17 @@ func underPolicy(s exp.Spec, pol proto.PolicyName) exp.Spec {
 var smallBase = exp.Spec{Procs: 4, Scale: core.SmallScale, Protocol: proto.HomelessLRC}
 
 // TestAllExperimentsSmall drives the paper's tables end to end at the
-// small scale, checking the output mentions each application.
+// small scale through one engine (their bytes are
+// TestTablesMatchGolden's).
 func TestAllExperimentsSmall(t *testing.T) {
-	e := exp.New()
-	var sb strings.Builder
-	for _, tab := range Tables {
-		if !tab.Paper {
-			continue
-		}
-		if err := tab.Print(&sb, e, smallBase); err != nil {
-			t.Fatalf("%s: %v", tab.Name, err)
-		}
+	tabs, err := Select("paper")
+	if err != nil || len(tabs) != 7 {
+		t.Fatalf("paper selects %d tables (%v), want 7", len(tabs), err)
 	}
-	out := sb.String()
-	for _, name := range []string{"Jacobi", "Shallow", "MGS", "3-D FFT", "IGrid", "NBF",
-		"Table 1", "Figure 1", "Table 2", "Figure 2", "Table 3", "Section 5", "Section 2.3"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("experiment output missing %q", name)
+	e := exp.New()
+	for _, tab := range tabs {
+		if err := tab.Print(io.Discard, e, smallBase); err != nil {
+			t.Fatalf("%s: %v", tab.Name, err)
 		}
 	}
 }
@@ -177,30 +171,12 @@ func TestSelect(t *testing.T) {
 
 // TestWarmBreakdownStartsNoRuns: the time-attribution table reads
 // observed records through the store like every other table, so a
-// second pass over the store renders it without simulating.
+// second pass over the store renders it without simulating (held with
+// every table's by TestTablesMatchGolden's warm pass); an engine that
+// does not observe cannot print it.
 func TestWarmBreakdownStartsNoRuns(t *testing.T) {
-	dir := t.TempDir()
-	var outs []string
-	for pass := 0; pass < 2; pass++ {
-		st, err := store.Open(dir, exp.StoreOptions(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := exp.New()
-		e.Observe, e.Store = true, st
-		var sb strings.Builder
-		if err := Breakdown.Print(&sb, e, smallBase); err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-		outs = append(outs, sb.String())
-		hs := e.HostStats()
-		if pass == 1 && (hs.RunsStarted != 0 || hs.StoreHits == 0) {
-			t.Errorf("warm breakdown: %d runs started, %d store hits; want 0 and every run", hs.RunsStarted, hs.StoreHits)
-		}
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("warm breakdown differs from cold:\n%s\nvs\n%s", outs[1], outs[0])
+	if !Breakdown.Observe {
+		t.Fatal("the breakdown table does not ask for an observing engine")
 	}
 	if err := Breakdown.Print(io.Discard, exp.New(), smallBase); err == nil {
 		t.Error("breakdown printed through an engine that does not observe")
@@ -208,73 +184,60 @@ func TestWarmBreakdownStartsNoRuns(t *testing.T) {
 }
 
 // TestTablesRefuseADivergentChecksum: the tables that vary what a
-// result must not depend on refuse records whose checksums disagree,
-// each with its own message, and print nothing.
+// result must not depend on refuse their golden records once one
+// checksum disagrees, with exp.Agree's message, and print nothing (the
+// unmodified records render: TestTablesRenderFromGolden).
 func TestTablesRefuseADivergentChecksum(t *testing.T) {
-	e := exp.New()
-	gen := CompiledPairs()[0][1]
-	cases := []struct {
-		specs  func(exp.Spec) []exp.Spec
-		render func(io.Writer, exp.Spec, []exp.Record) error
-		flip   int // the record whose checksum moves
-		want   string
-	}{
-		{protocolSpecs, renderProtocols, 1,
-			"protocol divergence: Jacobi/tmk procs=1: hlrc checksum "},
-		{contentionSpecs, renderContention, len(contentionColumns("", "")),
-			"contention changed the answer: Jacobi/tmk procs=1 nic checksum "},
-		{compilerSpecs, renderCompiler, 1,
-			fmt.Sprintf("compiler divergence: Jacobi: %s checksum ", gen)},
-		{migrationSpecs, renderMigration, 1, "home policy changed the answer: MGS/tmk procs=1 firsttouch checksum "},
-	}
-	for _, c := range cases {
-		recs, err := records(e, c.specs(smallBase))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		if err := c.render(&sb, smallBase, recs); err != nil {
-			t.Fatalf("%q: the unmodified records were refused: %v", c.want, err)
-		}
+	for _, c := range []struct {
+		tab  Table
+		flip int // the record whose checksum moves away from the first's
+	}{{Protocols, 1}, {Contention, len(contentionColumns("", ""))}, {Compiler, 1}, {Migration, 1}} {
+		recs := goldenRecs(t, c.tab.Specs(smallBase))
 		recs[c.flip].Checksum++
-		sb.Reset()
-		err = c.render(&sb, smallBase, recs)
-		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
-			t.Errorf("error = %v, want %q…", err, c.want)
-		}
-		if sb.Len() != 0 {
-			t.Errorf("%q: rendered from divergent records:\n%s", c.want, sb.String())
+		want := fmt.Sprintf("%s: checksum %v disagrees with %v of %s (relative tolerance 0)",
+			recs[c.flip].Key(), recs[c.flip].Checksum, recs[0].Checksum, recs[0].Key())
+		var sb strings.Builder
+		if err := c.tab.Render(&sb, smallBase, recs); err == nil || err.Error() != want || sb.Len() != 0 {
+			t.Errorf("%s: error = %v, want %q, and nothing rendered:\n%s", c.tab.Name, err, want, sb.String())
 		}
 	}
 }
 
-// nanApp is an application one of whose versions returns a NaN checksum.
-type nanApp struct {
+// wrongApp is an application whose version bad answers wrong(checksum).
+type wrongApp struct {
 	core.App
-	bad core.Version
+	bad   core.Version
+	wrong func(float64) float64
 }
 
-func (a nanApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
+func (a wrongApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	res, err := a.App.Run(v, cfg)
 	if v == a.bad {
-		res.Checksum = math.NaN()
+		res.Checksum = a.wrong(res.Checksum)
 	}
 	return res, err
 }
 
-// TestTablesRefuseANonFiniteResult: a run whose checksum is not a number
-// is the engine's run error, so the table it belongs to returns that
-// error and renders nothing — it used to print a speedup from the run's
-// time — while a table that does not need the run still renders.
-func TestTablesRefuseANonFiniteResult(t *testing.T) {
+// wrongEngine is an engine on which app's version bad answers wrong.
+func wrongEngine(app string, bad core.Version, wrong func(float64) float64) *exp.Engine {
 	e := exp.New()
 	e.Lookup = func(name string) (core.App, error) {
 		a, err := exp.AppByName(name)
-		if name == "MGS" {
-			a = nanApp{a, core.TmkOpt}
+		if name == app {
+			a = wrongApp{a, bad, wrong}
 		}
 		return a, err
 	}
+	return e
+}
+
+// TestTablesRefuseANonFiniteResult: a run whose checksum is not a number
+// is the engine's run error (exp.Agree), so the table it belongs to
+// returns that error and renders nothing — it used to print a speedup
+// from the run's time — while a table that does not need the run still
+// renders.
+func TestTablesRefuseANonFiniteResult(t *testing.T) {
+	e := wrongEngine("MGS", core.TmkOpt, func(float64) float64 { return math.NaN() })
 	var sb strings.Builder
 	err := HandOpt.Print(&sb, e, smallBase)
 	if err == nil || err.Error() != "MGS/tmk-opt: non-finite checksum" {
@@ -285,6 +248,18 @@ func TestTablesRefuseANonFiniteResult(t *testing.T) {
 	}
 	if err := Figure1.Print(&sb, e, smallBase); err != nil || !strings.Contains(sb.String(), "MGS") {
 		t.Errorf("Figure 1, which has no tmk-opt cell, failed: %v\n%s", err, sb.String())
+	}
+}
+
+// TestTablesRefuseAnUlp: a generated version one ulp off its hand-coded
+// one refuses the compiler table with exp.Agree's message.
+func TestTablesRefuseAnUlp(t *testing.T) {
+	e := wrongEngine("Jacobi", core.SPFGen, func(c float64) float64 { return math.Nextafter(c, math.Inf(1)) })
+	var sb strings.Builder
+	err := Compiler.Print(&sb, e, smallBase)
+	want := "app=Jacobi|version=spf-gen|procs=4|scale=small|protocol=lrc|contention=0|fifo=0: checksum 461.05468750000006 disagrees with 461.0546875 of app=Jacobi|version=spf|"
+	if err == nil || !strings.HasPrefix(err.Error(), want) || sb.Len() != 0 {
+		t.Errorf("Compiler error = %v, want %q…, and nothing rendered:\n%s", err, want, sb.String())
 	}
 }
 

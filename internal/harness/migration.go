@@ -56,20 +56,17 @@ func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
 }
 
 // renderMigration prints the sweep from its records, in migrationSpecs
-// order. Checksums must be bit-identical across policies — placement
-// may change only time and traffic — and single-node runs must never
-// migrate; a row that breaks either refuses the table.
+// order. Checksums must agree across policies (exp.Agree: bitwise) —
+// placement may change only time and traffic — and single-node runs
+// must never migrate; a row that breaks either refuses the table.
 func renderMigration(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	pols := proto.PolicyNames()
 	n := len(pols) // each row's records, consecutive, static first
 	for row := 0; row < len(recs); row += n {
-		if err := agree(recs[row:row+n], func(got, static exp.Record) error {
-			return fmt.Errorf("home policy changed the answer: %s/%s procs=%d %s checksum %g != static %g",
-				got.App, got.Version, got.Procs, got.HomePolicy, got.Checksum, static.Checksum)
-		}); err != nil {
-			return err
-		}
 		for i, rec := range recs[row : row+n] {
+			if err := exp.Agree(rec, recs[row]); err != nil {
+				return err
+			}
 			if rec.Procs == 1 && rec.Migrations != 0 {
 				return fmt.Errorf("single-node run migrated pages: %s/%s %s", rec.App, rec.Version, pols[i])
 			}

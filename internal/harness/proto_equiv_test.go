@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -9,77 +10,63 @@ import (
 	"repro/internal/proto"
 )
 
-// runProtocols runs one (application, version, procs) under every
-// protocol, in proto.Names() order.
-func runProtocols(e *exp.Engine, app string, v core.Version, procs int) ([]core.Result, error) {
-	var out []core.Result
-	for _, p := range proto.Names() {
-		res, err := e.Run(small(app, v, procs, p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
+// runRecord is the record of s's run on e.
+func runRecord(t *testing.T, e *exp.Engine, s exp.Spec) exp.Record {
+	t.Helper()
+	res, err := e.Run(s)
+	if err != nil {
+		t.Fatalf("%s: %v", s.Key(), err)
 	}
-	return out, nil
+	return exp.RecordOf(s, res, nil)
+}
+
+// checkProtocols runs one (application, version, procs) under every
+// protocol, and under the home-based one with every home policy, and
+// holds each run's checksum to the first's (exp.Agree: bitwise). A
+// single-node run must not migrate. It returns the per-protocol
+// records, in proto.Names() order.
+func checkProtocols(t *testing.T, e *exp.Engine, app string, v core.Version, procs int) []exp.Record {
+	var recs []exp.Record
+	for _, p := range proto.Names() {
+		recs = append(recs, runRecord(t, e, small(app, v, procs, p)))
+	}
+	for _, pol := range proto.PolicyNames() {
+		recs = append(recs, runRecord(t, e, underPolicy(small(app, v, procs, ""), pol)))
+	}
+	for _, rec := range recs {
+		if err := exp.Agree(rec, recs[0]); err != nil {
+			t.Error(err)
+		}
+		if procs == 1 && rec.Migrations != 0 {
+			t.Errorf("single-node run %s migrated %d pages", rec.Key(), rec.Migrations)
+		}
+	}
+	return recs[:len(proto.Names())]
 }
 
 // TestProtocolEquivalence is the cross-protocol equivalence table: every
 // DSM version of every application — including the optimized variants,
 // whose push, broadcast and aggregation paths interact with the
-// protocol differently — runs under both coherence protocols at 1, 2, 4
-// and 8 nodes. The checksums must be bit-identical — the protocol may
-// change only virtual time, message counts and byte volumes — and, for
-// the representative version, the three home-placement policies of the
-// home-based protocol must also leave the checksum bit-identical (home
-// migration moves master copies, never values), and a repeated run must
-// reproduce the per-protocol message and byte counts exactly (the
-// simulator is deterministic, so any drift is a protocol-state leak).
+// protocol differently — runs under both coherence protocols and the
+// three home-placement policies at 1, 2, 4 and 8 nodes. The checksums
+// must agree bitwise — the protocol may change only virtual time,
+// message counts and byte volumes, and home migration moves master
+// copies, never values — and, for the representative version, a
+// repeated run on a fresh engine must reproduce each protocol's record
+// exactly (the simulator is deterministic, so any drift is a
+// protocol-state leak).
 func TestProtocolEquivalence(t *testing.T) {
 	for _, a := range exp.PaperApps() {
-		rep := DSMVersionOf(a)
 		for _, v := range DSMVersions(a) {
 			for _, procs := range ProtocolProcCounts {
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name(), v, procs), func(t *testing.T) {
-					e := exp.New()
-					first, err := runProtocols(e, a.Name(), v, procs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, res := range first[1:] {
-						if res.Checksum != first[0].Checksum {
-							t.Errorf("checksum under %s = %v, want %v (as under %s)",
-								res.Protocol, res.Checksum, first[0].Checksum, first[0].Protocol)
-						}
-					}
-					if v != rep {
+					first := checkProtocols(t, exp.New(), a.Name(), v, procs)
+					if v != DSMVersionOf(a) {
 						return
 					}
-					for _, pol := range proto.PolicyNames() {
-						res, err := e.Run(underPolicy(small(a.Name(), v, procs, ""), pol))
-						if err != nil {
-							t.Fatalf("hlrc/%s: %v", pol, err)
-						}
-						if res.Checksum != first[0].Checksum {
-							t.Errorf("checksum under hlrc/%s = %v, want %v", pol, res.Checksum, first[0].Checksum)
-						}
-						if procs == 1 && res.Migrations != 0 {
-							t.Errorf("single-node run under hlrc/%s migrated %d pages", pol, res.Migrations)
-						}
-					}
-					again, err := runProtocols(e, a.Name(), v, procs)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for i, p := range proto.Names() {
-						f, g := first[i], again[i]
-						if f.Protocol != p || g.Protocol != p {
-							t.Fatalf("result order: got %s/%s, want %s", f.Protocol, g.Protocol, p)
-						}
-						if f.Checksum != g.Checksum || f.Time != g.Time ||
-							f.Stats.TotalMsgs() != g.Stats.TotalMsgs() || f.Stats.TotalBytes() != g.Stats.TotalBytes() {
-							t.Errorf("%s not repeatable: (checksum %v, time %v, msgs %d, bytes %d) vs (%v, %v, %d, %d)",
-								p, f.Checksum, f.Time, f.Stats.TotalMsgs(), f.Stats.TotalBytes(),
-								g.Checksum, g.Time, g.Stats.TotalMsgs(), g.Stats.TotalBytes())
+						if again := runRecord(t, exp.New(), small(a.Name(), v, procs, p)); !reflect.DeepEqual(again, first[i]) {
+							t.Errorf("%s not repeatable:\n%+v\nvs\n%+v", p, again, first[i])
 						}
 					}
 				})
@@ -98,35 +85,10 @@ func TestProtocolEquivalence(t *testing.T) {
 // difftest.TestTwinApplyRegression).
 func TestProtocolEquivalenceCorpus(t *testing.T) {
 	for _, seed := range corpusSampleSeeds(t) {
-		a, err := exp.AppByName(fmt.Sprintf("gen-%d", seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		name := fmt.Sprintf("gen-%d", seed)
 		for _, procs := range ProtocolProcCounts {
-			t.Run(fmt.Sprintf("%s/p%d", a.Name(), procs), func(t *testing.T) {
-				e := exp.New()
-				first, err := runProtocols(e, a.Name(), core.SPFGen, procs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, res := range first[1:] {
-					if res.Checksum != first[0].Checksum {
-						t.Errorf("checksum under %s = %v, want %v (as under %s)",
-							res.Protocol, res.Checksum, first[0].Checksum, first[0].Protocol)
-					}
-				}
-				for _, pol := range proto.PolicyNames() {
-					res, err := e.Run(underPolicy(small(a.Name(), core.SPFGen, procs, ""), pol))
-					if err != nil {
-						t.Fatalf("hlrc/%s: %v", pol, err)
-					}
-					if res.Checksum != first[0].Checksum {
-						t.Errorf("checksum under hlrc/%s = %v, want %v", pol, res.Checksum, first[0].Checksum)
-					}
-					if procs == 1 && res.Migrations != 0 {
-						t.Errorf("single-node run under hlrc/%s migrated %d pages", pol, res.Migrations)
-					}
-				}
+			t.Run(fmt.Sprintf("%s/p%d", name, procs), func(t *testing.T) {
+				checkProtocols(t, exp.New(), name, core.SPFGen, procs)
 			})
 		}
 	}

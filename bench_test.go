@@ -1,6 +1,7 @@
 package repro
 
-// One benchmark per table and figure of the paper, plus the ablations
+// One benchmark per table and figure of the paper (a figure and the
+// traffic table of the same runs share one), plus the ablations
 // DESIGN.md calls out. Each sub-benchmark executes the experiment and
 // reports the quantities the paper tabulates as custom metrics:
 //
@@ -104,25 +105,16 @@ func benchFigure(b *testing.B, apps []string) {
 	}
 }
 
-// BenchmarkFigure1RegularSpeedups regenerates Figure 1 (speedups of the
-// regular applications, four versions each).
-func BenchmarkFigure1RegularSpeedups(b *testing.B) {
+// BenchmarkFigure1Table2Regular regenerates Figure 1 and Table 2 from
+// one run per cell: the regular applications' speedups (speedup) and
+// their message and data totals (msgs, data-KB), four versions each.
+func BenchmarkFigure1Table2Regular(b *testing.B) {
 	benchFigure(b, harness.RegularApps)
 }
 
-// BenchmarkTable2RegularTraffic regenerates Table 2 (message and data
-// totals of the regular applications; metrics msgs and data-KB).
-func BenchmarkTable2RegularTraffic(b *testing.B) {
-	benchFigure(b, harness.RegularApps)
-}
-
-// BenchmarkFigure2IrregularSpeedups regenerates Figure 2.
-func BenchmarkFigure2IrregularSpeedups(b *testing.B) {
-	benchFigure(b, harness.IrregularApps)
-}
-
-// BenchmarkTable3IrregularTraffic regenerates Table 3.
-func BenchmarkTable3IrregularTraffic(b *testing.B) {
+// BenchmarkFigure2Table3Irregular regenerates Figure 2 and Table 3, the
+// same quantities for the irregular applications.
+func BenchmarkFigure2Table3Irregular(b *testing.B) {
 	benchFigure(b, harness.IrregularApps)
 }
 

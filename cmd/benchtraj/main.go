@@ -11,20 +11,20 @@
 //
 //	benchtraj -out BENCH_6.json          # (re)build the trajectory file
 //	benchtraj -gate BENCH_6.json         # re-run and compare, exit 1 on drift
-//	benchtraj -diff BENCH_5.json BENCH_6.json   # compare two files, no runs
+//	benchtraj BENCH_5.json BENCH_6.json  # compare two files, no runs
 //
-// -tol relaxes the virtual-time comparison to a relative tolerance
-// (e.g. -tol 0.01 for 1%); message counts, byte volumes and checksums
-// always compare exactly. The golden set runs at small scale with
+// Every field compares exactly: virtual times, message counts, byte
+// volumes and checksums. The golden set runs at small scale with
 // observability on, so every record also carries the bd_* time
 // attribution; attribution drift with unchanged time is gated too — it
 // means the breakdown, not the simulation, changed.
 //
 // Trajectory files built with -out additionally record each run's host
 // wall time as host_ns. It is informational only — host time depends
-// on the machine and its load — so -gate and -diff never compare it;
-// it exists to let successive BENCH_<n>.json files tell the story of
-// the simulator's own performance alongside the virtual results.
+// on the machine and its load — so neither -gate nor the two-file
+// comparison compares it; it exists to let successive BENCH_<n>.json
+// files tell the story of the simulator's own performance alongside
+// the virtual results.
 //
 //	benchtraj -gate BENCH_6.json -fabric host1:9190,host2:9190
 //
@@ -51,8 +51,8 @@
 // -host appends one row to the *host* trajectory — the medians of the
 // host benchmark's end-to-end metrics per workload, distilled from a
 // result file of `bash bench/run.sh` — and exits 1 when the row is
-// worse than the previous one beyond the bounds in BENCHMARK.json (see
-// host.go).
+// worse than the previous one beyond the bounds in BENCHMARK.json, read
+// from the working directory, the repository's root (see host.go).
 package main
 
 import (
@@ -61,7 +61,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 
@@ -135,15 +134,12 @@ func goldenSpecs() []exp.Spec {
 func main() {
 	out := flag.String("out", "", "write the trajectory to this file (JSON-lines of exp records)")
 	gate := flag.String("gate", "", "re-run the golden set and compare against this trajectory file")
-	tol := flag.Float64("tol", 0, "relative virtual-time tolerance for -gate/-diff (0: exact)")
-	workers := flag.Int("workers", 0, "worker pool size (0: all host cores)")
 	fabricAddrs := flag.String("fabric", "", "comma-separated fabric worker addresses: run the -gate golden set through the distributed fabric")
 	storeDir := flag.String("store", "", "persistent result store directory: golden runs already on disk are served without executing")
 	host := flag.String("host", "", "append one row to this host trajectory file (BENCH_host.json) from -result")
 	result := flag.String("result", "bench/out/result.json", "-host: the bench/run.sh result file to distill")
 	label := flag.String("label", "", "-host: the row's label (e.g. \"PR 17\")")
 	commit := flag.String("commit", "", "-host: the commit the result was measured at")
-	bounds := flag.String("bounds", "BENCHMARK.json", "-host: where the end-to-end metrics' regression bounds are declared")
 	flag.Parse()
 
 	if *fabricAddrs != "" && *gate == "" {
@@ -151,7 +147,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *host != "" {
-		worse, err := hostAppend(*host, *result, *label, *commit, *bounds)
+		worse, err := hostAppend(*host, *result, *label, *commit, "BENCHMARK.json")
 		if err != nil {
 			fatal(err)
 		}
@@ -177,11 +173,11 @@ func main() {
 	diffArgs := flag.Args()
 	switch {
 	case *out != "" && *gate == "" && len(diffArgs) == 0:
-		if err := build(*out, *workers, st); err != nil {
+		if err := build(*out, st); err != nil {
 			fatal(err)
 		}
 	case *gate != "" && *out == "" && len(diffArgs) == 0:
-		drift, err := gateRun(*gate, *tol, *workers, *fabricAddrs, st)
+		drift, err := gateRun(*gate, *fabricAddrs, st)
 		if err != nil {
 			fatal(err)
 		}
@@ -191,7 +187,7 @@ func main() {
 		}
 		fmt.Println("benchtraj: trajectory holds")
 	case len(diffArgs) == 2 && *out == "" && *gate == "":
-		drift, err := diffFiles(diffArgs[0], diffArgs[1], *tol)
+		drift, err := diffFiles(diffArgs[0], diffArgs[1])
 		if err != nil {
 			fatal(err)
 		}
@@ -201,16 +197,15 @@ func main() {
 		}
 		fmt.Println("benchtraj: trajectories agree")
 	default:
-		fmt.Fprintln(os.Stderr, "usage: benchtraj -out FILE | benchtraj -gate FILE [-tol F] | benchtraj [-tol F] OLD NEW | benchtraj -host FILE -result FILE -label L -commit C")
+		fmt.Fprintln(os.Stderr, "usage: benchtraj -out FILE | benchtraj -gate FILE | benchtraj OLD NEW | benchtraj -host FILE -result FILE -label L -commit C")
 		os.Exit(2)
 	}
 }
 
 // engine builds the observing golden-run engine, backed by the
 // persistent store when one was opened.
-func engine(workers int, st *store.Store) *exp.Engine {
+func engine(st *store.Store) *exp.Engine {
 	e := exp.New()
-	e.Workers = workers
 	e.JoinSpeedup = true
 	e.Observe = true
 	e.Store = st
@@ -222,8 +217,8 @@ func engine(workers int, st *store.Store) *exp.Engine {
 // it; a sweep never does, keeping its output byte-identical across
 // hosts). A run served from the store has no host time: its host_ns
 // is 0.
-func build(path string, workers int, st *store.Store) error {
-	e := engine(workers, st)
+func build(path string, st *store.Store) error {
+	e := engine(st)
 	line, _, err := golden(e, "", func(rec *exp.Record) { rec.HostNanos = e.HostRunNanos(rec.Spec) })
 	if line == nil {
 		return err
@@ -266,12 +261,12 @@ func load(path string) (map[string]exp.Record, error) {
 // gateRun re-runs the golden set — locally, or across the fabric when
 // worker addresses are given — and compares it to the committed
 // trajectory, returning the number of drifted runs.
-func gateRun(path string, tol float64, workers int, fabricAddrs string, st *store.Store) (int, error) {
+func gateRun(path string, fabricAddrs string, st *store.Store) (int, error) {
 	want, err := load(path)
 	if err != nil {
 		return 0, err
 	}
-	_, fresh, err := golden(engine(workers, st), fabricAddrs, nil)
+	_, fresh, err := golden(engine(st), fabricAddrs, nil)
 	if fresh == nil {
 		return 0, err
 	}
@@ -289,7 +284,7 @@ func gateRun(path string, tol float64, workers int, fabricAddrs string, st *stor
 			fmt.Fprintf(os.Stderr, "benchtraj: %s: missing from %s (regenerate with -out)\n", s.Key(), path)
 			continue
 		}
-		drift += compare(w, got, tol)
+		drift += compare(w, got)
 	}
 	return drift, nil
 }
@@ -334,7 +329,7 @@ func golden(e *exp.Engine, fabricAddrs string, decorate func(*exp.Record)) ([]by
 }
 
 // diffFiles compares two trajectory files over the keys of the old one.
-func diffFiles(oldPath, newPath string, tol float64) (int, error) {
+func diffFiles(oldPath, newPath string) (int, error) {
 	oldRecs, err := load(oldPath)
 	if err != nil {
 		return 0, err
@@ -352,14 +347,14 @@ func diffFiles(oldPath, newPath string, tol float64) (int, error) {
 			fmt.Fprintf(os.Stderr, "benchtraj: %s: only in %s\n", key, oldPath)
 			continue
 		}
-		drift += compare(w, g, tol)
+		drift += compare(w, g)
 	}
 	return drift, nil
 }
 
 // compare reports one run's drift (0 or 1) between a committed record
 // and a fresh one, printing every disagreeing field.
-func compare(want, got exp.Record, tol float64) int {
+func compare(want, got exp.Record) int {
 	bad := 0
 	complain := func(field string, w, g any) {
 		if bad == 0 {
@@ -368,7 +363,7 @@ func compare(want, got exp.Record, tol float64) int {
 		bad++
 		fmt.Fprintf(os.Stderr, "  %-14s %v -> %v\n", field, w, g)
 	}
-	if !within(want.TimeNanos, got.TimeNanos, tol) {
+	if want.TimeNanos != got.TimeNanos {
 		complain("time_ns", want.TimeNanos, got.TimeNanos)
 	}
 	if want.Msgs != got.Msgs {
@@ -380,10 +375,10 @@ func compare(want, got exp.Record, tol float64) int {
 	if want.Checksum != got.Checksum {
 		complain("checksum", want.Checksum, got.Checksum)
 	}
-	if !within(want.SeqNanos, got.SeqNanos, tol) {
+	if want.SeqNanos != got.SeqNanos {
 		complain("seq_ns", want.SeqNanos, got.SeqNanos)
 	}
-	if !within(want.QueueNanos, got.QueueNanos, tol) {
+	if want.QueueNanos != got.QueueNanos {
 		complain("queue_ns", want.QueueNanos, got.QueueNanos)
 	}
 	if want.Migrations != got.Migrations {
@@ -402,7 +397,7 @@ func compare(want, got exp.Record, tol float64) int {
 	bdNames := []string{"bd_total_ns", "bd_compute_ns", "bd_fault_ns", "bd_barrier_ns",
 		"bd_lock_ns", "bd_data_ns", "bd_queue_ns", "bd_other_ns"}
 	for i, p := range bdPairs {
-		if !within(p[0], p[1], tol) {
+		if p[0] != p[1] {
 			complain(bdNames[i], p[0], p[1])
 		}
 	}
@@ -410,17 +405,6 @@ func compare(want, got exp.Record, tol float64) int {
 		return 1
 	}
 	return 0
-}
-
-// within compares virtual-time fields under the relative tolerance.
-func within(w, g int64, tol float64) bool {
-	if w == g {
-		return true
-	}
-	if tol <= 0 {
-		return false
-	}
-	return math.Abs(float64(g-w)) <= tol*math.Abs(float64(w))
 }
 
 func fatal(err error) {

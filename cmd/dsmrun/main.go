@@ -49,13 +49,6 @@
 // Observability never changes virtual times, message counts or byte
 // volumes: a traced run is bit-identical to an untraced one.
 //
-// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
-// the simulator itself (host CPU and heap, not virtual time), for
-// profiling the simulator's own performance on large sweeps.
-// -blockprofile FILE and -mutexprofile FILE likewise write goroutine
-// blocking and mutex contention profiles; the corresponding runtime
-// sampling rates are enabled only when the flags are given.
-//
 // Persistent result store:
 //
 //	dsmrun -scale small -sweep "procs=1,2,4,8" -store results/ [-store-max-bytes 1073741824]
@@ -92,7 +85,9 @@
 // layer — "engine": runs planned, resolved, started, completed and
 // failed, cache hits and waits, worker busy/idle time; "sim", "store",
 // "fabric"; and per-"app/version" host wall-time and allocation
-// histograms) and /debug/pprof/*. -progress prints a sweep's progress
+// histograms) and /debug/pprof/*, where the simulator's own host CPU
+// and heap profiles are taken (go tool pprof
+// http://ADDR/debug/pprof/profile). -progress prints a sweep's progress
 // line (done/total runs, hits, elapsed, ETA: the engine section, or the
 // fabric section's records and ranges) to stderr once a second and when
 // it ends. -metrics-dump FILE writes the same document at exit, and
@@ -140,8 +135,8 @@
 //	dsmrun -tables paper -scale small            # the paper's tables and figures
 //	dsmrun -tables protocols,migration -procs 4  # named tables, in the order given
 //
-// -tables prints the named tables of internal/harness.Tables, in the
-// order given, each followed by a blank line; "paper" names the paper's
+// -tables prints the named tables of internal/harness (harness.Select),
+// in the order given, each followed by a blank line; "paper" names the paper's
 // own seven. A table is a spec list derived from one base spec (-procs,
 // -scale, -protocol, -homepolicy, -contention) plus a render over those
 // specs' records, read with -workers, -store and -metrics-* as a sweep
@@ -181,8 +176,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -216,10 +209,6 @@ func main() {
 	fabricLease := flag.Duration("fabric-lease", 0, "fabric lease deadline before reassignment (0: 2m)")
 	trace := flag.String("trace", "", "write the run's event trace as Chrome trace_event JSON to this file (single run)")
 	breakdown := flag.Bool("breakdown", false, "print the per-node time attribution (single run) or add bd_* fields (sweep)")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
-	memprofile := flag.String("memprofile", "", "write a host heap profile of the simulator to this file")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file")
 	storeDir := flag.String("store", "", "persistent result store directory: records are served from disk across runs and processes (and written back)")
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/* on this address (e.g. :9090)")
@@ -255,41 +244,6 @@ func main() {
 	case *fabricAddrs == "" && (*fabricRange != 0 || *fabricLease != 0):
 		fmt.Fprintln(os.Stderr, "dsmrun: -fabric-range and -fabric-lease take -fabric")
 		os.Exit(2)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile reflects live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-	// Block/mutex sampling costs the runtime something, so the rates are
-	// raised only when the profiles were asked for.
-	if *blockprofile != "" {
-		runtime.SetBlockProfileRate(1)
-		defer writeProfile("block", *blockprofile)
-	}
-	if *mutexprofile != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *mutexprofile)
 	}
 
 	// The persistent result store is shared by every mode that executes
@@ -696,18 +650,6 @@ func runGenDiff(genSpec, genFile string) error {
 		return fmt.Errorf("dsmrun: %d of %d generated programs diverged", failed, len(specs))
 	}
 	return nil
-}
-
-// writeProfile dumps a named runtime profile (block, mutex) to path.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

@@ -3,7 +3,7 @@
 // them through the internal/exp engine (spec-keyed result cache
 // intact) and streaming back stamped JSON-lines records.
 //
-//	sweepd -listen :9190 [-workers N] [-store DIR [-store-max-bytes N]]
+//	sweepd -listen :9190 [-store DIR [-store-max-bytes N]]
 //
 // Endpoints:
 //
@@ -20,7 +20,8 @@
 //	                  progress over every lease it has taken.
 //	/debug/pprof/*  — live profiling of the worker process.
 //
-// -workers bounds the engine's host worker pool (0: all cores).
+// The engine's host worker pool is GOMAXPROCS wide: set that variable
+// to bound it.
 //
 // -store DIR backs the worker with the persistent result store (see
 // dsmrun -store): leased specs whose record is already on disk stream
@@ -64,7 +65,6 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":9190", "address to serve the worker endpoints on")
-	workers := flag.Int("workers", 0, "engine worker pool size (0: all host cores)")
 	storeDir := flag.String("store", "", "persistent result store directory: serve leased specs from disk (and write executed records back)")
 	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound on finishing the in-flight lease")
@@ -73,7 +73,6 @@ func main() {
 
 	m := new(expvar.Map)
 	w := fabric.NewWorker(m)
-	w.Workers = *workers
 	w.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "sweepd: "+format+"\n", args...)
 	}

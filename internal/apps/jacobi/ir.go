@@ -13,11 +13,11 @@ func edgesOne(i, j, n int) float32 {
 	return 0
 }
 
-// IR describes Jacobi as a loopc loop nest: the 4-point stencil into
+// ir describes Jacobi as a loopc loop nest: the 4-point stencil into
 // the scratch array and the copy back, both over the interior. The
 // expression tree's association matches stencilRows exactly, so the
 // compiled versions are bit-identical to the hand-coded ones.
-func IR(cfg core.Config) *loopc.Program {
+func ir(cfg core.Config) *loopc.Program {
 	ref := func(arr string, ro, co int) loopc.Expr {
 		return loopc.Ref(loopc.At(arr, "i", ro, "j", co))
 	}

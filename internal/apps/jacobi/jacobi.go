@@ -67,9 +67,9 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	case core.PVMe:
 		return runPVM(cfg)
 	case core.SPFGen:
-		return loopc.RunSPF("Jacobi", core.SPFGen, cfg, IR(cfg))
+		return loopc.RunSPF("Jacobi", core.SPFGen, cfg, ir(cfg))
 	case core.XHPFGen:
-		return loopc.RunXHPF("Jacobi", core.XHPFGen, cfg, IR(cfg))
+		return loopc.RunXHPF("Jacobi", core.XHPFGen, cfg, ir(cfg))
 	}
 	return core.Result{}, fmt.Errorf("jacobi: unsupported version %q", v)
 }

@@ -13,13 +13,13 @@ func edgesOne(i, j, n int) float32 {
 	return 0
 }
 
-// IR describes red-black SOR as a loopc program: two guarded nests
+// ir describes red-black SOR as a loopc program: two guarded nests
 // over the same in-place grid. Without the parity guards the in-place
 // 5-point update carries a row dependence and the analyzer would
 // (correctly) serialize it; with them each sweep is DOALL with a
 // one-row halo. The expression tree matches sweepRows' association
 // exactly.
-func IR(cfg core.Config) *loopc.Program {
+func ir(cfg core.Config) *loopc.Program {
 	ref := func(ro, co int) loopc.Expr {
 		return loopc.Ref(loopc.At("u", "i", ro, "j", co))
 	}

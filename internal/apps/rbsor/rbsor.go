@@ -71,9 +71,9 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 	case core.PVMe:
 		return runPVM(cfg)
 	case core.SPFGen:
-		return loopc.RunSPF("RB-SOR", core.SPFGen, cfg, IR(cfg))
+		return loopc.RunSPF("RB-SOR", core.SPFGen, cfg, ir(cfg))
 	case core.XHPFGen:
-		return loopc.RunXHPF("RB-SOR", core.XHPFGen, cfg, IR(cfg))
+		return loopc.RunXHPF("RB-SOR", core.XHPFGen, cfg, ir(cfg))
 	}
 	return core.Result{}, fmt.Errorf("rbsor: unsupported version %q", v)
 }

@@ -216,12 +216,6 @@ func (r Result) QueueTimeBy(res stats.QueueResource) sim.Time {
 	return sim.Time(r.Stats.QueueResNanosOf(res))
 }
 
-// QueueTimeOf returns the part of the queueing delay accumulated by
-// messages of one traffic category.
-func (r Result) QueueTimeOf(k stats.Kind) sim.Time {
-	return sim.Time(r.Stats.QueueKindNanosOf(k))
-}
-
 // Speedup computes seqTime / r.Time.
 func (r Result) Speedup(seqTime sim.Time) float64 {
 	if r.Time == 0 {

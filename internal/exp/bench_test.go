@@ -79,7 +79,7 @@ func BenchmarkServeWarm(b *testing.B) {
 		e.Workers, e.JoinSpeedup, e.Observe, e.Store = 2, true, true, st
 		return e
 	}
-	if err := engine().Stream(io.Discard, specs); err != nil {
+	if _, err := engine().StreamWith(io.Discard, specs, nil); err != nil {
 		b.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -87,7 +87,7 @@ func BenchmarkServeWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := engine()
-		if err := e.Stream(io.Discard, specs); err != nil {
+		if _, err := e.StreamWith(io.Discard, specs, nil); err != nil {
 			b.Fatal(err)
 		}
 		if hs := e.HostStats(); hs.RunsStarted != 0 {

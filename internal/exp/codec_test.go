@@ -574,7 +574,7 @@ func TestWarmStreamAllocations(t *testing.T) {
 		e := engine()
 		var out bytes.Buffer
 		out.Grow(len(want))
-		if err := e.Stream(&out, specs); err != nil {
+		if _, err := e.StreamWith(&out, specs, nil); err != nil {
 			t.Fatal(err)
 		}
 		if hs := e.HostStats(); hs.RunsStarted != 0 || hs.StoreHits == 0 {

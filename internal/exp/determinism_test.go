@@ -19,7 +19,7 @@ func TestSweepDeterminism(t *testing.T) {
 	var serial bytes.Buffer
 	es := New()
 	es.Workers = 1
-	if err := es.Stream(&serial, specs); err != nil {
+	if _, err := es.StreamWith(&serial, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -27,7 +27,7 @@ func TestSweepDeterminism(t *testing.T) {
 		var parallel bytes.Buffer
 		ep := New()
 		ep.Workers = workers
-		if err := ep.Stream(&parallel, specs); err != nil {
+		if _, err := ep.StreamWith(&parallel, specs, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
@@ -111,7 +111,7 @@ func TestStreamOrderWithContention(t *testing.T) {
 	specs := axes.Specs(Spec{Procs: 4, Scale: core.SmallScale})
 	e := New()
 	var out bytes.Buffer
-	if err := e.Stream(&out, specs); err != nil {
+	if _, err := e.StreamWith(&out, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
@@ -196,12 +196,12 @@ func TestFullGridSweepDeterminism(t *testing.T) {
 	var serial, parallel bytes.Buffer
 	es := New()
 	es.Workers = 1
-	if err := es.Stream(&serial, specs); err != nil {
+	if _, err := es.StreamWith(&serial, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	ep := New()
 	ep.Workers = 8
-	if err := ep.Stream(&parallel, specs); err != nil {
+	if _, err := ep.StreamWith(&parallel, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,7 +66,7 @@ type Engine struct {
 
 	// Store, when non-nil, is the persistent record cache underneath
 	// the in-memory result cache, one entry per run: the record paths
-	// (Stream, StreamWith) serve a stored run byte-identically
+	// (StreamWith) serve a stored run byte-identically
 	// without simulating it, and every run that executes and succeeds is
 	// written back once, under the run's own key — the labels that share
 	// it go back on as its records leave. The Result path (Run) always
@@ -101,12 +100,7 @@ type entry struct {
 
 // New builds an engine with the calibrated SP/2 model.
 func New() *Engine {
-	return NewEngine(model.SP2(), model.DefaultAppCosts())
-}
-
-// NewEngine builds an engine with an explicit calibration.
-func NewEngine(costs model.Costs, app model.AppCosts) *Engine {
-	return &Engine{Costs: costs, App: app}
+	return &Engine{Costs: model.SP2(), App: model.DefaultAppCosts()}
 }
 
 // Config resolves the concrete run configuration for a spec: the
@@ -233,8 +227,15 @@ func (e *Engine) syncStore() {
 // execute performs the simulation for one spec (no caching). A result
 // that does not agree with itself — is not a number (Agree) — is a
 // failed run, here and so everywhere: JSON cannot carry the value, and
-// no table may divide by it.
-func (e *Engine) execute(s Spec) (core.Result, error) {
+// no table may divide by it. A run that panics is a failed run too:
+// sim.Run re-raises a process body's panic here, and its value becomes
+// the error, so one broken spec is one error record, not a dead sweep.
+func (e *Engine) execute(s Spec) (res core.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = core.Result{}, fmt.Errorf("%s/%s: panic: %v", s.App, s.Version, r)
+		}
+	}()
 	if err := s.Validate(); err != nil {
 		return core.Result{}, err
 	}
@@ -252,8 +253,7 @@ func (e *Engine) execute(s Spec) (core.Result, error) {
 		// and concurrent sweep workers must not share one.
 		cfg.Costs.Trace = obs.New()
 	}
-	res, err := a.Run(s.Version, cfg)
-	if err != nil {
+	if res, err = a.Run(s.Version, cfg); err != nil {
 		return core.Result{}, fmt.Errorf("%s/%s: %w", s.App, s.Version, err)
 	}
 	rec := Record{Spec: s, Checksum: res.Checksum}
@@ -261,19 +261,6 @@ func (e *Engine) execute(s Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 	return res, nil
-}
-
-// CachedKeys lists completed or in-flight run keys — canonical, one per
-// execution — in sorted order.
-func (e *Engine) CachedKeys() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.cache))
-	for k := range e.cache {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // workers resolves the pool width.
@@ -559,23 +546,18 @@ type StreamStats struct {
 	Failed  int
 }
 
-// Stream executes every spec across the worker pool and writes one
+// StreamWith executes every spec across the worker pool and writes one
 // JSON-lines record per spec to w, in spec order, emitting each record
 // as soon as it and all its predecessors have finished. With
 // JoinSpeedup set, every non-seq record is joined with its sequential
 // baseline (prefetched alongside the specs). Run failures become error
 // records (and are joined into the returned error, once per run); a
 // write failure aborts the stream, cancelling the runs not yet started.
-func (e *Engine) Stream(w io.Writer, specs []Spec) error {
-	_, err := e.StreamWith(w, specs, nil)
-	return err
-}
-
-// StreamWith is Stream with a range-execution hook: decorate, when
-// non-nil, is applied to each record immediately before encoding (the
-// fabric worker stamps SchemaVersion there), and the returned stats
-// count emitted and failed records. The hook must not change spec
-// identity fields — the record's bytes are the sweep's contract.
+// decorate, when non-nil, is applied to each record immediately before
+// encoding (the fabric worker stamps SchemaVersion there), and the
+// returned stats count emitted and failed records. The hook must not
+// change spec identity fields — the record's bytes are the sweep's
+// contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
 	p := newStream(PlanRuns(specs, e.JoinSpeedup))
 	e.telemetryInit()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -150,8 +151,8 @@ func TestEngineCachesAndDeduplicates(t *testing.T) {
 	if executions != 1 {
 		t.Errorf("app resolved %d times, want 1 (cache miss only)", executions)
 	}
-	if keys := e.CachedKeys(); len(keys) != 1 || keys[0] != s.Key() {
-		t.Errorf("CachedKeys = %v, want [%s]", keys, s.Key())
+	if keys := cachedKeys(e); len(keys) != 1 || keys[0] != s.Key() {
+		t.Errorf("cached keys = %v, want [%s]", keys, s.Key())
 	}
 
 	// A sweep with duplicate specs executes each unique key once.
@@ -187,7 +188,7 @@ func TestEngineErrors(t *testing.T) {
 		{App: "NoSuchApp", Version: core.Seq, Procs: 1, Scale: core.SmallScale},
 	}
 	var sb strings.Builder
-	if err := e.Stream(&sb, specs); err == nil || !strings.Contains(err.Error(), "NoSuchApp") {
+	if _, err := e.StreamWith(&sb, specs, nil); err == nil || !strings.Contains(err.Error(), "NoSuchApp") {
 		t.Errorf("stream error = %v, want mention of NoSuchApp", err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
@@ -251,13 +252,26 @@ func TestStreamWriteErrorCancels(t *testing.T) {
 	e := New()
 	e.Workers = 1 // serial pool: cancellation is deterministic
 	specs := testGrid()
-	err := e.Stream(&failAfterWriter{n: 1}, specs)
+	_, err := e.StreamWith(&failAfterWriter{n: 1}, specs, nil)
 	if err != errShortPipe {
 		t.Fatalf("stream error = %v, want the write error", err)
 	}
-	if got := len(e.CachedKeys()); got >= len(specs) {
+	if got := e.HostStats().RunsStarted; got >= int64(len(specs)) {
 		t.Errorf("prefetch ran all %d specs despite the aborted stream", got)
 	}
+}
+
+// cachedKeys lists e's run cache keys — canonical, one per execution —
+// in sorted order.
+func cachedKeys(e *Engine) []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	keys := make([]string, 0, len(e.cache))
+	for k := range e.cache {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestNormalize(t *testing.T) {

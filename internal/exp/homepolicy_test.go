@@ -71,7 +71,7 @@ func TestStreamJoinSpeedup(t *testing.T) {
 		eng.Workers = workers
 		eng.JoinSpeedup = true
 		var buf bytes.Buffer
-		if err := eng.Stream(&buf, specs); err != nil {
+		if _, err := eng.StreamWith(&buf, specs, nil); err != nil {
 			t.Fatal(err)
 		}
 		streams[i] = buf.String()

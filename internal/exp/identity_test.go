@@ -176,7 +176,7 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 	for _, s := range specs {
 		one := New()
 		one.JoinSpeedup = true
-		if err := one.Stream(&want, []Spec{s}); err != nil {
+		if _, err := one.StreamWith(&want, []Spec{s}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,10 +189,10 @@ func TestLabelOnlyRepeatsShareARun(t *testing.T) {
 			t.Fatalf("workers=%d: the sweep's stream differs from its specs' own:\n%s\nwant\n%s", workers, got, want.Bytes())
 		}
 		hs := e.HostStats()
-		if hs.RunsStarted != runs || len(e.CachedKeys()) != runs {
-			t.Errorf("workers=%d: %d runs started, %d keys cached, want %d", workers, hs.RunsStarted, len(e.CachedKeys()), runs)
+		if hs.RunsStarted != runs || len(cachedKeys(e)) != runs {
+			t.Errorf("workers=%d: %d runs started, %d keys cached, want %d", workers, hs.RunsStarted, len(cachedKeys(e)), runs)
 		}
-		for _, key := range e.CachedKeys() {
+		for _, key := range cachedKeys(e) {
 			if s, err := ParseKey(key); err != nil || s.Canonical() != s {
 				t.Errorf("workers=%d: cached key %q is not a canonical spec's", workers, key)
 			}

@@ -137,7 +137,7 @@ func TestGoldenTraceBytes(t *testing.T) {
 		e.Workers = workers
 		// Warm the cache through a stream so the run executes under the
 		// given parallelism, then fetch the cached result.
-		if err := e.Stream(io.Discard, []Spec{s}); err != nil {
+		if _, err := e.StreamWith(io.Discard, []Spec{s}, nil); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Run(s)
@@ -177,7 +177,7 @@ func TestObserveKeepsSweepBytes(t *testing.T) {
 		e := New()
 		e.Observe = observe
 		var buf bytes.Buffer
-		if err := e.Stream(&buf, specs); err != nil {
+		if _, err := e.StreamWith(&buf, specs, nil); err != nil {
 			t.Fatal(err)
 		}
 		lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))

@@ -97,7 +97,7 @@ type Record struct {
 
 	// HostNanos is the host (real) wall time the run took to execute,
 	// informational only: machine- and load-dependent, never gated, and
-	// never set by the sweep engine's Stream path (which must stay
+	// never set by the sweep engine's StreamWith path (which must stay
 	// byte-identical across hosts and worker counts). cmd/benchtraj
 	// records it when writing trajectory files.
 	HostNanos int64 `json:"host_ns,omitempty"`

@@ -38,7 +38,7 @@ func TestSchemaStampKeepsSweepBytes(t *testing.T) {
 	e.Workers = 1
 	specs := testGrid()
 	var plain bytes.Buffer
-	if err := e.Stream(&plain, specs); err != nil {
+	if _, err := e.StreamWith(&plain, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -30,7 +30,7 @@ func openStoreT(t *testing.T, dir string) *store.Store {
 func streamT(t *testing.T, e *Engine, specs []Spec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.Stream(&buf, specs); err != nil {
+	if _, err := e.StreamWith(&buf, specs, nil); err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
 	return buf.Bytes()
@@ -263,7 +263,7 @@ func TestStoreFrameCorruptedAfterOpen(t *testing.T) {
 					t.Errorf("%d runs started, %d store hits, %d of %d runs resolved; want 1, %d, %d of %d",
 						hs.RunsStarted, hs.StoreHits, hs.RunsResolved, hs.RunsPlanned, runs-1, runs, runs)
 				}
-				if keys := warm.CachedKeys(); len(keys) != 1 || keys[0] != c.run.Key() {
+				if keys := cachedKeys(warm); len(keys) != 1 || keys[0] != c.run.Key() {
 					t.Errorf("executed %v, want the corrupted run %s alone", keys, c.run.Key())
 				}
 				if st := warm.Store.Stats(); st.CorruptFrames != 1 || st.Puts != 1 {

@@ -49,7 +49,7 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 	eb := New()
 	eb.Workers = 1
 	eb.JoinSpeedup = true
-	if err := eb.Stream(&bare, specs); err != nil {
+	if _, err := eb.StreamWith(&bare, specs, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,7 +59,7 @@ func TestTelemetryKeepsSweepBytes(t *testing.T) {
 		e.Workers = workers
 		e.JoinSpeedup = true
 		e.Metrics = new(expvar.Map)
-		if err := e.Stream(&out, specs); err != nil {
+		if _, err := e.StreamWith(&out, specs, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bare.Bytes(), out.Bytes()) {

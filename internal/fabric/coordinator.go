@@ -44,9 +44,6 @@ type Coordinator struct {
 	// Speedup when no worker registers (the sweep then runs locally) and
 	// to false while a fleet runs (the merge joins).
 	Engine *exp.Engine
-	// Client performs worker requests; nil uses a fresh http.Client
-	// (per-request contexts carry the deadlines).
-	Client *http.Client
 	// Metrics, when non-nil, is the telemetry map the coordinator sets
 	// its "fabric" section (Snapshot) on; the local engine reports on it
 	// too unless it has a map of its own.
@@ -104,13 +101,6 @@ func (c *Coordinator) leaseTimeout() time.Duration {
 		return c.LeaseTimeout
 	}
 	return 2 * time.Minute
-}
-
-func (c *Coordinator) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return &http.Client{}
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -256,13 +246,13 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 
 // handshake probes every configured worker address and registers the
 // ones that answer /healthz with a matching schema version. An address
-// listed twice (in any spelling NormalizeAddr equates) is one worker:
+// listed twice (in any spelling normalizeAddr equates) is one worker:
 // it has one row in Snapshot.
 func (c *Coordinator) handshake(ctx context.Context) []*workerState {
 	var live []*workerState
 	seen := map[string]bool{}
 	for _, addr := range c.Workers {
-		base := NormalizeAddr(addr)
+		base := normalizeAddr(addr)
 		if base == "" {
 			continue
 		}
@@ -271,15 +261,15 @@ func (c *Coordinator) handshake(ctx context.Context) []*workerState {
 			continue
 		}
 		seen[base] = true
-		hello, err := c.probe(ctx, base)
+		h, err := c.probe(ctx, base)
 		switch {
 		case err != nil:
 			c.logf("fabric: worker %s not registered: %v", base, err)
-		case !hello.OK || hello.SchemaVersion != exp.SchemaVersion:
+		case !h.OK || h.SchemaVersion != exp.SchemaVersion:
 			c.logf("fabric: worker %s rejected: schema_version %d, this build %d",
-				base, hello.SchemaVersion, exp.SchemaVersion)
+				base, h.SchemaVersion, exp.SchemaVersion)
 		default:
-			c.logf("fabric: worker %s registered (schema_version %d)", base, hello.SchemaVersion)
+			c.logf("fabric: worker %s registered (schema_version %d)", base, h.SchemaVersion)
 			live = append(live, &workerState{addr: base})
 		}
 	}
@@ -290,26 +280,26 @@ func (c *Coordinator) handshake(ctx context.Context) []*workerState {
 }
 
 // probe performs one /healthz request.
-func (c *Coordinator) probe(ctx context.Context, base string) (Hello, error) {
+func (c *Coordinator) probe(ctx context.Context, base string) (hello, error) {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+HealthPath, nil)
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+healthPath, nil)
 	if err != nil {
-		return Hello{}, err
+		return hello{}, err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return Hello{}, err
+		return hello{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return Hello{}, fmt.Errorf("healthz status %s", resp.Status)
+		return hello{}, fmt.Errorf("healthz status %s", resp.Status)
 	}
-	var hello Hello
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&hello); err != nil {
-		return Hello{}, fmt.Errorf("malformed healthz body: %v", err)
+	var h hello
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h); err != nil {
+		return hello{}, fmt.Errorf("malformed healthz body: %v", err)
 	}
-	return hello, nil
+	return h, nil
 }
 
 // serveWorker is one registered worker's dispatch loop: lease, run,
@@ -400,7 +390,7 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, r
 	for pos := lo; pos < hi; pos++ {
 		keys = append(keys, rl.Key(pos))
 	}
-	body, err := json.Marshal(RunRequest{
+	body, err := json.Marshal(runRequest{
 		SchemaVersion: exp.SchemaVersion,
 		Lease:         leaseID(g),
 		Observe:       c.Observe,
@@ -411,12 +401,12 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, r
 	}
 	rctx, cancel := context.WithTimeout(ctx, c.leaseTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, ws.addr+RunPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, ws.addr+runPath, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		if rctx.Err() != nil {
 			err = fmt.Errorf("%w: %v", context.DeadlineExceeded, err)

@@ -49,21 +49,21 @@ import "strings"
 
 // Wire endpoint paths served by every worker.
 const (
-	HealthPath = "/healthz"
-	RunPath    = "/run"
+	healthPath = "/healthz"
+	runPath    = "/run"
 )
 
-// Hello is the /healthz handshake body. A coordinator only registers
+// hello is the /healthz handshake body. A coordinator only registers
 // workers whose SchemaVersion matches its own build.
-type Hello struct {
+type hello struct {
 	OK            bool `json:"ok"`
 	SchemaVersion int  `json:"schema_version"`
 }
 
-// RunRequest leases one range of runs to a worker. Keys are spec keys
+// runRequest leases one range of runs to a worker. Keys are spec keys
 // in range order; the worker must answer with exactly one stamped
 // record per key, in the same order, labelled with that key's spec.
-type RunRequest struct {
+type runRequest struct {
 	SchemaVersion int    `json:"schema_version"`
 	Lease         string `json:"lease"`
 	// Observe attaches the bd_* time attribution a local sweep with
@@ -72,10 +72,10 @@ type RunRequest struct {
 	Keys    []string `json:"keys"`
 }
 
-// NormalizeAddr turns a bare host:port into a base URL (http scheme)
+// normalizeAddr turns a bare host:port into a base URL (http scheme)
 // and strips any trailing slash; addresses that already carry a scheme
 // pass through.
-func NormalizeAddr(addr string) string {
+func normalizeAddr(addr string) string {
 	addr = strings.TrimSpace(addr)
 	if addr != "" && !strings.Contains(addr, "://") {
 		addr = "http://" + addr

@@ -254,8 +254,8 @@ func TestRunFailureReportedOncePerRun(t *testing.T) {
 // sweep degrades to local execution, still byte-identical.
 func TestSchemaMismatchRejectedAtHandshake(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == HealthPath {
-			json.NewEncoder(w).Encode(Hello{OK: true, SchemaVersion: exp.SchemaVersion + 1})
+		if r.URL.Path == healthPath {
+			json.NewEncoder(w).Encode(hello{OK: true, SchemaVersion: exp.SchemaVersion + 1})
 			return
 		}
 		t.Errorf("mismatched worker received %s — lease must not be granted", r.URL.Path)
@@ -295,8 +295,8 @@ func TestWireRecordsCarrySchemaVersion(t *testing.T) {
 	for i, s := range specs {
 		keys[i] = s.Key()
 	}
-	body, _ := json.Marshal(RunRequest{SchemaVersion: exp.SchemaVersion, Lease: "t0", Keys: keys})
-	resp, err := http.Post(addr+RunPath, "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(runRequest{SchemaVersion: exp.SchemaVersion, Lease: "t0", Keys: keys})
+	resp, err := http.Post(addr+runPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +325,13 @@ func TestWireRecordsCarrySchemaVersion(t *testing.T) {
 		}
 	}
 
-	// A mismatched RunRequest is refused outright, and so is a field
+	// A mismatched runRequest is refused outright, and so is a field
 	// this build does not know: "speedup" came from coordinators that
 	// predate run leasing.
-	mismatched, _ := json.Marshal(RunRequest{SchemaVersion: exp.SchemaVersion + 1, Lease: "t1", Keys: keys})
+	mismatched, _ := json.Marshal(runRequest{SchemaVersion: exp.SchemaVersion + 1, Lease: "t1", Keys: keys})
 	unknown := fmt.Sprintf(`{"schema_version":%d,"lease":"t2","speedup":true,"keys":[%q]}`, exp.SchemaVersion, keys[0])
 	for name, body := range map[string][]byte{"mismatched": mismatched, "speedup": []byte(unknown)} {
-		resp, err := http.Post(addr+RunPath, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(addr+runPath, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,8 +414,8 @@ func TestCoordinatorRunsTwice(t *testing.T) {
 			t.Errorf("run %d: %d worker rows for a fleet of %d: %+v", i, len(snap.Workers), len(fleet), snap.Workers)
 		}
 		for j, ws := range snap.Workers {
-			if ws.Addr != NormalizeAddr(fleet[j]) {
-				t.Errorf("run %d: worker row %s, want %s", i, ws.Addr, NormalizeAddr(fleet[j]))
+			if ws.Addr != normalizeAddr(fleet[j]) {
+				t.Errorf("run %d: worker row %s, want %s", i, ws.Addr, normalizeAddr(fleet[j]))
 			}
 		}
 		if fleet == nil {
@@ -465,7 +465,7 @@ func TestWorkerCounters(t *testing.T) {
 	if _, err := c.Run(io.Discard, specs); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+RunPath, "application/json", strings.NewReader("{"))
+	resp, err := http.Post(srv.URL+runPath, "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}

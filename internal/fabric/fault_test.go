@@ -128,7 +128,7 @@ func TestLeaseExpiryReassigned(t *testing.T) {
 	defer close(hang)
 	hanging := faultServer(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == RunPath {
+			if r.URL.Path == runPath {
 				<-hang // never answers within the lease
 				return
 			}
@@ -162,7 +162,7 @@ func TestIdleWorkerDoesNotDuplicate(t *testing.T) {
 	var calls atomic.Int64
 	slowOnce := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == RunPath && calls.Add(1) == 1 {
+			if r.URL.Path == runPath && calls.Add(1) == 1 {
 				time.Sleep(300 * time.Millisecond)
 			}
 			next.ServeHTTP(w, r)
@@ -193,7 +193,7 @@ func TestGarbageStreamFailsLease(t *testing.T) {
 	var calls atomic.Int64
 	garbageFirst := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == RunPath && calls.Add(1) == 1 {
+			if r.URL.Path == runPath && calls.Add(1) == 1 {
 				io.WriteString(w, "{\"app\":42,\"nonsense\"\nnot json at all\n")
 				return
 			}
@@ -222,7 +222,7 @@ func TestTruncatedStreamFailsLease(t *testing.T) {
 	var calls atomic.Int64
 	truncateFirst := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == RunPath && calls.Add(1) == 1 {
+			if r.URL.Path == runPath && calls.Add(1) == 1 {
 				rec := httptest.NewRecorder()
 				next.ServeHTTP(rec, r)
 				lines := bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
@@ -253,7 +253,7 @@ func TestMisorderedStreamFailsLease(t *testing.T) {
 	var calls atomic.Int64
 	swapFirst := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != RunPath || calls.Add(1) != 1 {
+			if r.URL.Path != runPath || calls.Add(1) != 1 {
 				next.ServeHTTP(w, r)
 				return
 			}
@@ -289,7 +289,7 @@ func TestUnstampedStreamFailsLease(t *testing.T) {
 	var calls atomic.Int64
 	stripStamp := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != RunPath || calls.Add(1) != 1 {
+			if r.URL.Path != runPath || calls.Add(1) != 1 {
 				next.ServeHTTP(w, r)
 				return
 			}

@@ -80,7 +80,7 @@ func TestSlowWorkerPullsFewerRanges(t *testing.T) {
 	if snap.RangesTotal != 16 || leases != 16 {
 		t.Errorf("%d leases for %d ranges, want 16 of each", leases, snap.RangesTotal)
 	}
-	fast, slow := rows[NormalizeAddr(fastURL)], rows[NormalizeAddr(slowURL)]
+	fast, slow := rows[normalizeAddr(fastURL)], rows[normalizeAddr(slowURL)]
 	t.Logf("fast worker: %d records in %d leases; slow worker: %d in %d", fast.Records, fast.Leases, slow.Records, slow.Leases)
 	if slow.Records >= fast.Records {
 		t.Errorf("slow worker ran %d records, fast worker %d; want the slow one fewer", slow.Records, fast.Records)
@@ -173,8 +173,8 @@ func TestDrainFinishesInflightLease(t *testing.T) {
 	}
 
 	// A post-drain lease is refused outright.
-	body, _ := json.Marshal(RunRequest{SchemaVersion: exp.SchemaVersion, Lease: "post-drain", Keys: []string{specs[0].Key()}})
-	resp, err := http.Post(srv.URL+RunPath, "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(runRequest{SchemaVersion: exp.SchemaVersion, Lease: "post-drain", Keys: []string{specs[0].Key()}})
+	resp, err := http.Post(srv.URL+runPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,11 @@ import (
 func stubWorker(t *testing.T, lines map[string][]byte) string {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc(HealthPath, func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(Hello{OK: true, SchemaVersion: exp.SchemaVersion}) //nolint:errcheck // test server
+	mux.HandleFunc(healthPath, func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(hello{OK: true, SchemaVersion: exp.SchemaVersion}) //nolint:errcheck // test server
 	})
-	mux.HandleFunc(RunPath, func(w http.ResponseWriter, r *http.Request) {
-		var rr RunRequest
+	mux.HandleFunc(runPath, func(w http.ResponseWriter, r *http.Request) {
+		var rr runRequest
 		if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -134,7 +134,7 @@ func TestOverLongLineFailsLease(t *testing.T) {
 	specs := testGrid(t)
 	overLong := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != RunPath {
+			if r.URL.Path != runPath {
 				next.ServeHTTP(w, r)
 				return
 			}
@@ -232,6 +232,73 @@ func TestDisagreementIsOneErrorRecord(t *testing.T) {
 		want := `{"app":"Jacobi","version":"xhpf","procs":2,"scale":"small","protocol":"hlrc","time_ns":0,"time_seconds":0,"msgs":0,"bytes":0,"checksum":0,"error":"app=Jacobi|version=xhpf|procs=2|scale=small|protocol=hlrc|contention=0|fifo=0: checksum 461.05468750000006 disagrees with 461.0546875 of app=Jacobi|version=seq|procs=1|scale=small|protocol=|contention=0|fifo=0 (relative tolerance 0)"}`
 		if got, _, _ := strings.Cut(outs[i].String(), "\n"); err == nil || stats.Failed != 1 || got != want || outs[i].String() != outs[0].String() {
 			t.Errorf("stream %d: stats %+v, err %v; want the first of\n%s\nto be\n%s\nand the cold stream's bytes", i, stats, err, outs[i].String(), want)
+		}
+	}
+}
+
+// panicApp is an application whose version bad panics mid-run, inside a
+// process body, as a broken runtime does.
+type panicApp struct {
+	core.App
+	bad core.Version
+}
+
+func (a panicApp) Run(v core.Version, cfg core.Config) (core.Result, error) {
+	if v == a.bad {
+		err := sim.New(sim.Config{Procs: cfg.Procs}).Run(func(*sim.Proc) { panic("boom") })
+		return core.Result{}, err
+	}
+	return a.App.Run(v, cfg)
+}
+
+// TestPanicIsOneErrorRecord: a run that panics is its spec's error
+// record carrying the panic value, and the sweep goes on — the same
+// bytes from a cold engine and through the fabric's merge of a worker's
+// records. Calling the application directly still panics.
+func TestPanicIsOneErrorRecord(t *testing.T) {
+	lookup := func(name string) (core.App, error) {
+		a, err := exp.AppByName(name)
+		return panicApp{a, core.XHPF}, err
+	}
+	specs := []exp.Spec{
+		{App: "Jacobi", Version: core.XHPF, Procs: 2, Scale: core.SmallScale},
+		{App: "Jacobi", Version: core.Tmk, Procs: 2, Scale: core.SmallScale},
+	}
+	a, _ := lookup("Jacobi")
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("a direct Run recovered %v, want the panic", r)
+			}
+		}()
+		a.Run(core.XHPF, a.Config(core.SmallScale, 2)) //nolint:errcheck // panics
+	}()
+	runs, wire := exp.PlanRuns(specs, false), map[string][]byte{}
+	for i := range runs.Len() {
+		e := exp.New()
+		e.Lookup = lookup
+		res, err := e.Run(runs.Spec(i))
+		rec := exp.RecordOf(runs.Spec(i), res, err)
+		rec.SchemaVersion = exp.SchemaVersion
+		line, _ := exp.AppendRecord(nil, &rec)
+		wire[runs.Key(i)] = append(line, '\n')
+	}
+	var outs [2]bytes.Buffer
+	for i := range outs {
+		var stats exp.StreamStats
+		var err error
+		if i == 0 {
+			e := exp.New()
+			e.Lookup = lookup
+			stats, err = e.StreamWith(&outs[i], specs, nil)
+		} else {
+			c := &Coordinator{Workers: []string{stubWorker(t, wire)}, Logf: t.Logf}
+			stats, err = c.Run(&outs[i], specs)
+		}
+		want := `{"app":"Jacobi","version":"xhpf","procs":2,"scale":"small","time_ns":0,"time_seconds":0,"msgs":0,"bytes":0,"checksum":0,"error":"Jacobi/xhpf: panic: boom"}`
+		lines := strings.Split(strings.TrimSpace(outs[i].String()), "\n")
+		if err == nil || stats.Failed != 1 || stats.Records != 2 || len(lines) != 2 || lines[0] != want || outs[i].String() != outs[0].String() {
+			t.Errorf("stream %d: stats %+v, err %v; want two records, the first\n%s\nof\n%s\nand the cold stream's bytes", i, stats, err, want, outs[i].String())
 		}
 	}
 }

@@ -131,8 +131,8 @@ func (w *Worker) engine(observe bool) *exp.Engine {
 // mounting next to /metrics and /debug/pprof/* via metrics.NewMux.
 func (w *Worker) Routes() map[string]http.Handler {
 	return map[string]http.Handler{
-		HealthPath: http.HandlerFunc(w.handleHealth),
-		RunPath:    http.HandlerFunc(w.handleRun),
+		healthPath: http.HandlerFunc(w.handleHealth),
+		runPath:    http.HandlerFunc(w.handleRun),
 	}
 }
 
@@ -158,7 +158,7 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(Hello{OK: true, SchemaVersion: exp.SchemaVersion}) //nolint:errcheck // client went away
+	json.NewEncoder(rw).Encode(hello{OK: true, SchemaVersion: exp.SchemaVersion}) //nolint:errcheck // client went away
 }
 
 // beginLease registers an in-flight /run; false means the worker is
@@ -195,7 +195,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer w.endLease()
-	var rr RunRequest
+	var rr runRequest
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rr); err != nil {

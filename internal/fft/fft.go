@@ -39,10 +39,10 @@ func twiddles(n int, inverse bool) []complex128 {
 // Pow2 reports whether n is a positive power of two.
 func Pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// Transform computes the in-place DFT of x. len(x) must be a power of
+// transform computes the in-place DFT of x. len(x) must be a power of
 // two. inverse computes the unnormalized inverse (divide by len(x) to
 // invert a forward transform).
-func Transform(x []complex128, inverse bool) {
+func transform(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -111,7 +111,7 @@ func Butterflies(n int) int {
 }
 
 // Forward computes the in-place forward DFT.
-func Forward(x []complex128) { Transform(x, false) }
+func Forward(x []complex128) { transform(x, false) }
 
 // Inverse computes the in-place unnormalized inverse DFT.
-func Inverse(x []complex128) { Transform(x, true) }
+func Inverse(x []complex128) { transform(x, true) }

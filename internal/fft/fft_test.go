@@ -147,7 +147,7 @@ func TestNonPowerOfTwoPanics(t *testing.T) {
 			t.Error("expected panic for n=12")
 		}
 	}()
-	Transform(make([]complex128, 12), false)
+	transform(make([]complex128, 12), false)
 }
 
 func TestButterflies(t *testing.T) {

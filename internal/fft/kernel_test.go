@@ -48,7 +48,7 @@ func TestTransformBitwise(t *testing.T) {
 				got[i] = complex(math.Sin(float64(3*i+1)), math.Cos(float64(7*i+2)))
 			}
 			want := slices.Clone(got)
-			Transform(got, inverse)
+			transform(got, inverse)
 			transformRef(want, inverse)
 			for i := range want {
 				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||

@@ -7,7 +7,7 @@ import (
 	"repro/internal/exp"
 )
 
-// Breakdown prints the per-node virtual-time attribution of every
+// breakdown prints the per-node virtual-time attribution of every
 // figure version of every application: each run's timed window
 // decomposed into compute, page-fault stall, barrier wait, lock wait,
 // explicit message wait and contention queueing, as percentages of the
@@ -17,7 +17,7 @@ import (
 // but measured from the event trace rather than from per-subsystem
 // timers. It reads observed records (bd_* fields), so it needs an
 // observing engine.
-var Breakdown = Table{Name: "breakdown", Observe: true, Specs: figureSpecs(breakdownApps), Render: renderBreakdown}
+var breakdown = Table{Name: "breakdown", Observe: true, Specs: figureSpecs(breakdownApps), Render: renderBreakdown}
 
 // breakdownApps are the paper's applications in its order.
 var breakdownApps = append(append([]string{}, RegularApps...), IrregularApps...)

@@ -19,9 +19,9 @@ import (
 // shows that its time, message and byte costs also match the
 // hand-written rendition of the same compiler output.
 
-// CompiledApps returns the applications that carry a loopc IR
+// compiledApps returns the applications that carry a loopc IR
 // description and therefore support the spf-gen and xhpf-gen versions.
-func CompiledApps() []core.App {
+func compiledApps() []core.App {
 	return []core.App{jacobi.New(), rbsor.New()}
 }
 
@@ -36,13 +36,13 @@ func CompiledPairs() (out [][2]core.Version) {
 	return out
 }
 
-// Compiler prints the compiled-vs-hand comparison, each hand-coded
+// compiler prints the compiled-vs-hand comparison, each hand-coded
 // version's record followed by its generated one. A generated checksum
 // that differs from the hand-coded one (exp.Agree) refuses the table.
-var Compiler = Table{Name: "compiler", Specs: compilerSpecs, Render: renderCompiler}
+var compiler = Table{Name: "compiler", Specs: compilerSpecs, Render: renderCompiler}
 
 func compilerSpecs(base exp.Spec) (specs []exp.Spec) {
-	for _, a := range CompiledApps() {
+	for _, a := range compiledApps() {
 		for _, pair := range CompiledPairs() {
 			specs = append(specs, at(base, a.Name(), pair[0]), at(base, a.Name(), pair[1]))
 		}

@@ -28,7 +28,7 @@ var compiledProcCounts = []int{1, 2, 3, 4, 5, 7, 8}
 // under both coherence protocols, and a repeated run on a fresh engine
 // must reproduce the generated record exactly.
 func TestCompiledEquivalence(t *testing.T) {
-	for _, a := range CompiledApps() {
+	for _, a := range compiledApps() {
 		for _, pair := range CompiledPairs() {
 			hand, gen := pair[0], pair[1]
 			for _, procs := range compiledProcCounts {
@@ -57,7 +57,7 @@ func TestCompiledEquivalence(t *testing.T) {
 // same communication sequence, over the same whole-row decomposition,
 // so this holds at ragged node counts too.
 func TestCompiledTrafficMatchesHand(t *testing.T) {
-	for _, a := range CompiledApps() {
+	for _, a := range compiledApps() {
 		for _, pair := range CompiledPairs() {
 			for _, procs := range compiledProcCounts {
 				e := exp.New()
@@ -169,7 +169,7 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 // TestCompilerExperimentOutput drives the printed experiment.
 func TestCompilerExperimentOutput(t *testing.T) {
 	var sb strings.Builder
-	if err := Compiler.Print(&sb, exp.New(), smallBase); err != nil {
+	if err := compiler.Print(&sb, exp.New(), smallBase); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Jacobi", "RB-SOR", string(core.SPFGen), string(core.XHPFGen)} {

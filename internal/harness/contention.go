@@ -21,20 +21,20 @@ import (
 // capacity at 1-8 nodes for one regular and both irregular applications
 // under both coherence protocols and all three runtimes.
 
-// ContentionApps are the applications of the contention sweep: the
+// contentionApps are the applications of the contention sweep: the
 // regular control (halo exchanges) and the two irregular applications
 // (broadcast storms).
-var ContentionApps = []string{"Jacobi", "IGrid", "NBF"}
+var contentionApps = []string{"Jacobi", "IGrid", "NBF"}
 
-// ContentionProcCounts is the node-count sweep.
-var ContentionProcCounts = []int{1, 2, 4, 8}
+// contentionProcCounts is the node-count sweep.
+var contentionProcCounts = []int{1, 2, 4, 8}
 
-// ContentionSweep lists the swept backplane capacities: 0 is the ideal
+// contentionSweep lists the swept backplane capacities: 0 is the ideal
 // infinite-capacity interconnect (contention off — the pre-contention
 // model), -1 enables the serial NICs over an ideal backplane, and a
 // positive value additionally bounds the backplane to that many
 // concurrent full-rate transfers.
-var ContentionSweep = []int{0, -1, 4, 1}
+var contentionSweep = []int{0, -1, 4, 1}
 
 // contentionLabel names one sweep point.
 func contentionLabel(ways int) string {
@@ -68,7 +68,7 @@ func contentionColumns(v core.Version, p proto.Name) []contentionColumn {
 	}
 }
 
-// Contention prints the contention sweep. Per row (app, procs, sweep
+// contention prints the contention sweep. Per row (app, procs, sweep
 // point) it reports virtual time and total queueing delay for the
 // hand-coded TreadMarks version under both protocols, XHPF, and PVMe.
 // Checksums must not depend on the contention point — queueing delays
@@ -77,13 +77,13 @@ func contentionColumns(v core.Version, p proto.Name) []contentionColumn {
 // the table.
 // The base contention (dsmrun -contention) is separate: it puts every
 // other table on the contended SP/2.
-var Contention = Table{Name: "contention", Specs: contentionSpecs, Render: renderContention}
+var contention = Table{Name: "contention", Specs: contentionSpecs, Render: renderContention}
 
 func contentionSpecs(base exp.Spec) (specs []exp.Spec) {
-	for _, name := range ContentionApps {
+	for _, name := range contentionApps {
 		v := DSMVersionOf(mustApp(name))
-		for _, procs := range ContentionProcCounts {
-			for _, ways := range ContentionSweep {
+		for _, procs := range contentionProcCounts {
+			for _, ways := range contentionSweep {
 				for _, c := range contentionColumns(v, base.Protocol) {
 					s := base
 					s.Protocol, s.Contention = c.prot, ways
@@ -97,7 +97,7 @@ func contentionSpecs(base exp.Spec) (specs []exp.Spec) {
 
 func renderContention(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	cols := len(contentionColumns("", "")) // each row's records, consecutive
-	block := len(ContentionSweep) * cols   // each (app, procs)'s rows
+	block := len(contentionSweep) * cols   // each (app, procs)'s rows
 	for b := 0; b < len(recs); b += block {
 		for row := b + cols; row < b+block; row++ { // each column down the sweep, against its ideal run
 			if err := exp.Agree(recs[row], recs[b+(row-b)%cols]); err != nil {

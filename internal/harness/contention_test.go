@@ -8,7 +8,7 @@ import (
 	"repro/internal/exp"
 )
 
-// contended is s at contention point ways (see ContentionSweep).
+// contended is s at contention point ways (see contentionSweep).
 func contended(s exp.Spec, ways int) exp.Spec {
 	s.Contention = ways
 	return s
@@ -75,7 +75,7 @@ func TestContentionExperimentRuns(t *testing.T) {
 	}
 	base := smallBase
 	base.Procs = 8
-	if err := Contention.Print(io.Discard, exp.New(), base); err != nil {
+	if err := contention.Print(io.Discard, exp.New(), base); err != nil {
 		t.Fatal(err)
 	}
 }

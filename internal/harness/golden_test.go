@@ -61,7 +61,7 @@ func everyVersion(procs int) []exp.Spec {
 // of BENCH_6.json's rows.
 func goldenRuns(t *testing.T) []exp.Spec {
 	specs := append(everyVersion(3), everyVersion(4)...)
-	for _, tab := range Tables {
+	for _, tab := range tables {
 		specs = append(specs, tab.Specs(smallBase)...)
 	}
 	for _, rec := range readRecords(t, benchTraj) {
@@ -124,7 +124,7 @@ func goldenRecs(t *testing.T, specs []exp.Spec) []exp.Record {
 // followed by a blank line, from the golden records of its specs.
 func renderGolden(t *testing.T) string {
 	var out strings.Builder
-	for _, tab := range Tables {
+	for _, tab := range tables {
 		if err := tab.Render(&out, smallBase, goldenRecs(t, tab.Specs(smallBase))); err != nil {
 			t.Fatalf("%s: %v", tab.Name, err)
 		}
@@ -167,7 +167,7 @@ func TestGoldenRecords(t *testing.T) {
 	e := exp.New()
 	e.Observe, e.JoinSpeedup = true, true
 	var records bytes.Buffer
-	if err := e.Stream(&records, goldenRuns(t)); err != nil {
+	if _, err := e.StreamWith(&records, goldenRuns(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	traces := traceDigests(t)
@@ -289,7 +289,7 @@ func TestGoldenTrafficCoversEveryVersion(t *testing.T) {
 func TestGoldenTrafficContentionInvariant(t *testing.T) {
 	e := exp.New()
 	for _, s := range everyVersion(4) {
-		if s.Version == core.Seq || !slices.Contains(ContentionApps, s.App) {
+		if s.Version == core.Seq || !slices.Contains(contentionApps, s.App) {
 			continue
 		}
 		g, rec := golden(t, s), runRecord(t, e, contended(s, 1))

@@ -53,29 +53,29 @@ func records(e *exp.Engine, specs []exp.Spec) ([]exp.Record, error) {
 	return recs, err
 }
 
-// Tables lists every experiment; "paper" selects the Paper ones in this
+// tables lists every experiment; "paper" selects the Paper ones in this
 // order.
-var Tables = []Table{
-	Table1, Figure1, Table2, Figure2, Table3, HandOpt, Interface,
-	Scalability, Protocols, Compiler, Contention, Migration, Breakdown,
+var tables = []Table{
+	table1, figure1, table2, figure2, table3, HandOpt, Interface,
+	scalability, protocols, compiler, contention, migration, breakdown,
 }
 
 // Select resolves a comma-separated list of table names to the tables,
 // in the order named. The name "paper" stands for the Paper tables, in
-// Tables order. Every name is checked before any table runs: a typo
+// tables order. Every name is checked before any table runs: a typo
 // late in the list must not cost the tables before it.
 func Select(list string) ([]Table, error) {
 	var out []Table
 	for _, name := range strings.Split(list, ",") {
 		n, want := len(out), strings.TrimSpace(name)
-		for _, t := range Tables {
+		for _, t := range tables {
 			if t.Name == want || (want == "paper" && t.Paper) {
 				out = append(out, t)
 			}
 		}
 		if len(out) == n {
-			names := make([]string, len(Tables))
-			for i, t := range Tables {
+			names := make([]string, len(tables))
+			for i, t := range tables {
 				names[i] = t.Name
 			}
 			return nil, fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(names, ", "))
@@ -134,8 +134,8 @@ func scaleNote(s core.Scale) string {
 	return fmt.Sprintf(" [%s scale: absolute counts are not comparable to the paper's; rankings are]", s)
 }
 
-// Table1 prints data-set sizes and sequential times (paper Table 1).
-var Table1 = Table{Name: "table1", Paper: true, Specs: table1Specs, Render: renderTable1}
+// table1 prints data-set sizes and sequential times (paper Table 1).
+var table1 = Table{Name: "table1", Paper: true, Specs: table1Specs, Render: renderTable1}
 
 func table1Specs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range exp.PaperApps() {
@@ -150,11 +150,11 @@ func renderTable1(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	fmt.Fprintln(w, "----------------------------------------------------------------------")
 	for _, seq := range recs {
 		note := ""
-		if SeqEstimated[seq.App] {
+		if seqEstimated[seq.App] {
 			note = "*"
 		}
 		fmt.Fprintf(w, "%-9s | %-28s | %9.1f%1s | %10.1f\n",
-			seq.App, PaperDataSet[seq.App], PaperSeqSeconds[seq.App], note, seq.TimeSeconds)
+			seq.App, paperDataSet[seq.App], paperSeqSeconds[seq.App], note, seq.TimeSeconds)
 	}
 	fmt.Fprintln(w, "(*) illegible in our source text of the paper; estimated (DESIGN.md)")
 	return nil
@@ -192,7 +192,7 @@ func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record)
 			fmt.Fprintf(w, "%-9s |", name)
 			for _, v := range FigureVersions {
 				sp := speedup(res.of(at(base, name, v)), seq)
-				paper := PaperSpeedup[name][v]
+				paper := paperSpeedup[name][v]
 				if paper == 0 {
 					fmt.Fprintf(w, " %9s %6.2f    |", "-", sp)
 				} else {
@@ -205,12 +205,12 @@ func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record)
 	}
 }
 
-// Figure1 prints 8-processor speedups for the regular applications.
-var Figure1 = Table{Name: "figure1", Paper: true, Specs: figureSpecs(RegularApps),
+// figure1 prints 8-processor speedups for the regular applications.
+var figure1 = Table{Name: "figure1", Paper: true, Specs: figureSpecs(RegularApps),
 	Render: figure("Figure 1: Speedups, regular applications (paper vs measured)", RegularApps)}
 
-// Figure2 prints 8-processor speedups for the irregular applications.
-var Figure2 = Table{Name: "figure2", Paper: true, Specs: figureSpecs(IrregularApps),
+// figure2 prints 8-processor speedups for the irregular applications.
+var figure2 = Table{Name: "figure2", Paper: true, Specs: figureSpecs(IrregularApps),
 	Render: figure("Figure 2: Speedups, irregular applications (paper vs measured)", IrregularApps)}
 
 func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record) error {
@@ -226,12 +226,12 @@ func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record
 		for _, name := range apps {
 			fmt.Fprintf(w, "%-9s %-5s |", name, "msgs")
 			for _, v := range FigureVersions {
-				fmt.Fprintf(w, " %11d %11d |", PaperMsgs[name][v], res.of(at(base, name, v)).Msgs)
+				fmt.Fprintf(w, " %11d %11d |", paperMsgs[name][v], res.of(at(base, name, v)).Msgs)
 			}
 			fmt.Fprintln(w)
 			fmt.Fprintf(w, "%-9s %-5s |", "", "KB")
 			for _, v := range FigureVersions {
-				fmt.Fprintf(w, " %11d %11d |", PaperKB[name][v], res.of(at(base, name, v)).Bytes/1024)
+				fmt.Fprintf(w, " %11d %11d |", paperKB[name][v], res.of(at(base, name, v)).Bytes/1024)
 			}
 			fmt.Fprintln(w)
 		}
@@ -239,12 +239,12 @@ func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record
 	}
 }
 
-// Table2 prints message and data totals for the regular applications.
-var Table2 = Table{Name: "table2", Paper: true, Specs: figureSpecs(RegularApps),
+// table2 prints message and data totals for the regular applications.
+var table2 = Table{Name: "table2", Paper: true, Specs: figureSpecs(RegularApps),
 	Render: traffic("Table 2: Message totals and data totals (KB), regular applications", RegularApps)}
 
-// Table3 prints message and data totals for the irregular applications.
-var Table3 = Table{Name: "table3", Paper: true, Specs: figureSpecs(IrregularApps),
+// table3 prints message and data totals for the irregular applications.
+var table3 = Table{Name: "table3", Paper: true, Specs: figureSpecs(IrregularApps),
 	Render: traffic("Table 3: Message totals and data totals (KB), irregular applications", IrregularApps)}
 
 // HandOptCase is one §5 hand-optimization experiment: an application's
@@ -288,7 +288,7 @@ func renderHandOpt(w io.Writer, base exp.Spec, recs []exp.Record) error {
 		before := speedup(res.of(at(base, c.App, v)), seq)
 		after := speedup(res.of(at(base, c.App, c.Opt)), seq)
 		fmt.Fprintf(w, "%-9s | %-34s | %8.2f %9.2f | %8.2f %9.2f\n",
-			c.App, c.Note, PaperSpeedup[c.App][v], before, PaperSpeedup[c.App][c.Opt], after)
+			c.App, c.Note, paperSpeedup[c.App][v], before, paperSpeedup[c.App][c.Opt], after)
 	}
 	return nil
 }
@@ -318,11 +318,11 @@ const scalabilityApp = "Jacobi"
 
 var scalabilityProcCounts = []int{2, 4, 8}
 
-// Scalability sweeps the processor count for one application and prints
+// scalability sweeps the processor count for one application and prints
 // the speedup curve of every version — the paper's §8 closes by
 // anticipating behaviour "when scaling to a large number of processors";
 // this experiment extends the evaluation in that direction.
-var Scalability = Table{Name: "scalability", Specs: scalabilitySpecs, Render: renderScalability}
+var scalability = Table{Name: "scalability", Specs: scalabilitySpecs, Render: renderScalability}
 
 func scalabilitySpecs(base exp.Spec) []exp.Spec {
 	specs := []exp.Spec{at(base, scalabilityApp, core.Seq)}

@@ -33,14 +33,14 @@ func TestAppsComplete(t *testing.T) {
 func TestPaperTablesCoverEveryAppAndVersion(t *testing.T) {
 	for _, name := range append(append([]string{}, RegularApps...), IrregularApps...) {
 		for _, v := range FigureVersions {
-			if _, ok := PaperMsgs[name][v]; !ok {
+			if _, ok := paperMsgs[name][v]; !ok {
 				t.Errorf("PaperMsgs missing %s/%s", name, v)
 			}
-			if _, ok := PaperKB[name][v]; !ok {
+			if _, ok := paperKB[name][v]; !ok {
 				t.Errorf("PaperKB missing %s/%s", name, v)
 			}
 		}
-		if _, ok := PaperSeqSeconds[name]; !ok {
+		if _, ok := paperSeqSeconds[name]; !ok {
 			t.Errorf("PaperSeqSeconds missing %s", name)
 		}
 	}
@@ -87,7 +87,7 @@ func printTables(t *testing.T, st *store.Store) (string, map[string]int64) {
 	eng.Store, observed.Store = st, st
 	var out strings.Builder
 	started := map[string]int64{}
-	for _, tab := range Tables {
+	for _, tab := range tables {
 		e := eng
 		if tab.Observe {
 			e = observed
@@ -128,7 +128,7 @@ func TestTablesMatchGolden(t *testing.T) {
 		if pass == "cold" {
 			continue
 		}
-		for _, tab := range Tables {
+		for _, tab := range tables {
 			if n := started[tab.Name]; n != 0 {
 				t.Errorf("warm %s started %d runs", tab.Name, n)
 			}
@@ -136,7 +136,7 @@ func TestTablesMatchGolden(t *testing.T) {
 	}
 }
 
-// TestSelect: "paper" stands for the Paper tables in Tables order,
+// TestSelect: "paper" stands for the Paper tables in tables order,
 // other names keep the order given, and an unknown name is refused
 // with the list of every name.
 func TestSelect(t *testing.T) {
@@ -175,10 +175,10 @@ func TestSelect(t *testing.T) {
 // every table's by TestTablesMatchGolden's warm pass); an engine that
 // does not observe cannot print it.
 func TestWarmBreakdownStartsNoRuns(t *testing.T) {
-	if !Breakdown.Observe {
+	if !breakdown.Observe {
 		t.Fatal("the breakdown table does not ask for an observing engine")
 	}
-	if err := Breakdown.Print(io.Discard, exp.New(), smallBase); err == nil {
+	if err := breakdown.Print(io.Discard, exp.New(), smallBase); err == nil {
 		t.Error("breakdown printed through an engine that does not observe")
 	}
 }
@@ -191,7 +191,7 @@ func TestTablesRefuseADivergentChecksum(t *testing.T) {
 	for _, c := range []struct {
 		tab  Table
 		flip int // the record whose checksum moves away from the first's
-	}{{Protocols, 1}, {Contention, len(contentionColumns("", ""))}, {Compiler, 1}, {Migration, 1}} {
+	}{{protocols, 1}, {contention, len(contentionColumns("", ""))}, {compiler, 1}, {migration, 1}} {
 		recs := goldenRecs(t, c.tab.Specs(smallBase))
 		recs[c.flip].Checksum++
 		want := fmt.Sprintf("%s: checksum %v disagrees with %v of %s (relative tolerance 0)",
@@ -246,7 +246,7 @@ func TestTablesRefuseANonFiniteResult(t *testing.T) {
 	if sb.Len() != 0 {
 		t.Errorf("HandOpt rendered from a failed run:\n%s", sb.String())
 	}
-	if err := Figure1.Print(&sb, e, smallBase); err != nil || !strings.Contains(sb.String(), "MGS") {
+	if err := figure1.Print(&sb, e, smallBase); err != nil || !strings.Contains(sb.String(), "MGS") {
 		t.Errorf("Figure 1, which has no tmk-opt cell, failed: %v\n%s", err, sb.String())
 	}
 }
@@ -256,7 +256,7 @@ func TestTablesRefuseANonFiniteResult(t *testing.T) {
 func TestTablesRefuseAnUlp(t *testing.T) {
 	e := wrongEngine("Jacobi", core.SPFGen, func(c float64) float64 { return math.Nextafter(c, math.Inf(1)) })
 	var sb strings.Builder
-	err := Compiler.Print(&sb, e, smallBase)
+	err := compiler.Print(&sb, e, smallBase)
 	want := "app=Jacobi|version=spf-gen|procs=4|scale=small|protocol=lrc|contention=0|fifo=0: checksum 461.05468750000006 disagrees with 461.0546875 of app=Jacobi|version=spf|"
 	if err == nil || !strings.HasPrefix(err.Error(), want) || sb.Len() != 0 {
 		t.Errorf("Compiler error = %v, want %q…, and nothing rendered:\n%s", err, want, sb.String())

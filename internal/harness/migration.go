@@ -31,20 +31,20 @@ import (
 // MigrationApps are the applications of the home-policy sweep.
 var MigrationApps = []string{"MGS", "Jacobi", "Shallow"}
 
-// MigrationProcCounts is the node-count sweep.
-var MigrationProcCounts = []int{1, 2, 4, 8}
+// migrationProcCounts is the node-count sweep.
+var migrationProcCounts = []int{1, 2, 4, 8}
 
-// Migration prints the home-policy sweep. Its flKB column is each
+// migration prints the home-policy sweep. Its flKB column is each
 // run's diff traffic (diff_bytes), under the hlrc protocol the eager
 // diff flushes to the homes. The base home policy (dsmrun -homepolicy,
 // with -protocol hlrc) is the one every other table runs under.
-var Migration = Table{Name: "migration", Specs: migrationSpecs, Render: renderMigration}
+var migration = Table{Name: "migration", Specs: migrationSpecs, Render: renderMigration}
 
 func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
 	base.Protocol = proto.HomeLRC // the only protocol with homes
 	for _, name := range MigrationApps {
 		v := DSMVersionOf(mustApp(name))
-		for _, procs := range MigrationProcCounts {
+		for _, procs := range migrationProcCounts {
 			for _, pol := range proto.PolicyNames() {
 				s := base
 				s.HomePolicy = pol

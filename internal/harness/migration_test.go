@@ -55,7 +55,7 @@ func TestSingleNodeNeverMigrates(t *testing.T) {
 // row, so this is the cheap whole-grid regression.
 func TestMigrationExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Migration.Print(&buf, exp.New(), smallBase); err != nil {
+	if err := migration.Print(&buf, exp.New(), smallBase); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

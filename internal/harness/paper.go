@@ -10,8 +10,8 @@ package harness
 
 import "repro/internal/core"
 
-// PaperSpeedup holds Figure 1/2 reference values (8 processors).
-var PaperSpeedup = map[string]map[core.Version]float64{
+// paperSpeedup holds Figure 1/2 reference values (8 processors).
+var paperSpeedup = map[string]map[core.Version]float64{
 	"Jacobi":  {core.SPF: 6.99, core.Tmk: 7.13, core.XHPF: 7.39, core.PVMe: 7.55, core.SPFOpt: 7.23},
 	"Shallow": {core.SPF: 5.71, core.Tmk: 6.21, core.XHPF: 6.60, core.PVMe: 6.77, core.SPFOpt: 5.96},
 	"MGS":     {core.SPF: 3.35, core.Tmk: 4.19, core.XHPF: 5.06, core.PVMe: 6.55, core.TmkOpt: 5.09},
@@ -20,8 +20,8 @@ var PaperSpeedup = map[string]map[core.Version]float64{
 	"NBF":     {core.SPF: 5.31, core.Tmk: 5.86, core.XHPF: 3.85, core.PVMe: 6.18},
 }
 
-// PaperMsgs holds Table 2/3 message totals.
-var PaperMsgs = map[string]map[core.Version]int64{
+// paperMsgs holds Table 2/3 message totals.
+var paperMsgs = map[string]map[core.Version]int64{
 	"Jacobi":  {core.SPF: 8538, core.Tmk: 8407, core.XHPF: 4207, core.PVMe: 1400},
 	"Shallow": {core.SPF: 13034, core.Tmk: 11767, core.XHPF: 7792, core.PVMe: 1985},
 	"MGS":     {core.SPF: 57283, core.Tmk: 30457, core.XHPF: 38905, core.PVMe: 7168},
@@ -30,8 +30,8 @@ var PaperMsgs = map[string]map[core.Version]int64{
 	"NBF":     {core.SPF: 14836, core.Tmk: 13194, core.XHPF: 45895, core.PVMe: 960},
 }
 
-// PaperKB holds Table 2/3 data totals in kilobytes.
-var PaperKB = map[string]map[core.Version]int64{
+// paperKB holds Table 2/3 data totals in kilobytes.
+var paperKB = map[string]map[core.Version]int64{
 	"Jacobi":  {core.SPF: 989, core.Tmk: 862, core.XHPF: 11458, core.PVMe: 11469},
 	"Shallow": {core.SPF: 10814, core.Tmk: 10400, core.XHPF: 18407, core.PVMe: 7328},
 	"MGS":     {core.SPF: 59724, core.Tmk: 55681, core.XHPF: 29430, core.PVMe: 29360},
@@ -40,11 +40,11 @@ var PaperKB = map[string]map[core.Version]int64{
 	"NBF":     {core.SPF: 1543, core.Tmk: 228, core.XHPF: 163775, core.PVMe: 31457},
 }
 
-// PaperSeqSeconds holds Table 1's sequential times. The Jacobi and
+// paperSeqSeconds holds Table 1's sequential times. The Jacobi and
 // Shallow rows are illegible in our source scan of the paper; their
 // entries are estimates at the same sustained rate (see DESIGN.md) and
 // are flagged in the output.
-var PaperSeqSeconds = map[string]float64{
+var paperSeqSeconds = map[string]float64{
 	"Jacobi":  78.0, // estimated (illegible in source)
 	"Shallow": 90.0, // estimated (illegible in source)
 	"MGS":     56.4,
@@ -53,11 +53,11 @@ var PaperSeqSeconds = map[string]float64{
 	"NBF":     63.9,
 }
 
-// SeqEstimated flags Table 1 entries not legible in the source text.
-var SeqEstimated = map[string]bool{"Jacobi": true, "Shallow": true}
+// seqEstimated flags Table 1 entries not legible in the source text.
+var seqEstimated = map[string]bool{"Jacobi": true, "Shallow": true}
 
-// PaperDataSet describes Table 1's data-set column.
-var PaperDataSet = map[string]string{
+// paperDataSet describes Table 1's data-set column.
+var paperDataSet = map[string]string{
 	"Jacobi":  "2048x2048, 100 iterations",
 	"Shallow": "1024x1024, 50 iterations",
 	"MGS":     "1024x1024",

@@ -57,7 +57,10 @@ func checkProtocols(t *testing.T, e *exp.Engine, app string, v core.Version, pro
 // protocol-state leak).
 func TestProtocolEquivalence(t *testing.T) {
 	for _, a := range exp.PaperApps() {
-		for _, v := range DSMVersions(a) {
+		for _, v := range a.Versions() {
+			if !core.Describe(v).Runtime.OnDSM() {
+				continue
+			}
 			for _, procs := range ProtocolProcCounts {
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name(), v, procs), func(t *testing.T) {
 					first := checkProtocols(t, exp.New(), a.Name(), v, procs)

@@ -31,28 +31,13 @@ func DSMVersionOf(a core.App) core.Version {
 	return core.SPF
 }
 
-// DSMVersions filters an application's versions to those that run on
-// the DSM and therefore under a coherence protocol (core.Runtime.OnDSM)
-// — including the optimized and legacy-interface variants, whose push/
-// broadcast/aggregation paths interact with the protocol differently
-// than the base versions do.
-func DSMVersions(a core.App) []core.Version {
-	var out []core.Version
-	for _, v := range a.Versions() {
-		if core.Describe(v).Runtime.OnDSM() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Protocols prints the protocol-comparison experiment: every paper
+// protocols prints the protocol-comparison experiment: every paper
 // application's representative DSM version at each node count under
 // every protocol, in proto.Names() order. A checksum that differs
 // across protocols (exp.Agree) refuses the table. The base protocol
 // (dsmrun -protocol; lrc, the paper's, by default) is the one every
 // other table runs under.
-var Protocols = Table{Name: "protocols", Specs: protocolSpecs, Render: renderProtocols}
+var protocols = Table{Name: "protocols", Specs: protocolSpecs, Render: renderProtocols}
 
 func protocolSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range exp.PaperApps() {

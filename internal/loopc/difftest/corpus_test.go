@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -31,35 +33,35 @@ const goldenPath = "../testdata/corpus_golden.json"
 //	go test ./internal/loopc/difftest -run TestCorpus -update-gen-corpus -update-gen-golden
 func TestCorpusMatchesGenerator(t *testing.T) {
 	if *updateCorpus {
-		if err := os.MkdirAll(CorpusDir, 0o755); err != nil {
+		if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		old, _ := filepath.Glob(filepath.Join(CorpusDir, "*.json"))
+		old, _ := filepath.Glob(filepath.Join(corpusDir, "*.json"))
 		for _, f := range old {
 			if err := os.Remove(f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, seed := range CorpusSeeds() {
+		for _, seed := range corpusSeeds() {
 			ps := gen.Generate(seed)
-			path := filepath.Join(CorpusDir, ps.Name+".json")
+			path := filepath.Join(corpusDir, ps.Name+".json")
 			if err := os.WriteFile(path, ps.JSON(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	specs, err := LoadCorpus(CorpusDir)
+	specs, err := loadCorpus(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != len(CorpusSeeds()) {
-		t.Fatalf("corpus has %d entries, want %d (rerun with -update-gen-corpus)", len(specs), len(CorpusSeeds()))
+	if len(specs) != len(corpusSeeds()) {
+		t.Fatalf("corpus has %d entries, want %d (rerun with -update-gen-corpus)", len(specs), len(corpusSeeds()))
 	}
 	bySeed := map[int64]*gen.ProgramSpec{}
 	for _, ps := range specs {
 		bySeed[ps.Seed] = ps
 	}
-	for _, seed := range CorpusSeeds() {
+	for _, seed := range corpusSeeds() {
 		committed, ok := bySeed[seed]
 		if !ok {
 			t.Errorf("seed %d missing from corpus", seed)
@@ -134,7 +136,7 @@ func goldFor(t *testing.T, ps *gen.ProgramSpec) corpusGold {
 // drift in the compiler, the runtimes or the protocols fails loudly;
 // deliberate changes regenerate with -update-gen-golden.
 func TestCorpusGoldenTraffic(t *testing.T) {
-	specs, err := LoadCorpus(CorpusDir)
+	specs, err := loadCorpus(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestCorpusGoldenTraffic(t *testing.T) {
 // policies, xhpf-gen — each checked bitwise against the oracle for its
 // partition and for repeat determinism. Short mode samples.
 func TestCorpusDifferential(t *testing.T) {
-	specs, err := LoadCorpus(CorpusDir)
+	specs, err := loadCorpus(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,4 +219,53 @@ func TestCorpusDifferential(t *testing.T) {
 			t.Logf("minimized repro written to %s", path)
 		}
 	}
+}
+
+// corpusSeeds are the generator seeds of the committed corpus under
+// internal/loopc/testdata/corpus. Adding a seed here and running the
+// corpus test with -update-gen-corpus regenerates the files; removing
+// or reordering entries invalidates the golden traffic table.
+func corpusSeeds() []int64 {
+	seeds := make([]int64, 0, 40)
+	for s := int64(1); s <= 40; s++ {
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
+// corpusDir is the committed corpus location relative to this package.
+const corpusDir = "../testdata/corpus"
+
+// loadCorpus reads every committed corpus entry, sorted by filename.
+func loadCorpus(dir string) ([]*gen.ProgramSpec, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("difftest: no corpus entries in %s", dir)
+	}
+	specs := make([]*gen.ProgramSpec, 0, len(names))
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		ps, err := gen.Parse(data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", name, err)
+		}
+		if err := ps.Check(); err != nil {
+			return nil, fmt.Errorf("%s: %v", name, err)
+		}
+		specs = append(specs, ps)
+	}
+	return specs, nil
 }

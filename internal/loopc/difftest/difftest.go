@@ -30,16 +30,11 @@ import (
 // Options configures a differential check.
 type Options struct {
 	// Procs lists the processor counts to check the parallel backends
-	// at. Default: 1, 2, 4, 8 (the envelope's MaxProcs).
+	// at. Default: 1, 2, 4, 8 (up to the generator's envelope).
 	Procs []int
 	// Repeats is how many times each configuration runs when checking
 	// determinism. Default 2; 1 disables the repeat check.
 	Repeats int
-	// Costs/App is the cost calibration; defaults to the engine's
-	// (model.SP2, model.DefaultAppCosts). Costs do not affect checksums,
-	// only the times and traffic the determinism check compares.
-	Costs *model.Costs
-	App   *model.AppCosts
 }
 
 func (o Options) withDefaults() Options {
@@ -48,14 +43,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Repeats == 0 {
 		o.Repeats = 2
-	}
-	if o.Costs == nil {
-		c := model.SP2()
-		o.Costs = &c
-	}
-	if o.App == nil {
-		a := model.DefaultAppCosts()
-		o.App = &a
 	}
 	return o
 }
@@ -117,8 +104,8 @@ func Check(ps *gen.ProgramSpec, opts Options) ([]Divergence, error) {
 			return divs, err
 		}
 		cfg := app.Config(core.SmallScale, rc.procs)
-		cfg.Costs = *opts.Costs
-		cfg.App = *opts.App
+		cfg.Costs = model.SP2() // the engine's calibration
+		cfg.App = model.DefaultAppCosts()
 		cfg.Protocol = rc.protocol
 		cfg.HomePolicy = rc.policy
 
@@ -163,20 +150,6 @@ func Check(ps *gen.ProgramSpec, opts Options) ([]Divergence, error) {
 				break
 			}
 		}
-	}
-	return divs, nil
-}
-
-// CheckSeeds generates and checks a range of seeds — the harness
-// experiment and ad-hoc sweeps use this entry point.
-func CheckSeeds(seeds []int64, opts Options) ([]Divergence, error) {
-	var divs []Divergence
-	for _, seed := range seeds {
-		d, err := Check(gen.Generate(seed), opts)
-		if err != nil {
-			return divs, err
-		}
-		divs = append(divs, d...)
 	}
 	return divs, nil
 }

@@ -73,7 +73,7 @@ func TestInjectedDivergenceShrinksToRepro(t *testing.T) {
 	const procs = 4
 	fail := tamperedOracle(t, procs)
 	var victim *gen.ProgramSpec
-	for _, seed := range CorpusSeeds() {
+	for _, seed := range corpusSeeds() {
 		ps := gen.Generate(seed)
 		if fail(ps) {
 			victim = ps

@@ -62,7 +62,7 @@ func (c *compiler) expr(e Expr) valueFn {
 		slot := c.arrays[e.Array]
 		idx := c.index(Access(e))
 		return func(fr *frame) float32 { return fr.arr[slot][idx(fr)] }
-	case *Bin:
+	case *bin:
 		l, r := c.expr(e.L), c.expr(e.R)
 		switch e.Op {
 		case '+':

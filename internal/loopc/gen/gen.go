@@ -32,7 +32,7 @@ func Generate(seed int64) *ProgramSpec {
 	names := []string{"a", "b", "c", "d"}
 	nw := 1 + r.Intn(2) // arrays some nest writes
 	nr := 1 + r.Intn(2) // read-only input arrays
-	inits := InitNames()
+	inits := initNames()
 	var writable, readonly []string
 	for k := 0; k < nw; k++ {
 		writable = append(writable, names[k])

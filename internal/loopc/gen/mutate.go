@@ -73,7 +73,7 @@ func mutateOne(m *ProgramSpec, op, arg int) {
 		}
 	case 8: // swap an array initializer
 		if len(m.Arrays) > 0 {
-			names := InitNames()
+			names := initNames()
 			m.Arrays[arg%len(m.Arrays)].Init = names[arg%len(names)]
 		}
 	case 9: // scale a literal by an exact factor

@@ -34,10 +34,10 @@ import (
 // evolution is Warmup+Iters iterations; oracle checksums must match.
 const Warmup = 1
 
-// MaxProcs is the largest processor count the validity envelope
-// guarantees: blocks at MaxProcs stay at least as wide as any read's
+// maxProcs is the largest processor count the validity envelope
+// guarantees: blocks at maxProcs stay at least as wide as any read's
 // row offset, so nearest-neighbor halo exchange suffices.
-const MaxProcs = 8
+const maxProcs = 8
 
 // ExtentSpec mirrors loopc.Extent: NCoeff*n + Const.
 type ExtentSpec struct {
@@ -123,7 +123,7 @@ type NestSpec struct {
 }
 
 // ArraySpec declares an n×n array with a named initializer from the
-// fixed registry (see InitNames); "" means zero-filled.
+// fixed registry (see initNames); "" means zero-filled.
 type ArraySpec struct {
 	Name string `json:"name"`
 	Init string `json:"init,omitempty"`
@@ -171,9 +171,9 @@ var initFns = map[string]func(i, j, n int) float32{
 	},
 }
 
-// InitNames lists the initializer registry in the fixed generation
+// initNames lists the initializer registry in the fixed generation
 // order (not map order — generation must be deterministic).
-func InitNames() []string {
+func initNames() []string {
 	return []string{"edges", "coords", "checker", "ramp", "hotrow", "ones", "zero"}
 }
 
@@ -334,10 +334,10 @@ func GoLiteral(ps *ProgramSpec) string {
 }
 
 // minBlockRows is the smallest nonempty BLOCK row count any processor
-// owns at any count up to MaxProcs (the xhpf.BlockOf geometry).
+// owns at any count up to maxProcs (the xhpf.BlockOf geometry).
 func minBlockRows(n int) int {
 	min := n
-	for procs := 1; procs <= MaxProcs; procs++ {
+	for procs := 1; procs <= maxProcs; procs++ {
 		chunk := (n + procs - 1) / procs
 		for q := 0; q < procs; q++ {
 			lo, hi := q*chunk, (q+1)*chunk
@@ -359,7 +359,7 @@ func minBlockRows(n int) int {
 // built program, all accesses in bounds for the spec's n at every
 // executed point, every scalar reduced by exactly one statement (the
 // oracle's precondition), and read row offsets within the smallest
-// block at MaxProcs processors (the reach of nearest-neighbor halo
+// block at maxProcs processors (the reach of nearest-neighbor halo
 // exchange). Generate always returns a spec that passes; mutated or
 // minimized specs must be re-checked and rejected on failure.
 func (ps *ProgramSpec) Check() error {
@@ -455,7 +455,7 @@ func (ps *ProgramSpec) Check() error {
 	}
 	if mb := minBlockRows(ps.N); maxRowOff > mb {
 		return fmt.Errorf("gen: %s: read row offset %d exceeds the smallest block (%d rows) at %d procs",
-			ps.Name, maxRowOff, mb, MaxProcs)
+			ps.Name, maxRowOff, mb, maxProcs)
 	}
 	return nil
 }

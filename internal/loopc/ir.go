@@ -89,21 +89,21 @@ type Lit float32
 // Ref reads an array element.
 type Ref Access
 
-// Bin is a binary operation; L is evaluated first.
-type Bin struct {
+// bin is a binary operation; L is evaluated first.
+type bin struct {
 	Op   byte // '+', '-', '*', '/'
 	L, R Expr
 }
 
 func (Lit) walk(func(Access))      {}
 func (r Ref) walk(f func(Access))  { f(Access(r)) }
-func (b *Bin) walk(f func(Access)) { b.L.walk(f); b.R.walk(f) }
+func (b *bin) walk(f func(Access)) { b.L.walk(f); b.R.walk(f) }
 
 // Add, Sub, Mul and Div build binary nodes (left operand first).
-func Add(l, r Expr) Expr { return &Bin{Op: '+', L: l, R: r} }
-func Sub(l, r Expr) Expr { return &Bin{Op: '-', L: l, R: r} }
-func Mul(l, r Expr) Expr { return &Bin{Op: '*', L: l, R: r} }
-func Div(l, r Expr) Expr { return &Bin{Op: '/', L: l, R: r} }
+func Add(l, r Expr) Expr { return &bin{Op: '+', L: l, R: r} }
+func Sub(l, r Expr) Expr { return &bin{Op: '-', L: l, R: r} }
+func Mul(l, r Expr) Expr { return &bin{Op: '*', L: l, R: r} }
+func Div(l, r Expr) Expr { return &bin{Op: '/', L: l, R: r} }
 
 // ReduceOp is a recognized reduction operator.
 type ReduceOp byte

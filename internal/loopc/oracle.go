@@ -36,10 +36,10 @@ func SPFPartition(procs, lo, hi, n int) [][2]int {
 	return out
 }
 
-// XHPFPartition mirrors the message-passing runtime's owner-computes
+// xhpfPartition mirrors the message-passing runtime's owner-computes
 // map: each task owns the xhpf.BlockOf rows of the full 0..n extent and
 // executes the intersection of its block with the nest's [lo, hi).
-func XHPFPartition(procs, lo, hi, n int) [][2]int {
+func xhpfPartition(procs, lo, hi, n int) [][2]int {
 	out := make([][2]int, procs)
 	for q := 0; q < procs; q++ {
 		qlo, qhi := xhpf.BlockOf(q, procs, n)
@@ -58,9 +58,9 @@ func XHPFPartition(procs, lo, hi, n int) [][2]int {
 	return out
 }
 
-// SeqPartition is the single-block partition of a sequential run
+// seqPartition is the single-block partition of a sequential run
 // (procs is ignored).
-func SeqPartition(procs, lo, hi, n int) [][2]int { return [][2]int{{lo, hi}} }
+func seqPartition(procs, lo, hi, n int) [][2]int { return [][2]int{{lo, hi}} }
 
 // PartitionFor returns the partition a backend version uses, or nil for
 // versions loopc does not lower.
@@ -69,9 +69,9 @@ func PartitionFor(v core.Version) RowPartition {
 	case core.SPFGen:
 		return SPFPartition
 	case core.XHPFGen:
-		return XHPFPartition
+		return xhpfPartition
 	case core.Seq:
-		return SeqPartition
+		return seqPartition
 	}
 	return nil
 }

@@ -7,37 +7,37 @@ import (
 	"repro/internal/stats"
 )
 
-// Category is the time-attribution bucket of a wait.
-type Category uint8
+// category is the time-attribution bucket of a wait.
+type category uint8
 
 const (
-	// CatFault is page-repair stall: waiting for diff or page traffic.
-	CatFault Category = iota
-	// CatBarrier is barrier wait (including the fork-join interface's
+	// catFault is page-repair stall: waiting for diff or page traffic.
+	catFault category = iota
+	// catBarrier is barrier wait (including the fork-join interface's
 	// control messages, which travel under the barrier category).
-	CatBarrier
-	// CatLock is lock-acquisition wait.
-	CatLock
-	// CatData is explicit message-passing data wait (PVMe/XHPF sends,
+	catBarrier
+	// catLock is lock-acquisition wait.
+	catLock
+	// catData is explicit message-passing data wait (PVMe/XHPF sends,
 	// broadcasts, exchanges).
-	CatData
-	// CatOther is everything else (untracked shutdown/boundary traffic).
-	CatOther
+	catData
+	// catOther is everything else (untracked shutdown/boundary traffic).
+	catOther
 )
 
-// CategoryOf maps a traffic category to its attribution bucket.
-func CategoryOf(k stats.Kind) Category {
+// categoryOf maps a traffic category to its attribution bucket.
+func categoryOf(k stats.Kind) category {
 	switch k {
 	case stats.KindDiffReq, stats.KindDiff, stats.KindPageReq, stats.KindPage:
-		return CatFault
+		return catFault
 	case stats.KindBarrier, stats.KindControl:
-		return CatBarrier
+		return catBarrier
 	case stats.KindLock:
-		return CatLock
+		return catLock
 	case stats.KindData:
-		return CatData
+		return catData
 	}
-	return CatOther
+	return catOther
 }
 
 // NodeBreakdown is one node's virtual-time attribution over its timed
@@ -134,7 +134,7 @@ func newAttribution(windows [][2]int64) attribution {
 
 // wait charges wait event e, clipped to its node's window; a wait of a
 // process with no window counts nowhere.
-func (a *attribution) wait(e Event) {
+func (a *attribution) wait(e event) {
 	if int(e.Proc) >= len(a.windows) || e.Proc < 0 {
 		return
 	}
@@ -167,14 +167,14 @@ func (a *attribution) wait(e Event) {
 	b := &a.out[i]
 	b.Queue += q
 	rest := d - q
-	switch CategoryOf(e.Kind) {
-	case CatFault:
+	switch categoryOf(e.Kind) {
+	case catFault:
 		b.Fault += rest
-	case CatBarrier:
+	case catBarrier:
 		b.Barrier += rest
-	case CatLock:
+	case catLock:
 		b.Lock += rest
-	case CatData:
+	case catData:
 		b.Data += rest
 	default:
 		b.Other += rest

@@ -60,7 +60,7 @@ func usec(ns int64) string {
 }
 
 // chromeLine renders one event as a trace_event JSON object.
-func (t *Trace) chromeLine(e Event) string {
+func (t *Trace) chromeLine(e event) string {
 	name, cat, args := chromeFields(e)
 	head := fmt.Sprintf(`{"pid":%d,"tid":%d,"ts":%s`, t.NodeOf(int(e.Proc)), e.Proc, usec(e.T))
 	var body string
@@ -74,7 +74,7 @@ func (t *Trace) chromeLine(e Event) string {
 }
 
 // chromeFields maps an event to its display name, category and args.
-func chromeFields(e Event) (name, cat, args string) {
+func chromeFields(e event) (name, cat, args string) {
 	switch e.Type {
 	case EvWait:
 		return "wait:" + e.Kind.String(), "wait",
@@ -106,7 +106,7 @@ func chromeFields(e Event) (name, cat, args string) {
 		return "home-move", "home",
 			fmt.Sprintf(`"page":%d,"from":%d`, e.Page, e.Arg)
 	case EvCollective:
-		return "coll:" + CollName(e.Arg), "collective",
+		return "coll:" + collName(e.Arg), "collective",
 			fmt.Sprintf(`"kind":"%s"`, e.Kind)
 	}
 	return e.Type.String(), "event", fmt.Sprintf(`"arg":%d`, e.Arg)

@@ -87,9 +87,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// NumTypes reports the number of defined event types.
-func NumTypes() int { return int(numTypes) }
-
 // Collective operation codes (EvCollective's Arg).
 const (
 	CollBarrier int64 = iota
@@ -107,20 +104,20 @@ var collNames = []string{
 	"alltoall", "reduce",
 }
 
-// CollName returns the collective-operation name for an EvCollective
+// collName returns the collective-operation name for an EvCollective
 // Arg code.
-func CollName(op int64) string {
+func collName(op int64) string {
 	if op >= 0 && int(op) < len(collNames) {
 		return collNames[op]
 	}
 	return fmt.Sprintf("coll(%d)", op)
 }
 
-// Event is one trace event, as Attribute and WriteChrome decode it
+// event is one trace event, as Attribute and WriteChrome decode it
 // from its record (see Trace). T and Dur are virtual nanoseconds; Dur
 // is zero for instants. Page is -1 when the event concerns no page. The
 // meaning of Arg depends on Type (see the Type constants).
-type Event struct {
+type event struct {
 	T    int64
 	Dur  int64
 	Arg  int64
@@ -170,14 +167,14 @@ const (
 )
 
 // decode returns the event of the record at r[i:].
-func decode(r []byte, i int) Event {
+func decode(r []byte, i int) event {
 	typ, kind := Type(r[i+1]), stats.Kind(r[i+2])
 	proc, i := uvarint(r, i+3)
 	t, i := uvarint(r, i)
 	dur, i := uvarint(r, i)
 	page, i := uvarint(r, i)
 	arg, _ := uvarint(r, i)
-	return Event{T: unzigzag(t), Dur: unzigzag(dur), Arg: unzigzag(arg),
+	return event{T: unzigzag(t), Dur: unzigzag(dur), Arg: unzigzag(arg),
 		Proc: int32(proc), Page: int32(unzigzag(page)), Type: typ, Kind: kind}
 }
 

@@ -159,19 +159,19 @@ func TestAttributePanics(t *testing.T) {
 // TestCategoryOf pins the kind-to-bucket mapping the breakdown tables
 // depend on.
 func TestCategoryOf(t *testing.T) {
-	want := map[stats.Kind]Category{
-		stats.KindDiffReq:  CatFault,
-		stats.KindDiff:     CatFault,
-		stats.KindPageReq:  CatFault,
-		stats.KindPage:     CatFault,
-		stats.KindBarrier:  CatBarrier,
-		stats.KindControl:  CatBarrier,
-		stats.KindLock:     CatLock,
-		stats.KindData:     CatData,
-		stats.KindShutdown: CatOther,
+	want := map[stats.Kind]category{
+		stats.KindDiffReq:  catFault,
+		stats.KindDiff:     catFault,
+		stats.KindPageReq:  catFault,
+		stats.KindPage:     catFault,
+		stats.KindBarrier:  catBarrier,
+		stats.KindControl:  catBarrier,
+		stats.KindLock:     catLock,
+		stats.KindData:     catData,
+		stats.KindShutdown: catOther,
 	}
 	for k, cat := range want {
-		if got := CategoryOf(k); got != cat {
+		if got := categoryOf(k); got != cat {
 			t.Errorf("CategoryOf(%v) = %v, want %v", k, got, cat)
 		}
 	}
@@ -243,7 +243,7 @@ func TestValidateChromeRejects(t *testing.T) {
 
 // TestTypeAndCollNames pins the display vocabulary.
 func TestTypeAndCollNames(t *testing.T) {
-	for i := 0; i < NumTypes(); i++ {
+	for i := 0; i < int(numTypes); i++ {
 		if s := Type(i).String(); strings.HasPrefix(s, "type(") {
 			t.Errorf("Type(%d) has no name", i)
 		}
@@ -251,7 +251,7 @@ func TestTypeAndCollNames(t *testing.T) {
 	if s := Type(200).String(); s != "type(200)" {
 		t.Errorf("unknown type renders %q", s)
 	}
-	if CollName(CollHalo) != "halo" || CollName(99) != "coll(99)" {
+	if collName(CollHalo) != "halo" || collName(99) != "coll(99)" {
 		t.Error("collective naming drifted")
 	}
 }
@@ -271,7 +271,7 @@ func TestChunkedStorage(t *testing.T) {
 	want.WriteString(`{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"app 0"}}` + ",\n")
 	want.WriteString(`{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"app 1"}}`)
 	var barrier, data, queue [2]int64
-	var emitted []Event
+	var emitted []event
 	var bases []*byte // each chunk's backing array, as first made
 	n := 0
 	for ; len(tr.chunks) < 4; n++ {
@@ -279,18 +279,18 @@ func TestChunkedStorage(t *testing.T) {
 		switch n % 3 {
 		case 0:
 			tr.Span(EvWait, proc, at, 40, stats.KindBarrier, -1, 0)
-			emitted = append(emitted, Event{T: at, Dur: 40, Proc: int32(proc), Page: -1, Type: EvWait, Kind: stats.KindBarrier})
+			emitted = append(emitted, event{T: at, Dur: 40, Proc: int32(proc), Page: -1, Type: EvWait, Kind: stats.KindBarrier})
 			barrier[proc] += 40
 			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"X","dur":0.040,"name":"wait:barrier","cat":"wait","args":{"kind":"barrier","queued_ns":0}}`, proc, proc, usec(at))
 		case 1:
 			tr.Span(EvWait, proc, at, 30, stats.KindData, -1, 10)
-			emitted = append(emitted, Event{T: at, Dur: 30, Arg: 10, Proc: int32(proc), Page: -1, Type: EvWait, Kind: stats.KindData})
+			emitted = append(emitted, event{T: at, Dur: 30, Arg: 10, Proc: int32(proc), Page: -1, Type: EvWait, Kind: stats.KindData})
 			data[proc] += 20
 			queue[proc] += 10
 			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"X","dur":0.030,"name":"wait:data","cat":"wait","args":{"kind":"data","queued_ns":10}}`, proc, proc, usec(at))
 		default:
 			tr.Instant(EvPageFetch, proc, at, stats.KindPage, int32(n), 0)
-			emitted = append(emitted, Event{T: at, Proc: int32(proc), Page: int32(n), Type: EvPageFetch, Kind: stats.KindPage})
+			emitted = append(emitted, event{T: at, Proc: int32(proc), Page: int32(n), Type: EvPageFetch, Kind: stats.KindPage})
 			fmt.Fprintf(&want, ",\n"+`{"pid":%d,"tid":%d,"ts":%s,"ph":"i","s":"t","name":"page-fetch","cat":"protocol","args":{"page":%d}}`, proc, proc, usec(at), n)
 		}
 		for k, c := range tr.chunks {
@@ -337,7 +337,7 @@ func TestChunkedStorage(t *testing.T) {
 }
 
 // emit appends events to tr in order.
-func emit(tr *Trace, events []Event) {
+func emit(tr *Trace, events []event) {
 	for _, e := range events {
 		tr.Span(e.Type, int(e.Proc), e.T, e.Dur, e.Kind, e.Page, e.Arg)
 	}
@@ -345,7 +345,7 @@ func emit(tr *Trace, events []Event) {
 
 // chromeOf is the Chrome document of events rendered one by one, under
 // tr's topology: WriteChrome's frame, with one chromeLine an event.
-func chromeOf(tr *Trace, events []Event) []byte {
+func chromeOf(tr *Trace, events []event) []byte {
 	var frame bytes.Buffer
 	(&Trace{procs: tr.procs, nodes: tr.nodes}).WriteChrome(&frame)
 	tail := "\n],\"displayTimeUnit\":\"ms\"}\n"
@@ -363,7 +363,7 @@ func chromeOf(tr *Trace, events []Event) []byte {
 
 // attributed folds events through Attribute's own fold, or returns the
 // panic that stopped it.
-func attributed(windows [][2]int64, events []Event) (bds []NodeBreakdown, panicked any) {
+func attributed(windows [][2]int64, events []event) (bds []NodeBreakdown, panicked any) {
 	defer func() { panicked = recover() }()
 	a := newAttribution(windows)
 	for _, e := range events {
@@ -384,7 +384,7 @@ func attributeOf(tr *Trace, windows [][2]int64) (bds []NodeBreakdown, panicked a
 // themselves: its records are the documented layout, it decodes to the
 // events in order, and its Chrome bytes and breakdowns (or the panic
 // Attribute raises) are those of the events taken one by one.
-func checkRoundTrip(t *testing.T, events []Event, windows [][2]int64) (panicked any) {
+func checkRoundTrip(t *testing.T, events []event, windows [][2]int64) (panicked any) {
 	t.Helper()
 	tr := New()
 	tr.SetTopology(4, 2)
@@ -434,16 +434,17 @@ func checkRoundTrip(t *testing.T, events []Event, windows [][2]int64) (panicked 
 // TestRecordExtremes round-trips the extremes of every field, every
 // type and kind and procs 0-300 through the records.
 func TestRecordExtremes(t *testing.T) {
-	wait := func(proc int32, at, dur int64, kind stats.Kind, arg int64) Event {
-		return Event{T: at, Dur: dur, Arg: arg, Proc: proc, Page: -1, Type: EvWait, Kind: kind}
+	wait := func(proc int32, at, dur int64, kind stats.Kind, arg int64) event {
+		return event{T: at, Dur: dur, Arg: arg, Proc: proc, Page: -1, Type: EvWait, Kind: kind}
 	}
-	at := func(typ Type, proc int32, page int32, arg int64) Event {
-		return Event{T: 1000, Arg: arg, Proc: proc, Page: page, Type: typ, Kind: stats.KindPage}
+	at := func(typ Type, proc int32, page int32, arg int64) event {
+		return event{T: 1000, Arg: arg, Proc: proc, Page: page, Type: typ, Kind: stats.KindPage}
 	}
-	var typesKinds, procs []Event
+	var typesKinds, procs []event
+	nk := len(stats.AllKinds())
 	for typ := Type(0); typ <= numTypes; typ++ {
-		for k := 0; k <= stats.NumKinds(); k++ {
-			typesKinds = append(typesKinds, Event{T: int64(len(typesKinds)) * 10, Dur: 5, Arg: 2,
+		for k := 0; k <= nk; k++ {
+			typesKinds = append(typesKinds, event{T: int64(len(typesKinds)) * 10, Dur: 5, Arg: 2,
 				Proc: 1, Page: 7, Type: typ, Kind: stats.Kind(k)})
 		}
 	}
@@ -456,17 +457,17 @@ func TestRecordExtremes(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name   string
-		events []Event
+		events []event
 		panics string
 	}{
-		{"T", []Event{wait(0, 0, 10, stats.KindData, 0), at(EvPageFetch, 0, 3, 0),
+		{"T", []event{wait(0, 0, 10, stats.KindData, 0), at(EvPageFetch, 0, 3, 0),
 			wait(0, math.MaxInt64, 0, stats.KindData, 0), {T: math.MaxInt64, Page: -1, Type: EvDiffReq, Kind: stats.KindDiffReq}}, ""},
-		{"Dur", []Event{wait(1, 0, 0, stats.KindBarrier, 0), wait(1, 10, 1<<33+1, stats.KindBarrier, 0),
+		{"Dur", []event{wait(1, 0, 0, stats.KindBarrier, 0), wait(1, 10, 1<<33+1, stats.KindBarrier, 0),
 			{T: 1 << 40, Dur: math.MaxInt64 - 1<<40, Proc: 1, Page: 3, Type: EvFault, Kind: stats.KindPage}}, ""},
-		{"negative Dur", []Event{wait(2, 50, 0, stats.KindDiff, 0), wait(2, 100, -5, stats.KindDiff, 0)}, "negative wait"},
-		{"negative Dur, not a wait", []Event{{T: 7, Dur: math.MinInt64, Proc: 2, Page: -1, Type: EvQueue, Kind: stats.KindData}}, ""},
-		{"Page", []Event{at(EvPageFetch, 3, -1, 0), at(EvPageFetch, 3, math.MinInt32, 0), at(EvHomeMove, 3, math.MaxInt32, 2)}, ""},
-		{"Arg", []Event{wait(0, 0, 10, stats.KindData, math.MinInt64), wait(0, 20, 10, stats.KindData, math.MaxInt64),
+		{"negative Dur", []event{wait(2, 50, 0, stats.KindDiff, 0), wait(2, 100, -5, stats.KindDiff, 0)}, "negative wait"},
+		{"negative Dur, not a wait", []event{{T: 7, Dur: math.MinInt64, Proc: 2, Page: -1, Type: EvQueue, Kind: stats.KindData}}, ""},
+		{"Page", []event{at(EvPageFetch, 3, -1, 0), at(EvPageFetch, 3, math.MinInt32, 0), at(EvHomeMove, 3, math.MaxInt32, 2)}, ""},
+		{"Arg", []event{wait(0, 0, 10, stats.KindData, math.MinInt64), wait(0, 20, 10, stats.KindData, math.MaxInt64),
 			at(EvCollective, 0, -1, math.MinInt64), at(EvMigrationEpoch, 0, -1, math.MaxInt64)}, ""},
 		{"types and kinds", typesKinds, ""},
 		{"procs 0-300", procs, ""},
@@ -485,7 +486,7 @@ func TestRecordExtremes(t *testing.T) {
 // themselves and give the Chrome bytes and breakdowns (or Attribute's
 // panic) of the events taken one by one.
 func FuzzTraceRoundTrip(f *testing.F) {
-	seed := func(events ...Event) []byte {
+	seed := func(events ...event) []byte {
 		var b []byte
 		for _, e := range events {
 			b = binary.LittleEndian.AppendUint64(b, uint64(e.T))
@@ -497,14 +498,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seed(Event{T: 100, Dur: 50, Page: -1, Type: EvWait, Kind: stats.KindDiff},
-		Event{T: 2000, Proc: 1, Page: 17, Arg: 2, Type: EvDiffReq, Kind: stats.KindDiffReq}))
-	f.Add(seed(Event{T: math.MaxInt64, Dur: -1, Arg: math.MinInt64, Page: math.MinInt32, Proc: -3, Type: EvWait}))
+	f.Add(seed(event{T: 100, Dur: 50, Page: -1, Type: EvWait, Kind: stats.KindDiff},
+		event{T: 2000, Proc: 1, Page: 17, Arg: 2, Type: EvDiffReq, Kind: stats.KindDiffReq}))
+	f.Add(seed(event{T: math.MaxInt64, Dur: -1, Arg: math.MinInt64, Page: math.MinInt32, Proc: -3, Type: EvWait}))
 	const eventBytes = 8 + 8 + 8 + 4 + 2 + 3
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var events []Event
+		var events []event
 		for ; len(data) >= eventBytes && len(events) < 1<<14; data = data[eventBytes:] {
-			e := Event{
+			e := event{
 				T:    int64(binary.LittleEndian.Uint64(data)),
 				Dur:  int64(binary.LittleEndian.Uint64(data[8:])),
 				Arg:  int64(binary.LittleEndian.Uint64(data[16:])),
@@ -525,12 +526,13 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // benchEvents is a trace's worth of events shaped like a small DSM
 // run's: eight processes, a wait or a protocol instant every few
 // hundred virtual nanoseconds, pages and arguments of a few bits.
-func benchEvents() []Event {
-	events := make([]Event, 4096)
+func benchEvents() []event {
+	events := make([]event, 4096)
 	var at int64
+	nk := len(stats.AllKinds())
 	for i := range events {
 		at += int64(100 + i*37%900)
-		e := Event{T: at, Proc: int32(i % 8), Page: -1, Kind: stats.Kind(i % stats.NumKinds())}
+		e := event{T: at, Proc: int32(i % 8), Page: -1, Kind: stats.Kind(i % nk)}
 		switch i % 5 {
 		case 0, 1:
 			e.Type, e.Dur, e.Arg = EvWait, int64(i*53%5000), int64(i%3)

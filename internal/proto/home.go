@@ -70,7 +70,7 @@ type pullState struct {
 
 type home struct {
 	lrcCore
-	pol      HomePolicy
+	pol      homePolicy
 	dirEpoch int32                // barrier epochs with directory updates installed
 	pulls    map[int32]*pullState // pages this node gained and is still pulling
 
@@ -93,7 +93,7 @@ type home struct {
 func newHome(h Host, policy PolicyName) *home {
 	hb := &home{pulls: map[int32]*pullState{}}
 	hb.init(h)
-	hb.pol = NewHomePolicy(policy, hb.nprocs, hb.id)
+	hb.pol = newHomePolicy(policy, hb.nprocs, hb.id)
 	n := hb.nprocs
 	hb.end, hb.flushes, hb.reqs = make([]int, n+1), make([]flushMsg, n), make([]pageReq, n)
 	hb.retry, hb.replies = make([][]pageNeed, n), make([]pageResp, n)

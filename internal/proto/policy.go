@@ -8,7 +8,7 @@ import (
 // Home placement is a *policy*, distinct from the home-based coherence
 // *mechanism* (eager flushes, whole-page fetches): where a page's master
 // copy lives decides where modified data travels, but not how. This file
-// defines the pluggable HomePolicy API and its three implementations:
+// defines the pluggable homePolicy API and its three implementations:
 //
 //   - static: the original assignment — homes are fixed block-wise
 //     within each region at allocation time and never move. Bit-for-bit
@@ -20,7 +20,7 @@ import (
 //     so every node agrees before the next release.
 //   - adaptive: every flush is accounted per page and per writer at the
 //     page's home; when one remote writer's share of a page's flush
-//     bytes over the last AdaptiveWindow barrier epochs crosses
+//     bytes over the last adaptiveWindow barrier epochs crosses
 //     AdaptiveShare, the home proposes migrating the page to that
 //     writer. Hysteresis (a full window of history, a majority share,
 //     and a post-move accounting reset) keeps pages whose dominant
@@ -70,15 +70,15 @@ func ParsePolicy(s string) (PolicyName, error) {
 // Adaptive-policy hysteresis constants, exported so tests can reason
 // about the trigger exactly.
 const (
-	// AdaptiveWindow is the number of completed barrier epochs of flush
+	// adaptiveWindow is the number of completed barrier epochs of flush
 	// accounting a page needs before it may migrate (and the depth of
 	// the per-page accounting ring).
-	AdaptiveWindow = 4
-	// AdaptiveShareNum/AdaptiveShareDen is the flush-byte share a writer
+	adaptiveWindow = 4
+	// adaptiveShareNum/adaptiveShareDen is the flush-byte share a writer
 	// must hold over the window to capture the page: 3/5 = 60%, so two
 	// writers alternating epochs (50% each) never trigger a move.
-	AdaptiveShareNum = 3
-	AdaptiveShareDen = 5
+	adaptiveShareNum = 3
+	adaptiveShareDen = 5
 )
 
 // DirUpdate is one home-directory change: page Page is henceforth homed
@@ -94,12 +94,12 @@ type DirUpdate struct {
 // stale-home NACK).
 func DirUpdateBytes(us []DirUpdate) int { return len(us) * dirUpdateRecBytes }
 
-// HomePolicy decides where pages live. One instance exists per node,
+// homePolicy decides where pages live. One instance exists per node,
 // inside the home protocol; all methods are local bookkeeping (no
 // messages, no virtual time). Every node's policy instance observes the
 // same arbitrated update stream, so the directories never diverge
 // between epochs.
-type HomePolicy interface {
+type homePolicy interface {
 	// Name returns the policy's identifier.
 	Name() PolicyName
 	// AddPages extends the directory with npages fresh pages on the
@@ -123,10 +123,10 @@ type HomePolicy interface {
 	Apply(us []DirUpdate)
 }
 
-// NewHomePolicy builds a policy instance for one node. The name goes
+// newHomePolicy builds a policy instance for one node. The name goes
 // through ParsePolicy, so everything Spec.Validate accepts (including
 // aliases) constructs.
-func NewHomePolicy(p PolicyName, nprocs, self int) HomePolicy {
+func newHomePolicy(p PolicyName, nprocs, self int) homePolicy {
 	name, err := ParsePolicy(string(p))
 	if err != nil {
 		panic(err.Error())
@@ -229,10 +229,10 @@ func (ft *firstTouch) Apply(us []DirUpdate) {
 
 // pageAcct is the adaptive policy's per-page flush accounting at the
 // page's current home: a ring of per-writer byte counts for the last
-// AdaptiveWindow epochs plus the open epoch's counts.
+// adaptiveWindow epochs plus the open epoch's counts.
 type pageAcct struct {
 	epochs int                     // completed epochs since (re)homed here
-	ring   [AdaptiveWindow][]int64 // per-writer bytes, one slot per epoch
+	ring   [adaptiveWindow][]int64 // per-writer bytes, one slot per epoch
 	cur    []int64                 // open epoch's per-writer bytes
 }
 
@@ -300,11 +300,11 @@ func (ad *adaptive) Rebalance() []DirUpdate {
 	var out []DirUpdate
 	for _, gp := range pages {
 		pa := ad.acct[gp]
-		slot := pa.epochs % AdaptiveWindow
+		slot := pa.epochs % adaptiveWindow
 		pa.ring[slot] = pa.cur
 		pa.cur = make([]int64, ad.nprocs)
 		pa.epochs++
-		if pa.epochs < AdaptiveWindow {
+		if pa.epochs < adaptiveWindow {
 			continue // hysteresis: a full window of history first
 		}
 		var total int64
@@ -319,7 +319,7 @@ func (ad *adaptive) Rebalance() []DirUpdate {
 			delete(ad.acct, gp) // quiesced: stop tracking
 			continue
 		}
-		if last, ok := ad.selfW[gp]; ok && ad.epoch-last < AdaptiveWindow {
+		if last, ok := ad.selfW[gp]; ok && ad.epoch-last < adaptiveWindow {
 			continue // the home writes this page itself: keep it
 		}
 		top := 0
@@ -328,7 +328,7 @@ func (ad *adaptive) Rebalance() []DirUpdate {
 				top = q // ties keep the lowest id
 			}
 		}
-		if top == ad.self || sums[top]*AdaptiveShareDen < total*AdaptiveShareNum {
+		if top == ad.self || sums[top]*adaptiveShareDen < total*adaptiveShareNum {
 			continue
 		}
 		if pa.ring[slot][top] == 0 {

@@ -37,7 +37,7 @@ func TestParsePolicy(t *testing.T) {
 func TestInitialHomesMatchStaticBlocks(t *testing.T) {
 	const nprocs, npages = 4, 32
 	for _, name := range PolicyNames() {
-		pol := NewHomePolicy(name, nprocs, 0)
+		pol := newHomePolicy(name, nprocs, 0)
 		pol.AddPages(npages)
 		pol.AddPages(npages) // a second region restarts the block map
 		for i := 0; i < npages; i++ {
@@ -52,7 +52,7 @@ func TestInitialHomesMatchStaticBlocks(t *testing.T) {
 }
 
 func TestStaticPolicyNeverProposes(t *testing.T) {
-	pol := NewHomePolicy(StaticPolicy, 4, 1)
+	pol := newHomePolicy(StaticPolicy, 4, 1)
 	pol.AddPages(8)
 	for e := 0; e < 10; e++ {
 		for gp := int32(0); gp < 8; gp++ {
@@ -69,7 +69,7 @@ func TestStaticPolicyNeverProposes(t *testing.T) {
 // claim is proposed exactly once, and an applied arbitration settles
 // the page everywhere — including at a claimant that lost the tie.
 func TestFirstTouchClaims(t *testing.T) {
-	pol := NewHomePolicy(FirstTouchPolicy, 4, 2).(*firstTouch)
+	pol := newHomePolicy(FirstTouchPolicy, 4, 2).(*firstTouch)
 	pol.AddPages(8)
 	pol.NoteWrite(5)
 	pol.NoteWrite(5) // same epoch: deduplicated
@@ -122,12 +122,12 @@ func rebalanceEpoch(ad *adaptive, gp int32, bytesByWriter map[int]int) []DirUpda
 }
 
 // TestAdaptiveMigratesToDominantWriter: a steady single remote writer
-// captures the page after exactly AdaptiveWindow epochs, and the
+// captures the page after exactly adaptiveWindow epochs, and the
 // proposal resets the accounting.
 func TestAdaptiveMigratesToDominantWriter(t *testing.T) {
-	ad := NewHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
+	ad := newHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
 	ad.AddPages(4)
-	for e := 1; e < AdaptiveWindow; e++ {
+	for e := 1; e < adaptiveWindow; e++ {
 		if props := rebalanceEpoch(ad, 0, map[int]int{3: 4096}); len(props) != 0 {
 			t.Fatalf("epoch %d: proposed %v before a full window", e, props)
 		}
@@ -138,7 +138,7 @@ func TestAdaptiveMigratesToDominantWriter(t *testing.T) {
 	}
 	// The page needs a fresh window at its new home before moving again.
 	ad.Apply(props)
-	for e := 0; e < AdaptiveWindow-1; e++ {
+	for e := 0; e < adaptiveWindow-1; e++ {
 		if props := rebalanceEpoch(ad, 0, map[int]int{2: 4096}); len(props) != 0 {
 			t.Fatalf("post-move epoch %d: proposed %v without fresh history", e, props)
 		}
@@ -150,7 +150,7 @@ func TestAdaptiveMigratesToDominantWriter(t *testing.T) {
 // threshold, so the page never moves — the migration count stays at
 // zero no matter how long the pattern runs.
 func TestAdaptiveHysteresisPingPong(t *testing.T) {
-	ad := NewHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
+	ad := newHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
 	ad.AddPages(4)
 	moves := 0
 	for e := 0; e < 50; e++ {
@@ -166,9 +166,9 @@ func TestAdaptiveHysteresisPingPong(t *testing.T) {
 // TestAdaptiveShareThreshold: a 3/4 share triggers, a 1/2 share does
 // not (the threshold is 3/5).
 func TestAdaptiveShareThreshold(t *testing.T) {
-	ad := NewHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
+	ad := newHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
 	ad.AddPages(4)
-	for e := 0; e < AdaptiveWindow-1; e++ {
+	for e := 0; e < adaptiveWindow-1; e++ {
 		rebalanceEpoch(ad, 2, map[int]int{1: 3 * 1024, 2: 1024})
 	}
 	props := rebalanceEpoch(ad, 2, map[int]int{1: 3 * 1024, 2: 1024})
@@ -182,9 +182,9 @@ func TestAdaptiveShareThreshold(t *testing.T) {
 // without the guard two nodes sharing a page would steal it back and
 // forth (the home's own writes generate no flushes).
 func TestAdaptiveSelfWriteGuard(t *testing.T) {
-	ad := NewHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
+	ad := newHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
 	ad.AddPages(4)
-	for e := 0; e < 3*AdaptiveWindow; e++ {
+	for e := 0; e < 3*adaptiveWindow; e++ {
 		ad.NoteWrite(0) // the home writes the page every epoch
 		if props := rebalanceEpoch(ad, 0, map[int]int{3: 8192}); len(props) != 0 {
 			t.Fatalf("epoch %d: self-written page proposed away: %v", e, props)
@@ -193,7 +193,7 @@ func TestAdaptiveSelfWriteGuard(t *testing.T) {
 	// Once the home stops writing for a full window, the dominant
 	// remote writer may take the page.
 	var props []DirUpdate
-	for e := 0; e < AdaptiveWindow+1 && len(props) == 0; e++ {
+	for e := 0; e < adaptiveWindow+1 && len(props) == 0; e++ {
 		props = rebalanceEpoch(ad, 0, map[int]int{3: 8192})
 	}
 	if len(props) != 1 || props[0] != (DirUpdate{Page: 0, Home: 3}) {
@@ -205,10 +205,10 @@ func TestAdaptiveSelfWriteGuard(t *testing.T) {
 // cannot capture a page once its writer goes quiet — the dominant
 // writer must have flushed in the closing epoch.
 func TestAdaptiveStaleBurstGuard(t *testing.T) {
-	ad := NewHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
+	ad := newHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
 	ad.AddPages(4)
 	rebalanceEpoch(ad, 0, map[int]int{1: 1 << 20}) // epoch 1: huge burst
-	for e := 0; e < 2*AdaptiveWindow; e++ {
+	for e := 0; e < 2*adaptiveWindow; e++ {
 		if props := rebalanceEpoch(ad, 0, nil); len(props) != 0 {
 			t.Fatalf("quiet epoch %d: stale burst captured the page: %v", e, props)
 		}

@@ -248,7 +248,7 @@ func unpack[T Scalar](m sim.Message, tag int, dst []T) int {
 	return n
 }
 
-// Recv blocks for a message from src (AnySrc for a wildcard) under tag
+// Recv blocks for a message from src (anySrc for a wildcard) under tag
 // and unpacks it into dst, returning the element count. The message
 // must be exactly len(dst) elements.
 func Recv[T Scalar](pv *PVM, src, tag int, dst []T) int {
@@ -257,8 +257,8 @@ func Recv[T Scalar](pv *PVM, src, tag int, dst []T) int {
 	return n
 }
 
-// AnySrc is the wildcard source for Recv.
-const AnySrc = sim.AnySrc
+// anySrc is the wildcard source for Recv.
+const anySrc = sim.AnySrc
 
 // Bcast sends vals from root to every other task (n-1 messages, as PVMe
 // broadcast on the SP/2 switch). The transmit buffer is packed once and
@@ -361,7 +361,7 @@ func (pv *PVM) BarrierSilent(tag int) {
 	}
 	if pv.ID() == 0 {
 		for i := 0; i < pv.sys.nprocs-1; i++ {
-			pv.p.Recv(AnySrc, tagBase+tag)
+			pv.p.Recv(anySrc, tagBase+tag)
 		}
 		for q := 1; q < pv.sys.nprocs; q++ {
 			pv.p.Send(q, tagBase+tag+1, nil, 4, stats.KindShutdown)
@@ -423,7 +423,7 @@ func (pv *PVM) Barrier(tag int) {
 	if pv.ID() == 0 {
 		buf := []int32{0}
 		for i := 0; i < pv.sys.nprocs-1; i++ {
-			Recv(pv, AnySrc, tag, buf)
+			Recv(pv, anySrc, tag, buf)
 		}
 		for q := 1; q < pv.sys.nprocs; q++ {
 			Send(pv, q, tag+1, one)

@@ -162,7 +162,7 @@ func TestDeterministicWildcardRecv(t *testing.T) {
 			if pv.ID() == 0 {
 				buf := make([]int32, 1)
 				for i := 0; i < 3; i++ {
-					Recv(pv, AnySrc, 7, buf)
+					Recv(pv, anySrc, 7, buf)
 					order += string(rune('0' + buf[0]))
 				}
 			} else {

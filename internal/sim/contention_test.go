@@ -467,7 +467,7 @@ func TestQueueAttributionByResourceAndKind(t *testing.T) {
 
 	// The per-resource split always sums to the per-node totals.
 	var resSum int64
-	for _, r := range stats.AllQueueResources() {
+	for _, r := range []stats.QueueResource{stats.QueueOut, stats.QueueIn, stats.QueueBackplane} {
 		resSum += st.QueueResNanosOf(r)
 	}
 	if resSum != st.TotalQueueNanos() {

@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -75,7 +74,6 @@ const Forever Time = math.MaxInt64
 
 // Common durations.
 const (
-	Nanosecond  Time = 1
 	Microsecond Time = 1000
 	Millisecond Time = 1000 * 1000
 	Second      Time = 1000 * 1000 * 1000
@@ -240,9 +238,16 @@ type Cluster struct {
 	host        HostStats
 	hostPending int64
 
+	// order is the sequence pick scans: of the processes tied at the
+	// least effective time, the first in order runs. It is procs, so
+	// the lowest id wins, unless a test reorders it (export_test.go).
+	order []*Proc
 	// onPick, when set (tests only), runs at the start of every pick.
 	onPick func()
 }
+
+// onNew, when set (tests only), runs on every cluster New builds.
+var onNew func(*Cluster)
 
 // New creates a cluster with the given configuration.
 func New(cfg Config) *Cluster {
@@ -270,6 +275,10 @@ func New(cfg Config) *Cluster {
 			waitTag: AnyTag,
 		}
 	}
+	c.order = c.procs
+	if onNew != nil {
+		onNew(c)
+	}
 	return c
 }
 
@@ -279,20 +288,12 @@ func (c *Cluster) Stats() *stats.Stats { return c.stats }
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// TransferTime returns latency plus size-dependent wire time for a payload
-// of the given size (header added automatically). It is the uncontended
-// transfer cost; queueing delay under the contention model comes on top.
-func (c *Cluster) TransferTime(payloadBytes int) Time {
-	wire := payloadBytes + c.cfg.HeaderBytes
-	return c.cfg.Latency + Time(float64(wire)*c.cfg.NanosPerByte)
-}
-
-// DeadlockError reports that no process could make progress.
-type DeadlockError struct {
+// deadlockError reports that no process could make progress.
+type deadlockError struct {
 	States []string
 }
 
-func (e *DeadlockError) Error() string {
+func (e *deadlockError) Error() string {
 	return "sim: deadlock: no runnable process\n  " + strings.Join(e.States, "\n  ")
 }
 
@@ -301,7 +302,7 @@ func (e *DeadlockError) Error() string {
 type stopped struct{}
 
 // Run starts every process executing body and drives the scheduler until
-// all processes finish. It returns a *DeadlockError if the processes
+// all processes finish. It returns a *deadlockError if the processes
 // deadlock. If a process body panics, Run panics with the same value, so
 // tests see the original failure. On either path the unfinished processes
 // are stopped first — their bodies unwind, running their deferred calls —
@@ -328,7 +329,7 @@ func (c *Cluster) Run(body func(p *Proc)) error {
 				states[i] = fmt.Sprintf("proc %d: %s clock=%v wait=(src=%d,tag=%d) inbox=%d",
 					i, q.state, q.clock, q.waitSrc, q.waitTag, len(q.inbox))
 			}
-			return &DeadlockError{States: states}
+			return &deadlockError{States: states}
 		}
 		c.host.Dispatches++
 		p.horizon, p.state = horizon, stateRunning
@@ -358,16 +359,17 @@ func (c *Cluster) effective(p *Proc) Time {
 	}
 }
 
-// pick chooses the runnable process with minimum (effective, id), or nil
-// if none can run, and computes its horizon: the minimum effective time
-// of the others, up to which the chosen process may run freely.
+// pick chooses the runnable process of minimum effective time, the
+// first in c.order among ties, or nil if none can run, and computes its
+// horizon: the minimum effective time of the others, up to which the
+// chosen process may run freely.
 func (c *Cluster) pick() (best *Proc, horizon Time) {
 	if c.onPick != nil {
 		c.onPick()
 	}
 	bestT := Forever
 	horizon = Forever
-	for _, p := range c.procs {
+	for _, p := range c.order {
 		switch t := p.eff; {
 		case t < bestT:
 			best, bestT, horizon = p, t, bestT
@@ -406,13 +408,6 @@ func (p *Proc) Advance(d Time) {
 	p.clock += d
 	if p.clock > p.horizon {
 		p.yieldTo(stateReady)
-	}
-}
-
-// AdvanceTo moves the clock forward to at least t.
-func (p *Proc) AdvanceTo(t Time) {
-	if t > p.clock {
-		p.Advance(t - p.clock)
 	}
 }
 
@@ -588,28 +583,4 @@ func (p *Proc) Recv(src, tag int) Message {
 		p.waitSrc, p.waitTag = src, tag
 		p.yieldTo(stateBlocked)
 	}
-}
-
-// Pending reports whether a message matching (src, tag) has already been
-// *sent*, regardless of virtual delivery time. It does not advance time.
-// Useful for draining inboxes at shutdown.
-func (p *Proc) Pending(src, tag int) bool { return p.minMatch(src, tag) >= 0 }
-
-// Yield gives other processes at the same virtual time a chance to run.
-// It is a scheduling hint only and does not advance the clock.
-func (p *Proc) Yield() { p.yieldTo(stateReady) }
-
-// DumpInbox formats the pending messages for debugging.
-func (p *Proc) DumpInbox() string {
-	msgs := make([]string, len(p.inbox))
-	idx := make([]int, len(p.inbox))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return p.inbox[idx[a]].seq < p.inbox[idx[b]].seq })
-	for i, j := range idx {
-		m := p.inbox[j]
-		msgs[i] = fmt.Sprintf("{src=%d tag=%d bytes=%d deliver=%v}", m.Src, m.Tag, m.Bytes, m.Deliver)
-	}
-	return strings.Join(msgs, " ")
 }

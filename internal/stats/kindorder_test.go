@@ -26,8 +26,8 @@ func TestKindOrderPinned(t *testing.T) {
 		{KindControl, "control"},
 		{KindShutdown, "shutdown"},
 	}
-	if NumKinds() != len(want) {
-		t.Fatalf("NumKinds() = %d, want %d — a new Kind must be added to this pinning table", NumKinds(), len(want))
+	if int(numKinds) != len(want) {
+		t.Fatalf("%d kinds, want %d — a new Kind must be added to this pinning table", numKinds, len(want))
 	}
 	all := AllKinds()
 	for i, w := range want {

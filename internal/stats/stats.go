@@ -82,18 +82,6 @@ func (r QueueResource) String() string {
 	return fmt.Sprintf("resource(%d)", uint8(r))
 }
 
-// NumQueueResources reports the number of binding resources.
-func NumQueueResources() int { return int(numQueueResources) }
-
-// AllQueueResources lists every binding resource in declaration order.
-func AllQueueResources() []QueueResource {
-	rs := make([]QueueResource, numQueueResources)
-	for i := range rs {
-		rs[i] = QueueResource(i)
-	}
-	return rs
-}
-
 // Stats holds per-kind message counts and byte totals, plus the
 // contention model's queueing-delay totals. It counts what the network
 // carried; where each node's time went is package obs's attribution.
@@ -247,9 +235,6 @@ func (s *Stats) String() string {
 	}
 	return b.String()
 }
-
-// NumKinds reports the number of defined categories (for table layouts).
-func NumKinds() int { return int(numKinds) }
 
 // AllKinds lists every category in declaration order.
 func AllKinds() []Kind {

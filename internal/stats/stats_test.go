@@ -101,7 +101,7 @@ func TestTotalsConsistentProperty(t *testing.T) {
 	f := func(events []uint16) bool {
 		var s Stats
 		for _, e := range events {
-			k := Kind(e % uint16(NumKinds()))
+			k := Kind(e % uint16(numKinds))
 			s.Record(k, int(e%4097))
 		}
 		var msgs, bytes int64
@@ -146,7 +146,7 @@ func TestRecordQueueSplit(t *testing.T) {
 	}
 	// The resource split and the kind split each cover the total.
 	var byRes, byKind int64
-	for _, r := range AllQueueResources() {
+	for r := QueueResource(0); r < numQueueResources; r++ {
 		byRes += s.QueueResNanosOf(r)
 	}
 	for _, k := range AllKinds() {
@@ -169,13 +169,12 @@ func TestRecordQueueSplit(t *testing.T) {
 
 func TestQueueResourceNames(t *testing.T) {
 	want := []string{"out", "in", "backplane"}
-	rs := AllQueueResources()
-	if len(rs) != len(want) || NumQueueResources() != len(want) {
-		t.Fatalf("have %d resources, want %d", len(rs), len(want))
+	if int(numQueueResources) != len(want) {
+		t.Fatalf("have %d resources, want %d", numQueueResources, len(want))
 	}
-	for i, r := range rs {
-		if r.String() != want[i] {
-			t.Errorf("resource %d = %q, want %q", i, r, want[i])
+	for i, w := range want {
+		if r := QueueResource(i); r.String() != w {
+			t.Errorf("resource %d = %q, want %q", i, r, w)
 		}
 	}
 }

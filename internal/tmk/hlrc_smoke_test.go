@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/tmk"
@@ -57,7 +56,10 @@ func TestHLRCSmoke(t *testing.T) {
 func TestHLRCSmokeAllApps(t *testing.T) {
 	const procs = 2
 	for _, a := range exp.Apps() {
-		for _, v := range harness.DSMVersions(a) {
+		for _, v := range a.Versions() {
+			if !core.Describe(v).Runtime.OnDSM() {
+				continue
+			}
 			run := func(p proto.Name) core.Result {
 				t.Helper()
 				s := exp.Spec{App: a.Name(), Version: v, Procs: procs, Scale: core.SmallScale, Protocol: p}

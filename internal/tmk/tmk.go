@@ -34,18 +34,6 @@ func (tm *Tmk) Proc() *sim.Proc { return tm.p }
 // System returns the owning system.
 func (tm *Tmk) System() *System { return tm.sys }
 
-// FaultCount returns the number of access faults taken by this node.
-func (tm *Tmk) FaultCount() int64 { return tm.nd.prot.Counters().Faults }
-
-// TwinCount returns the number of twins created by this node.
-func (tm *Tmk) TwinCount() int64 { return tm.nd.prot.Counters().Twins }
-
-// DiffCounts returns (created, applied) diff counts for this node.
-func (tm *Tmk) DiffCounts() (made, applied int64) {
-	c := tm.nd.prot.Counters()
-	return c.DiffsMade, c.DiffsApplied
-}
-
 // Protocol returns the coherence protocol this system runs.
 func (tm *Tmk) Protocol() proto.Name { return tm.sys.protocol }
 

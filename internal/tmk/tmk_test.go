@@ -479,9 +479,9 @@ func TestBroadcastSettlesEveryWriterOfThePage(t *testing.T) {
 				check("after the broadcast", 1)
 				tm.Barrier()
 				check("after the next barrier", 1)
-				if tm.ID() == 2 && tm.FaultCount() != 0 {
+				if tm.ID() == 2 && tm.nd.prot.Counters().Faults != 0 {
 					t.Errorf("%s, notice heard %s the broadcast: the receiver took %d faults on a page it was sent whole",
-						prot, hears, tm.FaultCount())
+						prot, hears, tm.nd.prot.Counters().Faults)
 				}
 				if tm.ID() == 0 {
 					fill(r.Write(elems/2, elems), 3)
@@ -725,10 +725,10 @@ func TestFaultAndTwinCounters(t *testing.T) {
 		tm.Barrier()
 		if tm.ID() == 1 {
 			r.Read(0, 1024)
-			faults = tm.FaultCount()
+			faults = tm.nd.prot.Counters().Faults
 		}
 		if tm.ID() == 0 {
-			twins = tm.TwinCount()
+			twins = tm.nd.prot.Counters().Twins
 		}
 		tm.Barrier()
 	})
@@ -820,7 +820,7 @@ func TestReadAggregatedRangesCorrectness(t *testing.T) {
 				ranges = append(ranges, [2]int{pg * 1024, (pg + 1) * 1024})
 			}
 			r.ReadAggregatedRanges(ranges)
-			faults := tm.FaultCount()
+			faults := tm.nd.prot.Counters().Faults
 			for _, rg := range ranges {
 				g := r.Read(rg[0], rg[1]) // valid already: a view, no fault
 				i := rg[0] + 7
@@ -828,8 +828,8 @@ func TestReadAggregatedRangesCorrectness(t *testing.T) {
 					t.Errorf("a[%d] = %v, want %v", i, g[i-rg[0]], float32(i))
 				}
 			}
-			if tm.FaultCount() != faults {
-				t.Errorf("Reads after ReadAggregatedRanges took %d faults", tm.FaultCount()-faults)
+			if tm.nd.prot.Counters().Faults != faults {
+				t.Errorf("Reads after ReadAggregatedRanges took %d faults", tm.nd.prot.Counters().Faults-faults)
 			}
 		}
 		tm.Barrier()

@@ -122,12 +122,6 @@ func BlockOf(p, nprocs, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// OwnerOf returns the owner of index i under BLOCK distribution.
-func OwnerOf(i, nprocs, n int) int {
-	chunk := (n + nprocs - 1) / nprocs
-	return i / chunk
-}
-
 // LoopSync is the synchronization the generated code performs at a
 // parallel-loop boundary: a runtime barrier, 2(n-1) messages.
 func (x *XHPF) LoopSync() {

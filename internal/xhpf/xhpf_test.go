@@ -27,14 +27,20 @@ func TestBlockOf(t *testing.T) {
 	}
 }
 
-func TestOwnerOfInvertsBlockOf(t *testing.T) {
+// TestBlockOfTilesRange: the blocks of processors 0..7, in order, cover
+// [0, n) exactly once — every index has one owner.
+func TestBlockOfTilesRange(t *testing.T) {
 	for _, n := range []int{8, 100, 500, 501} {
-		for i := 0; i < n; i++ {
-			p := OwnerOf(i, 8, n)
+		next := 0
+		for p := 0; p < 8; p++ {
 			lo, hi := BlockOf(p, 8, n)
-			if i < lo || i >= hi {
-				t.Fatalf("OwnerOf(%d,8,%d)=%d but block=(%d,%d)", i, n, p, lo, hi)
+			if lo != next || hi < lo {
+				t.Fatalf("BlockOf(%d,8,%d) = (%d,%d), want a block starting at %d", p, n, lo, hi, next)
 			}
+			next = hi
+		}
+		if next != n {
+			t.Fatalf("blocks of n=%d end at %d", n, next)
 		}
 	}
 }
@@ -49,11 +55,13 @@ func TestBroadcastPartition(t *testing.T) {
 			arr[i] = float32(100*x.ID() + i)
 		}
 		BroadcastPartition(x, arr, size)
-		for i := 0; i < size; i++ {
-			want := float32(100*OwnerOf(i, n, size) + i)
-			if arr[i] != want {
-				t.Errorf("proc %d: arr[%d] = %v, want %v", x.ID(), i, arr[i], want)
-				return
+		for p := 0; p < n; p++ {
+			lo, hi := BlockOf(p, n, size)
+			for i := lo; i < hi; i++ {
+				if want := float32(100*p + i); arr[i] != want {
+					t.Errorf("proc %d: arr[%d] = %v, want %v", x.ID(), i, arr[i], want)
+					return
+				}
 			}
 		}
 	}); err != nil {

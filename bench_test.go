@@ -305,45 +305,6 @@ func BenchmarkContention(b *testing.B) {
 	}
 }
 
-// BenchmarkModelSensitivity re-runs Jacobi's four versions under halved
-// and doubled interconnect latency, demonstrating that the version
-// ranking (the paper's shape) is insensitive to the calibration.
-func BenchmarkModelSensitivity(b *testing.B) {
-	app, err := exp.AppByName("Jacobi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range []struct {
-		name  string
-		scale float64
-	}{{"half-latency", 0.5}, {"double-latency", 2.0}} {
-		b.Run(f.name, func(b *testing.B) {
-			e := exp.New()
-			e.Costs.Latency = sim.Time(float64(e.Costs.Latency) * f.scale)
-			speedup := func(v core.Version) float64 {
-				seq, err := e.Run(benchSpec(app, core.Seq, 1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := e.Run(benchSpec(app, v, benchProcs))
-				if err != nil {
-					b.Fatal(err)
-				}
-				return res.Speedup(seq.Time)
-			}
-			var spfS, pvmeS float64
-			for i := 0; i < b.N; i++ {
-				spfS, pvmeS = speedup(core.SPF), speedup(core.PVMe)
-			}
-			if pvmeS <= spfS {
-				b.Errorf("ranking flipped under %s: PVMe %.2f <= SPF %.2f", f.name, pvmeS, spfS)
-			}
-			b.ReportMetric(spfS, "spf-speedup")
-			b.ReportMetric(pvmeS, "pvme-speedup")
-		})
-	}
-}
-
 // BenchmarkSimulatorEventRate measures the discrete-event engine's raw
 // throughput (simulator events per second of host time).
 func BenchmarkSimulatorEventRate(b *testing.B) {

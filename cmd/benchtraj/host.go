@@ -9,9 +9,9 @@ import (
 )
 
 // The host trajectory, BENCH_host.json, is the other clock's
-// counterpart of BENCH_<n>.json: one JSON line per measured commit
-// holding the medians of the host benchmark's end-to-end metrics (see
-// bench/README.md) for every workload. Nothing here runs the
+// counterpart of the golden record file: one JSON line per measured
+// commit holding the medians of the host benchmark's end-to-end metrics
+// (see bench/README.md) for every workload. Nothing here runs the
 // benchmark or touches bench/: a row is distilled from a result file
 // `bash bench/run.sh` wrote.
 //

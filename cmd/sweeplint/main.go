@@ -41,12 +41,11 @@
 //
 //	sweeplint -store results/
 //
-// -store DIR audits a persistent result store (the directory dsmrun,
-// sweepd and benchtraj take as -store) instead of stdin:
-// every live entry's frame CRC is re-verified, its value re-validated
-// against the record schema (no wire stamp, no host time, no error, no
-// join fields — the exact invariants the engine enforces before
-// serving), and its key checked against the record's spec. Dead bytes
+// -store DIR audits a persistent result store (the directory dsmrun
+// and sweepd take as -store) instead of stdin: every live entry's
+// frame CRC is re-verified, its value re-validated against the record
+// schema (no wire stamp, no error, no join fields — the exact
+// invariants the engine enforces before serving), and its key checked against the record's spec. Dead bytes
 // from corrupt or superseded frames and schema-mismatched entries are
 // reported; any corrupt frame or invalid value exits 1. Segment and
 // temp files a crashed compaction left beside the live segment are
@@ -201,8 +200,8 @@ func lintStore(dir string, expected int) error {
 }
 
 // checkStoredRecord enforces what the engine guarantees before serving
-// a stored entry: a strictly-valid record carrying no wire stamp, host
-// time, error, or baseline join, under the key its spec derives.
+// a stored entry: a strictly-valid record carrying no wire stamp, error
+// or baseline join, under the key its spec derives.
 func checkStoredRecord(key string, value []byte) error {
 	rec, err := exp.ValidateLine(value)
 	if err != nil {
@@ -213,8 +212,6 @@ func checkStoredRecord(key string, value []byte) error {
 		return fmt.Errorf("carries wire stamp %d", rec.SchemaVersion)
 	case rec.Error != "":
 		return fmt.Errorf("carries a run error: %s", rec.Error)
-	case rec.HostNanos != 0:
-		return fmt.Errorf("carries host time")
 	case rec.SeqNanos != 0 || rec.SeqSeconds != 0 || rec.Speedup != 0:
 		return fmt.Errorf("carries a speedup join")
 	case rec.Key() != strings.TrimSuffix(key, exp.StoreObserveSuffix):

@@ -308,23 +308,24 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunPVM("Jacobi", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
-		me, last := pv.ID(), pv.NProcs()-1
+		me := pv.ID()
 		b := newBand(me, pv.NProcs(), n)
 		data, scratch := b.data.Data(), b.scratch.Data()
 		rlo, rhi := b.data.Block()
+		down, up := b.data.Neighbors()
 		return apputil.Program{
 			Iterate: func(k int) {
 				// Boundary-row exchange: send up, send down, receive.
-				if me > 0 {
+				if down {
 					pvm.Send(pv, me-1, 70, b.data.Rows(rlo, rlo+1))
 				}
-				if me < last {
+				if up {
 					pvm.Send(pv, me+1, 71, b.data.Rows(rhi-1, rhi))
 				}
-				if me > 0 {
+				if down {
 					pvm.Recv(pv, me-1, 71, b.data.Rows(rlo-1, rlo))
 				}
-				if me < last {
+				if up {
 					pvm.Recv(pv, me+1, 70, b.data.Rows(rhi, rhi+1))
 				}
 				if b.chi > b.clo {

@@ -247,24 +247,25 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunPVM("RB-SOR", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
-		me, last := pv.ID(), pv.NProcs()-1
+		me := pv.ID()
 		u, clo, chi := newBand(me, pv.NProcs(), n)
 		off, _ := u.Stored()
 		rlo, rhi := u.Block()
+		lower, upper := u.Neighbors()
 		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
 					up, down := 70+2*color, 71+2*color
-					if me > 0 {
+					if lower {
 						pvm.Send(pv, me-1, up, u.Rows(rlo, rlo+1))
 					}
-					if me < last {
+					if upper {
 						pvm.Send(pv, me+1, down, u.Rows(rhi-1, rhi))
 					}
-					if me > 0 {
+					if lower {
 						pvm.Recv(pv, me-1, down, u.Rows(rlo-1, rlo))
 					}
-					if me < last {
+					if upper {
 						pvm.Recv(pv, me+1, up, u.Rows(rhi, rhi+1))
 					}
 					if chi > clo {

@@ -3,15 +3,15 @@ package shallow
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apps/kerneltest"
 	"repro/internal/core"
 )
 
-// The *Ref methods are the straightforward per-point originals the
-// row-slice kernels must match bit for bit, point counts included.
-
+// initRef is the straightforward per-point original init must match
+// bit for bit.
 func (s *state) initRef() {
 	n := s.n
 	for i := 0; i < n; i++ {
@@ -19,69 +19,12 @@ func (s *state) initRef() {
 			c := i*n + j
 			a := 2 * math.Pi * float64(i) / float64(n-1)
 			b := 2 * math.Pi * float64(j) / float64(n-1)
-			s.u[c] = float32(math.Sin(a) * math.Cos(b) * 10)
-			s.v[c] = float32(-math.Cos(a) * math.Sin(b) * 10)
-			s.p[c] = float32(50000 + 1000*math.Cos(a)*math.Cos(b))
-			s.uold[c], s.vold[c], s.pold[c] = s.u[c], s.v[c], s.p[c]
+			s.u.data[c] = float32(math.Sin(a) * math.Cos(b) * 10)
+			s.v.data[c] = float32(-math.Cos(a) * math.Sin(b) * 10)
+			s.p.data[c] = float32(50000 + 1000*math.Cos(a)*math.Cos(b))
+			s.uold.data[c], s.vold.data[c], s.pold.data[c] = s.u.data[c], s.v.data[c], s.p.data[c]
 		}
 	}
-}
-
-func (s *state) loop100Ref(rlo, rhi int) int {
-	n := s.n
-	pts := 0
-	for i := rlo; i < rhi; i++ {
-		for j := 0; j < n-1; j++ {
-			c := i*n + j
-			s.cu[c] = 0.5 * (s.p[c+n] + s.p[c]) * s.u[c+n]
-			s.cv[c] = 0.5 * (s.p[c+1] + s.p[c]) * s.v[c+1]
-			s.z[c] = (fsdx*(s.v[c+n+1]-s.v[c+1]) - fsdy*(s.u[c+n+1]-s.u[c+n])) /
-				(s.p[c] + s.p[c+n] + s.p[c+n+1] + s.p[c+1])
-			s.h[c] = s.p[c] + 0.25*(s.u[c+n]*s.u[c+n]+s.u[c]*s.u[c]+
-				s.v[c+1]*s.v[c+1]+s.v[c]*s.v[c])
-			pts++
-		}
-	}
-	return pts
-}
-
-func (s *state) loop200Ref(rlo, rhi int) int {
-	n := s.n
-	pts := 0
-	for i := rlo; i < rhi; i++ {
-		for j := 0; j < n-1; j++ {
-			c := i*n + j
-			s.unew[c] = s.uold[c] + tdts8*(s.z[c+1]+s.z[c])*
-				(s.cv[c+n+1]+s.cv[c+1]+s.cv[c]+s.cv[c+n]) - tdtsdx*(s.h[c+n]-s.h[c])
-			s.vnew[c] = s.vold[c] - tdts8*(s.z[c+n]+s.z[c])*
-				(s.cu[c+n+1]+s.cu[c+1]+s.cu[c]+s.cu[c+n]) - tdtsdy*(s.h[c+1]-s.h[c])
-			s.pnew[c] = s.pold[c] - tdtsdx*(s.cu[c+n]-s.cu[c]) - tdtsdy*(s.cv[c+1]-s.cv[c])
-			pts++
-		}
-	}
-	return pts
-}
-
-func (s *state) loop300Ref(rlo, rhi int) int {
-	n := s.n
-	pts := 0
-	for i := rlo; i < rhi; i++ {
-		for j := 0; j < n; j++ {
-			c := i*n + j
-			s.uold[c] = s.u[c] + alpha*(s.unew[c]-2*s.u[c]+s.uold[c])
-			s.vold[c] = s.v[c] + alpha*(s.vnew[c]-2*s.v[c]+s.vold[c])
-			s.pold[c] = s.p[c] + alpha*(s.pnew[c]-2*s.p[c]+s.pold[c])
-			s.u[c] = s.unew[c]
-			s.v[c] = s.vnew[c]
-			s.p[c] = s.pnew[c]
-			pts++
-		}
-	}
-	return pts
-}
-
-func (s *state) arrays() [][]float32 {
-	return [][]float32{s.u, s.v, s.p, s.uold, s.vold, s.pold, s.unew, s.vnew, s.pnew, s.cu, s.cv, s.z, s.h}
 }
 
 // noiseStates returns two states with the same noise in all 13 arrays.
@@ -89,23 +32,22 @@ func (s *state) arrays() [][]float32 {
 // finite.
 func noiseStates(n int) (*state, *state) {
 	a, b := newLocalState(n), newLocalState(n)
-	for k, arr := range a.arrays() {
-		copy(arr, kerneltest.Noise(uint32(n+k), n*n))
+	for k, arr := range a.slots() {
+		copy(arr.data, kerneltest.Noise(uint32(n+k), n*n))
 	}
-	for i := range a.p {
-		a.p[i] += 8
+	for i := range a.p.data {
+		a.p.data[i] += 8
 	}
-	for k, arr := range a.arrays() {
-		copy(b.arrays()[k], arr)
+	for k, arr := range a.slots() {
+		copy(b.slots()[k].data, arr.data)
 	}
 	return a, b
 }
 
 func sameState(t *testing.T, what string, got, want *state) {
 	t.Helper()
-	names := []string{"u", "v", "p", "uold", "vold", "pold", "unew", "vnew", "pnew", "cu", "cv", "z", "h"}
-	for k, arr := range want.arrays() {
-		kerneltest.SameBits(t, what+" "+names[k], got.arrays()[k], arr)
+	for k, arr := range want.slots() {
+		kerneltest.SameBits(t, what+" "+arrayNames[k], got.slots()[k].data, arr.data)
 	}
 }
 
@@ -118,31 +60,64 @@ func TestInitBitwise(t *testing.T) {
 	}
 }
 
-// TestLoopsBitwise compares the three kernels with their references
-// over tiny and odd grids, empty bands and single first and last rows.
+// restrict returns a state holding, of each array k in ks, only the
+// rows rows(k) of src's copy; the other arrays hold nothing, so a
+// kernel that touches a row outside what a version validates or stores
+// panics.
+func restrict(src *state, rows func(k int) (int, int), ks ...int) *state {
+	n := src.n
+	s := &state{n: n}
+	for _, k := range ks {
+		lo, hi := rows(k)
+		*s.slots()[k] = band{append([]float32(nil), src.slots()[k].data[lo*n:hi*n]...), lo, n}
+	}
+	return s
+}
+
+// TestLoopsBitwise runs each loop over bands of rows — tiny and odd
+// grids, empty bands and single first and last rows included — on
+// states holding only the rows its DSM validation names (inputRows and
+// computed for loops 100 and 200, the band itself for loop 300), and
+// compares every output row bit for bit with one pass over the whole
+// grid.
 func TestLoopsBitwise(t *testing.T) {
-	loops := []struct {
-		name     string
-		fast     func(*state, int, int) int
-		ref      func(*state, int, int) int
-		wrapRows int // rows beyond n-1 the loop may cover
-	}{
-		{"loop100", (*state).loop100, (*state).loop100Ref, 0},
-		{"loop200", (*state).loop200, (*state).loop200Ref, 0},
-		{"loop300", (*state).loop300, (*state).loop300Ref, 1},
+	type loop struct {
+		name      string
+		run       func(*state, int, int) int
+		in, halo  []int // inputs read on their computed rows, and with their halos
+		out       []int
+		pointwise bool
+	}
+	loops := []loop{
+		{"loop100", (*state).loop100, nil, puv, groupA, false},
+		{"loop200", (*state).loop200, olds, groupA, groupB, false},
+		{"loop300", (*state).loop300, groupB, nil, states, true},
 	}
 	for _, n := range []int{3, 4, 5, 64, 65} {
 		for _, l := range loops {
-			last := n - 1 + l.wrapRows
-			for _, b := range [][2]int{{0, last}, {0, 0}, {0, 1}, {last - 1, last}, {n / 2, n / 2}, {n / 3, n - n/3}} {
-				got, want := noiseStates(n)
-				gp := l.fast(got, b[0], b[1])
-				wp := l.ref(want, b[0], b[1])
-				what := fmt.Sprintf("%s n=%d rows [%d,%d)", l.name, n, b[0], b[1])
-				if gp != wp {
-					t.Errorf("%s: %d points, want %d", what, gp, wp)
+			whole, _ := noiseStates(n)
+			l.run(whole, 0, n)
+			for _, b := range [][2]int{{0, n}, {0, 0}, {0, 1}, {1, 2}, {n - 2, n - 1}, {n - 1, n}, {n / 3, n - n/3}} {
+				lo, hi := b[0], b[1]
+				rows := func(k int) (int, int) {
+					rlo, rhi := lo, hi
+					switch {
+					case l.pointwise:
+					case slices.Contains(l.halo, k):
+						rlo, rhi = whole.inputRows(k, lo, hi)
+					default:
+						rlo, rhi = whole.computed(k, lo, hi)
+					}
+					return rlo, max(rlo, rhi)
 				}
-				sameState(t, what, got, want)
+				src, _ := noiseStates(n)
+				part := restrict(src, rows, slices.Concat(l.in, l.halo, l.out)...)
+				l.run(part, lo, hi)
+				for _, k := range l.out {
+					rlo, rhi := rows(k)
+					what := fmt.Sprintf("%s n=%d rows [%d,%d): %s", l.name, n, lo, hi, arrayNames[k])
+					kerneltest.SameBits(t, what, part.slots()[k].data, whole.slots()[k].data[rlo*n:rhi*n])
+				}
 			}
 		}
 	}
@@ -155,11 +130,11 @@ func benchLoop(b *testing.B, which int) {
 	s := newLocalState(n)
 	s.init(0, n)
 	phases := []func() int{
-		func() int { return s.loop100(0, n-1) },
-		func() int { return s.loop200(0, n-1) },
+		func() int { return s.loop100(0, n) },
+		func() int { return s.loop200(0, n) },
 		func() int { return s.loop300(0, n) },
 	}
-	wraps := [][][]float32{s.groupA(), s.groupB(), nil}
+	wraps := [][]int{groupA, groupB, nil}
 	pts := 0
 	b.ResetTimer()
 	b.StopTimer()
@@ -172,13 +147,11 @@ func benchLoop(b *testing.B, which int) {
 			} else {
 				phase()
 			}
-			wrapCols(wraps[k], n, 0, n-1)
-			for _, a := range wraps[k] {
-				wrapRow(a, n)
-			}
+			s.wrapCols(0, n, wraps[k]...)
+			s.wrapRows(wraps[k]...)
 		}
 	}
-	kerneltest.ReportPer(b, "point", pts)
+	kerneltest.ReportPer(b, "element", pts)
 }
 
 func BenchmarkLoop100(b *testing.B) { benchLoop(b, 0) }

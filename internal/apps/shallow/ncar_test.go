@@ -1,8 +1,11 @@
 package shallow
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // ncarStep advances s by one time step through NCAR's three loops as
@@ -18,8 +21,8 @@ import (
 func (s *state) ncarStep() {
 	n, m := s.n, s.n-1
 	ix := func(i, j int) int { return i*n + j }
-	u, v, p, uold, vold, pold := s.u, s.v, s.p, s.uold, s.vold, s.pold
-	cu, cv, z, h, unew, vnew, pnew := s.cu, s.cv, s.z, s.h, s.unew, s.vnew, s.pnew
+	u, v, p, uold, vold, pold := s.u.data, s.v.data, s.p.data, s.uold.data, s.vold.data, s.pold.data
+	cu, cv, z, h, unew, vnew, pnew := s.cu.data, s.cv.data, s.z.data, s.h.data, s.unew.data, s.vnew.data, s.pnew.data
 	for i := 0; i < m; i++ { // loop 100
 		for j := 0; j < m; j++ {
 			cu[ix(i+1, j)] = 0.5 * (p[ix(i+1, j)] + p[ix(i, j)]) * u[ix(i+1, j)]
@@ -79,7 +82,7 @@ func (s *state) kineticEnergy() float64 {
 	ke := 0.0
 	for i := 0; i < s.n-1; i++ {
 		for j := 0; j < s.n-1; j++ {
-			u, v := float64(s.u[i*s.n+j]), float64(s.v[i*s.n+j])
+			u, v := float64(s.u.data[i*s.n+j]), float64(s.v.data[i*s.n+j])
 			ke += u*u + v*v
 		}
 	}
@@ -87,17 +90,15 @@ func (s *state) kineticEnergy() float64 {
 }
 
 // TestNCARReferenceStaysBounded checks the NCAR transcription against
-// itself only: from the package's init at N = 64 it stays finite for
-// 1 000 steps, and its kinetic energy stays within keBound of the
-// initial value at every step. The package's own kernels, stepped the
-// same way, go non-finite near step 50.
+// itself: from the package's init at N = 64 it stays finite for 1 000
+// steps, and its kinetic energy stays within keBound of the initial
+// value at every step. TestSeqIsNCAR holds the package's kernels to it.
 func TestNCARReferenceStaysBounded(t *testing.T) {
 	const (
 		n, steps = 64, 1000
 		// keBound is the relative drift of Σ(u²+v²) allowed at any
 		// step. Kinetic and potential energy trade back and forth: the
-		// transcription's worst drift is 9.9 %, near step 500, while the
-		// package's own kernels reach ×6 by step 40.
+		// transcription's worst drift is 9.9 %, near step 500.
 		keBound = 0.12
 	)
 	s := newLocalState(n)
@@ -117,4 +118,26 @@ func TestNCARReferenceStaysBounded(t *testing.T) {
 		}
 	}
 	t.Logf("worst kinetic-energy drift over %d steps: %.4g%%", steps, 100*worst)
+}
+
+// TestSeqIsNCAR: one step of the kernels every version shares is the
+// NCAR transcription's, all 13 arrays bit for bit — on noise over tiny
+// and odd grids, and from the package's init at small scale for 100
+// steps, twice the paper's 50.
+func TestSeqIsNCAR(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 64, 65} {
+		got, want := noiseStates(n)
+		got.step()
+		want.ncarStep()
+		sameState(t, fmt.Sprintf("noise n=%d", n), got, want)
+	}
+	n := New().Config(core.SmallScale, 1).N1
+	got, want := newLocalState(n), newLocalState(n)
+	got.init(0, n)
+	want.init(0, n)
+	for k := 1; k <= 100 && !t.Failed(); k++ {
+		got.step()
+		want.ncarStep()
+		sameState(t, fmt.Sprintf("step %d", k), got, want)
+	}
 }

@@ -21,6 +21,37 @@
 // rows. The paper's "edge column copy" (contiguous, sequential) is our
 // edge-row copy; its parallel "edge row copy" is our per-row column
 // wrap.
+//
+// The grid is staggered. With NCAR's (I,J) as row I-1, column J-1 and
+// m = M = N = n-1, NCAR's loops compute, for i and j in 0..m-1,
+//
+//	loop 100  CU(i+1,j)   = ½(P(i+1,j)+P(i,j))·U(i+1,j)
+//	          CV(i,j+1)   = ½(P(i,j+1)+P(i,j))·V(i,j+1)
+//	          Z(i+1,j+1)  = (fsdx(V(i+1,j+1)-V(i,j+1)) - fsdy(U(i+1,j+1)-U(i+1,j)))
+//	                        / (P(i,j)+P(i+1,j)+P(i+1,j+1)+P(i,j+1))
+//	          H(i,j)      = P(i,j) + ¼(U(i+1,j)²+U(i,j)²+V(i,j+1)²+V(i,j)²)
+//	loop 200  UNEW(i+1,j) = UOLD(i+1,j) + tdts8(Z(i+1,j+1)+Z(i+1,j))
+//	                        ·(CV(i+1,j+1)+CV(i,j+1)+CV(i,j)+CV(i+1,j)) - tdtsdx(H(i+1,j)-H(i,j))
+//	          VNEW(i,j+1) = VOLD(i,j+1) - tdts8(Z(i+1,j+1)+Z(i,j+1))
+//	                        ·(CU(i+1,j+1)+CU(i,j+1)+CU(i,j)+CU(i+1,j)) - tdtsdy(H(i,j+1)-H(i,j))
+//	          PNEW(i,j)   = POLD(i,j) - tdtsdx(CU(i+1,j)-CU(i,j)) - tdtsdy(CV(i,j+1)-CV(i,j))
+//	loop 300  XOLD = X + α(XNEW - 2X + XOLD), X = XNEW, for X in U, V, P, at every point
+//
+// so the u-like arrays (u, uold, unew, cu, and z) sit half a cell along
+// the rows: rows 1..m are computed and row 0 is the periodic copy of
+// row m. The v-like arrays (v, vold, vnew, cv, and z) sit half a cell
+// along the columns: columns 1..m are computed and column 0 is the copy
+// of column m. The others are computed on rows and columns 0..m-1 and
+// copied into row and column m. Each loop below computes whole rows of
+// its outputs, row r of every array that has one there (owner
+// computes), and reads row r-1 of an input that does not sit along the
+// rows and row r+1 of one that does (inputRows). That is the halo every
+// version moves: up for p, v, cv and h, down for u, z and cu. The
+// contiguous wrap moves row m to row 0 for the u-like arrays and row 0
+// to row m for the rest. An earlier port indexed cu, cv and z one row
+// or column off from these positions and read h, uold and the pressure
+// divergence unshifted, which centred the wave operator off the grid
+// point; the scheme went non-finite near step 50.
 package shallow
 
 import (
@@ -86,16 +117,101 @@ const (
 	tdtsdy = dtc / dxc * 2
 )
 
-// state bundles the 13 arrays so all versions share the kernels. The
-// kernels take global rows; r0 is the global row the arrays begin at —
-// zero for whole arrays, the first stored row of a message-passing
-// processor's bands, the first row of the views a DSM phase validated.
+// The 13 arrays, in the order of arrayNames and slots.
+const (
+	aU = iota
+	aV
+	aP
+	aUold
+	aVold
+	aPold
+	aUnew
+	aVnew
+	aPnew
+	aCU
+	aCV
+	aZ
+	aH
+	numArrays
+)
+
+var arrayNames = [numArrays]string{"u", "v", "p", "uold", "vold", "pold", "unew", "vnew", "pnew", "cu", "cv", "z", "h"}
+
+// alongRows and alongCols place each array on the staggered grid (see
+// the package doc): half a cell along the rows, the columns, or both.
+var (
+	alongRows = [numArrays]bool{aU: true, aUold: true, aUnew: true, aCU: true, aZ: true}
+	alongCols = [numArrays]bool{aV: true, aVold: true, aVnew: true, aCV: true, aZ: true}
+)
+
+// The arrays each phase touches. groupA and groupB are also what is
+// wrapped after loops 100 and 200.
+var (
+	puv    = []int{aP, aU, aV}
+	olds   = []int{aUold, aVold, aPold}
+	states = []int{aU, aV, aP, aUold, aVold, aPold}
+	groupA = []int{aCU, aCV, aZ, aH}
+	groupB = []int{aUnew, aVnew, aPnew}
+)
+
+// band is the rows [r0, r0+len(data)/n) of one n-column array that a
+// version holds: the whole array, the rows a DSM phase validated, or a
+// message-passing processor's stored rows. It is addressed by global
+// row.
+type band struct {
+	data  []float32
+	r0, n int
+}
+
+// at returns the w elements of row r from column c on (a run may go on
+// into the rows after r). The kernels cut every row they touch this
+// way, into sub-slices of one length, so their inner loops carry no
+// bounds checks.
+func (b band) at(r, c, w int) []float32 { return b.data[(r-b.r0)*b.n+c:][:w] }
+
+// state bundles the 13 arrays so all versions share the kernels.
 type state struct {
-	n, r0            int
-	u, v, p          []float32
-	uold, vold, pold []float32
-	unew, vnew, pnew []float32
-	cu, cv, z, h     []float32
+	n                int
+	u, v, p          band
+	uold, vold, pold band
+	unew, vnew, pnew band
+	cu, cv, z, h     band
+}
+
+// slots returns the 13 arrays, in arrayNames order, for the
+// constructors to fill and the wraps to index.
+func (s *state) slots() [numArrays]*band {
+	return [numArrays]*band{&s.u, &s.v, &s.p, &s.uold, &s.vold, &s.pold,
+		&s.unew, &s.vnew, &s.pnew, &s.cu, &s.cv, &s.z, &s.h}
+}
+
+// computed returns the rows of [lo,hi) on which the loops compute array
+// k: rows 1..m of an array along the rows, rows 0..m-1 of the others.
+func (s *state) computed(k, lo, hi int) (int, int) {
+	if alongRows[k] {
+		return max(lo, 1), hi
+	}
+	return lo, min(hi, s.n-1)
+}
+
+// inputRows returns the rows of input array k that loop 100 or 200
+// reads to compute rows [lo,hi): one more below for an array along the
+// rows, one more above for the others.
+func (s *state) inputRows(k, lo, hi int) (int, int) {
+	if alongRows[k] {
+		return lo, min(hi+1, s.n)
+	}
+	return max(lo-1, 0), hi
+}
+
+// wrapEnds returns the source and destination rows of array k's
+// contiguous wrap: row m to row 0 for an array along the rows, row 0 to
+// row m for the others.
+func (s *state) wrapEnds(k int) (src, dst int) {
+	if alongRows[k] {
+		return s.n - 1, 0
+	}
+	return 0, s.n - 1
 }
 
 // init sets the initial velocities of rows [rlo,rhi) from a smooth
@@ -112,95 +228,100 @@ func (s *state) init(rlo, rhi int) {
 	}
 	for i := rlo; i < rhi; i++ {
 		sa, ca := sin[i], cos[i]
-		c := (i - s.r0) * n
-		u, v, p := s.u[c:][:n], s.v[c:][:n], s.p[c:][:n]
+		u, v, p := s.u.at(i, 0, n), s.v.at(i, 0, n), s.p.at(i, 0, n)
 		for j := range u {
 			u[j] = float32(sa * cos[j] * 10)
 			v[j] = float32(-ca * sin[j] * 10)
 			p[j] = float32(50000 + 1000*ca*cos[j])
 		}
-		copy(s.uold[c:][:n], u)
-		copy(s.vold[c:][:n], v)
-		copy(s.pold[c:][:n], p)
+		copy(s.uold.at(i, 0, n), u)
+		copy(s.vold.at(i, 0, n), v)
+		copy(s.pold.at(i, 0, n), p)
 	}
 }
 
-// The three loops below read and write each row through sub-slices of
-// one length (suffix 0: the point itself, 1: its right neighbor, n: the
-// point below, n1: below right), so their inner loops carry no bounds
-// checks, and load each input once per point (suffixes r, d, dr) rather
-// than after every store. The expressions are the NCAR benchmark's, in
-// float32, and every version must reproduce them bit for bit: do not
-// reassociate.
+// The three loops below compute rows [lo,hi) of their outputs (rows run
+// 0..n-1; see computed and inputRows) and return the elements they
+// store. Suffix a names a row above (r-1), b a row below (r+1), 1 the
+// column to the right. The expressions are NCAR's, in float32, and
+// every version must reproduce them bit for bit: do not reassociate.
 
-// loop100 computes cu, cv, z, h for rows [rlo,rhi) (rows run 0..n-2);
-// reads rows i and i+1 of p, u, v.
-func (s *state) loop100(rlo, rhi int) int {
-	n := s.n
-	w := n - 1
+// loop100 computes cu, cv, z, h from p, u, v.
+func (s *state) loop100(lo, hi int) int {
+	w := s.n - 1
 	pts := 0
-	for i := rlo; i < rhi; i++ {
-		c := (i - s.r0) * n
-		cu, cv, z, h := s.cu[c:][:w], s.cv[c:][:w], s.z[c:][:w], s.h[c:][:w]
-		p0, p1, pn, pn1 := s.p[c:][:w], s.p[c+1:][:w], s.p[c+n:][:w], s.p[c+n+1:][:w]
-		u0, un, un1 := s.u[c:][:w], s.u[c+n:][:w], s.u[c+n+1:][:w]
-		v0, v1, vn1 := s.v[c:][:w], s.v[c+1:][:w], s.v[c+n+1:][:w]
-		for j := range cu {
-			p, pr, pd, pdr := p0[j], p1[j], pn[j], pn1[j]
-			u, ud, udr := u0[j], un[j], un1[j]
-			v, vr, vdr := v0[j], v1[j], vn1[j]
-			cu[j] = 0.5 * (pd + p) * ud
-			cv[j] = 0.5 * (pr + p) * vr
-			z[j] = (fsdx*(vdr-vr) - fsdy*(udr-ud)) /
-				(p + pd + pdr + pr)
-			h[j] = p + 0.25*(ud*ud+u*u+
-				vr*vr+v*v)
+	for r := lo; r < hi; r++ {
+		p, p1 := s.p.at(r, 0, w), s.p.at(r, 1, w)
+		u, u1 := s.u.at(r, 0, w), s.u.at(r, 1, w)
+		v, v1 := s.v.at(r, 0, w), s.v.at(r, 1, w)
+		if r > 0 { // cu and z sit along the rows
+			pa, pa1, va1 := s.p.at(r-1, 0, w), s.p.at(r-1, 1, w), s.v.at(r-1, 1, w)
+			cu, z1 := s.cu.at(r, 0, w), s.z.at(r, 1, w)
+			for j := range cu {
+				cu[j] = 0.5 * (p[j] + pa[j]) * u[j]
+				z1[j] = (fsdx*(v1[j]-va1[j]) - fsdy*(u1[j]-u[j])) /
+					(pa[j] + p[j] + p1[j] + pa1[j])
+			}
+			pts += 2 * w
 		}
-		pts += w
+		if r < w { // cv and h do not
+			ub := s.u.at(r+1, 0, w)
+			cv1, h := s.cv.at(r, 1, w), s.h.at(r, 0, w)
+			for j := range h {
+				cv1[j] = 0.5 * (p1[j] + p[j]) * v1[j]
+				h[j] = p[j] + 0.25*(ub[j]*ub[j]+u[j]*u[j]+
+					v1[j]*v1[j]+v[j]*v[j])
+			}
+			pts += 2 * w
+		}
 	}
 	return pts
 }
 
-// loop200 computes unew, vnew, pnew for rows [rlo,rhi); reads rows i and
-// i+1 of cu, cv, z, h plus row i of the old arrays.
-func (s *state) loop200(rlo, rhi int) int {
-	n := s.n
-	w := n - 1
+// loop200 computes unew, vnew, pnew from cu, cv, z, h and the old
+// arrays.
+func (s *state) loop200(lo, hi int) int {
+	w := s.n - 1
 	pts := 0
-	for i := rlo; i < rhi; i++ {
-		c := (i - s.r0) * n
-		unew, vnew, pnew := s.unew[c:][:w], s.vnew[c:][:w], s.pnew[c:][:w]
-		uold, vold, pold := s.uold[c:][:w], s.vold[c:][:w], s.pold[c:][:w]
-		z0, z1, zn := s.z[c:][:w], s.z[c+1:][:w], s.z[c+n:][:w]
-		h0, h1, hn := s.h[c:][:w], s.h[c+1:][:w], s.h[c+n:][:w]
-		cu0, cu1, cun, cun1 := s.cu[c:][:w], s.cu[c+1:][:w], s.cu[c+n:][:w], s.cu[c+n+1:][:w]
-		cv0, cv1, cvn, cvn1 := s.cv[c:][:w], s.cv[c+1:][:w], s.cv[c+n:][:w], s.cv[c+n+1:][:w]
-		for j := range unew {
-			z, zr, zd := z0[j], z1[j], zn[j]
-			h, hr, hd := h0[j], h1[j], hn[j]
-			cu, cur, cud, cudr := cu0[j], cu1[j], cun[j], cun1[j]
-			cv, cvr, cvd, cvdr := cv0[j], cv1[j], cvn[j], cvn1[j]
-			unew[j] = uold[j] + tdts8*(zr+z)*
-				(cvdr+cvr+cv+cvd) - tdtsdx*(hd-h)
-			vnew[j] = vold[j] - tdts8*(zd+z)*
-				(cudr+cur+cu+cud) - tdtsdy*(hr-h)
-			pnew[j] = pold[j] - tdtsdx*(cud-cu) - tdtsdy*(cvr-cv)
+	for r := lo; r < hi; r++ {
+		z, z1 := s.z.at(r, 0, w), s.z.at(r, 1, w)
+		cv, cv1 := s.cv.at(r, 0, w), s.cv.at(r, 1, w)
+		h, h1 := s.h.at(r, 0, w), s.h.at(r, 1, w)
+		if r > 0 { // unew sits along the rows
+			cva, cva1, ha := s.cv.at(r-1, 0, w), s.cv.at(r-1, 1, w), s.h.at(r-1, 0, w)
+			unew, uold := s.unew.at(r, 0, w), s.uold.at(r, 0, w)
+			for j := range unew {
+				unew[j] = uold[j] + tdts8*(z1[j]+z[j])*
+					(cv1[j]+cva1[j]+cva[j]+cv[j]) - tdtsdx*(h[j]-ha[j])
+			}
+			pts += w
 		}
-		pts += w
+		if r < w { // vnew and pnew do not
+			zb1, cu, cu1 := s.z.at(r+1, 1, w), s.cu.at(r, 0, w), s.cu.at(r, 1, w)
+			cub, cub1 := s.cu.at(r+1, 0, w), s.cu.at(r+1, 1, w)
+			vnew1, vold1 := s.vnew.at(r, 1, w), s.vold.at(r, 1, w)
+			pnew, pold := s.pnew.at(r, 0, w), s.pold.at(r, 0, w)
+			for j := range pnew {
+				vnew1[j] = vold1[j] - tdts8*(zb1[j]+z1[j])*
+					(cub1[j]+cu1[j]+cu[j]+cub[j]) - tdtsdy*(h1[j]-h[j])
+				pnew[j] = pold[j] - tdtsdx*(cub[j]-cu[j]) - tdtsdy*(cv1[j]-cv[j])
+			}
+			pts += 2 * w
+		}
 	}
 	return pts
 }
 
-// loop300 applies time smoothing to rows [rlo,rhi) — pointwise, no
-// halo, so the rows are one contiguous run.
-func (s *state) loop300(rlo, rhi int) int {
-	if rhi <= rlo {
+// loop300 applies time smoothing to rows [lo,hi) — pointwise, no halo,
+// so the rows are one contiguous run.
+func (s *state) loop300(lo, hi int) int {
+	if hi <= lo {
 		return 0
 	}
-	lo, pts := (rlo-s.r0)*s.n, (rhi-rlo)*s.n
-	u, v, p := s.u[lo:][:pts], s.v[lo:][:pts], s.p[lo:][:pts]
-	uold, vold, pold := s.uold[lo:][:pts], s.vold[lo:][:pts], s.pold[lo:][:pts]
-	unew, vnew, pnew := s.unew[lo:][:pts], s.vnew[lo:][:pts], s.pnew[lo:][:pts]
+	pts := (hi - lo) * s.n
+	u, v, p := s.u.at(lo, 0, pts), s.v.at(lo, 0, pts), s.p.at(lo, 0, pts)
+	uold, vold, pold := s.uold.at(lo, 0, pts), s.vold.at(lo, 0, pts), s.pold.at(lo, 0, pts)
+	unew, vnew, pnew := s.unew.at(lo, 0, pts), s.vnew.at(lo, 0, pts), s.pnew.at(lo, 0, pts)
 	for c := range u {
 		uold[c] = u[c] + alpha*(unew[c]-2*u[c]+uold[c])
 		vold[c] = v[c] + alpha*(vnew[c]-2*v[c]+vold[c])
@@ -209,37 +330,58 @@ func (s *state) loop300(rlo, rhi int) int {
 		v[c] = vnew[c]
 		p[c] = pnew[c]
 	}
-	return pts
+	return 6 * pts
 }
 
-// wrapCols wraps the strided edge (column n-1 ← column 0) for rows
-// [rlo,rhi) of the given arrays — the parallelized half of the
-// wrap-around copying. The rows count from the arrays' first row.
-func wrapCols(arrs [][]float32, n, rlo, rhi int) int {
+// wrapCols wraps the strided edge of the arrays ks on their computed
+// rows of [lo,hi) — column 0 ← column m for an array along the columns,
+// column m ← column 0 for the others: the parallelized half of the
+// wrap-around copying.
+func (s *state) wrapCols(lo, hi int, ks ...int) int {
+	m, slots := s.n-1, s.slots()
 	pts := 0
-	for _, a := range arrs {
-		for i := rlo; i < rhi; i++ {
-			a[i*n+n-1] = a[i*n]
+	for _, k := range ks {
+		rlo, rhi := s.computed(k, lo, hi)
+		for r := rlo; r < rhi; r++ {
+			row := slots[k].at(r, 0, m+1)
+			if alongCols[k] {
+				row[0] = row[m]
+			} else {
+				row[m] = row[0]
+			}
 			pts++
 		}
 	}
 	return pts
 }
 
-// wrapRow wraps the contiguous edge (row n-1 ← row 0) — the sequential
-// half.
-func wrapRow(a []float32, n int) int {
-	copy(a[(n-1)*n:n*n], a[0:n])
-	return n
+// wrapRows wraps the contiguous edge of the arrays ks in place (see
+// wrapEnds) — the sequential half.
+func (s *state) wrapRows(ks ...int) int {
+	slots := s.slots()
+	for _, k := range ks {
+		src, dst := s.wrapEnds(k)
+		copy(slots[k].at(dst, 0, s.n), slots[k].at(src, 0, s.n))
+	}
+	return len(ks) * s.n
+}
+
+// step advances the whole grid one time step, NCAR's loops each
+// followed by its periodic continuation, and returns the elements each
+// phase computed (upd) and copied (cp).
+func (s *state) step() (upd, cp [3]int) {
+	n := s.n
+	upd[0] = s.loop100(0, n)
+	cp[0] = s.wrapCols(0, n, groupA...) + s.wrapRows(groupA...)
+	upd[1] = s.loop200(0, n)
+	cp[1] = s.wrapCols(0, n, groupB...) + s.wrapRows(groupB...)
+	cp[2] = s.loop300(0, n)
+	return upd, cp
 }
 
 func (s *state) checksum() float64 {
-	return apputil.Sum64(s.p) + 2*apputil.Sum64(s.u) + 4*apputil.Sum64(s.v)
+	return apputil.Sum64(s.p.data) + 2*apputil.Sum64(s.u.data) + 4*apputil.Sum64(s.v.data)
 }
-
-// groupA and groupB are the arrays wrapped after loops 100 and 200.
-func (s *state) groupA() [][]float32 { return [][]float32{s.cu, s.cv, s.z, s.h} }
-func (s *state) groupB() [][]float32 { return [][]float32{s.unew, s.vnew, s.pnew} }
 
 func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
@@ -248,162 +390,141 @@ func runSeq(cfg core.Config) (core.Result, error) {
 		s.init(0, n)
 		return apputil.Program{
 			Iterate: func(k int) {
-				pts := s.loop100(0, n-1)
-				w := wrapCols(s.groupA(), n, 0, n-1)
-				for _, a := range s.groupA() {
-					w += wrapRow(a, n)
+				upd, cp := s.step()
+				for ph := range upd {
+					tm.Advance(apputil.Cost(upd[ph], cfg.App.ShallowUpdate) + apputil.Cost(cp[ph], cfg.App.ShallowCopy))
 				}
-				tm.Advance(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-				pts = s.loop200(0, n-1)
-				w = wrapCols(s.groupB(), n, 0, n-1)
-				for _, a := range s.groupB() {
-					w += wrapRow(a, n)
-				}
-				tm.Advance(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-				pts = s.loop300(0, n)
-				tm.Advance(apputil.Cost(pts*6, cfg.App.ShallowCopy))
 			},
 			Checksum: func() float64 { return s.checksum() },
 		}
 	})
 }
 
-// arrayNames names the 13 arrays in the order of slots.
-var arrayNames = []string{"u", "v", "p", "uold", "vold", "pold", "unew", "vnew", "pnew", "cu", "cv", "z", "h"}
-
-// slots returns the 13 array fields, for the constructors to fill.
-func (s *state) slots() []*[]float32 {
-	return []*[]float32{&s.u, &s.v, &s.p, &s.uold, &s.vold, &s.pold,
-		&s.unew, &s.vnew, &s.pnew, &s.cu, &s.cv, &s.z, &s.h}
-}
-
 func newLocalState(n int) *state {
 	s := &state{n: n}
-	for _, f := range s.slots() {
-		*f = make([]float32, n*n)
+	for _, b := range s.slots() {
+		*b = band{make([]float32, n*n), 0, n}
 	}
 	return s
 }
 
 // sharedState allocates the 13 arrays as shared regions and exposes the
-// same kernels through a state whose slices are views of them: each
-// phase's validation points the slices of the arrays it touches at the
-// rows it validated, all beginning at one row, which becomes r0.
+// same kernels through a state whose bands are views of them: each
+// phase's validation points the band of every array it touches at the
+// rows it validated.
 type sharedState struct {
 	*state
-	arrs map[string]sharedArray
-}
-
-// sharedArray is one array's region and the state slice its views go to.
-type sharedArray struct {
-	reg  *tmk.Region[float32]
-	view *[]float32
+	regs [numArrays]*tmk.Region[float32]
 }
 
 func newSharedState(tm *tmk.Tmk, n int) *sharedState {
-	ss := &sharedState{state: &state{n: n}, arrs: map[string]sharedArray{}}
-	for i, f := range ss.slots() {
-		ss.arrs[arrayNames[i]] = sharedArray{tmk.Alloc[float32](tm, "shallow."+arrayNames[i], n*n), f}
+	ss := &sharedState{state: &state{n: n}}
+	for k := range ss.regs {
+		ss.regs[k] = tmk.Alloc[float32](tm, "shallow."+arrayNames[k], n*n)
 	}
 	return ss
 }
 
-// read validates rows [rlo,rhi) of the named arrays for reading (agg:
-// through the enhanced interface) and points their slices at the views.
-func (ss *sharedState) read(names []string, rlo, rhi int, agg bool) {
-	n := ss.n
-	for _, name := range names {
-		a := ss.arrs[name]
+// read validates rows [lo,hi) of the arrays ks for reading (agg:
+// through the enhanced interface) and points their bands at the views.
+func (ss *sharedState) read(lo, hi int, agg bool, ks ...int) {
+	n, slots := ss.n, ss.slots()
+	for _, k := range ks {
 		if agg {
-			*a.view = a.reg.ReadAggregated(rlo*n, rhi*n)
+			*slots[k] = band{ss.regs[k].ReadAggregated(lo*n, hi*n), lo, n}
 		} else {
-			*a.view = a.reg.Read(rlo*n, rhi*n)
+			*slots[k] = band{ss.regs[k].Read(lo*n, hi*n), lo, n}
 		}
 	}
 }
 
 // write is read for writing.
-func (ss *sharedState) write(names []string, rlo, rhi int) {
-	n := ss.n
-	for _, name := range names {
-		a := ss.arrs[name]
-		*a.view = a.reg.Write(rlo*n, rhi*n)
+func (ss *sharedState) write(lo, hi int, ks ...int) {
+	n, slots := ss.n, ss.slots()
+	for _, k := range ks {
+		*slots[k] = band{ss.regs[k].Write(lo*n, hi*n), lo, n}
+	}
+}
+
+// readInputs validates the rows of the input arrays ks that a loop
+// computing rows [lo,hi) reads (inputRows).
+func (ss *sharedState) readInputs(lo, hi int, agg bool, ks ...int) {
+	for _, k := range ks {
+		rlo, rhi := ss.inputRows(k, lo, hi)
+		ss.read(rlo, rhi, agg, k)
+	}
+}
+
+// writeOutputs validates for writing the rows of [lo,hi) on which the
+// loops compute each of the arrays ks (computed).
+func (ss *sharedState) writeOutputs(lo, hi int, ks ...int) {
+	for _, k := range ks {
+		if rlo, rhi := ss.computed(k, lo, hi); rlo < rhi {
+			ss.write(rlo, rhi, k)
+		}
 	}
 }
 
 // validatePhase1 performs the access checks for loop100 over rows
-// [rlo,rhi): read p,u,v rows [rlo,rhi+1), write cu,cv,z,h rows [rlo,rhi).
-func (ss *sharedState) validatePhase1(rlo, rhi int, agg bool) {
-	ss.r0 = rlo
-	ss.read(puvNames, rlo, rhi+1, agg)
-	ss.write(groupANames, rlo, rhi)
+// [lo,hi): read p, u, v with their halos, write cu, cv, z, h.
+func (ss *sharedState) validatePhase1(lo, hi int, agg bool) {
+	ss.readInputs(lo, hi, agg, puv...)
+	ss.writeOutputs(lo, hi, groupA...)
 }
 
-// validatePhase2: read cu,cv,z,h rows [rlo,rhi+1) and old rows [rlo,rhi);
-// write new rows [rlo,rhi).
-func (ss *sharedState) validatePhase2(rlo, rhi int, agg bool) {
-	ss.r0 = rlo
-	ss.read(groupANames, rlo, rhi+1, agg)
-	ss.read(oldNames, rlo, rhi, false)
-	ss.write(groupBNames, rlo, rhi)
-}
-
-// validatePhase3: pointwise over rows [rlo,rhi): read new, read+write
-// u,v,p and old.
-func (ss *sharedState) validatePhase3(rlo, rhi int) {
-	ss.r0 = rlo
-	ss.read(groupBNames, rlo, rhi, false)
-	ss.write(stateNames, rlo, rhi)
-}
-
-// wrapRowShared performs the contiguous edge copy through the DSM: read
-// row 0, write row n-1. Executed by one processor (the owner in the
-// hand-coded version, the master under SPF).
-func (ss *sharedState) wrapRowShared(names []string) int {
-	n := ss.n
-	w := 0
-	for _, name := range names {
-		r := ss.arrs[name].reg
-		r.Read(0, n)
-		dst := r.Write((n-1)*n, n*n)
-		// Row 0's view after both validations: in a region of a few
-		// pages the Write can move the pages holding row 0.
-		copy(dst, r.Read(0, n))
-		w += n
+// validatePhase2: read cu, cv, z, h with their halos and the old
+// arrays' computed rows; write the new arrays.
+func (ss *sharedState) validatePhase2(lo, hi int, agg bool) {
+	ss.readInputs(lo, hi, agg, groupA...)
+	for _, k := range olds {
+		if rlo, rhi := ss.computed(k, lo, hi); rlo < rhi {
+			ss.read(rlo, rhi, false, k)
+		}
 	}
-	return w
+	ss.writeOutputs(lo, hi, groupB...)
+}
+
+// validatePhase3: pointwise over rows [lo,hi): read new, read+write
+// u, v, p and old.
+func (ss *sharedState) validatePhase3(lo, hi int) {
+	ss.read(lo, hi, false, groupB...)
+	ss.write(lo, hi, states...)
+}
+
+// wrapRowShared performs the contiguous edge copy of the arrays ks
+// through the DSM: read the source row, write the other end.
+func (ss *sharedState) wrapRowShared(ks ...int) int {
+	n := ss.n
+	for _, k := range ks {
+		r := ss.regs[k]
+		src, dst := ss.wrapEnds(k)
+		r.Read(src*n, src*n+n)
+		to := r.Write(dst*n, dst*n+n)
+		// The source row's view after both validations: in a region of
+		// a few pages the Write can move the pages holding it.
+		copy(to, r.Read(src*n, src*n+n))
+	}
+	return len(ks) * n
 }
 
 // initShared is processor 0's initialization of the whole grid.
 func (ss *sharedState) initShared() {
-	ss.r0 = 0
-	ss.write(stateNames, 0, ss.n)
+	ss.write(0, ss.n, states...)
 	ss.init(0, ss.n)
 }
 
 // checksumShared reads all of p, u, v (on processor 0, after the run).
 func (ss *sharedState) checksumShared() float64 {
-	ss.read(puvNames, 0, ss.n, false)
+	ss.read(0, ss.n, false, puv...)
 	return ss.checksum()
 }
-
-// The arrays the phases validate, in the order they validate them.
-// groupA and groupB are also what is wrapped after loops 100 and 200.
-var (
-	puvNames    = []string{"p", "u", "v"}
-	oldNames    = []string{"uold", "vold", "pold"}
-	stateNames  = []string{"u", "v", "p", "uold", "vold", "pold"}
-	groupANames = []string{"cu", "cv", "z", "h"}
-	groupBNames = []string{"unew", "vnew", "pnew"}
-)
 
 func runTmk(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunTmk("Shallow", core.Tmk, cfg, func(tm *tmk.Tmk) apputil.Program {
-		me, nprocs := tm.ID(), tm.NProcs()
+		me := tm.ID()
 		ss := newSharedState(tm, n)
-		rlo, rhi := apputil.BlockOf(me, nprocs, n-1)
-		isLast := me == nprocs-1
+		lo, hi := apputil.BlockOf(me, tm.NProcs(), n)
 		if me == 0 {
 			ss.initShared()
 		}
@@ -411,48 +532,50 @@ func runTmk(cfg core.Config) (core.Result, error) {
 		adv := func(d sim.Time) { tm.Advance(d) }
 		return apputil.Program{
 			Iterate: func(k int) {
-				stepTmk(ss, adv, cfg, rlo, rhi, isLast, tm.Barrier)
+				stepTmk(ss, adv, cfg, lo, hi, tm.Barrier)
 			},
 			Checksum: ss.checksumShared,
 		}
 	})
 }
 
-// stepTmk is one hand-coded TreadMarks iteration: three barriers. The
-// contiguous edge copy runs on the owner of the last row at the *start*
-// of the phase that consumes it — after the barrier that orders it
-// against processor 0's writes of row 0 (the hand coder's owner-computes
-// placement the paper credits the Tmk version with).
-func stepTmk(ss *sharedState, adv func(sim.Time), cfg core.Config, rlo, rhi int, isLast bool, barrier func()) {
-	n := ss.n
-	if rhi > rlo {
-		ss.validatePhase1(rlo, rhi, false)
-		pts := ss.loop100(rlo, rhi)
-		w := wrapCols(ss.groupA(), n, 0, rhi-rlo)
-		adv(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
-	}
-	barrier()
-	if isLast {
-		w := ss.wrapRowShared(groupANames)
+// stepTmk is one hand-coded TreadMarks iteration over rows [lo,hi):
+// three barriers. Each contiguous edge copy runs on the owner of its
+// destination row at the *start* of the phase that consumes it, after
+// the barrier that orders it against the source row's writer (the hand
+// coder's owner-computes placement the paper credits the Tmk version
+// with).
+func stepTmk(ss *sharedState, adv func(sim.Time), cfg core.Config, lo, hi int, barrier func()) {
+	// wrapOwned copies the edges whose destination row is this
+	// processor's.
+	wrapOwned := func(ks []int) {
+		w := 0
+		for _, k := range ks {
+			if _, dst := ss.wrapEnds(k); lo <= dst && dst < hi {
+				w += ss.wrapRowShared(k)
+			}
+		}
 		adv(apputil.Cost(w, cfg.App.ShallowCopy))
 	}
-	if rhi > rlo {
-		ss.validatePhase2(rlo, rhi, false)
-		pts := ss.loop200(rlo, rhi)
-		w := wrapCols(ss.groupB(), n, 0, rhi-rlo)
-		adv(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
+	if hi > lo {
+		ss.validatePhase1(lo, hi, false)
+		pts := ss.loop100(lo, hi)
+		w := ss.wrapCols(lo, hi, groupA...)
+		adv(apputil.Cost(pts, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
 	}
 	barrier()
-	hi3 := rhi
-	if isLast {
-		w := ss.wrapRowShared(groupBNames)
-		adv(apputil.Cost(w, cfg.App.ShallowCopy))
-		hi3 = n // smoothing covers the wrap row too
+	wrapOwned(groupA)
+	if hi > lo {
+		ss.validatePhase2(lo, hi, false)
+		pts := ss.loop200(lo, hi)
+		w := ss.wrapCols(lo, hi, groupB...)
+		adv(apputil.Cost(pts, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
 	}
-	if hi3 > rlo {
-		ss.validatePhase3(rlo, hi3)
-		pts := ss.loop300(rlo, hi3)
-		adv(apputil.Cost(pts*6, cfg.App.ShallowCopy))
+	barrier()
+	wrapOwned(groupB)
+	if hi > lo {
+		ss.validatePhase3(lo, hi)
+		adv(apputil.Cost(ss.loop300(lo, hi), cfg.App.ShallowCopy))
 	}
 	barrier()
 }
@@ -465,55 +588,40 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 		ss := newSharedState(tm, n)
 		adv := func(d sim.Time) { rt.Advance(d) }
 
-		phase1 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
-			if hi <= lo {
-				return
-			}
-			ss.validatePhase1(lo, hi, merged)
-			pts := ss.loop100(lo, hi)
-			adv(apputil.Cost(pts*4, cfg.App.ShallowUpdate))
-			if merged { // §5.2: the wrap loop is merged into the main loop
-				ss.write(groupANames, lo, hi) // typically writable already, from the producing loop
-				w := wrapCols(ss.groupA(), n, 0, hi-lo)
-				adv(apputil.Cost(w, cfg.App.ShallowCopy))
-			}
-		})
-		wrapA := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
-			if hi <= lo {
-				return
-			}
-			ss.write(groupANames, lo, hi) // typically writable already, from the producing loop
-			w := wrapCols(ss.groupA(), n, 0, hi-lo)
-			adv(apputil.Cost(w, cfg.App.ShallowCopy))
-		})
-		phase2 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
-			if hi <= lo {
-				return
-			}
-			ss.validatePhase2(lo, hi, merged)
-			pts := ss.loop200(lo, hi)
-			adv(apputil.Cost(pts*3, cfg.App.ShallowUpdate))
-			if merged {
-				ss.write(groupBNames, lo, hi) // typically writable already, from the producing loop
-				w := wrapCols(ss.groupB(), n, 0, hi-lo)
-				adv(apputil.Cost(w, cfg.App.ShallowCopy))
-			}
-		})
-		wrapB := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
-			if hi <= lo {
-				return
-			}
-			ss.write(groupBNames, lo, hi) // typically writable already, from the producing loop
-			w := wrapCols(ss.groupB(), n, 0, hi-lo)
-			adv(apputil.Cost(w, cfg.App.ShallowCopy))
-		})
+		// mainLoop registers one of the two main loops; merged, the
+		// wrap loop is folded into it (§5.2), its rows writable already.
+		mainLoop := func(validate func(lo, hi int), loop func(lo, hi int) int, wrapped []int) int {
+			return rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
+				if hi <= lo {
+					return
+				}
+				validate(lo, hi)
+				adv(apputil.Cost(loop(lo, hi), cfg.App.ShallowUpdate))
+				if merged {
+					adv(apputil.Cost(ss.wrapCols(lo, hi, wrapped...), cfg.App.ShallowCopy))
+				}
+			})
+		}
+		// wrapLoop registers the separate parallel wrap loop of arrays ks.
+		wrapLoop := func(ks []int) int {
+			return rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
+				if hi <= lo {
+					return
+				}
+				ss.writeOutputs(lo, hi, ks...) // typically writable already, from the producing loop
+				adv(apputil.Cost(ss.wrapCols(lo, hi, ks...), cfg.App.ShallowCopy))
+			})
+		}
+		phase1 := mainLoop(func(lo, hi int) { ss.validatePhase1(lo, hi, merged) }, ss.loop100, groupA)
+		wrapA := wrapLoop(groupA)
+		phase2 := mainLoop(func(lo, hi int) { ss.validatePhase2(lo, hi, merged) }, ss.loop200, groupB)
+		wrapB := wrapLoop(groupB)
 		phase3 := rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
 			if hi <= lo {
 				return
 			}
 			ss.validatePhase3(lo, hi)
-			pts := ss.loop300(lo, hi)
-			adv(apputil.Cost(pts*6, cfg.App.ShallowCopy))
+			adv(apputil.Cost(ss.loop300(lo, hi), cfg.App.ShallowCopy))
 		})
 
 		if rt.IsMaster() {
@@ -521,20 +629,19 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 		}
 		return apputil.Program{
 			Iterate: func(k int) {
-				rt.ParallelDo(phase1, 0, n-1, spf.Block)
+				rt.ParallelDo(phase1, 0, n, spf.Block)
 				if !merged {
-					rt.ParallelDo(wrapA, 0, n-1, spf.Block)
+					rt.ParallelDo(wrapA, 0, n, spf.Block)
 				}
-				// Sequential part: the contiguous edge copy on the master
-				// (regardless of the owner-computes rule — §5.2's penalty).
-				w := ss.wrapRowShared(groupANames)
-				adv(apputil.Cost(w, cfg.App.ShallowCopy))
-				rt.ParallelDo(phase2, 0, n-1, spf.Block)
+				// Sequential part: the contiguous edge copies on the
+				// master (regardless of the owner-computes rule — §5.2's
+				// penalty).
+				adv(apputil.Cost(ss.wrapRowShared(groupA...), cfg.App.ShallowCopy))
+				rt.ParallelDo(phase2, 0, n, spf.Block)
 				if !merged {
-					rt.ParallelDo(wrapB, 0, n-1, spf.Block)
+					rt.ParallelDo(wrapB, 0, n, spf.Block)
 				}
-				w = ss.wrapRowShared(groupBNames)
-				adv(apputil.Cost(w, cfg.App.ShallowCopy))
+				adv(apputil.Cost(ss.wrapRowShared(groupB...), cfg.App.ShallowCopy))
 				rt.ParallelDo(phase3, 0, n, spf.Block)
 			},
 			Checksum: ss.checksumShared,
@@ -543,74 +650,86 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 }
 
 // bandState is a message-passing processor's storage behind the same
-// kernels: of each of the 13 arrays, its BLOCK of the n-1 computed rows
-// — the last processor's extended by the wrap row n-1 — and a one-row
-// halo (the forward stencils read row i+1).
+// kernels: of each of the 13 arrays, its BLOCK of the n rows and a
+// one-row halo on either side (see inputRows).
 type bandState struct {
 	*state
-	puv, grpA, grpB []*xhpf.Local[float32] // the arrays that communicate: p, u, v and the two wrap groups
-	rlo, rhi        int                    // computed rows
-	isLast          bool
+	loc    [numArrays]*xhpf.Local[float32]
+	bounds []int // the blocks: processor q owns rows [bounds[q], bounds[q+1])
+	lo, hi int   // owned rows
 }
 
 func newBandState(me, nprocs, n int) *bandState {
-	bounds := xhpf.BlockBounds(nprocs, n-1)
-	bounds[nprocs] = n
-	bs := &bandState{state: &state{n: n}, isLast: me == nprocs-1}
-	loc := map[string]*xhpf.Local[float32]{}
-	for i, f := range bs.slots() {
-		l := xhpf.NewLocal[float32]("shallow."+arrayNames[i], me, bounds, n, 1)
-		loc[arrayNames[i]] = l
-		*f = l.Data()
+	bounds := xhpf.BlockBounds(nprocs, n)
+	bs := &bandState{state: &state{n: n}, bounds: bounds}
+	for k, b := range bs.slots() {
+		bs.loc[k] = xhpf.NewLocal[float32]("shallow."+arrayNames[k], me, bounds, n, 1)
+		r0, _ := bs.loc[k].Stored()
+		*b = band{bs.loc[k].Data(), r0, n}
 	}
-	pick := func(names ...string) []*xhpf.Local[float32] {
-		out := make([]*xhpf.Local[float32], len(names))
-		for i, name := range names {
-			out[i] = loc[name]
-		}
-		return out
-	}
-	bs.puv, bs.grpA, bs.grpB = pick("p", "u", "v"), pick(groupANames...), pick(groupBNames...)
-	bs.r0, _ = bs.puv[0].Stored()
-	bs.init(bs.puv[0].Block())
-	bs.rlo, bs.rhi = apputil.BlockOf(me, nprocs, n-1)
+	bs.lo, bs.hi = bs.loc[aP].Block()
+	bs.init(bs.lo, bs.hi)
 	return bs
 }
 
-// haloDown fills row rhi of each array from the next processor, which
-// owns it (under XHPF, generated from the analyzable forward stencil).
-func (bs *bandState) haloDown(pv *pvm.PVM, tag int, arrs []*xhpf.Local[float32]) {
-	me, last := pv.ID(), pv.NProcs()-1
-	if bs.rhi <= bs.rlo {
-		return
-	}
-	for t, a := range arrs {
-		if me > 0 {
-			pvm.Send(pv, me-1, tag+t, a.Rows(bs.rlo, bs.rlo+1))
+// halo fills the rows of the arrays ks that the next loop reads beyond
+// this processor's block (inputRows): the row below from the next
+// processor for an array along the rows, the row above from the
+// previous one for the others. Under XHPF it is generated from the
+// analyzable stencil.
+func (bs *bandState) halo(pv *pvm.PVM, tag int, ks ...int) {
+	me, lo, hi := pv.ID(), bs.lo, bs.hi
+	prev, next := bs.loc[aP].Neighbors()
+	for t, k := range ks {
+		a := bs.loc[k]
+		if alongRows[k] && prev {
+			pvm.Send(pv, me-1, tag+t, a.Rows(lo, lo+1))
+		} else if !alongRows[k] && next {
+			pvm.Send(pv, me+1, tag+t, a.Rows(hi-1, hi))
 		}
-		if me < last {
-			pvm.Recv(pv, me+1, tag+t, a.Rows(bs.rhi, bs.rhi+1))
+	}
+	for t, k := range ks {
+		a := bs.loc[k]
+		if alongRows[k] && next {
+			pvm.Recv(pv, me+1, tag+t, a.Rows(hi, hi+1))
+		} else if !alongRows[k] && prev {
+			pvm.Recv(pv, me-1, tag+t, a.Rows(lo-1, lo))
 		}
 	}
 }
 
-// wrapRowComm is the contiguous edge copy (row n-1 ← row 0) across
-// processors: processor 0 sends row 0 to the owner of row n-1, which
-// installs it. It returns the elements this processor copied.
-func (bs *bandState) wrapRowComm(pv *pvm.PVM, tag int, arrs []*xhpf.Local[float32]) int {
-	n, last := bs.n, pv.NProcs()-1
-	w := 0
-	for t, a := range arrs {
-		switch {
-		case last == 0:
-			copy(a.Rows(n-1, n), a.Rows(0, 1))
-		case pv.ID() == 0:
-			pvm.Send(pv, last, tag+t, a.Rows(0, 1))
-		case bs.isLast:
-			pvm.Recv(pv, 0, tag+t, a.Rows(n-1, n))
+// wrapRowComm is the contiguous edge copy of the arrays ks across
+// processors: the owner of each source row (wrapEnds) sends it to the
+// owner of the destination row, which installs it. It returns the
+// elements this processor copied.
+func (bs *bandState) wrapRowComm(pv *pvm.PVM, tag int, ks ...int) int {
+	me := pv.ID()
+	// owner is the processor whose block holds row r.
+	owner := func(r int) int {
+		q := 0
+		for r >= bs.bounds[q+1] {
+			q++
 		}
-		if bs.isLast {
-			w += n
+		return q
+	}
+	w := 0
+	for t, k := range ks {
+		src, dst := bs.wrapEnds(k)
+		a := bs.loc[k]
+		switch from, to := owner(src), owner(dst); {
+		case me == from && me == to:
+			copy(a.Rows(dst, dst+1), a.Rows(src, src+1))
+		case me == from:
+			pvm.Send(pv, to, tag+t, a.Rows(src, src+1))
+		}
+	}
+	for t, k := range ks {
+		src, dst := bs.wrapEnds(k)
+		if from, to := owner(src), owner(dst); me == to {
+			if from != to {
+				pvm.Recv(pv, from, tag+t, bs.loc[k].Rows(dst, dst+1))
+			}
+			w += bs.n
 		}
 	}
 	return w
@@ -621,30 +740,25 @@ func (bs *bandState) wrapRowComm(pv *pvm.PVM, tag int, arrs []*xhpf.Local[float3
 // generates and the hand-coded PVMe program does without (its data
 // messages carry it).
 func (bs *bandState) step(pv *pvm.PVM, cfg core.Config, tag int, sync func()) {
-	n, rlo, rhi := bs.n, bs.rlo, bs.rhi
-	bs.haloDown(pv, tag, bs.puv)
-	if rhi > rlo {
-		pts := bs.loop100(rlo, rhi)
-		w := wrapCols(bs.groupA(), n, rlo-bs.r0, rhi-bs.r0)
-		pv.Advance(apputil.Cost(pts*4, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
+	lo, hi := bs.lo, bs.hi
+	bs.halo(pv, tag, puv...)
+	if hi > lo {
+		pts := bs.loop100(lo, hi)
+		w := bs.wrapCols(lo, hi, groupA...)
+		pv.Advance(apputil.Cost(pts, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
 	}
-	pv.Advance(apputil.Cost(bs.wrapRowComm(pv, tag+20, bs.grpA), cfg.App.ShallowCopy))
+	pv.Advance(apputil.Cost(bs.wrapRowComm(pv, tag+20, groupA...), cfg.App.ShallowCopy))
 	sync()
-	bs.haloDown(pv, tag, bs.grpA)
-	if rhi > rlo {
-		pts := bs.loop200(rlo, rhi)
-		w := wrapCols(bs.groupB(), n, rlo-bs.r0, rhi-bs.r0)
-		pv.Advance(apputil.Cost(pts*3, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
+	bs.halo(pv, tag, groupA...)
+	if hi > lo {
+		pts := bs.loop200(lo, hi)
+		w := bs.wrapCols(lo, hi, groupB...)
+		pv.Advance(apputil.Cost(pts, cfg.App.ShallowUpdate) + apputil.Cost(w, cfg.App.ShallowCopy))
 	}
-	pv.Advance(apputil.Cost(bs.wrapRowComm(pv, tag+20, bs.grpB), cfg.App.ShallowCopy))
+	pv.Advance(apputil.Cost(bs.wrapRowComm(pv, tag+20, groupB...), cfg.App.ShallowCopy))
 	sync()
-	hi3 := rhi
-	if bs.isLast {
-		hi3 = n // smoothing covers the wrap row too
-	}
-	if hi3 > rlo {
-		pts := bs.loop300(rlo, hi3)
-		pv.Advance(apputil.Cost(pts*6, cfg.App.ShallowCopy))
+	if hi > lo {
+		pv.Advance(apputil.Cost(bs.loop300(lo, hi), cfg.App.ShallowCopy))
 	}
 	sync()
 }
@@ -652,10 +766,10 @@ func (bs *bandState) step(pv *pvm.PVM, cfg core.Config, tag int, sync func()) {
 // gatherChecksum is state.checksum over the owned row blocks, gathered
 // untracked on task 0 (zero elsewhere).
 func (bs *bandState) gatherChecksum(pv *pvm.PVM) float64 {
-	sum := func(a *xhpf.Local[float32]) float64 {
-		return apputil.Sum64(pvm.GatherUntracked(pv, 780, a.Owned())...)
+	sum := func(k int) float64 {
+		return apputil.Sum64(pvm.GatherUntracked(pv, 780, bs.loc[k].Owned())...)
 	}
-	return sum(bs.puv[0]) + 2*sum(bs.puv[1]) + 4*sum(bs.puv[2])
+	return sum(aP) + 2*sum(aU) + 4*sum(aV)
 }
 
 func runXHPF(cfg core.Config) (core.Result, error) {

@@ -37,6 +37,32 @@ func TestAllVersionsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestHundredStepsFiniteAndEqual: for 100 steps, twice the paper's 50,
+// every version stays finite and bitwise equal to seq, on an even and
+// a ragged partition.
+func TestHundredStepsFiniteAndEqual(t *testing.T) {
+	for _, procs := range []int{3, 4} {
+		cfg := cfgSmall(procs)
+		cfg.Iters = 100
+		seq, err := New().Run(core.Seq, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(seq.Checksum) || math.IsInf(seq.Checksum, 0) {
+			t.Fatalf("seq checksum %v after %d steps", seq.Checksum, cfg.Iters)
+		}
+		for _, v := range []core.Version{core.Tmk, core.SPF, core.SPFOpt, core.XHPF, core.PVMe} {
+			r, err := New().Run(v, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", v, err)
+			}
+			if r.Checksum != seq.Checksum {
+				t.Errorf("%s at %d procs: checksum %v after %d steps, want %v (bitwise)", v, procs, r.Checksum, cfg.Iters, seq.Checksum)
+			}
+		}
+	}
+}
+
 func TestRaggedPartition(t *testing.T) {
 	cfg := cfgSmall(3) // 63 rows over 3 procs: 21 each; n rows over ceil
 	seq, _ := New().Run(core.Seq, cfg)
@@ -58,19 +84,9 @@ func TestEnergyStaysBounded(t *testing.T) {
 	s := newLocalState(n)
 	s.init(0, n)
 	for k := 0; k < 20; k++ {
-		s.loop100(0, n-1)
-		wrapCols(s.groupA(), n, 0, n-1)
-		for _, a := range s.groupA() {
-			wrapRow(a, n)
-		}
-		s.loop200(0, n-1)
-		wrapCols(s.groupB(), n, 0, n-1)
-		for _, a := range s.groupB() {
-			wrapRow(a, n)
-		}
-		s.loop300(0, n)
+		s.step()
 	}
-	for i, v := range s.p {
+	for i, v := range s.p.data {
 		if math.IsNaN(float64(v)) || v < 10000 || v > 90000 {
 			t.Fatalf("pressure diverged at %d: %v", i, v)
 		}

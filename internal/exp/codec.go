@@ -33,7 +33,7 @@ type field struct {
 
 // numFields is the number of Record fields, the embedded Spec's
 // included; parseCanonical keeps its seen-set in one word.
-const numFields = 36
+const numFields = 35
 
 var _ [64 - numFields]struct{}
 
@@ -76,7 +76,6 @@ func (r *Record) fields() [numFields]field {
 		{"seq_ns", true, &r.SeqNanos},
 		{"seq_seconds", true, &r.SeqSeconds},
 		{"speedup", true, &r.Speedup},
-		{"host_ns", true, &r.HostNanos},
 		{"error", true, &r.Error},
 	}
 }

@@ -158,7 +158,7 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 	for _, n := range randomInts {
 		r := base
 		r.Procs, r.Contention, r.SchemaVersion = int(n), int(n), int(n)
-		r.TimeNanos, r.Msgs, r.Bytes, r.QueueNanos, r.BDOtherNanos, r.HostNanos = n, n, n, n, n, n
+		r.TimeNanos, r.Msgs, r.Bytes, r.QueueNanos, r.BDOtherNanos = n, n, n, n, n
 		checkAgainstMarshal(t, r)
 	}
 	for _, s := range randomStrings {
@@ -229,11 +229,12 @@ func TestFieldTableMatchesStruct(t *testing.T) {
 	}
 }
 
-// benchLines reads the committed golden trajectory: observed, joined
-// records with host times, as cmd/benchtraj writes them.
-func benchLines(tb testing.TB) [][]byte {
+// goldenLines reads the committed golden records: observed, joined
+// records of every application and version, many carrying diff_bytes
+// and per-kind queue times.
+func goldenLines(tb testing.TB) [][]byte {
 	tb.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "..", "BENCH_6.json"))
+	b, err := os.ReadFile(filepath.Join("..", "harness", "testdata", "golden-small.jsonl"))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -382,7 +383,7 @@ var valueTokens = []string{
 // every field meets every kind of value in every position.
 func TestValidateLineOnRearrangedLines(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	lines := append(benchLines(t), sweepLines(t)...)
+	lines := append(goldenLines(t), sweepLines(t)...)
 	var keys []string
 	for _, f := range new(Record).fields() {
 		keys = append(keys, f.key)
@@ -443,7 +444,7 @@ func floatBits(r Record) [4]uint64 {
 }
 
 func FuzzValidateLine(f *testing.F) {
-	for _, line := range benchLines(f) {
+	for _, line := range goldenLines(f) {
 		f.Add(line)
 	}
 	for _, line := range sweepLines(f) {
@@ -520,13 +521,13 @@ func TestParsedRecordOwnsItsStrings(t *testing.T) {
 	}
 }
 
-// TestRecordLinesRoundTrip: every line the engine and benchtraj write
+// TestRecordLinesRoundTrip: every line the engine writes
 // parses on the fast path — asserted, so a silent slide onto the
 // fallback fails here and not in a benchmark — and AppendRecord of the
 // parsed record is the line again. The one exception is the failed
 // run's lines, whose error text is escaped.
 func TestRecordLinesRoundTrip(t *testing.T) {
-	for _, line := range append(benchLines(t), sweepLines(t)...) {
+	for _, line := range append(goldenLines(t), sweepLines(t)...) {
 		var rec Record
 		canonical := parseCanonical(line, &rec)
 		if escaped := bytes.IndexByte(line, '\\') >= 0; escaped {

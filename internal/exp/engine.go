@@ -30,12 +30,6 @@ import (
 // labels only share one run; the record the engine hands back for each
 // carries the spec that was asked for (Labelled).
 type Engine struct {
-	// Costs is the interconnect/protocol calibration. Its contention
-	// knobs are overridden per spec (Spec.Contention), so the identity
-	// of a run is the spec alone.
-	Costs model.Costs
-	// App is the per-application compute calibration.
-	App model.AppCosts
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
 	// JoinSpeedup joins every non-seq record the engine emits with its
@@ -98,18 +92,19 @@ type entry struct {
 	hostNS int64
 }
 
-// New builds an engine with the calibrated SP/2 model.
+// New builds an engine.
 func New() *Engine {
-	return &Engine{Costs: model.SP2(), App: model.DefaultAppCosts()}
+	return &Engine{}
 }
 
 // Config resolves the concrete run configuration for a spec: the
-// application's sizing for (scale, procs) plus the engine calibration
-// with the spec's contention knobs applied.
+// application's sizing for (scale, procs) plus the calibrated SP/2
+// model with the spec's contention knobs applied. The calibration is
+// fixed, so the identity of a run is the spec alone.
 func (e *Engine) Config(a core.App, s Spec) core.Config {
 	cfg := a.Config(s.Scale, s.Procs)
-	cfg.Costs = e.Costs.WithContention(s.Contention)
-	cfg.App = e.App
+	cfg.Costs = model.SP2().WithContention(s.Contention)
+	cfg.App = model.DefaultAppCosts()
 	cfg.Protocol = s.Protocol
 	cfg.HomePolicy = s.HomePolicy
 	return cfg

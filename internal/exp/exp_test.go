@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/stats"
 )
@@ -215,8 +216,8 @@ func TestEngineMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := a.Config(core.SmallScale, 2)
-	cfg.Costs = e.Costs
-	cfg.App = e.App
+	cfg.Costs = model.SP2()
+	cfg.App = model.DefaultAppCosts()
 	cfg.Protocol = proto.HomeLRC
 	want, err := a.Run(core.Tmk, cfg)
 	if err != nil {

@@ -95,13 +95,6 @@ type Record struct {
 	SeqSeconds float64 `json:"seq_seconds,omitempty"`
 	Speedup    float64 `json:"speedup,omitempty"`
 
-	// HostNanos is the host (real) wall time the run took to execute,
-	// informational only: machine- and load-dependent, never gated, and
-	// never set by the sweep engine's StreamWith path (which must stay
-	// byte-identical across hosts and worker counts). cmd/benchtraj
-	// records it when writing trajectory files.
-	HostNanos int64 `json:"host_ns,omitempty"`
-
 	// Error carries a run failure; all measurement fields are zero.
 	Error string `json:"error,omitempty"`
 }
@@ -322,9 +315,6 @@ func (r Record) Validate() error {
 		if math.Abs(r.Speedup-want) > 1e-9*want {
 			return fmt.Errorf("exp: speedup %g disagrees with seq_ns/time_ns %g in record %s", r.Speedup, want, r.Key())
 		}
-	}
-	if r.HostNanos < 0 {
-		return fmt.Errorf("exp: negative host_ns in record %s", r.Key())
 	}
 	return checkAppName(r.App)
 }

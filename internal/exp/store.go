@@ -29,8 +29,8 @@ func StoreOptions(maxBytes int64) store.Options {
 
 // decodeStored turns stored bytes back into a servable record for s.
 // It re-validates everything a fresh RecordOf guarantees — schema,
-// invariants, spec identity, no error, no wire stamp, no host time —
-// so a tampered or drifted entry is recomputed rather than served.
+// invariants, spec identity, no error, no wire stamp — so a tampered
+// or drifted entry is recomputed rather than served.
 func decodeStored(b []byte, s Spec) (Record, error) {
 	rec, err := ValidateLine(b)
 	if err != nil {
@@ -41,9 +41,6 @@ func decodeStored(b []byte, s Spec) (Record, error) {
 	}
 	if rec.Error != "" {
 		return Record{}, fmt.Errorf("exp: stored record carries an error: %s", rec.Error)
-	}
-	if rec.HostNanos != 0 {
-		return Record{}, fmt.Errorf("exp: stored record carries host time")
 	}
 	if rec.SeqNanos != 0 || rec.SeqSeconds != 0 || rec.Speedup != 0 {
 		return Record{}, fmt.Errorf("exp: stored record carries a speedup join")

@@ -21,19 +21,20 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden-small.jsonl, experiments-small.txt and versions-small-traces.sha256, logging each key whose fields moved")
 
-// The small-scale goldens: one observed, speedup-joined record per run
-// (goldenRuns), the tables rendered from them, and one Chrome-trace
-// SHA-256 per runtime. A deliberate model change regenerates all three
-// with
+// The small-scale goldens are the repository's one gate on the virtual
+// results: one observed, speedup-joined record per run (goldenRuns),
+// every field of it pinned — time, traffic by kind, diff bytes,
+// checksum, queueing and the per-node breakdown — the tables rendered
+// from them, and one Chrome-trace SHA-256 per runtime. A deliberate
+// model change regenerates all three with
 //
 //	go test ./internal/harness -run TestGoldenRecords -update-golden -v
 //
-// and then, if a BENCH_6.json row moved, `benchtraj -out BENCH_6.json`.
+// which logs every key whose fields moved.
 const (
 	goldenRecords = "testdata/golden-small.jsonl"
 	goldenTables  = "testdata/experiments-small.txt"
 	goldenTraces  = "testdata/versions-small-traces.sha256"
-	benchTraj     = "../../BENCH_6.json"
 )
 
 // everyVersion is every registered application × every version it
@@ -55,18 +56,42 @@ func everyVersion(procs int) []exp.Spec {
 	return specs
 }
 
+// spotChecks are small-scale runs pinned beside every version and
+// every table: each runtime on Jacobi, both protocols, an adaptive
+// home-migration run, the §5 hand optimizations, lock-heavy and
+// irregular runs, a contended network (serial NICs, 2-way backplane),
+// a compiled kernel and 8 processors.
+var spotChecks = []exp.Spec{
+	small("Jacobi", core.Tmk, 4, proto.HomelessLRC),
+	small("Jacobi", core.SPF, 4, proto.HomelessLRC),
+	small("Jacobi", core.XHPF, 4, ""),
+	small("Jacobi", core.PVMe, 4, ""),
+	small("Jacobi", core.Tmk, 4, proto.HomeLRC),
+	small("Shallow", core.Tmk, 4, proto.HomeLRC),
+	underPolicy(small("MGS", core.Tmk, 4, proto.HomelessLRC), proto.AdaptivePolicy),
+	small("MGS", core.Tmk, 4, proto.HomeLRC),
+	small("MGS", core.TmkOpt, 4, proto.HomelessLRC),
+	small("3-D FFT", core.SPFOpt, 4, proto.HomelessLRC),
+	small("3-D FFT", core.Tmk, 4, proto.HomelessLRC),
+	small("IGrid", core.Tmk, 2, proto.HomelessLRC),
+	small("IGrid", core.XHPF, 2, ""),
+	small("NBF", core.Tmk, 4, proto.HomelessLRC),
+	contended(small("Jacobi", core.Tmk, 4, proto.HomelessLRC), 2),
+	contended(small("NBF", core.XHPF, 4, ""), 2),
+	small("RB-SOR", core.XHPFGen, 4, ""),
+	small("Jacobi", core.Tmk, 8, proto.HomelessLRC),
+}
+
 // goldenRuns is every run the small-scale goldens pin, canonical and
 // each once, in first-need order: every version at 3 processors (a
-// ragged count) and at 4, every table's runs at smallBase, and the runs
-// of BENCH_6.json's rows.
-func goldenRuns(t *testing.T) []exp.Spec {
+// ragged count) and at 4, every table's runs at smallBase, and the
+// spot checks.
+func goldenRuns() []exp.Spec {
 	specs := append(everyVersion(3), everyVersion(4)...)
 	for _, tab := range tables {
 		specs = append(specs, tab.Specs(smallBase)...)
 	}
-	for _, rec := range readRecords(t, benchTraj) {
-		specs = append(specs, rec.Spec)
-	}
+	specs = append(specs, spotChecks...)
 	runs := exp.PlanRuns(specs, false)
 	out := make([]exp.Spec, runs.Len())
 	for i := range out {
@@ -167,7 +192,7 @@ func TestGoldenRecords(t *testing.T) {
 	e := exp.New()
 	e.Observe, e.JoinSpeedup = true, true
 	var records bytes.Buffer
-	if _, err := e.StreamWith(&records, goldenRuns(t), nil); err != nil {
+	if _, err := e.StreamWith(&records, goldenRuns(), nil); err != nil {
 		t.Fatal(err)
 	}
 	traces := traceDigests(t)
@@ -250,21 +275,6 @@ func TestTablesRenderFromGolden(t *testing.T) {
 	}
 	if got := renderGolden(t); got != string(want) {
 		t.Errorf("tables rendered from %s differ from %s:\n%s", goldenRecords, goldenTables, got)
-	}
-}
-
-// TestBenchTrajectoryIsGolden: each BENCH_6.json row is the pinned
-// record of its run, labelled as the row is, but for host_ns and
-// diff_bytes, which the trajectory predates.
-func TestBenchTrajectoryIsGolden(t *testing.T) {
-	for _, row := range readRecords(t, benchTraj) {
-		row.HostNanos = 0
-		want, _ := exp.AppendRecord(nil, &row)
-		rec := golden(t, row.Spec)
-		rec.DiffBytes = 0
-		if got, _ := exp.AppendRecord(nil, &rec); !bytes.Equal(got, want) {
-			t.Errorf("%s row is not the golden record:\n got %s\nwant %s", benchTraj, got, want)
-		}
 	}
 }
 

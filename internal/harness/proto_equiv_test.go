@@ -96,3 +96,19 @@ func TestProtocolEquivalenceCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyBlocksAgree: with more processors than Jacobi's and
+// RB-SOR's interior rows, the trailing blocks are empty; the hand-coded
+// exchanges skip them (xhpf's Local.Neighbors) and the answer still
+// agrees with seq's.
+func TestEmptyBlocksAgree(t *testing.T) {
+	e := exp.New()
+	for _, app := range []string{"Jacobi", "RB-SOR"} {
+		seq := runRecord(t, e, small(app, core.Seq, 1, ""))
+		for _, procs := range []int{9, 12} {
+			if err := exp.Agree(runRecord(t, e, small(app, core.PVMe, procs, "")), seq); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}

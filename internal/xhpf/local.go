@@ -10,9 +10,7 @@ import (
 
 // BlockBounds returns the nprocs+1 boundaries of the BLOCK distribution
 // of n rows: processor q owns rows [b[q], b[q+1]), the BlockOf blocks,
-// any empty ones trailing. A caller may move the boundaries of a copy
-// (Shallow hands its wrap-around row to the last processor) as long as
-// they stay ascending.
+// any empty ones trailing.
 func BlockBounds(nprocs, n int) []int {
 	b := make([]int, nprocs+1)
 	for q := range b {
@@ -76,22 +74,29 @@ func (l *Local[T]) Rows(glo, ghi int) []T {
 // gather ships (pvm.GatherUntracked).
 func (l *Local[T]) Owned() []T { return l.Rows(l.Block()) }
 
+// Neighbors reports whether this processor trades halo rows with its
+// lower and its upper neighbor: only when both blocks are non-empty.
+// Empty blocks (trailing, when processors outnumber rows) neither send
+// nor are sent to.
+func (l *Local[T]) Neighbors() (down, up bool) {
+	me, b := l.me, l.bounds
+	if b[me] >= b[me+1] {
+		return false, false
+	}
+	return me > 0 && b[me] > b[me-1], me+2 < len(b) && b[me+2] > b[me+1]
+}
+
 // ExchangeHalo performs the known-pattern nearest-neighbor exchange: the
 // owned block's first and last width rows go to the lower and upper
-// neighbor respectively, filling this processor's halo copies. Empty
-// blocks (trailing, when processors outnumber rows) neither send nor
-// are sent to.
+// neighbor respectively, filling this processor's halo copies (see
+// Neighbors).
 func ExchangeHalo[T pvm.Scalar](x *XHPF, l *Local[T], width int) {
 	defer x.collective(obs.CollHalo, stats.KindData)()
 	x.seq += 2
 	tag := 1<<13 + x.seq
 	me, b := l.me, l.bounds
 	lo, hi := l.Block()
-	if lo >= hi {
-		return
-	}
-	down := me > 0 && b[me] > b[me-1]
-	up := me < x.n-1 && b[me+2] > b[me+1]
+	down, up := l.Neighbors()
 	size := pvm.SizeOf[T]()
 	if down {
 		first := l.Rows(lo, min(lo+width, hi))

@@ -199,17 +199,13 @@ func goFiles(t *testing.T, root string) []string {
 }
 
 // maxFlags bounds the flags the binaries register. It may only fall.
-const maxFlags = 44
+const maxFlags = 40
 
 // cliFlags is every flag of cmd/, by binary, with a file that exercises
 // it: a CI job, a test, or a document that shows it in use. The
 // deployment settings nothing runs — a path, an address or a timeout
 // that differs between installations — name the binary's package doc.
 var cliFlags = []struct{ cmd, flag, exerciser string }{
-	{"benchtraj", "out", ".github/workflows/ci.yml"},
-	{"benchtraj", "gate", ".github/workflows/ci.yml"},
-	{"benchtraj", "fabric", ".github/workflows/ci.yml"},
-	{"benchtraj", "store", "EXPERIMENTS.md"},
 	{"benchtraj", "host", "EXPERIMENTS.md"},
 	{"benchtraj", "result", "EXPERIMENTS.md"},
 	{"benchtraj", "label", "EXPERIMENTS.md"},

@@ -17,6 +17,7 @@ package igrid
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/apps/apputil"
@@ -50,15 +51,14 @@ func (app) Versions() []core.Version {
 }
 
 func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
-	return run(v, cfg, buildMap(cfg.N1))
+	return run(v, cfg, sharedMap(cfg.N1))
 }
 
-// run executes one version against idx, the run's indirection map. The
-// map is a pure function of the grid size and is only ever read, so it
-// is built once per run, outside the simulated processes (a builder
-// charges no virtual time), and every process reads the same table: a
-// run's processes are coroutines, resumed one at a time, and no table
-// outlives its run.
+// run executes one version against idx, the indirection map. The map
+// is a pure function of the grid size and is only ever read, so every
+// process of every run of that size reads the same table (sharedMap),
+// built outside the simulated processes (a builder charges no virtual
+// time).
 func run(v core.Version, cfg core.Config, idx []int32) (core.Result, error) {
 	switch v {
 	case core.Seq:
@@ -73,6 +73,23 @@ func run(v core.Version, cfg core.Config, idx []int32) (core.Result, error) {
 		return runPVM(cfg, idx)
 	}
 	return core.Result{}, fmt.Errorf("igrid: unsupported version %q", v)
+}
+
+// maps memoizes buildMap by grid size for the life of the process:
+// every run of a size, of any engine, worker or concurrent sweep, reads
+// one read-only table. The sizes are Config's scale table (two of
+// them), so the cache is bounded by construction and never evicts.
+// Entries are published atomically; two first runs of one size may both
+// build, and either copy serves.
+var maps sync.Map // int → []int32
+
+// sharedMap returns the process's indirection map for grid size n.
+func sharedMap(n int) []int32 {
+	if idx, ok := maps.Load(n); ok {
+		return idx.([]int32)
+	}
+	idx, _ := maps.LoadOrStore(n, buildMap(n))
+	return idx.([]int32)
 }
 
 // mapBuilds counts buildMap calls, for the package's tests.

@@ -71,41 +71,48 @@ func TestRelaxRowsBitwise(t *testing.T) {
 	}
 }
 
-// TestSharedMapStaysReadOnly: the eight simulated processes of a run
-// read one map; no version may write it.
+// TestSharedMapStaysReadOnly: every process of every run reads the
+// process's one map; no version may write it. Each version runs through
+// App.Run, the cached path, and the cached map must then still equal a
+// fresh build.
 func TestSharedMapStaysReadOnly(t *testing.T) {
 	cfg := cfgSmall(8)
+	fresh := buildMap(cfg.N1)
 	for _, v := range New().Versions() {
-		idx := buildMap(cfg.N1)
-		before := slices.Clone(idx)
-		if _, err := run(v, cfg, idx); err != nil {
-			t.Fatalf("%s: %v", v, err)
-		}
-		if !slices.Equal(idx, before) {
-			t.Errorf("%s wrote the shared indirection map", v)
-		}
-	}
-}
-
-// TestMapBuiltOncePerRun: the map is built by the run, not by each of
-// its simulated processes.
-func TestMapBuiltOncePerRun(t *testing.T) {
-	cfg := cfgSmall(8)
-	for _, v := range New().Versions() {
-		before := mapBuilds.Load()
 		if _, err := New().Run(v, cfg); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		if got := mapBuilds.Load() - before; got != 1 {
-			t.Errorf("%s built the map %d times, want 1", v, got)
+		if !slices.Equal(sharedMap(cfg.N1), fresh) {
+			t.Fatalf("%s wrote the shared indirection map", v)
 		}
 	}
 }
 
-// TestConcurrentRunsShareNothing: a run's map is shared by its own
-// processes only; two runs at once must be race-free and agree.
-func TestConcurrentRunsShareNothing(t *testing.T) {
-	kerneltest.ConcurrentRuns(t, New(), cfgSmall(8))
+// TestMapBuiltOncePerSize: once a grid size has been asked for, no run
+// of that size builds the map again, whatever its version.
+func TestMapBuiltOncePerSize(t *testing.T) {
+	cfg := cfgSmall(8)
+	maps.Delete(cfg.N1)
+	before := mapBuilds.Load()
+	for range 2 {
+		for _, v := range New().Versions() {
+			if _, err := New().Run(v, cfg); err != nil {
+				t.Fatalf("%s: %v", v, err)
+			}
+		}
+	}
+	if got := mapBuilds.Load() - before; got != 1 {
+		t.Errorf("two runs of every version built the map %d times, want 1", got)
+	}
+}
+
+// TestConcurrentRunsShareMapRaceFree: two runs at once, as two engine
+// workers, both asking first for a size, read one map race-free and
+// agree.
+func TestConcurrentRunsShareMapRaceFree(t *testing.T) {
+	cfg := cfgSmall(8)
+	maps.Delete(cfg.N1)
+	kerneltest.ConcurrentRuns(t, New(), cfg)
 }
 
 func BenchmarkRelaxRows(b *testing.B) {

@@ -62,8 +62,8 @@ func ReportPer(b *testing.B, unit string, perIter int) {
 
 // ConcurrentRuns runs every version of app from two goroutines at once,
 // as two engine workers do, and fails t when the two disagree; run with
-// -race. Inputs an application builds once per run are shared by that
-// run's simulated processes only, never across runs.
+// -race. Inputs an application builds once per process and size (IGrid's
+// map, NBF's partner lists) are read by both runs at once.
 func ConcurrentRuns(t *testing.T, app core.App, cfg core.Config) {
 	t.Helper()
 	sums := make([][]float64, 2)

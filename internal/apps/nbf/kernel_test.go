@@ -103,49 +103,54 @@ func TestForceBlockBitwise(t *testing.T) {
 	}
 }
 
-// TestSharedPartnersStayReadOnly: the eight simulated processes of a
-// run walk one set of partner lists; no version may write them.
-// (forceBlockDSM has no reference of its own: the Tmk and SPF versions
-// that use it must agree bitwise with XHPF and PVMe, which use
-// forceBlock — TestParallelVersionsAgreeBitwise.)
+// TestSharedPartnersStayReadOnly: every process of every run walks the
+// process's one set of partner lists; no version may write them. Each
+// version runs through App.Run, the cached path, and the cached lists
+// must then still equal a fresh build. (forceBlockDSM has no reference
+// of its own: the Tmk and SPF versions that use it must agree bitwise
+// with XHPF and PVMe, which use forceBlock —
+// TestParallelVersionsAgreeBitwise.)
 func TestSharedPartnersStayReadOnly(t *testing.T) {
 	cfg := cfgSmall(8)
+	fresh := buildPartners(cfg.N1, cfg.N2, cfg.N3)
 	for _, v := range New().Versions() {
-		lists := buildPartners(cfg.N1, cfg.N2, cfg.N3)
-		before := make([][]int32, len(lists))
-		for i, l := range lists {
-			before[i] = slices.Clone(l)
-		}
-		if _, err := run(v, cfg, lists); err != nil {
+		if _, err := New().Run(v, cfg); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		for i := range before {
-			if !slices.Equal(lists[i], before[i]) {
+		lists := sharedPartners(cfg.N1, cfg.N2, cfg.N3)
+		for i := range fresh {
+			if !slices.Equal(lists[i], fresh[i]) {
 				t.Fatalf("%s wrote molecule %d's shared partner list", v, i)
 			}
 		}
 	}
 }
 
-// TestPartnersBuiltOncePerRun: the lists are built by the run, not by
-// each of its simulated processes.
-func TestPartnersBuiltOncePerRun(t *testing.T) {
+// TestPartnersBuiltOncePerSize: once a size has been asked for, no run
+// of that size builds the partner lists again, whatever its version.
+func TestPartnersBuiltOncePerSize(t *testing.T) {
 	cfg := cfgSmall(8)
-	for _, v := range New().Versions() {
-		before := partnerBuilds.Load()
-		if _, err := New().Run(v, cfg); err != nil {
-			t.Fatalf("%s: %v", v, err)
+	partners.Delete([3]int{cfg.N1, cfg.N2, cfg.N3})
+	before := partnerBuilds.Load()
+	for range 2 {
+		for _, v := range New().Versions() {
+			if _, err := New().Run(v, cfg); err != nil {
+				t.Fatalf("%s: %v", v, err)
+			}
 		}
-		if got := partnerBuilds.Load() - before; got != 1 {
-			t.Errorf("%s built the partner lists %d times, want 1", v, got)
-		}
+	}
+	if got := partnerBuilds.Load() - before; got != 1 {
+		t.Errorf("two runs of every version built the partner lists %d times, want 1", got)
 	}
 }
 
-// TestConcurrentRunsShareNothing: a run's partner lists are shared by its own
-// processes only; two runs at once must be race-free and agree.
-func TestConcurrentRunsShareNothing(t *testing.T) {
-	kerneltest.ConcurrentRuns(t, New(), cfgSmall(8))
+// TestConcurrentRunsSharePartnersRaceFree: two runs at once, as two
+// engine workers, both asking first for a size, walk one set of lists
+// race-free and agree.
+func TestConcurrentRunsSharePartnersRaceFree(t *testing.T) {
+	cfg := cfgSmall(8)
+	partners.Delete([3]int{cfg.N1, cfg.N2, cfg.N3})
+	kerneltest.ConcurrentRuns(t, New(), cfg)
 }
 
 func BenchmarkForceBlock(b *testing.B) {

@@ -98,15 +98,17 @@ func TestProtocolEquivalenceCorpus(t *testing.T) {
 }
 
 // TestEmptyBlocksAgree: with more processors than Jacobi's and
-// RB-SOR's interior rows, the trailing blocks are empty; the hand-coded
-// exchanges skip them (xhpf's Local.Neighbors) and the answer still
-// agrees with seq's.
+// RB-SOR's interior rows, the trailing blocks are empty, and the
+// hand-coded exchanges skip them (xhpf's Local.Neighbors); with more
+// than NBF's molecules over its partner window, a block is narrower
+// than the halo it feeds, and the coordinate exchange fills each halo
+// from several predecessors. The answer still agrees with seq's.
 func TestEmptyBlocksAgree(t *testing.T) {
 	e := exp.New()
-	for _, app := range []string{"Jacobi", "RB-SOR"} {
+	for app, procs := range map[string][]int{"Jacobi": {9, 12}, "RB-SOR": {9, 12}, "NBF": {17, 24, 32}} {
 		seq := runRecord(t, e, small(app, core.Seq, 1, ""))
-		for _, procs := range []int{9, 12} {
-			if err := exp.Agree(runRecord(t, e, small(app, core.PVMe, procs, "")), seq); err != nil {
+		for _, p := range procs {
+			if err := exp.Agree(runRecord(t, e, small(app, core.PVMe, p, "")), seq); err != nil {
 				t.Error(err)
 			}
 		}

@@ -70,11 +70,12 @@
 // point — the end of the sweep or lease, exit, or 64 ms after the
 // previous fsync, whichever comes first — so a power loss costs at most
 // the records since then, which the next sweep recomputes.
-// -store-max-bytes bounds the directory, evicting
-// least-recently-used records first (0: unbounded). With -metrics-addr
-// or -metrics-dump the "store" section reports hits, misses, puts,
-// evictions, corrupt frames, resident bytes and fsyncs, and
-// "store_sync_seconds" their latency distribution.
+// The directory holds one segment file, records.log (a store written
+// before that layout reads as empty; its files are left alone).
+// -store-max-bytes bounds the segment, dropping the oldest-appended
+// records first (0: unbounded). With -metrics-addr or -metrics-dump the
+// "store" section reports hits, misses, puts, evictions, corrupt
+// frames, resident bytes, and fsyncs with their total time.
 //
 // Host telemetry:
 //
@@ -210,7 +211,7 @@ func main() {
 	trace := flag.String("trace", "", "write the run's event trace as Chrome trace_event JSON to this file (single run)")
 	breakdown := flag.Bool("breakdown", false, "print the per-node time attribution (single run) or add bd_* fields (sweep)")
 	storeDir := flag.String("store", "", "persistent result store directory: records are served from disk across runs and processes (and written back)")
-	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
+	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, oldest records first (0: unbounded)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/* on this address (e.g. :9090)")
 	progress := flag.Bool("progress", false, "print the sweep's progress to stderr once a second")
 	metricsDump := flag.String("metrics-dump", "", "write the final telemetry JSON document (what /metrics serves) to this file")

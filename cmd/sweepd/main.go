@@ -28,7 +28,8 @@
 // back without executing, and executed records are written back, so a
 // warm worker answers a repeated sweep from disk. Written records are
 // fsynced at the end of each lease, not one by one. -store-max-bytes
-// bounds the directory (LRU eviction; 0: unbounded).
+// bounds the directory, dropping the oldest-appended records first (0:
+// unbounded).
 //
 // Shutdown: on SIGINT or SIGTERM the daemon drains — new leases (and
 // health checks) answer 503 so the coordinator reassigns around it,
@@ -66,7 +67,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":9190", "address to serve the worker endpoints on")
 	storeDir := flag.String("store", "", "persistent result store directory: serve leased specs from disk (and write executed records back)")
-	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, LRU first (0: unbounded)")
+	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, oldest records first (0: unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound on finishing the in-flight lease")
 	killAfter := flag.Int64("kill-after", 0, "fault injection: exit(3) after streaming this many records (0: never)")
 	flag.Parse()

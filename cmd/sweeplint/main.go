@@ -71,7 +71,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -179,7 +178,7 @@ func lintStore(dir string, expected int) error {
 	}
 	defer st.Close()
 	rep, err := st.Verify(func(key string, value []byte) error {
-		err := checkStoredRecord(key, value)
+		_, err := exp.CheckStored(key, value)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweeplint: store entry %q: %v\n", key, err)
 		}
@@ -195,27 +194,6 @@ func lintStore(dir string, expected int) error {
 	}
 	if expected >= 0 && rep.Entries != expected {
 		return fmt.Errorf("got %d records, want %d", rep.Entries, expected)
-	}
-	return nil
-}
-
-// checkStoredRecord enforces what the engine guarantees before serving
-// a stored entry: a strictly-valid record carrying no wire stamp, error
-// or baseline join, under the key its spec derives.
-func checkStoredRecord(key string, value []byte) error {
-	rec, err := exp.ValidateLine(value)
-	if err != nil {
-		return err
-	}
-	switch {
-	case rec.SchemaVersion != 0:
-		return fmt.Errorf("carries wire stamp %d", rec.SchemaVersion)
-	case rec.Error != "":
-		return fmt.Errorf("carries a run error: %s", rec.Error)
-	case rec.SeqNanos != 0 || rec.SeqSeconds != 0 || rec.Speedup != 0:
-		return fmt.Errorf("carries a speedup join")
-	case rec.Key() != strings.TrimSuffix(key, exp.StoreObserveSuffix):
-		return fmt.Errorf("keyed for spec %s", rec.Key())
 	}
 	return nil
 }

@@ -15,14 +15,13 @@ import (
 // telemetryDoc is every section a telemetry map may carry: the typed
 // snapshot each layer sets, and the histograms beside them.
 type telemetryDoc struct {
-	Engine           exp.HostStats                        `json:"engine"`
-	Sim              sim.HostStats                        `json:"sim"`
-	Store            exp.StoreTelemetry                   `json:"store"`
-	RunHostSeconds   map[string]metrics.HistogramSnapshot `json:"run_host_seconds"`
-	RunAllocBytes    map[string]metrics.HistogramSnapshot `json:"run_alloc_bytes"`
-	StoreSyncSeconds *metrics.HistogramSnapshot           `json:"store_sync_seconds"` // nil when absent
-	Fabric           fabric.FleetSnapshot                 `json:"fabric"`
-	FabricWorker     fabric.WorkerCounters                `json:"fabric_worker"`
+	Engine         exp.HostStats                        `json:"engine"`
+	Sim            sim.HostStats                        `json:"sim"`
+	Store          exp.StoreTelemetry                   `json:"store"`
+	RunHostSeconds map[string]metrics.HistogramSnapshot `json:"run_host_seconds"`
+	RunAllocBytes  map[string]metrics.HistogramSnapshot `json:"run_alloc_bytes"`
+	Fabric         fabric.FleetSnapshot                 `json:"fabric"`
+	FabricWorker   fabric.WorkerCounters                `json:"fabric_worker"`
 }
 
 // validateMetrics checks one telemetry document (a /metrics scrape or
@@ -63,9 +62,6 @@ func validateMetrics(r io.Reader) (int, error) {
 	}
 	for key, h := range doc.RunAllocBytes {
 		hists["run_alloc_bytes "+key] = h
-	}
-	if doc.StoreSyncSeconds != nil {
-		hists["store_sync_seconds"] = *doc.StoreSyncSeconds
 	}
 	for name, h := range hists {
 		if err := checkHistogram(h); err != nil {

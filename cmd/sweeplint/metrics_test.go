@@ -14,7 +14,7 @@ import (
 
 // TestValidateMetricsAccepts: a map carrying every section — an
 // engine with a store under a coordinator's local fallback, beside a
-// fabric worker — validates, and counts its eight sections.
+// fabric worker — validates, and counts its seven sections.
 func TestValidateMetricsAccepts(t *testing.T) {
 	st, err := store.Open(t.TempDir(), exp.StoreOptions(0))
 	if err != nil {
@@ -34,8 +34,8 @@ func TestValidateMetricsAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v:\n%s", err, m.String())
 	}
-	if n != 8 {
-		t.Errorf("%d sections, want 8:\n%s", n, m.String())
+	if n != 7 {
+		t.Errorf("%d sections, want 7:\n%s", n, m.String())
 	}
 }
 
@@ -43,7 +43,7 @@ func TestValidateMetricsAccepts(t *testing.T) {
 // validator; each must fail.
 func TestValidateMetricsRejects(t *testing.T) {
 	const hist = `{"bounds":[1,2],"counts":[1,0,1],"count":2,"sum":9}`
-	good := `{"engine": {"runs_started":1}, "store_sync_seconds": ` + hist + `}`
+	good := `{"engine": {"runs_started":1}, "run_host_seconds": {"Jacobi/tmk": ` + hist + `}}`
 	if _, err := validateMetrics(strings.NewReader(good)); err != nil {
 		t.Fatalf("the unseeded document is rejected: %v", err)
 	}

@@ -151,12 +151,16 @@ func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 			apputil.EdgesOne(w, n)
 		}
 		if push && rows > 0 {
-			me, last := tm.ID(), tm.NProcs()-1
+			// Pair only with non-empty neighbours (xhpf's
+			// Local.Neighbors): empty blocks trail, so the lower one is
+			// never empty and the upper one is when this block ends the
+			// interior.
+			me := tm.ID()
 			if me > 0 {
 				tmk.PushOnBarrier(tm, data, lo*n, (lo+1)*n, me-1)
 				tm.ExpectPushOnBarrier(me - 1)
 			}
-			if me < last {
+			if hi < n-1 {
 				tmk.PushOnBarrier(tm, data, (hi-1)*n, hi*n, me+1)
 				tm.ExpectPushOnBarrier(me + 1)
 			}

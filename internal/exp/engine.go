@@ -203,7 +203,6 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 		return
 	}
 	st.Put(k.storeKey(e.Observe), b) //nolint:errcheck // best-effort persistence
-	e.observeSyncs()
 }
 
 // syncStore is the engine's commit point: one fsync covering every
@@ -215,7 +214,6 @@ func (e *Engine) writeBack(k keyed, en *entry) {
 func (e *Engine) syncStore() {
 	if st := e.Store; st != nil {
 		st.Sync() //nolint:errcheck // best-effort persistence, as in writeBack
-		e.observeSyncs()
 	}
 }
 
@@ -336,16 +334,16 @@ func (e *Engine) ran(k keyed) bool {
 // observed record is built in the same string: the key is its prefix.
 type keyed struct {
 	Spec
-	obsKey string // Key() + StoreObserveSuffix
+	obsKey string // Key() + storeObserveSuffix
 }
 
 func keyOf(s Spec) keyed {
-	var buf [128 + len(StoreObserveSuffix)]byte
-	return keyed{s, string(append(s.appendKey(buf[:0]), StoreObserveSuffix...))}
+	var buf [128 + len(storeObserveSuffix)]byte
+	return keyed{s, string(append(s.appendKey(buf[:0]), storeObserveSuffix...))}
 }
 
 // key is the spec's Key.
-func (k keyed) key() string { return k.obsKey[:len(k.obsKey)-len(StoreObserveSuffix)] }
+func (k keyed) key() string { return k.obsKey[:len(k.obsKey)-len(storeObserveSuffix)] }
 
 // storeKey is StoreKey of the spec.
 func (k keyed) storeKey(observed bool) string {
@@ -510,7 +508,7 @@ func (e *Engine) readStored(k keyed, sl *runSlot, rec *Record, buf *[]byte) bool
 	if *buf, ok = e.Store.AppendGet((*buf)[:0], k.storeKey(e.Observe)); !ok {
 		return false
 	}
-	dec, err := decodeStored(*buf, k.Spec)
+	dec, err := CheckStored(k.storeKey(e.Observe), *buf)
 	if err != nil {
 		return false
 	}

@@ -252,7 +252,7 @@ func TestStoreHoldsOneRecordPerRun(t *testing.T) {
 	if got := cold.HostStats().RunsStarted; got != int64(len(runs)) {
 		t.Errorf("cold sweep started %d runs, want %d", got, len(runs))
 	}
-	keys := cold.Store.Keys()
+	keys := storeKeysT(t, cold.Store)
 	if !slices.Equal(keys, runs) {
 		t.Errorf("store holds\n%s\nwant exactly the runs' keys\n%s", strings.Join(keys, "\n"), strings.Join(runs, "\n"))
 	}
@@ -335,7 +335,7 @@ func TestStoreOfRequestedKeysIsServed(t *testing.T) {
 	if hs.RunsStarted != int64(len(missing)) || hs.StoreHits != int64(p.Len()-len(missing)) {
 		t.Errorf("%d runs started, %d store hits; want %d and %d", hs.RunsStarted, hs.StoreHits, len(missing), p.Len()-len(missing))
 	}
-	keys := st.Keys()
+	keys := storeKeysT(t, st)
 	for _, k := range missing {
 		if _, ok := slices.BinarySearch(keys, k); !ok {
 			t.Errorf("executed run %s was not written back under its own key", k)

@@ -162,7 +162,7 @@ func TestStoreWrittenUnderFrozenKeysIsServed(t *testing.T) {
 		st := openStoreT(t, t.TempDir())
 		for i, key := range keys {
 			if observe {
-				key += StoreObserveSuffix
+				key += storeObserveSuffix
 			}
 			if err := st.Put(key, lines[i]); err != nil {
 				t.Fatal(err)

@@ -2,15 +2,16 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/store"
 )
 
-// StoreObserveSuffix distinguishes observed records in the persistent
+// storeObserveSuffix distinguishes observed records in the persistent
 // store. An observed run bakes bd_* breakdown fields into its record
 // bytes, so it must never be served to an unobserved sweep (or vice
 // versa): the two populations get disjoint store keys.
-const StoreObserveSuffix = "|obs=1"
+const storeObserveSuffix = "|obs=1"
 
 // StoreKey is the persistent-store key for a spec: Spec.Key() plus the
 // observe marker. The schema version is not part of the key — the
@@ -27,11 +28,12 @@ func StoreOptions(maxBytes int64) store.Options {
 	return store.Options{MaxBytes: maxBytes, SchemaVersion: SchemaVersion}
 }
 
-// decodeStored turns stored bytes back into a servable record for s.
-// It re-validates everything a fresh RecordOf guarantees — schema,
-// invariants, spec identity, no error, no wire stamp — so a tampered
-// or drifted entry is recomputed rather than served.
-func decodeStored(b []byte, s Spec) (Record, error) {
+// CheckStored decodes the value stored under key and checks what the
+// engine guarantees before serving it: a strictly valid record carrying
+// no wire stamp, run error or baseline join, whose spec derives key
+// (less storeObserveSuffix). The engine recomputes an entry that fails
+// rather than serve it; sweeplint -store reports it.
+func CheckStored(key string, b []byte) (Record, error) {
 	rec, err := ValidateLine(b)
 	if err != nil {
 		return Record{}, err
@@ -45,8 +47,9 @@ func decodeStored(b []byte, s Spec) (Record, error) {
 	if rec.SeqNanos != 0 || rec.SeqSeconds != 0 || rec.Speedup != 0 {
 		return Record{}, fmt.Errorf("exp: stored record carries a speedup join")
 	}
-	if rec.Spec != s {
-		return Record{}, fmt.Errorf("exp: stored record is for %s, wanted %s", rec.Key(), s.Key())
+	var buf [128]byte
+	if string(rec.appendKey(buf[:0])) != strings.TrimSuffix(key, storeObserveSuffix) {
+		return Record{}, fmt.Errorf("exp: stored record is for %s, keyed %s", rec.Key(), key)
 	}
 	return rec, nil
 }

@@ -26,6 +26,20 @@ func openStoreT(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// storeKeysT lists st's live keys in sorted order, through Verify's
+// callback.
+func storeKeysT(t *testing.T, st *store.Store) []string {
+	t.Helper()
+	var keys []string
+	if _, err := st.Verify(func(key string, _ []byte) error {
+		keys = append(keys, key)
+		return nil
+	}); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	return keys
+}
+
 // streamT runs one engine over specs and returns the stream bytes.
 func streamT(t *testing.T, e *Engine, specs []Spec) []byte {
 	t.Helper()
@@ -188,11 +202,7 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 
 	// Flip a byte in the middle of the segment (inside some frame's
 	// payload — the store's CRC must catch it).
-	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, strings.TrimSpace(string(cur)))
+	seg := filepath.Join(dir, "records.log")
 	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -286,11 +296,7 @@ func TestStoreFrameCorruptedAfterOpen(t *testing.T) {
 // live segment, where the frame's CRC covers it.
 func corruptValueOf(t *testing.T, dir, key string) {
 	t.Helper()
-	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, strings.TrimSpace(string(cur)))
+	seg := filepath.Join(dir, "records.log")
 	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -358,8 +364,7 @@ func TestProgressStoreHits(t *testing.T) {
 // TestSweepCommitsItsWriteBacks: a sweep writes back each run once and
 // ends with every record it wrote back fsynced (nothing left for a later
 // Sync or Close to do), a warm sweep issues no fsync at all, and the
-// telemetry map reports each fsync once, in the counter and in the latency
-// histogram.
+// telemetry map's store section reports the fsyncs and their time.
 func TestSweepCommitsItsWriteBacks(t *testing.T) {
 	specs := testGrid()
 	dir := t.TempDir()
@@ -381,8 +386,8 @@ func TestSweepCommitsItsWriteBacks(t *testing.T) {
 		t.Fatalf("Sync after the sweep issued an fsync: the sweep left frames pending")
 	}
 	doc := readTelemetry(t, cold.Metrics)
-	if counted, observed := doc.Store.Syncs, doc.StoreSyncSeconds.Count; counted != after.Syncs || observed != uint64(after.Syncs) {
-		t.Errorf("map reports %d fsyncs and %d latencies, store counted %d", counted, observed, after.Syncs)
+	if doc.Store.Syncs != after.Syncs || doc.Store.SyncNanos != after.SyncNanos || doc.Store.SyncNanos <= 0 {
+		t.Errorf("map reports %d fsyncs in %d ns, store counted %d in %d ns", doc.Store.Syncs, doc.Store.SyncNanos, after.Syncs, after.SyncNanos)
 	}
 
 	warm := New()

@@ -95,16 +95,14 @@ type StoreTelemetry struct {
 // reporting is a telemetry map's "engine" section: every engine whose
 // Metrics is the map, their HostStats summed — dsmrun -tables keeps a
 // plain and an observing engine on one map. The first of them to have
-// a store also sets the "store" and "store_sync_seconds" sections.
+// a store also sets the "store" section.
 // Alongside, the map carries "sim" (sim.HostTotals) and the per
 // "app/version" run histograms "run_host_seconds" and
 // "run_alloc_bytes".
 type reporting struct {
-	mu       sync.Mutex
-	engines  []*Engine
-	store    *store.Store
-	syncSeen store.Stats // the store counters observeSyncs last reported
-	syncs    *metrics.Histogram
+	mu      sync.Mutex
+	engines []*Engine
+	store   *store.Store
 
 	runSeconds, allocBytes *expvar.Map // by "app/version"; histMu orders get-or-create
 	histMu                 sync.Mutex
@@ -161,48 +159,16 @@ func (e *Engine) telemetryInit() {
 		g.engines = append(g.engines, e)
 		claim := st != nil && g.store == nil
 		if claim {
-			// fsync latency from 25µs to ~0.8s.
-			g.store, g.syncs = st, metrics.NewHistogram(0.000025, 2, 16)
+			g.store = st
 		}
 		g.mu.Unlock()
 		if claim {
 			m.Set("store", expvar.Func(func() any {
 				return StoreTelemetry{Stats: st.Stats(), Bytes: st.SizeBytes(), Entries: st.Len(), OpenErrors: store.OpenErrors()}
 			}))
-			m.Set("store_sync_seconds", g.syncs)
 		}
 		e.rep = g
 	})
-}
-
-// observeSyncs feeds the reported store's fsyncs since the last call
-// into the sync-latency histogram, which like the store section covers
-// the store handle's lifetime. The engines call it after each of their
-// own Put and Sync calls, so nearly every call sees zero or one new
-// fsync and observes its exact duration; several at once (concurrent
-// writers, a compaction next to a window sync) are each recorded at
-// their mean.
-func (e *Engine) observeSyncs() {
-	e.telemetryInit()
-	g := e.rep
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.store == nil {
-		return
-	}
-	now := g.store.Stats()
-	n := now.Syncs - g.syncSeen.Syncs
-	if n <= 0 {
-		return
-	}
-	mean := float64(now.SyncNanos-g.syncSeen.SyncNanos) / float64(n) / 1e9
-	for ; n > 0; n-- {
-		g.syncs.Observe(mean)
-	}
-	g.syncSeen = now
 }
 
 // observeRun records one executed run into its app/version histograms:

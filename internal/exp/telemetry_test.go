@@ -17,12 +17,11 @@ import (
 
 // telemetryDoc is an engine telemetry map's JSON document.
 type telemetryDoc struct {
-	Engine           HostStats                            `json:"engine"`
-	Sim              sim.HostStats                        `json:"sim"`
-	Store            StoreTelemetry                       `json:"store"`
-	RunHostSeconds   map[string]metrics.HistogramSnapshot `json:"run_host_seconds"`
-	RunAllocBytes    map[string]metrics.HistogramSnapshot `json:"run_alloc_bytes"`
-	StoreSyncSeconds metrics.HistogramSnapshot            `json:"store_sync_seconds"`
+	Engine         HostStats                            `json:"engine"`
+	Sim            sim.HostStats                        `json:"sim"`
+	Store          StoreTelemetry                       `json:"store"`
+	RunHostSeconds map[string]metrics.HistogramSnapshot `json:"run_host_seconds"`
+	RunAllocBytes  map[string]metrics.HistogramSnapshot `json:"run_alloc_bytes"`
 }
 
 // readTelemetry decodes m's document strictly: a section or field the

@@ -114,3 +114,24 @@ func TestEmptyBlocksAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestJacobiPushEmptyBlocksAgree: Jacobi tmk-push pushes boundary rows
+// only to neighbours whose blocks are non-empty. At small scale the
+// trailing blocks are empty from 10 processors on; every processor
+// count up to 32 runs under both protocols and agrees with seq.
+func TestJacobiPushEmptyBlocksAgree(t *testing.T) {
+	e := exp.New()
+	seq := runRecord(t, e, small("Jacobi", core.Seq, 1, ""))
+	for procs := 1; procs <= 32; procs++ {
+		for _, p := range proto.Names() {
+			s := small("Jacobi", core.TmkPush, procs, p)
+			res, err := e.Run(s)
+			if err == nil {
+				err = exp.Agree(exp.RecordOf(s, res, nil), seq)
+			}
+			if err != nil {
+				t.Errorf("%s: %v", s.Key(), err)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tmk"
 )
 
@@ -84,7 +85,11 @@ func runChoosing(choose func(int) int, program func() (float64, error)) (sum flo
 // which the simulator could run processes tied at the least effective
 // time, and holds every schedule to the program's answer: generated
 // loopc programs (at most four pages each) against their oracle
-// checksum, and a lock-protected counter against its exact total. The
+// checksum, and a lock-protected counter against its exact total.
+// spf-gen lowers a scalar reduction through a lock taken on every
+// combine, so generated programs reach the lock paths as well: the test
+// logs each one's lock messages in the production schedule and fails
+// if none sends any. The
 // production order (lowest id first) is one of these schedules; a
 // result that depends on a tie is a race the runtimes could lose on a
 // real cluster.
@@ -102,6 +107,7 @@ func TestExhaustiveSchedules(t *testing.T) {
 		programs = append(programs, program{1, core.SPFGen, 3})
 	}
 	start := time.Now()
+	genLocks := int64(0)
 	for _, pr := range programs {
 		a := gen.AppForSeed(pr.seed)
 		cfg := a.Config(core.SmallScale, pr.procs)
@@ -111,8 +117,12 @@ func TestExhaustiveSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("%s %s procs=%d", a.Name(), pr.v, pr.procs)
+		locks := int64(-1) // of the first schedule, the production order
 		n := explore(t, name, func() (float64, error) {
 			r, err := a.Run(pr.v, cfg)
+			if locks < 0 {
+				locks = r.Stats.Msgs[stats.KindLock]
+			}
 			return r.Checksum, err
 		}, func(sum float64) error {
 			if sum != want {
@@ -120,7 +130,11 @@ func TestExhaustiveSchedules(t *testing.T) {
 			}
 			return nil
 		})
-		t.Logf("%s: %d schedules", name, n)
+		t.Logf("%s: %d schedules, %d lock messages", name, n, locks)
+		genLocks += locks
+	}
+	if genLocks == 0 {
+		t.Error("no generated program sends a lock message: only the hand-written counter reaches the lock paths")
 	}
 	for _, procs := range []int{2, 3} {
 		for _, p := range proto.Names() {

@@ -11,5 +11,9 @@ func flockEx(*os.File) error { return nil }
 
 func flockUn(*os.File) error { return nil }
 
-// unlinked cannot tell here, so every refresh re-reads CURRENT.
-func unlinked(os.FileInfo) bool { return true }
+// replaced reports whether path no longer names the open segment
+// behind fi. Without link counts it compares the two files' identity.
+func replaced(fi os.FileInfo, path string) bool {
+	cur, err := os.Stat(path)
+	return err != nil || !os.SameFile(fi, cur)
+}

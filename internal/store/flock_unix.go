@@ -24,9 +24,10 @@ func flockUn(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }
 
-// unlinked reports whether the open file behind fi has no directory
-// entry left.
-func unlinked(fi os.FileInfo) bool {
+// replaced reports whether the open segment behind fi has been
+// replaced: a compaction renamed a new file over the path, leaving this
+// one with no directory entry.
+func replaced(fi os.FileInfo, _ string) bool {
 	st, ok := fi.Sys().(*syscall.Stat_t)
 	return !ok || st.Nlink == 0
 }

@@ -6,10 +6,8 @@
 //
 // Layout (one directory per store):
 //
-//	DIR/LOCK          advisory flock target (never written)
-//	DIR/CURRENT       name of the live segment ("seg-<gen>.log"),
-//	                  updated via temp+rename and a directory fsync
-//	DIR/seg-<g>.log   append-only frames (see below)
+//	DIR/LOCK         advisory flock target (never written)
+//	DIR/records.log  the segment: append-only frames (see below)
 //
 // Each entry is one frame:
 //
@@ -45,27 +43,29 @@
 // CRC, mangled lengths, a zero-filled hole) is skipped by
 // resynchronizing on the magic and counted, and the next write compacts
 // the segment to drop the dead bytes. Get re-verifies the CRC on every
-// read, so a frame corrupted after indexing is still never served. Open
-// removes the segment and temp files a crashed compaction left behind.
+// read, so a frame corrupted after indexing is still never served.
+// Compaction writes DIR/records.log.tmp, fsyncs it, renames it over the
+// segment and fsyncs the directory; Open removes the temp file a
+// crashed compaction left behind.
 //
 // Concurrency: one *Store is safe for any number of goroutines, and
 // any number of OS processes may share a directory. Writers serialize
 // on an exclusive flock of DIR/LOCK and fstat their open segment before
-// every append — its tail carries other processes' frames, and a link
-// count of zero means a compactor swapped CURRENT, which is re-read
-// only then — so each process sees all appended entries; readers are
-// lock-free against their open segment handle (a concurrent compaction
-// unlinks it, which POSIX keeps readable).
+// every append — its tail carries other processes' frames, and a
+// segment the path no longer names was replaced by a compaction, so the
+// path is reopened and indexed afresh — so each process sees all
+// appended entries; readers are lock-free against their open segment
+// handle (a concurrent compaction unlinks it, which POSIX keeps
+// readable).
 //
-// Eviction is least-recently-used by this process's access order
-// (falling back to append order for entries it never touched) and
-// triggers when the segment exceeds MaxBytes: survivors are rewritten
-// oldest-first into a new segment, CURRENT is swapped atomically, and
-// the old segment removed.
+// Compaction and the MaxBytes cap both walk the live frames in segment
+// order: the cap drops the oldest-appended frames first, and a
+// compacted segment holds the survivors in the order they were
+// appended, whichever process read what.
 package store
 
 import (
-	"container/list"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,20 +75,18 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 const (
-	magic       = 0x31525344 // "DSR1" little-endian
-	headerSize  = 12         // magic + payLen + crc
-	maxKeyLen   = 1 << 12
-	maxValLen   = 1 << 24
-	currentName = "CURRENT"
-	lockName    = "LOCK"
+	magic      = 0x31525344 // "DSR1" little-endian
+	headerSize = 12         // magic + payLen + crc
+	maxKeyLen  = 1 << 12
+	maxValLen  = 1 << 24
+	segName    = "records.log"
+	lockName   = "LOCK"
 
 	// syncWindow is the longest a Put lets the previous fsync age before
 	// paying one itself. Runs whose records arrive further apart than
@@ -107,9 +105,9 @@ func OpenErrors() int64 { return openErrors.Load() }
 
 // Options configures a store.
 type Options struct {
-	// MaxBytes caps the segment file size; exceeding it evicts
-	// least-recently-used entries (the newest entry always survives,
-	// even if it alone exceeds the cap). Zero means unbounded.
+	// MaxBytes caps the segment file size; exceeding it drops the
+	// oldest-appended entries (the newest entry always survives, even if
+	// it alone exceeds the cap). Zero means unbounded.
 	MaxBytes int64
 	// SchemaVersion is stamped into every frame; frames carrying any
 	// other version are never indexed, never served, and dropped at the
@@ -129,7 +127,7 @@ type Stats struct {
 	Compactions   int64 `json:"compactions"`    // segment rewrites
 	Syncs         int64 `json:"syncs"`          // segment fsyncs (commit points and compactions)
 	SyncNanos     int64 `json:"sync_ns"`        // host time spent in those fsyncs
-	Orphans       int64 `json:"orphans"`        // stray segment and temp files removed by Open
+	Orphans       int64 `json:"orphans"`        // compaction temp files removed by Open
 }
 
 // entry is one live key in the in-memory index.
@@ -137,23 +135,20 @@ type entry struct {
 	key      string
 	off      int64 // frame start in the segment
 	frameLen int64
-	elem     *list.Element
 }
 
 // Store is a handle on one store directory. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir string
-	opt Options
+	dir  string
+	path string // DIR/records.log
+	opt  Options
 
 	mu       sync.Mutex
 	lockFile *os.File
 	seg      *os.File
-	segName  string
-	gen      uint64
 	size     int64 // segment bytes covered by the scan (append offset)
 	index    map[string]*entry
-	lru      *list.List // front = least recently used
 	// segDirty is true when the current segment carries dead bytes
 	// (corrupt frames, schema mismatches, superseded keys) worth
 	// compacting away on the next write.
@@ -203,22 +198,26 @@ func open(dir string, opt Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:      dir,
+		path:     filepath.Join(dir, segName),
 		opt:      opt,
 		lockFile: lf,
 		index:    map[string]*entry{},
-		lru:      list.New(),
 		lastSync: time.Now(),
 		now:      time.Now,
 	}
-	// Exclusive init: first opener creates CURRENT and the empty
-	// segment; everyone else just scans. Nothing can be mid-compaction
-	// under the lock, so any other segment or temp file is an orphan.
+	// Exclusive init: the first opener creates the segment; everyone
+	// else just scans. Nothing can be mid-compaction under the lock, so
+	// a temp file is what a crashed compaction left.
 	if err := flockEx(lf); err != nil {
 		lf.Close()
 		return nil, fmt.Errorf("store: lock %s: %w", dir, err)
 	}
 	if err = s.refreshLocked(true); err == nil {
-		err = s.removeOrphansLocked()
+		if err = os.Remove(s.path + ".tmp"); err == nil {
+			s.orphans.Add(1)
+		} else if os.IsNotExist(err) {
+			err = nil
+		}
 	}
 	if uerr := flockUn(lf); uerr != nil && err == nil {
 		err = uerr
@@ -309,13 +308,10 @@ func (s *Store) AppendGet(dst []byte, key string) ([]byte, bool) {
 	}
 	_, val, err := s.readEntryLocked(en)
 	if err != nil {
-		s.dropLocked(en)
-		s.corrupt.Add(1)
-		s.segDirty = true
+		s.dropCorruptLocked(en)
 		s.misses.Add(1)
 		return dst, false
 	}
-	s.touchLocked(en)
 	s.hits.Add(1)
 	return append(dst, val...), true
 }
@@ -363,10 +359,9 @@ func (s *Store) Put(key string, value []byte) error {
 	}
 	if old := s.index[key]; old != nil {
 		if _, oldVal, err := s.readEntryLocked(old); err == nil && string(oldVal) == string(value) {
-			s.touchLocked(old)
 			return nil
 		}
-		s.dropLocked(old)
+		delete(s.index, key)
 		s.segDirty = true
 	}
 	if s.segDirty {
@@ -379,9 +374,7 @@ func (s *Store) Put(key string, value []byte) error {
 	if _, err := s.seg.WriteAt(frame, s.size); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	en := &entry{key: key, off: s.size, frameLen: int64(len(frame))}
-	en.elem = s.lru.PushBack(en)
-	s.index[key] = en
+	s.index[key] = &entry{key: key, off: s.size, frameLen: int64(len(frame))}
 	s.size += int64(len(frame))
 	s.puts.Add(1)
 	s.unsynced = true
@@ -416,23 +409,6 @@ func (s *Store) SizeBytes() int64 {
 	}
 	s.refreshLocked(false) //nolint:errcheck // stale view on error
 	return s.size
-}
-
-// Keys returns the live keys in sorted order — the store's
-// deterministic iteration order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.refreshLocked(false) //nolint:errcheck // stale view on error
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // VerifyReport summarizes a Verify pass.
@@ -484,9 +460,7 @@ func (s *Store) Verify(check func(key string, value []byte) error) (VerifyReport
 		en := s.index[k]
 		_, val, err := s.readEntryLocked(en)
 		if err != nil {
-			s.dropLocked(en)
-			s.corrupt.Add(1)
-			s.segDirty = true
+			s.dropCorruptLocked(en)
 			rep.CorruptFrames++
 			continue
 		}
@@ -503,12 +477,12 @@ func (s *Store) Verify(check func(key string, value []byte) error) (VerifyReport
 // --- internals (all require s.mu) ---
 
 // refreshLocked brings the index up to date with the directory: it
-// fstats the open segment, re-reads CURRENT when that segment has been
-// unlinked (a compactor removes the old segment under the flock, after
-// the swap; the index is rebuilt for the new one) and scans any bytes
-// appended since the last scan. With writer=true the caller holds the
-// exclusive flock, so an unparseable tail cannot be an in-flight append
-// and is truncated away; readers leave it for the next writer.
+// fstats the open segment, reopens the path when a compactor has
+// replaced that segment (the index is rebuilt for the new one) and
+// scans any bytes appended since the last scan. With writer=true the
+// caller holds the exclusive flock, so an unparseable tail cannot be an
+// in-flight append and is truncated away; readers leave it for the
+// next writer.
 func (s *Store) refreshLocked(writer bool) error {
 	var st os.FileInfo
 	if s.seg != nil {
@@ -517,24 +491,16 @@ func (s *Store) refreshLocked(writer bool) error {
 			return fmt.Errorf("store: segment: %w", err)
 		}
 	}
-	if s.seg == nil || unlinked(st) {
-		name, gen, err := s.readCurrentLocked(writer)
+	if s.seg == nil || replaced(st, s.path) {
+		seg, err := os.OpenFile(s.path, os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
-			return err
+			return fmt.Errorf("store: segment: %w", err)
 		}
-		if name != s.segName {
-			seg, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_RDWR, 0o644)
-			if err != nil {
-				return fmt.Errorf("store: segment: %w", err)
-			}
-			if s.seg != nil {
-				s.seg.Close()
-			}
-			s.seg = seg
-			s.segName = name
-			s.gen = gen
-			s.resetIndexLocked()
+		if s.seg != nil {
+			s.seg.Close()
 		}
+		s.seg = seg
+		s.resetIndexLocked()
 		if st, err = s.seg.Stat(); err != nil {
 			return fmt.Errorf("store: segment: %w", err)
 		}
@@ -552,33 +518,7 @@ func (s *Store) refreshLocked(writer bool) error {
 func (s *Store) resetIndexLocked() {
 	s.size = 0
 	s.segDirty = false
-	s.index = map[string]*entry{}
-	s.lru.Init()
-}
-
-// removeOrphansLocked deletes every segment and temp file other than
-// the live segment: what a compaction leaves when it dies between the
-// CURRENT swap and the unlink of the old segment, or earlier. Left in
-// place they would escape the MaxBytes cap and keep a stale handle
-// appending to a segment nobody reads. Caller holds the exclusive
-// flock.
-func (s *Store) removeOrphansLocked() error {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, de := range ents {
-		name := de.Name()
-		segment := strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log")
-		if name == s.segName || !segment && !strings.HasSuffix(name, ".tmp") {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-			return fmt.Errorf("store: orphan: %w", err)
-		}
-		s.orphans.Add(1)
-	}
-	return nil
+	clear(s.index)
 }
 
 // syncLocked fsyncs the segment if frames were appended since the last
@@ -605,46 +545,6 @@ func (s *Store) fsync(f *os.File) error {
 	return nil
 }
 
-// readCurrentLocked reads CURRENT, initializing the store layout on
-// first contact (writer only; a reader racing the very first writer
-// retries through the error path).
-func (s *Store) readCurrentLocked(writer bool) (string, uint64, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, currentName))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return "", 0, fmt.Errorf("store: CURRENT: %w", err)
-		}
-		name := "seg-1.log"
-		if !writer {
-			// Reader before any writer initialized the directory: treat
-			// as the empty first segment without creating files.
-			return name, 1, nil
-		}
-		if err := writeFileAtomic(s.dir, currentName, []byte(name+"\n")); err != nil {
-			return "", 0, err
-		}
-		return name, 1, nil
-	}
-	name := strings.TrimSpace(string(b))
-	gen, err := segGen(name)
-	if err != nil {
-		return "", 0, err
-	}
-	return name, gen, nil
-}
-
-func segGen(name string) (uint64, error) {
-	trimmed := strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".log")
-	if trimmed == name || !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-		return 0, fmt.Errorf("store: malformed CURRENT %q", name)
-	}
-	gen, err := strconv.ParseUint(trimmed, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("store: malformed CURRENT %q", name)
-	}
-	return gen, nil
-}
-
 // scanTailLocked parses frames in [s.size, end), indexing every intact
 // frame with the right schema version. Corrupt frames are skipped by
 // resyncing on the magic; an unparseable tail with no valid frame
@@ -661,13 +561,10 @@ func (s *Store) scanTailLocked(end int64, writer bool) error {
 		if ok {
 			if len(k) != 0 { // schema match
 				key := string(k) // the index's own copy: data is scratch
-				if old := s.index[key]; old != nil {
-					s.dropLocked(old)
-					s.segDirty = true
+				if s.index[key] != nil {
+					s.segDirty = true // superseded
 				}
-				en := &entry{key: key, off: s.size + int64(pos), frameLen: int64(frameLen)}
-				en.elem = s.lru.PushBack(en)
-				s.index[key] = en
+				s.index[key] = &entry{key: key, off: s.size + int64(pos), frameLen: int64(frameLen)}
 			} else {
 				s.schemaSkips.Add(1)
 				s.segDirty = true
@@ -782,31 +679,37 @@ func (s *Store) readEntryLocked(en *entry) (frame, val []byte, err error) {
 	return frame, frame[headerSize+12+len(key):], nil
 }
 
-// touchLocked moves an entry to the most-recently-used position.
-func (s *Store) touchLocked(en *entry) {
-	s.lru.MoveToBack(en.elem)
-}
-
-// dropLocked removes an entry from the index without touching disk.
-func (s *Store) dropLocked(en *entry) {
-	s.lru.Remove(en.elem)
+// dropCorruptLocked removes an entry whose frame failed its re-read from
+// the index, counting it and marking its bytes for compaction.
+func (s *Store) dropCorruptLocked(en *entry) {
 	delete(s.index, en.key)
+	s.corrupt.Add(1)
+	s.segDirty = true
 }
 
-// evictLocked drops LRU entries until the live bytes fit targetBytes,
-// then compacts. The most recently used entry always survives. Caller
-// holds the exclusive flock.
-func (s *Store) evictLocked(targetBytes int64) error {
-	live := int64(0)
+// liveLocked returns the live entries in segment order.
+func (s *Store) liveLocked() []*entry {
+	live := make([]*entry, 0, len(s.index))
 	for _, en := range s.index {
-		live += en.frameLen
+		live = append(live, en)
+	}
+	slices.SortFunc(live, func(a, b *entry) int { return cmp.Compare(a.off, b.off) })
+	return live
+}
+
+// evictLocked drops the oldest-appended entries until the live bytes
+// fit targetBytes, then compacts. The newest entry always survives.
+// Caller holds the exclusive flock.
+func (s *Store) evictLocked(targetBytes int64) error {
+	live := s.liveLocked()
+	total := int64(0)
+	for _, en := range live {
+		total += en.frameLen
 	}
 	dropped := 0
-	for live > targetBytes && s.lru.Len() > 1 {
-		en := s.lru.Front().Value.(*entry)
-		live -= en.frameLen
-		s.dropLocked(en)
-		dropped++
+	for ; total > targetBytes && dropped < len(live)-1; dropped++ {
+		total -= live[dropped].frameLen
+		delete(s.index, live[dropped].key)
 	}
 	if dropped > 0 {
 		s.evictions.Add(int64(dropped))
@@ -818,105 +721,64 @@ func (s *Store) evictLocked(targetBytes int64) error {
 	return nil
 }
 
-// compactLocked rewrites the live entries (LRU order, oldest first)
-// into a fresh segment and swaps CURRENT to it. Caller holds the
-// exclusive flock.
+// compactLocked rewrites the live entries, in segment order, into
+// records.log.tmp, fsyncs it and renames it over the segment. Caller
+// holds the exclusive flock.
 func (s *Store) compactLocked() error {
-	newGen := s.gen + 1
-	newName := fmt.Sprintf("seg-%d.log", newGen)
-	tmpPath := filepath.Join(s.dir, newName+".tmp")
+	tmpPath := s.path + ".tmp"
 	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	type placed struct {
-		en       *entry
-		off      int64
-		frameLen int64
+	abandon := func(err error) error {
+		f.Close()
+		os.Remove(tmpPath)
+		return err
 	}
-	var out []placed
+	live := s.liveLocked()
+	offs := make([]int64, len(live)) // each entry's new offset; -1 if its frame failed
 	off := int64(0)
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		en := el.Value.(*entry)
+	for i, en := range live {
 		// A verified frame is the frame appendFrame would build from its
 		// schema, key and value: it is copied as read.
 		frame, _, rerr := s.readEntryLocked(en)
 		if rerr != nil {
 			s.corrupt.Add(1)
+			offs[i] = -1
 			continue
 		}
 		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("store: compact: %w", err)
+			return abandon(fmt.Errorf("store: compact: %w", err))
 		}
-		out = append(out, placed{en: en, off: off, frameLen: int64(len(frame))})
+		offs[i] = off
 		off += int64(len(frame))
 	}
 	if err := s.fsync(f); err != nil {
-		f.Close()
-		os.Remove(tmpPath)
-		return err
+		return abandon(err)
 	}
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, newName)); err != nil {
-		f.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact: %w", err)
+	if err := os.Rename(tmpPath, s.path); err != nil {
+		return abandon(fmt.Errorf("store: compact: %w", err))
 	}
 	if err := syncDir(s.dir); err != nil {
+		// The rename happened: the unlinked old handle makes the next
+		// refresh reopen the path and rescan.
 		f.Close()
 		return err
 	}
-	if err := writeFileAtomic(s.dir, currentName, []byte(newName+"\n")); err != nil {
-		f.Close()
-		return err
-	}
-	oldName := s.segName
-	if s.seg != nil {
-		s.seg.Close()
-	}
+	s.seg.Close()
 	s.seg = f
-	s.segName = newName
-	s.gen = newGen
 	s.size = off
 	s.segDirty = false
 	s.unsynced, s.lastSync = false, s.now() // every live frame was just synced
-	// Re-point live entries at their new frames; dropped (corrupt)
-	// ones leave the index.
-	kept := map[string]*entry{}
-	for _, p := range out {
-		p.en.off = p.off
-		p.en.frameLen = p.frameLen
-		kept[p.en.key] = p.en
-	}
-	for k, en := range s.index {
-		if kept[k] == nil {
-			s.lru.Remove(en.elem)
+	for i, en := range live {
+		if offs[i] < 0 {
+			delete(s.index, en.key)
+		} else {
+			en.off = offs[i]
 		}
-	}
-	s.index = kept
-	if oldName != "" && oldName != newName {
-		os.Remove(filepath.Join(s.dir, oldName)) //nolint:errcheck // stale readers keep their handle
 	}
 	s.compactions.Add(1)
 	return nil
-}
-
-// writeFileAtomic writes name under dir via temp+rename+dir-fsync.
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync() //nolint:errcheck // content fsync is best-effort on some filesystems
-		f.Close()
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames within it are durable.

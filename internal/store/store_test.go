@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,13 +47,21 @@ func encodeFrame(schema uint32, key string, value []byte) []byte {
 	return appendFrame(nil, schema, key, value)
 }
 
-func segPath(t *testing.T, dir string) string {
+// segPath is the store's one segment file.
+func segPath(dir string) string { return filepath.Join(dir, segName) }
+
+// storeKeys lists the live keys in sorted order, through Verify's
+// callback.
+func storeKeys(t *testing.T, s *Store) []string {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
-	if err != nil {
-		t.Fatalf("read CURRENT: %v", err)
+	var keys []string
+	if _, err := s.Verify(func(key string, _ []byte) error {
+		keys = append(keys, key)
+		return nil
+	}); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
-	return filepath.Join(dir, strings.TrimSpace(string(b)))
+	return keys
 }
 
 func TestStoreRoundTripAndReopen(t *testing.T) {
@@ -74,12 +83,12 @@ func TestStoreRoundTripAndReopen(t *testing.T) {
 	s2 := openT(t, dir, Options{SchemaVersion: 1})
 	mustGet(t, s2, "a", "alpha")
 	mustGet(t, s2, "b", "beta")
-	if keys := s2.Keys(); len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys = %v, want [a b]", keys)
-	}
 	st := s2.Stats()
 	if st.Hits != 2 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want 2 hits 0 misses", st)
+	}
+	if keys := storeKeys(t, s2); len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
+		t.Fatalf("keys = %v, want [a b]", keys)
 	}
 }
 
@@ -125,8 +134,8 @@ func TestStoreWarmAppendGetAllocatesNothing(t *testing.T) {
 
 // TestStorePutAllocatesNoFrame: a Put of a new key builds its frame in
 // the store's write buffer, so it allocates only what outlives it — the
-// index entry and its LRU element — and the FileInfo of the fstat every
-// writer makes before appending. None of them is the size of the value.
+// index entry — and the FileInfo of the fstat every writer makes before
+// appending. Neither is the size of the value.
 func TestStorePutAllocatesNoFrame(t *testing.T) {
 	s := openT(t, t.TempDir(), Options{SchemaVersion: 1})
 	val := []byte(strings.Repeat("r", 64<<10))
@@ -148,8 +157,8 @@ func TestStorePutAllocatesNoFrame(t *testing.T) {
 		next++
 	})
 	runtime.ReadMemStats(&after)
-	if n > 3 {
-		t.Errorf("a Put of a new key allocates %v objects, want at most 3 (entry, LRU element, segment FileInfo)", n)
+	if n > 2 {
+		t.Errorf("a Put of a new key allocates %v objects, want at most 2 (entry, segment FileInfo)", n)
 	}
 	if per := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); per > uint64(len(val))/8 {
 		t.Errorf("a Put of a %d-byte value allocates %d bytes: a frame per Put", len(val), per)
@@ -345,7 +354,7 @@ func TestStoreSchemaMismatchIsAMiss(t *testing.T) {
 // frame holding key.
 func corruptFrame(t *testing.T, dir string) {
 	t.Helper()
-	path := segPath(t, dir)
+	path := segPath(dir)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read segment: %v", err)
@@ -393,7 +402,7 @@ func TestStoreCorruptionBetweenFramesResyncs(t *testing.T) {
 	s.Close()
 	// Mangle the first frame's length field: the scanner must resync
 	// on the second frame's magic rather than derail.
-	path := segPath(t, dir)
+	path := segPath(dir)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +425,7 @@ func TestStoreTornTailTruncatedByWriter(t *testing.T) {
 	mustPut(t, s, "whole", "value")
 	s.Close()
 	// Simulate a crash mid-append: a half-written frame at the tail.
-	path := segPath(t, dir)
+	path := segPath(dir)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -442,46 +451,58 @@ func TestStoreTornTailTruncatedByWriter(t *testing.T) {
 	}
 }
 
-func TestStoreEvictionRespectsCapAndLRU(t *testing.T) {
+// TestStoreEvictionDropsOldestFirst: the MaxBytes cap keeps the
+// newest-appended frames that fit and drops the rest oldest first; a
+// read saves no frame, and the newest frame survives a cap it alone
+// exceeds.
+func TestStoreEvictionDropsOldestFirst(t *testing.T) {
 	dir := t.TempDir()
 	val := strings.Repeat("v", 200)
 	frame := int64(len(encodeFrame(1, "key-00", []byte(val))))
+	key := func(i int) string { return fmt.Sprintf("key-%02d", i) }
+	// want is the last n keys appended up to key i.
+	want := func(i, n int) []string {
+		var keys []string
+		for j := max(0, i-n+1); j <= i; j++ {
+			keys = append(keys, key(j))
+		}
+		return keys
+	}
 	cap := 5 * frame
 	s := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: cap})
-	for i := 0; i < 4; i++ {
-		mustPut(t, s, fmt.Sprintf("key-%02d", i), val)
-	}
-	// Touch key-00 so it is the most recently used of the old entries.
-	mustGet(t, s, "key-00", val)
-	for i := 4; i < 12; i++ {
-		mustPut(t, s, fmt.Sprintf("key-%02d", i), val)
-	}
-	if got := s.SizeBytes(); got > cap {
-		t.Fatalf("segment %d bytes exceeds cap %d", got, cap)
-	}
-	if st := s.Stats(); st.Evictions == 0 {
-		t.Fatalf("stats = %+v, want evictions", st)
-	}
-	// The untouched early keys must have been evicted before the
-	// touched one.
-	if _, ok := s.Get("key-01"); ok {
-		if _, ok00 := s.Get("key-00"); !ok00 {
-			t.Fatal("LRU order inverted: untouched key survived, touched key evicted")
+	for i := 0; i < 12; i++ {
+		mustPut(t, s, key(i), val)
+		if i == 3 {
+			mustGet(t, s, key(0), val) // a read does not keep key-00
 		}
+		if got := s.SizeBytes(); got > cap {
+			t.Fatalf("after %s: segment %d bytes exceeds cap %d", key(i), got, cap)
+		}
+		if got, w := storeKeys(t, s), want(i, 5); !slices.Equal(got, w) {
+			t.Fatalf("after %s: live keys %v, want %v", key(i), got, w)
+		}
+	}
+	if st := s.Stats(); st.Evictions != 7 {
+		t.Fatalf("stats = %+v, want 7 evictions", st)
 	}
 	s.Close()
 	// A handle with a tighter cap evicts down to it on its next Put.
 	s2 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 2 * frame})
-	mustPut(t, s2, "key-12", val)
+	mustPut(t, s2, key(12), val)
 	if got := s2.SizeBytes(); got > 2*frame {
 		t.Fatalf("after eviction segment is %d bytes, want <= %d", got, 2*frame)
 	}
-	s2.Close()
-	s3 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: cap})
-	if n := s3.Len(); n == 0 || n > 2 {
-		t.Fatalf("after eviction Len = %d, want 1..2", n)
+	if got, w := storeKeys(t, s2), want(12, 2); !slices.Equal(got, w) {
+		t.Fatalf("under the tighter cap: live keys %v, want %v", got, w)
 	}
-	mustGet(t, s3, "key-12", val)
+	s2.Close()
+	// The newest frame survives a cap smaller than itself.
+	s3 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 1})
+	mustPut(t, s3, key(13), val)
+	if got := storeKeys(t, s3); !slices.Equal(got, []string{key(13)}) {
+		t.Fatalf("under a one-byte cap: live keys %v, want [%s]", got, key(13))
+	}
+	mustGet(t, s3, key(13), val)
 }
 
 func TestStoreVerify(t *testing.T) {
@@ -504,7 +525,7 @@ func TestStoreVerify(t *testing.T) {
 	s.Close()
 	// Corrupt the first frame (mid-file, a later frame still intact):
 	// truncation cannot heal it, so Verify must report it.
-	path := segPath(t, dir)
+	path := segPath(dir)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -620,20 +641,39 @@ func TestStoreHelperProcess(t *testing.T) {
 	}
 }
 
-// swapSegment makes s rewrite its live entries into a new segment and
-// swap CURRENT to it, by superseding a key.
-func swapSegment(t *testing.T, s *Store, dir string) {
+// segFile stats the segment path: the file it names now.
+func segFile(t *testing.T, dir string) os.FileInfo {
 	t.Helper()
-	before := segPath(t, dir)
-	mustPut(t, s, "superseded", "v1")
-	mustPut(t, s, "superseded", "v2")
-	if after := segPath(t, dir); after == before {
-		t.Fatalf("CURRENT still names %s after a compaction", before)
+	fi, err := os.Stat(segPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
+}
+
+// swapped runs swap and fails unless the segment path names another
+// file afterwards.
+func swapped(t *testing.T, dir, what string, swap func()) {
+	t.Helper()
+	before := segFile(t, dir)
+	swap()
+	if os.SameFile(before, segFile(t, dir)) {
+		t.Fatalf("the segment is the same file after %s", what)
 	}
 }
 
+// swapSegment makes s rewrite its live entries into a new segment file
+// renamed over the old one, by superseding a key.
+func swapSegment(t *testing.T, s *Store, dir string) {
+	t.Helper()
+	swapped(t, dir, "a compaction", func() {
+		mustPut(t, s, "superseded", "v1")
+		mustPut(t, s, "superseded", "v2")
+	})
+}
+
 // TestStoreSwapSeenByLiveHandle: a handle opened before another handle
-// swaps the segment must follow CURRENT on its next miss and its next
+// swaps the segment must reopen the path on its next miss and its next
 // append, or its writes land in an unlinked file nobody reads.
 func TestStoreSwapSeenByLiveHandle(t *testing.T) {
 	swaps := map[string]func(t *testing.T, b *Store, dir string){
@@ -641,14 +681,10 @@ func TestStoreSwapSeenByLiveHandle(t *testing.T) {
 		"evict": func(t *testing.T, _ *Store, dir string) {
 			// A capped handle on the same directory: its first Put
 			// evicts everything older to fit the cap of one frame.
-			before := segPath(t, dir)
 			capped := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 1})
-			mustPut(t, capped, "b0", "evicts the rest")
+			swapped(t, dir, "an eviction", func() { mustPut(t, capped, "b0", "evicts the rest") })
 			if st := capped.Stats(); st.Evictions == 0 {
 				t.Fatalf("stats = %+v, want entries evicted", st)
-			}
-			if after := segPath(t, dir); after == before {
-				t.Fatalf("CURRENT still names %s after an eviction", before)
 			}
 		},
 	}
@@ -677,28 +713,25 @@ func TestStoreSwapSeenByLiveHandle(t *testing.T) {
 	}
 }
 
-// TestStoreOpenRemovesOrphans: a compaction that dies after the CURRENT
-// swap leaves the old segment behind, an earlier death a temp file or
-// an unreferenced new segment; the next Open removes them all.
+// TestStoreOpenRemovesOrphans: a compaction that dies before its
+// rename leaves records.log.tmp behind; the next Open removes it and
+// serves the segment as it was.
 func TestStoreOpenRemovesOrphans(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{SchemaVersion: 1})
 	mustPut(t, s, "k", "v")
-	old, err := os.ReadFile(segPath(t, dir))
+	old, err := os.ReadFile(segPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	swapSegment(t, s, dir)
 	s.Close()
-	orphans := []string{"seg-1.log", "seg-9.log", "seg-3.log.tmp", "CURRENT.tmp"}
-	for _, name := range orphans {
-		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(segPath(dir)+".tmp", old, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	s2 := openT(t, dir, Options{SchemaVersion: 1})
-	if got := s2.Stats().Orphans; got != int64(len(orphans)) {
-		t.Fatalf("Orphans = %d, want %d", got, len(orphans))
+	if got := s2.Stats().Orphans; got != 1 {
+		t.Fatalf("Orphans = %d, want 1", got)
 	}
 	mustGet(t, s2, "k", "v")
 	mustGet(t, s2, "superseded", "v2")
@@ -706,12 +739,103 @@ func TestStoreOpenRemovesOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 3 {
-		t.Fatalf("directory holds %d files after Open, want LOCK, CURRENT and one segment", len(ents))
+	if len(ents) != 2 {
+		t.Fatalf("directory holds %d files after Open, want LOCK and the segment", len(ents))
 	}
 	s2.Close()
 	if got := openT(t, dir, Options{SchemaVersion: 1}).Stats().Orphans; got != 0 {
 		t.Fatalf("second Open removed %d more orphans", got)
+	}
+}
+
+// compactNow rewrites s's segment as a writer would before its next
+// append.
+func compactNow(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := flockEx(s.lockFile); err != nil {
+		t.Fatal(err)
+	}
+	defer flockUn(s.lockFile) //nolint:errcheck // advisory unlock
+	err := s.refreshLocked(true)
+	if err == nil {
+		err = s.compactLocked()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreCompactionKeepsSegmentOrder: two handles on one directory
+// read its keys in opposite orders, and each compacts the same segment,
+// which holds a superseded frame. The two compacted segments are
+// byte-equal: the live frames in the order they were appended, whatever
+// either handle read.
+func TestStoreCompactionKeepsSegmentOrder(t *testing.T) {
+	dir := t.TempDir()
+	w := openT(t, dir, Options{SchemaVersion: 1})
+	key := func(i int) string { return fmt.Sprintf("key-%d", i) }
+	val := func(i int) string { return fmt.Sprintf("value %d", i) }
+	for i := 0; i < 8; i++ {
+		mustPut(t, w, key(i), val(i))
+	}
+	w.Close()
+	// Supersede key-2 by hand: a Put would compact at once.
+	f, err := os.OpenFile(segPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(encodeFrame(1, key(2), []byte("superseded"))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	src, err := os.ReadFile(segPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := openT(t, dir, Options{SchemaVersion: 1})
+	b := openT(t, dir, Options{SchemaVersion: 1})
+	var compacted [2][]byte
+	for h, c := range []struct {
+		s     *Store
+		order []int
+	}{{a, []int{0, 1, 2, 3, 4, 5, 6, 7}}, {b, []int{7, 6, 5, 4, 3, 2, 1, 0}}} {
+		if h > 0 {
+			// Put the uncompacted segment back as a new file, as a
+			// compactor's rename would, and let b index it afresh.
+			if err := os.WriteFile(segPath(dir)+".src", src, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(segPath(dir)+".src", segPath(dir)); err != nil {
+				t.Fatal(err)
+			}
+			if n := c.s.Len(); n != 8 {
+				t.Fatalf("b indexes %d keys of the restored segment, want 8", n)
+			}
+		}
+		for _, i := range c.order {
+			want := val(i)
+			if i == 2 {
+				want = "superseded"
+			}
+			mustGet(t, c.s, key(i), want)
+		}
+		compactNow(t, c.s)
+		if compacted[h], err = os.ReadFile(segPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(compacted[0]) != string(compacted[1]) {
+		t.Fatal("two handles compacted one segment into different bytes")
+	}
+	var want []byte
+	for _, i := range []int{0, 1, 3, 4, 5, 6, 7} {
+		want = appendFrame(want, 1, key(i), []byte(val(i)))
+	}
+	want = appendFrame(want, 1, key(2), []byte("superseded"))
+	if string(compacted[0]) != string(want) {
+		t.Fatal("the compacted segment does not hold the live frames in the order they were appended")
 	}
 }
 
@@ -803,10 +927,7 @@ func TestStoreSyncsAtCommitPoints(t *testing.T) {
 func storeFromSegment(t *testing.T, seg []byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "CURRENT"), []byte("seg-1.log\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-1.log"), seg, 0o644); err != nil {
+	if err := os.WriteFile(segPath(dir), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -835,7 +956,7 @@ func TestStorePowerLossInUnsyncedRun(t *testing.T) {
 	if got := s.Stats().Syncs; got != 1 {
 		t.Fatalf("%d fsyncs while building, want frames 1..%d unsynced", got, frames-1)
 	}
-	full, err := os.ReadFile(segPath(t, src))
+	full, err := os.ReadFile(segPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ var cliFlags = []struct{ cmd, flag, exerciser string }{
 	{"dsmrun", "trace", ".github/workflows/ci.yml"},
 	{"dsmrun", "breakdown", ".github/workflows/ci.yml"},
 	{"dsmrun", "store", ".github/workflows/ci.yml"},
-	{"dsmrun", "store-max-bytes", "README.md"},
+	{"dsmrun", "store-max-bytes", ".github/workflows/ci.yml"},
 	{"dsmrun", "metrics-addr", ".github/workflows/ci.yml"},
 	{"dsmrun", "progress", ".github/workflows/ci.yml"},
 	{"dsmrun", "metrics-dump", ".github/workflows/ci.yml"},

@@ -454,18 +454,20 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	idx := checksumIndices(total)
 	return apputil.RunXHPF("3-D FFT", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		me, nprocs := x.ID(), x.NProcs()
-		xs := make([]complex128, total)
-		xt := make([]complex128, total)
 		p3lo, p3hi := apputil.BlockOf(me, nprocs, kn.n3)
 		b2lo, b2hi := apputil.BlockOf(me, nprocs, kn.n2)
+		// xs holds this processor's planes [p3lo,p3hi), xt its i2 rows
+		// [b2lo,b2hi): everything else arrives by message.
+		xs := make([]complex128, (p3hi-p3lo)*kn.n2*kn.n1)
+		xt := make([]complex128, (b2hi-b2lo)*kn.n3*kn.n1)
 		var sum complex128
 		return apputil.Program{
 			Iterate: func(k int) {
-				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
+				touches := kn.initPlanes(xs, p3lo, p3hi, p3lo, k)
 				x.LoopSync()
-				b := kn.fft1Planes(xs, p3lo, p3hi, 0)
+				b := kn.fft1Planes(xs, p3lo, p3hi, p3lo)
 				x.LoopSync()
-				b += kn.fft2Planes(xs, p3lo, p3hi, 0)
+				b += kn.fft2Planes(xs, p3lo, p3hi, p3lo)
 				x.LoopSync()
 				// Generated transpose: per-destination per-plane per-row
 				// sections.
@@ -474,7 +476,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 					var secs [][]complex128
 					for i3 := p3lo; i3 < p3hi; i3++ {
 						for i2 := qlo; i2 < qhi; i2++ {
-							off := (i3*kn.n2 + i2) * kn.n1
+							off := ((i3-p3lo)*kn.n2 + i2) * kn.n1
 							secs = append(secs, xs[off:off+kn.n1])
 						}
 					}
@@ -485,7 +487,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 					var secs [][]complex128
 					for i3 := qlo; i3 < qhi; i3++ {
 						for i2 := b2lo; i2 < b2hi; i2++ {
-							dst := (i2*kn.n3 + i3) * kn.n1
+							dst := ((i2-b2lo)*kn.n3 + i3) * kn.n1
 							secs = append(secs, xt[dst:dst+kn.n1])
 						}
 					}
@@ -495,17 +497,17 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 				// Local part of the transpose.
 				for i3 := p3lo; i3 < p3hi; i3++ {
 					for i2 := b2lo; i2 < b2hi; i2++ {
-						src := (i3*kn.n2 + i2) * kn.n1
-						dst := (i2*kn.n3 + i3) * kn.n1
+						src := ((i3-p3lo)*kn.n2 + i2) * kn.n1
+						dst := ((i2-b2lo)*kn.n3 + i3) * kn.n1
 						copy(xt[dst:dst+kn.n1], xs[src:src+kn.n1])
 						touches += kn.n1
 					}
 				}
-				b += kn.fft3Rows(xt, b2lo, b2hi, 0)
+				b += kn.fft3Rows(xt, b2lo, b2hi, b2lo)
 				x.LoopSync()
-				touches += kn.normalizeRows(xt, b2lo, b2hi, 0)
+				touches += kn.normalizeRows(xt, b2lo, b2hi, b2lo)
 				x.LoopSync()
-				s, t := kn.checksumRows(xt, idx, b2lo, b2hi, 0)
+				s, t := kn.checksumRows(xt, idx, b2lo, b2hi, b2lo)
 				touches += t
 				parts := xhpf.AllReduceSum(x, []float64{real(s), imag(s)})
 				sum = complex(parts[0], parts[1])
@@ -530,16 +532,16 @@ func runPVM(cfg core.Config) (core.Result, error) {
 	idx := checksumIndices(total)
 	return apputil.RunPVM("3-D FFT", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		me, nprocs := pv.ID(), pv.NProcs()
-		xs := make([]complex128, total)
-		xt := make([]complex128, total)
 		p3lo, p3hi := apputil.BlockOf(me, nprocs, kn.n3)
 		b2lo, b2hi := apputil.BlockOf(me, nprocs, kn.n2)
+		xs := make([]complex128, (p3hi-p3lo)*kn.n2*kn.n1)
+		xt := make([]complex128, (b2hi-b2lo)*kn.n3*kn.n1)
 		var sum complex128
 		return apputil.Program{
 			Iterate: func(k int) {
-				touches := kn.initPlanes(xs, p3lo, p3hi, 0, k)
-				b := kn.fft1Planes(xs, p3lo, p3hi, 0)
-				b += kn.fft2Planes(xs, p3lo, p3hi, 0)
+				touches := kn.initPlanes(xs, p3lo, p3hi, p3lo, k)
+				b := kn.fft1Planes(xs, p3lo, p3hi, p3lo)
+				b += kn.fft2Planes(xs, p3lo, p3hi, p3lo)
 				// Aggregated all-to-all: one packed message per peer, packed
 				// straight into a transmit buffer, and one receive buffer at
 				// a time; both go round through the free list.
@@ -552,7 +554,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 					vals, at := buf.Vals(), 0
 					for i3 := p3lo; i3 < p3hi; i3++ {
 						for i2 := qlo; i2 < qhi; i2++ {
-							off := (i3*kn.n2 + i2) * kn.n1
+							off := ((i3-p3lo)*kn.n2 + i2) * kn.n1
 							at += copy(vals[at:], xs[off:off+kn.n1])
 						}
 					}
@@ -569,7 +571,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 					pvm.Recv(pv, q, 600, vals)
 					for i3 := qlo; i3 < qhi; i3++ {
 						for i2 := b2lo; i2 < b2hi; i2++ {
-							dst := (i2*kn.n3 + i3) * kn.n1
+							dst := ((i2-b2lo)*kn.n3 + i3) * kn.n1
 							copy(xt[dst:dst+kn.n1], vals[at:at+kn.n1])
 							at += kn.n1
 							touches += kn.n1
@@ -579,15 +581,15 @@ func runPVM(cfg core.Config) (core.Result, error) {
 				}
 				for i3 := p3lo; i3 < p3hi; i3++ {
 					for i2 := b2lo; i2 < b2hi; i2++ {
-						src := (i3*kn.n2 + i2) * kn.n1
-						dst := (i2*kn.n3 + i3) * kn.n1
+						src := ((i3-p3lo)*kn.n2 + i2) * kn.n1
+						dst := ((i2-b2lo)*kn.n3 + i3) * kn.n1
 						copy(xt[dst:dst+kn.n1], xs[src:src+kn.n1])
 						touches += kn.n1
 					}
 				}
-				b += kn.fft3Rows(xt, b2lo, b2hi, 0)
-				touches += kn.normalizeRows(xt, b2lo, b2hi, 0)
-				s, t := kn.checksumRows(xt, idx, b2lo, b2hi, 0)
+				b += kn.fft3Rows(xt, b2lo, b2hi, b2lo)
+				touches += kn.normalizeRows(xt, b2lo, b2hi, b2lo)
+				s, t := kn.checksumRows(xt, idx, b2lo, b2hi, b2lo)
 				touches += t
 				parts := pvm.ReduceSum(pv, 0, 610, []float64{real(s), imag(s)})
 				if me == 0 {

@@ -115,12 +115,22 @@ func buildMap(n int) []int32 {
 	return idx
 }
 
-func initOld(g []float32, n int) {
-	for i := range g[:n*n] {
+func initOld(g []float32, n int) { initRows(g, n, 0, n) }
+
+// initRows is initOld for a band: g holds rows [rlo,rhi) of the n×n
+// grid.
+func initRows(g []float32, n, rlo, rhi int) {
+	for i := range g[:(rhi-rlo)*n] {
 		g[i] = 1
 	}
-	g[(n/2)*n+n/2] += 500       // middle spike
-	g[(n-n/8)*n+(n-n/8)] += 300 // lower-right spike
+	for _, c := range [2][2]int{
+		{n / 2, 500},   // middle spike
+		{n - n/8, 300}, // lower-right spike
+	} {
+		if c[0] >= rlo && c[0] < rhi {
+			g[(c[0]-rlo)*n+c[0]] += float32(c[1])
+		}
+	}
 }
 
 // relaxRows applies one relaxation step to interior rows [rlo,rhi). The
@@ -409,37 +419,41 @@ func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 	n := cfg.N1
 	total := cfg.Warmup + cfg.Iters
 	return apputil.RunPVM("IGrid", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
-		old := make([]float32, n*n)
-		cur := make([]float32, n*n)
-		initOld(old, n)
-		copy(cur, old)
 		me, nprocs := pv.ID(), pv.NProcs()
 		rlo, rhi := apputil.BlockOf(me, nprocs, n-2)
 		rlo, rhi = rlo+1, rhi+1
+		// old and cur hold rows [rlo-1,rhi+1): the block and one halo
+		// row on either side. Row r is at (r-slo)*n.
+		slo := rlo - 1
+		old := make([]float32, (rhi-rlo+2)*n)
+		cur := make([]float32, len(old))
+		initRows(old, n, slo, rhi+1)
+		copy(cur, old)
+		rows := func(g []float32, lo, hi int) []float32 { return g[(lo-slo)*n : (hi-slo)*n] }
 		var redVals []float64
 		return apputil.Program{
 			Iterate: func(k int) {
 				// The hand coder inspected the map once at setup and knows
 				// only boundary rows cross processors.
 				if me > 0 {
-					pvm.Send(pv, me-1, 80, old[rlo*n:(rlo+1)*n])
+					pvm.Send(pv, me-1, 80, rows(old, rlo, rlo+1))
 				}
 				if me < nprocs-1 {
-					pvm.Send(pv, me+1, 81, old[(rhi-1)*n:rhi*n])
+					pvm.Send(pv, me+1, 81, rows(old, rhi-1, rhi))
 				}
 				if me > 0 {
-					pvm.Recv(pv, me-1, 81, old[(rlo-1)*n:rlo*n])
+					pvm.Recv(pv, me-1, 81, rows(old, rlo-1, rlo))
 				}
 				if me < nprocs-1 {
-					pvm.Recv(pv, me+1, 80, old[rhi*n:(rhi+1)*n])
+					pvm.Recv(pv, me+1, 80, rows(old, rhi, rhi+1))
 				}
 				if rhi > rlo {
-					relaxRows(cur, old, idx, n, rlo, rhi, 0, 0)
+					relaxRows(cur, old, idx, n, rlo, rhi, slo, slo)
 					pv.Advance(apputil.Cost((rhi-rlo)*(n-2), cfg.App.IGridUpdate))
 				}
 				old, cur = cur, old
 				if k == total-1 {
-					mx, mn, s, cells := reduceRows(old, n, rlo, rhi, 0)
+					mx, mn, s, cells := reduceRows(old, n, rlo, rhi, slo)
 					pv.Advance(apputil.Cost(cells, cfg.App.IGridReduce))
 					sums := pvm.ReduceSum(pv, 0, 85, []float64{s})
 					maxs := pvm.Reduce(pv, 0, 87, []float64{float64(mx)}, func(a, b float64) float64 { return max(a, b) })
@@ -448,30 +462,49 @@ func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 {
-				gatherInterior(pv, old, n)
 				if me != 0 {
+					gatherInterior(pv, rows(old, rlo, rhi), nil, n)
 					return 0
 				}
-				return sealed(float32(redVals[0]), float32(redVals[1])) + apputil.Sum64(old)
+				// cur is free once the last step has swapped; block 0 is
+				// the largest, so it holds any other task's block.
+				sum := gatherInterior(pv, rows(old, 0, rhi), cur, n)
+				return sealed(float32(redVals[0]), float32(redVals[1])) + sum
 			},
 		}
 	})
 }
 
-// gatherInterior collects interior row blocks on task 0, untracked.
-func gatherInterior(pv *pvm.PVM, g []float32, n int) {
+// gatherInterior collects the interior row blocks on task 0, untracked.
+// A task other than 0 sends g, its block, and returns 0. Task 0 returns
+// what apputil.Sum64 gives over the whole grid: every element folded in
+// global index order — g, its rows from 0 up to its block's end, then
+// each other task's block as it arrives in buf, then the last row,
+// which no step writes, as initRows gives it.
+func gatherInterior(pv *pvm.PVM, g, buf []float32, n int) float64 {
 	me, nprocs := pv.ID(), pv.NProcs()
-	if me == 0 {
-		for q := 1; q < nprocs; q++ {
-			qlo, qhi := apputil.BlockOf(q, nprocs, n-2)
-			if qhi > qlo {
-				pvm.RecvUntracked(pv, q, 95, g[(qlo+1)*n:(qhi+1)*n])
-			}
+	if me != 0 {
+		if len(g) > 0 {
+			pvm.SendUntracked(pv, 0, 95, g)
 		}
-		return
+		return 0
 	}
-	rlo, rhi := apputil.BlockOf(me, nprocs, n-2)
-	if rhi > rlo {
-		pvm.SendUntracked(pv, 0, 95, g[(rlo+1)*n:(rhi+1)*n])
+	fold := func(s float64, vals []float32) float64 {
+		for _, v := range vals {
+			s += float64(v)
+		}
+		return s
 	}
+	s := fold(0, g)
+	for q := 1; q < nprocs; q++ {
+		qlo, qhi := apputil.BlockOf(q, nprocs, n-2)
+		if qhi > qlo {
+			block := buf[:(qhi-qlo)*n]
+			pvm.RecvUntracked(pv, q, 95, block)
+			s = fold(s, block)
+		}
+	}
+	last := buf[:n]
+	initRows(last, n, n-1, n)
+	return fold(s, last)
 }

@@ -230,13 +230,12 @@ func rowAndUnit(m *tmk.Region[float32], n, j, i int) (row, unit []float32) {
 func runXHPF(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunXHPF("MGS", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
-		m := make([]float32, n*n)
-		initMatrix(m, n)
 		me, nprocs := x.ID(), x.NProcs()
+		c := newCyclicRows(me, nprocs, n)
 		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
-				row := m[i*n : (i+1)*n]
+				row := c.pivot(i)
 				xhpf.Bcast(x, owner, row)
 				// Replicated normalization: every processor computes it.
 				normalizeRow(row)
@@ -244,19 +243,13 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 				x.LoopSync() // generated sync after the scale loop
 				var mine int
 				for j := i + 1 + ((me-i-1)%nprocs+nprocs)%nprocs; j < n; j += nprocs {
-					orthoRow(m[j*n:(j+1)*n], row)
+					orthoRow(c.row(j), row)
 					mine++
 				}
 				x.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 				x.LoopSync() // generated sync after the orthogonalize loop
 			},
-			Checksum: func() float64 {
-				gatherCyclic(x.PVM(), m, n)
-				if me != 0 {
-					return 0
-				}
-				return apputil.Sum64(m)
-			},
+			Checksum: func() float64 { return c.gather(x.PVM()) },
 		}
 	})
 }
@@ -267,13 +260,12 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 func runPVM(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunPVM("MGS", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
-		m := make([]float32, n*n)
-		initMatrix(m, n)
 		me, nprocs := pv.ID(), pv.NProcs()
+		c := newCyclicRows(me, nprocs, n)
 		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
-				row := m[i*n : (i+1)*n]
+				row := c.pivot(i)
 				if owner == me {
 					normalizeRow(row)
 					pv.Advance(apputil.Cost(n, cfg.App.MGSNormalize))
@@ -281,34 +273,76 @@ func runPVM(cfg core.Config) (core.Result, error) {
 				pvm.Bcast(pv, owner, 300, row)
 				var mine int
 				for j := i + 1 + ((me-i-1)%nprocs+nprocs)%nprocs; j < n; j += nprocs {
-					orthoRow(m[j*n:(j+1)*n], row)
+					orthoRow(c.row(j), row)
 					mine++
 				}
 				pv.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 			},
-			Checksum: func() float64 {
-				gatherCyclic(pv, m, n)
-				if me != 0 {
-					return 0
-				}
-				return apputil.Sum64(m)
-			},
+			Checksum: func() float64 { return c.gather(pv) },
 		}
 	})
 }
 
-// gatherCyclic collects cyclically distributed rows on task 0, untracked.
-func gatherCyclic(pv *pvm.PVM, m []float32, n int) {
-	me, nprocs := pv.ID(), pv.NProcs()
-	if me == 0 {
-		for j := 0; j < n; j++ {
-			if j%nprocs != 0 {
-				pvm.RecvUntracked(pv, j%nprocs, 400+j%64, m[j*n:(j+1)*n])
-			}
-		}
-		return
+// cyclicRows is a message-passing processor's share of the matrix: the
+// rows j ≡ me (mod nprocs), stored densely in row order, plus one buffer
+// for a pivot row some other processor owns.
+type cyclicRows struct {
+	me, nprocs, n int
+	rows          []float32
+	buf           []float32
+}
+
+func newCyclicRows(me, nprocs, n int) *cyclicRows {
+	c := &cyclicRows{me: me, nprocs: nprocs, n: n, buf: make([]float32, n)}
+	if me < n {
+		c.rows = make([]float32, ((n-me+nprocs-1)/nprocs)*n)
 	}
 	for j := me; j < n; j += nprocs {
-		pvm.SendUntracked(pv, 0, 400+j%64, m[j*n:(j+1)*n])
+		row := c.row(j)
+		for k := range row {
+			row[k] = initValue(j*n + k)
+		}
 	}
+	return c
+}
+
+// row returns global row j, which this processor owns.
+func (c *cyclicRows) row(j int) []float32 {
+	at := j / c.nprocs * c.n
+	return c.rows[at : at+c.n]
+}
+
+// pivot returns the storage of pivot row i: the row itself on its owner,
+// the receive buffer a broadcast fills everywhere else.
+func (c *cyclicRows) pivot(i int) []float32 {
+	if i%c.nprocs == c.me {
+		return c.row(i)
+	}
+	return c.buf
+}
+
+// gather collects the rows on task 0, untracked, and returns there the
+// checksum apputil.Sum64 gives over the whole matrix: every element
+// folded in global index order, a received row through the pivot
+// buffer as it arrives. Every other task returns 0.
+func (c *cyclicRows) gather(pv *pvm.PVM) float64 {
+	if c.me != 0 {
+		for j := c.me; j < c.n; j += c.nprocs {
+			pvm.SendUntracked(pv, 0, 400+j%64, c.row(j))
+		}
+		return 0
+	}
+	var s float64
+	for j := 0; j < c.n; j++ {
+		row := c.buf
+		if j%c.nprocs == 0 {
+			row = c.row(j)
+		} else {
+			pvm.RecvUntracked(pv, j%c.nprocs, 400+j%64, row)
+		}
+		for _, v := range row {
+			s += float64(v)
+		}
+	}
+	return s
 }

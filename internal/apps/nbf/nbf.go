@@ -384,15 +384,10 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 		initCoords(xs, ys, zs)
 		me := x.ID()
 		lo, hi := x.Block(m)
-		// parts[q] receives processor q's force buffer each iteration;
-		// this processor's own entry is buf itself.
-		parts := make([][]float32, x.NProcs())
-		for q := range parts {
-			parts[q] = buf
-			if q != me {
-				parts[q] = make([]float32, m)
-			}
-		}
+		// Every other processor's force buffer arrives in recv; the
+		// total over my block is summed in f.
+		recv := make([]float32, m)
+		f := make([]float32, hi-lo)
 		return apputil.Program{
 			Iterate: func(k int) {
 				for i := range buf {
@@ -403,9 +398,9 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// The compiler cannot tell which buffer entries were
 				// touched through the partner lists: broadcast the whole
 				// local force buffer and sum (paper §6.2).
-				orderedAccumulate(x, parts)
+				orderedAccumulate(x, buf, recv, f, lo)
 				x.LoopSync()
-				moveBlock(xs[lo:hi], ys[lo:hi], zs[lo:hi], buf[lo:hi])
+				moveBlock(xs[lo:hi], ys[lo:hi], zs[lo:hi], f)
 				x.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				// Coordinates also defeat analysis: broadcast partitions.
 				xhpf.BroadcastPartition(x, xs, m)
@@ -424,20 +419,17 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 }
 
 // orderedAccumulate exchanges every processor's full contribution
-// buffer (parts[x.ID()], see BroadcastGather) and sums them into it in
-// processor order, so all parallel versions produce bitwise-identical
-// forces. Entry i of the sum reads only entry i of each part, so
-// summing into this processor's own part in place is safe.
-func orderedAccumulate(x *xhpf.XHPF, parts [][]float32) {
-	xhpf.BroadcastGather(x, parts)
-	buf := parts[x.ID()]
-	for i := range buf {
-		var s float32
-		for _, part := range parts {
-			s += part[i]
+// buffer (buf, see BroadcastGather) and sums them over f's elements,
+// [lo,lo+len(f)), in processor order as they arrive: every element is
+// the same 0 + p0 + p1 + … float32 chain in every parallel version, so
+// all of them produce bitwise-identical forces.
+func orderedAccumulate(x *xhpf.XHPF, buf, recv, f []float32, lo int) {
+	clear(f)
+	xhpf.BroadcastGather(x, buf, recv, func(_ int, part []float32) {
+		for k, v := range part[lo : lo+len(f)] {
+			f[k] += v
 		}
-		buf[i] = s
-	}
+	})
 }
 
 func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
@@ -451,15 +443,11 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 		me, nprocs := pv.ID(), pv.NProcs()
 		lo, hi := apputil.BlockOf(me, nprocs, m)
 		w := cfg.N2
-		// Task 0 receives every task's force buffer into parts each
-		// iteration (its own entry is buf itself).
-		var parts [][]float32
+		// Task 0 receives every other task's force buffer in recv and
+		// sums the total in acc.
+		var recv, acc []float32
 		if me == 0 {
-			parts = make([][]float32, nprocs)
-			parts[0] = buf
-			for q := 1; q < nprocs; q++ {
-				parts[q] = make([]float32, m)
-			}
+			recv, acc = make([]float32, m), make([]float32, m)
 		}
 		return apputil.Program{
 			Iterate: func(k int) {
@@ -471,8 +459,8 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 				// Hand-coded: sum the full force buffers through task 0 in
 				// task order, rebroadcast (paper's PVMe data volume comes
 				// from exactly this full-buffer reduction).
-				orderedReduce(pv, buf, parts)
-				moveBlock(xs[lo:hi], ys[lo:hi], zs[lo:hi], buf[lo:hi])
+				f := orderedReduce(pv, buf, recv, acc)
+				moveBlock(xs[lo:hi], ys[lo:hi], zs[lo:hi], f[lo:hi])
 				pv.Advance(apputil.Cost(hi-lo, cfg.App.NBFUpdate))
 				// Partners reach at most N2 below my block: send my lower
 				// boundary window up, my upper boundary window down.
@@ -489,26 +477,30 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 	})
 }
 
-// orderedReduce gathers every task's buffer on task 0 (into parts, nil
-// elsewhere), sums in task order into buf, and broadcasts the total, so
-// buf holds it on every task. As in orderedAccumulate the in-place sum
-// is elementwise.
-func orderedReduce(pv *pvm.PVM, buf []float32, parts [][]float32) {
-	if pv.ID() == 0 {
-		for q := 1; q < len(parts); q++ {
-			pvm.Recv(pv, q, 500, parts[q])
-		}
-		for i := range buf {
-			var s float32
-			for _, part := range parts {
-				s += part[i]
-			}
-			buf[i] = s
-		}
-	} else {
+// orderedReduce sums every task's buffer on task 0 in task order, each
+// as it arrives in recv, into acc (both nil elsewhere), and broadcasts
+// the total. It returns the total: acc on task 0, buf, received into,
+// on every other task. As in orderedAccumulate every element is the
+// 0 + p0 + p1 + … chain.
+func orderedReduce(pv *pvm.PVM, buf, recv, acc []float32) []float32 {
+	if pv.ID() != 0 {
 		pvm.Send(pv, 0, 500, buf)
+		pvm.Bcast(pv, 0, 502, buf)
+		return buf
 	}
-	pvm.Bcast(pv, 0, 502, buf)
+	clear(acc)
+	for q := 0; q < pv.NProcs(); q++ {
+		part := buf
+		if q > 0 {
+			part = recv
+			pvm.Recv(pv, q, 500, part)
+		}
+		for i, v := range part {
+			acc[i] += v
+		}
+	}
+	pvm.Bcast(pv, 0, 502, acc)
+	return acc
 }
 
 // exchangeCoordWindows ships updated coordinates to the tasks whose

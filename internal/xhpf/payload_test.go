@@ -15,20 +15,21 @@ var broadcasters = map[string]func(x *XHPF, arr []float32, per int){
 		BroadcastBlocks(x, arr, func(q int) (int, int) { return q * per, (q + 1) * per })
 	},
 	"BroadcastGather": func(x *XHPF, arr []float32, per int) {
-		parts := make([][]float32, x.NProcs())
-		for q := range parts {
-			parts[q] = arr[q*per : (q+1)*per]
-		}
-		BroadcastGather(x, parts)
+		n, me := x.NProcs(), x.ID()
+		BroadcastGather(x, arr[me*per:(me+1)*per], arr[n*per:(n+1)*per], func(q int, part []float32) {
+			copy(arr[q*per:(q+1)*per], part)
+		})
 	},
 }
 
 // blockArrays returns n whole arrays of n blocks of per elements, one a
-// processor, made outside whatever the caller measures.
+// processor, made outside whatever the caller measures. Each has one
+// more block past the array, the receive buffer BroadcastGather folds
+// through.
 func blockArrays(n, per int) [][]float32 {
 	arrs := make([][]float32, n)
 	for q := range arrs {
-		arrs[q] = make([]float32, n*per)
+		arrs[q] = make([]float32, (n+1)*per)
 	}
 	return arrs
 }
@@ -67,7 +68,7 @@ func TestBroadcastLateReceiverSeesOldValues(t *testing.T) {
 		var returned [n]sim.Time
 		if err := newSys(n).Run(func(x *XHPF) {
 			me := x.ID()
-			arr := make([]float32, n*per)
+			arr := make([]float32, (n+1)*per)
 			for i := me * per; i < (me+1)*per; i++ {
 				arr[i] = float32(1000*me + i%1000)
 			}

@@ -213,28 +213,29 @@ func BroadcastPartition[T pvm.Scalar](x *XHPF, arr []T, extent int) {
 
 // BroadcastGather is the unknown-pattern fallback for reduction
 // buffers: every processor broadcasts its *entire* contribution buffer
-// (the compiler cannot tell which entries were touched through the
-// indirection array). parts[x.ID()] must hold this processor's own
-// contribution on entry; on return parts[q] holds processor q's buffer
-// on every processor, so callers can combine in a deterministic order.
-func BroadcastGather[T pvm.Scalar](x *XHPF, parts [][]T) {
+// mine (the compiler cannot tell which entries were touched through the
+// indirection array). It then hands fold every processor's buffer in
+// processor order — its own mine, each other one as it is received into
+// recv, which is len(mine) long and reused — so callers combine in a
+// deterministic order without holding every processor's copy.
+func BroadcastGather[T pvm.Scalar](x *XHPF, mine, recv []T, fold func(q int, part []T)) {
 	defer x.collective(obs.CollGather, stats.KindData)()
 	x.seq += 2
 	tag := 1<<13 + x.seq
 	size := pvm.SizeOf[T]()
 	chunk := chunkBytes / size
-	mine := parts[x.ID()]
 	x.chargeSection(len(mine) * size * (x.n - 1))
 	sendChunks(x, tag, chunk, mine)
 	for q := 0; q < x.n; q++ {
 		if q == x.ID() {
+			fold(q, mine)
 			continue
 		}
-		buf := parts[q]
-		x.chargeSection(len(buf) * size)
-		for off := 0; off < len(buf); off += chunk {
-			pvm.Recv(x.pv, q, chunkTag(tag, off/chunk), buf[off:min(off+chunk, len(buf))])
+		x.chargeSection(len(recv) * size)
+		for off := 0; off < len(recv); off += chunk {
+			pvm.Recv(x.pv, q, chunkTag(tag, off/chunk), recv[off:min(off+chunk, len(recv))])
 		}
+		fold(q, recv)
 	}
 }
 

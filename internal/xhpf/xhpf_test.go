@@ -189,14 +189,17 @@ func TestBroadcastGatherOrderedParts(t *testing.T) {
 	const n, m = 4, 2000 // m spans several 1024-element chunks
 	sys := newSys(n)
 	if err := sys.Run(func(x *XHPF) {
-		parts := make([][]float32, n)
-		for q := range parts {
-			parts[q] = make([]float32, m)
+		mine := make([]float32, m)
+		for i := range mine {
+			mine[i] = float32(100*x.ID() + i%7)
 		}
-		for i := range parts[x.ID()] {
-			parts[x.ID()][i] = float32(100*x.ID() + i%7)
-		}
-		BroadcastGather(x, parts)
+		parts := make([][]float32, 0, n)
+		BroadcastGather(x, mine, make([]float32, m), func(q int, part []float32) {
+			if q != len(parts) {
+				t.Errorf("proc %d: part of processor %d folded after %d others", x.ID(), q, len(parts))
+			}
+			parts = append(parts, append([]float32(nil), part...))
+		})
 		for q := 0; q < n; q++ {
 			for i := 0; i < m; i += 997 {
 				want := float32(100*q + i%7)

@@ -114,14 +114,15 @@ func (e *Engine) Config(a core.App, s Spec) core.Config {
 // requests: the first caller for a run runs the simulation, everyone
 // else waits for (or immediately receives) its result.
 func (e *Engine) Run(s Spec) (core.Result, error) {
-	en := e.run(keyOf(s.Canonical()))
+	en := e.run(keyOf(s.Canonical()), nil)
 	return en.res, en.err
 }
 
 // run is Run for a canonical spec whose key the caller holds. It
 // returns the cache entry, final, rather than a copy of its core.Result
-// (3 KB). The request that executes the run writes it back.
-func (e *Engine) run(k keyed) *entry {
+// (3 KB). The request that executes the run writes it back, resolving
+// the application through apps when the run belongs to a stream.
+func (e *Engine) run(k keyed, apps *appMemo) *entry {
 	e.telemetryInit()
 	e.mu.Lock()
 	if e.cache == nil {
@@ -139,7 +140,7 @@ func (e *Engine) run(k keyed) *entry {
 			alloc0 = heapAllocBytes()
 		}
 		start := time.Now()
-		en.res, en.err = e.execute(k.Spec)
+		en.res, en.err = e.execute(k.Spec, apps)
 		en.hostNS = time.Since(start).Nanoseconds()
 		en.rec = RecordOf(k.Spec, en.res, en.err)
 		e.host.inflight.Add(-1)
@@ -223,7 +224,8 @@ func (e *Engine) syncStore() {
 // no table may divide by it. A run that panics is a failed run too:
 // sim.Run re-raises a process body's panic here, and its value becomes
 // the error, so one broken spec is one error record, not a dead sweep.
-func (e *Engine) execute(s Spec) (res core.Result, err error) {
+// apps, when non-nil, resolves the application (a stream's memo).
+func (e *Engine) execute(s Spec, apps *appMemo) (res core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = core.Result{}, fmt.Errorf("%s/%s: panic: %v", s.App, s.Version, r)
@@ -232,11 +234,12 @@ func (e *Engine) execute(s Spec) (res core.Result, err error) {
 	if err := s.Validate(); err != nil {
 		return core.Result{}, err
 	}
-	lookup := e.Lookup
-	if lookup == nil {
-		lookup = AppByName
+	var a core.App
+	if apps != nil {
+		a, err = apps.get(s.App)
+	} else {
+		a, err = e.lookup()(s.App)
 	}
-	a, err := lookup(s.App)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -254,6 +257,45 @@ func (e *Engine) execute(s Spec) (res core.Result, err error) {
 		return core.Result{}, err
 	}
 	return res, nil
+}
+
+// lookup resolves the Lookup default.
+func (e *Engine) lookup() func(name string) (core.App, error) {
+	if e.Lookup != nil {
+		return e.Lookup
+	}
+	return AppByName
+}
+
+// appMemo resolves application names for one stream: each name is
+// looked up once, by its first run, and every other run of the stream
+// that names it shares the core.App. A gen-<seed> name is a program
+// generated and compiled per lookup, and a sweep names it once per
+// version and processor count. The memo lives as long as its stream,
+// so it holds at most the names of one spec list. An App is run
+// concurrently by the stream's workers, as every registry App is.
+type appMemo struct {
+	lookup func(name string) (core.App, error)
+	mu     sync.Mutex
+	apps   map[string]*memoApp
+}
+
+type memoApp struct {
+	once sync.Once
+	app  core.App
+	err  error
+}
+
+func (m *appMemo) get(name string) (core.App, error) {
+	m.mu.Lock()
+	a := m.apps[name]
+	if a == nil {
+		a = new(memoApp)
+		m.apps[name] = a
+	}
+	m.mu.Unlock()
+	a.once.Do(func() { a.app, a.err = m.lookup(name) })
+	return a.app, a.err
 }
 
 // workers resolves the pool width.
@@ -315,7 +357,7 @@ func (e *Engine) resolve(r *stream, pos int) {
 	k := r.runs[pos]
 	var en *entry
 	if st := e.Store; st == nil || e.ran(k) || !st.Has(k.storeKey(e.Observe)) {
-		en = e.run(k)
+		en = e.run(k, &r.apps)
 	}
 	r.resolved(pos, en)
 	e.host.runsResolved.Add(1)
@@ -412,6 +454,7 @@ type stream struct {
 	mu    sync.Mutex
 	cond  sync.Cond
 	slots []runSlot
+	apps  appMemo
 }
 
 // runSlot is one run in a stream. The prefetch sets resolved and en
@@ -426,8 +469,9 @@ type runSlot struct {
 	rec      *Record // a stored run's record, while a later label needs it
 }
 
-func newStream(p *Runs) *stream {
-	r := &stream{Runs: p, slots: make([]runSlot, p.Len())}
+func newStream(p *Runs, lookup func(name string) (core.App, error)) *stream {
+	r := &stream{Runs: p, slots: make([]runSlot, p.Len()),
+		apps: appMemo{lookup: lookup, apps: map[string]*memoApp{}}}
 	r.cond.L = &r.mu
 	for _, pos := range p.Run {
 		r.slots[pos].uses++
@@ -493,7 +537,7 @@ func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) Record {
 func (e *Engine) load(r *stream, pos int32, rec *Record, buf *[]byte) {
 	sl := &r.slots[pos]
 	if !e.readStored(r.runs[pos], sl, rec, buf) {
-		sl.en = e.run(r.runs[pos])
+		sl.en = e.run(r.runs[pos], &r.apps)
 		*rec = sl.en.rec
 	} else if sl.uses > 0 {
 		kept := *rec
@@ -552,7 +596,7 @@ type StreamStats struct {
 // change spec identity fields — the record's bytes are the sweep's
 // contract.
 func (e *Engine) StreamWith(w io.Writer, specs []Spec, decorate func(*Record)) (StreamStats, error) {
-	p := newStream(PlanRuns(specs, e.JoinSpeedup))
+	p := newStream(PlanRuns(specs, e.JoinSpeedup), e.lookup())
 	e.telemetryInit()
 	e.host.runsPlanned.Add(int64(p.Len()))
 	defer e.syncStore() // after every return below has waited for the prefetch

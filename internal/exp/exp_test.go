@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -313,6 +314,70 @@ func TestRecordOfDiffBytes(t *testing.T) {
 		}
 		if dsm := s.Version == core.Tmk; (want != 0) != dsm || bytes.Contains(line, []byte(`"diff_bytes"`)) != dsm {
 			t.Errorf("%s: diff_bytes %d in %s", s.Key(), want, line)
+		}
+	}
+}
+
+// TestStreamLooksAppsUpOnce: a stream resolves each application name
+// once and shares the core.App among its runs — a gen-<seed> program is
+// generated and compiled once a sweep, not once a run. Its workers run
+// the one App at once; every record must equal a fresh engine's, whose
+// stream looked the program up for itself. Run it under -race.
+func TestStreamLooksAppsUpOnce(t *testing.T) {
+	var specs []Spec
+	for _, v := range []core.Version{core.Seq, core.SPFGen, core.XHPFGen} {
+		for _, procs := range []int{1, 2, 3} {
+			specs = append(specs, Spec{App: "gen-7", Version: v, Procs: procs, Scale: core.SmallScale}.Normalize())
+		}
+	}
+	lookups := map[string]int{}
+	var mu sync.Mutex
+	e := New()
+	e.Workers, e.JoinSpeedup = 2, true
+	e.Lookup = func(name string) (core.App, error) {
+		mu.Lock()
+		lookups[name]++
+		mu.Unlock()
+		return AppByName(name)
+	}
+	var recs []Record
+	if _, err := e.StreamWith(io.Discard, specs, func(r *Record) { recs = append(recs, *r) }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lookups, map[string]int{"gen-7": 1}) {
+		t.Errorf("lookups = %v, want gen-7 once", lookups)
+	}
+	for i, s := range specs {
+		fresh := New()
+		fresh.JoinSpeedup = true
+		if want := recordT(t, fresh, s); !reflect.DeepEqual(recs[i], want) {
+			t.Errorf("%s: record %+v, a fresh engine's %+v", s.Key(), recs[i], want)
+		}
+	}
+
+	// The same App run from two goroutines at once, directly.
+	a, err := AppByName("gen-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := specs[len(specs)-1]
+	var wg sync.WaitGroup
+	got := make([]core.Result, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], _ = a.Run(s.Version, New().Config(a, s))
+		}()
+	}
+	wg.Wait()
+	want, err := New().Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, res := range got {
+		if !reflect.DeepEqual(RecordOf(s, res, nil), RecordOf(s, want, nil)) {
+			t.Errorf("goroutine %d: %+v, a fresh engine's %+v", g, RecordOf(s, res, nil), RecordOf(s, want, nil))
 		}
 	}
 }

@@ -9,6 +9,8 @@
 package apputil
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/pvm"
@@ -24,10 +26,13 @@ import (
 // ones), and Checksum is the untimed postlude. Under the SPF fork-join
 // runtime it is the master's main program. Under message passing every
 // process evaluates Checksum, which gathers; process 0's value is the
-// result. A nil Checksum gives 0.
+// result. A nil Checksum gives 0. Digest, when set, is evaluated on
+// process 0 right after Checksum and gives the result's digest: Digest
+// of the output array, which Checksum may keep for it when it gathers.
 type Program struct {
 	Iterate  func(k int)
 	Checksum func() float64
+	Digest   func() uint64
 }
 
 // process is one simulated process as the protocol sees it.
@@ -44,8 +49,9 @@ type measurement struct {
 	reg *core.Region
 	// dsm, when set, is the TreadMarks system whose whole-run counters
 	// the result reports.
-	dsm *tmk.System
-	sum float64 // process 0's checksum
+	dsm    *tmk.System
+	sum    float64 // process 0's checksum
+	digest uint64  // process 0's digest
 }
 
 // unsynced is the boundary of a run whose one timed process has nobody
@@ -86,6 +92,9 @@ func (m *measurement) measure(pr process, p Program, boundary func(step int), ga
 	if p.Checksum != nil && (id == 0 || gather) {
 		if sum := p.Checksum(); id == 0 {
 			m.sum = sum
+			if p.Digest != nil {
+				m.digest = p.Digest()
+			}
 		}
 	}
 }
@@ -99,7 +108,7 @@ func (m *measurement) finish(app string, v core.Version, procs int, err error) (
 		return core.Result{}, err
 	}
 	res := core.Result{App: app, Version: v, Procs: procs, Time: m.reg.Elapsed(), Stats: m.reg.Traffic(),
-		Checksum: m.sum}
+		Checksum: m.sum, Digest: m.digest}
 	if tr := m.cfg.Costs.Trace; tr.Enabled() {
 		res.Trace, res.Breakdown = tr, tr.Attribute(m.reg.Windows(procs))
 	}
@@ -203,6 +212,24 @@ func Sum64(blocks ...[]float32) float64 {
 		}
 	}
 	return s
+}
+
+// Digest is FNV-1a over the bit patterns of float32 values in index
+// order, one element word a step: the digest every version of an
+// application computes over its output array. Unlike Sum64 it moves
+// when values trade places. Given several blocks it folds them one
+// after another, as Sum64 does, so a gathered result is digested
+// without assembling it.
+func Digest(blocks ...[]float32) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, xs := range blocks {
+		for _, v := range xs {
+			h ^= uint64(math.Float32bits(v))
+			h *= prime
+		}
+	}
+	return h
 }
 
 // EdgesOne sets the four edges of the n×n grid g to one. g must be all

@@ -1,6 +1,7 @@
 package apputil
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -20,6 +21,28 @@ func TestSum64(t *testing.T) {
 	}
 	if got := Sum64(nil); got != 0 {
 		t.Errorf("Sum64(nil) = %v, want 0", got)
+	}
+}
+
+// TestDigest: blocks fold as their concatenation does, and the digest
+// moves where Sum64 cannot — a row rotated by one place — and with a
+// zero's sign, which is part of its bit pattern.
+func TestDigest(t *testing.T) {
+	row := []float32{1, 2, 3.5, 0.25}
+	if got, want := Digest(row[:1], nil, row[1:]), Digest(row); got != want {
+		t.Errorf("Digest of blocks = %d, of their concatenation %d", got, want)
+	}
+	rotated := []float32{row[3], row[0], row[1], row[2]}
+	if Sum64(rotated) != Sum64(row) || Digest(rotated) == Digest(row) {
+		t.Errorf("a rotated row: Sum64 %v and %v, Digest %d and %d; want equal sums, unequal digests",
+			Sum64(rotated), Sum64(row), Digest(rotated), Digest(row))
+	}
+	negZero := float32(math.Copysign(0, -1))
+	if Digest([]float32{0}) == Digest([]float32{negZero}) {
+		t.Error("Digest does not tell 0 from -0")
+	}
+	if got := Digest(); got != 14695981039346656037 {
+		t.Errorf("Digest() = %d, want FNV-1a's offset basis", got)
 	}
 }
 

@@ -126,6 +126,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 				tm.Advance(apputil.Cost(interior, cfg.App.JacobiCopy))
 			},
 			Checksum: func() float64 { return apputil.Sum64(data) },
+			Digest:   func() uint64 { return apputil.Digest(data) },
 		}
 	})
 }
@@ -183,6 +184,9 @@ func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 			},
 			Checksum: func() float64 {
 				return apputil.Sum64(data.Read(0, n*n))
+			},
+			Digest: func() uint64 {
+				return apputil.Digest(data.Read(0, n*n))
 			},
 		}
 	})
@@ -248,6 +252,9 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 			Checksum: func() float64 {
 				return apputil.Sum64(data.Read(0, n*n))
 			},
+			Digest: func() uint64 {
+				return apputil.Digest(data.Read(0, n*n))
+			},
 		}
 	})
 }
@@ -285,6 +292,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	return apputil.RunXHPF("Jacobi", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		b := newBand(x.ID(), x.NProcs(), n)
 		data, scratch := b.data.Data(), b.scratch.Data()
+		var out [][]float32 // the gathered grid, on process 0
 		return apputil.Program{
 			Iterate: func(k int) {
 				xhpf.ExchangeHalo(x, b.data, 1)
@@ -300,8 +308,10 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 				x.LoopSync()
 			},
 			Checksum: func() float64 {
-				return apputil.Sum64(pvm.GatherUntracked(x.PVM(), 90, b.data.Owned())...)
+				out = pvm.GatherUntracked(x.PVM(), 90, b.data.Owned())
+				return apputil.Sum64(out...)
 			},
+			Digest: func() uint64 { return apputil.Digest(out...) },
 		}
 	})
 }
@@ -317,6 +327,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 		data, scratch := b.data.Data(), b.scratch.Data()
 		rlo, rhi := b.data.Block()
 		down, up := b.data.Neighbors()
+		var out [][]float32 // the gathered grid, on process 0
 		return apputil.Program{
 			Iterate: func(k int) {
 				// Boundary-row exchange: send up, send down, receive.
@@ -340,8 +351,10 @@ func runPVM(cfg core.Config) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 {
-				return apputil.Sum64(pvm.GatherUntracked(pv, 90, b.data.Owned())...)
+				out = pvm.GatherUntracked(pv, 90, b.data.Owned())
+				return apputil.Sum64(out...)
 			},
+			Digest: func() uint64 { return apputil.Digest(out...) },
 		}
 	})
 }

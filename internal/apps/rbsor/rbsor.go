@@ -124,6 +124,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 { return apputil.Sum64(u) },
+			Digest:   func() uint64 { return apputil.Digest(u) },
 		}
 	})
 }
@@ -159,6 +160,9 @@ func runTmk(cfg core.Config) (core.Result, error) {
 			},
 			Checksum: func() float64 {
 				return apputil.Sum64(u.Read(0, n*n))
+			},
+			Digest: func() uint64 {
+				return apputil.Digest(u.Read(0, n*n))
 			},
 		}
 	})
@@ -198,6 +202,9 @@ func runSPF(cfg core.Config) (core.Result, error) {
 			Checksum: func() float64 {
 				return apputil.Sum64(u.Read(0, n*n))
 			},
+			Digest: func() uint64 {
+				return apputil.Digest(u.Read(0, n*n))
+			},
 		}
 	})
 }
@@ -223,6 +230,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	return apputil.RunXHPF("RB-SOR", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		u, clo, chi := newBand(x.ID(), x.NProcs(), n)
 		off, _ := u.Stored()
+		var out [][]float32 // the gathered grid, on process 0
 		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
@@ -235,8 +243,10 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 {
-				return apputil.Sum64(pvm.GatherUntracked(x.PVM(), 90, u.Owned())...)
+				out = pvm.GatherUntracked(x.PVM(), 90, u.Owned())
+				return apputil.Sum64(out...)
 			},
+			Digest: func() uint64 { return apputil.Digest(out...) },
 		}
 	})
 }
@@ -252,6 +262,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 		off, _ := u.Stored()
 		rlo, rhi := u.Block()
 		lower, upper := u.Neighbors()
+		var out [][]float32 // the gathered grid, on process 0
 		return apputil.Program{
 			Iterate: func(k int) {
 				for color := 0; color < 2; color++ {
@@ -275,8 +286,10 @@ func runPVM(cfg core.Config) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 {
-				return apputil.Sum64(pvm.GatherUntracked(pv, 90, u.Owned())...)
+				out = pvm.GatherUntracked(pv, 90, u.Owned())
+				return apputil.Sum64(out...)
 			},
+			Digest: func() uint64 { return apputil.Digest(out...) },
 		}
 	})
 }

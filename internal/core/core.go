@@ -175,6 +175,10 @@ type Result struct {
 	Time     sim.Time   // elapsed virtual time of the timed region
 	Stats    stats.Stats
 	Checksum float64
+	// Digest is FNV-1a over the output array's bit patterns in global
+	// index order (apputil.Digest); 0 where the application computes
+	// none.
+	Digest uint64
 
 	// HomePolicy is the home-placement policy the run used (home-based
 	// protocol only). The activity counters below are whole-run sums

@@ -11,7 +11,8 @@ import (
 // that differ only in protocol, home policy or contention are held
 // bitwise; other pairs within the application's tolerance, which is 0
 // for all but 3-D FFT and NBF. The drifts are the largest measured
-// from seq (registry.go's tolerance table).
+// from seq (registry.go's tolerance table). Digests are compared only
+// where both records carry one, and then must be equal.
 func TestAgree(t *testing.T) {
 	rec := func(app string, v core.Version, procs int, scale core.Scale, sum, rel float64) Record {
 		return Record{Spec: Spec{App: app, Version: v, Procs: procs, Scale: scale}, Checksum: sum * (1 + rel)}
@@ -20,6 +21,8 @@ func TestAgree(t *testing.T) {
 	ulp := math.Nextafter(jacobi, 1000)/jacobi - 1
 	fftSeq, nbfSeq := rec("3-D FFT", core.Seq, 1, core.MidScale, fft, 0), rec("NBF", core.Seq, 1, core.MidScale, nbf, 0)
 	fftSPF := rec("3-D FFT", core.SPF, 3, core.MidScale, fft, 0)
+	jacobiSeq, jacobiPVM := rec("Jacobi", core.Seq, 1, core.SmallScale, jacobi, 0), rec("Jacobi", core.PVMe, 4, core.SmallScale, jacobi, 0)
+	digested := func(r Record, d uint64) Record { r.Digest = d; return r }
 	for _, c := range []struct {
 		name      string
 		got, want Record
@@ -36,6 +39,10 @@ func TestAgree(t *testing.T) {
 		{"NBF across scales: bitwise", rec("NBF", core.Seq, 1, core.SmallScale, nbf, 4.48e-11), nbfSeq, false},
 		{"Jacobi tmk one ulp off seq", rec("Jacobi", core.Tmk, 4, core.SmallScale, jacobi, ulp), rec("Jacobi", core.Seq, 1, core.SmallScale, jacobi, 0), false},
 		{"a generated program one ulp off seq", rec("gen-3", core.SPFGen, 4, core.SmallScale, jacobi, ulp), rec("gen-3", core.Seq, 1, core.SmallScale, jacobi, 0), false},
+		{"equal digests", digested(jacobiPVM, 7), digested(jacobiSeq, 7), true},
+		{"a digest that moved under an equal checksum", digested(jacobiPVM, 8), digested(jacobiSeq, 7), false},
+		{"a digest on one side only", digested(jacobiPVM, 8), jacobiSeq, true},
+		{"a digest on the other side only", jacobiPVM, digested(jacobiSeq, 7), true},
 	} {
 		if err := Agree(c.got, c.want); (err == nil) != c.agree {
 			t.Errorf("%s: Agree = %v, want agreement %v", c.name, err, c.agree)

@@ -26,14 +26,14 @@ type field struct {
 	omit bool   // omitempty: the zero value is not written
 	// ptr points at the field in the record at hand: *string (the named
 	// string types converted — a pointer conversion, not a copy), *int,
-	// *int64, *float64 or *map[string]int64. The codec switches
-	// on the pointer's type.
+	// *int64, *uint64, *float64 or *map[string]int64. The codec
+	// switches on the pointer's type.
 	ptr any
 }
 
 // numFields is the number of Record fields, the embedded Spec's
 // included; parseCanonical keeps its seen-set in one word.
-const numFields = 35
+const numFields = 36
 
 var _ [64 - numFields]struct{}
 
@@ -56,6 +56,7 @@ func (r *Record) fields() [numFields]field {
 		{"bytes", false, &r.Bytes},
 		{"diff_bytes", true, &r.DiffBytes},
 		{"checksum", false, &r.Checksum},
+		{"digest", true, &r.Digest},
 		{"queue_ns", true, &r.QueueNanos},
 		{"queued_msgs", true, &r.QueuedMsgs},
 		{"queue_out_ns", true, &r.QueueOutNanos},
@@ -104,6 +105,10 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 		case *int64:
 			if *p != 0 || !f.omit {
 				dst = strconv.AppendInt(appendKey(dst, f.key), *p, 10)
+			}
+		case *uint64:
+			if *p != 0 || !f.omit {
+				dst = strconv.AppendUint(appendKey(dst, f.key), *p, 10)
 			}
 		case *float64:
 			if *p != 0 || !f.omit { // -0 is empty, as reflect's IsZero has it
@@ -249,6 +254,8 @@ func parseCanonical(line []byte, r *Record) bool {
 			ok = ok && int64(*p) == n
 		case *int64:
 			*p, i, ok = parseInt(line, i)
+		case *uint64:
+			*p, i, ok = parseUint(line, i)
 		case *float64:
 			*p, i, ok = parseFloat(line, i)
 		case *map[string]int64:
@@ -377,6 +384,15 @@ func parseInt(b []byte, i int) (int64, int, bool) {
 	}
 	n, err := strconv.ParseInt(string(b[i:end]), 10, 64)
 	return n, end, err == nil // out of int64 range: json's error to report
+}
+
+func parseUint(b []byte, i int) (uint64, int, bool) {
+	end, integer := scanNumber(b, i)
+	if !integer || b[i] == '-' {
+		return 0, i, false
+	}
+	n, err := strconv.ParseUint(string(b[i:end]), 10, 64)
+	return n, end, err == nil
 }
 
 func parseFloat(b []byte, i int) (float64, int, bool) {

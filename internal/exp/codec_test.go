@@ -62,6 +62,8 @@ var randomStrings = []string{
 
 var randomInts = []int64{0, 1, -1, 7, 1000000007, math.MaxInt64, math.MinInt64, math.MaxInt32, -1 << 40}
 
+var randomUints = []uint64{0, 1, 9, math.MaxUint64, 1 << 63, math.MaxInt64, 14695981039346656037}
+
 var randomFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 0.5, 461.0546875, 1e-6, 1e-7, 9.99e-7, 1e-9, 1.5e-10, -3e-7,
 	1e20, 1e21, 9.99e20, 1.7e22, -1e21, 1e100, 1e-100, 123456789.125,
@@ -84,6 +86,13 @@ func fill(rng *rand.Rand, v reflect.Value) {
 				f.SetInt(randomInts[rng.Intn(len(randomInts))])
 			case 1:
 				f.SetInt(rng.Int63() >> uint(rng.Intn(63)))
+			}
+		case reflect.Uint64:
+			switch rng.Intn(3) {
+			case 0:
+				f.SetUint(randomUints[rng.Intn(len(randomUints))])
+			case 1:
+				f.SetUint(rng.Uint64() >> uint(rng.Intn(64)))
 			}
 		case reflect.Float64:
 			switch rng.Intn(4) {
@@ -159,6 +168,11 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 		r := base
 		r.Procs, r.Contention, r.SchemaVersion = int(n), int(n), int(n)
 		r.TimeNanos, r.Msgs, r.Bytes, r.QueueNanos, r.BDOtherNanos = n, n, n, n, n
+		checkAgainstMarshal(t, r)
+	}
+	for _, n := range randomUints {
+		r := base
+		r.Digest = n
 		checkAgainstMarshal(t, r)
 	}
 	for _, s := range randomStrings {

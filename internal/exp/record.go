@@ -20,7 +20,7 @@ import (
 // a worker built before a schema change must not silently merge its
 // records into a newer coordinator's stream, or vice versa. Bump it
 // whenever a Record field is added, removed, or changes meaning.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Record is one JSON-lines measurement: the spec that identifies the
 // run plus the timed-region observables. Field order is the wire
@@ -53,6 +53,11 @@ type Record struct {
 	DiffBytes int64 `json:"diff_bytes,omitempty"`
 	// Checksum is the run's numerical result.
 	Checksum float64 `json:"checksum"`
+	// Digest is FNV-1a over the bit patterns of the run's output array
+	// in global index order (core.Result.Digest): it moves where values
+	// trade places, which the checksum does not. Zero (omitted) for the
+	// applications that compute none.
+	Digest uint64 `json:"digest,omitempty"`
 
 	// Contention queueing delay, total and split by the binding
 	// resource; zero (omitted) when the contention model is off.
@@ -115,6 +120,7 @@ func RecordOf(s Spec, res core.Result, err error) Record {
 	rec.Bytes = res.Stats.TotalBytes()
 	rec.DiffBytes = res.Stats.BytesOf(stats.KindDiff)
 	rec.Checksum = res.Checksum
+	rec.Digest = res.Digest
 	rec.QueueNanos = res.Stats.TotalQueueNanos()
 	rec.QueuedMsgs = res.Stats.TotalQueuedMsgs()
 	rec.QueueOutNanos = res.Stats.QueueResNanosOf(stats.QueueOut)
@@ -166,12 +172,13 @@ func (r *Record) JoinSeqNanos(seqNS int64) {
 }
 
 // Agree is the one rule by which two runs' results stand together: nil
-// when got's checksum agrees with want's. A non-finite checksum never
-// agrees, so a record agrees with itself exactly when it is a number.
-// Runs of one application, scale, version and processor count differ
-// only in what must not move the answer (protocol, home policy,
-// contention) and must be bitwise equal; any other pair must agree
-// within the application's declared relative tolerance.
+// when got's checksum agrees with want's and, where both records carry
+// a digest, the digests are equal. A non-finite checksum never agrees,
+// so a record agrees with itself exactly when it is a number. Runs of
+// one application, scale, version and processor count differ only in
+// what must not move the answer (protocol, home policy, contention) and
+// must be bitwise equal; any other pair must agree within the
+// application's declared relative tolerance.
 func Agree(got, want Record) error {
 	for _, r := range [2]*Record{&got, &want} {
 		if math.IsNaN(r.Checksum) || math.IsInf(r.Checksum, 0) {
@@ -185,6 +192,9 @@ func Agree(got, want Record) error {
 	if d := math.Abs(got.Checksum - want.Checksum); d > tol*math.Abs(want.Checksum) {
 		return fmt.Errorf("%s: checksum %v disagrees with %v of %s (relative tolerance %g)",
 			got.Key(), got.Checksum, want.Checksum, want.Key(), tol)
+	}
+	if got.Digest != 0 && want.Digest != 0 && got.Digest != want.Digest {
+		return fmt.Errorf("%s: digest %d disagrees with %d of %s", got.Key(), got.Digest, want.Digest, want.Key())
 	}
 	return nil
 }

@@ -91,6 +91,30 @@ func TestMessagePassingMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestEveryVersionDigests: Jacobi and RB-SOR digest their output grid
+// in every version, under both protocols, and every digest is seq's —
+// Agree compares digests, but only where both records carry one, so a
+// version that stopped computing its digest would pass it unseen.
+func TestEveryVersionDigests(t *testing.T) {
+	for _, app := range []string{"Jacobi", "RB-SOR"} {
+		a, err := exp.AppByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := runRecord(t, exp.New(), small(app, core.Seq, 1, ""))
+		for _, v := range a.Versions() {
+			for _, p := range proto.Names() {
+				rec := runRecord(t, exp.New(), small(app, v, 3, p))
+				if rec.Digest == 0 {
+					t.Errorf("%s: no digest", rec.Key())
+				} else if err := exp.Agree(rec, seq); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+}
+
 // corpusSampleSeeds is the generated-program slice the harness
 // equivalence tests fold in: a spread across the committed corpus
 // (internal/loopc/testdata/corpus), trimmed under -short.

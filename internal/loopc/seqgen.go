@@ -35,6 +35,7 @@ func RunSeq(app string, cfg core.Config, p *Program) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 { return checksum(scal, arrays[resSlot]) },
+			Digest:   func() uint64 { return apputil.Digest(arrays[resSlot]) },
 		}
 	})
 }

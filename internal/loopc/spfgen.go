@@ -220,6 +220,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 				}
 				return checksum(finals, g)
 			},
+			Digest: func() uint64 { return apputil.Digest(regs[resSlot].Read(0, n*n)) },
 		}
 	})
 }

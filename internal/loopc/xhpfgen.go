@@ -90,6 +90,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 		}
 
 		resSlot := arrIdx[p.Result]
+		var out [][]float32 // the gathered result array, on process 0
 		return apputil.Program{
 			Iterate: func(it int) {
 				copy(fr.scal, idents)
@@ -132,8 +133,10 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 			},
 			Checksum: func() float64 {
 				// Measurement postlude, as the hand-coded versions do it.
-				return checksum(fr.scal, pvm.GatherUntracked(x.PVM(), 90, arrays[resSlot].Owned())...)
+				out = pvm.GatherUntracked(x.PVM(), 90, arrays[resSlot].Owned())
+				return checksum(fr.scal, out...)
 			},
+			Digest: func() uint64 { return apputil.Digest(out...) },
 		}
 	})
 }

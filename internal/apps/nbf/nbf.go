@@ -425,7 +425,7 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 // all of them produce bitwise-identical forces.
 func orderedAccumulate(x *xhpf.XHPF, buf, recv, f []float32, lo int) {
 	clear(f)
-	xhpf.BroadcastGather(x, buf, recv, func(_ int, part []float32) {
+	xhpf.BroadcastGather(x, buf, recv, func(part []float32) {
 		for k, v := range part[lo : lo+len(f)] {
 			f[k] += v
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -362,15 +363,18 @@ func TestStreamLooksAppsUpOnce(t *testing.T) {
 	}
 	s := specs[len(specs)-1]
 	var wg sync.WaitGroup
-	got := make([]core.Result, 2)
+	got, errs := make([]core.Result, 2), make([]error, 2)
 	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g], _ = a.Run(s.Version, New().Config(a, s))
+			got[g], errs[g] = a.Run(s.Version, New().Config(a, s))
 		}()
 	}
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
 	want, err := New().Run(s)
 	if err != nil {
 		t.Fatal(err)

@@ -194,7 +194,7 @@ func sectionCharges[T pvm.Scalar](t *testing.T) {
 	}{
 		{"Bcast", func(x *XHPF) { Bcast(x, 0, make([]T, elems)) }, elems, elems},
 		{"BroadcastGather", func(x *XHPF) {
-			BroadcastGather(x, make([]T, elems), make([]T, elems), func(int, []T) {})
+			BroadcastGather(x, make([]T, elems), make([]T, elems), func([]T) {})
 		}, 2 * elems, 2 * elems},
 		{"BroadcastBlocks", func(x *XHPF) { BroadcastBlocks(x, make([]T, 2*elems), whole) }, 2 * elems, 2 * elems},
 		{"BroadcastPartition", func(x *XHPF) { BroadcastPartition(x, make([]T, 2*elems), 2*elems) }, 2 * elems, 2 * elems},

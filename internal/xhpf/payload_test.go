@@ -15,9 +15,10 @@ var broadcasters = map[string]func(x *XHPF, arr []float32, per int){
 		BroadcastBlocks(x, arr, func(q int) (int, int) { return q * per, (q + 1) * per })
 	},
 	"BroadcastGather": func(x *XHPF, arr []float32, per int) {
-		n, me := x.NProcs(), x.ID()
-		BroadcastGather(x, arr[me*per:(me+1)*per], arr[n*per:(n+1)*per], func(q int, part []float32) {
-			copy(arr[q*per:(q+1)*per], part)
+		n, me, q := x.NProcs(), x.ID(), 0
+		BroadcastGather(x, arr[me*per:(me+1)*per], arr[n*per:(n+1)*per], func(part []float32) {
+			copy(arr[q*per:(q+1)*per], part) // parts come in processor order
+			q++
 		})
 	},
 }

@@ -218,7 +218,7 @@ func BroadcastPartition[T pvm.Scalar](x *XHPF, arr []T, extent int) {
 // processor order — its own mine, each other one as it is received into
 // recv, which is len(mine) long and reused — so callers combine in a
 // deterministic order without holding every processor's copy.
-func BroadcastGather[T pvm.Scalar](x *XHPF, mine, recv []T, fold func(q int, part []T)) {
+func BroadcastGather[T pvm.Scalar](x *XHPF, mine, recv []T, fold func(part []T)) {
 	defer x.collective(obs.CollGather, stats.KindData)()
 	x.seq += 2
 	tag := 1<<13 + x.seq
@@ -228,14 +228,14 @@ func BroadcastGather[T pvm.Scalar](x *XHPF, mine, recv []T, fold func(q int, par
 	sendChunks(x, tag, chunk, mine)
 	for q := 0; q < x.n; q++ {
 		if q == x.ID() {
-			fold(q, mine)
+			fold(mine)
 			continue
 		}
 		x.chargeSection(len(recv) * size)
 		for off := 0; off < len(recv); off += chunk {
 			pvm.Recv(x.pv, q, chunkTag(tag, off/chunk), recv[off:min(off+chunk, len(recv))])
 		}
-		fold(q, recv)
+		fold(recv)
 	}
 }
 

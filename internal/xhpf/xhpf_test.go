@@ -194,12 +194,13 @@ func TestBroadcastGatherOrderedParts(t *testing.T) {
 			mine[i] = float32(100*x.ID() + i%7)
 		}
 		parts := make([][]float32, 0, n)
-		BroadcastGather(x, mine, make([]float32, m), func(q int, part []float32) {
-			if q != len(parts) {
-				t.Errorf("proc %d: part of processor %d folded after %d others", x.ID(), q, len(parts))
-			}
+		BroadcastGather(x, mine, make([]float32, m), func(part []float32) {
 			parts = append(parts, append([]float32(nil), part...))
 		})
+		if len(parts) != n {
+			t.Errorf("proc %d: %d parts folded, want %d", x.ID(), len(parts), n)
+			return
+		}
 		for q := 0; q < n; q++ {
 			for i := 0; i < m; i += 997 {
 				want := float32(100*q + i%7)

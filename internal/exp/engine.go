@@ -114,15 +114,15 @@ func (e *Engine) Config(a core.App, s Spec) core.Config {
 // requests: the first caller for a run runs the simulation, everyone
 // else waits for (or immediately receives) its result.
 func (e *Engine) Run(s Spec) (core.Result, error) {
-	en := e.run(keyOf(s.Canonical()), nil)
+	en := e.run(keyOf(s.Canonical()), e.lookup())
 	return en.res, en.err
 }
 
 // run is Run for a canonical spec whose key the caller holds. It
 // returns the cache entry, final, rather than a copy of its core.Result
-// (3 KB). The request that executes the run writes it back, resolving
-// the application through apps when the run belongs to a stream.
-func (e *Engine) run(k keyed, apps *appMemo) *entry {
+// (3 KB). The request that executes the run resolves its application
+// through lookup and writes the run back.
+func (e *Engine) run(k keyed, lookup func(name string) (core.App, error)) *entry {
 	e.telemetryInit()
 	e.mu.Lock()
 	if e.cache == nil {
@@ -140,7 +140,7 @@ func (e *Engine) run(k keyed, apps *appMemo) *entry {
 			alloc0 = heapAllocBytes()
 		}
 		start := time.Now()
-		en.res, en.err = e.execute(k.Spec, apps)
+		en.res, en.err = e.execute(k.Spec, lookup)
 		en.hostNS = time.Since(start).Nanoseconds()
 		en.rec = RecordOf(k.Spec, en.res, en.err)
 		e.host.inflight.Add(-1)
@@ -224,8 +224,8 @@ func (e *Engine) syncStore() {
 // no table may divide by it. A run that panics is a failed run too:
 // sim.Run re-raises a process body's panic here, and its value becomes
 // the error, so one broken spec is one error record, not a dead sweep.
-// apps, when non-nil, resolves the application (a stream's memo).
-func (e *Engine) execute(s Spec, apps *appMemo) (res core.Result, err error) {
+// lookup resolves the application: Lookup's default, or a stream's memo.
+func (e *Engine) execute(s Spec, lookup func(name string) (core.App, error)) (res core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = core.Result{}, fmt.Errorf("%s/%s: panic: %v", s.App, s.Version, r)
@@ -234,12 +234,7 @@ func (e *Engine) execute(s Spec, apps *appMemo) (res core.Result, err error) {
 	if err := s.Validate(); err != nil {
 		return core.Result{}, err
 	}
-	var a core.App
-	if apps != nil {
-		a, err = apps.get(s.App)
-	} else {
-		a, err = e.lookup()(s.App)
-	}
+	a, err := lookup(s.App)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -357,7 +352,7 @@ func (e *Engine) resolve(r *stream, pos int) {
 	k := r.runs[pos]
 	var en *entry
 	if st := e.Store; st == nil || e.ran(k) || !st.Has(k.storeKey(e.Observe)) {
-		en = e.run(k, &r.apps)
+		en = e.run(k, r.apps.get)
 	}
 	r.resolved(pos, en)
 	e.host.runsResolved.Add(1)
@@ -538,7 +533,7 @@ func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) Record {
 func (e *Engine) load(r *stream, pos int32, rec *Record, buf *[]byte) {
 	sl := &r.slots[pos]
 	if !e.readStored(r.runs[pos], sl, rec, buf) {
-		sl.en = e.run(r.runs[pos], &r.apps)
+		sl.en = e.run(r.runs[pos], r.apps.get)
 		*rec = sl.en.rec
 	} else if sl.uses > 0 {
 		kept := *rec

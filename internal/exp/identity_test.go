@@ -71,7 +71,7 @@ func TestCanonicalRunIsTheLabelledRun(t *testing.T) {
 	e.Observe = true
 	direct := func(s Spec) core.Result {
 		t.Helper()
-		res, err := e.execute(s, nil)
+		res, err := e.execute(s, e.lookup())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Key(), err)
 		}

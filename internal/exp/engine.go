@@ -285,6 +285,9 @@ func (m *appMemo) get(name string) (core.App, error) {
 	m.mu.Lock()
 	a := m.apps[name]
 	if a == nil {
+		if m.apps == nil { // a warm stream executes nothing and makes none
+			m.apps = map[string]*memoApp{}
+		}
 		a = new(memoApp)
 		m.apps[name] = a
 	}
@@ -466,8 +469,7 @@ type runSlot struct {
 }
 
 func newStream(p *Runs, lookup func(name string) (core.App, error)) *stream {
-	r := &stream{Runs: p, slots: make([]runSlot, p.Len()),
-		apps: appMemo{lookup: lookup, apps: map[string]*memoApp{}}}
+	r := &stream{Runs: p, slots: make([]runSlot, p.Len()), apps: appMemo{lookup: lookup}}
 	r.cond.L = &r.mu
 	for _, pos := range p.Run {
 		r.slots[pos].uses++

@@ -473,6 +473,9 @@ func FuzzValidateLine(f *testing.F) {
 	// diff_bytes is a part of bytes: a line within it, and one past it.
 	f.Add([]byte(`{"app":"MGS","version":"tmk","procs":2,"scale":"small","protocol":"hlrc","time_ns":1000,"time_seconds":0.000001,"msgs":4,"bytes":4096,"diff_bytes":1024,"checksum":1}`))
 	f.Add([]byte(`{"app":"MGS","version":"tmk","procs":2,"scale":"small","protocol":"hlrc","time_ns":1000,"time_seconds":0.000001,"msgs":4,"bytes":4096,"diff_bytes":8192,"checksum":1}`))
+	// digest is a uint64: its largest value, and one that does not fit.
+	f.Add([]byte(`{"app":"Jacobi","version":"seq","procs":1,"scale":"small","time_ns":1000,"time_seconds":0.000001,"msgs":0,"bytes":0,"checksum":1,"digest":18446744073709551615}`))
+	f.Add([]byte(`{"app":"Jacobi","version":"seq","procs":1,"scale":"small","time_ns":1000,"time_seconds":0.000001,"msgs":0,"bytes":0,"checksum":1,"digest":-1}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		sameVerdict(t, line)
 		// Canonical form is a subset of JSON: whatever the fast parser

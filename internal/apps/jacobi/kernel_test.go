@@ -68,6 +68,43 @@ func TestCopyRowsOffsets(t *testing.T) {
 	}
 }
 
+// relaxRowsRef is the two-array step relaxRows fuses: the stencil into
+// a scratch grid, then the interior copied back.
+func relaxRowsRef(g []float32, n, rlo, rhi, off int) {
+	scratch := make([]float32, len(g))
+	stencilRows(scratch, g, n, rlo, rhi, off, off)
+	copyRows(g, scratch, n, rlo, rhi, off, off)
+}
+
+// TestRelaxRowsBitwise holds the in-place step to the two-array one over
+// the same geometry, on storage based at row 0 (seq's grid) and at
+// rlo-1 (band's block and halo), with a line buffer that starts dirty:
+// every bit of the grid, the halo and edges included, must agree.
+func TestRelaxRowsBitwise(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 64, 65} {
+		for _, b := range kerneltest.Bands(n) {
+			rlo, rhi := b[0], b[1]
+			for _, off := range []int{0, rlo - 1} {
+				want := kerneltest.Noise(uint32(n+off), (min(rhi+1, n)-off)*n)
+				got := slices.Clone(want)
+				relaxRows(got, kerneltest.Noise(9, 2*n), n, rlo, rhi, off)
+				relaxRowsRef(want, n, rlo, rhi, off)
+				kerneltest.SameBits(t, fmt.Sprintf("n=%d rows [%d,%d) off=%d", n, rlo, rhi, off), got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkRelaxRows(b *testing.B) {
+	const n = 1024
+	g, line := kerneltest.Noise(1, n*n), make([]float32, 2*n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relaxRows(g, line, n, 1, n-1, 0)
+	}
+	kerneltest.ReportPer(b, "point", (n-2)*(n-2))
+}
+
 func BenchmarkStencilRows(b *testing.B) {
 	const n = 1024
 	src, dst := kerneltest.Noise(1, n*n), make([]float32, n*n)

@@ -221,15 +221,40 @@ func Sum64(blocks ...[]float32) float64 {
 // after another, as Sum64 does, so a gathered result is digested
 // without assembling it.
 func Digest(blocks ...[]float32) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+	h := uint64(digestBasis)
 	for _, xs := range blocks {
 		for _, v := range xs {
 			h ^= uint64(math.Float32bits(v))
-			h *= prime
+			h *= digestPrime
 		}
 	}
 	return h
+}
+
+// FNV-1a's 64-bit offset basis (the digest of no values) and prime.
+const digestBasis, digestPrime = 14695981039346656037, 1099511628211
+
+// Fold is the checksum and digest of an output array that arrives in
+// pieces, in global order: after Add(a), Add(b), ... Sum is Sum64(a, b,
+// ...) and Digest is Digest(a, b, ...) bit for bit. A result gather that
+// receives each block into one reused buffer folds it as it arrives.
+type Fold struct {
+	Sum    float64
+	Digest uint64
+}
+
+// NewFold returns the fold of no values.
+func NewFold() Fold { return Fold{Digest: digestBasis} }
+
+// Add folds the values of xs in index order.
+func (f *Fold) Add(xs []float32) {
+	s, h := f.Sum, f.Digest
+	for _, v := range xs {
+		s += float64(v)
+		h ^= uint64(math.Float32bits(v))
+		h *= digestPrime
+	}
+	f.Sum, f.Digest = s, h
 }
 
 // EdgesOne sets the four edges of the n×n grid g to one. g must be all

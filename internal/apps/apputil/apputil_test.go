@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps/kerneltest"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -43,6 +44,22 @@ func TestDigest(t *testing.T) {
 	}
 	if got := Digest(); got != 14695981039346656037 {
 		t.Errorf("Digest() = %d, want FNV-1a's offset basis", got)
+	}
+}
+
+// TestFold: folding pieces gives Sum64's and Digest's values over their
+// concatenation, bit for bit, empty pieces included.
+func TestFold(t *testing.T) {
+	row := kerneltest.Noise(5, 37)
+	f := NewFold()
+	for _, piece := range [][]float32{row[:1], nil, row[1:20], row[20:]} {
+		f.Add(piece)
+	}
+	if f.Sum != Sum64(row) || f.Digest != Digest(row) {
+		t.Errorf("Fold of pieces = %v, %d; want Sum64 %v, Digest %d", f.Sum, f.Digest, Sum64(row), Digest(row))
+	}
+	if empty := NewFold(); empty.Sum != 0 || empty.Digest != Digest() {
+		t.Errorf("NewFold() = %v, %d; want 0, %d", empty.Sum, empty.Digest, Digest())
 	}
 }
 

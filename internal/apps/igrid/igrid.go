@@ -231,6 +231,7 @@ func runSeq(cfg core.Config, idx []int32) (core.Result, error) {
 				_ = redSum
 				return sealed(mx, mn) + apputil.Sum64(old)
 			},
+			Digest: func() uint64 { return apputil.Digest(old) },
 		}
 	})
 }
@@ -297,6 +298,7 @@ func runTmk(cfg core.Config, idx []int32) (core.Result, error) {
 				g := old.Read(0, n*n)
 				return float64(float32(r[0]))*1e3 + float64(float32(r[1])) + apputil.Sum64(g)
 			},
+			Digest: func() uint64 { return apputil.Digest(old.Read(0, n*n)) },
 		}
 	})
 }
@@ -367,6 +369,7 @@ func runSPF(cfg core.Config, idx []int32) (core.Result, error) {
 					float64(float32(minRed.Value())) +
 					apputil.Sum64(g)
 			},
+			Digest: func() uint64 { return apputil.Digest(oldArr.Read(0, n*n)) },
 		}
 	})
 }
@@ -411,6 +414,7 @@ func runXHPF(cfg core.Config, idx []int32) (core.Result, error) {
 				}
 				return sealed(float32(redVals[0]), float32(redVals[1])) + apputil.Sum64(old)
 			},
+			Digest: func() uint64 { return apputil.Digest(old) },
 		}
 	})
 }
@@ -431,6 +435,7 @@ func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 		copy(cur, old)
 		rows := func(g []float32, lo, hi int) []float32 { return g[(lo-slo)*n : (hi-slo)*n] }
 		var redVals []float64
+		var out apputil.Fold // the gathered grid's, on task 0
 		return apputil.Program{
 			Iterate: func(k int) {
 				// The hand coder inspected the map once at setup and knows
@@ -468,43 +473,40 @@ func runPVM(cfg core.Config, idx []int32) (core.Result, error) {
 				}
 				// cur is free once the last step has swapped; block 0 is
 				// the largest, so it holds any other task's block.
-				sum := gatherInterior(pv, rows(old, 0, rhi), cur, n)
-				return sealed(float32(redVals[0]), float32(redVals[1])) + sum
+				out = gatherInterior(pv, rows(old, 0, rhi), cur, n)
+				return sealed(float32(redVals[0]), float32(redVals[1])) + out.Sum
 			},
+			Digest: func() uint64 { return out.Digest },
 		}
 	})
 }
 
 // gatherInterior collects the interior row blocks on task 0, untracked.
-// A task other than 0 sends g, its block, and returns 0. Task 0 returns
-// what apputil.Sum64 gives over the whole grid: every element folded in
-// global index order — g, its rows from 0 up to its block's end, then
-// each other task's block as it arrives in buf, then the last row,
-// which no step writes, as initRows gives it.
-func gatherInterior(pv *pvm.PVM, g, buf []float32, n int) float64 {
+// A task other than 0 sends g, its block, and returns a zero Fold. Task
+// 0 returns what apputil.Sum64 and apputil.Digest give over the whole
+// grid: every element folded in global index order — g, its rows from 0
+// up to its block's end, then each other task's block as it arrives in
+// buf, then the last row, which no step writes, as initRows gives it.
+func gatherInterior(pv *pvm.PVM, g, buf []float32, n int) apputil.Fold {
 	me, nprocs := pv.ID(), pv.NProcs()
 	if me != 0 {
 		if len(g) > 0 {
 			pvm.SendUntracked(pv, 0, 95, g)
 		}
-		return 0
+		return apputil.Fold{}
 	}
-	fold := func(s float64, vals []float32) float64 {
-		for _, v := range vals {
-			s += float64(v)
-		}
-		return s
-	}
-	s := fold(0, g)
+	f := apputil.NewFold()
+	f.Add(g)
 	for q := 1; q < nprocs; q++ {
 		qlo, qhi := apputil.BlockOf(q, nprocs, n-2)
 		if qhi > qlo {
 			block := buf[:(qhi-qlo)*n]
 			pvm.RecvUntracked(pv, q, 95, block)
-			s = fold(s, block)
+			f.Add(block)
 		}
 	}
 	last := buf[:n]
 	initRows(last, n, n-1, n)
-	return fold(s, last)
+	f.Add(last)
+	return f
 }

@@ -136,6 +136,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 				tm.Advance(apputil.Cost((n-i-1)*n, cfg.App.MGSOrtho))
 			},
 			Checksum: func() float64 { return apputil.Sum64(m) },
+			Digest:   func() uint64 { return apputil.Digest(m) },
 		}
 	})
 }
@@ -175,6 +176,7 @@ func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 				tm.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 			},
 			Checksum: func() float64 { return apputil.Sum64(m.Read(0, n*n)) },
+			Digest:   func() uint64 { return apputil.Digest(m.Read(0, n*n)) },
 		}
 	})
 }
@@ -209,6 +211,7 @@ func runSPF(cfg core.Config) (core.Result, error) {
 				rt.ParallelDo(ortho, i+1, n, spf.Cyclic, int64(i))
 			},
 			Checksum: func() float64 { return apputil.Sum64(m.Read(0, n*n)) },
+			Digest:   func() uint64 { return apputil.Digest(m.Read(0, n*n)) },
 		}
 	})
 }
@@ -232,6 +235,7 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 	return apputil.RunXHPF("MGS", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		me, nprocs := x.ID(), x.NProcs()
 		c := newCyclicRows(me, nprocs, n)
+		var out apputil.Fold // the gathered matrix's, on task 0
 		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
@@ -249,7 +253,8 @@ func runXHPF(cfg core.Config) (core.Result, error) {
 				x.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 				x.LoopSync() // generated sync after the orthogonalize loop
 			},
-			Checksum: func() float64 { return c.gather(x.PVM()) },
+			Checksum: func() float64 { out = c.gather(x.PVM()); return out.Sum },
+			Digest:   func() uint64 { return out.Digest },
 		}
 	})
 }
@@ -262,6 +267,7 @@ func runPVM(cfg core.Config) (core.Result, error) {
 	return apputil.RunPVM("MGS", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		me, nprocs := pv.ID(), pv.NProcs()
 		c := newCyclicRows(me, nprocs, n)
+		var out apputil.Fold // the gathered matrix's, on task 0
 		return apputil.Program{
 			Iterate: func(i int) {
 				owner := i % nprocs
@@ -278,7 +284,8 @@ func runPVM(cfg core.Config) (core.Result, error) {
 				}
 				pv.Advance(apputil.Cost(mine*n, cfg.App.MGSOrtho))
 			},
-			Checksum: func() float64 { return c.gather(pv) },
+			Checksum: func() float64 { out = c.gather(pv); return out.Sum },
+			Digest:   func() uint64 { return out.Digest },
 		}
 	})
 }
@@ -322,17 +329,18 @@ func (c *cyclicRows) pivot(i int) []float32 {
 }
 
 // gather collects the rows on task 0, untracked, and returns there the
-// checksum apputil.Sum64 gives over the whole matrix: every element
-// folded in global index order, a received row through the pivot
-// buffer as it arrives. Every other task returns 0.
-func (c *cyclicRows) gather(pv *pvm.PVM) float64 {
+// checksum and digest apputil.Sum64 and apputil.Digest give over the
+// whole matrix: every element folded in global index order, a received
+// row through the pivot buffer as it arrives. Every other task returns
+// a zero Fold.
+func (c *cyclicRows) gather(pv *pvm.PVM) apputil.Fold {
 	if c.me != 0 {
 		for j := c.me; j < c.n; j += c.nprocs {
 			pvm.SendUntracked(pv, 0, 400+j%64, c.row(j))
 		}
-		return 0
+		return apputil.Fold{}
 	}
-	var s float64
+	f := apputil.NewFold()
 	for j := 0; j < c.n; j++ {
 		row := c.buf
 		if j%c.nprocs == 0 {
@@ -340,9 +348,7 @@ func (c *cyclicRows) gather(pv *pvm.PVM) float64 {
 		} else {
 			pvm.RecvUntracked(pv, j%c.nprocs, 400+j%64, row)
 		}
-		for _, v := range row {
-			s += float64(v)
-		}
+		f.Add(row)
 	}
-	return s
+	return f
 }

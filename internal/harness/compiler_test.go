@@ -91,12 +91,13 @@ func TestMessagePassingMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEveryVersionDigests: Jacobi and RB-SOR digest their output grid
-// in every version, under both protocols, and every digest is seq's —
-// Agree compares digests, but only where both records carry one, so a
-// version that stopped computing its digest would pass it unseen.
+// TestEveryVersionDigests: Jacobi, RB-SOR and IGrid digest their output
+// grid and MGS its basis in every version, under both protocols, and
+// every digest is seq's — Agree compares digests, but only where both
+// records carry one, so a version that stopped computing its digest
+// would pass it unseen.
 func TestEveryVersionDigests(t *testing.T) {
-	for _, app := range []string{"Jacobi", "RB-SOR"} {
+	for _, app := range []string{"Jacobi", "RB-SOR", "IGrid", "MGS"} {
 		a, err := exp.AppByName(app)
 		if err != nil {
 			t.Fatal(err)

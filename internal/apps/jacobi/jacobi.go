@@ -161,7 +161,10 @@ func runSeq(cfg core.Config) (core.Result, error) {
 
 // runTmk is the hand-coded TreadMarks version: the grid is shared, the
 // scratch array is private (the hand coder knows it never crosses
-// processors — the 2% SPF gap of §5.1 comes from SPF sharing it).
+// processors — the 2% SPF gap of §5.1 comes from SPF sharing it). It
+// cannot go the way of band's: the stencil reads through a Read view,
+// and a shared page may be written only after Write twins it, so an
+// in-place write before the barrier would vanish from the diff.
 // tmk-push is the §8 optimization: boundary-row diffs travel with the
 // barrier (producer push) instead of being page-faulted in afterwards
 // (consumer pull), halving the message count and hiding the fetch

@@ -62,6 +62,7 @@ func TestRaggedPartition(t *testing.T) {
 func TestMessagePassingAllocatesWhatItOwns(t *testing.T) {
 	_, one := kerneltest.Allocated(t, New(), core.XHPF, 1, "")
 	_, eight := kerneltest.Allocated(t, New(), core.XHPF, 8, "")
+	t.Logf("Jacobi xhpf at mid scale: %d B on 1 processor, %d B on 8: %.2fx", one, eight, float64(eight)/float64(one))
 	if 2*eight > 3*one {
 		t.Errorf("Jacobi xhpf at mid scale allocates %d bytes on 8 processors, %d on 1: more than 1.5x — a full grid per processor is back",
 			eight, one)

@@ -13,16 +13,17 @@ import (
 // computes on — 3-D FFT its planes and its transposed rows, MGS its
 // cyclic rows and one pivot row, IGrid pvme its block and a halo row on
 // either side, NBF one sum of the force buffers, over its block (xhpf)
-// or on task 0 (pvme) — so eight processors together allocate little
-// more than one does alone. What a processor keeps whole on purpose is
-// not counted: NBF's coordinates and force buffer, the snapshot that
-// ships the buffer and, under xhpf, the buffer it receives the others'
-// in — the unknown-pattern broadcast. What does count beside the
-// storage is transmit buffers, above all those of the first transpose
-// and of the untracked result gather, all in flight at once (0.5 to
-// 1.1 times the data), so the bound is 2.5 times; a processor holding
-// the whole array, or every processor's force buffer, makes it 2.6 to
-// 14.
+// or on task 0 (pvme), Jacobi its block, a halo row a side and a line
+// buffer (TestJacobiHoldsOneGrid) — so eight processors together
+// allocate little more than one does alone. What a processor keeps
+// whole on purpose is not counted: NBF's coordinates and force buffer,
+// the snapshot that ships the buffer and, under xhpf, the buffer it
+// receives the others' in — the unknown-pattern broadcast. What does
+// count beside the storage is transmit buffers, above all those of the
+// first transpose and of the untracked result gather, all in flight at
+// once (0.5 to 1.1 times the data), so the bound is 2.5 times; a
+// processor holding the whole array, or every processor's force
+// buffer, makes it 2.6 to 14.
 func TestMessagePassingStorage(t *testing.T) {
 	const procs, bound = 8, 2.5
 	fft := core.Config{N1: 32, N2: 32, N3: 32, Iters: 1}
@@ -67,6 +68,41 @@ func TestMessagePassingStorage(t *testing.T) {
 		if ratio > bound {
 			t.Errorf("%s/%s: %d processors allocate %d B not counting replicated data, %.2f times the %d B of one: more than %.1f",
 				c.app, c.v, procs, many, ratio, one, bound)
+		}
+	}
+}
+
+// TestJacobiHoldsOneGrid: Jacobi's seq, xhpf and pvme own the rows they
+// relax, so they step one grid in place through a two-row line buffer
+// (relaxRows) where the shared-memory versions need a scratch array.
+// On one processor and on eight together they allocate at most 1.3
+// times one grid's bytes — blocks, halos, line buffers, halo messages
+// and the simulator's state; a second grid makes it at least 2.
+func TestJacobiHoldsOneGrid(t *testing.T) {
+	const bound = 1.3
+	app, err := exp.AppByName("Jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{N1: 512, Iters: 2, Warmup: 1, Costs: model.SP2(), App: model.DefaultAppCosts()}
+	grid := float64(4 * cfg.N1 * cfg.N1)
+	for _, v := range []core.Version{core.Seq, core.XHPF, core.PVMe} {
+		for _, procs := range []int{1, 8} {
+			if v == core.Seq && procs > 1 {
+				continue
+			}
+			cfg.Procs = procs
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := app.Run(v, cfg); err != nil {
+				t.Fatalf("Jacobi/%s at %d processors: %v", v, procs, err)
+			}
+			runtime.ReadMemStats(&after)
+			ratio := float64(after.TotalAlloc-before.TotalAlloc) / grid
+			t.Logf("Jacobi/%s at %d processors: %.2f grids", v, procs, ratio)
+			if ratio > bound {
+				t.Errorf("Jacobi/%s at %d processors allocates %.2f times one grid's %.0f B: more than %.1f", v, procs, ratio, grid, bound)
+			}
 		}
 	}
 }

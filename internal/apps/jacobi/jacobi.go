@@ -297,10 +297,9 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 // clo and chi bound the owned interior rows; off is the row base the
 // kernel takes.
 type band struct {
-	data     *xhpf.Local[float32]
-	line     []float32
-	clo, chi int
-	off      int
+	data          *xhpf.Local[float32]
+	line          []float32
+	clo, chi, off int
 }
 
 func newBand(me, nprocs, n int) band {

@@ -16,8 +16,9 @@
 // the gap (speedup 2.65 → 5.05 vs PVMe's 5.12).
 //
 // Layout: index (i3*n2 + i2)*n1 + i1 in x (i1 contiguous); the
-// transposed array xt holds (i2*n3 + i3)*n1 + i1 so partition-B work is
-// contiguous and local.
+// parallel versions' transposed array xt holds (i2*n3 + i3)*n1 + i1 so
+// partition-B work is contiguous and local. seq has no xt: it
+// transforms the third dimension in place in x.
 package fft3d
 
 import (
@@ -236,6 +237,40 @@ func (kn *kernel) checksumRows(xt []complex128, idx []int, b2lo, b2hi, off int) 
 	return s, touched
 }
 
+// fft3InPlace performs the n3-point inverse FFTs along i3 (stride
+// n2*n1) in place in the whole array x, as NAS FT's serial code does:
+// the butterflies fft3Rows applies to the transposed copy, on the same
+// values. Returns butterfly count.
+func (kn *kernel) fft3InPlace(x []complex128) int {
+	b := 0
+	s := kn.scratch[:kn.n3]
+	stride := kn.n2 * kn.n1
+	for p := 0; p < stride; p++ {
+		for i3 := range s {
+			s[i3] = x[i3*stride+p]
+		}
+		fft.Inverse(s)
+		for i3 := range s {
+			x[i3*stride+p] = s[i3]
+		}
+		b += fft.Butterflies(kn.n3)
+	}
+	return b
+}
+
+// checksumInPlace is checksumRows over every row of xt, read from x:
+// idx's elements in idx order, each xt index (i2*n3+i3)*n1+i1 read at
+// x's (i3*n2+i2)*n1+i1.
+func (kn *kernel) checksumInPlace(x []complex128, idx []int) (complex128, int) {
+	var s complex128
+	for _, i := range idx {
+		i1, r := i%kn.n1, i/kn.n1
+		i2, i3 := r/kn.n3, r%kn.n3
+		s += x[(i3*kn.n2+i2)*kn.n1+i1]
+	}
+	return s, len(idx)
+}
+
 // chargeFFT converts butterfly and touch counts into virtual time.
 func chargeFFT(adv func(sim.Time), cfg core.Config, butterflies, touches int) {
 	adv(apputil.Cost(butterflies, cfg.App.FFTButterfly) + apputil.Cost(touches, cfg.App.FFTTouch))
@@ -243,27 +278,27 @@ func chargeFFT(adv func(sim.Time), cfg core.Config, butterflies, touches int) {
 
 func sumComplex(s complex128) float64 { return real(s) + 2*imag(s) }
 
+// runSeq is the sequential version. It holds one array: the third
+// dimension's FFTs run in place in x (fft3InPlace) with no transposed
+// copy, and are charged as the parallel versions' transpose and FFTs
+// are, so its virtual time is theirs on one processor.
 func runSeq(cfg core.Config) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3
 	idx := checksumIndices(total)
 	return apputil.RunSeq("3-D FFT", cfg, func(tm *tmk.Tmk) apputil.Program {
 		x := make([]complex128, total)
-		xt := make([]complex128, total)
-		planes := make([][]complex128, kn.n3)
-		for i3 := range planes {
-			planes[i3] = x[i3*kn.n2*kn.n1 : (i3+1)*kn.n2*kn.n1]
-		}
 		var sum complex128
 		return apputil.Program{
 			Iterate: func(k int) {
 				touches := kn.initPlanes(x, 0, kn.n3, 0, k)
 				b := kn.fft1Planes(x, 0, kn.n3, 0)
 				b += kn.fft2Planes(x, 0, kn.n3, 0)
-				touches += kn.transposeRows(xt, planes, 0, kn.n2, 0)
-				b += kn.fft3Rows(xt, 0, kn.n2, 0)
-				touches += kn.normalizeRows(xt, 0, kn.n2, 0)
-				s, t := kn.checksumRows(xt, idx, 0, kn.n2, 0)
+				touches += total // the transpose the parallel versions make
+				b += kn.fft3InPlace(x)
+				// All of x: the scale does not depend on the layout.
+				touches += kn.normalizeRows(x, 0, kn.n2, 0)
+				s, t := kn.checksumInPlace(x, idx)
 				sum = s
 				touches += t
 				chargeFFT(tm.Advance, cfg, b, touches)

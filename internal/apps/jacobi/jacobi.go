@@ -10,9 +10,12 @@
 // Each iteration has two phases: the stencil update into a scratch
 // array, and the copy back. Both loops are parallel; the shared-memory
 // versions need a barrier between the phases to respect the
-// anti-dependence, and one at the end of the iteration. A process that
-// owns its rows (seq, xhpf, pvme) fuses the two phases over one grid
-// through a two-row line buffer (relaxRows) and charges them as before.
+// anti-dependence, and one at the end of the iteration. Only spf*
+// shares the scratch array. A process that owns its rows (seq, xhpf,
+// pvme) fuses the two phases over one grid through a two-row line
+// buffer (relaxRows) and charges them as before; tmk and tmk-push do
+// the same after the barrier, with a block's two edge rows computed
+// before it (runTmk).
 //
 // Orientation: the paper's Fortran arrays are column-major and
 // partitioned by columns, exchanging boundary columns; this Go port is
@@ -159,12 +162,17 @@ func runSeq(cfg core.Config) (core.Result, error) {
 	})
 }
 
-// runTmk is the hand-coded TreadMarks version: the grid is shared, the
-// scratch array is private (the hand coder knows it never crosses
-// processors — the 2% SPF gap of §5.1 comes from SPF sharing it). It
-// cannot go the way of band's: the stencil reads through a Read view,
-// and a shared page may be written only after Write twins it, so an
-// in-place write before the barrier would vanish from the diff.
+// runTmk is the hand-coded TreadMarks version: the grid is shared and
+// the block's rows are relaxed in place, with no scratch grid (the 2%
+// SPF gap of §5.1 comes from SPF sharing one). A shared page may be
+// written only after Write twins it, past the barrier, so each
+// iteration splits the rows. Before the barrier the block's edge rows,
+// the only ones whose stencil reads a neighbour's halo row, go into the
+// two-row edge buffer: under hlrc a home applies a neighbour's diffs to
+// those halo rows whenever they arrive, so they must be read in phase 1.
+// After the barrier the interior rows, which read only this processor's
+// own rows, are relaxed in place through the line buffer and the edge
+// rows copied in. A block of one or two rows is edge rows only.
 // tmk-push is the §8 optimization: boundary-row diffs travel with the
 // barrier (producer push) instead of being page-faulted in afterwards
 // (consumer pull), halving the message count and hiding the fetch
@@ -177,7 +185,8 @@ func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 		lo, hi := apputil.BlockOf(tm.ID(), tm.NProcs(), n-2)
 		lo, hi = lo+1, hi+1 // interior rows
 		rows := hi - lo
-		scratch := make([]float32, max(rows, 0)*n)
+		// edge holds row lo's new values, then row hi-1's.
+		edge, line := make([]float32, 2*n), make([]float32, 2*n)
 		if tm.ID() == 0 {
 			w := data.Write(0, n*n)
 			apputil.EdgesOne(w, n)
@@ -202,13 +211,14 @@ func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 			Iterate: func(k int) {
 				if rows > 0 {
 					rd := data.Read((lo-1)*n, (hi+1)*n)
-					stencilRows(scratch, rd, n, lo, hi, lo, lo-1)
+					edgeRows(edge, rd, n, lo, hi, lo-1)
 					tm.Advance(apputil.Cost(rows*(n-2), cfg.App.JacobiUpdate))
 				}
 				tm.Barrier()
 				if rows > 0 {
 					w := data.Write(lo*n, hi*n)
-					copyRows(w, scratch, n, lo, hi, lo, lo)
+					relaxRows(w, line, n, lo+1, hi-1, lo)
+					copyEdgeRows(w, edge, n, lo, hi, lo)
 					tm.Advance(apputil.Cost(rows*(n-2), cfg.App.JacobiCopy))
 				}
 				tm.Barrier()
@@ -221,6 +231,25 @@ func runTmk(cfg core.Config, v core.Version) (core.Result, error) {
 			},
 		}
 	})
+}
+
+// edgeRows computes the stencil of rows lo and hi-1 of the non-empty
+// band [lo,hi) from src, which begins at global row srcOff, into edge:
+// row lo first, row hi-1 second (one row when they coincide).
+func edgeRows(edge, src []float32, n, lo, hi, srcOff int) {
+	stencilRows(edge, src, n, lo, lo+1, lo, srcOff)
+	if hi-1 > lo {
+		stencilRows(edge, src, n, hi-1, hi, hi-2, srcOff)
+	}
+}
+
+// copyEdgeRows copies edgeRows' output into rows lo and hi-1 of dst,
+// which begins at global row dstOff.
+func copyEdgeRows(dst, edge []float32, n, lo, hi, dstOff int) {
+	copyRows(dst, edge, n, lo, lo+1, dstOff, lo)
+	if hi-1 > lo {
+		copyRows(dst, edge, n, hi-1, hi, dstOff, hi-2)
+	}
 }
 
 // runSPF is the compiler-generated shared-memory version: both arrays
@@ -293,7 +322,7 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 // band is a message-passing processor's storage: BLOCK distribution by
 // whole rows, the grid with a one-row halo and edges at one, and the
 // line buffer relaxRows works through — the processor owns its rows, so
-// it needs no scratch grid (the shared-memory versions do: see runTmk).
+// it needs no scratch grid (nor does runTmk's; only spf*'s is shared).
 // clo and chi bound the owned interior rows; off is the row base the
 // kernel takes.
 type band struct {

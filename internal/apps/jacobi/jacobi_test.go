@@ -74,15 +74,22 @@ func TestDSMAllocatesWhatItTouches(t *testing.T) { kerneltest.DSMAllocatesWhatIt
 
 // TestHomeBasedRepliesReuseTheirBuffers: under the home-based protocol
 // every fault is answered with a whole page, and a fresh 4 KB buffer per
-// reply put the 8-processor run at 3.15x the bytes of the 1-processor
-// run. Replies draw from and return to the region's page-buffer list
-// (tmk.TestPageBuffersAreRecycled counts the buffers), so the run is
-// held to the 3x the homeless protocol is held to.
+// reply puts the 8-processor run at 4.0 mid grids (N1² float32s)
+// over the 1-processor run. Replies draw from and return to the region's
+// page-buffer list (tmk.TestPageBuffersAreRecycled counts the buffers),
+// which holds the excess to about 3 grids: the nodes' own copies of
+// their pages, twins and diffs. The bound is on the excess, not on the
+// ratio: with no scratch grid the 1-processor run holds little more
+// than one grid, so the ratio moves with what that run keeps.
 func TestHomeBasedRepliesReuseTheirBuffers(t *testing.T) {
+	const bound = 3.5
 	_, one := kerneltest.Allocated(t, New(), core.Tmk, 1, proto.HomeLRC)
 	_, eight := kerneltest.Allocated(t, New(), core.Tmk, 8, proto.HomeLRC)
-	if eight > 3*one {
-		t.Errorf("Jacobi tmk under hlrc at mid scale allocates %d bytes on 8 processors, %d on 1: more than 3x", eight, one)
+	n := New().Config(core.MidScale, 1).N1
+	excess := (float64(eight) - float64(one)) / float64(4*n*n)
+	t.Logf("Jacobi tmk under hlrc at mid scale: %d B on 1 processor, %d B on 8: %.2f grids more", one, eight, excess)
+	if excess > bound {
+		t.Errorf("Jacobi tmk under hlrc at mid scale allocates %d bytes on 8 processors, %d on 1: %.2f grids more, bound %.1f", eight, one, excess, bound)
 	}
 }
 

@@ -95,6 +95,33 @@ func TestRelaxRowsBitwise(t *testing.T) {
 	}
 }
 
+// TestTmkStepBitwise holds runTmk's split step to the two-array one:
+// the edge rows computed from a view of the band and its halo, the
+// interior relaxed in place in a view of the band alone, then the edge
+// rows copied in. The views are cut as Read and Write cut them, capacity
+// clipped, and the edge and line buffers start dirty; blocks of one,
+// two and three rows have no interior or a one-row one.
+func TestTmkStepBitwise(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 64, 65} {
+		bands := append(kerneltest.Bands(n), [2]int{n / 2, n/2 + 2}, [2]int{n / 2, n/2 + 3})
+		for _, b := range bands {
+			lo, hi := b[0], min(b[1], n-1)
+			if hi <= lo {
+				continue
+			}
+			want := kerneltest.Noise(uint32(n+lo), n*n)
+			got := slices.Clone(want)
+			relaxRowsRef(want, n, lo, hi, 0)
+			edge := kerneltest.Noise(5, 2*n)
+			edgeRows(edge, got[(lo-1)*n:(hi+1)*n:(hi+1)*n], n, lo, hi, lo-1)
+			w := got[lo*n : hi*n : hi*n]
+			relaxRows(w, kerneltest.Noise(9, 2*n), n, lo+1, hi-1, lo)
+			copyEdgeRows(w, edge, n, lo, hi, lo)
+			kerneltest.SameBits(t, fmt.Sprintf("n=%d rows [%d,%d)", n, lo, hi), got, want)
+		}
+	}
+}
+
 func BenchmarkRelaxRows(b *testing.B) {
 	const n = 1024
 	g, line := kerneltest.Noise(1, n*n), make([]float32, 2*n)

@@ -383,6 +383,10 @@ func (s *state) checksum() float64 {
 	return apputil.Sum64(s.p.data) + 2*apputil.Sum64(s.u.data) + 4*apputil.Sum64(s.v.data)
 }
 
+// digest is apputil.Digest over p, u and v, one after another, each in
+// global order.
+func (s *state) digest() uint64 { return apputil.Digest(s.p.data, s.u.data, s.v.data) }
+
 func runSeq(cfg core.Config) (core.Result, error) {
 	n := cfg.N1
 	return apputil.RunSeq("Shallow", cfg, func(tm *tmk.Tmk) apputil.Program {
@@ -396,6 +400,7 @@ func runSeq(cfg core.Config) (core.Result, error) {
 				}
 			},
 			Checksum: func() float64 { return s.checksum() },
+			Digest:   s.digest,
 		}
 	})
 }
@@ -513,7 +518,8 @@ func (ss *sharedState) initShared() {
 	ss.init(0, ss.n)
 }
 
-// checksumShared reads all of p, u, v (on processor 0, after the run).
+// checksumShared reads all of p, u, v (on processor 0, after the run),
+// so that digest reads them too.
 func (ss *sharedState) checksumShared() float64 {
 	ss.read(0, ss.n, false, puv...)
 	return ss.checksum()
@@ -535,6 +541,7 @@ func runTmk(cfg core.Config) (core.Result, error) {
 				stepTmk(ss, adv, cfg, lo, hi, tm.Barrier)
 			},
 			Checksum: ss.checksumShared,
+			Digest:   ss.digest,
 		}
 	})
 }
@@ -645,6 +652,7 @@ func runSPF(cfg core.Config, v core.Version) (core.Result, error) {
 				rt.ParallelDo(phase3, 0, n, spf.Block)
 			},
 			Checksum: ss.checksumShared,
+			Digest:   ss.digest,
 		}
 	})
 }
@@ -763,31 +771,41 @@ func (bs *bandState) step(pv *pvm.PVM, cfg core.Config, tag int, sync func()) {
 	sync()
 }
 
-// gatherChecksum is state.checksum over the owned row blocks, gathered
-// untracked on task 0 (zero elsewhere).
-func (bs *bandState) gatherChecksum(pv *pvm.PVM) float64 {
-	sum := func(k int) float64 {
-		return apputil.Sum64(pvm.GatherUntracked(pv, 780, bs.loc[k].Owned())...)
+// program is the message-passing versions' program around iterate: the
+// owned row blocks of p, u and v are gathered untracked on task 0 and
+// folded in global order into state.checksum's three sums and
+// state.digest's one chain (zero elsewhere).
+func (bs *bandState) program(pv *pvm.PVM, iterate func(k int)) apputil.Program {
+	var digest uint64
+	return apputil.Program{
+		Iterate: iterate,
+		Checksum: func() float64 {
+			f := apputil.NewFold()
+			var sums [3]float64
+			for i, k := range puv {
+				f.Sum = 0
+				for _, b := range pvm.GatherUntracked(pv, 780, bs.loc[k].Owned()) {
+					f.Add(b)
+				}
+				sums[i] = f.Sum
+			}
+			digest = f.Digest
+			return sums[0] + 2*sums[1] + 4*sums[2]
+		},
+		Digest: func() uint64 { return digest },
 	}
-	return sum(aP) + 2*sum(aU) + 4*sum(aV)
 }
 
 func runXHPF(cfg core.Config) (core.Result, error) {
 	return apputil.RunXHPF("Shallow", core.XHPF, cfg, func(x *xhpf.XHPF) apputil.Program {
 		bs := newBandState(x.ID(), x.NProcs(), cfg.N1)
-		return apputil.Program{
-			Iterate:  func(k int) { bs.step(x.PVM(), cfg, 700, x.LoopSync) },
-			Checksum: func() float64 { return bs.gatherChecksum(x.PVM()) },
-		}
+		return bs.program(x.PVM(), func(k int) { bs.step(x.PVM(), cfg, 700, x.LoopSync) })
 	})
 }
 
 func runPVM(cfg core.Config) (core.Result, error) {
 	return apputil.RunPVM("Shallow", core.PVMe, cfg, func(pv *pvm.PVM) apputil.Program {
 		bs := newBandState(pv.ID(), pv.NProcs(), cfg.N1)
-		return apputil.Program{
-			Iterate:  func(k int) { bs.step(pv, cfg, 740, func() {}) },
-			Checksum: func() float64 { return bs.gatherChecksum(pv) },
-		}
+		return bs.program(pv, func(k int) { bs.step(pv, cfg, 740, func() {}) })
 	})
 }

@@ -92,12 +92,12 @@ func TestMessagePassingMatchesSequential(t *testing.T) {
 }
 
 // TestEveryVersionDigests: Jacobi, RB-SOR and IGrid digest their output
-// grid and MGS its basis in every version, under both protocols, and
-// every digest is seq's — Agree compares digests, but only where both
-// records carry one, so a version that stopped computing its digest
-// would pass it unseen.
+// grid, MGS its basis and Shallow its p, u and v in every version, under
+// both protocols, and every digest is seq's — Agree compares digests,
+// but only where both records carry one, so a version that stopped
+// computing its digest would pass it unseen.
 func TestEveryVersionDigests(t *testing.T) {
-	for _, app := range []string{"Jacobi", "RB-SOR", "IGrid", "MGS"} {
+	for _, app := range []string{"Jacobi", "RB-SOR", "IGrid", "MGS", "Shallow"} {
 		a, err := exp.AppByName(app)
 		if err != nil {
 			t.Fatal(err)

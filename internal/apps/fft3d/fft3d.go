@@ -279,9 +279,9 @@ func chargeFFT(adv func(sim.Time), cfg core.Config, butterflies, touches int) {
 func sumComplex(s complex128) float64 { return real(s) + 2*imag(s) }
 
 // runSeq is the sequential version. It holds one array: the third
-// dimension's FFTs run in place in x (fft3InPlace) with no transposed
-// copy, and are charged as the parallel versions' transpose and FFTs
-// are, so its virtual time is theirs on one processor.
+// dimension's FFTs run in place in x (fft3InPlace), with no transposed
+// copy, but it still charges the transpose's n1*n2*n3 touches, as the
+// parallel versions' kernels do.
 func runSeq(cfg core.Config) (core.Result, error) {
 	kn := newKernel(cfg)
 	total := kn.n1 * kn.n2 * kn.n3

@@ -82,8 +82,7 @@ func (a app) Run(v core.Version, cfg core.Config) (core.Result, error) {
 // stencilRows computes the 4-point stencil for rows [rlo,rhi) of src
 // into dst (interior columns only). rlo and rhi are global rows; dstOff
 // and srcOff are the global rows dst and src begin at (arrays that hold
-// only a band: a private scratch array, a DSM view, a message-passing
-// processor's block and halo).
+// only a band: a DSM view, tmk's edge buffer).
 //
 // The five row slices have one length, so the inner loop carries no
 // bounds checks. The expression — 0.25*(((up+down)+left)+right), all

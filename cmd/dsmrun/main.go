@@ -51,7 +51,7 @@
 //
 // Persistent result store:
 //
-//	dsmrun -scale small -sweep "procs=1,2,4,8" -store results/ [-store-max-bytes 1073741824]
+//	dsmrun -scale small -sweep "procs=1,2,4,8" -store results/
 //
 // -store DIR opens (creating if needed) a disk-backed record store
 // shared across runs, processes and the sweep fabric: sweep specs whose
@@ -71,11 +71,11 @@
 // previous fsync, whichever comes first — so a power loss costs at most
 // the records since then, which the next sweep recomputes.
 // The directory holds one segment file, records.log (a store written
-// before that layout reads as empty; its files are left alone).
-// -store-max-bytes bounds the segment, dropping the oldest-appended
-// records first (0: unbounded). With -metrics-addr or -metrics-dump the
-// "store" section reports hits, misses, puts, evictions, corrupt
-// frames, resident bytes, and fsyncs with their total time.
+// before that layout reads as empty; its files are left alone). Every
+// record can be recomputed, so the segment has no size cap: remove the
+// directory to reclaim its space. With -metrics-addr or -metrics-dump
+// the "store" section reports hits, misses, puts, corrupt frames,
+// resident bytes, and fsyncs with their total time.
 //
 // Host telemetry:
 //
@@ -211,7 +211,6 @@ func main() {
 	trace := flag.String("trace", "", "write the run's event trace as Chrome trace_event JSON to this file (single run)")
 	breakdown := flag.Bool("breakdown", false, "print the per-node time attribution (single run) or add bd_* fields (sweep)")
 	storeDir := flag.String("store", "", "persistent result store directory: records are served from disk across runs and processes (and written back)")
-	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, oldest records first (0: unbounded)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/* on this address (e.g. :9090)")
 	progress := flag.Bool("progress", false, "print the sweep's progress to stderr once a second")
 	metricsDump := flag.String("metrics-dump", "", "write the final telemetry JSON document (what /metrics serves) to this file")
@@ -258,7 +257,7 @@ func main() {
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
-		if st, err = store.Open(*storeDir, exp.StoreOptions(*storeMax)); err != nil {
+		if st, err = store.Open(*storeDir, exp.StoreOptions(0)); err != nil {
 			fatal(err)
 		}
 		defer st.Close()

@@ -3,7 +3,7 @@
 // them through the internal/exp engine (spec-keyed result cache
 // intact) and streaming back stamped JSON-lines records.
 //
-//	sweepd -listen :9190 [-store DIR [-store-max-bytes N]]
+//	sweepd -listen :9190 [-store DIR]
 //
 // Endpoints:
 //
@@ -27,9 +27,7 @@
 // dsmrun -store): leased specs whose record is already on disk stream
 // back without executing, and executed records are written back, so a
 // warm worker answers a repeated sweep from disk. Written records are
-// fsynced at the end of each lease, not one by one. -store-max-bytes
-// bounds the directory, dropping the oldest-appended records first (0:
-// unbounded).
+// fsynced at the end of each lease, not one by one.
 //
 // Shutdown: on SIGINT or SIGTERM the daemon drains — new leases (and
 // health checks) answer 503 so the coordinator reassigns around it,
@@ -67,7 +65,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":9190", "address to serve the worker endpoints on")
 	storeDir := flag.String("store", "", "persistent result store directory: serve leased specs from disk (and write executed records back)")
-	storeMax := flag.Int64("store-max-bytes", 0, "evict the -store directory down to this many bytes, oldest records first (0: unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound on finishing the in-flight lease")
 	killAfter := flag.Int64("kill-after", 0, "fault injection: exit(3) after streaming this many records (0: never)")
 	flag.Parse()
@@ -78,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweepd: "+format+"\n", args...)
 	}
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, exp.StoreOptions(*storeMax))
+		st, err := store.Open(*storeDir, exp.StoreOptions(0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sweepd:", err)
 			os.Exit(1)

@@ -26,13 +26,15 @@ import (
 // ones), and Checksum is the untimed postlude. Under the SPF fork-join
 // runtime it is the master's main program. Under message passing every
 // process evaluates Checksum, which gathers; process 0's value is the
-// result. A nil Checksum gives 0. Digest, when set, is evaluated on
-// process 0 right after Checksum and gives the result's digest: Digest
-// of the output array, which Checksum may keep for it when it gathers.
+// result. A nil Checksum gives 0. Digest and WSum, when set, are
+// evaluated on process 0 right after Checksum, over what Checksum may
+// keep for them when it gathers: the result's Digest of the output
+// array and core.Result.WSum.
 type Program struct {
 	Iterate  func(k int)
 	Checksum func() float64
 	Digest   func() uint64
+	WSum     func() float64
 }
 
 // process is one simulated process as the protocol sees it.
@@ -52,6 +54,7 @@ type measurement struct {
 	dsm    *tmk.System
 	sum    float64 // process 0's checksum
 	digest uint64  // process 0's digest
+	wsum   float64 // process 0's position-weighted sum
 }
 
 // unsynced is the boundary of a run whose one timed process has nobody
@@ -95,6 +98,9 @@ func (m *measurement) measure(pr process, p Program, boundary func(step int), ga
 			if p.Digest != nil {
 				m.digest = p.Digest()
 			}
+			if p.WSum != nil {
+				m.wsum = p.WSum()
+			}
 		}
 	}
 }
@@ -108,7 +114,7 @@ func (m *measurement) finish(app string, v core.Version, procs int, err error) (
 		return core.Result{}, err
 	}
 	res := core.Result{App: app, Version: v, Procs: procs, Time: m.reg.Elapsed(), Stats: m.reg.Traffic(),
-		Checksum: m.sum, Digest: m.digest}
+		Checksum: m.sum, Digest: m.digest, WSum: m.wsum}
 	if tr := m.cfg.Costs.Trace; tr.Enabled() {
 		res.Trace, res.Breakdown = tr, tr.Attribute(m.reg.Windows(procs))
 	}

@@ -205,6 +205,21 @@ func coordSum(x, y, z []float32) float64 {
 	return apputil.Sum64(x) + 2*apputil.Sum64(y) + 4*apputil.Sum64(z)
 }
 
+// wsum is the run's position-weighted sum (core.Result.WSum): Σ wₖ·vₖ
+// in float64 over x, then y, then z, with wₖ = 1 + hash32(k)/2³² fixed
+// by the value's place k. Unlike coordSum it moves when two molecules
+// trade places.
+func wsum(x, y, z []float32) float64 {
+	s, k := 0.0, uint32(0)
+	for _, c := range [3][]float32{x, y, z} {
+		for _, v := range c {
+			s += (1 + float64(hash32(k))/(1<<32)) * float64(v)
+			k++
+		}
+	}
+	return s
+}
+
 // forceBlockDSM is the force phase against shared regions: the local
 // window is range-validated once (the checks a compiler hoists), and the
 // sparse far partners are demand-faulted page by page, exactly as
@@ -273,6 +288,7 @@ func runSeq(cfg core.Config, lists [][]int32) (core.Result, error) {
 				tm.Advance(apputil.Cost(m, cfg.App.NBFUpdate))
 			},
 			Checksum: func() float64 { return coordSum(x, y, z) },
+			WSum:     func() float64 { return wsum(x, y, z) },
 		}
 	})
 }
@@ -295,6 +311,7 @@ func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 			initCoords(x.Write(0, m), y.Write(0, m), z.Write(0, m))
 		}
 		tm.Barrier()
+		var xs, ys, zs []float32 // the coordinates the checksum read, for wsum
 		return apputil.Program{
 			Iterate: func(k int) {
 				// Force phase: window range-validated, far partners
@@ -316,8 +333,10 @@ func runTmk(cfg core.Config, lists [][]int32) (core.Result, error) {
 				tm.Barrier()
 			},
 			Checksum: func() float64 {
-				return coordSum(x.Read(0, m), y.Read(0, m), z.Read(0, m))
+				xs, ys, zs = x.Read(0, m), y.Read(0, m), z.Read(0, m)
+				return coordSum(xs, ys, zs)
 			},
+			WSum: func() float64 { return wsum(xs, ys, zs) },
 		}
 	})
 }
@@ -362,14 +381,17 @@ func runSPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 		if rt.IsMaster() {
 			initCoords(x.Write(0, m), y.Write(0, m), z.Write(0, m))
 		}
+		var xs, ys, zs []float32 // the coordinates the checksum read, for wsum
 		return apputil.Program{
 			Iterate: func(k int) {
 				rt.ParallelDo(forceLoop, 0, m, spf.Block)
 				rt.ParallelDo(moveLoop, 0, m, spf.Block)
 			},
 			Checksum: func() float64 {
-				return coordSum(x.Read(0, m), y.Read(0, m), z.Read(0, m))
+				xs, ys, zs = x.Read(0, m), y.Read(0, m), z.Read(0, m)
+				return coordSum(xs, ys, zs)
 			},
+			WSum: func() float64 { return wsum(xs, ys, zs) },
 		}
 	})
 }
@@ -414,6 +436,7 @@ func runXHPF(cfg core.Config, lists [][]int32) (core.Result, error) {
 				}
 				return coordSum(xs, ys, zs)
 			},
+			WSum: func() float64 { return wsum(xs, ys, zs) },
 		}
 	})
 }
@@ -473,6 +496,7 @@ func runPVM(cfg core.Config, lists [][]int32) (core.Result, error) {
 				}
 				return coordSum(xs, ys, zs)
 			},
+			WSum: func() float64 { return wsum(xs, ys, zs) },
 		}
 	})
 }

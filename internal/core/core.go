@@ -179,6 +179,10 @@ type Result struct {
 	// index order (apputil.Digest); 0 where the application computes
 	// none.
 	Digest uint64
+	// WSum is a position-weighted sum of the output, Σ wᵢ·xᵢ with fixed
+	// wᵢ in [1, 2), for an application whose versions agree only within
+	// a tolerance (NBF); 0 where the application computes none.
+	WSum float64
 
 	// HomePolicy is the home-placement policy the run used (home-based
 	// protocol only). The activity counters below are whole-run sums

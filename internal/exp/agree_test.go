@@ -12,7 +12,8 @@ import (
 // bitwise; other pairs within the application's tolerance, which is 0
 // for all but 3-D FFT and NBF. The drifts are the largest measured
 // from seq (registry.go's tolerance table). Digests are compared only
-// where both records carry one, and then must be equal.
+// where both records carry one, and then must be equal; so are wsums,
+// within the tolerance.
 func TestAgree(t *testing.T) {
 	rec := func(app string, v core.Version, procs int, scale core.Scale, sum, rel float64) Record {
 		return Record{Spec: Spec{App: app, Version: v, Procs: procs, Scale: scale}, Checksum: sum * (1 + rel)}
@@ -23,6 +24,9 @@ func TestAgree(t *testing.T) {
 	fftSPF := rec("3-D FFT", core.SPF, 3, core.MidScale, fft, 0)
 	jacobiSeq, jacobiPVM := rec("Jacobi", core.Seq, 1, core.SmallScale, jacobi, 0), rec("Jacobi", core.PVMe, 4, core.SmallScale, jacobi, 0)
 	digested := func(r Record, d uint64) Record { r.Digest = d; return r }
+	const ws = 4593.35484414436
+	weighed := func(r Record, rel float64) Record { r.WSum = ws * (1 + rel); return r }
+	nbfPVM := rec("NBF", core.PVMe, 3, core.MidScale, nbf, 0)
 	for _, c := range []struct {
 		name      string
 		got, want Record
@@ -43,6 +47,10 @@ func TestAgree(t *testing.T) {
 		{"a digest that moved under an equal checksum", digested(jacobiPVM, 8), digested(jacobiSeq, 7), false},
 		{"a digest on one side only", digested(jacobiPVM, 8), jacobiSeq, true},
 		{"a digest on the other side only", jacobiPVM, digested(jacobiSeq, 7), true},
+		{"NBF wsum at its measured drift", weighed(nbfPVM, 3.88e-11), weighed(nbfSeq, 0), true},
+		{"NBF wsum at 10x its tolerance under an equal checksum", weighed(nbfPVM, 10*tolerance["NBF"]), weighed(nbfSeq, 0), false},
+		{"NBF wsum under another protocol: bitwise", weighed(Record{Spec: Spec{App: "NBF", Version: core.PVMe, Procs: 3, Scale: core.MidScale, Protocol: "hlrc"}, Checksum: nbf}, 3.88e-11), weighed(nbfPVM, 0), false},
+		{"a wsum on one side only", weighed(nbfPVM, 1), nbfSeq, true},
 	} {
 		if err := Agree(c.got, c.want); (err == nil) != c.agree {
 			t.Errorf("%s: Agree = %v, want agreement %v", c.name, err, c.agree)

@@ -33,7 +33,7 @@ type field struct {
 
 // numFields is the number of Record fields, the embedded Spec's
 // included; parseCanonical keeps its seen-set in one word.
-const numFields = 36
+const numFields = 37
 
 var _ [64 - numFields]struct{}
 
@@ -57,6 +57,7 @@ func (r *Record) fields() [numFields]field {
 		{"diff_bytes", true, &r.DiffBytes},
 		{"checksum", false, &r.Checksum},
 		{"digest", true, &r.Digest},
+		{"wsum", true, &r.WSum},
 		{"queue_ns", true, &r.QueueNanos},
 		{"queued_msgs", true, &r.QueuedMsgs},
 		{"queue_out_ns", true, &r.QueueOutNanos},

@@ -161,7 +161,7 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 	base := Record{Spec: Spec{App: "Jacobi", Version: core.Tmk, Procs: 4, Scale: core.SmallScale, Protocol: proto.HomelessLRC}}
 	for _, f := range randomFloats {
 		r := base
-		r.TimeSeconds, r.Checksum, r.SeqSeconds, r.Speedup = f, -f, f, -f
+		r.TimeSeconds, r.Checksum, r.WSum, r.SeqSeconds, r.Speedup = f, -f, f, f, -f
 		checkAgainstMarshal(t, r)
 	}
 	for _, n := range randomInts {
@@ -205,8 +205,8 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 			floats++
 		}
 	}
-	if floats != 3*4 {
-		t.Errorf("checked %d non-finite cases, want 4 float fields x 3 values", floats)
+	if floats != 3*5 {
+		t.Errorf("checked %d non-finite cases, want 5 float fields x 3 values", floats)
 	}
 }
 
@@ -476,6 +476,7 @@ func FuzzValidateLine(f *testing.F) {
 	// digest is a uint64: its largest value, and one that does not fit.
 	f.Add([]byte(`{"app":"Jacobi","version":"seq","procs":1,"scale":"small","time_ns":1000,"time_seconds":0.000001,"msgs":0,"bytes":0,"checksum":1,"digest":18446744073709551615}`))
 	f.Add([]byte(`{"app":"Jacobi","version":"seq","procs":1,"scale":"small","time_ns":1000,"time_seconds":0.000001,"msgs":0,"bytes":0,"checksum":1,"digest":-1}`))
+	f.Add([]byte(`{"app":"NBF","version":"seq","procs":1,"scale":"small","time_ns":1000,"time_seconds":0.000001,"msgs":0,"bytes":0,"checksum":1,"wsum":4593.35484414436}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		sameVerdict(t, line)
 		// Canonical form is a subset of JSON: whatever the fast parser

@@ -459,12 +459,13 @@ type stream struct {
 // under the stream's lock, once; the other fields are the emitter's.
 type runSlot struct {
 	resolved bool
-	read     bool    // the stored record was decoded; ns, sum and digest are its own
+	read     bool    // the stored record was decoded; ns, sum, digest and wsum are its own
 	uses     int32   // requested specs still to be written from the run's record
 	en       *entry  // the run's cache entry; nil for a run the store holds
 	ns       int64   // a stored run's time_ns, for the baseline join
 	sum      float64 // a stored run's checksum, for the baseline join
 	digest   uint64  // a stored run's digest, for the baseline join
+	wsum     float64 // a stored run's wsum, for the baseline join
 	rec      *Record // a stored run's record, while a later label needs it
 }
 
@@ -515,7 +516,7 @@ func (e *Engine) record(r *stream, pos int32, rec *Record, buf *[]byte) {
 }
 
 // baseline is the record of the baseline run at pos, as far as the
-// join reads it: spec, time_ns, checksum, digest and error.
+// join reads it: spec, time_ns, checksum, digest, wsum and error.
 func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) Record {
 	sl := r.wait(pos)
 	if sl.en == nil && !sl.read {
@@ -525,7 +526,7 @@ func (e *Engine) baseline(r *stream, pos int32, buf *[]byte) Record {
 	if sl.en != nil {
 		return sl.en.rec
 	}
-	return Record{Spec: r.runs[pos].Spec, TimeNanos: sl.ns, Checksum: sl.sum, Digest: sl.digest}
+	return Record{Spec: r.runs[pos].Spec, TimeNanos: sl.ns, Checksum: sl.sum, Digest: sl.digest, WSum: sl.wsum}
 }
 
 // load sets *rec to the stored record of the run at pos, read once a
@@ -555,7 +556,7 @@ func (e *Engine) readStored(k keyed, sl *runSlot, rec *Record, buf *[]byte) bool
 		return false
 	}
 	*rec = dec
-	sl.read, sl.ns, sl.sum, sl.digest = true, dec.TimeNanos, dec.Checksum, dec.Digest
+	sl.read, sl.ns, sl.sum, sl.digest, sl.wsum = true, dec.TimeNanos, dec.Checksum, dec.Digest, dec.WSum
 	e.host.storeHits.Add(1)
 	return true
 }

@@ -20,7 +20,7 @@ import (
 // a worker built before a schema change must not silently merge its
 // records into a newer coordinator's stream, or vice versa. Bump it
 // whenever a Record field is added, removed, or changes meaning.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Record is one JSON-lines measurement: the spec that identifies the
 // run plus the timed-region observables. Field order is the wire
@@ -58,6 +58,10 @@ type Record struct {
 	// trade places, which the checksum does not. Zero (omitted) for the
 	// applications that compute none.
 	Digest uint64 `json:"digest,omitempty"`
+	// WSum is the run's position-weighted sum of its output
+	// (core.Result.WSum), held to seq's within the application's
+	// tolerance. Zero (omitted) for the applications that compute none.
+	WSum float64 `json:"wsum,omitempty"`
 
 	// Contention queueing delay, total and split by the binding
 	// resource; zero (omitted) when the contention model is off.
@@ -121,6 +125,7 @@ func RecordOf(s Spec, res core.Result, err error) Record {
 	rec.DiffBytes = res.Stats.BytesOf(stats.KindDiff)
 	rec.Checksum = res.Checksum
 	rec.Digest = res.Digest
+	rec.WSum = res.WSum
 	rec.QueueNanos = res.Stats.TotalQueueNanos()
 	rec.QueuedMsgs = res.Stats.TotalQueuedMsgs()
 	rec.QueueOutNanos = res.Stats.QueueResNanosOf(stats.QueueOut)
@@ -155,14 +160,14 @@ func RecordOf(s Spec, res core.Result, err error) Record {
 // duration and the run's speedup over it. No-op on seq and error
 // records.
 func (r *Record) JoinSeq(seq core.Result) {
-	r.JoinSeqNanos(int64(seq.Time))
+	r.joinSeqNanos(int64(seq.Time))
 }
 
-// JoinSeqNanos is JoinSeq from the baseline's raw duration, as carried
+// joinSeqNanos is JoinSeq from the baseline's raw duration, as carried
 // by a baseline record's time_ns field. It reconstructs seq_seconds
 // through time.Duration.Seconds so a join computed from a stored
 // baseline is byte-identical to one computed from a live run.
-func (r *Record) JoinSeqNanos(seqNS int64) {
+func (r *Record) joinSeqNanos(seqNS int64) {
 	if r.Error != "" || r.Version == core.Seq || r.TimeNanos == 0 {
 		return
 	}
@@ -173,7 +178,8 @@ func (r *Record) JoinSeqNanos(seqNS int64) {
 
 // Agree is the one rule by which two runs' results stand together: nil
 // when got's checksum agrees with want's and, where both records carry
-// a digest, the digests are equal. A non-finite checksum never agrees,
+// a digest, the digests are equal, and where both carry a wsum, it
+// agrees as the checksum does. A non-finite checksum never agrees,
 // so a record agrees with itself exactly when it is a number. Runs of
 // one application, scale, version and processor count differ only in
 // what must not move the answer (protocol, home policy, contention) and
@@ -195,6 +201,10 @@ func Agree(got, want Record) error {
 	}
 	if got.Digest != 0 && want.Digest != 0 && got.Digest != want.Digest {
 		return fmt.Errorf("%s: digest %d disagrees with %d of %s", got.Key(), got.Digest, want.Digest, want.Key())
+	}
+	if got.WSum != 0 && want.WSum != 0 && math.Abs(got.WSum-want.WSum) > tol*math.Abs(want.WSum) {
+		return fmt.Errorf("%s: wsum %v disagrees with %v of %s (relative tolerance %g)",
+			got.Key(), got.WSum, want.WSum, want.Key(), tol)
 	}
 	return nil
 }
@@ -225,7 +235,7 @@ func (r *Record) join(base *Record) {
 		*r = Record{Spec: r.Spec, Error: err.Error()}
 		return
 	}
-	r.JoinSeqNanos(base.TimeNanos)
+	r.joinSeqNanos(base.TimeNanos)
 }
 
 // SeqSpecOf returns the sequential-baseline spec a record of s joins

@@ -23,9 +23,11 @@ func StoreKey(s Spec, observed bool) string {
 // StoreOptions is the store configuration every CLI opens its `-store`
 // directory with: this build's record schema version, so a store
 // written by a build with a different record shape reads as empty
-// rather than serving stale bytes.
-func StoreOptions(maxBytes int64) store.Options {
-	return store.Options{MaxBytes: maxBytes, SchemaVersion: SchemaVersion}
+// rather than serving stale bytes. The parameter is ignored: it was the
+// store's size cap, which is gone, and stays only because the benchmark
+// module calls StoreOptions(0).
+func StoreOptions(_ int64) store.Options {
+	return store.Options{SchemaVersion: SchemaVersion}
 }
 
 // CheckStored decodes the value stored under key and checks what the

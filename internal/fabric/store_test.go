@@ -21,7 +21,7 @@ func stalledWorker(t *testing.T, d time.Duration) (*Worker, string) {
 	t.Helper()
 	w := NewWorker(nil)
 	w.Workers = 2
-	w.StallPerRecord = d
+	w.stallPerRecord = d
 	srv := httptest.NewServer(w.Handler())
 	t.Cleanup(srv.Close)
 	return w, srv.URL
@@ -137,7 +137,7 @@ func TestDrainFinishesInflightLease(t *testing.T) {
 	w := NewWorker(nil)
 	w.Workers = 2
 	w.Store = st
-	w.StallPerRecord = 50 * time.Millisecond
+	w.stallPerRecord = 50 * time.Millisecond
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 

@@ -34,9 +34,9 @@ type Worker struct {
 	// and executed records are written back. Set before the first lease
 	// (engines capture it at creation).
 	Store *store.Store
-	// StallPerRecord, when > 0, sleeps that long per streamed record —
+	// stallPerRecord, when > 0, sleeps that long per streamed record —
 	// a test hook that makes this worker deliberately slow.
-	StallPerRecord time.Duration
+	stallPerRecord time.Duration
 
 	// KillAfterRecords > 0 injects a fault: after streaming that many
 	// records (across all leases), the worker invokes Kill. The default
@@ -241,7 +241,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	out := &flushWriter{w: rw}
 	stats, err := eng.StreamWith(out, specs, func(rec *exp.Record) {
-		if d := w.StallPerRecord; d > 0 {
+		if d := w.stallPerRecord; d > 0 {
 			time.Sleep(d)
 		}
 		rec.SchemaVersion = exp.SchemaVersion

@@ -17,7 +17,7 @@ import (
 // but measured from the event trace rather than from per-subsystem
 // timers. It reads observed records (bd_* fields), so it needs an
 // observing engine.
-var breakdown = Table{Name: "breakdown", Observe: true, Specs: figureSpecs(breakdownApps), Render: renderBreakdown}
+var breakdown = Table{Name: "breakdown", Observe: true, Specs: figureSpecs(breakdownApps), render: renderBreakdown}
 
 // breakdownApps are the paper's applications in its order.
 var breakdownApps = append(append([]string{}, RegularApps...), IrregularApps...)

@@ -39,7 +39,7 @@ func CompiledPairs() (out [][2]core.Version) {
 // compiler prints the compiled-vs-hand comparison, each hand-coded
 // version's record followed by its generated one. A generated checksum
 // that differs from the hand-coded one (exp.Agree) refuses the table.
-var compiler = Table{Name: "compiler", Specs: compilerSpecs, Render: renderCompiler}
+var compiler = Table{Name: "compiler", Specs: compilerSpecs, render: renderCompiler}
 
 func compilerSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range compiledApps() {

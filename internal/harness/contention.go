@@ -77,7 +77,7 @@ func contentionColumns(v core.Version, p proto.Name) []contentionColumn {
 // the table.
 // The base contention (dsmrun -contention) is separate: it puts every
 // other table on the contended SP/2.
-var contention = Table{Name: "contention", Specs: contentionSpecs, Render: renderContention}
+var contention = Table{Name: "contention", Specs: contentionSpecs, render: renderContention}
 
 func contentionSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, name := range contentionApps {

@@ -150,7 +150,7 @@ func goldenRecs(t *testing.T, specs []exp.Spec) []exp.Record {
 func renderGolden(t *testing.T) string {
 	var out strings.Builder
 	for _, tab := range tables {
-		if err := tab.Render(&out, smallBase, goldenRecs(t, tab.Specs(smallBase))); err != nil {
+		if err := tab.render(&out, smallBase, goldenRecs(t, tab.Specs(smallBase))); err != nil {
 			t.Fatalf("%s: %v", tab.Name, err)
 		}
 		out.WriteString("\n")

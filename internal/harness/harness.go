@@ -18,18 +18,18 @@ import (
 // serves it without simulating.
 type Table struct {
 	Name string
-	// Paper marks the paper's own tables and figures: the ones the
+	// paper marks the paper's own tables and figures: the ones the
 	// name "paper" selects.
-	Paper bool
+	paper bool
 	// Observe marks a table that reads the time attribution (the bd_*
 	// fields): its records come from an observing engine.
 	Observe bool
 	// Specs lists the table's runs under base.
 	Specs func(base exp.Spec) []exp.Spec
-	// Render prints the table from recs, the records of Specs(base) in
+	// render prints the table from recs, the records of Specs(base) in
 	// order. Records that break the table's invariant are refused: it
 	// returns the error and prints nothing.
-	Render func(w io.Writer, base exp.Spec, recs []exp.Record) error
+	render func(w io.Writer, base exp.Spec, recs []exp.Record) error
 }
 
 // Print prints the table under base, reading its records through e.
@@ -41,7 +41,7 @@ func (t Table) Print(w io.Writer, e *exp.Engine, base exp.Spec) error {
 	if err != nil {
 		return err
 	}
-	return t.Render(w, base, recs)
+	return t.render(w, base, recs)
 }
 
 // records reads the records of specs in order through e's stream, so a
@@ -53,7 +53,7 @@ func records(e *exp.Engine, specs []exp.Spec) ([]exp.Record, error) {
 	return recs, err
 }
 
-// tables lists every experiment; "paper" selects the Paper ones in this
+// tables lists every experiment; "paper" selects the paper ones in this
 // order.
 var tables = []Table{
 	table1, figure1, table2, figure2, table3, HandOpt, Interface,
@@ -61,7 +61,7 @@ var tables = []Table{
 }
 
 // Select resolves a comma-separated list of table names to the tables,
-// in the order named. The name "paper" stands for the Paper tables, in
+// in the order named. The name "paper" stands for the paper tables, in
 // tables order. Every name is checked before any table runs: a typo
 // late in the list must not cost the tables before it.
 func Select(list string) ([]Table, error) {
@@ -69,7 +69,7 @@ func Select(list string) ([]Table, error) {
 	for _, name := range strings.Split(list, ",") {
 		n, want := len(out), strings.TrimSpace(name)
 		for _, t := range tables {
-			if t.Name == want || (want == "paper" && t.Paper) {
+			if t.Name == want || (want == "paper" && t.paper) {
 				out = append(out, t)
 			}
 		}
@@ -135,7 +135,7 @@ func scaleNote(s core.Scale) string {
 }
 
 // table1 prints data-set sizes and sequential times (paper Table 1).
-var table1 = Table{Name: "table1", Paper: true, Specs: table1Specs, Render: renderTable1}
+var table1 = Table{Name: "table1", paper: true, Specs: table1Specs, render: renderTable1}
 
 func table1Specs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range exp.PaperApps() {
@@ -206,12 +206,12 @@ func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record)
 }
 
 // figure1 prints 8-processor speedups for the regular applications.
-var figure1 = Table{Name: "figure1", Paper: true, Specs: figureSpecs(RegularApps),
-	Render: figure("Figure 1: Speedups, regular applications (paper vs measured)", RegularApps)}
+var figure1 = Table{Name: "figure1", paper: true, Specs: figureSpecs(RegularApps),
+	render: figure("Figure 1: Speedups, regular applications (paper vs measured)", RegularApps)}
 
 // figure2 prints 8-processor speedups for the irregular applications.
-var figure2 = Table{Name: "figure2", Paper: true, Specs: figureSpecs(IrregularApps),
-	Render: figure("Figure 2: Speedups, irregular applications (paper vs measured)", IrregularApps)}
+var figure2 = Table{Name: "figure2", paper: true, Specs: figureSpecs(IrregularApps),
+	render: figure("Figure 2: Speedups, irregular applications (paper vs measured)", IrregularApps)}
 
 func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record) error {
 	return func(w io.Writer, base exp.Spec, recs []exp.Record) error {
@@ -240,12 +240,12 @@ func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record
 }
 
 // table2 prints message and data totals for the regular applications.
-var table2 = Table{Name: "table2", Paper: true, Specs: figureSpecs(RegularApps),
-	Render: traffic("Table 2: Message totals and data totals (KB), regular applications", RegularApps)}
+var table2 = Table{Name: "table2", paper: true, Specs: figureSpecs(RegularApps),
+	render: traffic("Table 2: Message totals and data totals (KB), regular applications", RegularApps)}
 
 // table3 prints message and data totals for the irregular applications.
-var table3 = Table{Name: "table3", Paper: true, Specs: figureSpecs(IrregularApps),
-	Render: traffic("Table 3: Message totals and data totals (KB), irregular applications", IrregularApps)}
+var table3 = Table{Name: "table3", paper: true, Specs: figureSpecs(IrregularApps),
+	render: traffic("Table 3: Message totals and data totals (KB), irregular applications", IrregularApps)}
 
 // HandOptCase is one §5 hand-optimization experiment: an application's
 // hand-optimized version, measured against the version it varies
@@ -253,7 +253,7 @@ var table3 = Table{Name: "table3", Paper: true, Specs: figureSpecs(IrregularApps
 type HandOptCase struct {
 	App  string
 	Opt  core.Version
-	Note string
+	note string
 }
 
 // HandOptCases are the paper's §5 experiments, in its order.
@@ -265,7 +265,7 @@ var HandOptCases = []HandOptCase{
 }
 
 // HandOpt prints the §5 hand-optimization results.
-var HandOpt = Table{Name: "handopt", Paper: true, Specs: handOptSpecs, Render: renderHandOpt}
+var HandOpt = Table{Name: "handopt", paper: true, Specs: handOptSpecs, render: renderHandOpt}
 
 func handOptSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, c := range HandOptCases {
@@ -288,7 +288,7 @@ func renderHandOpt(w io.Writer, base exp.Spec, recs []exp.Record) error {
 		before := speedup(res.of(at(base, c.App, v)), seq)
 		after := speedup(res.of(at(base, c.App, c.Opt)), seq)
 		fmt.Fprintf(w, "%-9s | %-34s | %8.2f %9.2f | %8.2f %9.2f\n",
-			c.App, c.Note, paperSpeedup[c.App][v], before, paperSpeedup[c.App][c.Opt], after)
+			c.App, c.note, paperSpeedup[c.App][v], before, paperSpeedup[c.App][c.Opt], after)
 	}
 	return nil
 }
@@ -296,7 +296,7 @@ func renderHandOpt(w io.Writer, base exp.Spec, recs []exp.Record) error {
 // Interface prints the §2.3 compiler-interface ablation: the improved
 // fork-join interface (2(n-1) messages per loop) against the original
 // (8(n-1)), measured on Jacobi.
-var Interface = Table{Name: "interface", Paper: true, Specs: interfaceSpecs, Render: renderInterface}
+var Interface = Table{Name: "interface", paper: true, Specs: interfaceSpecs, render: renderInterface}
 
 func interfaceSpecs(base exp.Spec) []exp.Spec {
 	return []exp.Spec{at(base, "Jacobi", core.Seq), at(base, "Jacobi", core.SPFOld), at(base, "Jacobi", core.SPF)}
@@ -322,7 +322,7 @@ var scalabilityProcCounts = []int{2, 4, 8}
 // the speedup curve of every version — the paper's §8 closes by
 // anticipating behaviour "when scaling to a large number of processors";
 // this experiment extends the evaluation in that direction.
-var scalability = Table{Name: "scalability", Specs: scalabilitySpecs, Render: renderScalability}
+var scalability = Table{Name: "scalability", Specs: scalabilitySpecs, render: renderScalability}
 
 func scalabilitySpecs(base exp.Spec) []exp.Spec {
 	specs := []exp.Spec{at(base, scalabilityApp, core.Seq)}

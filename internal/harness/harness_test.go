@@ -136,7 +136,7 @@ func TestTablesMatchGolden(t *testing.T) {
 	}
 }
 
-// TestSelect: "paper" stands for the Paper tables in tables order,
+// TestSelect: "paper" stands for the paper tables in tables order,
 // other names keep the order given, and an unknown name is refused
 // with the list of every name.
 func TestSelect(t *testing.T) {
@@ -197,7 +197,7 @@ func TestTablesRefuseADivergentChecksum(t *testing.T) {
 		want := fmt.Sprintf("%s: checksum %v disagrees with %v of %s (relative tolerance 0)",
 			recs[c.flip].Key(), recs[c.flip].Checksum, recs[0].Checksum, recs[0].Key())
 		var sb strings.Builder
-		if err := c.tab.Render(&sb, smallBase, recs); err == nil || err.Error() != want || sb.Len() != 0 {
+		if err := c.tab.render(&sb, smallBase, recs); err == nil || err.Error() != want || sb.Len() != 0 {
 			t.Errorf("%s: error = %v, want %q, and nothing rendered:\n%s", c.tab.Name, err, want, sb.String())
 		}
 	}

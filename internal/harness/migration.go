@@ -38,7 +38,7 @@ var migrationProcCounts = []int{1, 2, 4, 8}
 // run's diff traffic (diff_bytes), under the hlrc protocol the eager
 // diff flushes to the homes. The base home policy (dsmrun -homepolicy,
 // with -protocol hlrc) is the one every other table runs under.
-var migration = Table{Name: "migration", Specs: migrationSpecs, Render: renderMigration}
+var migration = Table{Name: "migration", Specs: migrationSpecs, render: renderMigration}
 
 func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
 	base.Protocol = proto.HomeLRC // the only protocol with homes

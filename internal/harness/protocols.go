@@ -37,7 +37,7 @@ func DSMVersionOf(a core.App) core.Version {
 // across protocols (exp.Agree) refuses the table. The base protocol
 // (dsmrun -protocol; lrc, the paper's, by default) is the one every
 // other table runs under.
-var protocols = Table{Name: "protocols", Specs: protocolSpecs, Render: renderProtocols}
+var protocols = Table{Name: "protocols", Specs: protocolSpecs, render: renderProtocols}
 
 func protocolSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range exp.PaperApps() {

@@ -2,79 +2,79 @@ package loopc
 
 import "fmt"
 
-// Class is the analyzer's verdict on a nest's row loop — the loop the
+// nestClass is the analyzer's verdict on a nest's row loop — the loop the
 // backends distribute.
-type Class int
+type nestClass int
 
 const (
-	// DOALL: no row-carried dependence; iterations may run in parallel.
-	DOALL Class = iota
-	// Reduction: DOALL except for recognized scalar reductions, which
+	// classDOALL: no row-carried dependence; iterations may run in parallel.
+	classDOALL nestClass = iota
+	// classReduction: DOALL except for recognized scalar reductions, which
 	// the backends lower to combining trees.
-	Reduction
-	// Serial: a row-carried or unanalyzable dependence; the nest runs
+	classReduction
+	// classSerial: a row-carried or unanalyzable dependence; the nest runs
 	// sequentially (master-only on the DSM, replicated under message
 	// passing).
-	Serial
+	classSerial
 )
 
-func (c Class) String() string {
+func (c nestClass) String() string {
 	switch c {
-	case DOALL:
+	case classDOALL:
 		return "DOALL"
-	case Reduction:
+	case classReduction:
 		return "reduction"
 	}
 	return "serial"
 }
 
-// Dep is one dependence the analyzer tested: a write paired with
-// another access to the same array inside one nest. Dist is the
+// dep is one dependence the analyzer tested: a write paired with
+// another access to the same array inside one nest. dist is the
 // distance vector (row, col) when both accesses are analyzable;
-// Analyzable is false otherwise (mismatched or constant index vars).
-// Refuted dependences are disproved by the nest's parity guard: the
+// analyzable is false otherwise (mismatched or constant index vars).
+// refuted dependences are disproved by the nest's parity guard: the
 // write and the access touch elements of different (row+col) parity.
-// WriteStmt and OtherStmt are the statement indexes of the two accesses
+// writeStmt and otherStmt are the statement indexes of the two accesses
 // within the nest, so diagnostics name the offending statements.
-type Dep struct {
+type dep struct {
 	Array      string
-	Dist       [2]int
-	Analyzable bool
-	Refuted    bool
-	WriteStmt  int
-	OtherStmt  int
+	dist       [2]int
+	analyzable bool
+	refuted    bool
+	writeStmt  int
+	otherStmt  int
 }
 
-// Carried reports whether the dependence constrains row parallelism:
+// carried reports whether the dependence constrains row parallelism:
 // unanalyzable, or a nonzero row distance, unless parity-refuted.
-func (d Dep) Carried() bool {
-	if d.Refuted {
+func (d dep) carried() bool {
+	if d.refuted {
 		return false
 	}
-	return !d.Analyzable || d.Dist[0] != 0
+	return !d.analyzable || d.dist[0] != 0
 }
 
-// ArrayUse summarizes how a nest touches one array.
-type ArrayUse struct {
-	Read, Written        bool
-	MinRowOff, MaxRowOff int // over row-var-matched reads
-	// NonRowRead marks a read whose row index is not the row loop var
+// arrayUse summarizes how a nest touches one array.
+type arrayUse struct {
+	read, written        bool
+	minRowOff, maxRowOff int // over row-var-matched reads
+	// nonRowRead marks a read whose row index is not the row loop var
 	// (a constant row, or the column var). Legal in a parallel nest
 	// only for never-written arrays, but the rows it touches are
 	// unrelated to the executing slice, so the whole array must be
 	// validated on the DSM.
-	NonRowRead bool
+	nonRowRead bool
 }
 
-// NestInfo is the analysis result for one nest.
-type NestInfo struct {
+// nestInfo is the analysis result for one nest.
+type nestInfo struct {
 	Nest    *Nest
-	Class   Class
-	Why     string // Serial only: the disqualifying reason
-	WhyStmt int    // Serial only: index of the offending statement (-1 otherwise)
-	Deps    []Dep
-	Uses    map[string]*ArrayUse
-	Reduces []*Stmt // the nest's reduction statements
+	class   nestClass
+	why     string // serial only: the disqualifying reason
+	whyStmt int    // serial only: index of the offending statement (-1 otherwise)
+	deps    []dep
+	uses    map[string]*arrayUse
+	reduces []*Stmt // the nest's reduction statements
 }
 
 // mod2 is the nonnegative remainder of x by 2.
@@ -84,13 +84,13 @@ func mod2(x int) int { return ((x % 2) + 2) % 2 }
 // nest of the program writes (reads of those through unanalyzable row
 // indexes cannot be satisfied from a replicated copy, so they serialize
 // the nest).
-func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *NestInfo {
-	info := &NestInfo{Nest: nst, WhyStmt: -1, Uses: map[string]*ArrayUse{}}
-	use := func(name string) *ArrayUse {
-		u := info.Uses[name]
+func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *nestInfo {
+	info := &nestInfo{Nest: nst, whyStmt: -1, uses: map[string]*arrayUse{}}
+	use := func(name string) *arrayUse {
+		u := info.uses[name]
 		if u == nil {
-			u = &ArrayUse{}
-			info.Uses[name] = u
+			u = &arrayUse{}
+			info.uses[name] = u
 		}
 		return u
 	}
@@ -105,19 +105,19 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *NestInfo {
 	}
 	var accs []acc
 	serialize := func(stmt int, why string) {
-		if info.Class != Serial {
-			info.Class = Serial
-			info.Why = fmt.Sprintf("stmt %d: %s", stmt, why)
-			info.WhyStmt = stmt
+		if info.class != classSerial {
+			info.class = classSerial
+			info.why = fmt.Sprintf("stmt %d: %s", stmt, why)
+			info.whyStmt = stmt
 		}
 	}
 	for si, s := range nst.Stmts {
 		if s.ReduceInto != "" {
-			info.Reduces = append(info.Reduces, s)
+			info.reduces = append(info.reduces, s)
 		} else {
 			accs = append(accs, acc{s.LHS, true, si})
 			u := use(s.LHS.Array)
-			u.Written = true
+			u.written = true
 			// Owner-computes needs the written row to be the iteration's
 			// own row.
 			if s.LHS.Row.Var != nst.Row.Var || s.LHS.Row.Off != 0 {
@@ -129,20 +129,20 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *NestInfo {
 			accs = append(accs, acc{a, false, si})
 			u := use(a.Array)
 			if a.Row.Var == nst.Row.Var {
-				if !u.Read || a.Row.Off < u.MinRowOff {
-					u.MinRowOff = a.Row.Off
+				if !u.read || a.Row.Off < u.minRowOff {
+					u.minRowOff = a.Row.Off
 				}
-				if !u.Read || a.Row.Off > u.MaxRowOff {
-					u.MaxRowOff = a.Row.Off
+				if !u.read || a.Row.Off > u.maxRowOff {
+					u.maxRowOff = a.Row.Off
 				}
 			} else {
-				u.NonRowRead = true
+				u.nonRowRead = true
 				if writtenAnywhere[a.Array] {
 					// A replicated/owner copy cannot serve this read.
 					serialize(si, fmt.Sprintf("read %s through non-row index %q", a.Array, a.Row.Var))
 				}
 			}
-			u.Read = true
+			u.read = true
 		})
 	}
 
@@ -160,35 +160,35 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *NestInfo {
 			if a.a.Array != w.a.Array || (a.write && a.a == w.a) {
 				continue
 			}
-			d := Dep{Array: w.a.Array, WriteStmt: w.stmt, OtherStmt: a.stmt}
+			d := dep{Array: w.a.Array, writeStmt: w.stmt, otherStmt: a.stmt}
 			if analyzable(w.a) && analyzable(a.a) {
-				d.Analyzable = true
-				d.Dist = [2]int{w.a.Row.Off - a.a.Row.Off, w.a.Col.Off - a.a.Col.Off}
+				d.analyzable = true
+				d.dist = [2]int{w.a.Row.Off - a.a.Row.Off, w.a.Col.Off - a.a.Col.Off}
 				if nst.Guard != nil {
 					// Under the guard, iteration parity (row+col) is fixed,
 					// so the element parities the two accesses touch are
 					// fixed too; different parities never alias.
 					pw := mod2(nst.Guard.Rem + w.a.Row.Off + w.a.Col.Off)
 					pa := mod2(nst.Guard.Rem + a.a.Row.Off + a.a.Col.Off)
-					d.Refuted = pw != pa
+					d.refuted = pw != pa
 				}
 			}
-			info.Deps = append(info.Deps, d)
-			if d.Carried() {
+			info.deps = append(info.deps, d)
+			if d.carried() {
 				serialize(w.stmt, fmt.Sprintf("row-carried dependence on %s against stmt %d (distance %v)",
-					d.Array, a.stmt, d.Dist))
+					d.Array, a.stmt, d.dist))
 			}
 		}
 	}
 
-	if info.Class != Serial && len(info.Reduces) > 0 {
-		info.Class = Reduction
+	if info.class != classSerial && len(info.reduces) > 0 {
+		info.class = classReduction
 	}
 	return info
 }
 
-// Analyze validates a program and classifies every nest.
-func Analyze(p *Program) ([]*NestInfo, error) {
+// analyze validates a program and classifies every nest.
+func analyze(p *Program) ([]*nestInfo, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -200,7 +200,7 @@ func Analyze(p *Program) ([]*NestInfo, error) {
 			}
 		}
 	}
-	infos := make([]*NestInfo, len(p.Nests))
+	infos := make([]*nestInfo, len(p.Nests))
 	for i, nst := range p.Nests {
 		infos[i] = analyzeNest(nst, written)
 	}

@@ -54,14 +54,14 @@ type Divergence struct {
 	Version  core.Version
 	Procs    int
 	Protocol proto.Name
-	Policy   proto.PolicyName
+	policy   proto.PolicyName
 	Kind     string // "checksum" or "nondeterminism"
-	Detail   string
+	detail   string
 }
 
 func (d Divergence) String() string {
 	return fmt.Sprintf("%s: %s procs=%d proto=%s policy=%s: %s: %s",
-		d.Program, d.Version, d.Procs, d.Protocol, d.Policy, d.Kind, d.Detail)
+		d.Program, d.Version, d.Procs, d.Protocol, d.policy, d.Kind, d.detail)
 }
 
 // runConfig is one point of the configuration lattice.
@@ -117,9 +117,9 @@ func Check(ps *gen.ProgramSpec, opts Options) ([]Divergence, error) {
 			divs = append(divs, Divergence{
 				Program: ps.Name, Seed: ps.Seed,
 				Version: rc.version, Procs: rc.procs,
-				Protocol: rc.protocol, Policy: rc.policy,
+				Protocol: rc.protocol, policy: rc.policy,
 				Kind:   "checksum",
-				Detail: fmt.Sprintf("got %x, oracle %x", first.Checksum, want),
+				detail: fmt.Sprintf("got %x, oracle %x", first.Checksum, want),
 			})
 			continue // determinism of a wrong answer is uninteresting
 		}
@@ -143,9 +143,9 @@ func Check(ps *gen.ProgramSpec, opts Options) ([]Divergence, error) {
 				divs = append(divs, Divergence{
 					Program: ps.Name, Seed: ps.Seed,
 					Version: rc.version, Procs: rc.procs,
-					Protocol: rc.protocol, Policy: rc.policy,
+					Protocol: rc.protocol, policy: rc.policy,
 					Kind:   "nondeterminism",
-					Detail: fmt.Sprintf("repeat %d: %s", rep, why),
+					detail: fmt.Sprintf("repeat %d: %s", rep, why),
 				})
 				break
 			}

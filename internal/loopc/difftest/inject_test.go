@@ -21,19 +21,46 @@ func specSize(ps *gen.ProgramSpec) int {
 	return size
 }
 
+// doubled returns a copy of ps with one literal of nest arg mod the
+// nest count doubled, literal arg mod that nest's count, or nil when
+// the nest has none.
+func doubled(ps *gen.ProgramSpec, arg int) *gen.ProgramSpec {
+	m := ps.Clone()
+	ns := m.Nests[arg%len(m.Nests)]
+	var lits []*float64
+	var walk func(e *gen.ExprSpec)
+	walk = func(e *gen.ExprSpec) {
+		if e != nil {
+			if e.Lit != nil {
+				lits = append(lits, e.Lit)
+			}
+			walk(e.L)
+			walk(e.R)
+		}
+	}
+	for si := range ns.Stmts {
+		walk(ns.Stmts[si].RHS)
+	}
+	if len(lits) == 0 {
+		return nil
+	}
+	*lits[arg%len(lits)] *= 2
+	return m
+}
+
 // tamperedOracle fabricates a divergence without touching any product
 // code: it compares the real spf-gen run against the oracle of a copy
-// whose first reachable literal is doubled (via Mutate's literal-scale
-// edit) — the observable a genuine constant-folding bug in the code
-// generator would produce. Programs where no literal reaches the
+// whose first reachable literal is doubled (doubled, the mutation
+// fuzzer's literal-scale edit) — the observable a genuine
+// constant-folding bug in the code generator would produce. Programs where no literal reaches the
 // checksum don't fail, so the minimizer is forced to keep a live one.
 func tamperedOracle(t *testing.T, procs int) func(*gen.ProgramSpec) bool {
 	t.Helper()
 	return func(ps *gen.ProgramSpec) bool {
-		base := string(gen.Mutate(ps, nil).JSON())
+		base := string(ps.JSON())
 		var tam *gen.ProgramSpec
-		for arg := byte(1); arg < 32; arg += 4 { // factor-2 scale, rotating nests
-			if c := gen.Mutate(ps, []byte{9, arg}); string(c.JSON()) != base {
+		for arg := 1; arg < 32; arg += 4 { // rotating nests and literals
+			if c := doubled(ps, arg); c != nil && string(c.JSON()) != base {
 				tam = c
 				break
 			}
@@ -56,7 +83,7 @@ func tamperedOracle(t *testing.T, procs int) func(*gen.ProgramSpec) bool {
 		if err != nil {
 			return false
 		}
-		want, err := loopc.Oracle(p, tam.N, tam.Iters+gen.Warmup, procs, loopc.SPFPartition)
+		want, err := loopc.Oracle(p, tam.N, tam.Iters+cfg.Warmup, procs, loopc.PartitionFor(core.SPFGen))
 		if err != nil {
 			return false
 		}
@@ -100,7 +127,7 @@ func TestInjectedDivergenceShrinksToRepro(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "failures")
 	path, err := WriteRepro(dir, min, []Divergence{{
 		Program: min.Name, Seed: min.Seed, Version: core.SPFGen, Procs: procs,
-		Kind: "checksum", Detail: "injected: compared against a doubled-literal oracle",
+		Kind: "checksum", detail: "injected: compared against a doubled-literal oracle",
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func (a *App) Name() string { return a.ps.Name }
 // carried in its spec, so every scale maps to it (the corpus is sized
 // like SmallScale and meant for correctness work, not modeling).
 func (a *App) Config(scale core.Scale, procs int) core.Config {
-	return core.Config{Procs: procs, N1: a.ps.N, Iters: a.ps.Iters, Warmup: Warmup}
+	return core.Config{Procs: procs, N1: a.ps.N, Iters: a.ps.Iters, Warmup: warmup}
 }
 
 func (a *App) Versions() []core.Version {
@@ -101,5 +101,5 @@ func (a *App) ExpectedChecksum(v core.Version, procs int) (float64, error) {
 	if part == nil {
 		return 0, fmt.Errorf("gen: %s: no oracle partition for version %q", a.ps.Name, v)
 	}
-	return loopc.Oracle(a.p, a.ps.N, a.ps.Iters+Warmup, procs, part)
+	return loopc.Oracle(a.p, a.ps.N, a.ps.Iters+warmup, procs, part)
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/loopc"
 	"repro/internal/model"
 )
 
@@ -206,43 +205,5 @@ func TestStmtIndexedErrors(t *testing.T) {
 	err = p.Validate()
 	if err == nil || !strings.Contains(err.Error(), "stmt 0") {
 		t.Fatalf("want stmt-indexed validate error, got %v", err)
-	}
-}
-
-// TestSerialAnalysisNamesStmt: loopc analysis reports which statement
-// serialized a nest.
-func TestSerialAnalysisNamesStmt(t *testing.T) {
-	ps := MustParse(`{
-  "seed": 0, "name": "serial-probe", "n": 16, "iters": 1,
-  "arrays": [{"name": "a", "init": "edges"}],
-  "nests": [{
-    "name": "n0",
-    "row": {"var": "i", "lo": {"ncoeff":0,"const":1}, "hi": {"ncoeff":1,"const":-1}},
-    "col": {"var": "j", "lo": {"ncoeff":0,"const":1}, "hi": {"ncoeff":1,"const":-1}},
-    "stmts": [
-      {"lhs": {"array":"a","row":{"var":"i","off":0},"col":{"var":"j","off":0}},
-       "rhs": {"ref": {"array":"a","row":{"var":"i","off":0},"col":{"var":"j","off":0}}}},
-      {"lhs": {"array":"a","row":{"var":"i","off":0},"col":{"var":"j","off":0}},
-       "rhs": {"ref": {"array":"a","row":{"var":"i","off":-1},"col":{"var":"j","off":0}}}}
-    ],
-    "point_cost_ns": 20
-  }],
-  "result": "a"
-}`)
-	p, err := ps.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	infos, err := loopc.Analyze(p)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	info := infos[0]
-	if info.Class != loopc.Serial {
-		t.Fatalf("want serial nest, got %v", info.Class)
-	}
-	// Blame lands on the writing statement and names the reading one.
-	if info.WhyStmt != 0 || !strings.Contains(info.Why, "against stmt 1") {
-		t.Fatalf("want write stmt 0 blamed against read stmt 1, got WhyStmt=%d Why=%q", info.WhyStmt, info.Why)
 	}
 }

@@ -1,6 +1,6 @@
 package gen
 
-// Mutate applies a byte-driven sequence of structured edits to a copy
+// Mutate is the mutation fuzzer's edit of a spec. It applies a byte-driven sequence of structured edits to a copy
 // of ps and returns it. The result is a pure function of (ps, data) —
 // mutation fuzzing stays reproducible from the corpus entry alone — and
 // is NOT guaranteed valid: callers run Check and reject, so the fuzzer
@@ -106,4 +106,16 @@ func collectLits(ns *NestSpec) []*float64 {
 		ns.Stmts[si].RHS.walkLits(func(v *float64) { lits = append(lits, v) })
 	}
 	return lits
+}
+
+// walkLits visits every literal in the expression.
+func (e *ExprSpec) walkLits(f func(*float64)) {
+	if e == nil {
+		return
+	}
+	if e.Lit != nil {
+		f(e.Lit)
+	}
+	e.L.walkLits(f)
+	e.R.walkLits(f)
 }

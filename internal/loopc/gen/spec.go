@@ -29,10 +29,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Warmup is the untimed leading iteration count every generated
+// warmup is the untimed leading iteration count every generated
 // program's Config uses (the paper's convention). Total program
-// evolution is Warmup+Iters iterations; oracle checksums must match.
-const Warmup = 1
+// evolution is warmup+Iters iterations; oracle checksums must match.
+const warmup = 1
 
 // maxProcs is the largest processor count the validity envelope
 // guarantees: blocks at maxProcs stay at least as wide as any read's
@@ -89,18 +89,6 @@ func (e *ExprSpec) walk(f func(*AccessSpec)) {
 	}
 	e.L.walk(f)
 	e.R.walk(f)
-}
-
-// walkLits visits every literal in the expression.
-func (e *ExprSpec) walkLits(f func(*float64)) {
-	if e == nil {
-		return
-	}
-	if e.Lit != nil {
-		f(e.Lit)
-	}
-	e.L.walkLits(f)
-	e.R.walkLits(f)
 }
 
 // StmtSpec mirrors loopc.Stmt: an array assignment (LHS set) or a

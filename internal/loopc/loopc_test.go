@@ -2,6 +2,7 @@ package loopc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -180,40 +181,40 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 }
 
 func TestAnalyzeStencil(t *testing.T) {
-	infos, err := Analyze(stencilIR())
+	infos, err := analyze(stencilIR())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, info := range infos {
-		if info.Class != DOALL {
-			t.Errorf("nest %d: class %v, want DOALL (%s)", k, info.Class, info.Why)
+		if info.class != classDOALL {
+			t.Errorf("nest %d: class %v, want DOALL (%s)", k, info.class, info.why)
 		}
 	}
-	u := infos[0].Uses["data"]
-	if u == nil || u.MinRowOff != -1 || u.MaxRowOff != 1 {
+	u := infos[0].uses["data"]
+	if u == nil || u.minRowOff != -1 || u.maxRowOff != 1 {
 		t.Errorf("data read window = %+v, want [-1, 1]", u)
 	}
 	// Distance vectors: the copy nest writes data[i][j] while the
 	// stencil nest's pairs are cross-array only; within the copy nest
 	// the only pair is scratch read vs data write — different arrays,
 	// so no deps at all.
-	if len(infos[1].Deps) != 0 {
-		t.Errorf("copy nest deps = %v, want none", infos[1].Deps)
+	if len(infos[1].deps) != 0 {
+		t.Errorf("copy nest deps = %v, want none", infos[1].deps)
 	}
 }
 
 func TestAnalyzeRedBlack(t *testing.T) {
-	infos, err := Analyze(redBlackIR(true))
+	infos, err := analyze(redBlackIR(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, info := range infos {
-		if info.Class != DOALL {
-			t.Errorf("guarded sweep %d: class %v (%s), want DOALL", k, info.Class, info.Why)
+		if info.class != classDOALL {
+			t.Errorf("guarded sweep %d: class %v (%s), want DOALL", k, info.class, info.why)
 		}
 		refuted := 0
-		for _, d := range info.Deps {
-			if d.Refuted {
+		for _, d := range info.deps {
+			if d.refuted {
 				refuted++
 			}
 		}
@@ -222,68 +223,101 @@ func TestAnalyzeRedBlack(t *testing.T) {
 		}
 	}
 	// Without the guards the in-place update carries row dependences.
-	infos, err = Analyze(redBlackIR(false))
+	infos, err = analyze(redBlackIR(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, info := range infos {
-		if info.Class != Serial {
-			t.Errorf("unguarded sweep %d: class %v, want Serial", k, info.Class)
+		if info.class != classSerial {
+			t.Errorf("unguarded sweep %d: class %v, want Serial", k, info.class)
 		}
 	}
 }
 
 func TestAnalyzeReduction(t *testing.T) {
-	infos, err := Analyze(reductionIR())
+	infos, err := analyze(reductionIR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infos[0].Class != DOALL {
-		t.Errorf("inc nest: %v, want DOALL", infos[0].Class)
+	if infos[0].class != classDOALL {
+		t.Errorf("inc nest: %v, want DOALL", infos[0].class)
 	}
-	if infos[1].Class != Reduction {
-		t.Errorf("fold nest: %v, want Reduction", infos[1].Class)
+	if infos[1].class != classReduction {
+		t.Errorf("fold nest: %v, want Reduction", infos[1].class)
 	}
-	if infos, err = Analyze(serialIR()); err != nil {
+	if infos, err = analyze(serialIR()); err != nil {
 		t.Fatal(err)
 	}
-	if infos[0].Class != Serial {
-		t.Errorf("recurrence: %v, want Serial", infos[0].Class)
+	if infos[0].class != classSerial {
+		t.Errorf("recurrence: %v, want Serial", infos[0].class)
 	}
-	if len(infos[0].Deps) == 0 || !infos[0].Deps[0].Carried() || infos[0].Deps[0].Dist != [2]int{1, 0} {
-		t.Errorf("recurrence deps = %+v, want carried distance (1,0)", infos[0].Deps)
+	if len(infos[0].deps) == 0 || !infos[0].deps[0].carried() || infos[0].deps[0].dist != [2]int{1, 0} {
+		t.Errorf("recurrence deps = %+v, want carried distance (1,0)", infos[0].deps)
+	}
+}
+
+// TestSerialAnalysisNamesStmt: the analysis reports which statement
+// serialized a nest. The write of statement 0 is carried against the
+// row-shifted read of statement 1.
+func TestSerialAnalysisNamesStmt(t *testing.T) {
+	interior := Loop{Lo: Ext(0, 1), Hi: Ext(1, -1)}
+	row, col := interior, interior
+	row.Var, col.Var = "i", "j"
+	p := &Program{
+		Name:   "serial-probe",
+		Arrays: []ArrayDecl{{Name: "a", Init: func(i, j, n int) float32 { return float32(i + j) }}},
+		Nests: []*Nest{{
+			Name: "n0", Row: row, Col: col,
+			Stmts: []*Stmt{
+				{LHS: At("a", "i", 0, "j", 0), RHS: Ref(At("a", "i", 0, "j", 0))},
+				{LHS: At("a", "i", 0, "j", 0), RHS: Ref(At("a", "i", -1, "j", 0))},
+			},
+		}},
+		Result: "a",
+	}
+	infos, err := analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := infos[0]
+	if info.class != classSerial {
+		t.Fatalf("want serial nest, got %v", info.class)
+	}
+	// Blame lands on the writing statement and names the reading one.
+	if info.whyStmt != 0 || !strings.Contains(info.why, "against stmt 1") {
+		t.Fatalf("want write stmt 0 blamed against read stmt 1, got whyStmt=%d why=%q", info.whyStmt, info.why)
 	}
 }
 
 func TestPlanCommunication(t *testing.T) {
-	steps, err := Plan(stencilIR())
+	steps, err := planSteps(stencilIR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps[0].Halo) != 1 || steps[0].Halo[0] != (HaloNeed{Array: "data", Width: 1}) {
-		t.Errorf("stencil halo = %v, want data width 1", steps[0].Halo)
+	if len(steps[0].halo) != 1 || steps[0].halo[0] != (haloNeed{Array: "data", width: 1}) {
+		t.Errorf("stencil halo = %v, want data width 1", steps[0].halo)
 	}
-	if len(steps[1].Halo) != 0 {
-		t.Errorf("copy halo = %v, want none", steps[1].Halo)
+	if len(steps[1].halo) != 0 {
+		t.Errorf("copy halo = %v, want none", steps[1].halo)
 	}
-	steps, err = Plan(serialIR())
+	steps, err = planSteps(serialIR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps[0].Parallel {
+	if steps[0].parallel {
 		t.Fatal("recurrence planned parallel")
 	}
-	if len(steps[0].Bcast) != 1 || steps[0].Bcast[0] != "u" {
-		t.Errorf("recurrence bcast = %v, want [u]", steps[0].Bcast)
+	if len(steps[0].bcast) != 1 || steps[0].bcast[0] != "u" {
+		t.Errorf("recurrence bcast = %v, want [u]", steps[0].bcast)
 	}
-	steps, err = Plan(coeffReadIR())
+	steps, err = planSteps(coeffReadIR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !steps[0].Parallel {
-		t.Errorf("coefficient read serialized: %s", steps[0].Info.Why)
+	if !steps[0].parallel {
+		t.Errorf("coefficient read serialized: %s", steps[0].info.why)
 	}
-	if !steps[0].FullRead["b"] {
+	if !steps[0].fullRead["b"] {
 		t.Error("constant-row read of b not marked FullRead")
 	}
 }
@@ -363,7 +397,7 @@ func TestXHPFStorage(t *testing.T) {
 		{coeffReadIR(), []int{0, n}}, // b is read through a constant row
 	}
 	for _, c := range cases {
-		steps, err := Plan(c.prog)
+		steps, err := planSteps(c.prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,10 @@ import (
 // combining tree, exactly as an idle processor does.
 type RowPartition func(procs, lo, hi, n int) [][2]int
 
-// SPFPartition mirrors the fork-join runtime's BLOCK schedule
+// spfPartition mirrors the fork-join runtime's BLOCK schedule
 // (spf.ParallelDo with spf.Block): ceiling-sized chunks of the nest's
 // own [lo, hi) range, one per processor, the tail clamped.
-func SPFPartition(procs, lo, hi, n int) [][2]int {
+func spfPartition(procs, lo, hi, n int) [][2]int {
 	out := make([][2]int, procs)
 	total := hi - lo
 	if total < 0 {
@@ -67,7 +67,7 @@ func seqPartition(procs, lo, hi, n int) [][2]int { return [][2]int{{lo, hi}} }
 func PartitionFor(v core.Version) RowPartition {
 	switch v {
 	case core.SPFGen:
-		return SPFPartition
+		return spfPartition
 	case core.XHPFGen:
 		return xhpfPartition
 	case core.Seq:
@@ -99,7 +99,7 @@ func PartitionFor(v core.Version) RowPartition {
 // nests combines differently under the two backends and the oracle does
 // not model that split.
 func Oracle(p *Program, n, iters, procs int, part RowPartition) (float64, error) {
-	steps, err := Plan(p)
+	steps, err := planSteps(p)
 	if err != nil {
 		return 0, err
 	}
@@ -109,12 +109,12 @@ func Oracle(p *Program, n, iters, procs int, part RowPartition) (float64, error)
 
 	type plan struct {
 		en       *execNest
-		step     *Step
+		step     *nestStep
 		redSlots []int
 	}
 	plans := make([]*plan, len(steps))
 	for k, st := range steps {
-		pl := &plan{en: compileNest(p, st.Info.Nest, nil), step: st}
+		pl := &plan{en: compileNest(p, st.info.Nest, nil), step: st}
 		_, _, pl.redSlots = lowerUses(p, st)
 		plans[k] = pl
 	}
@@ -125,7 +125,7 @@ func Oracle(p *Program, n, iters, procs int, part RowPartition) (float64, error)
 		for _, pl := range plans {
 			nst := pl.en.nst
 			rowLo, rowHi := nst.Row.Lo.Eval(n), nst.Row.Hi.Eval(n)
-			if !pl.step.Parallel || len(pl.redSlots) == 0 {
+			if !pl.step.parallel || len(pl.redSlots) == 0 {
 				// Serial nests accumulate straight into the running
 				// scalars (replicated execution under message passing,
 				// master execution on the DSM — both sequential), and

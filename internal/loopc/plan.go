@@ -2,95 +2,95 @@ package loopc
 
 import "sort"
 
-// Step is the execution plan for one nest: how it runs and what
+// nestStep is the execution plan for one nest: how it runs and what
 // communication the backend must insert before it.
-type Step struct {
-	Info *NestInfo
+type nestStep struct {
+	info *nestInfo
 
 	// Parallel nests: BLOCK row distribution over [Row.Lo, Row.Hi).
-	Parallel bool
+	parallel bool
 
-	// Halo lists, in array-declaration order, the arrays a parallel
+	// halo lists, in array-declaration order, the arrays a parallel
 	// nest reads beyond its own rows, with the exchange width in rows —
 	// the maximum absolute row dependence distance of the reads.
-	Halo []HaloNeed
+	halo []haloNeed
 
 	// Bcast lists, in array-declaration order, the arrays a serial nest
 	// reads that some nest writes: under message passing the replicated
 	// copies must be made current before replicated execution.
-	Bcast []string
+	bcast []string
 
-	// ReadRange gives, per read array, the row-offset window
-	// [MinRowOff, MaxRowOff] a parallel slice [lo,hi) must validate:
+	// readRange gives, per read array, the row-offset window
+	// [minRowOff, maxRowOff] a parallel slice [lo,hi) must validate:
 	// rows [lo+Min, hi+Max), clamped to the array.
-	ReadRange map[string][2]int
+	readRange map[string][2]int
 
 	// FullRead marks read arrays whose rows cannot be derived from the
 	// slice (a non-row row index; legal only for never-written arrays):
 	// the DSM backend must validate the whole region. The
 	// message-passing backend's replicated copies cover them by
 	// construction.
-	FullRead map[string]bool
+	fullRead map[string]bool
 }
 
-// HaloNeed is one halo exchange: array and width in rows.
-type HaloNeed struct {
+// haloNeed is one halo exchange: array and width in rows.
+type haloNeed struct {
 	Array string
-	Width int
+	width int
 }
 
-// Plan runs the analyzer and the distribution pass: BLOCK row
+// planSteps runs the analyzer and the distribution pass: BLOCK row
 // partitions for every DOALL/reduction nest, halo widths from the
 // dependence distances, broadcasts for the replicated reads of serial
 // nests.
-func Plan(p *Program) ([]*Step, error) {
-	infos, err := Analyze(p)
+func planSteps(p *Program) ([]*nestStep, error) {
+	infos, err := analyze(p)
 	if err != nil {
 		return nil, err
 	}
 	written := map[string]bool{}
 	for _, info := range infos {
-		for name, u := range info.Uses {
-			if u.Written {
+		for name, u := range info.uses {
+			if u.written {
 				written[name] = true
 			}
 		}
 	}
 	declOrder := p.arrayIndex()
-	steps := make([]*Step, len(infos))
+	steps := make([]*nestStep, len(infos))
 	for i, info := range infos {
-		st := &Step{Info: info, ReadRange: map[string][2]int{}, FullRead: map[string]bool{}}
+		st := &nestStep{info: info, readRange: map[string][2]int{}, fullRead: map[string]bool{}}
 		steps[i] = st
-		if info.Class == Serial {
-			for name, u := range info.Uses {
-				if u.Read && written[name] {
-					st.Bcast = append(st.Bcast, name)
+		if info.class == classSerial {
+			for name, u := range info.uses {
+				if u.read && written[name] {
+					st.bcast = append(st.bcast, name)
 				}
 			}
-			sort.Slice(st.Bcast, func(a, b int) bool {
-				return declOrder[st.Bcast[a]] < declOrder[st.Bcast[b]]
+			sort.Slice(st.bcast, func(a, b int) bool {
+				return declOrder[st.bcast[a]] < declOrder[st.bcast[b]]
 			})
 			continue
 		}
-		st.Parallel = true
-		for name, u := range info.Uses {
-			if !u.Read {
+		st.parallel = true
+		for name, u := range info.uses {
+			if !u.read {
 				continue
 			}
-			st.ReadRange[name] = [2]int{u.MinRowOff, u.MaxRowOff}
-			if u.NonRowRead {
-				st.FullRead[name] = true
+			st.readRange[name] = [2]int{u.minRowOff, u.maxRowOff}
+			if u.nonRowRead {
+				st.fullRead[name] = true
 			}
-			w := -u.MinRowOff
-			if u.MaxRowOff > w {
-				w = u.MaxRowOff
+			w := -u.minRowOff
+			if u.maxRowOff > w {
+				w = u.maxRowOff
 			}
 			if w > 0 {
-				st.Halo = append(st.Halo, HaloNeed{Array: name, Width: w})
+				st.halo = append(st.halo, haloNeed{Array: name, width: w})
 			}
 		}
-		sort.Slice(st.Halo, func(a, b int) bool {
-			return declOrder[st.Halo[a].Array] < declOrder[st.Halo[b].Array]
+		sort.Slice(st.halo, func(a, b int) bool {
+			return declOrder[st.halo[a].Array] < declOrder[st.halo[b].Array]
 		})
 	}
 	return steps, nil

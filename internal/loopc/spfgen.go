@@ -30,7 +30,7 @@ func (rs readSpan) rows(lo, hi, n int) (int, int) {
 // beginning at row enLo (BLOCK scheduling hands a processor the same
 // slice every time). Serial nests run on whole arrays.
 type spfPlan struct {
-	step     *Step
+	step     *nestStep
 	en       *execNest
 	enLo     int
 	loop     int // registered subroutine index (parallel nests)
@@ -53,26 +53,26 @@ func (pl *spfPlan) readRows(slot, lo, hi, n int) (rlo, rhi int, ok bool) {
 
 // lowerUses computes the declaration-order read spans, write slots and
 // reduction slots of a step (shared by both backends).
-func lowerUses(p *Program, st *Step) (reads []readSpan, writes, redSlots []int) {
+func lowerUses(p *Program, st *nestStep) (reads []readSpan, writes, redSlots []int) {
 	idx := p.arrayIndex()
 	for slot, a := range p.Arrays {
-		u := st.Info.Uses[a.Name]
+		u := st.info.uses[a.Name]
 		if u == nil {
 			continue
 		}
-		if u.Read {
-			rr := st.ReadRange[a.Name]
+		if u.read {
+			rr := st.readRange[a.Name]
 			reads = append(reads, readSpan{
 				slot: idx[a.Name], min: rr[0], max: rr[1],
-				full: st.FullRead[a.Name],
+				full: st.fullRead[a.Name],
 			})
 		}
-		if u.Written {
+		if u.written {
 			writes = append(writes, slot)
 		}
 	}
 	sidx := p.scalarIndex()
-	for _, s := range st.Info.Reduces {
+	for _, s := range st.info.reduces {
 		slot := sidx[s.ReduceInto]
 		seen := false
 		for _, have := range redSlots {
@@ -96,7 +96,7 @@ func lowerUses(p *Program, st *Step) (reads []readSpan, writes, redSlots []int) 
 // ParallelDo under BLOCK scheduling, scalar reductions go through
 // lock-protected shared slots, and serial nests run on the master.
 func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Result, error) {
-	steps, err := Plan(p)
+	steps, err := planSteps(p)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -143,7 +143,7 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 				}
 			}
 			if pl.en == nil || pl.enLo != lo {
-				pl.en, pl.enLo = compileNest(p, pl.step.Info.Nest, offs), lo
+				pl.en, pl.enLo = compileNest(p, pl.step.info.Nest, offs), lo
 			}
 			return pl.en
 		}
@@ -153,8 +153,8 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 			pl := &spfPlan{step: st, loop: -1}
 			pl.reads, pl.writes, pl.redSlots = lowerUses(p, st)
 			plans[k] = pl
-			if !st.Parallel {
-				pl.en = compileNest(p, st.Info.Nest, nil)
+			if !st.parallel {
+				pl.en = compileNest(p, st.info.Nest, nil)
 				continue
 			}
 			pl.loop = rt.RegisterLoop(func(lo, hi, stride int, args []int64) {
@@ -189,8 +189,8 @@ func RunSPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resul
 					reds[k].Reset(idents[k])
 				}
 				for _, pl := range plans {
-					nst := pl.step.Info.Nest
-					if pl.step.Parallel {
+					nst := pl.step.info.Nest
+					if pl.step.parallel {
 						rt.ParallelDo(pl.loop, nst.Row.Lo.Eval(n), nst.Row.Hi.Eval(n), spf.Block)
 						continue
 					}

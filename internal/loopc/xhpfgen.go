@@ -9,7 +9,7 @@ import (
 
 // xhpfPlan is one nest lowered for the SPMD message-passing runtime.
 type xhpfPlan struct {
-	step     *Step
+	step     *nestStep
 	en       *execNest
 	redSlots []int
 	bases    []float64 // per redSlot: the running scalar while the nest's partial accumulates
@@ -22,17 +22,17 @@ type xhpfPlan struct {
 // because the generated program really does hold it everywhere. Every
 // other array is only ever touched within its largest halo-exchange
 // width of the owned rows, so that is all a processor allocates.
-func xhpfHalos(p *Program, steps []*Step, n int) []int {
+func xhpfHalos(p *Program, steps []*nestStep, n int) []int {
 	idx := p.arrayIndex()
 	halo := make([]int, len(p.Arrays))
 	for _, st := range steps {
-		for name := range st.Info.Uses {
-			if !st.Parallel || st.FullRead[name] {
+		for name := range st.info.uses {
+			if !st.parallel || st.fullRead[name] {
 				halo[idx[name]] = n
 			}
 		}
-		for _, h := range st.Halo {
-			halo[idx[h.Array]] = max(halo[idx[h.Array]], h.Width)
+		for _, h := range st.halo {
+			halo[idx[h.Array]] = max(halo[idx[h.Array]], h.width)
 		}
 	}
 	return halo
@@ -49,7 +49,7 @@ func xhpfHalos(p *Program, steps []*Step, n int) []int {
 // whole-partition broadcasts ahead of serial (replicated) nests that
 // read distributed data.
 func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Result, error) {
-	steps, err := Plan(p)
+	steps, err := planSteps(p)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -83,7 +83,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 
 		plans := make([]*xhpfPlan, len(steps))
 		for k, st := range steps {
-			pl := &xhpfPlan{step: st, en: compileNest(p, st.Info.Nest, offs)}
+			pl := &xhpfPlan{step: st, en: compileNest(p, st.info.Nest, offs)}
 			_, _, pl.redSlots = lowerUses(p, st)
 			pl.bases = make([]float64, len(pl.redSlots))
 			plans[k] = pl
@@ -97,9 +97,9 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 				for _, pl := range plans {
 					nst := pl.en.nst
 					rowLo, rowHi := nst.Row.Lo.Eval(n), nst.Row.Hi.Eval(n)
-					if pl.step.Parallel {
-						for _, h := range pl.step.Halo {
-							xhpf.ExchangeHalo(x, arrays[arrIdx[h.Array]], h.Width)
+					if pl.step.parallel {
+						for _, h := range pl.step.halo {
+							xhpf.ExchangeHalo(x, arrays[arrIdx[h.Array]], h.width)
 						}
 						// Owner-computes intersection of the owned rows with
 						// the nest's iteration space.
@@ -123,7 +123,7 @@ func RunXHPF(app string, v core.Version, cfg core.Config, p *Program) (core.Resu
 					}
 					// Serial nest: replicated execution after making the
 					// replicated copies current.
-					for _, name := range pl.step.Bcast {
+					for _, name := range pl.step.bcast {
 						xhpf.BroadcastBlocks(x, arrays[arrIdx[name]].Rows(0, n), rowBlock)
 					}
 					cnt := pl.en.runRows(fr, rowLo, rowHi)

@@ -34,11 +34,11 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		}
 		for p := 0; p < t.procs; p++ {
 			role := "app"
-			if t.IsServer(p) {
+			if t.isServer(p) {
 				role = "server"
 			}
 			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"%s %d"}}`,
-				t.NodeOf(p), p, role, t.NodeOf(p)))
+				t.nodeOf(p), p, role, t.nodeOf(p)))
 		}
 		for _, c := range t.chunks {
 			for i := 0; i < len(c); i += int(c[i]) {
@@ -62,7 +62,7 @@ func usec(ns int64) string {
 // chromeLine renders one event as a trace_event JSON object.
 func (t *Trace) chromeLine(e event) string {
 	name, cat, args := chromeFields(e)
-	head := fmt.Sprintf(`{"pid":%d,"tid":%d,"ts":%s`, t.NodeOf(int(e.Proc)), e.Proc, usec(e.T))
+	head := fmt.Sprintf(`{"pid":%d,"tid":%d,"ts":%s`, t.nodeOf(int(e.Proc)), e.Proc, usec(e.T))
 	var body string
 	switch e.Type {
 	case EvWait, EvQueue, EvFault, EvCollective:

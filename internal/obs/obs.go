@@ -248,17 +248,17 @@ func (t *Trace) Nodes() int {
 	return t.nodes
 }
 
-// NodeOf maps a process id to its physical node.
-func (t *Trace) NodeOf(proc int) int {
+// nodeOf maps a process id to its physical node.
+func (t *Trace) nodeOf(proc int) int {
 	if t == nil || t.nodes == 0 {
 		return proc
 	}
 	return proc % t.nodes
 }
 
-// IsServer reports whether a process id is a request-server process
+// isServer reports whether a process id is a request-server process
 // (the upper half of a paired app+server topology).
-func (t *Trace) IsServer(proc int) bool {
+func (t *Trace) isServer(proc int) bool {
 	return t != nil && t.procs == 2*t.nodes && proc >= t.nodes
 }
 

@@ -31,10 +31,10 @@ func TestNilTraceIsDisabled(t *testing.T) {
 	if tr.Procs() != 0 || tr.Nodes() != 0 {
 		t.Error("nil trace has a topology")
 	}
-	if tr.NodeOf(3) != 3 {
-		t.Errorf("nil trace NodeOf(3) = %d, want identity", tr.NodeOf(3))
+	if tr.nodeOf(3) != 3 {
+		t.Errorf("nil trace NodeOf(3) = %d, want identity", tr.nodeOf(3))
 	}
-	if tr.IsServer(7) {
+	if tr.isServer(7) {
 		t.Error("nil trace claims a server process")
 	}
 	bds := tr.Attribute([][2]int64{{100, 300}})
@@ -56,15 +56,15 @@ func TestTopology(t *testing.T) {
 	tr := New()
 	tr.SetTopology(8, 4)
 	for p := 0; p < 8; p++ {
-		if got := tr.NodeOf(p); got != p%4 {
+		if got := tr.nodeOf(p); got != p%4 {
 			t.Errorf("NodeOf(%d) = %d, want %d", p, got, p%4)
 		}
-		if got := tr.IsServer(p); got != (p >= 4) {
+		if got := tr.isServer(p); got != (p >= 4) {
 			t.Errorf("IsServer(%d) = %v, want %v", p, got, p >= 4)
 		}
 	}
 	tr.SetTopology(4, 4) // no paired servers
-	if tr.IsServer(3) {
+	if tr.isServer(3) {
 		t.Error("unpaired topology claims a server process")
 	}
 }

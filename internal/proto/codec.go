@@ -15,7 +15,7 @@ import (
 //	per run:       8-byte record  [first page, run length]           (int32 LE)
 //
 // A run covers consecutive ascending page ids, split exactly where
-// PageRuns splits them, so len(EncodeBatches(bs)) == BatchBytes(bs) for
+// pageRuns splits them, so len(EncodeBatches(bs)) == BatchBytes(bs) for
 // every batch list the protocols produce (batches and intervals are
 // never empty on the wire; an interval's page list is preserved
 // verbatim, including write-touch order).
@@ -43,7 +43,7 @@ func EncodeBatches(bs []NoticeBatch) []byte {
 		for _, iv := range b.Intervals {
 			put(int32(b.Proc))
 			put(iv.Interval)
-			put(int32(PageRuns(iv.Pages)))
+			put(int32(pageRuns(iv.Pages)))
 			put(0) // reserved
 			for i := 0; i < len(iv.Pages); {
 				j := i + 1

@@ -62,7 +62,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 // TestBatchCodecMatchesPageRuns cross-checks the codec's run splitting
-// against PageRuns on generated page lists.
+// against pageRuns on generated page lists.
 func TestBatchCodecMatchesPageRuns(t *testing.T) {
 	lists := [][]int32{
 		{0},
@@ -74,9 +74,9 @@ func TestBatchCodecMatchesPageRuns(t *testing.T) {
 	for _, pages := range lists {
 		bs := []NoticeBatch{{Proc: 1, Intervals: []IntervalRec{{Interval: 1, Pages: pages}}}}
 		enc := EncodeBatches(bs)
-		wantLen := intervalHdrBytes + PageRuns(pages)*runBytes
+		wantLen := intervalHdrBytes + pageRuns(pages)*runBytes
 		if len(enc) != wantLen {
-			t.Errorf("pages %v: %d bytes, want %d (%d runs)", pages, len(enc), wantLen, PageRuns(pages))
+			t.Errorf("pages %v: %d bytes, want %d (%d runs)", pages, len(enc), wantLen, pageRuns(pages))
 		}
 		roundTrip(t, "generated", bs)
 	}
@@ -96,5 +96,25 @@ func TestBatchCodecRejectsCorruptInput(t *testing.T) {
 	bad[12] = 0xff // reserved word
 	if _, err := DecodeBatches(bad); err == nil {
 		t.Error("corrupt reserved word accepted")
+	}
+}
+
+// TestPageRunsEncoding pins the write-notice RLE used for wire
+// accounting.
+func TestPageRunsEncoding(t *testing.T) {
+	cases := []struct {
+		pages []int32
+		want  int
+	}{
+		{nil, 0},
+		{[]int32{5}, 1},
+		{[]int32{5, 6, 7}, 1},
+		{[]int32{5, 7, 9}, 3},
+		{[]int32{1, 2, 3, 10, 11, 20}, 3},
+	}
+	for _, c := range cases {
+		if got := pageRuns(c.pages); got != c.want {
+			t.Errorf("pageRuns(%v) = %d, want %d", c.pages, got, c.want)
+		}
 	}
 }

@@ -109,13 +109,13 @@ func (hb *home) AddPages(npages int) {
 	hb.pol.AddPages(npages)
 }
 
-func (hb *home) homeOf(gp int32) int { return hb.pol.HomeOf(gp) }
+func (hb *home) homeOf(gp int32) int { return hb.pol.homeOf(gp) }
 
 // WriteTouch: self-homed pages skip twinning — the node's copy is the
 // master copy, so write detection (for notices) is all that is needed.
 // The policy observes every write touch (first-touch claims).
 func (hb *home) WriteTouch(gp int32) {
-	hb.pol.NoteWrite(gp)
+	hb.pol.noteWrite(gp)
 	hb.writeTouch(gp, hb.homeOf(gp) != hb.id)
 }
 
@@ -191,7 +191,6 @@ func (hb *home) Release(kind stats.Kind) {
 		}
 		payload, bytes := hb.h.LendDiff(gp)
 		pc.hasTwin = false
-		hb.ctr.DiffsMade++
 		flushed[end[hm]] = flushPage{page: gp, payload: payload, bytes: bytes}
 		end[hm]++
 		p.Advance(c.DiffCreateCost(diffChangedBytes(bytes)))
@@ -236,7 +235,7 @@ func (hb *home) Release(kind stats.Kind) {
 			continue
 		}
 		if ack.epoch >= hb.dirEpoch {
-			hb.pol.Apply(ack.rejected) // learn the newer directory
+			hb.pol.apply(ack.rejected) // learn the newer directory
 		}
 		if sent == nil {
 			sent = make(map[int32]flushPage, len(flushed))
@@ -363,7 +362,7 @@ func (hb *home) FetchAggregated(gps []int32) {
 				continue
 			}
 			if resp.epoch >= hb.dirEpoch {
-				hb.pol.Apply(resp.rejected)
+				hb.pol.apply(resp.rejected)
 			}
 			for _, u := range resp.rejected {
 				i := slices.IndexFunc(hb.reqs[hm].pages, func(pn pageNeed) bool { return pn.page == u.Page })
@@ -391,7 +390,6 @@ func (hb *home) extractLocal(gp int32, p *sim.Proc) (any, bool) {
 	}
 	payload, bytes := hb.h.LendDiff(gp)
 	pc.hasTwin = false
-	hb.ctr.DiffsMade++
 	p.Advance(hb.h.Costs().DiffCreateCost(diffChangedBytes(bytes)))
 	return payload, true
 }
@@ -444,7 +442,7 @@ func (hb *home) ApplyDirectory(us []DirUpdate, kind stats.Kind) {
 	for i, u := range us {
 		olds[i] = hb.homeOf(u.Page)
 	}
-	hb.pol.Apply(us)
+	hb.pol.apply(us)
 	hb.dirEpoch++
 	tr := hb.h.Costs().Trace
 	if tr.Enabled() && hb.id == 0 {
@@ -453,7 +451,7 @@ func (hb *home) ApplyDirectory(us []DirUpdate, kind stats.Kind) {
 	}
 	perOld, pulling := make([][]int32, hb.nprocs), false
 	for i, u := range us {
-		if int(u.Home) != hb.id || olds[i] == hb.id {
+		if int(u.home) != hb.id || olds[i] == hb.id {
 			continue
 		}
 		hb.ctr.Migrations++
@@ -532,14 +530,14 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 				// stale. NACK with our mapping and let the writer
 				// re-send.
 				hb.ctr.StaleForwards++
-				rejected = append(rejected, DirUpdate{Page: fp.page, Home: int32(hm)})
+				rejected = append(rejected, DirUpdate{Page: fp.page, home: int32(hm)})
 				continue
 			case fm.epoch > hb.dirEpoch:
 				// The writer runs a directory epoch we have not
 				// installed yet — we may be about to lose this page.
 				// Don't guess; the writer retries once we catch up.
 				hb.ctr.StaleForwards++
-				rejected = append(rejected, DirUpdate{Page: fp.page, Home: int32(hb.id)})
+				rejected = append(rejected, DirUpdate{Page: fp.page, home: int32(hb.id)})
 				continue
 			}
 			hb.h.ApplyDiff(fp.page, fp.payload)
@@ -547,7 +545,7 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 			if _, applied := hb.vectors(fp.page); fm.interval > applied[fm.writer] {
 				applied[fm.writer] = fm.interval
 			}
-			hb.pol.NoteFlush(fp.page, fm.writer, fp.bytes)
+			hb.pol.noteFlush(fp.page, fm.writer, fp.bytes)
 			if ps := hb.pulls[fp.page]; ps != nil {
 				// The writer takes its buffer back at the ack: keep a copy.
 				keep, _ := hb.h.MergeDiffs(fp.page, []any{fp.payload})
@@ -576,13 +574,13 @@ func (hb *home) HandleServer(p *sim.Proc, m sim.Message) bool {
 			switch {
 			case hm != hb.id:
 				hb.ctr.StaleForwards++
-				resp.rejected = append(resp.rejected, DirUpdate{Page: pn.page, Home: int32(hm)})
+				resp.rejected = append(resp.rejected, DirUpdate{Page: pn.page, home: int32(hm)})
 				continue
 			case hb.pulls[pn.page] != nil || req.epoch > hb.dirEpoch:
 				// Mid-migration (our pull of the page is in flight) or
 				// the requester is an epoch ahead: have it retry.
 				hb.ctr.StaleForwards++
-				resp.rejected = append(resp.rejected, DirUpdate{Page: pn.page, Home: int32(hb.id)})
+				resp.rejected = append(resp.rejected, DirUpdate{Page: pn.page, home: int32(hb.id)})
 				continue
 			}
 			_, applied := hb.vectors(pn.page)

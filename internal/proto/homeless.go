@@ -159,7 +159,6 @@ func (hl *homeless) extractPending(gp int32, p *sim.Proc) {
 	keep := pc.twinWrite == hl.curInterval
 	payload, bytes := hl.h.ExtractDiff(gp, keep)
 	pc.hasTwin = keep
-	hl.ctr.DiffsMade++
 
 	upto := pc.lastSelf
 	var order int64

@@ -39,15 +39,15 @@ func BatchBytes(bs []NoticeBatch) int {
 	for _, b := range bs {
 		for _, iv := range b.Intervals {
 			n += 16 // interval header
-			n += PageRuns(iv.Pages) * 8
+			n += pageRuns(iv.Pages) * 8
 		}
 	}
 	return n
 }
 
-// PageRuns counts maximal runs of consecutive page ids (the pages slice
+// pageRuns counts maximal runs of consecutive page ids (the pages slice
 // is in write-touch order, which is ascending for sweeps).
-func PageRuns(pages []int32) int {
+func pageRuns(pages []int32) int {
 	runs := 0
 	for i, pg := range pages {
 		if i == 0 || pg != pages[i-1]+1 {

@@ -154,7 +154,7 @@ func TestFlushRedirectAfterMigration(t *testing.T) {
 	// Page 1 (initially homed at node 1) moves to node 2. Nodes 1 and 2
 	// install the update; writer node 0 does not — the in-flight window
 	// the barrier piggyback normally closes.
-	move := []DirUpdate{{Page: 1, Home: 2}}
+	move := []DirUpdate{{Page: 1, home: 2}}
 	nodes[1].prot.ApplyDirectory(move, stats.KindBarrier)
 	nodes[2].prot.ApplyDirectory(move, stats.KindBarrier)
 	if got := nodes[2].prot.Counters().Migrations; got != 1 {
@@ -215,7 +215,7 @@ func checkTrail(t *testing.T, nodes []*testNode, want ...string) {
 func TestFlushRetryWhileHomeLags(t *testing.T) {
 	const n, npages = 3, 3
 	nodes := newTestNodes(HomeLRC, n, npages, StaticPolicy)
-	move := []DirUpdate{{Page: 1, Home: 2}}
+	move := []DirUpdate{{Page: 1, home: 2}}
 	// Only the writer (and the old home) installed the update; the new
 	// home (node 2) lags and applies mid-run.
 	nodes[0].prot.ApplyDirectory(move, stats.KindBarrier)
@@ -273,7 +273,7 @@ func TestStashedFlushOutlivesTheWritersBuffer(t *testing.T) {
 	const n, npages = 3, 3
 	const doneTag = 2
 	nodes := newTestNodes(HomeLRC, n, npages, StaticPolicy)
-	move := []DirUpdate{{Page: 1, Home: 2}} // away from its static home, node 1
+	move := []DirUpdate{{Page: 1, home: 2}} // away from its static home, node 1
 	pullAt := 2 * sim.Millisecond
 	var first []NoticeBatch // node 0's first interval, as a barrier would carry it
 	bodies := []func(p *sim.Proc){

@@ -82,11 +82,11 @@ const (
 )
 
 // DirUpdate is one home-directory change: page Page is henceforth homed
-// at node Home. Updates are proposed by policies, arbitrated by the
+// at node home. Updates are proposed by policies, arbitrated by the
 // barrier manager, and installed identically on every node.
 type DirUpdate struct {
 	Page int32
-	Home int32
+	home int32
 }
 
 // DirUpdateBytes models the wire size of a directory-update list
@@ -105,22 +105,22 @@ type homePolicy interface {
 	// AddPages extends the directory with npages fresh pages on the
 	// initial (static block-wise) assignment, identical on every node.
 	AddPages(npages int)
-	// HomeOf returns the current home of page gp.
-	HomeOf(gp int32) int
-	// NoteWrite observes a local write touch of gp (writer side; feeds
+	// homeOf returns the current home of page gp.
+	homeOf(gp int32) int
+	// noteWrite observes a local write touch of gp (writer side; feeds
 	// first-touch claims).
-	NoteWrite(gp int32)
-	// NoteFlush observes a flush of bytes for gp from writer, received
+	noteWrite(gp int32)
+	// noteFlush observes a flush of bytes for gp from writer, received
 	// at this node as gp's home (feeds adaptive accounting).
-	NoteFlush(gp int32, writer, bytes int)
+	noteFlush(gp int32, writer, bytes int)
 	// Rebalance closes a barrier epoch and returns this node's proposed
 	// directory updates, in ascending page order. The caller piggybacks
 	// them on its barrier arrival for arbitration.
 	Rebalance() []DirUpdate
-	// Apply installs arbitrated directory updates. Every node applies
+	// apply installs arbitrated directory updates. Every node applies
 	// the same list in the same epoch; it is also used to learn current
 	// homes from a stale-home NACK.
-	Apply(us []DirUpdate)
+	apply(us []DirUpdate)
 }
 
 // newHomePolicy builds a policy instance for one node. The name goes
@@ -158,11 +158,11 @@ func (d *directory) AddPages(npages int) {
 	}
 }
 
-func (d *directory) HomeOf(gp int32) int { return int(d.homes[gp]) }
+func (d *directory) homeOf(gp int32) int { return int(d.homes[gp]) }
 
-func (d *directory) Apply(us []DirUpdate) {
+func (d *directory) apply(us []DirUpdate) {
 	for _, u := range us {
-		d.homes[u.Page] = u.Home
+		d.homes[u.Page] = u.home
 	}
 }
 
@@ -170,8 +170,8 @@ func (d *directory) Apply(us []DirUpdate) {
 type staticPolicy struct{ directory }
 
 func (*staticPolicy) Name() PolicyName          { return StaticPolicy }
-func (*staticPolicy) NoteWrite(int32)           {}
-func (*staticPolicy) NoteFlush(int32, int, int) {}
+func (*staticPolicy) noteWrite(int32)           {}
+func (*staticPolicy) noteFlush(int32, int, int) {}
 func (*staticPolicy) Rebalance() []DirUpdate    { return nil }
 
 // firstTouch claims a page for the first writer that faults on it. A
@@ -194,7 +194,7 @@ func (ft *firstTouch) AddPages(npages int) {
 	ft.mine = grow(ft.mine, npages)
 }
 
-func (ft *firstTouch) NoteWrite(gp int32) {
+func (ft *firstTouch) noteWrite(gp int32) {
 	if ft.claimed[gp] || ft.mine[gp] {
 		return
 	}
@@ -202,7 +202,7 @@ func (ft *firstTouch) NoteWrite(gp int32) {
 	ft.fresh = append(ft.fresh, gp)
 }
 
-func (*firstTouch) NoteFlush(int32, int, int) {}
+func (*firstTouch) noteFlush(int32, int, int) {}
 
 func (ft *firstTouch) Rebalance() []DirUpdate {
 	if len(ft.fresh) == 0 {
@@ -213,15 +213,15 @@ func (ft *firstTouch) Rebalance() []DirUpdate {
 		if ft.claimed[gp] {
 			continue // lost an earlier arbitration in the meantime
 		}
-		out = append(out, DirUpdate{Page: gp, Home: int32(ft.self)})
+		out = append(out, DirUpdate{Page: gp, home: int32(ft.self)})
 	}
 	ft.fresh = ft.fresh[:0]
 	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
 	return out
 }
 
-func (ft *firstTouch) Apply(us []DirUpdate) {
-	ft.directory.Apply(us)
+func (ft *firstTouch) apply(us []DirUpdate) {
+	ft.directory.apply(us)
 	for _, u := range us {
 		ft.claimed[u.Page] = true
 	}
@@ -264,8 +264,8 @@ type adaptive struct {
 
 func (*adaptive) Name() PolicyName { return AdaptivePolicy }
 
-func (ad *adaptive) NoteWrite(gp int32) {
-	if ad.HomeOf(gp) == ad.self {
+func (ad *adaptive) noteWrite(gp int32) {
+	if ad.homeOf(gp) == ad.self {
 		if ad.selfW == nil {
 			ad.selfW = map[int32]int32{}
 		}
@@ -273,7 +273,7 @@ func (ad *adaptive) NoteWrite(gp int32) {
 	}
 }
 
-func (ad *adaptive) NoteFlush(gp int32, writer, bytes int) {
+func (ad *adaptive) noteFlush(gp int32, writer, bytes int) {
 	pa := ad.acct[gp]
 	if pa == nil {
 		pa = &pageAcct{cur: make([]int64, ad.nprocs)}
@@ -334,17 +334,17 @@ func (ad *adaptive) Rebalance() []DirUpdate {
 		if pa.ring[slot][top] == 0 {
 			continue // dominant writer inactive this epoch: stale burst
 		}
-		out = append(out, DirUpdate{Page: gp, Home: int32(top)})
+		out = append(out, DirUpdate{Page: gp, home: int32(top)})
 		delete(ad.acct, gp) // the new home starts its own accounting
 	}
 	return out
 }
 
-// Apply resets accounting for every repointed page: whichever node is
+// apply resets accounting for every repointed page: whichever node is
 // the new home accumulates fresh history before the page may move
 // again (the second half of the hysteresis).
-func (ad *adaptive) Apply(us []DirUpdate) {
-	ad.directory.Apply(us)
+func (ad *adaptive) apply(us []DirUpdate) {
+	ad.directory.apply(us)
 	for _, u := range us {
 		delete(ad.acct, u.Page)
 	}

@@ -43,7 +43,7 @@ func TestInitialHomesMatchStaticBlocks(t *testing.T) {
 		for i := 0; i < npages; i++ {
 			want := i * nprocs / npages
 			for _, gp := range []int32{int32(i), int32(npages + i)} {
-				if got := pol.HomeOf(gp); got != want {
+				if got := pol.homeOf(gp); got != want {
 					t.Fatalf("%s: HomeOf(%d) = %d, want %d", name, gp, got, want)
 				}
 			}
@@ -56,8 +56,8 @@ func TestStaticPolicyNeverProposes(t *testing.T) {
 	pol.AddPages(8)
 	for e := 0; e < 10; e++ {
 		for gp := int32(0); gp < 8; gp++ {
-			pol.NoteWrite(gp)
-			pol.NoteFlush(gp, 3, 4096)
+			pol.noteWrite(gp)
+			pol.noteFlush(gp, 3, 4096)
 		}
 		if props := pol.Rebalance(); len(props) != 0 {
 			t.Fatalf("static policy proposed %v", props)
@@ -71,10 +71,10 @@ func TestStaticPolicyNeverProposes(t *testing.T) {
 func TestFirstTouchClaims(t *testing.T) {
 	pol := newHomePolicy(FirstTouchPolicy, 4, 2).(*firstTouch)
 	pol.AddPages(8)
-	pol.NoteWrite(5)
-	pol.NoteWrite(5) // same epoch: deduplicated
+	pol.noteWrite(5)
+	pol.noteWrite(5) // same epoch: deduplicated
 	props := pol.Rebalance()
-	if len(props) != 1 || props[0] != (DirUpdate{Page: 5, Home: 2}) {
+	if len(props) != 1 || props[0] != (DirUpdate{Page: 5, home: 2}) {
 		t.Fatalf("claims = %v, want [{5 2}]", props)
 	}
 	if props := pol.Rebalance(); len(props) != 0 {
@@ -82,11 +82,11 @@ func TestFirstTouchClaims(t *testing.T) {
 	}
 	// Arbitration went to node 1: the page is claimed and never
 	// re-proposed, and the directory follows the broadcast.
-	pol.Apply([]DirUpdate{{Page: 5, Home: 1}})
-	if pol.HomeOf(5) != 1 {
-		t.Fatalf("HomeOf(5) = %d after arbitration, want 1", pol.HomeOf(5))
+	pol.apply([]DirUpdate{{Page: 5, home: 1}})
+	if pol.homeOf(5) != 1 {
+		t.Fatalf("HomeOf(5) = %d after arbitration, want 1", pol.homeOf(5))
 	}
-	pol.NoteWrite(5)
+	pol.noteWrite(5)
 	if props := pol.Rebalance(); len(props) != 0 {
 		t.Fatalf("claimed page re-proposed: %v", props)
 	}
@@ -97,11 +97,11 @@ func TestFirstTouchClaims(t *testing.T) {
 // list is page-sorted.
 func TestMergeDirProposals(t *testing.T) {
 	merged := MergeDirProposals([][]DirUpdate{
-		1: {{Page: 7, Home: 1}, {Page: 3, Home: 1}},
-		2: {{Page: 3, Home: 2}, {Page: 9, Home: 2}},
-		3: {{Page: 7, Home: 3}},
+		1: {{Page: 7, home: 1}, {Page: 3, home: 1}},
+		2: {{Page: 3, home: 2}, {Page: 9, home: 2}},
+		3: {{Page: 7, home: 3}},
 	})
-	want := []DirUpdate{{Page: 3, Home: 1}, {Page: 7, Home: 1}, {Page: 9, Home: 2}}
+	want := []DirUpdate{{Page: 3, home: 1}, {Page: 7, home: 1}, {Page: 9, home: 2}}
 	if len(merged) != len(want) {
 		t.Fatalf("merged = %v, want %v", merged, want)
 	}
@@ -116,7 +116,7 @@ func TestMergeDirProposals(t *testing.T) {
 // per-writer flush bytes for one page, then the epoch close.
 func rebalanceEpoch(ad *adaptive, gp int32, bytesByWriter map[int]int) []DirUpdate {
 	for q, b := range bytesByWriter {
-		ad.NoteFlush(gp, q, b)
+		ad.noteFlush(gp, q, b)
 	}
 	return ad.Rebalance()
 }
@@ -133,11 +133,11 @@ func TestAdaptiveMigratesToDominantWriter(t *testing.T) {
 		}
 	}
 	props := rebalanceEpoch(ad, 0, map[int]int{3: 4096})
-	if len(props) != 1 || props[0] != (DirUpdate{Page: 0, Home: 3}) {
+	if len(props) != 1 || props[0] != (DirUpdate{Page: 0, home: 3}) {
 		t.Fatalf("full-window proposals = %v, want [{0 3}]", props)
 	}
 	// The page needs a fresh window at its new home before moving again.
-	ad.Apply(props)
+	ad.apply(props)
 	for e := 0; e < adaptiveWindow-1; e++ {
 		if props := rebalanceEpoch(ad, 0, map[int]int{2: 4096}); len(props) != 0 {
 			t.Fatalf("post-move epoch %d: proposed %v without fresh history", e, props)
@@ -172,7 +172,7 @@ func TestAdaptiveShareThreshold(t *testing.T) {
 		rebalanceEpoch(ad, 2, map[int]int{1: 3 * 1024, 2: 1024})
 	}
 	props := rebalanceEpoch(ad, 2, map[int]int{1: 3 * 1024, 2: 1024})
-	if len(props) != 1 || props[0] != (DirUpdate{Page: 2, Home: 1}) {
+	if len(props) != 1 || props[0] != (DirUpdate{Page: 2, home: 1}) {
 		t.Fatalf("75%% share proposals = %v, want [{2 1}]", props)
 	}
 }
@@ -185,7 +185,7 @@ func TestAdaptiveSelfWriteGuard(t *testing.T) {
 	ad := newHomePolicy(AdaptivePolicy, 4, 0).(*adaptive)
 	ad.AddPages(4)
 	for e := 0; e < 3*adaptiveWindow; e++ {
-		ad.NoteWrite(0) // the home writes the page every epoch
+		ad.noteWrite(0) // the home writes the page every epoch
 		if props := rebalanceEpoch(ad, 0, map[int]int{3: 8192}); len(props) != 0 {
 			t.Fatalf("epoch %d: self-written page proposed away: %v", e, props)
 		}
@@ -196,7 +196,7 @@ func TestAdaptiveSelfWriteGuard(t *testing.T) {
 	for e := 0; e < adaptiveWindow+1 && len(props) == 0; e++ {
 		props = rebalanceEpoch(ad, 0, map[int]int{3: 8192})
 	}
-	if len(props) != 1 || props[0] != (DirUpdate{Page: 0, Home: 3}) {
+	if len(props) != 1 || props[0] != (DirUpdate{Page: 0, home: 3}) {
 		t.Fatalf("quiesced home kept the page: %v", props)
 	}
 }

@@ -111,7 +111,6 @@ type Host interface {
 type Counters struct {
 	Faults       int64 // access faults taken
 	Twins        int64 // twins created
-	DiffsMade    int64 // diffs extracted (lazily or at flush)
 	DiffsApplied int64 // diffs applied to local pages
 	PageFetches  int64 // whole-page fetches (home-based protocol)
 
@@ -127,7 +126,6 @@ type Counters struct {
 func (c *Counters) Add(o *Counters) {
 	c.Faults += o.Faults
 	c.Twins += o.Twins
-	c.DiffsMade += o.DiffsMade
 	c.DiffsApplied += o.DiffsApplied
 	c.PageFetches += o.PageFetches
 	c.Migrations += o.Migrations

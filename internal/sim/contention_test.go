@@ -104,7 +104,7 @@ func TestContentionFIFOPerLink(t *testing.T) {
 		}
 		for k := 0; k < 3; k++ {
 			m := p.Recv(0, k)
-			deliver[k], queued[k] = m.Deliver, m.Queued
+			deliver[k], queued[k] = m.deliver, m.queued
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestContentionIncomingLinkSerializes(t *testing.T) {
 				if m.Src != k {
 					t.Errorf("arrival %d came from %d, want FIFO by send order", k, m.Src)
 				}
-				deliver[k] = m.Deliver
+				deliver[k] = m.deliver
 			}
 		}
 	}); err != nil {
@@ -179,9 +179,9 @@ func TestBackplaneCapacity(t *testing.T) {
 			case 2:
 				p.Send(3, 1, nil, payload, stats.KindData)
 			case 1:
-				deliver[0] = p.Recv(0, 1).Deliver
+				deliver[0] = p.Recv(0, 1).deliver
 			case 3:
-				deliver[1] = p.Recv(2, 1).Deliver
+				deliver[1] = p.Recv(2, 1).deliver
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -218,8 +218,8 @@ func TestLoopbackBypassesNIC(t *testing.T) {
 				p.Recv(0, 1)
 			}
 		case 2:
-			if m := p.Recv(0, 2); m.Queued != 0 {
-				t.Errorf("loopback message queued %v behind the NIC", m.Queued)
+			if m := p.Recv(0, 2); m.queued != 0 {
+				t.Errorf("loopback message queued %v behind the NIC", m.queued)
 			}
 		case 3:
 		}
@@ -368,14 +368,14 @@ func TestContentionDelaysAreMonotone(t *testing.T) {
 			}
 			for i := 0; i < n-1; i++ {
 				m := p.Recv(AnySrc, 9)
-				key := fmt.Sprintf("%d->%d", m.Src, m.Dst)
-				perLink[key] = append(perLink[key], arrival{m.Deliver, m.SendTime})
-				uncontended := m.SendTime + cfg.Latency + Time(float64(m.Bytes)*cfg.NanosPerByte)
-				if m.Deliver < uncontended {
-					t.Fatalf("%s delivered at %v, before uncontended %v", key, m.Deliver, uncontended)
+				key := fmt.Sprintf("%d->%d", m.Src, m.dst)
+				perLink[key] = append(perLink[key], arrival{m.deliver, m.sendTime})
+				uncontended := m.sendTime + cfg.Latency + Time(float64(m.Bytes)*cfg.NanosPerByte)
+				if m.deliver < uncontended {
+					t.Fatalf("%s delivered at %v, before uncontended %v", key, m.deliver, uncontended)
 				}
-				if m.Deliver-uncontended != m.Queued {
-					t.Fatalf("%s queued = %v, want deliver-uncontended = %v", key, m.Queued, m.Deliver-uncontended)
+				if m.deliver-uncontended != m.queued {
+					t.Fatalf("%s queued = %v, want deliver-uncontended = %v", key, m.queued, m.deliver-uncontended)
 				}
 			}
 			barrierVia(p, 200+2*r)

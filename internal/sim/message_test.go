@@ -162,9 +162,9 @@ func sendBigThenSmall(t *testing.T, cfg Config) (bigDeliver, smallDeliver Time, 
 		m2 := p.Recv(AnySrc, AnyTag)
 		for _, mm := range []Message{m, m2} {
 			if mm.Tag == 1 {
-				bigDeliver = mm.Deliver
+				bigDeliver = mm.deliver
 			} else {
-				smallDeliver = mm.Deliver
+				smallDeliver = mm.deliver
 			}
 		}
 	}); err != nil {
@@ -193,7 +193,7 @@ func TestPairOvertakingDefault(t *testing.T) {
 // the inbox's last message, so positions are scrambled by the first
 // receive from the middle. Order must not depend on them: successive
 // receives under one filter come out in strictly increasing
-// (Deliver, seq), whichever filter and however deep the inbox. The
+// (deliver, seq), whichever filter and however deep the inbox. The
 // small messages behind a large one overtake it, so delivery order
 // differs from send order.
 func TestDeepInboxReceivesInDeliveryOrder(t *testing.T) {
@@ -219,9 +219,9 @@ func TestDeepInboxReceivesInDeliveryOrder(t *testing.T) {
 			var prev Message
 			for i := 0; i < n; i++ {
 				m := p.Recv(src, tag)
-				if i > 0 && (m.Deliver < prev.Deliver || (m.Deliver == prev.Deliver && m.seq <= prev.seq)) {
+				if i > 0 && (m.deliver < prev.deliver || (m.deliver == prev.deliver && m.seq <= prev.seq)) {
 					t.Fatalf("recv(%d,%d) #%d: (deliver %v, seq %d) after (deliver %v, seq %d)",
-						src, tag, i, m.Deliver, m.seq, prev.Deliver, prev.seq)
+						src, tag, i, m.deliver, m.seq, prev.deliver, prev.seq)
 				}
 				counts[m.Tag]++
 				prev = m

@@ -104,14 +104,14 @@ const (
 
 // Message is a simulated network message.
 type Message struct {
-	Src, Dst int
+	Src, dst int
 	Tag      int
 	Payload  any
 	Bytes    int        // modeled wire size, including header
 	Kind     stats.Kind // accounting category
-	SendTime Time       // sender clock when the message left
-	Deliver  Time       // arrival time at the destination
-	Queued   Time       // time spent waiting for busy links (contention)
+	sendTime Time       // sender clock when the message left
+	deliver  Time       // arrival time at the destination
+	queued   Time       // time spent waiting for busy links (contention)
 	seq      uint64     // global sequence number, for deterministic ties
 }
 
@@ -290,11 +290,11 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // deadlockError reports that no process could make progress.
 type deadlockError struct {
-	States []string
+	states []string
 }
 
 func (e *deadlockError) Error() string {
-	return "sim: deadlock: no runnable process\n  " + strings.Join(e.States, "\n  ")
+	return "sim: deadlock: no runnable process\n  " + strings.Join(e.states, "\n  ")
 }
 
 // stopped is the panic value that unwinds a suspended process body when
@@ -329,7 +329,7 @@ func (c *Cluster) Run(body func(p *Proc)) error {
 				states[i] = fmt.Sprintf("proc %d: %s clock=%v wait=(src=%d,tag=%d) inbox=%d",
 					i, q.state, q.clock, q.waitSrc, q.waitTag, len(q.inbox))
 			}
-			return &deadlockError{States: states}
+			return &deadlockError{states: states}
 		}
 		c.host.Dispatches++
 		p.horizon, p.state = horizon, stateRunning
@@ -351,7 +351,7 @@ func (c *Cluster) effective(p *Proc) Time {
 		return p.clock
 	case stateBlocked:
 		if m := p.minMatch(p.waitSrc, p.waitTag); m >= 0 {
-			return max(p.clock, p.inbox[m].Deliver)
+			return max(p.clock, p.inbox[m].deliver)
 		}
 		return Forever
 	default:
@@ -432,14 +432,14 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 	d := c.procs[dst]
 	d.inbox = append(d.inbox, Message{
 		Src:      p.id,
-		Dst:      dst,
+		dst:      dst,
 		Tag:      tag,
 		Payload:  payload,
 		Bytes:    wire,
 		Kind:     kind,
-		SendTime: p.clock,
-		Deliver:  deliver,
-		Queued:   queued,
+		sendTime: p.clock,
+		deliver:  deliver,
+		queued:   queued,
 		seq:      c.seq,
 	})
 	if d.state == stateBlocked && matches(d.waitSrc, d.waitTag, p.id, tag) {
@@ -539,8 +539,8 @@ func (p *Proc) minMatch(src, tag int) int {
 		if !matches(src, tag, m.Src, m.Tag) {
 			continue
 		}
-		if best < 0 || m.Deliver < p.inbox[best].Deliver ||
-			(m.Deliver == p.inbox[best].Deliver && m.seq < p.inbox[best].seq) {
+		if best < 0 || m.deliver < p.inbox[best].deliver ||
+			(m.deliver == p.inbox[best].deliver && m.seq < p.inbox[best].seq) {
 			best = i
 		}
 	}
@@ -557,7 +557,7 @@ func (p *Proc) Recv(src, tag int) Message {
 		// time >= horizon, and any message they send will deliver strictly
 		// after that, so a match delivered at or before the horizon is
 		// final.
-		if i := p.minMatch(src, tag); i >= 0 && p.inbox[i].Deliver <= p.horizon {
+		if i := p.minMatch(src, tag); i >= 0 && p.inbox[i].deliver <= p.horizon {
 			m := p.inbox[i]
 			last := len(p.inbox) - 1
 			p.inbox[i] = p.inbox[last]
@@ -565,17 +565,17 @@ func (p *Proc) Recv(src, tag int) Message {
 			p.inbox = p.inbox[:last]
 			p.c.hostPending--
 			p.c.host.Delivered++
-			if m.Deliver > p.clock {
+			if m.deliver > p.clock {
 				// The clock jump is the process's idle wait for this
 				// message: the fundamental stall the per-node time
 				// attribution is built from. The contention-queueing
 				// share rides along (clamped: delivery pipelining can
 				// hide part of the queueing behind the wait).
 				if tr := p.c.cfg.Trace; tr != nil {
-					wait := int64(m.Deliver - p.clock)
-					tr.Span(obs.EvWait, p.id, int64(p.clock), wait, m.Kind, -1, min(int64(m.Queued), wait))
+					wait := int64(m.deliver - p.clock)
+					tr.Span(obs.EvWait, p.id, int64(p.clock), wait, m.Kind, -1, min(int64(m.queued), wait))
 				}
-				p.clock = m.Deliver
+				p.clock = m.deliver
 			}
 			p.Advance(p.c.cfg.RecvOverhead)
 			return m

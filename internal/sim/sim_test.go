@@ -307,14 +307,14 @@ func TestCausality(t *testing.T) {
 				var last Time
 				for i := 0; i < 6; i++ {
 					m := p.Recv(AnySrc, 1)
-					if m.Deliver < last {
+					if m.deliver < last {
 						ok = false // consumed out of delivery order
 					}
-					last = m.Deliver
-					if p.Now() < m.Deliver {
+					last = m.deliver
+					if p.Now() < m.deliver {
 						ok = false // clock behind the message it consumed
 					}
-					if m.Deliver <= m.SendTime {
+					if m.deliver <= m.sendTime {
 						ok = false // zero/negative transit
 					}
 				}
@@ -408,7 +408,7 @@ func TestTransferTime(t *testing.T) {
 			return
 		}
 		m := p.Recv(0, 9)
-		got = m.Deliver - m.SendTime
+		got = m.deliver - m.sendTime
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Counted reports whether messages of this kind contribute to the
+// counted reports whether messages of this kind contribute to the
 // Table 2/3 totals.
-func (k Kind) Counted() bool { return k != KindShutdown }
+func (k Kind) counted() bool { return k != KindShutdown }
 
 // QueueResource identifies the contention resource that bound a queued
 // message: the resource whose busy-until time set the transfer's start.
@@ -97,12 +97,12 @@ type Stats struct {
 	QueueNanos int64
 	// QueuedMsgs counts the messages that waited at all.
 	QueuedMsgs int64
-	// QueueResNanos splits the queueing delay by the binding resource —
+	// queueResNanos splits the queueing delay by the binding resource —
 	// the one whose busy-until time the transfer actually waited on. A
 	// broadcast storm shows up on the sender's out link; a gather's root
 	// congestion shows up on in links; an undersized switch shows up on
 	// the backplane.
-	QueueResNanos [numQueueResources]int64
+	queueResNanos [numQueueResources]int64
 	// QueueKindNanos splits the total queueing delay by the message's
 	// traffic category, locating which protocol activity queued.
 	QueueKindNanos [numKinds]int64
@@ -120,7 +120,7 @@ func (s *Stats) Record(k Kind, bytes int) {
 func (s *Stats) RecordQueue(nanos int64, res QueueResource, k Kind) {
 	s.QueueNanos += nanos
 	s.QueuedMsgs++
-	s.QueueResNanos[res] += nanos
+	s.queueResNanos[res] += nanos
 	s.QueueKindNanos[k] += nanos
 }
 
@@ -136,7 +136,7 @@ func (s *Stats) QueueResNanosOf(res QueueResource) int64 {
 	if res >= numQueueResources {
 		return 0
 	}
-	return s.QueueResNanos[res]
+	return s.queueResNanos[res]
 }
 
 // QueueKindNanosOf returns the queueing delay accumulated by messages
@@ -159,7 +159,7 @@ func (s *Stats) Reset() {
 func (s *Stats) TotalMsgs() int64 {
 	var t int64
 	for k := Kind(0); k < numKinds; k++ {
-		if k.Counted() {
+		if k.counted() {
 			t += s.Msgs[k]
 		}
 	}
@@ -170,7 +170,7 @@ func (s *Stats) TotalMsgs() int64 {
 func (s *Stats) TotalBytes() int64 {
 	var t int64
 	for k := Kind(0); k < numKinds; k++ {
-		if k.Counted() {
+		if k.counted() {
 			t += s.Bytes[k]
 		}
 	}
@@ -197,7 +197,7 @@ func (s *Stats) Add(o *Stats) {
 	s.QueueNanos += o.QueueNanos
 	s.QueuedMsgs += o.QueuedMsgs
 	for r := QueueResource(0); r < numQueueResources; r++ {
-		s.QueueResNanos[r] += o.QueueResNanos[r]
+		s.queueResNanos[r] += o.queueResNanos[r]
 	}
 }
 
@@ -212,7 +212,7 @@ func (s *Stats) Sub(o *Stats) {
 	s.QueueNanos -= o.QueueNanos
 	s.QueuedMsgs -= o.QueuedMsgs
 	for r := QueueResource(0); r < numQueueResources; r++ {
-		s.QueueResNanos[r] -= o.QueueResNanos[r]
+		s.queueResNanos[r] -= o.queueResNanos[r]
 	}
 }
 

@@ -28,11 +28,11 @@ func TestRecordAndTotals(t *testing.T) {
 }
 
 func TestShutdownExcluded(t *testing.T) {
-	if KindShutdown.Counted() {
+	if KindShutdown.counted() {
 		t.Error("shutdown traffic must not be counted")
 	}
 	for _, k := range AllKinds() {
-		if k != KindShutdown && !k.Counted() {
+		if k != KindShutdown && !k.counted() {
 			t.Errorf("kind %v should be counted", k)
 		}
 	}
@@ -106,7 +106,7 @@ func TestTotalsConsistentProperty(t *testing.T) {
 		}
 		var msgs, bytes int64
 		for _, k := range AllKinds() {
-			if k.Counted() {
+			if k.counted() {
 				msgs += s.MsgsOf(k)
 				bytes += s.BytesOf(k)
 			}

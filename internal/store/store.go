@@ -58,10 +58,9 @@
 // handle (a concurrent compaction unlinks it, which POSIX keeps
 // readable).
 //
-// Compaction and the MaxBytes cap both walk the live frames in segment
-// order: the cap drops the oldest-appended frames first, and a
-// compacted segment holds the survivors in the order they were
-// appended, whichever process read what.
+// Compaction walks the live frames in segment order: a compacted
+// segment holds them in the order they were appended, whichever process
+// read what.
 package store
 
 import (
@@ -105,10 +104,6 @@ func OpenErrors() int64 { return openErrors.Load() }
 
 // Options configures a store.
 type Options struct {
-	// MaxBytes caps the segment file size; exceeding it drops the
-	// oldest-appended entries (the newest entry always survives, even if
-	// it alone exceeds the cap). Zero means unbounded.
-	MaxBytes int64
 	// SchemaVersion is stamped into every frame; frames carrying any
 	// other version are never indexed, never served, and dropped at the
 	// next compaction. Bump it when the record schema changes shape.
@@ -121,7 +116,6 @@ type Stats struct {
 	Hits          int64 `json:"hits"`           // Get calls served from disk
 	Misses        int64 `json:"misses"`         // Get calls that found no entry
 	Puts          int64 `json:"puts"`           // frames appended (deduplicated Puts excluded)
-	Evictions     int64 `json:"evictions"`      // entries dropped by the MaxBytes cap
 	CorruptFrames int64 `json:"corrupt_frames"` // frames skipped for bad CRC or mangled framing
 	SchemaSkips   int64 `json:"schema_skips"`   // frames skipped for a schema-version mismatch
 	Compactions   int64 `json:"compactions"`    // segment rewrites
@@ -170,7 +164,6 @@ type Store struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	puts        atomic.Int64
-	evictions   atomic.Int64
 	corrupt     atomic.Int64
 	schemaSkips atomic.Int64
 	compactions atomic.Int64
@@ -266,7 +259,6 @@ func (s *Store) Stats() Stats {
 		Hits:          s.hits.Load(),
 		Misses:        s.misses.Load(),
 		Puts:          s.puts.Load(),
-		Evictions:     s.evictions.Load(),
 		CorruptFrames: s.corrupt.Load(),
 		SchemaSkips:   s.schemaSkips.Load(),
 		Compactions:   s.compactions.Load(),
@@ -333,8 +325,8 @@ func (s *Store) Has(key string) bool {
 
 // Put stores value under key. Writes go through the exclusive
 // directory lock: refresh, truncate any torn tail, compact if the
-// segment is dirty or over budget, append — and fsync only when the
-// last one is older than syncWindow (see Sync). Re-putting an
+// segment is dirty, append — and fsync only when the last one is older
+// than syncWindow (see Sync). Re-putting an
 // identical value is a no-op; a different value supersedes the old
 // frame (determinism makes that unexpected, but the newest write
 // wins).
@@ -378,11 +370,6 @@ func (s *Store) Put(key string, value []byte) error {
 	s.size += int64(len(frame))
 	s.puts.Add(1)
 	s.unsynced = true
-	if s.opt.MaxBytes > 0 && s.size > s.opt.MaxBytes {
-		if err := s.evictLocked(s.opt.MaxBytes); err != nil {
-			return err
-		}
-	}
 	if s.now().Sub(s.lastSync) >= syncWindow {
 		return s.syncLocked()
 	}
@@ -695,30 +682,6 @@ func (s *Store) liveLocked() []*entry {
 	}
 	slices.SortFunc(live, func(a, b *entry) int { return cmp.Compare(a.off, b.off) })
 	return live
-}
-
-// evictLocked drops the oldest-appended entries until the live bytes
-// fit targetBytes, then compacts. The newest entry always survives.
-// Caller holds the exclusive flock.
-func (s *Store) evictLocked(targetBytes int64) error {
-	live := s.liveLocked()
-	total := int64(0)
-	for _, en := range live {
-		total += en.frameLen
-	}
-	dropped := 0
-	for ; total > targetBytes && dropped < len(live)-1; dropped++ {
-		total -= live[dropped].frameLen
-		delete(s.index, live[dropped].key)
-	}
-	if dropped > 0 {
-		s.evictions.Add(int64(dropped))
-		s.segDirty = true
-	}
-	if s.segDirty {
-		return s.compactLocked()
-	}
-	return nil
 }
 
 // compactLocked rewrites the live entries, in segment order, into

@@ -6,7 +6,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -451,60 +450,6 @@ func TestStoreTornTailTruncatedByWriter(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionDropsOldestFirst: the MaxBytes cap keeps the
-// newest-appended frames that fit and drops the rest oldest first; a
-// read saves no frame, and the newest frame survives a cap it alone
-// exceeds.
-func TestStoreEvictionDropsOldestFirst(t *testing.T) {
-	dir := t.TempDir()
-	val := strings.Repeat("v", 200)
-	frame := int64(len(encodeFrame(1, "key-00", []byte(val))))
-	key := func(i int) string { return fmt.Sprintf("key-%02d", i) }
-	// want is the last n keys appended up to key i.
-	want := func(i, n int) []string {
-		var keys []string
-		for j := max(0, i-n+1); j <= i; j++ {
-			keys = append(keys, key(j))
-		}
-		return keys
-	}
-	cap := 5 * frame
-	s := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: cap})
-	for i := 0; i < 12; i++ {
-		mustPut(t, s, key(i), val)
-		if i == 3 {
-			mustGet(t, s, key(0), val) // a read does not keep key-00
-		}
-		if got := s.SizeBytes(); got > cap {
-			t.Fatalf("after %s: segment %d bytes exceeds cap %d", key(i), got, cap)
-		}
-		if got, w := storeKeys(t, s), want(i, 5); !slices.Equal(got, w) {
-			t.Fatalf("after %s: live keys %v, want %v", key(i), got, w)
-		}
-	}
-	if st := s.Stats(); st.Evictions != 7 {
-		t.Fatalf("stats = %+v, want 7 evictions", st)
-	}
-	s.Close()
-	// A handle with a tighter cap evicts down to it on its next Put.
-	s2 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 2 * frame})
-	mustPut(t, s2, key(12), val)
-	if got := s2.SizeBytes(); got > 2*frame {
-		t.Fatalf("after eviction segment is %d bytes, want <= %d", got, 2*frame)
-	}
-	if got, w := storeKeys(t, s2), want(12, 2); !slices.Equal(got, w) {
-		t.Fatalf("under the tighter cap: live keys %v, want %v", got, w)
-	}
-	s2.Close()
-	// The newest frame survives a cap smaller than itself.
-	s3 := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 1})
-	mustPut(t, s3, key(13), val)
-	if got := storeKeys(t, s3); !slices.Equal(got, []string{key(13)}) {
-		t.Fatalf("under a one-byte cap: live keys %v, want [%s]", got, key(13))
-	}
-	mustGet(t, s3, key(13), val)
-}
-
 func TestStoreVerify(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{SchemaVersion: 1})
@@ -651,66 +596,43 @@ func segFile(t *testing.T, dir string) os.FileInfo {
 	return fi
 }
 
-// swapped runs swap and fails unless the segment path names another
-// file afterwards.
-func swapped(t *testing.T, dir, what string, swap func()) {
-	t.Helper()
-	before := segFile(t, dir)
-	swap()
-	if os.SameFile(before, segFile(t, dir)) {
-		t.Fatalf("the segment is the same file after %s", what)
-	}
-}
-
 // swapSegment makes s rewrite its live entries into a new segment file
 // renamed over the old one, by superseding a key.
 func swapSegment(t *testing.T, s *Store, dir string) {
 	t.Helper()
-	swapped(t, dir, "a compaction", func() {
-		mustPut(t, s, "superseded", "v1")
-		mustPut(t, s, "superseded", "v2")
-	})
+	before := segFile(t, dir)
+	mustPut(t, s, "superseded", "v1")
+	mustPut(t, s, "superseded", "v2")
+	if os.SameFile(before, segFile(t, dir)) {
+		t.Fatal("the segment is the same file after a compaction")
+	}
 }
 
 // TestStoreSwapSeenByLiveHandle: a handle opened before another handle
 // swaps the segment must reopen the path on its next miss and its next
 // append, or its writes land in an unlinked file nobody reads.
 func TestStoreSwapSeenByLiveHandle(t *testing.T) {
-	swaps := map[string]func(t *testing.T, b *Store, dir string){
-		"compact": swapSegment,
-		"evict": func(t *testing.T, _ *Store, dir string) {
-			// A capped handle on the same directory: its first Put
-			// evicts everything older to fit the cap of one frame.
-			capped := openT(t, dir, Options{SchemaVersion: 1, MaxBytes: 1})
-			swapped(t, dir, "an eviction", func() { mustPut(t, capped, "b0", "evicts the rest") })
-			if st := capped.Stats(); st.Evictions == 0 {
-				t.Fatalf("stats = %+v, want entries evicted", st)
-			}
-		},
-	}
-	for name, swap := range swaps {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			a := openT(t, dir, Options{SchemaVersion: 1})
-			mustPut(t, a, "a0", "before the swap")
-			b := openT(t, dir, Options{SchemaVersion: 1})
-			swap(t, b, dir)
-			mustPut(t, b, "b1", "after the swap")
-			mustGet(t, a, "b1", "after the swap")
-			mustPut(t, a, "a1", "through the old handle")
-			mustGet(t, b, "a1", "through the old handle")
-			mustGet(t, a, "a1", "through the old handle")
-			c := openT(t, dir, Options{SchemaVersion: 1})
-			mustGet(t, c, "a1", "through the old handle")
-			mustGet(t, c, "b1", "after the swap")
-			if a.Len() != c.Len() || b.Len() != c.Len() {
-				t.Fatalf("Len: a %d, b %d, fresh handle %d", a.Len(), b.Len(), c.Len())
-			}
-			if st := c.Stats(); st.Orphans != 0 || st.CorruptFrames != 0 {
-				t.Fatalf("fresh handle stats = %+v, want no orphans and no corrupt frames", st)
-			}
-		})
-	}
+	t.Run("compact", func(t *testing.T) {
+		dir := t.TempDir()
+		a := openT(t, dir, Options{SchemaVersion: 1})
+		mustPut(t, a, "a0", "before the swap")
+		b := openT(t, dir, Options{SchemaVersion: 1})
+		swapSegment(t, b, dir)
+		mustPut(t, b, "b1", "after the swap")
+		mustGet(t, a, "b1", "after the swap")
+		mustPut(t, a, "a1", "through the old handle")
+		mustGet(t, b, "a1", "through the old handle")
+		mustGet(t, a, "a1", "through the old handle")
+		c := openT(t, dir, Options{SchemaVersion: 1})
+		mustGet(t, c, "a1", "through the old handle")
+		mustGet(t, c, "b1", "after the swap")
+		if a.Len() != c.Len() || b.Len() != c.Len() {
+			t.Fatalf("Len: a %d, b %d, fresh handle %d", a.Len(), b.Len(), c.Len())
+		}
+		if st := c.Stats(); st.Orphans != 0 || st.CorruptFrames != 0 {
+			t.Fatalf("fresh handle stats = %+v, want no orphans and no corrupt frames", st)
+		}
+	})
 }
 
 // TestStoreOpenRemovesOrphans: a compaction that dies before its

@@ -31,8 +31,8 @@ func PushOnBarrier[T Elem](tm *Tmk, r *Region[T], lo, hi, dest int) {
 		panic("tmk: push to self")
 	}
 	r.checkRange(lo, hi)
-	first := int32(r.PageOf(lo))
-	last := int32(r.PageOf(hi - 1))
+	first := int32(r.pageOf(lo))
+	last := int32(r.pageOf(hi - 1))
 	tm.nd.pushes = append(tm.nd.pushes, &proto.PushDirective{
 		Dest:    dest,
 		First:   first,

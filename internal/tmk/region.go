@@ -115,15 +115,14 @@ func Alloc[T Elem](tm *Tmk, name string, n int) *Region[T] {
 	}
 	r.bufs = nd.sys.pageBufs[rid].(*[][]T)
 	r.basePage = nd.addPages(rid, npages)
-	nd.allocSeq++
 	return r
 }
 
 // Len returns the logical element count.
 func (r *Region[T]) Len() int { return r.n }
 
-// PageOf returns the global page id covering element i.
-func (r *Region[T]) PageOf(i int) int { return r.basePage + i/r.epp }
+// pageOf returns the global page id covering element i.
+func (r *Region[T]) pageOf(i int) int { return r.basePage + i/r.epp }
 
 // Pages returns the number of pages the region occupies.
 func (r *Region[T]) Pages() int { return r.npages }
@@ -186,7 +185,7 @@ func (r *Region[T]) ReadAggregatedRanges(ranges [][2]int) {
 }
 
 // checkRange panics unless elements [lo,hi) lie within the region's
-// pages: beyond them PageOf names pages of the next region.
+// pages: beyond them pageOf names pages of the next region.
 func (r *Region[T]) checkRange(lo, hi int) {
 	if lo < 0 || hi > r.npages*r.epp || lo > hi {
 		panic(fmt.Sprintf("tmk: %s: bad range [%d,%d)", r.name, lo, hi))

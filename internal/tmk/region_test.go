@@ -536,7 +536,7 @@ func TestViewIsExact(t *testing.T) {
 }
 
 // TestRangeChecks: every entry point that takes an element range
-// refuses one that leaves the region's pages — beyond them PageOf names
+// refuses one that leaves the region's pages — beyond them pageOf names
 // pages of the next region, which the protocol would fetch, push or
 // mark without complaint.
 func TestRangeChecks(t *testing.T) {

@@ -198,7 +198,6 @@ type node struct {
 	// all nodes, so global page ids agree everywhere.
 	regions    []regionHandle
 	pageLocs   []pageLoc
-	allocSeq   int
 	barrierSeq int
 	frames     FrameCounters // this node's share; regions count into it
 

@@ -691,8 +691,8 @@ func TestRegionGeometry(t *testing.T) {
 		if c.ElemsPerPage() != 256 {
 			t.Errorf("c128 epp = %d, want 256", c.ElemsPerPage())
 		}
-		if c.PageOf(0) != f.PageOf(0)+2 {
-			t.Errorf("regions overlap: %d vs %d", c.PageOf(0), f.PageOf(0))
+		if c.pageOf(0) != f.pageOf(0)+2 {
+			t.Errorf("regions overlap: %d vs %d", c.pageOf(0), f.pageOf(0))
 		}
 	})
 	if err != nil {
@@ -1106,26 +1106,6 @@ func TestWriteValidationPanicsOutOfRange(t *testing.T) {
 		r := Alloc[float32](tm, "a", 100)
 		r.Write(0, 5000)
 	})
-}
-
-// TestPageRunsEncoding pins the write-notice RLE used for wire
-// accounting.
-func TestPageRunsEncoding(t *testing.T) {
-	cases := []struct {
-		pages []int32
-		want  int
-	}{
-		{nil, 0},
-		{[]int32{5}, 1},
-		{[]int32{5, 6, 7}, 1},
-		{[]int32{5, 7, 9}, 3},
-		{[]int32{1, 2, 3, 10, 11, 20}, 3},
-	}
-	for _, c := range cases {
-		if got := proto.PageRuns(c.pages); got != c.want {
-			t.Errorf("PageRuns(%v) = %d, want %d", c.pages, got, c.want)
-		}
-	}
 }
 
 // TestBreakdownAttribution: a traced run's per-node breakdown

@@ -368,7 +368,7 @@ func TestContentionDelaysAreMonotone(t *testing.T) {
 			}
 			for i := 0; i < n-1; i++ {
 				m := p.Recv(AnySrc, 9)
-				key := fmt.Sprintf("%d->%d", m.Src, m.dst)
+				key := fmt.Sprintf("%d->%d", m.Src, p.ID())
 				perLink[key] = append(perLink[key], arrival{m.deliver, m.sendTime})
 				uncontended := m.sendTime + cfg.Latency + Time(float64(m.Bytes)*cfg.NanosPerByte)
 				if m.deliver < uncontended {

@@ -104,7 +104,7 @@ const (
 
 // Message is a simulated network message.
 type Message struct {
-	Src, dst int
+	Src      int
 	Tag      int
 	Payload  any
 	Bytes    int        // modeled wire size, including header
@@ -432,7 +432,6 @@ func (p *Proc) Send(dst, tag int, payload any, payloadBytes int, kind stats.Kind
 	d := c.procs[dst]
 	d.inbox = append(d.inbox, Message{
 		Src:      p.id,
-		dst:      dst,
 		Tag:      tag,
 		Payload:  payload,
 		Bytes:    wire,

@@ -2,7 +2,7 @@ package nbf
 
 import "repro/internal/core"
 
-// The checks and seq's coordinates, for the external test package.
+// The checks and seq's coordinates, for the tests.
 var CoordSum, WSum = coordSum, wsum
 
 // SeqCoords returns the coordinates seq's kernels leave after a run of

@@ -51,14 +51,7 @@ func TestSeqMatchesReference(t *testing.T) {
 	for _, scale := range []core.Scale{core.SmallScale, core.MidScale} {
 		cfg := New().Config(scale, 1)
 		cfg.Costs, cfg.App = model.SP2(), model.DefaultAppCosts()
-		x, y, z, f := make([]float32, cfg.N1), make([]float32, cfg.N1), make([]float32, cfg.N1), make([]float32, cfg.N1)
-		initCoords(x, y, z)
-		lists := buildPartners(cfg.N1, cfg.N2, cfg.N3)
-		for iter := 0; iter < cfg.Warmup+cfg.Iters; iter++ {
-			clear(f)
-			forceBlock(f, x, y, z, lists, 0, cfg.N1)
-			moveBlock(x, y, z, f)
-		}
+		x, y, z := SeqCoords(cfg)
 		rx, ry, rz := referenceCoords(cfg)
 		for i := range x {
 			if d := max(math.Abs(float64(x[i])-rx[i]), math.Abs(float64(y[i])-ry[i]), math.Abs(float64(z[i])-rz[i])); !(d <= tol) {

@@ -32,7 +32,7 @@ func TestNilTraceIsDisabled(t *testing.T) {
 		t.Error("nil trace has a topology")
 	}
 	if tr.nodeOf(3) != 3 {
-		t.Errorf("nil trace NodeOf(3) = %d, want identity", tr.nodeOf(3))
+		t.Errorf("nil trace nodeOf(3) = %d, want identity", tr.nodeOf(3))
 	}
 	if tr.isServer(7) {
 		t.Error("nil trace claims a server process")
@@ -57,10 +57,10 @@ func TestTopology(t *testing.T) {
 	tr.SetTopology(8, 4)
 	for p := 0; p < 8; p++ {
 		if got := tr.nodeOf(p); got != p%4 {
-			t.Errorf("NodeOf(%d) = %d, want %d", p, got, p%4)
+			t.Errorf("nodeOf(%d) = %d, want %d", p, got, p%4)
 		}
 		if got := tr.isServer(p); got != (p >= 4) {
-			t.Errorf("IsServer(%d) = %v, want %v", p, got, p >= 4)
+			t.Errorf("isServer(%d) = %v, want %v", p, got, p >= 4)
 		}
 	}
 	tr.SetTopology(4, 4) // no paired servers

@@ -44,7 +44,7 @@ func TestInitialHomesMatchStaticBlocks(t *testing.T) {
 			want := i * nprocs / npages
 			for _, gp := range []int32{int32(i), int32(npages + i)} {
 				if got := pol.homeOf(gp); got != want {
-					t.Fatalf("%s: HomeOf(%d) = %d, want %d", name, gp, got, want)
+					t.Fatalf("%s: homeOf(%d) = %d, want %d", name, gp, got, want)
 				}
 			}
 		}
@@ -84,7 +84,7 @@ func TestFirstTouchClaims(t *testing.T) {
 	// re-proposed, and the directory follows the broadcast.
 	pol.apply([]DirUpdate{{Page: 5, home: 1}})
 	if pol.homeOf(5) != 1 {
-		t.Fatalf("HomeOf(5) = %d after arbitration, want 1", pol.homeOf(5))
+		t.Fatalf("homeOf(5) = %d after arbitration, want 1", pol.homeOf(5))
 	}
 	pol.noteWrite(5)
 	if props := pol.Rebalance(); len(props) != 0 {

@@ -1,7 +1,5 @@
 package loopc
 
-import "fmt"
-
 // nestClass is the analyzer's verdict on a nest's row loop — the loop the
 // backends distribute.
 type nestClass int
@@ -34,15 +32,11 @@ func (c nestClass) String() string {
 // analyzable is false otherwise (mismatched or constant index vars).
 // refuted dependences are disproved by the nest's parity guard: the
 // write and the access touch elements of different (row+col) parity.
-// writeStmt and otherStmt are the statement indexes of the two accesses
-// within the nest, so diagnostics name the offending statements.
 type dep struct {
 	Array      string
 	dist       [2]int
 	analyzable bool
 	refuted    bool
-	writeStmt  int
-	otherStmt  int
 }
 
 // carried reports whether the dependence constrains row parallelism:
@@ -70,8 +64,6 @@ type arrayUse struct {
 type nestInfo struct {
 	Nest    *Nest
 	class   nestClass
-	why     string // serial only: the disqualifying reason
-	whyStmt int    // serial only: index of the offending statement (-1 otherwise)
 	deps    []dep
 	uses    map[string]*arrayUse
 	reduces []*Stmt // the nest's reduction statements
@@ -85,7 +77,7 @@ func mod2(x int) int { return ((x % 2) + 2) % 2 }
 // indexes cannot be satisfied from a replicated copy, so they serialize
 // the nest).
 func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *nestInfo {
-	info := &nestInfo{Nest: nst, whyStmt: -1, uses: map[string]*arrayUse{}}
+	info := &nestInfo{Nest: nst, uses: map[string]*arrayUse{}}
 	use := func(name string) *arrayUse {
 		u := info.uses[name]
 		if u == nil {
@@ -95,38 +87,27 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *nestInfo {
 		return u
 	}
 
-	// Collect the nest's writes and reads, remembering which statement
-	// each access came from so serialization reasons are self-describing
-	// (a minimized fuzz repro names the exact offending statement).
+	// Collect the nest's writes and reads.
 	type acc struct {
 		a     Access
 		write bool
-		stmt  int
 	}
 	var accs []acc
-	serialize := func(stmt int, why string) {
-		if info.class != classSerial {
-			info.class = classSerial
-			info.why = fmt.Sprintf("stmt %d: %s", stmt, why)
-			info.whyStmt = stmt
-		}
-	}
-	for si, s := range nst.Stmts {
+	for _, s := range nst.Stmts {
 		if s.ReduceInto != "" {
 			info.reduces = append(info.reduces, s)
 		} else {
-			accs = append(accs, acc{s.LHS, true, si})
+			accs = append(accs, acc{s.LHS, true})
 			u := use(s.LHS.Array)
 			u.written = true
 			// Owner-computes needs the written row to be the iteration's
 			// own row.
 			if s.LHS.Row.Var != nst.Row.Var || s.LHS.Row.Off != 0 {
-				serialize(si, fmt.Sprintf("write %s[%s%+d] not aligned with the row loop",
-					s.LHS.Array, s.LHS.Row.Var, s.LHS.Row.Off))
+				info.class = classSerial
 			}
 		}
 		s.RHS.walk(func(a Access) {
-			accs = append(accs, acc{a, false, si})
+			accs = append(accs, acc{a, false})
 			u := use(a.Array)
 			if a.Row.Var == nst.Row.Var {
 				if !u.read || a.Row.Off < u.minRowOff {
@@ -139,7 +120,7 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *nestInfo {
 				u.nonRowRead = true
 				if writtenAnywhere[a.Array] {
 					// A replicated/owner copy cannot serve this read.
-					serialize(si, fmt.Sprintf("read %s through non-row index %q", a.Array, a.Row.Var))
+					info.class = classSerial
 				}
 			}
 			u.read = true
@@ -160,7 +141,7 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *nestInfo {
 			if a.a.Array != w.a.Array || (a.write && a.a == w.a) {
 				continue
 			}
-			d := dep{Array: w.a.Array, writeStmt: w.stmt, otherStmt: a.stmt}
+			d := dep{Array: w.a.Array}
 			if analyzable(w.a) && analyzable(a.a) {
 				d.analyzable = true
 				d.dist = [2]int{w.a.Row.Off - a.a.Row.Off, w.a.Col.Off - a.a.Col.Off}
@@ -175,8 +156,7 @@ func analyzeNest(nst *Nest, writtenAnywhere map[string]bool) *nestInfo {
 			}
 			info.deps = append(info.deps, d)
 			if d.carried() {
-				serialize(w.stmt, fmt.Sprintf("row-carried dependence on %s against stmt %d (distance %v)",
-					d.Array, a.stmt, d.dist))
+				info.class = classSerial
 			}
 		}
 	}

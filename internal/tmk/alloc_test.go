@@ -99,24 +99,32 @@ func BenchmarkBarrier8(b *testing.B) {
 	}
 }
 
-// BenchmarkExtract encodes one float64 page's diff against its twin per
-// op, the twin kept and refreshed: an unchanged page, one word changed,
-// every 32nd word (16 runs, past the inline run table) and every word.
+// BenchmarkExtract encodes one page's diff against its twin per op, the
+// twin kept and refreshed, for float32 pages (the applications' grids)
+// and float64 pages: an unchanged page, one word changed, every
+// (epp/16)th word (16 runs, past the inline run table) and every word.
 // B/op and allocs/op are a diff's.
 func BenchmarkExtract(b *testing.B) {
+	b.Run("float32", benchExtract[float32])
+	b.Run("float64", benchExtract[float64])
+}
+
+func benchExtract[T Elem](b *testing.B) {
+	epp := model.PageSize / sizeOfElem[T]()
 	for _, bc := range []struct {
 		name   string
 		stride int
-	}{{"empty", 0}, {"sparse", 512}, {"strided", 32}, {"dense", 1}} {
+	}{{"empty", 0}, {"sparse", epp}, {"strided", epp / 16}, {"dense", 1}} {
 		b.Run(bc.name, func(b *testing.B) {
-			r := Alloc[float64](storageTmk(), "page", model.PageSize/8)
+			r := Alloc[T](storageTmk(), "page", epp)
 			page := r.Write(0, r.Len())
 			r.makeTwin(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
+				v := elemOf[T](k)
 				for i := 0; bc.stride > 0 && i < len(page); i += bc.stride {
-					page[i] = float64(k + 1)
+					page[i] = v
 				}
 				if _, bytes := r.extract(0, true); bytes < proto.DiffRecHdr {
 					b.Fatalf("diff of %d bytes", bytes)

@@ -401,21 +401,8 @@ func (r *Region[T]) diff(lp int32, keepTwin, lent bool) (any, int) {
 	if tw == nil {
 		panic("tmk: extract without twin")
 	}
-	page := r.page(lp)[:len(tw)] // twinned, so framed
-	runs := r.nd.sys.diffRuns[:0]
-	for i := 0; i < len(page); {
-		if page[i] == tw[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(page) && page[j] != tw[j] {
-			j++
-		}
-		runs = append(runs, [2]int32{int32(i), int32(j - i)})
-		i = j
-	}
-	d, bytes := r.pack(runs, page, lent)
+	page := r.page(lp) // twinned, so framed
+	d, bytes := r.pack(changedRuns(page, tw, r.nd.sys.diffRuns[:0]), page, lent)
 	if keepTwin {
 		copy(tw, page) // refresh: subsequent writes diff against this state
 	} else {
@@ -423,6 +410,49 @@ func (r *Region[T]) diff(lp int32, keepTwin, lent bool) (any, int) {
 		r.freeBuf(tw)
 	}
 	return d, bytes
+}
+
+// changedRuns appends to runs the maximal runs of elements, in page
+// order, where page[i] != tw[i] (tw at least as long as page), each as
+// its (offset, length). Every element is compared with == or !=, so
+// +0 and -0 are equal and a NaN differs from everything. Equal
+// stretches are skipped eight elements a step and differing runs
+// extended four a step; only inside the block that breaks a step, and
+// in the tail, are elements taken one at a time. Unsigned indices let
+// the compiler drop the element loops' bounds checks.
+func changedRuns[T Elem](page, tw []T, runs [][2]int32) [][2]int32 {
+	n := uint(len(page))
+	tw = tw[:n]
+	for i := uint(0); i < n; {
+		for i+8 <= n {
+			p, t := page[i:i+8:i+8], tw[i:i+8:i+8]
+			if p[0] != t[0] || p[1] != t[1] || p[2] != t[2] || p[3] != t[3] ||
+				p[4] != t[4] || p[5] != t[5] || p[6] != t[6] || p[7] != t[7] {
+				break
+			}
+			i += 8
+		}
+		for i < n && page[i] == tw[i] {
+			i++
+		}
+		if i == n {
+			break
+		}
+		j := i + 1
+		for j+4 <= n {
+			p, t := page[j:j+4:j+4], tw[j:j+4:j+4]
+			if p[0] == t[0] || p[1] == t[1] || p[2] == t[2] || p[3] == t[3] {
+				break
+			}
+			j += 4
+		}
+		for j < n && page[j] != tw[j] {
+			j++
+		}
+		runs = append(runs, [2]int32{int32(i), int32(j - i)})
+		i = j
+	}
+	return runs
 }
 
 // pack makes the payload of runs, their values copied from page into

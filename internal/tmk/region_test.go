@@ -1,7 +1,10 @@
 package tmk
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -32,7 +35,7 @@ func storageTmk() *Tmk {
 	return nd.tm
 }
 
-// elemOf maps k to a distinct non-zero value of T.
+// elemOf maps k ≥ 0 to a distinct non-zero value of T.
 func elemOf[T Elem](k int) T {
 	var z T
 	switch p := any(&z).(type) {
@@ -40,6 +43,12 @@ func elemOf[T Elem](k int) T {
 		*p = float32(k + 1)
 	case *float64:
 		*p = float64(k + 1)
+	case *int32:
+		*p = int32(k + 1)
+	case *int64:
+		*p = int64(k + 1)
+	case *complex64:
+		*p = complex(float32(k+1), -float32(k+1))
 	case *complex128:
 		*p = complex(float64(k+1), -float64(k+1))
 	default:
@@ -101,20 +110,9 @@ func (d *dense[T]) makeTwin(lp int) { d.twins[lp] = slices.Clone(d.page(lp)) }
 func (d *dense[T]) extract(lp int, keepTwin bool) ([]run[T], int) {
 	tw, page := d.twins[lp], d.page(lp)
 	var runs []run[T]
-	i := 0
-	for i < len(page) {
-		if page[i] == tw[i] {
-			i++
-			continue
-		}
-		j := i
-		for j < len(page) && page[j] != tw[j] {
-			j++
-		}
-		vals := make([]T, j-i)
-		copy(vals, page[i:j])
-		runs = append(runs, run[T]{off: i, vals: vals})
-		i = j
+	for _, rn := range changedRunsRef(page, tw, nil) {
+		i, j := int(rn[0]), int(rn[0]+rn[1])
+		runs = append(runs, run[T]{off: i, vals: slices.Clone(page[i:j])})
 	}
 	if keepTwin {
 		copy(tw, page)
@@ -174,6 +172,150 @@ func (d *dense[T]) mergeRecs(payloads []any) ([]run[T], int) {
 func sameRuns[T Elem](a, b []run[T]) bool {
 	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y run[T]) bool {
 		return x.off == y.off && slices.Equal(x.vals, y.vals)
+	})
+}
+
+// changedRunsRef is the element loop changedRuns replaced, kept as its
+// reference: one element a trip, compared with == and !=.
+func changedRunsRef[T Elem](page, tw []T, runs [][2]int32) [][2]int32 {
+	for i := 0; i < len(page); {
+		if page[i] == tw[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(page) && page[j] != tw[j] {
+			j++
+		}
+		runs = append(runs, [2]int32{int32(i), int32(j - i)})
+		i = j
+	}
+	return runs
+}
+
+// floatElem is x as a float T, and as (x, −x) for a complex one.
+func floatElem[T Elem](x float64) T {
+	var z T
+	switch p := any(&z).(type) {
+	case *float32:
+		*p = float32(x)
+	case *float64:
+		*p = x
+	case *complex64:
+		*p = complex(float32(x), -float32(x))
+	case *complex128:
+		*p = complex(x, -x)
+	default:
+		panic("floatElem: integer type")
+	}
+	return z
+}
+
+// specialPairs returns (page, twin) pairs of T's special values: eq
+// those == calls equal (signed zeros, whose bits differ, and like
+// infinities), ne those it calls different (a NaN against anything,
+// itself included, and opposite infinities). The integer types have
+// none.
+func specialPairs[T Elem]() (eq, ne [][2]T) {
+	var z T
+	switch any(z).(type) {
+	case int32, int64:
+		return nil, nil
+	}
+	f := floatElem[T]
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	eq = [][2]T{{f(0), f(negZero)}, {f(negZero), f(0)}, {f(inf), f(inf)}, {f(-inf), f(-inf)}}
+	ne = [][2]T{{f(nan), f(nan)}, {f(nan), f(0)}, {f(negZero), f(nan)}, {f(inf), f(-inf)}, {f(-inf), f(1)}}
+	return eq, ne
+}
+
+// checkChangedRuns holds changedRuns to changedRunsRef on pages of T:
+// every length from 0 to two pages and nine elements (every residue mod
+// 8 and mod 4) at five densities of change, and, on a 40-element page,
+// one changed run and one equal run from every start to every end. A
+// fourth of the equal and of the changed elements are special pairs.
+func checkChangedRuns[T Elem](t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	eq, ne := specialPairs[T]()
+	pair := func(changed bool) (T, T) {
+		special := eq
+		if changed {
+			special = ne
+		}
+		if len(special) > 0 && rng.Intn(4) == 0 {
+			sp := special[rng.Intn(len(special))]
+			return sp[0], sp[1]
+		}
+		v := rng.Intn(3)
+		if changed {
+			return elemOf[T](v), elemOf[T](v + 1)
+		}
+		return elemOf[T](v), elemOf[T](v)
+	}
+	check := func(page, tw []T, what string) {
+		t.Helper()
+		got := changedRuns(page, tw, nil)
+		if want := changedRunsRef(page, tw, nil); !slices.Equal(got, want) {
+			t.Fatalf("%T, %s: runs %v, the element loop's %v", page, what, got, want)
+		}
+	}
+	epp := model.PageSize / sizeOfElem[T]()
+	for n := 0; n <= 2*epp+9; n++ {
+		page, tw := make([]T, n), make([]T, n)
+		for _, density := range []float64{0, 0.02, 0.5, 0.98, 1} {
+			for i := range page {
+				page[i], tw[i] = pair(rng.Float64() < density)
+			}
+			check(page, tw, fmt.Sprintf("length %d, density %g", n, density))
+		}
+	}
+	const n = 40
+	page, tw := make([]T, n), make([]T, n)
+	for lo := 0; lo < n; lo++ {
+		for hi := lo + 1; hi <= n; hi++ {
+			for _, inside := range []bool{true, false} {
+				for i := range page {
+					page[i], tw[i] = pair((lo <= i && i < hi) == inside)
+				}
+				check(page, tw, fmt.Sprintf("[%d,%d) changed %v of %d", lo, hi, inside, n))
+			}
+		}
+	}
+}
+
+// TestChangedRunsMatchesElementLoop: the blocked kernel finds exactly
+// the element loop's runs for every element type.
+func TestChangedRunsMatchesElementLoop(t *testing.T) {
+	checkChangedRuns[float32](t)
+	checkChangedRuns[float64](t)
+	checkChangedRuns[int32](t)
+	checkChangedRuns[int64](t)
+	checkChangedRuns[complex64](t)
+	checkChangedRuns[complex128](t)
+}
+
+// FuzzChangedRuns holds changedRuns to changedRunsRef on float32 pages
+// whose bits come from the fuzzer: page from pb, twin from tb as far as
+// it reaches and equal to the page beyond.
+func FuzzChangedRuns(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(make([]byte, 4*37), []byte{})
+	f.Add(make([]byte, 4*37), bytes.Repeat([]byte{0, 0, 0, 0x80, 0, 0, 0xc0, 0x7f}, 19))
+	f.Add(bytes.Repeat([]byte{1, 0, 0x80, 0x7f}, 23), bytes.Repeat([]byte{1, 0, 0x80, 0x7f, 0, 0, 0x80, 0x7f, 2, 0, 0, 0}, 5))
+	f.Fuzz(func(t *testing.T, pb, tb []byte) {
+		n := len(pb) / 4
+		page, tw := make([]float32, n), make([]float32, n)
+		for i := range page {
+			page[i] = math.Float32frombits(binary.LittleEndian.Uint32(pb[4*i:]))
+			tw[i] = page[i]
+			if 4*i+4 <= len(tb) {
+				tw[i] = math.Float32frombits(binary.LittleEndian.Uint32(tb[4*i:]))
+			}
+		}
+		got := changedRuns(page, tw, nil)
+		if want := changedRunsRef(page, tw, nil); !slices.Equal(got, want) {
+			t.Fatalf("page %v, twin %v: runs %v, the element loop's %v", page, tw, got, want)
+		}
 	})
 }
 

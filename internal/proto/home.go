@@ -74,8 +74,8 @@ type home struct {
 	dirEpoch int32                // barrier epochs with directory updates installed
 	pulls    map[int32]*pullState // pages this node gained and is still pulling
 
-	// Per-process scratch (DESIGN.md "What a message costs the host",
-	// rule 6): Release's and a fault's, on the application process; a
+	// Per-process scratch (DESIGN.md, internal/proto, "Protocol scratch
+	// belongs to one process"): Release's and a fault's, on the application process; a
 	// home reads flushes[hm] and reqs[hm] before it answers.
 	end     []int
 	flushed []flushPage

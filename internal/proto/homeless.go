@@ -50,8 +50,8 @@ type homeless struct {
 	recSeq []int32 // recSeq[gp]: this node's record chain position for gp
 	recs   map[int32][]*diffRec
 
-	// Per-process scratch (DESIGN.md "What a message costs the host",
-	// rule 6). The application process alone writes reqs (reqs[q] is
+	// Per-process scratch (DESIGN.md, internal/proto, "Protocol scratch
+	// belongs to one process"). The application process alone writes reqs (reqs[q] is
 	// its request to writer q, which q's server reads before replying),
 	// writers and recv; the server process alone writes replies
 	// (replies[r] answers requester r, who reads it before asking again).
@@ -224,8 +224,8 @@ func (hl *homeless) gcPage(gp int32) {
 
 // recsSince returns the records for page gp with seq > fromSeq, in
 // chain order: the chain's tail (seqs ascend along a chain), capacity
-// clipped, so that a reply can carry it uncopied (DESIGN.md "Who owns
-// consistency data on the host").
+// clipped, so that a reply can carry it uncopied (DESIGN.md,
+// internal/proto, "Who owns consistency data").
 func (hl *homeless) recsSince(gp, fromSeq int32) []*diffRec {
 	chain := hl.recs[gp]
 	i, n := sort.Search(len(chain), func(k int) bool { return chain[k].seq > fromSeq }), len(chain)

@@ -131,8 +131,8 @@ func objectsPerMessage(t testing.TB) float64 {
 }
 
 // TestSteadyStateMessageAllocations holds what a message allocates to
-// what outlives it (DESIGN.md "What a message costs the host", rule
-// 7): per round of 18 messages, the four results ReduceSum returns and
+// what outlives it (DESIGN.md, internal/pvm, "Transmit buffers go
+// round"): per round of 18 messages, the four results ReduceSum returns and
 // the root's table of contributions. A buffer or a payload box per
 // message would add one object or two.
 func TestSteadyStateMessageAllocations(t *testing.T) {

@@ -4,7 +4,7 @@
 // simulator whose processes are coroutines with virtual clocks.
 //
 // The simulator stands in for the paper's 8-node IBM SP/2 (see DESIGN.md,
-// substitution table). Each simulated processor runs real Go code on real
+// internal/model). Each simulated processor runs real Go code on real
 // data, but time is virtual: computation advances a processor's clock by
 // explicitly charged amounts, and messages pay a configurable
 // latency + size/bandwidth + software-overhead cost on the simulated
@@ -52,8 +52,8 @@
 // the other processes at the moment of a send, because each send
 // tightens the sender's horizon to its own delivery time, the earliest
 // instant the destination could act — so the link-busy bookkeeping is
-// deterministic and FIFO in virtual time. See DESIGN.md, "Network
-// contention".
+// deterministic and FIFO in virtual time. See DESIGN.md, internal/sim,
+// "Network contention".
 package sim
 
 import (

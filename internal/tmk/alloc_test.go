@@ -47,8 +47,9 @@ func objectsPerRound(t testing.TB, p proto.Name, fault bool) float64 {
 
 // TestSteadyStateProtocolAllocations holds what a node allocates per
 // barrier, and per round of one write, one barrier, one read fault and
-// one diff or page request served, to what outlives them (DESIGN.md
-// "What a message costs the host", rule 6): the interval log's record,
+// one diff or page request served, to what outlives them (DESIGN.md,
+// "Protocol scratch belongs to one process" and "Barrier messages are
+// reused once read"): the interval log's record,
 // the writer's diff record and its payload, the messages that carry
 // data. Per-request scratch, or a barrier message made anew, would add
 // objects per round.

@@ -22,7 +22,8 @@ import (
 
 // arrivalMsg is a process's barrier-arrival payload, sent by pointer.
 // Each worker node keeps one and refills it once the manager has
-// marked it read (DESIGN.md "What a message costs the host", rule 6).
+// marked it read (DESIGN.md, internal/tmk, "Barrier messages are reused
+// once read").
 type arrivalMsg struct {
 	vc     []int32              // the arriver's vector clock (tells the manager what it lacks)
 	own    [1]proto.NoticeBatch // the arriver's newly released intervals

@@ -66,7 +66,10 @@ func (nd *node) firePushes(seq int, kind stats.Kind) {
 // TreadMarks to use a broadcast"). The root releases its interval and
 // ships the raw contents of region elements [lo,hi) to every process;
 // receivers install the data and mark the fully covered pages as applied,
-// so the subsequent write notices for them cause no page faults.
+// so the subsequent write notices for them cause no page faults. A page
+// the range covers only in part keeps its notices: a receiver that still
+// holds it invalid repairs it at once and installs the data again, so a
+// later fault cannot lay an older diff over the broadcast elements.
 // Collective: every process must call it with the same arguments.
 func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
 	r.checkRange(lo, hi)
@@ -94,7 +97,8 @@ func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
 	}
 	m := p.Recv(root, tagBcast+seq)
 	bm := m.Payload.(bcastMsg)
-	r.install(lo, hi, bm.payload.([]T))
+	vals := bm.payload.([]T)
+	r.install(lo, hi, vals)
 	// A fully covered page is now the root's copy: whatever the root had
 	// applied, from any writer, is applied here. Settling the root's own
 	// intervals alone would leave an older writer's notice pending, and
@@ -103,4 +107,13 @@ func BroadcastRegion[T Elem](tm *Tmk, r *Region[T], lo, hi, root int) {
 		nd.prot.MarkApplied(int32(firstFull+i), applied)
 	}
 	p.Advance(c.DiffApplyCost((hi - lo) * r.elemSize))
+	// A partly covered page is not the root's copy, so nothing settles
+	// it; repair it now and lay the broadcast elements over the repair.
+	for gp := r.pageOf(lo); hi > lo && gp <= r.pageOf(hi-1); gp++ {
+		if nd.prot.Invalid(int32(gp)) {
+			r.validate(lo, hi, false, false)
+			r.install(lo, hi, vals)
+			break
+		}
+	}
 }

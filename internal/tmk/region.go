@@ -42,8 +42,8 @@ type delta[T Elem] struct {
 // compiler pads shared arrays (§2.1). A node stores only the pages it
 // has touched: frames maps each local page to the piece holding it, nil
 // for a page never validated or written here, which is all zeros as
-// every page is at allocation (DESIGN.md "Shared regions: views and
-// frames").
+// every page is at allocation (DESIGN.md, internal/tmk, "Views" and
+// "Frames").
 type Region[T Elem] struct {
 	nd       *node
 	name     string

@@ -434,11 +434,21 @@ func TestBroadcastRegion(t *testing.T) {
 // first writer's diff and lays it over the root's newer half; the read
 // that follows fails here, not at an end checksum. When the first
 // writer then writes the page again, the receiver must fetch that write
-// alone, not the writer's chain from the start.
+// alone, not the writer's chain from the start. A broadcast of half the
+// page settles nothing, so a receiver that never validated the page
+// repairs it inside the broadcast (one fault) and lays the broadcast
+// half over the repair; repairing it later, at the read, would lay the
+// first writer's diff over the root's half.
 func TestBroadcastSettlesEveryWriterOfThePage(t *testing.T) {
 	const elems = model.PageSize / 4
+	cases := []struct {
+		hears  string
+		hi     int
+		faults int64
+	}{{"before", elems, 0}, {"after", elems, 0}, {"before", elems / 2, 1}}
 	for _, prot := range proto.Names() {
-		for _, hears := range []string{"before", "after"} {
+		for _, tc := range cases {
+			hears := tc.hears
 			sys := NewSystem(3, model.SP2(), WithProtocol(prot))
 			err := sys.Run(func(tm *Tmk) {
 				r := Alloc[float32](tm, "v", elems)
@@ -475,11 +485,15 @@ func TestBroadcastSettlesEveryWriterOfThePage(t *testing.T) {
 						tm.ReleaseLock(0)
 					}
 				}
-				BroadcastRegion(tm, r, 0, elems, 1)
+				BroadcastRegion(tm, r, 0, tc.hi, 1)
+				if got := tm.nd.prot.Counters().Faults; tm.ID() == 2 && got != tc.faults {
+					t.Errorf("%s, notice heard %s a broadcast of [0,%d): the receiver took %d faults in it, want %d",
+						prot, hears, tc.hi, got, tc.faults)
+				}
 				check("after the broadcast", 1)
 				tm.Barrier()
 				check("after the next barrier", 1)
-				if tm.ID() == 2 && tm.nd.prot.Counters().Faults != 0 {
+				if tm.ID() == 2 && tc.hi == elems && tm.nd.prot.Counters().Faults != 0 {
 					t.Errorf("%s, notice heard %s the broadcast: the receiver took %d faults on a page it was sent whole",
 						prot, hears, tm.nd.prot.Counters().Faults)
 				}

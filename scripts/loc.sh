@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # loc.sh prints the non-test Go lines of each top-level package outside
 # bench/ — internal/<pkg> with its subpackages, cmd/<tool>, examples,
-# and the root package — and their total. Given a git revision it
-# prints that revision's counts, the working tree's and the difference,
-# so a change's line delta is a number:
+# and the root package — and their total, then the lines of the three
+# documents (DESIGN.md, EXPERIMENTS.md, README.md). Given a git revision
+# it prints that revision's counts, the working tree's and the
+# difference, so a change's line delta is a number:
 #
 #	scripts/loc.sh            # the working tree
 #	scripts/loc.sh main       # main, the working tree, and the delta
@@ -36,13 +37,23 @@ by_package() {
 	} END { for (k in s) print k, s[k] }' | sort
 }
 
+docs="DESIGN.md EXPERIMENTS.md README.md"
+
 if [ $# -eq 0 ]; then
 	lines "" | by_package | awk '
 		{ t += $2; printf "%-20s %7d\n", $1, $2 }
 		END { printf "%-20s %7d\n", "total", t }'
+	for f in $docs; do
+		printf '%-20s %7d\n' "$f" "$(wc -l <"$f")"
+	done
 else
 	join -a1 -a2 -e0 -o 0,1.2,2.2 <(lines "$1" | by_package) <(lines "" | by_package) | awk -v rev="$1" '
 		BEGIN { printf "%-20s %7s %7s %7s\n", "package", rev, "tree", "delta" }
 		{ a += $2; b += $3; printf "%-20s %7d %7d %+7d\n", $1, $2, $3, $3 - $2 }
 		END { printf "%-20s %7d %7d %+7d\n", "total", a, b, b - a }'
+	for f in $docs; do
+		a=$( (git show "$1:$f" 2>/dev/null || true) | wc -l)
+		b=$(wc -l <"$f")
+		printf '%-20s %7d %7d %+7d\n' "$f" "$a" "$b" $((b - a))
+	done
 fi

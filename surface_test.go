@@ -438,7 +438,7 @@ func TestFlagsAreExercised(t *testing.T) {
 	for _, f := range cliFlags {
 		key := f.cmd + " -" + f.flag
 		listed[key] = true
-		if !registered[key] {
+		if registered[key] == "" {
 			t.Errorf("%s is listed but not registered: drop it from the list", key)
 		}
 		text, err := os.ReadFile(f.exerciser)
@@ -461,11 +461,11 @@ func TestFlagsAreExercised(t *testing.T) {
 	t.Logf("%d flags over %d binaries", len(registered), len(scanDirs(t, "cmd")))
 }
 
-// scanFlags returns "binary -name" for every flag.Xxx("name", …) call
-// in the non-test files of cmd/.
-func scanFlags(t *testing.T) map[string]bool {
+// scanFlags maps "binary -name" to Xxx for every flag.Xxx("name", …)
+// call in the non-test files of cmd/.
+func scanFlags(t *testing.T) map[string]string {
 	t.Helper()
-	flags := map[string]bool{}
+	flags := map[string]string{}
 	fset := token.NewFileSet()
 	for _, dir := range scanDirs(t, "cmd") {
 		for _, path := range goFiles(t, filepath.Join("cmd", dir)) {
@@ -490,7 +490,7 @@ func scanFlags(t *testing.T) map[string]bool {
 				}
 				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 					name, _ := strconv.Unquote(lit.Value)
-					flags[dir+" -"+name] = true
+					flags[dir+" -"+name] = sel.Sel.Name
 				}
 				return true
 			})

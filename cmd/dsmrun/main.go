@@ -177,6 +177,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -603,12 +604,13 @@ func runGenDiff(genSpec, genFile string) error {
 		specs = append(specs, ps)
 	default:
 		seedPart, countPart, hasCount := strings.Cut(genSpec, ":")
-		var seed, count int64 = 0, 1
-		if _, err := fmt.Sscanf(seedPart, "%d", &seed); err != nil || seed < 0 {
+		seed, err := strconv.ParseInt(seedPart, 10, 64)
+		if err != nil || seed < 0 {
 			return fmt.Errorf("dsmrun: invalid -gen %q (want seed or seed:count)", genSpec)
 		}
+		count := int64(1)
 		if hasCount {
-			if _, err := fmt.Sscanf(countPart, "%d", &count); err != nil || count < 1 {
+			if count, err = strconv.ParseInt(countPart, 10, 64); err != nil || count < 1 {
 				return fmt.Errorf("dsmrun: invalid -gen %q (want seed or seed:count)", genSpec)
 			}
 		}

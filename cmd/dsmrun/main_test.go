@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -61,5 +62,31 @@ func TestFailedSweepExitsOne(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
 	if len(lines) != 2 || strings.Contains(lines[0], `"error"`) || !strings.Contains(lines[1], `"error":"NBF/xhpf-gen: `) {
 		t.Errorf("stdout %q, want the seq record, then xhpf-gen's error record", stdout.String())
+	}
+}
+
+// TestGenRejectsMalformedNumbers: -gen takes a decimal seed and count,
+// whole. A value with trailing characters, a fraction, a hex prefix or
+// an empty count is an error before any program runs, not a run of the
+// number's leading digits.
+func TestGenRejectsMalformedNumbers(t *testing.T) {
+	for _, spec := range []string{"1.5", "12abc", "0x10", "3:2x", "3:"} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = w
+		err = runGenDiff(spec, "")
+		os.Stdout = stdout
+		w.Close()
+		printed, _ := io.ReadAll(r)
+		r.Close()
+		if want := `invalid -gen "` + spec + `"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-gen %q: error %v, want one naming %s", spec, err, want)
+		}
+		if len(printed) > 0 {
+			t.Errorf("-gen %q ran programs:\n%s", spec, printed)
+		}
 	}
 }

@@ -13,7 +13,8 @@
 // in every version the paper compares, and internal/harness regenerates
 // every table and figure. See README.md, DESIGN.md and EXPERIMENTS.md.
 //
-// The benchmarks in this package (bench_test.go) regenerate each
-// experiment as a `go test -bench` target, reporting speedups, message
-// counts and data volumes as custom metrics.
+// Each experiment is defined once, as a harness table: `dsmrun -tables`
+// prints it, and the harness's golden records pin it. This package
+// holds only the tests that check the documents and the exported
+// surface against the tree.
 package repro

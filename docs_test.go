@@ -4,14 +4,16 @@ package repro
 // tree: every test they cite exists, DESIGN.md is one section per
 // top-level directory in import order within a line budget, README's
 // package table covers internal/, neither design nor experiment notes
-// carry per-change history, and every go run ./cmd/… command they show
-// parses with the binary's registered flags and values.
+// carry per-change history, every go run ./cmd/… command they show
+// parses with the binary's registered flags and values, and every go
+// test command they show names packages and test patterns that exist.
 
 import (
 	"errors"
 	"fmt"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -36,6 +38,7 @@ var (
 	placeholderRE = regexp.MustCompile(`\.\.\.|<[a-z-]+>`)
 	assignRE      = regexp.MustCompile(`^([A-Z_]+)=(.*)$`)
 	varRE         = regexp.MustCompile(`^\$(?:\{([A-Za-z_]\w*)\}|([A-Za-z_]\w*))`)
+	testDeclRE    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
 func readDoc(t *testing.T, name string) string {
@@ -66,21 +69,26 @@ func TestDocsCiteExistingTests(t *testing.T) {
 // every _test.go file in the repository.
 func definedTests(t *testing.T) map[string]bool {
 	t.Helper()
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	defined := map[string]bool{}
 	for _, path := range goFiles(t, ".") {
-		if !strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range decl.FindAllSubmatch(b, -1) {
-			defined[string(m[1])] = true
+		if strings.HasSuffix(path, "_test.go") {
+			testFuncs(t, path, defined)
 		}
 	}
 	return defined
+}
+
+// testFuncs adds the test, benchmark and fuzz functions of one
+// _test.go file to names.
+func testFuncs(t *testing.T, path string, names map[string]bool) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range testDeclRE.FindAllSubmatch(b, -1) {
+		names[string(m[1])] = true
+	}
 }
 
 // TestDesignSectionsFollowImports: DESIGN.md's ## sections name every
@@ -229,6 +237,53 @@ func TestNoChangeHistoryInDocs(t *testing.T) {
 func TestDocCommandsParse(t *testing.T) {
 	kinds := scanFlags(t)
 	checked := 0
+	docLines(t, func(doc, line string, words []string) {
+		if placeholderRE.MatchString(line) {
+			return
+		}
+		for _, cmd := range goRuns(words) {
+			checked++
+			if err := checkCommand(cmd[0], cmd[1:], kinds); err != nil {
+				t.Errorf("%s: %q: %v", doc, line, err)
+			}
+		}
+	})
+	if checked == 0 {
+		t.Error("no go run ./cmd/… command found in a fenced sh block")
+	}
+	t.Logf("%d commands checked", checked)
+}
+
+// TestDocGoTestCommandsResolve: every go test command of a fenced sh
+// block names packages that exist (./dir/... expanded as go expands
+// it), and each -run, -bench or -fuzz pattern other than ^$ and .
+// matches a function of its kind in them: -run a Test or Fuzz
+// function, -bench a Benchmark, -fuzz a Fuzz. A line holding a
+// placeholder (<name>, or ... outside a ./dir/... pattern) is skipped.
+func TestDocGoTestCommandsResolve(t *testing.T) {
+	checked := 0
+	docLines(t, func(doc, line string, words []string) {
+		if placeholderRE.MatchString(strings.ReplaceAll(line, "/...", "/")) {
+			return
+		}
+		for _, args := range goCommands(words, "test") {
+			checked++
+			if err := checkGoTest(t, args); err != nil {
+				t.Errorf("%s: %q: %v", doc, line, err)
+			}
+		}
+	})
+	if checked == 0 {
+		t.Error("no go test command found in a fenced sh block")
+	}
+	t.Logf("%d commands checked", checked)
+}
+
+// docLines calls f with the words of every logical line of every
+// fenced sh block of the documents, after substituting the variables
+// set earlier in its block; an assignment line itself is not passed.
+func docLines(t *testing.T, f func(doc, line string, words []string)) {
+	t.Helper()
 	for _, doc := range docs {
 		for _, block := range shBlocks(readDoc(t, doc)) {
 			vars := map[string]string{}
@@ -244,22 +299,134 @@ func TestDocCommandsParse(t *testing.T) {
 						continue
 					}
 				}
-				if placeholderRE.MatchString(line) {
-					continue
-				}
-				for _, cmd := range goRuns(words) {
-					checked++
-					if err := checkCommand(cmd[0], cmd[1:], kinds); err != nil {
-						t.Errorf("%s: %q: %v", doc, line, err)
-					}
-				}
+				f(doc, line, words)
 			}
 		}
 	}
-	if checked == 0 {
-		t.Error("no go run ./cmd/… command found in a fenced sh block")
+}
+
+// goTestValueFlags and goTestBoolFlags are the go test flags the
+// documents may show.
+var (
+	goTestValueFlags = []string{"bench", "benchtime", "count", "cpu", "fuzz", "fuzztime",
+		"run", "skip", "timeout", "tags", "coverprofile", "cpuprofile", "memprofile"}
+	goTestBoolFlags = []string{"benchmem", "cover", "failfast", "json", "race", "short", "v"}
+)
+
+// testKinds maps a pattern flag of go test to the function prefixes
+// its pattern selects from.
+var testKinds = map[string][]string{
+	"run":   {"Test", "Fuzz"},
+	"bench": {"Benchmark"},
+	"fuzz":  {"Fuzz"},
+}
+
+// checkGoTest parses args as go test's, run from the repository root,
+// and resolves its packages and patterns.
+func checkGoTest(t *testing.T, args []string) error {
+	t.Helper()
+	var pkgs []string
+	patterns := map[string]string{}
+	for i := 0; i < len(args); i++ {
+		name, ok := strings.CutPrefix(args[i], "-")
+		if !ok {
+			pkgs = append(pkgs, args[i])
+			continue
+		}
+		name, val, hasVal := strings.Cut(strings.TrimPrefix(name, "-"), "=")
+		takesVal := slices.Contains(goTestValueFlags, name)
+		switch {
+		case !takesVal && !slices.Contains(goTestBoolFlags, name):
+			return fmt.Errorf("go test flag -%s is in neither goTestValueFlags nor goTestBoolFlags", name)
+		case takesVal && !hasVal:
+			if i+1 == len(args) {
+				return fmt.Errorf("-%s needs a value", name)
+			}
+			i++
+			val = args[i]
+		}
+		if testKinds[name] != nil {
+			patterns[name] = val
+		}
 	}
-	t.Logf("%d commands checked", checked)
+	if len(pkgs) == 0 {
+		pkgs = []string{"."}
+	}
+	funcs := map[string]bool{}
+	for _, pkg := range pkgs {
+		dirs := goTestDirs(t, pkg)
+		if len(dirs) == 0 {
+			return fmt.Errorf("package %s does not exist", pkg)
+		}
+		for _, dir := range dirs {
+			paths, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			for _, path := range paths {
+				testFuncs(t, path, funcs)
+			}
+		}
+	}
+	for flag, pat := range patterns {
+		if pat == "^$" || pat == "." {
+			continue
+		}
+		// go test matches a top-level function against the pattern's
+		// first /-separated element.
+		re, err := regexp.Compile(strings.Split(pat, "/")[0])
+		if err != nil {
+			return fmt.Errorf("-%s %q: %v", flag, pat, err)
+		}
+		matched := false
+		for name := range funcs {
+			for _, kind := range testKinds[flag] {
+				matched = matched || strings.HasPrefix(name, kind) && re.MatchString(name)
+			}
+		}
+		if !matched {
+			return fmt.Errorf("-%s %q matches no %s function in %s", flag, pat, strings.Join(testKinds[flag], " or "), strings.Join(pkgs, " "))
+		}
+	}
+	return nil
+}
+
+// goTestDirs expands a go test package argument to the package
+// directories it names, as go does from the module root: ./dir/... is
+// every directory under dir holding a .go file, without testdata, dot
+// and underscore directories and nested modules.
+func goTestDirs(t *testing.T, pkg string) []string {
+	t.Helper()
+	root, all := strings.CutSuffix(pkg, "/...")
+	isPkg := func(dir string) bool {
+		paths, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		return len(paths) > 0
+	}
+	if !all {
+		if isPkg(pkg) {
+			return []string{pkg}
+		}
+		return nil
+	}
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		if isPkg(path) {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return dirs
 }
 
 // shBlocks returns the logical lines of every ```sh block of text,
@@ -361,20 +528,34 @@ func isOperator(w string) bool {
 	return len(w) == 1 && strings.Contains("|&;<>", w)
 }
 
-// goRuns returns each go run ./cmd/X command of a line's words as X
-// followed by its arguments, up to the next |, &, ;, < or >.
-func goRuns(words []string) [][]string {
+// goCommands returns the arguments of each go <sub> command of a
+// line's words, up to the next |, &, ;, < or >.
+func goCommands(words []string, sub string) [][]string {
 	var cmds [][]string
-	for i := 0; i+2 < len(words); i++ {
-		bin, ok := strings.CutPrefix(words[i+2], "./cmd/")
-		if words[i] != "go" || words[i+1] != "run" || !ok {
+	for i := 0; i+1 < len(words); i++ {
+		if words[i] != "go" || words[i+1] != sub {
 			continue
 		}
-		cmd := []string{strings.TrimSuffix(bin, "/")}
-		for i += 3; i < len(words) && !isOperator(words[i]); i++ {
-			cmd = append(cmd, words[i])
+		var args []string
+		for i += 2; i < len(words) && !isOperator(words[i]); i++ {
+			args = append(args, words[i])
 		}
-		cmds = append(cmds, cmd)
+		cmds = append(cmds, args)
+	}
+	return cmds
+}
+
+// goRuns returns each go run ./cmd/X command of a line's words as X
+// followed by its arguments.
+func goRuns(words []string) [][]string {
+	var cmds [][]string
+	for _, args := range goCommands(words, "run") {
+		if len(args) == 0 {
+			continue
+		}
+		if bin, ok := strings.CutPrefix(args[0], "./cmd/"); ok {
+			cmds = append(cmds, append([]string{strings.TrimSuffix(bin, "/")}, args[1:]...))
+		}
 	}
 	return cmds
 }

@@ -20,7 +20,7 @@ import (
 var breakdown = Table{Name: "breakdown", Observe: true, Specs: figureSpecs(breakdownApps), render: renderBreakdown}
 
 // breakdownApps are the paper's applications in its order.
-var breakdownApps = append(append([]string{}, RegularApps...), IrregularApps...)
+var breakdownApps = append(append([]string{}, regularApps...), irregularApps...)
 
 func renderBreakdown(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	res := index(recs)
@@ -29,7 +29,7 @@ func renderBreakdown(w io.Writer, base exp.Spec, recs []exp.Record) error {
 		"App", "ver", "time (s)", "compute", "fault", "barrier", "lock", "data", "queue", "other")
 	fmt.Fprintln(w, "--------------------------------------------------------------------------------------------")
 	for _, name := range breakdownApps {
-		for _, v := range FigureVersions {
+		for _, v := range figureVersions {
 			rec := res.of(at(base, name, v))
 			if rec.BDTotalNanos == 0 {
 				continue // not observed

@@ -25,9 +25,9 @@ func compiledApps() []core.App {
 	return []core.App{jacobi.New(), rbsor.New()}
 }
 
-// CompiledPairs lists the hand-vs-generated version pairs: each
+// compiledPairs lists the hand-vs-generated version pairs: each
 // generated row of the version table after the version it reproduces.
-func CompiledPairs() (out [][2]core.Version) {
+func compiledPairs() (out [][2]core.Version) {
 	for _, row := range core.VersionTable() {
 		if row.Generated {
 			out = append(out, [2]core.Version{row.Varies, row.Version})
@@ -43,7 +43,7 @@ var compiler = Table{Name: "compiler", Specs: compilerSpecs, render: renderCompi
 
 func compilerSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range compiledApps() {
-		for _, pair := range CompiledPairs() {
+		for _, pair := range compiledPairs() {
 			specs = append(specs, at(base, a.Name(), pair[0]), at(base, a.Name(), pair[1]))
 		}
 	}

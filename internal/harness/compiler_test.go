@@ -28,7 +28,7 @@ var compiledProcCounts = []int{1, 2, 3, 4, 5, 7, 8}
 // must reproduce the generated record exactly.
 func TestCompiledEquivalence(t *testing.T) {
 	for _, a := range compiledApps() {
-		for _, pair := range CompiledPairs() {
+		for _, pair := range compiledPairs() {
 			hand, gen := pair[0], pair[1]
 			for _, procs := range compiledProcCounts {
 				for _, p := range proto.Names() {
@@ -57,7 +57,7 @@ func TestCompiledEquivalence(t *testing.T) {
 // so this holds at ragged node counts too.
 func TestCompiledTrafficMatchesHand(t *testing.T) {
 	for _, a := range compiledApps() {
-		for _, pair := range CompiledPairs() {
+		for _, pair := range compiledPairs() {
 			for _, procs := range compiledProcCounts {
 				e := exp.New()
 				hand, gen := runRecord(t, e, small(a.Name(), pair[0], procs, "")), runRecord(t, e, small(a.Name(), pair[1], procs, ""))
@@ -143,7 +143,7 @@ func TestCompiledEquivalenceCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		ga := a.(*gen.App)
-		for _, procs := range ProtocolProcCounts {
+		for _, procs := range protocolProcCounts {
 			for _, v := range ga.Versions() {
 				info := core.Describe(v)
 				if !info.Generated {

@@ -81,7 +81,7 @@ var contention = Table{Name: "contention", Specs: contentionSpecs, render: rende
 
 func contentionSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, name := range contentionApps {
-		v := DSMVersionOf(mustApp(name))
+		v := dsmVersionOf(mustApp(name))
 		for _, procs := range contentionProcCounts {
 			for _, ways := range contentionSweep {
 				for _, c := range contentionColumns(v, base.Protocol) {

@@ -56,7 +56,7 @@ func records(e *exp.Engine, specs []exp.Spec) ([]exp.Record, error) {
 // tables lists every experiment; "paper" selects the paper ones in this
 // order.
 var tables = []Table{
-	table1, figure1, table2, figure2, table3, HandOpt, Interface,
+	table1, figure1, table2, figure2, table3, handOpt, interfaceAblation,
 	scalability, protocols, compiler, contention, migration, breakdown,
 }
 
@@ -165,7 +165,7 @@ func renderTable1(w io.Writer, base exp.Spec, recs []exp.Record) error {
 // baselines the speedups divide by.
 func figureSpecs(apps []string) func(exp.Spec) []exp.Spec {
 	return func(base exp.Spec) []exp.Spec {
-		axes := exp.Axes{Apps: apps, Versions: FigureVersions}
+		axes := exp.Axes{Apps: apps, Versions: figureVersions}
 		specs := axes.Specs(at(base, "", ""))
 		for i := range specs {
 			specs[i] = specs[i].Normalize()
@@ -182,7 +182,7 @@ func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record)
 		res := index(recs)
 		fmt.Fprintf(w, "%s%s\n", title, scaleNote(base.Scale))
 		fmt.Fprintf(w, "%-9s |", "App")
-		for _, v := range FigureVersions {
+		for _, v := range figureVersions {
 			fmt.Fprintf(w, " %6s(p) %6s(m) |", v, v)
 		}
 		fmt.Fprintln(w)
@@ -190,7 +190,7 @@ func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record)
 		for _, name := range apps {
 			seq := res.of(at(base, name, core.Seq))
 			fmt.Fprintf(w, "%-9s |", name)
-			for _, v := range FigureVersions {
+			for _, v := range figureVersions {
 				sp := speedup(res.of(at(base, name, v)), seq)
 				paper := paperSpeedup[name][v]
 				if paper == 0 {
@@ -206,31 +206,31 @@ func figure(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record)
 }
 
 // figure1 prints 8-processor speedups for the regular applications.
-var figure1 = Table{Name: "figure1", paper: true, Specs: figureSpecs(RegularApps),
-	render: figure("Figure 1: Speedups, regular applications (paper vs measured)", RegularApps)}
+var figure1 = Table{Name: "figure1", paper: true, Specs: figureSpecs(regularApps),
+	render: figure("Figure 1: Speedups, regular applications (paper vs measured)", regularApps)}
 
 // figure2 prints 8-processor speedups for the irregular applications.
-var figure2 = Table{Name: "figure2", paper: true, Specs: figureSpecs(IrregularApps),
-	render: figure("Figure 2: Speedups, irregular applications (paper vs measured)", IrregularApps)}
+var figure2 = Table{Name: "figure2", paper: true, Specs: figureSpecs(irregularApps),
+	render: figure("Figure 2: Speedups, irregular applications (paper vs measured)", irregularApps)}
 
 func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record) error {
 	return func(w io.Writer, base exp.Spec, recs []exp.Record) error {
 		res := index(recs)
 		fmt.Fprintf(w, "%s%s\n", title, scaleNote(base.Scale))
 		fmt.Fprintf(w, "%-9s %-5s |", "App", "")
-		for _, v := range FigureVersions {
+		for _, v := range figureVersions {
 			fmt.Fprintf(w, " %8s(p) %8s(m) |", v, v)
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "-----------------------------------------------------------------------------------------------------------")
 		for _, name := range apps {
 			fmt.Fprintf(w, "%-9s %-5s |", name, "msgs")
-			for _, v := range FigureVersions {
+			for _, v := range figureVersions {
 				fmt.Fprintf(w, " %11d %11d |", paperMsgs[name][v], res.of(at(base, name, v)).Msgs)
 			}
 			fmt.Fprintln(w)
 			fmt.Fprintf(w, "%-9s %-5s |", "", "KB")
-			for _, v := range FigureVersions {
+			for _, v := range figureVersions {
 				fmt.Fprintf(w, " %11d %11d |", paperKB[name][v], res.of(at(base, name, v)).Bytes/1024)
 			}
 			fmt.Fprintln(w)
@@ -240,39 +240,39 @@ func traffic(title string, apps []string) func(io.Writer, exp.Spec, []exp.Record
 }
 
 // table2 prints message and data totals for the regular applications.
-var table2 = Table{Name: "table2", paper: true, Specs: figureSpecs(RegularApps),
-	render: traffic("Table 2: Message totals and data totals (KB), regular applications", RegularApps)}
+var table2 = Table{Name: "table2", paper: true, Specs: figureSpecs(regularApps),
+	render: traffic("Table 2: Message totals and data totals (KB), regular applications", regularApps)}
 
 // table3 prints message and data totals for the irregular applications.
-var table3 = Table{Name: "table3", paper: true, Specs: figureSpecs(IrregularApps),
-	render: traffic("Table 3: Message totals and data totals (KB), irregular applications", IrregularApps)}
+var table3 = Table{Name: "table3", paper: true, Specs: figureSpecs(irregularApps),
+	render: traffic("Table 3: Message totals and data totals (KB), irregular applications", irregularApps)}
 
-// HandOptCase is one §5 hand-optimization experiment: an application's
+// handOptCase is one §5 hand-optimization experiment: an application's
 // hand-optimized version, measured against the version it varies
 // (core.VersionInfo.Varies).
-type HandOptCase struct {
-	App  string
-	Opt  core.Version
+type handOptCase struct {
+	app  string
+	opt  core.Version
 	note string
 }
 
-// HandOptCases are the paper's §5 experiments, in its order.
-var HandOptCases = []HandOptCase{
+// handOptCases are the paper's §5 experiments, in its order.
+var handOptCases = []handOptCase{
 	{"Jacobi", core.SPFOpt, "data aggregation (§5.1)"},
 	{"Shallow", core.SPFOpt, "merged loops + aggregation (§5.2)"},
 	{"MGS", core.TmkOpt, "merged sync+data broadcast (§5.3)"},
 	{"3-D FFT", core.SPFOpt, "data aggregation (§5.4)"},
 }
 
-// HandOpt prints the §5 hand-optimization results.
-var HandOpt = Table{Name: "handopt", paper: true, Specs: handOptSpecs, render: renderHandOpt}
+// handOpt prints the §5 hand-optimization results.
+var handOpt = Table{Name: "handopt", paper: true, Specs: handOptSpecs, render: renderHandOpt}
 
 func handOptSpecs(base exp.Spec) (specs []exp.Spec) {
-	for _, c := range HandOptCases {
+	for _, c := range handOptCases {
 		specs = append(specs,
-			at(base, c.App, core.Seq),
-			at(base, c.App, core.Describe(c.Opt).Varies),
-			at(base, c.App, c.Opt))
+			at(base, c.app, core.Seq),
+			at(base, c.app, core.Describe(c.opt).Varies),
+			at(base, c.app, c.opt))
 	}
 	return specs
 }
@@ -282,21 +282,21 @@ func renderHandOpt(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	fmt.Fprintf(w, "Section 5 hand optimizations (paper vs measured speedup)%s\n", scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-9s | %-34s | %19s | %19s\n", "App", "Optimization", "before (p)    (m)", "after (p)    (m)")
 	fmt.Fprintln(w, "---------------------------------------------------------------------------------------------")
-	for _, c := range HandOptCases {
-		seq := res.of(at(base, c.App, core.Seq))
-		v := core.Describe(c.Opt).Varies
-		before := speedup(res.of(at(base, c.App, v)), seq)
-		after := speedup(res.of(at(base, c.App, c.Opt)), seq)
+	for _, c := range handOptCases {
+		seq := res.of(at(base, c.app, core.Seq))
+		v := core.Describe(c.opt).Varies
+		before := speedup(res.of(at(base, c.app, v)), seq)
+		after := speedup(res.of(at(base, c.app, c.opt)), seq)
 		fmt.Fprintf(w, "%-9s | %-34s | %8.2f %9.2f | %8.2f %9.2f\n",
-			c.App, c.note, paperSpeedup[c.App][v], before, paperSpeedup[c.App][c.Opt], after)
+			c.app, c.note, paperSpeedup[c.app][v], before, paperSpeedup[c.app][c.opt], after)
 	}
 	return nil
 }
 
-// Interface prints the §2.3 compiler-interface ablation: the improved
-// fork-join interface (2(n-1) messages per loop) against the original
-// (8(n-1)), measured on Jacobi.
-var Interface = Table{Name: "interface", paper: true, Specs: interfaceSpecs, render: renderInterface}
+// interfaceAblation prints the §2.3 compiler-interface ablation: the
+// improved fork-join interface (2(n-1) messages per loop) against the
+// original (8(n-1)), measured on Jacobi.
+var interfaceAblation = Table{Name: "interface", paper: true, Specs: interfaceSpecs, render: renderInterface}
 
 func interfaceSpecs(base exp.Spec) []exp.Spec {
 	return []exp.Spec{at(base, "Jacobi", core.Seq), at(base, "Jacobi", core.SPFOld), at(base, "Jacobi", core.SPF)}
@@ -327,7 +327,7 @@ var scalability = Table{Name: "scalability", Specs: scalabilitySpecs, render: re
 func scalabilitySpecs(base exp.Spec) []exp.Spec {
 	specs := []exp.Spec{at(base, scalabilityApp, core.Seq)}
 	for _, p := range scalabilityProcCounts {
-		for _, v := range FigureVersions {
+		for _, v := range figureVersions {
 			specs = append(specs, atProcs(base, scalabilityApp, v, p))
 		}
 	}
@@ -339,14 +339,14 @@ func renderScalability(w io.Writer, base exp.Spec, recs []exp.Record) error {
 	seq := recs[0]
 	fmt.Fprintf(w, "Scalability: %s speedups by processor count%s\n", scalabilityApp, scaleNote(base.Scale))
 	fmt.Fprintf(w, "%-6s |", "procs")
-	for _, v := range FigureVersions {
+	for _, v := range figureVersions {
 		fmt.Fprintf(w, " %8s |", v)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "--------------------------------------------------")
 	for _, p := range scalabilityProcCounts {
 		fmt.Fprintf(w, "%-6d |", p)
-		for _, v := range FigureVersions {
+		for _, v := range figureVersions {
 			fmt.Fprintf(w, " %8.2f |", speedup(res.of(atProcs(base, scalabilityApp, v, p)), seq))
 		}
 		fmt.Fprintln(w)

@@ -23,7 +23,7 @@ func TestAppsComplete(t *testing.T) {
 	for _, a := range apps {
 		names[a.Name()] = true
 	}
-	for _, want := range append(append([]string{}, RegularApps...), IrregularApps...) {
+	for _, want := range append(append([]string{}, regularApps...), irregularApps...) {
 		if !names[want] {
 			t.Errorf("missing application %q", want)
 		}
@@ -31,8 +31,8 @@ func TestAppsComplete(t *testing.T) {
 }
 
 func TestPaperTablesCoverEveryAppAndVersion(t *testing.T) {
-	for _, name := range append(append([]string{}, RegularApps...), IrregularApps...) {
-		for _, v := range FigureVersions {
+	for _, name := range append(append([]string{}, regularApps...), irregularApps...) {
+		for _, v := range figureVersions {
 			if _, ok := paperMsgs[name][v]; !ok {
 				t.Errorf("PaperMsgs missing %s/%s", name, v)
 			}
@@ -239,12 +239,12 @@ func wrongEngine(app string, bad core.Version, wrong func(float64) float64) *exp
 func TestTablesRefuseANonFiniteResult(t *testing.T) {
 	e := wrongEngine("MGS", core.TmkOpt, func(float64) float64 { return math.NaN() })
 	var sb strings.Builder
-	err := HandOpt.Print(&sb, e, smallBase)
+	err := handOpt.Print(&sb, e, smallBase)
 	if err == nil || err.Error() != "MGS/tmk-opt: non-finite checksum" {
-		t.Errorf("HandOpt error = %v, want the run's non-finite checksum", err)
+		t.Errorf("handOpt error = %v, want the run's non-finite checksum", err)
 	}
 	if sb.Len() != 0 {
-		t.Errorf("HandOpt rendered from a failed run:\n%s", sb.String())
+		t.Errorf("handOpt rendered from a failed run:\n%s", sb.String())
 	}
 	if err := figure1.Print(&sb, e, smallBase); err != nil || !strings.Contains(sb.String(), "MGS") {
 		t.Errorf("Figure 1, which has no tmk-opt cell, failed: %v\n%s", err, sb.String())
@@ -282,12 +282,12 @@ func TestMidScaleRankingsHold(t *testing.T) {
 		}
 		return res.Speedup(seq.Time)
 	}
-	for _, name := range RegularApps {
+	for _, name := range regularApps {
 		if spf, pvme := speedup(name, core.SPF), speedup(name, core.PVMe); pvme <= spf {
 			t.Errorf("%s: PVMe %.2f should beat SPF %.2f (regular apps)", name, pvme, spf)
 		}
 	}
-	for _, name := range IrregularApps {
+	for _, name := range irregularApps {
 		if spf, xhpf := speedup(name, core.SPF), speedup(name, core.XHPF); spf <= xhpf {
 			t.Errorf("%s: SPF %.2f should beat XHPF %.2f (irregular apps)", name, spf, xhpf)
 		}

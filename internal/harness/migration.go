@@ -28,8 +28,8 @@ import (
 // pathology: process 0 initializes the arrays, touches everything
 // first, and captures pages it will never write again.
 
-// MigrationApps are the applications of the home-policy sweep.
-var MigrationApps = []string{"MGS", "Jacobi", "Shallow"}
+// migrationApps are the applications of the home-policy sweep.
+var migrationApps = []string{"MGS", "Jacobi", "Shallow"}
 
 // migrationProcCounts is the node-count sweep.
 var migrationProcCounts = []int{1, 2, 4, 8}
@@ -42,8 +42,8 @@ var migration = Table{Name: "migration", Specs: migrationSpecs, render: renderMi
 
 func migrationSpecs(base exp.Spec) (specs []exp.Spec) {
 	base.Protocol = proto.HomeLRC // the only protocol with homes
-	for _, name := range MigrationApps {
-		v := DSMVersionOf(mustApp(name))
+	for _, name := range migrationApps {
+		v := dsmVersionOf(mustApp(name))
 		for _, procs := range migrationProcCounts {
 			for _, pol := range proto.PolicyNames() {
 				s := base

@@ -34,8 +34,8 @@ func TestGoldenTrafficHomePolicies(t *testing.T) {
 // every policy's golden record must be static's — time, traffic and
 // checksum — with zero migration activity.
 func TestSingleNodeNeverMigrates(t *testing.T) {
-	for _, name := range MigrationApps {
-		s := underPolicy(small(name, DSMVersionOf(mustApp(name)), 1, ""), proto.StaticPolicy)
+	for _, name := range migrationApps {
+		s := underPolicy(small(name, dsmVersionOf(mustApp(name)), 1, ""), proto.StaticPolicy)
 		static := golden(t, s)
 		for _, pol := range proto.PolicyNames() {
 			rec := golden(t, underPolicy(s, pol))
@@ -59,7 +59,7 @@ func TestMigrationExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, name := range MigrationApps {
+	for _, name := range migrationApps {
 		if !strings.Contains(out, name) {
 			t.Errorf("migration table is missing %s:\n%s", name, out)
 		}

@@ -66,13 +66,13 @@ var paperDataSet = map[string]string{
 	"NBF":     "32K molecules, 20 iterations",
 }
 
-// RegularApps and IrregularApps order the applications as the paper does.
-var RegularApps = []string{"Jacobi", "Shallow", "MGS", "3-D FFT"}
-var IrregularApps = []string{"IGrid", "NBF"}
+// regularApps and irregularApps order the applications as the paper does.
+var regularApps = []string{"Jacobi", "Shallow", "MGS", "3-D FFT"}
+var irregularApps = []string{"IGrid", "NBF"}
 
-// FigureVersions orders the bars of Figures 1 and 2: the base versions
+// figureVersions orders the bars of Figures 1 and 2: the base versions
 // other than seq, in version-table order.
-var FigureVersions = func() (out []core.Version) {
+var figureVersions = func() (out []core.Version) {
 	for _, row := range core.VersionTable() {
 		if row.Varies == "" && row.Runtime != core.SeqRuntime {
 			out = append(out, row.Version)

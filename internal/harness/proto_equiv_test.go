@@ -61,10 +61,10 @@ func TestProtocolEquivalence(t *testing.T) {
 			if !core.Describe(v).Runtime.OnDSM() {
 				continue
 			}
-			for _, procs := range ProtocolProcCounts {
+			for _, procs := range protocolProcCounts {
 				t.Run(fmt.Sprintf("%s/%s/p%d", a.Name(), v, procs), func(t *testing.T) {
 					first := checkProtocols(t, exp.New(), a.Name(), v, procs)
-					if v != DSMVersionOf(a) {
+					if v != dsmVersionOf(a) {
 						return
 					}
 					for i, p := range proto.Names() {
@@ -89,7 +89,7 @@ func TestProtocolEquivalence(t *testing.T) {
 func TestProtocolEquivalenceCorpus(t *testing.T) {
 	for _, seed := range corpusSampleSeeds(t) {
 		name := fmt.Sprintf("gen-%d", seed)
-		for _, procs := range ProtocolProcCounts {
+		for _, procs := range protocolProcCounts {
 			t.Run(fmt.Sprintf("%s/p%d", name, procs), func(t *testing.T) {
 				checkProtocols(t, exp.New(), name, core.SPFGen, procs)
 			})

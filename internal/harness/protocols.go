@@ -16,13 +16,13 @@ import (
 // the protocol choice may change only virtual time, message counts and
 // byte volumes, which is precisely what the table reports.
 
-// ProtocolProcCounts is the node-count sweep of the protocol experiment.
-var ProtocolProcCounts = []int{1, 2, 4, 8}
+// protocolProcCounts is the node-count sweep of the protocol experiment.
+var protocolProcCounts = []int{1, 2, 4, 8}
 
-// DSMVersionOf picks the application's representative DSM version for
+// dsmVersionOf picks the application's representative DSM version for
 // protocol comparisons: the hand-coded TreadMarks version when the
 // application has one, otherwise the compiler-generated SPF version.
-func DSMVersionOf(a core.App) core.Version {
+func dsmVersionOf(a core.App) core.Version {
 	for _, v := range a.Versions() {
 		if v == core.Tmk {
 			return core.Tmk
@@ -41,11 +41,11 @@ var protocols = Table{Name: "protocols", Specs: protocolSpecs, render: renderPro
 
 func protocolSpecs(base exp.Spec) (specs []exp.Spec) {
 	for _, a := range exp.PaperApps() {
-		for _, procs := range ProtocolProcCounts {
+		for _, procs := range protocolProcCounts {
 			for _, p := range proto.Names() {
 				s := base
 				s.Protocol = p
-				specs = append(specs, atProcs(s, a.Name(), DSMVersionOf(a), procs))
+				specs = append(specs, atProcs(s, a.Name(), dsmVersionOf(a), procs))
 			}
 		}
 	}

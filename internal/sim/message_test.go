@@ -49,6 +49,26 @@ func ringProgram(rounds int) func(p *Proc) {
 	}
 }
 
+// BenchmarkSimulatorEventRate measures the discrete-event engine's raw
+// throughput: host nanoseconds per simulator event over the ring, an
+// event being one send or one receive.
+func BenchmarkSimulatorEventRate(b *testing.B) {
+	const rounds = 2500
+	const events = 2 * 8 * rounds
+	cfg := Config{
+		Procs: 8, Latency: 10 * Microsecond, NanosPerByte: 30,
+		SendOverhead: 5 * Microsecond, RecvOverhead: 5 * Microsecond,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := New(cfg).Run(ringProgram(rounds)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(events, "events/run")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
 // TestSteadyStateMessagesDoNotAllocate: once a cluster is running, a
 // message costs the host no heap object — it is stored by value in the
 // destination's inbox and returned by value. The marginal allocations

@@ -25,9 +25,8 @@ import (
 // marked it read (DESIGN.md, internal/tmk, "Barrier messages are reused
 // once read").
 type arrivalMsg struct {
-	vc     []int32              // the arriver's vector clock (tells the manager what it lacks)
-	own    [1]proto.NoticeBatch // the arriver's newly released intervals
-	reduce []float64            // optional barrier-merged reduction contribution (§8)
+	vc  []int32              // the arriver's vector clock (tells the manager what it lacks)
+	own [1]proto.NoticeBatch // the arriver's newly released intervals
 	// dir carries the home policy's directory proposals of the closing
 	// epoch (home migration / first-touch claims) for arbitration.
 	dir  []proto.DirUpdate
@@ -40,7 +39,6 @@ type arrivalMsg struct {
 type departMsg struct {
 	batches []proto.NoticeBatch
 	payload any // loop-control data under the improved interface (§2.3)
-	reduce  []float64
 	// dir is the arbitrated home-directory update list of this epoch,
 	// identical in every departure: all nodes install the same homes
 	// before any post-barrier release can flush.
@@ -51,21 +49,11 @@ type departMsg struct {
 // Barrier performs a full TreadMarks barrier: an RC release followed by
 // global synchronization and write-notice exchange.
 func (tm *Tmk) Barrier() {
-	tm.barrierReduce(nil, nil, stats.KindBarrier)
+	tm.barrier(stats.KindBarrier)
 }
 
-// BarrierReduceSum is the §8 "efficient support for reductions"
-// extension: contributions are merged element-wise (sum) through the
-// barrier messages themselves and the result is returned to every
-// process, avoiding a lock-protected shared reduction variable. Every
-// process must pass a slice of the same length.
-func (tm *Tmk) BarrierReduceSum(vals []float64) []float64 {
-	out := make([]float64, len(vals))
-	tm.barrierReduce(vals, out, stats.KindBarrier)
-	return out
-}
-
-func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
+// barrier is a full barrier whose messages are recorded under kind.
+func (tm *Tmk) barrier(kind stats.Kind) {
 	nd := tm.nd
 	p := tm.p
 	n := nd.sys.nprocs
@@ -83,9 +71,6 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 		}()
 	}
 	if n == 1 {
-		if reduceOut != nil {
-			copy(reduceOut, reduce)
-		}
 		return
 	}
 	// Close the home policy's accounting epoch. Proposals ride the
@@ -101,18 +86,12 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 	}
 
 	if nd.id == 0 {
-		// Contributions are folded in node order, not arrival order:
-		// arrival order varies with protocol timing and floating-point
-		// summation must not (cross-protocol equivalence).
-		contribs := nd.contribs
-		contribs[0] = reduce
 		nd.dirPending[0] = props
 		for i := 1; i < n; i++ {
 			m := p.Recv(sim.AnySrc, tagBarrierArrive+seq)
 			arr := m.Payload.(*arrivalMsg)
 			nd.prot.ApplyBatches(arr.own[:])
 			nd.setWorkerVC(m.Src, arr.vc)
-			contribs[m.Src] = arr.reduce
 			nd.dirPending[m.Src] = arr.dir
 			arr.read = true
 			p.Advance(c.BarrierWork)
@@ -121,38 +100,21 @@ func (tm *Tmk) barrierReduce(reduce, reduceOut []float64, kind stats.Kind) {
 		if kind != stats.KindShutdown {
 			updates = nd.drainDirProposals()
 		}
-		var acc []float64
-		for _, cv := range contribs {
-			if len(cv) > len(acc) {
-				grown := make([]float64, len(cv))
-				copy(grown, acc)
-				acc = grown
-			}
-			for k, v := range cv {
-				acc[k] += v
-			}
-		}
 		deps := nd.departures()
 		for w := 1; w < n; w++ {
 			dep := &deps[w-1]
-			dep.reduce, dep.dir = acc, updates
-			bytes := 16 + proto.BatchBytes(dep.batches) + len(acc)*8 + proto.DirUpdateBytes(updates)
+			dep.dir = updates
+			bytes := 16 + proto.BatchBytes(dep.batches) + proto.DirUpdateBytes(updates)
 			p.Send(w, tagBarrierDepart+seq, dep, bytes, kind)
 		}
 		nd.prot.ApplyDirectory(updates, kind)
-		if reduceOut != nil {
-			copy(reduceOut, acc)
-		}
 	} else {
-		arr := nd.arrival(reported, reduce, props)
-		bytes := n*vcBytes + proto.BatchBytes(arr.own[:]) + len(reduce)*8 + proto.DirUpdateBytes(props)
+		arr := nd.arrival(reported, props)
+		bytes := n*vcBytes + proto.BatchBytes(arr.own[:]) + proto.DirUpdateBytes(props)
 		p.Send(0, tagBarrierArrive+seq, arr, bytes, kind)
 		m := p.Recv(0, tagBarrierDepart+seq)
 		dep := m.Payload.(*departMsg)
 		nd.prot.ApplyBatches(dep.batches)
-		if reduceOut != nil {
-			copy(reduceOut, dep.reduce)
-		}
 		dir := dep.dir
 		dep.read = true
 		p.Advance(c.BarrierWork)
@@ -239,7 +201,7 @@ func (tm *Tmk) Join() {
 	props := nd.prot.Rebalance()
 	seq := nd.barrierSeq % barrierSeqSpace
 	nd.barrierSeq++
-	arr := nd.arrival(reported, nil, props)
+	arr := nd.arrival(reported, props)
 	bytes := nd.sys.nprocs*vcBytes + proto.BatchBytes(arr.own[:]) + proto.DirUpdateBytes(props)
 	p.Send(0, tagBarrierArrive+seq, arr, bytes, stats.KindBarrier)
 	nd.sys.costs.Trace.Instant(obs.EvBarrierArrive, p.ID(), int64(p.Now()), stats.KindBarrier, -1, int64(seq))
@@ -314,17 +276,16 @@ func (nd *node) departures() []departMsg {
 // arrival read once it has taken them; until then (a Join, which
 // waits for no departure, followed by another arrival) the worker
 // makes a fresh one and keeps that.
-func (nd *node) arrival(reported int32, reduce []float64, props []proto.DirUpdate) *arrivalMsg {
+func (nd *node) arrival(reported int32, props []proto.DirUpdate) *arrivalMsg {
 	arr := nd.arr
 	if arr == nil || !arr.read {
 		arr = new(arrivalMsg)
 		nd.arr = arr
 	}
 	*arr = arrivalMsg{
-		vc:     append(arr.vc[:0], nd.prot.VC()...),
-		own:    [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)},
-		reduce: reduce,
-		dir:    props,
+		vc:  append(arr.vc[:0], nd.prot.VC()...),
+		own: [1]proto.NoticeBatch{nd.prot.OwnBatch(reported)},
+		dir: props,
 	}
 	return arr
 }

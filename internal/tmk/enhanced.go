@@ -7,9 +7,8 @@ import (
 
 // Enhanced compiler-runtime interface (paper §5 hand optimizations and
 // §8, after Dwarkadas et al. [7]): data aggregation (ReadAggregated /
-// WriteAggregated on regions), broadcast, pushing data with barriers
-// instead of the default request-response, and barrier-merged reductions
-// (BarrierReduceSum in barrier.go).
+// WriteAggregated on regions), broadcast, and pushing data with barriers
+// instead of the default request-response.
 
 // bcastMsg carries a broadcast snapshot of a region range and, for each
 // page the range covers whole, the applied vector of the root's copy.

@@ -15,8 +15,7 @@
 //   - the improved compiler interface of §2.3 (split barrier
 //     arrival/departure carrying loop-control data); and
 //   - the enhanced interface used for the paper's hand optimizations
-//     (§5, §8): aggregated validation, broadcast, push, and
-//     barrier-merged reductions.
+//     (§5, §8): aggregated validation, broadcast and push.
 //
 // Each node contributes two simulated processes: an application process
 // (ids 0..n-1) that runs user code, and a request-server process
@@ -202,9 +201,8 @@ type node struct {
 	frames     FrameCounters // this node's share; regions count into it
 
 	// Synchronization bookkeeping.
-	lastReported int32       // own intervals reported to the barrier manager
-	workerVC     [][]int32   // manager only: last-known vc per worker
-	contribs     [][]float64 // manager only: a barrier's reduction contributions by node
+	lastReported int32     // own intervals reported to the barrier manager
+	workerVC     [][]int32 // manager only: last-known vc per worker
 	// The barrier messages this node refills once they are read: a
 	// worker's arrival, the manager's departures and their batches.
 	arr        *arrivalMsg
@@ -241,7 +239,6 @@ func newNode(id int, s *System) *node {
 			nd.workerVC[w] = make([]int32, s.nprocs)
 		}
 		nd.dirPending = make([][]proto.DirUpdate, s.nprocs)
-		nd.contribs = make([][]float64, s.nprocs)
 	}
 	return nd
 }

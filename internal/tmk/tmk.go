@@ -42,12 +42,12 @@ func (tm *Tmk) Protocol() proto.Name { return tm.sys.protocol }
 // timed-region boundaries so that Table 2/3 traffic totals contain only
 // application traffic.
 func (tm *Tmk) BarrierSilent() {
-	tm.barrierReduce(nil, nil, stats.KindShutdown)
+	tm.barrier(stats.KindShutdown)
 }
 
 // shutdown quiesces the system and stops this node's request server.
 func (tm *Tmk) shutdown() {
-	tm.barrierReduce(nil, nil, stats.KindShutdown)
+	tm.barrier(stats.KindShutdown)
 	tm.p.Send(tm.sys.serverOf(tm.nd.id), tagExit, nil, 0, stats.KindShutdown)
 }
 

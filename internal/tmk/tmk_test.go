@@ -656,19 +656,6 @@ func TestConvergesToSequential(t *testing.T) {
 	}
 }
 
-func TestBarrierReduceSum(t *testing.T) {
-	sys := newTestSystem(8)
-	err := sys.Run(func(tm *Tmk) {
-		got := tm.BarrierReduceSum([]float64{float64(tm.ID()), 1})
-		if got[0] != 28 || got[1] != 8 {
-			t.Errorf("proc %d: reduce = %v, want [28 8]", tm.ID(), got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComplexRegion(t *testing.T) {
 	sys := newTestSystem(2)
 	err := sys.Run(func(tm *Tmk) {
@@ -853,29 +840,6 @@ func TestReadAggregatedRangesCorrectness(t *testing.T) {
 	}
 }
 
-// TestBarrierReduceMatchesLockReduce: the §8 extension computes the same
-// sum the lock-based §2.1 scheme does.
-func TestBarrierReduceMatchesLockReduce(t *testing.T) {
-	sys := newTestSystem(8)
-	err := sys.Run(func(tm *Tmk) {
-		shared := Alloc[float64](tm, "s", 8)
-		part := float64(tm.ID()*tm.ID() + 1)
-		tm.AcquireLock(9)
-		w := shared.Write(0, 1)
-		w[0] += part
-		tm.ReleaseLock(9)
-		tm.Barrier()
-		viaLock := shared.Read(0, 1)[0]
-		viaBarrier := tm.BarrierReduceSum([]float64{part})[0]
-		if viaLock != viaBarrier {
-			t.Errorf("lock-based %v != barrier-merged %v", viaLock, viaBarrier)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMixedBarrierAndForkJoin: interleaving full barriers with the
 // split fork/join interface must keep sequence numbers and consistency
 // consistent.
@@ -909,14 +873,13 @@ func TestMixedBarrierAndForkJoin(t *testing.T) {
 // TestBarrierMessagesReusedOnlyOnceRead drives every barrier form with
 // staggered compute, so that arrivals reach the manager in changing
 // orders. It has a worker follow a Join at once with another arrival —
-// a BarrierReduceSum each round, and the teardown barrier after the
-// last Join — before the master's Collect has read the first, and the
-// master send two Forks before any worker has read the first. A node
-// refills a barrier message only once its reader has marked it read;
-// one refilled any sooner loses the Join's write notices, a
-// contribution or a Fork payload. So every write must reach its
-// reader, every reduction must be exact and every Fork payload must
-// stay what it was sent as.
+// a Barrier each round, and the teardown barrier after the last Join
+// — before the master's Collect has read the first, and the master
+// send two Forks before any worker has read the first. A node refills
+// a barrier message only once its reader has marked it read; one
+// refilled any sooner loses the Join's write notices or a Fork
+// payload. So every write must reach its reader and every Fork payload
+// must stay what it was sent as.
 func TestBarrierMessagesReusedOnlyOnceRead(t *testing.T) {
 	const nodes, rounds, epp = 5, 6, 512 // a block per node, a page each
 	for _, p := range proto.Names() {
@@ -979,10 +942,7 @@ func TestBarrierMessagesReusedOnlyOnceRead(t *testing.T) {
 				}
 				for k := 1; k <= rounds; k++ {
 					forkJoin(k)
-					got := tm.BarrierReduceSum([]float64{float64(k * (id + 1)), 0.5})
-					if want := []float64{float64(k * nodes * (nodes + 1) / 2), 0.5 * nodes}; got[0] != want[0] || got[1] != want[1] {
-						t.Errorf("round %d: node %d reduces to %v, want %v", k, id, got, want)
-					}
+					tm.Barrier()
 					stagger(k + 1)
 					write(bar, float64(-100*k))
 					tm.Barrier()
